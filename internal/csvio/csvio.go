@@ -11,14 +11,11 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"recache/internal/expr"
-	"recache/internal/freshness"
 	"recache/internal/plan"
+	"recache/internal/rawfile"
 	"recache/internal/value"
 )
 
@@ -37,53 +34,11 @@ func (o Options) delim() byte {
 	return o.Delim
 }
 
-// snapshot is one immutable view of the file: its ingested bytes, the
-// positional map built over them, the epoch those byte offsets belong to,
-// and the fingerprint that detects divergence from disk. Snapshots are
-// published through an atomic pointer and never mutated after publication,
-// with one deliberate exception: an append-extension may grow the data /
-// recStart / fieldOff backing arrays *beyond the published lengths* in
-// place. Readers slice by the lengths captured in their own snapshot, so
-// writes past those lengths are invisible to them — the classic
-// append-only-log trick, giving lock-free readers across extensions.
-type snapshot struct {
-	data     []byte
-	recStart []int64
-	fieldOff []uint32 // nrecs × nfields, offsets relative to recStart
-	mapped   bool     // recStart/fieldOff are populated
-	loaded   bool     // data was read from disk (false after a rewrite reset)
-	epoch    uint64   // bumps on every rewrite; byte offsets are per-epoch
-	fp       freshness.Fingerprint
-}
-
-// Provider implements plan.ScanProvider for one CSV file.
-//
-// Providers are safe for concurrent scans: all shared state lives in an
-// immutable snapshot behind an atomic pointer; p.mu serializes the writers
-// (initial load, positional-map publication, Refresh). Concurrent first
-// scans each tokenize independently (the per-scan row buffers are local);
-// the first to finish publishes the map.
-type Provider struct {
-	path   string
-	schema *value.Type
-	opts   Options
-	size   atomic.Int64
-
-	mu   sync.Mutex // serializes snapshot replacement (load, map, refresh)
-	snap atomic.Pointer[snapshot]
-
-	// scans counts full-file Scan calls (not ScanOffsets replays or tail
-	// scans); the work-sharing bench and tests use it to assert how many
-	// raw parses a burst of concurrent misses actually paid for. pushScans
-	// counts the subset that evaluated a pushdown below parsing, and
-	// pushSkipped the records those scans rejected before decoding
-	// anything else.
-	scans       atomic.Int64
-	pushScans   atomic.Int64
-	pushSkipped atomic.Int64
-
-	nfields int
-}
+// Provider implements plan.ScanProvider — and the refresh, epoch-pinned and
+// pushdown extensions — for one CSV file. Snapshots, the positional map and
+// the freshness lifecycle are rawfile.File's; this package supplies the CSV
+// tokenizer, the field decoders and the fused first-pass loops.
+type Provider struct{ *rawfile.File }
 
 // New creates a provider over path with an explicit flat record schema.
 func New(path string, schema *value.Type, opts Options) (*Provider, error) {
@@ -95,288 +50,36 @@ func New(path string, schema *value.Type, opts Options) (*Provider, error) {
 			return nil, fmt.Errorf("csvio: field %q is not primitive", f.Name)
 		}
 	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("csvio: %w", err)
-	}
-	p := &Provider{
-		path:    path,
+	f, err := rawfile.New(path, schema, &format{
 		schema:  schema,
-		opts:    opts,
+		delim:   opts.delim(),
+		header:  opts.HasHeader,
 		nfields: len(schema.Fields),
-	}
-	p.size.Store(st.Size())
-	return p, nil
-}
-
-// Schema implements plan.ScanProvider.
-func (p *Provider) Schema() *value.Type { return p.schema }
-
-// NumRecords implements plan.ScanProvider: -1 before the first scan.
-func (p *Provider) NumRecords() int {
-	s := p.snap.Load()
-	if s == nil || !s.mapped {
-		return -1
-	}
-	return len(s.recStart)
-}
-
-// SizeBytes implements plan.ScanProvider.
-func (p *Provider) SizeBytes() int64 { return p.size.Load() }
-
-// Scans returns the number of full-file scans performed so far.
-func (p *Provider) Scans() int64 { return p.scans.Load() }
-
-// PushdownStats reports how many full-file scans evaluated a pushdown below
-// parsing and how many records those scans skipped before full decode.
-func (p *Provider) PushdownStats() (scans, skipped int64) {
-	return p.pushScans.Load(), p.pushSkipped.Load()
-}
-
-// ensureLoaded publishes the file contents exactly once per epoch
-// (double-checked) and returns the current snapshot.
-func (p *Provider) ensureLoaded() (*snapshot, error) {
-	if s := p.snap.Load(); s != nil && s.loaded {
-		return s, nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if s := p.snap.Load(); s != nil && s.loaded {
-		return s, nil
-	}
-	st, err := os.Stat(p.path)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("csvio: %w", err)
 	}
-	b, err := os.ReadFile(p.path)
-	if err != nil {
-		return nil, fmt.Errorf("csvio: %w", err)
-	}
-	epoch := uint64(1)
-	if s := p.snap.Load(); s != nil {
-		epoch = s.epoch
-	}
-	ns := &snapshot{
-		data:   b,
-		loaded: true,
-		epoch:  epoch,
-		fp:     freshness.Capture(b, st.ModTime().UnixNano()),
-	}
-	p.size.Store(int64(len(b)))
-	p.snap.Store(ns)
-	return ns, nil
+	return &Provider{f}, nil
 }
 
-// Version implements plan.RefreshableProvider: the current (epoch, covered
-// bytes), loading the file first if needed. On a load failure it reports
-// zero coverage under the current epoch — any scan would fail the same way,
-// so nothing is built against the bogus version.
-func (p *Provider) Version() (uint64, int64) {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		if s := p.snap.Load(); s != nil {
-			return s.epoch, 0
-		}
-		return 0, 0
-	}
-	return s.epoch, int64(len(s.data))
+// format is the CSV rawfile.Format: one record per line, one field offset
+// per schema field.
+type format struct {
+	schema  *value.Type
+	delim   byte
+	header  bool
+	nfields int
 }
 
-// Refresh implements plan.RefreshableProvider: re-check the backing file
-// against the snapshot's fingerprint and reconcile. Appends extend the
-// snapshot in place (same epoch); rewrites reset the provider to an
-// unloaded snapshot under a new epoch, so the next scan reloads lazily.
-func (p *Provider) Refresh() (plan.FreshnessReport, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.snap.Load()
-	if s == nil || !s.loaded {
-		var ep uint64
-		if s != nil {
-			ep = s.epoch
-		}
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: ep}, nil
-	}
-	status, _ := s.fp.Check(p.path)
-	switch status {
-	case freshness.Unchanged:
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: s.epoch, Covered: int64(len(s.data))}, nil
-	case freshness.Appended:
-		return p.extendLocked(s)
-	default:
-		return p.resetLocked(s), nil
-	}
-}
-
-// resetLocked replaces the snapshot with an unloaded one under a new epoch.
-func (p *Provider) resetLocked(s *snapshot) plan.FreshnessReport {
-	ns := &snapshot{epoch: s.epoch + 1}
-	p.snap.Store(ns)
-	if st, err := os.Stat(p.path); err == nil {
-		p.size.Store(st.Size())
-	}
-	return plan.FreshnessReport{Status: plan.FileRewritten, Epoch: ns.epoch}
-}
-
-// extendLocked grows the snapshot over the file's new tail: read only the
-// bytes past the covered prefix, trim at the last newline (a torn trailing
-// line stays uncovered until it completes), tokenize the new complete
-// records onto the positional map, and publish a longer snapshot under the
-// same epoch. Falls back to a rewrite reset whenever the extension cannot
-// be proven equivalent to a fresh full scan.
-func (p *Provider) extendLocked(s *snapshot) (plan.FreshnessReport, error) {
-	old := len(s.data)
-	if old > 0 && s.data[old-1] != '\n' {
-		// The covered prefix ends mid-record: new bytes change the meaning
-		// of the last record already served, which no in-place extension
-		// can express.
-		return p.resetLocked(s), nil
-	}
-	f, err := os.Open(p.path)
-	if err != nil {
-		return p.resetLocked(s), nil
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return p.resetLocked(s), nil
-	}
-	sz := st.Size()
-	if sz < int64(old) {
-		return p.resetLocked(s), nil
-	}
-	if sz == int64(old) {
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: s.epoch, Covered: int64(old)}, nil
-	}
-	tail := make([]byte, sz-int64(old))
-	if _, err := f.ReadAt(tail, int64(old)); err != nil {
-		return p.resetLocked(s), nil
-	}
-	cut := bytes.LastIndexByte(tail, '\n')
-	if cut < 0 {
-		// The appended bytes hold no complete record yet.
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: s.epoch, Covered: int64(old)}, nil
-	}
-	tail = tail[:cut+1]
-
-	// Appending may write into spare capacity past the published lengths
-	// (invisible to snapshot readers) or reallocate; both are safe.
-	data := append(s.data, tail...)
-	ns := &snapshot{
-		data:   data,
-		loaded: true,
-		epoch:  s.epoch,
-		fp:     freshness.Capture(data, st.ModTime().UnixNano()),
-	}
-	if s.mapped {
-		recStart, fieldOff := s.recStart, s.fieldOff
-		delim := p.opts.delim()
-		i := old
-		for i < len(data) {
-			start := i
-			end := lineEnd(data, i)
-			var nf int
-			fieldOff, nf = tokenizeLine(data[start:end], delim, fieldOff, p.nfields)
-			if nf < p.nfields {
-				// Malformed appended record: the extension would poison the
-				// map, so invalidate wholesale instead.
-				return p.resetLocked(s), nil
-			}
-			recStart = append(recStart, int64(start))
-			i = end + 1
-		}
-		ns.recStart, ns.fieldOff, ns.mapped = recStart, fieldOff, true
-	}
-	p.size.Store(sz)
-	p.snap.Store(ns)
-	return plan.FreshnessReport{
-		Status:    plan.FileAppended,
-		Epoch:     ns.epoch,
-		Covered:   int64(len(data)),
-		TailBytes: int64(len(tail)),
-	}, nil
-}
-
-// neededIndexes maps needed paths to field indexes; nil means every field.
-func (p *Provider) neededIndexes(needed []value.Path) ([]bool, error) {
-	if needed == nil {
-		return nil, nil
-	}
-	mask := make([]bool, p.nfields)
-	for _, np := range needed {
-		i, _ := p.schema.FieldIndex(np.String())
-		if i < 0 {
-			return nil, fmt.Errorf("csvio: unknown field %q", np)
-		}
-		mask[i] = true
-	}
-	return mask, nil
-}
-
-// noComplete is the completion callback for already-complete records.
-func noComplete() error { return nil }
-
-// Scan implements plan.ScanProvider. The first call tokenizes the whole
-// file and builds the positional map; later calls parse only needed fields.
-// The complete callback handed to fn parses the skipped fields in place.
-func (p *Provider) Scan(needed []value.Path, fn plan.ScanFunc) error {
-	p.scans.Add(1)
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	mask, err := p.neededIndexes(needed)
-	if err != nil {
-		return err
-	}
-	if !s.mapped {
-		return p.firstScan(s, mask, fn)
-	}
-	row := make([]value.Value, p.nfields)
-	rec := value.Value{Kind: value.Record, L: row}
-	for ri, start := range s.recStart {
-		if err := p.parseAt(s, ri, start, mask, row); err != nil {
-			return err
-		}
-		complete := noComplete
-		if mask != nil {
-			ri, start := ri, start
-			complete = func() error { return p.completeAt(s, ri, start, mask, row) }
-		}
-		if err := fn(rec, start, complete); err != nil {
-			return err
+// RecordStart implements rawfile.Format: data begins past the header line
+// when the options declare one.
+func (f *format) RecordStart(data []byte, from int) int {
+	if f.header {
+		if h := lineEnd(data, 0) + 1; from < h {
+			return min(h, len(data))
 		}
 	}
-	return nil
-}
-
-// completeAt parses the fields mask skipped, using the positional map.
-func (p *Provider) completeAt(s *snapshot, ri int, start int64, mask []bool, row []value.Value) error {
-	offs := s.fieldOff[ri*p.nfields : (ri+1)*p.nfields]
-	for fi := 0; fi < p.nfields; fi++ {
-		if mask[fi] {
-			continue
-		}
-		beg := int(start) + int(offs[fi])
-		v, err := p.parseField(fi, s.data[beg:p.fieldEnd(s.data, beg)])
-		if err != nil {
-			return err
-		}
-		row[fi] = v
-	}
-	return nil
-}
-
-// skipHeader returns the offset of the first data byte, past the header
-// line when the options declare one.
-func (p *Provider) skipHeader(data []byte) int {
-	if !p.opts.HasHeader {
-		return 0
-	}
-	if j := bytes.IndexByte(data, '\n'); j >= 0 {
-		return j + 1
-	}
-	return len(data)
+	return from
 }
 
 // lineEnd returns the offset of the newline terminating the record that
@@ -409,325 +112,30 @@ func tokenizeLine(line []byte, delim byte, fieldOff []uint32, max int) ([]uint32
 	}
 }
 
-// firstScan tokenizes every record, filling the positional map as it goes.
-func (p *Provider) firstScan(s *snapshot, mask []bool, fn plan.ScanFunc) error {
-	data := s.data
-	i := p.skipHeader(data)
-	delim := p.opts.delim()
-	row := make([]value.Value, p.nfields)
-	rec := value.Value{Kind: value.Record, L: row}
-	var recStart []int64
-	var fieldOff []uint32
-	for i < len(data) {
-		start := i
-		recStart = append(recStart, int64(start))
-		end := lineEnd(data, i)
-		var nf int
-		fieldOff, nf = tokenizeLine(data[start:end], delim, fieldOff, p.nfields)
-		if nf < p.nfields {
-			return fmt.Errorf("csvio: record at offset %d has %d fields, want %d", start, nf, p.nfields)
-		}
-		offs := fieldOff[len(fieldOff)-p.nfields:]
-		for fi := 0; fi < p.nfields; fi++ {
-			if mask != nil && !mask[fi] {
+func (f *format) errShort(start, nf int) error {
+	return fmt.Errorf("csvio: record at offset %d has %d fields, want %d", start, nf, f.nfields)
+}
+
+// Tokenize implements rawfile.Format.
+func (f *format) Tokenize(data []byte, i int, offs []uint32) (int, error) {
+	end := lineEnd(data, i)
+	if _, nf := tokenizeLine(data[i:end], f.delim, offs[:0], f.nfields); nf < f.nfields {
+		return 0, f.errShort(i, nf)
+	}
+	return end + 1, nil
+}
+
+// Decode implements rawfile.Format.
+func (f *format) Decode(data []byte, start int, offs []uint32, mask []bool, rest bool, row []value.Value) error {
+	for fi := range offs {
+		if mask != nil && mask[fi] == rest {
+			if !rest {
 				row[fi] = value.VNull
-				continue
 			}
-			beg := start + int(offs[fi])
-			fe := end
-			switch {
-			case fi+1 < p.nfields:
-				fe = start + int(offs[fi+1]) - 1
-			case nf > p.nfields:
-				// Extra trailing fields: the last mapped field ends at its
-				// own delimiter, not the line end.
-				fe = p.fieldEnd(data, beg)
-			}
-			v, err := p.parseField(fi, data[beg:fe])
-			if err != nil {
-				return err
-			}
-			row[fi] = v
-		}
-		i = end
-		complete := noComplete
-		if mask != nil {
-			recOffs := fieldOff[len(fieldOff)-p.nfields:]
-			complete = func() error {
-				for fi := 0; fi < p.nfields; fi++ {
-					if mask[fi] {
-						continue
-					}
-					beg := start + int(recOffs[fi])
-					v, err := p.parseField(fi, data[beg:p.fieldEnd(data, beg)])
-					if err != nil {
-						return err
-					}
-					row[fi] = v
-				}
-				return nil
-			}
-		}
-		if err := fn(rec, int64(start), complete); err != nil {
-			return err
-		}
-		i++ // past newline
-	}
-	p.publishMap(s, recStart, fieldOff)
-	return nil
-}
-
-// publishMap installs a positional map built against snapshot s. Under
-// concurrent first scans the first finisher wins; if the snapshot moved on
-// (refresh, rewrite) while this scan ran, its map describes stale bytes
-// and is discarded.
-func (p *Provider) publishMap(s *snapshot, recStart []int64, fieldOff []uint32) {
-	p.mu.Lock()
-	if p.snap.Load() == s && !s.mapped {
-		ns := &snapshot{
-			data:     s.data,
-			recStart: recStart,
-			fieldOff: fieldOff,
-			mapped:   true,
-			loaded:   true,
-			epoch:    s.epoch,
-			fp:       s.fp,
-		}
-		p.snap.Store(ns)
-	}
-	p.mu.Unlock()
-}
-
-// ScanPushdown implements plan.PushdownScanner: it streams only the records
-// passing pd, decoding each tested column straight from its raw bytes (no
-// value boxing) and skipping the rest of the line as soon as a test fails.
-// When the pushdown carries a string-equality conjunct, a memchr-style
-// substring search over the raw file rejects records that cannot contain
-// the literal before any field is even located (bulk-skipping the stretch
-// between matches). Surviving records decode the needed ∪ tested fields;
-// complete() parses the rest on demand, exactly like Scan.
-func (p *Provider) ScanPushdown(pd *expr.Pushdown, needed []value.Path, fn plan.ScanFunc) (int64, error) {
-	tests := pd.Tests()
-	if len(tests) == 0 {
-		return 0, p.Scan(needed, fn)
-	}
-	p.scans.Add(1)
-	p.pushScans.Add(1)
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return 0, err
-	}
-	mask, err := p.neededIndexes(needed)
-	if err != nil {
-		return 0, err
-	}
-	eff := p.effectiveMask(mask, tests)
-	needle := expr.NewNeedleCursor(s.data, pd.EqNeedle())
-	var skipped int64
-	defer func() { p.pushSkipped.Add(skipped) }()
-	if !s.mapped {
-		return p.firstScanPushdown(s, tests, eff, needle, &skipped, fn)
-	}
-	row := make([]value.Value, p.nfields)
-	rec := value.Value{Kind: value.Record, L: row}
-	for ri := 0; ri < len(s.recStart); ri++ {
-		start := s.recStart[ri]
-		if needle != nil {
-			// Jump to the next record that can contain the equality
-			// literal, bulk-counting the records in between as skipped.
-			m := needle.Next(int(start))
-			if m == len(s.data) {
-				skipped += int64(len(s.recStart) - ri)
-				break
-			}
-			if rj := p.recordAt(s, int64(m)); rj > ri {
-				skipped += int64(rj - ri)
-				ri = rj
-				start = s.recStart[ri]
-			}
-		}
-		offs := s.fieldOff[ri*p.nfields : (ri+1)*p.nfields]
-		pass := true
-		for ti := range tests {
-			t := &tests[ti]
-			ok, err := p.testField(s.data, t, int(start)+int(offs[t.Slot]))
-			if err != nil {
-				return skipped, err
-			}
-			if !ok {
-				pass = false
-				break
-			}
-		}
-		if !pass {
-			skipped++
 			continue
 		}
-		if err := p.parseAt(s, ri, start, eff, row); err != nil {
-			return skipped, err
-		}
-		complete := noComplete
-		if eff != nil {
-			ri, start := ri, start
-			complete = func() error { return p.completeAt(s, ri, start, eff, row) }
-		}
-		if err := fn(rec, start, complete); err != nil {
-			return skipped, err
-		}
-	}
-	return skipped, nil
-}
-
-// recordAt returns the index of the record whose span contains byte offset
-// off (the last record starting at or before it). Requires the positional
-// map.
-func (p *Provider) recordAt(s *snapshot, off int64) int {
-	return sort.Search(len(s.recStart), func(i int) bool { return s.recStart[i] > off }) - 1
-}
-
-// effectiveMask unions the tested columns into the needed mask: survivors
-// have their tested fields materialized too (they are decoded regardless),
-// and complete() then parses exactly the complement. A nil mask (all
-// fields) stays nil.
-func (p *Provider) effectiveMask(mask []bool, tests []expr.ColTest) []bool {
-	if mask == nil {
-		return nil
-	}
-	eff := make([]bool, len(mask))
-	copy(eff, mask)
-	for i := range tests {
-		if s := tests[i].Slot; s < len(eff) {
-			eff[s] = true
-		}
-	}
-	return eff
-}
-
-// testField decodes one field's raw bytes as the test's column kind and
-// evaluates the fused kernel. An empty field is NULL and fails; a malformed
-// field is the same error a normal decode of that field would raise.
-func (p *Provider) testField(data []byte, t *expr.ColTest, beg int) (bool, error) {
-	b := data[beg:p.fieldEnd(data, beg)]
-	if len(b) == 0 {
-		return false, nil
-	}
-	switch t.Kind {
-	case value.Int:
-		n, err := parseInt(b)
-		if err != nil {
-			return false, fmt.Errorf("csvio: field %q: %w", p.schema.Fields[t.Slot].Name, err)
-		}
-		return t.TestInt(n), nil
-	case value.Float:
-		// string(b) does not heap-allocate here: ParseFloat's argument is
-		// non-escaping, so the conversion stays on the stack.
-		f, err := strconv.ParseFloat(string(b), 64)
-		if err != nil {
-			return false, fmt.Errorf("csvio: field %q: %w", p.schema.Fields[t.Slot].Name, err)
-		}
-		return t.TestFloat(f), nil
-	default:
-		return t.TestStrBytes(b), nil
-	}
-}
-
-// firstScanPushdown is the pushdown flavor of the first scan: every record
-// is still tokenized (the positional map needs every field offset), but a
-// record failing the needle filter or a pushed test skips all field parsing
-// and boxing.
-func (p *Provider) firstScanPushdown(s *snapshot, tests []expr.ColTest, eff []bool, needle *expr.NeedleCursor, skipped *int64, fn plan.ScanFunc) (int64, error) {
-	data := s.data
-	i := p.skipHeader(data)
-	delim := p.opts.delim()
-	row := make([]value.Value, p.nfields)
-	rec := value.Value{Kind: value.Record, L: row}
-	var recStart []int64
-	var fieldOff []uint32
-	for i < len(data) {
-		start := i
-		recStart = append(recStart, int64(start))
-		end := lineEnd(data, i)
-		var nf int
-		fieldOff, nf = tokenizeLine(data[start:end], delim, fieldOff, p.nfields)
-		if nf < p.nfields {
-			return *skipped, fmt.Errorf("csvio: record at offset %d has %d fields, want %d", start, nf, p.nfields)
-		}
-		i = end
-		if needle != nil && needle.Next(start) >= i {
-			// No occurrence of the equality literal within the record: no
-			// field can equal it, so skip without decoding any test column.
-			*skipped++
-			i++
-			continue
-		}
-		offs := fieldOff[len(fieldOff)-p.nfields:]
-		pass := true
-		for ti := range tests {
-			t := &tests[ti]
-			ok, err := p.testField(data, t, start+int(offs[t.Slot]))
-			if err != nil {
-				return *skipped, err
-			}
-			if !ok {
-				pass = false
-				break
-			}
-		}
-		if !pass {
-			*skipped++
-			i++
-			continue
-		}
-		for fi := 0; fi < p.nfields; fi++ {
-			if eff != nil && !eff[fi] {
-				row[fi] = value.VNull
-				continue
-			}
-			beg := start + int(offs[fi])
-			v, err := p.parseField(fi, data[beg:p.fieldEnd(data, beg)])
-			if err != nil {
-				return *skipped, err
-			}
-			row[fi] = v
-		}
-		complete := noComplete
-		if eff != nil {
-			complete = func() error {
-				for fi := 0; fi < p.nfields; fi++ {
-					if eff[fi] {
-						continue
-					}
-					beg := start + int(offs[fi])
-					v, err := p.parseField(fi, data[beg:p.fieldEnd(data, beg)])
-					if err != nil {
-						return err
-					}
-					row[fi] = v
-				}
-				return nil
-			}
-		}
-		if err := fn(rec, int64(start), complete); err != nil {
-			return *skipped, err
-		}
-		i++
-	}
-	p.publishMap(s, recStart, fieldOff)
-	return *skipped, nil
-}
-
-// parseAt parses record ri (starting at byte offset start) using the
-// positional map, materializing only masked fields.
-func (p *Provider) parseAt(s *snapshot, ri int, start int64, mask []bool, row []value.Value) error {
-	offs := s.fieldOff[ri*p.nfields : (ri+1)*p.nfields]
-	for fi := 0; fi < p.nfields; fi++ {
-		if mask != nil && !mask[fi] {
-			row[fi] = value.VNull
-			continue
-		}
-		beg := int(start) + int(offs[fi])
-		end := p.fieldEnd(s.data, beg)
-		v, err := p.parseField(fi, s.data[beg:end])
+		beg := start + int(offs[fi])
+		v, err := f.parseField(fi, data[beg:f.fieldEnd(data, beg)])
 		if err != nil {
 			return err
 		}
@@ -736,32 +144,172 @@ func (p *Provider) parseAt(s *snapshot, ri int, start int64, mask []bool, row []
 	return nil
 }
 
-func (p *Provider) fieldEnd(data []byte, beg int) int {
-	delim := p.opts.delim()
+// Needles implements rawfile.Format: a field equal to lit holds its bytes.
+func (f *format) Needles(lit []byte) [][]byte { return [][]byte{lit} }
+
+// FirstScan implements rawfile.Format: tokenize every record, filling the
+// positional map as it goes.
+func (f *format) FirstScan(data []byte, mask []bool, fn plan.ScanFunc) (recStart []int64, fieldOff []uint32, err error) {
+	n := f.nfields
+	row := make([]value.Value, n)
+	rec := value.Value{Kind: value.Record, L: row}
+	for i := f.RecordStart(data, 0); i < len(data); {
+		start := i
+		recStart = append(recStart, int64(start))
+		end := lineEnd(data, i)
+		var nf int
+		fieldOff, nf = tokenizeLine(data[start:end], f.delim, fieldOff, n)
+		if nf < n {
+			return nil, nil, f.errShort(start, nf)
+		}
+		offs := fieldOff[len(fieldOff)-n:]
+		for fi := 0; fi < n; fi++ {
+			if mask != nil && !mask[fi] {
+				row[fi] = value.VNull
+				continue
+			}
+			beg := start + int(offs[fi])
+			fe := end
+			switch {
+			case fi+1 < n:
+				fe = start + int(offs[fi+1]) - 1
+			case nf > n:
+				// Extra trailing fields: the last mapped field ends at its
+				// own delimiter, not the line end.
+				fe = f.fieldEnd(data, beg)
+			}
+			v, err := f.parseField(fi, data[beg:fe])
+			if err != nil {
+				return nil, nil, err
+			}
+			row[fi] = v
+		}
+		complete := rawfile.NoComplete
+		if mask != nil {
+			complete = func() error { return f.Decode(data, start, offs, mask, true, row) }
+		}
+		if err := fn(rec, int64(start), complete); err != nil {
+			return nil, nil, err
+		}
+		i = end + 1
+	}
+	return recStart, fieldOff, nil
+}
+
+// FirstScanPushdown implements rawfile.Format: every record is still
+// tokenized (the positional map needs every field offset), but a record
+// failing the needle filter or a pushed test skips all field parsing and
+// boxing.
+func (f *format) FirstScanPushdown(data []byte, tests []expr.ColTest, mask []bool, pre *rawfile.Prescan, fn plan.ScanFunc) (recStart []int64, fieldOff []uint32, skipped int64, err error) {
+	n := f.nfields
+	row := make([]value.Value, n)
+	rec := value.Value{Kind: value.Record, L: row}
+	for i := f.RecordStart(data, 0); i < len(data); {
+		start := i
+		recStart = append(recStart, int64(start))
+		end := lineEnd(data, i)
+		var nf int
+		fieldOff, nf = tokenizeLine(data[start:end], f.delim, fieldOff, n)
+		if nf < n {
+			return nil, nil, skipped, f.errShort(start, nf)
+		}
+		i = end + 1
+		if pre != nil && pre.Next(start) >= end {
+			// No occurrence of the equality literal within the record: no
+			// field can equal it, so skip without decoding any test column.
+			skipped++
+			continue
+		}
+		offs := fieldOff[len(fieldOff)-n:]
+		ok, err := f.Test(data, start, offs, tests)
+		if err != nil {
+			return nil, nil, skipped, err
+		}
+		if !ok {
+			skipped++
+			continue
+		}
+		if err := f.Decode(data, start, offs, mask, false, row); err != nil {
+			return nil, nil, skipped, err
+		}
+		complete := rawfile.NoComplete
+		if mask != nil {
+			complete = func() error { return f.Decode(data, start, offs, mask, true, row) }
+		}
+		if err := fn(rec, int64(start), complete); err != nil {
+			return nil, nil, skipped, err
+		}
+	}
+	return recStart, fieldOff, skipped, nil
+}
+
+// Test implements rawfile.Format: each tested field is decoded from its raw
+// bytes as the test's column kind and run through the fused kernel. An
+// empty field is NULL and fails; a malformed field is the same error a
+// normal decode of that field would raise.
+func (f *format) Test(data []byte, start int, offs []uint32, tests []expr.ColTest) (bool, error) {
+	for ti := range tests {
+		t := &tests[ti]
+		beg := start + int(offs[t.Slot])
+		b := data[beg:f.fieldEnd(data, beg)]
+		if len(b) == 0 {
+			return false, nil
+		}
+		var ok bool
+		switch t.Kind {
+		case value.Int:
+			n, err := rawfile.ParseInt(b)
+			if err != nil {
+				return false, f.errField(t.Slot, err)
+			}
+			ok = t.TestInt(n)
+		case value.Float:
+			// string(b) does not heap-allocate here: ParseFloat's argument is
+			// non-escaping, so the conversion stays on the stack.
+			x, err := strconv.ParseFloat(string(b), 64)
+			if err != nil {
+				return false, f.errField(t.Slot, err)
+			}
+			ok = t.TestFloat(x)
+		default:
+			ok = t.TestStrBytes(b)
+		}
+		if !ok {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+func (f *format) errField(fi int, err error) error {
+	return fmt.Errorf("csvio: field %q: %w", f.schema.Fields[fi].Name, err)
+}
+
+func (f *format) fieldEnd(data []byte, beg int) int {
 	i := beg
-	for i < len(data) && data[i] != delim && data[i] != '\n' {
+	for i < len(data) && data[i] != f.delim && data[i] != '\n' {
 		i++
 	}
 	return i
 }
 
-func (p *Provider) parseField(fi int, b []byte) (value.Value, error) {
+func (f *format) parseField(fi int, b []byte) (value.Value, error) {
 	if len(b) == 0 {
 		return value.VNull, nil
 	}
-	switch p.schema.Fields[fi].Type.Kind {
+	switch f.schema.Fields[fi].Type.Kind {
 	case value.Int:
-		n, err := parseInt(b)
+		n, err := rawfile.ParseInt(b)
 		if err != nil {
-			return value.VNull, fmt.Errorf("csvio: field %q: %w", p.schema.Fields[fi].Name, err)
+			return value.VNull, f.errField(fi, err)
 		}
 		return value.VInt(n), nil
 	case value.Float:
-		f, err := strconv.ParseFloat(string(b), 64)
+		x, err := strconv.ParseFloat(string(b), 64)
 		if err != nil {
-			return value.VNull, fmt.Errorf("csvio: field %q: %w", p.schema.Fields[fi].Name, err)
+			return value.VNull, f.errField(fi, err)
 		}
-		return value.VFloat(f), nil
+		return value.VFloat(x), nil
 	case value.Bool:
 		switch string(b) {
 		case "true", "1", "t":
@@ -769,214 +317,10 @@ func (p *Provider) parseField(fi int, b []byte) (value.Value, error) {
 		case "false", "0", "f":
 			return value.VBool(false), nil
 		}
-		return value.VNull, fmt.Errorf("csvio: field %q: bad bool %q", p.schema.Fields[fi].Name, b)
+		return value.VNull, f.errField(fi, fmt.Errorf("bad bool %q", b))
 	default:
 		return value.VString(string(b)), nil
 	}
-}
-
-// ScanOffsets implements plan.ScanProvider: random access through the
-// positional map, the access path of lazy (offsets-only) caches.
-func (p *Provider) ScanOffsets(offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	return p.scanOffsets(s, offsets, needed, fn)
-}
-
-// ScanOffsetsAt implements plan.EpochScanner: ScanOffsets pinned to a file
-// epoch. If the file was rewritten since the offsets were recorded, the
-// positions are meaningless in the new bytes — fail with ErrEpochChanged
-// instead of dereferencing them.
-func (p *Provider) ScanOffsetsAt(epoch uint64, offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	if s.epoch != epoch {
-		return plan.ErrEpochChanged
-	}
-	return p.scanOffsets(s, offsets, needed, fn)
-}
-
-func (p *Provider) scanOffsets(s *snapshot, offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
-	mask, err := p.neededIndexes(needed)
-	if err != nil {
-		return err
-	}
-	row := make([]value.Value, p.nfields)
-	rec := value.Value{Kind: value.Record, L: row}
-	for _, off := range offsets {
-		if s.mapped {
-			ri := sort.Search(len(s.recStart), func(i int) bool { return s.recStart[i] >= off })
-			if ri < len(s.recStart) && s.recStart[ri] == off {
-				if err := p.parseAt(s, ri, off, mask, row); err != nil {
-					return err
-				}
-				complete := noComplete
-				if mask != nil {
-					ri, off := ri, off
-					complete = func() error { return p.completeAt(s, ri, off, mask, row) }
-				}
-				if err := fn(rec, off, complete); err != nil {
-					return err
-				}
-				continue
-			}
-		}
-		// No positional map entry: tokenize the single record in place,
-		// parsing every field so the complete callback can be a no-op.
-		if err := p.parseLineAt(s.data, off, nil, row); err != nil {
-			return err
-		}
-		if err := fn(rec, off, noComplete); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanFrom implements plan.RefreshableProvider: stream the records whose
-// byte offset is >= from, in file order. The cache manager uses it to scan
-// only the appended tail when extending an entry; from is a previous
-// covered length, so it always lands on a record boundary.
-func (p *Provider) ScanFrom(from int64, needed []value.Path, fn plan.ScanFunc) error {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	mask, err := p.neededIndexes(needed)
-	if err != nil {
-		return err
-	}
-	row := make([]value.Value, p.nfields)
-	rec := value.Value{Kind: value.Record, L: row}
-	if s.mapped {
-		lo := sort.Search(len(s.recStart), func(i int) bool { return s.recStart[i] >= from })
-		for ri := lo; ri < len(s.recStart); ri++ {
-			start := s.recStart[ri]
-			if err := p.parseAt(s, ri, start, mask, row); err != nil {
-				return err
-			}
-			complete := noComplete
-			if mask != nil {
-				ri, start := ri, start
-				complete = func() error { return p.completeAt(s, ri, start, mask, row) }
-			}
-			if err := fn(rec, start, complete); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	data := s.data
-	i := int(from)
-	if h := p.skipHeader(data); i < h {
-		i = h
-	}
-	delim := p.opts.delim()
-	var offsBuf []uint32
-	for i < len(data) {
-		start := i
-		end := lineEnd(data, i)
-		var nf int
-		offsBuf, nf = tokenizeLine(data[start:end], delim, offsBuf[:0], p.nfields)
-		if nf < p.nfields {
-			return fmt.Errorf("csvio: record at offset %d has %d fields, want %d", start, nf, p.nfields)
-		}
-		for fi := 0; fi < p.nfields; fi++ {
-			if mask != nil && !mask[fi] {
-				row[fi] = value.VNull
-				continue
-			}
-			beg := start + int(offsBuf[fi])
-			v, err := p.parseField(fi, data[beg:p.fieldEnd(data, beg)])
-			if err != nil {
-				return err
-			}
-			row[fi] = v
-		}
-		complete := noComplete
-		if mask != nil {
-			offs := append([]uint32(nil), offsBuf...)
-			complete = func() error {
-				for fi := 0; fi < p.nfields; fi++ {
-					if mask[fi] {
-						continue
-					}
-					beg := start + int(offs[fi])
-					v, err := p.parseField(fi, data[beg:p.fieldEnd(data, beg)])
-					if err != nil {
-						return err
-					}
-					row[fi] = v
-				}
-				return nil
-			}
-		}
-		if err := fn(rec, int64(start), complete); err != nil {
-			return err
-		}
-		i = end + 1
-	}
-	return nil
-}
-
-func (p *Provider) parseLineAt(data []byte, off int64, mask []bool, row []value.Value) error {
-	if off < 0 || off >= int64(len(data)) {
-		return fmt.Errorf("csvio: offset %d out of range", off)
-	}
-	i := int(off)
-	delim := p.opts.delim()
-	fi := 0
-	fieldBeg := i
-	for ; i <= len(data) && fi < p.nfields; i++ {
-		if i == len(data) || data[i] == delim || data[i] == '\n' {
-			if mask == nil || mask[fi] {
-				v, err := p.parseField(fi, data[fieldBeg:i])
-				if err != nil {
-					return err
-				}
-				row[fi] = v
-			} else {
-				row[fi] = value.VNull
-			}
-			fi++
-			fieldBeg = i + 1
-			if i == len(data) || data[i] == '\n' {
-				break
-			}
-		}
-	}
-	if fi < p.nfields {
-		return fmt.Errorf("csvio: record at offset %d has %d fields, want %d", off, fi, p.nfields)
-	}
-	return nil
-}
-
-// parseInt parses a decimal integer without allocating.
-func parseInt(b []byte) (int64, error) {
-	i, neg := 0, false
-	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
-		neg = b[0] == '-'
-		i = 1
-	}
-	if i >= len(b) {
-		return 0, fmt.Errorf("bad int %q", b)
-	}
-	var n int64
-	for ; i < len(b); i++ {
-		c := b[i]
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("bad int %q", b)
-		}
-		n = n*10 + int64(c-'0')
-	}
-	if neg {
-		n = -n
-	}
-	return n, nil
 }
 
 // InferSchema derives a flat record schema from the file: names from the
@@ -1020,7 +364,7 @@ func InferSchema(path string, opts Options) (*value.Type, error) {
 }
 
 func inferType(b []byte) *value.Type {
-	if _, err := parseInt(b); err == nil {
+	if _, err := rawfile.ParseInt(b); err == nil {
 		return value.TInt
 	}
 	if _, err := strconv.ParseFloat(string(b), 64); err == nil {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"recache/internal/expr"
 	"recache/internal/value"
 )
 
@@ -285,5 +286,42 @@ func TestExtraTrailingFields(t *testing.T) {
 	rows2, _ := collect(t, p2, nil)
 	if len(rows2) != 1 || rows2[0][2].S != "alpha" {
 		t.Fatalf("unterminated record rows = %v", rows2)
+	}
+}
+
+// An integer literal outside int64 is a malformed field on every path — not
+// a wrapped value that would be served, cached and pushed down as valid.
+func TestIntOverflowIsMalformed(t *testing.T) {
+	nop := func(value.Value, int64, func() error) error { return nil }
+	for _, lit := range []string{"9223372036854775808", "-9223372036854775809", "18446744073709551617"} {
+		data := "1|1.5|a\n" + lit + "|2.5|b\n"
+		for _, mapped := range []bool{false, true} {
+			p, err := New(writeFile(t, data), testSchema(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mapped {
+				// Map the file through a scan that never decodes the id.
+				if err := p.Scan([]value.Path{value.ParsePath("name")}, nop); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := p.Scan(nil, nop); err == nil {
+				t.Errorf("Scan(mapped=%v) accepted int %s", mapped, lit)
+			}
+			pd, _ := expr.ExtractPushdown(expr.Cmp(expr.OpGe, expr.C("id"), expr.L(0)), p.Schema())
+			if _, err := p.ScanPushdown(pd, nil, nop); err == nil {
+				t.Errorf("ScanPushdown(mapped=%v) accepted int %s", mapped, lit)
+			}
+		}
+	}
+	// The extremes themselves are fine.
+	p, err := New(writeFile(t, "9223372036854775807|1|a\n-9223372036854775808|1|b\n"), testSchema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _ := collect(t, p, nil)
+	if rows[0][0].I != 1<<63-1 || rows[1][0].I != -1<<63 {
+		t.Errorf("extreme ints = %v, %v", rows[0][0], rows[1][0])
 	}
 }

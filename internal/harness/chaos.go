@@ -35,6 +35,8 @@ func (r *Runner) chaosFailover() error {
 		conc         = 4 // routers, one query worker each
 		k            = 16
 		pingInterval = 300 * time.Millisecond
+		// Consecutive failures that open a router's breaker.
+		failureThreshold = 3
 	)
 	// The shard-scale working set: sixteen disjoint l_quantity ranges, so
 	// every shard owns keys and every shard is someone's replica.
@@ -75,7 +77,7 @@ func (r *Runner) chaosFailover() error {
 		rt, err := client.DialRouterOpts(f.addrs, client.RouterOptions{
 			Options:          client.Options{RequestTimeout: time.Second},
 			PingInterval:     pingInterval,
-			FailureThreshold: 3,
+			FailureThreshold: failureThreshold,
 			RetryBudget:      10 * time.Second,
 			Fallback:         fallback,
 			Seed:             r.opts.Seed + int64(i),
@@ -107,9 +109,9 @@ func (r *Runner) chaosFailover() error {
 	// a watcher never outlives its burst.
 	total := r.nq(600)
 	if total < 240 {
-		// Below this the post-kill tail is too short to trip every
-		// router's breaker (FailureThreshold failures apiece), so the
-		// recovery measurement would time out at small -queries scales.
+		// Below this the post-kill tail is too short to give the routers
+		// failureThreshold requests apiece on the victim, so at small
+		// -queries scales no breaker would open and nothing be measured.
 		total = 240
 	}
 	burst := func(watch func(completed *atomic.Int64, finished <-chan struct{})) (qps float64, errCount int64, firstErr error) {
@@ -177,7 +179,17 @@ func (r *Runner) chaosFailover() error {
 			victim, owned = s.ID, n
 		}
 	}
-	var recovery time.Duration
+	// Time-to-open is measured over the routers that met the corpse. A
+	// worker that drained its share of the burst before the kill never
+	// sends the dead shard another request, so its breaker has nothing to
+	// trip on; waiting for it would only time the watcher out. Failovers
+	// counts exactly the post-kill requests (served off the key's owner):
+	// a router that paid failureThreshold of them must have opened.
+	var (
+		recovery  time.Duration
+		failovers = make([]int64, len(routers))
+		opened    = make([]bool, len(routers))
+	)
 	kill := func(completed *atomic.Int64, finished <-chan struct{}) {
 		for completed.Load() < int64(total/3) {
 			select {
@@ -187,22 +199,29 @@ func (r *Runner) chaosFailover() error {
 			}
 			time.Sleep(time.Millisecond)
 		}
+		for i, rt := range routers {
+			failovers[i] = rt.RouterStats().Failovers
+		}
 		f.servers[victim].Kill()
 		t0 := time.Now()
-		deadline := t0.Add(5 * time.Second)
-		for {
-			open := 0
-			for _, rt := range routers {
-				if rt.RouterStats().OpenShards > 0 {
-					open++
+		for nOpen, drained := 0, false; nOpen < len(routers) && !drained; {
+			select {
+			case <-finished:
+				drained = true // one last look at the final state
+			default:
+				time.Sleep(time.Millisecond)
+			}
+			for i, rt := range routers {
+				if !opened[i] && rt.RouterStats().OpenShards > 0 {
+					opened[i] = true
+					nOpen++
+					recovery = time.Since(t0)
 				}
 			}
-			if open == len(routers) || time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(time.Millisecond)
 		}
-		recovery = time.Since(t0)
+		for i, rt := range routers {
+			failovers[i] = rt.RouterStats().Failovers - failovers[i]
+		}
 	}
 	_, errCount, firstErr = burst(kill)
 	if errCount > 0 {
@@ -210,6 +229,11 @@ func (r *Runner) chaosFailover() error {
 	}
 	if recovery == 0 {
 		return fmt.Errorf("harness: chaos burst drained before the kill fired — raise the query count so the victim is stressed")
+	}
+	for i := range routers {
+		if !opened[i] && failovers[i] >= failureThreshold {
+			return fmt.Errorf("harness: router %d failed %d requests over from the dead shard without opening its breaker", i, failovers[i])
+		}
 	}
 	if recovery > pingInterval {
 		return fmt.Errorf("harness: routers took %v to open the dead shard's breaker, want <= one probe interval (%v)",

@@ -1,0 +1,63 @@
+package jsonio
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"recache/internal/expr"
+	"recache/internal/rawfile/rawfiletest"
+	"recache/internal/value"
+)
+
+// FuzzScanEquivalence feeds arbitrary bytes to the JSON tokenizer: no access
+// path may panic, and on a file the first scan accepts they must all agree
+// (see rawfiletest.Equivalence). The schema has a nested record and a list,
+// which the schema-guided parser walks and the offsets-only tokenizer skips;
+// the two must find the same value ends.
+func FuzzScanEquivalence(f *testing.F) {
+	schema := value.TRecord(
+		value.F("k", value.TInt),
+		value.FOpt("price", value.TFloat),
+		value.FOpt("tag", value.TString),
+		value.F("origin", value.TRecord(value.FOpt("country", value.TString))),
+		value.F("items", value.TList(value.TRecord(value.F("q", value.TInt)))),
+	)
+	// The first hundred needle records hold one rare match; the whole
+	// fixture would only slow the fuzzer's input minimization down.
+	needle, _ := needleJSON()
+	needle = needle[:strings.Index(needle, `{"k":101,`)]
+	for _, seed := range []string{
+		testData, pushJSON, needle,
+		`{"k":1,"price":2.5,"tag":"abc","origin":{"country":"CH","x":[{"y":"}"}]},"items":[{"q":1},{}],"z":{"a":[1,2,{"b":"]"}]}}` + "\n",
+		`{"k":1,"k":2,"origin":null,"items":null}` + " \n\n" + `{"tag":"rare-needle","k":7}`,
+		// Accepted by neither walk, or by both with the same value ends.
+		`{"k":1,"origin":{"u":[}],"country":"x"}}` + "\n", `{"k":1,"origin":{"u":t}}},"country":"x"}}` + "\n", `{"k":1,"u":t`,
+		`{"k":9223372036854775808}` + "\n", `{"k":1e3}{"k":-2.5}`, `{"k":}` + "\n", `[1]`, "",
+	} {
+		f.Add([]byte(seed))
+	}
+	preds := []expr.Expr{
+		expr.Cmp(expr.OpGe, expr.C("k"), expr.L(2)),
+		expr.Cmp(expr.OpLt, expr.C("price"), expr.L(10.5)),
+		expr.Cmp(expr.OpEq, expr.C("tag"), expr.L("alpha")),
+		expr.And(expr.Cmp(expr.OpEq, expr.C("tag"), expr.L("rare-needle")), expr.Cmp(expr.OpGt, expr.C("k"), expr.L(50))),
+	}
+	masks := [][]value.Path{{value.ParsePath("price"), value.ParsePath("items.q")}}
+	path := filepath.Join(f.TempDir(), "fuzz.json")
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		open := func() rawfiletest.Provider {
+			p, err := New(path, schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		rawfiletest.Equivalence(t, open, len(data), preds, masks)
+	})
+}

@@ -15,63 +15,22 @@ package jsonio
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"recache/internal/expr"
-	"recache/internal/freshness"
 	"recache/internal/plan"
+	"recache/internal/rawfile"
 	"recache/internal/value"
 )
 
 // absentOff marks a top-level field with no value in a record.
 const absentOff = ^uint32(0)
 
-// snapshot is one immutable view of the file (see csvio's twin for the
-// full rationale): ingested bytes, positional map, epoch, and the
-// fingerprint that detects divergence from disk. Append-extensions may
-// grow the backing arrays past the published lengths in place; readers
-// slice by their own snapshot's lengths and never see the new bytes.
-type snapshot struct {
-	data     []byte
-	recStart []int64
-	fieldOff []uint32 // nrecs × ntop: offset of field value relative to recStart
-	mapped   bool     // recStart/fieldOff are populated
-	loaded   bool     // data was read from disk (false after a rewrite reset)
-	epoch    uint64   // bumps on every rewrite; byte offsets are per-epoch
-	fp       freshness.Fingerprint
-}
-
-// Provider implements plan.ScanProvider for one NDJSON file.
-//
-// Providers are safe for concurrent scans: all shared state lives in an
-// immutable snapshot behind an atomic pointer; p.mu serializes the writers
-// (initial load, positional-map publication, Refresh). Concurrent first
-// scans each parse independently (the per-scan row buffers are local); the
-// first to finish publishes the map.
-type Provider struct {
-	path   string
-	schema *value.Type
-	size   atomic.Int64
-
-	mu   sync.Mutex // serializes snapshot replacement (load, map, refresh)
-	snap atomic.Pointer[snapshot]
-
-	// scans counts full-file Scan calls (not ScanOffsets replays or tail
-	// scans); the work-sharing bench and tests use it to assert how many
-	// raw parses a burst of concurrent misses actually paid for. pushScans
-	// counts the subset that evaluated a pushdown below parsing, and
-	// pushSkipped the records those scans rejected before decoding
-	// anything else.
-	scans       atomic.Int64
-	pushScans   atomic.Int64
-	pushSkipped atomic.Int64
-
-	ntop int
-}
+// Provider implements plan.ScanProvider — and the refresh, epoch-pinned and
+// pushdown extensions — for one NDJSON file. Snapshots, the positional map
+// and the freshness lifecycle are rawfile.File's; this package supplies the
+// JSON tokenizer, the value decoders and the fused first-pass loops.
+type Provider struct{ *rawfile.File }
 
 // New creates a provider over path with an explicit (possibly nested)
 // record schema.
@@ -82,542 +41,179 @@ func New(path string, schema *value.Type) (*Provider, error) {
 	if _, err := value.LeafColumns(schema); err != nil {
 		return nil, fmt.Errorf("jsonio: %w", err)
 	}
-	st, err := os.Stat(path)
+	f, err := rawfile.New(path, schema, &format{schema})
 	if err != nil {
 		return nil, fmt.Errorf("jsonio: %w", err)
 	}
-	p := &Provider{path: path, schema: schema, ntop: len(schema.Fields)}
-	p.size.Store(st.Size())
-	return p, nil
+	return &Provider{f}, nil
 }
 
-// Schema implements plan.ScanProvider.
-func (p *Provider) Schema() *value.Type { return p.schema }
+// format is the JSON rawfile.Format: one top-level object per record, one
+// value offset (or absentOff) per top-level schema field.
+type format struct{ schema *value.Type }
 
-// NumRecords implements plan.ScanProvider: -1 before the first scan.
-func (p *Provider) NumRecords() int {
-	s := p.snap.Load()
-	if s == nil || !s.mapped {
-		return -1
-	}
-	return len(s.recStart)
-}
+// RecordStart implements rawfile.Format.
+func (f *format) RecordStart(data []byte, from int) int { return skipWS(data, from) }
 
-// SizeBytes implements plan.ScanProvider.
-func (p *Provider) SizeBytes() int64 { return p.size.Load() }
-
-// Scans returns the number of full-file scans performed so far.
-func (p *Provider) Scans() int64 { return p.scans.Load() }
-
-// PushdownStats reports how many full-file scans evaluated a pushdown below
-// parsing and how many records those scans skipped before full decode.
-func (p *Provider) PushdownStats() (scans, skipped int64) {
-	return p.pushScans.Load(), p.pushSkipped.Load()
-}
-
-// ensureLoaded publishes the file contents exactly once per epoch
-// (double-checked) and returns the current snapshot.
-func (p *Provider) ensureLoaded() (*snapshot, error) {
-	if s := p.snap.Load(); s != nil && s.loaded {
-		return s, nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if s := p.snap.Load(); s != nil && s.loaded {
-		return s, nil
-	}
-	st, err := os.Stat(p.path)
+// Tokenize implements rawfile.Format: values are skipped, not materialized.
+func (f *format) Tokenize(data []byte, i int, offs []uint32) (int, error) {
+	end, err := f.parseTop(data, i, nil, nil, offs)
 	if err != nil {
-		return nil, fmt.Errorf("jsonio: %w", err)
+		return 0, err
 	}
-	b, err := os.ReadFile(p.path)
-	if err != nil {
-		return nil, fmt.Errorf("jsonio: %w", err)
-	}
-	epoch := uint64(1)
-	if s := p.snap.Load(); s != nil {
-		epoch = s.epoch
-	}
-	ns := &snapshot{
-		data:   b,
-		loaded: true,
-		epoch:  epoch,
-		fp:     freshness.Capture(b, st.ModTime().UnixNano()),
-	}
-	p.size.Store(int64(len(b)))
-	p.snap.Store(ns)
-	return ns, nil
+	return skipWS(data, end), nil
 }
 
-// Version implements plan.RefreshableProvider (see csvio.Provider.Version).
-func (p *Provider) Version() (uint64, int64) {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		if s := p.snap.Load(); s != nil {
-			return s.epoch, 0
-		}
-		return 0, 0
-	}
-	return s.epoch, int64(len(s.data))
-}
-
-// Refresh implements plan.RefreshableProvider: re-check the backing file
-// against the snapshot's fingerprint and reconcile. Appends extend the
-// snapshot in place (same epoch); rewrites reset the provider to an
-// unloaded snapshot under a new epoch, so the next scan reloads lazily.
-func (p *Provider) Refresh() (plan.FreshnessReport, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.snap.Load()
-	if s == nil || !s.loaded {
-		var ep uint64
-		if s != nil {
-			ep = s.epoch
-		}
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: ep}, nil
-	}
-	status, _ := s.fp.Check(p.path)
-	switch status {
-	case freshness.Unchanged:
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: s.epoch, Covered: int64(len(s.data))}, nil
-	case freshness.Appended:
-		return p.extendLocked(s)
-	default:
-		return p.resetLocked(s), nil
-	}
-}
-
-// resetLocked replaces the snapshot with an unloaded one under a new epoch.
-func (p *Provider) resetLocked(s *snapshot) plan.FreshnessReport {
-	ns := &snapshot{epoch: s.epoch + 1}
-	p.snap.Store(ns)
-	if st, err := os.Stat(p.path); err == nil {
-		p.size.Store(st.Size())
-	}
-	return plan.FreshnessReport{Status: plan.FileRewritten, Epoch: ns.epoch}
-}
-
-// extendLocked grows the snapshot over the file's new tail: read only the
-// bytes past the covered prefix, trim at the last newline (a torn trailing
-// line stays uncovered until it completes), parse the new complete objects
-// onto the positional map, and publish a longer snapshot under the same
-// epoch. Falls back to a rewrite reset whenever the extension cannot be
-// proven equivalent to a fresh full scan.
-func (p *Provider) extendLocked(s *snapshot) (plan.FreshnessReport, error) {
-	old := len(s.data)
-	if old > 0 && s.data[old-1] != '\n' {
-		// The covered prefix ends mid-record: new bytes change the meaning
-		// of the last record already served.
-		return p.resetLocked(s), nil
-	}
-	f, err := os.Open(p.path)
-	if err != nil {
-		return p.resetLocked(s), nil
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return p.resetLocked(s), nil
-	}
-	sz := st.Size()
-	if sz < int64(old) {
-		return p.resetLocked(s), nil
-	}
-	if sz == int64(old) {
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: s.epoch, Covered: int64(old)}, nil
-	}
-	tail := make([]byte, sz-int64(old))
-	if _, err := f.ReadAt(tail, int64(old)); err != nil {
-		return p.resetLocked(s), nil
-	}
-	cut := bytes.LastIndexByte(tail, '\n')
-	if cut < 0 {
-		// The appended bytes hold no complete record yet.
-		return plan.FreshnessReport{Status: plan.FileUnchanged, Epoch: s.epoch, Covered: int64(old)}, nil
-	}
-	tail = tail[:cut+1]
-
-	// Appending may write into spare capacity past the published lengths
-	// (invisible to snapshot readers) or reallocate; both are safe.
-	data := append(s.data, tail...)
-	ns := &snapshot{
-		data:   data,
-		loaded: true,
-		epoch:  s.epoch,
-		fp:     freshness.Capture(data, st.ModTime().UnixNano()),
-	}
-	if s.mapped {
-		recStart, fieldOff := s.recStart, s.fieldOff
-		row := make([]value.Value, p.ntop)
-		offs := make([]uint32, p.ntop)
-		noneMask := make([]bool, p.ntop) // map offsets only, materialize nothing
-		i := skipWS(data, old)
-		for i < len(data) {
-			start := i
-			end, err := p.parseTopObject(data, i, noneMask, row, offs, int64(start))
-			if err != nil {
-				// Malformed appended record: the extension would poison the
-				// map, so invalidate wholesale instead.
-				return p.resetLocked(s), nil
+// Decode implements rawfile.Format: each wanted field is parsed by a direct
+// jump to its value offset; an absent key normalizes like an explicit null.
+func (f *format) Decode(data []byte, start int, offs []uint32, mask []bool, rest bool, row []value.Value) error {
+	for fi := range offs {
+		if mask != nil && mask[fi] == rest {
+			if !rest {
+				row[fi] = value.VNull
 			}
-			recStart = append(recStart, int64(start))
-			fieldOff = append(fieldOff, offs...)
-			i = skipWS(data, end)
-		}
-		ns.recStart, ns.fieldOff, ns.mapped = recStart, fieldOff, true
-	}
-	p.size.Store(sz)
-	p.snap.Store(ns)
-	return plan.FreshnessReport{
-		Status:    plan.FileAppended,
-		Epoch:     ns.epoch,
-		Covered:   int64(len(data)),
-		TailBytes: int64(len(tail)),
-	}, nil
-}
-
-// neededMask marks the top-level fields covering the needed paths; nil
-// means all fields.
-func (p *Provider) neededMask(needed []value.Path) ([]bool, error) {
-	if needed == nil {
-		return nil, nil
-	}
-	mask := make([]bool, p.ntop)
-	for _, np := range needed {
-		if len(np) == 0 {
 			continue
 		}
-		i, _ := p.schema.FieldIndex(np[0])
-		if i < 0 {
-			// Dotted flat name (post-unnest reference): match its head.
-			i, _ = p.schema.FieldIndex(np.String())
-			if i < 0 {
-				return nil, fmt.Errorf("jsonio: unknown field %q", np)
-			}
-		}
-		mask[i] = true
-	}
-	return mask, nil
-}
-
-// noComplete is the completion callback for already-complete records.
-func noComplete() error { return nil }
-
-// Scan implements plan.ScanProvider.
-func (p *Provider) Scan(needed []value.Path, fn plan.ScanFunc) error {
-	p.scans.Add(1)
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	mask, err := p.neededMask(needed)
-	if err != nil {
-		return err
-	}
-	if !s.mapped {
-		return p.firstScan(s, mask, fn)
-	}
-	row := make([]value.Value, p.ntop)
-	rec := value.Value{Kind: value.Record, L: row}
-	for ri, start := range s.recStart {
-		if err := p.parseMapped(s, ri, start, mask, row); err != nil {
-			return err
-		}
-		complete := noComplete
-		if mask != nil {
-			ri, start := ri, start
-			complete = func() error {
-				return p.completeMapped(s, ri, start, mask, row)
-			}
-		}
-		if err := fn(rec, start, complete); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// completeMapped parses the top-level fields mask skipped, via the
-// positional map.
-func (p *Provider) completeMapped(s *snapshot, ri int, start int64, mask []bool, row []value.Value) error {
-	offs := s.fieldOff[ri*p.ntop : (ri+1)*p.ntop]
-	for fi := 0; fi < p.ntop; fi++ {
-		if mask[fi] {
-			continue
-		}
+		ft := f.schema.Fields[fi].Type
 		if offs[fi] == absentOff {
-			row[fi] = nullFor(p.schema.Fields[fi].Type)
+			row[fi] = nullFor(ft)
 			continue
 		}
-		v, _, err := parseValue(s.data, int(start)+int(offs[fi]), p.schema.Fields[fi].Type)
+		v, _, err := parseValue(data, start+int(offs[fi]), ft)
 		if err != nil {
-			return err
+			return f.errField(fi, err)
 		}
 		row[fi] = v
 	}
 	return nil
 }
 
-// firstScan parses every record fully enough to map all top-level fields,
-// materializing masked (or all) fields, and records the positional map.
-func (p *Provider) firstScan(s *snapshot, mask []bool, fn plan.ScanFunc) error {
-	data := s.data
-	i := skipWS(data, 0)
-	row := make([]value.Value, p.ntop)
+func (f *format) errField(fi int, err error) error {
+	return fmt.Errorf("jsonio: field %q: %w", f.schema.Fields[fi].Name, err)
+}
+
+// Needles implements rawfile.Format: a string equal to lit appears either
+// in its quoted raw form or with a backslash — an escaped string (\uXXXX
+// and friends) can denote the literal without containing its bytes, so any
+// record holding an escape stays a candidate.
+func (f *format) Needles(lit []byte) [][]byte {
+	quoted := make([]byte, 0, len(lit)+2)
+	quoted = append(append(append(quoted, '"'), lit...), '"')
+	return [][]byte{quoted, {'\\'}}
+}
+
+// FirstScan implements rawfile.Format: parse every record fully enough to
+// map all top-level fields, materializing the masked (or all) fields in the
+// same walk.
+func (f *format) FirstScan(data []byte, mask []bool, fn plan.ScanFunc) (recStart []int64, fieldOff []uint32, err error) {
+	ntop := len(f.schema.Fields)
+	row := make([]value.Value, ntop)
 	rec := value.Value{Kind: value.Record, L: row}
-	offs := make([]uint32, p.ntop)
-	var recStart []int64
-	var fieldOff []uint32
-	for i < len(data) {
+	offs := make([]uint32, ntop)
+	for i := skipWS(data, 0); i < len(data); {
 		start := i
-		end, err := p.parseTopObject(data, i, mask, row, offs, int64(start))
+		end, err := f.parseTop(data, i, mask, row, offs)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		recStart = append(recStart, int64(start))
 		fieldOff = append(fieldOff, offs...)
-		complete := noComplete
+		complete := rawfile.NoComplete
 		if mask != nil {
-			complete = func() error {
-				for fi := 0; fi < p.ntop; fi++ {
-					if mask[fi] {
-						continue
-					}
-					if offs[fi] == absentOff {
-						row[fi] = nullFor(p.schema.Fields[fi].Type)
-						continue
-					}
-					v, _, err := parseValue(data, start+int(offs[fi]), p.schema.Fields[fi].Type)
-					if err != nil {
-						return err
-					}
-					row[fi] = v
-				}
-				return nil
-			}
+			complete = func() error { return f.Decode(data, start, offs, mask, true, row) }
 		}
 		if err := fn(rec, int64(start), complete); err != nil {
-			return err
+			return nil, nil, err
 		}
 		i = skipWS(data, end)
 	}
-	p.publishMap(s, recStart, fieldOff)
-	return nil
+	return recStart, fieldOff, nil
 }
 
-// publishMap installs a positional map built against snapshot s. Under
-// concurrent first scans the first finisher wins; if the snapshot moved on
-// (refresh, rewrite) while this scan ran, its map describes stale bytes
-// and is discarded.
-func (p *Provider) publishMap(s *snapshot, recStart []int64, fieldOff []uint32) {
-	p.mu.Lock()
-	if p.snap.Load() == s && !s.mapped {
-		ns := &snapshot{
-			data:     s.data,
-			recStart: recStart,
-			fieldOff: fieldOff,
-			mapped:   true,
-			loaded:   true,
-			epoch:    s.epoch,
-			fp:       s.fp,
-		}
-		p.snap.Store(ns)
-	}
-	p.mu.Unlock()
-}
-
-// parseMapped parses record ri using the positional map: only masked
-// top-level fields are parsed, each by a direct jump to its value offset.
-func (p *Provider) parseMapped(s *snapshot, ri int, start int64, mask []bool, row []value.Value) error {
-	offs := s.fieldOff[ri*p.ntop : (ri+1)*p.ntop]
-	for fi := 0; fi < p.ntop; fi++ {
-		if mask != nil && !mask[fi] {
-			row[fi] = value.VNull
-			continue
-		}
-		if offs[fi] == absentOff {
-			row[fi] = nullFor(p.schema.Fields[fi].Type)
-			continue
-		}
-		v, _, err := parseValue(s.data, int(start)+int(offs[fi]), p.schema.Fields[fi].Type)
-		if err != nil {
-			return fmt.Errorf("jsonio: record %d field %q: %w", ri, p.schema.Fields[fi].Name, err)
-		}
-		row[fi] = v
-	}
-	return nil
-}
-
-// ScanPushdown implements plan.PushdownScanner: it streams only the records
-// passing pd, jumping to each tested top-level field's value offset through
-// the positional map and decoding it typed (no value boxing); an absent key
-// or a null literal fails the test — the same SQL semantics the row filter
-// applies — and a failing record skips the entire object. When the pushdown
-// carries a string-equality conjunct, a memchr-style substring search for
-// the quoted literal rejects records that cannot contain it before any
-// field offset is consulted; records containing a backslash stay candidates
-// regardless, because an escaped string (\uXXXX and friends) can denote the
-// literal without containing its bytes. Surviving records decode the
-// needed ∪ tested fields, with complete() parsing the rest.
-func (p *Provider) ScanPushdown(pd *expr.Pushdown, needed []value.Path, fn plan.ScanFunc) (int64, error) {
-	tests := pd.Tests()
-	if len(tests) == 0 {
-		return 0, p.Scan(needed, fn)
-	}
-	p.scans.Add(1)
-	p.pushScans.Add(1)
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return 0, err
-	}
-	mask, err := p.neededMask(needed)
-	if err != nil {
-		return 0, err
-	}
-	eff := p.effectiveMask(mask, tests)
-	needle, escape := p.needleCursors(s.data, pd)
-	var skipped int64
-	defer func() { p.pushSkipped.Add(skipped) }()
-	if !s.mapped {
-		return p.firstScanPushdown(s, tests, eff, needle, escape, &skipped, fn)
-	}
-	row := make([]value.Value, p.ntop)
+// FirstScanPushdown implements rawfile.Format: each object is tokenized
+// just enough to map every top-level field offset (values are skipped, not
+// materialized), the pushed tests run on the mapped offsets, and only
+// surviving records decode their needed fields.
+func (f *format) FirstScanPushdown(data []byte, tests []expr.ColTest, mask []bool, pre *rawfile.Prescan, fn plan.ScanFunc) (recStart []int64, fieldOff []uint32, skipped int64, err error) {
+	ntop := len(f.schema.Fields)
+	row := make([]value.Value, ntop)
 	rec := value.Value{Kind: value.Record, L: row}
-	for ri := 0; ri < len(s.recStart); ri++ {
-		start := s.recStart[ri]
-		if needle != nil {
-			// Jump to the next record that can contain the quoted literal
-			// (or any escape), bulk-counting the stretch in between.
-			m := needle.Next(int(start))
-			if e := escape.Next(int(start)); e < m {
-				m = e
-			}
-			if m == len(s.data) {
-				skipped += int64(len(s.recStart) - ri)
-				break
-			}
-			if rj := p.recordAt(s, int64(m)); rj > ri {
-				skipped += int64(rj - ri)
-				ri = rj
-				start = s.recStart[ri]
-			}
+	offs := make([]uint32, ntop)
+	for i := skipWS(data, 0); i < len(data); {
+		start := i
+		end, err := f.parseTop(data, i, nil, nil, offs)
+		if err != nil {
+			return nil, nil, skipped, err
 		}
-		offs := s.fieldOff[ri*p.ntop : (ri+1)*p.ntop]
-		pass := true
-		for ti := range tests {
-			t := &tests[ti]
-			if offs[t.Slot] == absentOff {
-				pass = false // absent key ⇒ NULL ⇒ fails every comparison
-				break
-			}
-			ok, err := p.testValue(s.data, t, int(start)+int(offs[t.Slot]))
-			if err != nil {
-				return skipped, fmt.Errorf("jsonio: record %d field %q: %w", ri, p.schema.Fields[t.Slot].Name, err)
-			}
-			if !ok {
-				pass = false
-				break
-			}
-		}
-		if !pass {
+		recStart = append(recStart, int64(start))
+		fieldOff = append(fieldOff, offs...)
+		i = skipWS(data, end)
+		if pre != nil && pre.Next(start) >= end {
+			// Neither the quoted literal nor any escape occurs within the
+			// record: no string field can equal the literal.
 			skipped++
 			continue
 		}
-		if err := p.parseMapped(s, ri, start, eff, row); err != nil {
-			return skipped, err
+		ok, err := f.Test(data, start, offs, tests)
+		if err != nil {
+			return nil, nil, skipped, err
 		}
-		complete := noComplete
-		if eff != nil {
-			ri, start := ri, start
-			complete = func() error { return p.completeMapped(s, ri, start, eff, row) }
+		if !ok {
+			skipped++
+			continue
 		}
-		if err := fn(rec, start, complete); err != nil {
-			return skipped, err
+		if err := f.Decode(data, start, offs, mask, false, row); err != nil {
+			return nil, nil, skipped, err
+		}
+		complete := rawfile.NoComplete
+		if mask != nil {
+			complete = func() error { return f.Decode(data, start, offs, mask, true, row) }
+		}
+		if err := fn(rec, int64(start), complete); err != nil {
+			return nil, nil, skipped, err
 		}
 	}
-	return skipped, nil
+	return recStart, fieldOff, skipped, nil
 }
 
-// needleCursors builds the candidate-filter cursors for a pushdown's
-// string-equality literal: one searching for the literal in its quoted raw
-// form, one for backslashes (any escape makes a record a candidate, since
-// escaped text can denote the literal without containing its bytes). Both
-// are nil when the pushdown has no equality literal.
-func (p *Provider) needleCursors(data []byte, pd *expr.Pushdown) (needle, escape *expr.NeedleCursor) {
-	lit := pd.EqNeedle()
-	if lit == nil {
-		return nil, nil
-	}
-	quoted := make([]byte, 0, len(lit)+2)
-	quoted = append(append(append(quoted, '"'), lit...), '"')
-	return expr.NewNeedleCursor(data, quoted), expr.NewNeedleCursor(data, []byte{'\\'})
-}
-
-// recordAt returns the index of the record whose span contains byte offset
-// off (the last record starting at or before it). Requires the positional
-// map.
-func (p *Provider) recordAt(s *snapshot, off int64) int {
-	return sort.Search(len(s.recStart), func(i int) bool { return s.recStart[i] > off }) - 1
-}
-
-// effectiveMask unions the tested top-level fields into the needed mask so
-// survivors materialize them too; nil (all fields) stays nil.
-func (p *Provider) effectiveMask(mask []bool, tests []expr.ColTest) []bool {
-	if mask == nil {
-		return nil
-	}
-	eff := make([]bool, len(mask))
-	copy(eff, mask)
-	for i := range tests {
-		if s := tests[i].Slot; s < len(eff) {
-			eff[s] = true
+// Test implements rawfile.Format: an absent key or a null literal fails the
+// test — the same SQL semantics the row filter applies.
+func (f *format) Test(data []byte, start int, offs []uint32, tests []expr.ColTest) (bool, error) {
+	for ti := range tests {
+		t := &tests[ti]
+		if offs[t.Slot] == absentOff {
+			return false, nil
+		}
+		ok, err := testValue(data, t, start+int(offs[t.Slot]))
+		if err != nil {
+			return false, f.errField(t.Slot, err)
+		}
+		if !ok {
+			return false, nil
 		}
 	}
-	return eff
+	return true, nil
 }
 
 // testValue decodes the JSON value at i as the test's column kind and runs
 // the fused kernel. A null literal fails the test; malformed values raise
 // the same errors parseValue would.
-func (p *Provider) testValue(data []byte, t *expr.ColTest, i int) (bool, error) {
+func testValue(data []byte, t *expr.ColTest, i int) (bool, error) {
 	i = skipWS(data, i)
 	if i >= len(data) {
 		return false, fmt.Errorf("unexpected end of input")
 	}
 	if data[i] == 'n' {
-		if i+4 <= len(data) && string(data[i:i+4]) == "null" {
-			return false, nil
-		}
-		return false, fmt.Errorf("bad literal at %d", i)
+		_, err := skipLiteral(data, i, "null")
+		return false, err
 	}
 	switch t.Kind {
 	case value.Int:
-		beg := i
-		ni := scanNumber(data, i)
-		if ni == beg {
-			return false, fmt.Errorf("bad number at %d", i)
-		}
-		n, err := strconv.ParseInt(string(data[beg:ni]), 10, 64)
-		if err != nil {
-			// The text may be a float literal; truncate (mirroring parseValue).
-			f, ferr := strconv.ParseFloat(string(data[beg:ni]), 64)
-			if ferr != nil {
-				return false, fmt.Errorf("bad int at %d: %v", i, err)
-			}
-			n = int64(f)
-		}
-		return t.TestInt(n), nil
+		n, _, err := parseInt(data, i)
+		return err == nil && t.TestInt(n), err
 	case value.Float:
-		beg := i
-		ni := scanNumber(data, i)
-		if ni == beg {
-			return false, fmt.Errorf("bad number at %d", i)
-		}
-		f, err := strconv.ParseFloat(string(data[beg:ni]), 64)
-		if err != nil {
-			return false, fmt.Errorf("bad float at %d: %v", i, err)
-		}
-		return t.TestFloat(f), nil
+		x, _, err := parseFloat(data, i)
+		return err == nil && t.TestFloat(x), err
 	default:
 		raw, escaped, _, err := rawString(data, i)
 		if err != nil {
@@ -630,243 +226,17 @@ func (p *Provider) testValue(data []byte, t *expr.ColTest, i int) (bool, error) 
 	}
 }
 
-// firstScanPushdown is the pushdown flavor of the first scan: each object
-// is tokenized just enough to map every top-level field offset (values are
-// skipped, not materialized), the pushed tests run on the mapped offsets,
-// and only surviving records decode their needed fields.
-func (p *Provider) firstScanPushdown(s *snapshot, tests []expr.ColTest, eff []bool, needle, escape *expr.NeedleCursor, skipped *int64, fn plan.ScanFunc) (int64, error) {
-	data := s.data
-	i := skipWS(data, 0)
-	row := make([]value.Value, p.ntop)
-	rec := value.Value{Kind: value.Record, L: row}
-	offs := make([]uint32, p.ntop)
-	noneMask := make([]bool, p.ntop) // map offsets only, materialize nothing
-	var recStart []int64
-	var fieldOff []uint32
-	for i < len(data) {
-		start := i
-		end, err := p.parseTopObject(data, i, noneMask, row, offs, int64(start))
-		if err != nil {
-			return *skipped, err
-		}
-		recStart = append(recStart, int64(start))
-		fieldOff = append(fieldOff, offs...)
-		if needle != nil {
-			m := needle.Next(start)
-			if e := escape.Next(start); e < m {
-				m = e
-			}
-			if m >= end {
-				// Neither the quoted literal nor any escape occurs within
-				// the record: no string field can equal the literal.
-				*skipped++
-				i = skipWS(data, end)
-				continue
-			}
-		}
-		pass := true
-		for ti := range tests {
-			t := &tests[ti]
-			if offs[t.Slot] == absentOff {
-				pass = false
-				break
-			}
-			ok, err := p.testValue(data, t, start+int(offs[t.Slot]))
-			if err != nil {
-				return *skipped, fmt.Errorf("jsonio: field %q: %w", p.schema.Fields[t.Slot].Name, err)
-			}
-			if !ok {
-				pass = false
-				break
-			}
-		}
-		if !pass {
-			*skipped++
-			i = skipWS(data, end)
-			continue
-		}
-		for fi := 0; fi < p.ntop; fi++ {
-			if eff != nil && !eff[fi] {
-				row[fi] = value.VNull
-				continue
-			}
-			if offs[fi] == absentOff {
-				row[fi] = nullFor(p.schema.Fields[fi].Type)
-				continue
-			}
-			v, _, err := parseValue(data, start+int(offs[fi]), p.schema.Fields[fi].Type)
-			if err != nil {
-				return *skipped, fmt.Errorf("jsonio: field %q: %w", p.schema.Fields[fi].Name, err)
-			}
-			row[fi] = v
-		}
-		complete := noComplete
-		if eff != nil {
-			complete = func() error {
-				for fi := 0; fi < p.ntop; fi++ {
-					if eff[fi] {
-						continue
-					}
-					if offs[fi] == absentOff {
-						row[fi] = nullFor(p.schema.Fields[fi].Type)
-						continue
-					}
-					v, _, err := parseValue(data, start+int(offs[fi]), p.schema.Fields[fi].Type)
-					if err != nil {
-						return err
-					}
-					row[fi] = v
-				}
-				return nil
-			}
-		}
-		if err := fn(rec, int64(start), complete); err != nil {
-			return *skipped, err
-		}
-		i = skipWS(data, end)
-	}
-	p.publishMap(s, recStart, fieldOff)
-	return *skipped, nil
-}
-
-// ScanOffsets implements plan.ScanProvider: the lazy-cache access path.
-func (p *Provider) ScanOffsets(offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	return p.scanOffsets(s, offsets, needed, fn)
-}
-
-// ScanOffsetsAt implements plan.EpochScanner: ScanOffsets pinned to a file
-// epoch. If the file was rewritten since the offsets were recorded, the
-// positions are meaningless in the new bytes — fail with ErrEpochChanged
-// instead of dereferencing them.
-func (p *Provider) ScanOffsetsAt(epoch uint64, offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	if s.epoch != epoch {
-		return plan.ErrEpochChanged
-	}
-	return p.scanOffsets(s, offsets, needed, fn)
-}
-
-func (p *Provider) scanOffsets(s *snapshot, offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
-	mask, err := p.neededMask(needed)
-	if err != nil {
-		return err
-	}
-	row := make([]value.Value, p.ntop)
-	rec := value.Value{Kind: value.Record, L: row}
-	offs := make([]uint32, p.ntop)
-	for _, off := range offsets {
-		if s.mapped {
-			ri := sort.Search(len(s.recStart), func(i int) bool { return s.recStart[i] >= off })
-			if ri < len(s.recStart) && s.recStart[ri] == off {
-				if err := p.parseMapped(s, ri, off, mask, row); err != nil {
-					return err
-				}
-				complete := noComplete
-				if mask != nil {
-					ri, off := ri, off
-					complete = func() error { return p.completeMapped(s, ri, off, mask, row) }
-				}
-				if err := fn(rec, off, complete); err != nil {
-					return err
-				}
-				continue
-			}
-		}
-		// No positional map: parse everything so complete can be a no-op.
-		if _, err := p.parseTopObject(s.data, int(off), nil, row, offs, off); err != nil {
-			return err
-		}
-		if err := fn(rec, off, noComplete); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanFrom implements plan.RefreshableProvider: stream the records whose
-// byte offset is >= from, in file order. The cache manager uses it to scan
-// only the appended tail when extending an entry; from is a previous
-// covered length, so it always lands on a record boundary.
-func (p *Provider) ScanFrom(from int64, needed []value.Path, fn plan.ScanFunc) error {
-	s, err := p.ensureLoaded()
-	if err != nil {
-		return err
-	}
-	mask, err := p.neededMask(needed)
-	if err != nil {
-		return err
-	}
-	row := make([]value.Value, p.ntop)
-	rec := value.Value{Kind: value.Record, L: row}
-	if s.mapped {
-		lo := sort.Search(len(s.recStart), func(i int) bool { return s.recStart[i] >= from })
-		for ri := lo; ri < len(s.recStart); ri++ {
-			start := s.recStart[ri]
-			if err := p.parseMapped(s, ri, start, mask, row); err != nil {
-				return err
-			}
-			complete := noComplete
-			if mask != nil {
-				ri, start := ri, start
-				complete = func() error { return p.completeMapped(s, ri, start, mask, row) }
-			}
-			if err := fn(rec, start, complete); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	data := s.data
-	offs := make([]uint32, p.ntop)
-	i := skipWS(data, int(from))
-	for i < len(data) {
-		start := i
-		end, err := p.parseTopObject(data, i, mask, row, offs, int64(start))
-		if err != nil {
-			return err
-		}
-		complete := noComplete
-		if mask != nil {
-			rowOffs := append([]uint32(nil), offs...)
-			complete = func() error {
-				for fi := 0; fi < p.ntop; fi++ {
-					if mask[fi] {
-						continue
-					}
-					if rowOffs[fi] == absentOff {
-						row[fi] = nullFor(p.schema.Fields[fi].Type)
-						continue
-					}
-					v, _, err := parseValue(data, start+int(rowOffs[fi]), p.schema.Fields[fi].Type)
-					if err != nil {
-						return err
-					}
-					row[fi] = v
-				}
-				return nil
-			}
-		}
-		if err := fn(rec, int64(start), complete); err != nil {
-			return err
-		}
-		i = skipWS(data, end)
-	}
-	return nil
-}
-
-// parseTopObject parses one top-level object starting at i, filling row
-// (masked fields materialized, others null), recording each field's value
-// offset into offs. Returns the index just past the object.
-func (p *Provider) parseTopObject(data []byte, i int, mask []bool, row []value.Value, offs []uint32, recStart int64) (int, error) {
+// parseTop walks one top-level object starting at i, recording each schema
+// field's value offset (relative to i) into offs, and returns the index
+// just past the object. With a row it also materializes the masked fields
+// (nil = all) in the same walk, nulling the others; with a nil row every
+// value is skipped.
+func (f *format) parseTop(data []byte, i int, mask []bool, row []value.Value, offs []uint32) (int, error) {
+	recStart := i
 	for fi := range offs {
 		offs[fi] = absentOff
+	}
+	for fi := range row {
 		row[fi] = value.VNull
 	}
 	i = skipWS(data, i)
@@ -900,36 +270,31 @@ func (p *Provider) parseTopObject(data []byte, i int, mask []bool, row []value.V
 			return i, fmt.Errorf("jsonio: expected ':' at offset %d", i)
 		}
 		i = skipWS(data, i+1)
-		fi, ft := p.schema.FieldIndex(key)
-		if fi < 0 {
-			// Unknown key: skip its value.
-			ni, err := skipValue(data, i)
-			if err != nil {
+		fi, ft := f.schema.FieldIndex(key)
+		if fi >= 0 {
+			offs[fi] = uint32(i - recStart)
+		}
+		// Unknown keys, and known ones the caller did not ask for, are
+		// skipped without materializing.
+		if fi < 0 || row == nil || (mask != nil && !mask[fi]) {
+			if i, err = skipValue(data, i); err != nil {
 				return i, err
 			}
-			i = ni
 			continue
 		}
-		offs[fi] = uint32(int64(i) - recStart)
-		if mask == nil || mask[fi] {
-			v, ni, err := parseValue(data, i, ft)
-			if err != nil {
-				return i, fmt.Errorf("jsonio: field %q: %w", key, err)
-			}
-			row[fi] = v
-			i = ni
-		} else {
-			ni, err := skipValue(data, i)
-			if err != nil {
-				return i, err
-			}
-			i = ni
+		v, ni, err := parseValue(data, i, ft)
+		if err != nil {
+			return i, f.errField(fi, err)
 		}
+		row[fi] = v
+		i = ni
 	}
-	// Normalize absent fields.
-	for fi := range offs {
-		if offs[fi] == absentOff && (mask == nil || mask[fi]) {
-			row[fi] = nullFor(p.schema.Fields[fi].Type)
+	if row != nil {
+		// Normalize absent fields.
+		for fi := range offs {
+			if offs[fi] == absentOff && (mask == nil || mask[fi]) {
+				row[fi] = nullFor(f.schema.Fields[fi].Type)
+			}
 		}
 	}
 	return i, nil
@@ -984,34 +349,54 @@ func parseValue(data []byte, i int, t *value.Type) (value.Value, int, error) {
 		}
 		return value.VNull, i, fmt.Errorf("bad bool at %d", i)
 	case value.Int:
-		beg := i
-		ni := scanNumber(data, i)
-		if ni == beg {
-			return value.VNull, i, fmt.Errorf("bad number at %d", i)
-		}
-		n, err := strconv.ParseInt(string(data[beg:ni]), 10, 64)
+		n, ni, err := parseInt(data, i)
 		if err != nil {
-			// The text may be a float literal; truncate.
-			f, ferr := strconv.ParseFloat(string(data[beg:ni]), 64)
-			if ferr != nil {
-				return value.VNull, i, fmt.Errorf("bad int at %d: %v", i, err)
-			}
-			return value.VInt(int64(f)), ni, nil
+			return value.VNull, i, err
 		}
 		return value.VInt(n), ni, nil
 	case value.Float:
-		beg := i
-		ni := scanNumber(data, i)
-		if ni == beg {
-			return value.VNull, i, fmt.Errorf("bad number at %d", i)
-		}
-		f, err := strconv.ParseFloat(string(data[beg:ni]), 64)
+		x, ni, err := parseFloat(data, i)
 		if err != nil {
-			return value.VNull, i, fmt.Errorf("bad float at %d: %v", i, err)
+			return value.VNull, i, err
 		}
-		return value.VFloat(f), ni, nil
+		return value.VFloat(x), ni, nil
 	}
 	return value.VNull, i, fmt.Errorf("unsupported type %s", t)
+}
+
+// parseInt decodes the JSON number at i as an int64: an integer literal
+// exactly, a float literal truncated. A number outside the int64 range is
+// malformed, not wrapped.
+func parseInt(data []byte, i int) (int64, int, error) {
+	ni := scanNumber(data, i)
+	if ni == i {
+		return 0, i, fmt.Errorf("bad number at %d", i)
+	}
+	lit := data[i:ni]
+	n, err := rawfile.ParseInt(lit)
+	if err == nil {
+		return n, ni, nil
+	}
+	// Only a float literal gets a second reading; an integer literal that
+	// did not fit must not come back rounded into range.
+	if bytes.ContainsAny(lit, ".eE") {
+		if x, ferr := strconv.ParseFloat(string(lit), 64); ferr == nil && x >= -1<<63 && x < 1<<63 {
+			return int64(x), ni, nil
+		}
+	}
+	return 0, i, fmt.Errorf("bad int at %d: %w", i, err)
+}
+
+func parseFloat(data []byte, i int) (float64, int, error) {
+	ni := scanNumber(data, i)
+	if ni == i {
+		return 0, i, fmt.Errorf("bad number at %d", i)
+	}
+	x, err := strconv.ParseFloat(string(data[i:ni]), 64)
+	if err != nil {
+		return 0, i, fmt.Errorf("bad float at %d: %w", i, err)
+	}
+	return x, ni, nil
 }
 
 func parseObject(data []byte, i int, t *value.Type) (value.Value, int, error) {
@@ -1182,21 +567,20 @@ func unescape(b []byte) string {
 	return string(out)
 }
 
-// skipValue advances past any JSON value without materializing it.
+// skipValue advances past any JSON value without materializing it. It must
+// find the same end as the schema-guided parsers for every value those
+// accept — the offsets-only tokenizer skips what a fused first scan parses —
+// so brackets of either kind nest, and literals are checked, not assumed.
 func skipValue(data []byte, i int) (int, error) {
 	i = skipWS(data, i)
 	if i >= len(data) {
 		return i, fmt.Errorf("unexpected end of input")
 	}
-	switch data[i] {
+	switch open := data[i]; open {
 	case '"':
 		_, ni, err := parseString(data, i)
 		return ni, err
 	case '{', '[':
-		open, close := data[i], byte('}')
-		if open == '[' {
-			close = ']'
-		}
 		depth := 0
 		for ; i < len(data); i++ {
 			switch data[i] {
@@ -1206,9 +590,9 @@ func skipValue(data []byte, i int) (int, error) {
 					return i, err
 				}
 				i = ni - 1
-			case open:
+			case '{', '[':
 				depth++
-			case close:
+			case '}', ']':
 				depth--
 				if depth == 0 {
 					return i + 1, nil
@@ -1217,11 +601,11 @@ func skipValue(data []byte, i int) (int, error) {
 		}
 		return i, fmt.Errorf("unterminated %c", open)
 	case 't':
-		return i + 4, nil
+		return skipLiteral(data, i, "true")
 	case 'f':
-		return i + 5, nil
+		return skipLiteral(data, i, "false")
 	case 'n':
-		return i + 4, nil
+		return skipLiteral(data, i, "null")
 	default:
 		ni := scanNumber(data, i)
 		if ni == i {
@@ -1229,6 +613,13 @@ func skipValue(data []byte, i int) (int, error) {
 		}
 		return ni, nil
 	}
+}
+
+func skipLiteral(data []byte, i int, lit string) (int, error) {
+	if i+len(lit) <= len(data) && string(data[i:i+len(lit)]) == lit {
+		return i + len(lit), nil
+	}
+	return i, fmt.Errorf("bad literal at %d", i)
 }
 
 func scanNumber(data []byte, i int) int {

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"recache/internal/expr"
 	"recache/internal/value"
 )
 
@@ -302,4 +303,42 @@ func TestCompleteParsesSkippedFields(t *testing.T) {
 	}
 	check("first scan")
 	check("mapped scan")
+}
+
+// A number outside int64 in an int field is malformed on every path; the
+// old float fallback converted it with an implementation-defined result.
+func TestIntOverflowIsMalformed(t *testing.T) {
+	schema := value.TRecord(value.F("n", value.TInt), value.FOpt("s", value.TString))
+	nop := func(value.Value, int64, func() error) error { return nil }
+	for _, lit := range []string{"9223372036854775808", "-9223372036854775809", "1e19", "-1e300"} {
+		data := `{"n":1,"s":"a"}` + "\n" + `{"n":` + lit + `,"s":"b"}` + "\n"
+		for _, mapped := range []bool{false, true} {
+			p, err := New(writeFile(t, data), schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mapped {
+				// Map the file through a scan that never decodes n.
+				if err := p.Scan([]value.Path{value.ParsePath("s")}, nop); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := p.Scan(nil, nop); err == nil {
+				t.Errorf("Scan(mapped=%v) accepted int %s", mapped, lit)
+			}
+			pd, _ := expr.ExtractPushdown(expr.Cmp(expr.OpGe, expr.C("n"), expr.L(0)), schema)
+			if _, err := p.ScanPushdown(pd, nil, nop); err == nil {
+				t.Errorf("ScanPushdown(mapped=%v) accepted int %s", mapped, lit)
+			}
+		}
+	}
+	// The extremes, and floats that truncate into range, are fine.
+	p, err := New(writeFile(t, `{"n":9223372036854775807}`+"\n"+`{"n":-9223372036854775808}`+"\n"+`{"n":-2.5e3}`+"\n"), schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := collect(t, p, nil)
+	if recs[0].L[0].I != 1<<63-1 || recs[1].L[0].I != -1<<63 || recs[2].L[0].I != -2500 {
+		t.Errorf("ints = %v, %v, %v", recs[0].L[0], recs[1].L[0], recs[2].L[0])
+	}
 }

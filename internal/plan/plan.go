@@ -29,10 +29,10 @@ import (
 // across calls; copy if retained.
 type ScanFunc func(rec value.Value, offset int64, complete func() error) error
 
-// ScanProvider is implemented by the format-specific input plugins
-// (internal/csvio, internal/jsonio). A provider owns the positional map for
-// its file: the first scan builds it, later scans use it to parse only the
-// needed fields.
+// ScanProvider is implemented by the raw-file input plugins (internal/csvio
+// and internal/jsonio, both over internal/rawfile). A provider owns the
+// positional map for its file: the first scan builds it, later scans use it
+// to parse only the needed fields.
 type ScanProvider interface {
 	// Schema returns the record schema of the dataset.
 	Schema() *value.Type
