@@ -79,8 +79,7 @@ func TestReadmissionResetsBatchTuner(t *testing.T) {
 		t.Fatal("setup: tuner not started")
 	}
 	m.mu.Lock()
-	e.spilling = true
-	m.pendingSpills = append(m.pendingSpills, e)
+	m.queueSpillLocked(e)
 	m.mu.Unlock()
 	m.drainSpills()
 	if _, _, _, err := m.Resident(e); err != nil {

@@ -82,32 +82,33 @@ type Entry struct {
 
 	advisor advisorState
 
-	// Reader/lifecycle state, guarded by the Manager's lock.
-	pins       int  // active CachedScan readers (Txn pins)
-	doomed     bool // evicted while pinned; removal deferred to last unpin
-	converting bool // a layout conversion is in flight
-	upgrading  bool // a lazy→eager upgrade is in flight
+	// Lifecycle state (lifecycle.go), guarded by the Manager's lock and
+	// written only by the transitions there: where the authoritative payload
+	// lives, the one unlocked payload operation in flight, and whether the
+	// entry has left every lookup structure.
+	tier tier
+	op   opKind
+	dead bool
+	pins int // active CachedScan readers (Txn pins)
 
-	// Disk-tier state, guarded by the Manager's lock. A spilled entry keeps
-	// all of its metadata (and its place in every lookup structure) in RAM;
-	// only the payload moves to the spill file. The demotion lifecycle is
-	// RAM → spilling → onDisk → (loadDone: re-admission in flight) → RAM,
-	// or onDisk → gone when the disk tier itself evicts.
-	spillPath   string        // spill file path (while spilling or on disk)
-	spillBytes  int64         // serialized payload size on disk
-	onDisk      bool          // payload lives in the spill file
-	spilling    bool          // a spill write is in flight
-	dropOnUnpin bool          // spill finished while pinned: drop RAM payload at last unpin
-	loadDone    chan struct{} // single-flight re-admission gate (non-nil while loading)
+	// Spill-file identity. The file outlives re-admission (payloads are
+	// immutable), so a RAM-tier entry may still own one.
+	spillPath   string
+	spillBytes  int64
+	loadDone    chan struct{} // closed when the opLoading in flight ends
 	reloadNanos int64         // measured cost of the last disk re-admission
 }
 
-// SizeBytes is B: the entry's memory footprint.
+// SizeBytes is B: the entry's memory footprint. An eager entry whose payload
+// is in the disk tier holds no RAM.
 func (e *Entry) SizeBytes() int64 {
-	if e.Mode == Eager && e.Store != nil {
+	switch {
+	case e.Mode == Lazy:
+		return int64(len(e.Offsets))*8 + 64
+	case e.Store != nil:
 		return e.Store.SizeBytes()
 	}
-	return int64(len(e.Offsets))*8 + 64
+	return 0
 }
 
 // FromJSON reports whether the entry originates from a JSON dataset.
@@ -125,9 +126,9 @@ func (e *Entry) String() string {
 	layout := "offsets"
 	if e.Mode == Eager && e.Store != nil {
 		layout = e.Store.Layout().String()
-	} else if e.onDisk {
+	} else if e.diskOnly() {
 		layout = "disk"
 	}
 	return fmt.Sprintf("cache[%d] %s σ(%s) %s %s n=%d %dB",
-		e.ID, e.Dataset.Name, e.PredCanon, e.Mode, layout, e.Reuses, e.SizeBytes())
+		e.ID, e.Dataset.Name, e.PredCanon, e.Mode, layout, e.Reuses, e.footprint())
 }

@@ -1,7 +1,7 @@
 package cache
 
 import (
-	"os"
+	"errors"
 	"time"
 
 	"recache/internal/expr"
@@ -27,11 +27,11 @@ import (
 // exactly which tail an extension must scan.
 //
 // Locking mirrors the spill tier: classification and tail scans run
-// outside the manager lock against immutable snapshots; the swap of the
-// extended payload re-verifies the entry under the lock and falls back to
-// invalidation if anything moved. A per-dataset single-flight gate
-// (refreshing) keeps a burst of queries from stat'ing and re-parsing the
-// same tail concurrently.
+// outside the manager lock against immutable snapshots; the extended
+// payload goes in through the lifecycle's begin/commit pair, and a commit
+// that finds the entry moved falls back to invalidation. A per-dataset
+// single-flight gate (refreshing) keeps a burst of queries from stat'ing
+// and re-parsing the same tail concurrently.
 
 // AbandonBuild releases a materializer's single-flight build slot without
 // inserting an entry. Materializers call it when the provider's file
@@ -139,83 +139,78 @@ func (m *Manager) invalidateDataset(name string) {
 	m.mu.Lock()
 	for _, e := range m.entries {
 		if e.Dataset.Name == name {
-			m.removeLocked(e)
-			m.stats.staleInvalidations.Add(1)
+			m.invalidateLocked(e)
 		}
 	}
 	m.mu.Unlock()
 }
 
-// extension is the unlocked work item for one appended-to entry: the
-// payload snapshot taken under the lock that the tail scan builds on.
-type extension struct {
-	e       *Entry
-	mode    Mode
-	store   store.Store // eager snapshot
-	offsets []int64     // lazy snapshot
-	covered int64
+// invalidateLocked removes an entry its raw file outgrew.
+func (m *Manager) invalidateLocked(e *Entry) {
+	if m.removeLocked(e) {
+		m.stats.staleInvalidations.Add(1)
+	}
 }
 
 // extendDataset reconciles the dataset's entries with an appended file:
 // entries from older epochs (or untracked builds) are dropped, current
 // entries already covering the new length are untouched, and the rest are
-// extended by scanning only the appended tail. Entries in any transitional
-// state (upgrade, conversion, spill, disk residence) are dropped rather
-// than extended — those states all hold payload references the swap could
-// not atomically respect, and an append burst hitting a mid-transition
+// extended by scanning only the appended tail. Entries that cannot begin
+// an extension — another operation in flight, or the payload in the disk
+// tier — are dropped rather than extended: an append burst hitting such an
 // entry is rare enough that rebuilding is the simpler correct answer.
 func (m *Manager) extendDataset(ds *plan.Dataset, rp plan.RefreshableProvider, rep plan.FreshnessReport) {
-	var work []extension
+	for _, o := range m.beginExtensions(ds, rep) {
+		m.extend(ds, rp, rep, o)
+	}
+	m.drainSpills()
+}
+
+func (m *Manager) beginExtensions(ds *plan.Dataset, rep plan.FreshnessReport) []inflight {
+	var work []inflight
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, e := range m.entries {
 		if e.Dataset.Name != ds.Name {
 			continue
 		}
-		busy := e.upgrading || e.converting || e.spilling || e.dropOnUnpin ||
-			e.onDisk || e.loadDone != nil || (e.Mode == Eager && e.Store == nil)
 		switch {
 		case e.FileEpoch == 0 || e.FileEpoch != rep.Epoch:
-			m.removeLocked(e)
-			m.stats.staleInvalidations.Add(1)
+			m.invalidateLocked(e)
 		case e.CoveredBytes >= rep.Covered:
 			// Already covers the appended tail (a racing build admitted it).
-		case busy:
-			m.removeLocked(e)
-			m.stats.staleInvalidations.Add(1)
 		default:
-			work = append(work, extension{
-				e: e, mode: e.Mode, store: e.Store,
-				offsets: e.Offsets, covered: e.CoveredBytes,
-			})
+			if o, ok := m.begin(e, opExtending); ok {
+				work = append(work, o)
+			} else {
+				m.invalidateLocked(e)
+			}
 		}
+	}
+	return work
+}
+
+// extend is the unlocked half of one entry's extension: the tail scan
+// against the snapshot, then the commit. A tail that failed to parse or an
+// entry that moved mid-extension falls back to invalidation, never to a
+// half-extended payload.
+func (m *Manager) extend(ds *plan.Dataset, rp plan.RefreshableProvider, rep plan.FreshnessReport, o inflight) {
+	var res result
+	res.payload, res.err = extendPayload(ds, rp, o.e.Pred, o.snap)
+	res.covered = rep.Covered
+	m.mu.Lock()
+	if m.commit(o, res) {
+		m.stats.tailExtensions.Add(1)
+	} else {
+		m.invalidateLocked(o.e)
 	}
 	m.mu.Unlock()
-
-	for _, x := range work {
-		var err error
-		if x.mode == Lazy {
-			err = m.extendLazy(ds, rp, rep, x)
-		} else {
-			err = m.extendEager(ds, rp, rep, x)
-		}
-		if err != nil {
-			// The tail failed to parse or the entry moved mid-extension:
-			// fall back to invalidation, never to a half-extended payload.
-			m.mu.Lock()
-			if _, live := m.entries[x.e.ID]; live {
-				m.removeLocked(x.e)
-				m.stats.staleInvalidations.Add(1)
-			}
-			m.mu.Unlock()
-		}
-	}
-	m.drainSpills()
 }
 
 // replayExtend is the slow extension path for store layouts without a
 // copy fast path: the old payload is replayed row by row through a fresh
 // builder and the tail records are appended after it.
-func (m *Manager) replayExtend(src store.Store, schema *value.Type, tail []value.Value) (store.Store, error) {
+func replayExtend(src store.Store, schema *value.Type, tail []value.Value) (store.Store, error) {
 	builder, err := store.NewBuilder(src.Layout(), schema)
 	if err != nil {
 		return nil, err
@@ -237,106 +232,50 @@ func (m *Manager) replayExtend(src store.Store, schema *value.Type, tail []value
 	return builder.Finish(), nil
 }
 
-// errEntryMoved reports a failed swap re-verification.
-type errEntryMoved struct{}
+// errNestedExtend sends nested datasets down the invalidation path.
+var errNestedExtend = errors.New("cache: nested stores never extend")
 
-func (errEntryMoved) Error() string { return "cache: entry changed during tail extension" }
-
-// extendLazy appends the offsets of satisfying tail records to a lazy
-// entry's offset list.
-func (m *Manager) extendLazy(ds *plan.Dataset, rp plan.RefreshableProvider, rep plan.FreshnessReport, x extension) error {
-	pred, err := expr.CompilePredicate(x.e.Pred, ds.Schema())
-	if err != nil {
-		return err
-	}
-	extra := []int64{}
-	err = rp.ScanFrom(x.covered, nil, func(rec value.Value, off int64, _ func() error) error {
-		if pred(rec.L) {
-			extra = append(extra, off)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	e := x.e
-	if _, live := m.entries[e.ID]; !live || e.doomed || e.Mode != Lazy ||
-		e.CoveredBytes != x.covered || len(e.Offsets) != len(x.offsets) {
-		m.mu.Unlock()
-		return errEntryMoved{}
-	}
-	m.total -= e.SizeBytes()
-	combined := make([]int64, 0, len(x.offsets)+len(extra))
-	combined = append(combined, x.offsets...)
-	combined = append(combined, extra...)
-	e.Offsets = combined
-	e.CoveredBytes = rep.Covered
-	m.total += e.SizeBytes()
-	m.stats.tailExtensions.Add(1)
-	m.evictLocked()
-	m.mu.Unlock()
-	return nil
-}
-
-// extendEager grows an eager entry's store over the appended tail: the
-// satisfying tail records are collected with one predicate-filtered tail
-// scan and appended to the old payload through store.Extend, which copies
-// the flat layouts' column vectors wholesale (a memcpy of the old bytes,
-// per-row work only for the tail). Layouts without the copy fast path fall
-// back to replaying the old store through a builder; replay goes through
-// ScanRecords, which cannot project repeated columns, so nested datasets
-// always take the invalidation path instead.
-func (m *Manager) extendEager(ds *plan.Dataset, rp plan.RefreshableProvider, rep plan.FreshnessReport, x extension) error {
+// extendPayload builds old's successor over the appended tail with one
+// predicate-filtered tail scan. A lazy payload gains the offsets of the
+// satisfying tail records. An eager payload gains the records themselves
+// through store.Extend, which copies the flat layouts' column vectors
+// wholesale (a memcpy of the old bytes, per-row work only for the tail);
+// layouts without the copy fast path fall back to replaying the old store
+// through a builder. Replay goes through ScanRecords, which cannot project
+// repeated columns, so nested datasets never extend.
+func extendPayload(ds *plan.Dataset, rp plan.RefreshableProvider, predExpr expr.Expr, old payload) (payload, error) {
 	schema := ds.Schema()
-	if value.RepeatedFieldCached(schema) != nil {
-		return errEntryMoved{} // caller invalidates; nested stores never extend
+	if old.mode == Eager && value.RepeatedFieldCached(schema) != nil {
+		return old, errNestedExtend
 	}
-	pred, err := expr.CompilePredicate(x.e.Pred, schema)
+	pred, err := expr.CompilePredicate(predExpr, schema)
 	if err != nil {
-		return err
+		return old, err
+	}
+	next := old
+	if old.mode == Lazy {
+		// A fresh slice: readers replaying the old offsets must not see
+		// the tail appended into their backing array.
+		next.offsets = append(make([]int64, 0, len(old.offsets)), old.offsets...)
 	}
 	var tail []value.Value
-	err = rp.ScanFrom(x.covered, nil, func(rec value.Value, _ int64, _ func() error) error {
-		if pred(rec.L) {
+	err = rp.ScanFrom(old.covered, nil, func(rec value.Value, off int64, _ func() error) error {
+		switch {
+		case !pred(rec.L):
+		case old.mode == Lazy:
+			next.offsets = append(next.offsets, off)
+		default:
 			tail = append(tail, value.VRecord(append([]value.Value(nil), rec.L...)...))
 		}
 		return nil
 	})
-	if err != nil {
-		return err
+	if err != nil || old.mode == Lazy {
+		return next, err
 	}
-	st, ok, err := store.Extend(x.store, tail)
-	if err != nil {
-		return err
+	st, ok, err := store.Extend(old.store, tail)
+	if err == nil && !ok {
+		st, err = replayExtend(old.store, schema, tail)
 	}
-	if !ok {
-		if st, err = m.replayExtend(x.store, schema, tail); err != nil {
-			return err
-		}
-	}
-
-	m.mu.Lock()
-	e := x.e
-	if _, live := m.entries[e.ID]; !live || e.doomed || e.Mode != Eager ||
-		e.Store != x.store || e.CoveredBytes != x.covered {
-		m.mu.Unlock()
-		return errEntryMoved{}
-	}
-	m.total -= e.SizeBytes()
-	e.Store = st
-	e.CoveredBytes = rep.Covered
-	m.total += e.SizeBytes()
-	if e.spillPath != "" {
-		// The retained spill file serializes the pre-append payload; a free
-		// demotion would resurrect it. Pay for the next spill instead.
-		os.Remove(e.spillPath)
-		m.diskTotal -= e.spillBytes
-		m.diskEntries--
-		e.spillPath, e.spillBytes = "", 0
-	}
-	m.stats.tailExtensions.Add(1)
-	m.evictLocked()
-	m.mu.Unlock()
-	return nil
+	next.store = st
+	return next, err
 }

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"math"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -231,6 +230,7 @@ type counters struct {
 type Manager struct {
 	mu      sync.Mutex
 	cfg     Config
+	policy  eviction.TieredPolicy // cfg.Policy, adapted if it has no disk-tier state
 	nextID  uint64
 	entries map[uint64]*Entry
 	byKey   map[string]*Entry
@@ -244,21 +244,20 @@ type Manager struct {
 	// queries missing on it scan raw instead of duplicating the build.
 	building map[string]uint64
 
-	// total is the bytes held, guarded by mu. It includes doomed entries —
-	// entries evicted while pinned, gone from every lookup structure but
-	// kept alive (through their readers' Txn references and their doomed
-	// flag) until the last reader unpins. It also still includes entries
-	// whose spill write is in flight: their RAM bytes are released only
-	// when the spill finalizes and the payload actually drops.
+	// total is the RAM bytes held, guarded by mu and moved only by the
+	// transitions in lifecycle.go. It includes dead entries still pinned by
+	// readers, RAM copies demoted entries keep for theirs, and entries
+	// whose spill write is in flight: bytes are released only when the
+	// payload actually drops.
 	total int64
 
-	// Disk-tier accounting, guarded by mu.
+	// Disk-tier accounting, guarded by mu (lifecycle.go).
 	diskTotal   int64 // bytes held in spill files
 	diskEntries int
 	// pendingSpills queues eviction victims selected for demotion; spill
 	// writes run outside the lock (drainSpills), mirroring how layout
 	// conversions are kept off the lock.
-	pendingSpills []*Entry
+	pendingSpills []inflight
 
 	// Freshness single-flight: at most one goroutine revalidates a given
 	// dataset at a time; concurrent callers wait on the channel. refreshMu
@@ -292,6 +291,10 @@ func NewManager(cfg Config) *Manager {
 		building:   make(map[string]uint64),
 		refreshing: make(map[string]chan struct{}),
 		lastReval:  make(map[string]time.Time),
+	}
+	var ok bool
+	if m.policy, ok = m.cfg.Policy.(eviction.TieredPolicy); !ok {
+		m.policy = untiered{m.cfg.Policy}
 	}
 	m.initSpillDir()
 	return m
@@ -424,14 +427,12 @@ func (m *Manager) Snapshot() []EntryView {
 			PredCanon: e.PredCanon,
 			Mode:      e.Mode,
 			HasStore:  e.Store != nil,
-			OnDisk:    e.onDisk && e.Store == nil,
-			Bytes:     e.SizeBytes(),
+			OnDisk:    e.diskOnly(),
+			Bytes:     e.footprint(),
 			Reuses:    e.Reuses,
 		}
 		if e.Store != nil {
 			v.Layout = e.Store.Layout()
-		} else if v.OnDisk {
-			v.Bytes = e.spillBytes
 		}
 		out = append(out, v)
 	}
@@ -505,31 +506,6 @@ func (t *Txn) Close() {
 		rel()
 	}
 	t.remote = nil
-}
-
-// unpinLocked drops one reader reference; the last unpin of a doomed entry
-// finalizes its eviction (releases its bytes), and the last unpin of an
-// entry whose spill completed mid-scan drops its RAM payload (the third
-// deferred-eviction state: the entry lives on, on disk).
-func (m *Manager) unpinLocked(e *Entry) {
-	if e.pins > 0 {
-		e.pins--
-	}
-	if e.pins != 0 {
-		return
-	}
-	if e.doomed {
-		e.doomed = false
-		m.total -= e.SizeBytes()
-	}
-	if e.dropOnUnpin {
-		e.dropOnUnpin = false
-		if e.Store != nil {
-			ram := e.SizeBytes()
-			e.Store = nil
-			m.total -= ram
-		}
-	}
 }
 
 // BuildSpec instructs a materializer (internal/exec) how to admit one
@@ -760,17 +736,18 @@ func (m *Manager) lookupAndRewrite(ds *plan.Dataset, pred expr.Expr, flat bool, 
 	}
 	m.mu.Lock()
 	e, exact := m.lookupLocked(ds, pred, canon)
-	disk := false
-	if e != nil {
-		disk = e.Mode == Eager && e.Store == nil && (e.onDisk || e.loadDone != nil)
+	if e == nil {
+		m.mu.Unlock()
+		return nil
 	}
-	if e != nil && !readOnly {
+	disk, mode := e.diskOnly(), e.Mode
+	if !readOnly {
 		l := time.Since(start).Nanoseconds()
 		e.LookupNs = l
 		e.Reuses++
 		e.Freq++
 		e.LastAccess = m.clock.Load()
-		m.cfg.Policy.OnAccess(e.ID)
+		m.policy.OnAccess(e.ID)
 		if tx != nil {
 			e.pins++
 			tx.pinned = append(tx.pinned, e)
@@ -784,14 +761,7 @@ func (m *Manager) lookupAndRewrite(ds *plan.Dataset, pred expr.Expr, flat bool, 
 			m.stats.diskHits.Add(1)
 		}
 	}
-	mode := Eager
-	if e != nil {
-		mode = e.Mode
-	}
 	m.mu.Unlock()
-	if e == nil {
-		return nil
-	}
 	var residual expr.Expr
 	label := "exact"
 	if !exact {
@@ -875,19 +845,10 @@ func betterCandidate(a, b *Entry) bool {
 	if (a.Mode == Eager) != (b.Mode == Eager) {
 		return a.Mode == Eager
 	}
-	ar := a.Mode == Lazy || a.Store != nil
-	br := b.Mode == Lazy || b.Store != nil
-	if ar != br {
-		return ar
+	if a.diskOnly() != b.diskOnly() {
+		return b.diskOnly()
 	}
-	as, bs := a.SizeBytes(), b.SizeBytes()
-	if a.Store == nil && a.onDisk {
-		as = a.spillBytes
-	}
-	if b.Store == nil && b.onDisk {
-		bs = b.spillBytes
-	}
-	return as < bs
+	return a.footprint() < b.footprint()
 }
 
 // cachedScanSchema computes the output row schema of a cache scan: the
@@ -971,83 +932,11 @@ func (m *Manager) CompleteBuild(spec *BuildSpec, st store.Store, offsets []int64
 	return e
 }
 
-func (m *Manager) insertLocked(e *Entry) {
-	m.entries[e.ID] = e
-	m.byKey[e.Key()] = e
-	m.total += e.SizeBytes()
-	m.stats.inserted.Add(1)
-	m.cfg.Policy.OnInsert(e.ID)
-	if len(e.Ranges.Residuals) == 0 {
-		if len(e.Ranges.Cols) == 0 {
-			u := m.uncon[e.Dataset.Name]
-			if u == nil {
-				u = make(map[uint64]*Entry)
-				m.uncon[e.Dataset.Name] = u
-			}
-			u[e.ID] = e
-		} else {
-			for col, iv := range e.Ranges.Cols {
-				key := e.Dataset.Name + "|" + col
-				tree := m.indexes[key]
-				if tree == nil {
-					tree = rtree.New(1)
-					m.indexes[key] = tree
-				}
-				_ = tree.Insert(rtree.Interval1D(iv.Lo, iv.Hi), e.ID)
-			}
-		}
-	}
-	m.evictLocked()
-}
-
-// detachLocked removes an entry from every lookup structure (shared by the
-// RAM- and disk-tier removal paths).
-func (m *Manager) detachLocked(e *Entry) {
-	delete(m.entries, e.ID)
-	if m.byKey[e.Key()] == e {
-		delete(m.byKey, e.Key())
-	}
-	if u := m.uncon[e.Dataset.Name]; u != nil {
-		delete(u, e.ID)
-	}
-	if len(e.Ranges.Residuals) == 0 {
-		for col, iv := range e.Ranges.Cols {
-			if tree := m.indexes[e.Dataset.Name+"|"+col]; tree != nil {
-				tree.Delete(rtree.Interval1D(iv.Lo, iv.Hi), e.ID)
-			}
-		}
-	}
-}
-
-// removeLocked detaches an entry from every lookup structure. If readers
-// still pin the entry, the removal of its bytes is deferred: the entry
-// moves to the doomed set and the last unpin finalizes it — so eviction
-// never frees a store out from under a running CachedScan.
-func (m *Manager) removeLocked(e *Entry) {
-	if e.spillPath != "" {
-		// A resident entry can hold a still-valid spill file (kept across
-		// re-admission); removal must release the file and its disk budget.
-		os.Remove(e.spillPath)
-		m.diskTotal -= e.spillBytes
-		m.diskEntries--
-		e.spillPath, e.spillBytes = "", 0
-		e.onDisk = false
-	}
-	m.detachLocked(e)
-	m.cfg.Policy.OnRemove(e.ID)
-	if e.pins > 0 {
-		e.doomed = true
-		return // bytes stay in m.total until the last reader unpins
-	}
-	m.total -= e.SizeBytes()
-}
-
 // evictLocked enforces the RAM capacity limit through the configured
 // policy. With the spill tier enabled, victims whose reconstruction cost
 // exceeds their estimated reload cost are demoted to disk (queued on
 // pendingSpills; the write runs outside the lock via drainSpills) instead
-// of discarded. Entries already demoted, mid-demotion, or mid-re-admission
-// hold no reclaimable RAM and are excluded from the victim pool.
+// of discarded. Only reclaimable entries are in the victim pool.
 func (m *Manager) evictLocked() {
 	if m.cfg.Capacity <= 0 || m.total <= m.cfg.Capacity {
 		return
@@ -1055,45 +944,25 @@ func (m *Manager) evictLocked() {
 	need := m.total - m.cfg.Capacity
 	items := make([]eviction.Item, 0, len(m.entries))
 	for _, e := range m.entries {
-		if e.onDisk || e.spilling || e.dropOnUnpin || e.loadDone != nil {
-			continue
+		if e.reclaimable() {
+			items = append(items, m.itemFor(e))
 		}
-		items = append(items, m.itemFor(e))
 	}
-	victims := m.cfg.Policy.Victims(items, need)
+	victims := m.policy.Victims(items, need)
 	for _, id := range victims {
 		e, ok := m.entries[id]
 		if !ok {
 			continue
 		}
 		switch {
-		case e.spillPath != "":
-			// The entry still owns a valid spill file from an earlier
-			// demotion (payloads are immutable): demote for free.
-			m.demoteFreeLocked(e)
-		case m.spillWorthwhile(e):
-			e.spilling = true
-			m.pendingSpills = append(m.pendingSpills, e)
+		case e.keptSpillFile():
+			m.demoteLocked(e) // no serialization or IO: the file is there
+		case m.queueSpillLocked(e):
 		default:
 			m.removeLocked(e)
 		}
 		m.stats.evictions.Add(1)
 	}
-}
-
-// demoteFreeLocked demotes an entry whose spill file is already on disk:
-// no serialization or IO, just drop the RAM payload (deferred to the last
-// unpin when readers are mid-scan, exactly like a fresh spill).
-func (m *Manager) demoteFreeLocked(e *Entry) {
-	e.onDisk = true
-	m.onDemoteLocked(e.ID)
-	if e.pins > 0 {
-		e.dropOnUnpin = true
-		return
-	}
-	ram := e.SizeBytes()
-	e.Store = nil
-	m.total -= ram
 }
 
 // itemFor snapshots an entry's accounting for the eviction policy. Unless
@@ -1129,18 +998,15 @@ func (m *Manager) itemFor(e *Entry) eviction.Item {
 func (m *Manager) TryStartUpgrade(e *Entry) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e.Mode != Lazy || e.doomed || e.upgrading {
-		return false
-	}
-	e.upgrading = true
-	return true
+	_, ok := m.begin(e, opUpgrading)
+	return ok
 }
 
 // CancelUpgrade releases an upgrade reservation whose build did not finish
 // (the replaying query failed).
 func (m *Manager) CancelUpgrade(e *Entry) {
 	m.mu.Lock()
-	e.upgrading = false
+	m.commit(inflight{e, opUpgrading, e.payload()}, result{err: errCancelled})
 	m.mu.Unlock()
 }
 
@@ -1150,25 +1016,25 @@ func (m *Manager) CancelUpgrade(e *Entry) {
 // and the size change may trigger eviction.
 func (m *Manager) UpgradeLazy(e *Entry, st store.Store, buildNanos, scanWallNanos int64) {
 	m.mu.Lock()
-	e.upgrading = false
-	if e.Mode != Lazy || e.doomed {
-		m.mu.Unlock()
-		return
-	}
-	m.total -= e.SizeBytes()
-	e.Mode = Eager
-	e.Store = st
-	e.Offsets = nil
-	e.CacheNanos += buildNanos
-	e.ScanNanos = scanWallNanos
-	if e.frozenScan == 0 {
-		e.frozenScan = scanWallNanos
-	}
-	m.total += e.SizeBytes()
-	m.stats.lazyUpgrades.Add(1)
-	m.evictLocked()
+	// Nothing moves a lazy payload while its upgrade is reserved, so the
+	// current payload is the one the replay read. Callers that skipped
+	// TryStartUpgrade reserve here.
+	m.begin(e, opUpgrading)
+	ok := m.commit(inflight{e, opUpgrading, e.payload()}, result{
+		payload: payload{mode: Eager, store: st, covered: e.CoveredBytes},
+		account: func() {
+			e.CacheNanos += buildNanos
+			e.ScanNanos = scanWallNanos
+			if e.frozenScan == 0 {
+				e.frozenScan = scanWallNanos
+			}
+		},
+	})
 	m.mu.Unlock()
-	m.drainSpills()
+	if ok {
+		m.stats.lazyUpgrades.Add(1)
+		m.drainSpills()
+	}
 }
 
 // RecordScan feeds one cache-scan observation into the entry's accounting
@@ -1183,7 +1049,7 @@ func (m *Manager) RecordScan(e *Entry, st store.ScanStats, ncols int, scanWallNa
 		m.stats.vectorizedBatches.Add(st.Batches)
 	}
 	m.mu.Lock()
-	if e.doomed {
+	if e.dead {
 		m.mu.Unlock()
 		return 0
 	}
@@ -1225,33 +1091,38 @@ func (m *Manager) RecordScan(e *Entry, st store.ScanStats, ncols int, scanWallNa
 			dec = e.advisor.rowcol.decide(e.Store.Layout())
 		}
 	}
-	if !dec.doSwitch || e.converting || e.spilling || e.dropOnUnpin {
-		// A demotion in flight wins over a layout switch: the payload is
-		// already on its way out of RAM.
-		m.mu.Unlock()
+	// A demotion in flight wins over a layout switch (begin refuses): the
+	// payload is already on its way out of RAM.
+	var o inflight
+	ok := dec.doSwitch
+	if ok {
+		o, ok = m.begin(e, opConverting)
+	}
+	m.mu.Unlock()
+	if !ok {
 		return 0
 	}
-	e.converting = true
-	oldStore := e.Store
-	oldSize := e.SizeBytes()
-	m.mu.Unlock()
-	// Conversion outside the lock: it can be slow.
-	newStore, dur, err := store.Convert(oldStore, dec.switchTo)
+	return m.convert(o, dec.switchTo)
+}
+
+// convert is the unlocked half of a layout switch (it can be slow). A
+// conversion that finds its entry evicted or demoted is dropped.
+func (m *Manager) convert(o inflight, to store.Layout) time.Duration {
+	res := result{payload: o.snap}
+	var dur time.Duration
+	res.store, dur, res.err = store.Convert(o.snap.store, to)
 	m.mu.Lock()
-	e.converting = false
-	if err != nil || e.doomed || e.Store != oldStore {
-		// Evicted or mutated while converting: drop the conversion.
-		m.mu.Unlock()
+	ok := m.commit(o, res)
+	if ok {
+		o.e.advisor.reset()
+		o.e.advisor.rowcol = rowColCost{}
+		o.e.advisor.lastConvNanos = dur.Nanoseconds()
+	}
+	m.mu.Unlock()
+	if !ok {
 		return 0
 	}
-	e.Store = newStore
-	e.advisor.reset()
-	e.advisor.rowcol = rowColCost{}
-	e.advisor.lastConvNanos = dur.Nanoseconds()
-	m.total += e.SizeBytes() - oldSize
 	m.stats.layoutSwitches.Add(1)
-	m.evictLocked()
-	m.mu.Unlock()
 	m.drainSpills()
 	return dur
 }
@@ -1266,7 +1137,7 @@ func (m *Manager) RecordScan(e *Entry, st store.ScanStats, ncols int, scanWallNa
 func (m *Manager) RecordLazyReplay(e *Entry, scanWallNanos int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e.doomed || e.Mode != Lazy {
+	if e.dead || e.Mode != Lazy {
 		return
 	}
 	e.ScanNanos = scanWallNanos

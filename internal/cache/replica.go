@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 
 	"recache/internal/expr"
 	"recache/internal/plan"
@@ -60,7 +60,10 @@ func (m *Manager) AdmitReplica(ds *plan.Dataset, pred expr.Expr, predCanon strin
 
 	// The file write runs outside the lock, like every spill write.
 	path := m.spillFile(id)
-	n, err := writeRawSpillFile(path, payload)
+	n, err := atomicWrite(path, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("cache: replica spill: %w", err)
 	}
@@ -84,51 +87,19 @@ func (m *Manager) AdmitReplica(ds *plan.Dataset, pred expr.Expr, predCanon strin
 		Freq:       1,
 		spillPath:  path,
 		spillBytes: n,
-		onDisk:     true,
 	}
 	m.insertLocked(e)
-	m.diskTotal += n
-	m.diskEntries++
 	m.stats.replicaAdmits.Add(1)
-	// The policy saw OnInsert; demote immediately so tiered policies track
-	// the entry where it actually lives.
-	m.onDemoteLocked(e.ID)
-	m.evictDiskLocked()
 	m.mu.Unlock()
 	m.drainSpills()
 	return nil
 }
 
-// writeRawSpillFile writes an already-serialized RCS1 payload as a spill
-// file, with the same temp+rename atomicity as writeSpillFile.
-func writeRawSpillFile(path string, payload []byte) (int64, error) {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
-	if err != nil {
-		return 0, err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(payload); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return int64(len(payload)), nil
-}
-
 // exportItem is one entry's payload source, snapshotted under the lock.
 type exportItem struct {
-	dataset   string
-	predCanon string
-	st        store.Store // RAM-resident payload
-	spillPath string      // disk-tier payload (when st is nil)
+	dataset, predCanon string
+	st                 store.Store // RAM copy, or nil:
+	spillPath          string      // the payload is in the disk tier
 }
 
 // ExportPayloads serializes every exportable eager entry — RAM-resident
@@ -143,19 +114,9 @@ func (m *Manager) ExportPayloads(fn func(dataset, predCanon string, payload []by
 	m.mu.Lock()
 	items := make([]exportItem, 0, len(m.entries))
 	for _, e := range m.entries {
-		if e.Mode != Eager || e.doomed {
-			continue
+		if e.Mode == Eager && e.op != opLoading {
+			items = append(items, exportItem{e.Dataset.Name, e.PredCanon, e.Store, e.spillPath})
 		}
-		it := exportItem{dataset: e.Dataset.Name, predCanon: e.PredCanon}
-		switch {
-		case e.Store != nil:
-			it.st = e.Store
-		case e.onDisk && e.spillPath != "" && e.loadDone == nil:
-			it.spillPath = e.spillPath
-		default:
-			continue
-		}
-		items = append(items, it)
 	}
 	m.mu.Unlock()
 
@@ -164,7 +125,7 @@ func (m *Manager) ExportPayloads(fn func(dataset, predCanon string, payload []by
 		var payload []byte
 		if it.st != nil {
 			buf.Reset()
-			if err := store.WriteParquet(&buf, exportStore(it.st)); err != nil {
+			if err := writeParquet(&buf, it.st); err != nil {
 				continue
 			}
 			payload = buf.Bytes()
@@ -180,17 +141,4 @@ func (m *Manager) ExportPayloads(fn func(dataset, predCanon string, payload []by
 		}
 	}
 	return nil
-}
-
-// exportStore converts a store to the Parquet layout when needed so the
-// RCS1 writer accepts it (the same conversion a spill write performs).
-func exportStore(st store.Store) store.Store {
-	if st.Layout() == store.LayoutParquet {
-		return st
-	}
-	p, _, err := store.Convert(st, store.LayoutParquet)
-	if err != nil {
-		return st // WriteParquet will surface the error; caller skips
-	}
-	return p
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,10 +27,10 @@ import (
 // disk pressure these redundant copies are reclaimed before any disk-only
 // entry is dropped for real.
 //
-// Locking discipline, mirroring layout conversions: serialization and
-// file reads/writes always run outside the manager lock against an
-// immutable store snapshot; only cheap unlinks happen under the lock, so
-// a spill file's lifetime stays in step with the entry state it mirrors.
+// Serialization and file reads/writes are the unlocked halves of the
+// opSpilling / opLoading operations (lifecycle.go); only cheap unlinks
+// happen under the lock, so a spill file's lifetime stays in step with the
+// entry state it mirrors.
 
 // spillEnabled reports whether the disk tier is configured.
 func (m *Manager) spillEnabled() bool { return m.cfg.SpillDir != "" }
@@ -64,16 +65,20 @@ func (m *Manager) initSpillDir() {
 	}
 }
 
-// spillWorthwhile gates demotion (called under the lock): only eager
-// entries with a resident store can round-trip through Parquet — lazy
-// offset lists are cheap and just go — and demotion must be profitable:
-// a spilled entry that costs as much to reload as to rebuild is dead
-// weight in the disk budget.
-func (m *Manager) spillWorthwhile(e *Entry) bool {
-	if !m.spillEnabled() || e.Mode != Eager || e.Store == nil || e.converting {
+// queueSpillLocked begins e's demotion if it can round-trip through Parquet
+// (begin decides: an idle eager entry with a resident store — lazy offset
+// lists are cheap and just go) and the demotion is profitable: a spilled
+// entry that costs as much to reload as to rebuild is dead weight in the
+// disk budget. drainSpills performs the write.
+func (m *Manager) queueSpillLocked(e *Entry) bool {
+	if !m.spillEnabled() || e.OpNanos+e.CacheNanos <= m.reloadEstimate(e) {
 		return false
 	}
-	return e.OpNanos+e.CacheNanos > m.reloadEstimate(e)
+	o, ok := m.begin(e, opSpilling)
+	if ok {
+		m.pendingSpills = append(m.pendingSpills, o)
+	}
+	return ok
 }
 
 // reloadEstimate prices a disk re-admission in nanoseconds: the measured
@@ -93,14 +98,14 @@ func (m *Manager) reloadEstimate(e *Entry) int64 {
 // FlushSpills completes every queued RAM→disk demotion synchronously. A
 // shutting-down engine calls it after the last query drains so no evicted
 // payload is lost between "queued for spill" and process exit.
-func (m *Manager) FlushSpills() {
-	m.drainSpills()
-}
+func (m *Manager) FlushSpills() { m.drainSpills() }
 
 // drainSpills performs queued demotions. Callers invoke it after releasing
-// the manager lock; each spill write runs unlocked and finalizes under the
-// lock, and a finalize may queue further work (disk eviction never does,
-// but a re-admission's evictLocked can), hence the loop.
+// the manager lock; each spill write runs unlocked and commits under the
+// lock, and a commit may queue further work (disk eviction never does, but
+// a re-admission's evictLocked can), hence the loop. A pinned victim keeps
+// its RAM copy until the last unpin: entries are never spilled out from
+// under a scan.
 func (m *Manager) drainSpills() {
 	for {
 		m.mu.Lock()
@@ -110,107 +115,67 @@ func (m *Manager) drainSpills() {
 		if len(pend) == 0 {
 			return
 		}
-		for _, e := range pend {
-			m.spillOne(e)
+		for _, o := range pend {
+			res := result{payload: o.snap, spillPath: m.spillFile(o.e.ID)}
+			res.spillBytes, res.err = atomicWrite(res.spillPath, func(w io.Writer) error {
+				return writeParquet(w, o.snap.store)
+			})
+			m.mu.Lock()
+			if m.commit(o, res) {
+				m.stats.spills.Add(1)
+			} else if res.err != nil && m.removeLocked(o.e) {
+				// The disk tier is unusable for this entry: evict for real.
+				m.stats.spillDrops.Add(1)
+			}
+			m.mu.Unlock()
 		}
 	}
 }
 
-// spillOne serializes one victim's payload and finalizes the demotion.
-func (m *Manager) spillOne(e *Entry) {
-	m.mu.Lock()
-	snap := e.Store
-	m.mu.Unlock()
-	if snap == nil {
-		m.mu.Lock()
-		e.spilling = false
-		m.mu.Unlock()
-		return
-	}
-	path := m.spillFile(e.ID)
-	n, err := writeSpillFile(path, snap)
-	m.mu.Lock()
-	e.spilling = false
-	if err != nil {
-		// The disk tier is unusable for this entry: evict for real.
-		m.removeLocked(e)
-		m.stats.spillDrops.Add(1)
-		m.mu.Unlock()
-		return
-	}
-	if e.doomed || e.Store != snap {
-		// A layout conversion replaced the store mid-spill (or the entry is
-		// gone): abandon the demotion; the entry stays as it is and the next
-		// eviction round re-decides.
-		os.Remove(path)
-		m.mu.Unlock()
-		return
-	}
-	e.spillPath = path
-	e.spillBytes = n
-	e.onDisk = true
-	m.diskTotal += n
-	m.diskEntries++
-	m.stats.spills.Add(1)
-	m.onDemoteLocked(e.ID)
-	if e.pins > 0 {
-		// A reader is mid-scan on the RAM store: pinned entries are never
-		// spilled out from under a scan, so the payload drop is deferred to
-		// the last unpin (see unpinLocked).
-		e.dropOnUnpin = true
-	} else {
-		ram := e.SizeBytes()
-		e.Store = nil
-		m.total -= ram
-	}
-	m.evictDiskLocked()
-	m.mu.Unlock()
-}
-
-// writeSpillFile atomically serializes st (converted to the Parquet layout
-// first if needed — the demote-by-conversion path for row/columnar
-// entries): the stream goes to a temp file in the spill directory and is
-// renamed into place, so a concurrent reader never sees a half-written
-// file under a live spill name. No fsync: spill files are cache state, not
-// durable state — after a crash, startup removes orphans and an entry
-// whose file turns out unreadable is simply dropped, so durability would
-// buy nothing and the sync would dominate the demotion cost. Returns the
-// file size.
-func writeSpillFile(path string, st store.Store) (int64, error) {
-	p := st
-	if p.Layout() != store.LayoutParquet {
+// writeParquet serializes st as an RCS1 stream, converting it to the
+// Parquet layout first if needed (the demote-by-conversion path for
+// row/columnar entries).
+func writeParquet(w io.Writer, st store.Store) error {
+	if st.Layout() != store.LayoutParquet {
 		var err error
-		p, _, err = store.Convert(st, store.LayoutParquet)
-		if err != nil {
-			return 0, err
+		if st, _, err = store.Convert(st, store.LayoutParquet); err != nil {
+			return err
 		}
 	}
+	return store.WriteParquet(w, st)
+}
+
+// atomicWrite streams a spill file through write into a temp file in the
+// target directory and renames it into place, so a concurrent reader never
+// sees a half-written file under a live spill name; on any error the temp
+// file is removed. No fsync: spill files are cache state, not durable
+// state — after a crash, startup removes orphans and an entry whose file
+// turns out unreadable is simply dropped, so durability would buy nothing
+// and the sync would dominate the demotion cost. Returns the file size.
+func atomicWrite(path string, write func(io.Writer) error) (int64, error) {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return 0, err
 	}
-	tmp := f.Name()
-	fail := func(err error) (int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
+	var size int64
+	err = write(f)
+	if err == nil {
+		var fi os.FileInfo
+		if fi, err = f.Stat(); err == nil {
+			size = fi.Size()
+		}
 	}
-	if err := store.WriteParquet(f, p); err != nil {
-		return fail(err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	fi, err := f.Stat()
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
 	if err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+		os.Remove(f.Name())
 		return 0, err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return fi.Size(), nil
+	return size, nil
 }
 
 // Resident returns the entry's payload for a reader, re-admitting it from
@@ -220,97 +185,66 @@ func writeSpillFile(path string, st store.Store) (int64, error) {
 // Payload instead, which never triggers IO.
 func (m *Manager) Resident(e *Entry) (Mode, store.Store, []int64, error) {
 	m.mu.Lock()
-	for e.Mode == Eager && e.Store == nil && (e.onDisk || e.loadDone != nil) {
-		if e.loadDone != nil {
-			gate := e.loadDone
+	for !e.dead && e.diskOnly() {
+		if o, ok := m.begin(e, opLoading); ok {
+			path := e.spillPath
 			m.mu.Unlock()
-			<-gate
-			m.mu.Lock()
-			continue
+			return m.load(o, path)
 		}
-		return m.readmitLocked(e)
+		gate := e.loadDone // another reader is loading: wait for it
+		m.mu.Unlock()
+		<-gate
+		m.mu.Lock()
 	}
 	mode, st, off := e.Mode, e.Store, e.Offsets
 	m.mu.Unlock()
 	if mode == Eager && st == nil {
-		// The loader that beat us to the gate hit an unreadable spill file
-		// and dropped the entry.
+		// The entry was dropped with its spill file (a failed load, or a
+		// removal) while this reader was on its way to the payload.
 		return mode, nil, nil, fmt.Errorf("cache: entry %d lost its spilled payload", e.ID)
 	}
 	return mode, st, off, nil
 }
 
-// readmitLocked loads a spilled entry back into RAM. Called with the lock
-// held and the entry in state (onDisk, no loader); returns with the lock
-// released.
-func (m *Manager) readmitLocked(e *Entry) (Mode, store.Store, []int64, error) {
-	gate := make(chan struct{})
-	e.loadDone = gate
-	path := e.spillPath
-	schema := e.Dataset.Schema()
-	m.mu.Unlock()
-
+// load is the unlocked half of a re-admission: one spill-file read, then
+// the commit. The file is retained (entry payloads are immutable once
+// built), so it stays valid and the entry's next demotion is free; it keeps
+// occupying the disk budget until the entry is removed or the disk tier
+// reclaims redundant copies under pressure.
+func (m *Manager) load(o inflight, path string) (Mode, store.Store, []int64, error) {
+	e, res := o.e, result{payload: o.snap}
 	start := time.Now()
-	var st store.Store
 	data, err := os.ReadFile(path) // one right-sized read, no ReadAll growth
-	if err == nil {
-		st, err = store.ReadParquetBytes(data, schema)
+	if res.err = err; err == nil {
+		res.store, res.err = store.ReadParquetBytes(data, e.Dataset.Schema())
 	}
 	reload := time.Since(start).Nanoseconds()
-
+	res.account = func() {
+		e.reloadNanos = reload
+		e.advisor.batch = batchTune{} // re-learn batch size after re-admission
+	}
 	m.mu.Lock()
-	e.loadDone = nil
-	if err != nil {
+	m.commit(o, res)
+	if res.err != nil && m.removeLocked(e) {
 		// Unreadable spill file: the entry is gone for real. (Atomic writes
 		// and startup cleanup make this an OS-failure path, not a normal one.)
-		m.dropDiskLocked(e)
 		m.stats.spillDrops.Add(1)
-		m.mu.Unlock()
-		close(gate)
-		return e.Mode, nil, nil, fmt.Errorf("cache: reload entry %d: %w", e.ID, err)
 	}
-	// The spill file is retained (entry payloads are immutable once built),
-	// so it stays valid and this entry's next demotion is free: drop the
-	// RAM pointer, no serialization, no write. The file keeps occupying the
-	// disk budget until the entry is removed for real or the disk tier
-	// reclaims redundant copies under pressure (see evictDiskLocked).
-	e.Store = st
-	e.onDisk = false
-	e.reloadNanos = reload
-	e.advisor.batch = batchTune{} // re-learn batch size after re-admission
-	m.total += e.SizeBytes()
-	m.onPromoteLocked(e.ID)
-	// Snapshot the return values before evicting: with the spill file kept,
-	// evictLocked may demote this very entry again for free (dropping
-	// e.Store); the loaded store itself is immutable and stays scannable.
-	mode, stc, off := e.Mode, e.Store, e.Offsets
-	m.evictLocked()
 	m.mu.Unlock()
-	close(gate)
-	m.drainSpills()
-	return mode, stc, off, nil
-}
-
-// dropDiskLocked discards a disk-tier entry for real: lookup structures,
-// disk accounting, policy state, and the spill file.
-func (m *Manager) dropDiskLocked(e *Entry) {
-	if e.spillPath != "" {
-		os.Remove(e.spillPath)
+	if res.err != nil {
+		return res.mode, nil, nil, fmt.Errorf("cache: reload entry %d: %w", e.ID, res.err)
 	}
-	m.diskTotal -= e.spillBytes
-	m.diskEntries--
-	e.onDisk = false
-	e.spillPath = ""
-	e.spillBytes = 0
-	m.detachLocked(e)
-	m.onDiskRemoveLocked(e.ID)
+	m.drainSpills()
+	// This reader scans the store it loaded even if the commit's eviction
+	// round demoted the entry again, or the entry died mid-load.
+	return res.mode, res.store, nil, nil
 }
 
 // evictDiskLocked enforces the disk tier's byte budget. Disk items are
 // priced by reload cost: Size is the spill-file size and ScanNanos the
 // measured/estimated deserialization cost, so the benefit metric ranks
 // entries by what a disk hit still saves per byte of disk budget. Pinned
-// and mid-load entries are skipped.
+// and mid-load entries are skipped; victims are dropped for real.
 func (m *Manager) evictDiskLocked() {
 	if m.cfg.DiskCacheBytes <= 0 || m.diskTotal <= m.cfg.DiskCacheBytes {
 		return
@@ -322,17 +256,14 @@ func (m *Manager) evictDiskLocked() {
 		if m.diskTotal <= m.cfg.DiskCacheBytes {
 			return
 		}
-		if e.spillPath != "" && !e.onDisk && e.loadDone == nil {
-			os.Remove(e.spillPath)
-			m.diskTotal -= e.spillBytes
-			m.diskEntries--
-			e.spillPath, e.spillBytes = "", 0
+		if e.keptSpillFile() {
+			m.releaseSpillFile(e)
 		}
 	}
 	need := m.diskTotal - m.cfg.DiskCacheBytes
 	items := make([]eviction.Item, 0, m.diskEntries)
 	for _, e := range m.entries {
-		if !e.onDisk || e.Store != nil || e.loadDone != nil || e.pins > 0 {
+		if !e.diskOnly() || e.op != opIdle || e.pins > 0 {
 			continue
 		}
 		it := m.itemFor(e)
@@ -340,43 +271,10 @@ func (m *Manager) evictDiskLocked() {
 		it.ScanNanos = m.reloadEstimate(e)
 		items = append(items, it)
 	}
-	var victims []uint64
-	if tp, ok := m.cfg.Policy.(eviction.TieredPolicy); ok {
-		victims = tp.DiskVictims(items, need)
-	} else {
-		victims = m.cfg.Policy.Victims(items, need)
-	}
-	for _, id := range victims {
-		if e, ok := m.entries[id]; ok && e.onDisk && e.Store == nil {
-			m.dropDiskLocked(e)
+	for _, id := range m.policy.DiskVictims(items, need) {
+		if e, ok := m.entries[id]; ok && e.diskOnly() && m.removeLocked(e) {
 			m.stats.spillDrops.Add(1)
 		}
-	}
-}
-
-// Tiered-policy adapters: policies without disk-tier state see demotion as
-// removal and promotion as insertion (exact for the stateless comparators).
-func (m *Manager) onDemoteLocked(id uint64) {
-	if tp, ok := m.cfg.Policy.(eviction.TieredPolicy); ok {
-		tp.OnDemote(id)
-	} else {
-		m.cfg.Policy.OnRemove(id)
-	}
-}
-
-func (m *Manager) onPromoteLocked(id uint64) {
-	if tp, ok := m.cfg.Policy.(eviction.TieredPolicy); ok {
-		tp.OnPromote(id)
-	} else {
-		m.cfg.Policy.OnInsert(id)
-	}
-}
-
-func (m *Manager) onDiskRemoveLocked(id uint64) {
-	if tp, ok := m.cfg.Policy.(eviction.TieredPolicy); ok {
-		tp.OnDiskRemove(id)
-	} else {
-		m.cfg.Policy.OnRemove(id)
 	}
 }
 
@@ -385,7 +283,7 @@ func (m *Manager) onDiskRemoveLocked(id uint64) {
 func (m *Manager) EntryTier(e *Entry) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e.Mode == Eager && e.Store == nil && (e.onDisk || e.loadDone != nil) {
+	if e.diskOnly() {
 		return "disk"
 	}
 	return "ram"

@@ -151,7 +151,7 @@ func TestKeptSpillFileMakesRedemotionFree(t *testing.T) {
 	// Force specifically e back out and check no new file write happened.
 	m.mu.Lock()
 	if e.Store != nil {
-		m.demoteFreeLocked(e)
+		m.demoteLocked(e)
 	}
 	m.mu.Unlock()
 	if m.EntryTier(e) != "disk" {
@@ -262,13 +262,12 @@ func TestPinnedEntryNeverLosesStoreMidScan(t *testing.T) {
 
 	// Demote it while pinned (as a concurrent eviction round would).
 	m.mu.Lock()
-	e.spilling = true
-	m.pendingSpills = append(m.pendingSpills, e)
+	m.queueSpillLocked(e)
 	m.mu.Unlock()
 	m.drainSpills()
 
 	m.mu.Lock()
-	st, deferred, disk := e.Store, e.dropOnUnpin, e.onDisk
+	st, deferred, disk := e.Store, e.dropOnUnpin(), e.tier == tierDisk
 	m.mu.Unlock()
 	if st == nil {
 		t.Fatal("pinned entry lost its store mid-scan")
@@ -300,8 +299,7 @@ func TestReadmissionIsSingleFlight(t *testing.T) {
 	m.BeginQuery()
 	e := buildCostly(t, m, ds, nil, costly)
 	m.mu.Lock()
-	e.spilling = true
-	m.pendingSpills = append(m.pendingSpills, e)
+	m.queueSpillLocked(e)
 	m.mu.Unlock()
 	m.drainSpills()
 	if m.EntryTier(e) != "disk" {
@@ -345,8 +343,7 @@ func TestUnreadableSpillFileDropsEntry(t *testing.T) {
 	m.BeginQuery()
 	e := buildCostly(t, m, ds, nil, costly)
 	m.mu.Lock()
-	e.spilling = true
-	m.pendingSpills = append(m.pendingSpills, e)
+	m.queueSpillLocked(e)
 	m.mu.Unlock()
 	m.drainSpills()
 

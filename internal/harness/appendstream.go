@@ -241,5 +241,5 @@ func (r *Runner) appendStream() error {
 		QPS:        reb.qps,
 		CacheStats: &reb.stats,
 	})
-	return r.chaosFailover()
+	return nil
 }

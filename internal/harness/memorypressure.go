@@ -122,5 +122,5 @@ func (r *Runner) memoryPressure(paths *datagen.TPCHPaths) error {
 		QPS:        rawQPS,
 		CacheStats: &rawStats,
 	})
-	return r.serverLoad(paths)
+	return nil
 }

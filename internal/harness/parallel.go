@@ -11,16 +11,10 @@ import (
 	"recache/internal/datagen"
 )
 
-// Parallel measures aggregate query throughput of the shared-cache engine
-// under concurrent load: a cache-hit-heavy workload (a fixed set of range
-// selections, warmed once) is replayed from N goroutines against one
-// engine, for each N in workers. It prints queries/sec per worker count
-// and the speedup over the single-goroutine baseline.
-//
-// This is not a paper figure: the paper evaluates ReCache single-threaded.
-// It is the regression harness for the concurrent-execution refactor (see
-// DESIGN.md, "Concurrency model"): with the engine-wide query lock gone,
-// aggregate throughput should scale with goroutines up to the core count.
+// Parallel is the perf-trajectory report (recache-bench -parallel): the
+// phases below, in this order, for the given goroutine counts. It is not a
+// paper figure — the paper evaluates ReCache single-threaded. Each phase
+// stands alone; the harness tests run them singly.
 func (r *Runner) Parallel(workers []int) error {
 	if len(workers) == 0 {
 		workers = []int{1, 4, 16}
@@ -29,6 +23,35 @@ func (r *Runner) Parallel(workers []int) error {
 	if err != nil {
 		return err
 	}
+	for _, phase := range []func() error{
+		func() error { return r.hitThroughput(paths, workers) },
+		func() error { return r.coldShared(paths, workers) },
+		func() error { return r.pushdownCold(paths) },
+		func() error { return r.joinHot(paths) },
+		func() error { return r.memoryPressure(paths) },
+		func() error { return r.serverLoad(paths) },
+		func() error { return r.serverColdShared(paths) },
+		func() error { return r.shardScale(paths) },
+		func() error { return r.shardColdFlight(paths) },
+		r.appendStream,
+		r.chaosFailover,
+	} {
+		if err := phase(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// hitThroughput measures aggregate query throughput of the shared-cache
+// engine under concurrent load: a cache-hit-heavy workload (a fixed set of
+// range selections, warmed once) is replayed from N goroutines against one
+// engine, for each N in workers. It prints queries/sec per worker count
+// and the speedup over the single-goroutine baseline. It is the regression
+// harness for the concurrent-execution refactor (see DESIGN.md,
+// "Concurrency model"): with the engine-wide query lock gone, aggregate
+// throughput should scale with goroutines up to the core count.
+func (r *Runner) hitThroughput(paths *datagen.TPCHPaths, workers []int) error {
 	eng := newEngine(cache.Config{Admission: cache.AlwaysEager})
 	if err := registerTPCH(eng, paths, false); err != nil {
 		return err
@@ -70,7 +93,7 @@ func (r *Runner) Parallel(workers []int) error {
 			CacheStats: &stats,
 		})
 	}
-	return r.coldShared(paths, workers)
+	return nil
 }
 
 // coldShared is the miss-path half of the concurrency harness: for each
@@ -110,7 +133,7 @@ func (r *Runner) coldShared(paths *datagen.TPCHPaths, workers []int) error {
 			CacheStats:   &st,
 		})
 	}
-	return r.pushdownCold(paths)
+	return nil
 }
 
 // RunBurst fires w concurrent copies of one query (start-barrier released)

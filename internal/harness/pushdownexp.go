@@ -69,5 +69,5 @@ func (r *Runner) pushdownCold(paths *datagen.TPCHPaths) error {
 			CacheStats:   &stats,
 		})
 	}
-	return r.joinHot(paths)
+	return nil
 }

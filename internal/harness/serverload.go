@@ -141,7 +141,7 @@ func (r *Runner) serverLoad(paths *datagen.TPCHPaths) error {
 	if ratio256 > 0 && ratio256 < 0.5 {
 		return fmt.Errorf("harness: 256-client server load reached only %.2fx the embedded hit throughput, want >= 0.5x", ratio256)
 	}
-	return r.serverColdShared(paths)
+	return nil
 }
 
 // serverColdShared drives the cold-burst work-sharing probe through the
@@ -234,7 +234,7 @@ func (r *Runner) serverColdShared(paths *datagen.TPCHPaths) error {
 		Burst2Parses: b2,
 		CacheStats:   &ws.Cache,
 	})
-	return r.shardScale(paths)
+	return nil
 }
 
 // median returns the middle value (mean of the two middles for even n).
