@@ -89,16 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Fleet mode: the daemon knows the full topology and its own position,
-	// and takes materialization leases from each key's rendezvous owner
-	// before building (fleet-wide single-flight). The lease table is shared
-	// between the Flight hook (local acquires) and the server (remote
-	// acquires over the wire).
-	var (
-		fleetMap *shard.Map
-		leases   *shard.LeaseTable
-		flight   *client.Flight
-	)
 	if (*fleetSpec == "") != (*shardID < 0) {
 		fmt.Fprintln(stderr, "recached: -fleet and -shard-id go together")
 		return 2
@@ -107,6 +97,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "recached: -drain needs -fleet")
 		return 2
 	}
+	cfg := recache.Config{
+		Eviction:       *eviction,
+		Admission:      *admission,
+		Layout:         *layout,
+		CacheCapacity:  *capacity,
+		SpillDir:       *spillDir,
+		DiskCacheBytes: *diskCap,
+		FreshnessMode:  *freshness,
+	}
+
+	// Fleet mode: the daemon knows the full topology and its own position
+	// and runs as a server.Member — its engine takes materialization leases
+	// from each key's rendezvous owner before building (fleet-wide
+	// single-flight) and, with a spill dir, pushes each eager admission to
+	// the key's replica shard. Otherwise it is a solo server on a plain
+	// engine.
+	var (
+		fleetMap *shard.Map
+		eng      *recache.Engine
+		srv      *server.Server
+		stop     func() error // closes what Shutdown leaves open
+	)
 	if *fleetSpec != "" {
 		m, err := shard.ParseFleet(*fleetSpec)
 		if err != nil {
@@ -117,36 +129,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "recached: -shard-id %d out of range for a %d-shard fleet\n", *shardID, m.Len())
 			return 2
 		}
-		fleetMap = m
-		leases = shard.NewLeaseTable()
-		flight = client.NewFlight(*shardID, m, leases, 0, client.Options{})
-		defer flight.Close()
-	}
-
-	cfg := recache.Config{
-		Eviction:       *eviction,
-		Admission:      *admission,
-		Layout:         *layout,
-		CacheCapacity:  *capacity,
-		SpillDir:       *spillDir,
-		DiskCacheBytes: *diskCap,
-		FreshnessMode:  *freshness,
-	}
-	if flight != nil {
-		cfg.RemoteFlight = flight.Materialize
-		if *spillDir != "" {
-			// Replication rides the disk tier: each eager admission is
-			// pushed to the key's next rendezvous shard, which lands it as a
-			// spill file. Without a spill dir peers would reject the pushes,
-			// so don't queue them at all.
-			cfg.OnEagerAdmit = flight.ReplicateAsync
+		member, err := server.NewMember(*shardID, m, cfg)
+		if err != nil {
+			fmt.Fprintln(stderr, "recached:", err)
+			return 1
 		}
+		fleetMap, eng, srv, stop = m, member.Engine(), member.Server, member.Close
+	} else {
+		var err error
+		if eng, err = recache.Open(cfg); err != nil {
+			fmt.Fprintln(stderr, "recached:", err)
+			return 1
+		}
+		srv, stop = server.New(eng), eng.Close
 	}
-	eng, err := recache.Open(cfg)
-	if err != nil {
-		fmt.Fprintln(stderr, "recached:", err)
-		return 1
-	}
+	defer stop() // the error returns below; the drain path has already run it
 	for _, spec := range csvSpecs {
 		name, path, schema, err := splitSpec(spec)
 		if err == nil {
@@ -168,14 +165,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	srv := server.New(eng)
-	if fleetMap != nil {
-		srv.SetFleet(*shardID, fleetMap, leases)
-		// A peer's graceful departure shrinks the server's fleet map; hand
-		// the new topology to the flight so leases and replica pushes route
-		// to the survivors.
-		srv.OnTopology(flight.UpdateMap)
-	}
 	serveErr := make(chan error, 2)
 	var listeners []string
 	if *unixPath != "" {
@@ -243,12 +232,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Graceful drain: wire first (in-flight requests complete, responses
 	// flush, connections close), then the engine (waits for any stragglers,
-	// flushes pending spills).
+	// flushes pending spills) — with a member's flight stopped in between.
 	srv.Shutdown()
 	if statsSrv != nil {
 		statsSrv.Close()
 	}
-	eng.Close()
+	stop()
 	if open := eng.CacheStats().OpenTxns; open != 0 {
 		fmt.Fprintf(stderr, "recached: drain left %d transactions open\n", open)
 		return 1

@@ -186,28 +186,25 @@ func TestDrainHandsOffWorkingSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt := shard.NewLeaseTable()
-	surv, err := recache.Open(recache.Config{
+	survivor, err := server.NewMember(1, m, recache.Config{
 		Admission: "eager",
 		SpillDir:  filepath.Join(dir, "spill1"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer surv.Close()
+	surv := survivor.Engine()
 	if err := surv.RegisterCSV("t", csv, schema, '|'); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(surv)
-	srv.SetFleet(1, m, lt)
 	ln, err := net.Listen("unix", sock1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
+	go func() { served <- survivor.Serve(ln) }()
 	defer func() {
-		srv.Shutdown()
+		survivor.Close()
 		if err := <-served; err != nil {
 			t.Errorf("survivor Serve: %v", err)
 		}

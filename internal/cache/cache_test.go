@@ -70,38 +70,7 @@ func nestedDataset(name string) *plan.Dataset {
 // buildEntry runs a BuildSpec by hand: select everything, store eagerly.
 func buildEntry(t *testing.T, m *Manager, ds *plan.Dataset, pred expr.Expr) *Entry {
 	t.Helper()
-	canon := "true"
-	if pred != nil {
-		canon = pred.Canonical()
-	}
-	ranges, err := expr.ExtractRanges(pred, ds.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := store.NewBuilder(m.ChooseLayout(ds), ds.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := expr.CompilePredicate(pred, ds.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = ds.Provider.Scan(nil, func(rec value.Value, off int64, _ func() error) error {
-		if !p(rec.L) {
-			return nil
-		}
-		cp := value.Value{Kind: value.Record, L: append([]value.Value(nil), rec.L...)}
-		return b.Add(cp)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := &BuildSpec{Manager: m, Dataset: ds, Pred: pred, PredCanon: canon, Ranges: ranges}
-	e := m.CompleteBuild(spec, b.Finish(), nil, Eager, 1000, 500)
-	if e == nil {
-		t.Fatal("CompleteBuild returned nil")
-	}
-	return e
+	return buildCostly(t, m, ds, pred, 1000)
 }
 
 func TestRewriteExactAndSubsumed(t *testing.T) {

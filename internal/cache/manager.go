@@ -83,22 +83,30 @@ type Config struct {
 	// Oracle supplies the logical time of the next query that would hit an
 	// entry (offline eviction policies only). nil ⇒ NextUse unknown.
 	Oracle func(e *Entry, now int64) int64
-	// RemoteFlight extends single-flight materialization across a shard
-	// fleet: after a miss reserves its local build slot, the manager asks
-	// the hook for a fleet-wide materialization lease on (dataset,
-	// predCanon). ok=false means another process is already building the
-	// entry — the miss executes raw without admitting, exactly like a local
-	// single-flight denial. On ok=true a non-nil release is called when the
-	// query's Txn closes. The hook runs outside the manager lock (it is a
-	// network call); nil disables remote flight (single-process engines).
-	RemoteFlight func(dataset, predCanon string) (release func(), ok bool)
-	// OnEagerAdmit is invoked after CompleteBuild admits an eager entry,
-	// with the entry's immutable store. A fleet shard wires it to the
-	// replication push so the key's replica receives the payload (see
-	// AdmitReplica). The hook runs outside the manager lock but on the
+	// Fleet makes this manager one shard of a fleet (see Fleet); nil is a
+	// solo engine.
+	Fleet Fleet
+}
+
+// Fleet is what a manager needs from the shard fleet it is a member of.
+// Both methods are called outside the manager lock.
+type Fleet interface {
+	// Materialize extends single-flight materialization across the fleet:
+	// after a miss reserves its local build slot, the manager asks for a
+	// fleet-wide materialization lease on (dataset, predCanon). ok=false
+	// means another process is already building the entry — the miss
+	// executes raw without admitting, exactly like a local single-flight
+	// denial. On ok=true a non-nil release is called when the query's Txn
+	// closes. It is a network call.
+	Materialize(dataset, predCanon string) (release func(), ok bool)
+	// Replicate is handed every eager admission's immutable store so the
+	// key's replica shard receives the payload (see AdmitReplica) — but
+	// only when this manager has a disk tier: replicas land in the
+	// receiver's spill dir, and a fleet is configured alike, so a member
+	// without one would only queue pushes its peers reject. It runs on the
 	// admitting query's goroutine, so it must hand off and return — not
-	// serialize or dial inline. nil disables replication.
-	OnEagerAdmit func(dataset, predCanon string, st store.Store)
+	// serialize or dial inline.
+	Replicate(dataset, predCanon string, st store.Store)
 }
 
 func (c Config) withDefaults() Config {
@@ -459,7 +467,7 @@ type Txn struct {
 	id     uint64
 	pinned []*Entry
 	slots  []string
-	// remote holds fleet-lease releases acquired through Config.RemoteFlight;
+	// remote holds fleet-lease releases acquired through Fleet.Materialize;
 	// Close runs them outside the manager lock (they are network calls).
 	remote []func()
 	closed bool
@@ -655,13 +663,13 @@ func (m *Manager) wrapMaterialize(sel *plan.Select, ds *plan.Dataset, tx *Txn, r
 		}
 	}
 	m.mu.Unlock()
-	if tx != nil && m.cfg.RemoteFlight != nil {
+	if tx != nil && m.cfg.Fleet != nil {
 		// Fleet-wide single-flight: ask the key's owning shard for a
 		// materialization lease (a network call, so outside mu). Denial
 		// means another process is already building this entry — take the
 		// same raw-execution path as a local single-flight denial, after
 		// handing back the local slot just reserved.
-		release, ok := m.cfg.RemoteFlight(ds.Name, canon)
+		release, ok := m.cfg.Fleet.Materialize(ds.Name, canon)
 		if !ok {
 			m.mu.Lock()
 			if m.building[key] == tx.id {
@@ -923,11 +931,11 @@ func (m *Manager) CompleteBuild(spec *BuildSpec, st store.Store, offsets []int64
 	m.insertLocked(e)
 	m.mu.Unlock()
 	m.drainSpills()
-	if mode == Eager && st != nil && m.cfg.OnEagerAdmit != nil {
+	if mode == Eager && st != nil && m.cfg.Fleet != nil && m.spillEnabled() {
 		// Replication push, outside the lock: the store is immutable, so the
-		// hook (and whatever worker it hands off to) can serialize it later
+		// fleet (and whatever worker it hands off to) can serialize it later
 		// without racing the cache.
-		m.cfg.OnEagerAdmit(spec.Dataset.Name, spec.PredCanon, st)
+		m.cfg.Fleet.Replicate(spec.Dataset.Name, spec.PredCanon, st)
 	}
 	return e
 }

@@ -26,6 +26,18 @@ func buildCostly(t *testing.T, m *Manager, ds *plan.Dataset, pred expr.Expr, opN
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec := &BuildSpec{Manager: m, Dataset: ds, Pred: pred, PredCanon: canon, Ranges: ranges}
+	e := m.CompleteBuild(spec, selectStore(t, m, ds, pred), nil, Eager, opNanos, opNanos/2)
+	if e == nil {
+		t.Fatal("CompleteBuild returned nil")
+	}
+	return e
+}
+
+// selectStore materializes the records of ds that satisfy pred in the
+// layout the manager would choose — the payload of an eager admission.
+func selectStore(t *testing.T, m *Manager, ds *plan.Dataset, pred expr.Expr) store.Store {
+	t.Helper()
 	b, err := store.NewBuilder(m.ChooseLayout(ds), ds.Schema())
 	if err != nil {
 		t.Fatal(err)
@@ -44,12 +56,7 @@ func buildCostly(t *testing.T, m *Manager, ds *plan.Dataset, pred expr.Expr, opN
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &BuildSpec{Manager: m, Dataset: ds, Pred: pred, PredCanon: canon, Ranges: ranges}
-	e := m.CompleteBuild(spec, b.Finish(), nil, Eager, opNanos, opNanos/2)
-	if e == nil {
-		t.Fatal("CompleteBuild returned nil")
-	}
-	return e
+	return b.Finish()
 }
 
 // costly is an OpNanos far above any reload estimate, so evicting such an

@@ -32,20 +32,29 @@ func fleetCSV(t *testing.T, rows int) string {
 	return path
 }
 
-// testFleet is an in-process shard fleet: one engine+server per shard, all
-// wired with the shared lease table and the Flight hook exactly as
-// `recached -fleet ... -shard-id N` wires a real process.
+// testFleet is an in-process shard fleet: one server.Member per shard — the
+// object `recached -fleet ... -shard-id N` runs.
 type testFleet struct {
 	m       *shard.Map
 	addrs   []string
 	engines []*recache.Engine
-	servers []*server.Server
+	members []*server.Member
+	// start (re)launches shard i on its socket; a test that closed a member
+	// calls it to bring the shard back as a fresh process would.
+	start func(i int)
 }
 
-// startFleet launches n shards on unix sockets, each serving its own
-// engine with table t registered, and returns the running fleet. Shard i's
-// cleanup-ordering matters: servers drain before engines close.
+// startFleet launches n shards on unix sockets, each serving its own engine
+// with table t registered.
 func startFleet(t *testing.T, n int, csvPath string) *testFleet {
+	return startFleetWith(t, n, csvPath, false, nil)
+}
+
+// startFleetWith is startFleet for fault testing: replicated gives every
+// shard a spill dir, so eager admissions replicate to the key's next
+// rendezvous shard (`recached -fleet -spill-dir`); wrap (nil = none) wraps
+// each shard's listener.
+func startFleetWith(t *testing.T, n int, csvPath string, replicated bool, wrap func(net.Listener) net.Listener) *testFleet {
 	t.Helper()
 	dir := t.TempDir()
 	infos := make([]shard.Info, n)
@@ -56,53 +65,90 @@ func startFleet(t *testing.T, n int, csvPath string) *testFleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &testFleet{m: m}
-	for i, s := range infos {
-		f.addrs = append(f.addrs, s.Addr)
-		lt := shard.NewLeaseTable()
-		fl := client.NewFlight(i, m, lt, 0, client.Options{})
-		t.Cleanup(func() { fl.Close() })
-		eng, err := recache.Open(recache.Config{
-			Admission:    "eager",
-			RemoteFlight: fl.Materialize,
-		})
+	f := &testFleet{m: m, engines: make([]*recache.Engine, n), members: make([]*server.Member, n)}
+	f.start = func(i int) {
+		t.Helper()
+		cfg := recache.Config{Admission: "eager", Layout: "columnar"}
+		if replicated {
+			cfg.SpillDir = filepath.Join(dir, fmt.Sprintf("spill%d", i))
+		}
+		mb, err := server.NewMember(i, m, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { eng.Close() })
-		if csvPath != "" {
-			if err := eng.RegisterCSV("t", csvPath, fleetSchema, '|'); err != nil {
-				t.Fatal(err)
-			}
+		if err := mb.Engine().RegisterCSV("t", csvPath, fleetSchema, '|'); err != nil {
+			t.Fatal(err)
 		}
-		srv := server.New(eng)
-		srv.SetFleet(i, m, lt)
-		ln, err := net.Listen("unix", strings.TrimPrefix(s.Addr, "unix:"))
+		ln, err := net.Listen("unix", strings.TrimPrefix(infos[i].Addr, "unix:"))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if wrap != nil {
+			ln = wrap(ln)
 		}
 		served := make(chan error, 1)
-		go func() { served <- srv.Serve(ln) }()
+		go func() { served <- mb.Serve(ln) }()
 		t.Cleanup(func() {
-			srv.Shutdown()
+			mb.Close()
 			if err := <-served; err != nil {
 				t.Errorf("shard %d: Serve: %v", i, err)
 			}
 		})
-		f.engines = append(f.engines, eng)
-		f.servers = append(f.servers, srv)
+		f.engines[i], f.members[i] = mb.Engine(), mb
+	}
+	for i, s := range infos {
+		f.addrs = append(f.addrs, s.Addr)
+		f.start(i)
 	}
 	return f
 }
 
 func dialRouter(t *testing.T, addrs []string) *client.Router {
 	t.Helper()
-	r, err := client.DialRouter(addrs, client.Options{RequestTimeout: 10 * time.Second})
+	r, err := client.DialRouter(addrs, client.RouterOptions{Options: client.Options{RequestTimeout: 10 * time.Second}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close() })
 	return r
+}
+
+func dial(t *testing.T, addr string) *client.Client {
+	t.Helper()
+	cl, err := client.Dial(addr, client.Options{RequestTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// probe is one disjoint ten-row id-range count over t and its owning shard.
+type probe struct {
+	sql   string
+	shard int
+}
+
+func rangeProbes(r *client.Router, n int) []probe {
+	probes := make([]probe, n)
+	for i := range probes {
+		sql := fmt.Sprintf("SELECT COUNT(*) FROM t WHERE id BETWEEN %d AND %d", i*10+1, i*10+10)
+		probes[i] = probe{sql, r.ShardFor(sql)}
+	}
+	return probes
+}
+
+// queryCount runs a COUNT(*) query through the router and returns an error
+// unless it answers want.
+func queryCount(r *client.Router, sql string, want int64) error {
+	res, err := r.Query(sql)
+	if err != nil {
+		return fmt.Errorf("%s: %w", sql, err)
+	}
+	if got := res.Rows[0][0].(int64); got != want {
+		return fmt.Errorf("%s: count %d, want %d", sql, got, want)
+	}
+	return nil
 }
 
 // Queries through the router must match an embedded engine, and each must
@@ -194,12 +240,7 @@ func TestRouterRoutesToOwner(t *testing.T) {
 func TestFleetDiscovery(t *testing.T) {
 	f := startFleet(t, 3, fleetCSV(t, 50))
 
-	cl, err := client.Dial(f.addrs[1], client.Options{RequestTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	topo, err := cl.Fleet()
+	topo, err := dial(t, f.addrs[1]).Fleet()
 	if err != nil {
 		t.Fatalf("fleet op: %v", err)
 	}
@@ -212,7 +253,7 @@ func TestFleetDiscovery(t *testing.T) {
 		}
 	}
 
-	r, err := client.DialFleet(f.addrs[2], client.Options{RequestTimeout: 5 * time.Second})
+	r, err := client.DialFleet(f.addrs[2], client.RouterOptions{})
 	if err != nil {
 		t.Fatalf("DialFleet: %v", err)
 	}
@@ -242,118 +283,11 @@ func TestFleetDiscovery(t *testing.T) {
 	soloSrv := server.New(solo)
 	go soloSrv.Serve(ln)
 	defer soloSrv.Shutdown()
-	scl, err := client.Dial("unix:"+sock, client.Options{RequestTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scl.Close()
-	if _, err := scl.Fleet(); err == nil || !strings.Contains(err.Error(), "fleet") {
+	if _, err := dial(t, "unix:"+sock).Fleet(); err == nil || !strings.Contains(err.Error(), "fleet") {
 		t.Fatalf("fleet op on solo daemon: %v, want not-part-of-a-fleet error", err)
 	}
-	if _, err := client.DialFleet("unix:"+sock, client.Options{RequestTimeout: 5 * time.Second}); err == nil {
+	if _, err := client.DialFleet("unix:"+sock, client.RouterOptions{}); err == nil {
 		t.Fatal("DialFleet against a solo daemon succeeded")
-	}
-}
-
-// Killing one shard mid-burst must be invisible to callers: queries owned
-// by survivors keep succeeding with correct rows, queries owned by the
-// dead shard fail over to its replica (which raw-scans and serves the
-// correct count — every shard knows every table), and nothing hangs.
-func TestRouterShardFailover(t *testing.T) {
-	f := startFleet(t, 3, fleetCSV(t, 300))
-	r, err := client.DialRouter(f.addrs, client.Options{RequestTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	type probe struct {
-		sql   string
-		shard int
-	}
-	var probes []probe
-	for i := 0; i < 30; i++ {
-		lo := i*10 + 1
-		sql := fmt.Sprintf("SELECT COUNT(*) FROM t WHERE id BETWEEN %d AND %d", lo, lo+9)
-		probes = append(probes, probe{sql, r.ShardFor(sql)})
-	}
-	// Warm pass: the whole working set must serve before the failure.
-	for _, p := range probes {
-		res, err := r.Query(p.sql)
-		if err != nil {
-			t.Fatalf("warm %s: %v", p.sql, err)
-		}
-		if got := res.Rows[0][0].(int64); got != 10 {
-			t.Fatalf("warm %s: count %d", p.sql, got)
-		}
-	}
-
-	const dead = 1
-	var perShard [3]int
-	for _, p := range probes {
-		perShard[p.shard]++
-	}
-	for s, n := range perShard {
-		if n == 0 {
-			t.Fatalf("shard %d owns none of the %d probes: %v", s, len(probes), perShard)
-		}
-	}
-
-	// Burst with the failure injected mid-flight: half the attempts run
-	// before the kill, half after the barrier behind it.
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		killed  = make(chan struct{})
-		outcome = make(map[string][]error)
-	)
-	record := func(sql string, err error) {
-		mu.Lock()
-		outcome[sql] = append(outcome[sql], err)
-		mu.Unlock()
-	}
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i, p := range probes {
-				if (i+w)%2 == 1 {
-					<-killed // second half waits for the failure
-				}
-				got, qerr := r.Query(p.sql)
-				if qerr == nil && got.Rows[0][0].(int64) != 10 {
-					qerr = fmt.Errorf("wrong count %v", got.Rows[0][0])
-				}
-				record(p.sql, qerr)
-			}
-		}(w)
-	}
-	f.servers[dead].Shutdown()
-	close(killed)
-	wg.Wait()
-
-	// A shard death is a retryable fault, and retryable faults never reach
-	// the caller: every attempt — dead-shard keys included — must have
-	// succeeded with the right count, served via failover.
-	for _, p := range probes {
-		for _, err := range outcome[p.sql] {
-			if err != nil {
-				t.Errorf("shard %d: %s: %v", p.shard, p.sql, err)
-			}
-		}
-	}
-	if rs := r.RouterStats(); rs.Failovers == 0 {
-		t.Errorf("no failovers recorded despite a dead shard: %+v", rs)
-	}
-
-	// The fleet minus its dead member still serves every surviving key.
-	for _, p := range probes {
-		if p.shard == dead {
-			continue
-		}
-		if _, err := r.Query(p.sql); err != nil {
-			t.Fatalf("post-failure %s: %v", p.sql, err)
-		}
 	}
 }
 
@@ -368,7 +302,7 @@ func TestRouterConnectionChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				r, err := client.DialRouter(f.addrs, client.Options{RequestTimeout: 5 * time.Second})
+				r, err := client.DialRouter(f.addrs, client.RouterOptions{Options: client.Options{RequestTimeout: 5 * time.Second}})
 				if err != nil {
 					errCh <- err
 					return
@@ -392,100 +326,62 @@ func TestRouterConnectionChurn(t *testing.T) {
 	}
 }
 
-// Remote single-flight: while another process holds a key's build lease,
-// a shard that misses on that key executes raw WITHOUT admitting the
-// entry; once the lease is released the next miss builds normally.
-func TestRemoteSingleFlightLease(t *testing.T) {
-	f := startFleet(t, 2, fleetCSV(t, 100))
-	sql := "SELECT COUNT(*) FROM t WHERE qty = 30"
-	key := shard.RouteKey(sql)
+// leasePair splits a 2-shard fleet around sql's route key: a client to the
+// key's owner (where a test plants a foreign lease) and one to the other
+// shard, the victim whose miss must ask the owner before building.
+func leasePair(t *testing.T, f *testFleet, sql string) (key string, victim int, ocl, vcl *client.Client) {
+	key = shard.RouteKey(sql)
 	owner := f.m.Owner(key).ID
-	victim := 1 - owner
-
-	ocl, err := client.Dial(f.addrs[owner], client.Options{RequestTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ocl.Close()
-	vcl, err := client.Dial(f.addrs[victim], client.Options{RequestTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vcl.Close()
-
-	// A foreign holder takes the build lease from the owner.
-	const foreign = 0xF00
-	l, err := ocl.LeaseAcquire(key, foreign, 5*time.Second)
-	if err != nil || !l.Granted {
-		t.Fatalf("foreign lease: %+v, %v", l, err)
-	}
-
-	// The victim shard misses, asks the owner, is denied — and must still
-	// answer correctly, from a raw scan, without admitting.
-	res, err := vcl.Query(sql)
-	if err != nil {
-		t.Fatalf("query under foreign lease: %v", err)
-	}
-	if got := res.Rows[0][0].(int64); got != 20 {
-		t.Fatalf("raw-path count = %d, want 20", got)
-	}
-	if ins := f.engines[victim].CacheStats().Inserted; ins != 0 {
-		t.Fatalf("victim admitted %d entries while the lease was held elsewhere", ins)
-	}
-
-	// Release; the next miss acquires the lease and builds.
-	if err := ocl.LeaseRelease(key, foreign); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vcl.Query(sql); err != nil {
-		t.Fatal(err)
-	}
-	if ins := f.engines[victim].CacheStats().Inserted; ins != 1 {
-		t.Fatalf("victim Inserted = %d after release, want 1", ins)
-	}
+	return key, 1 - owner, dial(t, f.addrs[owner]), dial(t, f.addrs[1-owner])
 }
 
-// A holder that dies without releasing must not wedge the key: the lease
-// expires on the owner and the next miss proceeds.
-func TestLeaseExpiryUnwedges(t *testing.T) {
-	f := startFleet(t, 2, fleetCSV(t, 100))
-	sql := "SELECT COUNT(*) FROM t WHERE qty = 40"
-	key := shard.RouteKey(sql)
-	owner := f.m.Owner(key).ID
-	victim := 1 - owner
-
-	ocl, err := client.Dial(f.addrs[owner], client.Options{RequestTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ocl.Close()
-	vcl, err := client.Dial(f.addrs[victim], client.Options{RequestTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vcl.Close()
-
-	if l, err := ocl.LeaseAcquire(key, 0xDEAD, 50*time.Millisecond); err != nil || !l.Granted {
-		t.Fatalf("lease: %+v, %v", l, err)
-	}
-	if _, err := vcl.Query(sql); err != nil {
-		t.Fatal(err)
-	}
-	if ins := f.engines[victim].CacheStats().Inserted; ins != 0 {
-		t.Fatalf("victim admitted %d entries under a live foreign lease", ins)
-	}
-	// The holder never releases. After the TTL the key must be buildable.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := vcl.Query(sql); err != nil {
-			t.Fatal(err)
-		}
-		if f.engines[victim].CacheStats().Inserted == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("lease never expired; victim still cannot build")
-		}
-		time.Sleep(20 * time.Millisecond)
+// Remote single-flight: while another process holds a key's build lease, a
+// shard that misses on that key executes raw WITHOUT admitting the entry.
+// Once the holder releases, the very next miss builds; a holder that dies
+// without releasing must not wedge the key either — the lease expires on
+// the owner and a later miss proceeds.
+func TestForeignLeaseBlocksBuild(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		ttl     time.Duration
+		release bool
+	}{
+		{"until released", shard.MaxTTL, true},
+		{"until expired", 50 * time.Millisecond, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := startFleet(t, 2, fleetCSV(t, 100))
+			sql := "SELECT COUNT(*) FROM t WHERE qty = 30"
+			key, victim, ocl, vcl := leasePair(t, f, sql)
+			const foreign = 0xF00
+			if l, err := ocl.LeaseAcquire(key, foreign, tc.ttl); err != nil || !l.Granted {
+				t.Fatalf("foreign lease: %+v, %v", l, err)
+			}
+			// The victim misses, asks the owner, is denied — and must still
+			// answer correctly, from a raw scan, without admitting.
+			res, err := vcl.Query(sql)
+			if err != nil {
+				t.Fatalf("query under foreign lease: %v", err)
+			}
+			if got := res.Rows[0][0].(int64); got != 20 {
+				t.Fatalf("raw-path count = %d, want 20", got)
+			}
+			if ins := f.engines[victim].CacheStats().Inserted; ins != 0 {
+				t.Fatalf("victim admitted %d entries while the lease was held elsewhere", ins)
+			}
+			if tc.release {
+				if err := ocl.LeaseRelease(key, foreign); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Released: the first retry builds (the lease would otherwise
+			// outlive the wait). Expired: some retry after the TTL does.
+			waitFor(t, 5*time.Second, "the victim to build", func() bool {
+				if _, err := vcl.Query(sql); err != nil {
+					t.Fatal(err)
+				}
+				return f.engines[victim].CacheStats().Inserted == 1
+			})
+		})
 	}
 }

@@ -1,97 +1,14 @@
 package client_test
 
 import (
-	"fmt"
 	"net"
-	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"recache"
 	"recache/internal/client"
 	"recache/internal/faultinject"
-	"recache/internal/server"
-	"recache/internal/shard"
 )
-
-// resilientFleet is the testFleet variant for fault testing: listeners can
-// be wrapped with fault injection, shards get spill dirs, and eager
-// admissions replicate to the key's next rendezvous shard — the full
-// production fleet wiring of `recached -fleet -spill-dir`.
-type resilientFleet struct {
-	m       *shard.Map
-	addrs   []string
-	socks   []string
-	engines []*recache.Engine
-	servers []*server.Server
-	flights []*client.Flight
-	leases  []*shard.LeaseTable
-	served  []chan error
-}
-
-// startResilientFleet launches n shards; fault (nil = none) wraps each
-// shard's listener. Every shard has a spill dir and pushes replicas of its
-// eager admissions.
-func startResilientFleet(t *testing.T, n int, csvPath string, fault func(i int, ln net.Listener) net.Listener) *resilientFleet {
-	t.Helper()
-	dir := t.TempDir()
-	infos := make([]shard.Info, n)
-	for i := range infos {
-		infos[i] = shard.Info{ID: i, Addr: "unix:" + filepath.Join(dir, fmt.Sprintf("r%d.sock", i))}
-	}
-	m, err := shard.NewMap(infos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &resilientFleet{m: m}
-	for i, s := range infos {
-		f.addrs = append(f.addrs, s.Addr)
-		f.socks = append(f.socks, strings.TrimPrefix(s.Addr, "unix:"))
-		lt := shard.NewLeaseTable()
-		fl := client.NewFlight(i, m, lt, 0, client.Options{RequestTimeout: time.Second})
-		t.Cleanup(func() { fl.Close() })
-		eng, err := recache.Open(recache.Config{
-			Admission:    "eager",
-			Layout:       "columnar",
-			SpillDir:     filepath.Join(dir, fmt.Sprintf("spill%d", i)),
-			RemoteFlight: fl.Materialize,
-			OnEagerAdmit: fl.ReplicateAsync,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { eng.Close() })
-		if err := eng.RegisterCSV("t", csvPath, fleetSchema, '|'); err != nil {
-			t.Fatal(err)
-		}
-		srv := server.New(eng)
-		srv.SetFleet(i, m, lt)
-		srv.OnTopology(fl.UpdateMap)
-		ln, err := net.Listen("unix", f.socks[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fault != nil {
-			ln = fault(i, ln)
-		}
-		served := make(chan error, 1)
-		go func() { served <- srv.Serve(ln) }()
-		t.Cleanup(func() {
-			srv.Shutdown()
-			if err := <-served; err != nil {
-				t.Errorf("shard %d: Serve: %v", i, err)
-			}
-		})
-		f.engines = append(f.engines, eng)
-		f.servers = append(f.servers, srv)
-		f.flights = append(f.flights, fl)
-		f.leases = append(f.leases, lt)
-		f.served = append(f.served, served)
-	}
-	return f
-}
 
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -111,7 +28,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // that works.
 func TestRouterAbsorbsNetworkFaults(t *testing.T) {
 	csvPath := fleetCSV(t, 300)
-	f := startResilientFleet(t, 3, csvPath, func(i int, ln net.Listener) net.Listener {
+	f := startFleetWith(t, 3, csvPath, true, func(ln net.Listener) net.Listener {
 		return faultinject.Listener(ln, faultinject.Config{
 			Seed:      42,
 			DropProb:  0.03,
@@ -120,7 +37,7 @@ func TestRouterAbsorbsNetworkFaults(t *testing.T) {
 			MaxDelay:  5 * time.Millisecond,
 		})
 	})
-	r, err := client.DialRouterOpts(f.addrs, client.RouterOptions{
+	r, err := client.DialRouter(f.addrs, client.RouterOptions{
 		Options:          client.Options{RequestTimeout: 400 * time.Millisecond},
 		PingInterval:     100 * time.Millisecond,
 		FailureThreshold: 3,
@@ -132,6 +49,7 @@ func TestRouterAbsorbsNetworkFaults(t *testing.T) {
 	}
 	defer r.Close()
 
+	probes := rangeProbes(r, 30)
 	var wg sync.WaitGroup
 	errs := make(chan error, 4*40)
 	for w := 0; w < 4; w++ {
@@ -139,15 +57,8 @@ func TestRouterAbsorbsNetworkFaults(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				lo := ((i+w)%30)*10 + 1
-				sql := fmt.Sprintf("SELECT COUNT(*) FROM t WHERE id BETWEEN %d AND %d", lo, lo+9)
-				res, err := r.Query(sql)
-				if err != nil {
-					errs <- fmt.Errorf("%s: %w", sql, err)
-					continue
-				}
-				if got := res.Rows[0][0].(int64); got != 10 {
-					errs <- fmt.Errorf("%s: count %d", sql, got)
+				if err := queryCount(r, probes[(i+w)%len(probes)].sql, 10); err != nil {
+					errs <- err
 				}
 			}
 		}(w)
@@ -164,9 +75,9 @@ func TestRouterAbsorbsNetworkFaults(t *testing.T) {
 // prober re-dials its pool and closes the breaker — no router restart.
 func TestBreakerOpensThenRecovers(t *testing.T) {
 	csvPath := fleetCSV(t, 200)
-	f := startResilientFleet(t, 2, csvPath, nil)
+	f := startFleet(t, 2, csvPath)
 	const victim = 1
-	r, err := client.DialRouterOpts(f.addrs, client.RouterOptions{
+	r, err := client.DialRouter(f.addrs, client.RouterOptions{
 		Options:          client.Options{RequestTimeout: 300 * time.Millisecond},
 		PingInterval:     50 * time.Millisecond,
 		FailureThreshold: 2,
@@ -179,207 +90,42 @@ func TestBreakerOpensThenRecovers(t *testing.T) {
 
 	// Find queries owned by the victim shard.
 	var victimSQL []string
-	for i := 0; i < 20 && len(victimSQL) < 4; i++ {
-		lo := i*10 + 1
-		sql := fmt.Sprintf("SELECT COUNT(*) FROM t WHERE id BETWEEN %d AND %d", lo, lo+9)
-		if r.ShardFor(sql) == victim {
-			victimSQL = append(victimSQL, sql)
+	for _, p := range rangeProbes(r, 20) {
+		if p.shard == victim && len(victimSQL) < 4 {
+			victimSQL = append(victimSQL, p.sql)
 		}
 	}
 	if len(victimSQL) == 0 {
 		t.Fatal("victim shard owns no probe queries")
 	}
 
-	f.servers[victim].Kill()
-	// Dead-shard queries keep succeeding via failover, and repeated
-	// failures open the victim's breaker.
+	f.members[victim].Kill()
+	// Dead-shard queries keep succeeding via failover — on a survivor that
+	// holds no replica and raw-scans, every shard knowing every table — and
+	// repeated failures open the victim's breaker.
 	waitFor(t, 5*time.Second, "breaker to open", func() bool {
 		for _, sql := range victimSQL {
-			if res, err := r.Query(sql); err != nil {
-				t.Fatalf("%s: %v", sql, err)
-			} else if got := res.Rows[0][0].(int64); got != 10 {
-				t.Fatalf("%s: count %d", sql, got)
+			if err := queryCount(r, sql, 10); err != nil {
+				t.Fatal(err)
 			}
 		}
 		return r.RouterStats().OpenShards == 1
 	})
-	f.servers[victim].Shutdown()
-	if err := <-f.served[victim]; err != nil {
-		t.Fatalf("victim Serve: %v", err)
+	if rs := r.RouterStats(); rs.Failovers == 0 {
+		t.Errorf("no failovers recorded despite a dead shard: %+v", rs)
 	}
-	f.served[victim] <- nil // keep the t.Cleanup receive from blocking
-
-	// Resurrect the shard on the same socket with a fresh server.
-	srv := server.New(f.engines[victim])
-	srv.SetFleet(victim, f.m, f.leases[victim])
-	ln, err := net.Listen("unix", f.socks[victim])
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
-	t.Cleanup(func() {
-		srv.Shutdown()
-		if err := <-served; err != nil {
-			t.Errorf("resurrected shard: Serve: %v", err)
-		}
-	})
+	// Resurrect the shard on the same socket, as a restarted process would:
+	// a fresh member with a cold cache.
+	f.members[victim].Close()
+	f.start(victim)
 
 	// The prober must notice, re-dial, and close the breaker.
 	waitFor(t, 5*time.Second, "breaker to close", func() bool {
 		return r.RouterStats().OpenShards == 0
 	})
 	for _, sql := range victimSQL {
-		res, err := r.Query(sql)
-		if err != nil {
-			t.Fatalf("post-recovery %s: %v", sql, err)
+		if err := queryCount(r, sql, 10); err != nil {
+			t.Fatalf("post-recovery %v", err)
 		}
-		if got := res.Rows[0][0].(int64); got != 10 {
-			t.Fatalf("post-recovery %s: count %d", sql, got)
-		}
-	}
-}
-
-// The tentpole end to end: eager admissions replicate to the key's next
-// rendezvous shard as disk-tier entries, so when the owner dies the
-// failover query is a cache hit on the replica — not a raw re-scan.
-func TestReplicaServesAfterOwnerDeath(t *testing.T) {
-	csvPath := fleetCSV(t, 300)
-	f := startResilientFleet(t, 3, csvPath, nil)
-	r, err := client.DialRouterOpts(f.addrs, client.RouterOptions{
-		Options:      client.Options{RequestTimeout: 500 * time.Millisecond},
-		PingInterval: 100 * time.Millisecond,
-		RetryBudget:  10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	type probe struct {
-		sql   string
-		shard int
-	}
-	var probes []probe
-	for i := 0; i < 12; i++ {
-		lo := i*10 + 1
-		sql := fmt.Sprintf("SELECT COUNT(*) FROM t WHERE id BETWEEN %d AND %d", lo, lo+9)
-		probes = append(probes, probe{sql, r.ShardFor(sql)})
-	}
-	for _, p := range probes {
-		if res, err := r.Query(p.sql); err != nil {
-			t.Fatalf("warm %s: %v", p.sql, err)
-		} else if got := res.Rows[0][0].(int64); got != 10 {
-			t.Fatalf("warm %s: count %d", p.sql, got)
-		}
-	}
-	// Replication is async: wait until every probe's entry has a replica.
-	waitFor(t, 5*time.Second, "replicas to land", func() bool {
-		var admits int64
-		for _, eng := range f.engines {
-			admits += eng.Manager().Stats().ReplicaAdmits
-		}
-		return admits >= int64(len(probes))
-	})
-
-	const dead = 0
-	rawBefore := fleetRawScans(t, f)
-	f.servers[dead].Kill()
-	for _, p := range probes {
-		res, err := r.Query(p.sql)
-		if err != nil {
-			t.Fatalf("post-kill %s: %v", p.sql, err)
-		}
-		if got := res.Rows[0][0].(int64); got != 10 {
-			t.Fatalf("post-kill %s: count %d", p.sql, got)
-		}
-	}
-	// Dead-shard keys were served from the survivors' disk-tier replicas:
-	// correct counts with no new raw scans anywhere in the fleet.
-	if rawAfter := fleetRawScans(t, f); rawAfter != rawBefore {
-		t.Errorf("failover cost raw scans: %d -> %d", rawBefore, rawAfter)
-	}
-	var diskHits int64
-	for i, eng := range f.engines {
-		if i == dead {
-			continue
-		}
-		diskHits += eng.Manager().Stats().DiskHits
-	}
-	if diskHits == 0 {
-		t.Error("no disk-tier hits on the survivors: replicas were not used")
-	}
-}
-
-func fleetRawScans(t *testing.T, f *resilientFleet) int64 {
-	t.Helper()
-	var sum int64
-	for _, eng := range f.engines {
-		n := eng.RawScans("t")
-		if n < 0 {
-			t.Fatal("provider does not count scans")
-		}
-		sum += n
-	}
-	return sum
-}
-
-// A hung lease owner (accepts connections, never answers) must cost a
-// Materialize call one bounded request timeout and then degrade to a
-// local build — ok=true, no lease — never hang the query.
-func TestFlightLeaseTimeoutDegradesToLocalBuild(t *testing.T) {
-	dir := t.TempDir()
-	sock := filepath.Join(dir, "hung.sock")
-	ln, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				<-stop // hold the connection open, answer nothing
-				c.Close()
-			}()
-		}
-	}()
-
-	m, err := shard.NewMap([]shard.Info{
-		{ID: 0, Addr: "unix:" + sock},
-		{ID: 1, Addr: "unix:" + filepath.Join(dir, "self.sock")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fl := client.NewFlight(1, m, shard.NewLeaseTable(), 0, client.Options{
-		RequestTimeout: 100 * time.Millisecond,
-	})
-	defer fl.Close()
-
-	// Find a key owned by the hung shard 0.
-	var ds, canon string
-	for i := 0; ; i++ {
-		ds, canon = "t", fmt.Sprintf("(id<=%d)", i)
-		if m.Owner(shard.Key(ds, canon)).ID == 0 {
-			break
-		}
-	}
-	start := time.Now()
-	release, ok := fl.Materialize(ds, canon)
-	elapsed := time.Since(start)
-	if !ok {
-		t.Fatal("Materialize denied the build; a hung owner must degrade to building locally")
-	}
-	if release != nil {
-		release()
-	}
-	if elapsed > time.Second {
-		t.Fatalf("Materialize took %v against a hung owner; want ~the 100ms request timeout", elapsed)
 	}
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -44,7 +45,9 @@ import (
 type Router struct {
 	opts RouterOptions
 
-	// mu guards the topology: the map and the shard-id → client table.
+	// mu guards the topology: the map and the shard-id → client table. The
+	// table is copy-on-write — pick reads a snapshot of it outside mu — so
+	// it is replaced, never assigned into.
 	mu  sync.RWMutex
 	m   *shard.Map
 	cls map[int]*Client
@@ -91,16 +94,6 @@ type RouterOptions struct {
 	// across shards before giving up (default 2s; negative disables
 	// retries — one attempt per candidate, no backoff waits).
 	RetryBudget time.Duration
-	// RetryBaseDelay / RetryMaxDelay shape the exponential backoff a
-	// request waits when every candidate shard is unavailable (defaults
-	// 10ms and 200ms), jittered to keep concurrent callers from
-	// thundering in phase.
-	RetryBaseDelay time.Duration
-	RetryMaxDelay  time.Duration
-	// Replicas is the rendezvous prefix treated as the key's replica set
-	// — the shards tried first on failover, matching the fleet's
-	// replication factor (default 2: owner + one replica).
-	Replicas int
 	// Fallback, when set, is the degradation floor for Exec: after the
 	// retry budget is spent on retryable faults, the query is handed
 	// here (typically a local engine running the raw scan) instead of
@@ -111,6 +104,14 @@ type RouterOptions struct {
 	Seed int64
 }
 
+// retryBaseDelay and retryMaxDelay shape the exponential backoff a request
+// waits when every candidate shard is unavailable, jittered to keep
+// concurrent callers from thundering in phase.
+const (
+	retryBaseDelay = 10 * time.Millisecond
+	retryMaxDelay  = 200 * time.Millisecond
+)
+
 func (o RouterOptions) normalized() RouterOptions {
 	if o.PingInterval == 0 {
 		o.PingInterval = 500 * time.Millisecond
@@ -120,15 +121,6 @@ func (o RouterOptions) normalized() RouterOptions {
 	}
 	if o.RetryBudget == 0 {
 		o.RetryBudget = 2 * time.Second
-	}
-	if o.RetryBaseDelay <= 0 {
-		o.RetryBaseDelay = 10 * time.Millisecond
-	}
-	if o.RetryMaxDelay <= 0 {
-		o.RetryMaxDelay = 200 * time.Millisecond
-	}
-	if o.Replicas <= 0 {
-		o.Replicas = 2
 	}
 	return o
 }
@@ -150,31 +142,17 @@ type RouterStats struct {
 
 // DialRouter connects to every shard in addrs; shard ids are list
 // positions, so the list must match the fleet's -fleet flag order.
-func DialRouter(addrs []string, opts Options) (*Router, error) {
-	return DialRouterOpts(addrs, RouterOptions{Options: opts})
-}
-
-// DialRouterOpts is DialRouter with the full resilience configuration.
-func DialRouterOpts(addrs []string, opts RouterOptions) (*Router, error) {
+func DialRouter(addrs []string, opts RouterOptions) (*Router, error) {
 	infos := make([]shard.Info, len(addrs))
 	for i, a := range addrs {
 		infos[i] = shard.Info{ID: i, Addr: a}
 	}
-	m, err := shard.NewMap(infos)
-	if err != nil {
-		return nil, err
-	}
-	return dialMap(m, opts)
+	return dialShards(infos, opts)
 }
 
 // DialFleet discovers the topology from one seed shard (the fleet wire op)
 // and connects to every member.
-func DialFleet(seed string, opts Options) (*Router, error) {
-	return DialFleetOpts(seed, RouterOptions{Options: opts})
-}
-
-// DialFleetOpts is DialFleet with the full resilience configuration.
-func DialFleetOpts(seed string, opts RouterOptions) (*Router, error) {
+func DialFleet(seed string, opts RouterOptions) (*Router, error) {
 	scl, err := Dial(seed, opts.Options)
 	if err != nil {
 		return nil, err
@@ -184,18 +162,23 @@ func DialFleetOpts(seed string, opts RouterOptions) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
+	return dialShards(fleetInfos(f), opts)
+}
+
+// fleetInfos converts a fleet wire answer to shard infos.
+func fleetInfos(f *wire.Fleet) []shard.Info {
 	infos := make([]shard.Info, len(f.Shards))
 	for i, s := range f.Shards {
 		infos[i] = shard.Info{ID: int(s.ID), Addr: s.Addr}
 	}
+	return infos
+}
+
+func dialShards(infos []shard.Info, opts RouterOptions) (*Router, error) {
 	m, err := shard.NewMap(infos)
 	if err != nil {
 		return nil, err
 	}
-	return dialMap(m, opts)
-}
-
-func dialMap(m *shard.Map, opts RouterOptions) (*Router, error) {
 	opts = opts.normalized()
 	seed := opts.Seed
 	if seed == 0 {
@@ -398,7 +381,7 @@ func (r *Router) pick(key string, tried map[int]bool) (*Client, int, bool) {
 	r.mu.RUnlock()
 	now := time.Now()
 	rank := m.Rank(key)
-	replicas := r.opts.Replicas
+	replicas := shard.ReplicaFactor
 	if replicas > len(rank) {
 		replicas = len(rank)
 	}
@@ -438,7 +421,7 @@ func (r *Router) do(sql string, op func(cl *Client) error) error {
 	if r.opts.RetryBudget > 0 {
 		deadline = time.Now().Add(r.opts.RetryBudget)
 	}
-	delay := r.opts.RetryBaseDelay
+	delay := retryBaseDelay
 	tried := make(map[int]bool)
 	var lastErr error
 	for {
@@ -478,8 +461,8 @@ func (r *Router) do(sql string, op func(cl *Client) error) error {
 		r.retries.Add(1)
 		time.Sleep(r.jitter(delay))
 		delay *= 2
-		if delay > r.opts.RetryMaxDelay {
-			delay = r.opts.RetryMaxDelay
+		if delay > retryMaxDelay {
+			delay = retryMaxDelay
 		}
 	}
 }
@@ -701,7 +684,9 @@ func (r *Router) probeShard(sc shardClient, h *health) {
 	r.mu.Lock()
 	old := r.cls[sc.info.ID]
 	if old == sc.cl {
-		r.cls[sc.info.ID] = cl
+		next := maps.Clone(r.cls)
+		next[sc.info.ID] = cl
+		r.cls = next
 	}
 	r.mu.Unlock()
 	if old == sc.cl {
@@ -734,10 +719,7 @@ func (r *Router) refreshFrom(cl *Client) {
 	if err != nil {
 		return // standalone daemon or transient failure: keep routing as is
 	}
-	infos := make([]shard.Info, len(f.Shards))
-	for i, s := range f.Shards {
-		infos[i] = shard.Info{ID: int(s.ID), Addr: s.Addr}
-	}
+	infos := fleetInfos(f)
 	r.refreshMu.Lock()
 	defer r.refreshMu.Unlock()
 	if sameTopology(r.Map(), infos) {

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"net"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -12,7 +10,6 @@ import (
 	"recache"
 	"recache/internal/client"
 	"recache/internal/datagen"
-	"recache/internal/server"
 	"recache/internal/shard"
 )
 
@@ -47,7 +44,13 @@ func (r *Runner) chaosFailover() error {
 			"SELECT SUM(l_extendedprice), COUNT(*) FROM lineitem WHERE l_quantity BETWEEN %d AND %d",
 			lo, lo+2)
 	}
-	f, err := r.startChaosFleet(nShards, paths.Lineitem)
+	// The daemon's replicated fleet: a spill dir per shard is the disk tier
+	// the replica pushes land in.
+	f, err := r.startFleet(nShards, recache.Config{
+		Admission: "eager",
+		Layout:    "columnar",
+		SpillDir:  filepath.Join(r.opts.Dir, "chaos-spill"),
+	})
 	if err != nil {
 		return err
 	}
@@ -74,7 +77,7 @@ func (r *Runner) chaosFailover() error {
 
 	routers := make([]*client.Router, conc)
 	for i := range routers {
-		rt, err := client.DialRouterOpts(f.addrs, client.RouterOptions{
+		rt, err := client.DialRouter(f.addrs, client.RouterOptions{
 			Options:          client.Options{RequestTimeout: time.Second},
 			PingInterval:     pingInterval,
 			FailureThreshold: failureThreshold,
@@ -202,7 +205,7 @@ func (r *Runner) chaosFailover() error {
 		for i, rt := range routers {
 			failovers[i] = rt.RouterStats().Failovers
 		}
-		f.servers[victim].Kill()
+		f.members[victim].Kill()
 		t0 := time.Now()
 		for nOpen, drained := 0, false; nOpen < len(routers) && !drained; {
 			select {
@@ -275,12 +278,12 @@ func (r *Runner) chaosFailover() error {
 // waitReplicas blocks until want replica payloads have been admitted
 // fleet-wide (the pushes are asynchronous and best-effort; the chaos phase
 // needs them landed before it starts killing owners).
-func waitReplicas(f *shardFleet, want int64, timeout time.Duration) error {
+func waitReplicas(f *fleet, want int64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		var got int64
-		for _, eng := range f.engines {
-			got += eng.Manager().Stats().ReplicaAdmits
+		for _, mb := range f.members {
+			got += mb.Engine().Manager().Stats().ReplicaAdmits
 		}
 		if got >= want {
 			return nil
@@ -290,58 +293,4 @@ func waitReplicas(f *shardFleet, want int64, timeout time.Duration) error {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// startChaosFleet is startShardFleet with the resilience wiring the
-// daemon's fleet mode uses: a spill dir per shard (the disk tier replica
-// pushes land in), eager admissions pushed to each key's next rendezvous
-// shard, and topology changes fed back to the flight.
-func (r *Runner) startChaosFleet(n int, lineitem string) (*shardFleet, error) {
-	infos := make([]shard.Info, n)
-	socks := make([]string, n)
-	for i := range infos {
-		socks[i] = filepath.Join(r.opts.Dir, fmt.Sprintf("chaos-shard%d.sock", i))
-		os.Remove(socks[i])
-		infos[i] = shard.Info{ID: i, Addr: "unix:" + socks[i]}
-	}
-	m, err := shard.NewMap(infos)
-	if err != nil {
-		return nil, err
-	}
-	f := &shardFleet{m: m, socks: socks}
-	for i, s := range infos {
-		f.addrs = append(f.addrs, s.Addr)
-		lt := shard.NewLeaseTable()
-		fl := client.NewFlight(i, m, lt, 0, client.Options{RequestTimeout: time.Second})
-		eng, err := recache.Open(recache.Config{
-			Admission:    "eager",
-			Layout:       "columnar",
-			SpillDir:     filepath.Join(r.opts.Dir, fmt.Sprintf("chaos-spill%d", i)),
-			RemoteFlight: fl.Materialize,
-			OnEagerAdmit: fl.ReplicateAsync,
-		})
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		f.flights = append(f.flights, fl)
-		f.engines = append(f.engines, eng)
-		if err := eng.RegisterCSV("lineitem", lineitem, datagen.LineitemSchema, '|'); err != nil {
-			f.Close()
-			return nil, err
-		}
-		srv := server.New(eng)
-		srv.SetFleet(i, m, lt)
-		srv.OnTopology(fl.UpdateMap)
-		ln, err := net.Listen("unix", socks[i])
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		served := make(chan error, 1)
-		go func() { served <- srv.Serve(ln) }()
-		f.servers = append(f.servers, srv)
-		f.served = append(f.served, served)
-	}
-	return f, nil
 }

@@ -2,8 +2,19 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"recache"
+	"recache/internal/client"
+	"recache/internal/datagen"
+	"recache/internal/shard"
 )
 
 // tinyRunner runs experiments at a very small scale so the whole suite
@@ -29,107 +40,35 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
-func TestTable1(t *testing.T) {
-	r, buf := tinyRunner(t)
-	if err := r.Run("table1"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Reactive Cache (ReCache)") {
-		t.Errorf("missing ReCache row:\n%s", out)
-	}
-}
-
-func TestFig1AndFig9(t *testing.T) {
-	r, buf := tinyRunner(t)
-	if err := r.Run("fig1"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "totals: columnar") {
-		t.Errorf("fig1 summary missing:\n%s", buf.String())
-	}
-	buf.Reset()
-	for _, v := range []string{"fig9a", "fig9b", "fig9c"} {
-		if err := r.Run(v); err != nil {
-			t.Fatalf("%s: %v", v, err)
-		}
-	}
-	if !strings.Contains(buf.String(), "recache closer to optimal") {
-		t.Errorf("fig9 summary missing:\n%s", buf.String())
-	}
-}
-
-func TestFig5AndFig6(t *testing.T) {
-	r, buf := tinyRunner(t)
-	if err := r.Run("fig5"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Run("fig6"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "cardinality") {
-		t.Errorf("fig5/6 output malformed:\n%s", out)
-	}
-}
-
-func TestFig7(t *testing.T) {
-	r, buf := tinyRunner(t)
-	if err := r.Run("fig7"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "P50 error") {
-		t.Errorf("fig7 output malformed:\n%s", buf.String())
-	}
-}
-
-func TestFig10AndFig11(t *testing.T) {
-	r, buf := tinyRunner(t)
-	if err := r.Run("fig10a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Run("fig11a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Run("fig11b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Run("fig11c"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "vs parquet") || !strings.Contains(out, "nested%") {
-		t.Errorf("fig10/11 output malformed:\n%s", out)
-	}
-}
-
-func TestFig12AndFig13(t *testing.T) {
-	r, buf := tinyRunner(t)
-	if err := r.Run("fig12a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Run("fig12b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Run("fig13"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "recache vs no-cache") {
-		t.Errorf("fig13 summary missing:\n%s", out)
-	}
-}
-
-func TestFig14(t *testing.T) {
-	r, buf := tinyRunner(t)
-	if err := r.Run("fig14"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, pol := range fig14Policies() {
-		if !strings.Contains(out, pol) {
-			t.Errorf("fig14 missing policy %s:\n%s", pol, out)
-		}
+// Every paper experiment runs at tiny scale and prints its summary. The
+// experiments of one case share a runner (and so one generated dataset).
+func TestExperiments(t *testing.T) {
+	for _, tc := range []struct {
+		exps []string
+		want []string
+	}{
+		{[]string{"table1"}, []string{"Reactive Cache (ReCache)"}},
+		{[]string{"fig1", "fig9a", "fig9b", "fig9c"}, []string{"totals: columnar", "recache closer to optimal"}},
+		{[]string{"fig5", "fig6"}, []string{"cardinality"}},
+		{[]string{"fig7"}, []string{"P50 error"}},
+		{[]string{"fig10a", "fig11a", "fig11b", "fig11c"}, []string{"vs parquet", "nested%"}},
+		{[]string{"fig12a", "fig12b", "fig13"}, []string{"recache vs no-cache"}},
+		{[]string{"fig14"}, fig14Policies()},
+		{[]string{"fig15a", "fig15b"}, []string{"recache vs parquet/greedy"}},
+	} {
+		t.Run(strings.Join(tc.exps, "+"), func(t *testing.T) {
+			r, buf := tinyRunner(t)
+			for _, exp := range tc.exps {
+				if err := r.Run(exp); err != nil {
+					t.Fatalf("%s: %v", exp, err)
+				}
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(buf.String(), w) {
+					t.Errorf("output lacks %q:\n%s", w, buf.String())
+				}
+			}
+		})
 	}
 }
 
@@ -168,19 +107,6 @@ func TestMemoryPressurePhase(t *testing.T) {
 	}
 }
 
-func TestFig15(t *testing.T) {
-	r, buf := tinyRunner(t)
-	if err := r.Run("fig15a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Run("fig15b"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "recache vs parquet/greedy") {
-		t.Errorf("fig15 summary missing:\n%s", buf.String())
-	}
-}
-
 // The chaos phase end to end at tiny scale: killing the busiest shard of
 // a replicated 4-shard fleet mid-burst must leak zero errors, open the
 // breakers within one probe interval, and record both throughput phases.
@@ -209,5 +135,103 @@ func TestChaosFailover(t *testing.T) {
 	}
 	if failover.RecoveryMillis <= 0 {
 		t.Errorf("recovery time not recorded: %+v", failover)
+	}
+}
+
+// The fleet fixture every fleet phase runs on, brought up and torn down
+// with no throughput or latency gate: three replicated members answer a
+// routed query set exactly as an embedded engine does; after one member is
+// killed the same set still answers with zero caller errors, from the
+// survivors' replicas rather than raw re-scans; and Close leaves nothing
+// behind — no open transaction, socket, spill dir or goroutine.
+func TestFleetFailoverLifecycle(t *testing.T) {
+	r, _ := tinyRunner(t)
+	paths, err := r.ensureTPCH()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := recache.Open(recache.Config{Admission: "off"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := ref.RegisterCSV("lineitem", paths.Lineitem, datagen.LineitemSchema, '|'); err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+
+	f, err := r.startFleet(3, recache.Config{
+		Admission: "eager",
+		Layout:    "columnar",
+		SpillDir:  filepath.Join(r.opts.Dir, "spill"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := client.DialRouter(f.addrs, client.RouterOptions{Options: client.Options{RequestTimeout: 5 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]string, 12)
+	for i := range queries {
+		queries[i] = fmt.Sprintf("SELECT SUM(l_extendedprice), COUNT(*) FROM lineitem WHERE l_quantity BETWEEN %d AND %d", 1+4*i, 4+4*i)
+	}
+	routed := func(stage string) {
+		t.Helper()
+		for _, q := range queries {
+			want, err := ref.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rt.Query(q)
+			if err != nil {
+				t.Fatalf("%s: caller saw %v", stage, err)
+			}
+			if !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("%s: %s = %v, embedded says %v", stage, q, got.Rows, want.Rows)
+			}
+		}
+	}
+	routed("healthy fleet")
+	if err := waitReplicas(f, int64(len(queries)), 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	victim := f.m.Owner(shard.RouteKey(queries[0])).ID
+	survivors := func(count func(*recache.Engine) int64) (sum int64) {
+		for i, mb := range f.members {
+			if i != victim {
+				sum += count(mb.Engine())
+			}
+		}
+		return sum
+	}
+	rawScans := func(eng *recache.Engine) int64 { return eng.RawScans("lineitem") }
+	rawBefore := survivors(rawScans)
+	f.members[victim].Kill()
+	routed("one member killed")
+	if rawAfter := survivors(rawScans); rawAfter != rawBefore {
+		t.Errorf("failover cost raw scans on the survivors: %d -> %d", rawBefore, rawAfter)
+	}
+	if survivors(func(eng *recache.Engine) int64 { return eng.Manager().Stats().DiskHits }) == 0 {
+		t.Error("no disk-tier hits on the survivors: the replicas were not used")
+	}
+
+	rt.Close()
+	f.Close()
+	for i, mb := range f.members {
+		if open := mb.Engine().CacheStats().OpenTxns; open != 0 {
+			t.Errorf("member %d closed with %d transactions open", i, open)
+		}
+	}
+	for _, p := range f.paths {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s survived Close: %v", p, err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the fleet started", runtime.NumGoroutine(), baseline)
+		}
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"syscall"
 	"time"
 
+	"recache"
 	"recache/internal/cache"
 	"recache/internal/client"
 	"recache/internal/datagen"
@@ -79,20 +79,11 @@ func (r *Runner) serverLoad(paths *datagen.TPCHPaths) error {
 		return nil
 	}
 
-	srv := server.New(eng)
-	sock := filepath.Join(r.opts.Dir, "recached-bench.sock")
-	os.Remove(sock)
-	ln, err := net.Listen("unix", sock)
+	addr, stop, err := r.serveUnix(eng, "recached-bench.sock")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(sock)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	defer func() {
-		srv.Shutdown()
-		<-serveErr
-	}()
+	defer stop()
 
 	concs := feasibleConcurrencies([]int{64, 256, 1024}, total, r.printf)
 	r.printf("\nserver load: %d cache-hit queries over a unix socket per client-swarm size (median of %d runs)\n", total, runs)
@@ -105,7 +96,12 @@ func (r *Runner) serverLoad(paths *datagen.TPCHPaths) error {
 		qpsS := make([]float64, 0, runs)
 		p99S := make([]float64, 0, runs)
 		for i := 0; i < runs; i++ {
-			qps, p99, err := serverReplay("unix:"+sock, queries, total, conc)
+			// No request timeout: a per-request timer is pure overhead at
+			// this rate, and a wedged daemon already fails the run's outer
+			// timeout.
+			qps, p99, err := wireReplay(func() (*client.Client, error) {
+				return client.Dial(addr, client.Options{})
+			}, queries, total, conc)
 			if err != nil {
 				return err
 			}
@@ -155,65 +151,26 @@ func (r *Runner) serverColdShared(paths *datagen.TPCHPaths) error {
 	if err := registerTPCH(eng, paths, false); err != nil {
 		return err
 	}
-	srv := server.New(eng)
-	sock := filepath.Join(r.opts.Dir, "recached-cold.sock")
-	os.Remove(sock)
-	ln, err := net.Listen("unix", sock)
+	addr, stop, err := r.serveUnix(eng, "recached-cold.sock")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(sock)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	defer func() {
-		srv.Shutdown()
-		<-serveErr
-	}()
+	defer stop()
 
 	cls := make([]*client.Client, w)
 	for i := range cls {
-		cl, err := client.Dial("unix:"+sock, client.Options{RequestTimeout: 5 * time.Minute})
+		cl, err := client.Dial(addr, client.Options{RequestTimeout: 5 * time.Minute})
 		if err != nil {
 			return err
 		}
 		defer cl.Close()
 		cls[i] = cl
 	}
-	burst := func(q string) (int64, error) {
-		ts, err := cls[0].TableStats("lineitem")
-		if err != nil {
-			return 0, err
-		}
-		before := ts.RawScans
-		start := make(chan struct{})
-		errs := make([]error, w)
-		var wg sync.WaitGroup
-		for i, cl := range cls {
-			wg.Add(1)
-			go func(i int, cl *client.Client) {
-				defer wg.Done()
-				<-start
-				_, errs[i] = cl.Query(q)
-			}(i, cl)
-		}
-		close(start)
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return 0, err
-			}
-		}
-		ts, err = cls[0].TableStats("lineitem")
-		if err != nil {
-			return 0, err
-		}
-		return ts.RawScans - before, nil
-	}
-	b1, err := burst("SELECT COUNT(*) FROM lineitem WHERE l_orderkey BETWEEN 1 AND 5")
+	b1, err := wireBurst(cls, "SELECT COUNT(*) FROM lineitem WHERE l_orderkey BETWEEN 1 AND 5")
 	if err != nil {
 		return err
 	}
-	b2, err := burst("SELECT COUNT(*) FROM lineitem WHERE l_orderkey BETWEEN 10 AND 14")
+	b2, err := wireBurst(cls, "SELECT COUNT(*) FROM lineitem WHERE l_orderkey BETWEEN 10 AND 14")
 	if err != nil {
 		return err
 	}
@@ -237,6 +194,26 @@ func (r *Runner) serverColdShared(paths *datagen.TPCHPaths) error {
 	return nil
 }
 
+// serveUnix serves eng as a solo daemon on a fresh unix socket under the
+// runner's directory and returns its address; stop drains the server and
+// removes the socket (the engine stays the caller's).
+func (r *Runner) serveUnix(eng *recache.Engine, name string) (addr string, stop func(), err error) {
+	sock := filepath.Join(r.opts.Dir, name)
+	os.Remove(sock)
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		return "", nil, err
+	}
+	srv := server.New(eng)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	return "unix:" + sock, func() {
+		srv.Shutdown()
+		<-served
+		os.Remove(sock)
+	}, nil
+}
+
 // median returns the middle value (mean of the two middles for even n).
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -248,103 +225,6 @@ func median(xs []float64) float64 {
 		return (s[n/2-1] + s[n/2]) / 2
 	}
 	return s[len(s)/2]
-}
-
-// pipeDepth is how many requests each connection keeps in flight during
-// the replay: the protocol is pipelined (responses match requests by id),
-// so a sustained client streams requests without waiting for each
-// response, and the flush coalescing on both sides batches frames into
-// shared syscalls. One request at a time per connection would measure
-// round-trip wakeup latency, not serving throughput.
-const pipeDepth = 6
-
-// serverReplay replays total queries round-robin from the pool across conc
-// wire clients (one connection each, pipeDepth requests in flight per
-// connection, released by a start barrier) and returns the aggregate
-// queries/sec and the p99 per-request latency in milliseconds.
-func serverReplay(addr string, queries []string, total, conc int) (qps, p99ms float64, err error) {
-	cls := make([]*client.Client, conc)
-	for i := range cls {
-		// No request timeout: a per-request timer is pure overhead at this
-		// rate, and a wedged daemon already fails the run's outer timeout.
-		cl, err := client.Dial(addr, client.Options{})
-		if err != nil {
-			for _, c := range cls[:i] {
-				c.Close()
-			}
-			return 0, 0, err
-		}
-		cls[i] = cl
-	}
-	defer func() {
-		for _, cl := range cls {
-			cl.Close()
-		}
-	}()
-
-	lanes := conc * pipeDepth
-	perLane := total / lanes
-	// Sustained load needs every lane in steady state: a lane that fires
-	// one query and exits measures the connection storm, not serving.
-	if perLane < 16 {
-		perLane = 16
-	}
-	lats := make([][]time.Duration, lanes)
-	errs := make([]error, lanes)
-	start := make(chan struct{})
-	var wg, warmWG sync.WaitGroup
-	for l := 0; l < lanes; l++ {
-		wg.Add(1)
-		warmWG.Add(1)
-		go func(l int) {
-			defer wg.Done()
-			cl := cls[l/pipeDepth]
-			// One untimed warm query per lane: connection ramp-up, handler
-			// stack growth, and cold branch state are setup, not serving.
-			_, _, werr := cl.Exec(queries[l%len(queries)])
-			warmWG.Done()
-			if werr != nil {
-				errs[l] = werr
-				return
-			}
-			<-start
-			own := make([]time.Duration, 0, perLane)
-			for j := 0; j < perLane; j++ {
-				q := queries[(l+j)%len(queries)]
-				t0 := time.Now()
-				// Exec: the load phase measures the daemon, so the lanes
-				// skip client-side row materialization (the batch still
-				// crosses the wire). The cold-burst phase uses full Query.
-				if _, _, err := cl.Exec(q); err != nil {
-					errs[l] = err
-					return
-				}
-				own = append(own, time.Since(t0))
-			}
-			lats[l] = own
-		}(l)
-	}
-	warmWG.Wait()
-	t0 := time.Now()
-	close(start)
-	wg.Wait()
-	elapsed := time.Since(t0)
-	for _, err := range errs {
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	idx := len(all) * 99 / 100
-	if idx >= len(all) {
-		idx = len(all) - 1
-	}
-	p99 := all[idx]
-	return float64(len(all)) / elapsed.Seconds(), float64(p99.Microseconds()) / 1000, nil
 }
 
 // feasibleConcurrencies raises the process fd limit as far as the hard cap

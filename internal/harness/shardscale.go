@@ -2,18 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"net"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
 	"time"
 
 	"recache"
 	"recache/internal/client"
 	"recache/internal/datagen"
-	"recache/internal/server"
-	"recache/internal/shard"
 )
 
 // shardScale is the fleet phase of the perf-trajectory report: the same
@@ -73,14 +66,15 @@ func (r *Runner) shardScale(paths *datagen.TPCHPaths) error {
 	qpsBy := map[int]float64{}
 	rawBy := map[int]int64{}
 	for _, n := range []int{1, 2, 4} {
-		f, err := r.startShardFleet(n, perShard, paths.Lineitem)
+		f, err := r.startFleet(n, recache.Config{Admission: "eager", Layout: "columnar", CacheCapacity: perShard})
 		if err != nil {
 			return err
 		}
 		qps, p99, rawParses, ferr := func() (float64, float64, int64, error) {
 			// Warm through the router: every entry builds once, on its
 			// owning shard.
-			warm, err := client.DialRouter(f.addrs, client.Options{})
+			dial := func() (*client.Router, error) { return client.DialRouter(f.addrs, client.RouterOptions{}) }
+			warm, err := dial()
 			if err != nil {
 				return 0, 0, 0, err
 			}
@@ -90,7 +84,7 @@ func (r *Runner) shardScale(paths *datagen.TPCHPaths) error {
 					return 0, 0, 0, err
 				}
 			}
-			qps, p99, err := routerReplay(f.addrs, queries, total, conc)
+			qps, p99, err := wireReplay(dial, queries, total, conc)
 			if err != nil {
 				return 0, 0, 0, err
 			}
@@ -135,54 +129,25 @@ func (r *Runner) shardScale(paths *datagen.TPCHPaths) error {
 // with any other.
 func (r *Runner) shardColdFlight(paths *datagen.TPCHPaths) error {
 	const w = 16
-	f, err := r.startShardFleet(4, 0, paths.Lineitem)
+	f, err := r.startFleet(4, recache.Config{Admission: "eager", Layout: "columnar"})
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	routers := make([]*client.Router, w)
 	for i := range routers {
-		rt, err := client.DialRouter(f.addrs, client.Options{RequestTimeout: 5 * time.Minute})
+		rt, err := client.DialRouter(f.addrs, client.RouterOptions{Options: client.Options{RequestTimeout: 5 * time.Minute}})
 		if err != nil {
 			return err
 		}
 		defer rt.Close()
 		routers[i] = rt
 	}
-	burst := func(q string) (int64, error) {
-		before, err := routers[0].TableStats("lineitem")
-		if err != nil {
-			return 0, err
-		}
-		start := make(chan struct{})
-		errs := make([]error, w)
-		var wg sync.WaitGroup
-		for i, rt := range routers {
-			wg.Add(1)
-			go func(i int, rt *client.Router) {
-				defer wg.Done()
-				<-start
-				_, errs[i] = rt.Query(q)
-			}(i, rt)
-		}
-		close(start)
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return 0, err
-			}
-		}
-		after, err := routers[0].TableStats("lineitem")
-		if err != nil {
-			return 0, err
-		}
-		return after.RawScans - before.RawScans, nil
-	}
-	b1, err := burst("SELECT COUNT(*) FROM lineitem WHERE l_orderkey BETWEEN 1 AND 5")
+	b1, err := wireBurst(routers, "SELECT COUNT(*) FROM lineitem WHERE l_orderkey BETWEEN 1 AND 5")
 	if err != nil {
 		return err
 	}
-	b2, err := burst("SELECT COUNT(*) FROM lineitem WHERE l_orderkey BETWEEN 10 AND 14")
+	b2, err := wireBurst(routers, "SELECT COUNT(*) FROM lineitem WHERE l_orderkey BETWEEN 10 AND 14")
 	if err != nil {
 		return err
 	}
@@ -198,165 +163,4 @@ func (r *Runner) shardColdFlight(paths *datagen.TPCHPaths) error {
 		Burst2Parses: b2,
 	})
 	return nil
-}
-
-// shardFleet is an in-process shard fleet: one engine+server per shard on
-// its own unix socket, wired with the shared lease table and the Flight
-// hook exactly as `recached -fleet ... -shard-id N` wires real processes.
-type shardFleet struct {
-	m       *shard.Map
-	addrs   []string
-	socks   []string
-	engines []*recache.Engine
-	servers []*server.Server
-	flights []*client.Flight
-	served  []chan error
-}
-
-// startShardFleet launches n shards with lineitem registered on each and
-// perShard bytes of cache budget apiece (0 = unlimited).
-func (r *Runner) startShardFleet(n int, perShard int64, lineitem string) (*shardFleet, error) {
-	infos := make([]shard.Info, n)
-	socks := make([]string, n)
-	for i := range infos {
-		socks[i] = filepath.Join(r.opts.Dir, fmt.Sprintf("recached-shard%d.sock", i))
-		os.Remove(socks[i])
-		infos[i] = shard.Info{ID: i, Addr: "unix:" + socks[i]}
-	}
-	m, err := shard.NewMap(infos)
-	if err != nil {
-		return nil, err
-	}
-	f := &shardFleet{m: m, socks: socks}
-	for i, s := range infos {
-		f.addrs = append(f.addrs, s.Addr)
-		lt := shard.NewLeaseTable()
-		fl := client.NewFlight(i, m, lt, 0, client.Options{})
-		eng, err := recache.Open(recache.Config{
-			Admission:     "eager",
-			Layout:        "columnar",
-			CacheCapacity: perShard,
-			RemoteFlight:  fl.Materialize,
-		})
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		f.flights = append(f.flights, fl)
-		f.engines = append(f.engines, eng)
-		if err := eng.RegisterCSV("lineitem", lineitem, datagen.LineitemSchema, '|'); err != nil {
-			f.Close()
-			return nil, err
-		}
-		srv := server.New(eng)
-		srv.SetFleet(i, m, lt)
-		ln, err := net.Listen("unix", socks[i])
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		served := make(chan error, 1)
-		go func() { served <- srv.Serve(ln) }()
-		f.servers = append(f.servers, srv)
-		f.served = append(f.served, served)
-	}
-	return f, nil
-}
-
-// Close drains the servers, then the flights and engines, and removes the
-// sockets.
-func (f *shardFleet) Close() {
-	for i, srv := range f.servers {
-		srv.Shutdown()
-		<-f.served[i]
-	}
-	for _, fl := range f.flights {
-		fl.Close()
-	}
-	for _, eng := range f.engines {
-		eng.Close()
-	}
-	for _, s := range f.socks {
-		os.Remove(s)
-	}
-}
-
-// routerReplay replays total queries round-robin from the pool across conc
-// routers (pipeDepth request lanes each, released by a start barrier) and
-// returns the aggregate queries/sec and p99 per-request latency — the
-// fleet analogue of serverReplay, with the rendezvous hop included in
-// every latency sample.
-func routerReplay(addrs, queries []string, total, conc int) (qps, p99ms float64, err error) {
-	rts := make([]*client.Router, conc)
-	for i := range rts {
-		rt, err := client.DialRouter(addrs, client.Options{})
-		if err != nil {
-			for _, r := range rts[:i] {
-				r.Close()
-			}
-			return 0, 0, err
-		}
-		rts[i] = rt
-	}
-	defer func() {
-		for _, rt := range rts {
-			rt.Close()
-		}
-	}()
-
-	lanes := conc * pipeDepth
-	perLane := total / lanes
-	if perLane < 16 {
-		perLane = 16
-	}
-	lats := make([][]time.Duration, lanes)
-	errs := make([]error, lanes)
-	start := make(chan struct{})
-	var wg, warmWG sync.WaitGroup
-	for l := 0; l < lanes; l++ {
-		wg.Add(1)
-		warmWG.Add(1)
-		go func(l int) {
-			defer wg.Done()
-			rt := rts[l/pipeDepth]
-			_, _, werr := rt.Exec(queries[l%len(queries)])
-			warmWG.Done()
-			if werr != nil {
-				errs[l] = werr
-				return
-			}
-			<-start
-			own := make([]time.Duration, 0, perLane)
-			for j := 0; j < perLane; j++ {
-				q := queries[(l+j)%len(queries)]
-				t0 := time.Now()
-				if _, _, err := rt.Exec(q); err != nil {
-					errs[l] = err
-					return
-				}
-				own = append(own, time.Since(t0))
-			}
-			lats[l] = own
-		}(l)
-	}
-	warmWG.Wait()
-	t0 := time.Now()
-	close(start)
-	wg.Wait()
-	elapsed := time.Since(t0)
-	for _, err := range errs {
-		if err != nil {
-			return 0, 0, err
-		}
-	}
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	idx := len(all) * 99 / 100
-	if idx >= len(all) {
-		idx = len(all) - 1
-	}
-	return float64(len(all)) / elapsed.Seconds(), float64(all[idx].Microseconds()) / 1000, nil
 }

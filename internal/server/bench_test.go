@@ -1,10 +1,6 @@
 package server
 
 import (
-	"fmt"
-	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,19 +15,12 @@ import (
 // socket address for extra connections.
 func benchServer(b *testing.B, queries []string) (*client.Client, string) {
 	b.Helper()
-	path := filepath.Join(b.TempDir(), "t.csv")
-	var buf []byte
-	for i := 1; i <= 2000; i++ {
-		buf = fmt.Appendf(buf, "%d|%d|%d.5|name%d\n", i, (i%5+1)*10, i, i)
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		b.Fatal(err)
-	}
 	eng, err := recache.Open(recache.Config{Admission: "eager", Layout: "columnar"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := eng.RegisterCSV("t", path, "id int, qty int, price float, name string", '|'); err != nil {
+	b.Cleanup(func() { eng.Close() }) // registered first: runs after the server drains
+	if err := eng.RegisterCSV("t", testCSV(b, 2000), "id int, qty int, price float, name string", '|'); err != nil {
 		b.Fatal(err)
 	}
 	for _, q := range queries {
@@ -39,25 +28,8 @@ func benchServer(b *testing.B, queries []string) (*client.Client, string) {
 			b.Fatal(err)
 		}
 	}
-	sock := filepath.Join(b.TempDir(), "recached.sock")
-	ln, err := net.Listen("unix", sock)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := New(eng)
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
-	b.Cleanup(func() {
-		srv.Shutdown()
-		<-served
-		eng.Close()
-	})
-	cl, err := client.Dial("unix:"+sock, client.Options{RequestTimeout: 30 * time.Second})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { cl.Close() })
-	return cl, "unix:" + sock
+	_, addr := startServer(b, eng)
+	return dial(b, addr, client.Options{}), addr
 }
 
 // BenchmarkWireHitQuery measures one cache-hit query round-trip over a

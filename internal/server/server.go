@@ -37,8 +37,8 @@ import (
 
 // maxRequestFrame caps inbound request frames. Most requests are small
 // (SQL text and registration paths), but OpReplicate carries a cache
-// entry's serialized payload — the cap matches the client-side replication
-// payload limit. Still far below wire.MaxFrame, so a hostile peer cannot
+// entry's serialized payload, and a member's flight skips pushes above
+// the same cap. Still far below wire.MaxFrame, so a hostile peer cannot
 // make every connection buffer 64 MiB.
 const maxRequestFrame = 8 << 20
 
@@ -46,18 +46,18 @@ const maxRequestFrame = 8 << 20
 type Server struct {
 	eng *recache.Engine
 
-	// Fleet state: fleetMap is the shared topology (nil outside fleet
-	// mode), fleetSelf this daemon's shard id in it. leases backs the wire
-	// lease ops; it is always non-nil so leases work on a standalone daemon
-	// too, and fleet mode injects the table the engine's remote-flight hook
-	// shares (SetFleet). fleetSelf and leases are set before Serve and
-	// read-only afterwards; fleetMap shrinks under mu when a peer announces
-	// departure (OpLeave → RemoveShard), with onTopology notified outside
-	// the lock so the flight hook re-routes to the survivors.
-	fleetSelf  int
-	fleetMap   *shard.Map
-	leases     *shard.LeaseTable
-	onTopology func(*shard.Map)
+	// Fleet state, set by NewMember before Serve: fleetMap is the shared
+	// topology (nil on a solo daemon), fleetSelf this daemon's shard id in
+	// it, flight the engine's side of the fleet. leases backs the wire lease
+	// ops; it is always non-nil so leases work on a solo daemon too, and a
+	// member's flight takes its local leases from the same table, so a key
+	// the daemon materializes itself blocks wire lease requests for it and
+	// vice versa. fleetMap shrinks under mu when a peer announces departure
+	// (OpLeave → RemoveShard).
+	fleetSelf int
+	fleetMap  *shard.Map
+	leases    *shard.LeaseTable
+	flight    *flight
 
 	// mu guards listeners, sessions, and the draining transition; wg counts
 	// live sessions. A session is registered (and wg.Add called) under mu
@@ -75,9 +75,9 @@ type Server struct {
 	errors        atomic.Int64
 }
 
-// New creates a server around an open engine. The server does not own the
-// engine: Shutdown drains the wire side only, and the caller closes the
-// engine afterwards.
+// New creates a solo server around an open engine. The server does not
+// own the engine: Shutdown drains the wire side only, and the caller closes
+// the engine afterwards. A fleet shard is a Member instead.
 func New(eng *recache.Engine) *Server {
 	return &Server{
 		eng:       eng,
@@ -86,29 +86,6 @@ func New(eng *recache.Engine) *Server {
 		sessions:  make(map[*session]struct{}),
 	}
 }
-
-// SetFleet puts the server in fleet mode: self is this daemon's shard id,
-// m the topology every fleet member and router holds. A non-nil lt
-// replaces the server's lease table — fleet mode passes the table the
-// engine's remote-flight hook uses, so a key the daemon materializes
-// itself blocks wire lease requests for it and vice versa. Must be called
-// before Serve.
-func (s *Server) SetFleet(self int, m *shard.Map, lt *shard.LeaseTable) {
-	s.fleetSelf, s.fleetMap = self, m
-	if lt != nil {
-		s.leases = lt
-	}
-}
-
-// Leases exposes the server's lease table (fleet wiring, tests).
-func (s *Server) Leases() *shard.LeaseTable { return s.leases }
-
-// OnTopology registers a callback invoked (outside the server's lock)
-// whenever the fleet map changes — today only shrinking, when a peer
-// announces graceful departure. Fleet wiring hands the new map to the
-// engine's Flight so leases and replica pushes route to the survivors.
-// Must be set before Serve.
-func (s *Server) OnTopology(fn func(*shard.Map)) { s.onTopology = fn }
 
 // RemoveShard drops a departed member from the fleet map (the OpLeave
 // handler). Removing an id that is already gone is a no-op — leave
@@ -141,11 +118,9 @@ func (s *Server) RemoveShard(id int) error {
 		return err
 	}
 	s.fleetMap = nm
-	cb := s.onTopology
 	s.mu.Unlock()
-	if cb != nil {
-		cb(nm)
-	}
+	// Outside the lock: re-routing closes the departed shard's connection.
+	s.flight.updateMap(nm)
 	return nil
 }
 

@@ -21,7 +21,7 @@ import (
 	"recache/internal/value"
 )
 
-func writeTemp(t *testing.T, name, content string) string {
+func writeTemp(t testing.TB, name, content string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
@@ -30,7 +30,7 @@ func writeTemp(t *testing.T, name, content string) string {
 	return path
 }
 
-func testCSV(t *testing.T, rows int) string {
+func testCSV(t testing.TB, rows int) string {
 	t.Helper()
 	var b []byte
 	for i := 1; i <= rows; i++ {
@@ -41,7 +41,7 @@ func testCSV(t *testing.T, rows int) string {
 
 // startServer serves eng on a fresh unix socket and returns its address.
 // Cleanup shuts the server down (idempotent, so tests may drain earlier).
-func startServer(t *testing.T, eng *recache.Engine) (*Server, string) {
+func startServer(t testing.TB, eng *recache.Engine) (*Server, string) {
 	t.Helper()
 	sock := filepath.Join(t.TempDir(), "recached.sock")
 	ln, err := net.Listen("unix", sock)
@@ -60,7 +60,7 @@ func startServer(t *testing.T, eng *recache.Engine) (*Server, string) {
 	return srv, "unix:" + sock
 }
 
-func dial(t *testing.T, addr string, opts client.Options) *client.Client {
+func dial(t testing.TB, addr string, opts client.Options) *client.Client {
 	t.Helper()
 	if opts.RequestTimeout == 0 {
 		opts.RequestTimeout = 30 * time.Second

@@ -115,6 +115,12 @@ func (m *Map) Rank(key string) []Info {
 	return out
 }
 
+// ReplicaFactor is how many shards hold each key, counting the owner: 2
+// means one redundant copy on the key's next rendezvous shard. Members push
+// replicas to this prefix of the ranking and routers try it first on
+// failover, so both sides must read the same constant.
+const ReplicaFactor = 2
+
 // Replicas returns the top-k shards by descending weight for key: the
 // owner first, then the replica chain. Replicas(key, 2)[1] is the shard
 // that adopts the key if the owner dies, so replica placement is derivable

@@ -112,20 +112,11 @@ type Config struct {
 	// cache-miss scan decodes all needed fields of every record and filters
 	// afterwards (pre-pushdown behaviour; ablation and benchmarking).
 	DisablePushdown bool
-	// RemoteFlight extends single-flight materialization across a shard
-	// fleet: before a cache miss admits a new (dataset, predicate) entry,
-	// the hook is asked for a fleet-wide materialization lease. ok=false
-	// executes the miss raw without admitting (another process is building
-	// it); a non-nil release runs when the query finishes. nil disables
-	// remote flight — the single-process default. Wired by cmd/recached's
-	// fleet mode via internal/client.Flight.
-	RemoteFlight func(dataset, predCanon string) (release func(), ok bool)
-	// OnEagerAdmit observes every eager cache admission with the entry's
-	// materialized store, outside the cache lock on the admitting query's
-	// goroutine. Fleet mode uses it to push a replica of each new entry to
-	// the key's next rendezvous shard (internal/client.Flight.ReplicateAsync);
-	// the hook must hand work off and return quickly. nil disables it.
-	OnEagerAdmit func(dataset, predCanon string, st store.Store)
+	// Fleet makes the engine one shard of a fleet: cache misses take a
+	// fleet-wide materialization lease before admitting, and (with a
+	// SpillDir) eager admissions are pushed to the key's replica shard. nil
+	// is the single-process default; internal/server.NewMember sets it.
+	Fleet cache.Fleet
 	// FreshnessMode controls reactive invalidation when registered raw
 	// files mutate under a running engine:
 	//
@@ -153,8 +144,7 @@ func (c Config) toCacheConfig() (cache.Config, error) {
 		Threshold:          c.AdmissionThreshold,
 		SampleSize:         c.AdmissionSampleSize,
 		DisableSubsumption: c.DisableSubsumption,
-		RemoteFlight:       c.RemoteFlight,
-		OnEagerAdmit:       c.OnEagerAdmit,
+		Fleet:              c.Fleet,
 	}
 	switch c.Eviction {
 	case "", "recache", "greedy-dual":
