@@ -598,6 +598,51 @@ func BenchmarkEndToEndCachedQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkResultBoundary is the per-layer number of the result boundary: a
+// 4096-row, four-column projection hit delivered through each exit and
+// consumer. columnar/* is QueryColumnar (what the server encodes from):
+// row-sink is rows striped in through Builder.Add (vectorization off, the
+// only way to force a cached projection onto the row sink), batch-sink is
+// column batches through AppendBatch. query/* is Query boxing natives from
+// either shape. client/query is the whole wire round trip including the
+// client's column decode, client/exec the same without decoding — the
+// difference is the decode.
+func BenchmarkResultBoundary(b *testing.B) {
+	const sql = "SELECT id, qty, price, name FROM b WHERE id < 4096"
+	for _, sink := range []struct {
+		name string
+		cfg  recache.Config
+	}{
+		{"row-sink", recache.Config{Admission: "eager", DisableVectorized: true}},
+		{"batch-sink", recache.Config{Admission: "eager"}},
+	} {
+		fx := startBoundary(b, sink.cfg, 8192)
+		res, err := fx.eng.Query(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 4096 {
+			b.Fatalf("%d rows, want 4096", len(res.Rows))
+		}
+		run := func(name string, fn func() error) {
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := fn(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		run("columnar/"+sink.name, func() error { _, err := fx.eng.QueryColumnar(sql); return err })
+		run("query/"+sink.name, func() error { _, err := fx.eng.Query(sql); return err })
+		if sink.name == "batch-sink" {
+			run("client/query", func() error { _, err := fx.cl.Query(sql); return err })
+			run("client/exec", func() error { _, _, err := fx.cl.Exec(sql); return err })
+		}
+	}
+}
+
 // --- shared helpers ---
 
 func registerBenchTPCH(b *testing.B, eng *recache.Engine, p *datagen.TPCHPaths) {

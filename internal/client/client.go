@@ -70,7 +70,8 @@ func ParseAddr(addr string) (network, address string, err error) {
 // Result is a decoded query result.
 type Result struct {
 	Columns []string
-	// Rows hold Go natives: int64, float64, string, bool, nil for NULL.
+	// Rows hold Go natives: int64, float64, string, bool, nil for NULL. The
+	// rows of one decoded batch (up to store.BatchRows) share a backing slab.
 	Rows [][]any
 	// Wall is the server-side execution time; round-trip latency is the
 	// caller's clock minus this.
@@ -384,20 +385,57 @@ func (cl *Client) Query(sql string) (*Result, error) {
 		Columns: r.Columns,
 		Wall:    time.Duration(r.WallNanos),
 	}
-	if r.NumRows > 0 {
-		out.Rows = make([][]any, 0, r.NumRows)
+	// Sized from the decoded store, whose record count ReadParquetBytes has
+	// proven against the batch's length; the header's NumRows is an
+	// unchecked u64 off the wire.
+	if n := st.NumRecords(); n > 0 {
+		out.Rows = make([][]any, 0, n)
 	}
-	err = st.ScanNested(func(rec value.Value) error {
-		out.Rows = append(out.Rows, toNative(rec.L))
-		return nil
-	})
-	if err != nil {
+	if out.Rows, err = decodeRows(out.Rows, st); err != nil {
 		return nil, err
 	}
 	if int64(len(out.Rows)) != r.NumRows {
 		return nil, fmt.Errorf("client: batch decoded to %d rows, header says %d", len(out.Rows), r.NumRows)
 	}
 	return out, nil
+}
+
+// decodeRows boxes a result store into native rows appended to rows. A flat
+// result — every output column a primitive — is decoded column by column
+// straight from the store's vectors, one backing slab per batch; a list- or
+// record-typed output column needs record assembly (ScanNested).
+func decodeRows(rows [][]any, st store.Store) ([][]any, error) {
+	if cur, ok := flatCursor(st); ok {
+		buf := make([]int32, min(store.BatchRows, st.NumRecords()))
+		for sel := cur.Next(buf); sel != nil; sel = cur.Next(buf) {
+			rows = store.AppendNative(rows, cur.Cols, sel)
+		}
+		return rows, nil
+	}
+	err := st.ScanNested(func(rec value.Value) error {
+		rows = append(rows, toNative(rec.L))
+		return nil
+	})
+	return rows, err
+}
+
+// flatCursor opens a per-record batch cursor over every column of st; ok is
+// false when an output column is list- or record-typed (or the store serves
+// no batches).
+func flatCursor(st store.Store) (*store.BatchCursor, bool) {
+	fields := st.Schema().Fields
+	idx := make([]int, len(fields))
+	for i, f := range fields {
+		if f.Type.Kind == value.Record || f.Type.Kind == value.List {
+			return nil, false
+		}
+		idx[i] = i
+	}
+	bs, ok := st.(store.BatchSource)
+	if !ok {
+		return nil, false
+	}
+	return bs.BatchCursor(false, idx)
 }
 
 // Exec runs sql on the daemon and returns the result's row count and

@@ -8,7 +8,7 @@
 // layouts, with lazy→eager upgrades and cost feedback into the layout
 // advisor); both live in their own files.
 //
-// Concurrency: Run may be called from many goroutines against one shared
+// Concurrency: RunInto may be called from many goroutines against one shared
 // cache manager. Each call compiles its own closure pipeline — all mutable
 // execution state (admission sampling windows, timers, hash tables, row
 // buffers) lives in per-call closures and the per-query qctx, so compiled
@@ -26,6 +26,7 @@ import (
 	"recache/internal/expr"
 	"recache/internal/plan"
 	"recache/internal/share"
+	"recache/internal/store"
 	"recache/internal/value"
 )
 
@@ -75,6 +76,9 @@ type QueryStats struct {
 	LayoutSwitchNanos int64
 	// RowsOut counts result rows.
 	RowsOut int
+	// ResultBatches counts the column batches the root handed to the sink;
+	// 0 when the result left through the row sink (or was empty).
+	ResultBatches int
 }
 
 // Overhead returns the caching overhead fraction t_c / t_o of §5.2.
@@ -83,13 +87,6 @@ func (s *QueryStats) Overhead() float64 {
 		return 0
 	}
 	return float64(s.CacheBuildNanos) / float64(s.Wall.Nanoseconds())
-}
-
-// Result holds a fully materialized query result.
-type Result struct {
-	Schema  *value.Type
-	Columns []string
-	Rows    [][]value.Value
 }
 
 // emitFn receives one row; the slice is reused by most operators.
@@ -107,39 +104,53 @@ type qctx struct {
 	curComplete func() error // parses the current record's skipped fields
 }
 
-// Run compiles and executes a plan, returning the materialized result.
-func Run(root plan.Node, deps Deps) (*Result, *QueryStats, error) {
-	var rows [][]value.Value
-	stats, err := RunInto(root, deps, func(row []value.Value) error {
-		rows = append(rows, append([]value.Value(nil), row...))
-		return nil
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	schema := root.OutSchema()
-	cols := make([]string, len(schema.Fields))
-	for i, f := range schema.Fields {
-		cols[i] = f.Name
-	}
-	return &Result{Schema: schema, Columns: cols, Rows: rows}, stats, nil
+// Sink receives a query's result at the plan root, in whichever of two
+// shapes the root produces this execution. A batch-native root — a Project
+// of plain column references, or a bare [Select*] chain, over a vectorized
+// cache scan or join — hands over its column batches; every other root
+// (aggregates, raw-scan misses, DisableVectorized, a source that cannot
+// serve batches right now) emits rows. One execution uses one shape only.
+type Sink interface {
+	// Row receives one result row. The slice is reused between calls; a
+	// sink that retains the row copies it.
+	Row(row []value.Value) error
+	// Batch receives the result rows cols[...][sel[k]], one vector per
+	// output column. The vectors are borrowed — from cache entries pinned by
+	// the query's transaction, or from a join's gathered output — and sel is
+	// reused between calls: the sink gathers what it keeps before returning,
+	// and nothing borrowed may outlive the transaction.
+	Batch(cols []*store.Vec, sel []int32) error
 }
 
-// RunInto compiles and executes a plan, pushing each result row into sink.
-// The row slice is reused between calls; sinks that retain rows must copy.
-// This is the zero-copy exit for callers with their own materialization —
-// the server feeds rows straight into a columnar batch builder here.
-func RunInto(root plan.Node, deps Deps, sink func(row []value.Value) error) (*QueryStats, error) {
-	run, err := compile(root, deps)
+// RunInto compiles and executes a plan, delivering the result to sink.
+func RunInto(root plan.Node, deps Deps, sink Sink) (*QueryStats, error) {
+	// A Project root's row flavor is the plain row projection: the batch
+	// flavor compile would wrap around it is the root exit below.
+	var run runFn
+	var err error
+	if pr, ok := root.(*plan.Project); ok {
+		run, err = compileProject(pr, deps)
+	} else {
+		run, err = compile(root, deps)
+	}
 	if err != nil {
 		return nil, err
 	}
+	src, proj := rootSource(root, deps)
 	stats := &QueryStats{}
 	ctx := &qctx{start: time.Now(), deps: deps, stats: stats}
-	err = run(ctx, func(row []value.Value) error {
-		stats.RowsOut++
-		return sink(row)
-	})
+	var it vecIter
+	if src != nil {
+		it, _ = src.open(ctx)
+	}
+	if it != nil {
+		err = sinkIter(ctx, it, proj, sink)
+	} else {
+		err = run(ctx, func(row []value.Value) error {
+			stats.RowsOut++
+			return sink.Row(row)
+		})
+	}
 	stats.Wall = time.Since(ctx.start)
 	if err != nil {
 		return stats, err
@@ -439,7 +450,7 @@ func (p *joinParts) rowJoin() runFn {
 		}
 		// Probe phase: stream the right input. buf is reused across emits,
 		// relying on the emitFn no-retain contract: a consumer that keeps
-		// a row (the Run collector, a parent join's build) copies it.
+		// a row (a collecting sink, a parent join's build) copies it.
 		buf := make([]value.Value, p.ln+p.rn)
 		return p.right(ctx, func(row []value.Value) error {
 			k, ok := p.norm(p.rkey(row))

@@ -473,24 +473,102 @@ func peelVecSource(n plan.Node, deps Deps) (vecSource, bool) {
 	}
 }
 
-// planVecProject vectorizes Project([Select*](CachedScan|Join)) when every
-// projected expression is a plain column reference: the projection is a
-// column permutation applied at the batch level.
-func planVecProject(pr *plan.Project, deps Deps, rowFn runFn) (runFn, bool) {
+// vecProjectSource resolves Project([Select*](CachedScan|Join)) to a batch
+// source plus a column permutation when every projected expression is a
+// plain column reference.
+func vecProjectSource(pr *plan.Project, deps Deps) (vecSource, []int, bool) {
 	src, ok := peelVecSource(pr.Child, deps)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	in := pr.Child.OutSchema()
 	proj := make([]int, len(pr.Exprs))
 	for i, e := range pr.Exprs {
 		slot, ok := expr.ColSlot(e, in)
 		if !ok {
-			return nil, false
+			return nil, nil, false
 		}
 		proj[i] = slot
 	}
+	return src, proj, true
+}
+
+// planVecProject vectorizes a column-permutation Project below the root:
+// the permutation is applied at the batch level, rows materialize at the
+// boundary.
+func planVecProject(pr *plan.Project, deps Deps, rowFn runFn) (runFn, bool) {
+	src, proj, ok := vecProjectSource(pr, deps)
+	if !ok {
+		return nil, false
+	}
 	return vecEmit(src, proj, rowFn), true
+}
+
+// rootSource resolves the plan root to the batch source whose output is the
+// query result (proj permutes its columns; nil keeps them), or a nil source
+// when the root is not batch-native: only a column-permutation Project or a
+// bare [Select*] → (CachedScan | Join) chain is.
+func rootSource(root plan.Node, deps Deps) (vecSource, []int) {
+	if pr, ok := root.(*plan.Project); ok {
+		src, proj, _ := vecProjectSource(pr, deps)
+		return src, proj
+	}
+	src, _ := peelVecSource(root, deps)
+	return src, nil
+}
+
+// BatchResultInfo reports whether the plan root would hand its result to
+// the sink as column batches if executed now. EXPLAIN uses it; it only
+// reads entry payload snapshots.
+func BatchResultInfo(root plan.Node, m *cache.Manager, disableVec, disableVecJoins bool) bool {
+	deps := Deps{Manager: m, DisableVectorized: disableVec, DisableVectorizedJoins: disableVecJoins}
+	src, _ := rootSource(root, deps)
+	if src == nil {
+		return false
+	}
+	_, ok := src.info(deps)
+	return ok
+}
+
+// sinkIter drains an open root iterator into the result sink: the batch
+// exit. Each non-empty batch goes to the sink as (columns, selection) —
+// permuted to proj's column order — without a batch→row boundary. What the
+// sink spends gathering the borrowed vectors is part of serving the
+// source's batches, as emitIter's boxing is, so it is routed into the
+// source's scan attribution before Close records the observation.
+func sinkIter(ctx *qctx, it vecIter, proj []int, sink Sink) error {
+	var outCols []*store.Vec
+	if proj != nil {
+		outCols = make([]*store.Vec, len(proj))
+	}
+	var gather int64
+	for {
+		cols, sel, ok := it.Next()
+		if !ok {
+			break
+		}
+		if len(sel) == 0 {
+			continue
+		}
+		if proj != nil {
+			for i, c := range proj {
+				outCols[i] = cols[c]
+			}
+			cols = outCols
+		}
+		t0 := time.Now()
+		if err := sink.Batch(cols, sel); err != nil {
+			return err
+		}
+		gather += time.Since(t0).Nanoseconds()
+		ctx.stats.RowsOut += len(sel)
+		ctx.stats.ResultBatches++
+	}
+	if ns, ok := it.(nanosSink); ok {
+		ns.addScanNanos(gather)
+	}
+	it.Close(ctx)
+	return nil
 }
 
 // --- vectorized aggregation ---

@@ -258,3 +258,52 @@ func TestVectorizedScanStatsFeedAdvisor(t *testing.T) {
 		t.Errorf("layout = %v", e.Store.Layout())
 	}
 }
+
+// TestRootBatchExit: a batch-native root — a column-permutation Project or a
+// bare scan chain — hands a hit's batches to the sink and still attributes
+// the scan to its entry; misses, aggregate roots and DisableVectorized keep
+// the row sink.
+func TestRootBatchExit(t *testing.T) {
+	ds, orders := csvDataset(t), ordersDataset(t)
+	plans := vecParityPlans(t, ds, orders)
+	needed := map[string][]string{"t": {"id", "qty", "price", "name"}}
+	for _, c := range []struct {
+		plan  string
+		batch bool
+	}{{"project-cols", true}, {"bare-scan", true}, {"agg-sum-count", false}} {
+		m := mgr(cache.Config{Admission: cache.AlwaysEager, Layout: cache.LayoutFixedColumnar})
+		run := func(deps Deps) (*Result, *QueryStats) {
+			t.Helper()
+			m.BeginQuery()
+			res, st, err := Run(m.Rewrite(plans[c.plan](), needed), deps)
+			if err != nil {
+				t.Fatalf("%s: %v", c.plan, err)
+			}
+			return res, st
+		}
+		miss, st := run(Deps{Manager: m})
+		if st.ResultBatches != 0 {
+			t.Errorf("%s miss: ResultBatches = %d, want 0 (raw scan)", c.plan, st.ResultBatches)
+		}
+		m.BeginQuery()
+		if got := BatchResultInfo(m.Rewrite(plans[c.plan](), needed), m, false, false); got != c.batch {
+			t.Errorf("%s: BatchResultInfo = %v, want %v", c.plan, got, c.batch)
+		}
+		hit, st := run(Deps{Manager: m})
+		if !reflect.DeepEqual(hit.Rows, miss.Rows) {
+			t.Errorf("%s: hit %v != miss %v", c.plan, hit.Rows, miss.Rows)
+		}
+		if c.batch != (st.ResultBatches > 0) || st.RowsOut != len(hit.Rows) {
+			t.Errorf("%s hit: ResultBatches = %d, RowsOut = %d (%d rows), want batch exit %v",
+				c.plan, st.ResultBatches, st.RowsOut, len(hit.Rows), c.batch)
+		}
+		if e := m.Entries()[0]; e.VecScans != 1 || e.ScanNanos <= 0 {
+			t.Errorf("%s hit: entry VecScans = %d, ScanNanos = %d; the exit must attribute the scan",
+				c.plan, e.VecScans, e.ScanNanos)
+		}
+		off, st := run(Deps{Manager: m, DisableVectorized: true})
+		if st.ResultBatches != 0 || !reflect.DeepEqual(off.Rows, miss.Rows) {
+			t.Errorf("%s DisableVectorized: ResultBatches = %d, rows %v", c.plan, st.ResultBatches, off.Rows)
+		}
+	}
+}

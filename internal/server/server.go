@@ -73,6 +73,8 @@ type Server struct {
 	requests      atomic.Int64
 	inFlight      atomic.Int64
 	errors        atomic.Int64
+	batchResults  atomic.Int64
+	rowResults    atomic.Int64
 }
 
 // New creates a solo server around an open engine. The server does not
@@ -234,6 +236,8 @@ func (s *Server) Stats() wire.ServerStats {
 		Requests:       s.requests.Load(),
 		InFlight:       s.inFlight.Load(),
 		Errors:         s.errors.Load(),
+		BatchResults:   s.batchResults.Load(),
+		RowResults:     s.rowResults.Load(),
 		Draining:       draining,
 	}
 }
@@ -387,6 +391,11 @@ func (s *Server) dispatch(req *wire.Request, scratch *bytes.Buffer) *wire.Respon
 		br, err := s.eng.QueryColumnar(req.SQL)
 		if err != nil {
 			return fail(err)
+		}
+		if br.Stats.ResultBatches > 0 {
+			s.batchResults.Add(1)
+		} else {
+			s.rowResults.Add(1)
 		}
 		if err := store.WriteParquet(scratch, br.Store); err != nil {
 			return fail(err)

@@ -1,6 +1,10 @@
 package store
 
-import "recache/internal/value"
+import (
+	"slices"
+
+	"recache/internal/value"
+)
 
 // BatchRows is the number of rows a batch cursor hands to the vectorized
 // pipeline per step. 1024 keeps a selection vector plus a few typed columns
@@ -44,6 +48,49 @@ func FillRows(cols []*Vec, sel []int32, chunk []value.Value, nc int) {
 	for i, v := range cols {
 		fillColumn(chunk, i, nc, sel, v)
 	}
+}
+
+// AppendNative boxes the selected rows of cols into Go natives — int64,
+// float64, string, bool, nil for NULL — and appends one []any per selected
+// index to rows, dispatching on each column's kind once per call. The rows
+// of one call are sub-slices of a single backing slab, capacity-pinned so
+// that appending to one row never overwrites its neighbour.
+func AppendNative(rows [][]any, cols []*Vec, sel []int32) [][]any {
+	nc := len(cols)
+	slab := make([]any, len(sel)*nc)
+	for i, v := range cols {
+		switch v.Kind {
+		case value.Int:
+			for k, r := range sel {
+				if !v.Nulls.Get(int(r)) {
+					slab[k*nc+i] = v.Ints[r]
+				}
+			}
+		case value.Float:
+			for k, r := range sel {
+				if !v.Nulls.Get(int(r)) {
+					slab[k*nc+i] = v.Floats[r]
+				}
+			}
+		case value.String:
+			for k, r := range sel {
+				if !v.Nulls.Get(int(r)) {
+					slab[k*nc+i] = v.Strs[r]
+				}
+			}
+		case value.Bool:
+			for k, r := range sel {
+				if !v.Nulls.Get(int(r)) {
+					slab[k*nc+i] = v.Bools[r]
+				}
+			}
+		}
+	}
+	rows = slices.Grow(rows, len(sel))
+	for k := range sel {
+		rows = append(rows, slab[k*nc:(k+1)*nc:(k+1)*nc])
+	}
+	return rows
 }
 
 // BatchCursor implements BatchSource for the flattened columnar layout:

@@ -266,7 +266,7 @@ func (s *columnarStore) ScanRecords(cols []int, emit EmitFunc) (ScanStats, error
 // rebuild the nested records.
 func (s *columnarStore) ScanNested(emit func(rec value.Value) error) error {
 	n := len(s.recID)
-	colIdx := colIndexByName(s.cols)
+	asm := newAssembler(s.schema, s.cols, s.vecs, s.vecs)
 	r := 0
 	for r < n {
 		id := s.recID[r]
@@ -274,16 +274,11 @@ func (s *columnarStore) ScanNested(emit func(rec value.Value) error) error {
 		for end < n && s.recID[end] == id {
 			end++
 		}
-		first := r
 		card := end - r
 		if s.skip[r] {
 			card = 0
 		}
-		rec := assembleRecord(s.schema, colIdx,
-			func(ci int) value.Value { return s.vecs[ci].Get(first) },
-			card,
-			func(ci, elem int) value.Value { return s.vecs[ci].Get(first + elem) })
-		if err := emit(rec); err != nil {
+		if err := emit(asm.record(r, r, card)); err != nil {
 			return err
 		}
 		r = end

@@ -76,38 +76,6 @@ func expandVec(src *vec, counts []int32) *vec {
 	return out
 }
 
-// gatherVec picks src at the given indexes.
-func gatherVec(src *vec, idx []int32) *vec {
-	out := &vec{Kind: src.Kind}
-	switch src.Kind {
-	case value.Int:
-		out.Ints = make([]int64, 0, len(idx))
-		for _, i := range idx {
-			out.Nulls.Append(src.Nulls.Get(int(i)))
-			out.Ints = append(out.Ints, src.Ints[i])
-		}
-	case value.Float:
-		out.Floats = make([]float64, 0, len(idx))
-		for _, i := range idx {
-			out.Nulls.Append(src.Nulls.Get(int(i)))
-			out.Floats = append(out.Floats, src.Floats[i])
-		}
-	case value.String:
-		out.Strs = make([]string, 0, len(idx))
-		for _, i := range idx {
-			out.Nulls.Append(src.Nulls.Get(int(i)))
-			out.Strs = append(out.Strs, src.Strs[i])
-		}
-	default:
-		out.Bools = make([]bool, 0, len(idx))
-		for _, i := range idx {
-			out.Nulls.Append(src.Nulls.Get(int(i)))
-			out.Bools = append(out.Bools, src.Bools[i])
-		}
-	}
-	return out
-}
-
 // convertParquetToColumnar performs the direct vector-level conversion.
 func convertParquetToColumnar(p *parquetStore) *columnarStore {
 	out := &columnarStore{schema: p.schema, cols: p.cols, nRecs: p.nRecs}
@@ -202,7 +170,7 @@ func convertColumnarToParquet(c *columnarStore) *parquetStore {
 			out.repVecs[ci] = copyVec(c.vecs[ci])
 			out.reps[ci] = append([]uint8(nil), reps...)
 		} else {
-			out.flatVecs[ci] = gatherVec(c.vecs[ci], firstRow)
+			out.flatVecs[ci] = Gather(c.vecs[ci], firstRow)
 		}
 	}
 	var sz int64

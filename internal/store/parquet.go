@@ -36,12 +36,16 @@ type parquetStore struct {
 	size     int64
 }
 
-type parquetBuilder struct {
+// ParquetBuilder builds a Parquet-layout store. Beside the Builder methods
+// it takes whole column batches (AppendBatch) when the schema is flat, which
+// is how a batch-native query result reaches the RCS1 encoder without being
+// boxed into records first.
+type ParquetBuilder struct {
 	st    *parquetStore
 	elemT *value.Type // list element type (nil for flat schemas)
 }
 
-func newParquetBuilder(schema *value.Type, cols []value.LeafColumn) *parquetBuilder {
+func newParquetBuilder(schema *value.Type, cols []value.LeafColumn) *ParquetBuilder {
 	st := &parquetStore{schema: schema, cols: cols}
 	st.flatVecs = make([]*vec, len(cols))
 	st.repVecs = make([]*vec, len(cols))
@@ -53,7 +57,7 @@ func newParquetBuilder(schema *value.Type, cols []value.LeafColumn) *parquetBuil
 			st.flatVecs[i] = newVec(c.Type)
 		}
 	}
-	b := &parquetBuilder{st: st}
+	b := &ParquetBuilder{st: st}
 	if lp := value.RepeatedField(schema); lp != nil {
 		st.listPath = lp
 		cur := schema
@@ -69,7 +73,7 @@ func newParquetBuilder(schema *value.Type, cols []value.LeafColumn) *parquetBuil
 // Add implements Builder: column striping. Each value is written exactly
 // once — no parent duplication — which is why Parquet caches are cheaper to
 // build (Fig. 6) and smaller in memory.
-func (b *parquetBuilder) Add(rec value.Value) error {
+func (b *ParquetBuilder) Add(rec value.Value) error {
 	if rec.Kind != value.Record {
 		return fmt.Errorf("store: parquet add: not a record: %s", rec.Kind)
 	}
@@ -114,16 +118,37 @@ func (b *parquetBuilder) Add(rec value.Value) error {
 	return nil
 }
 
+// AppendBatch appends the rows sel of the column vectors cols, one vector
+// per leaf column of the (flat) schema in document order. The resulting
+// store is indistinguishable from — and serializes to the same RCS1 bytes
+// as — one built by Add-ing the same rows as records. The vectors are only
+// read; sel is not retained.
+func (b *ParquetBuilder) AppendBatch(cols []*Vec, sel []int32) error {
+	st := b.st
+	if st.listPath != nil {
+		return fmt.Errorf("store: parquet append batch: schema %s has a repeated field", st.schema)
+	}
+	if len(cols) != len(st.cols) {
+		return fmt.Errorf("store: parquet append batch: %d vectors for %d columns", len(cols), len(st.cols))
+	}
+	for ci, src := range cols {
+		st.flatVecs[ci].appendSel(src, sel)
+	}
+	st.nRecs += len(sel)
+	st.nFlat += len(sel)
+	return nil
+}
+
 // Finish implements Builder.
-func (b *parquetBuilder) Finish() Store {
+func (b *ParquetBuilder) Finish() Store {
 	b.st.size = b.computeSize()
 	return b.st
 }
 
 // SizeBytes implements Builder.
-func (b *parquetBuilder) SizeBytes() int64 { return b.computeSize() }
+func (b *ParquetBuilder) SizeBytes() int64 { return b.computeSize() }
 
-func (b *parquetBuilder) computeSize() int64 {
+func (b *ParquetBuilder) computeSize() int64 {
 	var sz int64
 	for ci := range b.st.cols {
 		if v := b.st.flatVecs[ci]; v != nil {
@@ -318,17 +343,13 @@ func (s *parquetStore) ScanRecords(cols []int, emit EmitFunc) (ScanStats, error)
 
 // ScanNested implements Store.
 func (s *parquetStore) ScanNested(emit func(rec value.Value) error) error {
-	colIdx := colIndexByName(s.cols)
+	asm := newAssembler(s.schema, s.cols, s.flatVecs, s.repVecs)
 	// Level-entry cursor shared across repeated columns (they are aligned:
 	// one list per schema).
 	cursor := 0
 	for ri := 0; ri < s.nRecs; ri++ {
 		card := s.card(ri)
-		base := cursor
-		rec := assembleRecord(s.schema, colIdx,
-			func(ci int) value.Value { return s.flatVecs[ci].Get(ri) },
-			card,
-			func(ci, e int) value.Value { return s.repVecs[ci].Get(base + e) })
+		rec := asm.record(ri, cursor, card)
 		if card == 0 {
 			cursor++
 		} else {

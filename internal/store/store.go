@@ -142,6 +142,16 @@ func NewBuilder(layout Layout, schema *value.Type) (Builder, error) {
 	return nil, fmt.Errorf("store: unknown layout %v", layout)
 }
 
+// NewParquetBuilder is NewBuilder(LayoutParquet, schema) returning the
+// concrete builder, for callers that feed it column batches.
+func NewParquetBuilder(schema *value.Type) (*ParquetBuilder, error) {
+	cols, err := value.LeafColumns(schema)
+	if err != nil {
+		return nil, err
+	}
+	return newParquetBuilder(schema, cols), nil
+}
+
 // Convert rebuilds a store in another layout, returning the new store and
 // the wall-clock transformation time (the T term of the paper's cost
 // model, eq. 3). Conversions between the two nested columnar layouts take

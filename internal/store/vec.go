@@ -45,6 +45,26 @@ func (b *Bitmap) Any() bool {
 	return false
 }
 
+// anyIn reports whether any entry of the words covering [lo, hi] is null.
+// It is conservative at the two boundary words, which is what lets a batch
+// kernel test a whole selection range with a few word loads.
+func (b *Bitmap) anyIn(lo, hi int) bool {
+	for _, w := range b.words[lo>>6 : hi>>6+1] {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// appendValid adds n non-null entries, whole words at a time.
+func (b *Bitmap) appendValid(n int) {
+	b.n += n
+	for need := (b.n + 63) >> 6; len(b.words) < need; {
+		b.words = append(b.words, 0)
+	}
+}
+
 // Clone deep-copies the bitmap: appends to either side never alias, even
 // mid-word (the trailing partially-filled word is copied by value).
 func (b *Bitmap) Clone() Bitmap {

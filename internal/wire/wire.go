@@ -217,6 +217,11 @@ type ServerStats struct {
 	InFlight int64 `json:"in_flight"`
 	// Errors counts requests answered with an error response.
 	Errors int64 `json:"errors"`
+	// BatchResults counts query results the engine's plan root handed over
+	// as column batches (the fast exit of cached projections); RowResults
+	// the ones emitted row by row (aggregates, misses, empty results).
+	BatchResults int64 `json:"batch_results"`
+	RowResults   int64 `json:"row_results"`
 	// Draining reports a shutdown in progress (finishing in-flight work).
 	Draining bool `json:"draining"`
 }

@@ -33,6 +33,8 @@ package recache
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -508,10 +510,15 @@ type QueryStats struct {
 	Overhead float64
 	// Rows is the number of result rows.
 	Rows int
+	// ResultBatches counts the column batches the plan root handed over
+	// directly; 0 means the result was emitted row by row (or was empty).
+	ResultBatches int
 }
 
 // Result is a fully materialized query result. Row values are Go natives:
-// int64, float64, string, bool, or nil for SQL NULL.
+// int64, float64, string, bool, or nil for SQL NULL. Rows that came out of
+// one column batch share a backing slab: a retained row keeps up to a
+// batch of its neighbours alive.
 type Result struct {
 	Columns []string
 	Rows    [][]any
@@ -599,13 +606,22 @@ func (e *Engine) prepare(sql string) (plan.Node, exec.Deps, *cache.Txn, error) {
 
 func toQueryStats(stats *exec.QueryStats) QueryStats {
 	return QueryStats{
-		Wall:         stats.Wall,
-		CacheBuild:   time.Duration(stats.CacheBuildNanos),
-		CacheScan:    time.Duration(stats.CacheScanNanos),
-		LayoutSwitch: time.Duration(stats.LayoutSwitchNanos),
-		Overhead:     stats.Overhead(),
-		Rows:         stats.RowsOut,
+		Wall:          stats.Wall,
+		CacheBuild:    time.Duration(stats.CacheBuildNanos),
+		CacheScan:     time.Duration(stats.CacheScanNanos),
+		LayoutSwitch:  time.Duration(stats.LayoutSwitchNanos),
+		Overhead:      stats.Overhead(),
+		Rows:          stats.RowsOut,
+		ResultBatches: stats.ResultBatches,
 	}
+}
+
+func fieldNames(schema *value.Type) []string {
+	names := make([]string, len(schema.Fields))
+	for i, f := range schema.Fields {
+		names[i] = f.Name
+	}
+	return names
 }
 
 // epochRetries bounds how often one query restarts after losing a race
@@ -635,25 +651,36 @@ func (e *Engine) Query(sql string) (*Result, error) {
 	}
 }
 
+// nativeSink is Query's result sink: both shapes box straight into native
+// rows.
+type nativeSink struct{ rows [][]any }
+
+func (s *nativeSink) Row(row []value.Value) error {
+	s.rows = append(s.rows, toNative(row))
+	return nil
+}
+
+func (s *nativeSink) Batch(cols []*store.Vec, sel []int32) error {
+	s.rows = store.AppendNative(s.rows, cols, sel)
+	return nil
+}
+
 func (e *Engine) queryOnce(sql string) (*Result, error) {
 	root, deps, tx, err := e.prepare(sql)
 	if err != nil {
 		return nil, err
 	}
 	defer tx.Close()
-	res, stats, err := exec.Run(root, deps)
+	sink := nativeSink{rows: [][]any{}}
+	stats, err := exec.RunInto(root, deps, &sink)
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{
-		Columns: res.Columns,
-		Rows:    make([][]any, len(res.Rows)),
+	return &Result{
+		Columns: fieldNames(root.OutSchema()),
+		Rows:    sink.rows,
 		Stats:   toQueryStats(stats),
-	}
-	for i, row := range res.Rows {
-		out.Rows[i] = toNative(row)
-	}
-	return out, nil
+	}, nil
 }
 
 // BatchResult is a query result kept columnar: the result rows live in a
@@ -671,10 +698,10 @@ type BatchResult struct {
 }
 
 // QueryColumnar executes one SQL query like Query but materializes the
-// result as a columnar batch: rows stream from the vectorized pipeline
-// straight into a Parquet-layout store builder, never boxing into []any.
-// The serving layer uses this so a result crosses the wire as the same
-// RCS1 bytes a disk spill would hold.
+// result as a columnar batch in a Parquet-layout store: a batch-native plan
+// root appends its column vectors to the store's, every other root stripes
+// its rows in. The serving layer uses this so a result crosses the wire as
+// the same RCS1 bytes a disk spill would hold.
 func (e *Engine) QueryColumnar(sql string) (*BatchResult, error) {
 	if err := e.beginQuery(); err != nil {
 		return nil, err
@@ -689,6 +716,19 @@ func (e *Engine) QueryColumnar(sql string) (*BatchResult, error) {
 	}
 }
 
+// builderSink is QueryColumnar's result sink. Neither shape is retained:
+// the builder stripes a row's values, and gathers a batch's selected
+// entries, into its own column vectors.
+type builderSink struct{ b *store.ParquetBuilder }
+
+func (s builderSink) Row(row []value.Value) error {
+	return s.b.Add(value.Value{Kind: value.Record, L: row})
+}
+
+func (s builderSink) Batch(cols []*store.Vec, sel []int32) error {
+	return s.b.AppendBatch(cols, sel)
+}
+
 func (e *Engine) queryColumnarOnce(sql string) (*BatchResult, error) {
 	root, deps, tx, err := e.prepare(sql)
 	if err != nil {
@@ -696,24 +736,16 @@ func (e *Engine) queryColumnarOnce(sql string) (*BatchResult, error) {
 	}
 	defer tx.Close()
 	schema := root.OutSchema()
-	b, err := store.NewBuilder(store.LayoutParquet, schema)
+	b, err := store.NewParquetBuilder(schema)
 	if err != nil {
 		return nil, err
 	}
-	stats, err := exec.RunInto(root, deps, func(row []value.Value) error {
-		// The builder stripes field values into typed column vectors, so
-		// the reused row slice is not retained.
-		return b.Add(value.Value{Kind: value.Record, L: row})
-	})
+	stats, err := exec.RunInto(root, deps, builderSink{b})
 	if err != nil {
 		return nil, err
-	}
-	cols := make([]string, len(schema.Fields))
-	for i, f := range schema.Fields {
-		cols[i] = f.Name
 	}
 	return &BatchResult{
-		Columns: cols,
+		Columns: fieldNames(schema),
 		Schema:  schema,
 		Store:   b.Finish(),
 		Stats:   toQueryStats(stats),
@@ -751,25 +783,26 @@ func (e *Engine) Explain(sql string) (string, error) {
 		return "", err
 	}
 	root := e.manager.Peek(pl.root, pl.neededNames)
+	result := "result: row"
+	if exec.BatchResultInfo(root, e.manager, noVec, noVecJoins) {
+		result = "result: batch"
+	}
 	return plan.ExplainAnnotated(root, func(n plan.Node) string {
+		var notes []string
 		switch x := n.(type) {
 		case *plan.CachedScan:
-			return vecNote(x, e.manager, noVec)
+			notes = append(notes, vecNote(x, e.manager, noVec))
 		case *plan.Join:
-			return joinNote(x, e.manager, noVec, noVecJoins)
+			notes = append(notes, joinNote(x, e.manager, noVec, noVecJoins))
 		case *plan.Select:
-			return pushNote(x, noPush)
+			notes = append(notes, pushNote(x, noPush))
 		case *plan.Scan:
-			s := shareNote(coord, n)
-			if f := freshNote(x, e.freshMode); f != "" {
-				if s != "" {
-					s += "; "
-				}
-				s += f
-			}
-			return s
+			notes = append(notes, shareNote(coord, x), freshNote(x, e.freshMode))
 		}
-		return shareNote(coord, n)
+		if n == root {
+			notes = append(notes, result)
+		}
+		return strings.Join(slices.DeleteFunc(notes, func(s string) bool { return s == "" }), "; ")
 	}), nil
 }
 
@@ -841,9 +874,8 @@ func joinNote(j *plan.Join, m *cache.Manager, noVec, noVecJoins bool) string {
 
 // shareNote annotates a raw Scan node with its dataset's shared-scan state;
 // empty when the coordinator is off or has never coordinated the dataset.
-func shareNote(coord *share.Coordinator, n plan.Node) string {
-	sc, ok := n.(*plan.Scan)
-	if !ok || coord == nil {
+func shareNote(coord *share.Coordinator, sc *plan.Scan) string {
+	if coord == nil {
 		return ""
 	}
 	waiting, running, cycles, consumers := coord.Status(sc.DS.Provider)
