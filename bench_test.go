@@ -14,6 +14,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -499,7 +500,7 @@ func BenchmarkSharedColdScans(b *testing.B) {
 				// across iterations — every burst is pure cold misses.
 				lo := i * 8
 				q := fmt.Sprintf("SELECT COUNT(*) FROM lineitem WHERE l_orderkey BETWEEN %d AND %d", lo, lo+6)
-				burst, err := harness.RunBurst(eng, "lineitem", q, n)
+				burst, err := runBurst(eng, "lineitem", q, n)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -511,6 +512,34 @@ func BenchmarkSharedColdScans(b *testing.B) {
 			b.ReportMetric(float64(st.SharedConsumers-st.SharedScans)/float64(b.N), "scans-avoided/burst")
 		})
 	}
+}
+
+// runBurst fires w concurrent copies of one query (start-barrier released)
+// and returns how many raw scans of table the burst cost.
+func runBurst(eng *recache.Engine, table, query string, w int) (int64, error) {
+	before := eng.RawScans(table)
+	if before < 0 {
+		return 0, fmt.Errorf("table %q is not registered or its provider does not count raw scans", table)
+	}
+	start := make(chan struct{})
+	errs := make([]error, w)
+	var wg sync.WaitGroup
+	for g := 0; g < w; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			_, errs[g] = eng.Query(query)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
+		}
+	}
+	return eng.RawScans(table) - before, nil
 }
 
 // BenchmarkPushdownColdScan measures the cold miss path with predicate

@@ -270,16 +270,19 @@ func TestResultBoundaryDifferential(t *testing.T) {
 
 	// A record-typed output column sends the client down its ScanNested
 	// fallback. (SQL cannot project a list — a list column is always
-	// unnested — and a record column resolves only against a raw scan, so
-	// this runs on the no-cache engine.)
+	// unnested.) A record column resolves only against a raw scan, so the
+	// cached engine declines the rewrite: every repeat, through every
+	// consumer, is the raw scan's answer.
 	t.Run("record-typed output column", func(t *testing.T) {
-		rows, qs, _ := oracle.consumers(t, "SELECT k, origin FROM ev WHERE k >= 2")
 		want := [][]any{{int64(2), `{"gr",null}`}, {int64(3), `{null,"3.3"}`}}
-		if !reflect.DeepEqual(rows, want) {
-			t.Fatalf("rows = %v, want %v", rows, want)
-		}
-		if qs.ResultBatches != 0 {
-			t.Errorf("ResultBatches = %d on a raw scan, want 0", qs.ResultBatches)
+		for i := 0; i < 4; i++ {
+			rows, qs, _ := fx.consumers(t, "SELECT k, origin FROM ev WHERE k >= 2")
+			if !reflect.DeepEqual(rows, want) {
+				t.Fatalf("run %d: rows = %v, want %v", i, rows, want)
+			}
+			if qs.ResultBatches != 0 {
+				t.Errorf("run %d: ResultBatches = %d on a raw scan, want 0", i, qs.ResultBatches)
+			}
 		}
 	})
 
@@ -288,8 +291,8 @@ func TestResultBoundaryDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Server.BatchResults != 6 || st.Server.RowResults != 2 {
-		t.Errorf("server counted %d batch / %d row results, want 6 / 2",
+	if st.Server.BatchResults != 6 || st.Server.RowResults != 6 {
+		t.Errorf("server counted %d batch / %d row results, want 6 / 6",
 			st.Server.BatchResults, st.Server.RowResults)
 	}
 	st, err = rowFx.cl.Stats()

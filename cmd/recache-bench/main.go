@@ -6,20 +6,10 @@
 //
 //	recache-bench -exp fig14 [-sf 0.002] [-queries 1.0] [-dir /tmp/data] [-seed 42]
 //	recache-bench -exp all
-//	recache-bench -parallel 4 [-json results.json]
 //	recache-bench -list
 //
-// -parallel N measures aggregate queries/sec of a cache-hit-heavy workload
-// run concurrently from 1 and N goroutines against one shared engine, then
-// a cold-miss phase reporting raw-file parses per burst of N concurrent
-// identical cold queries (the work-sharing harness: one shared scan serves
-// every concurrent miss; not a paper figure).
-//
-// -json <path> additionally writes machine-readable results: per-phase
-// aggregate qps and raw-scan counts for -parallel, per-experiment wall
-// times for -exp, each with a cache-counter snapshot (hits, misses, shared
-// scans, vectorized scans). The BENCH_*.json perf trajectory accumulates
-// these files across PRs.
+// The experiments are single-threaded, as the paper's are. Throughput and
+// latency claims about this repository are made with benchmark/run.sh.
 package main
 
 import (
@@ -33,27 +23,21 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment id (table1, fig1, fig5..fig15b, parallel, all)")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		dir      = flag.String("dir", "", "dataset workspace (default: temp dir)")
-		sf       = flag.Float64("sf", 0, "TPC-H scale factor (default 0.002)")
-		queries  = flag.Float64("queries", 0, "workload length multiplier (default 1.0)")
-		seed     = flag.Int64("seed", 0, "generator seed (default 42)")
-		parallel = flag.Int("parallel", 0, "measure concurrent throughput at 1 and N goroutines")
-		jsonPath = flag.String("json", "", "write machine-readable results to this path")
+		exp     = flag.String("exp", "", "experiment id (table1, fig1, fig5..fig15b, all)")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
+		dir     = flag.String("dir", "", "dataset workspace (default: temp dir)")
+		sf      = flag.Float64("sf", 0, "TPC-H scale factor (default 0.002)")
+		queries = flag.Float64("queries", 0, "workload length multiplier (default 1.0)")
+		seed    = flag.Int64("seed", 0, "generator seed (default 42)")
 	)
 	flag.Parse()
 
 	if *list {
-		fmt.Println(strings.Join(append(harness.Experiments(), "parallel", "all"), "\n"))
+		fmt.Println(strings.Join(append(harness.Experiments(), "all"), "\n"))
 		return
 	}
-	if *exp == "" && *parallel <= 0 {
-		fmt.Fprintln(os.Stderr, "recache-bench: -exp or -parallel required (use -list for ids)")
-		os.Exit(2)
-	}
-	if *exp != "" && *parallel > 0 {
-		fmt.Fprintln(os.Stderr, "recache-bench: -exp and -parallel are mutually exclusive")
+	if *exp == "" {
+		fmt.Fprintln(os.Stderr, "recache-bench: -exp required (use -list for ids)")
 		os.Exit(2)
 	}
 	r := harness.New(harness.Options{
@@ -63,32 +47,8 @@ func main() {
 		Seed:    *seed,
 		Out:     os.Stdout,
 	})
-	if *parallel > 0 {
-		workers := []int{1, *parallel}
-		if *parallel == 1 {
-			workers = []int{1}
-		}
-		if err := r.Parallel(workers); err != nil {
-			fmt.Fprintln(os.Stderr, "recache-bench:", err)
-			os.Exit(1)
-		}
-		writeJSON(r, *jsonPath)
-		return
-	}
 	if err := r.Run(*exp); err != nil {
 		fmt.Fprintln(os.Stderr, "recache-bench:", err)
-		os.Exit(1)
-	}
-	writeJSON(r, *jsonPath)
-}
-
-// writeJSON emits the machine-readable report when -json was given.
-func writeJSON(r *harness.Runner, path string) {
-	if path == "" {
-		return
-	}
-	if err := r.WriteJSON(path); err != nil {
-		fmt.Fprintln(os.Stderr, "recache-bench: write json:", err)
 		os.Exit(1)
 	}
 }

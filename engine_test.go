@@ -223,6 +223,53 @@ func TestCacheCorrectnessUnderAllConfigs(t *testing.T) {
 	}
 }
 
+// A projection that names a whole sub-record cannot be served from a cache
+// scan's flat leaf columns: the query used to answer once and then fail on
+// its own cache entry. It must return the same rows on every repeat, and a
+// query over the same table that names only leaves must still hit.
+func TestRecordProjectionRepeats(t *testing.T) {
+	ev := `{"k":1,"origin":{"country":"ch","ip":"1.1"}}
+{"k":2,"origin":{"country":"gr"}}
+{"k":3,"origin":{"ip":"3.3"}}
+{"k":4}
+`
+	eng, err := Open(Config{Admission: "eager"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.RegisterJSON("ev", writeTemp(t, "ev.json", ev),
+		"k int, origin record(country string?, ip string?)"); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]any{
+		{int64(1), `{"ch","1.1"}`}, {int64(2), `{"gr",null}`},
+		{int64(3), `{null,"3.3"}`}, {int64(4), `{null,null}`},
+	}
+	const sql = "SELECT k, origin FROM ev WHERE k >= 1"
+	for i := 0; i < 4; i++ {
+		res, err := eng.Query(sql)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(res.Rows, want) {
+			t.Fatalf("run %d: rows = %v, want %v", i, res.Rows, want)
+		}
+	}
+	if out, err := eng.Explain(sql); err != nil || strings.Contains(out, "CachedScan") {
+		t.Errorf("EXPLAIN promises a cache scan the query cannot use (err=%v):\n%s", err, out)
+	}
+	const leaves = "SELECT k, origin.country FROM ev WHERE k >= 1"
+	for i := 0; i < 2; i++ {
+		if _, err := eng.Query(leaves); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := eng.CacheStats(); st.ExactHits != 1 {
+		t.Errorf("leaf projection over the same table: %d exact hits, want 1", st.ExactHits)
+	}
+}
+
 func TestExplainShowsCacheUsage(t *testing.T) {
 	eng := testEngine(t, Config{Admission: "eager"})
 	q := "SELECT COUNT(*) FROM t WHERE qty > 25"

@@ -165,24 +165,6 @@ func TestFreshnessTruncateIsRewrite(t *testing.T) {
 	}
 }
 
-func TestFreshnessInvalidateAblation(t *testing.T) {
-	// The full-rebuild ablation: appends invalidate instead of extending.
-	path := freshCSV(t, 1000)
-	eng := freshEngine(t, path, Config{Admission: "eager", FreshnessMode: "invalidate"})
-
-	checkOracle(t, eng, path, freshQ)
-	appendRows(t, path, 1000, 1300)
-	checkOracle(t, eng, path, freshQ)
-
-	st := eng.CacheStats()
-	if st.TailExtensions != 0 {
-		t.Fatalf("TailExtensions = %d in invalidate mode, want 0", st.TailExtensions)
-	}
-	if st.StaleInvalidations < 1 {
-		t.Fatalf("StaleInvalidations = %d, want >= 1 in invalidate mode", st.StaleInvalidations)
-	}
-}
-
 func TestFreshnessOffStaysStale(t *testing.T) {
 	// The historical contract: with freshness off, a cached answer keeps
 	// being served from the pre-append snapshot.

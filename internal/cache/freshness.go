@@ -47,12 +47,11 @@ func (m *Manager) AbandonBuild(spec *BuildSpec) {
 
 // Revalidate re-checks ds's raw file against its cached entries, dropping
 // entries the file outgrew (rewrites) and extending entries over appended
-// tails. forceInvalidate treats appends as rewrites (the full-rebuild
-// ablation). Concurrent revalidations of the same dataset are
+// tails. Concurrent revalidations of the same dataset are
 // single-flight: the loser waits for the winner and returns an unchanged
 // report. Providers that do not implement plan.RefreshableProvider are
 // never stale by definition (their files are assumed immutable).
-func (m *Manager) Revalidate(ds *plan.Dataset, forceInvalidate bool) (plan.FreshnessReport, error) {
+func (m *Manager) Revalidate(ds *plan.Dataset) (plan.FreshnessReport, error) {
 	rp, ok := ds.Provider.(plan.RefreshableProvider)
 	if !ok {
 		return plan.FreshnessReport{Status: plan.FileUnchanged}, nil
@@ -92,14 +91,13 @@ func (m *Manager) Revalidate(ds *plan.Dataset, forceInvalidate bool) (plan.Fresh
 	}
 	m.stats.tailBytesScanned.Add(rep.TailBytes)
 
-	switch {
-	case rep.Status == plan.FileUnchanged:
-		return rep, nil
-	case rep.Status == plan.FileRewritten || forceInvalidate:
+	switch rep.Status {
+	case plan.FileUnchanged:
+	case plan.FileRewritten:
 		m.invalidateDataset(ds.Name)
-		return rep, nil
+	default:
+		m.extendDataset(ds, rp, rep)
 	}
-	m.extendDataset(ds, rp, rep)
 	return rep, nil
 }
 
@@ -128,7 +126,7 @@ func (m *Manager) RevalidateBatch(dss []*plan.Dataset, skipWithin time.Duration)
 	for _, ds := range due {
 		// Best effort: a provider error already dropped the dataset's
 		// entries inside Revalidate, and the next query surfaces it.
-		_, _ = m.Revalidate(ds, false)
+		_, _ = m.Revalidate(ds)
 	}
 }
 

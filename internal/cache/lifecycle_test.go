@@ -664,7 +664,7 @@ func TestLifecycleConcurrent(t *testing.T) {
 				switch rng.Intn(8) {
 				case 0:
 					x.prov.grow(1)
-					if _, err := x.m.Revalidate(x.ds, false); err != nil {
+					if _, err := x.m.Revalidate(x.ds); err != nil {
 						t.Error(err)
 					}
 				case 1:

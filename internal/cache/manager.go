@@ -124,8 +124,8 @@ func (c Config) withDefaults() Config {
 
 // Stats aggregates manager-level counters for reporting. It is a plain
 // snapshot: Manager.Stats assembles it from the live atomic counters. The
-// json tags keep recache-bench's -json reports (the committed BENCH_*.json
-// perf trajectory) in one consistent snake_case key style.
+// json tags are the key names of the daemon's /stats blob (the wire stats
+// op, printed by `recached -stats`).
 type Stats struct {
 	Queries        int64 `json:"queries"`
 	ExactHits      int64 `json:"exact_hits"`

@@ -35,6 +35,7 @@ func fleetCSV(t *testing.T, rows int) string {
 // testFleet is an in-process shard fleet: one server.Member per shard — the
 // object `recached -fleet ... -shard-id N` runs.
 type testFleet struct {
+	dir     string // holds the sockets (s<i>.sock) and spill dirs (spill<i>)
 	m       *shard.Map
 	addrs   []string
 	engines []*recache.Engine
@@ -47,14 +48,21 @@ type testFleet struct {
 // startFleet launches n shards on unix sockets, each serving its own engine
 // with table t registered.
 func startFleet(t *testing.T, n int, csvPath string) *testFleet {
-	return startFleetWith(t, n, csvPath, false, nil)
+	return startFleetWith(t, n, csvPath, fleetOpts{})
 }
 
-// startFleetWith is startFleet for fault testing: replicated gives every
-// shard a spill dir, so eager admissions replicate to the key's next
-// rendezvous shard (`recached -fleet -spill-dir`); wrap (nil = none) wraps
-// each shard's listener.
-func startFleetWith(t *testing.T, n int, csvPath string, replicated bool, wrap func(net.Listener) net.Listener) *testFleet {
+// fleetOpts varies the fleet startFleetWith launches: replicated gives
+// every shard a spill dir, so eager admissions replicate to the key's next
+// rendezvous shard (`recached -fleet -spill-dir`); capacity bounds each
+// shard's cache (0 = unlimited); wrap (nil = none) wraps each shard's
+// listener.
+type fleetOpts struct {
+	replicated bool
+	capacity   int64
+	wrap       func(net.Listener) net.Listener
+}
+
+func startFleetWith(t *testing.T, n int, csvPath string, o fleetOpts) *testFleet {
 	t.Helper()
 	dir := t.TempDir()
 	infos := make([]shard.Info, n)
@@ -65,11 +73,11 @@ func startFleetWith(t *testing.T, n int, csvPath string, replicated bool, wrap f
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &testFleet{m: m, engines: make([]*recache.Engine, n), members: make([]*server.Member, n)}
+	f := &testFleet{dir: dir, m: m, engines: make([]*recache.Engine, n), members: make([]*server.Member, n)}
 	f.start = func(i int) {
 		t.Helper()
-		cfg := recache.Config{Admission: "eager", Layout: "columnar"}
-		if replicated {
+		cfg := recache.Config{Admission: "eager", Layout: "columnar", CacheCapacity: o.capacity}
+		if o.replicated {
 			cfg.SpillDir = filepath.Join(dir, fmt.Sprintf("spill%d", i))
 		}
 		mb, err := server.NewMember(i, m, cfg)
@@ -83,8 +91,8 @@ func startFleetWith(t *testing.T, n int, csvPath string, replicated bool, wrap f
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wrap != nil {
-			ln = wrap(ln)
+		if o.wrap != nil {
+			ln = o.wrap(ln)
 		}
 		served := make(chan error, 1)
 		go func() { served <- mb.Serve(ln) }()

@@ -28,7 +28,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // that works.
 func TestRouterAbsorbsNetworkFaults(t *testing.T) {
 	csvPath := fleetCSV(t, 300)
-	f := startFleetWith(t, 3, csvPath, true, func(ln net.Listener) net.Listener {
+	f := startFleetWith(t, 3, csvPath, fleetOpts{replicated: true, wrap: func(ln net.Listener) net.Listener {
 		return faultinject.Listener(ln, faultinject.Config{
 			Seed:      42,
 			DropProb:  0.03,
@@ -36,7 +36,7 @@ func TestRouterAbsorbsNetworkFaults(t *testing.T) {
 			DelayProb: 0.10,
 			MaxDelay:  5 * time.Millisecond,
 		})
-	})
+	}})
 	r, err := client.DialRouter(f.addrs, client.RouterOptions{
 		Options:          client.Options{RequestTimeout: 400 * time.Millisecond},
 		PingInterval:     100 * time.Millisecond,

@@ -258,7 +258,7 @@ func (f *format) Test(data []byte, start int, offs []uint32, tests []expr.ColTes
 		var ok bool
 		switch t.Kind {
 		case value.Int:
-			n, err := rawfile.ParseInt(b)
+			n, err := rawfile.ParseIntField(b)
 			if err != nil {
 				return false, f.errField(t.Slot, err)
 			}
@@ -299,7 +299,7 @@ func (f *format) parseField(fi int, b []byte) (value.Value, error) {
 	}
 	switch f.schema.Fields[fi].Type.Kind {
 	case value.Int:
-		n, err := rawfile.ParseInt(b)
+		n, err := rawfile.ParseIntField(b)
 		if err != nil {
 			return value.VNull, f.errField(fi, err)
 		}

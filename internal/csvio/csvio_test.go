@@ -289,11 +289,14 @@ func TestExtraTrailingFields(t *testing.T) {
 	}
 }
 
-// An integer literal outside int64 is a malformed field on every path — not
-// a wrapped value that would be served, cached and pushed down as valid.
+// An integer literal outside int64, or a number with a fractional value, is
+// a malformed int field on every path — not a wrapped or truncated value
+// that would be served, cached and pushed down as valid. The JSON format's
+// test of the same name holds it to the same literals.
 func TestIntOverflowIsMalformed(t *testing.T) {
 	nop := func(value.Value, int64, func() error) error { return nil }
-	for _, lit := range []string{"9223372036854775808", "-9223372036854775809", "18446744073709551617"} {
+	for _, lit := range []string{"9223372036854775808", "-9223372036854775809", "18446744073709551617",
+		"2.7", "1e-1", "1e19", "-1e300", "2.0000000000000000001"} {
 		data := "1|1.5|a\n" + lit + "|2.5|b\n"
 		for _, mapped := range []bool{false, true} {
 			p, err := New(writeFile(t, data), testSchema(), Options{})
@@ -313,15 +316,33 @@ func TestIntOverflowIsMalformed(t *testing.T) {
 			if _, err := p.ScanPushdown(pd, nil, nop); err == nil {
 				t.Errorf("ScanPushdown(mapped=%v) accepted int %s", mapped, lit)
 			}
+			// The tail scan an append extension runs, from the bad record on.
+			if err := p.ScanFrom(int64(len("1|1.5|a\n")), nil, nop); err == nil {
+				t.Errorf("ScanFrom(mapped=%v) accepted int %s", mapped, lit)
+			}
 		}
 	}
-	// The extremes themselves are fine.
-	p, err := New(writeFile(t, "9223372036854775807|1|a\n-9223372036854775808|1|b\n"), testSchema(), Options{})
+	// The extremes themselves, and integral values however written, are fine.
+	data := "9223372036854775807|1|a\n-9223372036854775808|1|b\n2.0|1|c\n2e3|1|d\n-2.5e3|1|e\n1200e-2|1|f\n"
+	want := []int64{1<<63 - 1, -1 << 63, 2, 2000, -2500, 12}
+	p, err := New(writeFile(t, data), testSchema(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _ := collect(t, p, nil)
-	if rows[0][0].I != 1<<63-1 || rows[1][0].I != -1<<63 {
-		t.Errorf("extreme ints = %v, %v", rows[0][0], rows[1][0])
+	for _, pass := range []string{"first scan", "mapped scan"} {
+		rows, _ := collect(t, p, nil)
+		for i, w := range want {
+			if rows[i][0].I != w {
+				t.Errorf("%s: row %d id = %v, want %d", pass, i, rows[i][0], w)
+			}
+		}
+	}
+	pd, _ := expr.ExtractPushdown(expr.Cmp(expr.OpEq, expr.C("id"), expr.L(2000)), p.Schema())
+	var hits []string
+	if _, err := p.ScanPushdown(pd, nil, func(rec value.Value, _ int64, complete func() error) error {
+		hits = append(hits, rec.L[2].S)
+		return complete()
+	}); err != nil || len(hits) != 1 || hits[0] != "d" {
+		t.Errorf("pushdown id = 2000 matched %v (%v), want the 2e3 row", hits, err)
 	}
 }

@@ -22,7 +22,7 @@ func FuzzScanEquivalence(f *testing.F) {
 	for _, seed := range []string{
 		testData, pushData, needle,
 		"1|10.5|alpha|extra|junk\n2|20.25|beta\n", "1|10.5|alpha", "1|1.5|a\nxx|2.5|b\n",
-		"1||\n\n", "9223372036854775808|1|a\n", "",
+		"1||\n\n", "9223372036854775808|1|a\n", "2.7|1|a\n2.0|1|b\n", "",
 	} {
 		f.Add([]byte(seed))
 	}

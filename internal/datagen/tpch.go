@@ -48,7 +48,6 @@ type TPCHPaths struct {
 // (SF1 = 6M lineitems): lineitem:orders:partsupp:part:customer =
 // 6M : 1.5M : 800K : 200K : 150K.
 const (
-	lineitemPerSF = 6_000_000
 	ordersPerSF   = 1_500_000
 	partsuppPerSF = 800_000
 	partPerSF     = 200_000

@@ -47,14 +47,10 @@ type Deps struct {
 	// missing key means all fields.
 	Needed map[string][]value.Path
 	// DisableVectorized forces every cache scan onto the row-at-a-time
-	// path (pre-vectorization behaviour; ablation and benchmarking). It
-	// implies DisableVectorizedJoins: a join cannot batch without batch
+	// path (pre-vectorization behaviour; ablation and benchmarking). Joins
+	// then take the boxed row join: a join cannot batch without batch
 	// inputs.
 	DisableVectorized bool
-	// DisableVectorizedJoins keeps joins on the boxed row path while cache
-	// scans stay vectorized (pre-vectorized-join behaviour; ablation and
-	// benchmarking).
-	DisableVectorizedJoins bool
 	// DisablePushdown keeps scan predicates above parsing: raw scans decode
 	// every needed field of every record and the filter runs afterwards
 	// (pre-pushdown behaviour; ablation and benchmarking).

@@ -332,7 +332,7 @@ type vecJoin struct {
 // mode for the kind pair, and at least one side peelable to a batch
 // source. ok is false when every execution must take the row join.
 func planVecJoin(j *plan.Join, deps Deps) (*vecJoin, bool) {
-	if deps.DisableVectorized || deps.DisableVectorizedJoins {
+	if deps.DisableVectorized {
 		return nil, false
 	}
 	lt, err := j.LeftKey.Type(j.Left.OutSchema())
@@ -747,8 +747,8 @@ func compileJoinAuto(j *plan.Join, deps Deps) (runFn, error) {
 // VectorizedJoinInfo reports whether a Join would take the fully
 // vectorized pipeline if executed now, and the expected probe batch count.
 // EXPLAIN uses it; it only reads entry payload snapshots.
-func VectorizedJoinInfo(j *plan.Join, m *cache.Manager, disableVec, disableVecJoins bool) (bool, int64) {
-	deps := Deps{Manager: m, DisableVectorized: disableVec, DisableVectorizedJoins: disableVecJoins}
+func VectorizedJoinInfo(j *plan.Join, m *cache.Manager, disableVec bool) (bool, int64) {
+	deps := Deps{Manager: m, DisableVectorized: disableVec}
 	vj, ok := planVecJoin(j, deps)
 	if !ok {
 		return false, 0

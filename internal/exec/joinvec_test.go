@@ -159,8 +159,8 @@ func joinParityPlans(t *testing.T, jl, jr *plan.Dataset) map[string]func() plan.
 
 // TestVectorizedJoinMatchesRowPath is the exec-level differential parity
 // suite: every corpus plan must produce identical results through the
-// batch-native join, the row join over vectorized scans, and the fully
-// row-at-a-time pipeline — across cache layouts, on the miss and on hits.
+// batch-native join and the fully row-at-a-time pipeline — across cache
+// layouts, on the miss and on hits.
 func TestVectorizedJoinMatchesRowPath(t *testing.T) {
 	layouts := []cache.LayoutMode{
 		cache.LayoutAuto, cache.LayoutFixedColumnar, cache.LayoutFixedParquet, cache.LayoutFixedRow,
@@ -173,7 +173,6 @@ func TestVectorizedJoinMatchesRowPath(t *testing.T) {
 			"jr": {"rk", "rf", "rs", "rv"},
 		}
 		mVec := mgr(cache.Config{Admission: cache.AlwaysEager, Layout: layout})
-		mJoinOff := mgr(cache.Config{Admission: cache.AlwaysEager, Layout: layout})
 		mRow := mgr(cache.Config{Admission: cache.AlwaysEager, Layout: layout})
 		for name, mk := range plans {
 			// No-cache baseline, fresh per plan.
@@ -183,12 +182,6 @@ func TestVectorizedJoinMatchesRowPath(t *testing.T) {
 				rv, _, err := Run(mVec.Rewrite(mk(), needed), Deps{Manager: mVec})
 				if err != nil {
 					t.Fatalf("layout %v %s pass %d (vec): %v", layout, name, pass, err)
-				}
-				mJoinOff.BeginQuery()
-				rj, _, err := Run(mJoinOff.Rewrite(mk(), needed),
-					Deps{Manager: mJoinOff, DisableVectorizedJoins: true})
-				if err != nil {
-					t.Fatalf("layout %v %s pass %d (join off): %v", layout, name, pass, err)
 				}
 				mRow.BeginQuery()
 				rr, _, err := Run(mRow.Rewrite(mk(), needed),
@@ -200,10 +193,6 @@ func TestVectorizedJoinMatchesRowPath(t *testing.T) {
 					t.Errorf("layout %v %s pass %d: vectorized %v != baseline %v",
 						layout, name, pass, rv.Rows, base.Rows)
 				}
-				if !reflect.DeepEqual(rj.Rows, base.Rows) {
-					t.Errorf("layout %v %s pass %d: join-off %v != baseline %v",
-						layout, name, pass, rj.Rows, base.Rows)
-				}
 				if !reflect.DeepEqual(rr.Rows, base.Rows) {
 					t.Errorf("layout %v %s pass %d: row %v != baseline %v",
 						layout, name, pass, rr.Rows, base.Rows)
@@ -212,9 +201,6 @@ func TestVectorizedJoinMatchesRowPath(t *testing.T) {
 		}
 		if layout == cache.LayoutFixedColumnar && mVec.Stats().VectorizedJoins == 0 {
 			t.Error("columnar layout ran zero vectorized joins")
-		}
-		if got := mJoinOff.Stats().VectorizedJoins; got != 0 {
-			t.Errorf("DisableVectorizedJoins manager ran %d vectorized joins", got)
 		}
 		if got := mRow.Stats().VectorizedJoins; got != 0 {
 			t.Errorf("DisableVectorized manager ran %d vectorized joins", got)

@@ -520,8 +520,8 @@ func rootSource(root plan.Node, deps Deps) (vecSource, []int) {
 // BatchResultInfo reports whether the plan root would hand its result to
 // the sink as column batches if executed now. EXPLAIN uses it; it only
 // reads entry payload snapshots.
-func BatchResultInfo(root plan.Node, m *cache.Manager, disableVec, disableVecJoins bool) bool {
-	deps := Deps{Manager: m, DisableVectorized: disableVec, DisableVectorizedJoins: disableVecJoins}
+func BatchResultInfo(root plan.Node, m *cache.Manager, disableVec bool) bool {
+	deps := Deps{Manager: m, DisableVectorized: disableVec}
 	src, _ := rootSource(root, deps)
 	if src == nil {
 		return false

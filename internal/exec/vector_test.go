@@ -286,7 +286,7 @@ func TestRootBatchExit(t *testing.T) {
 			t.Errorf("%s miss: ResultBatches = %d, want 0 (raw scan)", c.plan, st.ResultBatches)
 		}
 		m.BeginQuery()
-		if got := BatchResultInfo(m.Rewrite(plans[c.plan](), needed), m, false, false); got != c.batch {
+		if got := BatchResultInfo(m.Rewrite(plans[c.plan](), needed), m, false); got != c.batch {
 			t.Errorf("%s: BatchResultInfo = %v, want %v", c.plan, got, c.batch)
 		}
 		hit, st := run(Deps{Manager: m})

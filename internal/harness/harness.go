@@ -1,12 +1,15 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation section (§6). Each experiment function prints the same series
-// or rows the paper plots, at a configurable scale, and EXPERIMENTS.md
-// records how the measured shapes compare with the published ones.
+// or rows the paper plots, at a configurable scale, followed by a summary
+// line comparing the measured shape with the published claim.
 //
 // The harness exercises the system end to end: it generates datasets with
 // internal/datagen, produces SQL workloads with internal/workload, and runs
 // them through the public engine, varying exactly the knob each figure
 // studies (layout strategy, admission policy, eviction policy, cache size).
+// The paper evaluates ReCache single-threaded and so does every experiment
+// here; throughput, latency and serving-stack claims are measured by
+// benchmark/ (see BENCHMARK.json), not by this package.
 package harness
 
 import (
@@ -62,8 +65,6 @@ type Runner struct {
 	tpch     *datagen.TPCHPaths
 	symantec *datagen.SymantecPaths
 	yelp     *datagen.YelpPaths
-	// report accumulates machine-readable results; WriteJSON emits it.
-	report Report
 }
 
 // New creates a runner.
@@ -79,9 +80,8 @@ func Experiments() []string {
 		"fig14", "fig15a", "fig15b"}
 }
 
-// Run dispatches one experiment by id ("all" runs every one). Each
-// experiment's wall time lands in the JSON report.
-func (r *Runner) Run(exp string) (errOut error) {
+// Run dispatches one experiment by id ("all" runs every one).
+func (r *Runner) Run(exp string) error {
 	if exp == "all" {
 		for _, e := range Experiments() {
 			if err := r.Run(e); err != nil {
@@ -90,12 +90,6 @@ func (r *Runner) Run(exp string) (errOut error) {
 		}
 		return nil
 	}
-	start := time.Now()
-	defer func(err *error) {
-		if *err == nil && exp != "parallel" { // parallel reports its own phases
-			r.addPhase(Phase{Name: exp, WallSeconds: time.Since(start).Seconds()})
-		}
-	}(&errOut)
 	switch exp {
 	case "table1":
 		return r.Table1()
@@ -135,12 +129,8 @@ func (r *Runner) Run(exp string) (errOut error) {
 		return r.Fig15a()
 	case "fig15b":
 		return r.Fig15b()
-	case "parallel":
-		// Not a paper figure: the concurrent-throughput harness for the
-		// shared-cache engine (see parallel.go). Excluded from "all".
-		return r.Parallel(nil)
 	}
-	return fmt.Errorf("harness: unknown experiment %q (valid: %v, parallel, all)", exp, Experiments())
+	return fmt.Errorf("harness: unknown experiment %q (valid: %v, all)", exp, Experiments())
 }
 
 // nq scales a workload length.

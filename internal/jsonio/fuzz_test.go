@@ -34,7 +34,7 @@ func FuzzScanEquivalence(f *testing.F) {
 		`{"k":1,"k":2,"origin":null,"items":null}` + " \n\n" + `{"tag":"rare-needle","k":7}`,
 		// Accepted by neither walk, or by both with the same value ends.
 		`{"k":1,"origin":{"u":[}],"country":"x"}}` + "\n", `{"k":1,"origin":{"u":t}}},"country":"x"}}` + "\n", `{"k":1,"u":t`,
-		`{"k":9223372036854775808}` + "\n", `{"k":1e3}{"k":-2.5}`, `{"k":}` + "\n", `[1]`, "",
+		`{"k":9223372036854775808}` + "\n", `{"k":1e3}{"k":-2.5}`, `{"k": 2.7}` + "\n" + `{"k":2.0}`, `{"k":}` + "\n", `[1]`, "",
 	} {
 		f.Add([]byte(seed))
 	}

@@ -364,27 +364,19 @@ func parseValue(data []byte, i int, t *value.Type) (value.Value, int, error) {
 	return value.VNull, i, fmt.Errorf("unsupported type %s", t)
 }
 
-// parseInt decodes the JSON number at i as an int64: an integer literal
-// exactly, a float literal truncated. A number outside the int64 range is
-// malformed, not wrapped.
+// parseInt decodes the JSON number at i as an int64 under the rule both
+// formats share (rawfile.ParseIntField): an integral value reads exactly, a
+// fractional or out-of-range one is malformed.
 func parseInt(data []byte, i int) (int64, int, error) {
 	ni := scanNumber(data, i)
 	if ni == i {
 		return 0, i, fmt.Errorf("bad number at %d", i)
 	}
-	lit := data[i:ni]
-	n, err := rawfile.ParseInt(lit)
-	if err == nil {
-		return n, ni, nil
+	n, err := rawfile.ParseIntField(data[i:ni])
+	if err != nil {
+		return 0, i, fmt.Errorf("bad int at %d: %w", i, err)
 	}
-	// Only a float literal gets a second reading; an integer literal that
-	// did not fit must not come back rounded into range.
-	if bytes.ContainsAny(lit, ".eE") {
-		if x, ferr := strconv.ParseFloat(string(lit), 64); ferr == nil && x >= -1<<63 && x < 1<<63 {
-			return int64(x), ni, nil
-		}
-	}
-	return 0, i, fmt.Errorf("bad int at %d: %w", i, err)
+	return n, ni, nil
 }
 
 func parseFloat(data []byte, i int) (float64, int, error) {

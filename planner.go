@@ -15,6 +15,11 @@ type planned struct {
 	root        plan.Node
 	neededPaths map[string][]value.Path // per dataset: raw-scan projections
 	neededNames map[string][]string     // per dataset: dotted leaf names
+	// recordRef is set when the query names a whole sub-record (SELECT k,
+	// origin with origin record(...)). Cache scans expose flat leaf columns
+	// ("origin.country"), under which such a reference does not resolve, so
+	// the plan skips the cache rewrite and runs on the raw scan.
+	recordRef bool
 }
 
 // buildPlan turns a parsed query into a logical plan:
@@ -45,15 +50,17 @@ func (e *Engine) buildPlan(q *sqlparse.Query) (*planned, error) {
 
 	// resolve attributes a dotted column to exactly one table and reports
 	// whether it crosses a repeated field.
+	recordRef := false
 	resolve := func(col string) (*tbl, bool, error) {
 		var owner *tbl
 		var repeated bool
 		for _, t := range tables {
-			if _, rep, err := value.ParsePath(col).Resolve(t.ds.Schema()); err == nil {
+			if typ, rep, err := value.ParsePath(col).Resolve(t.ds.Schema()); err == nil {
 				if owner != nil {
 					return nil, false, fmt.Errorf("recache: ambiguous column %q", col)
 				}
 				owner, repeated = t, rep
+				recordRef = recordRef || typ.Kind == value.Record
 			}
 		}
 		if owner == nil {
@@ -297,7 +304,7 @@ func (e *Engine) buildPlan(q *sqlparse.Query) (*planned, error) {
 		neededPaths[t.ds.Name] = paths
 		neededNames[t.ds.Name] = leafNames(t.ds.Schema(), names)
 	}
-	return &planned{root: root, neededPaths: neededPaths, neededNames: neededNames}, nil
+	return &planned{root: root, neededPaths: neededPaths, neededNames: neededNames, recordRef: recordRef}, nil
 }
 
 func aggFunc(name string) plan.AggFunc {

@@ -102,14 +102,9 @@ type Config struct {
 	DisableSharedScans bool
 	// DisableVectorized turns off vectorized batch execution for cache
 	// hits: every cache scan decodes boxed rows one at a time
-	// (pre-vectorization behaviour; ablation and benchmarking). It implies
-	// DisableVectorizedJoins.
+	// (pre-vectorization behaviour; ablation and benchmarking). Joins then
+	// run the boxed row join: a join cannot batch without batch inputs.
 	DisableVectorized bool
-	// DisableVectorizedJoins turns off the batch-native hash join while
-	// cache scans stay vectorized: joins consume hits through the
-	// batch→row boundary and run the boxed row join (pre-vectorized-join
-	// behaviour; ablation and benchmarking).
-	DisableVectorizedJoins bool
 	// DisablePushdown turns off predicate pushdown into raw scans: every
 	// cache-miss scan decodes all needed fields of every record and filters
 	// afterwards (pre-pushdown behaviour; ablation and benchmarking).
@@ -132,9 +127,6 @@ type Config struct {
 	//   - "watch": a background sweep revalidates every registered dataset
 	//     every ~250ms, amortizing the stat cost off the query path
 	//     (queries between sweeps may see the previous file state).
-	//   - "invalidate": like "check", but appends also invalidate instead
-	//     of extending — the full-rebuild ablation extension is measured
-	//     against.
 	FreshnessMode string
 }
 
@@ -205,19 +197,14 @@ type Engine struct {
 	share *share.Coordinator
 	// noVec disables vectorized cache scans (Config.DisableVectorized).
 	noVec bool
-	// noVecJoins disables the batch-native hash join
-	// (Config.DisableVectorizedJoins).
-	noVecJoins bool
 	// noPush disables predicate pushdown into raw scans
 	// (Config.DisablePushdown).
 	noPush bool
 	// freshMode is the normalized Config.FreshnessMode ("off",
-	// "check-on-access", "watch", "invalidate"); freshCheck revalidates a
-	// query's datasets in prepare, freshInvalidate treats appends as
-	// rewrites (the full-rebuild ablation).
-	freshMode       string
-	freshCheck      bool
-	freshInvalidate bool
+	// "check-on-access", "watch"); freshCheck revalidates a query's
+	// datasets in prepare.
+	freshMode  string
+	freshCheck bool
 	// watchStop ends the watch-mode background sweep (nil unless
 	// FreshnessMode == "watch"); watchDone waits for its exit in Close.
 	watchStop chan struct{}
@@ -238,11 +225,10 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		datasets:   make(map[string]*plan.Dataset),
-		manager:    cache.NewManager(cc),
-		noVec:      cfg.DisableVectorized,
-		noVecJoins: cfg.DisableVectorizedJoins,
-		noPush:     cfg.DisablePushdown,
+		datasets: make(map[string]*plan.Dataset),
+		manager:  cache.NewManager(cc),
+		noVec:    cfg.DisableVectorized,
+		noPush:   cfg.DisablePushdown,
 	}
 	switch cfg.FreshnessMode {
 	case "", "off":
@@ -250,10 +236,6 @@ func Open(cfg Config) (*Engine, error) {
 	case "check", "check-on-access":
 		e.freshMode = "check-on-access"
 		e.freshCheck = true
-	case "invalidate":
-		e.freshMode = "invalidate"
-		e.freshCheck = true
-		e.freshInvalidate = true
 	case "watch":
 		e.freshMode = "watch"
 		e.watchStop = make(chan struct{})
@@ -587,19 +569,21 @@ func (e *Engine) prepare(sql string) (plan.Node, exec.Deps, *cache.Txn, error) {
 		plan.Walk(pl.root, func(n plan.Node) {
 			if sc, ok := n.(*plan.Scan); ok && !seen[sc.DS] {
 				seen[sc.DS] = true
-				e.manager.Revalidate(sc.DS, e.freshInvalidate)
+				e.manager.Revalidate(sc.DS)
 			}
 		})
 	}
 	tx := e.manager.Begin()
-	root := tx.Rewrite(pl.root, pl.neededNames)
+	root := pl.root
+	if !pl.recordRef {
+		root = tx.Rewrite(root, pl.neededNames)
+	}
 	deps := exec.Deps{
-		Manager:                e.manager,
-		Share:                  coord,
-		Needed:                 pl.neededPaths,
-		DisableVectorized:      e.noVec,
-		DisableVectorizedJoins: e.noVecJoins,
-		DisablePushdown:        e.noPush,
+		Manager:           e.manager,
+		Share:             coord,
+		Needed:            pl.neededPaths,
+		DisableVectorized: e.noVec,
+		DisablePushdown:   e.noPush,
 	}
 	return root, deps, tx, nil
 }
@@ -776,15 +760,17 @@ func (e *Engine) Explain(sql string) (string, error) {
 	pl, err := e.buildPlan(q)
 	coord := e.share
 	noVec := e.noVec
-	noVecJoins := e.noVecJoins
 	noPush := e.noPush
 	e.mu.RUnlock()
 	if err != nil {
 		return "", err
 	}
-	root := e.manager.Peek(pl.root, pl.neededNames)
+	root := pl.root
+	if !pl.recordRef {
+		root = e.manager.Peek(root, pl.neededNames)
+	}
 	result := "result: row"
-	if exec.BatchResultInfo(root, e.manager, noVec, noVecJoins) {
+	if exec.BatchResultInfo(root, e.manager, noVec) {
 		result = "result: batch"
 	}
 	return plan.ExplainAnnotated(root, func(n plan.Node) string {
@@ -793,7 +779,7 @@ func (e *Engine) Explain(sql string) (string, error) {
 		case *plan.CachedScan:
 			notes = append(notes, vecNote(x, e.manager, noVec))
 		case *plan.Join:
-			notes = append(notes, joinNote(x, e.manager, noVec, noVecJoins))
+			notes = append(notes, joinNote(x, e.manager, noVec))
 		case *plan.Select:
 			notes = append(notes, pushNote(x, noPush))
 		case *plan.Scan:
@@ -864,8 +850,8 @@ func vecNote(cs *plan.CachedScan, m *cache.Manager, noVec bool) string {
 // the batch-native hash join ("join: vectorized" plus the expected probe
 // batch count) when both inputs serve batches, "join: row" otherwise
 // (disabled, raw-scan inputs, lazy entries, row layouts, expression keys).
-func joinNote(j *plan.Join, m *cache.Manager, noVec, noVecJoins bool) string {
-	ok, batches := exec.VectorizedJoinInfo(j, m, noVec, noVecJoins)
+func joinNote(j *plan.Join, m *cache.Manager, noVec bool) string {
+	ok, batches := exec.VectorizedJoinInfo(j, m, noVec)
 	if !ok {
 		return "join: row"
 	}
