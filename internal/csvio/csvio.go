@@ -16,6 +16,7 @@ import (
 	"recache/internal/expr"
 	"recache/internal/plan"
 	"recache/internal/rawfile"
+	"recache/internal/store"
 	"recache/internal/value"
 )
 
@@ -144,6 +145,49 @@ func (f *format) Decode(data []byte, start int, offs []uint32, mask []bool, rest
 	return nil
 }
 
+// AppendColumns implements rawfile.Format: parseField's reading of every
+// field, appended to the field's vector instead of boxed.
+func (f *format) AppendColumns(data []byte, start int, offs []uint32, dst []*store.Vec) error {
+	last := len(offs) - 1
+	for fi, v := range dst {
+		beg := start + int(offs[fi])
+		var b []byte
+		if fi < last {
+			b = data[beg : start+int(offs[fi+1])-1]
+		} else {
+			b = data[beg:f.fieldEnd(data, beg)]
+		}
+		if len(b) == 0 {
+			v.AppendVal(value.VNull)
+			continue
+		}
+		switch v.Kind {
+		case value.Int:
+			n, err := rawfile.ParseIntField(b)
+			if err != nil {
+				return f.errField(fi, err)
+			}
+			v.Ints = append(v.Ints, n)
+		case value.Float:
+			x, err := strconv.ParseFloat(string(b), 64)
+			if err != nil {
+				return f.errField(fi, err)
+			}
+			v.Floats = append(v.Floats, x)
+		case value.Bool:
+			t, err := parseBool(b)
+			if err != nil {
+				return f.errField(fi, err)
+			}
+			v.Bools = append(v.Bools, t)
+		default:
+			v.Strs = append(v.Strs, string(b))
+		}
+		v.Nulls.Append(false)
+	}
+	return nil
+}
+
 // Needles implements rawfile.Format: a field equal to lit holds its bytes.
 func (f *format) Needles(lit []byte) [][]byte { return [][]byte{lit} }
 
@@ -153,6 +197,7 @@ func (f *format) FirstScan(data []byte, mask []bool, fn plan.ScanFunc) (recStart
 	n := f.nfields
 	row := make([]value.Value, n)
 	rec := value.Value{Kind: value.Record, L: row}
+	complete := rawfile.NewCompletion(f, data, mask, row)
 	for i := f.RecordStart(data, 0); i < len(data); {
 		start := i
 		recStart = append(recStart, int64(start))
@@ -184,11 +229,7 @@ func (f *format) FirstScan(data []byte, mask []bool, fn plan.ScanFunc) (recStart
 			}
 			row[fi] = v
 		}
-		complete := rawfile.NoComplete
-		if mask != nil {
-			complete = func() error { return f.Decode(data, start, offs, mask, true, row) }
-		}
-		if err := fn(rec, int64(start), complete); err != nil {
+		if err := fn(rec, int64(start), complete.At(start, offs)); err != nil {
 			return nil, nil, err
 		}
 		i = end + 1
@@ -204,6 +245,7 @@ func (f *format) FirstScanPushdown(data []byte, tests []expr.ColTest, mask []boo
 	n := f.nfields
 	row := make([]value.Value, n)
 	rec := value.Value{Kind: value.Record, L: row}
+	complete := rawfile.NewCompletion(f, data, mask, row)
 	for i := f.RecordStart(data, 0); i < len(data); {
 		start := i
 		recStart = append(recStart, int64(start))
@@ -232,11 +274,7 @@ func (f *format) FirstScanPushdown(data []byte, tests []expr.ColTest, mask []boo
 		if err := f.Decode(data, start, offs, mask, false, row); err != nil {
 			return nil, nil, skipped, err
 		}
-		complete := rawfile.NoComplete
-		if mask != nil {
-			complete = func() error { return f.Decode(data, start, offs, mask, true, row) }
-		}
-		if err := fn(rec, int64(start), complete); err != nil {
+		if err := fn(rec, int64(start), complete.At(start, offs)); err != nil {
 			return nil, nil, skipped, err
 		}
 	}
@@ -311,16 +349,24 @@ func (f *format) parseField(fi int, b []byte) (value.Value, error) {
 		}
 		return value.VFloat(x), nil
 	case value.Bool:
-		switch string(b) {
-		case "true", "1", "t":
-			return value.VBool(true), nil
-		case "false", "0", "f":
-			return value.VBool(false), nil
+		t, err := parseBool(b)
+		if err != nil {
+			return value.VNull, f.errField(fi, err)
 		}
-		return value.VNull, f.errField(fi, fmt.Errorf("bad bool %q", b))
+		return value.VBool(t), nil
 	default:
 		return value.VString(string(b)), nil
 	}
+}
+
+func parseBool(b []byte) (bool, error) {
+	switch string(b) {
+	case "true", "1", "t":
+		return true, nil
+	case "false", "0", "f":
+		return false, nil
+	}
+	return false, fmt.Errorf("bad bool %q", b)
 }
 
 // InferSchema derives a flat record schema from the file: names from the

@@ -1,12 +1,14 @@
 package csvio
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"recache/internal/expr"
+	"recache/internal/rawfile/rawfiletest"
 	"recache/internal/value"
 )
 
@@ -344,5 +346,21 @@ func TestIntOverflowIsMalformed(t *testing.T) {
 		return complete()
 	}); err != nil || len(hits) != 1 || hits[0] != "d" {
 		t.Errorf("pushdown id = 2000 matched %v (%v), want the 2e3 row", hits, err)
+	}
+}
+
+// TestMappedScanAllocs: a masked mapped scan hands every record the same
+// completion callback; it used to allocate one closure per record.
+func TestMappedScanAllocs(t *testing.T) {
+	var data []byte
+	for i := 0; i < 20000; i++ {
+		data = fmt.Appendf(data, "%d|%d.5|name-%d\n", i, i%97, i)
+	}
+	p, err := New(writeFile(t, string(data)), testSchema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rawfiletest.MappedScanAllocs(t, p, []value.Path{value.ParsePath("id")}); n > 8 {
+		t.Errorf("masked mapped scan of 20000 records: %.0f allocations, want O(1)", n)
 	}
 }

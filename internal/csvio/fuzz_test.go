@@ -12,8 +12,8 @@ import (
 )
 
 // FuzzScanEquivalence feeds arbitrary bytes to the CSV tokenizer: no access
-// path may panic, and on a file the first scan accepts they must all agree
-// (see rawfiletest.Equivalence).
+// path may panic, and on a file the first scan accepts they must all agree,
+// the typed kernel (AppendColumns) included (see rawfiletest.Equivalence).
 func FuzzScanEquivalence(f *testing.F) {
 	// The first hundred needle records hold one rare match; the whole
 	// fixture would only slow the fuzzer's input minimization down.
@@ -23,6 +23,9 @@ func FuzzScanEquivalence(f *testing.F) {
 		testData, pushData, needle,
 		"1|10.5|alpha|extra|junk\n2|20.25|beta\n", "1|10.5|alpha", "1|1.5|a\nxx|2.5|b\n",
 		"1||\n\n", "9223372036854775808|1|a\n", "2.7|1|a\n2.0|1|b\n", "",
+		// The typed kernel's verdicts, record by record: good, bad float,
+		// empty fields, integral float in an int, extra trailing fields.
+		"1|1.5|a\n2|x|b\n3||\n4.0|1e2|d|e|f\n5|.|\n",
 	} {
 		f.Add([]byte(seed))
 	}

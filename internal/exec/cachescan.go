@@ -158,18 +158,20 @@ func lazyReplay(ctx *qctx, cs *plan.CachedScan, entry *cache.Entry, offsets []in
 		needed[i] = cols[j].Path
 	}
 
-	var builder store.Builder
+	// An upgrade rebuilds the entry as an eager store (see eagerBuild). The
+	// replay still decodes only the query's fields: a typed build decodes
+	// the entry's records itself, in one call after the replay, and a record
+	// build completes each record as it passes. Either failing — on a field
+	// the query never named, say — costs the upgrade, not the query.
+	var b *eagerBuild
 	if upgrade {
 		layout := store.LayoutColumnar
 		if deps.Manager != nil {
 			layout = deps.Manager.ChooseLayout(entry.Dataset)
 		}
-		b, err := store.NewBuilder(layout, schema)
-		if err != nil {
+		if b, err = newEagerBuild(entry.Dataset, layout, entry.FileEpoch); err != nil {
 			return err
 		}
-		builder = b
-		needed = nil // the eager rebuild stores complete tuples
 	}
 	buildTimer := stats.NewSampledTimer(stats.SampleShift, nil)
 	down := stats.NewSampledTimer(stats.SampleShift, nil)
@@ -198,14 +200,12 @@ func lazyReplay(ctx *qctx, cs *plan.CachedScan, entry *cache.Entry, offsets []in
 	wall0 := time.Now()
 	err = scan(offsets, needed,
 		func(rec value.Value, off int64, complete func() error) error {
-			if builder != nil {
-				if sampled := buildTimer.Begin(); sampled {
-					if err := builder.Add(rec); err != nil {
-						return err
-					}
+			if b != nil && !b.typed() {
+				sampled := buildTimer.Begin()
+				if err := b.addRecord(rec.L, complete); err != nil {
+					b = nil
+				} else if sampled {
 					buildTimer.End()
-				} else if err := builder.Add(rec); err != nil {
-					return err
 				}
 			}
 			if cs.Flat {
@@ -236,15 +236,30 @@ func lazyReplay(ctx *qctx, cs *plan.CachedScan, entry *cache.Entry, offsets []in
 	// The replay's own cost excludes downstream operator time and the eager
 	// rebuild (charged to CacheBuildNanos below), so the s recorded against
 	// this entry is the replay, not the query above it.
-	scanNanos := time.Since(wall0).Nanoseconds() -
-		down.EstimatedTotal().Nanoseconds() - buildTimer.EstimatedTotal().Nanoseconds()
+	build := buildTimer.EstimatedTotal().Nanoseconds()
+	scanNanos := time.Since(wall0).Nanoseconds() - down.EstimatedTotal().Nanoseconds() - build
 	if scanNanos < 0 {
 		scanNanos = 0
 	}
 	ctx.stats.CacheScanNanos += scanNanos
-	if builder == nil {
-		// No upgrade in flight: still attribute the replay cost to the
-		// entry (before this, a lazy entry reused without an upgrade — the
+
+	var st store.Store // stays nil when the build fails
+	if b != nil {
+		t0 := time.Now()
+		var berr error
+		if b.typed() {
+			berr = b.appendOffsets(offsets)
+		}
+		if berr == nil {
+			st, _ = b.finish()
+		}
+		build += time.Since(t0).Nanoseconds()
+	}
+	ctx.stats.CacheBuildNanos += build
+	if st == nil {
+		// No upgrade, or one that failed (the deferred CancelUpgrade leaves
+		// the entry lazy): still attribute the replay cost to the entry
+		// (before this, a lazy entry reused without an upgrade — the
 		// always-lazy baseline, or a replay racing another query's upgrade
 		// — never updated its per-entry scan time).
 		if deps.Manager != nil {
@@ -252,11 +267,6 @@ func lazyReplay(ctx *qctx, cs *plan.CachedScan, entry *cache.Entry, offsets []in
 		}
 		return nil
 	}
-	build := buildTimer.EstimatedTotal().Nanoseconds()
-	fin := time.Now()
-	st := builder.Finish()
-	build += time.Since(fin).Nanoseconds()
-	ctx.stats.CacheBuildNanos += build
 	deps.Manager.UpgradeLazy(entry, st, build, scanNanos)
 	upgraded = true
 	return nil

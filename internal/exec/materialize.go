@@ -17,7 +17,75 @@ const (
 	admitSampling admitState = iota
 	admitEager
 	admitLazy
+	// admitAbandoned: the build failed on its own side of the pipeline; the
+	// query keeps streaming its rows and nothing is admitted.
+	admitAbandoned
 )
+
+// buildChunk is how many admitted records a typed build lets accumulate
+// before decoding them into its column vectors: few enough that their bytes
+// are still in cache from the scan, enough to amortize the call.
+const buildChunk = store.BatchRows
+
+// eagerBuild turns the records a materializer (or a lazy entry's upgrade)
+// admits into the store of an eager cache entry, by one of two routes chosen
+// from the shape of the data, never by configuration:
+//
+//   - typed: a flat schema headed for the columnar layout, over a provider
+//     with a typed kernel (plan.ColumnAppender). The build takes record
+//     offsets and the provider decodes those records straight from their
+//     bytes into the entry's column vectors.
+//   - record: nested schemas (flattening needs the record), the row layout,
+//     providers without a kernel. Each record is completed in place and
+//     boxed through a store.Builder.
+type eagerBuild struct {
+	schema *value.Type
+
+	app   plan.ColumnAppender
+	epoch uint64
+	vecs  []*store.Vec
+
+	builder store.Builder
+}
+
+// newEagerBuild starts a build over ds in layout. epoch is the file epoch
+// the admitted offsets belong to; 0 (a provider that tracks none) cannot pin
+// a typed replay and takes the record route.
+func newEagerBuild(ds *plan.Dataset, layout store.Layout, epoch uint64) (*eagerBuild, error) {
+	b := &eagerBuild{schema: ds.Schema(), epoch: epoch}
+	if app, ok := ds.Provider.(plan.ColumnAppender); ok && epoch != 0 && layout == store.LayoutColumnar {
+		if b.vecs = store.NewColumns(b.schema); b.vecs != nil {
+			b.app = app
+			return b, nil
+		}
+	}
+	var err error
+	b.builder, err = store.NewBuilder(layout, b.schema)
+	return b, err
+}
+
+func (b *eagerBuild) typed() bool { return b.app != nil }
+
+// appendOffsets is the typed route: the records at offsets join the build.
+func (b *eagerBuild) appendOffsets(offsets []int64) error {
+	return b.app.AppendColumns(b.epoch, offsets, b.vecs)
+}
+
+// addRecord is the record route: row is the current record of a scan that
+// decoded only the query's fields, complete parses the rest in place.
+func (b *eagerBuild) addRecord(row []value.Value, complete func() error) error {
+	if err := complete(); err != nil {
+		return err
+	}
+	return b.builder.Add(value.Value{Kind: value.Record, L: row})
+}
+
+func (b *eagerBuild) finish() (store.Store, error) {
+	if b.typed() {
+		return store.FromColumns(b.schema, b.vecs)
+	}
+	return b.builder.Finish(), nil
+}
 
 // compileMaterialize builds the cache-admission operator of §5.2: it sits
 // above a select, forwards every satisfying row downstream, and —
@@ -25,19 +93,22 @@ const (
 // offsets-only cache, or starts in a sampling state that measures the
 // caching overhead on the first records and extrapolates it with the
 // two-timestamp scheme before committing to eager or lazy.
+//
+// The scan below parses only the query's needed fields; everything an eager
+// entry stores beyond them is decoded by the build (see eagerBuild) and
+// charged to caching time. A failure of that decode — a malformed field the
+// query never named, a file rewritten under a typed replay — abandons the
+// build and leaves the query's answer alone: a cache must not fail a query
+// the no-cache engine answers.
 func compileMaterialize(m *plan.Materialize, deps Deps) (runFn, error) {
 	spec, ok := m.Spec.(*cache.BuildSpec)
 	if !ok || spec == nil {
 		return compile(m.Child, deps)
 	}
-	// Eager caching stores complete tuples, so the raw scan below must give
-	// us a completion callback; the scan itself still parses only the
-	// query's needed fields and complete() is charged to caching time.
 	child, err := compile(m.Child, deps)
 	if err != nil {
 		return nil, err
 	}
-	schema := spec.Dataset.Schema()
 	prov := spec.Dataset.Provider
 
 	return func(ctx *qctx, out emitFn) error {
@@ -62,25 +133,36 @@ func compileMaterialize(m *plan.Materialize, deps Deps) (runFn, error) {
 			epoch0, covered0 = rp.Version()
 		}
 
-		var builder store.Builder
+		var b *eagerBuild
 		if state != admitLazy {
-			b, err := store.NewBuilder(spec.Layout, schema)
-			if err != nil {
+			var err error
+			if b, err = newEagerBuild(spec.Dataset, spec.Layout, epoch0); err != nil {
 				return err
 			}
-			builder = b
 		}
 
 		var (
 			offsets     []int64
-			cacheNanos  int64 // precisely timed portion (sampling window)
+			flushed     int   // offsets[:flushed] are in the typed build
+			cacheNanos  int64 // exactly timed: typed chunks, the record route's sampling window
 			cacheTimer  = stats.NewSampledTimer(stats.SampleShift, nil)
 			downstream  = stats.NewSampledTimer(stats.SampleShift, nil)
-			nSeen       int
-			firstOffset int64 = -1
+			firstOffset = int64(-1)
 			to1         time.Duration
 			start       = time.Now()
 		)
+
+		// flush decodes the offsets admitted since the last flush into the
+		// typed build, between two clock reads.
+		flush := func() {
+			t0 := time.Now()
+			err := b.appendOffsets(offsets[flushed:])
+			cacheNanos += time.Since(t0).Nanoseconds()
+			flushed = len(offsets)
+			if err != nil {
+				state, b = admitAbandoned, nil
+			}
+		}
 
 		decide := func(off int64) {
 			// Two-timestamp extrapolation (§5.2): operators earlier in the
@@ -112,7 +194,7 @@ func compileMaterialize(m *plan.Materialize, deps Deps) (runFn, error) {
 			}
 			if overhead > spec.Threshold {
 				state = admitLazy
-				builder = nil // drop the partial eager cache
+				b = nil // drop the partial eager cache
 			} else {
 				state = admitEager
 			}
@@ -125,35 +207,38 @@ func compileMaterialize(m *plan.Materialize, deps Deps) (runFn, error) {
 				to1 = time.Since(ctx.start)
 			}
 			offsets = append(offsets, off)
-			nSeen++
-			switch state {
-			case admitSampling:
+			switch {
+			case b == nil:
+				// Lazy or abandoned: the offset above is the whole cost.
+			case b.typed():
+				// The sampling window is the first chunk, so that the sample
+				// the decision extrapolates is timed like every later chunk.
+				due := buildChunk
+				if state == admitSampling {
+					due = spec.SampleSize
+				}
+				if len(offsets)-flushed >= due {
+					flush()
+				}
+			case state == admitSampling:
 				// Precise timing inside the sample window: the paper times
 				// the sample itself, then extrapolates.
 				t0 := time.Now()
-				if err := ctx.curComplete(); err != nil {
-					return err
-				}
-				if err := builder.Add(value.Value{Kind: value.Record, L: row}); err != nil {
-					return err
-				}
+				err := b.addRecord(row, ctx.curComplete)
 				cacheNanos += time.Since(t0).Nanoseconds()
-				if nSeen >= spec.SampleSize {
-					decide(off)
+				if err != nil {
+					state, b = admitAbandoned, nil
 				}
-			case admitEager:
+			default:
 				sampled := cacheTimer.Begin()
-				if err := ctx.curComplete(); err != nil {
-					return err
-				}
-				if err := builder.Add(value.Value{Kind: value.Record, L: row}); err != nil {
-					return err
-				}
-				if sampled {
+				if err := b.addRecord(row, ctx.curComplete); err != nil {
+					state, b = admitAbandoned, nil
+				} else if sampled {
 					cacheTimer.End()
 				}
-			case admitLazy:
-				// Offsets were already appended: that is the whole cost.
+			}
+			if state == admitSampling && len(offsets) >= spec.SampleSize {
+				decide(off)
 			}
 			if downstream.Begin() {
 				err := out(row)
@@ -166,10 +251,13 @@ func compileMaterialize(m *plan.Materialize, deps Deps) (runFn, error) {
 			return err
 		}
 
+		if b != nil && b.typed() && flushed < len(offsets) {
+			flush()
+		}
 		// A scan shorter than the sampling window never reached decide():
 		// the whole input IS the sample, so decide with what was seen
 		// (N ≈ 1). Without this, small inputs silently default to eager.
-		if state == admitSampling && nSeen > 0 {
+		if state == admitSampling && len(offsets) > 0 {
 			decide(ctx.curOffset)
 		}
 
@@ -177,10 +265,13 @@ func compileMaterialize(m *plan.Materialize, deps Deps) (runFn, error) {
 		c := cacheNanos + cacheTimer.EstimatedTotal().Nanoseconds()
 		mode := cache.Lazy
 		var st store.Store
-		if state != admitLazy && builder != nil {
+		if b != nil {
 			fin := time.Now()
-			st = builder.Finish()
+			st, err = b.finish()
 			c += time.Since(fin).Nanoseconds()
+			if err != nil {
+				state = admitAbandoned
+			}
 			mode = cache.Eager
 			offsets = nil
 		}
@@ -190,6 +281,10 @@ func compileMaterialize(m *plan.Materialize, deps Deps) (runFn, error) {
 			t = 0
 		}
 		ctx.stats.CacheBuildNanos += c
+		if state == admitAbandoned {
+			spec.Manager.AbandonBuild(spec)
+			return nil
+		}
 		if tracked {
 			if epoch1, covered1 := rp.Version(); epoch1 != epoch0 || covered1 != covered0 {
 				// The file moved under the build: the rows forwarded

@@ -15,7 +15,9 @@ import (
 // path may panic, and on a file the first scan accepts they must all agree
 // (see rawfiletest.Equivalence). The schema has a nested record and a list,
 // which the schema-guided parser walks and the offsets-only tokenizer skips;
-// the two must find the same value ends.
+// the two must find the same value ends. The same bytes are then read under
+// a flat schema (the nested keys become unknown ones), where the check also
+// holds the typed kernel (AppendColumns) to the decoded rows.
 func FuzzScanEquivalence(f *testing.F) {
 	schema := value.TRecord(
 		value.F("k", value.TInt),
@@ -23,6 +25,12 @@ func FuzzScanEquivalence(f *testing.F) {
 		value.FOpt("tag", value.TString),
 		value.F("origin", value.TRecord(value.FOpt("country", value.TString))),
 		value.F("items", value.TList(value.TRecord(value.F("q", value.TInt)))),
+	)
+	flatSchema := value.TRecord(
+		value.F("k", value.TInt),
+		value.FOpt("price", value.TFloat),
+		value.FOpt("tag", value.TString),
+		value.FOpt("flag", value.TBool),
 	)
 	// The first hundred needle records hold one rare match; the whole
 	// fixture would only slow the fuzzer's input minimization down.
@@ -35,6 +43,11 @@ func FuzzScanEquivalence(f *testing.F) {
 		// Accepted by neither walk, or by both with the same value ends.
 		`{"k":1,"origin":{"u":[}],"country":"x"}}` + "\n", `{"k":1,"origin":{"u":t}}},"country":"x"}}` + "\n", `{"k":1,"u":t`,
 		`{"k":9223372036854775808}` + "\n", `{"k":1e3}{"k":-2.5}`, `{"k": 2.7}` + "\n" + `{"k":2.0}`, `{"k":}` + "\n", `[1]`, "",
+		// The typed kernel's verdicts, record by record: escapes, explicit
+		// nulls and absent keys, bools, then a string in a float, a number in
+		// a string and a bad literal.
+		`{"k":1,"price":null,"tag":"a\u0041\n\"","flag":true}` + "\n" + `{"k":2.0,"flag":false,"tag":null}` + "\n" + `{}` + "\n" +
+			`{"k":3,"price":"x"}` + "\n" + `{"k":4,"tag":7}` + "\n" + `{"k":5,"flag":nul}` + "\n" + `{"k":6,"flag":tru}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -45,19 +58,23 @@ func FuzzScanEquivalence(f *testing.F) {
 		expr.And(expr.Cmp(expr.OpEq, expr.C("tag"), expr.L("rare-needle")), expr.Cmp(expr.OpGt, expr.C("k"), expr.L(50))),
 	}
 	masks := [][]value.Path{{value.ParsePath("price"), value.ParsePath("items.q")}}
+	flatMasks := [][]value.Path{{value.ParsePath("price")}}
 	path := filepath.Join(f.TempDir(), "fuzz.json")
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		open := func() rawfiletest.Provider {
-			p, err := New(path, schema)
-			if err != nil {
-				t.Fatal(err)
+		open := func(schema *value.Type) func() rawfiletest.Provider {
+			return func() rawfiletest.Provider {
+				p, err := New(path, schema)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
 			}
-			return p
 		}
-		rawfiletest.Equivalence(t, open, len(data), preds, masks)
+		rawfiletest.Equivalence(t, open(schema), len(data), preds, masks)
+		rawfiletest.Equivalence(t, open(flatSchema), len(data), preds, flatMasks)
 	})
 }

@@ -20,6 +20,7 @@ import (
 	"recache/internal/expr"
 	"recache/internal/plan"
 	"recache/internal/rawfile"
+	"recache/internal/store"
 	"recache/internal/value"
 )
 
@@ -88,6 +89,66 @@ func (f *format) Decode(data []byte, start int, offs []uint32, mask []bool, rest
 	return nil
 }
 
+// AppendColumns implements rawfile.Format: parseValue's reading of every
+// (primitive) field, appended to the field's vector instead of boxed. An
+// absent key and a null literal are both a null entry.
+func (f *format) AppendColumns(data []byte, start int, offs []uint32, dst []*store.Vec) error {
+	for fi, v := range dst {
+		if offs[fi] == absentOff {
+			v.AppendVal(value.VNull)
+			continue
+		}
+		if err := appendValue(data, skipWS(data, start+int(offs[fi])), v); err != nil {
+			return f.errField(fi, err)
+		}
+	}
+	return nil
+}
+
+// appendValue appends the JSON value at i, read as v's kind.
+func appendValue(data []byte, i int, v *store.Vec) error {
+	if i >= len(data) {
+		return fmt.Errorf("unexpected end of input")
+	}
+	if data[i] == 'n' {
+		if _, err := skipLiteral(data, i, "null"); err != nil {
+			return err
+		}
+		v.AppendVal(value.VNull)
+		return nil
+	}
+	switch v.Kind {
+	case value.Int:
+		n, _, err := parseInt(data, i)
+		if err != nil {
+			return err
+		}
+		v.Ints = append(v.Ints, n)
+	case value.Float:
+		x, _, err := parseFloat(data, i)
+		if err != nil {
+			return err
+		}
+		v.Floats = append(v.Floats, x)
+	case value.String:
+		s, _, err := parseString(data, i)
+		if err != nil {
+			return err
+		}
+		v.Strs = append(v.Strs, s)
+	case value.Bool:
+		t, _, err := parseBool(data, i)
+		if err != nil {
+			return err
+		}
+		v.Bools = append(v.Bools, t)
+	default:
+		return fmt.Errorf("unsupported type %s", v.Kind)
+	}
+	v.Nulls.Append(false)
+	return nil
+}
+
 func (f *format) errField(fi int, err error) error {
 	return fmt.Errorf("jsonio: field %q: %w", f.schema.Fields[fi].Name, err)
 }
@@ -110,6 +171,7 @@ func (f *format) FirstScan(data []byte, mask []bool, fn plan.ScanFunc) (recStart
 	row := make([]value.Value, ntop)
 	rec := value.Value{Kind: value.Record, L: row}
 	offs := make([]uint32, ntop)
+	complete := rawfile.NewCompletion(f, data, mask, row)
 	for i := skipWS(data, 0); i < len(data); {
 		start := i
 		end, err := f.parseTop(data, i, mask, row, offs)
@@ -118,11 +180,7 @@ func (f *format) FirstScan(data []byte, mask []bool, fn plan.ScanFunc) (recStart
 		}
 		recStart = append(recStart, int64(start))
 		fieldOff = append(fieldOff, offs...)
-		complete := rawfile.NoComplete
-		if mask != nil {
-			complete = func() error { return f.Decode(data, start, offs, mask, true, row) }
-		}
-		if err := fn(rec, int64(start), complete); err != nil {
+		if err := fn(rec, int64(start), complete.At(start, offs)); err != nil {
 			return nil, nil, err
 		}
 		i = skipWS(data, end)
@@ -139,6 +197,7 @@ func (f *format) FirstScanPushdown(data []byte, tests []expr.ColTest, mask []boo
 	row := make([]value.Value, ntop)
 	rec := value.Value{Kind: value.Record, L: row}
 	offs := make([]uint32, ntop)
+	complete := rawfile.NewCompletion(f, data, mask, row)
 	for i := skipWS(data, 0); i < len(data); {
 		start := i
 		end, err := f.parseTop(data, i, nil, nil, offs)
@@ -165,11 +224,7 @@ func (f *format) FirstScanPushdown(data []byte, tests []expr.ColTest, mask []boo
 		if err := f.Decode(data, start, offs, mask, false, row); err != nil {
 			return nil, nil, skipped, err
 		}
-		complete := rawfile.NoComplete
-		if mask != nil {
-			complete = func() error { return f.Decode(data, start, offs, mask, true, row) }
-		}
-		if err := fn(rec, int64(start), complete); err != nil {
+		if err := fn(rec, int64(start), complete.At(start, offs)); err != nil {
 			return nil, nil, skipped, err
 		}
 	}
@@ -324,10 +379,11 @@ func parseValue(data []byte, i int, t *value.Type) (value.Value, int, error) {
 		return value.VNull, i, fmt.Errorf("unexpected end of input")
 	}
 	if data[i] == 'n' {
-		if i+4 <= len(data) && string(data[i:i+4]) == "null" {
-			return nullFor(t), i + 4, nil
+		ni, err := skipLiteral(data, i, "null")
+		if err != nil {
+			return value.VNull, i, err
 		}
-		return value.VNull, i, fmt.Errorf("bad literal at %d", i)
+		return nullFor(t), ni, nil
 	}
 	switch t.Kind {
 	case value.Record:
@@ -341,13 +397,11 @@ func parseValue(data []byte, i int, t *value.Type) (value.Value, int, error) {
 		}
 		return value.VString(s), ni, nil
 	case value.Bool:
-		if i+4 <= len(data) && string(data[i:i+4]) == "true" {
-			return value.VBool(true), i + 4, nil
+		b, ni, err := parseBool(data, i)
+		if err != nil {
+			return value.VNull, i, err
 		}
-		if i+5 <= len(data) && string(data[i:i+5]) == "false" {
-			return value.VBool(false), i + 5, nil
-		}
-		return value.VNull, i, fmt.Errorf("bad bool at %d", i)
+		return value.VBool(b), ni, nil
 	case value.Int:
 		n, ni, err := parseInt(data, i)
 		if err != nil {
@@ -377,6 +431,16 @@ func parseInt(data []byte, i int) (int64, int, error) {
 		return 0, i, fmt.Errorf("bad int at %d: %w", i, err)
 	}
 	return n, ni, nil
+}
+
+func parseBool(data []byte, i int) (bool, int, error) {
+	switch {
+	case hasLiteral(data, i, "true"):
+		return true, i + 4, nil
+	case hasLiteral(data, i, "false"):
+		return false, i + 5, nil
+	}
+	return false, i, fmt.Errorf("bad bool at %d", i)
 }
 
 func parseFloat(data []byte, i int) (float64, int, error) {
@@ -607,8 +671,12 @@ func skipValue(data []byte, i int) (int, error) {
 	}
 }
 
+func hasLiteral(data []byte, i int, lit string) bool {
+	return i+len(lit) <= len(data) && string(data[i:i+len(lit)]) == lit
+}
+
 func skipLiteral(data []byte, i int, lit string) (int, error) {
-	if i+len(lit) <= len(data) && string(data[i:i+len(lit)]) == lit {
+	if hasLiteral(data, i, lit) {
 		return i + len(lit), nil
 	}
 	return i, fmt.Errorf("bad literal at %d", i)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"recache/internal/expr"
+	"recache/internal/rawfile/rawfiletest"
 	"recache/internal/value"
 )
 
@@ -353,5 +354,22 @@ func TestIntOverflowIsMalformed(t *testing.T) {
 		return complete()
 	}); err != nil || len(hits) != 1 || hits[0] != "d" {
 		t.Errorf("pushdown n = 2000 matched %v (%v), want the 2e3 record", hits, err)
+	}
+}
+
+// TestMappedScanAllocs: a masked mapped scan hands every record the same
+// completion callback; it used to allocate one closure per record.
+func TestMappedScanAllocs(t *testing.T) {
+	var data []byte
+	for i := 0; i < 20000; i++ {
+		data = fmt.Appendf(data, `{"k":%d,"price":%d.5,"tag":"name-%d"}`+"\n", i, i%97, i)
+	}
+	schema := value.TRecord(value.F("k", value.TInt), value.F("price", value.TFloat), value.F("tag", value.TString))
+	p, err := New(writeFile(t, string(data)), schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rawfiletest.MappedScanAllocs(t, p, []value.Path{value.ParsePath("k")}); n > 8 {
+		t.Errorf("masked mapped scan of 20000 records: %.0f allocations, want O(1)", n)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"recache/internal/expr"
+	"recache/internal/store"
 	"recache/internal/value"
 )
 
@@ -118,6 +119,20 @@ type RefreshableProvider interface {
 // of dereferencing offsets into a rewritten file.
 type EpochScanner interface {
 	ScanOffsetsAt(epoch uint64, offsets []int64, needed []value.Path, fn ScanFunc) error
+}
+
+// ColumnAppender is implemented by providers over flat schemas (every
+// top-level field primitive) that can decode records straight from their
+// bytes into typed column vectors: the build path of eager cache entries.
+// AppendColumns appends every field of the records at offsets (as reported
+// through ScanFunc, ascending) to dst, one vector per top-level field in
+// schema order — the values, nulls and errors a full decode of the same
+// records yields, with no value.Value in between. It is pinned to a file
+// epoch like ScanOffsetsAt (ErrEpochChanged after a rewrite), and like it is
+// a replay of known records, not a raw scan. After an error dst holds
+// columns of unequal length and must be discarded.
+type ColumnAppender interface {
+	AppendColumns(epoch uint64, offsets []int64, dst []*store.Vec) error
 }
 
 // PushdownScanner is implemented by providers that can evaluate pushed

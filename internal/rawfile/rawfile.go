@@ -19,6 +19,7 @@ import (
 	"recache/internal/expr"
 	"recache/internal/freshness"
 	"recache/internal/plan"
+	"recache/internal/store"
 	"recache/internal/value"
 )
 
@@ -41,6 +42,12 @@ type Format interface {
 	// others; with rest true it fills exactly the fields mask skipped and
 	// leaves the others alone.
 	Decode(data []byte, start int, offs []uint32, mask []bool, rest bool, row []value.Value) error
+	// AppendColumns appends every field of the record at start to dst, one
+	// vector per top-level field in schema order, typed and straight from
+	// the raw bytes: the values, nulls and errors of Decode with a nil mask.
+	// Only called for schemas whose fields are all primitive. After an
+	// error dst's columns differ in length.
+	AppendColumns(data []byte, start int, offs []uint32, dst []*store.Vec) error
 	// Test decodes each tested column of the record typed, straight from
 	// its raw bytes, and reports whether every test passes; null or absent
 	// values fail, a malformed value is the error Decode would raise.
@@ -78,8 +85,8 @@ type snapshot struct {
 	fp       freshness.Fingerprint
 }
 
-// File implements plan.ScanProvider, RefreshableProvider, EpochScanner and
-// PushdownScanner for one raw file in a given Format.
+// File implements plan.ScanProvider, RefreshableProvider, EpochScanner,
+// PushdownScanner and ColumnAppender for one raw file in a given Format.
 //
 // Files are safe for concurrent scans: all shared state lives in an
 // immutable snapshot behind an atomic pointer; mu serializes the writers
@@ -377,6 +384,27 @@ func (s *snapshot) recordFrom(off int64) int {
 	return sort.Search(len(s.recStart), func(i int) bool { return s.recStart[i] >= off })
 }
 
+// seek is recordFrom for a caller that knows a nearby record, ri: it jumps
+// from there by the file's mean record length and walks the remainder, so
+// each of a run of sparse ascending offsets costs a step or two rather than
+// a walk over the records in between or a binary search of the whole map.
+func (s *snapshot) seek(ri int, off int64) int {
+	n := len(s.recStart)
+	if n == 0 {
+		return 0
+	}
+	ri = min(ri, n-1)
+	ri += int(float64(off-s.recStart[ri]) * float64(n) / float64(len(s.data)))
+	ri = max(0, min(ri, n-1))
+	for ri > 0 && s.recStart[ri-1] >= off {
+		ri--
+	}
+	for ri < n && s.recStart[ri] < off {
+		ri++
+	}
+	return ri
+}
+
 // Prescan is the candidate filter of a pushdown scan carrying a string-
 // equality conjunct: a memchr-style substring search over the raw bytes
 // that rejects records which cannot contain the literal before any field is
@@ -412,35 +440,64 @@ func (p *Prescan) Next(from int) int {
 // NoComplete is the completion callback for already-complete records.
 func NoComplete() error { return nil }
 
-// emitter streams records of one snapshot to a ScanFunc through a reused
-// row buffer. The complete callback it hands out parses the fields the mask
-// skipped, in place; it is only valid during the call it is passed to.
-type emitter struct {
+// Completion is one scan's complete callback: the state it reads lives here
+// and moves with the scan, so a scan hands out a single method value instead
+// of allocating a closure per record.
+type Completion struct {
 	format Format
 	data   []byte
 	mask   []bool
 	row    []value.Value
-	rec    value.Value
-	fn     plan.ScanFunc
+	start  int
+	offs   []uint32
+	fn     func() error
+}
+
+// NewCompletion returns the completion of a scan of data decoding the masked
+// fields (nil = all, nothing left to complete) into row.
+func NewCompletion(format Format, data []byte, mask []bool, row []value.Value) *Completion {
+	c := &Completion{format: format, data: data, mask: mask, row: row, fn: NoComplete}
+	if mask != nil {
+		c.fn = c.complete
+	}
+	return c
+}
+
+// At moves the completion to the record at start and returns the callback,
+// which parses the fields the mask skipped into row, in place; it is only
+// valid until the next At.
+func (c *Completion) At(start int, offs []uint32) func() error {
+	c.start, c.offs = start, offs
+	return c.fn
+}
+
+func (c *Completion) complete() error {
+	return c.format.Decode(c.data, c.start, c.offs, c.mask, true, c.row)
+}
+
+// emitter streams records of one snapshot to a ScanFunc through a reused
+// row buffer, the one its completion fills.
+type emitter struct {
+	c   *Completion
+	rec value.Value
+	fn  plan.ScanFunc
 }
 
 func (f *File) newEmitter(s *snapshot, mask []bool, fn plan.ScanFunc) *emitter {
 	row := make([]value.Value, f.ntop)
 	return &emitter{
-		format: f.format, data: s.data, mask: mask, fn: fn,
-		row: row, rec: value.Value{Kind: value.Record, L: row},
+		c:   NewCompletion(f.format, s.data, mask, row),
+		rec: value.Value{Kind: value.Record, L: row},
+		fn:  fn,
 	}
 }
 
 func (e *emitter) emit(start int, offs []uint32) error {
-	if err := e.format.Decode(e.data, start, offs, e.mask, false, e.row); err != nil {
+	c := e.c
+	if err := c.format.Decode(c.data, start, offs, c.mask, false, c.row); err != nil {
 		return err
 	}
-	complete := NoComplete
-	if e.mask != nil {
-		complete = func() error { return e.format.Decode(e.data, start, offs, e.mask, true, e.row) }
-	}
-	return e.fn(e.rec, int64(start), complete)
+	return e.fn(e.rec, int64(start), c.At(start, offs))
 }
 
 // Scan implements plan.ScanProvider. The first call tokenizes the whole
@@ -583,11 +640,20 @@ func (f *File) scanOffsets(s *snapshot, offsets []int64, needed []value.Path, fn
 		return err
 	}
 	e := f.newEmitter(s, mask, fn)
+	return f.eachOffset(s, offsets, e.emit)
+}
+
+// eachOffset calls fn with the position and field offsets of the record at
+// each of offsets: from the positional map when it has the record, by
+// tokenizing the record in place otherwise.
+func (f *File) eachOffset(s *snapshot, offsets []int64, fn func(start int, offs []uint32) error) error {
 	var scratch []uint32
+	ri, n := 0, len(s.recStart)
 	for _, off := range offsets {
 		if s.mapped {
-			if ri := s.recordFrom(off); ri < len(s.recStart) && s.recStart[ri] == off {
-				if err := e.emit(int(off), s.offs(ri, f.ntop)); err != nil {
+			ri = s.seek(ri, off)
+			if ri < n && s.recStart[ri] == off {
+				if err := fn(int(off), s.offs(ri, f.ntop)); err != nil {
 					return err
 				}
 				continue
@@ -603,11 +669,29 @@ func (f *File) scanOffsets(s *snapshot, offsets []int64, needed []value.Path, fn
 		if _, err := f.format.Tokenize(s.data, int(off), scratch); err != nil {
 			return err
 		}
-		if err := e.emit(int(off), scratch); err != nil {
+		if err := fn(int(off), scratch); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// AppendColumns implements plan.ColumnAppender: the records at offsets,
+// decoded by the format's typed kernel straight into dst.
+func (f *File) AppendColumns(epoch uint64, offsets []int64, dst []*store.Vec) error {
+	s, err := f.load()
+	if err != nil {
+		return err
+	}
+	if s.epoch != epoch {
+		return plan.ErrEpochChanged
+	}
+	if len(dst) != f.ntop {
+		return fmt.Errorf("rawfile: %d column vectors for %d fields", len(dst), f.ntop)
+	}
+	return f.eachOffset(s, offsets, func(start int, offs []uint32) error {
+		return f.format.AppendColumns(s.data, start, offs, dst)
+	})
 }
 
 // ScanFrom implements plan.RefreshableProvider: stream the records whose

@@ -3,11 +3,13 @@
 package rawfiletest
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"recache/internal/expr"
 	"recache/internal/plan"
+	"recache/internal/store"
 	"recache/internal/value"
 )
 
@@ -15,6 +17,8 @@ import (
 type Provider interface {
 	plan.ScanProvider
 	plan.PushdownScanner
+	plan.RefreshableProvider
+	plan.ColumnAppender
 }
 
 // scanned is what one scan streamed: copies of the rows, and their offsets.
@@ -40,15 +44,26 @@ func gather(scan func(plan.ScanFunc) error, keep func([]value.Value) bool) (scan
 	return s, err
 }
 
+// verdictRecords bounds the per-record verdict check of a rejected file.
+const verdictRecords = 32
+
 // Equivalence drives every access path of a provider over one file of size
 // bytes; open must return a fresh, unloaded provider over it on each call.
 // Nothing may panic, and when a first full scan accepts the file every
 // other path must agree with it: the mapped scan, scans masked to each of
 // masks and completed through complete(), offset replay with and without
-// the positional map, and — against decode-then-filter, for each of preds —
-// ScanPushdown on both its first-scan and its mapped path. On a file the
-// first scan rejects the same calls are made and only have to return.
+// the positional map, a ScanFrom tail, and — against decode-then-filter, for
+// each of preds — ScanPushdown on both its first-scan and its mapped path.
+// Over a flat schema the typed kernel is held to the same rows: on every
+// path, AppendColumns over the offsets the path reported must yield vectors
+// equal to them cell for cell, with and without the positional map. On a
+// file the first scan rejects the same calls are made and only have to
+// return, except that the kernel must still accept exactly the records a
+// full decode accepts.
 func Equivalence(t *testing.T, open func() Provider, size int, preds []expr.Expr, masks [][]value.Path) {
+	p := open()
+	schema := p.Schema()
+	flat := store.NewColumns(schema) != nil
 	same := func(what string, got, want scanned, err error) {
 		t.Helper()
 		if err != nil {
@@ -57,12 +72,23 @@ func Equivalence(t *testing.T, open func() Provider, size int, preds []expr.Expr
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s:\n got %v\nwant %v", what, got, want)
 		}
+		if !flat {
+			return
+		}
+		for _, q := range []Provider{p, open()} {
+			vecs, err := appendColumns(q, got.offs)
+			if err != nil {
+				t.Fatalf("%s: AppendColumns failed on records a decode accepted: %v", what, err)
+			}
+			sameCells(t, what, vecs, got.rows)
+		}
 	}
 
-	p := open()
-	schema := p.Schema()
 	first, err := gather(func(fn plan.ScanFunc) error { return p.Scan(nil, fn) }, nil)
 	accepted := err == nil
+	if !accepted && flat {
+		sameVerdicts(t, p)
+	}
 	for _, needed := range append([][]value.Path{nil}, masks...) {
 		q := open()
 		got, err := gather(func(fn plan.ScanFunc) error { return q.Scan(needed, fn) }, nil)
@@ -81,6 +107,15 @@ func Equivalence(t *testing.T, open func() Provider, size int, preds []expr.Expr
 			got, err := gather(func(fn plan.ScanFunc) error { return q.ScanOffsets(offs, needed, fn) }, nil)
 			if accepted {
 				same("offset replay", got, first, err)
+			}
+			mid := len(first.offs) / 2
+			from, tail := int64(size/2), scanned{}
+			if accepted && len(first.offs) > 0 {
+				from, tail = first.offs[mid], scanned{rows: first.rows[mid:], offs: first.offs[mid:]}
+			}
+			got, err = gather(func(fn plan.ScanFunc) error { return q.ScanFrom(from, needed, fn) }, nil)
+			if accepted && len(first.offs) > 0 {
+				same("tail scan", got, tail, err)
 			}
 		}
 		for _, pred := range preds {
@@ -110,4 +145,71 @@ func Equivalence(t *testing.T, open func() Provider, size int, preds []expr.Expr
 			}
 		}
 	}
+}
+
+// appendColumns runs the typed kernel over the records of p at offs.
+func appendColumns(p Provider, offs []int64) ([]*store.Vec, error) {
+	vecs := store.NewColumns(p.Schema())
+	epoch, _ := p.Version()
+	return vecs, p.AppendColumns(epoch, offs, vecs)
+}
+
+// sameCells checks vecs against the decoded rows: value, kind and null bit.
+func sameCells(t *testing.T, what string, vecs []*store.Vec, rows [][]value.Value) {
+	t.Helper()
+	for ci, v := range vecs {
+		if v.Len() != len(rows) {
+			t.Fatalf("%s: AppendColumns column %d has %d entries for %d records", what, ci, v.Len(), len(rows))
+		}
+		for ri, row := range rows {
+			if got := v.Get(ri); !reflect.DeepEqual(got, row[ci]) {
+				t.Fatalf("%s: AppendColumns record %d column %d = %#v, decode has %#v", what, ri, ci, got, row[ci])
+			}
+		}
+	}
+}
+
+// sameVerdicts holds the kernel to a full decode one record at a time, on a
+// file some record of which is malformed: over each of the first records a
+// field-less scan tokenizes, both accept — with equal cells — or both reject.
+func sameVerdicts(t *testing.T, p Provider) {
+	t.Helper()
+	var offs []int64
+	_ = p.Scan([]value.Path{}, func(_ value.Value, off int64, _ func() error) error {
+		if offs = append(offs, off); len(offs) == verdictRecords {
+			return errStop
+		}
+		return nil
+	}) // ends at errStop or at the record the tokenizer rejects: offs is what it reached
+	for _, off := range offs {
+		one := []int64{off}
+		dec, derr := gather(func(fn plan.ScanFunc) error { return p.ScanOffsets(one, nil, fn) }, nil)
+		vecs, kerr := appendColumns(p, one)
+		if (derr == nil) != (kerr == nil) {
+			t.Fatalf("record at %d: decode says %v, AppendColumns says %v", off, derr, kerr)
+		}
+		if derr == nil {
+			sameCells(t, "single record", vecs, dec.rows)
+		}
+	}
+}
+
+var errStop = errors.New("stop")
+
+// MappedScanAllocs returns the allocations of one scan of p's file through
+// the positional map (built here by a first scan), masked to needed and
+// never completed: what a scan costs beyond its records, which is a row
+// buffer, a mask and a completion — not a closure per record.
+func MappedScanAllocs(t *testing.T, p Provider, needed []value.Path) float64 {
+	t.Helper()
+	if Race {
+		t.Skip("the race detector allocates")
+	}
+	scan := func() {
+		if err := p.Scan(needed, func(value.Value, int64, func() error) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan()
+	return testing.AllocsPerRun(5, scan)
 }

@@ -30,8 +30,8 @@ type columnarStore struct {
 }
 
 type columnarBuilder struct {
-	st      *columnarStore
-	hasList bool
+	st    *columnarStore
+	paths leafPaths
 }
 
 func newColumnarBuilder(schema *value.Type, cols []value.LeafColumn) *columnarBuilder {
@@ -40,12 +40,13 @@ func newColumnarBuilder(schema *value.Type, cols []value.LeafColumn) *columnarBu
 	for i, c := range cols {
 		st.vecs[i] = newVec(c.Type)
 	}
-	return &columnarBuilder{st: st, hasList: value.RepeatedField(schema) != nil}
+	return &columnarBuilder{st: st, paths: resolveLeafPaths(schema, cols)}
 }
 
-// Add implements Builder: the record is flattened and each row appended to
-// the column vectors. This write amplification (duplicated parents) is what
-// makes columnar caches slower to build than Parquet (Fig. 6).
+// Add implements Builder: one row per element of the repeated field, parent
+// values duplicated into each, appended column by column. This write
+// amplification is what makes columnar caches slower to build than Parquet
+// (Fig. 6). A flat record is one row of its own fields.
 func (b *columnarBuilder) Add(rec value.Value) error {
 	if rec.Kind != value.Record {
 		return fmt.Errorf("store: columnar add: not a record: %s", rec.Kind)
@@ -53,45 +54,108 @@ func (b *columnarBuilder) Add(rec value.Value) error {
 	st := b.st
 	ri := int32(st.nRecs)
 	st.nRecs++
-	rows := value.FlattenRecord(rec, st.schema, st.cols)
-	if len(rows) == 0 {
-		// Placeholder row: non-repeated values present, repeated columns null.
-		for ci, c := range st.cols {
-			if c.Repeated {
-				st.vecs[ci].AppendVal(value.VNull)
+	if b.paths.flat {
+		for ci, v := range st.vecs {
+			if ci < len(rec.L) {
+				v.AppendVal(rec.L[ci])
 			} else {
-				st.vecs[ci].AppendVal(value.Get(rec, st.schema, c.Path))
+				v.AppendVal(value.VNull) // a short record reads as nulls, as value.Get does
 			}
 		}
 		st.recID = append(st.recID, ri)
-		st.skip = append(st.skip, b.hasList)
+		st.skip = append(st.skip, false)
 		return nil
 	}
-	for _, row := range rows {
-		for ci := range st.cols {
-			st.vecs[ci].AppendVal(row[ci])
+	elems, hasList := b.paths.elems(rec)
+	rows := len(elems)
+	if !hasList || rows == 0 {
+		// No list: the record is its one row. Empty list: a placeholder row
+		// with the non-repeated values present and the repeated columns null.
+		rows = 1
+	}
+	for ci, c := range st.cols {
+		v, idx := st.vecs[ci], b.paths.idx[ci]
+		switch {
+		case !c.Repeated:
+			val := value.GetAt(rec, idx)
+			for r := 0; r < rows; r++ {
+				v.AppendVal(val)
+			}
+		case len(elems) == 0:
+			v.AppendVal(value.VNull)
+		default:
+			for _, e := range elems {
+				v.AppendVal(value.GetAt(e, idx))
+			}
 		}
+	}
+	for r := 0; r < rows; r++ {
 		st.recID = append(st.recID, ri)
-		st.skip = append(st.skip, false)
+		st.skip = append(st.skip, hasList && len(elems) == 0)
 	}
 	return nil
 }
 
+// NewColumns returns one empty vector per top-level field of a flat schema
+// — every field primitive, so that field i is leaf column i — for a typed
+// decoder to fill and FromColumns to adopt. It returns nil for any other
+// schema: those records reach a store through a Builder.
+func NewColumns(schema *value.Type) []*Vec {
+	vecs := make([]*Vec, len(schema.Fields))
+	for i, f := range schema.Fields {
+		if !f.Type.IsPrimitive() {
+			return nil
+		}
+		vecs[i] = newVec(f.Type)
+	}
+	return vecs
+}
+
+// FromColumns adopts filled NewColumns vectors, one entry per record, as a
+// columnar store: the store a Builder yields when Add-ed the same records.
+// The vectors belong to the store afterwards.
+func FromColumns(schema *value.Type, vecs []*Vec) (Store, error) {
+	cols, err := value.LeafColumnsCached(schema)
+	if err != nil {
+		return nil, err
+	}
+	if len(vecs) != len(schema.Fields) || len(vecs) != len(cols) {
+		return nil, fmt.Errorf("store: %d column vectors for flat schema %s", len(vecs), schema)
+	}
+	n := 0
+	if len(vecs) > 0 {
+		n = vecs[0].Len()
+	}
+	for i, v := range vecs {
+		if v.Kind != cols[i].Type.Kind || v.Len() != n {
+			return nil, fmt.Errorf("store: column %q: %s vector of %d entries, want %s of %d",
+				cols[i].Name(), v.Kind, v.Len(), cols[i].Type.Kind, n)
+		}
+	}
+	st := &columnarStore{schema: schema, cols: cols, vecs: vecs, nRecs: n,
+		recID: make([]int32, n), skip: make([]bool, n)}
+	for i := range st.recID {
+		st.recID[i] = int32(i)
+	}
+	st.size = st.computeSize()
+	return st, nil
+}
+
 // Finish implements Builder.
 func (b *columnarBuilder) Finish() Store {
-	b.st.size = b.computeSize()
+	b.st.size = b.st.computeSize()
 	return b.st
 }
 
 // SizeBytes implements Builder.
-func (b *columnarBuilder) SizeBytes() int64 { return b.computeSize() }
+func (b *columnarBuilder) SizeBytes() int64 { return b.st.computeSize() }
 
-func (b *columnarBuilder) computeSize() int64 {
+func (s *columnarStore) computeSize() int64 {
 	var sz int64
-	for _, v := range b.st.vecs {
+	for _, v := range s.vecs {
 		sz += v.SizeBytes()
 	}
-	sz += int64(len(b.st.recID)) * 5 // recID + skip
+	sz += int64(len(s.recID)) * 5 // recID + skip
 	return sz
 }
 

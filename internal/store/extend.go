@@ -48,7 +48,7 @@ func (s *columnarStore) extend(tail []value.Value) (Store, error) {
 	}
 	ns.recID = append(make([]int32, 0, len(s.recID)+len(tail)), s.recID...)
 	ns.skip = append(make([]bool, 0, len(s.skip)+len(tail)), s.skip...)
-	b := &columnarBuilder{st: ns, hasList: value.RepeatedField(s.schema) != nil}
+	b := &columnarBuilder{st: ns, paths: resolveLeafPaths(s.schema, s.cols)}
 	for _, rec := range tail {
 		if err := b.Add(rec); err != nil {
 			return nil, err
@@ -65,7 +65,7 @@ func (s *rowStore) extend(tail []value.Value) (Store, error) {
 		rows: append(make([][]value.Value, 0, len(s.rows)+len(tail)), s.rows...),
 		size: s.size,
 	}
-	b := &rowBuilder{st: ns}
+	b := &rowBuilder{st: ns, paths: resolveLeafPaths(s.schema, s.cols)}
 	for _, rec := range tail {
 		if err := b.Add(rec); err != nil {
 			return nil, err

@@ -13,6 +13,53 @@ func colIndexByName(cols []value.LeafColumn) map[string]int {
 	return m
 }
 
+// leafPaths is a schema's leaf-column paths resolved to field indexes once
+// per builder, so that Add reaches a value without comparing field names.
+type leafPaths struct {
+	// flat: leaf ci is top-level field ci (idx[ci] is just {ci}), so a
+	// record is one row of its own fields.
+	flat bool
+	// list is the index path of the repeated field (nil without one) and
+	// idx[ci] that of leaf ci: from the record for a non-repeated leaf,
+	// from the list element for a repeated one.
+	list []int
+	idx  [][]int
+}
+
+func resolveLeafPaths(schema *value.Type, cols []value.LeafColumn) leafPaths {
+	lp := leafPaths{flat: len(cols) == len(schema.Fields), idx: make([][]int, len(cols))}
+	listPath := value.RepeatedField(schema)
+	elemT := schema
+	if listPath != nil {
+		lp.list = listPath.Indexes(schema)
+		for _, name := range listPath {
+			_, elemT = elemT.FieldIndex(name)
+		}
+		elemT = elemT.Elem
+	}
+	for ci, c := range cols {
+		if c.Repeated {
+			lp.idx[ci] = c.Path[len(listPath):].Indexes(elemT)
+		} else {
+			lp.idx[ci] = c.Path.Indexes(schema)
+		}
+		lp.flat = lp.flat && !c.Repeated && len(c.Path) == 1
+	}
+	return lp
+}
+
+// elems returns the elements of rec's repeated field; ok is false when the
+// schema has none. A null or absent list has no elements.
+func (lp *leafPaths) elems(rec value.Value) (elems []value.Value, ok bool) {
+	if lp.list == nil {
+		return nil, false
+	}
+	if lv := value.GetAt(rec, lp.list); lv.Kind == value.List {
+		elems = lv.L
+	}
+	return elems, true
+}
+
 // asmNode is one step of the schema walk ScanNested rebuilds records with,
 // resolved once per scan: a Record node holds its fields, a List node holds
 // the element's node in fields[0], and any other kind is a leaf whose col

@@ -42,7 +42,7 @@ type parquetStore struct {
 // boxed into records first.
 type ParquetBuilder struct {
 	st    *parquetStore
-	elemT *value.Type // list element type (nil for flat schemas)
+	paths leafPaths
 }
 
 func newParquetBuilder(schema *value.Type, cols []value.LeafColumn) *ParquetBuilder {
@@ -57,17 +57,8 @@ func newParquetBuilder(schema *value.Type, cols []value.LeafColumn) *ParquetBuil
 			st.flatVecs[i] = newVec(c.Type)
 		}
 	}
-	b := &ParquetBuilder{st: st}
-	if lp := value.RepeatedField(schema); lp != nil {
-		st.listPath = lp
-		cur := schema
-		for _, name := range lp {
-			_, ft := cur.FieldIndex(name)
-			cur = ft
-		}
-		b.elemT = cur.Elem
-	}
-	return b
+	st.listPath = value.RepeatedField(schema)
+	return &ParquetBuilder{st: st, paths: resolveLeafPaths(schema, cols)}
 }
 
 // Add implements Builder: column striping. Each value is written exactly
@@ -79,40 +70,32 @@ func (b *ParquetBuilder) Add(rec value.Value) error {
 	}
 	st := b.st
 	st.nRecs++
-	card := 1
-	var listVal value.Value
-	if st.listPath != nil {
-		listVal = value.Get(rec, st.schema, st.listPath)
-		if listVal.Kind != value.List {
-			card = 0
-		} else {
-			card = len(listVal.L)
-		}
-		st.lengths = append(st.lengths, int32(card))
+	elems, hasList := b.paths.elems(rec)
+	if hasList {
+		st.lengths = append(st.lengths, int32(len(elems)))
 	}
-	if card == 0 {
-		st.nFlat++ // placeholder row in the flattened view
+	if hasList && len(elems) > 0 {
+		st.nFlat += len(elems)
 	} else {
-		st.nFlat += card
+		st.nFlat++ // the record itself, or an empty list's placeholder row
 	}
 	for ci, c := range st.cols {
-		if !c.Repeated {
-			st.flatVecs[ci].AppendVal(value.Get(rec, st.schema, c.Path))
-			continue
-		}
-		suffix := c.Path[len(st.listPath):]
-		if card == 0 {
+		idx := b.paths.idx[ci]
+		switch {
+		case !c.Repeated:
+			st.flatVecs[ci].AppendVal(value.GetAt(rec, idx))
+		case len(elems) == 0:
 			st.reps[ci] = append(st.reps[ci], 0)
 			st.repVecs[ci].AppendVal(value.VNull)
-			continue
-		}
-		for e := 0; e < card; e++ {
-			r := uint8(1)
-			if e == 0 {
-				r = 0
+		default:
+			for e := range elems {
+				r := uint8(1)
+				if e == 0 {
+					r = 0
+				}
+				st.reps[ci] = append(st.reps[ci], r)
+				st.repVecs[ci].AppendVal(value.GetAt(elems[e], idx))
 			}
-			st.reps[ci] = append(st.reps[ci], r)
-			st.repVecs[ci].AppendVal(value.Get(listVal.L[e], b.elemT, suffix))
 		}
 	}
 	return nil

@@ -18,11 +18,12 @@ type rowStore struct {
 }
 
 type rowBuilder struct {
-	st *rowStore
+	st    *rowStore
+	paths leafPaths
 }
 
 func newRowBuilder(schema *value.Type, cols []value.LeafColumn) *rowBuilder {
-	return &rowBuilder{st: &rowStore{schema: schema, cols: cols}}
+	return &rowBuilder{st: &rowStore{schema: schema, cols: cols}, paths: resolveLeafPaths(schema, cols)}
 }
 
 // Add implements Builder.
@@ -31,8 +32,8 @@ func (b *rowBuilder) Add(rec value.Value) error {
 		return fmt.Errorf("store: row add: not a record: %s", rec.Kind)
 	}
 	row := make([]value.Value, len(b.st.cols))
-	for i, c := range b.st.cols {
-		row[i] = value.Get(rec, b.st.schema, c.Path)
+	for i := range row {
+		row[i] = value.GetAt(rec, b.paths.idx[i])
 		b.st.size += row[i].ShallowSize()
 	}
 	b.st.rows = append(b.st.rows, row)

@@ -244,6 +244,34 @@ func Get(v Value, t *Type, p Path) Value {
 	return cur
 }
 
+// Indexes resolves p against record type t into the field index of each
+// step, which GetAt follows without comparing a name. Like Get it stops at
+// the first List it reaches — that index addresses the list itself — and a
+// step t has no field for resolves to -1, where GetAt yields VNull.
+func (p Path) Indexes(t *Type) []int {
+	idx := make([]int, 0, len(p))
+	for _, name := range p {
+		if t == nil || t.Kind != Record {
+			break
+		}
+		i, ft := t.FieldIndex(name)
+		idx = append(idx, i)
+		t = ft
+	}
+	return idx
+}
+
+// GetAt is Get along a path resolved once by Path.Indexes.
+func GetAt(v Value, idx []int) Value {
+	for _, i := range idx {
+		if v.Kind != Record || i < 0 || i >= len(v.L) {
+			return VNull
+		}
+		v = v.L[i]
+	}
+	return v
+}
+
 // FlattenSchema returns the flat record type whose fields are the dotted
 // leaf columns of t, in document order. This is the schema of the relational
 // (flattened) view of nested data described in §4 of the paper.
