@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"recache"
-	"recache/internal/cache"
 	"recache/internal/client"
 )
 
@@ -140,7 +139,7 @@ func (b remote) Stats() (statsView, error) {
 		return statsView{}, err
 	}
 	return statsView{
-		CacheStats: cacheStatsFromWire(ws.Cache),
+		CacheStats: ws.Cache,
 		Server: fmt.Sprintf("server: sessions=%d active=%d requests=%d in-flight=%d errors=%d draining=%v",
 			ws.Server.Sessions, ws.Server.ActiveSessions, ws.Server.Requests,
 			ws.Server.InFlight, ws.Server.Errors, ws.Server.Draining),
@@ -154,49 +153,13 @@ func (b remote) RegisterJSON(name, path, schema string) error {
 	return b.cl.RegisterJSON(name, path, schema)
 }
 
-// cacheStatsFromWire maps the manager's wire-level counter snapshot onto
-// the engine's public stats struct, so \stats prints identically in both
-// modes.
-func cacheStatsFromWire(s cache.Stats) recache.CacheStats {
-	return recache.CacheStats{
-		Queries:             s.Queries,
-		ExactHits:           s.ExactHits,
-		SubsumedHits:        s.SubsumedHits,
-		Misses:              s.Misses,
-		Evictions:           s.Evictions,
-		LayoutSwitches:      s.LayoutSwitches,
-		LazyUpgrades:        s.LazyUpgrades,
-		Inserted:            s.Inserted,
-		SharedScans:         s.SharedScans,
-		SharedConsumers:     s.SharedConsumers,
-		VectorizedScans:     s.VectorizedScans,
-		VectorizedBatches:   s.VectorizedBatches,
-		VectorizedJoins:     s.VectorizedJoins,
-		JoinProbeBatches:    s.JoinProbeBatches,
-		PushdownScans:       s.PushdownScans,
-		PushedConjuncts:     s.PushedConjuncts,
-		RecordsSkippedEarly: s.RecordsSkippedEarly,
-		DiskHits:            s.DiskHits,
-		Spills:              s.Spills,
-		SpillDrops:          s.SpillDrops,
-		DiskEntries:         s.DiskEntries,
-		DiskBytes:           s.DiskBytes,
-		StaleInvalidations:  s.StaleInvalidations,
-		TailExtensions:      s.TailExtensions,
-		TailBytesScanned:    s.TailBytesScanned,
-		Entries:             s.Entries,
-		TotalBytes:          s.TotalBytes,
-		OpenTxns:            s.OpenTxns,
-	}
-}
-
 func main() {
 	var csvSpecs, jsonSpecs []string
 	var (
 		connect   = flag.String("connect", "", "attach to a recached daemon (unix:/path or host:port) instead of embedding the engine")
 		eviction  = flag.String("eviction", "recache", "eviction policy (embedded mode)")
 		admission = flag.String("admission", "adaptive", "admission mode: adaptive|eager|lazy|off (embedded mode)")
-		layout    = flag.String("layout", "auto", "cache layout: auto|parquet|columnar|row (embedded mode)")
+		layout    = flag.String("layout", "auto", "cache layout: auto|parquet|columnar (embedded mode)")
 		capacity  = flag.Int64("capacity", 0, "cache capacity in bytes (0 = unlimited; embedded mode)")
 		spillDir  = flag.String("spill-dir", "", "spill directory for the disk cache tier (empty = spilling off; embedded mode)")
 		diskCap   = flag.Int64("disk-capacity", 0, "disk tier capacity in bytes (0 = unlimited; needs -spill-dir; embedded mode)")

@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		statsAddr = fs.String("stats", "", "serve GET /stats (JSON counters) on this HTTP address")
 		eviction  = fs.String("eviction", "recache", "eviction policy")
 		admission = fs.String("admission", "adaptive", "admission mode: adaptive|eager|lazy|off")
-		layout    = fs.String("layout", "auto", "cache layout: auto|parquet|columnar|row")
+		layout    = fs.String("layout", "auto", "cache layout: auto|parquet|columnar")
 		capacity  = fs.Int64("capacity", 0, "cache capacity in bytes (0 = unlimited)")
 		spillDir  = fs.String("spill-dir", "", "spill directory for the disk cache tier (empty = spilling off)")
 		diskCap   = fs.Int64("disk-capacity", 0, "disk tier capacity in bytes (0 = unlimited; needs -spill-dir)")

@@ -179,7 +179,6 @@ func TestCacheCorrectnessUnderAllConfigs(t *testing.T) {
 		{Admission: "adaptive", AdmissionSampleSize: 2},
 		{Admission: "eager", Layout: "parquet"},
 		{Admission: "eager", Layout: "columnar"},
-		{Admission: "eager", Layout: "row"},
 		{Admission: "eager", DisableSubsumption: true},
 	}
 	r := rand.New(rand.NewSource(11))
@@ -344,8 +343,10 @@ func TestOpenErrors(t *testing.T) {
 	if _, err := Open(Config{Admission: "nope"}); err == nil {
 		t.Error("bad admission should fail")
 	}
-	if _, err := Open(Config{Layout: "nope"}); err == nil {
-		t.Error("bad layout should fail")
+	for _, layout := range []string{"nope", "row"} { // there is no row layout
+		if _, err := Open(Config{Layout: layout}); err == nil || !strings.Contains(err.Error(), "unknown layout mode") {
+			t.Errorf("Open(Layout: %q) = %v, want the unknown-layout error", layout, err)
+		}
 	}
 }
 
@@ -437,5 +438,64 @@ func TestEngineMatchesProviderLevelScan(t *testing.T) {
 	}
 	if res.Rows[0][0].(float64) != 900 {
 		t.Errorf("sum = %v, want 900", res.Rows[0][0])
+	}
+}
+
+// Only nested data has a layout decision (§4.2). Under Layout "auto" a flat
+// entry is never converted however often it is hit, on either scan flavor,
+// while a nested entry in the same engine, read through its flattened view
+// (where Parquet pays record assembly on every scan), still moves to the
+// relational columnar layout.
+func TestLayoutAdvisorMovesOnlyNestedEntries(t *testing.T) {
+	var nested strings.Builder
+	for i := 0; i < 1500; i++ {
+		fmt.Fprintf(&nested, `{"okey":%d,"total":%d,"items":[`, i, i%500)
+		for k := 0; k <= i%4; k++ {
+			if k > 0 {
+				nested.WriteByte(',')
+			}
+			fmt.Fprintf(&nested, `{"qty":%d,"price":%d}`, k+1, 10*k+i%7)
+		}
+		nested.WriteString("]}\n")
+	}
+	layoutOf := func(eng *Engine, table string) string {
+		for _, e := range eng.CacheEntries() {
+			if e.Table == table {
+				return e.Layout
+			}
+		}
+		return "no entry"
+	}
+	for _, noVec := range []bool{false, true} {
+		eng := testEngine(t, Config{Admission: "eager", Layout: "auto", DisableVectorized: noVec})
+		err := eng.RegisterJSON("big", writeTemp(t, "big.json", nested.String()),
+			"okey int, total float, items list(qty int, price float)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 51; i++ { // one miss, fifty hits
+			if _, err := eng.Query("SELECT id, name FROM t WHERE qty BETWEEN 15 AND 45"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := eng.CacheStats(); st.LayoutSwitches != 0 || st.ExactHits != 50 || layoutOf(eng, "t") != "columnar" {
+			t.Errorf("DisableVectorized=%v: flat entry after %d hits: %d layout switches, layout %s; want 0, columnar",
+				noVec, st.ExactHits, st.LayoutSwitches, layoutOf(eng, "t"))
+		}
+		if _, err := eng.Query("SELECT SUM(items.price), COUNT(*) FROM big WHERE items.qty >= 0"); err != nil {
+			t.Fatal(err)
+		}
+		if got := layoutOf(eng, "big"); got != "parquet" {
+			t.Fatalf("DisableVectorized=%v: nested entry built %s, want parquet", noVec, got)
+		}
+		for i := 0; i < 500 && eng.CacheStats().LayoutSwitches == 0; i++ {
+			if _, err := eng.Query("SELECT SUM(items.price), COUNT(*) FROM big WHERE items.qty >= 0"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := eng.CacheStats(); st.LayoutSwitches != 1 || layoutOf(eng, "big") != "columnar" || layoutOf(eng, "t") != "columnar" {
+			t.Errorf("DisableVectorized=%v: after flattened-view hits: %d layout switches, nested entry %s, flat entry %s; want 1, columnar, columnar",
+				noVec, st.LayoutSwitches, layoutOf(eng, "big"), layoutOf(eng, "t"))
+		}
 	}
 }

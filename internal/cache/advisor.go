@@ -4,15 +4,13 @@ import (
 	"math"
 
 	"recache/internal/store"
-	"recache/internal/value"
 )
 
 // scanObs records one query's observed cost against a cache entry — the
 // D_i, C_i, r_i and c_i of §4.2.
 // Vectorized-scan observations need no flag here: their nanos ARE the
 // measured batch-pipeline costs, so batch speed flows into the nested
-// cost comparison by construction. Only the flat row/column miss model
-// is synthetic and takes an explicit vectorized parameter (observeFlat).
+// cost comparison by construction.
 type scanObs struct {
 	dataNanos    int64 // D_i
 	computeNanos int64 // C_i
@@ -29,8 +27,6 @@ type scanObs struct {
 type advisorState struct {
 	window      []scanObs
 	parquetHist []scanObs
-	rowcol      rowColCost
-	batch       batchTune
 	switches    int
 	// lastConvNanos is the measured cost of the previous layout switch.
 	// Eq. (3) extrapolates T from scan costs, which can badly underestimate
@@ -137,173 +133,4 @@ func (a *advisorState) computeCost(rows int64, ncols int, dataNanos int64) float
 func (a *advisorState) reset() {
 	a.window = a.window[:0]
 	a.switches++
-}
-
-// --- Relational row ↔ column advisor (§4.3, a minor variation of H2O) ---
-
-// rowColObs tracks which columns a query over flat cached data touched.
-type rowColCost struct {
-	colMisses float64
-	rowMisses float64
-	n         int
-}
-
-// observeFlat estimates data-cache misses for both layouts for one query
-// and accumulates them. widths are per-column byte widths; accessed is the
-// projected column set; rows the row count. vectorized marks queries served
-// by the batch pipeline: their per-column stream overhead term is dropped —
-// the vectorized reader amortizes per-column dispatch over whole batches —
-// so measured batch speed makes the model slower to abandon the columnar
-// layout a vectorized workload is actually enjoying.
-func (c *rowColCost) observeFlat(widths []int, accessed []int, rows int64, vectorized bool) {
-	const lineBytes = 64
-	var rowWidth float64
-	for _, w := range widths {
-		rowWidth += float64(w)
-	}
-	var accWidth float64
-	for _, a := range accessed {
-		accWidth += float64(widths[a])
-	}
-	// Column layout: misses proportional to the accessed columns' bytes,
-	// plus a per-column stream overhead; row layout: the full row is pulled
-	// through the cache whatever the projection.
-	overhead := 0.15 * float64(len(accessed)) * lineBytes * float64(rows) / 8
-	if vectorized {
-		overhead = 0
-	}
-	c.colMisses += (accWidth*float64(rows) + overhead) / lineBytes
-	c.rowMisses += rowWidth * float64(rows) / lineBytes
-	c.n++
-}
-
-// decide recommends a layout once enough queries were observed; the margin
-// guards against thrashing (transformation is not free).
-func (c *rowColCost) decide(cur store.Layout) layoutDecision {
-	if c.n < 4 {
-		return layoutDecision{}
-	}
-	const margin = 1.25
-	if cur == store.LayoutColumnar && c.colMisses > c.rowMisses*margin {
-		return layoutDecision{switchTo: store.LayoutRow, doSwitch: true}
-	}
-	if cur == store.LayoutRow && c.rowMisses > c.colMisses*margin {
-		return layoutDecision{switchTo: store.LayoutColumnar, doSwitch: true}
-	}
-	return layoutDecision{}
-}
-
-// --- Adaptive batch sizing ---
-
-// batchLadder is the set of batch sizes the tuner chooses between. The
-// default store.BatchRows sits in the middle; smaller batches fit hot
-// working sets into L1/L2 for wide rows, larger ones amortize per-batch
-// overhead for narrow selective scans.
-var batchLadder = [...]int{256, store.BatchRows, 4096}
-
-// batchTune is the per-entry batch-size tuner. It rides the same reactive
-// loop as the layout advisor: every vectorized scan's measured wall nanos
-// feed a per-size nanos-per-row EMA (RecordScan, under the manager lock),
-// and the executor asks BatchRowsFor before opening a batch pipeline.
-// Starting from the default, the tuner first gathers confidence at the
-// current size, then probes unmeasured neighbours, then settles on the
-// measured argmin — and periodically re-probes so a drifting workload
-// (projection width, selectivity) can move it again. Re-admission from
-// the disk tier resets the tuner: the reloaded store starts re-learning.
-type batchTune struct {
-	started bool
-	idx     int // index into batchLadder
-	ema     [len(batchLadder)]float64
-	obs     [len(batchLadder)]int
-	settled int
-}
-
-// batchTune pacing: observations needed at a size before acting, and how
-// many settled observations trigger a re-probe of the other sizes.
-const (
-	batchProbeAfter = 4
-	batchReprobe    = 64
-)
-
-// rows returns the batch size the next vectorized scan should use.
-func (t *batchTune) rows() int {
-	if !t.started {
-		return store.BatchRows
-	}
-	return batchLadder[t.idx]
-}
-
-// observe feeds one vectorized scan: rows scanned, the batch size the scan
-// actually used, and its measured wall nanos.
-func (t *batchTune) observe(rows, usedRows, nanos int64) {
-	if rows <= 0 || nanos <= 0 {
-		return
-	}
-	si := -1
-	for i, s := range batchLadder {
-		if int64(s) == usedRows {
-			si = i
-			break
-		}
-	}
-	if si < 0 {
-		return // off-ladder (e.g. a pipeline that ignored the tuner)
-	}
-	if !t.started {
-		t.started = true
-		t.idx = si
-	}
-	per := float64(nanos) / float64(rows)
-	if t.ema[si] == 0 {
-		t.ema[si] = per
-	} else {
-		t.ema[si] = 0.7*t.ema[si] + 0.3*per
-	}
-	t.obs[si]++
-	if t.obs[t.idx] < batchProbeAfter {
-		return // not confident at the current size yet
-	}
-	// Probe an unmeasured neighbour before judging.
-	for _, ni := range []int{t.idx - 1, t.idx + 1} {
-		if ni >= 0 && ni < len(batchLadder) && t.obs[ni] == 0 {
-			t.idx = ni
-			t.settled = 0
-			return
-		}
-	}
-	// All reachable sizes measured: sit on the argmin.
-	best := t.idx
-	for i := range batchLadder {
-		if t.ema[i] > 0 && t.ema[i] < t.ema[best] {
-			best = i
-		}
-	}
-	t.idx = best
-	t.settled++
-	if t.settled >= batchReprobe {
-		// Forget the losers so the next rounds re-measure them.
-		for i := range batchLadder {
-			if i != best {
-				t.ema[i] = 0
-				t.obs[i] = 0
-			}
-		}
-		t.settled = 0
-	}
-}
-
-// colWidths estimates per-column byte widths for the miss model.
-func colWidths(cols []value.LeafColumn) []int {
-	w := make([]int, len(cols))
-	for i, c := range cols {
-		switch c.Type.Kind {
-		case value.Int, value.Float:
-			w[i] = 8
-		case value.Bool:
-			w[i] = 1
-		default:
-			w[i] = 16
-		}
-	}
-	return w
 }

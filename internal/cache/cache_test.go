@@ -371,7 +371,6 @@ func TestChooseLayoutModes(t *testing.T) {
 		{LayoutAuto, store.LayoutColumnar, store.LayoutParquet},
 		{LayoutFixedParquet, store.LayoutParquet, store.LayoutParquet},
 		{LayoutFixedColumnar, store.LayoutColumnar, store.LayoutColumnar},
-		{LayoutFixedRow, store.LayoutRow, store.LayoutColumnar}, // row can't hold nested
 	}
 	for _, c := range cases {
 		m := NewManager(Config{Layout: c.mode})

@@ -458,8 +458,8 @@ var lifecycleSteps = []struct {
 	{"convert-begin", 3, func(x *lifecycleModel) { x.beginOn(opConverting, &x.converts) }},
 	{"convert-commit", 3, func(x *lifecycleModel) {
 		if o, ok := x.take(&x.converts); ok {
-			to := store.LayoutRow
-			if o.snap.store.Layout() == store.LayoutRow {
+			to := store.LayoutParquet
+			if o.snap.store.Layout() == store.LayoutParquet {
 				to = store.LayoutColumnar
 			}
 			x.m.convert(o, to)

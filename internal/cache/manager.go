@@ -36,7 +36,6 @@ const (
 	LayoutAuto LayoutMode = iota
 	LayoutFixedParquet
 	LayoutFixedColumnar
-	LayoutFixedRow
 )
 
 // Config configures a cache manager. The zero value means: unlimited
@@ -713,11 +712,6 @@ func (m *Manager) ChooseLayout(ds *plan.Dataset) store.Layout {
 		return store.LayoutParquet
 	case LayoutFixedColumnar:
 		return store.LayoutColumnar
-	case LayoutFixedRow:
-		if nested {
-			return store.LayoutColumnar // row cannot hold nested data
-		}
-		return store.LayoutRow
 	default:
 		if nested {
 			return store.LayoutParquet
@@ -1063,7 +1057,6 @@ func (m *Manager) RecordScan(e *Entry, st store.ScanStats, ncols int, scanWallNa
 	}
 	if st.Vectorized {
 		e.VecScans++
-		e.advisor.batch.observe(st.RowsScanned, st.BatchRows, scanWallNanos)
 	}
 	e.ScanNanos = scanWallNanos
 	if e.frozenScan == 0 {
@@ -1073,31 +1066,17 @@ func (m *Manager) RecordScan(e *Entry, st store.ScanStats, ncols int, scanWallNa
 		m.mu.Unlock()
 		return 0
 	}
-	nested := value.RepeatedFieldCached(e.Dataset.Schema()) != nil
+	// Only nested data has a layout decision (§4.2); a flat entry stays in
+	// the layout it was built or reloaded in.
 	var dec layoutDecision
-	if nested {
-		if m.cfg.Layout == LayoutAuto {
-			dec = e.advisor.observeNested(scanObs{
-				dataNanos:    st.DataNanos,
-				computeNanos: st.ComputeNanos,
-				rows:         st.RowsScanned,
-				ncols:        ncols,
-				layout:       e.Store.Layout(),
-			}, e.Store.Layout(), int64(e.Store.NumFlatRows()))
-		}
-	} else if m.cfg.Layout == LayoutAuto || m.cfg.Layout == LayoutFixedRow {
-		// Row/column miss model needs the accessed column identities; the
-		// executor reports only the count, so approximate with the first
-		// ncols columns (projections are prefix-heavy in our workloads).
-		widths := colWidths(e.Store.Columns())
-		accessed := make([]int, 0, ncols)
-		for i := 0; i < ncols && i < len(widths); i++ {
-			accessed = append(accessed, i)
-		}
-		e.advisor.rowcol.observeFlat(widths, accessed, int64(e.Store.NumFlatRows()), st.Vectorized)
-		if m.cfg.Layout == LayoutAuto {
-			dec = e.advisor.rowcol.decide(e.Store.Layout())
-		}
+	if m.cfg.Layout == LayoutAuto && value.RepeatedFieldCached(e.Dataset.Schema()) != nil {
+		dec = e.advisor.observeNested(scanObs{
+			dataNanos:    st.DataNanos,
+			computeNanos: st.ComputeNanos,
+			rows:         st.RowsScanned,
+			ncols:        ncols,
+			layout:       e.Store.Layout(),
+		}, e.Store.Layout(), int64(e.Store.NumFlatRows()))
 	}
 	// A demotion in flight wins over a layout switch (begin refuses): the
 	// payload is already on its way out of RAM.
@@ -1123,7 +1102,6 @@ func (m *Manager) convert(o inflight, to store.Layout) time.Duration {
 	ok := m.commit(o, res)
 	if ok {
 		o.e.advisor.reset()
-		o.e.advisor.rowcol = rowColCost{}
 		o.e.advisor.lastConvNanos = dur.Nanoseconds()
 	}
 	m.mu.Unlock()

@@ -132,17 +132,14 @@ func (m *Manager) drainSpills() {
 	}
 }
 
-// writeParquet serializes st as an RCS1 stream, converting it to the
-// Parquet layout first if needed (the demote-by-conversion path for
-// row/columnar entries).
+// writeParquet serializes st as an RCS1 stream, converting a columnar
+// entry to the Parquet layout first (demote by conversion).
 func writeParquet(w io.Writer, st store.Store) error {
-	if st.Layout() != store.LayoutParquet {
-		var err error
-		if st, _, err = store.Convert(st, store.LayoutParquet); err != nil {
-			return err
-		}
+	p, _, err := store.Convert(st, store.LayoutParquet)
+	if err != nil {
+		return err
 	}
-	return store.WriteParquet(w, st)
+	return store.WriteParquet(w, p)
 }
 
 // atomicWrite streams a spill file through write into a temp file in the
@@ -219,10 +216,7 @@ func (m *Manager) load(o inflight, path string) (Mode, store.Store, []int64, err
 		res.store, res.err = store.ReadParquetBytes(data, e.Dataset.Schema())
 	}
 	reload := time.Since(start).Nanoseconds()
-	res.account = func() {
-		e.reloadNanos = reload
-		e.advisor.batch = batchTune{} // re-learn batch size after re-admission
-	}
+	res.account = func() { e.reloadNanos = reload }
 	m.mu.Lock()
 	m.commit(o, res)
 	if res.err != nil && m.removeLocked(e) {
@@ -287,12 +281,4 @@ func (m *Manager) EntryTier(e *Entry) string {
 		return "disk"
 	}
 	return "ram"
-}
-
-// BatchRowsFor returns the entry's adaptively tuned batch size for the
-// vectorized pipeline (store.BatchRows until the tuner has observations).
-func (m *Manager) BatchRowsFor(e *Entry) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return e.advisor.batch.rows()
 }

@@ -21,11 +21,10 @@ import (
 // so a downstream vectorized Aggregate/Project never sees a boxed row.
 //
 // Flavor choice is per compile with per-execution degradation: when only
-// one side's batches open at run time (lazy entry, row layout, Parquet FSM
-// view), the join crosses the batch→row boundary on the row side — typed
-// table from batches probed by rows, or a row-built arena probed by
-// batches — and when neither opens it falls all the way back to the boxed
-// row join. All flavors produce identical results (joinvec_test.go holds
+// one side's batches open at run time (lazy entry, Parquet FSM view), the
+// join crosses the batch→row boundary on the row side — typed table from
+// batches probed by rows, or a row-built arena probed by batches — and
+// when neither opens it falls all the way back to the boxed row join. All flavors produce identical results (joinvec_test.go holds
 // them to it), including the row path's float key semantics: +0 and -0
 // join each other, NaN keys never match.
 

@@ -163,7 +163,7 @@ func joinParityPlans(t *testing.T, jl, jr *plan.Dataset) map[string]func() plan.
 // layouts, on the miss and on hits.
 func TestVectorizedJoinMatchesRowPath(t *testing.T) {
 	layouts := []cache.LayoutMode{
-		cache.LayoutAuto, cache.LayoutFixedColumnar, cache.LayoutFixedParquet, cache.LayoutFixedRow,
+		cache.LayoutAuto, cache.LayoutFixedColumnar, cache.LayoutFixedParquet,
 	}
 	for _, layout := range layouts {
 		jl, jr := joinLeftDataset(t), joinRightDataset(t)

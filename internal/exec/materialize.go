@@ -35,9 +35,9 @@ const buildChunk = store.BatchRows
 //     with a typed kernel (plan.ColumnAppender). The build takes record
 //     offsets and the provider decodes those records straight from their
 //     bytes into the entry's column vectors.
-//   - record: nested schemas (flattening needs the record), the row layout,
-//     providers without a kernel. Each record is completed in place and
-//     boxed through a store.Builder.
+//   - record: nested schemas (flattening needs the record), a flat schema
+//     pinned to the Parquet layout, providers without a kernel. Each record
+//     is completed in place and boxed through a store.Builder.
 type eagerBuild struct {
 	schema *value.Type
 

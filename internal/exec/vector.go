@@ -26,8 +26,8 @@ import (
 //
 // The flavor is chosen per pipeline at compile time — the plan shape and
 // predicate must be vectorizable — with a row-at-a-time fallback decided at
-// run time from the entry's payload snapshot (lazy entries, row-store
-// layout, and Parquet's FSM-assembled flattened view keep the row path).
+// run time from the entry's payload snapshot (lazy entries and
+// Parquet's FSM-assembled flattened view keep the row path).
 // Both flavors produce identical results; the differential parity suite
 // (vectorized_test.go) holds them to that.
 
@@ -111,7 +111,7 @@ func (p *vecScan) open(deps Deps, admit bool) (*store.BatchCursor, bool) {
 // layout advisor and the VectorizedScans counters) and the query stats.
 // scanNanos excludes downstream operator time, so the attribution stays
 // per-entry even when a query touches several cached entries.
-func (p *vecScan) finish(ctx *qctx, batches, scanNanos, rows, batchRows int64) {
+func (p *vecScan) finish(ctx *qctx, batches, scanNanos, rows int64) {
 	if scanNanos < 0 {
 		scanNanos = 0
 	}
@@ -121,7 +121,6 @@ func (p *vecScan) finish(ctx *qctx, batches, scanNanos, rows, batchRows int64) {
 			DataNanos:   scanNanos,
 			RowsScanned: rows,
 			Batches:     batches,
-			BatchRows:   batchRows,
 			Vectorized:  true,
 		}
 		conv := ctx.deps.Manager.RecordScan(p.entry, st, len(p.outNames), scanNanos)
@@ -190,7 +189,8 @@ type vecIter interface {
 	// Cols returns the stable column vectors (nil when !Stable()).
 	Cols() []*store.Vec
 	// Next returns the next batch's columns and selection vector; ok=false
-	// when exhausted. The selection may be empty (a fully filtered batch).
+	// when exhausted. The selection holds at most store.BatchRows rows and
+	// may be empty (a fully filtered batch).
 	Next() (cols []*store.Vec, sel []int32, ok bool)
 	// Close attributes the iteration's measured cost to cache entries and
 	// counters; call once, after exhaustion.
@@ -219,15 +219,8 @@ func (s *scanSource) open(ctx *qctx) (vecIter, bool) {
 			return nil, false
 		}
 	}
-	// Batch size comes from the entry's adaptive tuner (store.BatchRows
-	// until it has learned otherwise); the cursor caps each batch at the
-	// selection buffer's capacity.
-	batchRows := store.BatchRows
-	if ctx.deps.Manager != nil {
-		batchRows = ctx.deps.Manager.BatchRowsFor(s.p.entry)
-	}
-	return &scanIter{p: s.p, filters: s.filters, cur: cur,
-		selBuf: getSelBuf(batchRows)}, true
+	// The cursor caps each batch at the selection buffer's length.
+	return &scanIter{p: s.p, filters: s.filters, cur: cur, selBuf: getSelBuf()}, true
 }
 
 // selBufPool recycles selection buffers across queries: the buffer is the
@@ -237,13 +230,11 @@ func (s *scanSource) open(ctx *qctx) (vecIter, bool) {
 // keep Put/Get themselves allocation-free.
 var selBufPool sync.Pool
 
-func getSelBuf(n int) []int32 {
+func getSelBuf() []int32 {
 	if v := selBufPool.Get(); v != nil {
-		if b := *v.(*[]int32); cap(b) >= n {
-			return b[:n]
-		}
+		return *v.(*[]int32)
 	}
-	return make([]int32, n)
+	return make([]int32, store.BatchRows)
 }
 
 func putSelBuf(b []int32) {
@@ -304,7 +295,7 @@ func (it *scanIter) Next() ([]*store.Vec, []int32, bool) {
 }
 
 func (it *scanIter) Close(ctx *qctx) {
-	it.p.finish(ctx, it.batches, it.nanos, it.cur.Rows, int64(len(it.selBuf)))
+	it.p.finish(ctx, it.batches, it.nanos, it.cur.Rows)
 	// The last batch's selection has been consumed by the time the
 	// pipeline closes its source, so the buffer can go back to the pool.
 	putSelBuf(it.selBuf)
@@ -403,24 +394,17 @@ func emitIter(ctx *qctx, it vecIter, proj []int, out emitFn) error {
 			emitCols = outCols
 		}
 		t0 := time.Now()
-		for off := 0; off < len(sel); off += store.BatchRows {
-			end := off + store.BatchRows
-			if end > len(sel) {
-				end = len(sel)
-			}
-			part := sel[off:end]
-			store.FillRows(emitCols, part, chunk, nc)
-			for k := range part {
-				row := chunk[k*nc : (k+1)*nc : (k+1)*nc]
-				if down.Begin() {
-					err := out(row)
-					down.End()
-					if err != nil {
-						return err
-					}
-				} else if err := out(row); err != nil {
+		store.FillRows(emitCols, sel, chunk, nc)
+		for k := range sel {
+			row := chunk[k*nc : (k+1)*nc : (k+1)*nc]
+			if down.Begin() {
+				err := out(row)
+				down.End()
+				if err != nil {
 					return err
 				}
+			} else if err := out(row); err != nil {
+				return err
 			}
 		}
 		emitWall += time.Since(t0).Nanoseconds()

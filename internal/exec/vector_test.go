@@ -82,7 +82,7 @@ func vecParityPlans(t *testing.T, ds, orders *plan.Dataset) map[string]func() pl
 // every corpus plan produces identical results through the vectorized and
 // row pipelines, on the miss, the exact hit, and a second hit.
 func TestVectorizedMatchesRowPath(t *testing.T) {
-	for _, layout := range []cache.LayoutMode{cache.LayoutAuto, cache.LayoutFixedColumnar, cache.LayoutFixedParquet, cache.LayoutFixedRow} {
+	for _, layout := range []cache.LayoutMode{cache.LayoutAuto, cache.LayoutFixedColumnar, cache.LayoutFixedParquet} {
 		ds, orders := csvDataset(t), ordersDataset(t)
 		plans := vecParityPlans(t, ds, orders)
 		needed := map[string][]string{
@@ -113,16 +113,6 @@ func TestVectorizedMatchesRowPath(t *testing.T) {
 		}
 		if layout == cache.LayoutFixedColumnar && mVec.Stats().VectorizedScans == 0 {
 			t.Error("columnar layout ran zero vectorized scans")
-		}
-		if layout == cache.LayoutFixedRow {
-			// Flat entries use the row store (no batches); nested data
-			// cannot (row layout falls back to columnar), so only check
-			// the flat dataset's entries.
-			for _, e := range mVec.Entries() {
-				if e.Dataset.Name == "t" && e.VecScans != 0 {
-					t.Errorf("row-store entry %d ran %d vectorized scans", e.ID, e.VecScans)
-				}
-			}
 		}
 		if mRow.Stats().VectorizedScans != 0 {
 			t.Errorf("DisableVectorized engine ran %d vectorized scans", mRow.Stats().VectorizedScans)

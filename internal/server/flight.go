@@ -197,13 +197,9 @@ func (f *flight) replicateOne(buf *bytes.Buffer, job replicateJob) {
 	if !found {
 		return // single-shard fleet: nowhere to replicate
 	}
-	st := job.st
-	if st.Layout() != store.LayoutParquet {
-		p, _, err := store.Convert(st, store.LayoutParquet)
-		if err != nil {
-			return
-		}
-		st = p
+	st, _, err := store.Convert(job.st, store.LayoutParquet)
+	if err != nil {
+		return
 	}
 	buf.Reset()
 	if err := store.WriteParquet(buf, st); err != nil {

@@ -171,6 +171,48 @@ func TestServerOps(t *testing.T) {
 	}
 }
 
+// A statement that nests without end — megabytes of "(" or "NOT", well under
+// the request frame limit — used to overflow the parser's goroutine stack,
+// which kills the whole daemon. It must cost its sender one error response:
+// the session and the daemon keep answering.
+func TestDeepStatementIsAnError(t *testing.T) {
+	eng, err := recache.Open(recache.Config{Admission: "eager"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if err := eng.RegisterCSV("t", testCSV(t, 50), "id int, qty int, price float, name string", '|'); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, eng)
+	cl := dial(t, addr, client.Options{})
+	bombs := []string{
+		"SELECT id FROM t WHERE " + strings.Repeat("(", 1_500_000) + "id>1" + strings.Repeat(")", 1_500_000),
+		"SELECT id FROM t WHERE " + strings.Repeat("NOT ", 500_000) + "id>1",
+	}
+	for _, bomb := range bombs {
+		if len(bomb) >= maxRequestFrame {
+			t.Fatalf("bomb of %d bytes would be refused by the frame limit, not the parser", len(bomb))
+		}
+		if _, err := eng.Query(bomb); err == nil || !strings.Contains(err.Error(), "nested deeper than") {
+			t.Errorf("embedded %.30q…: err = %v, want the nesting error", bomb, err)
+		}
+		_, err := cl.Query(bomb)
+		var se *client.ServerError
+		if !errors.As(err, &se) || !strings.Contains(err.Error(), "nested deeper than") {
+			t.Fatalf("over the wire %.30q…: err = %v, want the nesting error as a server error", bomb, err)
+		}
+		res, err := cl.Query("SELECT COUNT(*) FROM t WHERE (NOT (id > 10))")
+		if err != nil || res.Rows[0][0].(int64) != 10 {
+			t.Fatalf("query after the bomb on the same session: %v, %v", res, err)
+		}
+	}
+	// A fresh session is served too: the daemon, not just the connection, survived.
+	if err := dial(t, addr, client.Options{}).Ping(); err != nil {
+		t.Fatalf("new session after the bombs: %v", err)
+	}
+}
+
 // One connection, many concurrent queries: pipelining must keep them all
 // in flight and match every response to its request.
 func TestPipelinedRequests(t *testing.T) {

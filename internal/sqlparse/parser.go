@@ -52,9 +52,25 @@ func Parse(src string) (*Query, error) {
 }
 
 type parser struct {
-	toks []token
-	i    int
-	src  string
+	toks  []token
+	i     int
+	src   string
+	depth int // open NOT / parenthesis / unary-minus levels
+}
+
+// maxNesting bounds how deep NOT, parentheses and unary minus may nest. The
+// parser is recursive descent and a statement arrives from the network: a
+// few megabytes of "(" fit in one request frame and would otherwise end in
+// a goroutine stack overflow, which is fatal to the process (no recover
+// catches it).
+const maxNesting = 200
+
+// nest enters one nesting level; the caller leaves it with p.depth--.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxNesting {
+		return p.errf("expression nested deeper than %d", maxNesting)
+	}
+	return nil
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -274,10 +290,14 @@ func (p *parser) parseAnd() (expr.Expr, error) {
 
 func (p *parser) parseNot() (expr.Expr, error) {
 	if p.acceptKeyword("NOT") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseNot()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return &expr.Not{E: inner}, nil
 	}
 	return p.parsePrimary()
@@ -285,10 +305,14 @@ func (p *parser) parseNot() (expr.Expr, error) {
 
 func (p *parser) parsePrimary() (expr.Expr, error) {
 	if p.acceptSymbol("(") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseOr()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		if err := p.expectSymbol(")"); err != nil {
 			return nil, err
 		}
@@ -414,10 +438,14 @@ func (p *parser) parseAtom() (expr.Expr, error) {
 		return expr.L(false), nil
 	case t.kind == tokSymbol && t.text == "-":
 		p.next()
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseAtom()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		if l, ok := inner.(*expr.Lit); ok {
 			if l.V.Kind == value.Int {
 				return expr.L(-l.V.I), nil

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"strings"
 	"testing"
 
 	"recache/internal/expr"
@@ -168,5 +169,37 @@ func TestParseEquivalentPredicatesCanonicalize(t *testing.T) {
 	if q1.Where.Canonical() != q2.Where.Canonical() {
 		t.Errorf("BETWEEN and >=/<= should canonicalize equally:\n%s\n%s",
 			q1.Where.Canonical(), q2.Where.Canonical())
+	}
+}
+
+// A statement arrives from the network, so how deep it nests is the
+// sender's choice: past maxNesting the parser must answer with an error
+// instead of recursing until the goroutine stack overflows (fatal, not
+// recoverable). Sibling groups do not accumulate.
+func TestParseNestingBound(t *testing.T) {
+	const want = "expression nested deeper than"
+	bombs := map[string]string{
+		"parens": `SELECT a FROM t WHERE ` + strings.Repeat("(", 1_500_000) + `a>1` + strings.Repeat(")", 1_500_000),
+		"nots":   `SELECT a FROM t WHERE ` + strings.Repeat("NOT ", 500_000) + `a>1`,
+		"minus":  `SELECT a FROM t WHERE a > ` + strings.Repeat("- ", 1_000_000) + `1`,
+	}
+	for name, src := range bombs {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
+		}
+	}
+	ok := []string{
+		`SELECT a FROM t WHERE ` + strings.Repeat("(", maxNesting) + `a>1` + strings.Repeat(")", maxNesting),
+		`SELECT a FROM t WHERE ` + strings.Repeat("NOT ", maxNesting) + `a>1`,
+		`SELECT a FROM t WHERE ` + strings.Repeat("(a>1) AND ", 10*maxNesting) + `(NOT (a > -1))`,
+	}
+	for _, src := range ok {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("Parse(%.40q…) at the bound: %v", src, err)
+		}
+	}
+	over := `SELECT a FROM t WHERE ` + strings.Repeat("(", maxNesting+1) + `a>1` + strings.Repeat(")", maxNesting+1)
+	if _, err := Parse(over); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("one level over the bound: err = %v, want %q", err, want)
 	}
 }

@@ -35,8 +35,7 @@ func (c *BatchCursor) Next(buf []int32) []int32 { return c.next(buf) }
 
 // BatchSource is implemented by store layouts that can serve column batches
 // directly. A false return means this store/granularity pair needs the
-// row-at-a-time path (row-major layout, or Parquet's FSM-assembled
-// flattened view).
+// row-at-a-time path (Parquet's FSM-assembled flattened view).
 type BatchSource interface {
 	BatchCursor(flat bool, cols []int) (*BatchCursor, bool)
 }

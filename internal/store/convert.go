@@ -1,16 +1,16 @@
 package store
 
 import (
+	"fmt"
 	"time"
 
 	"recache/internal/value"
 )
 
-// Specialized layout conversions. The generic Convert path reassembles
-// every nested record and re-shreds it — correct but allocation-heavy. The
-// two nested layouts are close relatives: repeated columns carry identical
-// entry sequences (one entry per list element, plus a null placeholder for
-// empty lists), so converting between them reduces to typed vector copies:
+// Layout conversions. The two layouts are close relatives: repeated columns
+// carry identical entry sequences (one entry per list element, plus a null
+// placeholder for empty lists), so converting between them reduces to typed
+// vector copies, with no record reassembled or re-shredded:
 //
 //   - Parquet → columnar: copy repeated vectors verbatim; expand each
 //     per-record vector by the record's flattened row count.
@@ -187,33 +187,23 @@ func convertColumnarToParquet(c *columnarStore) *parquetStore {
 	return out
 }
 
-// fastConvert returns a specialized conversion when one exists.
-func fastConvert(src Store, to Layout) (Store, bool) {
+// Convert returns src in another layout with the wall-clock transformation
+// time (the T term of the paper's cost model, eq. 3). A store already in the
+// requested layout is returned as is.
+func Convert(src Store, to Layout) (Store, time.Duration, error) {
+	if src.Layout() == to {
+		return src, 0, nil
+	}
+	start := time.Now()
 	switch s := src.(type) {
 	case *parquetStore:
 		if to == LayoutColumnar {
-			return convertParquetToColumnar(s), true
+			return convertParquetToColumnar(s), time.Since(start), nil
 		}
 	case *columnarStore:
 		if to == LayoutParquet {
-			return convertColumnarToParquet(s), true
+			return convertColumnarToParquet(s), time.Since(start), nil
 		}
 	}
-	return nil, false
-}
-
-// convertTimed wraps fastConvert with the generic fallback.
-func convertTimed(src Store, to Layout) (Store, time.Duration, error) {
-	start := time.Now()
-	if out, ok := fastConvert(src, to); ok {
-		return out, time.Since(start), nil
-	}
-	b, err := NewBuilder(to, src.Schema())
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := src.ScanNested(func(rec value.Value) error { return b.Add(rec) }); err != nil {
-		return nil, 0, err
-	}
-	return b.Finish(), time.Since(start), nil
+	return nil, 0, fmt.Errorf("store: convert: no conversion from %s to %v", src.Layout(), to)
 }

@@ -4,23 +4,19 @@ import "recache/internal/value"
 
 // Extend builds a store holding src's records followed by the tail records,
 // without mutating src (stores are immutable; concurrent scans of src stay
-// valid). For the flat relational layouts this is a vector-level copy — the
-// typed column slices are copied wholesale and only the tail goes through
-// per-row append — so extending a cached entry over an appended file tail
-// costs a memcpy of the old payload instead of re-boxing every old row
-// through a Builder. Layouts without a copy fast path (Parquet's
-// level-encoded vectors) report ok=false and the caller falls back to a
-// full replay.
+// valid). For the relational columnar layout this is a vector-level copy —
+// the typed column slices are copied wholesale and only the tail goes
+// through per-row append — so extending a cached entry over an appended
+// file tail costs a memcpy of the old payload instead of re-boxing every
+// old row through a Builder. Parquet's level-encoded vectors have no copy
+// fast path: it reports ok=false and the caller falls back to a full replay.
 func Extend(src Store, tail []value.Value) (st Store, ok bool, err error) {
-	switch s := src.(type) {
-	case *columnarStore:
-		st, err = s.extend(tail)
-		return st, true, err
-	case *rowStore:
-		st, err = s.extend(tail)
-		return st, true, err
+	s, ok := src.(*columnarStore)
+	if !ok {
+		return nil, false, nil
 	}
-	return nil, false, nil
+	st, err = s.extend(tail)
+	return st, true, err
 }
 
 // cloneCap copies the vector with room for extra more entries, so the
@@ -49,23 +45,6 @@ func (s *columnarStore) extend(tail []value.Value) (Store, error) {
 	ns.recID = append(make([]int32, 0, len(s.recID)+len(tail)), s.recID...)
 	ns.skip = append(make([]bool, 0, len(s.skip)+len(tail)), s.skip...)
 	b := &columnarBuilder{st: ns, paths: resolveLeafPaths(s.schema, s.cols)}
-	for _, rec := range tail {
-		if err := b.Add(rec); err != nil {
-			return nil, err
-		}
-	}
-	return b.Finish(), nil
-}
-
-func (s *rowStore) extend(tail []value.Value) (Store, error) {
-	ns := &rowStore{
-		schema: s.schema,
-		cols:   s.cols,
-		// Old rows are immutable and shared; only the outer slice is copied.
-		rows: append(make([][]value.Value, 0, len(s.rows)+len(tail)), s.rows...),
-		size: s.size,
-	}
-	b := &rowBuilder{st: ns, paths: resolveLeafPaths(s.schema, s.cols)}
 	for _, rec := range tail {
 		if err := b.Add(rec); err != nil {
 			return nil, err

@@ -29,7 +29,7 @@ func randomFlatRecord(r *rand.Rand) value.Value {
 	)
 }
 
-// Property: for the flat layouts, Extend(src, tail) is indistinguishable
+// Property: for the columnar layout, Extend(src, tail) is indistinguishable
 // from building src's records followed by tail from scratch, and src
 // itself is untouched (concurrent scans of the pre-extension payload must
 // stay valid).
@@ -46,26 +46,24 @@ func TestExtendMatchesRebuild(t *testing.T) {
 		for i := range tail {
 			tail[i] = randomFlatRecord(r)
 		}
-		for _, layout := range []Layout{LayoutColumnar, LayoutRow} {
-			src := build(t, layout, schema, old)
-			before := collectFlat(t, src, cols)
-			ext, ok, err := Extend(src, tail)
-			if err != nil || !ok {
-				return false
-			}
-			want := build(t, layout, schema, append(append([]value.Value{}, old...), tail...))
-			if ext.Layout() != layout ||
-				ext.NumRecords() != want.NumRecords() ||
-				ext.SizeBytes() != want.SizeBytes() {
-				return false
-			}
-			if !reflect.DeepEqual(collectFlat(t, ext, cols), collectFlat(t, want, cols)) {
-				return false
-			}
-			// Source store must be byte-for-byte what it was.
-			if !reflect.DeepEqual(collectFlat(t, src, cols), before) || src.NumRecords() != len(old) {
-				return false
-			}
+		src := build(t, LayoutColumnar, schema, old)
+		before := collectFlat(t, src, cols)
+		ext, ok, err := Extend(src, tail)
+		if err != nil || !ok {
+			return false
+		}
+		want := build(t, LayoutColumnar, schema, append(append([]value.Value{}, old...), tail...))
+		if ext.Layout() != LayoutColumnar ||
+			ext.NumRecords() != want.NumRecords() ||
+			ext.SizeBytes() != want.SizeBytes() {
+			return false
+		}
+		if !reflect.DeepEqual(collectFlat(t, ext, cols), collectFlat(t, want, cols)) {
+			return false
+		}
+		// Source store must be byte-for-byte what it was.
+		if !reflect.DeepEqual(collectFlat(t, src, cols), before) || src.NumRecords() != len(old) {
+			return false
 		}
 		return true
 	}

@@ -13,13 +13,9 @@ import (
 // deserializes it back, failing the test on any error.
 func roundTrip(t *testing.T, st Store) Store {
 	t.Helper()
-	p := st
-	if p.Layout() != LayoutParquet {
-		var err error
-		p, _, err = Convert(st, LayoutParquet)
-		if err != nil {
-			t.Fatal(err)
-		}
+	p, _, err := Convert(st, LayoutParquet)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := WriteParquet(&buf, p); err != nil {
@@ -58,7 +54,6 @@ func TestSpillRoundTripAllLayouts(t *testing.T) {
 		{"columnar-nested", LayoutColumnar, nested, sampleOrders()},
 		{"parquet-flat", LayoutParquet, flat, flatRecs},
 		{"columnar-flat", LayoutColumnar, flat, flatRecs},
-		{"row-flat", LayoutRow, flat, flatRecs},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
-// Package store implements the three in-memory cache layouts ReCache
+// Package store implements the two in-memory cache layouts ReCache
 // chooses between (§4 of the paper):
 //
-//   - LayoutRow: relational row-oriented storage (flat schemas only),
 //   - LayoutColumnar: relational column-oriented storage of the *flattened*
 //     view of (possibly nested) records, duplicating parent values per list
 //     element exactly as §4 describes,
@@ -9,7 +8,11 @@
 //     repetition levels and per-element presence, reconstructed by an
 //     FSM-style assembler at scan time.
 //
-// All layouts expose the same Store interface with two scan granularities:
+// There is no row-oriented layout: §4.3's H2O-style comparison can only
+// prefer it for columns averaging under 4.8 bytes (DESIGN.md "Layout
+// ablations"), so a flat schema is simply held columnar.
+//
+// Both layouts expose the same Store interface with two scan granularities:
 // ScanFlat emits the flattened rows (the view produced by unnesting the
 // repeated field), while ScanRecords emits one row per top-level record and
 // may only project non-repeated columns. The two granularities have very
@@ -31,16 +34,13 @@ type Layout uint8
 
 // The supported layouts.
 const (
-	LayoutRow Layout = iota
-	LayoutColumnar
+	LayoutColumnar Layout = iota
 	LayoutParquet
 )
 
 // String names the layout as the paper's figures do.
 func (l Layout) String() string {
 	switch l {
-	case LayoutRow:
-		return "row"
 	case LayoutColumnar:
 		return "columnar"
 	case LayoutParquet:
@@ -60,10 +60,7 @@ type ScanStats struct {
 	ComputeNanos int64
 	RowsScanned  int64
 	Batches      int64
-	// BatchRows is the batch size a vectorized scan ran with; the cache's
-	// adaptive batch tuner attributes the measured nanos to it.
-	BatchRows  int64
-	Vectorized bool
+	Vectorized   bool
 }
 
 // Add accumulates another scan's stats.
@@ -72,9 +69,6 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.ComputeNanos += o.ComputeNanos
 	s.RowsScanned += o.RowsScanned
 	s.Batches += o.Batches
-	if o.BatchRows != 0 {
-		s.BatchRows = o.BatchRows
-	}
 	s.Vectorized = s.Vectorized || o.Vectorized
 }
 
@@ -122,18 +116,12 @@ type Builder interface {
 }
 
 // NewBuilder returns a builder for the given layout and record schema.
-// LayoutRow requires a flat schema.
 func NewBuilder(layout Layout, schema *value.Type) (Builder, error) {
 	cols, err := value.LeafColumns(schema)
 	if err != nil {
 		return nil, err
 	}
 	switch layout {
-	case LayoutRow:
-		if value.RepeatedField(schema) != nil {
-			return nil, fmt.Errorf("store: row layout requires a flat schema, got %s", schema)
-		}
-		return newRowBuilder(schema, cols), nil
 	case LayoutColumnar:
 		return newColumnarBuilder(schema, cols), nil
 	case LayoutParquet:
@@ -150,15 +138,6 @@ func NewParquetBuilder(schema *value.Type) (*ParquetBuilder, error) {
 		return nil, err
 	}
 	return newParquetBuilder(schema, cols), nil
-}
-
-// Convert rebuilds a store in another layout, returning the new store and
-// the wall-clock transformation time (the T term of the paper's cost
-// model, eq. 3). Conversions between the two nested columnar layouts take
-// a direct vector-copy fast path (see convert.go); other pairs replay the
-// nested records through a builder.
-func Convert(src Store, to Layout) (Store, time.Duration, error) {
-	return convertTimed(src, to)
 }
 
 // ColumnIndexes resolves dotted column names against the store's columns.

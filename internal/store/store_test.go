@@ -199,39 +199,6 @@ func TestScanNestedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRowStore(t *testing.T) {
-	schema := value.TRecord(
-		value.F("a", value.TInt),
-		value.F("b", value.TString),
-	)
-	recs := []value.Value{
-		value.VRecord(value.VInt(1), value.VString("x")),
-		value.VRecord(value.VInt(2), value.VString("y")),
-	}
-	s := build(t, LayoutRow, schema, recs)
-	got := collectFlat(t, s, []int{1, 0})
-	want := [][]value.Value{
-		{value.VString("x"), value.VInt(1)},
-		{value.VString("y"), value.VInt(2)},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("row ScanFlat = %v", got)
-	}
-	nested := collectNested(t, s)
-	if !nested[0].Equal(recs[0]) || !nested[1].Equal(recs[1]) {
-		t.Errorf("row ScanNested = %v", nested)
-	}
-	if s.SizeBytes() <= 0 {
-		t.Error("row SizeBytes should be positive")
-	}
-}
-
-func TestRowLayoutRejectsNestedSchema(t *testing.T) {
-	if _, err := NewBuilder(LayoutRow, orderSchema()); err == nil {
-		t.Error("row layout must reject nested schemas")
-	}
-}
-
 func TestParquetSmallerThanColumnarOnNestedData(t *testing.T) {
 	// With wide duplicated parents and many list elements, Parquet's
 	// no-duplication striping must be smaller (the paper's compactness
@@ -421,9 +388,9 @@ func TestScanStatsPopulated(t *testing.T) {
 	}
 }
 
-// Property: the vector-level conversion fast paths produce stores whose
-// contents are identical to a generic rebuild through nested records.
-func TestFastConvertMatchesGenericRebuild(t *testing.T) {
+// Property: the vector-level conversions produce stores whose contents are
+// identical to a rebuild through nested records.
+func TestConvertMatchesRebuild(t *testing.T) {
 	schema := orderSchema()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -447,11 +414,11 @@ func TestFastConvertMatchesGenericRebuild(t *testing.T) {
 				}
 			}
 			srcStore := src.Finish()
-			fast, ok := fastConvert(srcStore, to)
-			if !ok {
+			fast, _, err := Convert(srcStore, to)
+			if err != nil {
 				return false
 			}
-			// Generic rebuild for comparison.
+			// Rebuild through nested records for comparison.
 			gb, _ := NewBuilder(to, schema)
 			if err := srcStore.ScanNested(func(rec value.Value) error { return gb.Add(rec) }); err != nil {
 				return false
@@ -515,28 +482,41 @@ func TestFastConvertMatchesGenericRebuild(t *testing.T) {
 	}
 }
 
-// The flat→flat conversions (row ↔ columnar) go through the generic path.
-func TestConvertFlatRowColumnar(t *testing.T) {
+// A flat schema converts by the same typed copies as a nested one (a
+// disk-tier re-admission hands a flat entry back in the Parquet layout), and
+// a store already in the requested layout is returned itself, not copied.
+func TestConvertFlatSchema(t *testing.T) {
 	schema := value.TRecord(value.F("a", value.TInt), value.F("s", value.TString))
 	recs := []value.Value{
 		value.VRecord(value.VInt(1), value.VString("x")),
-		value.VRecord(value.VInt(2), value.VString("y")),
+		value.VRecord(value.VNull, value.VString("y")),
 	}
-	rowSt := build(t, LayoutRow, schema, recs)
-	colSt, _, err := Convert(rowSt, LayoutColumnar)
+	colSt := build(t, LayoutColumnar, schema, recs)
+	want := collectFlat(t, colSt, []int{0, 1})
+	parSt, _, err := Convert(colSt, LayoutParquet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, _, err := Convert(colSt, LayoutRow)
+	back, _, err := Convert(parSt, LayoutColumnar)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Layout() != LayoutRow {
-		t.Errorf("layout = %v", back.Layout())
+	if parSt.Layout() != LayoutParquet || back.Layout() != LayoutColumnar {
+		t.Errorf("layouts = %v, %v", parSt.Layout(), back.Layout())
 	}
-	got := collectFlat(t, back, []int{0, 1})
-	want := collectFlat(t, rowSt, []int{0, 1})
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("row→columnar→row changed contents")
+	if got := collectFlat(t, parSt, []int{0, 1}); !reflect.DeepEqual(got, want) {
+		t.Errorf("columnar→parquet changed contents: %v", got)
+	}
+	if got := collectFlat(t, back, []int{0, 1}); !reflect.DeepEqual(got, want) {
+		t.Errorf("columnar→parquet→columnar changed contents: %v", got)
+	}
+	for _, s := range []Store{colSt, parSt} {
+		same, dur, err := Convert(s, s.Layout())
+		if err != nil || same != s || dur != 0 {
+			t.Errorf("Convert(%v store, %v) = (%p, %v, %v), want the store itself", s.Layout(), s.Layout(), same, dur, err)
+		}
+	}
+	if _, _, err := Convert(colSt, Layout(9)); err == nil {
+		t.Error("Convert to an unknown layout must fail")
 	}
 }

@@ -78,7 +78,6 @@ func TestVectorizedJoinEngineParity(t *testing.T) {
 		{Admission: "eager"},
 		{Admission: "eager", Layout: "columnar"},
 		{Admission: "eager", Layout: "parquet"},
-		{Admission: "eager", Layout: "row"},
 		{Admission: "lazy"},
 	}
 	base := joinTestEngine(t, Config{Admission: "off"})

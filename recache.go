@@ -84,7 +84,8 @@ type Config struct {
 	// AdmissionSampleSize is the sampling window in records (default 1000).
 	AdmissionSampleSize int
 	// Layout selects the cache layout strategy: "auto" (default),
-	// "parquet", "columnar", or "row".
+	// "parquet" or "columnar". Flat data has no layout decision: it is
+	// built columnar under "auto".
 	Layout string
 	// DisableSubsumption turns off R-tree range-subsumption matching.
 	DisableSubsumption bool
@@ -169,8 +170,6 @@ func (c Config) toCacheConfig() (cache.Config, error) {
 		out.Layout = cache.LayoutFixedParquet
 	case "columnar":
 		out.Layout = cache.LayoutFixedColumnar
-	case "row":
-		out.Layout = cache.LayoutFixedRow
 	default:
 		return out, fmt.Errorf("recache: unknown layout mode %q", c.Layout)
 	}
@@ -849,7 +848,7 @@ func vecNote(cs *plan.CachedScan, m *cache.Manager, noVec bool) string {
 // joinNote annotates a Join with the flavor it would execute right now:
 // the batch-native hash join ("join: vectorized" plus the expected probe
 // batch count) when both inputs serve batches, "join: row" otherwise
-// (disabled, raw-scan inputs, lazy entries, row layouts, expression keys).
+// (disabled, raw-scan inputs, lazy entries, expression keys).
 func joinNote(j *plan.Join, m *cache.Manager, noVec bool) string {
 	ok, batches := exec.VectorizedJoinInfo(j, m, noVec)
 	if !ok {
@@ -893,100 +892,15 @@ func toNative(row []value.Value) []any {
 	return out
 }
 
-// CacheStats summarizes cache behaviour since the engine opened.
-type CacheStats struct {
-	Queries        int64
-	ExactHits      int64
-	SubsumedHits   int64
-	Misses         int64
-	Evictions      int64
-	LayoutSwitches int64
-	LazyUpgrades   int64
-	Inserted       int64
-	// SharedScans counts work-sharing cycles (one raw parse each);
-	// SharedConsumers counts the concurrent misses those cycles served, so
-	// SharedConsumers − SharedScans raw scans were avoided.
-	SharedScans     int64
-	SharedConsumers int64
-	// VectorizedScans counts cache scans served by the batch pipeline;
-	// VectorizedBatches the column batches those scans pulled.
-	VectorizedScans   int64
-	VectorizedBatches int64
-	// VectorizedJoins counts joins served end to end by the batch-native
-	// hash join; JoinProbeBatches the probe-side batches they consumed.
-	VectorizedJoins  int64
-	JoinProbeBatches int64
-	// PushdownScans counts raw scans that evaluated pushed conjuncts below
-	// parsing; PushedConjuncts totals the conjuncts pushed, and
-	// RecordsSkippedEarly the records rejected before full decode.
-	PushdownScans       int64
-	PushedConjuncts     int64
-	RecordsSkippedEarly int64
-	// Disk-tier counters (zero unless Config.SpillDir is set): Spills
-	// counts spill-file writes (a re-admitted entry keeps its file, so its
-	// later demotions are free and don't count), DiskHits the cache hits
-	// served by re-admitting a spilled entry, SpillDrops the entries the
-	// disk tier discarded for real; DiskEntries/DiskBytes snapshot the
-	// tier's current occupancy in spill files (a file is retained across
-	// re-admission, so a RAM-resident entry can still own one).
-	DiskHits    int64
-	Spills      int64
-	SpillDrops  int64
-	DiskEntries int
-	DiskBytes   int64
-	// Freshness counters (zero unless Config.FreshnessMode enables
-	// revalidation): StaleInvalidations counts entries dropped because
-	// their raw file was rewritten or truncated, TailExtensions the
-	// entries extended in place over an appended tail, and
-	// TailBytesScanned the appended bytes those revalidations parsed —
-	// the work an append costs instead of a full re-scan.
-	StaleInvalidations int64
-	TailExtensions     int64
-	TailBytesScanned   int64
-	Entries            int
-	TotalBytes         int64
-	// OpenTxns gauges query transactions begun but not yet closed. Every
-	// cache-entry pin lives inside a transaction, so a drained engine (or
-	// server) asserts quiescence as OpenTxns == 0.
-	OpenTxns int64
-}
+// CacheStats summarizes cache behaviour since the engine opened. It is the
+// cache manager's own snapshot type, so the embedded engine, the daemon's
+// /stats blob and the shell's \stats report the same counters.
+type CacheStats = cache.Stats
 
 // CacheStats returns a snapshot of the cache counters. The counters are
 // maintained atomically, so the snapshot is safe to take while queries are
 // running (individual counters are exact; the set is weakly consistent).
-func (e *Engine) CacheStats() CacheStats {
-	s := e.manager.Stats()
-	return CacheStats{
-		Queries:             s.Queries,
-		ExactHits:           s.ExactHits,
-		SubsumedHits:        s.SubsumedHits,
-		Misses:              s.Misses,
-		Evictions:           s.Evictions,
-		LayoutSwitches:      s.LayoutSwitches,
-		LazyUpgrades:        s.LazyUpgrades,
-		Inserted:            s.Inserted,
-		SharedScans:         s.SharedScans,
-		SharedConsumers:     s.SharedConsumers,
-		VectorizedScans:     s.VectorizedScans,
-		VectorizedBatches:   s.VectorizedBatches,
-		VectorizedJoins:     s.VectorizedJoins,
-		JoinProbeBatches:    s.JoinProbeBatches,
-		PushdownScans:       s.PushdownScans,
-		PushedConjuncts:     s.PushedConjuncts,
-		RecordsSkippedEarly: s.RecordsSkippedEarly,
-		DiskHits:            s.DiskHits,
-		Spills:              s.Spills,
-		SpillDrops:          s.SpillDrops,
-		DiskEntries:         s.DiskEntries,
-		DiskBytes:           s.DiskBytes,
-		StaleInvalidations:  s.StaleInvalidations,
-		TailExtensions:      s.TailExtensions,
-		TailBytesScanned:    s.TailBytesScanned,
-		Entries:             s.Entries,
-		TotalBytes:          s.TotalBytes,
-		OpenTxns:            s.OpenTxns,
-	}
-}
+func (e *Engine) CacheStats() CacheStats { return e.manager.Stats() }
 
 // EntryInfo describes one live cache entry.
 type EntryInfo struct {
@@ -994,7 +908,7 @@ type EntryInfo struct {
 	Table     string
 	Predicate string
 	Mode      string // "eager" or "lazy"
-	Layout    string // "parquet", "columnar", "row", "offsets", or "disk"
+	Layout    string // "parquet", "columnar", "offsets", or "disk"
 	Bytes     int64  // RAM footprint; spill-file bytes for disk entries
 	Reuses    int64
 }

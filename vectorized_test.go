@@ -49,7 +49,6 @@ func TestVectorizedEngineParity(t *testing.T) {
 		{Admission: "eager"},
 		{Admission: "eager", Layout: "columnar"},
 		{Admission: "eager", Layout: "parquet"},
-		{Admission: "eager", Layout: "row"},
 		{Admission: "lazy"},
 		{Admission: "adaptive", AdmissionSampleSize: 2},
 	}
