@@ -3,14 +3,11 @@ package recache
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"recache/internal/value"
 )
@@ -80,106 +77,6 @@ func TestCloseDrainsInFlight(t *testing.T) {
 		t.Fatalf("columnar query after Close: err = %v, want ErrClosed", err)
 	}
 	// Idempotent: a second Close is a no-op, not a deadlock or panic.
-	if err := eng.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-}
-
-// Close racing watch-mode revalidation: the 250ms background sweep may be
-// mid-Revalidate — with an appender actively growing the file — at the
-// moment Close tears the engine down. Close must stop the sweep cleanly,
-// queries must keep seeing a consistent prefix of the file, and no
-// transaction may leak. Run under -race this checks the sweep's manager
-// accesses against Close's teardown ordering.
-func TestCloseRacesWatchRevalidation(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "w.csv")
-	var b []byte
-	for i := 1; i <= 200; i++ {
-		b = fmt.Appendf(b, "%d|%d|%d.5|n%d\n", i, (i%5+1)*10, i, i)
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := Open(Config{Admission: "eager", FreshnessMode: "watch"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RegisterCSV("w", path, "id int, qty int, price float, name string", '|'); err != nil {
-		t.Fatal(err)
-	}
-
-	stopAppend := make(chan struct{})
-	var appendWG sync.WaitGroup
-	appendWG.Add(1)
-	go func() {
-		defer appendWG.Done()
-		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer f.Close()
-		for i := 0; ; i++ {
-			select {
-			case <-stopAppend:
-				return
-			default:
-			}
-			// Appended ids sit above the query range, so the stable prefix
-			// keeps answering 200 regardless of how many appends landed.
-			fmt.Fprintf(f, "%d|10|1.5|x%d\n", 1_000_000+i, i)
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-
-	const workers = 4
-	var (
-		qWG       sync.WaitGroup
-		completed atomic.Int64
-	)
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		qWG.Add(1)
-		go func() {
-			defer qWG.Done()
-			for {
-				res, err := eng.Query("SELECT COUNT(*) FROM w WHERE id <= 200")
-				if errors.Is(err, ErrClosed) {
-					return
-				}
-				if err != nil {
-					errCh <- err
-					return
-				}
-				if got := res.Rows[0][0].(int64); got != 200 {
-					errCh <- fmt.Errorf("count = %d, want 200", got)
-					return
-				}
-				completed.Add(1)
-			}
-		}()
-	}
-
-	// Let at least two watch sweeps fire with queries and appends live,
-	// then Close concurrently with all of it.
-	time.Sleep(600 * time.Millisecond)
-	if err := eng.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	qWG.Wait()
-	close(stopAppend)
-	appendWG.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	if completed.Load() == 0 {
-		t.Fatal("no query completed before Close")
-	}
-	if s := eng.CacheStats(); s.OpenTxns != 0 {
-		t.Fatalf("OpenTxns = %d after Close, want 0", s.OpenTxns)
-	}
 	if err := eng.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}

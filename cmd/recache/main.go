@@ -163,7 +163,7 @@ func main() {
 		capacity  = flag.Int64("capacity", 0, "cache capacity in bytes (0 = unlimited; embedded mode)")
 		spillDir  = flag.String("spill-dir", "", "spill directory for the disk cache tier (empty = spilling off; embedded mode)")
 		diskCap   = flag.Int64("disk-capacity", 0, "disk tier capacity in bytes (0 = unlimited; needs -spill-dir; embedded mode)")
-		freshness = flag.String("freshness", "off", "raw-file freshness mode: off|check-on-access|watch (embedded mode)")
+		freshness = flag.String("freshness", "off", "raw-file freshness mode: off|check-on-access (stat each queried file; a hit extends its entry over an appended tail; embedded mode)")
 		oneShot   = flag.String("e", "", "execute one query and exit")
 	)
 	flag.Var(tableFlag{&csvSpecs}, "csv", "register CSV table: name=path[:schema] (repeatable)")

@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fleetSpec = fs.String("fleet", "", "comma-separated shard addresses for the whole fleet (needs -shard-id)")
 		shardID   = fs.Int("shard-id", -1, "this daemon's position in -fleet")
 		drain     = fs.Bool("drain", false, "on SIGTERM, hand the working set to the surviving shards before exiting (fleet mode)")
-		freshness = fs.String("freshness", "off", "raw-file freshness mode: off|check-on-access|watch")
+		freshness = fs.String("freshness", "off", "raw-file freshness mode: off|check-on-access (stat each queried file; a hit extends its entry over an appended tail)")
 	)
 	fs.Var(tableFlag{&csvSpecs}, "csv", "register CSV table: name=path[:schema] (repeatable)")
 	fs.Var(tableFlag{&jsonSpecs}, "json", "register JSON table: name=path:schema (repeatable)")

@@ -348,6 +348,11 @@ func TestOpenErrors(t *testing.T) {
 			t.Errorf("Open(Layout: %q) = %v, want the unknown-layout error", layout, err)
 		}
 	}
+	for _, mode := range []string{"nope", "watch"} { // there is no background sweep
+		if _, err := Open(Config{FreshnessMode: mode}); err == nil || !strings.Contains(err.Error(), "unknown freshness mode") {
+			t.Errorf("Open(FreshnessMode: %q) = %v, want the unknown-mode error", mode, err)
+		}
+	}
 }
 
 func TestInferredCSVSchema(t *testing.T) {

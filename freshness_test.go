@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -254,6 +255,11 @@ func TestFreshnessAppendMidSwarm(t *testing.T) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, readers)
 
+	// Both entries exist before the first append, so every append finds
+	// them, pinned or not.
+	checkOracle(t, eng, path, freshQ)
+	checkOracle(t, eng, path, "SELECT COUNT(*), SUM(qty) FROM g WHERE price >= 3")
+
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -290,6 +296,136 @@ func TestFreshnessAppendMidSwarm(t *testing.T) {
 
 	checkOracle(t, eng, path, freshQ)
 	checkOracle(t, eng, path, "SELECT COUNT(*), SUM(qty) FROM g WHERE price >= 3")
+
+	// Nothing is dropped for being busy or pinned when the append lands, and
+	// an entry is extended at most once per append: readers that find an
+	// extension in flight wait for its commit, they do not clone their own.
+	st := eng.CacheStats()
+	if st.StaleInvalidations != 0 {
+		t.Errorf("StaleInvalidations = %d on pure appends", st.StaleInvalidations)
+	}
+	if st.TailExtensions == 0 || st.TailExtensions > 2*appends {
+		t.Errorf("TailExtensions = %d, want 1..%d (two entries, %d appends)", st.TailExtensions, 2*appends, appends)
+	}
+}
+
+// TestFreshnessAppendExtendsSpilled: an append beside an entry in the disk
+// tier costs that entry nothing until it is read, and then one spill-file
+// read plus a scan of the tail — never a raw re-scan.
+func TestFreshnessAppendExtendsSpilled(t *testing.T) {
+	path := freshCSV(t, 5000)
+	eng := freshEngine(t, path, Config{
+		Admission:     "eager",
+		FreshnessMode: "check",
+		CacheCapacity: 20 << 10, // about one entry: the rest live in the disk tier
+		SpillDir:      filepath.Join(t.TempDir(), "spill"),
+	})
+	q := func(i int) string {
+		return fmt.Sprintf("SELECT COUNT(*), SUM(price) FROM g WHERE qty BETWEEN %d AND %d", i*10, i*10+9)
+	}
+	for i := 0; i < 10; i++ {
+		checkOracle(t, eng, path, q(i))
+	}
+	spilled := -1
+	for i, e := range eng.CacheEntries() {
+		if e.Layout == "disk" {
+			spilled = i
+			break
+		}
+	}
+	if spilled < 0 {
+		t.Fatalf("no entry in the disk tier (stats %+v)", eng.CacheStats())
+	}
+	pred := eng.CacheEntries()[spilled].Predicate
+	before, raw := eng.CacheStats(), eng.RawScans("g")
+
+	appendRows(t, path, 5000, 5600) // every qty decade gains rows
+	sql := "SELECT COUNT(*), SUM(price) FROM g WHERE " + pred
+	if out, err := eng.Explain(sql); err != nil || !strings.Contains(out, "+disk") {
+		t.Fatalf("the key is not a disk hit (%v):\n%s", err, out)
+	}
+	checkOracle(t, eng, path, sql)
+
+	st := eng.CacheStats()
+	if st.TailExtensions != before.TailExtensions+1 {
+		t.Errorf("TailExtensions %d -> %d, want +1", before.TailExtensions, st.TailExtensions)
+	}
+	if st.StaleInvalidations != 0 {
+		t.Errorf("StaleInvalidations = %d on a pure append", st.StaleInvalidations)
+	}
+	if st.DiskHits != before.DiskHits+1 || st.Misses != before.Misses {
+		t.Errorf("disk hits %d -> %d, misses %d -> %d: want one disk hit, no miss",
+			before.DiskHits, st.DiskHits, before.Misses, st.Misses)
+	}
+	if got := eng.RawScans("g"); got != raw {
+		t.Errorf("raw scans %d -> %d: a spilled entry was rebuilt from the file", raw, got)
+	}
+}
+
+// TestFreshnessReplicaDiesAtFirstGrowth: a replica is a peer's payload filed
+// under this process's view of the file, so it cannot extend. It serves
+// until the file grows, is dropped by the first lookup after that, and a
+// drain never ships an entry that trails the file.
+func TestFreshnessReplicaDiesAtFirstGrowth(t *testing.T) {
+	path := freshCSV(t, 1000)
+	cfg := func() Config {
+		return Config{Admission: "eager", FreshnessMode: "check", SpillDir: filepath.Join(t.TempDir(), "spill")}
+	}
+	export := func(eng *Engine) map[string][]byte {
+		t.Helper()
+		out := map[string][]byte{}
+		err := eng.ExportEntries(func(_, predCanon string, payload []byte) error {
+			out[predCanon] = append([]byte(nil), payload...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	owner := freshEngine(t, path, cfg())
+	checkOracle(t, owner, path, freshQ)
+	pushed := export(owner)
+	if len(pushed) != 1 {
+		t.Fatalf("owner exported %d entries, want 1", len(pushed))
+	}
+
+	peer := freshEngine(t, path, cfg())
+	for canon, payload := range pushed {
+		if err := peer.AdmitReplica("g", canon, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkOracle(t, peer, path, freshQ)
+	if st := peer.CacheStats(); st.DiskHits != 1 || peer.RawScans("g") != 0 {
+		t.Fatalf("the replica did not serve: disk hits %d, raw scans %d", st.DiskHits, peer.RawScans("g"))
+	}
+
+	appendRows(t, path, 1000, 1300)
+	checkOracle(t, peer, path, freshQ)
+	st := peer.CacheStats()
+	if st.StaleInvalidations != 1 || st.TailExtensions != 0 {
+		t.Errorf("after the append: %d stale invalidations, %d tail extensions; want the replica dropped, not extended",
+			st.StaleInvalidations, st.TailExtensions)
+	}
+	if st.Misses != 1 {
+		t.Errorf("misses = %d, want 1 (the rebuild that replaced the replica)", st.Misses)
+	}
+
+	// The rebuilt entry trails after the next append until it is read.
+	appendRows(t, path, 1300, 1400)
+	other := "SELECT COUNT(*) FROM g WHERE price >= 5"
+	checkOracle(t, peer, path, other)
+	drained := export(peer)
+	if len(drained) != 1 {
+		t.Errorf("drain exported %d entries, want only the current one", len(drained))
+	}
+	for canon := range pushed {
+		if _, ok := drained[canon]; ok {
+			t.Errorf("drain exported %q, which trails the file", canon)
+		}
+	}
 }
 
 // TestFreshnessSpillInvalidation: a rewrite must also kill entries whose
@@ -325,22 +461,36 @@ func TestFreshnessSpillInvalidation(t *testing.T) {
 }
 
 func TestFreshnessExplainNote(t *testing.T) {
-	path := freshCSV(t, 10)
-	eng := freshEngine(t, path, Config{FreshnessMode: "check"})
-	out, err := eng.Explain("SELECT COUNT(*) FROM g WHERE qty > 1000")
-	if err != nil {
-		t.Fatal(err)
+	path := freshCSV(t, 1000)
+	eng := freshEngine(t, path, Config{Admission: "eager", FreshnessMode: "check"})
+	explain := func(q string) string {
+		t.Helper()
+		out, err := eng.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	if want := "freshness: check-on-access"; !containsStr(out, want) {
+	if out, want := explain("SELECT COUNT(*) FROM g WHERE qty > 1000"), "freshness: check-on-access"; !strings.Contains(out, want) {
 		t.Fatalf("Explain output missing %q:\n%s", want, out)
 	}
-}
 
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
+	// A hit that will first pay a catch-up says so, and saying so pays nothing.
+	checkOracle(t, eng, path, freshQ)
+	if out := explain(freshQ); !strings.Contains(out, "exact") || strings.Contains(out, "+trailing") {
+		t.Fatalf("a current entry is not a plain exact hit:\n%s", out)
 	}
-	return false
+	appendRows(t, path, 1000, 1200)
+	checkOracle(t, eng, path, "SELECT COUNT(*) FROM g WHERE price >= 5") // a query that sees the append
+	before := eng.CacheStats()
+	if out := explain(freshQ); !strings.Contains(out, "exact+trailing") {
+		t.Fatalf("a trailing entry is not marked:\n%s", out)
+	}
+	if st := eng.CacheStats(); st != before {
+		t.Fatalf("EXPLAIN moved the counters: %+v -> %+v", before, st)
+	}
+	checkOracle(t, eng, path, freshQ)
+	if out := explain(freshQ); strings.Contains(out, "+trailing") {
+		t.Fatalf("the entry still trails after a read:\n%s", out)
+	}
 }

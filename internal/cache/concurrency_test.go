@@ -45,7 +45,7 @@ func TestTxnPinDefersEviction(t *testing.T) {
 	if got := len(m.Entries()); got != 1 {
 		t.Fatalf("live entries = %d, want 1 (e1 removed from lookup)", got)
 	}
-	if e, _ := m.lookupLocked(ds, p1, p1.Canonical()); e == e1 {
+	if e, _ := m.lookupLocked(ds, p1, p1.Canonical(), true); e == e1 {
 		t.Fatal("doomed entry still findable")
 	}
 	if got, want := m.Stats().TotalBytes, s1+s2; got != want {

@@ -57,10 +57,11 @@ type Entry struct {
 	Offsets []int64     // lazy mode (satisfying-record byte offsets)
 
 	// Freshness provenance. FileEpoch is the provider file epoch the payload
-	// was built against (0: built before freshness tracking, or the provider
-	// does not expose epochs); it is immutable after insert. CoveredBytes is
-	// the raw-file byte length the payload covers — revalidation extends it
-	// when the file grows by appends; guarded by the Manager's lock.
+	// was built against (0: the provider does not expose epochs, or the
+	// payload is a peer's replica); it is immutable after insert.
+	// CoveredBytes is the raw-file byte length the payload covers — the
+	// reader that finds it trailing the file extends it (Manager.Resident);
+	// guarded by the Manager's lock.
 	FileEpoch    uint64
 	CoveredBytes int64
 
@@ -95,7 +96,7 @@ type Entry struct {
 	// immutable), so a RAM-tier entry may still own one.
 	spillPath   string
 	spillBytes  int64
-	loadDone    chan struct{} // closed when the opLoading in flight ends
+	opDone      chan struct{} // made by a reader waiting for op to end, closed when it does
 	reloadNanos int64         // measured cost of the last disk re-admission
 }
 

@@ -2,7 +2,7 @@ package cache
 
 import (
 	"errors"
-	"time"
+	"fmt"
 
 	"recache/internal/expr"
 	"recache/internal/plan"
@@ -12,26 +12,25 @@ import (
 
 // Reactive invalidation. ReCache's caching unit is a select over a raw
 // file scan, so every cached payload is a claim about that file's bytes.
-// Revalidate keeps the claim honest when files mutate under a running
-// engine: the provider classifies the change (unchanged / appended /
-// rewritten, see internal/freshness), and the cache responds at entry
-// granularity — rewrites drop every dependent entry (and its spill file),
-// while appends *extend* entries in place by scanning only the new tail,
-// so a growing log file never forces a full re-parse of its cold prefix.
+// The claim is checked where the payload is used, by one comparison: the
+// entry's (FileEpoch, CoveredBytes) against the provider's Version.
 //
-// Versioning is two-level. The provider epoch (bumped on every rewrite)
-// is captured into Entry.FileEpoch at build time; an entry whose epoch no
+// Versioning is two-level. The provider epoch (bumped on every rewrite) is
+// captured into Entry.FileEpoch at build time; an entry whose epoch no
 // longer matches the provider's was built against dead bytes and can only
-// be dropped. Within an epoch, the covered byte length grows monotonically,
-// so Entry.CoveredBytes against the provider's covered length decides
-// exactly which tail an extension must scan.
+// be dropped. Within an epoch the covered byte length grows monotonically,
+// so an entry whose CoveredBytes trails the provider's is a correct answer
+// for a prefix of the file, and the tail it lacks is exactly the bytes from
+// CoveredBytes on.
 //
-// Locking mirrors the spill tier: classification and tail scans run
-// outside the manager lock against immutable snapshots; the extended
-// payload goes in through the lifecycle's begin/commit pair, and a commit
-// that finds the entry moved falls back to invalidation. A per-dataset
-// single-flight gate (refreshing) keeps a burst of queries from stat'ing
-// and re-parsing the same tail concurrently.
+// Revalidate only moves the provider (and drops a rewritten file's entries).
+// The lookup serves an entry that is current or can catch up, and turns one
+// that cannot — another epoch, a trailing nested store, a trailing replica —
+// into a miss. Resident (spill.go) is where a trailing entry catches up: the
+// reader that needs the payload scans the tail, outside the manager lock
+// against the provider's immutable snapshot, and commits the extended
+// payload through the lifecycle's begin/commit pair. Entries nobody reads
+// are never touched, whichever tier they are in.
 
 // AbandonBuild releases a materializer's single-flight build slot without
 // inserting an entry. Materializers call it when the provider's file
@@ -45,42 +44,17 @@ func (m *Manager) AbandonBuild(spec *BuildSpec) {
 	m.mu.Unlock()
 }
 
-// Revalidate re-checks ds's raw file against its cached entries, dropping
-// entries the file outgrew (rewrites) and extending entries over appended
-// tails. Concurrent revalidations of the same dataset are
-// single-flight: the loser waits for the winner and returns an unchanged
-// report. Providers that do not implement plan.RefreshableProvider are
-// never stale by definition (their files are assumed immutable).
+// Revalidate re-checks ds's raw file: the provider ingests an appended tail
+// or resets under a new epoch (concurrent calls serialise on the file's own
+// lock), and a rewritten or unreadable file drops every entry cached from
+// it. Entries an append left trailing stay; their next reader extends them.
+// Providers that do not implement plan.RefreshableProvider are never stale
+// by definition (their files are assumed immutable).
 func (m *Manager) Revalidate(ds *plan.Dataset) (plan.FreshnessReport, error) {
 	rp, ok := ds.Provider.(plan.RefreshableProvider)
 	if !ok {
 		return plan.FreshnessReport{Status: plan.FileUnchanged}, nil
 	}
-
-	m.refreshMu.Lock()
-	if ch, busy := m.refreshing[ds.Name]; busy {
-		m.refreshMu.Unlock()
-		<-ch
-		// The winner just reconciled the cache with the file; by the time
-		// this query rewrites its plan the entries are current enough.
-		return plan.FreshnessReport{Status: plan.FileUnchanged}, nil
-	}
-	ch := make(chan struct{})
-	m.refreshing[ds.Name] = ch
-	m.refreshMu.Unlock()
-	defer func() {
-		m.refreshMu.Lock()
-		delete(m.refreshing, ds.Name)
-		// Stamp completion (success or failure) so the watch-mode poller's
-		// skip window rate-limits the stat either way: a broken file is
-		// re-probed once per interval, not once per tick overrun.
-		m.lastReval[ds.Name] = time.Now()
-		m.refreshMu.Unlock()
-		close(ch)
-	}()
-
-	// Classification and tail ingestion run in the provider, outside the
-	// manager lock (they stat and possibly parse file bytes).
 	rep, err := rp.Refresh()
 	if err != nil {
 		// An unreadable file proves nothing about the cached bytes, but
@@ -90,44 +64,10 @@ func (m *Manager) Revalidate(ds *plan.Dataset) (plan.FreshnessReport, error) {
 		return rep, err
 	}
 	m.stats.tailBytesScanned.Add(rep.TailBytes)
-
-	switch rep.Status {
-	case plan.FileUnchanged:
-	case plan.FileRewritten:
+	if rep.Status == plan.FileRewritten {
 		m.invalidateDataset(ds.Name)
-	default:
-		m.extendDataset(ds, rp, rep)
 	}
 	return rep, nil
-}
-
-// RevalidateBatch revalidates every dataset in dss whose last completed
-// revalidation is older than skipWithin, coalescing the staleness check
-// into one lock acquisition for the whole batch. The watch-mode poller
-// calls it once per tick: with thousands of registered datasets, the tick
-// pays one map scan plus a stat per genuinely unchecked dataset — datasets
-// already revalidated within the window (by a query's check-on-access, a
-// previous overrunning tick, or another engine sharing the manager) cost
-// no syscall at all.
-func (m *Manager) RevalidateBatch(dss []*plan.Dataset, skipWithin time.Duration) {
-	cutoff := time.Now().Add(-skipWithin)
-	due := dss[:0:0]
-	m.refreshMu.Lock()
-	for _, ds := range dss {
-		if _, ok := ds.Provider.(plan.RefreshableProvider); !ok {
-			continue
-		}
-		if last, ok := m.lastReval[ds.Name]; ok && last.After(cutoff) {
-			continue
-		}
-		due = append(due, ds)
-	}
-	m.refreshMu.Unlock()
-	for _, ds := range due {
-		// Best effort: a provider error already dropped the dataset's
-		// entries inside Revalidate, and the next query surfaces it.
-		_, _ = m.Revalidate(ds)
-	}
 }
 
 // invalidateDataset drops every entry cached from the dataset. Pinned
@@ -150,130 +90,145 @@ func (m *Manager) invalidateLocked(e *Entry) {
 	}
 }
 
-// extendDataset reconciles the dataset's entries with an appended file:
-// entries from older epochs (or untracked builds) are dropped, current
-// entries already covering the new length are untouched, and the rest are
-// extended by scanning only the appended tail. Entries that cannot begin
-// an extension — another operation in flight, or the payload in the disk
-// tier — are dropped rather than extended: an append burst hitting such an
-// entry is rare enough that rebuilding is the simpler correct answer.
-func (m *Manager) extendDataset(ds *plan.Dataset, rp plan.RefreshableProvider, rep plan.FreshnessReport) {
-	for _, o := range m.beginExtensions(ds, rep) {
-		m.extend(ds, rp, rep, o)
+// lag compares p, a payload of e, with e's raw file as its provider last
+// ingested it. trailing: the file holds bytes p does not answer for — an
+// appended tail, or a rewrite. extendable: a scan of the tail makes p
+// current. A rewrite leaves nothing to extend; a replica (epoch 0) covers a
+// length its pusher knew, not one this process can scan from; and an eager
+// payload of a nested dataset has no append path. Callers hold the manager
+// lock: Version is an atomic load, except in the window between a rewrite's
+// reset and the invalidation that follows it, where it re-reads the file.
+func (e *Entry) lag(p payload) (trailing, extendable bool) {
+	rp, ok := e.Dataset.Provider.(plan.RefreshableProvider)
+	if !ok {
+		return false, false
 	}
-	m.drainSpills()
+	epoch, covered := rp.Version()
+	if e.FileEpoch != 0 && e.FileEpoch != epoch {
+		return true, false
+	}
+	if p.covered >= covered {
+		return false, false
+	}
+	nested := p.mode == Eager && value.RepeatedFieldCached(e.Dataset.Schema()) != nil
+	return true, e.FileEpoch != 0 && !nested
 }
 
-func (m *Manager) beginExtensions(ds *plan.Dataset, rep plan.FreshnessReport) []inflight {
-	var work []inflight
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, e := range m.entries {
-		if e.Dataset.Name != ds.Name {
-			continue
-		}
-		switch {
-		case e.FileEpoch == 0 || e.FileEpoch != rep.Epoch:
-			m.invalidateLocked(e)
-		case e.CoveredBytes >= rep.Covered:
-			// Already covers the appended tail (a racing build admitted it).
-		default:
-			if o, ok := m.begin(e, opExtending); ok {
-				work = append(work, o)
-			} else {
-				m.invalidateLocked(e)
-			}
-		}
+// servableLocked reports whether a lookup may hand e to a reader: it is
+// current, or Resident can make it so. An entry that can do neither is
+// dropped (kept, under a read-only lookup) and the lookup misses.
+func (m *Manager) servableLocked(e *Entry, readOnly bool) bool {
+	trailing, extendable := e.lag(e.payload())
+	if !trailing || extendable {
+		return true
 	}
-	return work
+	if !readOnly {
+		m.invalidateLocked(e)
+	}
+	return false
 }
 
-// extend is the unlocked half of one entry's extension: the tail scan
-// against the snapshot, then the commit. A tail that failed to parse or an
-// entry that moved mid-extension falls back to invalidation, never to a
-// half-extended payload.
-func (m *Manager) extend(ds *plan.Dataset, rp plan.RefreshableProvider, rep plan.FreshnessReport, o inflight) {
-	var res result
-	res.payload, res.err = extendPayload(ds, rp, o.e.Pred, o.snap)
-	res.covered = rep.Covered
+// extend is the unlocked half of a catch-up and its commit. o is the
+// extension begun on e, or nil when p is the reader's private copy and
+// there is nothing to commit. The extended payload is the caller's to scan
+// whether or not it was installed: a payload whose tail scan saw the file
+// grow is a consistent prefix of it, but covers a length nobody recorded,
+// so it is not committed. A failed extension drops the entry.
+func (m *Manager) extend(e *Entry, p payload, o *inflight) (payload, error) {
+	next := p
+	t, err := scanTail(e, p)
+	if err == nil {
+		next, err = t.appendTo(p)
+	}
 	m.mu.Lock()
-	if m.commit(o, res) {
-		m.stats.tailExtensions.Add(1)
-	} else {
-		m.invalidateLocked(o.e)
+	if o != nil {
+		res := result{payload: next, err: err, stale: !t.empty()}
+		if err == nil && !t.stable {
+			res.err = errCancelled
+		}
+		if m.commit(*o, res) {
+			m.stats.tailExtensions.Add(1)
+		}
+	}
+	if err != nil {
+		m.invalidateLocked(e)
 	}
 	m.mu.Unlock()
+	if err != nil {
+		return p, fmt.Errorf("cache: extend entry %d: %v: %w", e.ID, err, plan.ErrEpochChanged)
+	}
+	m.drainSpills()
+	return next, nil
 }
 
-// replayExtend is the slow extension path for store layouts without a
-// copy fast path: the old payload is replayed row by row through a fresh
-// builder and the tail records are appended after it.
-func replayExtend(src store.Store, schema *value.Type, tail []value.Value) (store.Store, error) {
-	builder, err := store.NewBuilder(src.Layout(), schema)
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]int, len(src.Columns()))
-	for i := range cols {
-		cols[i] = i
-	}
-	if _, err := src.ScanRecords(cols, func(row []value.Value) error {
-		return builder.Add(value.Value{Kind: value.Record, L: row})
-	}); err != nil {
-		return nil, err
-	}
-	for _, rec := range tail {
-		if err := builder.Add(rec); err != nil {
-			return nil, err
-		}
-	}
-	return builder.Finish(), nil
+// tail is what one predicate-filtered scan of a file's appended tail found
+// for an entry: the satisfying records (an eager payload gains them) or
+// their offsets (a lazy one does), and the length the file was covered to.
+// The scan reads to the provider's current end, so it is bracketed with
+// Version like a build: stable reports that the version did not move, i.e.
+// that the payload plus this tail covers exactly covered bytes.
+type tail struct {
+	recs    []value.Value
+	offsets []int64
+	covered int64
+	stable  bool
 }
 
-// errNestedExtend sends nested datasets down the invalidation path.
-var errNestedExtend = errors.New("cache: nested stores never extend")
+// empty: no tail record satisfies the predicate, so the payload already is
+// the answer for the longer file and only its covered length moves.
+func (t tail) empty() bool { return len(t.recs)+len(t.offsets) == 0 }
 
-// extendPayload builds old's successor over the appended tail with one
-// predicate-filtered tail scan. A lazy payload gains the offsets of the
-// satisfying tail records. An eager payload gains the records themselves
-// through store.Extend, which copies the flat layouts' column vectors
-// wholesale (a memcpy of the old bytes, per-row work only for the tail);
-// layouts without the copy fast path fall back to replaying the old store
-// through a builder. Replay goes through ScanRecords, which cannot project
-// repeated columns, so nested datasets never extend.
-func extendPayload(ds *plan.Dataset, rp plan.RefreshableProvider, predExpr expr.Expr, old payload) (payload, error) {
-	schema := ds.Schema()
-	if old.mode == Eager && value.RepeatedFieldCached(schema) != nil {
-		return old, errNestedExtend
-	}
-	pred, err := expr.CompilePredicate(predExpr, schema)
+// scanTail scans e's file from old.covered on. A rewrite inside the bracket
+// means the scan read bytes of another file and is an error.
+func scanTail(e *Entry, old payload) (tail, error) {
+	ds := e.Dataset
+	rp := ds.Provider.(plan.RefreshableProvider)
+	pred, err := expr.CompilePredicate(e.Pred, ds.Schema())
 	if err != nil {
-		return old, err
+		return tail{}, err
 	}
-	next := old
-	if old.mode == Lazy {
-		// A fresh slice: readers replaying the old offsets must not see
-		// the tail appended into their backing array.
-		next.offsets = append(make([]int64, 0, len(old.offsets)), old.offsets...)
-	}
-	var tail []value.Value
+	epoch, covered := rp.Version()
+	t := tail{covered: covered}
 	err = rp.ScanFrom(old.covered, nil, func(rec value.Value, off int64, _ func() error) error {
 		switch {
 		case !pred(rec.L):
 		case old.mode == Lazy:
-			next.offsets = append(next.offsets, off)
+			t.offsets = append(t.offsets, off)
 		default:
-			tail = append(tail, value.VRecord(append([]value.Value(nil), rec.L...)...))
+			t.recs = append(t.recs, value.VRecord(append([]value.Value(nil), rec.L...)...))
 		}
 		return nil
 	})
-	if err != nil || old.mode == Lazy {
-		return next, err
+	epoch1, covered1 := rp.Version()
+	if epoch != e.FileEpoch || epoch1 != epoch {
+		return t, errors.New("file rewritten under the tail scan")
 	}
-	st, ok, err := store.Extend(old.store, tail)
-	if err == nil && !ok {
-		st, err = replayExtend(old.store, schema, tail)
+	t.stable = covered1 == covered
+	return t, err
+}
+
+// appendTo builds old's successor: a lazy payload gains the offsets in a
+// fresh slice (readers replaying the old offsets must not see the tail
+// appended into their backing array), an eager one the records through
+// store.Extend, which copies the flat layouts' column vectors wholesale (a
+// memcpy of the old bytes, per-row work only for the tail).
+func (t tail) appendTo(old payload) (payload, error) {
+	next := old
+	next.covered = t.covered
+	switch {
+	case t.empty():
+	case old.mode == Lazy:
+		next.offsets = append(append(make([]int64, 0, len(old.offsets)+len(t.offsets)), old.offsets...), t.offsets...)
+	default:
+		st, ok, err := store.Extend(old.store, t.recs)
+		if err == nil && !ok {
+			// Entry.lag keeps nested stores from reaching an extension.
+			err = errors.New("nested stores never extend")
+		}
+		if err != nil {
+			return old, err
+		}
+		next.store = st
 	}
-	next.store = st
-	return next, err
+	return next, nil
 }

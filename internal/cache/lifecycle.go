@@ -41,7 +41,7 @@ const (
 	opConverting        // a scan is rewriting the store in another layout
 	opSpilling          // queued for, or being written to, the spill dir
 	opLoading           // a reader is re-admitting the spill file
-	opExtending         // a revalidation is scanning the appended tail
+	opExtending         // a reader is scanning the appended tail
 )
 
 // payload is what an operation snapshots at begin and replaces at commit.
@@ -54,6 +54,12 @@ type payload struct {
 
 func (e *Entry) payload() payload {
 	return payload{e.Mode, e.Store, e.Offsets, e.CoveredBytes}
+}
+
+// holds: the entry's payload is still p.
+func (e *Entry) holds(p payload) bool {
+	return e.Mode == p.mode && e.Store == p.store &&
+		len(e.Offsets) == len(p.offsets) && e.CoveredBytes == p.covered
 }
 
 // inflight is a begun operation: the entry, what is being done to it and
@@ -71,6 +77,8 @@ type result struct {
 	spillPath  string
 	spillBytes int64
 	err        error // the operation failed: abandon it
+	// stale: the payload gained rows the entry's spill file does not hold.
+	stale bool
 	// account, if set, runs after the swap and before eviction re-prices
 	// the entry, for cost components the operation measured.
 	account func()
@@ -115,8 +123,8 @@ func (m *Manager) begin(e *Entry, op opKind) (inflight, bool) {
 		ok = e.Mode == Eager && e.tier == tierRAM
 	case opSpilling: // an entry that kept its file demotes for free instead
 		ok = e.Mode == Eager && e.tier == tierRAM && e.spillPath == ""
-	case opExtending:
-		ok = e.tier == tierRAM
+	case opExtending: // a RAM copy kept for pinned readers extends too
+		ok = !e.diskOnly()
 	case opLoading:
 		ok = e.diskOnly()
 	}
@@ -124,10 +132,31 @@ func (m *Manager) begin(e *Entry, op opKind) (inflight, bool) {
 		return inflight{}, false
 	}
 	e.op = op
-	if op == opLoading {
-		e.loadDone = make(chan struct{})
-	}
 	return inflight{e, op, e.payload()}, true
+}
+
+// endOp returns e to idle and wakes the readers waiting for that (awaitOp).
+func (e *Entry) endOp() {
+	e.op = opIdle
+	if e.opDone != nil {
+		close(e.opDone)
+		e.opDone = nil
+	}
+}
+
+// awaitOp blocks until the operation in flight on e ends. It is entered and
+// left with the manager lock held and releases it for the wait; whoever
+// waits must first run the spills it queued itself, or it could be waiting
+// for its own work.
+func (m *Manager) awaitOp(e *Entry) {
+	if e.opDone == nil {
+		e.opDone = make(chan struct{})
+	}
+	gate := e.opDone
+	m.mu.Unlock()
+	m.drainSpills()
+	<-gate
+	m.mu.Lock()
 }
 
 // commit ends an operation and, if it succeeded and the entry is still
@@ -136,14 +165,9 @@ func (m *Manager) begin(e *Entry, op opKind) (inflight, bool) {
 // stale, tells the policy about a tier change and re-enforces both budgets.
 // It reports whether res was installed.
 func (m *Manager) commit(o inflight, res result) bool {
-	e, was := o.e, o.snap
-	if e.op == o.op && e.Mode == was.mode && e.Store == was.store &&
-		len(e.Offsets) == len(was.offsets) && e.CoveredBytes == was.covered {
-		e.op = opIdle
-		if e.loadDone != nil {
-			close(e.loadDone)
-			e.loadDone = nil
-		}
+	e := o.e
+	if e.op == o.op && e.holds(o.snap) {
+		e.endOp()
 	} else {
 		// A free demotion took the payload away mid-operation (and another
 		// operation may have begun on its successor since).
@@ -162,7 +186,7 @@ func (m *Manager) commit(o inflight, res result) bool {
 		return false
 	}
 	before := e.SizeBytes()
-	if o.op == opExtending {
+	if res.stale {
 		// A kept spill file serializes the pre-append payload; a free
 		// demotion would resurrect it.
 		m.releaseSpillFile(e)
@@ -232,7 +256,7 @@ func (m *Manager) insertLocked(e *Entry) {
 // operation gone.
 func (m *Manager) demoteLocked(e *Entry) {
 	e.tier = tierDisk
-	e.op = opIdle
+	e.endOp()
 	m.policy.OnDemote(e.ID)
 	if e.pins == 0 {
 		m.dropRAMPayload(e)
@@ -284,12 +308,14 @@ func (m *Manager) unpinLocked(e *Entry) {
 }
 
 // dropRAMPayload releases the entry's RAM bytes. A demoted entry gives up
-// its store (the spill file has the payload); a dead one keeps its
-// pointers for whoever still holds the *Entry and goes with it.
+// its store (the spill file has the payload) and with it an extension of
+// that store still in flight; a dead one keeps its pointers for whoever
+// still holds the *Entry and goes with it.
 func (m *Manager) dropRAMPayload(e *Entry) {
 	m.total -= e.SizeBytes()
 	if !e.dead {
 		e.Store = nil
+		e.endOp()
 	}
 }
 

@@ -99,8 +99,9 @@ func TestRemoveDuringReadmitStaysRemoved(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, st, _, err := m.load(o, path)
+	loaded, err := m.load(o, path)
 	os.Remove(path)
+	st := loaded.store
 	if err != nil || st == nil {
 		t.Fatalf("the pinned reader lost its payload: %v", err)
 	}
@@ -232,7 +233,6 @@ type lifecycleModel struct {
 	loads    []inflight
 	loadPath map[*Entry]string
 	extends  []inflight
-	rep      plan.FreshnessReport // the revalidation the pending extends belong to
 }
 
 func newLifecycleModel(t *testing.T, seed int64) *lifecycleModel {
@@ -363,6 +363,103 @@ func (x *lifecycleModel) beginOn(op opKind, list *[]inflight) {
 	})
 }
 
+// heldOn removes and returns an operation this test holds on e.
+func (x *lifecycleModel) heldOn(e *Entry) (inflight, bool) {
+	for _, l := range []*[]inflight{&x.upgrades, &x.converts, &x.loads, &x.extends} {
+		for i, o := range *l {
+			if o.e == e {
+				*l = append((*l)[:i:i], (*l)[i+1:]...)
+				return o, true
+			}
+		}
+	}
+	return inflight{}, false
+}
+
+// finish runs the unlocked half and the commit of a held operation.
+func (x *lifecycleModel) finish(o inflight) {
+	switch o.op {
+	case opLoading:
+		// An unlinked file is a failed load (the entry died meanwhile).
+		x.m.load(o, x.loadPath[o.e])
+	case opConverting:
+		to := store.LayoutParquet
+		if o.snap.store.Layout() == store.LayoutParquet {
+			to = store.LayoutColumnar
+		}
+		x.m.convert(o, to)
+	case opExtending:
+		// Fails when the file was rewritten since the begin: the entry goes.
+		x.m.extend(o.e, o.snap, &o)
+	case opUpgrading:
+		if x.rng.Intn(4) == 0 {
+			x.m.CancelUpgrade(o.e)
+			return
+		}
+		b, _ := store.NewBuilder(store.LayoutColumnar, x.ds.Schema())
+		recs, _ := x.prov.snapshot()
+		for _, off := range o.snap.offsets {
+			if i := int(off / 100); i < len(recs) { // the file may have been rewritten shorter
+				_ = b.Add(recs[i])
+			}
+		}
+		x.m.UpgradeLazy(o.e, b.Finish(), 500, 700)
+	}
+}
+
+// read is a reader's access: Resident, and a check that what it returns is
+// the predicate over everything the provider has ingested. An entry this
+// test holds mid-operation makes Resident wait (when it needs a load or an
+// extension), so the read runs beside the rest of that operation.
+func (x *lifecycleModel) read(e *Entry) {
+	var (
+		p    payload
+		err  error
+		done = make(chan struct{})
+	)
+	x.m.mu.Lock()
+	op := e.op
+	x.m.mu.Unlock()
+	go func() {
+		defer close(done)
+		p.mode, p.store, p.offsets, err = x.m.Resident(e)
+	}()
+	if op == opSpilling {
+		x.m.drainSpills()
+	} else if op != opIdle {
+		// Every operation held on e: all but the live one lost their entry to
+		// a free demotion, and their commits are refused.
+		for o, ok := x.heldOn(e); ok; o, ok = x.heldOn(e) {
+			x.finish(o)
+		}
+	}
+	<-done
+	recs, epoch := x.prov.snapshot()
+	switch {
+	case err != nil:
+		// Its spill file went with a removal before this read, or the file
+		// was rewritten under a held extension.
+		if !e.dead {
+			x.t.Fatalf("Resident of live entry %d: %v", e.ID, err)
+		}
+	case e.FileEpoch == epoch:
+		want := 0
+		pred, _ := expr.CompilePredicate(e.Pred, x.ds.Schema())
+		for _, r := range recs {
+			if pred(r.L) {
+				want++
+			}
+		}
+		got := len(p.offsets)
+		if p.mode == Eager {
+			got = p.store.NumRecords()
+		}
+		if got != want {
+			x.t.Fatalf("Resident of entry %d returned %d records, %d match the file", e.ID, got, want)
+		}
+	}
+}
+
 var lifecycleSteps = []struct {
 	name   string
 	weight int
@@ -397,12 +494,10 @@ var lifecycleSteps = []struct {
 			x.txns = x.txns[:n-1]
 		}
 	}},
-	{"resident", 4, func(x *lifecycleModel) {
-		// Not an entry whose load this test holds open: Resident would wait.
-		if e := x.pick(func(e *Entry) bool { return e.op != opLoading }); e != nil {
-			if _, _, _, err := x.m.Resident(e); err != nil {
-				x.t.Fatalf("Resident: %v", err)
-			}
+	{"resident", 6, func(x *lifecycleModel) {
+		// Any entry: in either tier, current or trailing, idle or mid-operation.
+		if e := x.pick(func(*Entry) bool { return true }); e != nil {
+			x.read(e)
 		}
 	}},
 	{"record-scan", 3, func(x *lifecycleModel) {
@@ -427,56 +522,48 @@ var lifecycleSteps = []struct {
 	{"load-begin", 4, func(x *lifecycleModel) { x.beginOn(opLoading, &x.loads) }},
 	{"load-commit", 4, func(x *lifecycleModel) {
 		if o, ok := x.take(&x.loads); ok {
-			// An unlinked file is a failed load (the entry died meanwhile).
-			x.m.load(o, x.loadPath[o.e])
+			x.finish(o)
 		}
 	}},
 	{"upgrade-begin", 3, func(x *lifecycleModel) {
 		if e := x.pick(func(e *Entry) bool { return e.Mode == Lazy }); e != nil && x.m.TryStartUpgrade(e) {
 			_, _, off := x.m.Payload(e)
-			x.upgrades = append(x.upgrades, inflight{e: e, snap: payload{offsets: off}})
+			x.upgrades = append(x.upgrades, inflight{e: e, op: opUpgrading, snap: payload{offsets: off}})
 		}
 	}},
 	{"upgrade-commit", 3, func(x *lifecycleModel) {
-		o, ok := x.take(&x.upgrades)
-		if !ok {
-			return
+		if o, ok := x.take(&x.upgrades); ok {
+			x.finish(o)
 		}
-		if x.rng.Intn(4) == 0 {
-			x.m.CancelUpgrade(o.e)
-			return
-		}
-		b, _ := store.NewBuilder(store.LayoutColumnar, x.ds.Schema())
-		recs, _ := x.prov.snapshot()
-		for _, off := range o.snap.offsets {
-			if i := int(off / 100); i < len(recs) { // the file may have been rewritten shorter
-				_ = b.Add(recs[i])
-			}
-		}
-		x.m.UpgradeLazy(o.e, b.Finish(), 500, 700)
 	}},
 	{"convert-begin", 3, func(x *lifecycleModel) { x.beginOn(opConverting, &x.converts) }},
 	{"convert-commit", 3, func(x *lifecycleModel) {
 		if o, ok := x.take(&x.converts); ok {
-			to := store.LayoutParquet
-			if o.snap.store.Layout() == store.LayoutParquet {
-				to = store.LayoutColumnar
-			}
-			x.m.convert(o, to)
+			x.finish(o)
 		}
 	}},
-	{"append+extend-begin", 3, func(x *lifecycleModel) {
-		if len(x.extends) > 0 {
-			return // one revalidation of a dataset at a time, as Revalidate guarantees
-		}
+	{"append", 3, func(x *lifecycleModel) {
+		// What Revalidate does after an append: the provider moves, and every
+		// entry of the dataset is left trailing until something reads it.
 		x.prov.grow(1 + x.rng.Intn(3))
-		x.rep, _ = x.prov.Refresh()
-		x.extends = x.m.beginExtensions(x.ds, x.rep)
+		x.prov.Refresh()
 	}},
-	{"extend-commit", 5, func(x *lifecycleModel) {
-		if len(x.extends) > 0 { // in order, like extendDataset
-			x.m.extend(x.ds, x.prov, x.rep, x.extends[0])
-			x.extends = x.extends[1:]
+	{"extend-begin", 3, func(x *lifecycleModel) {
+		// The two halves of Resident's catch-up, so other steps land between.
+		x.pick(func(e *Entry) bool {
+			if trailing, extendable := e.lag(e.payload()); !trailing || !extendable {
+				return false
+			}
+			o, ok := x.m.begin(e, opExtending)
+			if ok {
+				x.extends = append(x.extends, o)
+			}
+			return ok
+		})
+	}},
+	{"extend-commit", 3, func(x *lifecycleModel) {
+		if o, ok := x.take(&x.extends); ok {
+			x.finish(o)
 		}
 	}},
 	{"rewrite", 1, func(x *lifecycleModel) {
@@ -519,8 +606,8 @@ func (x *lifecycleModel) check(step int, name string, quiescent bool) {
 		if e.op != opIdle && (!held[e] || quiescent) {
 			fail("entry %d: op=%d with no operation pending", e.ID, e.op)
 		}
-		if (e.op == opLoading) != (e.loadDone != nil) {
-			fail("entry %d: op=%d with gate %v", e.ID, e.op, e.loadDone != nil)
+		if e.opDone != nil {
+			fail("entry %d: op=%d left a gate nobody waits on", e.ID, e.op)
 		}
 		if !e.dead || e.pins > 0 {
 			ram += e.SizeBytes()
@@ -635,8 +722,10 @@ func runLifecycleModel(t *testing.T, seed int64, steps int) {
 	x.check(steps, "quiesce", true)
 }
 
-// pinnedLifecycleSeeds replay schedules that once failed.
-var pinnedLifecycleSeeds = []int64{1}
+// pinnedLifecycleSeeds replay schedules that once failed. Both unpin the
+// last reader of a demoted entry's RAM copy while an extension of that copy
+// is held open: the drop has to end the operation, nothing else will.
+var pinnedLifecycleSeeds = []int64{1, 1790466152564101585}
 
 // TestLifecycleModel checks the lifecycle invariants after every one of
 // 10k random steps of a fresh schedule (the seed is in the subtest name;

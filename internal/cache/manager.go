@@ -169,9 +169,10 @@ type Stats struct {
 	DiskEntries int   `json:"disk_entries"`
 	DiskBytes   int64 `json:"disk_bytes"`
 	// Freshness counters: StaleInvalidations counts entries dropped because
-	// their raw file was rewritten (or truncated) under them, TailExtensions
-	// counts entries extended in place after an append, and TailBytesScanned
-	// totals the appended bytes those revalidations parsed — the work saved
+	// their raw file was rewritten (or truncated) under them, or grew past a
+	// payload that cannot extend; TailExtensions counts extended payloads a
+	// reader committed to its entry after an append; and TailBytesScanned
+	// totals the appended bytes revalidations ingested — the work saved
 	// versus a full rebuild is the file size minus this.
 	StaleInvalidations int64 `json:"stale_invalidations"`
 	TailExtensions     int64 `json:"tail_extensions"`
@@ -266,19 +267,6 @@ type Manager struct {
 	// conversions are kept off the lock.
 	pendingSpills []inflight
 
-	// Freshness single-flight: at most one goroutine revalidates a given
-	// dataset at a time; concurrent callers wait on the channel. refreshMu
-	// guards only the refreshing map — revalidation itself runs outside
-	// both it and mu (it stats and possibly re-parses file tails).
-	refreshMu  sync.Mutex
-	refreshing map[string]chan struct{}
-	// lastReval records when each dataset last completed a revalidation
-	// (guarded by refreshMu). The watch-mode poller consults it through
-	// RevalidateBatch so a tick never re-stats a dataset some other path —
-	// a query's check-on-access, an overrunning previous tick — already
-	// checked within the poll interval.
-	lastReval map[string]time.Time
-
 	clock  atomic.Int64  // logical time: one tick per query
 	nextTx atomic.Uint64 // Txn id generator
 	stats  counters
@@ -290,14 +278,12 @@ type Manager struct {
 // restarts: the metadata lives in RAM).
 func NewManager(cfg Config) *Manager {
 	m := &Manager{
-		cfg:        cfg.withDefaults(),
-		entries:    make(map[uint64]*Entry),
-		byKey:      make(map[string]*Entry),
-		indexes:    make(map[string]*rtree.Tree),
-		uncon:      make(map[string]map[uint64]*Entry),
-		building:   make(map[string]uint64),
-		refreshing: make(map[string]chan struct{}),
-		lastReval:  make(map[string]time.Time),
+		cfg:      cfg.withDefaults(),
+		entries:  make(map[uint64]*Entry),
+		byKey:    make(map[string]*Entry),
+		indexes:  make(map[string]*rtree.Tree),
+		uncon:    make(map[string]map[uint64]*Entry),
+		building: make(map[string]uint64),
 	}
 	var ok bool
 	if m.policy, ok = m.cfg.Policy.(eviction.TieredPolicy); !ok {
@@ -737,12 +723,13 @@ func (m *Manager) lookupAndRewrite(ds *plan.Dataset, pred expr.Expr, flat bool, 
 		return nil
 	}
 	m.mu.Lock()
-	e, exact := m.lookupLocked(ds, pred, canon)
+	e, exact := m.lookupLocked(ds, pred, canon, readOnly)
 	if e == nil {
 		m.mu.Unlock()
 		return nil
 	}
 	disk, mode := e.diskOnly(), e.Mode
+	trailing, _ := e.lag(e.payload())
 	if !readOnly {
 		l := time.Since(start).Nanoseconds()
 		e.LookupNs = l
@@ -776,6 +763,9 @@ func (m *Manager) lookupAndRewrite(ds *plan.Dataset, pred expr.Expr, flat bool, 
 	if disk {
 		label += "+disk"
 	}
+	if trailing {
+		label += "+trailing" // the scan first extends the entry over the file's new tail
+	}
 	return &plan.CachedScan{
 		Entry:    e,
 		DS:       ds,
@@ -787,9 +777,11 @@ func (m *Manager) lookupAndRewrite(ds *plan.Dataset, pred expr.Expr, flat bool, 
 }
 
 // lookupLocked implements the match: exact key first, then R-tree
-// subsumption candidates verified against the full range set.
-func (m *Manager) lookupLocked(ds *plan.Dataset, pred expr.Expr, canon string) (*Entry, bool) {
-	if e, ok := m.byKey[entryKey(ds.Name, canon)]; ok {
+// subsumption candidates verified against the full range set. Only entries
+// that are current with the raw file, or can catch up with it, match
+// (servableLocked).
+func (m *Manager) lookupLocked(ds *plan.Dataset, pred expr.Expr, canon string, readOnly bool) (*Entry, bool) {
+	if e, ok := m.byKey[entryKey(ds.Name, canon)]; ok && m.servableLocked(e, readOnly) {
 		return e, true
 	}
 	if m.cfg.DisableSubsumption {
@@ -831,7 +823,7 @@ func (m *Manager) lookupLocked(ds *plan.Dataset, pred expr.Expr, canon string) (
 	}
 	var best *Entry
 	for _, e := range cands {
-		if !e.Ranges.Covers(qr) {
+		if !e.Ranges.Covers(qr) || !m.servableLocked(e, readOnly) {
 			continue
 		}
 		if best == nil || betterCandidate(e, best) {

@@ -18,14 +18,15 @@ import (
 // same way when draining. The receiving side lands here: the payload goes
 // straight into the disk tier as a spill file, so a replica costs no RAM
 // until a failover actually promotes it — at which point the normal
-// disk-hit path (Resident / readmitLocked) re-admits it like any spilled
-// entry.
+// disk-hit path (Resident) re-admits it like any spilled entry.
 //
 // Replica entries carry FileEpoch 0: the receiving process has its own
 // provider epoch numbering, so a pushed epoch would be meaningless here.
-// Epoch 0 makes freshness maximally conservative — any detected append or
-// rewrite of the raw file drops the replica copy rather than extending it,
-// and the owner re-replicates after its own rebuild.
+// CoveredBytes is the length this process's provider covers at admission —
+// not a length the payload was built from, so a replica never extends: the
+// first lookup that finds the file grown past it drops it (Entry.lag), a
+// detected rewrite drops it with the rest of the dataset, and the owner
+// re-replicates after its own rebuild.
 
 // errNoDiskTier reports replica admission without a configured spill dir.
 var errNoDiskTier = errors.New("cache: replica admission requires the disk tier (no spill dir configured)")
@@ -46,6 +47,11 @@ func (m *Manager) AdmitReplica(ds *plan.Dataset, pred expr.Expr, predCanon strin
 	}
 	if _, err := store.ReadParquetBytes(payload, ds.Schema()); err != nil {
 		return fmt.Errorf("cache: replica payload for %s: %w", ds.Name, err)
+	}
+
+	var covered int64
+	if rp, ok := ds.Provider.(plan.RefreshableProvider); ok {
+		_, covered = rp.Version()
 	}
 
 	key := entryKey(ds.Name, predCanon)
@@ -76,17 +82,18 @@ func (m *Manager) AdmitReplica(ds *plan.Dataset, pred expr.Expr, predCanon strin
 		return nil
 	}
 	e := &Entry{
-		ID:         id,
-		Dataset:    ds,
-		Pred:       pred,
-		PredCanon:  predCanon,
-		Ranges:     ranges,
-		Mode:       Eager,
-		LastAccess: m.clock.Load(),
-		InsertedAt: m.clock.Load(),
-		Freq:       1,
-		spillPath:  path,
-		spillBytes: n,
+		ID:           id,
+		Dataset:      ds,
+		Pred:         pred,
+		PredCanon:    predCanon,
+		Ranges:       ranges,
+		Mode:         Eager,
+		CoveredBytes: covered,
+		LastAccess:   m.clock.Load(),
+		InsertedAt:   m.clock.Load(),
+		Freq:         1,
+		spillPath:    path,
+		spillBytes:   n,
 	}
 	m.insertLocked(e)
 	m.stats.replicaAdmits.Add(1)
@@ -107,14 +114,20 @@ type exportItem struct {
 // file — and hands each (dataset, predCanon, payload) to fn. A draining
 // shard uses it to stream its working set to the new rendezvous owners.
 // Lazy entries are skipped: their offset lists index this process's raw
-// files and carry no payload worth shipping. Entries whose payload cannot
-// be serialized (or whose spill file vanished mid-export) are skipped, not
-// fatal; fn returning an error aborts the export.
+// files and carry no payload worth shipping. So are entries that trail
+// their raw file: the receiver stamps what it admits as current with its own
+// provider, which would make a trailing payload a stale read there. Entries
+// whose payload cannot be serialized (or whose spill file vanished
+// mid-export) are skipped, not fatal; fn returning an error aborts the
+// export.
 func (m *Manager) ExportPayloads(fn func(dataset, predCanon string, payload []byte) error) error {
 	m.mu.Lock()
 	items := make([]exportItem, 0, len(m.entries))
 	for _, e := range m.entries {
-		if e.Mode == Eager && e.op != opLoading {
+		if e.Mode != Eager || e.op == opLoading {
+			continue
+		}
+		if trailing, _ := e.lag(e.payload()); !trailing {
 			items = append(items, exportItem{e.Dataset.Name, e.PredCanon, e.Store, e.spillPath})
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // Config.SpillDir, while the entry itself — predicate, ranges, accounting,
 // R-tree membership — stays in RAM, so lookups keep matching it. A hit on
 // a spilled entry re-admits the payload (one Parquet read, never a raw
-// re-scan) under a single-flight gate, then runs the normal pipeline.
+// re-scan), single-flight, then runs the normal pipeline.
 //
 // Entry payloads are immutable once built, so a spill file is write-once:
 // re-admission keeps the file, and while it exists the entry's later
@@ -175,50 +175,95 @@ func atomicWrite(path string, write func(io.Writer) error) (int64, error) {
 	return size, nil
 }
 
-// Resident returns the entry's payload for a reader, re-admitting it from
-// the disk tier first when necessary. Concurrent readers of a spilled
-// entry are single-flight: one performs the Parquet read, the others wait
-// on its completion gate. Side-effect-free readers (EXPLAIN, tooling) use
-// Payload instead, which never triggers IO.
+// Resident returns a payload of e that a reader can scan: in RAM, and
+// current with e's raw file as its provider last ingested it. This is the
+// one place an entry catches up, and it does so for the reader that needs
+// it: a payload in the disk tier is re-admitted (one spill-file read, never a
+// raw re-scan; load extends it on the way in), and a RAM-resident payload
+// that trails the file within its epoch is extended over the appended tail
+// and committed back to the entry. Both are single-flight per entry — a
+// second reader waits for the operation in flight and reads what it
+// committed. A reader whose entry died or was
+// demoted again under it keeps the payload it has and catches that up
+// privately. An extension that fails drops the entry and returns
+// plan.ErrEpochChanged: the caller re-plans against the miss.
+// Side-effect-free readers (EXPLAIN, tooling) use Payload instead.
 func (m *Manager) Resident(e *Entry) (Mode, store.Store, []int64, error) {
 	m.mu.Lock()
-	for !e.dead && e.diskOnly() {
-		if o, ok := m.begin(e, opLoading); ok {
-			path := e.spillPath
-			m.mu.Unlock()
-			return m.load(o, path)
+	p := e.payload()
+	for {
+		op := opIdle
+		if p.mode == Eager && p.store == nil {
+			op = opLoading
+		} else if trailing, extendable := e.lag(p); trailing && extendable {
+			op = opExtending
 		}
-		gate := e.loadDone // another reader is loading: wait for it
+		if op == opIdle {
+			m.mu.Unlock()
+			return p.mode, p.store, p.offsets, nil
+		}
+		var o *inflight // nil: p is this reader's own by now, nothing to commit
+		switch {
+		case !e.dead && e.holds(p):
+			begun, ok := m.begin(e, op)
+			if !ok {
+				m.awaitOp(e)
+				p = e.payload()
+				continue
+			}
+			o = &begun
+		case op == opLoading:
+			// Dropped with its spill file (a failed load, or a removal) while
+			// this reader was on its way to the payload.
+			m.mu.Unlock()
+			return p.mode, nil, nil, fmt.Errorf("cache: entry %d lost its spilled payload", e.ID)
+		}
+		path := e.spillPath
 		m.mu.Unlock()
-		<-gate
+		var err error
+		if op == opExtending {
+			p, err = m.extend(e, p, o)
+			return p.mode, p.store, p.offsets, err
+		}
+		if p, err = m.load(*o, path); err != nil {
+			return p.mode, nil, nil, err
+		}
 		m.mu.Lock()
 	}
-	mode, st, off := e.Mode, e.Store, e.Offsets
-	m.mu.Unlock()
-	if mode == Eager && st == nil {
-		// The entry was dropped with its spill file (a failed load, or a
-		// removal) while this reader was on its way to the payload.
-		return mode, nil, nil, fmt.Errorf("cache: entry %d lost its spilled payload", e.ID)
-	}
-	return mode, st, off, nil
 }
 
-// load is the unlocked half of a re-admission: one spill-file read, then
-// the commit. The file is retained (entry payloads are immutable once
-// built), so it stays valid and the entry's next demotion is free; it keeps
+// load is the unlocked half of a re-admission and its commit: one
+// spill-file read. Unless the payload gains rows on the way in (below), the
+// file is retained (entry payloads are immutable once built), so it stays
+// valid and the entry's next demotion is free; it keeps
 // occupying the disk budget until the entry is removed or the disk tier
-// reclaims redundant copies under pressure.
-func (m *Manager) load(o inflight, path string) (Mode, store.Store, []int64, error) {
+// reclaims redundant copies under pressure. The returned payload is the
+// caller's to scan even if the commit's eviction round demoted the entry
+// again, or the entry died mid-load.
+func (m *Manager) load(o inflight, path string) (payload, error) {
 	e, res := o.e, result{payload: o.snap}
 	start := time.Now()
 	data, err := os.ReadFile(path) // one right-sized read, no ReadAll growth
+	// A payload that trails the file catches up here, while the store is
+	// still this goroutine's alone: the tail goes onto the decoded vectors
+	// in place. A tail scan that fails, or sees the file grow, is left to
+	// the extension Resident runs next.
+	var t tail
+	if trailing, extendable := e.lag(o.snap); err == nil && trailing && extendable {
+		if got, terr := scanTail(e, o.snap); terr == nil && got.stable {
+			t = got
+			res.covered, res.stale = t.covered, !t.empty()
+		}
+	}
 	if res.err = err; err == nil {
-		res.store, res.err = store.ReadParquetBytes(data, e.Dataset.Schema())
+		res.store, res.err = store.ReadParquetExtended(data, e.Dataset.Schema(), t.recs)
 	}
 	reload := time.Since(start).Nanoseconds()
 	res.account = func() { e.reloadNanos = reload }
 	m.mu.Lock()
-	m.commit(o, res)
+	if m.commit(o, res) && res.covered > o.snap.covered {
+		m.stats.tailExtensions.Add(1)
+	}
 	if res.err != nil && m.removeLocked(e) {
 		// Unreadable spill file: the entry is gone for real. (Atomic writes
 		// and startup cleanup make this an OS-failure path, not a normal one.)
@@ -226,12 +271,10 @@ func (m *Manager) load(o inflight, path string) (Mode, store.Store, []int64, err
 	}
 	m.mu.Unlock()
 	if res.err != nil {
-		return res.mode, nil, nil, fmt.Errorf("cache: reload entry %d: %w", e.ID, res.err)
+		return res.payload, fmt.Errorf("cache: reload entry %d: %w", e.ID, res.err)
 	}
 	m.drainSpills()
-	// This reader scans the store it loaded even if the commit's eviction
-	// round demoted the entry again, or the entry died mid-load.
-	return res.mode, res.store, nil, nil
+	return res.payload, nil
 }
 
 // evictDiskLocked enforces the disk tier's byte budget. Disk items are

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -29,11 +30,18 @@ func randomFlatRecord(r *rand.Rand) value.Value {
 	)
 }
 
-// Property: for the columnar layout, Extend(src, tail) is indistinguishable
-// from building src's records followed by tail from scratch, and src
-// itself is untouched (concurrent scans of the pre-extension payload must
-// stay valid).
+// Property: for a flat schema in either layout (a columnar build, or the
+// Parquet store a disk-tier re-admission hands back), Extend(src, tail) is
+// indistinguishable from building src's records followed by tail from
+// scratch, and src itself is untouched (concurrent scans of the
+// pre-extension payload must stay valid).
 func TestExtendMatchesRebuild(t *testing.T) {
+	for _, layout := range []Layout{LayoutColumnar, LayoutParquet} {
+		t.Run(layout.String(), func(t *testing.T) { testExtendMatchesRebuild(t, layout) })
+	}
+}
+
+func testExtendMatchesRebuild(t *testing.T, layout Layout) {
 	schema := flatSchema()
 	cols := []int{0, 1, 2}
 	f := func(seed int64) bool {
@@ -46,20 +54,34 @@ func TestExtendMatchesRebuild(t *testing.T) {
 		for i := range tail {
 			tail[i] = randomFlatRecord(r)
 		}
-		src := build(t, LayoutColumnar, schema, old)
+		src := build(t, layout, schema, old)
 		before := collectFlat(t, src, cols)
 		ext, ok, err := Extend(src, tail)
 		if err != nil || !ok {
 			return false
 		}
-		want := build(t, LayoutColumnar, schema, append(append([]value.Value{}, old...), tail...))
-		if ext.Layout() != LayoutColumnar ||
+		want := build(t, layout, schema, append(append([]value.Value{}, old...), tail...))
+		if ext.Layout() != layout ||
 			ext.NumRecords() != want.NumRecords() ||
 			ext.SizeBytes() != want.SizeBytes() {
 			return false
 		}
 		if !reflect.DeepEqual(collectFlat(t, ext, cols), collectFlat(t, want, cols)) {
 			return false
+		}
+		if layout == LayoutParquet {
+			// What the next demotion would spill — also when the tail went
+			// on while src was being read back from its spill stream.
+			var file, got, fused, exp bytes.Buffer
+			if WriteParquet(&file, src) != nil {
+				return false
+			}
+			reread, err := ReadParquetExtended(file.Bytes(), schema, tail)
+			if err != nil || WriteParquet(&got, ext) != nil || WriteParquet(&fused, reread) != nil ||
+				WriteParquet(&exp, want) != nil || reread.SizeBytes() != want.SizeBytes() ||
+				!bytes.Equal(got.Bytes(), exp.Bytes()) || !bytes.Equal(fused.Bytes(), exp.Bytes()) {
+				return false
+			}
 		}
 		// Source store must be byte-for-byte what it was.
 		if !reflect.DeepEqual(collectFlat(t, src, cols), before) || src.NumRecords() != len(old) {
@@ -87,15 +109,14 @@ func TestExtendEmptyTail(t *testing.T) {
 	}
 }
 
-func TestExtendParquetFallsBack(t *testing.T) {
-	// Parquet's level-encoded vectors have no copy fast path: the caller
-	// must get ok=false and replay through a builder instead.
+func TestExtendNestedReportsNotOK(t *testing.T) {
+	// A nested store's level-encoded vectors have no copy path: ok=false.
 	src := build(t, LayoutParquet, orderSchema(), sampleOrders())
 	st, ok, err := Extend(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok || st != nil {
-		t.Errorf("Extend on parquet: ok=%v st=%v, want fallback", ok, st)
+		t.Errorf("Extend on a nested parquet store: ok=%v st=%v, want ok=false", ok, st)
 	}
 }

@@ -224,6 +224,36 @@ func ReadParquet(rd io.Reader, schema *value.Type) (Store, error) {
 // returned store aliases data's string bytes only via copies (string(raw)),
 // so data may be released after the call.
 func ReadParquetBytes(data []byte, schema *value.Type) (Store, error) {
+	return ReadParquetExtended(data, schema, nil)
+}
+
+// ReadParquetExtended decodes a spill stream and appends the tail records
+// to it (a non-empty tail needs a flat schema, like Extend):
+// Extend(ReadParquetBytes(data), tail) without the copy of the decoded
+// vectors, which are sized for the tail up front and appended to in place
+// before anybody else can see the store.
+func ReadParquetExtended(data []byte, schema *value.Type, tail []value.Value) (Store, error) {
+	st, err := readParquet(data, schema, len(tail))
+	switch {
+	case err != nil:
+		return nil, err
+	case len(tail) == 0:
+		return st, nil
+	case st.listPath != nil:
+		return nil, fmt.Errorf("store: schema %s has a repeated field: nested stores never extend", schema)
+	}
+	b := &ParquetBuilder{st: st, paths: resolveLeafPaths(schema, st.cols)}
+	for _, rec := range tail {
+		if err := b.Add(rec); err != nil {
+			return nil, err
+		}
+	}
+	return b.Finish(), nil
+}
+
+// readParquet decodes a spill stream, leaving room for extra more entries in
+// every flat vector.
+func readParquet(data []byte, schema *value.Type, extra int) (*parquetStore, error) {
 	r := &spillReader{buf: data}
 	magic, err := r.bytes(4)
 	if err != nil {
@@ -328,13 +358,13 @@ func ReadParquetBytes(data []byte, schema *value.Type) (Store, error) {
 				return nil, err
 			}
 			st.reps[ci] = append([]uint8(nil), raw...)
-			v, err := readVec(r, c.Type.Kind, levelEntries)
+			v, err := readVec(r, c.Type.Kind, levelEntries, 0)
 			if err != nil {
 				return nil, fmt.Errorf("store: spill column %d (%s): %w", ci, c.Name(), err)
 			}
 			st.repVecs[ci] = v
 		} else {
-			v, err := readVec(r, c.Type.Kind, st.nRecs)
+			v, err := readVec(r, c.Type.Kind, st.nRecs, extra)
 			if err != nil {
 				return nil, fmt.Errorf("store: spill column %d (%s): %w", ci, c.Name(), err)
 			}
@@ -358,7 +388,7 @@ func ReadParquetBytes(data []byte, schema *value.Type) (Store, error) {
 	return st, nil
 }
 
-func readVec(r *spillReader, want value.Kind, wantLen int) (*vec, error) {
+func readVec(r *spillReader, want value.Kind, wantLen, extra int) (*vec, error) {
 	kind, err := r.u8()
 	if err != nil {
 		return nil, err
@@ -402,7 +432,7 @@ func readVec(r *spillReader, want value.Kind, wantLen int) (*vec, error) {
 	}
 	switch want {
 	case value.Int:
-		v.Ints = make([]int64, n)
+		v.Ints = make([]int64, n, n+extra)
 		for i := range v.Ints {
 			x, err := r.u64()
 			if err != nil {
@@ -411,7 +441,7 @@ func readVec(r *spillReader, want value.Kind, wantLen int) (*vec, error) {
 			v.Ints[i] = int64(x)
 		}
 	case value.Float:
-		v.Floats = make([]float64, n)
+		v.Floats = make([]float64, n, n+extra)
 		for i := range v.Floats {
 			x, err := r.u64()
 			if err != nil {
@@ -424,12 +454,12 @@ func readVec(r *spillReader, want value.Kind, wantLen int) (*vec, error) {
 		if err != nil {
 			return nil, err
 		}
-		v.Bools = make([]bool, n)
+		v.Bools = make([]bool, n, n+extra)
 		for i, b := range raw {
 			v.Bools[i] = b != 0
 		}
 	case value.String:
-		v.Strs = make([]string, n)
+		v.Strs = make([]string, n, n+extra)
 		for i := range v.Strs {
 			l, err := r.u32()
 			if err != nil {

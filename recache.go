@@ -121,13 +121,11 @@ type Config struct {
 	//   - "" / "off": files are assumed immutable (the historical default);
 	//     external writes lead to stale or inconsistent results.
 	//   - "check" / "check-on-access": each query revalidates the file
-	//     fingerprints of the datasets it touches before planning. A
-	//     rewritten (or truncated) file invalidates every dependent cache
-	//     entry; an append-grown file *extends* dependent entries by
-	//     scanning only the appended tail.
-	//   - "watch": a background sweep revalidates every registered dataset
-	//     every ~250ms, amortizing the stat cost off the query path
-	//     (queries between sweeps may see the previous file state).
+	//     fingerprints of the datasets it touches before planning (one stat
+	//     per dataset, about a microsecond). A rewritten (or truncated) file
+	//     invalidates every dependent cache entry; after an append, the
+	//     query that reads an entry *extends* it first by scanning only the
+	//     appended tail, and entries nobody reads are left alone.
 	FreshnessMode string
 }
 
@@ -199,15 +197,9 @@ type Engine struct {
 	// noPush disables predicate pushdown into raw scans
 	// (Config.DisablePushdown).
 	noPush bool
-	// freshMode is the normalized Config.FreshnessMode ("off",
-	// "check-on-access", "watch"); freshCheck revalidates a query's
-	// datasets in prepare.
-	freshMode  string
+	// freshCheck (Config.FreshnessMode "check-on-access") revalidates a
+	// query's datasets in prepare.
 	freshCheck bool
-	// watchStop ends the watch-mode background sweep (nil unless
-	// FreshnessMode == "watch"); watchDone waits for its exit in Close.
-	watchStop chan struct{}
-	watchDone sync.WaitGroup
 	// closed (guarded by mu) rejects queries submitted after Close begins;
 	// inflight counts queries admitted before it flipped, so Close can wait
 	// for them. A query enters under mu.RLock (check closed, then Add), and
@@ -231,53 +223,13 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	switch cfg.FreshnessMode {
 	case "", "off":
-		e.freshMode = "off"
 	case "check", "check-on-access":
-		e.freshMode = "check-on-access"
 		e.freshCheck = true
-	case "watch":
-		e.freshMode = "watch"
-		e.watchStop = make(chan struct{})
-		e.watchDone.Add(1)
-		go e.watchLoop(e.watchStop)
 	default:
 		return nil, fmt.Errorf("recache: unknown freshness mode %q", cfg.FreshnessMode)
 	}
 	e.ConfigureSharedScans(!cfg.DisableSharedScans, share.Config{Window: cfg.ShareWindow})
 	return e, nil
-}
-
-// watchInterval is the watch-mode sweep cadence; it doubles as the
-// freshness window RevalidateBatch skips within, so a dataset already
-// stat'ed this interval (by a check-on-access query or a previous sweep
-// running long) is not stat'ed again.
-const watchInterval = 250 * time.Millisecond
-
-// watchLoop is the "watch" freshness mode: it revalidates every registered
-// dataset on a fixed cadence, off the query path. The whole sweep is one
-// coalesced batch — the manager dedupes against datasets revalidated
-// within the interval, so overlapping sweeps and query-path checks don't
-// multiply stat calls. A revalidation failure already dropped the
-// dataset's entries; the query that next touches the file reports the IO
-// error itself.
-func (e *Engine) watchLoop(stop chan struct{}) {
-	defer e.watchDone.Done()
-	tick := time.NewTicker(watchInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-			e.mu.RLock()
-			dss := make([]*plan.Dataset, 0, len(e.datasets))
-			for _, ds := range e.datasets {
-				dss = append(dss, ds)
-			}
-			e.mu.RUnlock()
-			e.manager.RevalidateBatch(dss, watchInterval)
-		}
-	}
 }
 
 // OpenWithManager creates an engine around a pre-configured cache manager.
@@ -530,13 +482,7 @@ func (e *Engine) beginQuery() error {
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	e.closed = true
-	stop := e.watchStop
-	e.watchStop = nil
 	e.mu.Unlock()
-	if stop != nil {
-		close(stop)
-	}
-	e.watchDone.Wait()
 	e.inflight.Wait()
 	e.manager.FlushSpills()
 	return nil
@@ -560,10 +506,10 @@ func (e *Engine) prepare(sql string) (plan.Node, exec.Deps, *cache.Txn, error) {
 	}
 	if e.freshCheck {
 		// Revalidate the query's datasets before the cache rewrite, so the
-		// lookup below only matches entries consistent with the file's
-		// current bytes. Errors are deliberately not surfaced here: a
-		// failed revalidation already dropped the dataset's entries, and
-		// the scan itself reports the underlying IO failure with context.
+		// lookup below compares entries with the file's current version.
+		// Errors are deliberately not surfaced here: a failed revalidation
+		// already dropped the dataset's entries, and the scan itself
+		// reports the underlying IO failure with context.
 		seen := make(map[*plan.Dataset]bool)
 		plan.Walk(pl.root, func(n plan.Node) {
 			if sc, ok := n.(*plan.Scan); ok && !seen[sc.DS] {
@@ -608,8 +554,8 @@ func fieldNames(schema *value.Type) []string {
 }
 
 // epochRetries bounds how often one query restarts after losing a race
-// with a concurrent file rewrite (a lazy replay failing with
-// plan.ErrEpochChanged). Each retry re-plans against the reconciled
+// with a concurrent file rewrite (a lazy replay or a tail extension failing
+// with plan.ErrEpochChanged). Each retry re-plans against the reconciled
 // cache, so a single retry usually suffices; the bound keeps a file being
 // rewritten in a tight loop from starving the query forever.
 const epochRetries = 3
@@ -782,7 +728,7 @@ func (e *Engine) Explain(sql string) (string, error) {
 		case *plan.Select:
 			notes = append(notes, pushNote(x, noPush))
 		case *plan.Scan:
-			notes = append(notes, shareNote(coord, x), freshNote(x, e.freshMode))
+			notes = append(notes, shareNote(coord, x), freshNote(x, e.freshCheck))
 		}
 		if n == root {
 			notes = append(notes, result)
@@ -791,18 +737,18 @@ func (e *Engine) Explain(sql string) (string, error) {
 	}), nil
 }
 
-// freshNote annotates a raw Scan with the engine's freshness mode and
+// freshNote annotates a raw Scan of a freshness-checking engine with
 // whether the dataset's provider tracks file versions at all. The note is
 // static configuration — it never stats or loads the file, keeping
 // EXPLAIN side-effect-free.
-func freshNote(sc *plan.Scan, mode string) string {
-	if mode == "" || mode == "off" {
+func freshNote(sc *plan.Scan, check bool) string {
+	if !check {
 		return ""
 	}
 	if _, ok := sc.DS.Provider.(plan.RefreshableProvider); !ok {
 		return "freshness: untracked provider"
 	}
-	return "freshness: " + mode
+	return "freshness: check-on-access"
 }
 
 // pushNote annotates a Select directly over a raw Scan with the predicate
