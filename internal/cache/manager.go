@@ -848,7 +848,7 @@ func betterCandidate(a, b *Entry) bool {
 // cachedScanSchema computes the output row schema of a cache scan: the
 // needed columns restricted to the right granularity.
 func cachedScanSchema(ds *plan.Dataset, flat bool, neededCols []string) (*value.Type, error) {
-	cols, err := value.LeafColumns(ds.Schema())
+	cols, err := value.LeafColumnsCached(ds.Schema())
 	if err != nil {
 		return nil, err
 	}

@@ -250,27 +250,94 @@ func (t *joinTable) insert(k typedKey, row int32) {
 		t.grow()
 	}
 	i := k.h & t.mask
-	for {
-		if t.heads[i] < 0 {
-			t.used++
-			t.hashes[i] = k.h
-			t.setKey(i, k)
-			e := int32(len(t.rows))
-			t.rows = append(t.rows, row)
-			t.next = append(t.next, -1)
-			t.heads[i], t.tails[i] = e, e
-			return
-		}
+	for t.heads[i] >= 0 {
 		if t.hashes[i] == k.h && t.keyEq(i, k) {
-			e := int32(len(t.rows))
-			t.rows = append(t.rows, row)
-			t.next = append(t.next, -1)
-			t.next[t.tails[i]] = e
-			t.tails[i] = e
+			t.chain(i, row)
 			return
 		}
 		i = (i + 1) & t.mask
 	}
+	t.setKey(i, k)
+	t.claim(i, k.h, row)
+}
+
+// insertInt is insert for an int-mode key ik hashing to h: the typed
+// build and the GROUP BY index call it without building a typedKey.
+func (t *joinTable) insertInt(ik int64, h uint64, row int32) {
+	if (t.used+1)*4 > len(t.heads)*3 {
+		t.grow()
+	}
+	i := h & t.mask
+	for t.heads[i] >= 0 {
+		if t.hashes[i] == h && t.ikeys[i] == ik {
+			t.chain(i, row)
+			return
+		}
+		i = (i + 1) & t.mask
+	}
+	t.ikeys[i] = ik
+	t.claim(i, h, row)
+}
+
+// insertFloat is insertInt for a float-mode key (canonical bits fk).
+func (t *joinTable) insertFloat(fk, h uint64, row int32) {
+	if (t.used+1)*4 > len(t.heads)*3 {
+		t.grow()
+	}
+	i := h & t.mask
+	for t.heads[i] >= 0 {
+		if t.hashes[i] == h && t.fkeys[i] == fk {
+			t.chain(i, row)
+			return
+		}
+		i = (i + 1) & t.mask
+	}
+	t.fkeys[i] = fk
+	t.claim(i, h, row)
+}
+
+// claim makes empty slot i (its key already set) the head of a new chain
+// holding row.
+func (t *joinTable) claim(i, h uint64, row int32) {
+	t.used++
+	t.hashes[i] = h
+	e := t.entry(row)
+	t.heads[i], t.tails[i] = e, e
+}
+
+// chain appends row to the end of slot i's chain.
+func (t *joinTable) chain(i uint64, row int32) {
+	e := t.entry(row)
+	t.next[t.tails[i]] = e
+	t.tails[i] = e
+}
+
+func (t *joinTable) entry(row int32) int32 {
+	e := int32(len(t.rows))
+	t.rows = append(t.rows, row)
+	t.next = append(t.next, -1)
+	return e
+}
+
+// findInt is lookup for an int-mode key ik hashing to h; small enough to
+// inline into the probe and GROUP BY loops.
+func (t *joinTable) findInt(ik int64, h uint64) int32 {
+	for i := h & t.mask; t.heads[i] >= 0; i = (i + 1) & t.mask {
+		if t.hashes[i] == h && t.ikeys[i] == ik {
+			return t.heads[i]
+		}
+	}
+	return -1
+}
+
+// findFloat is findInt for a float-mode key (canonical bits fk).
+func (t *joinTable) findFloat(fk, h uint64) int32 {
+	for i := h & t.mask; t.heads[i] >= 0; i = (i + 1) & t.mask {
+		if t.hashes[i] == h && t.fkeys[i] == fk {
+			return t.heads[i]
+		}
+	}
+	return -1
 }
 
 // lookup returns the first chained entry for k, or -1; callers walk the
@@ -370,12 +437,13 @@ func planVecJoin(j *plan.Join, deps Deps) (*vecJoin, bool) {
 // buildTable drains the build-side iterator into a typed table. When the
 // iterator is stable (a cache scan), build rows are stored as row-ids into
 // the retained full-length vectors — zero copies; otherwise (a nested
-// join's gathered batches) surviving rows are appended into fresh typed
+// join's gathered batches) the selected rows are appended into fresh typed
 // vectors and row-ids address those. Null and NaN keys never enter the
 // table. The caller closes the iterator.
 func (vj *vecJoin) buildTable(liter vecIter) (bcols []*store.Vec, table *joinTable) {
 	stable := liter.Stable()
 	var expect int64
+	var ids []int32
 	if stable {
 		bcols = liter.Cols()
 		if len(bcols) > 0 {
@@ -397,26 +465,66 @@ func (vj *vecJoin) buildTable(liter vecIter) (bcols []*store.Vec, table *joinTab
 		if len(sel) == 0 {
 			continue
 		}
-		kcol := cols[vj.lslot]
-		for _, r := range sel {
-			if kcol.Nulls.Get(int(r)) {
-				continue
-			}
-			k, ok := colKey(kcol, r, vj.mode)
-			if !ok {
-				continue
-			}
-			rowID := r
-			if !stable {
-				rowID = int32(bcols[0].Len())
+		rows := sel
+		if !stable {
+			ids = ids[:0]
+			for _, r := range sel {
+				ids = append(ids, int32(bcols[0].Len()))
 				for i, c := range cols {
 					bcols[i].AppendFrom(c, int(r))
 				}
 			}
-			table.insert(k, rowID)
+			rows = ids
 		}
+		table.insertBatch(cols[vj.lslot], sel, rows)
 	}
 	return bcols, table
+}
+
+// insertBatch inserts the keys kcol holds at sel, row sel[k] under build
+// row-id rows[k]. The int and float modes run the same inlined loops as
+// the probe: direct slice reads, the hash computed in place, no typedKey,
+// and the per-row null test only when the selection's null words hold one.
+func (t *joinTable) insertBatch(kcol *store.Vec, sel, rows []int32) {
+	nulls := kcol.Nulls.AnySel(sel)
+	switch t.mode {
+	case keyModeInt:
+		ks := kcol.Ints
+		for k, r := range sel {
+			if nulls && kcol.Nulls.Get(int(r)) {
+				continue
+			}
+			ik := ks[r]
+			t.insertInt(ik, hashUint(uint64(ik)), rows[k])
+		}
+	case keyModeFloat:
+		isInt := kcol.Kind == value.Int
+		for k, r := range sel {
+			if nulls && kcol.Nulls.Get(int(r)) {
+				continue
+			}
+			var f float64
+			if isInt {
+				f = float64(kcol.Ints[r])
+			} else {
+				f = kcol.Floats[r]
+			}
+			if f != f {
+				continue
+			}
+			fk := joinFloatBits(f)
+			t.insertFloat(fk, hashUint(fk), rows[k])
+		}
+	default:
+		for k, r := range sel {
+			if nulls && kcol.Nulls.Get(int(r)) {
+				continue
+			}
+			if key, ok := colKey(kcol, r, t.mode); ok {
+				t.insert(key, rows[k])
+			}
+		}
+	}
 }
 
 // joinSource serves the fully vectorized flavor as a batch source for a
@@ -545,11 +653,11 @@ func (it *joinIter) Next() ([]*store.Vec, []int32, bool) {
 // probeBatch probes one right-hand batch's key column through the table,
 // appending match pairs. The int and float modes — the hot shapes of
 // analytical joins — run fully inlined loops: direct slice reads, linear
-// probing in place, no per-row kind dispatch, and the per-row null test
-// skipped on all-valid columns.
+// probing in place (findInt/findFloat), no per-row kind dispatch, and the
+// per-row null test skipped when the selection's null words hold no null.
 func (it *joinIter) probeBatch(kcol *store.Vec, sel []int32) {
 	t := it.table
-	hasNulls := kcol.Nulls.Any()
+	hasNulls := kcol.Nulls.AnySel(sel)
 	switch it.vj.mode {
 	case keyModeInt:
 		ks := kcol.Ints
@@ -558,17 +666,9 @@ func (it *joinIter) probeBatch(kcol *store.Vec, sel []int32) {
 				continue
 			}
 			ik := ks[r]
-			h := mix(fnvOffset, uint64(ik))
-			i := h & t.mask
-			for t.heads[i] >= 0 {
-				if t.hashes[i] == h && t.ikeys[i] == ik {
-					for e := t.heads[i]; e >= 0; e = t.next[e] {
-						it.lids = append(it.lids, t.rows[e])
-						it.rids = append(it.rids, r)
-					}
-					break
-				}
-				i = (i + 1) & t.mask
+			for e := t.findInt(ik, hashUint(uint64(ik))); e >= 0; e = t.next[e] {
+				it.lids = append(it.lids, t.rows[e])
+				it.rids = append(it.rids, r)
 			}
 		}
 	case keyModeFloat:
@@ -587,17 +687,9 @@ func (it *joinIter) probeBatch(kcol *store.Vec, sel []int32) {
 				continue
 			}
 			fk := joinFloatBits(f)
-			h := mix(fnvOffset, fk)
-			i := h & t.mask
-			for t.heads[i] >= 0 {
-				if t.hashes[i] == h && t.fkeys[i] == fk {
-					for e := t.heads[i]; e >= 0; e = t.next[e] {
-						it.lids = append(it.lids, t.rows[e])
-						it.rids = append(it.rids, r)
-					}
-					break
-				}
-				i = (i + 1) & t.mask
+			for e := t.findFloat(fk, hashUint(fk)); e >= 0; e = t.next[e] {
+				it.lids = append(it.lids, t.rows[e])
+				it.rids = append(it.rids, r)
 			}
 		}
 	default:

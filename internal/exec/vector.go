@@ -574,7 +574,8 @@ type vaggAcc struct {
 }
 
 // updateBatch folds a whole selection batch into the accumulator with a
-// typed loop — the kind dispatch happens once per batch, not per row.
+// typed loop — the kind dispatch and the null-word test happen once per
+// batch, not per row.
 func (a *vaggAcc) updateBatch(cols []*store.Vec, sel []int32) {
 	if a.arg < 0 { // COUNT(*): every selected row counts
 		a.count += int64(len(sel))
@@ -584,10 +585,11 @@ func (a *vaggAcc) updateBatch(cols []*store.Vec, sel []int32) {
 		return
 	}
 	v := cols[a.arg]
+	nulls := v.Nulls.AnySel(sel)
 	switch a.fn {
 	case plan.AggCount:
 		for _, r := range sel {
-			if !v.Nulls.Get(int(r)) {
+			if !nulls || !v.Nulls.Get(int(r)) {
 				a.count++
 				a.any = true
 			}
@@ -595,7 +597,7 @@ func (a *vaggAcc) updateBatch(cols []*store.Vec, sel []int32) {
 	case plan.AggSum, plan.AggAvg:
 		if v.Kind == value.Int {
 			for _, r := range sel {
-				if !v.Nulls.Get(int(r)) {
+				if !nulls || !v.Nulls.Get(int(r)) {
 					a.count++
 					a.sum += float64(v.Ints[r])
 					a.any = true
@@ -603,7 +605,7 @@ func (a *vaggAcc) updateBatch(cols []*store.Vec, sel []int32) {
 			}
 		} else {
 			for _, r := range sel {
-				if !v.Nulls.Get(int(r)) {
+				if !nulls || !v.Nulls.Get(int(r)) {
 					a.count++
 					a.sum += v.Floats[r]
 					a.any = true
@@ -614,7 +616,7 @@ func (a *vaggAcc) updateBatch(cols []*store.Vec, sel []int32) {
 		switch v.Kind {
 		case value.Int:
 			for _, r := range sel {
-				if v.Nulls.Get(int(r)) {
+				if nulls && v.Nulls.Get(int(r)) {
 					continue
 				}
 				if x := v.Ints[r]; !a.any || x < a.mi {
@@ -624,7 +626,7 @@ func (a *vaggAcc) updateBatch(cols []*store.Vec, sel []int32) {
 			}
 		case value.Float:
 			for _, r := range sel {
-				if v.Nulls.Get(int(r)) {
+				if nulls && v.Nulls.Get(int(r)) {
 					continue
 				}
 				if x := v.Floats[r]; !a.any || x < a.mf {
@@ -634,7 +636,7 @@ func (a *vaggAcc) updateBatch(cols []*store.Vec, sel []int32) {
 			}
 		case value.String:
 			for _, r := range sel {
-				if v.Nulls.Get(int(r)) {
+				if nulls && v.Nulls.Get(int(r)) {
 					continue
 				}
 				if x := v.Strs[r]; !a.any || x < a.ms {
@@ -644,7 +646,7 @@ func (a *vaggAcc) updateBatch(cols []*store.Vec, sel []int32) {
 			}
 		case value.Bool:
 			for _, r := range sel {
-				if v.Nulls.Get(int(r)) {
+				if nulls && v.Nulls.Get(int(r)) {
 					continue
 				}
 				if x := v.Bools[r]; !a.any || (!x && a.mb) {
@@ -657,7 +659,7 @@ func (a *vaggAcc) updateBatch(cols []*store.Vec, sel []int32) {
 		switch v.Kind {
 		case value.Int:
 			for _, r := range sel {
-				if v.Nulls.Get(int(r)) {
+				if nulls && v.Nulls.Get(int(r)) {
 					continue
 				}
 				if x := v.Ints[r]; !a.any || x > a.mi {
@@ -667,7 +669,7 @@ func (a *vaggAcc) updateBatch(cols []*store.Vec, sel []int32) {
 			}
 		case value.Float:
 			for _, r := range sel {
-				if v.Nulls.Get(int(r)) {
+				if nulls && v.Nulls.Get(int(r)) {
 					continue
 				}
 				if x := v.Floats[r]; !a.any || x > a.mf {
@@ -677,7 +679,7 @@ func (a *vaggAcc) updateBatch(cols []*store.Vec, sel []int32) {
 			}
 		case value.String:
 			for _, r := range sel {
-				if v.Nulls.Get(int(r)) {
+				if nulls && v.Nulls.Get(int(r)) {
 					continue
 				}
 				if x := v.Strs[r]; !a.any || x > a.ms {
@@ -687,7 +689,7 @@ func (a *vaggAcc) updateBatch(cols []*store.Vec, sel []int32) {
 			}
 		case value.Bool:
 			for _, r := range sel {
-				if v.Nulls.Get(int(r)) {
+				if nulls && v.Nulls.Get(int(r)) {
 					continue
 				}
 				if x := v.Bools[r]; !a.any || (x && !a.mb) {
@@ -699,7 +701,8 @@ func (a *vaggAcc) updateBatch(cols []*store.Vec, sel []int32) {
 	}
 }
 
-// updateRow folds one selected row (the grouped path's per-group update).
+// updateRow folds one selected row: the grouped fold's fallback for the
+// shapes it has no typed loop for (string and bool MIN/MAX).
 func (a *vaggAcc) updateRow(cols []*store.Vec, r int32) {
 	if a.arg < 0 {
 		a.count++
@@ -793,11 +796,175 @@ func (a *vaggAcc) result() value.Value {
 	return value.VNull
 }
 
-// vgroup is one GROUP BY group of the batch-hashing aggregation.
+// vgroup is one GROUP BY group of the vectorized aggregation: its key
+// values and rendered sort key. Its accumulators live in per-aggregate
+// slices indexed by group, so a typed fold walks one aggregate at a time.
 type vgroup struct {
 	keys    []value.Value
 	sortKey string // rendered key, matching the row path's output order
-	accs    []vaggAcc
+}
+
+// groupIndex resolves batch rows to group indexes. A single Int key goes
+// through the join's typed table (key → group index in the row payload),
+// its NULL key kept aside; any other key shape hashes the typed key columns
+// and compares candidates against the groups' materialized keys.
+type groupIndex struct {
+	gcols    []int
+	groups   []vgroup
+	ints     *joinTable
+	nullG    int32 // the NULL key's group under ints; -1 until seen
+	hashed   map[uint64][]int32
+	nullable []bool  // per key column: the batch's null words hold a null
+	gidx     []int32 // the current batch's group per selected row
+}
+
+func newGroupIndex(gcols []int, kinds []value.Kind) *groupIndex {
+	gi := &groupIndex{gcols: gcols, nullG: -1}
+	if len(gcols) == 1 && kinds[gcols[0]] == value.Int {
+		gi.ints = newJoinTable(keyModeInt, 0)
+	} else {
+		gi.hashed = make(map[uint64][]int32)
+	}
+	return gi
+}
+
+// resolve fills gi.gidx with the group of every row of sel, in order,
+// adding a group per first-seen key.
+func (gi *groupIndex) resolve(cols []*store.Vec, sel []int32) []int32 {
+	gi.gidx = gi.gidx[:0]
+	if t := gi.ints; t != nil {
+		v := cols[gi.gcols[0]]
+		nulls := v.Nulls.AnySel(sel)
+		for _, r := range sel {
+			if nulls && v.Nulls.Get(int(r)) {
+				if gi.nullG < 0 {
+					gi.nullG = gi.add(cols, r)
+				}
+				gi.gidx = append(gi.gidx, gi.nullG)
+				continue
+			}
+			ik := v.Ints[r]
+			h := hashUint(uint64(ik))
+			var g int32
+			if e := t.findInt(ik, h); e >= 0 {
+				g = t.rows[e]
+			} else {
+				g = gi.add(cols, r)
+				t.insertInt(ik, h, g)
+			}
+			gi.gidx = append(gi.gidx, g)
+		}
+		return gi.gidx
+	}
+	gi.nullable = gi.nullable[:0]
+	for _, c := range gi.gcols {
+		gi.nullable = append(gi.nullable, cols[c].Nulls.AnySel(sel))
+	}
+	for _, r := range sel {
+		h := hashGroupKey(cols, gi.gcols, gi.nullable, r)
+		g := int32(-1)
+		for _, cand := range gi.hashed[h] {
+			if groupKeyEq(cols, gi.gcols, gi.nullable, r, gi.groups[cand].keys) {
+				g = cand
+				break
+			}
+		}
+		if g < 0 {
+			g = gi.add(cols, r)
+			gi.hashed[h] = append(gi.hashed[h], g)
+		}
+		gi.gidx = append(gi.gidx, g)
+	}
+	return gi.gidx
+}
+
+// add materializes row r's keys as a new group and returns its index.
+func (gi *groupIndex) add(cols []*store.Vec, r int32) int32 {
+	keys := make([]value.Value, len(gi.gcols))
+	var sb strings.Builder
+	for i, c := range gi.gcols {
+		keys[i] = cols[c].Get(int(r))
+		sb.WriteString(keys[i].String())
+		sb.WriteByte(0)
+	}
+	gi.groups = append(gi.groups, vgroup{keys: keys, sortKey: sb.String()})
+	return int32(len(gi.groups) - 1)
+}
+
+// foldGroups folds one batch into one aggregate's per-group accumulators:
+// row sel[k] goes to accs[gidx[k]]. Each group sees its rows in selection
+// order, as the row path's per-row update does, so float sums are
+// bit-identical. The kind dispatch and the null-word test happen once per
+// batch; string and bool MIN/MAX fall back to updateRow.
+func foldGroups(accs []vaggAcc, cols []*store.Vec, sel, gidx []int32) {
+	fn, arg := accs[0].fn, accs[0].arg
+	if arg < 0 { // COUNT(*)
+		for _, g := range gidx {
+			accs[g].count++
+			accs[g].any = true
+		}
+		return
+	}
+	v := cols[arg]
+	nulls := v.Nulls.AnySel(sel)
+	switch {
+	case fn == plan.AggCount:
+		for k, r := range sel {
+			if !nulls || !v.Nulls.Get(int(r)) {
+				a := &accs[gidx[k]]
+				a.count++
+				a.any = true
+			}
+		}
+	case (fn == plan.AggSum || fn == plan.AggAvg) && v.Kind == value.Int:
+		for k, r := range sel {
+			if !nulls || !v.Nulls.Get(int(r)) {
+				a := &accs[gidx[k]]
+				a.count++
+				a.sum += float64(v.Ints[r])
+				a.any = true
+			}
+		}
+	case fn == plan.AggSum || fn == plan.AggAvg:
+		for k, r := range sel {
+			if !nulls || !v.Nulls.Get(int(r)) {
+				a := &accs[gidx[k]]
+				a.count++
+				a.sum += v.Floats[r]
+				a.any = true
+			}
+		}
+	case v.Kind == value.Int:
+		isMin := fn == plan.AggMin
+		for k, r := range sel {
+			if nulls && v.Nulls.Get(int(r)) {
+				continue
+			}
+			a := &accs[gidx[k]]
+			if x := v.Ints[r]; !a.any || (isMin && x < a.mi) || (!isMin && x > a.mi) {
+				a.mi = x
+			}
+			a.count++
+			a.any = true
+		}
+	case v.Kind == value.Float:
+		isMin := fn == plan.AggMin
+		for k, r := range sel {
+			if nulls && v.Nulls.Get(int(r)) {
+				continue
+			}
+			a := &accs[gidx[k]]
+			if x := v.Floats[r]; !a.any || (isMin && x < a.mf) || (!isMin && x > a.mf) {
+				a.mf = x
+			}
+			a.count++
+			a.any = true
+		}
+	default:
+		for k, r := range sel {
+			accs[gidx[k]].updateRow(cols, r)
+		}
+	}
 }
 
 // planVecAggregate vectorizes Aggregate([Select*](CachedScan|Join)) when
@@ -834,15 +1001,12 @@ func planVecAggregate(a *plan.Aggregate, deps Deps, rowFn runFn) (runFn, bool) {
 	}
 	specs := a.Aggs
 
-	newAccs := func(kinds []value.Kind) []vaggAcc {
-		accs := make([]vaggAcc, len(specs))
-		for i := range accs {
-			accs[i] = vaggAcc{fn: specs[i].Func, arg: args[i]}
-			if args[i] >= 0 {
-				accs[i].kind = kinds[args[i]]
-			}
+	newAcc := func(i int, kinds []value.Kind) vaggAcc {
+		a := vaggAcc{fn: specs[i].Func, arg: args[i]}
+		if args[i] >= 0 {
+			a.kind = kinds[args[i]]
 		}
-		return accs
+		return a
 	}
 
 	return func(ctx *qctx, out emitFn) error {
@@ -863,7 +1027,10 @@ func planVecAggregate(a *plan.Aggregate, deps Deps, rowFn runFn) (runFn, bool) {
 		}
 
 		if len(gcols) == 0 {
-			accs := newAccs(kinds)
+			accs := make([]vaggAcc, len(specs))
+			for i := range accs {
+				accs[i] = newAcc(i, kinds)
+			}
 			for {
 				cols, sel, ok := it.Next()
 				if !ok {
@@ -881,47 +1048,38 @@ func planVecAggregate(a *plan.Aggregate, deps Deps, rowFn runFn) (runFn, bool) {
 			return out(outRow)
 		}
 
-		table := make(map[uint64][]*vgroup)
-		var groups []*vgroup
+		gi := newGroupIndex(gcols, kinds)
+		accs := make([][]vaggAcc, len(specs))
 		for {
 			cols, sel, ok := it.Next()
 			if !ok {
 				break
 			}
-			for _, r := range sel {
-				h := hashGroupKey(cols, gcols, r)
-				var g *vgroup
-				for _, cand := range table[h] {
-					if groupKeyEq(cols, gcols, r, cand.keys) {
-						g = cand
-						break
-					}
+			if len(sel) == 0 {
+				continue
+			}
+			gidx := gi.resolve(cols, sel)
+			for ai := range accs {
+				for len(accs[ai]) < len(gi.groups) {
+					accs[ai] = append(accs[ai], newAcc(ai, kinds))
 				}
-				if g == nil {
-					keys := make([]value.Value, len(gcols))
-					var sb strings.Builder
-					for i, c := range gcols {
-						keys[i] = cols[c].Get(int(r))
-						sb.WriteString(keys[i].String())
-						sb.WriteByte(0)
-					}
-					g = &vgroup{keys: keys, sortKey: sb.String(), accs: newAccs(kinds)}
-					table[h] = append(table[h], g)
-					groups = append(groups, g)
-				}
-				for ai := range g.accs {
-					g.accs[ai].updateRow(cols, r)
-				}
+				foldGroups(accs[ai], cols, sel, gidx)
 			}
 		}
 		it.Close(ctx)
 		// Deterministic output order, identical to the row path's.
-		sort.Slice(groups, func(i, j int) bool { return groups[i].sortKey < groups[j].sortKey })
+		order := make([]int32, len(gi.groups))
+		for g := range order {
+			order[g] = int32(g)
+		}
+		sort.Slice(order, func(i, j int) bool {
+			return gi.groups[order[i]].sortKey < gi.groups[order[j]].sortKey
+		})
 		outRow := make([]value.Value, len(gcols)+len(specs))
-		for _, g := range groups {
-			copy(outRow, g.keys)
-			for i := range g.accs {
-				outRow[len(gcols)+i] = g.accs[i].result()
+		for _, g := range order {
+			copy(outRow, gi.groups[g].keys)
+			for ai := range accs {
+				outRow[len(gcols)+ai] = accs[ai][g].result()
 			}
 			if err := out(outRow); err != nil {
 				return err
@@ -952,12 +1110,13 @@ func mix(h, x uint64) uint64 {
 	return h
 }
 
-// hashGroupKey hashes the typed group-key columns of one row.
-func hashGroupKey(cols []*store.Vec, gcols []int, r int32) uint64 {
+// hashGroupKey hashes the typed group-key columns of one row; nullable[i]
+// says whether key column i's null words hold a null in this batch.
+func hashGroupKey(cols []*store.Vec, gcols []int, nullable []bool, r int32) uint64 {
 	h := uint64(fnvOffset)
-	for _, c := range gcols {
+	for i, c := range gcols {
 		v := cols[c]
-		if v.Nulls.Get(int(r)) {
+		if nullable[i] && v.Nulls.Get(int(r)) {
 			h = mix(h, 0xa5a5a5a5)
 			continue
 		}
@@ -987,12 +1146,12 @@ func hashGroupKey(cols []*store.Vec, gcols []int, r int32) uint64 {
 }
 
 // groupKeyEq compares one row's typed key columns against a group's
-// materialized keys.
-func groupKeyEq(cols []*store.Vec, gcols []int, r int32, keys []value.Value) bool {
+// materialized keys; nullable is hashGroupKey's.
+func groupKeyEq(cols []*store.Vec, gcols []int, nullable []bool, r int32, keys []value.Value) bool {
 	for i, c := range gcols {
 		v := cols[c]
 		k := keys[i]
-		if v.Nulls.Get(int(r)) {
+		if nullable[i] && v.Nulls.Get(int(r)) {
 			if k.Kind != value.Null {
 				return false
 			}

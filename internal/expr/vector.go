@@ -260,7 +260,9 @@ func (f *VecFilter) Selective() bool { return len(f.specs) > 0 }
 
 // Apply runs every kernel over the selection vector in place, returning the
 // surviving prefix of sel. Rows whose tested column is null never survive,
-// matching the fused row predicate.
+// matching the fused row predicate; each kernel tests the null words its
+// selection covers once and reads the bitmap per row only when they hold a
+// null.
 func (f *VecFilter) Apply(cols []*store.Vec, sel []int32) []int32 {
 	for i := range f.specs {
 		sp := &f.specs[i]
@@ -271,25 +273,26 @@ func (f *VecFilter) Apply(cols []*store.Vec, sel []int32) []int32 {
 			return sel[:0]
 		}
 		v := cols[sp.idx]
+		nulls := v.Nulls.AnySel(sel)
 		out := sel[:0]
 		switch sp.kind {
 		case vsIntRange:
 			ints, lo, hi := v.Ints, sp.lo, sp.hi
 			for _, r := range sel {
-				if x := ints[r]; x >= lo && x <= hi && !v.Nulls.Get(int(r)) {
+				if x := ints[r]; x >= lo && x <= hi && (!nulls || !v.Nulls.Get(int(r))) {
 					out = append(out, r)
 				}
 			}
 		case vsFltRange:
 			if v.Kind == value.Int {
 				for _, r := range sel {
-					if fltInRange(float64(v.Ints[r]), sp) && !v.Nulls.Get(int(r)) {
+					if fltInRange(float64(v.Ints[r]), sp) && (!nulls || !v.Nulls.Get(int(r))) {
 						out = append(out, r)
 					}
 				}
 			} else {
 				for _, r := range sel {
-					if fltInRange(v.Floats[r], sp) && !v.Nulls.Get(int(r)) {
+					if fltInRange(v.Floats[r], sp) && (!nulls || !v.Nulls.Get(int(r))) {
 						out = append(out, r)
 					}
 				}
@@ -297,14 +300,14 @@ func (f *VecFilter) Apply(cols []*store.Vec, sel []int32) []int32 {
 		case vsIntNe:
 			ints, x := v.Ints, sp.i
 			for _, r := range sel {
-				if ints[r] != x && !v.Nulls.Get(int(r)) {
+				if ints[r] != x && (!nulls || !v.Nulls.Get(int(r))) {
 					out = append(out, r)
 				}
 			}
 		case vsFltNe:
 			if v.Kind == value.Int {
 				for _, r := range sel {
-					if float64(v.Ints[r]) != sp.f && !v.Nulls.Get(int(r)) {
+					if float64(v.Ints[r]) != sp.f && (!nulls || !v.Nulls.Get(int(r))) {
 						out = append(out, r)
 					}
 				}
@@ -312,7 +315,7 @@ func (f *VecFilter) Apply(cols []*store.Vec, sel []int32) []int32 {
 				// x == x excludes NaN values: the row path's compare puts
 				// NaN equal to everything, so <> rejects it.
 				for _, r := range sel {
-					if x := v.Floats[r]; x == x && x != sp.f && !v.Nulls.Get(int(r)) {
+					if x := v.Floats[r]; x == x && x != sp.f && (!nulls || !v.Nulls.Get(int(r))) {
 						out = append(out, r)
 					}
 				}
@@ -320,7 +323,7 @@ func (f *VecFilter) Apply(cols []*store.Vec, sel []int32) []int32 {
 		case vsStrCmp:
 			strs, s, op := v.Strs, sp.s, sp.op
 			for _, r := range sel {
-				if strCmpOK(strs[r], s, op) && !v.Nulls.Get(int(r)) {
+				if strCmpOK(strs[r], s, op) && (!nulls || !v.Nulls.Get(int(r))) {
 					out = append(out, r)
 				}
 			}

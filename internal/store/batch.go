@@ -51,35 +51,37 @@ func FillRows(cols []*Vec, sel []int32, chunk []value.Value, nc int) {
 
 // AppendNative boxes the selected rows of cols into Go natives — int64,
 // float64, string, bool, nil for NULL — and appends one []any per selected
-// index to rows, dispatching on each column's kind once per call. The rows
+// index to rows, dispatching on each column's kind, and testing its null
+// words, once per call. The rows
 // of one call are sub-slices of a single backing slab, capacity-pinned so
 // that appending to one row never overwrites its neighbour.
 func AppendNative(rows [][]any, cols []*Vec, sel []int32) [][]any {
 	nc := len(cols)
 	slab := make([]any, len(sel)*nc)
 	for i, v := range cols {
+		nulls := v.Nulls.AnySel(sel)
 		switch v.Kind {
 		case value.Int:
 			for k, r := range sel {
-				if !v.Nulls.Get(int(r)) {
+				if !nulls || !v.Nulls.Get(int(r)) {
 					slab[k*nc+i] = v.Ints[r]
 				}
 			}
 		case value.Float:
 			for k, r := range sel {
-				if !v.Nulls.Get(int(r)) {
+				if !nulls || !v.Nulls.Get(int(r)) {
 					slab[k*nc+i] = v.Floats[r]
 				}
 			}
 		case value.String:
 			for k, r := range sel {
-				if !v.Nulls.Get(int(r)) {
+				if !nulls || !v.Nulls.Get(int(r)) {
 					slab[k*nc+i] = v.Strs[r]
 				}
 			}
 		case value.Bool:
 			for k, r := range sel {
-				if !v.Nulls.Get(int(r)) {
+				if !nulls || !v.Nulls.Get(int(r)) {
 					slab[k*nc+i] = v.Bools[r]
 				}
 			}
@@ -125,6 +127,10 @@ func (s *columnarStore) BatchCursor(flat bool, cols []int) (*BatchCursor, bool) 
 			}
 			return out
 		}
+	} else if s.nRecs == n {
+		// Every record is one physical row (always so for a flat entry):
+		// the record view is the dense row range, nothing to compare.
+		next = denseNext(n)
 	} else {
 		prev := int32(-1)
 		next = func(buf []int32) []int32 {
@@ -167,17 +173,22 @@ func (s *parquetStore) BatchCursor(flat bool, cols []int) (*BatchCursor, bool) {
 	for i, c := range cols {
 		vecs[i] = s.flatVecs[c]
 	}
+	return &BatchCursor{Cols: vecs, Rows: int64(s.nRecs), next: denseNext(s.nRecs)}, true
+}
+
+// denseNext is the cursor step over every physical row of [0, n) in order:
+// each batch is the next cap(buf) indexes, written without a comparison.
+func denseNext(n int) func(buf []int32) []int32 {
 	pos := 0
-	next := func(buf []int32) []int32 {
-		if pos >= s.nRecs {
+	return func(buf []int32) []int32 {
+		if pos >= n {
 			return nil
 		}
-		out := buf[:0]
-		for pos < s.nRecs && len(out) < cap(buf) {
-			out = append(out, int32(pos))
-			pos++
+		out := buf[:min(n-pos, cap(buf))]
+		for k := range out {
+			out[k] = int32(pos + k)
 		}
+		pos += len(out)
 		return out
 	}
-	return &BatchCursor{Cols: vecs, Rows: int64(s.nRecs), next: next}, true
 }

@@ -227,12 +227,14 @@ func (s *columnarStore) ScanFlat(cols []int, emit EmitFunc) (ScanStats, error) {
 }
 
 // fillColumn writes vector values for the selected rows into column slot i
-// of the row-major chunk, dispatching on the column kind once.
+// of the row-major chunk, dispatching on the column kind and testing the
+// null words once.
 func fillColumn(chunk []value.Value, i, nc int, sel []int32, v *Vec) {
+	nulls := v.Nulls.AnySel(sel)
 	switch v.Kind {
 	case value.Int:
 		for k, r := range sel {
-			if v.Nulls.Get(int(r)) {
+			if nulls && v.Nulls.Get(int(r)) {
 				chunk[k*nc+i] = value.VNull
 			} else {
 				chunk[k*nc+i] = value.Value{Kind: value.Int, I: v.Ints[r]}
@@ -240,7 +242,7 @@ func fillColumn(chunk []value.Value, i, nc int, sel []int32, v *Vec) {
 		}
 	case value.Float:
 		for k, r := range sel {
-			if v.Nulls.Get(int(r)) {
+			if nulls && v.Nulls.Get(int(r)) {
 				chunk[k*nc+i] = value.VNull
 			} else {
 				chunk[k*nc+i] = value.Value{Kind: value.Float, F: v.Floats[r]}
@@ -248,7 +250,7 @@ func fillColumn(chunk []value.Value, i, nc int, sel []int32, v *Vec) {
 		}
 	case value.String:
 		for k, r := range sel {
-			if v.Nulls.Get(int(r)) {
+			if nulls && v.Nulls.Get(int(r)) {
 				chunk[k*nc+i] = value.VNull
 			} else {
 				chunk[k*nc+i] = value.Value{Kind: value.String, S: v.Strs[r]}
@@ -256,20 +258,13 @@ func fillColumn(chunk []value.Value, i, nc int, sel []int32, v *Vec) {
 		}
 	case value.Bool:
 		for k, r := range sel {
-			if v.Nulls.Get(int(r)) {
+			if nulls && v.Nulls.Get(int(r)) {
 				chunk[k*nc+i] = value.VNull
 			} else {
 				chunk[k*nc+i] = value.Value{Kind: value.Bool, B: v.Bools[r]}
 			}
 		}
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ScanRecords implements Store: flattening lost the record boundaries, so

@@ -34,15 +34,17 @@ func (b *Bitmap) Get(i int) bool {
 	return b.words[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// Any reports whether any entry is null; hot per-row loops (the join probe)
-// use it to skip the per-row null test on all-valid columns.
-func (b *Bitmap) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
+// AnySel reports whether any entry the ascending selection sel can address
+// is null: the words covering sel[0]..sel[len(sel)-1], a few word loads
+// per batch. Batch kernels test it once per selection and skip the per-row
+// Get when it is false. Every batch selection is ascending — cursors emit
+// rows in order, filters keep that order, a join's output batch is an
+// identity selection.
+func (b *Bitmap) AnySel(sel []int32) bool {
+	if len(sel) == 0 {
+		return false
 	}
-	return false
+	return b.anyIn(int(sel[0]), int(sel[len(sel)-1]))
 }
 
 // anyIn reports whether any entry of the words covering [lo, hi] is null.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"testing"
 
 	"recache/internal/value"
@@ -70,6 +71,30 @@ func TestBitmapAppendAfterClone(t *testing.T) {
 	// Clone shared the trailing word, src's set bit would leak into dst.
 	if dst.Len() != 71 || src.Len() != 71 {
 		t.Fatalf("lens = %d, %d, want 71", dst.Len(), src.Len())
+	}
+}
+
+func TestBitmapAnySel(t *testing.T) {
+	var b Bitmap
+	// 300 entries whose only nulls are entries 70..74, in word 1 (64..127).
+	for i := 0; i < 300; i++ {
+		b.Append(i >= 70 && i < 75)
+	}
+	for _, c := range []struct {
+		sel  []int32
+		want bool
+	}{
+		{nil, false},
+		{[]int32{0, 5, 63}, false},      // word 0 only
+		{[]int32{128, 200, 299}, false}, // words 2..4
+		{[]int32{72}, true},             // a null itself
+		{[]int32{76, 90, 127}, true},    // boundary word holds nulls outside the selection
+		{[]int32{10, 200}, true},        // the range spans word 1
+		{[]int32{63, 128}, true},        // so does this one, selecting neither null
+	} {
+		if got := b.AnySel(c.sel); got != c.want {
+			t.Errorf("AnySel(%v) = %v, want %v", c.sel, got, c.want)
+		}
 	}
 }
 
@@ -173,8 +198,15 @@ func drainCursor(t *testing.T, cur *BatchCursor) []int32 {
 	}
 }
 
+// TestBatchCursorMatchesRowScans holds both cursors of each layout to the
+// row scans, over three record shapes: nested records with multi-element
+// lists (the columnar record cursor deduplicates record ids), nested
+// records of at most one element (every record one physical row, some of
+// them empty-list placeholders: the record cursor is the dense range, the
+// flattened one still skips placeholders), and flat records with NULLs
+// (the dense range).
 func TestBatchCursorMatchesRowScans(t *testing.T) {
-	schema := value.TRecord(
+	nested := value.TRecord(
 		value.F("a", value.TInt),
 		value.F("s", value.TString),
 		value.F("items", value.TList(value.TRecord(value.F("q", value.TInt)))),
@@ -186,88 +218,97 @@ func TestBatchCursorMatchesRowScans(t *testing.T) {
 		}
 		return value.VRecord(value.VInt(a), value.VString(s), value.VList(items...))
 	}
-	recs := []value.Value{
-		rec(1, "x", 10, 11),
-		rec(2, "y"), // empty list: placeholder row, skipped by flat scans
-		rec(3, "z", 30),
-		rec(4, "w", 40, 41, 42),
+	var oneRow, flatRecs []value.Value
+	for i := int64(0); i < 150; i++ {
+		if i%3 == 0 {
+			oneRow = append(oneRow, rec(i, "e")) // empty list: a placeholder row
+		} else {
+			oneRow = append(oneRow, rec(i, "x", i*10))
+		}
+		a := value.VInt(i)
+		if i >= 70 && i < 75 {
+			a = value.VNull
+		}
+		flatRecs = append(flatRecs, value.VRecord(a, value.VString("f")))
 	}
-	for _, layout := range []Layout{LayoutColumnar, LayoutParquet} {
-		b, err := NewBuilder(layout, schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			b.Add(r)
-		}
-		st := b.Finish()
-		bs := st.(BatchSource)
+	cases := []struct {
+		name     string
+		schema   *value.Type
+		recs     []value.Value
+		repeated int   // a repeated column the record cursor must refuse; -1: none
+		flatCols []int // the flattened projection
+	}{
+		{"nested-multi", nested, []value.Value{
+			rec(1, "x", 10, 11),
+			rec(2, "y"), // empty list: placeholder row, skipped by flat scans
+			rec(3, "z", 30),
+			rec(4, "w", 40, 41, 42),
+		}, 2, []int{0, 2}},
+		{"nested-one-row", nested, oneRow, 2, []int{0, 2}},
+		{"flat", value.TRecord(value.F("a", value.TInt), value.F("s", value.TString)),
+			flatRecs, -1, []int{1, 0}},
+	}
+	for _, c := range cases {
+		for _, layout := range []Layout{LayoutColumnar, LayoutParquet} {
+			st := build(t, layout, c.schema, c.recs)
+			bs := st.(BatchSource)
+			name := fmt.Sprintf("%s/%v", c.name, layout)
 
-		// Record granularity over non-repeated cols must match ScanRecords.
-		cols := []int{0, 1}
-		var want [][]value.Value
-		if _, err := st.ScanRecords(cols, func(row []value.Value) error {
-			want = append(want, append([]value.Value(nil), row...))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		cur, ok := bs.BatchCursor(false, cols)
-		if !ok {
-			t.Fatalf("%v: record-granularity batches unsupported", layout)
-		}
-		sel := drainCursor(t, cur)
-		if len(sel) != len(want) {
-			t.Fatalf("%v: %d selected rows, want %d", layout, len(sel), len(want))
-		}
-		chunk := make([]value.Value, len(sel)*len(cols))
-		FillRows(cur.Cols, sel, chunk, len(cols))
-		for k := range sel {
-			for i := range cols {
-				if !chunk[k*len(cols)+i].Equal(want[k][i]) {
-					t.Errorf("%v: row %d col %d = %v, want %v",
-						layout, k, i, chunk[k*len(cols)+i], want[k][i])
+			// Record granularity over non-repeated cols must match ScanRecords.
+			cols := []int{0, 1}
+			cur, ok := bs.BatchCursor(false, cols)
+			if !ok {
+				t.Fatalf("%s: record-granularity batches unsupported", name)
+			}
+			matchScan(t, name+" records", st.ScanRecords, cur, cols)
+
+			// Repeated column at record granularity must refuse (row path
+			// reports the projection error).
+			if c.repeated >= 0 {
+				if _, ok := bs.BatchCursor(false, []int{c.repeated}); ok {
+					t.Errorf("%s: repeated column should not batch at record granularity", name)
 				}
 			}
-		}
 
-		// Repeated column at record granularity must refuse (row path
-		// reports the projection error).
-		if _, ok := bs.BatchCursor(false, []int{2}); ok {
-			t.Errorf("%v: repeated column should not batch at record granularity", layout)
-		}
-
-		// Flat granularity: columnar serves batches (skipping placeholder
-		// rows), Parquet's FSM view does not.
-		curF, okF := bs.BatchCursor(true, []int{0, 2})
-		if layout == LayoutParquet {
-			if okF {
-				t.Error("parquet flat view should not batch (FSM assembly)")
-			}
-			continue
-		}
-		if !okF {
-			t.Fatal("columnar flat batches unsupported")
-		}
-		var wantF [][]value.Value
-		if _, err := st.ScanFlat([]int{0, 2}, func(row []value.Value) error {
-			wantF = append(wantF, append([]value.Value(nil), row...))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		selF := drainCursor(t, curF)
-		if len(selF) != len(wantF) {
-			t.Fatalf("flat: %d selected rows, want %d", len(selF), len(wantF))
-		}
-		chunkF := make([]value.Value, len(selF)*2)
-		FillRows(curF.Cols, selF, chunkF, 2)
-		for k := range selF {
-			for i := 0; i < 2; i++ {
-				if !chunkF[k*2+i].Equal(wantF[k][i]) {
-					t.Errorf("flat row %d col %d = %v, want %v",
-						k, i, chunkF[k*2+i], wantF[k][i])
+			// Flat granularity: columnar serves batches (skipping placeholder
+			// rows), Parquet's FSM view of nested data does not.
+			curF, okF := bs.BatchCursor(true, c.flatCols)
+			if layout == LayoutParquet && c.repeated >= 0 {
+				if okF {
+					t.Errorf("%s: parquet flat view should not batch (FSM assembly)", name)
 				}
+				continue
+			}
+			if !okF {
+				t.Fatalf("%s: flat batches unsupported", name)
+			}
+			matchScan(t, name+" flat", st.ScanFlat, curF, c.flatCols)
+		}
+	}
+}
+
+// matchScan drains cur in tiny batches and compares the selected rows of
+// its columns with what scan emits for cols.
+func matchScan(t *testing.T, name string, scan func([]int, EmitFunc) (ScanStats, error), cur *BatchCursor, cols []int) {
+	t.Helper()
+	var want [][]value.Value
+	if _, err := scan(cols, func(row []value.Value) error {
+		want = append(want, append([]value.Value(nil), row...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sel := drainCursor(t, cur)
+	if len(sel) != len(want) {
+		t.Fatalf("%s: %d selected rows, want %d", name, len(sel), len(want))
+	}
+	nc := len(cols)
+	chunk := make([]value.Value, len(sel)*nc)
+	FillRows(cur.Cols, sel, chunk, nc)
+	for k := range sel {
+		for i := 0; i < nc; i++ {
+			if !chunk[k*nc+i].Equal(want[k][i]) {
+				t.Errorf("%s: row %d col %d = %v, want %v", name, k, i, chunk[k*nc+i], want[k][i])
 			}
 		}
 	}

@@ -219,6 +219,99 @@ func TestExplainShowsJoinFlavor(t *testing.T) {
 	}
 }
 
+// genProbeCSV is the probe side gr (rk int, rf float, rv int) joined to
+// the generated table g: 300 rows over 70 int keys (-25..44) and 20 float
+// keys (-0 among them) that partly overlap g's, NULL keys in both columns,
+// so every build batch of g carries duplicate keys and a NULL-key word.
+func genProbeCSV() string {
+	var sb strings.Builder
+	for j := 0; j < 300; j++ {
+		rk := fmt.Sprint(j%70 - 25)
+		if j%50 == 7 {
+			rk = ""
+		}
+		rf := fmt.Sprint(float64(j%20-8) * 0.25)
+		if j%40 == 8 {
+			rf = "-0"
+		}
+		if j%60 == 11 {
+			rf = ""
+		}
+		fmt.Fprintf(&sb, "%s|%s|%d\n", rk, rf, j)
+	}
+	return sb.String()
+}
+
+// genJoinCorpus joins g (the build side: a stable cache scan across four
+// batches) to gr on int, float and cross-kind keys, under aggregates, a
+// GROUP BY over the joined batches, and a row projection.
+func genJoinCorpus() []string {
+	return []string{
+		"SELECT COUNT(*), SUM(w), SUM(rv) FROM g JOIN gr ON k = rk",
+		"SELECT COUNT(*), SUM(v), SUM(rv) FROM g JOIN gr ON v = rf",
+		"SELECT COUNT(*), SUM(rv) FROM g JOIN gr ON k = rf",
+		"SELECT COUNT(*), SUM(id) FROM g JOIN gr ON v = rk WHERE w > 0",
+		"SELECT k, COUNT(*), SUM(rv), MIN(v) FROM g JOIN gr ON k = rk WHERE id < 3000 GROUP BY k",
+		"SELECT id, v, rv FROM g JOIN gr ON k = rk WHERE id BETWEEN 1280 AND 1310",
+	}
+}
+
+// TestVectorizedJoinGeneratedParity runs genJoinCorpus through a vectorized
+// engine and a DisableVectorized one per configuration, three passes each,
+// against a no-cache engine.
+func TestVectorizedJoinGeneratedParity(t *testing.T) {
+	open := func(cfg Config) *Engine {
+		eng := genEngine(t, cfg)
+		if err := eng.RegisterCSV("gr", writeTemp(t, "gr.csv", genProbeCSV()),
+			"rk int, rf float, rv int", '|'); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	base := open(Config{Admission: "off"})
+	var want [][][]any
+	for _, q := range genJoinCorpus() {
+		res, err := base.Query(q)
+		if err != nil {
+			t.Fatalf("baseline %q: %v", q, err)
+		}
+		want = append(want, res.Rows)
+	}
+	for _, cfg := range []Config{
+		{Admission: "eager"},
+		{Admission: "eager", Layout: "columnar"},
+		{Admission: "eager", Layout: "parquet"},
+		{Admission: "lazy"},
+	} {
+		rowCfg := cfg
+		rowCfg.DisableVectorized = true
+		engVec, engRow := open(cfg), open(rowCfg)
+		for pass := 0; pass < 3; pass++ {
+			for qi, q := range genJoinCorpus() {
+				for _, e := range []struct {
+					name string
+					eng  *Engine
+				}{{"vec", engVec}, {"row", engRow}} {
+					res, err := e.eng.Query(q)
+					if err != nil {
+						t.Fatalf("cfg %+v pass %d %q (%s): %v", cfg, pass, q, e.name, err)
+					}
+					if !reflect.DeepEqual(res.Rows, want[qi]) {
+						t.Errorf("cfg %+v pass %d %q (%s): %d rows %v, want %d rows %v",
+							cfg, pass, q, e.name, len(res.Rows), res.Rows, len(want[qi]), want[qi])
+					}
+				}
+			}
+		}
+		if cfg.Layout == "columnar" && engVec.CacheStats().VectorizedJoins == 0 {
+			t.Errorf("cfg %+v: vectorized engine ran zero vectorized joins", cfg)
+		}
+		if got := engRow.CacheStats().VectorizedJoins; got != 0 {
+			t.Errorf("cfg %+v: DisableVectorized engine ran %d vectorized joins", cfg, got)
+		}
+	}
+}
+
 // --- the acceptance benchmark ---
 
 // benchJoinEngine builds an engine over two generated CSVs big enough that

@@ -326,7 +326,7 @@ func aggFunc(name string) plan.AggFunc {
 // leafNames expands referenced columns to leaf-column names: a reference to
 // a non-leaf field (e.g. a whole sub-record) covers all leaves below it.
 func leafNames(schema *value.Type, cols []string) []string {
-	leaves, err := value.LeafColumns(schema)
+	leaves, err := value.LeafColumnsCached(schema)
 	if err != nil {
 		return cols
 	}
