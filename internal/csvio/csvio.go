@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"strconv"
 
 	"recache/internal/expr"
 	"recache/internal/plan"
@@ -169,7 +168,7 @@ func (f *format) AppendColumns(data []byte, start int, offs []uint32, dst []*sto
 			}
 			v.Ints = append(v.Ints, n)
 		case value.Float:
-			x, err := strconv.ParseFloat(string(b), 64)
+			x, err := rawfile.ParseFloat(b)
 			if err != nil {
 				return f.errField(fi, err)
 			}
@@ -302,9 +301,7 @@ func (f *format) Test(data []byte, start int, offs []uint32, tests []expr.ColTes
 			}
 			ok = t.TestInt(n)
 		case value.Float:
-			// string(b) does not heap-allocate here: ParseFloat's argument is
-			// non-escaping, so the conversion stays on the stack.
-			x, err := strconv.ParseFloat(string(b), 64)
+			x, err := rawfile.ParseFloat(b)
 			if err != nil {
 				return false, f.errField(t.Slot, err)
 			}
@@ -343,7 +340,7 @@ func (f *format) parseField(fi int, b []byte) (value.Value, error) {
 		}
 		return value.VInt(n), nil
 	case value.Float:
-		x, err := strconv.ParseFloat(string(b), 64)
+		x, err := rawfile.ParseFloat(b)
 		if err != nil {
 			return value.VNull, f.errField(fi, err)
 		}
@@ -413,7 +410,7 @@ func inferType(b []byte) *value.Type {
 	if _, err := rawfile.ParseInt(b); err == nil {
 		return value.TInt
 	}
-	if _, err := strconv.ParseFloat(string(b), 64); err == nil {
+	if _, err := rawfile.ParseFloat(b); err == nil {
 		return value.TFloat
 	}
 	return value.TString

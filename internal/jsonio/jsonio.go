@@ -16,6 +16,8 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"recache/internal/expr"
 	"recache/internal/plan"
@@ -42,7 +44,7 @@ func New(path string, schema *value.Type) (*Provider, error) {
 	if _, err := value.LeafColumns(schema); err != nil {
 		return nil, fmt.Errorf("jsonio: %w", err)
 	}
-	f, err := rawfile.New(path, schema, &format{schema})
+	f, err := rawfile.New(path, schema, &format{schema: schema, distinct: distinctNames(schema)})
 	if err != nil {
 		return nil, fmt.Errorf("jsonio: %w", err)
 	}
@@ -51,7 +53,55 @@ func New(path string, schema *value.Type) (*Provider, error) {
 
 // format is the JSON rawfile.Format: one top-level object per record, one
 // value offset (or absentOff) per top-level schema field.
-type format struct{ schema *value.Type }
+type format struct {
+	schema *value.Type
+	// distinct: no record type in schema repeats a field name, so a key
+	// equal to the field after the previous key's is that name's only field.
+	distinct bool
+}
+
+// distinctNames reports whether no record type within t repeats a field
+// name.
+func distinctNames(t *value.Type) bool {
+	switch t.Kind {
+	case value.Record:
+		for i, fd := range t.Fields {
+			for _, g := range t.Fields[:i] {
+				if g.Name == fd.Name {
+					return false
+				}
+			}
+			if !distinctNames(fd.Type) {
+				return false
+			}
+		}
+	case value.List:
+		return distinctNames(t.Elem)
+	}
+	return true
+}
+
+// field resolves an object key of record type t to the index of t's field
+// of that name, -1 for an unknown key; raw is the key's bytes between the
+// quotes. Keys are matched as bytes — only an escaped one is unescaped —
+// and, since writers tend to follow the schema's order, the field after
+// prev (the previous key's field, -1 at the first key) is tried first.
+func (f *format) field(t *value.Type, raw []byte, escaped bool, prev int) int {
+	if escaped {
+		fi, _ := t.FieldIndex(unescape(raw))
+		return fi
+	}
+	fs := t.Fields
+	if next := prev + 1; f.distinct && next < len(fs) && fs[next].Name == string(raw) {
+		return next
+	}
+	for fi := range fs {
+		if fs[fi].Name == string(raw) {
+			return fi
+		}
+	}
+	return -1
+}
 
 // RecordStart implements rawfile.Format.
 func (f *format) RecordStart(data []byte, from int) int { return skipWS(data, from) }
@@ -80,7 +130,7 @@ func (f *format) Decode(data []byte, start int, offs []uint32, mask []bool, rest
 			row[fi] = nullFor(ft)
 			continue
 		}
-		v, _, err := parseValue(data, start+int(offs[fi]), ft)
+		v, _, err := f.parseValue(data, start+int(offs[fi]), ft)
 		if err != nil {
 			return f.errField(fi, err)
 		}
@@ -299,7 +349,7 @@ func (f *format) parseTop(data []byte, i int, mask []bool, row []value.Value, of
 		return i, fmt.Errorf("jsonio: expected '{' at offset %d", i)
 	}
 	i++
-	first := true
+	first, prev := true, -1
 	for {
 		i = skipWS(data, i)
 		if i >= len(data) {
@@ -316,7 +366,7 @@ func (f *format) parseTop(data []byte, i int, mask []bool, row []value.Value, of
 			i = skipWS(data, i+1)
 		}
 		first = false
-		key, ni, err := parseString(data, i)
+		key, escaped, ni, err := rawString(data, i)
 		if err != nil {
 			return i, err
 		}
@@ -325,9 +375,10 @@ func (f *format) parseTop(data []byte, i int, mask []bool, row []value.Value, of
 			return i, fmt.Errorf("jsonio: expected ':' at offset %d", i)
 		}
 		i = skipWS(data, i+1)
-		fi, ft := f.schema.FieldIndex(key)
+		fi := f.field(f.schema, key, escaped, prev)
 		if fi >= 0 {
 			offs[fi] = uint32(i - recStart)
+			prev = fi
 		}
 		// Unknown keys, and known ones the caller did not ask for, are
 		// skipped without materializing.
@@ -337,7 +388,7 @@ func (f *format) parseTop(data []byte, i int, mask []bool, row []value.Value, of
 			}
 			continue
 		}
-		v, ni, err := parseValue(data, i, ft)
+		v, ni, err := f.parseValue(data, i, f.schema.Fields[fi].Type)
 		if err != nil {
 			return i, f.errField(fi, err)
 		}
@@ -373,7 +424,7 @@ func nullFor(t *value.Type) value.Value {
 }
 
 // parseValue parses a JSON value at i according to the expected type t.
-func parseValue(data []byte, i int, t *value.Type) (value.Value, int, error) {
+func (f *format) parseValue(data []byte, i int, t *value.Type) (value.Value, int, error) {
 	i = skipWS(data, i)
 	if i >= len(data) {
 		return value.VNull, i, fmt.Errorf("unexpected end of input")
@@ -387,9 +438,9 @@ func parseValue(data []byte, i int, t *value.Type) (value.Value, int, error) {
 	}
 	switch t.Kind {
 	case value.Record:
-		return parseObject(data, i, t)
+		return f.parseObject(data, i, t)
 	case value.List:
-		return parseArray(data, i, t)
+		return f.parseArray(data, i, t)
 	case value.String:
 		s, ni, err := parseString(data, i)
 		if err != nil {
@@ -448,21 +499,21 @@ func parseFloat(data []byte, i int) (float64, int, error) {
 	if ni == i {
 		return 0, i, fmt.Errorf("bad number at %d", i)
 	}
-	x, err := strconv.ParseFloat(string(data[i:ni]), 64)
+	x, err := rawfile.ParseFloat(data[i:ni])
 	if err != nil {
 		return 0, i, fmt.Errorf("bad float at %d: %w", i, err)
 	}
 	return x, ni, nil
 }
 
-func parseObject(data []byte, i int, t *value.Type) (value.Value, int, error) {
+func (f *format) parseObject(data []byte, i int, t *value.Type) (value.Value, int, error) {
 	if data[i] != '{' {
 		return value.VNull, i, fmt.Errorf("expected '{' at %d", i)
 	}
 	i++
 	fields := make([]value.Value, len(t.Fields))
 	seen := make([]bool, len(t.Fields))
-	first := true
+	first, prev := true, -1
 	for {
 		i = skipWS(data, i)
 		if i >= len(data) {
@@ -479,7 +530,7 @@ func parseObject(data []byte, i int, t *value.Type) (value.Value, int, error) {
 			i = skipWS(data, i+1)
 		}
 		first = false
-		key, ni, err := parseString(data, i)
+		key, escaped, ni, err := rawString(data, i)
 		if err != nil {
 			return value.VNull, i, err
 		}
@@ -488,7 +539,7 @@ func parseObject(data []byte, i int, t *value.Type) (value.Value, int, error) {
 			return value.VNull, i, fmt.Errorf("expected ':' at %d", i)
 		}
 		i = skipWS(data, i+1)
-		fi, ft := t.FieldIndex(key)
+		fi := f.field(t, key, escaped, prev)
 		if fi < 0 {
 			ni, err := skipValue(data, i)
 			if err != nil {
@@ -497,13 +548,13 @@ func parseObject(data []byte, i int, t *value.Type) (value.Value, int, error) {
 			i = ni
 			continue
 		}
-		v, ni2, err := parseValue(data, i, ft)
+		v, ni2, err := f.parseValue(data, i, t.Fields[fi].Type)
 		if err != nil {
 			return value.VNull, i, err
 		}
 		fields[fi] = v
 		seen[fi] = true
-		i = ni2
+		prev, i = fi, ni2
 	}
 	for fi := range fields {
 		if !seen[fi] {
@@ -513,7 +564,7 @@ func parseObject(data []byte, i int, t *value.Type) (value.Value, int, error) {
 	return value.VRecord(fields...), i, nil
 }
 
-func parseArray(data []byte, i int, t *value.Type) (value.Value, int, error) {
+func (f *format) parseArray(data []byte, i int, t *value.Type) (value.Value, int, error) {
 	if data[i] != '[' {
 		return value.VNull, i, fmt.Errorf("expected '[' at %d", i)
 	}
@@ -536,7 +587,7 @@ func parseArray(data []byte, i int, t *value.Type) (value.Value, int, error) {
 			i = skipWS(data, i+1)
 		}
 		first = false
-		v, ni, err := parseValue(data, i, t.Elem)
+		v, ni, err := f.parseValue(data, i, t.Elem)
 		if err != nil {
 			return value.VNull, i, err
 		}
@@ -587,6 +638,9 @@ func rawString(data []byte, i int) (raw []byte, escaped bool, next int, err erro
 	return nil, false, len(data), fmt.Errorf("unterminated string")
 }
 
+// unescape resolves the escapes of a string's raw bytes as encoding/json
+// does: a \uXXXX surrogate pair is one code point and a lone surrogate is
+// U+FFFD. A malformed \u or an unknown escape keeps the escaped byte.
 func unescape(b []byte) string {
 	out := make([]byte, 0, len(b))
 	for i := 0; i < len(b); i++ {
@@ -608,19 +662,51 @@ func unescape(b []byte) string {
 		case 'f':
 			out = append(out, '\f')
 		case 'u':
-			if i+4 < len(b) {
-				if n, err := strconv.ParseUint(string(b[i+1:i+5]), 16, 32); err == nil {
-					out = append(out, []byte(string(rune(n)))...)
-					i += 4
-					continue
+			r, ok := hex4(b[i+1:])
+			if !ok {
+				out = append(out, 'u')
+				continue
+			}
+			i += 4
+			if utf16.IsSurrogate(r) {
+				// The other half of a pair is the next escape; anything else
+				// leaves this one alone.
+				lo := rune(-1)
+				if i+2 < len(b) && b[i+1] == '\\' && b[i+2] == 'u' {
+					lo, _ = hex4(b[i+3:])
+				}
+				if r = utf16.DecodeRune(r, lo); r != utf8.RuneError {
+					i += 6
 				}
 			}
-			out = append(out, 'u')
+			out = utf8.AppendRune(out, r)
 		default:
 			out = append(out, b[i])
 		}
 	}
 	return string(out)
+}
+
+// hex4 decodes the four hex digits b starts with.
+func hex4(b []byte) (rune, bool) {
+	if len(b) < 4 {
+		return -1, false
+	}
+	var r rune
+	for _, c := range b[:4] {
+		switch {
+		case '0' <= c && c <= '9':
+			c -= '0'
+		case 'a' <= c && c <= 'f':
+			c -= 'a' - 10
+		case 'A' <= c && c <= 'F':
+			c -= 'A' - 10
+		default:
+			return -1, false
+		}
+		r = r<<4 | rune(c)
+	}
+	return r, true
 }
 
 // skipValue advances past any JSON value without materializing it. It must
@@ -634,14 +720,14 @@ func skipValue(data []byte, i int) (int, error) {
 	}
 	switch open := data[i]; open {
 	case '"':
-		_, ni, err := parseString(data, i)
+		_, _, ni, err := rawString(data, i)
 		return ni, err
 	case '{', '[':
 		depth := 0
 		for ; i < len(data); i++ {
 			switch data[i] {
 			case '"':
-				_, ni, err := parseString(data, i)
+				_, _, ni, err := rawString(data, i)
 				if err != nil {
 					return i, err
 				}
@@ -731,7 +817,7 @@ func writeValue(buf []byte, v value.Value, t *value.Type) []byte {
 				buf = append(buf, ',')
 			}
 			first = false
-			buf = strconv.AppendQuote(buf, f.Name)
+			buf = appendString(buf, f.Name)
 			buf = append(buf, ':')
 			buf = writeValue(buf, fv, f.Type)
 		}
@@ -749,7 +835,7 @@ func writeValue(buf []byte, v value.Value, t *value.Type) []byte {
 		if v.Kind == value.Null {
 			return append(buf, "null"...)
 		}
-		return strconv.AppendQuote(buf, v.S)
+		return appendString(buf, v.S)
 	case value.Int:
 		if v.Kind == value.Null {
 			return append(buf, "null"...)
@@ -767,4 +853,47 @@ func writeValue(buf []byte, v value.Value, t *value.Type) []byte {
 		return strconv.AppendBool(buf, v.B)
 	}
 	return append(buf, "null"...)
+}
+
+// appendString appends s as a JSON string: the escapes JSON has for quote,
+// backslash and the control bytes, other UTF-8 as is, and each byte of
+// invalid UTF-8 as U+FFFD — what encoding/json writes, less its HTML-safe
+// escapes.
+func appendString(buf []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	buf = append(buf, '"')
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= 0x20 && c != '"' && c != '\\' && c < utf8.RuneSelf {
+			buf = append(buf, c)
+			i++
+			continue
+		}
+		switch c {
+		case '"', '\\':
+			buf = append(buf, '\\', c)
+		case '\n':
+			buf = append(buf, '\\', 'n')
+		case '\r':
+			buf = append(buf, '\\', 'r')
+		case '\t':
+			buf = append(buf, '\\', 't')
+		case '\b':
+			buf = append(buf, '\\', 'b')
+		case '\f':
+			buf = append(buf, '\\', 'f')
+		default:
+			if c < 0x20 {
+				buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+				break
+			}
+			// An invalid byte decodes as U+FFFD, size 1.
+			r, size := utf8.DecodeRuneInString(s[i:])
+			buf = utf8.AppendRune(buf, r)
+			i += size
+			continue
+		}
+		i++
+	}
+	return append(buf, '"')
 }

@@ -1,6 +1,7 @@
 package jsonio
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -371,5 +372,129 @@ func TestMappedScanAllocs(t *testing.T) {
 	}
 	if n := rawfiletest.MappedScanAllocs(t, p, []value.Path{value.ParsePath("k")}); n > 8 {
 		t.Errorf("masked mapped scan of 20000 records: %.0f allocations, want O(1)", n)
+	}
+}
+
+// TestFirstScanAllocs: the offsets-only walk of a pushdown first scan
+// matches object keys as bytes and steps over the strings it skips, so a
+// scan allocates O(1) beyond the positional map's growth — not one string
+// per key and one per skipped string.
+func TestFirstScanAllocs(t *testing.T) {
+	if rawfiletest.Race {
+		t.Skip("the race detector allocates")
+	}
+	const n = 20000
+	var data []byte
+	for i := 0; i < n; i++ {
+		data = fmt.Appendf(data, `{"k":%d,"note":"unknown-%d","tag":"name-%d","extra":{"s":["a","b\\n"],"t":"x"},"price":%d.5}`+"\n", i, i, i, i%97)
+	}
+	schema := value.TRecord(value.F("k", value.TInt), value.F("tag", value.TString), value.F("price", value.TFloat))
+	f := &format{schema: schema, distinct: distinctNames(schema)}
+	pd, _ := expr.ExtractPushdown(expr.Cmp(expr.OpGe, expr.C("k"), expr.L(n/2)), schema)
+	tests := pd.Tests()
+	mask := []bool{true, false, false}
+	var passed int
+	scan := func() {
+		passed = 0
+		_, _, _, err := f.FirstScanPushdown(data, tests, mask, nil, func(value.Value, int64, func() error) error {
+			passed++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(3, scan)
+	if passed != n/2 {
+		t.Fatalf("%d records passed k >= %d, want %d", passed, n/2, n/2)
+	}
+	growth := testing.AllocsPerRun(3, func() {
+		var recStart []int64
+		var fieldOff []uint32
+		offs := make([]uint32, len(schema.Fields))
+		for i := 0; i < n; i++ {
+			recStart = append(recStart, int64(i))
+			fieldOff = append(fieldOff, offs...)
+		}
+	})
+	if allocs > growth+8 {
+		t.Errorf("first scan of %d records: %.0f allocations, positional-map growth is %.0f; want O(1) beyond it", n, allocs, growth)
+	}
+}
+
+// Keys resolve as FieldIndex would on the unescaped key, whatever their
+// order, escapes or repeats, and in a schema that repeats a field name.
+func TestFieldResolution(t *testing.T) {
+	for _, schema := range []*value.Type{
+		value.TRecord(value.F("a", value.TInt), value.F("bb", value.TInt), value.F("c", value.TInt)),
+		value.TRecord(value.F("a", value.TInt), value.F("a", value.TInt), value.F("c", value.TInt), value.F("a", value.TInt)),
+	} {
+		f := &format{schema: schema, distinct: distinctNames(schema)}
+		for _, key := range []string{"a", "bb", "c", "b", "", "aa", `\u0061`, `b\u0062`, `\"`} {
+			raw := []byte(key)
+			escaped := strings.Contains(key, `\`)
+			want, _ := schema.FieldIndex(unescape(raw))
+			for prev := -1; prev < len(schema.Fields); prev++ {
+				if got := f.field(schema, raw, escaped, prev); got != want {
+					t.Errorf("%s: key %q after field %d resolved to %d, want %d", schema, key, prev, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Strings round-trip: what WriteRecord writes, the reader and encoding/json
+// both read back as encoding/json's reading of the string — the string
+// itself when it is valid UTF-8, with U+FFFD for each invalid byte
+// otherwise.
+func TestStringRoundTrip(t *testing.T) {
+	schema := value.TRecord(value.F("s", value.TString))
+	inputs := []string{"plain", "", `q"uote`, `back\slash`, "bell\a", "ctl\x01\x1f", "bad\xff", "trunc\xe2\x82",
+		"nl\ncr\rtab\tbs\bff\f", "del\x7f", "é😀\u2028", "\ufffd", "<&>"}
+	var data []byte
+	for _, in := range inputs {
+		data = WriteRecord(data, value.VRecord(value.VString(in)), schema)
+	}
+	p, err := New(writeFile(t, string(data)), schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := collect(t, p, nil)
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	for i, in := range inputs {
+		marshalled, _ := json.Marshal(in)
+		var want, std struct{ S string }
+		if err := json.Unmarshal([]byte(`{"s":`+string(marshalled)+`}`), &want); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(lines[i]), &std); err != nil || std.S != want.S {
+			t.Errorf("encoding/json reads %s as %q (%v), want %q", lines[i], std.S, err, want.S)
+		}
+		if got := recs[i].L[0].S; got != want.S {
+			t.Errorf("reader reads %s as %q, want %q", lines[i], got, want.S)
+		}
+	}
+}
+
+// Escaped UTF-16 surrogates decode as encoding/json decodes them: a pair is
+// one code point, a lone or mismatched half is U+FFFD. A malformed \u,
+// which encoding/json rejects, keeps its bytes less the backslash.
+func TestSurrogateEscapes(t *testing.T) {
+	for _, lit := range []string{
+		`\ud83d\ude00`, `x\uD83D\uDE00y`, `\ud83d`, `\ude00`, `\ud83dx`, `\ud83d\u0041`, `\ud83d\ud83d\ude00`,
+		`\ude00\ud83d`, `\u00e9\u0041`,
+	} {
+		var want string
+		if err := json.Unmarshal([]byte(`"`+lit+`"`), &want); err != nil {
+			t.Fatal(err)
+		}
+		if got := unescape([]byte(lit)); got != want {
+			t.Errorf("unescape(%s) = %q, encoding/json says %q", lit, got, want)
+		}
+	}
+	for lit, want := range map[string]string{`\uzzzz`: "uzzzz", `\ud83d\u12`: "\ufffdu12", `\u12`: "u12"} {
+		if got := unescape([]byte(lit)); got != want {
+			t.Errorf("unescape(%s) = %q, want %q", lit, got, want)
+		}
 	}
 }
