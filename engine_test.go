@@ -179,7 +179,6 @@ func TestCacheCorrectnessUnderAllConfigs(t *testing.T) {
 		{Admission: "adaptive", AdmissionSampleSize: 2},
 		{Admission: "eager", Layout: "parquet"},
 		{Admission: "eager", Layout: "columnar"},
-		{Admission: "eager", DisableSubsumption: true},
 	}
 	r := rand.New(rand.NewSource(11))
 	var queries []string

@@ -57,8 +57,6 @@ type Config struct {
 	SampleSize int
 	// Layout selects automatic vs fixed cache layouts.
 	Layout LayoutMode
-	// DisableSubsumption turns off R-tree subsumption matching (ablation).
-	DisableSubsumption bool
 	// LinearSubsumption replaces the R-tree candidate lookup with a linear
 	// scan over all entries (the naive approach §3.3 rejects; ablation).
 	LinearSubsumption bool
@@ -783,9 +781,6 @@ func (m *Manager) lookupAndRewrite(ds *plan.Dataset, pred expr.Expr, flat bool, 
 func (m *Manager) lookupLocked(ds *plan.Dataset, pred expr.Expr, canon string, readOnly bool) (*Entry, bool) {
 	if e, ok := m.byKey[entryKey(ds.Name, canon)]; ok && m.servableLocked(e, readOnly) {
 		return e, true
-	}
-	if m.cfg.DisableSubsumption {
-		return nil, false
 	}
 	qr, err := expr.ExtractRanges(pred, ds.Schema())
 	if err != nil {

@@ -25,10 +25,10 @@ func benchCSV(b *testing.B, rows int) (string, int64) {
 	return path, int64(len(data))
 }
 
-// BenchmarkFirstScan measures the first-touch tokenizer: every byte of the
-// file is visited to build the positional map (the memchr prescan is the
-// fast path under test). A fresh provider per iteration keeps each scan a
-// true first scan.
+// BenchmarkFirstScan measures the first touch of a file: every byte is
+// visited to build the positional map (the memchr prescan is the fast path
+// under test), then the needed field is decoded through it. A fresh provider
+// per iteration keeps each scan a true first scan.
 func BenchmarkFirstScan(b *testing.B) {
 	path, size := benchCSV(b, 20000)
 	schema := testSchema()
@@ -51,7 +51,7 @@ func BenchmarkFirstScan(b *testing.B) {
 	}
 }
 
-// BenchmarkFirstScanPushdown measures the pushdown flavor: tokenize every
+// BenchmarkFirstScanPushdown measures the pushdown flavor: map every
 // record, test one column, decode only survivors.
 func BenchmarkFirstScanPushdown(b *testing.B) {
 	path, size := benchCSV(b, 20000)

@@ -1,10 +1,9 @@
 // Package csvio is the CSV input plugin: a Proteus-style raw-data access
-// path over delimited text files. The first scan of a file tokenizes every
-// record and builds a positional map — the byte offset of each record and of
-// every field within it (the "skeleton" of the file, §3.1 of the paper).
-// Subsequent scans use the map to jump directly to the needed fields and
-// parse nothing else, and lazy caches replay just the satisfying records
-// through ScanOffsets.
+// path over delimited text files. Reading a file tokenizes every record into
+// a positional map — the byte offset of each record and of every field
+// within it (the "skeleton" of the file, §3.1 of the paper). Scans use the
+// map to jump directly to the needed fields and parse nothing else, and lazy
+// caches replay just the satisfying records through ScanOffsets.
 package csvio
 
 import (
@@ -13,7 +12,6 @@ import (
 	"os"
 
 	"recache/internal/expr"
-	"recache/internal/plan"
 	"recache/internal/rawfile"
 	"recache/internal/store"
 	"recache/internal/value"
@@ -37,7 +35,7 @@ func (o Options) delim() byte {
 // Provider implements plan.ScanProvider — and the refresh, epoch-pinned and
 // pushdown extensions — for one CSV file. Snapshots, the positional map and
 // the freshness lifecycle are rawfile.File's; this package supplies the CSV
-// tokenizer, the field decoders and the fused first-pass loops.
+// tokenizer and the field decoders.
 type Provider struct{ *rawfile.File }
 
 // New creates a provider over path with an explicit flat record schema.
@@ -71,15 +69,25 @@ type format struct {
 	nfields int
 }
 
-// RecordStart implements rawfile.Format: data begins past the header line
-// when the options declare one.
-func (f *format) RecordStart(data []byte, from int) int {
+// Map implements rawfile.Format: one line per record, past the header line
+// when the options declare one, with every field offset appended straight
+// into fieldOff.
+func (f *format) Map(data []byte, from int, recStart []int64, fieldOff []uint32) ([]int64, []uint32, error) {
 	if f.header {
 		if h := lineEnd(data, 0) + 1; from < h {
-			return min(h, len(data))
+			from = min(h, len(data))
 		}
 	}
-	return from
+	for i := from; i < len(data); {
+		end := lineEnd(data, i)
+		var nf int
+		if fieldOff, nf = tokenizeLine(data[i:end], f.delim, fieldOff, f.nfields); nf < f.nfields {
+			return nil, nil, fmt.Errorf("csvio: record at offset %d has %d fields, want %d", i, nf, f.nfields)
+		}
+		recStart = append(recStart, int64(i))
+		i = end + 1
+	}
+	return recStart, fieldOff, nil
 }
 
 // lineEnd returns the offset of the newline terminating the record that
@@ -95,8 +103,8 @@ func lineEnd(data []byte, i int) int {
 // tokenizeLine appends the first max field offsets (relative to the record
 // start) of line to fieldOff and returns the extended slice plus the total
 // field count. bytes.IndexByte does the delimiter search word-at-a-time —
-// the first scan still touches every byte of the file, but in the
-// runtime's vectorized memchr rather than a branchy per-byte loop.
+// mapping still touches every byte of the file, but in the runtime's
+// vectorized memchr rather than a branchy per-byte loop.
 func tokenizeLine(line []byte, delim byte, fieldOff []uint32, max int) ([]uint32, int) {
 	fi, off := 0, 0
 	for {
@@ -112,19 +120,6 @@ func tokenizeLine(line []byte, delim byte, fieldOff []uint32, max int) ([]uint32
 	}
 }
 
-func (f *format) errShort(start, nf int) error {
-	return fmt.Errorf("csvio: record at offset %d has %d fields, want %d", start, nf, f.nfields)
-}
-
-// Tokenize implements rawfile.Format.
-func (f *format) Tokenize(data []byte, i int, offs []uint32) (int, error) {
-	end := lineEnd(data, i)
-	if _, nf := tokenizeLine(data[i:end], f.delim, offs[:0], f.nfields); nf < f.nfields {
-		return 0, f.errShort(i, nf)
-	}
-	return end + 1, nil
-}
-
 // Decode implements rawfile.Format.
 func (f *format) Decode(data []byte, start int, offs []uint32, mask []bool, rest bool, row []value.Value) error {
 	for fi := range offs {
@@ -134,8 +129,7 @@ func (f *format) Decode(data []byte, start int, offs []uint32, mask []bool, rest
 			}
 			continue
 		}
-		beg := start + int(offs[fi])
-		v, err := f.parseField(fi, data[beg:f.fieldEnd(data, beg)])
+		v, err := f.parseField(fi, f.field(data, start, offs, fi))
 		if err != nil {
 			return err
 		}
@@ -147,15 +141,8 @@ func (f *format) Decode(data []byte, start int, offs []uint32, mask []bool, rest
 // AppendColumns implements rawfile.Format: parseField's reading of every
 // field, appended to the field's vector instead of boxed.
 func (f *format) AppendColumns(data []byte, start int, offs []uint32, dst []*store.Vec) error {
-	last := len(offs) - 1
 	for fi, v := range dst {
-		beg := start + int(offs[fi])
-		var b []byte
-		if fi < last {
-			b = data[beg : start+int(offs[fi+1])-1]
-		} else {
-			b = data[beg:f.fieldEnd(data, beg)]
-		}
+		b := f.field(data, start, offs, fi)
 		if len(b) == 0 {
 			v.AppendVal(value.VNull)
 			continue
@@ -190,96 +177,6 @@ func (f *format) AppendColumns(data []byte, start int, offs []uint32, dst []*sto
 // Needles implements rawfile.Format: a field equal to lit holds its bytes.
 func (f *format) Needles(lit []byte) [][]byte { return [][]byte{lit} }
 
-// FirstScan implements rawfile.Format: tokenize every record, filling the
-// positional map as it goes.
-func (f *format) FirstScan(data []byte, mask []bool, fn plan.ScanFunc) (recStart []int64, fieldOff []uint32, err error) {
-	n := f.nfields
-	row := make([]value.Value, n)
-	rec := value.Value{Kind: value.Record, L: row}
-	complete := rawfile.NewCompletion(f, data, mask, row)
-	for i := f.RecordStart(data, 0); i < len(data); {
-		start := i
-		recStart = append(recStart, int64(start))
-		end := lineEnd(data, i)
-		var nf int
-		fieldOff, nf = tokenizeLine(data[start:end], f.delim, fieldOff, n)
-		if nf < n {
-			return nil, nil, f.errShort(start, nf)
-		}
-		offs := fieldOff[len(fieldOff)-n:]
-		for fi := 0; fi < n; fi++ {
-			if mask != nil && !mask[fi] {
-				row[fi] = value.VNull
-				continue
-			}
-			beg := start + int(offs[fi])
-			fe := end
-			switch {
-			case fi+1 < n:
-				fe = start + int(offs[fi+1]) - 1
-			case nf > n:
-				// Extra trailing fields: the last mapped field ends at its
-				// own delimiter, not the line end.
-				fe = f.fieldEnd(data, beg)
-			}
-			v, err := f.parseField(fi, data[beg:fe])
-			if err != nil {
-				return nil, nil, err
-			}
-			row[fi] = v
-		}
-		if err := fn(rec, int64(start), complete.At(start, offs)); err != nil {
-			return nil, nil, err
-		}
-		i = end + 1
-	}
-	return recStart, fieldOff, nil
-}
-
-// FirstScanPushdown implements rawfile.Format: every record is still
-// tokenized (the positional map needs every field offset), but a record
-// failing the needle filter or a pushed test skips all field parsing and
-// boxing.
-func (f *format) FirstScanPushdown(data []byte, tests []expr.ColTest, mask []bool, pre *rawfile.Prescan, fn plan.ScanFunc) (recStart []int64, fieldOff []uint32, skipped int64, err error) {
-	n := f.nfields
-	row := make([]value.Value, n)
-	rec := value.Value{Kind: value.Record, L: row}
-	complete := rawfile.NewCompletion(f, data, mask, row)
-	for i := f.RecordStart(data, 0); i < len(data); {
-		start := i
-		recStart = append(recStart, int64(start))
-		end := lineEnd(data, i)
-		var nf int
-		fieldOff, nf = tokenizeLine(data[start:end], f.delim, fieldOff, n)
-		if nf < n {
-			return nil, nil, skipped, f.errShort(start, nf)
-		}
-		i = end + 1
-		if pre != nil && pre.Next(start) >= end {
-			// No occurrence of the equality literal within the record: no
-			// field can equal it, so skip without decoding any test column.
-			skipped++
-			continue
-		}
-		offs := fieldOff[len(fieldOff)-n:]
-		ok, err := f.Test(data, start, offs, tests)
-		if err != nil {
-			return nil, nil, skipped, err
-		}
-		if !ok {
-			skipped++
-			continue
-		}
-		if err := f.Decode(data, start, offs, mask, false, row); err != nil {
-			return nil, nil, skipped, err
-		}
-		if err := fn(rec, int64(start), complete.At(start, offs)); err != nil {
-			return nil, nil, skipped, err
-		}
-	}
-	return recStart, fieldOff, skipped, nil
-}
-
 // Test implements rawfile.Format: each tested field is decoded from its raw
 // bytes as the test's column kind and run through the fused kernel. An
 // empty field is NULL and fails; a malformed field is the same error a
@@ -287,8 +184,7 @@ func (f *format) FirstScanPushdown(data []byte, tests []expr.ColTest, mask []boo
 func (f *format) Test(data []byte, start int, offs []uint32, tests []expr.ColTest) (bool, error) {
 	for ti := range tests {
 		t := &tests[ti]
-		beg := start + int(offs[t.Slot])
-		b := data[beg:f.fieldEnd(data, beg)]
+		b := f.field(data, start, offs, t.Slot)
 		if len(b) == 0 {
 			return false, nil
 		}
@@ -320,12 +216,19 @@ func (f *format) errField(fi int, err error) error {
 	return fmt.Errorf("csvio: field %q: %w", f.schema.Fields[fi].Name, err)
 }
 
-func (f *format) fieldEnd(data []byte, beg int) int {
+// field returns the bytes of field fi of the record at start: up to the
+// delimiter before the next field, or for the last mapped field up to its
+// own delimiter (extra trailing fields are ignored) or the line end.
+func (f *format) field(data []byte, start int, offs []uint32, fi int) []byte {
+	beg := start + int(offs[fi])
+	if fi+1 < len(offs) {
+		return data[beg : start+int(offs[fi+1])-1]
+	}
 	i := beg
 	for i < len(data) && data[i] != f.delim && data[i] != '\n' {
 		i++
 	}
-	return i
+	return data[beg:i]
 }
 
 func (f *format) parseField(fi int, b []byte) (value.Value, error) {

@@ -76,14 +76,13 @@ func TestSelectiveParseUsesPositionalMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First scan builds the map.
 	collect(t, p, nil)
 	// Second scan parses only "name": other fields come back null.
 	rows, _ := collect(t, p, []value.Path{value.ParsePath("name")})
 	if rows[0][0].Kind != value.Null || rows[0][2].S != "alpha" {
 		t.Errorf("selective rows = %v", rows)
 	}
-	// Needed also honored on the first scan of a fresh provider.
+	// Needed also honored by the first scan of a fresh provider.
 	p2, _ := New(writeFile(t, testData), testSchema(), Options{})
 	rows2, _ := collect(t, p2, []value.Path{value.ParsePath("id")})
 	if rows2[1][0].I != 2 || rows2[1][2].Kind != value.Null {
@@ -231,7 +230,7 @@ func TestCompleteParsesSkippedFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First scan with a needed-set: complete() must fill the rest in place.
+	// A scan with a needed-set: complete() must fill the rest in place.
 	var names []string
 	err = p.Scan([]value.Path{value.ParsePath("id")}, func(rec value.Value, off int64, complete func() error) error {
 		if rec.L[2].Kind != value.Null {
@@ -249,7 +248,7 @@ func TestCompleteParsesSkippedFields(t *testing.T) {
 	if len(names) != 3 || names[0] != "alpha" || names[2] != "gamma" {
 		t.Errorf("names = %v", names)
 	}
-	// Mapped scan path: same contract.
+	// And again on the loaded provider.
 	names = names[:0]
 	err = p.Scan([]value.Path{value.ParsePath("id")}, func(rec value.Value, off int64, complete func() error) error {
 		if err := complete(); err != nil {

@@ -31,9 +31,9 @@ func needleData() (string, int) {
 }
 
 // TestNeedleFilterDifferential: with the equality literal pushed, the
-// filtered scan must agree record for record with the reference scan, on
-// both the first (tokenizing) and the mapped path, and the skipped count
-// must be exact — bulk-skipped records included.
+// filtered scan must agree record for record with the reference scan, on a
+// fresh provider and on one already scanned, and the skipped count must be
+// exact — bulk-skipped records included.
 func TestNeedleFilterDifferential(t *testing.T) {
 	data, n := needleData()
 	preds := []expr.Expr{

@@ -134,7 +134,7 @@ func TestScanPushdownCompleteParsesRest(t *testing.T) {
 	}
 	pred := expr.Cmp(expr.OpEq, expr.C("id"), expr.L(1))
 	pd, _ := expr.ExtractPushdown(pred, p.Schema())
-	for pass := 0; pass < 2; pass++ { // first scan, then mapped scan
+	for pass := 0; pass < 2; pass++ { // a fresh provider, then a scanned one
 		n := 0
 		_, err = p.ScanPushdown(pd, []value.Path{value.ParsePath("id")}, func(rec value.Value, _ int64, complete func() error) error {
 			n++

@@ -12,10 +12,10 @@ import (
 )
 
 // FuzzScanEquivalence feeds arbitrary bytes to the JSON tokenizer: no access
-// path may panic, and on a file the first scan accepts they must all agree
-// (see rawfiletest.Equivalence). The schema has a nested record and a list,
-// which the schema-guided parser walks and the offsets-only tokenizer skips;
-// the two must find the same value ends. The same bytes are then read under
+// path may panic, and on a file a full scan accepts they must all agree (see
+// rawfiletest.Equivalence). The schema has a nested record and a list, which
+// the map skips and the schema-guided parser walks; the two must find the
+// same value ends. The same bytes are then read under
 // a flat schema (the nested keys become unknown ones), where the check also
 // holds the typed kernel (AppendColumns) to the decoded rows.
 func FuzzScanEquivalence(f *testing.F) {
@@ -65,14 +65,12 @@ func FuzzScanEquivalence(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		open := func(schema *value.Type) func() rawfiletest.Provider {
-			return func() rawfiletest.Provider {
-				p, err := New(path, schema)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
+		open := func(schema *value.Type) rawfiletest.Provider {
+			p, err := New(path, schema)
+			if err != nil {
+				t.Fatal(err)
 			}
+			return p
 		}
 		rawfiletest.Equivalence(t, open(schema), len(data), preds, masks)
 		rawfiletest.Equivalence(t, open(flatSchema), len(data), preds, flatMasks)

@@ -1,10 +1,10 @@
 // Package jsonio is the JSON input plugin: a schema-guided, hand-rolled
-// parser over newline-delimited JSON files. Like the CSV plugin it builds a
-// positional map on the first scan — the byte offset of each record and of
-// each top-level field's value within it — so later scans parse only the
-// fields a query needs (§3.1 of the paper). Parsing JSON is substantially
-// more expensive than CSV, which is precisely the cost heterogeneity
-// ReCache's policies react to.
+// parser over newline-delimited JSON files. Like the CSV plugin it maps a
+// file as it is read — the byte offset of each record and of each top-level
+// field's value within it — so scans parse only the fields a query needs
+// (§3.1 of the paper). Parsing JSON is substantially more expensive than
+// CSV, which is precisely the cost heterogeneity ReCache's policies react
+// to.
 //
 // Missing object keys are normalized at ingestion: absent leaves become
 // nulls, absent records become records of nulls, absent lists become empty
@@ -20,7 +20,6 @@ import (
 	"unicode/utf8"
 
 	"recache/internal/expr"
-	"recache/internal/plan"
 	"recache/internal/rawfile"
 	"recache/internal/store"
 	"recache/internal/value"
@@ -32,7 +31,7 @@ const absentOff = ^uint32(0)
 // Provider implements plan.ScanProvider — and the refresh, epoch-pinned and
 // pushdown extensions — for one NDJSON file. Snapshots, the positional map
 // and the freshness lifecycle are rawfile.File's; this package supplies the
-// JSON tokenizer, the value decoders and the fused first-pass loops.
+// JSON tokenizer and the value decoders.
 type Provider struct{ *rawfile.File }
 
 // New creates a provider over path with an explicit (possibly nested)
@@ -103,16 +102,21 @@ func (f *format) field(t *value.Type, raw []byte, escaped bool, prev int) int {
 	return -1
 }
 
-// RecordStart implements rawfile.Format.
-func (f *format) RecordStart(data []byte, from int) int { return skipWS(data, from) }
-
-// Tokenize implements rawfile.Format: values are skipped, not materialized.
-func (f *format) Tokenize(data []byte, i int, offs []uint32) (int, error) {
-	end, err := f.parseTop(data, i, nil, nil, offs)
-	if err != nil {
-		return 0, err
+// Map implements rawfile.Format: each top-level object is walked just far
+// enough to record its fields' value offsets straight into fieldOff; the
+// values themselves are skipped, not materialized.
+func (f *format) Map(data []byte, from int, recStart []int64, fieldOff []uint32) ([]int64, []uint32, error) {
+	n := len(f.schema.Fields)
+	for i := skipWS(data, from); i < len(data); {
+		fieldOff = append(fieldOff, make([]uint32, n)...)
+		end, err := f.parseTop(data, i, fieldOff[len(fieldOff)-n:])
+		if err != nil {
+			return nil, nil, err
+		}
+		recStart = append(recStart, int64(i))
+		i = skipWS(data, end)
 	}
-	return skipWS(data, end), nil
+	return recStart, fieldOff, nil
 }
 
 // Decode implements rawfile.Format: each wanted field is parsed by a direct
@@ -213,74 +217,6 @@ func (f *format) Needles(lit []byte) [][]byte {
 	return [][]byte{quoted, {'\\'}}
 }
 
-// FirstScan implements rawfile.Format: parse every record fully enough to
-// map all top-level fields, materializing the masked (or all) fields in the
-// same walk.
-func (f *format) FirstScan(data []byte, mask []bool, fn plan.ScanFunc) (recStart []int64, fieldOff []uint32, err error) {
-	ntop := len(f.schema.Fields)
-	row := make([]value.Value, ntop)
-	rec := value.Value{Kind: value.Record, L: row}
-	offs := make([]uint32, ntop)
-	complete := rawfile.NewCompletion(f, data, mask, row)
-	for i := skipWS(data, 0); i < len(data); {
-		start := i
-		end, err := f.parseTop(data, i, mask, row, offs)
-		if err != nil {
-			return nil, nil, err
-		}
-		recStart = append(recStart, int64(start))
-		fieldOff = append(fieldOff, offs...)
-		if err := fn(rec, int64(start), complete.At(start, offs)); err != nil {
-			return nil, nil, err
-		}
-		i = skipWS(data, end)
-	}
-	return recStart, fieldOff, nil
-}
-
-// FirstScanPushdown implements rawfile.Format: each object is tokenized
-// just enough to map every top-level field offset (values are skipped, not
-// materialized), the pushed tests run on the mapped offsets, and only
-// surviving records decode their needed fields.
-func (f *format) FirstScanPushdown(data []byte, tests []expr.ColTest, mask []bool, pre *rawfile.Prescan, fn plan.ScanFunc) (recStart []int64, fieldOff []uint32, skipped int64, err error) {
-	ntop := len(f.schema.Fields)
-	row := make([]value.Value, ntop)
-	rec := value.Value{Kind: value.Record, L: row}
-	offs := make([]uint32, ntop)
-	complete := rawfile.NewCompletion(f, data, mask, row)
-	for i := skipWS(data, 0); i < len(data); {
-		start := i
-		end, err := f.parseTop(data, i, nil, nil, offs)
-		if err != nil {
-			return nil, nil, skipped, err
-		}
-		recStart = append(recStart, int64(start))
-		fieldOff = append(fieldOff, offs...)
-		i = skipWS(data, end)
-		if pre != nil && pre.Next(start) >= end {
-			// Neither the quoted literal nor any escape occurs within the
-			// record: no string field can equal the literal.
-			skipped++
-			continue
-		}
-		ok, err := f.Test(data, start, offs, tests)
-		if err != nil {
-			return nil, nil, skipped, err
-		}
-		if !ok {
-			skipped++
-			continue
-		}
-		if err := f.Decode(data, start, offs, mask, false, row); err != nil {
-			return nil, nil, skipped, err
-		}
-		if err := fn(rec, int64(start), complete.At(start, offs)); err != nil {
-			return nil, nil, skipped, err
-		}
-	}
-	return recStart, fieldOff, skipped, nil
-}
-
 // Test implements rawfile.Format: an absent key or a null literal fails the
 // test — the same SQL semantics the row filter applies.
 func (f *format) Test(data []byte, start int, offs []uint32, tests []expr.ColTest) (bool, error) {
@@ -332,17 +268,12 @@ func testValue(data []byte, t *expr.ColTest, i int) (bool, error) {
 }
 
 // parseTop walks one top-level object starting at i, recording each schema
-// field's value offset (relative to i) into offs, and returns the index
-// just past the object. With a row it also materializes the masked fields
-// (nil = all) in the same walk, nulling the others; with a nil row every
-// value is skipped.
-func (f *format) parseTop(data []byte, i int, mask []bool, row []value.Value, offs []uint32) (int, error) {
+// field's value offset (relative to i) into offs and skipping every value,
+// and returns the index just past the object.
+func (f *format) parseTop(data []byte, i int, offs []uint32) (int, error) {
 	recStart := i
 	for fi := range offs {
 		offs[fi] = absentOff
-	}
-	for fi := range row {
-		row[fi] = value.VNull
 	}
 	i = skipWS(data, i)
 	if i >= len(data) || data[i] != '{' {
@@ -375,32 +306,12 @@ func (f *format) parseTop(data []byte, i int, mask []bool, row []value.Value, of
 			return i, fmt.Errorf("jsonio: expected ':' at offset %d", i)
 		}
 		i = skipWS(data, i+1)
-		fi := f.field(f.schema, key, escaped, prev)
-		if fi >= 0 {
+		if fi := f.field(f.schema, key, escaped, prev); fi >= 0 {
 			offs[fi] = uint32(i - recStart)
 			prev = fi
 		}
-		// Unknown keys, and known ones the caller did not ask for, are
-		// skipped without materializing.
-		if fi < 0 || row == nil || (mask != nil && !mask[fi]) {
-			if i, err = skipValue(data, i); err != nil {
-				return i, err
-			}
-			continue
-		}
-		v, ni, err := f.parseValue(data, i, f.schema.Fields[fi].Type)
-		if err != nil {
-			return i, f.errField(fi, err)
-		}
-		row[fi] = v
-		i = ni
-	}
-	if row != nil {
-		// Normalize absent fields.
-		for fi := range offs {
-			if offs[fi] == absentOff && (mask == nil || mask[fi]) {
-				row[fi] = nullFor(f.schema.Fields[fi].Type)
-			}
+		if i, err = skipValue(data, i); err != nil {
+			return i, err
 		}
 	}
 	return i, nil
@@ -711,8 +622,8 @@ func hex4(b []byte) (rune, bool) {
 
 // skipValue advances past any JSON value without materializing it. It must
 // find the same end as the schema-guided parsers for every value those
-// accept — the offsets-only tokenizer skips what a fused first scan parses —
-// so brackets of either kind nest, and literals are checked, not assumed.
+// accept — Map skips the values Decode later parses — so brackets of either
+// kind nest, and literals are checked, not assumed.
 func skipValue(data []byte, i int) (int, error) {
 	i = skipWS(data, i)
 	if i >= len(data) {

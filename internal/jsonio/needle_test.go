@@ -43,7 +43,7 @@ func needleSchema() *value.Type {
 }
 
 // TestJSONNeedleFilterDifferential: the quoted-literal filter must agree
-// with the reference scan on both paths — in particular the \u-escaped
+// with the reference scan, fresh or scanned — in particular the \u-escaped
 // record, whose raw bytes do not contain the literal, must still surface.
 func TestJSONNeedleFilterDifferential(t *testing.T) {
 	data, n := needleJSON()

@@ -157,7 +157,7 @@ func TestJSONScanPushdownAbsentKeys(t *testing.T) {
 }
 
 // TestJSONScanPushdownComplete: complete() fills the union-skipped fields
-// of surviving records on both the first and the mapped scan.
+// of surviving records on a fresh provider and on a scanned one.
 func TestJSONScanPushdownComplete(t *testing.T) {
 	p, err := New(writeFile(t, pushJSON), pushSchema())
 	if err != nil {

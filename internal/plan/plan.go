@@ -32,7 +32,7 @@ type ScanFunc func(rec value.Value, offset int64, complete func() error) error
 
 // ScanProvider is implemented by the raw-file input plugins (internal/csvio
 // and internal/jsonio, both over internal/rawfile). A provider owns the
-// positional map for its file: the first scan builds it, later scans use it
+// positional map for its file: reading the file builds it, and scans use it
 // to parse only the needed fields.
 type ScanProvider interface {
 	// Schema returns the record schema of the dataset.
@@ -43,7 +43,8 @@ type ScanProvider interface {
 	// ScanOffsets streams only the records at the given byte offsets
 	// (previously reported through ScanFunc), in the given order.
 	ScanOffsets(offsets []int64, needed []value.Path, fn ScanFunc) error
-	// NumRecords returns the record count, or -1 before the first scan.
+	// NumRecords returns the record count, or -1 while it is not known
+	// (before a raw file is first read).
 	NumRecords() int
 	// SizeBytes returns the raw size of the underlying file.
 	SizeBytes() int64

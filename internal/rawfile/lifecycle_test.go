@@ -34,7 +34,7 @@ type format struct {
 	open      func(path string) (provider, error)
 	record    func(k int) string        // one complete record, newline-terminated
 	extra     func(k int) []value.Value // the record's fields past the common three
-	malformed string                    // an appended line Tokenize must reject
+	malformed string                    // an appended line Map must reject
 }
 
 var flat = []value.Field{
@@ -188,7 +188,7 @@ func TestLifecycle(t *testing.T) {
 		}},
 		{"AppendExtends", func(t *testing.T, f format) {
 			x := newFixture(t, f, 3)
-			x.scan() // load + build the positional map
+			x.scan() // load and map
 			base := len(f.records(0, 3))
 			x.version(1, base)
 
@@ -213,35 +213,29 @@ func TestLifecycle(t *testing.T) {
 			wantRows(t, "offset replay of tail", replay.rows, f.rows(3, 5))
 		}},
 		{"ScanFromStreamsOnlyTail", func(t *testing.T, f format) {
-			// Mapped: the tail comes off the extended positional map. Loaded
-			// but never scanned: it is tokenized in place.
-			for _, mapped := range []bool{true, false} {
-				x := newFixture(t, f, 3)
-				if mapped {
-					x.scan()
+			// The tail comes off the extended positional map.
+			x := newFixture(t, f, 3)
+			_, cov0 := x.p.Version()
+			x.append(f.records(3, 5))
+			x.refresh(plan.FileAppended, 1)
+			var tail collector
+			needed := []value.Path{value.ParsePath("k")}
+			err := x.p.ScanFrom(cov0, needed, func(rec value.Value, off int64, complete func() error) error {
+				if off < cov0 {
+					t.Fatalf("ScanFrom emitted pre-tail offset %d", off)
 				}
-				_, cov0 := x.p.Version()
-				x.append(f.records(3, 5))
-				x.refresh(plan.FileAppended, 1)
-				var tail collector
-				needed := []value.Path{value.ParsePath("k")}
-				err := x.p.ScanFrom(cov0, needed, func(rec value.Value, off int64, complete func() error) error {
-					if off < cov0 {
-						t.Fatalf("ScanFrom(mapped=%v) emitted pre-tail offset %d", mapped, off)
-					}
-					if rec.L[0].Kind != value.Int {
-						t.Fatalf("needed field not decoded: %v", rec.L)
-					}
-					if err := complete(); err != nil {
-						return err
-					}
-					return tail.fn(rec, off, nil)
-				})
-				if err != nil {
-					t.Fatal(err)
+				if rec.L[0].Kind != value.Int {
+					t.Fatalf("needed field not decoded: %v", rec.L)
 				}
-				wantRows(t, fmt.Sprintf("ScanFrom(mapped=%v) tail", mapped), tail.rows, f.rows(3, 5))
+				if err := complete(); err != nil {
+					return err
+				}
+				return tail.fn(rec, off, nil)
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
+			wantRows(t, "ScanFrom tail", tail.rows, f.rows(3, 5))
 		}},
 		{"RewriteBumpsEpoch", func(t *testing.T, f format) {
 			x := newFixture(t, f, 3)
@@ -250,14 +244,14 @@ func TestLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			x.refresh(plan.FileRewritten, 2)
+			if n := x.p.NumRecords(); n != -1 {
+				t.Fatalf("NumRecords after rewrite = %d, want -1 until the next access", n)
+			}
 
 			// Old-epoch offsets are dead: the epoch-checked replay refuses them.
 			err := x.p.ScanOffsetsAt(1, c.offs, nil, func(value.Value, int64, func() error) error { return nil })
 			if !errors.Is(err, plan.ErrEpochChanged) {
 				t.Fatalf("ScanOffsetsAt(stale epoch) err = %v, want ErrEpochChanged", err)
-			}
-			if n := x.p.NumRecords(); n != -1 {
-				t.Fatalf("NumRecords after rewrite = %d, want -1 until the next scan", n)
 			}
 			wantRows(t, "rows after rewrite", x.scan().rows, f.rows(9, 10))
 			x.version(2, len(f.record(9)))
@@ -281,7 +275,7 @@ func TestLifecycle(t *testing.T) {
 			wantRows(t, "rows after completed append", x.scan().rows, f.rows(0, 4))
 		}},
 		{"MalformedTailResets", func(t *testing.T, f format) {
-			// An appended record that fails to tokenize cannot be ingested
+			// An appended record that fails to map cannot be ingested
 			// incrementally; the provider falls back to a rewrite-style
 			// reset so the next access reloads and reports the parse error
 			// with context.

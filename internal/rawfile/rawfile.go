@@ -3,9 +3,10 @@
 // them — the byte offset of each record and of every top-level field within
 // it (the "skeleton" of the file, §3.1 of the paper) — and the freshness
 // lifecycle that decides whether that parsed view is still current and how
-// to grow it. What differs between formats (internal/csvio, internal/jsonio)
-// is plugged in through the Format interface: how one record is tokenized,
-// decoded and tested, plus the two fused first-pass loops.
+// to grow it. The map is built where the bytes come in, so every scan runs
+// through it. What differs between formats (internal/csvio, internal/jsonio)
+// is plugged in through the Format interface: how a stretch of bytes is
+// mapped, and how one mapped record is decoded and tested.
 package rawfile
 
 import (
@@ -30,13 +31,11 @@ import (
 // schema field: the offset of that field's bytes relative to the start (a
 // format may reserve a sentinel for "no value"; File never interprets them).
 type Format interface {
-	// RecordStart returns the offset of the first record at or after from:
-	// past the header line (CSV) or leading whitespace (JSON).
-	RecordStart(data []byte, from int) int
-	// Tokenize writes the field offsets of the record starting at i into
-	// offs and returns the start of the next record. It fails on a record
-	// a full scan would reject.
-	Tokenize(data []byte, i int, offs []uint32) (next int, err error)
+	// Map appends the positional map of the records of data from offset from
+	// on — 0, or the end of a mapped prefix that ends a record — to recStart
+	// and fieldOff and returns the grown slices. It fails on the first record
+	// a scan must reject; the caller then discards both.
+	Map(data []byte, from int, recStart []int64, fieldOff []uint32) ([]int64, []uint32, error)
 	// Decode materializes fields of the record at start from its offsets.
 	// With rest false it fills the masked fields (nil = all) and nulls the
 	// others; with rest true it fills exactly the fields mask skipped and
@@ -55,31 +54,21 @@ type Format interface {
 	// Needles returns the byte patterns of which at least one occurs in
 	// every record that has a string field equal to lit.
 	Needles(lit []byte) [][]byte
-
-	// FirstScan and FirstScanPushdown are the hot loops of a file's first
-	// pass, kept whole per format so that tokenize + test + decode fuse
-	// with no dispatch per record or field. They stream data like a mapped
-	// scan would (FirstScanPushdown only the records passing tests and the
-	// prescan, counting the rest as skipped) and return the positional map
-	// of every record; both must agree with Tokenize/Test/Decode.
-	FirstScan(data []byte, mask []bool, fn plan.ScanFunc) (recStart []int64, fieldOff []uint32, err error)
-	FirstScanPushdown(data []byte, tests []expr.ColTest, mask []bool, pre *Prescan, fn plan.ScanFunc) (recStart []int64, fieldOff []uint32, skipped int64, err error)
 }
 
 // snapshot is one immutable view of the file: its ingested bytes, the
-// positional map built over them, the epoch those byte offsets belong to,
-// and the fingerprint that detects divergence from disk. Snapshots are
-// published through an atomic pointer and never mutated after publication,
-// with one deliberate exception: an append-extension may grow the data /
-// recStart / fieldOff backing arrays *beyond the published lengths* in
-// place. Readers slice by the lengths captured in their own snapshot, so
-// writes past those lengths are invisible to them — the classic
+// positional map of every record in them, the epoch those byte offsets
+// belong to, and the fingerprint that detects divergence from disk.
+// Snapshots are published through an atomic pointer and never mutated after
+// publication, with one deliberate exception: an append-extension may grow
+// the data / recStart / fieldOff backing arrays *beyond the published
+// lengths* in place. Readers slice by the lengths captured in their own
+// snapshot, so writes past those lengths are invisible to them — the classic
 // append-only-log trick, giving lock-free readers across extensions.
 type snapshot struct {
 	data     []byte
 	recStart []int64
 	fieldOff []uint32 // nrecs × ntop, offsets relative to recStart
-	mapped   bool     // recStart/fieldOff are populated
 	loaded   bool     // data was read from disk (false after a rewrite reset)
 	epoch    uint64   // bumps on every rewrite; byte offsets are per-epoch
 	fp       freshness.Fingerprint
@@ -89,10 +78,9 @@ type snapshot struct {
 // PushdownScanner and ColumnAppender for one raw file in a given Format.
 //
 // Files are safe for concurrent scans: all shared state lives in an
-// immutable snapshot behind an atomic pointer; mu serializes the writers
-// (initial load, positional-map publication, Refresh). Concurrent first
-// scans each tokenize independently (the per-scan row buffers are local);
-// the first to finish publishes the map.
+// immutable snapshot behind an atomic pointer, and mu serializes the writers
+// — the load that reads and maps the file, and Refresh — so a file is mapped
+// once per snapshot however many cold scans race for it.
 type File struct {
 	path   string
 	schema *value.Type
@@ -100,7 +88,7 @@ type File struct {
 	ntop   int
 	size   atomic.Int64
 
-	mu   sync.Mutex // serializes snapshot replacement (load, map, refresh)
+	mu   sync.Mutex // serializes snapshot replacement (load, refresh)
 	snap atomic.Pointer[snapshot]
 
 	// scans counts full-file Scan calls (not ScanOffsets replays or tail
@@ -129,10 +117,10 @@ func New(path string, schema *value.Type, format Format) (*File, error) {
 // Schema implements plan.ScanProvider.
 func (f *File) Schema() *value.Type { return f.schema }
 
-// NumRecords implements plan.ScanProvider: -1 before the first scan.
+// NumRecords implements plan.ScanProvider: -1 until the file is first read.
 func (f *File) NumRecords() int {
 	s := f.snap.Load()
-	if s == nil || !s.mapped {
+	if s == nil || !s.loaded {
 		return -1
 	}
 	return len(s.recStart)
@@ -150,8 +138,9 @@ func (f *File) PushdownStats() (scans, skipped int64) {
 	return f.pushScans.Load(), f.pushSkipped.Load()
 }
 
-// load publishes the file contents exactly once per epoch (double-checked)
-// and returns the current snapshot.
+// load reads and maps the file exactly once per epoch (double-checked) and
+// returns the current snapshot. A file the format rejects is not published:
+// every access reports the rejection until a refresh or rewrite fixes it.
 func (f *File) load() (*snapshot, error) {
 	if s := f.snap.Load(); s != nil && s.loaded {
 		return s, nil
@@ -169,15 +158,21 @@ func (f *File) load() (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rawfile: %w", err)
 	}
+	recStart, fieldOff, err := f.format.Map(b, 0, nil, nil)
+	if err != nil {
+		return nil, err
+	}
 	epoch := uint64(1)
 	if s := f.snap.Load(); s != nil {
 		epoch = s.epoch
 	}
 	ns := &snapshot{
-		data:   b,
-		loaded: true,
-		epoch:  epoch,
-		fp:     freshness.Capture(b, st.ModTime().UnixNano()),
+		data:     b,
+		recStart: recStart,
+		fieldOff: fieldOff,
+		loaded:   true,
+		epoch:    epoch,
+		fp:       freshness.Capture(b, st.ModTime().UnixNano()),
 	}
 	f.size.Store(int64(len(b)))
 	f.snap.Store(ns)
@@ -202,7 +197,7 @@ func (f *File) Version() (uint64, int64) {
 // Refresh implements plan.RefreshableProvider: re-check the backing file
 // against the snapshot's fingerprint and reconcile. Appends extend the
 // snapshot in place (same epoch); rewrites reset the File to an unloaded
-// snapshot under a new epoch, so the next scan reloads lazily.
+// snapshot under a new epoch, so the next access reloads lazily.
 func (f *File) Refresh() (plan.FreshnessReport, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -240,10 +235,10 @@ func (f *File) resetLocked(s *snapshot) plan.FreshnessReport {
 
 // extendLocked grows the snapshot over the file's new tail: read only the
 // bytes past the covered prefix, trim at the last newline (a torn trailing
-// line stays uncovered until it completes), tokenize the new complete
-// records onto the positional map, and publish a longer snapshot under the
-// same epoch. Falls back to a rewrite reset whenever the extension cannot
-// be proven equivalent to a fresh full scan.
+// line stays uncovered until it completes), map the new complete records
+// onto the positional map, and publish a longer snapshot under the same
+// epoch. Falls back to a rewrite reset whenever the extension cannot be
+// proven equivalent to a fresh load.
 func (f *File) extendLocked(s *snapshot) plan.FreshnessReport {
 	old := len(s.data)
 	if old > 0 && s.data[old-1] != '\n' {
@@ -282,27 +277,19 @@ func (f *File) extendLocked(s *snapshot) plan.FreshnessReport {
 	// Appending may write into spare capacity past the published lengths
 	// (invisible to snapshot readers) or reallocate; both are safe.
 	data := append(s.data, tail...)
-	ns := &snapshot{
-		data:   data,
-		loaded: true,
-		epoch:  s.epoch,
-		fp:     freshness.Capture(data, st.ModTime().UnixNano()),
+	recStart, fieldOff, err := f.format.Map(data, old, s.recStart, s.fieldOff)
+	if err != nil {
+		// Malformed appended record: the extension would poison the map, so
+		// invalidate wholesale instead.
+		return f.resetLocked(s)
 	}
-	if s.mapped {
-		recStart, fieldOff := s.recStart, s.fieldOff
-		offs := make([]uint32, f.ntop)
-		for i := f.format.RecordStart(data, old); i < len(data); {
-			next, err := f.format.Tokenize(data, i, offs)
-			if err != nil {
-				// Malformed appended record: the extension would poison the
-				// map, so invalidate wholesale instead.
-				return f.resetLocked(s)
-			}
-			recStart = append(recStart, int64(i))
-			fieldOff = append(fieldOff, offs...)
-			i = next
-		}
-		ns.recStart, ns.fieldOff, ns.mapped = recStart, fieldOff, true
+	ns := &snapshot{
+		data:     data,
+		recStart: recStart,
+		fieldOff: fieldOff,
+		loaded:   true,
+		epoch:    s.epoch,
+		fp:       freshness.Capture(data, st.ModTime().UnixNano()),
 	}
 	f.size.Store(sz)
 	f.snap.Store(ns)
@@ -312,20 +299,6 @@ func (f *File) extendLocked(s *snapshot) plan.FreshnessReport {
 		Covered:   int64(len(data)),
 		TailBytes: int64(len(tail)),
 	}
-}
-
-// publishMap installs a positional map built against snapshot s. Under
-// concurrent first scans the first finisher wins; if the snapshot moved on
-// (refresh, rewrite) while this scan ran, its map describes stale bytes
-// and is discarded.
-func (f *File) publishMap(s *snapshot, recStart []int64, fieldOff []uint32) {
-	f.mu.Lock()
-	if f.snap.Load() == s && !s.mapped {
-		ns := *s
-		ns.recStart, ns.fieldOff, ns.mapped = recStart, fieldOff, true
-		f.snap.Store(&ns)
-	}
-	f.mu.Unlock()
 }
 
 // neededMask marks the top-level fields covering the needed paths; nil
@@ -372,14 +345,13 @@ func effectiveMask(mask []bool, tests []expr.ColTest) []bool {
 func (s *snapshot) offs(ri, ntop int) []uint32 { return s.fieldOff[ri*ntop : (ri+1)*ntop] }
 
 // recordAt returns the index of the record whose span contains byte offset
-// off (the last record starting at or before it). Requires the positional
-// map.
+// off (the last record starting at or before it).
 func (s *snapshot) recordAt(off int64) int {
 	return sort.Search(len(s.recStart), func(i int) bool { return s.recStart[i] > off }) - 1
 }
 
 // recordFrom returns the index of the first record starting at or after
-// off. Requires the positional map.
+// off.
 func (s *snapshot) recordFrom(off int64) int {
 	return sort.Search(len(s.recStart), func(i int) bool { return s.recStart[i] >= off })
 }
@@ -405,29 +377,29 @@ func (s *snapshot) seek(ri int, off int64) int {
 	return ri
 }
 
-// Prescan is the candidate filter of a pushdown scan carrying a string-
+// prescan is the candidate filter of a pushdown scan carrying a string-
 // equality conjunct: a memchr-style substring search over the raw bytes
 // that rejects records which cannot contain the literal before any field is
-// located or decoded. A nil *Prescan means no filtering is possible.
-type Prescan struct {
+// decoded. A nil *prescan means no filtering is possible.
+type prescan struct {
 	cursors []*expr.NeedleCursor
 }
 
-func newPrescan(data []byte, needles [][]byte) *Prescan {
+func newPrescan(data []byte, needles [][]byte) *prescan {
 	if len(needles) == 0 {
 		return nil
 	}
-	p := &Prescan{cursors: make([]*expr.NeedleCursor, len(needles))}
+	p := &prescan{cursors: make([]*expr.NeedleCursor, len(needles))}
 	for i, n := range needles {
 		p.cursors[i] = expr.NewNeedleCursor(data, n)
 	}
 	return p
 }
 
-// Next returns the offset of the first needle occurrence at or after from,
+// next returns the offset of the first needle occurrence at or after from,
 // or len(data) when there is none: no record ending before it can match.
 // from must not decrease across calls.
-func (p *Prescan) Next(from int) int {
+func (p *prescan) next(from int) int {
 	m := p.cursors[0].Next(from)
 	for _, c := range p.cursors[1:] {
 		if e := c.Next(from); e < m {
@@ -437,72 +409,55 @@ func (p *Prescan) Next(from int) int {
 	return m
 }
 
-// NoComplete is the completion callback for already-complete records.
-func NoComplete() error { return nil }
-
-// Completion is one scan's complete callback: the state it reads lives here
-// and moves with the scan, so a scan hands out a single method value instead
-// of allocating a closure per record.
-type Completion struct {
-	format Format
-	data   []byte
-	mask   []bool
-	row    []value.Value
-	start  int
-	offs   []uint32
-	fn     func() error
-}
-
-// NewCompletion returns the completion of a scan of data decoding the masked
-// fields (nil = all, nothing left to complete) into row.
-func NewCompletion(format Format, data []byte, mask []bool, row []value.Value) *Completion {
-	c := &Completion{format: format, data: data, mask: mask, row: row, fn: NoComplete}
-	if mask != nil {
-		c.fn = c.complete
-	}
-	return c
-}
-
-// At moves the completion to the record at start and returns the callback,
-// which parses the fields the mask skipped into row, in place; it is only
-// valid until the next At.
-func (c *Completion) At(start int, offs []uint32) func() error {
-	c.start, c.offs = start, offs
-	return c.fn
-}
-
-func (c *Completion) complete() error {
-	return c.format.Decode(c.data, c.start, c.offs, c.mask, true, c.row)
-}
-
 // emitter streams records of one snapshot to a ScanFunc through a reused
-// row buffer, the one its completion fills.
+// row buffer. The complete callback it hands out is one method value per
+// scan, not a closure per record: it parses the fields the mask skipped
+// into the row of the record last emitted, in place, and is only valid
+// until the next record.
 type emitter struct {
-	c   *Completion
-	rec value.Value
-	fn  plan.ScanFunc
+	format   Format
+	data     []byte
+	mask     []bool
+	rec      value.Value
+	fn       plan.ScanFunc
+	complete func() error
+	start    int
+	offs     []uint32
 }
 
 func (f *File) newEmitter(s *snapshot, mask []bool, fn plan.ScanFunc) *emitter {
-	row := make([]value.Value, f.ntop)
-	return &emitter{
-		c:   NewCompletion(f.format, s.data, mask, row),
-		rec: value.Value{Kind: value.Record, L: row},
-		fn:  fn,
+	e := &emitter{
+		format:   f.format,
+		data:     s.data,
+		mask:     mask,
+		rec:      value.Value{Kind: value.Record, L: make([]value.Value, f.ntop)},
+		fn:       fn,
+		complete: noComplete,
 	}
+	if mask != nil {
+		e.complete = e.completeRest
+	}
+	return e
+}
+
+// noComplete is the completion callback of records decoded whole.
+func noComplete() error { return nil }
+
+func (e *emitter) completeRest() error {
+	return e.format.Decode(e.data, e.start, e.offs, e.mask, true, e.rec.L)
 }
 
 func (e *emitter) emit(start int, offs []uint32) error {
-	c := e.c
-	if err := c.format.Decode(c.data, start, offs, c.mask, false, c.row); err != nil {
+	if err := e.format.Decode(e.data, start, offs, e.mask, false, e.rec.L); err != nil {
 		return err
 	}
-	return e.fn(e.rec, int64(start), c.At(start, offs))
+	e.start, e.offs = start, offs
+	return e.fn(e.rec, int64(start), e.complete)
 }
 
-// Scan implements plan.ScanProvider. The first call tokenizes the whole
-// file and builds the positional map; later calls parse only needed fields.
-// The complete callback handed to fn parses the skipped fields in place.
+// Scan implements plan.ScanProvider: every record through the positional
+// map, parsing only the needed fields. The complete callback handed to fn
+// parses the skipped fields in place.
 func (f *File) Scan(needed []value.Path, fn plan.ScanFunc) error {
 	f.scans.Add(1)
 	s, err := f.load()
@@ -512,14 +467,6 @@ func (f *File) Scan(needed []value.Path, fn plan.ScanFunc) error {
 	mask, err := f.neededMask(needed)
 	if err != nil {
 		return err
-	}
-	if !s.mapped {
-		recStart, fieldOff, err := f.format.FirstScan(s.data, mask, fn)
-		if err != nil {
-			return err
-		}
-		f.publishMap(s, recStart, fieldOff)
-		return nil
 	}
 	return f.scanMapped(s, 0, mask, fn)
 }
@@ -538,9 +485,9 @@ func (f *File) scanMapped(s *snapshot, lo int, mask []bool, fn plan.ScanFunc) er
 // ScanPushdown implements plan.PushdownScanner: it streams only the records
 // passing pd, decoding each tested column straight from its raw bytes (no
 // value boxing) and skipping the rest of the record as soon as a test
-// fails. When the pushdown carries a string-equality conjunct, a Prescan
-// rejects records that cannot contain the literal before any field is even
-// located (bulk-skipping the stretch between matches). Surviving records
+// fails. When the pushdown carries a string-equality conjunct, a prescan
+// rejects records that cannot contain the literal before any field is
+// decoded (bulk-skipping the stretch between matches). Surviving records
 // decode the needed ∪ tested fields; complete() parses the rest on demand,
 // exactly like Scan.
 func (f *File) ScanPushdown(pd *expr.Pushdown, needed []value.Path, fn plan.ScanFunc) (int64, error) {
@@ -558,33 +505,23 @@ func (f *File) ScanPushdown(pd *expr.Pushdown, needed []value.Path, fn plan.Scan
 	if err != nil {
 		return 0, err
 	}
-	eff := effectiveMask(mask, tests)
-	var pre *Prescan
+	var pre *prescan
 	if lit := pd.EqNeedle(); lit != nil {
 		pre = newPrescan(s.data, f.format.Needles(lit))
 	}
-	if s.mapped {
-		skipped, err := f.pushdownMapped(s, tests, eff, pre, fn)
-		f.pushSkipped.Add(skipped)
-		return skipped, err
-	}
-	recStart, fieldOff, skipped, err := f.format.FirstScanPushdown(s.data, tests, eff, pre, fn)
+	skipped, err := f.pushdown(s, tests, effectiveMask(mask, tests), pre, fn)
 	f.pushSkipped.Add(skipped)
-	if err != nil {
-		return skipped, err
-	}
-	f.publishMap(s, recStart, fieldOff)
-	return skipped, nil
+	return skipped, err
 }
 
-func (f *File) pushdownMapped(s *snapshot, tests []expr.ColTest, eff []bool, pre *Prescan, fn plan.ScanFunc) (skipped int64, err error) {
+func (f *File) pushdown(s *snapshot, tests []expr.ColTest, eff []bool, pre *prescan, fn plan.ScanFunc) (skipped int64, err error) {
 	e := f.newEmitter(s, eff, fn)
 	n := len(s.recStart)
 	for ri := 0; ri < n; ri++ {
 		if pre != nil {
 			// Jump to the next record that can contain the equality
 			// literal, bulk-counting the records in between as skipped.
-			m := pre.Next(int(s.recStart[ri]))
+			m := pre.next(int(s.recStart[ri]))
 			if m == len(s.data) {
 				return skipped + int64(n-ri), nil
 			}
@@ -643,33 +580,17 @@ func (f *File) scanOffsets(s *snapshot, offsets []int64, needed []value.Path, fn
 	return f.eachOffset(s, offsets, e.emit)
 }
 
-// eachOffset calls fn with the position and field offsets of the record at
-// each of offsets: from the positional map when it has the record, by
-// tokenizing the record in place otherwise.
+// eachOffset calls fn with the position and field offsets of the record
+// starting at each of offsets, from the positional map; an offset at which
+// no record starts is an error.
 func (f *File) eachOffset(s *snapshot, offsets []int64, fn func(start int, offs []uint32) error) error {
-	var scratch []uint32
 	ri, n := 0, len(s.recStart)
 	for _, off := range offsets {
-		if s.mapped {
-			ri = s.seek(ri, off)
-			if ri < n && s.recStart[ri] == off {
-				if err := fn(int(off), s.offs(ri, f.ntop)); err != nil {
-					return err
-				}
-				continue
-			}
+		ri = s.seek(ri, off)
+		if ri == n || s.recStart[ri] != off {
+			return fmt.Errorf("rawfile: no record starts at offset %d", off)
 		}
-		// No positional map entry: tokenize the single record in place.
-		if off < 0 || off >= int64(len(s.data)) {
-			return fmt.Errorf("rawfile: offset %d out of range", off)
-		}
-		if scratch == nil {
-			scratch = make([]uint32, f.ntop)
-		}
-		if _, err := f.format.Tokenize(s.data, int(off), scratch); err != nil {
-			return err
-		}
-		if err := fn(int(off), scratch); err != nil {
+		if err := fn(int(off), s.offs(ri, f.ntop)); err != nil {
 			return err
 		}
 	}
@@ -707,20 +628,5 @@ func (f *File) ScanFrom(from int64, needed []value.Path, fn plan.ScanFunc) error
 	if err != nil {
 		return err
 	}
-	if s.mapped {
-		return f.scanMapped(s, s.recordFrom(from), mask, fn)
-	}
-	e := f.newEmitter(s, mask, fn)
-	offs := make([]uint32, f.ntop)
-	for i := f.format.RecordStart(s.data, int(from)); i < len(s.data); {
-		next, err := f.format.Tokenize(s.data, i, offs)
-		if err != nil {
-			return err
-		}
-		if err := e.emit(i, offs); err != nil {
-			return err
-		}
-		i = next
-	}
-	return nil
+	return f.scanMapped(s, s.recordFrom(from), mask, fn)
 }

@@ -47,27 +47,23 @@ func gather(scan func(plan.ScanFunc) error, keep func([]value.Value) bool) (scan
 // verdictRecords bounds the per-record verdict check of a rejected file.
 const verdictRecords = 32
 
-// Equivalence drives every access path of a provider over one file of size
-// bytes; open must return a fresh, unloaded provider over it on each call.
-// Nothing may panic, and when a first full scan accepts the file every
-// other path must agree with it: the mapped scan, scans masked to each of
-// masks and completed through complete(), offset replay with and without
-// the positional map, a ScanFrom tail, and — against decode-then-filter, for
-// each of preds — ScanPushdown on both its first-scan and its mapped path.
-// Over a flat schema the typed kernel is held to the same rows: on every
-// path, AppendColumns over the offsets the path reported must yield vectors
-// equal to them cell for cell, with and without the positional map. On a
-// file the first scan rejects the same calls are made and only have to
-// return, except that the kernel must still accept exactly the records a
-// full decode accepts.
-func Equivalence(t *testing.T, open func() Provider, size int, preds []expr.Expr, masks [][]value.Path) {
-	p := open()
+// Equivalence drives every access path of a fresh provider p over one file
+// of size bytes. Nothing may panic, and when a full scan accepts the file
+// every other path must agree with it: scans masked to each of masks and
+// completed through complete(), offset replay, a ScanFrom tail, and —
+// against decode-then-filter, for each of preds — ScanPushdown. Over a flat
+// schema the typed kernel is held to the same rows: on every path,
+// AppendColumns over the offsets the path reported must yield vectors equal
+// to them cell for cell. On a file the full scan rejects the same calls are
+// made and only have to return, except that the kernel must still accept
+// exactly the records a full decode accepts.
+func Equivalence(t *testing.T, p Provider, size int, preds []expr.Expr, masks [][]value.Path) {
 	schema := p.Schema()
 	flat := store.NewColumns(schema) != nil
 	same := func(what string, got, want scanned, err error) {
 		t.Helper()
 		if err != nil {
-			t.Fatalf("%s failed on a file the first scan accepted: %v", what, err)
+			t.Fatalf("%s failed on a file the full scan accepted: %v", what, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s:\n got %v\nwant %v", what, got, want)
@@ -75,13 +71,11 @@ func Equivalence(t *testing.T, open func() Provider, size int, preds []expr.Expr
 		if !flat {
 			return
 		}
-		for _, q := range []Provider{p, open()} {
-			vecs, err := appendColumns(q, got.offs)
-			if err != nil {
-				t.Fatalf("%s: AppendColumns failed on records a decode accepted: %v", what, err)
-			}
-			sameCells(t, what, vecs, got.rows)
+		vecs, err := appendColumns(p, got.offs)
+		if err != nil {
+			t.Fatalf("%s: AppendColumns failed on records a decode accepted: %v", what, err)
 		}
+		sameCells(t, what, vecs, got.rows)
 	}
 
 	first, err := gather(func(fn plan.ScanFunc) error { return p.Scan(nil, fn) }, nil)
@@ -90,33 +84,26 @@ func Equivalence(t *testing.T, open func() Provider, size int, preds []expr.Expr
 		sameVerdicts(t, p)
 	}
 	for _, needed := range append([][]value.Path{nil}, masks...) {
-		q := open()
-		got, err := gather(func(fn plan.ScanFunc) error { return q.Scan(needed, fn) }, nil)
+		got, err := gather(func(fn plan.ScanFunc) error { return p.Scan(needed, fn) }, nil)
 		if accepted {
-			same("masked first scan", got, first, err)
-		}
-		got, err = gather(func(fn plan.ScanFunc) error { return p.Scan(needed, fn) }, nil)
-		if accepted {
-			same("mapped scan", got, first, err)
+			same("masked scan", got, first, err)
 		}
 		offs := first.offs
 		if !accepted {
 			offs = []int64{0, int64(size / 2), int64(size)}
 		}
-		for _, q := range []Provider{p, open()} {
-			got, err := gather(func(fn plan.ScanFunc) error { return q.ScanOffsets(offs, needed, fn) }, nil)
-			if accepted {
-				same("offset replay", got, first, err)
-			}
-			mid := len(first.offs) / 2
-			from, tail := int64(size/2), scanned{}
-			if accepted && len(first.offs) > 0 {
-				from, tail = first.offs[mid], scanned{rows: first.rows[mid:], offs: first.offs[mid:]}
-			}
-			got, err = gather(func(fn plan.ScanFunc) error { return q.ScanFrom(from, needed, fn) }, nil)
-			if accepted && len(first.offs) > 0 {
-				same("tail scan", got, tail, err)
-			}
+		got, err = gather(func(fn plan.ScanFunc) error { return p.ScanOffsets(offs, needed, fn) }, nil)
+		if accepted {
+			same("offset replay", got, first, err)
+		}
+		mid := len(first.offs) / 2
+		from, tail := int64(size/2), scanned{}
+		if accepted && len(first.offs) > 0 {
+			from, tail = first.offs[mid], scanned{rows: first.rows[mid:], offs: first.offs[mid:]}
+		}
+		got, err = gather(func(fn plan.ScanFunc) error { return p.ScanFrom(from, needed, fn) }, nil)
+		if accepted && len(first.offs) > 0 {
+			same("tail scan", got, tail, err)
 		}
 		for _, pred := range preds {
 			pd, residual := expr.ExtractPushdown(pred, schema)
@@ -134,14 +121,12 @@ func Equivalence(t *testing.T, open func() Provider, size int, preds []expr.Expr
 					want.rows, want.offs = append(want.rows, row), append(want.offs, first.offs[i])
 				}
 			}
-			for _, q := range []Provider{open(), p} {
-				got, err := gather(func(fn plan.ScanFunc) error {
-					_, err := q.ScanPushdown(pd, needed, fn)
-					return err
-				}, keepRest)
-				if accepted {
-					same("pushdown "+pred.Canonical(), got, want, err)
-				}
+			got, err := gather(func(fn plan.ScanFunc) error {
+				_, err := p.ScanPushdown(pd, needed, fn)
+				return err
+			}, keepRest)
+			if accepted {
+				same("pushdown "+pred.Canonical(), got, want, err)
 			}
 		}
 	}
@@ -171,7 +156,7 @@ func sameCells(t *testing.T, what string, vecs []*store.Vec, rows [][]value.Valu
 
 // sameVerdicts holds the kernel to a full decode one record at a time, on a
 // file some record of which is malformed: over each of the first records a
-// field-less scan tokenizes, both accept — with equal cells — or both reject.
+// field-less scan reaches, both accept — with equal cells — or both reject.
 func sameVerdicts(t *testing.T, p Provider) {
 	t.Helper()
 	var offs []int64
@@ -180,7 +165,7 @@ func sameVerdicts(t *testing.T, p Provider) {
 			return errStop
 		}
 		return nil
-	}) // ends at errStop or at the record the tokenizer rejects: offs is what it reached
+	}) // ends at errStop, or at once when the format rejects the file: offs is what it reached
 	for _, off := range offs {
 		one := []int64{off}
 		dec, derr := gather(func(fn plan.ScanFunc) error { return p.ScanOffsets(one, nil, fn) }, nil)

@@ -87,20 +87,6 @@ type Config struct {
 	// "parquet" or "columnar". Flat data has no layout decision: it is
 	// built columnar under "auto".
 	Layout string
-	// DisableSubsumption turns off R-tree range-subsumption matching.
-	DisableSubsumption bool
-	// ShareWindow is the shared-scan batching window: how long a raw-scan
-	// cycle leader waits for further concurrent misses on the same dataset
-	// before running the one shared parse (default 2ms). The window is only
-	// paid after concurrent demand on the dataset is observed — a lone cold
-	// query on a quiet dataset scans privately with zero added latency, and
-	// one arriving shortly after a burst waits the window out at most once
-	// (an empty window clears the burst memory). See internal/share.
-	ShareWindow time.Duration
-	// DisableSharedScans turns off the shared-scan coordinator: every
-	// cache-miss query scans the raw file privately (pre-work-sharing
-	// behaviour; ablation).
-	DisableSharedScans bool
 	// DisableVectorized turns off vectorized batch execution for cache
 	// hits: every cache scan decodes boxed rows one at a time
 	// (pre-vectorization behaviour; ablation and benchmarking). Joins then
@@ -131,13 +117,12 @@ type Config struct {
 
 func (c Config) toCacheConfig() (cache.Config, error) {
 	out := cache.Config{
-		Capacity:           c.CacheCapacity,
-		SpillDir:           c.SpillDir,
-		DiskCacheBytes:     c.DiskCacheBytes,
-		Threshold:          c.AdmissionThreshold,
-		SampleSize:         c.AdmissionSampleSize,
-		DisableSubsumption: c.DisableSubsumption,
-		Fleet:              c.Fleet,
+		Capacity:       c.CacheCapacity,
+		SpillDir:       c.SpillDir,
+		DiskCacheBytes: c.DiskCacheBytes,
+		Threshold:      c.AdmissionThreshold,
+		SampleSize:     c.AdmissionSampleSize,
+		Fleet:          c.Fleet,
 	}
 	switch c.Eviction {
 	case "", "recache", "greedy-dual":
@@ -228,7 +213,7 @@ func Open(cfg Config) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("recache: unknown freshness mode %q", cfg.FreshnessMode)
 	}
-	e.ConfigureSharedScans(!cfg.DisableSharedScans, share.Config{Window: cfg.ShareWindow})
+	e.ConfigureSharedScans(true, share.Config{})
 	return e, nil
 }
 

@@ -187,9 +187,10 @@ func TestSharedScanSingleConsumerBypass(t *testing.T) {
 // Disabling the coordinator restores fully private scans and still answers
 // correctly.
 func TestSharedScanDisabled(t *testing.T) {
-	eng := testEngine(t, Config{Admission: "eager", DisableSharedScans: true})
+	eng := testEngine(t, Config{Admission: "eager"})
+	eng.ConfigureSharedScans(false, share.Config{})
 	if eng.share != nil {
-		t.Fatal("DisableSharedScans left a coordinator in place")
+		t.Fatal("ConfigureSharedScans(false) left a coordinator in place")
 	}
 	res, err := eng.Query("SELECT COUNT(*) FROM t WHERE qty BETWEEN 15 AND 45")
 	if err != nil {
