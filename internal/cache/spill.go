@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"recache/internal/eviction"
@@ -83,7 +84,11 @@ func (m *Manager) queueSpillLocked(e *Entry) bool {
 
 // reloadEstimate prices a disk re-admission in nanoseconds: the measured
 // reload cost when one exists, otherwise a sequential read+decode
-// bandwidth model (~2 GB/s) plus a fixed open/validate overhead.
+// bandwidth model (2 GB/s) plus a fixed open/validate overhead. The RCS1
+// decoder alone runs at ~4.5 GB/s on a 2-vCPU box (the benchmark's
+// store.rcs1_read_mb_s on churn) and a page-cached 830 KB spill file reads
+// and decodes in ~0.5 ms; the model stays as it is because it decides which
+// victims spill, and one disk hit replaces it with the entry's own number.
 func (m *Manager) reloadEstimate(e *Entry) int64 {
 	if e.reloadNanos > 0 {
 		return e.reloadNanos
@@ -175,6 +180,41 @@ func atomicWrite(path string, write func(io.Writer) error) (int64, error) {
 	return size, nil
 }
 
+// spillBufs recycles re-admission read buffers (*[]byte). The decoder copies
+// everything it keeps, so a spill file's bytes are dead once it returns and
+// a buffer outlives its load only in the pool, which the GC empties.
+var spillBufs sync.Pool
+
+// readSpill reads a whole spill file into a pooled buffer sized from its
+// Stat: one read, no growth, and no new allocation when the pool holds a
+// buffer as large. The caller hands the buffer back to spillBufs when done
+// with the bytes.
+func readSpill(path string) (*[]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	buf, _ := spillBufs.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if n := int(fi.Size()); cap(*buf) < n {
+		*buf = make([]byte, n)
+	} else {
+		*buf = (*buf)[:n]
+	}
+	if _, err := io.ReadFull(f, *buf); err != nil {
+		spillBufs.Put(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
 // Resident returns a payload of e that a reader can scan: in RAM, and
 // current with e's raw file as its provider last ingested it. This is the
 // one place an entry catches up, and it does so for the reader that needs
@@ -233,17 +273,17 @@ func (m *Manager) Resident(e *Entry) (Mode, store.Store, []int64, error) {
 }
 
 // load is the unlocked half of a re-admission and its commit: one
-// spill-file read. Unless the payload gains rows on the way in (below), the
-// file is retained (entry payloads are immutable once built), so it stays
-// valid and the entry's next demotion is free; it keeps
-// occupying the disk budget until the entry is removed or the disk tier
-// reclaims redundant copies under pressure. The returned payload is the
+// spill-file read into a pooled buffer, decoded in bulk. Unless the payload
+// gains rows on the way in (below), the file is retained (entry payloads are
+// immutable once built), so it stays valid and the entry's next demotion is
+// free; it keeps occupying the disk budget until the entry is removed or the
+// disk tier reclaims redundant copies under pressure. The returned payload is the
 // caller's to scan even if the commit's eviction round demoted the entry
 // again, or the entry died mid-load.
 func (m *Manager) load(o inflight, path string) (payload, error) {
 	e, res := o.e, result{payload: o.snap}
 	start := time.Now()
-	data, err := os.ReadFile(path) // one right-sized read, no ReadAll growth
+	buf, err := readSpill(path)
 	// A payload that trails the file catches up here, while the store is
 	// still this goroutine's alone: the tail goes onto the decoded vectors
 	// in place. A tail scan that fails, or sees the file grow, is left to
@@ -256,7 +296,8 @@ func (m *Manager) load(o inflight, path string) (payload, error) {
 		}
 	}
 	if res.err = err; err == nil {
-		res.store, res.err = store.ReadParquetExtended(data, e.Dataset.Schema(), t.recs)
+		res.store, res.err = store.ReadParquetExtended(*buf, e.Dataset.Schema(), t.recs)
+		spillBufs.Put(buf)
 	}
 	reload := time.Since(start).Nanoseconds()
 	res.account = func() { e.reloadNanos = reload }

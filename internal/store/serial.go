@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"recache/internal/value"
 )
@@ -15,7 +16,11 @@ import (
 // stream, used by the cache's disk tier. The format mirrors parquetStore's
 // in-memory shape (per-column vectors, repetition streams, list lengths)
 // so a spilled entry deserializes with typed bulk copies — no record
-// re-assembly — keeping a disk hit far cheaper than a raw re-scan.
+// re-assembly — keeping a disk hit far cheaper than a raw re-scan. Both
+// directions work a vector at a time: the encoder writes null words and
+// fixed-width payloads a chunk per Write, and the decoder converts each
+// from one bounds-checked slice of the stream and copies a string column's
+// bytes into one allocation.
 //
 // The schema is NOT serialized: a spilled entry keeps all of its metadata
 // (dataset, predicate, schema) in RAM and only the payload goes to disk,
@@ -44,24 +49,24 @@ func WriteParquet(w io.Writer, st Store) error {
 	if !ok {
 		return fmt.Errorf("store: WriteParquet: not a parquet store (layout %s)", st.Layout())
 	}
-	var bw spillWriter
-	var flush func() error
+	lw := &leWriter{}
+	flush := func() error { return nil }
 	if bb, ok := w.(*bytes.Buffer); ok {
-		// Already an in-memory sink: write straight into it.
+		// Already an in-memory sink: encode straight into it.
 		bb.Grow(bufSizeFor(p.size))
-		bw = bb
-		flush = func() error { return nil }
+		lw.w, lw.mem = bb, bb
 	} else {
 		// Size the buffer to the payload so a typical spill drains in one
 		// or two write syscalls; the demotion write sits on the disk-hit
 		// path (every re-admission demotes a victim), so per-flush
 		// syscalls show up directly in the memory-pressure phase's
 		// throughput.
-		b := bufio.NewWriterSize(w, bufSizeFor(p.size))
-		bw = b
-		flush = b.Flush
+		size := bufSizeFor(p.size)
+		b := bufio.NewWriterSize(w, size)
+		lw.w, flush = b, b.Flush
+		lw.chunk = make([]byte, min(size, maxChunk))
 	}
-	lw := &leWriter{w: bw}
+	bw := lw.w
 	if _, err := bw.Write(spillMagic[:]); err != nil {
 		return err
 	}
@@ -113,14 +118,20 @@ func bufSizeFor(sz int64) int {
 	}
 }
 
-// leWriter wraps the sink with a reusable little-endian scratch buffer.
-// A stack `var b [8]byte` passed to an interface Write escapes, which
-// costs one heap allocation per integer written — per value in a column
-// vector. One leWriter per encode amortizes that to a single allocation.
+// leWriter encodes little-endian values into the sink. Scalars go through
+// one reusable scratch array (a stack `var b [8]byte` passed to an interface
+// Write escapes, one heap allocation per integer); fixed-width vectors go
+// through fixed, a chunk at a time.
 type leWriter struct {
 	w       spillWriter
+	mem     *bytes.Buffer // non-nil when the sink is in memory: vectors encode in place
+	chunk   []byte        // otherwise the staging buffer vectors encode into, sized to the store
 	scratch [8]byte
 }
+
+// maxChunk bounds a file sink's staging buffer: a vector larger than this
+// goes to the bufio layer in several Writes of this size.
+const maxChunk = 32 << 10
 
 func (lw *leWriter) u32(x uint32) {
 	binary.LittleEndian.PutUint32(lw.scratch[:4], x)
@@ -132,31 +143,66 @@ func (lw *leWriter) u64(x uint64) {
 	lw.w.Write(lw.scratch[:])
 }
 
+// fixed writes n values of width bytes each; put encodes the values from lo
+// on into b, len(b)/width of them. An in-memory sink takes the whole vector
+// in place, a file sink one Write per chunk of at most maxChunk bytes.
+func (lw *leWriter) fixed(n, width int, put func(b []byte, lo int)) {
+	if n == 0 {
+		return
+	}
+	if lw.mem != nil {
+		lw.mem.Grow(n * width)
+		b := lw.mem.AvailableBuffer()[:n*width]
+		put(b, 0)
+		lw.mem.Write(b)
+		return
+	}
+	per := len(lw.chunk) / width
+	for lo := 0; lo < n; lo += per {
+		b := lw.chunk[:min(n-lo, per)*width]
+		put(b, lo)
+		lw.w.Write(b)
+	}
+}
+
 func (lw *leWriter) vec(v *vec) error {
 	w := lw.w
 	w.WriteByte(byte(v.Kind))
-	n := v.Len()
-	lw.u64(uint64(n))
-	for _, word := range v.Nulls.words {
-		lw.u64(word)
-	}
+	lw.u64(uint64(v.Len()))
+	words := v.Nulls.words
+	lw.fixed(len(words), 8, func(b []byte, lo int) {
+		for _, x := range words[lo : lo+len(b)/8] {
+			binary.LittleEndian.PutUint64(b, x)
+			b = b[8:]
+		}
+	})
 	switch v.Kind {
 	case value.Int:
-		for _, x := range v.Ints {
-			lw.u64(uint64(x))
-		}
-	case value.Float:
-		for _, x := range v.Floats {
-			lw.u64(math.Float64bits(x))
-		}
-	case value.Bool:
-		for _, x := range v.Bools {
-			b := byte(0)
-			if x {
-				b = 1
+		xs := v.Ints
+		lw.fixed(len(xs), 8, func(b []byte, lo int) {
+			for _, x := range xs[lo : lo+len(b)/8] {
+				binary.LittleEndian.PutUint64(b, uint64(x))
+				b = b[8:]
 			}
-			w.WriteByte(b)
-		}
+		})
+	case value.Float:
+		xs := v.Floats
+		lw.fixed(len(xs), 8, func(b []byte, lo int) {
+			for _, x := range xs[lo : lo+len(b)/8] {
+				binary.LittleEndian.PutUint64(b, math.Float64bits(x))
+				b = b[8:]
+			}
+		})
+	case value.Bool:
+		xs := v.Bools
+		lw.fixed(len(xs), 1, func(b []byte, lo int) {
+			for i, x := range xs[lo : lo+len(b)] {
+				b[i] = 0
+				if x {
+					b[i] = 1
+				}
+			}
+		})
 	case value.String:
 		for _, s := range v.Strs {
 			lw.u32(uint32(len(s)))
@@ -207,22 +253,14 @@ func (r *spillReader) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-// ReadParquet deserializes a spill stream written by WriteParquet,
-// validating it against the expected record schema. The returned store is
-// a normal Parquet-layout store (convertible to other layouts as usual).
-// Callers that already hold the whole stream (the spill tier reads files
-// with os.ReadFile) should use ReadParquetBytes and skip the copy.
-func ReadParquet(rd io.Reader, schema *value.Type) (Store, error) {
-	data, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, err
-	}
-	return ReadParquetBytes(data, schema)
-}
-
-// ReadParquetBytes decodes a spill stream from an in-memory buffer. The
-// returned store aliases data's string bytes only via copies (string(raw)),
-// so data may be released after the call.
+// ReadParquetBytes decodes a stream written by WriteParquet, validating it
+// against the expected record schema. The returned store is a normal
+// Parquet-layout store (convertible to other layouts as usual) that shares
+// no memory with data: every vector, string and level stream is a copy, so
+// the caller may reuse data as soon as the call returns (the disk tier
+// reads spill files into pooled buffers, the client decodes out of its
+// frame buffer). The values of one string column share one allocation, so a
+// retained value keeps its column's bytes alive.
 func ReadParquetBytes(data []byte, schema *value.Type) (Store, error) {
 	return ReadParquetExtended(data, schema, nil)
 }
@@ -310,33 +348,28 @@ func readParquet(data []byte, schema *value.Type, extra int) (*parquetStore, err
 	if hasList == 1 && nRecs*4 > rem {
 		return nil, fmt.Errorf("store: spill stream claims %d list lengths with %d bytes left", nRecs, rem)
 	}
-	// Expected level-entry count: one per list element, plus one placeholder
-	// per empty list. For flat schemas the flattened view is the record view.
-	levelEntries := st.nRecs
+	// A repeated column has one level entry per flattened row: one per list
+	// element, plus one placeholder per empty list. For flat schemas the
+	// flattened view is the record view.
 	if hasList == 1 {
+		raw, err := r.bytes(st.nRecs * 4)
+		if err != nil {
+			return nil, err
+		}
 		st.lengths = make([]int32, st.nRecs)
-		flat, entries := 0, 0
+		flat := 0
 		for i := range st.lengths {
-			l, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
+			l := binary.LittleEndian.Uint32(raw[i*4:])
 			st.lengths[i] = int32(l)
-			if l == 0 {
-				flat++
-				entries++
-			} else {
-				flat += int(l)
-				entries += int(l)
-			}
+			flat += max(int(l), 1)
 		}
 		if flat != st.nFlat {
 			return nil, fmt.Errorf("store: spill stream flat rows %d != lengths sum %d", st.nFlat, flat)
 		}
-		levelEntries = entries
 	} else if st.nFlat != st.nRecs {
 		return nil, fmt.Errorf("store: flat spill stream has nFlat %d != nRecs %d", st.nFlat, st.nRecs)
 	}
+	levelEntries := st.nFlat
 	for ci, c := range cols {
 		rep, err := r.u8()
 		if err != nil {
@@ -420,56 +453,61 @@ func readVec(r *spillReader, want value.Kind, wantLen, extra int) (*vec, error) 
 	if rem := int64(len(r.buf) - r.off); need > rem {
 		return nil, fmt.Errorf("vec of %d entries needs %d bytes, stream has %d", n, need, rem)
 	}
+	// The check above proved the null words and any fixed-width payload are
+	// there, so each comes off the stream as one slice.
 	v := &vec{Kind: want}
 	v.Nulls.n = n
 	v.Nulls.words = make([]uint64, words)
+	raw, _ := r.bytes(words * 8)
 	for i := range v.Nulls.words {
-		w, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		v.Nulls.words[i] = w
+		v.Nulls.words[i] = binary.LittleEndian.Uint64(raw)
+		raw = raw[8:]
 	}
 	switch want {
 	case value.Int:
+		raw, _ := r.bytes(n * 8)
 		v.Ints = make([]int64, n, n+extra)
 		for i := range v.Ints {
-			x, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			v.Ints[i] = int64(x)
+			v.Ints[i] = int64(binary.LittleEndian.Uint64(raw))
+			raw = raw[8:]
 		}
 	case value.Float:
+		raw, _ := r.bytes(n * 8)
 		v.Floats = make([]float64, n, n+extra)
 		for i := range v.Floats {
-			x, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			v.Floats[i] = math.Float64frombits(x)
+			v.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+			raw = raw[8:]
 		}
 	case value.Bool:
-		raw, err := r.bytes(n)
-		if err != nil {
-			return nil, err
-		}
+		raw, _ := r.bytes(n)
 		v.Bools = make([]bool, n, n+extra)
 		for i, b := range raw {
 			v.Bools[i] = b != 0
 		}
 	case value.String:
-		v.Strs = make([]string, n, n+extra)
-		for i := range v.Strs {
+		// One pass proves every length prefix against the bytes left and sums
+		// them; the second copies the column's bytes into one allocation, sized
+		// by Grow, and slices each value out of it as it lands (a Builder
+		// never rewrites bytes it has handed out).
+		start, total := r.off, 0
+		for range n {
 			l, err := r.u32()
 			if err != nil {
 				return nil, err
 			}
-			raw, err := r.bytes(int(l))
-			if err != nil {
+			if _, err := r.bytes(int(l)); err != nil {
 				return nil, err
 			}
-			v.Strs[i] = string(raw)
+			total += int(l)
+		}
+		var sb strings.Builder
+		sb.Grow(total)
+		v.Strs = make([]string, n, n+extra)
+		for i := range v.Strs {
+			l := int(binary.LittleEndian.Uint32(r.buf[start:]))
+			sb.Write(r.buf[start+4 : start+4+l])
+			v.Strs[i] = sb.String()[sb.Len()-l:]
+			start += 4 + l
 		}
 	default:
 		return nil, fmt.Errorf("unsupported vec kind %s", want)

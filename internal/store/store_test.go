@@ -37,7 +37,7 @@ func sampleOrders() []value.Value {
 	}
 }
 
-func build(t *testing.T, layout Layout, schema *value.Type, recs []value.Value) Store {
+func build(t testing.TB, layout Layout, schema *value.Type, recs []value.Value) Store {
 	t.Helper()
 	b, err := NewBuilder(layout, schema)
 	if err != nil {
