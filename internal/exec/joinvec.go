@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"math/bits"
 	"time"
 
 	"recache/internal/cache"
@@ -81,24 +82,47 @@ func joinFloatBits(f float64) uint64 {
 	return math.Float64bits(f)
 }
 
-func hashUint(x uint64) uint64 { return mix(fnvOffset, x) }
+// hashUint hashes a fixed-width key by Fibonacci hashing: the product with
+// 2^64/φ, whose top bits, which a joinTable indexes slots by, depend on
+// every bit of the key. Dense int keys land evenly spread, and so do keys
+// whose low bits never vary — a float key's canonical bits for an
+// integral value have a zero low word.
+func hashUint(x uint64) uint64 { return x * 0x9e3779b97f4a7c15 }
 
+// hashString is FNV-1a, whose top bits depend little on the last bytes,
+// put through hashUint.
 func hashString(s string) uint64 {
 	h := uint64(fnvOffset)
 	for i := 0; i < len(s); i++ {
 		h = mix(h, uint64(s[i]))
 	}
-	return h
+	return hashUint(h)
 }
 
-// typedKey holds one normalized join key; exactly the field matching the
-// table's mode is meaningful.
+// typedKey holds one normalized join key: sk under the string mode, ik
+// under the fixed-width ones (an int, a float's canonical bits, a bool as
+// 0/1).
 type typedKey struct {
 	h  uint64
 	ik int64
-	fk uint64
 	sk string
-	bk bool
+}
+
+// fixedKey reads row r's key under the int or float mode as the int64 the
+// table stores: the int itself, or the float's canonical bits. ok is false
+// for a NaN key, which never joins; callers handle nulls beforehand.
+func fixedKey(v *store.Vec, r int32, mode keyMode) (int64, bool) {
+	if mode == keyModeInt {
+		return v.Ints[r], true
+	}
+	if v.Kind == value.Int {
+		return int64(joinFloatBits(float64(v.Ints[r]))), true
+	}
+	f := v.Floats[r]
+	if f != f {
+		return 0, false
+	}
+	return int64(joinFloatBits(f)), true
 }
 
 // colKey extracts and normalizes the key at v[r]. ok is false when the row
@@ -106,32 +130,22 @@ type typedKey struct {
 func colKey(v *store.Vec, r int32, mode keyMode) (typedKey, bool) {
 	var k typedKey
 	switch mode {
-	case keyModeInt:
-		k.ik = v.Ints[r]
-		k.h = hashUint(uint64(k.ik))
-	case keyModeFloat:
-		var f float64
-		if v.Kind == value.Int {
-			f = float64(v.Ints[r])
-		} else {
-			f = v.Floats[r]
-		}
-		if f != f {
-			return k, false
-		}
-		k.fk = joinFloatBits(f)
-		k.h = hashUint(k.fk)
 	case keyModeString:
 		k.sk = v.Strs[r]
 		k.h = hashString(k.sk)
-	default:
-		k.bk = v.Bools[r]
-		if k.bk {
-			k.h = hashUint(1)
-		} else {
-			k.h = hashUint(0)
+		return k, true
+	case keyModeBool:
+		if v.Bools[r] {
+			k.ik = 1
 		}
+	default:
+		ik, ok := fixedKey(v, r, mode)
+		if !ok {
+			return k, false
+		}
+		k.ik = ik
 	}
+	k.h = hashUint(uint64(k.ik))
 	return k, true
 }
 
@@ -143,105 +157,88 @@ func valKey(v value.Value, mode keyMode) (typedKey, bool) {
 		return k, false
 	}
 	switch mode {
+	case keyModeString:
+		k.sk = v.S
+		k.h = hashString(k.sk)
+		return k, true
 	case keyModeInt:
 		k.ik = v.I
-		k.h = hashUint(uint64(k.ik))
 	case keyModeFloat:
 		f := v.AsFloat()
 		if f != f {
 			return k, false
 		}
-		k.fk = joinFloatBits(f)
-		k.h = hashUint(k.fk)
-	case keyModeString:
-		k.sk = v.S
-		k.h = hashString(k.sk)
+		k.ik = int64(joinFloatBits(f))
 	default:
-		k.bk = v.B
-		if k.bk {
-			k.h = hashUint(1)
-		} else {
-			k.h = hashUint(0)
+		if v.B {
+			k.ik = 1
 		}
 	}
+	k.h = hashUint(uint64(k.ik))
 	return k, true
 }
 
 // joinTable is the typed open-addressing hash table of the build side. One
-// slot per distinct key (linear probing), with duplicate-key rows chained
-// through an entry list in insertion order — probe output therefore lists
-// a key's build rows in the same order the row path's slice-append table
-// does, keeping non-aggregated join results byte-identical across flavors.
+// slot per distinct key (linear probing from the hash's top bits), with
+// duplicate-key rows chained through an entry list in insertion order —
+// probe output therefore lists a key's build rows in the same order the
+// row path's slice-append table does, keeping non-aggregated join results
+// byte-identical across flavors.
 type joinTable struct {
-	mode   keyMode
-	mask   uint64
-	hashes []uint64
-	heads  []int32 // first entry per slot; -1 marks an empty slot
-	tails  []int32 // last entry per slot (insertion-order chaining)
-	ikeys  []int64
-	fkeys  []uint64
-	skeys  []string
-	bkeys  []bool
-	// entry arrays, indexed by chain links:
-	next []int32
-	rows []int32 // build-side row-id payload
-	used int
+	mode  keyMode
+	shift uint // 64 - log2(slots): a hash's home slot is h >> shift
+	mask  uint64
+	// heads holds each slot's first entry plus one: 0 marks an empty slot,
+	// so a fresh slot array is make's zeroed memory, and a probe that
+	// misses reads 4 bytes a slot.
+	heads []int32
+	tails []int32 // last entry per slot (insertion-order chaining)
+	keys  []int64 // typedKey.ik under the fixed-width modes; equal keys need no hash check
+	// The string mode's keys and hashes, by slot.
+	skeys   []string
+	shashes []uint64
+	ents    []entry
+	used    int
 }
 
+// entry is one build row in its key's chain.
+type entry struct {
+	row  int32 // build-side row id
+	next int32 // the key's next entry; -1 ends the chain
+}
+
+// newJoinTable sizes a table for expect distinct keys and expect entries,
+// so a build that knows its row count neither grows the slot arrays nor
+// reallocates the entry array.
 func newJoinTable(mode keyMode, expect int64) *joinTable {
 	capacity := 16
 	for int64(capacity)*3 < expect*4 {
 		capacity <<= 1
 	}
-	t := &joinTable{mode: mode}
+	t := &joinTable{mode: mode, ents: make([]entry, 0, expect)}
 	t.alloc(capacity)
 	return t
 }
 
 func (t *joinTable) alloc(capacity int) {
+	t.shift = uint(64 - bits.TrailingZeros(uint(capacity)))
 	t.mask = uint64(capacity - 1)
-	t.hashes = make([]uint64, capacity)
 	t.heads = make([]int32, capacity)
 	t.tails = make([]int32, capacity)
-	for i := range t.heads {
-		t.heads[i] = -1
-	}
-	switch t.mode {
-	case keyModeInt:
-		t.ikeys = make([]int64, capacity)
-	case keyModeFloat:
-		t.fkeys = make([]uint64, capacity)
-	case keyModeString:
+	if t.mode == keyModeString {
 		t.skeys = make([]string, capacity)
-	default:
-		t.bkeys = make([]bool, capacity)
+		t.shashes = make([]uint64, capacity)
+	} else {
+		t.keys = make([]int64, capacity)
 	}
 }
 
+// keyEq reports whether occupied slot i holds k.
 func (t *joinTable) keyEq(i uint64, k typedKey) bool {
-	switch t.mode {
-	case keyModeInt:
-		return t.ikeys[i] == k.ik
-	case keyModeFloat:
-		return t.fkeys[i] == k.fk
-	case keyModeString:
-		return t.skeys[i] == k.sk
-	default:
-		return t.bkeys[i] == k.bk
+	if t.mode == keyModeString {
+		return t.shashes[i] == k.h && t.skeys[i] == k.sk
 	}
-}
-
-func (t *joinTable) setKey(i uint64, k typedKey) {
-	switch t.mode {
-	case keyModeInt:
-		t.ikeys[i] = k.ik
-	case keyModeFloat:
-		t.fkeys[i] = k.fk
-	case keyModeString:
-		t.skeys[i] = k.sk
-	default:
-		t.bkeys[i] = k.bk
-	}
+	return t.keys[i] == k.ik
 }
 
 // insert adds one build row under k.
@@ -249,136 +246,70 @@ func (t *joinTable) insert(k typedKey, row int32) {
 	if (t.used+1)*4 > len(t.heads)*3 {
 		t.grow()
 	}
-	i := k.h & t.mask
-	for t.heads[i] >= 0 {
-		if t.hashes[i] == k.h && t.keyEq(i, k) {
-			t.chain(i, row)
-			return
-		}
+	i := k.h >> t.shift
+	for t.heads[i] != 0 && !t.keyEq(i, k) {
 		i = (i + 1) & t.mask
 	}
-	t.setKey(i, k)
-	t.claim(i, k.h, row)
-}
-
-// insertInt is insert for an int-mode key ik hashing to h: the typed
-// build and the GROUP BY index call it without building a typedKey.
-func (t *joinTable) insertInt(ik int64, h uint64, row int32) {
-	if (t.used+1)*4 > len(t.heads)*3 {
-		t.grow()
+	e := int32(len(t.ents))
+	t.ents = append(t.ents, entry{row: row, next: -1})
+	if t.heads[i] != 0 {
+		t.ents[t.tails[i]].next = e
+		t.tails[i] = e
+		return
 	}
-	i := h & t.mask
-	for t.heads[i] >= 0 {
-		if t.hashes[i] == h && t.ikeys[i] == ik {
-			t.chain(i, row)
-			return
-		}
-		i = (i + 1) & t.mask
+	t.heads[i], t.tails[i] = e+1, e
+	if t.mode == keyModeString {
+		t.skeys[i], t.shashes[i] = k.sk, k.h
+	} else {
+		t.keys[i] = k.ik
 	}
-	t.ikeys[i] = ik
-	t.claim(i, h, row)
-}
-
-// insertFloat is insertInt for a float-mode key (canonical bits fk).
-func (t *joinTable) insertFloat(fk, h uint64, row int32) {
-	if (t.used+1)*4 > len(t.heads)*3 {
-		t.grow()
-	}
-	i := h & t.mask
-	for t.heads[i] >= 0 {
-		if t.hashes[i] == h && t.fkeys[i] == fk {
-			t.chain(i, row)
-			return
-		}
-		i = (i + 1) & t.mask
-	}
-	t.fkeys[i] = fk
-	t.claim(i, h, row)
-}
-
-// claim makes empty slot i (its key already set) the head of a new chain
-// holding row.
-func (t *joinTable) claim(i, h uint64, row int32) {
 	t.used++
-	t.hashes[i] = h
-	e := t.entry(row)
-	t.heads[i], t.tails[i] = e, e
 }
 
-// chain appends row to the end of slot i's chain.
-func (t *joinTable) chain(i uint64, row int32) {
-	e := t.entry(row)
-	t.next[t.tails[i]] = e
-	t.tails[i] = e
-}
-
-func (t *joinTable) entry(row int32) int32 {
-	e := int32(len(t.rows))
-	t.rows = append(t.rows, row)
-	t.next = append(t.next, -1)
-	return e
-}
-
-// findInt is lookup for an int-mode key ik hashing to h; small enough to
-// inline into the probe and GROUP BY loops.
+// findInt is lookup for a fixed-width key ik hashing to h; small enough to
+// inline into the GROUP BY index's loop.
 func (t *joinTable) findInt(ik int64, h uint64) int32 {
-	for i := h & t.mask; t.heads[i] >= 0; i = (i + 1) & t.mask {
-		if t.hashes[i] == h && t.ikeys[i] == ik {
-			return t.heads[i]
-		}
+	i := h >> t.shift
+	for t.heads[i] != 0 && t.keys[i] != ik {
+		i = (i + 1) & t.mask
 	}
-	return -1
-}
-
-// findFloat is findInt for a float-mode key (canonical bits fk).
-func (t *joinTable) findFloat(fk, h uint64) int32 {
-	for i := h & t.mask; t.heads[i] >= 0; i = (i + 1) & t.mask {
-		if t.hashes[i] == h && t.fkeys[i] == fk {
-			return t.heads[i]
-		}
-	}
-	return -1
+	return t.heads[i] - 1
 }
 
 // lookup returns the first chained entry for k, or -1; callers walk the
-// chain through t.next.
+// chain through ents[e].next.
 func (t *joinTable) lookup(k typedKey) int32 {
-	i := k.h & t.mask
-	for {
-		if t.heads[i] < 0 {
-			return -1
-		}
-		if t.hashes[i] == k.h && t.keyEq(i, k) {
-			return t.heads[i]
-		}
+	i := k.h >> t.shift
+	for t.heads[i] != 0 && !t.keyEq(i, k) {
 		i = (i + 1) & t.mask
 	}
+	return t.heads[i] - 1
 }
 
-// grow doubles the slot arrays, re-placing occupied slots by their stored
-// hashes; the entry arrays (chains, row-ids) are untouched.
+// grow doubles the slot arrays, re-placing occupied slots by their keys'
+// hashes; the entries (chains, row-ids) are untouched.
 func (t *joinTable) grow() {
-	oldHashes, oldHeads, oldTails := t.hashes, t.heads, t.tails
-	oldI, oldF, oldS, oldB := t.ikeys, t.fkeys, t.skeys, t.bkeys
+	oldHeads, oldTails, oldKeys, oldS, oldH := t.heads, t.tails, t.keys, t.skeys, t.shashes
 	t.alloc(len(oldHeads) * 2)
-	for j, h := range oldHeads {
-		if h < 0 {
+	for j, head := range oldHeads {
+		if head == 0 {
 			continue
 		}
-		i := oldHashes[j] & t.mask
-		for t.heads[i] >= 0 {
+		var h uint64
+		if t.mode == keyModeString {
+			h = oldH[j]
+		} else {
+			h = hashUint(uint64(oldKeys[j]))
+		}
+		i := h >> t.shift
+		for t.heads[i] != 0 {
 			i = (i + 1) & t.mask
 		}
-		t.hashes[i], t.heads[i], t.tails[i] = oldHashes[j], h, oldTails[j]
-		switch t.mode {
-		case keyModeInt:
-			t.ikeys[i] = oldI[j]
-		case keyModeFloat:
-			t.fkeys[i] = oldF[j]
-		case keyModeString:
-			t.skeys[i] = oldS[j]
-		default:
-			t.bkeys[i] = oldB[j]
+		t.heads[i], t.tails[i] = head, oldTails[j]
+		if t.mode == keyModeString {
+			t.skeys[i], t.shashes[i] = oldS[j], h
+		} else {
+			t.keys[i] = oldKeys[j]
 		}
 	}
 }
@@ -482,49 +413,53 @@ func (vj *vecJoin) buildTable(liter vecIter) (bcols []*store.Vec, table *joinTab
 }
 
 // insertBatch inserts the keys kcol holds at sel, row sel[k] under build
-// row-id rows[k]. The int and float modes run the same inlined loops as
-// the probe: direct slice reads, the hash computed in place, no typedKey,
-// and the per-row null test only when the selection's null words hold one.
+// row-id rows[k]. The slot arrays grow once, up front, to room for every
+// row as a new key, so the int and float modes run one loop on locals: the
+// slot arrays read from them, the entries appended to one and written back
+// once, the hash computed in place, no typedKey, and the per-row null test
+// only when the selection's null words hold one.
 func (t *joinTable) insertBatch(kcol *store.Vec, sel, rows []int32) {
 	nulls := kcol.Nulls.AnySel(sel)
-	switch t.mode {
-	case keyModeInt:
-		ks := kcol.Ints
+	mode := t.mode
+	if mode != keyModeInt && mode != keyModeFloat {
 		for k, r := range sel {
 			if nulls && kcol.Nulls.Get(int(r)) {
 				continue
 			}
-			ik := ks[r]
-			t.insertInt(ik, hashUint(uint64(ik)), rows[k])
-		}
-	case keyModeFloat:
-		isInt := kcol.Kind == value.Int
-		for k, r := range sel {
-			if nulls && kcol.Nulls.Get(int(r)) {
-				continue
-			}
-			var f float64
-			if isInt {
-				f = float64(kcol.Ints[r])
-			} else {
-				f = kcol.Floats[r]
-			}
-			if f != f {
-				continue
-			}
-			fk := joinFloatBits(f)
-			t.insertFloat(fk, hashUint(fk), rows[k])
-		}
-	default:
-		for k, r := range sel {
-			if nulls && kcol.Nulls.Get(int(r)) {
-				continue
-			}
-			if key, ok := colKey(kcol, r, t.mode); ok {
+			if key, ok := colKey(kcol, r, mode); ok {
 				t.insert(key, rows[k])
 			}
 		}
+		return
 	}
+	for (t.used+len(sel))*4 > len(t.heads)*3 {
+		t.grow()
+	}
+	shift, mask, heads, tails, keys := t.shift, t.mask, t.heads, t.tails, t.keys
+	ents, used := t.ents, t.used
+	for k, r := range sel {
+		if nulls && kcol.Nulls.Get(int(r)) {
+			continue
+		}
+		ik, ok := fixedKey(kcol, r, mode)
+		if !ok {
+			continue
+		}
+		i := hashUint(uint64(ik)) >> shift
+		for heads[i] != 0 && keys[i] != ik {
+			i = (i + 1) & mask
+		}
+		e := int32(len(ents))
+		ents = append(ents, entry{row: rows[k], next: -1})
+		if heads[i] != 0 {
+			ents[tails[i]].next = e
+		} else {
+			heads[i], keys[i] = e+1, ik
+			used++
+		}
+		tails[i] = e
+	}
+	t.ents, t.used = ents, used
 }
 
 // joinSource serves the fully vectorized flavor as a batch source for a
@@ -590,6 +525,7 @@ type joinIter struct {
 	kinds        []value.Kind
 	rcols        []*store.Vec // current probe batch's columns
 	lids, rids   []int32      // pending match pairs into bcols/rcols
+	chains       []int32      // probeBatch's per-row first entries
 	off          int
 	sel          []int32 // identity selection scratch, refilled per chunk
 	probeBatches int64
@@ -651,62 +587,49 @@ func (it *joinIter) Next() ([]*store.Vec, []int32, bool) {
 }
 
 // probeBatch probes one right-hand batch's key column through the table,
-// appending match pairs. The int and float modes — the hot shapes of
-// analytical joins — run fully inlined loops: direct slice reads, linear
-// probing in place (findInt/findFloat), no per-row kind dispatch, and the
-// per-row null test skipped when the selection's null words hold no null.
+// appending match pairs, in two loops on locals written back once. The
+// first finds each selected row's chain (-1 for a miss, a NULL or a NaN
+// key): its lookups are independent of one another, so their cache misses
+// overlap, and the int and float modes — the hot shapes of analytical
+// joins — probe in place with no typedKey. The second expands the chains
+// into pairs, for every mode.
 func (it *joinIter) probeBatch(kcol *store.Vec, sel []int32) {
-	t := it.table
-	hasNulls := kcol.Nulls.AnySel(sel)
-	switch it.vj.mode {
-	case keyModeInt:
-		ks := kcol.Ints
-		for _, r := range sel {
-			if hasNulls && kcol.Nulls.Get(int(r)) {
-				continue
-			}
-			ik := ks[r]
-			for e := t.findInt(ik, hashUint(uint64(ik))); e >= 0; e = t.next[e] {
-				it.lids = append(it.lids, t.rows[e])
-				it.rids = append(it.rids, r)
-			}
+	t, mode := it.table, it.vj.mode
+	if cap(it.chains) < len(sel) {
+		it.chains = make([]int32, max(len(sel), store.BatchRows))
+	}
+	chains := it.chains[:len(sel)]
+	nulls := kcol.Nulls.AnySel(sel)
+	fixed := mode == keyModeInt || mode == keyModeFloat
+	shift, mask, heads, keys := t.shift, t.mask, t.heads, t.keys
+	for k, r := range sel {
+		chains[k] = -1
+		if nulls && kcol.Nulls.Get(int(r)) {
+			continue
 		}
-	case keyModeFloat:
-		isInt := kcol.Kind == value.Int
-		for _, r := range sel {
-			if hasNulls && kcol.Nulls.Get(int(r)) {
-				continue
+		if !fixed {
+			if key, ok := colKey(kcol, r, mode); ok {
+				chains[k] = t.lookup(key)
 			}
-			var f float64
-			if isInt {
-				f = float64(kcol.Ints[r])
-			} else {
-				f = kcol.Floats[r]
-			}
-			if f != f {
-				continue
-			}
-			fk := joinFloatBits(f)
-			for e := t.findFloat(fk, hashUint(fk)); e >= 0; e = t.next[e] {
-				it.lids = append(it.lids, t.rows[e])
-				it.rids = append(it.rids, r)
-			}
+			continue
 		}
-	default:
-		for _, r := range sel {
-			if hasNulls && kcol.Nulls.Get(int(r)) {
-				continue
-			}
-			k, ok := colKey(kcol, r, it.vj.mode)
-			if !ok {
-				continue
-			}
-			for e := t.lookup(k); e >= 0; e = t.next[e] {
-				it.lids = append(it.lids, t.rows[e])
-				it.rids = append(it.rids, r)
-			}
+		ik, ok := fixedKey(kcol, r, mode)
+		if !ok {
+			continue
+		}
+		i := hashUint(uint64(ik)) >> shift
+		for heads[i] != 0 && keys[i] != ik {
+			i = (i + 1) & mask
+		}
+		chains[k] = heads[i] - 1
+	}
+	lids, rids, ents := it.lids, it.rids, t.ents
+	for k, e := range chains {
+		for ; e >= 0; e = ents[e].next {
+			lids, rids = append(lids, ents[e].row), append(rids, sel[k])
 		}
 	}
+	it.lids, it.rids = lids, rids
 }
 
 func (it *joinIter) Close(ctx *qctx) {
@@ -736,8 +659,8 @@ func (vj *vecJoin) runBuildVec(ctx *qctx, liter vecIter, parts *joinParts, out e
 		if !ok {
 			return nil
 		}
-		for e := table.lookup(k); e >= 0; e = table.next[e] {
-			lr := int(table.rows[e])
+		for e := table.lookup(k); e >= 0; e = table.ents[e].next {
+			lr := int(table.ents[e].row)
 			for i, c := range bcols {
 				buf[i] = c.Get(lr)
 			}
@@ -786,8 +709,8 @@ func (vj *vecJoin) runProbeVec(ctx *qctx, riter vecIter, parts *joinParts, out e
 			if !ok {
 				continue
 			}
-			for e := table.lookup(k); e >= 0; e = table.next[e] {
-				copy(buf, rows[table.rows[e]])
+			for e := table.lookup(k); e >= 0; e = table.ents[e].next {
+				copy(buf, rows[table.ents[e].row])
 				for i, c := range cols {
 					buf[vj.ln+i] = c.Get(int(r))
 				}

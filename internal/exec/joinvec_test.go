@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +13,7 @@ import (
 	"recache/internal/csvio"
 	"recache/internal/expr"
 	"recache/internal/plan"
+	"recache/internal/store"
 	"recache/internal/value"
 )
 
@@ -349,8 +353,8 @@ func TestJoinTable(t *testing.T) {
 	for key := 0; key < 97; key++ {
 		k, _ := valKey(value.VInt(int64(key)), keyModeInt)
 		var got []int32
-		for e := tab.lookup(k); e >= 0; e = tab.next[e] {
-			got = append(got, tab.rows[e])
+		for e := tab.lookup(k); e >= 0; e = tab.ents[e].next {
+			got = append(got, tab.ents[e].row)
 		}
 		var want []int32
 		for i := key; i < n; i += 97 {
@@ -363,5 +367,196 @@ func TestJoinTable(t *testing.T) {
 	miss, _ := valKey(value.VInt(int64(1234)), keyModeInt)
 	if e := tab.lookup(miss); e != -1 {
 		t.Fatalf("lookup(1234) = %d, want -1", e)
+	}
+}
+
+// joinKeys draws a key column of n rows over about domain distinct keys,
+// with NULL keys (sparse, plus rows 1100..1129 so one batch's null words
+// hold a run) and, for float keys, NaN and -0 among them.
+func joinKeys(r *rand.Rand, kind value.Kind, n, domain int) *store.Vec {
+	v := &store.Vec{Kind: kind}
+	for i := 0; i < n; i++ {
+		k := r.Intn(domain) - domain/2
+		switch {
+		case i%97 == 3 || (i >= 1100 && i < 1130):
+			v.AppendVal(value.VNull)
+		case kind == value.Int:
+			v.AppendVal(value.VInt(int64(k)))
+		case kind == value.Float && r.Intn(40) == 0:
+			v.AppendVal(value.VFloat(math.NaN()))
+		case kind == value.Float && k == 0:
+			v.AppendVal(value.VFloat(math.Copysign(0, -1)))
+		case kind == value.Float:
+			v.AppendVal(value.VFloat(float64(k)))
+		case kind == value.String:
+			v.AppendVal(value.VString(fmt.Sprint("k", k)))
+		default:
+			v.AppendVal(value.VBool(k%2 == 0))
+		}
+	}
+	return v
+}
+
+// cursorBatches splits n rows into BatchRows chunks, each selection
+// dropping about a fifth of its rows, as a filtered cache scan does.
+func cursorBatches(r *rand.Rand, n int) [][]int32 {
+	var out [][]int32
+	for lo := 0; lo < n; lo += store.BatchRows {
+		var sel []int32
+		for i := lo; i < min(n, lo+store.BatchRows); i++ {
+			if r.Intn(5) != 0 {
+				sel = append(sel, int32(i))
+			}
+		}
+		out = append(out, sel)
+	}
+	return out
+}
+
+// TestJoinKernelsMatchRowJoin holds the typed build and probe to the row
+// join pair for pair: a build side of three batches with duplicate keys,
+// NULL keys and (under float keys) NaN and ±0, inserted batch by batch into
+// a table sized for it (a cache scan's build) and into one that grows (a
+// nested join's), then probed batch by batch, must list the same (build
+// row, probe row) pairs in the same order as the row join's map of slices,
+// under every key mode and both cross-kind pairings.
+func TestJoinKernelsMatchRowJoin(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, c := range []struct {
+		lk, rk               value.Kind
+		buildN, probeN, keys int
+	}{
+		{value.Int, value.Int, 2600, 1500, 600},
+		{value.Float, value.Float, 2600, 1500, 600},
+		{value.Int, value.Float, 2600, 1500, 600},
+		{value.Float, value.Int, 2600, 1500, 600},
+		{value.String, value.String, 2600, 1500, 600},
+		{value.Bool, value.Bool, 1200, 3, 2},
+	} {
+		name := fmt.Sprintf("%s-%s", c.lk, c.rk)
+		lv, rv := joinKeys(r, c.lk, c.buildN, c.keys), joinKeys(r, c.rk, c.probeN, c.keys)
+		lb, rb := cursorBatches(r, c.buildN), cursorBatches(r, c.probeN)
+		norm := makeJoinKey(&value.Type{Kind: c.lk}, &value.Type{Kind: c.rk})
+		rowTable := map[any][]int32{}
+		for _, sel := range lb {
+			for _, i := range sel {
+				if k, ok := norm(lv.Get(int(i))); ok {
+					rowTable[k] = append(rowTable[k], i)
+				}
+			}
+		}
+		var want [][2]int32
+		for _, sel := range rb {
+			for _, j := range sel {
+				if k, ok := norm(rv.Get(int(j))); ok {
+					for _, i := range rowTable[k] {
+						want = append(want, [2]int32{i, j})
+					}
+				}
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: the row join matched nothing", name)
+		}
+		mode, _ := joinKeyMode(c.lk, c.rk)
+		for _, expect := range []int64{int64(c.buildN), 0} {
+			tab := newJoinTable(mode, expect)
+			for _, sel := range lb {
+				tab.insertBatch(lv, sel, sel)
+			}
+			it := &joinIter{vj: &vecJoin{mode: mode}, table: tab}
+			var got [][2]int32
+			for _, sel := range rb {
+				it.lids, it.rids = it.lids[:0], it.rids[:0]
+				it.probeBatch(rv, sel)
+				for k := range it.lids {
+					got = append(got, [2]int32{it.lids[k], it.rids[k]})
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, table sized for %d: %d pairs, row join %d (first difference at %d)",
+					name, expect, len(got), len(want), firstDiff(got, want))
+			}
+		}
+	}
+}
+
+func firstDiff(a, b [][2]int32) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// joinBenchTable is the layer benchmarks' build side: 8 batches of int (or
+// float) keys over 4096 distinct values, each key twice.
+func joinBenchTable(mode keyMode) (*store.Vec, []int32) {
+	const rows = 8 * store.BatchRows
+	v := &store.Vec{Kind: value.Int}
+	if mode == keyModeFloat {
+		v.Kind = value.Float
+	}
+	sel := make([]int32, rows)
+	for i := range sel {
+		k := int64(i*7919) % (rows / 2)
+		if mode == keyModeFloat {
+			v.AppendVal(value.VFloat(float64(k)))
+		} else {
+			v.AppendVal(value.VInt(k))
+		}
+		sel[i] = int32(i)
+	}
+	return v, sel
+}
+
+// BenchmarkJoinBuild times a typed build: a table sized for its rows, as a
+// cache scan's build is, filled batch by batch. ns/row is per build row.
+func BenchmarkJoinBuild(b *testing.B) {
+	for _, mode := range []keyMode{keyModeInt, keyModeFloat} {
+		kv, sel := joinBenchTable(mode)
+		b.Run([]string{"int", "float"}[mode], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t := newJoinTable(mode, int64(len(sel)))
+				for lo := 0; lo < len(sel); lo += store.BatchRows {
+					batch := sel[lo : lo+store.BatchRows]
+					t.insertBatch(kv, batch, batch)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sel)), "ns/row")
+		})
+	}
+}
+
+// BenchmarkJoinProbe times one probe batch against joinBenchTable's table:
+// BatchRows random keys, half of them present, each present key matching
+// two build rows. ns/row is per probe row.
+func BenchmarkJoinProbe(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	for _, mode := range []keyMode{keyModeInt, keyModeFloat} {
+		kv, sel := joinBenchTable(mode)
+		t := newJoinTable(mode, int64(len(sel)))
+		t.insertBatch(kv, sel, sel)
+		pv := &store.Vec{Kind: kv.Kind}
+		for i := 0; i < store.BatchRows; i++ {
+			k := int64(r.Intn(len(sel)))
+			if mode == keyModeFloat {
+				pv.AppendVal(value.VFloat(float64(k)))
+			} else {
+				pv.AppendVal(value.VInt(k))
+			}
+		}
+		psel := sel[:store.BatchRows]
+		b.Run([]string{"int", "float"}[mode], func(b *testing.B) {
+			it := &joinIter{vj: &vecJoin{mode: mode}, table: t}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				it.lids, it.rids = it.lids[:0], it.rids[:0]
+				it.probeBatch(pv, psel)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/store.BatchRows, "ns/row")
+		})
 	}
 }

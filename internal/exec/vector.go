@@ -564,203 +564,126 @@ type vaggAcc struct {
 	fn    plan.AggFunc
 	arg   int // batch column slot of the argument; -1 for COUNT(*)
 	kind  value.Kind
-	count int64
+	count int64 // values folded (rows for COUNT(*)); 0 makes SUM, AVG, MIN and MAX NULL
 	sum   float64
-	any   bool
 	mi    int64
 	mf    float64
 	ms    string
 	mb    bool
 }
 
-// updateBatch folds a whole selection batch into the accumulator with a
-// typed loop — the kind dispatch and the null-word test happen once per
-// batch, not per row.
+// updateBatch folds a whole selection batch into the accumulator. The kind
+// dispatch and the null-word test happen once per batch, and each typed
+// loop runs on locals written back once: a field behind the receiver is
+// stored and reloaded every row, and a float SUM would wait on that round
+// trip at every add.
 func (a *vaggAcc) updateBatch(cols []*store.Vec, sel []int32) {
 	if a.arg < 0 { // COUNT(*): every selected row counts
 		a.count += int64(len(sel))
-		if len(sel) > 0 {
-			a.any = true
-		}
 		return
 	}
 	v := cols[a.arg]
-	nulls := v.Nulls.AnySel(sel)
-	switch a.fn {
-	case plan.AggCount:
+	var nulls *store.Bitmap
+	if v.Nulls.AnySel(sel) {
+		nulls = &v.Nulls
+	}
+	switch {
+	case a.fn == plan.AggCount:
+		n := int64(len(sel))
+		if nulls != nil {
+			for _, r := range sel {
+				if nulls.Get(int(r)) {
+					n--
+				}
+			}
+		}
+		a.count += n
+	case (a.fn == plan.AggSum || a.fn == plan.AggAvg) && v.Kind == value.Int:
+		a.count, a.sum = foldSum(v.Ints, sel, nulls, a.count, a.sum)
+	case a.fn == plan.AggSum || a.fn == plan.AggAvg:
+		a.count, a.sum = foldSum(v.Floats, sel, nulls, a.count, a.sum)
+	case v.Kind == value.Int:
+		a.count, a.mi = foldExtreme(v.Ints, sel, nulls, a.fn == plan.AggMin, a.count, a.mi)
+	case v.Kind == value.Float:
+		a.count, a.mf = foldExtreme(v.Floats, sel, nulls, a.fn == plan.AggMin, a.count, a.mf)
+	default:
 		for _, r := range sel {
-			if !nulls || !v.Nulls.Get(int(r)) {
-				a.count++
-				a.any = true
-			}
-		}
-	case plan.AggSum, plan.AggAvg:
-		if v.Kind == value.Int {
-			for _, r := range sel {
-				if !nulls || !v.Nulls.Get(int(r)) {
-					a.count++
-					a.sum += float64(v.Ints[r])
-					a.any = true
-				}
-			}
-		} else {
-			for _, r := range sel {
-				if !nulls || !v.Nulls.Get(int(r)) {
-					a.count++
-					a.sum += v.Floats[r]
-					a.any = true
-				}
-			}
-		}
-	case plan.AggMin:
-		switch v.Kind {
-		case value.Int:
-			for _, r := range sel {
-				if nulls && v.Nulls.Get(int(r)) {
-					continue
-				}
-				if x := v.Ints[r]; !a.any || x < a.mi {
-					a.mi = x
-				}
-				a.any = true
-			}
-		case value.Float:
-			for _, r := range sel {
-				if nulls && v.Nulls.Get(int(r)) {
-					continue
-				}
-				if x := v.Floats[r]; !a.any || x < a.mf {
-					a.mf = x
-				}
-				a.any = true
-			}
-		case value.String:
-			for _, r := range sel {
-				if nulls && v.Nulls.Get(int(r)) {
-					continue
-				}
-				if x := v.Strs[r]; !a.any || x < a.ms {
-					a.ms = x
-				}
-				a.any = true
-			}
-		case value.Bool:
-			for _, r := range sel {
-				if nulls && v.Nulls.Get(int(r)) {
-					continue
-				}
-				if x := v.Bools[r]; !a.any || (!x && a.mb) {
-					a.mb = x
-				}
-				a.any = true
-			}
-		}
-	case plan.AggMax:
-		switch v.Kind {
-		case value.Int:
-			for _, r := range sel {
-				if nulls && v.Nulls.Get(int(r)) {
-					continue
-				}
-				if x := v.Ints[r]; !a.any || x > a.mi {
-					a.mi = x
-				}
-				a.any = true
-			}
-		case value.Float:
-			for _, r := range sel {
-				if nulls && v.Nulls.Get(int(r)) {
-					continue
-				}
-				if x := v.Floats[r]; !a.any || x > a.mf {
-					a.mf = x
-				}
-				a.any = true
-			}
-		case value.String:
-			for _, r := range sel {
-				if nulls && v.Nulls.Get(int(r)) {
-					continue
-				}
-				if x := v.Strs[r]; !a.any || x > a.ms {
-					a.ms = x
-				}
-				a.any = true
-			}
-		case value.Bool:
-			for _, r := range sel {
-				if nulls && v.Nulls.Get(int(r)) {
-					continue
-				}
-				if x := v.Bools[r]; !a.any || (x && !a.mb) {
-					a.mb = x
-				}
-				a.any = true
+			if nulls == nil || !nulls.Get(int(r)) {
+				a.updateRow(v, r)
 			}
 		}
 	}
 }
 
-// updateRow folds one selected row: the grouped fold's fallback for the
-// shapes it has no typed loop for (string and bool MIN/MAX).
-func (a *vaggAcc) updateRow(cols []*store.Vec, r int32) {
-	if a.arg < 0 {
-		a.count++
-		a.any = true
-		return
+// foldSum adds the non-NULL values xs holds at sel to a running count and
+// sum, in selection order (so a float sum is bit-identical to the row
+// path's); nulls is nil when the selection's null words hold none.
+func foldSum[T int64 | float64](xs []T, sel []int32, nulls *store.Bitmap, n int64, sum float64) (int64, float64) {
+	if nulls == nil {
+		for _, r := range sel {
+			sum += float64(xs[r])
+		}
+		return n + int64(len(sel)), sum
 	}
-	v := cols[a.arg]
-	if v.Nulls.Get(int(r)) {
-		return
+	for _, r := range sel {
+		if !nulls.Get(int(r)) {
+			n++
+			sum += float64(xs[r])
+		}
 	}
+	return n, sum
+}
+
+// foldExtreme is foldSum for MIN (isMin) or MAX: m is the running extreme
+// of the n values folded so far. A NaN never replaces m, and a first NaN is
+// never replaced, as under the row path's Compare.
+func foldExtreme[T int64 | float64](xs []T, sel []int32, nulls *store.Bitmap, isMin bool, n int64, m T) (int64, T) {
+	if nulls != nil {
+		for _, r := range sel {
+			if nulls.Get(int(r)) {
+				continue
+			}
+			if x := xs[r]; n == 0 || (isMin && x < m) || (!isMin && x > m) {
+				m = x
+			}
+			n++
+		}
+		return n, m
+	}
+	if len(sel) == 0 {
+		return n, m
+	}
+	if n == 0 {
+		m = xs[sel[0]]
+	}
+	if isMin {
+		for _, r := range sel {
+			if x := xs[r]; x < m {
+				m = x
+			}
+		}
+	} else {
+		for _, r := range sel {
+			if x := xs[r]; x > m {
+				m = x
+			}
+		}
+	}
+	return n + int64(len(sel)), m
+}
+
+// updateRow folds non-NULL row r of a string or bool MIN/MAX argument: the
+// shapes with no typed loop.
+func (a *vaggAcc) updateRow(v *store.Vec, r int32) {
+	first, isMin := a.count == 0, a.fn == plan.AggMin
 	a.count++
-	switch a.fn {
-	case plan.AggSum, plan.AggAvg:
-		if v.Kind == value.Int {
-			a.sum += float64(v.Ints[r])
-		} else {
-			a.sum += v.Floats[r]
+	if v.Kind == value.String {
+		if x := v.Strs[r]; first || (isMin && x < a.ms) || (!isMin && x > a.ms) {
+			a.ms = x
 		}
-	case plan.AggMin:
-		switch v.Kind {
-		case value.Int:
-			if x := v.Ints[r]; !a.any || x < a.mi {
-				a.mi = x
-			}
-		case value.Float:
-			if x := v.Floats[r]; !a.any || x < a.mf {
-				a.mf = x
-			}
-		case value.String:
-			if x := v.Strs[r]; !a.any || x < a.ms {
-				a.ms = x
-			}
-		case value.Bool:
-			if x := v.Bools[r]; !a.any || (!x && a.mb) {
-				a.mb = x
-			}
-		}
-	case plan.AggMax:
-		switch v.Kind {
-		case value.Int:
-			if x := v.Ints[r]; !a.any || x > a.mi {
-				a.mi = x
-			}
-		case value.Float:
-			if x := v.Floats[r]; !a.any || x > a.mf {
-				a.mf = x
-			}
-		case value.String:
-			if x := v.Strs[r]; !a.any || x > a.ms {
-				a.ms = x
-			}
-		case value.Bool:
-			if x := v.Bools[r]; !a.any || (x && !a.mb) {
-				a.mb = x
-			}
-		}
+	} else if x := v.Bools[r]; first || (isMin && !x && a.mb) || (!isMin && x && !a.mb) {
+		a.mb = x
 	}
-	a.any = true
 }
 
 // result mirrors aggState.result.
@@ -769,7 +692,7 @@ func (a *vaggAcc) result() value.Value {
 	case plan.AggCount:
 		return value.VInt(a.count)
 	case plan.AggSum:
-		if !a.any {
+		if a.count == 0 {
 			return value.VNull
 		}
 		return value.VFloat(a.sum)
@@ -779,7 +702,7 @@ func (a *vaggAcc) result() value.Value {
 		}
 		return value.VFloat(a.sum / float64(a.count))
 	case plan.AggMin, plan.AggMax:
-		if !a.any {
+		if a.count == 0 {
 			return value.VNull
 		}
 		switch a.kind {
@@ -815,7 +738,7 @@ type groupIndex struct {
 	nullG    int32 // the NULL key's group under ints; -1 until seen
 	hashed   map[uint64][]int32
 	nullable []bool  // per key column: the batch's null words hold a null
-	gidx     []int32 // the current batch's group per selected row
+	gidx     []int32 // resolve's output buffer: the batch's group per selected row
 }
 
 func newGroupIndex(gcols []int, kinds []value.Kind) *groupIndex {
@@ -828,39 +751,42 @@ func newGroupIndex(gcols []int, kinds []value.Kind) *groupIndex {
 	return gi
 }
 
-// resolve fills gi.gidx with the group of every row of sel, in order,
-// adding a group per first-seen key.
+// resolve returns the group of every row of sel, in order, adding a group
+// per first-seen key. It writes into gi.gidx, one slot per row, so the loop
+// keeps its output in a local instead of appending through gi.
 func (gi *groupIndex) resolve(cols []*store.Vec, sel []int32) []int32 {
-	gi.gidx = gi.gidx[:0]
+	if cap(gi.gidx) < len(sel) {
+		gi.gidx = make([]int32, max(len(sel), store.BatchRows))
+	}
+	gidx := gi.gidx[:len(sel)]
 	if t := gi.ints; t != nil {
 		v := cols[gi.gcols[0]]
-		nulls := v.Nulls.AnySel(sel)
-		for _, r := range sel {
+		ints, nulls := v.Ints, v.Nulls.AnySel(sel)
+		for k, r := range sel {
 			if nulls && v.Nulls.Get(int(r)) {
 				if gi.nullG < 0 {
 					gi.nullG = gi.add(cols, r)
 				}
-				gi.gidx = append(gi.gidx, gi.nullG)
+				gidx[k] = gi.nullG
 				continue
 			}
-			ik := v.Ints[r]
+			ik := ints[r]
 			h := hashUint(uint64(ik))
-			var g int32
 			if e := t.findInt(ik, h); e >= 0 {
-				g = t.rows[e]
+				gidx[k] = t.ents[e].row
 			} else {
-				g = gi.add(cols, r)
-				t.insertInt(ik, h, g)
+				g := gi.add(cols, r)
+				t.insert(typedKey{h: h, ik: ik}, g)
+				gidx[k] = g
 			}
-			gi.gidx = append(gi.gidx, g)
 		}
-		return gi.gidx
+		return gidx
 	}
 	gi.nullable = gi.nullable[:0]
 	for _, c := range gi.gcols {
 		gi.nullable = append(gi.nullable, cols[c].Nulls.AnySel(sel))
 	}
-	for _, r := range sel {
+	for k, r := range sel {
 		h := hashGroupKey(cols, gi.gcols, gi.nullable, r)
 		g := int32(-1)
 		for _, cand := range gi.hashed[h] {
@@ -873,9 +799,9 @@ func (gi *groupIndex) resolve(cols []*store.Vec, sel []int32) []int32 {
 			g = gi.add(cols, r)
 			gi.hashed[h] = append(gi.hashed[h], g)
 		}
-		gi.gidx = append(gi.gidx, g)
+		gidx[k] = g
 	}
-	return gi.gidx
+	return gidx
 }
 
 // add materializes row r's keys as a new group and returns its index.
@@ -901,7 +827,6 @@ func foldGroups(accs []vaggAcc, cols []*store.Vec, sel, gidx []int32) {
 	if arg < 0 { // COUNT(*)
 		for _, g := range gidx {
 			accs[g].count++
-			accs[g].any = true
 		}
 		return
 	}
@@ -911,9 +836,7 @@ func foldGroups(accs []vaggAcc, cols []*store.Vec, sel, gidx []int32) {
 	case fn == plan.AggCount:
 		for k, r := range sel {
 			if !nulls || !v.Nulls.Get(int(r)) {
-				a := &accs[gidx[k]]
-				a.count++
-				a.any = true
+				accs[gidx[k]].count++
 			}
 		}
 	case (fn == plan.AggSum || fn == plan.AggAvg) && v.Kind == value.Int:
@@ -922,7 +845,6 @@ func foldGroups(accs []vaggAcc, cols []*store.Vec, sel, gidx []int32) {
 				a := &accs[gidx[k]]
 				a.count++
 				a.sum += float64(v.Ints[r])
-				a.any = true
 			}
 		}
 	case fn == plan.AggSum || fn == plan.AggAvg:
@@ -931,7 +853,6 @@ func foldGroups(accs []vaggAcc, cols []*store.Vec, sel, gidx []int32) {
 				a := &accs[gidx[k]]
 				a.count++
 				a.sum += v.Floats[r]
-				a.any = true
 			}
 		}
 	case v.Kind == value.Int:
@@ -941,11 +862,10 @@ func foldGroups(accs []vaggAcc, cols []*store.Vec, sel, gidx []int32) {
 				continue
 			}
 			a := &accs[gidx[k]]
-			if x := v.Ints[r]; !a.any || (isMin && x < a.mi) || (!isMin && x > a.mi) {
+			if x := v.Ints[r]; a.count == 0 || (isMin && x < a.mi) || (!isMin && x > a.mi) {
 				a.mi = x
 			}
 			a.count++
-			a.any = true
 		}
 	case v.Kind == value.Float:
 		isMin := fn == plan.AggMin
@@ -954,15 +874,16 @@ func foldGroups(accs []vaggAcc, cols []*store.Vec, sel, gidx []int32) {
 				continue
 			}
 			a := &accs[gidx[k]]
-			if x := v.Floats[r]; !a.any || (isMin && x < a.mf) || (!isMin && x > a.mf) {
+			if x := v.Floats[r]; a.count == 0 || (isMin && x < a.mf) || (!isMin && x > a.mf) {
 				a.mf = x
 			}
 			a.count++
-			a.any = true
 		}
 	default:
 		for k, r := range sel {
-			accs[gidx[k]].updateRow(cols, r)
+			if !nulls || !v.Nulls.Get(int(r)) {
+				accs[gidx[k]].updateRow(v, r)
+			}
 		}
 	}
 }

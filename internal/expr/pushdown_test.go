@@ -78,6 +78,8 @@ func TestPushdownRowParity(t *testing.T) {
 		Cmp(OpLt, C("a"), L(25.5)),
 		// Statically empty.
 		And(Cmp(OpGt, C("a"), L(50)), Cmp(OpLt, C("a"), L(10))),
+		// Crossed but non-strict: NaN still passes.
+		And(Cmp(OpGe, C("b"), L(1.0)), Cmp(OpLe, C("b"), L(0.5))),
 	}
 	r := rand.New(rand.NewSource(7))
 	randVal := func(k value.Kind) value.Value {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"recache/internal/rawfile/rawfiletest"
 )
 
 // vecCorpus is the engine-level differential corpus: every query shape the
@@ -315,6 +317,80 @@ func TestVectorizedGeneratedParity(t *testing.T) {
 		}
 		if got := engRow.CacheStats().VectorizedScans; got != 0 {
 			t.Errorf("cfg %+v: DisableVectorized engine ran %d vectorized scans", cfg, got)
+		}
+	}
+}
+
+// TestHitAllocs is the hit path's allocation budget: on a warmed eager
+// engine, an aggregate hit, a subsumed aggregate hit, a GROUP BY hit and a
+// join hit allocate per batch, not per row. Each query runs over a table
+// of 2 048 rows and one of 20 480 (2 and 20 batches, the same 40 keys in
+// both); the larger may allocate at most perBatch more objects for each of
+// its 18 extra batches, where one allocation per row would add about
+// 18 000. perBatch covers the join, which gathers each of its six output
+// columns into new vectors per output batch (about 23 objects); the scans
+// and folds under the aggregates allocate nothing per batch. The rows
+// class is left out: Result.Rows boxes every row by API.
+func TestHitAllocs(t *testing.T) {
+	if rawfiletest.Race {
+		t.Skip("the race detector allocates")
+	}
+	const perBatch = 32
+	queries := []struct{ class, sql string }{
+		{"agg-exact", "SELECT COUNT(*), SUM(v), MIN(w), MAX(v), AVG(w) FROM g WHERE k BETWEEN 0 AND 39"},
+		{"agg-subsumed", "SELECT SUM(v), COUNT(*) FROM g WHERE k BETWEEN 10 AND 29"},
+		{"groupby", "SELECT k, COUNT(*), SUM(v), MAX(w) FROM g WHERE k BETWEEN 0 AND 39 GROUP BY k"},
+		{"join", "SELECT COUNT(*), SUM(v), SUM(rv) FROM d JOIN g ON dk = k WHERE k BETWEEN 0 AND 39"},
+	}
+	// allocs returns each query's allocations per hit over a table of n
+	// rows, every query warmed first.
+	allocs := func(n int) []float64 {
+		var g, d strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&g, "%d|%d|%d.5|%d\n", i, i%50, i%97, i%13)
+		}
+		for k := 0; k < 50; k++ {
+			fmt.Fprintf(&d, "%d|%d\n", k, k*3)
+		}
+		eng, err := Open(Config{Admission: "eager"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		if err := eng.RegisterCSV("g", writeTemp(t, "g.csv", g.String()), "id int, k int, v float, w int", '|'); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.RegisterCSV("d", writeTemp(t, "d.csv", d.String()), "dk int, rv int", '|'); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			if _, err := eng.Query(q.sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		misses := eng.CacheStats().Misses
+		out := make([]float64, len(queries))
+		for i, q := range queries {
+			out[i] = testing.AllocsPerRun(10, func() {
+				if _, err := eng.Query(q.sql); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if s := eng.CacheStats(); s.Misses != misses || s.VectorizedJoins == 0 {
+			t.Fatalf("n=%d: %d misses while measuring, %d vectorized joins: every measured query must be a batch hit",
+				n, s.Misses-misses, s.VectorizedJoins)
+		}
+		return out
+	}
+	const small, large = 2 * 1024, 20 * 1024
+	lo, hi := allocs(small), allocs(large)
+	for i, q := range queries {
+		extra := (large - small) / 1024 * perBatch
+		t.Logf("%s: %.0f allocations a hit at %d rows, %.0f at %d", q.class, lo[i], small, hi[i], large)
+		if hi[i]-lo[i] > float64(extra) {
+			t.Errorf("%s: %.0f allocations a hit at %d rows, %.0f at %d: more than %d a batch",
+				q.class, lo[i], small, hi[i], large, perBatch)
 		}
 	}
 }
