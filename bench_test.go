@@ -226,46 +226,6 @@ func BenchmarkAblationSubsumptionIndex(b *testing.B) {
 	}
 }
 
-// Ablation 5: the two-timestamp admission extrapolation vs the naive
-// sample-local ratio; the metric is the mean caching overhead the policy
-// lets through.
-func BenchmarkAblationAdmissionExtrapolation(b *testing.B) {
-	dir := b.TempDir()
-	paths, err := datagen.TPCH(dir, 0.0005, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := workload.SPJ(workload.DefaultTPCHTables(), 25, 9)
-	for _, naive := range []bool{false, true} {
-		name := "two-timestamp"
-		if naive {
-			name = "naive-ratio"
-		}
-		b.Run(name, func(b *testing.B) {
-			var sumOvh float64
-			var n int
-			for i := 0; i < b.N; i++ {
-				eng := recache.OpenWithManager(cache.NewManager(cache.Config{
-					Admission:      cache.Adaptive,
-					Threshold:      0.10,
-					SampleSize:     50,
-					NaiveAdmission: naive,
-				}))
-				registerBenchTPCH(b, eng, paths)
-				for _, q := range queries {
-					res, err := eng.Query(q)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sumOvh += res.Stats.Overhead
-					n++
-				}
-			}
-			b.ReportMetric(100*sumOvh/float64(n), "mean-overhead-%")
-		})
-	}
-}
-
 // --- micro-benchmarks of the hot paths ---
 
 func benchNestedStore(b *testing.B, layout store.Layout) store.Store {

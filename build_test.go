@@ -9,13 +9,19 @@ import (
 	"recache/internal/rawfile/rawfiletest"
 )
 
-// buildTable is one dataset of the build-path tests: three records a, b, c
-// whose middle one holds a malformed b, in each raw format.
+// buildTable is one dataset of the build-path tests: three records whose
+// middle one holds a malformed field, in each raw format. sum is the column
+// the queries that never name that field add up (a when empty), over the
+// records with a > 0, a > 0 again, and a > 1: wants; bad is a column of the
+// malformed field, and field the top-level field its error names.
 type buildTable struct {
-	name     string
-	register func(eng *Engine, path string) error
-	file     string
-	data     string
+	name       string
+	register   func(eng *Engine, path string) error
+	file       string
+	data       string
+	sum        string
+	wants      [3]float64
+	bad, field string
 }
 
 var malformedTables = []buildTable{
@@ -25,6 +31,7 @@ var malformedTables = []buildTable{
 		register: func(eng *Engine, path string) error {
 			return eng.RegisterCSV("t", path, "a int, b int, c int", '|')
 		},
+		sum: "a", wants: [3]float64{12, 12, 11}, bad: "b", field: "b",
 	},
 	{
 		name: "json", file: "t.json",
@@ -32,14 +39,26 @@ var malformedTables = []buildTable{
 		register: func(eng *Engine, path string) error {
 			return eng.RegisterJSON("t", path, "a int, b int, c int")
 		},
+		sum: "a", wants: [3]float64{12, 12, 11}, bad: "b", field: "b",
 	},
 	{
-		// A list field keeps the build on the record route.
+		// A nested record, whose build decodes its list too.
 		name: "nested-json", file: "t.json",
 		data: `{"a":1,"b":2,"l":[{"q":1}]}` + "\n" + `{"a":4,"b":"x5","l":[]}` + "\n" + `{"a":7,"b":8,"l":[{"q":2},{"q":3}]}`,
 		register: func(eng *Engine, path string) error {
 			return eng.RegisterJSON("t", path, "a int, b int, l list(q int)")
 		},
+		sum: "a", wants: [3]float64{12, 12, 11}, bad: "b", field: "b",
+	},
+	{
+		// A malformed list element field under an unnesting query: the
+		// query decodes only the element field it names.
+		name: "nested-element", file: "t.json",
+		data: `{"a":1,"l":[{"q":1,"r":1}]}` + "\n" + `{"a":4,"l":[{"q":2,"r":"x5"}]}` + "\n" + `{"a":7,"l":[{"r":3,"q":3}]}`,
+		register: func(eng *Engine, path string) error {
+			return eng.RegisterJSON("t", path, "a int, l list(q int, r int)")
+		},
+		sum: "l.q", wants: [3]float64{6, 6, 5}, bad: "l.r", field: "l",
 	},
 }
 
@@ -70,10 +89,11 @@ func sumOf(t *testing.T, eng *Engine, sql string) float64 {
 
 // TestMalformedUnneededFieldLeavesAnswerAlone: a cache must not fail a
 // query the no-cache engine answers. A malformed field the query never
-// names is only ever decoded by an eager build, so it costs the build
-// (abandoned: nothing admitted, slot released) and never the answer — on
-// the first scan, on the mapped scan, and on a lazy entry's upgrade. A
-// query that does name the field fails under every admission mode.
+// names — a top-level one, or a list element's under an unnesting query —
+// is only ever decoded by an eager build, so it costs the build (abandoned:
+// nothing admitted, slot released) and never the answer — on the first
+// scan, on the mapped scan, and on a lazy entry's upgrade. A query that
+// does name the field fails under every admission mode.
 func TestMalformedUnneededFieldLeavesAnswerAlone(t *testing.T) {
 	for _, tbl := range malformedTables {
 		for _, admission := range []string{"off", "lazy", "eager", ""} {
@@ -81,16 +101,10 @@ func TestMalformedUnneededFieldLeavesAnswerAlone(t *testing.T) {
 				eng := openTable(t, Config{Admission: admission}, tbl)
 				// First scan, then the same build again (the slot must be
 				// free), then a different predicate over the mapped file.
-				for _, q := range []struct {
-					sql  string
-					want float64
-				}{
-					{"SELECT SUM(a) FROM t WHERE a > 0", 12},
-					{"SELECT SUM(a) FROM t WHERE a > 0", 12},
-					{"SELECT SUM(a) FROM t WHERE a > 1", 11},
-				} {
-					if got := sumOf(t, eng, q.sql); got != q.want {
-						t.Fatalf("%s = %v, want %v", q.sql, got, q.want)
+				for i, bound := range []int{0, 0, 1} {
+					sql := fmt.Sprintf("SELECT SUM(%s) FROM t WHERE a > %d", tbl.sum, bound)
+					if got := sumOf(t, eng, sql); got != tbl.wants[i] {
+						t.Fatalf("%s = %v, want %v", sql, got, tbl.wants[i])
 					}
 				}
 				for _, e := range eng.CacheEntries() {
@@ -101,8 +115,9 @@ func TestMalformedUnneededFieldLeavesAnswerAlone(t *testing.T) {
 				if s := eng.CacheStats(); admission != "lazy" && s.Inserted != 0 {
 					t.Errorf("Inserted = %d, want 0: every build met the malformed record", s.Inserted)
 				}
-				if _, err := eng.Query("SELECT SUM(b) FROM t"); err == nil || !strings.Contains(err.Error(), `field "b"`) {
-					t.Errorf("SELECT SUM(b): err = %v, want the field error", err)
+				bad := "SELECT SUM(" + tbl.bad + ") FROM t"
+				if _, err := eng.Query(bad); err == nil || !strings.Contains(err.Error(), `field "`+tbl.field+`"`) {
+					t.Errorf("%s: err = %v, want the field error", bad, err)
 				}
 			})
 		}
@@ -181,5 +196,60 @@ func TestEagerMissAllocBudget(t *testing.T) {
 					eager, off, extra/records)
 			}
 		})
+	}
+}
+
+// TestNestedMissAllocs is the nested miss path's allocation budget: a
+// first-touch unnesting query decodes its chunks into reused leaf vectors
+// and expands them without boxing a record, so with caching off it
+// allocates per chunk, not per record or list element, and an eager build
+// — which adopts the vectors it decodes into — adds fewer than 0.1 objects
+// per admitted record.
+func TestNestedMissAllocs(t *testing.T) {
+	if rawfiletest.Race {
+		t.Skip("the race detector allocates")
+	}
+	const records = 20000
+	var data strings.Builder
+	for i := 0; i < records; i++ {
+		fmt.Fprintf(&data, `{"a":%d,"b":%d.5,"l":[`, i, i%97)
+		for e := 0; e < i%5; e++ {
+			if e > 0 {
+				data.WriteByte(',')
+			}
+			fmt.Fprintf(&data, `{"q":%d,"p":%d.25}`, e, i%13)
+		}
+		data.WriteString("]}\n")
+	}
+	tbl := buildTable{name: "nested", file: "t.json", data: data.String(), register: func(eng *Engine, path string) error {
+		return eng.RegisterJSON("t", path, "a int, b float, l list(q int, p float)")
+	}}
+	mallocs := func(admission string) uint64 {
+		least := ^uint64(0)
+		for run := 0; run < 3; run++ {
+			eng := openTable(t, Config{Admission: admission}, tbl)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got := sumOf(t, eng, "SELECT SUM(l.p) FROM t WHERE a >= 0")
+			runtime.ReadMemStats(&after)
+			if got == 0 {
+				t.Fatal("empty answer")
+			}
+			if admission == "eager" {
+				if e := eng.CacheEntries(); len(e) != 1 || e[0].Mode != "eager" {
+					t.Fatalf("entries = %+v, want the one eager entry", e)
+				}
+			}
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	off, eager := mallocs("off"), mallocs("eager")
+	if off > records/10 {
+		t.Errorf("caching off allocates %d objects for %d records: per record, not per chunk", off, records)
+	}
+	if extra := float64(eager) - float64(off); extra > 0.1*records {
+		t.Errorf("eager first touch allocates %d objects, caching off %d: %.2f extra per admitted record, want < 0.1",
+			eager, off, extra/records)
 	}
 }

@@ -60,10 +60,6 @@ type Config struct {
 	// LinearSubsumption replaces the R-tree candidate lookup with a linear
 	// scan over all entries (the naive approach §3.3 rejects; ablation).
 	LinearSubsumption bool
-	// NaiveAdmission replaces the two-timestamp admission extrapolation
-	// with the naive sample overhead ratio (the join-blindness failure
-	// mode §5.2 describes; ablation).
-	NaiveAdmission bool
 	// FreezeBenefit uses insert-time benefit components at eviction instead
 	// of recomputing them (ablation; the paper reports up to 6% regression).
 	FreezeBenefit bool
@@ -514,9 +510,6 @@ type BuildSpec struct {
 	// WorkingSet is true when live cache entries from the same file exist:
 	// §5.2 then skips sampling and caches eagerly.
 	WorkingSet bool
-	// Naive uses the sample-local overhead ratio instead of the
-	// two-timestamp extrapolation (ablation).
-	Naive bool
 	// SlotKey / SlotTx identify the single-flight build slot this spec
 	// reserved (SlotTx == 0: none). CompleteBuild releases the slot.
 	SlotKey string
@@ -676,7 +669,6 @@ func (m *Manager) wrapMaterialize(sel *plan.Select, ds *plan.Dataset, tx *Txn, r
 		Threshold:  m.cfg.Threshold,
 		SampleSize: m.cfg.SampleSize,
 		WorkingSet: ws,
-		Naive:      m.cfg.NaiveAdmission,
 		SlotKey:    key,
 	}
 	if tx != nil {

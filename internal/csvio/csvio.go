@@ -139,9 +139,13 @@ func (f *format) Decode(data []byte, start int, offs []uint32, mask []bool, rest
 }
 
 // AppendColumns implements rawfile.Format: parseField's reading of every
-// field, appended to the field's vector instead of boxed.
-func (f *format) AppendColumns(data []byte, start int, offs []uint32, dst []*store.Vec) error {
+// field, appended to the field's vector instead of boxed. A CSV record is
+// flat, so field i is leaf column i and there is no list length.
+func (f *format) AppendColumns(data []byte, start int, offs []uint32, dst []*store.Vec, lengths []int32) ([]int32, error) {
 	for fi, v := range dst {
+		if v == nil {
+			continue
+		}
 		b := f.field(data, start, offs, fi)
 		if len(b) == 0 {
 			v.AppendVal(value.VNull)
@@ -151,19 +155,19 @@ func (f *format) AppendColumns(data []byte, start int, offs []uint32, dst []*sto
 		case value.Int:
 			n, err := rawfile.ParseIntField(b)
 			if err != nil {
-				return f.errField(fi, err)
+				return lengths, f.errField(fi, err)
 			}
 			v.Ints = append(v.Ints, n)
 		case value.Float:
 			x, err := rawfile.ParseFloat(b)
 			if err != nil {
-				return f.errField(fi, err)
+				return lengths, f.errField(fi, err)
 			}
 			v.Floats = append(v.Floats, x)
 		case value.Bool:
 			t, err := parseBool(b)
 			if err != nil {
-				return f.errField(fi, err)
+				return lengths, f.errField(fi, err)
 			}
 			v.Bools = append(v.Bools, t)
 		default:
@@ -171,7 +175,7 @@ func (f *format) AppendColumns(data []byte, start int, offs []uint32, dst []*sto
 		}
 		v.Nulls.Append(false)
 	}
-	return nil
+	return lengths, nil
 }
 
 // Needles implements rawfile.Format: a field equal to lit holds its bytes.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"recache/internal/cache"
@@ -121,10 +122,12 @@ func compileCachedScan(cs *plan.CachedScan, deps Deps) (runFn, error) {
 	}, nil
 }
 
-// lazyReplay streams a lazy entry's satisfying records from the raw file
-// (through the positional map), optionally rebuilding an eager store along
-// the way and upgrading the entry. offsets is the caller's snapshot of the
-// entry's satisfying-record offsets.
+// lazyReplay streams a lazy entry's satisfying records from the raw file,
+// optionally rebuilding an eager store along the way and upgrading the
+// entry. offsets is the caller's snapshot of the entry's satisfying-record
+// offsets. The records are read as a raw unnest reads them (unnest.go): a
+// chunk at a time into leaf vectors — by the provider's typed kernel, or
+// striped from its decoded records — and expanded into the scan's rows.
 func lazyReplay(ctx *qctx, cs *plan.CachedScan, entry *cache.Entry, offsets []int64,
 	outNames []string, residual expr.Predicate, out emitFn, deps Deps, upgrade bool) (err error) {
 
@@ -136,123 +139,72 @@ func lazyReplay(ctx *qctx, cs *plan.CachedScan, entry *cache.Entry, offsets []in
 			}
 		}()
 	}
-	schema := entry.Dataset.Schema()
-	cols, err := value.LeafColumns(schema)
+	ds := entry.Dataset
+	cols, err := value.LeafColumnsCached(ds.Schema())
 	if err != nil {
 		return err
 	}
-	colIdx := make(map[string]int, len(cols))
-	for i, c := range cols {
-		colIdx[c.Name()] = i
-	}
 	proj := make([]int, len(outNames))
-	paths := make([]value.Path, len(outNames))
-	needed := make([]value.Path, len(outNames))
+	slots := make([]int, len(outNames))
+	need := make([]bool, len(cols))
 	for i, n := range outNames {
-		j, ok := colIdx[n]
-		if !ok {
+		proj[i], slots[i] = slices.IndexFunc(cols, func(c value.LeafColumn) bool { return c.Name() == n }), i
+		if proj[i] < 0 {
 			return fmt.Errorf("exec: lazy replay: no column %q", n)
 		}
-		proj[i] = j
-		paths[i] = cols[j].Path
-		needed[i] = cols[j].Path
+		need[proj[i]] = true
 	}
+	rows := newLeafRows(cols, proj, slots, len(proj), cs.Flat, residual)
 
-	// An upgrade rebuilds the entry as an eager store (see eagerBuild). The
-	// replay still decodes only the query's fields: a typed build decodes
-	// the entry's records itself, in one call after the replay, and a record
+	// An upgrade rebuilds the entry as an eager store (see eagerBuild) from
+	// the same chunks: a typed build decodes every leaf of them, a record
 	// build completes each record as it passes. Either failing — on a field
 	// the query never named, say — costs the upgrade, not the query.
 	var b *eagerBuild
 	if upgrade {
 		layout := store.LayoutColumnar
 		if deps.Manager != nil {
-			layout = deps.Manager.ChooseLayout(entry.Dataset)
+			layout = deps.Manager.ChooseLayout(ds)
 		}
-		if b, err = newEagerBuild(entry.Dataset, layout, entry.FileEpoch); err != nil {
+		if b, err = newEagerBuild(ds, layout, entry.FileEpoch); err != nil {
 			return err
 		}
-	}
-	buildTimer := stats.NewSampledTimer(stats.SampleShift, nil)
-	down := stats.NewSampledTimer(stats.SampleShift, nil)
-	emit := func(row []value.Value) error {
-		if down.Begin() {
-			err := out(row)
-			down.End()
-			return err
-		}
-		return out(row)
 	}
 
 	// Replay against the file epoch the offsets were recorded in: a rewrite
 	// between the lookup and this scan renumbers every byte offset, and an
-	// epoch-checked scan fails fast with plan.ErrEpochChanged (the engine
+	// epoch-checked decode fails fast with plan.ErrEpochChanged (the engine
 	// retries the whole query against the reconciled cache) instead of
 	// parsing garbage at stale positions.
-	scan := entry.Dataset.Provider.ScanOffsets
-	if es, ok := entry.Dataset.Provider.(plan.EpochScanner); ok && entry.FileEpoch != 0 {
-		scan = func(offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
-			return es.ScanOffsetsAt(entry.FileEpoch, offsets, needed, fn)
-		}
-	}
-
-	buf := make([]value.Value, len(outNames))
+	var build int64
 	wall0 := time.Now()
-	err = scan(offsets, needed,
-		func(rec value.Value, off int64, complete func() error) error {
-			if b != nil && !b.typed() {
-				sampled := buildTimer.Begin()
-				if err := b.addRecord(rec.L, complete); err != nil {
-					b = nil
-				} else if sampled {
-					buildTimer.End()
-				}
+	if app := appender(ds.Provider, entry.FileEpoch); app != nil {
+		dec := newLeafDecoder(app, entry.FileEpoch, cols, need)
+		for lo := 0; lo < len(offsets); lo += store.BatchRows {
+			ch, c, berr, err := dec.decode(offsets[lo:min(lo+store.BatchRows, len(offsets))], b)
+			if err != nil {
+				return err
 			}
-			if cs.Flat {
-				for _, flat := range value.FlattenRecord(rec, schema, cols) {
-					for i, j := range proj {
-						buf[i] = flat[j]
-					}
-					if !residual(buf) {
-						continue
-					}
-					if err := emit(buf); err != nil {
-						return err
-					}
-				}
-				return nil
+			if build += c.Nanoseconds(); berr != nil {
+				b = nil
 			}
-			for i := range proj {
-				buf[i] = value.Get(rec, schema, paths[i])
+			if err := rows.emit(ch, out); err != nil {
+				return err
 			}
-			if !residual(buf) {
-				return nil
-			}
-			return emit(buf)
-		})
-	if err != nil {
+		}
+	} else if b, build, err = replayRecords(ds, entry.FileEpoch, offsets, cols, need, rows, out, b); err != nil {
 		return err
 	}
 	// The replay's own cost excludes downstream operator time and the eager
 	// rebuild (charged to CacheBuildNanos below), so the s recorded against
 	// this entry is the replay, not the query above it.
-	build := buildTimer.EstimatedTotal().Nanoseconds()
-	scanNanos := time.Since(wall0).Nanoseconds() - down.EstimatedTotal().Nanoseconds() - build
-	if scanNanos < 0 {
-		scanNanos = 0
-	}
+	scanNanos := max(time.Since(wall0).Nanoseconds()-rows.down.EstimatedTotal().Nanoseconds()-build, 0)
 	ctx.stats.CacheScanNanos += scanNanos
 
 	var st store.Store // stays nil when the build fails
 	if b != nil {
 		t0 := time.Now()
-		var berr error
-		if b.typed() {
-			berr = b.appendOffsets(offsets)
-		}
-		if berr == nil {
-			st, _ = b.finish()
-		}
+		st, _ = b.finish()
 		build += time.Since(t0).Nanoseconds()
 	}
 	ctx.stats.CacheBuildNanos += build
@@ -270,4 +222,55 @@ func lazyReplay(ctx *qctx, cs *plan.CachedScan, entry *cache.Entry, offsets []in
 	deps.Manager.UpgradeLazy(entry, st, build, scanNanos)
 	upgraded = true
 	return nil
+}
+
+// replayRecords is lazyReplay's route for a provider without a typed
+// kernel: the provider decodes the records at offsets — pinned to epoch
+// when it can be — and their needed leaves are striped a chunk at a time;
+// an upgrade's build b completes and stripes every record, its time
+// sampled. It returns b, nil once it failed, and its estimated time.
+func replayRecords(ds *plan.Dataset, epoch uint64, offsets []int64, cols []value.LeafColumn, need []bool,
+	rows *leafRows, out emitFn, b *eagerBuild) (*eagerBuild, int64, error) {
+
+	needed := []value.Path{} // nil would read every field
+	for i, c := range cols {
+		if need[i] {
+			needed = append(needed, c.Path)
+		}
+	}
+	if rows.flat {
+		needed = append(needed, value.RepeatedFieldCached(ds.Schema()))
+	}
+	scan := ds.Provider.ScanOffsets
+	if es, ok := ds.Provider.(plan.EpochScanner); ok && epoch != 0 {
+		scan = func(offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
+			return es.ScanOffsetsAt(epoch, offsets, needed, fn)
+		}
+	}
+	striper, err := store.NewStriper(ds.Schema())
+	if err != nil {
+		return nil, 0, err
+	}
+	own := newLeafVecs(cols, need)
+	timer := stats.NewSampledTimer(stats.SampleShift, nil)
+	err = scan(offsets, needed, func(rec value.Value, _ int64, complete func() error) error {
+		if b != nil {
+			sampled := timer.Begin()
+			if err := b.addRecord(rec.L, complete); err != nil {
+				b = nil
+			} else if sampled {
+				timer.End()
+			}
+		}
+		if own.stripe(striper, rec.L); own.n < store.BatchRows {
+			return nil
+		}
+		err := rows.emit(own.chunk(), out)
+		own.reset()
+		return err
+	})
+	if err == nil && own.n > 0 {
+		err = rows.emit(own.chunk(), out)
+	}
+	return b, timer.EstimatedTotal().Nanoseconds(), err
 }

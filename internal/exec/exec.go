@@ -288,29 +288,6 @@ func compileSelect(s *plan.Select, deps Deps) (runFn, error) {
 	}, nil
 }
 
-func compileUnnest(u *plan.Unnest, deps Deps) (runFn, error) {
-	child, err := compile(u.Child, deps)
-	if err != nil {
-		return nil, err
-	}
-	childSchema := u.Child.OutSchema()
-	cols, err := value.LeafColumns(childSchema)
-	if err != nil {
-		return nil, err
-	}
-	return func(ctx *qctx, out emitFn) error {
-		return child(ctx, func(row []value.Value) error {
-			rec := value.Value{Kind: value.Record, L: row}
-			for _, flat := range value.FlattenRecord(rec, childSchema, cols) {
-				if err := out(flat); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}, nil
-}
-
 func compileProject(p *plan.Project, deps Deps) (runFn, error) {
 	child, err := compile(p.Child, deps)
 	if err != nil {

@@ -27,48 +27,54 @@ const (
 // are still in cache from the scan, enough to amortize the call.
 const buildChunk = store.BatchRows
 
-// eagerBuild turns the records a materializer (or a lazy entry's upgrade)
-// admits into the store of an eager cache entry, by one of two routes chosen
-// from the shape of the data, never by configuration:
-//
-//   - typed: a flat schema headed for the columnar layout, over a provider
-//     with a typed kernel (plan.ColumnAppender). The build takes record
-//     offsets and the provider decodes those records straight from their
-//     bytes into the entry's column vectors.
-//   - record: nested schemas (flattening needs the record), a flat schema
-//     pinned to the Parquet layout, providers without a kernel. Each record
-//     is completed in place and boxed through a store.Builder.
+// eagerBuild accumulates the records a materializer, a raw unnest or a lazy
+// entry's upgrade admits as leaf vectors and list lengths: the one
+// representation store.FromColumns adopts as either layout. A provider with
+// a typed kernel (plan.ColumnAppender) fills them from record offsets,
+// straight from the raw bytes; the records of any other provider are
+// completed in place and striped in (store.Striper). The route follows from
+// the provider, never from configuration.
 type eagerBuild struct {
-	schema *value.Type
+	schema  *value.Type
+	layout  store.Layout
+	vecs    []*store.Vec
+	lengths []int32
 
-	app   plan.ColumnAppender
-	epoch uint64
-	vecs  []*store.Vec
-
-	builder store.Builder
+	app     plan.ColumnAppender // nil: records are striped
+	epoch   uint64
+	striper *store.Striper
 }
 
 // newEagerBuild starts a build over ds in layout. epoch is the file epoch
 // the admitted offsets belong to; 0 (a provider that tracks none) cannot pin
 // a typed replay and takes the record route.
 func newEagerBuild(ds *plan.Dataset, layout store.Layout, epoch uint64) (*eagerBuild, error) {
-	b := &eagerBuild{schema: ds.Schema(), epoch: epoch}
-	if app, ok := ds.Provider.(plan.ColumnAppender); ok && epoch != 0 && layout == store.LayoutColumnar {
-		if b.vecs = store.NewColumns(b.schema); b.vecs != nil {
-			b.app = app
-			return b, nil
-		}
+	b := &eagerBuild{schema: ds.Schema(), layout: layout, epoch: epoch, app: appender(ds.Provider, epoch)}
+	if _, err := value.LeafColumnsCached(b.schema); err != nil {
+		return nil, err
 	}
-	var err error
-	b.builder, err = store.NewBuilder(layout, b.schema)
-	return b, err
+	b.vecs = store.NewColumns(b.schema)
+	if b.app == nil {
+		b.striper, _ = store.NewStriper(b.schema) // fails as LeafColumns does: not here
+	}
+	return b, nil
+}
+
+// appender returns prov's typed kernel if it has one a replay can pin to
+// epoch.
+func appender(prov plan.ScanProvider, epoch uint64) plan.ColumnAppender {
+	if app, ok := prov.(plan.ColumnAppender); ok && epoch != 0 {
+		return app
+	}
+	return nil
 }
 
 func (b *eagerBuild) typed() bool { return b.app != nil }
 
 // appendOffsets is the typed route: the records at offsets join the build.
-func (b *eagerBuild) appendOffsets(offsets []int64) error {
-	return b.app.AppendColumns(b.epoch, offsets, b.vecs)
+func (b *eagerBuild) appendOffsets(offsets []int64) (err error) {
+	b.lengths, err = b.app.AppendColumns(b.epoch, offsets, b.vecs, b.lengths)
+	return err
 }
 
 // addRecord is the record route: row is the current record of a scan that
@@ -77,22 +83,177 @@ func (b *eagerBuild) addRecord(row []value.Value, complete func() error) error {
 	if err := complete(); err != nil {
 		return err
 	}
-	return b.builder.Add(value.Value{Kind: value.Record, L: row})
+	b.lengths = b.striper.Append(value.Value{Kind: value.Record, L: row}, b.vecs, b.lengths)
+	return nil
 }
 
 func (b *eagerBuild) finish() (store.Store, error) {
-	if b.typed() {
-		return store.FromColumns(b.schema, b.vecs)
-	}
-	return b.builder.Finish(), nil
+	return store.FromColumns(b.schema, b.layout, b.vecs, b.lengths)
 }
 
-// compileMaterialize builds the cache-admission operator of §5.2: it sits
-// above a select, forwards every satisfying row downstream, and —
-// depending on the admission mode — builds an eager binary cache, a lazy
-// offsets-only cache, or starts in a sampling state that measures the
-// caching overhead on the first records and extrapolates it with the
-// two-timestamp scheme before committing to eager or lazy.
+// admission is a materializer's side of §5.2, driven by the flat
+// materializer and the raw unnest alike: it notes the offsets of the records
+// the select passes, times the build they feed, decides between an eager
+// build and a lazy entry after the sampling window by the two-timestamp
+// extrapolation, abandons a build that fails on its own side of the
+// pipeline, and hands the outcome to the cache when the scan ends — unless
+// the file moved under it.
+type admission struct {
+	spec  *cache.BuildSpec
+	state admitState
+	b     *eagerBuild // nil once lazy or abandoned
+
+	// The provider's file version before the scan: a payload built across
+	// a rewrite or an append would match no single file version.
+	rp      plan.RefreshableProvider
+	epoch   uint64
+	covered int64
+
+	offsets []int64
+	first   int64         // offset of the first admitted record; -1 before it
+	to1     time.Duration // t_o1: query time when the first record arrived
+	nanos   int64         // caching time timed exactly: typed chunks, the sampling window
+	timer   *stats.SampledTimer
+	start   time.Time
+}
+
+func newAdmission(spec *cache.BuildSpec) (*admission, error) {
+	a := &admission{spec: spec, first: -1, start: time.Now(),
+		timer: stats.NewSampledTimer(stats.SampleShift, nil)}
+	switch {
+	case spec.Admission == cache.AlwaysEager || (spec.Admission == cache.Adaptive && spec.WorkingSet):
+		a.state = admitEager
+	case spec.Admission == cache.AlwaysLazy:
+		a.state = admitLazy
+	}
+	if rp, ok := spec.Dataset.Provider.(plan.RefreshableProvider); ok {
+		a.rp = rp
+		a.epoch, a.covered = rp.Version()
+	}
+	if a.state != admitLazy {
+		var err error
+		if a.b, err = newEagerBuild(spec.Dataset, spec.Layout, a.epoch); err != nil {
+			return nil, err
+		}
+	}
+	return a, nil
+}
+
+func (a *admission) sampling() bool { return a.state == admitSampling }
+
+// sampled reports whether the sampling window has just filled: the
+// decision is due.
+func (a *admission) sampled() bool {
+	return a.state == admitSampling && len(a.offsets) >= a.spec.SampleSize
+}
+
+// admit notes a record the select passed, at byte offset off.
+func (a *admission) admit(ctx *qctx, off int64) {
+	if a.first < 0 {
+		a.first = off
+		a.to1 = time.Since(ctx.start)
+	}
+	a.offsets = append(a.offsets, off)
+}
+
+// abandon drops the build after a failure on its own side of the pipeline.
+func (a *admission) abandon() { a.state, a.b = admitAbandoned, nil }
+
+// addRecord is the record route's step: timed exactly inside the sampling
+// window, sampled after it.
+func (a *admission) addRecord(row []value.Value, complete func() error) {
+	if a.sampling() {
+		t0 := time.Now()
+		err := a.b.addRecord(row, complete)
+		a.nanos += time.Since(t0).Nanoseconds()
+		if err != nil {
+			a.abandon()
+		}
+		return
+	}
+	sampled := a.timer.Begin()
+	if err := a.b.addRecord(row, complete); err != nil {
+		a.abandon()
+	} else if sampled {
+		a.timer.End()
+	}
+}
+
+// appendOffsets is the typed route's step: the records at offsets join the
+// build between two clock reads.
+func (a *admission) appendOffsets(offsets []int64) {
+	t0 := time.Now()
+	err := a.b.appendOffsets(offsets)
+	a.nanos += time.Since(t0).Nanoseconds()
+	if err != nil {
+		a.abandon()
+	}
+}
+
+// decide is §5.2's two-timestamp extrapolation, at the record at byte
+// offset off: operators earlier in the pipeline (e.g. joins already
+// executed) are part of t_o1, so a cheap-looking sample cannot hide a high
+// eventual overhead.
+func (a *admission) decide(ctx *qctx, off int64) {
+	to2 := time.Since(ctx.start)
+	n := max(float64(a.spec.Dataset.Provider.SizeBytes())/float64(max(off-a.first, 1)), 1)
+	to := float64(a.to1) + n*float64(to2-a.to1)
+	tc := n * float64(a.nanos)
+	if to > 0 && tc/to > a.spec.Threshold {
+		a.state, a.b = admitLazy, nil // drop the partial eager cache
+	} else {
+		a.state = admitEager
+	}
+}
+
+// finish ends the admission once the scan is done: lastOff is the offset of
+// the last record it passed and down the operators above's share of the
+// wall time. The build becomes the entry's store, or the offsets a lazy
+// entry's payload.
+func (a *admission) finish(ctx *qctx, lastOff, down int64) {
+	// A scan shorter than the sampling window never reached decide(): the
+	// whole input IS the sample, so decide with what was seen (N ≈ 1).
+	// Without this, small inputs silently default to eager.
+	if a.sampling() && len(a.offsets) > 0 {
+		a.decide(ctx, lastOff)
+	}
+	wall := time.Since(a.start)
+	c := a.nanos + a.timer.EstimatedTotal().Nanoseconds()
+	mode, offsets := cache.Lazy, a.offsets
+	var st store.Store
+	if a.b != nil {
+		fin := time.Now()
+		var err error
+		if st, err = a.b.finish(); err != nil {
+			a.state = admitAbandoned
+		}
+		c += time.Since(fin).Nanoseconds()
+		mode, offsets = cache.Eager, nil
+	}
+	t := max(wall.Nanoseconds()-c-down, 0)
+	ctx.stats.CacheBuildNanos += c
+	if a.state == admitAbandoned {
+		a.spec.Manager.AbandonBuild(a.spec)
+		return
+	}
+	if a.rp != nil {
+		if epoch, covered := a.rp.Version(); epoch != a.epoch || covered != a.covered {
+			// The file moved under the build: the rows forwarded downstream
+			// were each consistent when read, but the payload as a whole
+			// matches no single file version. Release the build slot and
+			// admit nothing; the next miss rebuilds.
+			a.spec.Manager.AbandonBuild(a.spec)
+			return
+		}
+		a.spec.FileEpoch, a.spec.Covered = a.epoch, a.covered
+	}
+	a.spec.Manager.CompleteBuild(a.spec, st, offsets, mode, t, c)
+}
+
+// compileMaterialize builds the cache-admission operator of §5.2 over a
+// select on a raw scan: it forwards every satisfying row downstream and
+// feeds the admission (see admission) — an eager build, a lazy offsets-only
+// entry, or a sampling window that measures the caching overhead first.
 //
 // The scan below parses only the query's needed fields; everything an eager
 // entry stores beyond them is decoded by the build (see eagerBuild) and
@@ -109,136 +270,35 @@ func compileMaterialize(m *plan.Materialize, deps Deps) (runFn, error) {
 	if err != nil {
 		return nil, err
 	}
-	prov := spec.Dataset.Provider
-
 	return func(ctx *qctx, out emitFn) error {
-		state := admitSampling
-		switch {
-		case spec.Admission == cache.AlwaysEager || (spec.Admission == cache.Adaptive && spec.WorkingSet):
-			state = admitEager
-		case spec.Admission == cache.AlwaysLazy:
-			state = admitLazy
+		a, err := newAdmission(spec)
+		if err != nil {
+			return err
 		}
-
-		// Capture the provider's file version before the scan starts. If the
-		// file is rewritten or appended to while this build runs, the payload
-		// would mix rows from two file states; the re-check below abandons
-		// the admission in that case rather than caching the hybrid.
-		var (
-			epoch0   uint64
-			covered0 int64
-		)
-		rp, tracked := prov.(plan.RefreshableProvider)
-		if tracked {
-			epoch0, covered0 = rp.Version()
-		}
-
-		var b *eagerBuild
-		if state != admitLazy {
-			var err error
-			if b, err = newEagerBuild(spec.Dataset, spec.Layout, epoch0); err != nil {
-				return err
-			}
-		}
-
-		var (
-			offsets     []int64
-			flushed     int   // offsets[:flushed] are in the typed build
-			cacheNanos  int64 // exactly timed: typed chunks, the record route's sampling window
-			cacheTimer  = stats.NewSampledTimer(stats.SampleShift, nil)
-			downstream  = stats.NewSampledTimer(stats.SampleShift, nil)
-			firstOffset = int64(-1)
-			to1         time.Duration
-			start       = time.Now()
-		)
-
-		// flush decodes the offsets admitted since the last flush into the
-		// typed build, between two clock reads.
-		flush := func() {
-			t0 := time.Now()
-			err := b.appendOffsets(offsets[flushed:])
-			cacheNanos += time.Since(t0).Nanoseconds()
-			flushed = len(offsets)
-			if err != nil {
-				state, b = admitAbandoned, nil
-			}
-		}
-
-		decide := func(off int64) {
-			// Two-timestamp extrapolation (§5.2): operators earlier in the
-			// pipeline (e.g. joins already executed) are part of t_o1, so a
-			// cheap-looking sample cannot hide a high eventual overhead.
-			to2 := time.Since(ctx.start)
-			tc2 := cacheNanos
-			var overhead float64
-			if spec.Naive {
-				// Ablation: sample-local ratio, blind to prior operators
-				// and to how much of the file remains.
-				if win := float64(to2 - to1); win > 0 {
-					overhead = float64(tc2) / win
-				}
-			} else {
-				bytesSeen := off - firstOffset
-				if bytesSeen <= 0 {
-					bytesSeen = 1
-				}
-				n := float64(prov.SizeBytes()) / float64(bytesSeen)
-				if n < 1 {
-					n = 1
-				}
-				to := float64(to1) + n*float64(to2-to1)
-				tc := n * float64(tc2)
-				if to > 0 {
-					overhead = tc / to
-				}
-			}
-			if overhead > spec.Threshold {
-				state = admitLazy
-				b = nil // drop the partial eager cache
-			} else {
-				state = admitEager
-			}
-		}
-
-		err := child(ctx, func(row []value.Value) error {
+		flushed := 0 // a.offsets[:flushed] are in the typed build
+		downstream := stats.NewSampledTimer(stats.SampleShift, nil)
+		err = child(ctx, func(row []value.Value) error {
 			off := ctx.curOffset
-			if firstOffset < 0 {
-				firstOffset = off
-				to1 = time.Since(ctx.start)
-			}
-			offsets = append(offsets, off)
+			a.admit(ctx, off)
 			switch {
-			case b == nil:
+			case a.b == nil:
 				// Lazy or abandoned: the offset above is the whole cost.
-			case b.typed():
+			case a.b.typed():
 				// The sampling window is the first chunk, so that the sample
 				// the decision extrapolates is timed like every later chunk.
 				due := buildChunk
-				if state == admitSampling {
+				if a.sampling() {
 					due = spec.SampleSize
 				}
-				if len(offsets)-flushed >= due {
-					flush()
-				}
-			case state == admitSampling:
-				// Precise timing inside the sample window: the paper times
-				// the sample itself, then extrapolates.
-				t0 := time.Now()
-				err := b.addRecord(row, ctx.curComplete)
-				cacheNanos += time.Since(t0).Nanoseconds()
-				if err != nil {
-					state, b = admitAbandoned, nil
+				if len(a.offsets)-flushed >= due {
+					a.appendOffsets(a.offsets[flushed:])
+					flushed = len(a.offsets)
 				}
 			default:
-				sampled := cacheTimer.Begin()
-				if err := b.addRecord(row, ctx.curComplete); err != nil {
-					state, b = admitAbandoned, nil
-				} else if sampled {
-					cacheTimer.End()
-				}
+				a.addRecord(row, ctx.curComplete)
 			}
-			if state == admitSampling && len(offsets) >= spec.SampleSize {
-				decide(off)
+			if a.sampled() {
+				a.decide(ctx, off)
 			}
 			if downstream.Begin() {
 				err := out(row)
@@ -250,53 +310,10 @@ func compileMaterialize(m *plan.Materialize, deps Deps) (runFn, error) {
 		if err != nil {
 			return err
 		}
-
-		if b != nil && b.typed() && flushed < len(offsets) {
-			flush()
+		if a.b != nil && a.b.typed() && flushed < len(a.offsets) {
+			a.appendOffsets(a.offsets[flushed:])
 		}
-		// A scan shorter than the sampling window never reached decide():
-		// the whole input IS the sample, so decide with what was seen
-		// (N ≈ 1). Without this, small inputs silently default to eager.
-		if state == admitSampling && len(offsets) > 0 {
-			decide(ctx.curOffset)
-		}
-
-		wall := time.Since(start)
-		c := cacheNanos + cacheTimer.EstimatedTotal().Nanoseconds()
-		mode := cache.Lazy
-		var st store.Store
-		if b != nil {
-			fin := time.Now()
-			st, err = b.finish()
-			c += time.Since(fin).Nanoseconds()
-			if err != nil {
-				state = admitAbandoned
-			}
-			mode = cache.Eager
-			offsets = nil
-		}
-		down := downstream.EstimatedTotal().Nanoseconds()
-		t := wall.Nanoseconds() - c - down
-		if t < 0 {
-			t = 0
-		}
-		ctx.stats.CacheBuildNanos += c
-		if state == admitAbandoned {
-			spec.Manager.AbandonBuild(spec)
-			return nil
-		}
-		if tracked {
-			if epoch1, covered1 := rp.Version(); epoch1 != epoch0 || covered1 != covered0 {
-				// The file moved under the build: the rows forwarded
-				// downstream were each consistent when read, but the payload
-				// as a whole matches no single file version. Release the
-				// build slot and admit nothing; the next miss rebuilds.
-				spec.Manager.AbandonBuild(spec)
-				return nil
-			}
-			spec.FileEpoch, spec.Covered = epoch0, covered0
-		}
-		spec.Manager.CompleteBuild(spec, st, offsets, mode, t, c)
+		a.finish(ctx, ctx.curOffset, downstream.EstimatedTotal().Nanoseconds())
 		return nil
 	}, nil
 }

@@ -15,16 +15,16 @@ import (
 // path may panic, and on a file a full scan accepts they must all agree (see
 // rawfiletest.Equivalence). The schema has a nested record and a list, which
 // the map skips and the schema-guided parser walks; the two must find the
-// same value ends. The same bytes are then read under
-// a flat schema (the nested keys become unknown ones), where the check also
-// holds the typed kernel (AppendColumns) to the decoded rows.
+// same value ends, and the typed kernel (AppendColumns) decodes it into leaf
+// vectors and list lengths, held to the decoded records. The same bytes are
+// then read under a flat schema, where the nested keys become unknown ones.
 func FuzzScanEquivalence(f *testing.F) {
 	schema := value.TRecord(
 		value.F("k", value.TInt),
 		value.FOpt("price", value.TFloat),
 		value.FOpt("tag", value.TString),
 		value.F("origin", value.TRecord(value.FOpt("country", value.TString))),
-		value.F("items", value.TList(value.TRecord(value.F("q", value.TInt)))),
+		value.F("items", value.TList(value.TRecord(value.F("q", value.TInt), value.F("r", value.TString)))),
 	)
 	flatSchema := value.TRecord(
 		value.F("k", value.TInt),
@@ -48,6 +48,14 @@ func FuzzScanEquivalence(f *testing.F) {
 		// a string and a bad literal.
 		`{"k":1,"price":null,"tag":"a\u0041\n\"","flag":true}` + "\n" + `{"k":2.0,"flag":false,"tag":null}` + "\n" + `{}` + "\n" +
 			`{"k":3,"price":"x"}` + "\n" + `{"k":4,"tag":7}` + "\n" + `{"k":5,"flag":nul}` + "\n" + `{"k":6,"flag":tru}`,
+		// The nested kernel: null, absent and empty lists and empty elements;
+		// unknown, repeated and out-of-order keys inside an element and a
+		// sub-record; escaped keys; a malformed element field, in the leaf
+		// the kernel's every-other-leaf pass skips (r) and in one it reads.
+		`{"k":1,"items":null}` + "\n" + `{"k":2}` + "\n" + `{"k":3,"items":[]}` + "\n" + `{"k":4,"items":[{},{"q":5},{}]}`,
+		`{"k":1,"items":[{"z":[1,{"q":9}],"q":1,"q":2,"r":"a"},{"r":"b","q":3},{"q":4,"r":"c","q":5,"z":null}],"origin":{"country":"x","country":"y"}}` + "\n",
+		`{"\u006b":1,"origin":{"c\u006funtry":"CH"},"items":[{"\u0071":7,"r":"x"},{"\u0072":"y","q":2}]}` + "\n",
+		`{"k":1,"items":[{"q":1,"r":5}]}` + "\n" + `{"k":2,"items":[{"q":"x","r":"a"}]}` + "\n",
 	} {
 		f.Add([]byte(seed))
 	}

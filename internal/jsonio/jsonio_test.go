@@ -10,6 +10,7 @@ import (
 
 	"recache/internal/expr"
 	"recache/internal/rawfile/rawfiletest"
+	"recache/internal/store"
 	"recache/internal/value"
 )
 
@@ -501,5 +502,60 @@ func TestSurrogateEscapes(t *testing.T) {
 		if got := unescape([]byte(lit)); got != want {
 			t.Errorf("unescape(%s) = %q, want %q", lit, got, want)
 		}
+	}
+}
+
+// TestNestedKernelKeyOrders: the typed kernel reads a list and a record
+// that sit in a sub-record, whose keys come in and out of schema order,
+// repeat (the list among them: the last list wins, the earlier one's
+// elements are dropped), or are unknown, with the values and list lengths a full decode gives
+// (rawfiletest.Equivalence). A repeated key whose earlier value is
+// malformed fails the record, as the decode does.
+func TestNestedKernelKeyOrders(t *testing.T) {
+	schema := value.TRecord(
+		value.F("k", value.TInt),
+		value.F("a", value.TRecord(
+			value.F("x", value.TInt),
+			value.F("items", value.TList(value.TRecord(value.F("q", value.TInt), value.FOpt("s", value.TString)))),
+			value.FOpt("y", value.TFloat),
+			value.F("w", value.TRecord(value.F("v", value.TInt))),
+		)),
+		value.FOpt("z", value.TString),
+	)
+	path := filepath.Join(t.TempDir(), "a.json")
+	write := func(data string) *Provider {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := New(path, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	data := strings.Join([]string{
+		`{"k":1,"a":{"x":1,"items":[{"q":1,"s":"a"},{"q":2}],"y":1.5},"z":"in order"}`,
+		`{"k":2,"a":{"items":[{"s":"b","q":3}],"x":2}}`,
+		`{"k":3,"a":{"x":3,"items":[{"q":4},{"q":5}],"y":2.5,"items":[{"q":6}]}}`,
+		`{"a":{"y":3.5,"u":{"items":[1]},"items":null,"x":4},"k":4}`,
+		`{"k":5,"a":null}`,
+		`{"k":6}`,
+		`{"k":7,"a":{"items":[],"items":[{"q":7,"q":8,"s":"c","s":"d"},{}],"x":7,"x":8}}`,
+		`{"k":8,"a":{"x":9,"items":[{"q":9}]}}`,
+		`{"k":9,"a":{"w":{"v":1},"x":1,"w":{"v":2},"items":[{"q":1}]}}`,
+	}, "\n") + "\n"
+	p := write(data)
+	rawfiletest.Equivalence(t, p, len(data), []expr.Expr{expr.Cmp(expr.OpGe, expr.C("k"), expr.L(3))},
+		[][]value.Path{{value.ParsePath("a.items.q")}, {value.ParsePath("k")}})
+
+	bad := `{"k":1,"a":{"items":[{"q":1}],"x":1,"items":[{"q":"x"}],"items":[{"q":2}]}}` + "\n"
+	p = write(bad)
+	epoch, _ := p.Version()
+	if _, err := p.AppendColumns(epoch, []int64{0}, store.NewColumns(schema), nil); err == nil {
+		t.Error("AppendColumns accepted a record whose overridden list holds a malformed value")
+	}
+	if err := p.Scan(nil, func(value.Value, int64, func() error) error { return nil }); err == nil {
+		t.Error("Scan accepted the same record")
 	}
 }

@@ -122,18 +122,22 @@ type EpochScanner interface {
 	ScanOffsetsAt(epoch uint64, offsets []int64, needed []value.Path, fn ScanFunc) error
 }
 
-// ColumnAppender is implemented by providers over flat schemas (every
-// top-level field primitive) that can decode records straight from their
-// bytes into typed column vectors: the build path of eager cache entries.
-// AppendColumns appends every field of the records at offsets (as reported
-// through ScanFunc, ascending) to dst, one vector per top-level field in
-// schema order — the values, nulls and errors a full decode of the same
-// records yields, with no value.Value in between. It is pinned to a file
-// epoch like ScanOffsetsAt (ErrEpochChanged after a rewrite), and like it is
-// a replay of known records, not a raw scan. After an error dst holds
-// columns of unequal length and must be discarded.
+// ColumnAppender is implemented by providers that can decode records
+// straight from their bytes into typed leaf vectors: the miss path of nested
+// data and the build path of eager cache entries. AppendColumns appends the
+// records at offsets (as reported through ScanFunc, ascending) to dst, one
+// vector per leaf column in value.LeafColumns order — a non-repeated leaf
+// one entry per record, a repeated leaf one per list element — and, for a
+// schema with a repeated field, each record's list length to lengths (0 for
+// a null, absent or empty list), returning the grown lengths. A nil dst[i]
+// skips leaf i. The values, nulls and errors are those a full decode of the
+// same records yields (a skipped leaf raises none), with no value.Value in
+// between. It is pinned to a file epoch like ScanOffsetsAt (ErrEpochChanged
+// after a rewrite), and like it is a replay of known records, not a raw
+// scan. After an error dst and lengths are inconsistent and must be
+// discarded.
 type ColumnAppender interface {
-	AppendColumns(epoch uint64, offsets []int64, dst []*store.Vec) error
+	AppendColumns(epoch uint64, offsets []int64, dst []*store.Vec, lengths []int32) ([]int32, error)
 }
 
 // PushdownScanner is implemented by providers that can evaluate pushed

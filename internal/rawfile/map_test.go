@@ -78,7 +78,8 @@ func TestColdAccessMapsOnce(t *testing.T) {
 				func() error { return p.ScanOffsets([]int64{0}, nil, nop) },
 				func() error {
 					epoch, _ := p.Version()
-					return p.AppendColumns(epoch, []int64{0}, store.NewColumns(p.Schema()))
+					_, err := p.AppendColumns(epoch, []int64{0}, store.NewColumns(p.Schema()), nil)
+					return err
 				},
 				func() error { p.Version(); return nil },
 				func() error { return p.ScanFrom(0, nil, nop) },
@@ -152,7 +153,7 @@ func TestNonRecordOffsetsFail(t *testing.T) {
 				if err := p.ScanOffsetsAt(epoch, offs, nil, nop); err == nil {
 					t.Errorf("%s (scanned=%v): ScanOffsetsAt at %d succeeded", c.name, scanned, off)
 				}
-				if err := p.AppendColumns(epoch, offs, store.NewColumns(schema)); err == nil {
+				if _, err := p.AppendColumns(epoch, offs, store.NewColumns(schema), nil); err == nil {
 					t.Errorf("%s (scanned=%v): AppendColumns at %d succeeded", c.name, scanned, off)
 				}
 			}

@@ -41,12 +41,12 @@ type Format interface {
 	// others; with rest true it fills exactly the fields mask skipped and
 	// leaves the others alone.
 	Decode(data []byte, start int, offs []uint32, mask []bool, rest bool, row []value.Value) error
-	// AppendColumns appends every field of the record at start to dst, one
-	// vector per top-level field in schema order, typed and straight from
-	// the raw bytes: the values, nulls and errors of Decode with a nil mask.
-	// Only called for schemas whose fields are all primitive. After an
-	// error dst's columns differ in length.
-	AppendColumns(data []byte, start int, offs []uint32, dst []*store.Vec) error
+	// AppendColumns appends the record at start to dst, one vector per leaf
+	// column (nil skips a leaf), and its list length to lengths when the
+	// schema has a repeated field, typed and straight from the raw bytes:
+	// the values, nulls and errors of Decode with a nil mask (see
+	// plan.ColumnAppender). After an error dst and lengths are inconsistent.
+	AppendColumns(data []byte, start int, offs []uint32, dst []*store.Vec, lengths []int32) ([]int32, error)
 	// Test decodes each tested column of the record typed, straight from
 	// its raw bytes, and reports whether every test passes; null or absent
 	// values fail, a malformed value is the error Decode would raise.
@@ -598,21 +598,27 @@ func (f *File) eachOffset(s *snapshot, offsets []int64, fn func(start int, offs 
 }
 
 // AppendColumns implements plan.ColumnAppender: the records at offsets,
-// decoded by the format's typed kernel straight into dst.
-func (f *File) AppendColumns(epoch uint64, offsets []int64, dst []*store.Vec) error {
+// decoded by the format's typed kernel straight into dst and lengths.
+func (f *File) AppendColumns(epoch uint64, offsets []int64, dst []*store.Vec, lengths []int32) ([]int32, error) {
 	s, err := f.load()
 	if err != nil {
-		return err
+		return lengths, err
 	}
 	if s.epoch != epoch {
-		return plan.ErrEpochChanged
+		return lengths, plan.ErrEpochChanged
 	}
-	if len(dst) != f.ntop {
-		return fmt.Errorf("rawfile: %d column vectors for %d fields", len(dst), f.ntop)
+	cols, err := value.LeafColumnsCached(f.schema)
+	if err != nil {
+		return lengths, err
 	}
-	return f.eachOffset(s, offsets, func(start int, offs []uint32) error {
-		return f.format.AppendColumns(s.data, start, offs, dst)
+	if len(dst) != len(cols) {
+		return lengths, fmt.Errorf("rawfile: %d column vectors for %d leaf columns", len(dst), len(cols))
+	}
+	err = f.eachOffset(s, offsets, func(start int, offs []uint32) (err error) {
+		lengths, err = f.format.AppendColumns(s.data, start, offs, dst, lengths)
+		return err
 	})
+	return lengths, err
 }
 
 // ScanFrom implements plan.RefreshableProvider: stream the records whose

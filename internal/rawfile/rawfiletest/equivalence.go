@@ -5,6 +5,7 @@ package rawfiletest
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"recache/internal/expr"
@@ -51,15 +52,15 @@ const verdictRecords = 32
 // of size bytes. Nothing may panic, and when a full scan accepts the file
 // every other path must agree with it: scans masked to each of masks and
 // completed through complete(), offset replay, a ScanFrom tail, and —
-// against decode-then-filter, for each of preds — ScanPushdown. Over a flat
-// schema the typed kernel is held to the same rows: on every path,
-// AppendColumns over the offsets the path reported must yield vectors equal
-// to them cell for cell. On a file the full scan rejects the same calls are
-// made and only have to return, except that the kernel must still accept
-// exactly the records a full decode accepts.
+// against decode-then-filter, for each of preds — ScanPushdown. The typed
+// kernel is held to the same records: on every path, AppendColumns over the
+// offsets the path reported must yield the decoded records striped by
+// value.LeafColumns, list lengths included — into every leaf, and into every
+// other leaf with the rest skipped. On a file the full scan rejects the same
+// calls are made and only have to return, except that the kernel must still
+// accept exactly the records a full decode accepts.
 func Equivalence(t *testing.T, p Provider, size int, preds []expr.Expr, masks [][]value.Path) {
 	schema := p.Schema()
-	flat := store.NewColumns(schema) != nil
 	same := func(what string, got, want scanned, err error) {
 		t.Helper()
 		if err != nil {
@@ -68,19 +69,18 @@ func Equivalence(t *testing.T, p Provider, size int, preds []expr.Expr, masks []
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s:\n got %v\nwant %v", what, got, want)
 		}
-		if !flat {
-			return
+		for _, every := range []int{1, 2} {
+			vecs, lengths, err := appendColumns(p, got.offs, every)
+			if err != nil {
+				t.Fatalf("%s: AppendColumns (every %d. leaf) failed on records a decode accepted: %v", what, every, err)
+			}
+			sameLeaves(t, what, schema, vecs, lengths, got.rows)
 		}
-		vecs, err := appendColumns(p, got.offs)
-		if err != nil {
-			t.Fatalf("%s: AppendColumns failed on records a decode accepted: %v", what, err)
-		}
-		sameCells(t, what, vecs, got.rows)
 	}
 
 	first, err := gather(func(fn plan.ScanFunc) error { return p.Scan(nil, fn) }, nil)
 	accepted := err == nil
-	if !accepted && flat {
+	if !accepted {
 		sameVerdicts(t, p)
 	}
 	for _, needed := range append([][]value.Path{nil}, masks...) {
@@ -132,23 +132,63 @@ func Equivalence(t *testing.T, p Provider, size int, preds []expr.Expr, masks []
 	}
 }
 
-// appendColumns runs the typed kernel over the records of p at offs.
-func appendColumns(p Provider, offs []int64) ([]*store.Vec, error) {
+// appendColumns runs the typed kernel over the records of p at offs, into
+// every every-th leaf column (1: all of them); the others are nil.
+func appendColumns(p Provider, offs []int64, every int) ([]*store.Vec, []int32, error) {
 	vecs := store.NewColumns(p.Schema())
+	for i := range vecs {
+		if i%every != 0 {
+			vecs[i] = nil
+		}
+	}
 	epoch, _ := p.Version()
-	return vecs, p.AppendColumns(epoch, offs, vecs)
+	lengths, err := p.AppendColumns(epoch, offs, vecs, nil)
+	return vecs, lengths, err
 }
 
-// sameCells checks vecs against the decoded rows: value, kind and null bit.
-func sameCells(t *testing.T, what string, vecs []*store.Vec, rows [][]value.Value) {
+// sameLeaves checks the kernel's vectors and lengths against the decoded
+// rows striped by value.LeafColumns — a non-repeated leaf's value once per
+// record, a repeated leaf's once per element of the list (value.Flatten-
+// Record's rows), the list's length beside them — cell for cell: value,
+// kind and null bit. A nil vector is a skipped leaf.
+func sameLeaves(t *testing.T, what string, schema *value.Type, vecs []*store.Vec, lengths []int32, rows [][]value.Value) {
 	t.Helper()
-	for ci, v := range vecs {
-		if v.Len() != len(rows) {
-			t.Fatalf("%s: AppendColumns column %d has %d entries for %d records", what, ci, v.Len(), len(rows))
+	cols, err := value.LeafColumns(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]value.Value, len(cols))
+	var wantLengths []int32
+	list := value.RepeatedField(schema) != nil
+	for _, row := range rows {
+		rec := value.VRecord(row...)
+		flat := value.FlattenRecord(rec, schema, cols)
+		if list {
+			wantLengths = append(wantLengths, int32(value.RecordCardinality(rec, schema)))
 		}
-		for ri, row := range rows {
-			if got := v.Get(ri); !reflect.DeepEqual(got, row[ci]) {
-				t.Fatalf("%s: AppendColumns record %d column %d = %#v, decode has %#v", what, ri, ci, got, row[ci])
+		for ci, c := range cols {
+			if !c.Repeated {
+				want[ci] = append(want[ci], value.Get(rec, schema, c.Path))
+				continue
+			}
+			for _, r := range flat {
+				want[ci] = append(want[ci], r[ci])
+			}
+		}
+	}
+	if !slices.Equal(lengths, wantLengths) {
+		t.Fatalf("%s: AppendColumns list lengths %v, decode has %v", what, lengths, wantLengths)
+	}
+	for ci, v := range vecs {
+		if v == nil {
+			continue
+		}
+		if v.Len() != len(want[ci]) {
+			t.Fatalf("%s: AppendColumns leaf %s has %d entries, decode has %d", what, cols[ci].Name(), v.Len(), len(want[ci]))
+		}
+		for k, w := range want[ci] {
+			if got := v.Get(k); !reflect.DeepEqual(got, w) {
+				t.Fatalf("%s: AppendColumns leaf %s entry %d = %#v, decode has %#v", what, cols[ci].Name(), k, got, w)
 			}
 		}
 	}
@@ -156,7 +196,7 @@ func sameCells(t *testing.T, what string, vecs []*store.Vec, rows [][]value.Valu
 
 // sameVerdicts holds the kernel to a full decode one record at a time, on a
 // file some record of which is malformed: over each of the first records a
-// field-less scan reaches, both accept — with equal cells — or both reject.
+// field-less scan reaches, both accept — with equal leaves — or both reject.
 func sameVerdicts(t *testing.T, p Provider) {
 	t.Helper()
 	var offs []int64
@@ -169,12 +209,12 @@ func sameVerdicts(t *testing.T, p Provider) {
 	for _, off := range offs {
 		one := []int64{off}
 		dec, derr := gather(func(fn plan.ScanFunc) error { return p.ScanOffsets(one, nil, fn) }, nil)
-		vecs, kerr := appendColumns(p, one)
+		vecs, lengths, kerr := appendColumns(p, one, 1)
 		if (derr == nil) != (kerr == nil) {
 			t.Fatalf("record at %d: decode says %v, AppendColumns says %v", off, derr, kerr)
 		}
 		if derr == nil {
-			sameCells(t, "single record", vecs, dec.rows)
+			sameLeaves(t, "single record", p.Schema(), vecs, lengths, dec.rows)
 		}
 	}
 }

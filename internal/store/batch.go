@@ -45,7 +45,7 @@ type BatchSource interface {
 // on each column's kind once per batch.
 func FillRows(cols []*Vec, sel []int32, chunk []value.Value, nc int) {
 	for i, v := range cols {
-		fillColumn(chunk, i, nc, sel, v)
+		FillColumn(chunk, i, nc, sel, v)
 	}
 }
 

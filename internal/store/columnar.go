@@ -96,51 +96,6 @@ func (b *columnarBuilder) Add(rec value.Value) error {
 	return nil
 }
 
-// NewColumns returns one empty vector per top-level field of a flat schema
-// — every field primitive, so that field i is leaf column i — for a typed
-// decoder to fill and FromColumns to adopt. It returns nil for any other
-// schema: those records reach a store through a Builder.
-func NewColumns(schema *value.Type) []*Vec {
-	vecs := make([]*Vec, len(schema.Fields))
-	for i, f := range schema.Fields {
-		if !f.Type.IsPrimitive() {
-			return nil
-		}
-		vecs[i] = newVec(f.Type)
-	}
-	return vecs
-}
-
-// FromColumns adopts filled NewColumns vectors, one entry per record, as a
-// columnar store: the store a Builder yields when Add-ed the same records.
-// The vectors belong to the store afterwards.
-func FromColumns(schema *value.Type, vecs []*Vec) (Store, error) {
-	cols, err := value.LeafColumnsCached(schema)
-	if err != nil {
-		return nil, err
-	}
-	if len(vecs) != len(schema.Fields) || len(vecs) != len(cols) {
-		return nil, fmt.Errorf("store: %d column vectors for flat schema %s", len(vecs), schema)
-	}
-	n := 0
-	if len(vecs) > 0 {
-		n = vecs[0].Len()
-	}
-	for i, v := range vecs {
-		if v.Kind != cols[i].Type.Kind || v.Len() != n {
-			return nil, fmt.Errorf("store: column %q: %s vector of %d entries, want %s of %d",
-				cols[i].Name(), v.Kind, v.Len(), cols[i].Type.Kind, n)
-		}
-	}
-	st := &columnarStore{schema: schema, cols: cols, vecs: vecs, nRecs: n,
-		recID: make([]int32, n), skip: make([]bool, n)}
-	for i := range st.recID {
-		st.recID[i] = int32(i)
-	}
-	st.size = st.computeSize()
-	return st, nil
-}
-
 // Finish implements Builder.
 func (b *columnarBuilder) Finish() Store {
 	b.st.size = b.st.computeSize()
@@ -210,7 +165,7 @@ func (s *columnarStore) ScanFlat(cols []int, emit EmitFunc) (ScanStats, error) {
 			continue
 		}
 		for i, v := range vecs {
-			fillColumn(chunk, i, nc, rowIdx, v)
+			FillColumn(chunk, i, nc, rowIdx, v)
 		}
 		for k := 0; k < m; k++ {
 			if err := emit(chunk[k*nc : (k+1)*nc : (k+1)*nc]); err != nil {
@@ -226,10 +181,10 @@ func (s *columnarStore) ScanFlat(cols []int, emit EmitFunc) (ScanStats, error) {
 	}, nil
 }
 
-// fillColumn writes vector values for the selected rows into column slot i
+// FillColumn writes vector values for the selected rows into column slot i
 // of the row-major chunk, dispatching on the column kind and testing the
 // null words once.
-func fillColumn(chunk []value.Value, i, nc int, sel []int32, v *Vec) {
+func FillColumn(chunk []value.Value, i, nc int, sel []int32, v *Vec) {
 	nulls := v.Nulls.AnySel(sel)
 	switch v.Kind {
 	case value.Int:
@@ -302,7 +257,7 @@ func (s *columnarStore) ScanRecords(cols []int, emit EmitFunc) (ScanStats, error
 		// Load every physical row's values (the duplicated data), then emit
 		// only the first row of each record.
 		for i, v := range vecs {
-			fillColumn(chunk, i, nc, rowIdx[:m], v)
+			FillColumn(chunk, i, nc, rowIdx[:m], v)
 		}
 		for k := 0; k < m; k++ {
 			id := s.recID[base+k]

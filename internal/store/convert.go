@@ -108,11 +108,7 @@ func convertParquetToColumnar(p *parquetStore) *columnarStore {
 			out.skip = append(out.skip, empty)
 		}
 	}
-	var sz int64
-	for _, v := range out.vecs {
-		sz += v.SizeBytes()
-	}
-	out.size = sz + int64(len(out.recID))*5
+	out.size = out.computeSize()
 	return out
 }
 
@@ -150,21 +146,7 @@ func convertColumnarToParquet(c *columnarStore) *parquetStore {
 	out.flatVecs = make([]*vec, len(c.cols))
 	out.repVecs = make([]*vec, len(c.cols))
 	out.reps = make([][]uint8, len(c.cols))
-	// Shared repetition stream: 0 at each record's first entry, 1 after.
-	var reps []uint8
-	for ri := range firstRow {
-		cnt := lengths[ri]
-		if cnt == 0 {
-			cnt = 1
-		}
-		for k := int32(0); k < cnt; k++ {
-			if k == 0 {
-				reps = append(reps, 0)
-			} else {
-				reps = append(reps, 1)
-			}
-		}
-	}
+	reps := repStream(lengths)
 	for ci, col := range c.cols {
 		if col.Repeated {
 			out.repVecs[ci] = copyVec(c.vecs[ci])
@@ -173,18 +155,27 @@ func convertColumnarToParquet(c *columnarStore) *parquetStore {
 			out.flatVecs[ci] = Gather(c.vecs[ci], firstRow)
 		}
 	}
-	var sz int64
-	for ci := range out.cols {
-		if v := out.flatVecs[ci]; v != nil {
-			sz += v.SizeBytes()
-		}
-		if v := out.repVecs[ci]; v != nil {
-			sz += v.SizeBytes()
-			sz += int64(len(out.reps[ci]))
-		}
-	}
-	out.size = sz + int64(len(out.lengths))*4
+	out.size = out.computeSize()
 	return out
+}
+
+// repStream is the repetition-level stream of records with the given list
+// lengths: 0 at each record's first level entry, 1 after it, and one entry
+// (0, the placeholder) for an empty list.
+func repStream(lengths []int32) []uint8 {
+	var n int
+	for _, l := range lengths {
+		n += max(int(l), 1)
+	}
+	reps := make([]uint8, n)
+	i := 0
+	for _, l := range lengths {
+		for k := 1; k < int(l); k++ {
+			reps[i+k] = 1
+		}
+		i += max(int(l), 1)
+	}
+	return reps
 }
 
 // Convert returns src in another layout with the wall-clock transformation

@@ -124,25 +124,25 @@ func (b *ParquetBuilder) AppendBatch(cols []*Vec, sel []int32) error {
 
 // Finish implements Builder.
 func (b *ParquetBuilder) Finish() Store {
-	b.st.size = b.computeSize()
+	b.st.size = b.st.computeSize()
 	return b.st
 }
 
 // SizeBytes implements Builder.
-func (b *ParquetBuilder) SizeBytes() int64 { return b.computeSize() }
+func (b *ParquetBuilder) SizeBytes() int64 { return b.st.computeSize() }
 
-func (b *ParquetBuilder) computeSize() int64 {
+func (s *parquetStore) computeSize() int64 {
 	var sz int64
-	for ci := range b.st.cols {
-		if v := b.st.flatVecs[ci]; v != nil {
+	for ci := range s.cols {
+		if v := s.flatVecs[ci]; v != nil {
 			sz += v.SizeBytes()
 		}
-		if v := b.st.repVecs[ci]; v != nil {
+		if v := s.repVecs[ci]; v != nil {
 			sz += v.SizeBytes()
 		}
-		sz += int64(len(b.st.reps[ci]))
+		sz += int64(len(s.reps[ci]))
 	}
-	sz += int64(len(b.st.lengths)) * 4
+	sz += int64(len(s.lengths)) * 4
 	return sz
 }
 

@@ -67,6 +67,16 @@ func (b *Bitmap) appendValid(n int) {
 	}
 }
 
+// truncate drops the entries from n on, clearing their bits: Append only
+// sets bits, so a regrown bitmap must find them zero.
+func (b *Bitmap) truncate(n int) {
+	b.words = b.words[:(n+63)>>6]
+	if r := uint(n) & 63; r != 0 {
+		b.words[len(b.words)-1] &= 1<<r - 1
+	}
+	b.n = n
+}
+
 // Clone deep-copies the bitmap: appends to either side never alias, even
 // mid-word (the trailing partially-filled word is copied by value).
 func (b *Bitmap) Clone() Bitmap {
@@ -131,6 +141,50 @@ func (v *Vec) AppendVal(val value.Value) {
 		}
 	default:
 		panic(fmt.Sprintf("store: vec of unsupported kind %s", v.Kind))
+	}
+}
+
+// Truncate drops the entries from n on, keeping the capacity: a decoder
+// reuses a vector chunk to chunk, or takes back what a record it has to
+// decode again appended.
+func (v *Vec) Truncate(n int) {
+	switch v.Kind {
+	case value.Int:
+		v.Ints = v.Ints[:n]
+	case value.Float:
+		v.Floats = v.Floats[:n]
+	case value.String:
+		clear(v.Strs[n:])
+		v.Strs = v.Strs[:n]
+	case value.Bool:
+		v.Bools = v.Bools[:n]
+	}
+	v.Nulls.truncate(n)
+}
+
+// AppendRange appends src's entries lo..hi-1, a typed copy per call; both
+// vectors share a kind.
+func (v *Vec) AppendRange(src *Vec, lo, hi int) {
+	n := v.Len()
+	switch v.Kind {
+	case value.Int:
+		v.Ints = append(v.Ints, src.Ints[lo:hi]...)
+	case value.Float:
+		v.Floats = append(v.Floats, src.Floats[lo:hi]...)
+	case value.String:
+		v.Strs = append(v.Strs, src.Strs[lo:hi]...)
+	case value.Bool:
+		v.Bools = append(v.Bools, src.Bools[lo:hi]...)
+	}
+	v.Nulls.appendValid(hi - lo)
+	if hi == lo || !src.Nulls.anyIn(lo, hi-1) {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		if src.Nulls.Get(i) {
+			j := n + i - lo
+			v.Nulls.words[j>>6] |= 1 << (uint(j) & 63)
+		}
 	}
 }
 
