@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -29,7 +30,6 @@ import (
 	"recache/internal/stats"
 	"recache/internal/store"
 	"recache/internal/value"
-	"recache/internal/workload"
 )
 
 // benchRunner builds a harness runner writing to io.Discard at bench scale.
@@ -123,35 +123,6 @@ func BenchmarkAblationReclaimHeuristic(b *testing.B) {
 				evicted += int64(len(g.Victims(items, 5000)))
 			}
 			b.ReportMetric(float64(evicted)/float64(b.N), "evictions/op")
-		})
-	}
-}
-
-// Ablation 2: recomputing the benefit metric at every eviction vs freezing
-// it at insert time (the paper reports up to 6% workload regression when
-// frozen).
-func BenchmarkAblationFrozenBenefit(b *testing.B) {
-	dir := b.TempDir()
-	paths, err := datagen.TPCH(dir, 0.0005, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := workload.SPJ(workload.DefaultTPCHTables(), 30, 42)
-	for _, frozen := range []bool{false, true} {
-		name := "recomputed"
-		if frozen {
-			name = "frozen"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng := recache.OpenWithManager(cache.NewManager(cache.Config{
-					Admission:     cache.AlwaysEager,
-					Capacity:      64 << 10,
-					FreezeBenefit: frozen,
-				}))
-				registerBenchTPCH(b, eng, paths)
-				runBenchQueries(b, eng, queries)
-			}
 		})
 	}
 }
@@ -426,25 +397,23 @@ func BenchmarkParallelCachedQueries(b *testing.B) {
 	}
 }
 
-// BenchmarkSharedColdScans measures the miss path under work sharing: each
+// BenchmarkColdBurst measures the miss path under concurrency: each
 // iteration fires N concurrent *identical cold* queries (a fresh disjoint
-// predicate per iteration, so nothing hits the cache) and reports how many
-// raw parses of the file the burst cost. Before the shared-scan
-// coordinator every miss parsed the file (N parses per burst); with it,
-// concurrent misses batch into shared cycles — steady state is one parse
-// per burst, and the very first burst typically pays two (the in-flight
-// private scan plus one shared cycle behind it; scheduling stragglers can
-// add another cycle).
-func BenchmarkSharedColdScans(b *testing.B) {
+// predicate per iteration, so the burst starts cold). One query builds the
+// entry (single-flight); every other query that misses before the entry is
+// admitted scans the raw file on its own goroutine, and later arrivals hit.
+// It reports the raw scans and the process CPU time (user + system, from
+// getrusage) per burst beside the wall time per burst (ns/op).
+func BenchmarkColdBurst(b *testing.B) {
 	dir := b.TempDir()
 	// A larger scale than the other benches: the raw scan must outlast the
-	// scheduler's preemption quantum for concurrent misses to overlap (and
-	// thus have anything to share) even on a single core.
+	// scheduler's preemption quantum for concurrent misses to overlap even
+	// on a single core.
 	paths, err := datagen.TPCH(dir, 0.01, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, n := range []int{4, 16} {
+	for _, n := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("misses=%d", n), func(b *testing.B) {
 			eng, err := recache.Open(recache.Config{Admission: "eager"})
 			if err != nil {
@@ -455,6 +424,7 @@ func BenchmarkSharedColdScans(b *testing.B) {
 			}
 			var parses int64
 			b.ResetTimer()
+			cpu0 := cpuTime()
 			for i := 0; i < b.N; i++ {
 				// Disjoint ranges (stride > width): no exact or subsumed hit
 				// across iterations — every burst is pure cold misses.
@@ -466,12 +436,21 @@ func BenchmarkSharedColdScans(b *testing.B) {
 				}
 				parses += burst
 			}
+			cpu := cpuTime() - cpu0
 			b.StopTimer()
 			b.ReportMetric(float64(parses)/float64(b.N), "raw-scans/burst")
-			st := eng.CacheStats()
-			b.ReportMetric(float64(st.SharedConsumers-st.SharedScans)/float64(b.N), "scans-avoided/burst")
+			b.ReportMetric(float64(cpu.Microseconds())/float64(b.N), "cpu-us/burst")
 		})
 	}
+}
+
+// cpuTime is the process's user plus system CPU time so far.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // runBurst fires w concurrent copies of one query (start-barrier released)
@@ -630,34 +609,4 @@ func BenchmarkResultBoundary(b *testing.B) {
 			run("client/exec", func() error { _, _, err := fx.cl.Exec(sql); return err })
 		}
 	}
-}
-
-// --- shared helpers ---
-
-func registerBenchTPCH(b *testing.B, eng *recache.Engine, p *datagen.TPCHPaths) {
-	b.Helper()
-	for _, t := range []struct{ name, path, schema string }{
-		{"customer", p.Customer, datagen.CustomerSchema},
-		{"orders", p.Orders, datagen.OrdersSchema},
-		{"lineitem", p.Lineitem, datagen.LineitemSchema},
-		{"partsupp", p.Partsupp, datagen.PartsuppSchema},
-		{"part", p.Part, datagen.PartSchema},
-	} {
-		if err := eng.RegisterCSV(t.name, t.path, t.schema, '|'); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func runBenchQueries(b *testing.B, eng *recache.Engine, queries []string) time.Duration {
-	b.Helper()
-	var tot time.Duration
-	for _, q := range queries {
-		res, err := eng.Query(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tot += res.Stats.Wall
-	}
-	return tot
 }

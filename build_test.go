@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"recache/internal/rawfile/rawfiletest"
@@ -93,7 +94,10 @@ func sumOf(t *testing.T, eng *Engine, sql string) float64 {
 // is only ever decoded by an eager build, so it costs the build (abandoned:
 // nothing admitted, slot released) and never the answer — on the first
 // scan, on the mapped scan, and on a lazy entry's upgrade. A query that
-// does name the field fails under every admission mode.
+// does name the field fails under every admission mode. Neither answer
+// depends on which other queries miss at the same time: fired together
+// from a start barrier, every query still scans the file with its own
+// field mask.
 func TestMalformedUnneededFieldLeavesAnswerAlone(t *testing.T) {
 	for _, tbl := range malformedTables {
 		for _, admission := range []string{"off", "lazy", "eager", ""} {
@@ -119,6 +123,9 @@ func TestMalformedUnneededFieldLeavesAnswerAlone(t *testing.T) {
 				if _, err := eng.Query(bad); err == nil || !strings.Contains(err.Error(), `field "`+tbl.field+`"`) {
 					t.Errorf("%s: err = %v, want the field error", bad, err)
 				}
+				for round := 0; round < 5; round++ {
+					concurrentMalformedRound(t, openTable(t, Config{Admission: admission}, tbl), tbl)
+				}
 			})
 		}
 		t.Run(tbl.name+"/upgrade", func(t *testing.T) {
@@ -139,6 +146,44 @@ func TestMalformedUnneededFieldLeavesAnswerAlone(t *testing.T) {
 				t.Errorf("LazyUpgrades = %d, ExactHits = %d, want 0 and 2", s.LazyUpgrades, s.ExactHits)
 			}
 		})
+	}
+}
+
+// concurrentMalformedRound fires tbl's bad query and its three good queries
+// at a cold engine together and checks every answer.
+func concurrentMalformedRound(t *testing.T, eng *Engine, tbl buildTable) {
+	t.Helper()
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i, bound := range []int{0, 0, 1} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			sql := fmt.Sprintf("SELECT SUM(%s) FROM t WHERE a > %d", tbl.sum, bound)
+			res, err := eng.Query(sql)
+			if err != nil {
+				t.Errorf("concurrent %s: %v", sql, err)
+				return
+			}
+			if got := res.Rows[0][0].(float64); got != tbl.wants[i] {
+				t.Errorf("concurrent %s = %v, want %v", sql, got, tbl.wants[i])
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		bad := "SELECT SUM(" + tbl.bad + ") FROM t"
+		if _, err := eng.Query(bad); err == nil || !strings.Contains(err.Error(), `field "`+tbl.field+`"`) {
+			t.Errorf("concurrent %s: err = %v, want the field error", bad, err)
+		}
+	}()
+	close(start)
+	wg.Wait()
+	if s := eng.CacheStats(); s.OpenTxns != 0 {
+		t.Errorf("OpenTxns = %d after the round", s.OpenTxns)
 	}
 }
 

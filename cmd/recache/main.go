@@ -337,8 +337,6 @@ func metaCommand(b backend, line string, w io.Writer) (quit bool) {
 		fmt.Fprintf(w, "queries=%d exact=%d subsumed=%d misses=%d evictions=%d switches=%d upgrades=%d entries=%d bytes=%d\n",
 			s.Queries, s.ExactHits, s.SubsumedHits, s.Misses, s.Evictions,
 			s.LayoutSwitches, s.LazyUpgrades, s.Entries, s.TotalBytes)
-		fmt.Fprintf(w, "shared-scans=%d shared-consumers=%d (raw scans avoided=%d)\n",
-			s.SharedScans, s.SharedConsumers, s.SharedConsumers-s.SharedScans)
 		fmt.Fprintf(w, "vectorized-scans=%d vectorized-batches=%d\n",
 			s.VectorizedScans, s.VectorizedBatches)
 		fmt.Fprintf(w, "vectorized-joins=%d join-probe-batches=%d\n",

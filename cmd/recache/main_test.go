@@ -95,9 +95,9 @@ func TestServerModeQuery(t *testing.T) {
 	}
 }
 
-// The ISSUE's satellite: \stats in server mode must print the daemon-side
-// cache counters (including the shared-scan and disk-tier lines) fetched
-// over the wire, not a local engine's zeroes.
+// \stats in server mode must print the daemon-side cache counters
+// (including the pushdown and disk-tier lines) fetched over the wire, not
+// a local engine's zeroes.
 func TestServerModeStatsMeta(t *testing.T) {
 	b, eng := startDaemon(t)
 
@@ -129,7 +129,6 @@ func TestServerModeStatsMeta(t *testing.T) {
 	}
 	for _, frag := range []string{
 		fmt.Sprintf("queries=%d exact=%d subsumed=%d", s.Queries, s.ExactHits, s.SubsumedHits),
-		fmt.Sprintf("shared-scans=%d shared-consumers=%d", s.SharedScans, s.SharedConsumers),
 		fmt.Sprintf("disk-hits=%d spills=%d", s.DiskHits, s.Spills),
 		"pushdown-scans=",
 		"server: sessions=",

@@ -6,7 +6,13 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"recache/internal/csvio"
+	"recache/internal/plan"
+	"recache/internal/value"
 )
 
 // countQtyBetween computes the expected COUNT(*) for the test table t
@@ -135,6 +141,102 @@ func TestConcurrentSingleFlightBuild(t *testing.T) {
 	}
 	if got := st.ExactHits + st.SubsumedHits + st.Misses; got != st.Queries {
 		t.Errorf("stats invariant broken: %+v", st)
+	}
+}
+
+// gateProvider wraps a real provider, reporting each full-file Scan start
+// on started and holding it until a token arrives on gate, so a test can
+// hold every raw scan of a burst in flight at once.
+type gateProvider struct {
+	plan.ScanProvider
+	started chan struct{} // signalled as each Scan begins
+	gate    chan struct{} // one token consumed per Scan before it proceeds
+	scans   atomic.Int64
+}
+
+func (g *gateProvider) Scan(needed []value.Path, fn plan.ScanFunc) error {
+	g.scans.Add(1)
+	g.started <- struct{}{}
+	<-g.gate
+	return g.ScanProvider.Scan(needed, fn)
+}
+
+// Scans lets Engine.RawScans count through the wrapper.
+func (g *gateProvider) Scans() int64 { return g.scans.Load() }
+
+// A burst of N identical cold queries is N raw scans, all in flight at
+// once on the queries' own goroutines: no query waits for another's scan.
+// Single-flight still admits exactly one entry, and every query answers.
+func TestColdBurstScansPrivately(t *testing.T) {
+	for _, n := range []int{4, 16} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			eng, err := Open(Config{Admission: "eager"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			schema, err := ParseSchema("id int, qty int, price float, name string")
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := csvio.New(writeTemp(t, "t.csv", "1|10|1.5|aa\n2|20|2.5|bb\n3|30|3.5|cc\n4|40|4.5|dd\n5|50|5.5|ee\n"),
+				schema, csvio.Options{Delim: '|'})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gp := &gateProvider{ScanProvider: base, started: make(chan struct{}, n), gate: make(chan struct{}, n)}
+			if err := eng.RegisterProvider("t", plan.FormatCSV, gp); err != nil {
+				t.Fatal(err)
+			}
+			q := "SELECT COUNT(*) FROM t WHERE qty BETWEEN 15 AND 45"
+			results := make([]int64, n)
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					res, err := eng.Query(q)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					results[i] = res.Rows[0][0].(int64)
+				}(i)
+			}
+			timeout := time.After(20 * time.Second)
+		wait:
+			for i := 0; i < n; i++ {
+				select {
+				case <-gp.started:
+				case <-timeout:
+					t.Errorf("%d of %d raw scans in flight together", i, n)
+					break wait
+				}
+			}
+			for i := 0; i < n; i++ {
+				gp.gate <- struct{}{}
+			}
+			wg.Wait()
+			for i := 0; i < n; i++ {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				if results[i] != 3 {
+					t.Errorf("query %d count = %d, want 3", i, results[i])
+				}
+			}
+			if got := eng.RawScans("t"); got != int64(n) {
+				t.Errorf("Engine.RawScans = %d, want %d", got, n)
+			}
+			st := eng.CacheStats()
+			if st.Inserted != 1 {
+				t.Errorf("inserted = %d, want 1 (single-flight materialization)", st.Inserted)
+			}
+			if got := st.ExactHits + st.SubsumedHits + st.Misses; got != st.Queries {
+				t.Errorf("stats invariant broken: %+v", st)
+			}
+		})
 	}
 }
 

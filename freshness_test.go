@@ -244,7 +244,7 @@ func TestFreshnessRewriteMidBurst(t *testing.T) {
 }
 
 // TestFreshnessAppendMidSwarm checks appends under concurrency: a
-// continuous appender races a query swarm (shared scans, pinned entries,
+// continuous appender races a query swarm (raw scans, pinned entries,
 // extensions all interleave), and the final quiesced answer matches the
 // oracle.
 func TestFreshnessAppendMidSwarm(t *testing.T) {

@@ -342,25 +342,6 @@ func TestOracleFeedsOfflinePolicies(t *testing.T) {
 	}
 }
 
-func TestFreezeBenefitUsesInsertTimeComponents(t *testing.T) {
-	m := NewManager(Config{Admission: AlwaysEager, FreezeBenefit: true})
-	ds := flatDataset("t")
-	m.BeginQuery()
-	e := buildEntry(t, m, ds, nil)
-	e.OpNanos = 999999 // live change
-	it := m.itemFor(e)
-	if it.OpNanos != 1000 {
-		t.Errorf("frozen item OpNanos = %d, want insert-time 1000", it.OpNanos)
-	}
-	m2 := NewManager(Config{Admission: AlwaysEager})
-	m2.BeginQuery()
-	e2 := buildEntry(t, m2, ds, expr.Cmp(expr.OpGe, expr.C("a"), expr.L(0)))
-	e2.OpNanos = 999999
-	if it2 := m2.itemFor(e2); it2.OpNanos != 999999 {
-		t.Errorf("live item OpNanos = %d, want 999999", it2.OpNanos)
-	}
-}
-
 func TestChooseLayoutModes(t *testing.T) {
 	flat, nested := flatDataset("f"), nestedDataset("n")
 	cases := []struct {

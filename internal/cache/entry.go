@@ -77,10 +77,6 @@ type Entry struct {
 	InsertedAt int64
 	VecScans   int64 // scans served by the vectorized batch pipeline
 
-	// Frozen benefit components captured at insert, for the frozen-benefit
-	// ablation (the paper reports up to 6% regression using them).
-	frozenOp, frozenCache, frozenScan, frozenLookup int64
-
 	advisor advisorState
 
 	// Lifecycle state (lifecycle.go), guarded by the Manager's lock and

@@ -60,9 +60,6 @@ type Config struct {
 	// LinearSubsumption replaces the R-tree candidate lookup with a linear
 	// scan over all entries (the naive approach §3.3 rejects; ablation).
 	LinearSubsumption bool
-	// FreezeBenefit uses insert-time benefit components at eviction instead
-	// of recomputing them (ablation; the paper reports up to 6% regression).
-	FreezeBenefit bool
 	// SpillDir enables the disk spill tier: eviction victims whose
 	// reconstruction cost exceeds their reload cost are serialized (Parquet
 	// format) into this directory instead of discarded, and re-admitted to
@@ -128,12 +125,6 @@ type Stats struct {
 	LayoutSwitches int64 `json:"layout_switches"`
 	LazyUpgrades   int64 `json:"lazy_upgrades"`
 	Inserted       int64 `json:"inserted"`
-	// SharedScans counts coordinator-led shared raw scans (work sharing:
-	// each is one parse of a raw file serving every concurrent miss that
-	// attached); SharedConsumers counts the attached consumers, so
-	// SharedConsumers − SharedScans is the number of raw scans avoided.
-	SharedScans     int64 `json:"shared_scans"`
-	SharedConsumers int64 `json:"shared_consumers"`
 	// VectorizedScans counts cache scans served by the batch pipeline;
 	// VectorizedBatches the column batches those scans pulled.
 	VectorizedScans   int64 `json:"vectorized_scans"`
@@ -197,8 +188,6 @@ type counters struct {
 	layoutSwitches      atomic.Int64
 	lazyUpgrades        atomic.Int64
 	inserted            atomic.Int64
-	sharedScans         atomic.Int64
-	sharedConsumers     atomic.Int64
 	vectorizedScans     atomic.Int64
 	vectorizedBatches   atomic.Int64
 	vectorizedJoins     atomic.Int64
@@ -302,15 +291,6 @@ func (m *Manager) Clock() int64 {
 	return m.clock.Load()
 }
 
-// NoteSharedScan records one coordinator-led shared raw scan that served n
-// consumers. It is wired as the share.Coordinator's OnShared callback by
-// the engine, so work-sharing activity shows up next to the reuse counters
-// in Stats.
-func (m *Manager) NoteSharedScan(n int) {
-	m.stats.sharedScans.Add(1)
-	m.stats.sharedConsumers.Add(int64(n))
-}
-
 // NoteVectorizedJoin records one fully vectorized hash join that consumed
 // probeBatches probe-side batches. The executor calls it when a join's
 // build and probe sides both served batches; the probe-side entry's scan
@@ -322,10 +302,9 @@ func (m *Manager) NoteVectorizedJoin(probeBatches int64) {
 }
 
 // NotePushdown records one raw scan that evaluated n pushed conjuncts below
-// parsing, skipping skipped records before full decode. It is wired as the
-// share.Coordinator's OnPushdown callback by the engine (and called
-// directly by coordinator-less executions), so pushdown activity shows up
-// next to the reuse and work-sharing counters in Stats.
+// parsing, skipping skipped records before full decode. The executor calls
+// it after such a scan, so pushdown activity shows up next to the reuse
+// counters in Stats.
 func (m *Manager) NotePushdown(n int, skipped int64) {
 	m.stats.pushdownScans.Add(1)
 	m.stats.pushedConjuncts.Add(int64(n))
@@ -345,8 +324,6 @@ func (m *Manager) Stats() Stats {
 		LayoutSwitches:      m.stats.layoutSwitches.Load(),
 		LazyUpgrades:        m.stats.lazyUpgrades.Load(),
 		Inserted:            m.stats.inserted.Load(),
-		SharedScans:         m.stats.sharedScans.Load(),
-		SharedConsumers:     m.stats.sharedConsumers.Load(),
 		VectorizedScans:     m.stats.vectorizedScans.Load(),
 		VectorizedBatches:   m.stats.vectorizedBatches.Load(),
 		VectorizedJoins:     m.stats.vectorizedJoins.Load(),
@@ -899,7 +876,6 @@ func (m *Manager) CompleteBuild(spec *BuildSpec, st store.Store, offsets []int64
 		LastAccess:   m.clock.Load(),
 		InsertedAt:   m.clock.Load(),
 		Freq:         1,
-		frozenOp:     opNanos, frozenCache: cacheNanos,
 	}
 	m.insertLocked(e)
 	m.mu.Unlock()
@@ -946,14 +922,10 @@ func (m *Manager) evictLocked() {
 	}
 }
 
-// itemFor snapshots an entry's accounting for the eviction policy. Unless
-// FreezeBenefit is set, components are read fresh so the benefit metric is
-// recomputed at every eviction, as §5.1 prescribes.
+// itemFor snapshots an entry's accounting for the eviction policy. The
+// components are read fresh so the benefit metric is recomputed at every
+// eviction, as §5.1 prescribes.
 func (m *Manager) itemFor(e *Entry) eviction.Item {
-	op, ca, sc, lo := e.OpNanos, e.CacheNanos, e.ScanNanos, e.LookupNs
-	if m.cfg.FreezeBenefit {
-		op, ca, sc, lo = e.frozenOp, e.frozenCache, e.frozenScan, e.frozenLookup
-	}
 	next := int64(math.MaxInt64)
 	if m.cfg.Oracle != nil {
 		next = m.cfg.Oracle(e, m.clock.Load())
@@ -962,10 +934,10 @@ func (m *Manager) itemFor(e *Entry) eviction.Item {
 		ID:         e.ID,
 		Size:       e.SizeBytes(),
 		Reuses:     e.Reuses,
-		OpNanos:    op,
-		CacheNanos: ca,
-		ScanNanos:  sc,
-		LookupNs:   lo,
+		OpNanos:    e.OpNanos,
+		CacheNanos: e.CacheNanos,
+		ScanNanos:  e.ScanNanos,
+		LookupNs:   e.LookupNs,
 		LastAccess: e.LastAccess,
 		Freq:       e.Freq,
 		FromJSON:   e.FromJSON(),
@@ -1006,9 +978,6 @@ func (m *Manager) UpgradeLazy(e *Entry, st store.Store, buildNanos, scanWallNano
 		account: func() {
 			e.CacheNanos += buildNanos
 			e.ScanNanos = scanWallNanos
-			if e.frozenScan == 0 {
-				e.frozenScan = scanWallNanos
-			}
 		},
 	})
 	m.mu.Unlock()
@@ -1038,9 +1007,6 @@ func (m *Manager) RecordScan(e *Entry, st store.ScanStats, ncols int, scanWallNa
 		e.VecScans++
 	}
 	e.ScanNanos = scanWallNanos
-	if e.frozenScan == 0 {
-		e.frozenScan = scanWallNanos
-	}
 	if e.Mode != Eager || e.Store == nil {
 		m.mu.Unlock()
 		return 0
@@ -1106,9 +1072,6 @@ func (m *Manager) RecordLazyReplay(e *Entry, scanWallNanos int64) {
 		return
 	}
 	e.ScanNanos = scanWallNanos
-	if e.frozenScan == 0 {
-		e.frozenScan = scanWallNanos
-	}
 }
 
 // LayoutOf reports the entry's current physical layout (for tests and the

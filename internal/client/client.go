@@ -508,7 +508,7 @@ func (cl *Client) Schema(name string) (string, error) {
 }
 
 // TableStats fetches one table's provider-level raw-scan counters — the
-// over-the-wire view of the shared-scan and pushdown metrics.
+// over-the-wire view of the raw-scan and pushdown metrics.
 func (cl *Client) TableStats(name string) (*wire.TableStats, error) {
 	resp, payload, err := cl.call(&wire.Request{Op: wire.OpTableStats, Name: name})
 	if err != nil {

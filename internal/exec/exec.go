@@ -25,7 +25,6 @@ import (
 	"recache/internal/cache"
 	"recache/internal/expr"
 	"recache/internal/plan"
-	"recache/internal/share"
 	"recache/internal/store"
 	"recache/internal/value"
 )
@@ -37,11 +36,6 @@ type Deps struct {
 	// entry payloads through it, materializers hand finished builds back
 	// through it, and lazy upgrades reserve their slot through it.
 	Manager *cache.Manager
-	// Share is the shared-scan coordinator; nil (or a nil pointer) scans
-	// raw files privately. When set, every raw full-file scan — including
-	// the ones under a Materialize — routes through it so concurrent
-	// misses on the same dataset cost one parse (see internal/share).
-	Share *share.Coordinator
 	// Needed maps dataset name → the column paths the query references.
 	// A present-but-empty slice means "no fields" (e.g. COUNT(*)); a
 	// missing key means all fields.
@@ -203,12 +197,8 @@ func scanNeeded(s *plan.Scan, deps Deps) []value.Path {
 func compileScan(s *plan.Scan, deps Deps) (runFn, error) {
 	needed := scanNeeded(s, deps)
 	prov := s.DS.Provider
-	coord := deps.Share
 	return func(ctx *qctx, out emitFn) error {
-		// The record callback may run on the shared-scan leader's goroutine
-		// during a fan-out; the coordinator's completion channel provides
-		// the happens-before edge back to this query's goroutine.
-		return coord.Scan(prov, needed, func(rec value.Value, off int64, complete func() error) error {
+		return prov.Scan(needed, func(rec value.Value, off int64, complete func() error) error {
 			ctx.curOffset = off
 			ctx.curComplete = complete
 			return out(rec.L)
@@ -218,10 +208,9 @@ func compileScan(s *plan.Scan, deps Deps) (runFn, error) {
 
 // compileScanPushdown fuses a Select sitting directly on a raw Scan into
 // one pushdown scan: the predicate's pushable conjuncts are evaluated by
-// the provider on the raw bytes — through the shared-scan coordinator,
-// which intersects them across concurrent consumers — and only the
-// residual runs in the pipeline. ok is false when nothing is pushable (or
-// pushdown is disabled); the caller then compiles the plain Select.
+// the provider on the raw bytes and only the residual runs in the pipeline.
+// ok is false when nothing is pushable (or pushdown is disabled); the
+// caller then compiles the plain Select.
 func compileScanPushdown(s *plan.Scan, pred expr.Expr, deps Deps) (runFn, bool, error) {
 	if deps.DisablePushdown {
 		return nil, false, nil
@@ -236,7 +225,6 @@ func compileScanPushdown(s *plan.Scan, pred expr.Expr, deps Deps) (runFn, bool, 
 	}
 	needed := scanNeeded(s, deps)
 	prov := s.DS.Provider
-	coord := deps.Share
 	mgr := deps.Manager
 	return func(ctx *qctx, out emitFn) error {
 		emit := func(rec value.Value, off int64, complete func() error) error {
@@ -247,17 +235,54 @@ func compileScanPushdown(s *plan.Scan, pred expr.Expr, deps Deps) (runFn, bool, 
 			}
 			return out(rec.L)
 		}
-		if coord != nil {
-			// The coordinator reports pushdown activity through its
-			// OnPushdown hook (wired to the manager by the engine).
-			return coord.ScanPushdown(prov, pd, needed, emit)
-		}
-		skipped, below, err := share.PushScan(prov, pd, needed, emit)
+		skipped, below, err := pushScan(prov, pd, needed, emit)
+		// A row-tested fallback decoded every record: not a pushdown scan.
 		if err == nil && below && mgr != nil {
 			mgr.NotePushdown(pd.NumConjuncts(), skipped)
 		}
 		return err
 	}, true, nil
+}
+
+// pushScan scans prov filtered by pd, below the parse when the provider
+// implements plan.PushdownScanner (below reports which path ran) and by
+// re-testing each decoded record otherwise; either way pd's tested columns
+// are folded into the needed set so the decoded rows carry them. It returns
+// the number of records filtered out before reaching fn.
+func pushScan(prov plan.ScanProvider, pd *expr.Pushdown, needed []value.Path, fn plan.ScanFunc) (skipped int64, below bool, err error) {
+	needed = unionPaths(needed, pd.Cols())
+	if ps, ok := prov.(plan.PushdownScanner); ok {
+		skipped, err = ps.ScanPushdown(pd, needed, fn)
+		return skipped, true, err
+	}
+	err = prov.Scan(needed, func(rec value.Value, off int64, complete func() error) error {
+		if !pd.TestRow(rec.L) {
+			skipped++
+			return nil
+		}
+		return fn(rec, off, complete)
+	})
+	return skipped, false, err
+}
+
+// unionPaths adds extra paths to a needed set, preserving the nil (all
+// fields) convention and deduplicating.
+func unionPaths(needed []value.Path, extra []value.Path) []value.Path {
+	if needed == nil {
+		return nil
+	}
+	seen := make(map[string]bool, len(needed))
+	for _, p := range needed {
+		seen[p.String()] = true
+	}
+	out := needed
+	for _, p := range extra {
+		if k := p.String(); !seen[k] {
+			seen[k] = true
+			out = append(out[:len(out):len(out)], p)
+		}
+	}
+	return out
 }
 
 func compileSelect(s *plan.Select, deps Deps) (runFn, error) {

@@ -136,12 +136,10 @@ func (t *ColTest) TestStrBytes(b []byte) bool {
 }
 
 // Pushdown is the compiled pushable part of one scan predicate: per-column
-// fused tests plus the source conjuncts (the currency for intersecting
-// pushdowns across the consumers of a shared scan).
+// fused tests plus the source conjuncts they came from.
 type Pushdown struct {
-	tests  []ColTest
-	conj   []Expr
-	schema *value.Type
+	tests []ColTest
+	conj  []Expr
 }
 
 // ExtractPushdown splits a scan predicate into its pushable single-column
@@ -231,7 +229,7 @@ func newPushdown(schema *value.Type, conj []Expr, specs []cmpSpec, cols []*Col) 
 	sort.SliceStable(out, func(i, j int) bool {
 		return decodeCost(out[i].Kind) < decodeCost(out[j].Kind)
 	})
-	return &Pushdown{tests: out, conj: conj, schema: schema}
+	return &Pushdown{tests: out, conj: conj}
 }
 
 // decodeCost orders test columns by how cheap the raw decode is.
@@ -260,14 +258,6 @@ func (p *Pushdown) NumConjuncts() int {
 		return 0
 	}
 	return len(p.conj)
-}
-
-// Conjuncts returns the source conjuncts the pushdown covers.
-func (p *Pushdown) Conjuncts() []Expr {
-	if p == nil {
-		return nil
-	}
-	return p.conj
 }
 
 // EqNeedle returns the longest string-equality literal among the pushed
@@ -351,8 +341,7 @@ func (p *Pushdown) String() string {
 }
 
 // TestRow evaluates the pushdown against a decoded (boxed) row — the
-// fallback for providers that cannot push below parsing, and the fanout
-// recheck of per-consumer remainders under a shared scan. It agrees with
+// fallback for providers that cannot push below parsing. It agrees with
 // the byte-level tests and with fusePredicate: null fails.
 func (p *Pushdown) TestRow(row []value.Value) bool {
 	if p == nil {
@@ -392,77 +381,4 @@ func (p *Pushdown) TestRow(row []value.Value) bool {
 		}
 	}
 	return true
-}
-
-// Remainder returns the part of p a scan already filtered by shared must
-// still apply: p's conjuncts not covered by shared. A nil shared (nothing
-// was pushed below the scan) leaves all of p; a shared covering every
-// conjunct leaves nil.
-func (p *Pushdown) Remainder(shared *Pushdown) *Pushdown {
-	if p == nil {
-		return nil
-	}
-	if shared == nil {
-		return p
-	}
-	covered := make(map[string]bool, len(shared.conj))
-	for _, c := range shared.conj {
-		covered[c.Canonical()] = true
-	}
-	var rest []Expr
-	for _, c := range p.conj {
-		if !covered[c.Canonical()] {
-			rest = append(rest, c)
-		}
-	}
-	switch {
-	case len(rest) == 0:
-		return nil
-	case len(rest) == len(p.conj):
-		return p
-	}
-	pd, _ := ExtractPushdown(And(rest...), p.schema)
-	return pd
-}
-
-// IntersectPushdowns returns the pushdown over the conjuncts common (by
-// canonical form) to every input — the predicate a shared scan may apply
-// below parsing without narrowing any consumer's stream. Any nil input
-// (a consumer with nothing pushable) makes the intersection nil.
-func IntersectPushdowns(pds ...*Pushdown) *Pushdown {
-	if len(pds) == 0 || pds[0] == nil {
-		return nil
-	}
-	common := make(map[string]bool, len(pds[0].conj))
-	for _, c := range pds[0].conj {
-		common[c.Canonical()] = true
-	}
-	for _, p := range pds[1:] {
-		if p == nil {
-			return nil
-		}
-		has := make(map[string]bool, len(p.conj))
-		for _, c := range p.conj {
-			has[c.Canonical()] = true
-		}
-		for k := range common {
-			if !has[k] {
-				delete(common, k)
-			}
-		}
-		if len(common) == 0 {
-			return nil
-		}
-	}
-	var kept []Expr
-	seen := make(map[string]bool, len(common))
-	for _, c := range pds[0].conj {
-		k := c.Canonical()
-		if common[k] && !seen[k] {
-			seen[k] = true
-			kept = append(kept, c)
-		}
-	}
-	pd, _ := ExtractPushdown(And(kept...), pds[0].schema)
-	return pd
 }

@@ -170,47 +170,6 @@ func TestColTestTypedParity(t *testing.T) {
 	}
 }
 
-func TestIntersectAndRemainder(t *testing.T) {
-	schema := pushdownSchema()
-	mk := func(pred Expr) *Pushdown {
-		pd, _ := ExtractPushdown(pred, schema)
-		if pd == nil {
-			t.Fatalf("not pushable: %v", pred.Canonical())
-		}
-		return pd
-	}
-	a := mk(And(Cmp(OpGe, C("a"), L(20)), Cmp(OpLe, C("a"), L(40))))
-	b := mk(Cmp(OpGe, C("a"), L(20)))
-	c := mk(Cmp(OpLt, C("b"), L(10.0)))
-
-	shared := IntersectPushdowns(a, b)
-	if shared == nil || shared.NumConjuncts() != 1 {
-		t.Fatalf("intersect(a,b) = %v", shared)
-	}
-	if got := shared.Conjuncts()[0].Canonical(); got != Cmp(OpGe, C("a"), L(20)).Canonical() {
-		t.Fatalf("shared conjunct = %s", got)
-	}
-	if rem := b.Remainder(shared); rem != nil {
-		t.Fatalf("b remainder = %v, want nil", rem)
-	}
-	rem := a.Remainder(shared)
-	if rem == nil || rem.NumConjuncts() != 1 {
-		t.Fatalf("a remainder = %v", rem)
-	}
-	// Disjoint columns: no common conjunct.
-	if got := IntersectPushdowns(a, c); got != nil {
-		t.Fatalf("intersect(a,c) = %v, want nil", got)
-	}
-	// Any nil input kills the intersection.
-	if got := IntersectPushdowns(a, nil); got != nil {
-		t.Fatalf("intersect(a,nil) = %v, want nil", got)
-	}
-	// Remainder of a full pd against nil shared is the pd itself.
-	if a.Remainder(nil) != a {
-		t.Fatal("remainder(nil) should be the pushdown itself")
-	}
-}
-
 func TestPushdownString(t *testing.T) {
 	schema := pushdownSchema()
 	pd, _ := ExtractPushdown(And(Cmp(OpGe, C("a"), L(10)), Cmp(OpLt, C("b"), L(5.0))), schema)

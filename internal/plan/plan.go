@@ -540,7 +540,7 @@ func Explain(n Node) string { return ExplainAnnotated(n, nil) }
 
 // ExplainAnnotated renders the operator tree like Explain, appending the
 // annotator's note (when non-empty) to each node's line. The engine uses it
-// to decorate raw Scan nodes with live shared-scan coordination state.
+// to decorate nodes with pushdown, vectorization and freshness notes.
 func ExplainAnnotated(n Node, note func(Node) string) string {
 	var b strings.Builder
 	var rec func(n Node, depth int)

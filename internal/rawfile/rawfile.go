@@ -92,8 +92,8 @@ type File struct {
 	snap atomic.Pointer[snapshot]
 
 	// scans counts full-file Scan calls (not ScanOffsets replays or tail
-	// scans); the work-sharing bench and tests use it to assert how many
-	// raw parses a burst of concurrent misses actually paid for. pushScans
+	// scans); the cold-burst bench and tests use it to assert how many
+	// raw parses a burst of concurrent misses paid for. pushScans
 	// counts the subset that evaluated a pushdown below parsing, and
 	// pushSkipped the records those scans rejected before decoding
 	// anything else.

@@ -4,11 +4,10 @@
 // Each accepted connection gets a session: one reader goroutine pulls
 // frames off the socket and spawns a goroutine per request, so a pipelined
 // connection keeps any number of queries in the engine's concurrent exec
-// path at once — this is what lets N sockets' cold misses land inside one
-// shared-scan gathering window. Responses are queued to a per-session
-// writer goroutine in completion order — it batches everything queued into
-// one flush syscall per wakeup — and the client matches them back by
-// request id.
+// path at once, each cold miss scanning the raw file on its own request
+// goroutine. Responses are queued to a per-session writer goroutine in
+// completion order — it batches everything queued into one flush syscall
+// per wakeup — and the client matches them back by request id.
 //
 // Shutdown is a graceful drain: listeners close (no new connections),
 // session readers are kicked off their blocking reads (no new requests),

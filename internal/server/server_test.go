@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 	"recache/internal/client"
 	"recache/internal/csvio"
 	"recache/internal/plan"
-	"recache/internal/share"
 	"recache/internal/value"
 )
 
@@ -252,142 +250,6 @@ func TestPipelinedRequests(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
-	}
-}
-
-// gateProvider reports each full-file Scan start on started and holds it
-// until a token arrives on gate, so the test can freeze a raw scan at a
-// deterministic point while a 16-client burst gathers behind it (the same
-// device the embedded shared-scan tests use).
-type gateProvider struct {
-	plan.ScanProvider
-	started chan int
-	gate    chan struct{}
-	scans   atomic.Int64
-}
-
-func (p *gateProvider) Scan(needed []value.Path, fn plan.ScanFunc) error {
-	n := p.scans.Add(1)
-	p.started <- int(n)
-	<-p.gate
-	return p.ScanProvider.Scan(needed, fn)
-}
-
-// Scans lets Engine.RawScans (and so OpTableStats) count the wrapper.
-func (p *gateProvider) Scans() int64 { return p.scans.Load() }
-
-// A 16-client cold burst over the wire must gather into ONE shared cycle:
-// one raw parse serves all 16 pipelined sessions, and the shared-scan
-// counters are observable through the client.
-func TestColdBurstSharedScanOverWire(t *testing.T) {
-	eng, err := recache.Open(recache.Config{Admission: "eager"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	// A long window keeps the cycle gathering until the frozen pilot scan
-	// releases; the cycle then seals early, deterministically.
-	eng.ConfigureSharedScans(true, share.Config{Window: 30 * time.Second})
-	st, err := recache.ParseSchema("id int, qty int, price float, name string")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := csvio.New(testCSV(t, 500), st, csvio.Options{Delim: '|'})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prov := &gateProvider{ScanProvider: inner, started: make(chan int, 4), gate: make(chan struct{}, 4)}
-	if err := eng.RegisterProvider("t", plan.FormatCSV, prov); err != nil {
-		t.Fatal(err)
-	}
-	_, addr := startServer(t, eng)
-
-	const clients = 16
-	cls := make([]*client.Client, clients)
-	for i := range cls {
-		cls[i] = dial(t, addr, client.Options{PoolSize: 1})
-	}
-	pilot := dial(t, addr, client.Options{PoolSize: 1})
-
-	// Pilot: a cold query frozen mid-scan, so the dataset has a raw scan in
-	// flight when the burst arrives.
-	pilotDone := make(chan error, 1)
-	go func() {
-		_, err := pilot.Query("SELECT COUNT(*) FROM t WHERE id BETWEEN 1 AND 10")
-		pilotDone <- err
-	}()
-	if s := <-prov.started; s != 1 {
-		t.Fatalf("pilot scan ordinal = %d", s)
-	}
-
-	// The burst: 16 clients, disjoint predicates (all cold misses — only
-	// work sharing can serve them from one parse).
-	var wg sync.WaitGroup
-	errCh := make(chan error, clients)
-	for i, cl := range cls {
-		wg.Add(1)
-		go func(i int, cl *client.Client) {
-			defer wg.Done()
-			lo := i * 30
-			res, err := cl.Query(fmt.Sprintf("SELECT COUNT(*) FROM t WHERE id BETWEEN %d AND %d", lo+1, lo+30))
-			if err != nil {
-				errCh <- err
-				return
-			}
-			if got := res.Rows[0][0].(int64); got != 30 {
-				errCh <- fmt.Errorf("client %d: count = %d, want 30", i, got)
-			}
-		}(i, cl)
-	}
-
-	// Watch the gathering cycle through the wire: Explain's shared-scan
-	// annotation reports the waiting-consumer count, side-effect-free.
-	waitingQ := "SELECT COUNT(*) FROM t WHERE id BETWEEN 481 AND 500"
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		text, err := pilot.Explain(waitingQ)
-		if err != nil {
-			t.Fatalf("explain while gathering: %v", err)
-		}
-		if strings.Contains(text, fmt.Sprintf("shared-scan: %d waiting", clients)) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("burst never gathered; explain says:\n%s", text)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	prov.gate <- struct{}{} // release the pilot; the cycle seals early
-	if s := <-prov.started; s != 2 {
-		t.Fatalf("burst cycle scan ordinal = %d, want 2", s)
-	}
-	prov.gate <- struct{}{} // release the one shared scan
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	if err := <-pilotDone; err != nil {
-		t.Fatal(err)
-	}
-
-	// One parse for the pilot plus exactly one for the whole 16-client
-	// burst — observed through the client, not the engine.
-	ts, err := cls[0].TableStats("t")
-	if err != nil {
-		t.Fatalf("table stats over wire: %v", err)
-	}
-	if ts.RawScans != 2 {
-		t.Fatalf("wire-reported raw scans = %d, want 2 (pilot + one shared cycle)", ts.RawScans)
-	}
-	stats, err := cls[0].Stats()
-	if err != nil {
-		t.Fatalf("stats over wire: %v", err)
-	}
-	if stats.Cache.SharedScans != 1 || stats.Cache.SharedConsumers != clients {
-		t.Fatalf("shared-scan counters over wire: scans=%d consumers=%d, want 1/%d",
-			stats.Cache.SharedScans, stats.Cache.SharedConsumers, clients)
 	}
 }
 

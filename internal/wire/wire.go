@@ -152,7 +152,7 @@ type Result struct {
 }
 
 // TableStats carries one table's provider-level raw-scan counters
-// (the shared-scan and pushdown bench metrics, observable over the wire).
+// (the raw-scan and pushdown bench metrics, observable over the wire).
 type TableStats struct {
 	RawScans     int64
 	PushScans    int64

@@ -45,7 +45,6 @@ import (
 	"recache/internal/expr"
 	"recache/internal/jsonio"
 	"recache/internal/plan"
-	"recache/internal/share"
 	"recache/internal/sqlparse"
 	"recache/internal/store"
 	"recache/internal/value"
@@ -167,16 +166,11 @@ func (c Config) toCacheConfig() (cache.Config, error) {
 // others scan raw — and eviction defers freeing an entry's store until the
 // last in-flight reader of that entry finishes.
 type Engine struct {
-	// mu guards the dataset registry and the share pointer; query execution
-	// takes no engine-wide lock (the cache manager and coordinator
-	// synchronize internally).
+	// mu guards the dataset registry; query execution takes no engine-wide
+	// lock (the cache manager synchronizes internally).
 	mu       sync.RWMutex
 	datasets map[string]*plan.Dataset
 	manager  *cache.Manager
-	// share is the engine's shared-scan coordinator (nil when disabled):
-	// concurrent cache-miss queries on one dataset batch into a single raw
-	// parse instead of N. See internal/share and DESIGN.md, "Work sharing".
-	share *share.Coordinator
 	// noVec disables vectorized cache scans (Config.DisableVectorized).
 	noVec bool
 	// noPush disables predicate pushdown into raw scans
@@ -213,39 +207,14 @@ func Open(cfg Config) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("recache: unknown freshness mode %q", cfg.FreshnessMode)
 	}
-	e.ConfigureSharedScans(true, share.Config{})
 	return e, nil
 }
 
 // OpenWithManager creates an engine around a pre-configured cache manager.
 // It exists for in-module tooling (the benchmark harness configures
 // internal knobs such as eviction oracles); library users should call Open.
-// The engine gets a default shared-scan coordinator; ConfigureSharedScans
-// adjusts or disables it.
 func OpenWithManager(m *cache.Manager) *Engine {
-	e := &Engine{datasets: make(map[string]*plan.Dataset), manager: m}
-	e.ConfigureSharedScans(true, share.Config{})
-	return e
-}
-
-// ConfigureSharedScans rebuilds the engine's shared-scan coordinator with
-// cfg, or removes it (enabled == false: every miss scans privately, the
-// pre-work-sharing ablation). The coordinator's OnShared hook is wired to
-// the manager's SharedScans/SharedConsumers counters here, so CacheStats
-// stays consistent. For in-module tooling and tests. Safe to call while
-// queries run: in-flight queries finish on the coordinator they captured,
-// later queries use the new one (the old coordinator's counters are
-// discarded; the manager's totals persist).
-func (e *Engine) ConfigureSharedScans(enabled bool, cfg share.Config) {
-	var coord *share.Coordinator
-	if enabled {
-		cfg.OnShared = e.manager.NoteSharedScan
-		cfg.OnPushdown = e.manager.NotePushdown
-		coord = share.New(cfg)
-	}
-	e.mu.Lock()
-	e.share = coord
-	e.mu.Unlock()
+	return &Engine{datasets: make(map[string]*plan.Dataset), manager: m}
 }
 
 // Manager exposes the underlying cache manager for in-module tooling.
@@ -358,8 +327,8 @@ func (e *Engine) ExportEntries(fn func(table, predCanon string, payload []byte) 
 }
 
 // RawScans reports how many full raw-file scans the named table's provider
-// has performed (the work-sharing bench metric: N concurrent cold misses
-// should cost far fewer than N raw scans). It returns -1 when the table is
+// has performed (the cold-burst bench metric: every concurrent cold miss
+// scans the file itself). It returns -1 when the table is
 // unknown or its provider does not count scans.
 func (e *Engine) RawScans(name string) int64 {
 	e.mu.RLock()
@@ -484,7 +453,6 @@ func (e *Engine) prepare(sql string) (plan.Node, exec.Deps, *cache.Txn, error) {
 	}
 	e.mu.RLock()
 	pl, err := e.buildPlan(q)
-	coord := e.share
 	e.mu.RUnlock()
 	if err != nil {
 		return nil, exec.Deps{}, nil, err
@@ -510,7 +478,6 @@ func (e *Engine) prepare(sql string) (plan.Node, exec.Deps, *cache.Txn, error) {
 	}
 	deps := exec.Deps{
 		Manager:           e.manager,
-		Share:             coord,
 		Needed:            pl.neededPaths,
 		DisableVectorized: e.noVec,
 		DisablePushdown:   e.noPush,
@@ -667,11 +634,9 @@ func (e *Engine) queryColumnarOnce(sql string) (*BatchResult, error) {
 }
 
 // Explain returns the rewritten physical plan of a query as indented text,
-// showing cache hits (CachedScan) and materializers. Raw Scan nodes are
-// annotated with the dataset's live work-sharing state — consumers waiting
-// in a gathering cycle, raw scans in flight, and the shared-scan /
-// shared-consumer totals so far — so EXPLAIN shows whether the scan would
-// attach to an in-flight shared cycle. Select nodes sitting directly on a
+// showing cache hits (CachedScan) and materializers. Raw Scan nodes of a
+// freshness-checking engine are annotated with whether the provider tracks
+// file versions. Select nodes sitting directly on a
 // raw Scan are annotated with the predicate split a miss would execute:
 // the conjuncts pushed below parsing and the residual the pipeline still
 // applies (e.g. "pushdown: [l_quantity>=20, l_quantity<=40]"). CachedScan
@@ -679,7 +644,7 @@ func (e *Engine) queryColumnarOnce(sql string) (*BatchResult, error) {
 // now: "vectorized" plus the expected batch count when the entry's layout
 // serves column batches, "row" otherwise. Explain is free of side effects:
 // it performs the cache lookup through the manager's read-only path (and
-// only reads coordinator state and entry payload snapshots), so reuse
+// only reads entry payload snapshots), so reuse
 // counters, hit/miss statistics, and eviction state are untouched.
 func (e *Engine) Explain(sql string) (string, error) {
 	q, err := sqlparse.Parse(sql)
@@ -688,7 +653,6 @@ func (e *Engine) Explain(sql string) (string, error) {
 	}
 	e.mu.RLock()
 	pl, err := e.buildPlan(q)
-	coord := e.share
 	noVec := e.noVec
 	noPush := e.noPush
 	e.mu.RUnlock()
@@ -713,7 +677,7 @@ func (e *Engine) Explain(sql string) (string, error) {
 		case *plan.Select:
 			notes = append(notes, pushNote(x, noPush))
 		case *plan.Scan:
-			notes = append(notes, shareNote(coord, x), freshNote(x, e.freshCheck))
+			notes = append(notes, freshNote(x, e.freshCheck))
 		}
 		if n == root {
 			notes = append(notes, result)
@@ -786,20 +750,6 @@ func joinNote(j *plan.Join, m *cache.Manager, noVec bool) string {
 		return "join: row"
 	}
 	return fmt.Sprintf("join: vectorized, %d probe batches", batches)
-}
-
-// shareNote annotates a raw Scan node with its dataset's shared-scan state;
-// empty when the coordinator is off or has never coordinated the dataset.
-func shareNote(coord *share.Coordinator, sc *plan.Scan) string {
-	if coord == nil {
-		return ""
-	}
-	waiting, running, cycles, consumers := coord.Status(sc.DS.Provider)
-	if waiting == 0 && running == 0 && cycles == 0 {
-		return ""
-	}
-	return fmt.Sprintf("shared-scan: %d waiting, %d running; %d cycles served %d consumers",
-		waiting, running, cycles, consumers)
 }
 
 func toNative(row []value.Value) []any {
