@@ -187,12 +187,15 @@ func concurrentMalformedRound(t *testing.T, eng *Engine, tbl buildTable) {
 	}
 }
 
-// TestEagerMissAllocBudget is the miss-overhead contract as a count: a
-// first-touch query that admits every record eagerly allocates per query,
-// not per record, beyond what the same query allocates with caching off —
-// the build takes offsets and fills column vectors, with no closure, boxed
-// row or flattened copy per admitted record (about three objects a record
-// before the typed build path).
+// TestEagerMissAllocBudget is the miss-overhead contract as a count, for
+// three first touches — an aggregate, a GROUP BY and a two-table join. With
+// caching off each allocates per chunk, not per record: the raw chunks are
+// decoded into reused vectors and run through the batch operators, with no
+// boxed row, group key or join key per record. A first touch that admits
+// every record eagerly allocates per query, not per record, beyond that:
+// the build decodes the chunks into its own column vectors, which the query
+// then reads, with no closure, boxed row or flattened copy per admitted
+// record.
 func TestEagerMissAllocBudget(t *testing.T) {
 	if rawfiletest.Race {
 		t.Skip("the race detector allocates")
@@ -203,42 +206,72 @@ func TestEagerMissAllocBudget(t *testing.T) {
 		fmt.Fprintf(&csv, "%d|%d|%d.25|%d\n", i, i%7, i%97, i%3)
 		fmt.Fprintf(&json, `{"a":%d,"b":%d,"c":%d.25,"d":%d}`+"\n", i, i%7, i%97, i%3)
 	}
-	const schema = "a int, b int, c float, d int"
+	var u strings.Builder
+	for i := 0; i < records/10; i++ {
+		fmt.Fprintf(&u, "%d|%d\n", 10*i, i)
+	}
+	dim := writeTemp(t, "u.csv", u.String())
+	registerDim := func(eng *Engine) error { return eng.RegisterCSV("u", dim, "k int, w int", '|') }
 	for _, tbl := range []buildTable{
 		{name: "csv", file: "t.csv", data: csv.String(), register: func(eng *Engine, path string) error {
-			return eng.RegisterCSV("t", path, schema, '|')
+			if err := registerDim(eng); err != nil {
+				return err
+			}
+			return eng.RegisterCSV("t", path, "a int, b int, c float, d int", '|')
 		}},
 		{name: "json", file: "t.json", data: json.String(), register: func(eng *Engine, path string) error {
-			return eng.RegisterJSON("t", path, schema)
+			if err := registerDim(eng); err != nil {
+				return err
+			}
+			return eng.RegisterJSON("t", path, "a int, b int, c float, d int")
 		}},
 	} {
 		t.Run(tbl.name, func(t *testing.T) {
-			// mallocs is the allocation count of the first query of a fresh
-			// engine; the least of a few runs sheds the runtime's own noise.
-			mallocs := func(admission string) uint64 {
-				least := ^uint64(0)
-				for run := 0; run < 3; run++ {
-					eng := openTable(t, Config{Admission: admission}, tbl)
-					var before, after runtime.MemStats
-					runtime.ReadMemStats(&before)
-					got := sumOf(t, eng, "SELECT SUM(c) FROM t WHERE a >= 0")
-					runtime.ReadMemStats(&after)
-					if got == 0 {
-						t.Fatal("empty answer")
-					}
-					if admission == "eager" {
-						if e := eng.CacheEntries(); len(e) != 1 || e[0].Mode != "eager" {
-							t.Fatalf("entries = %+v, want the one eager entry", e)
+			for _, q := range []struct {
+				name, sql string
+				tables    int
+			}{
+				{"aggregate", "SELECT SUM(c) FROM t WHERE a >= 0", 1},
+				{"group-by", "SELECT d, SUM(c) FROM t WHERE a >= 0 GROUP BY d", 1},
+				{"join", "SELECT COUNT(*), SUM(w) FROM t JOIN u ON a = k WHERE a >= 0", 2},
+			} {
+				// mallocs is the allocation count of the first query of a
+				// fresh engine; the least of a few runs sheds the runtime's
+				// own noise.
+				mallocs := func(admission string) uint64 {
+					least := ^uint64(0)
+					for run := 0; run < 3; run++ {
+						eng := openTable(t, Config{Admission: admission}, tbl)
+						var before, after runtime.MemStats
+						runtime.ReadMemStats(&before)
+						res, err := eng.Query(q.sql)
+						runtime.ReadMemStats(&after)
+						if err != nil || len(res.Rows) == 0 {
+							t.Fatalf("%s: %v rows, %v", q.sql, res, err)
 						}
+						if admission == "eager" {
+							e := eng.CacheEntries()
+							if len(e) != q.tables {
+								t.Fatalf("%s: entries = %+v, want %d eager", q.name, e, q.tables)
+							}
+							for _, x := range e {
+								if x.Mode != "eager" {
+									t.Fatalf("%s: entries = %+v, want %d eager", q.name, e, q.tables)
+								}
+							}
+						}
+						least = min(least, after.Mallocs-before.Mallocs)
 					}
-					least = min(least, after.Mallocs-before.Mallocs)
+					return least
 				}
-				return least
-			}
-			off, eager := mallocs("off"), mallocs("eager")
-			if extra := float64(eager) - float64(off); extra > 0.1*records {
-				t.Errorf("eager first touch allocates %d objects, caching off %d: %.2f extra per admitted record, want < 0.1",
-					eager, off, extra/records)
+				off, eager := mallocs("off"), mallocs("eager")
+				if off > records/10 {
+					t.Errorf("%s: caching off allocates %d objects for %d records: per record, not per chunk", q.name, off, records)
+				}
+				if extra := float64(eager) - float64(off); extra > 0.1*records {
+					t.Errorf("%s: eager first touch allocates %d objects, caching off %d: %.2f extra per admitted record, want < 0.1",
+						q.name, eager, off, extra/records)
+				}
 			}
 		})
 	}

@@ -1059,17 +1059,25 @@ func (m *Manager) convert(o inflight, to store.Layout) time.Duration {
 }
 
 // RecordLazyReplay attributes one lazy-entry replay's scan time to the
-// entry when no upgrade was in flight (the always-lazy baseline, or a
-// replay racing another query's upgrade). Before this path existed, a lazy
-// entry reused without upgrading never refreshed its s, so eviction kept
-// ranking it by a stale (often zero) scan cost. The entry's mode is
-// re-checked under the lock: if a concurrent upgrade landed first, the
-// eager store's own RecordScan is the authoritative source.
-func (m *Manager) RecordLazyReplay(e *Entry, scanWallNanos int64) {
+// entry, and counts a replay that served batches (batches > 0) as a
+// vectorized scan. Before this path existed, a lazy entry reused without
+// upgrading never refreshed its s, so eviction kept ranking it by a stale
+// (often zero) scan cost. The entry's mode is re-checked under the lock: if
+// a concurrent upgrade landed first, the eager store's own RecordScan is
+// the authoritative source; a replay's own upgrade (UpgradeLazy) lands
+// after this call.
+func (m *Manager) RecordLazyReplay(e *Entry, scanWallNanos, batches int64) {
+	if batches > 0 {
+		m.stats.vectorizedScans.Add(1)
+		m.stats.vectorizedBatches.Add(batches)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e.dead || e.Mode != Lazy {
 		return
+	}
+	if batches > 0 {
+		e.VecScans++
 	}
 	e.ScanNanos = scanWallNanos
 }

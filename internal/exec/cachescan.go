@@ -62,12 +62,7 @@ func compileCachedScan(cs *plan.CachedScan, deps Deps) (runFn, error) {
 			mode, st, offsets = entry.Mode, entry.Store, entry.Offsets
 		}
 		if mode == cache.Lazy {
-			// §5.2: ReCache upgrades a reused lazy item to an eager cache.
-			// The always-lazy baseline (Fig. 12/13) keeps replaying offsets.
-			upgrade := deps.Manager != nil &&
-				deps.Manager.Config().Admission == cache.Adaptive &&
-				deps.Manager.TryStartUpgrade(entry)
-			return lazyReplay(ctx, cs, entry, offsets, outNames, residual, out, deps, upgrade)
+			return lazyReplay(ctx, cs, entry, offsets, outNames, residual, out)
 		}
 		idx, err := store.ColumnIndexes(st, outNames)
 		if err != nil {
@@ -122,106 +117,178 @@ func compileCachedScan(cs *plan.CachedScan, deps Deps) (runFn, error) {
 	}, nil
 }
 
-// lazyReplay streams a lazy entry's satisfying records from the raw file,
-// optionally rebuilding an eager store along the way and upgrading the
-// entry. offsets is the caller's snapshot of the entry's satisfying-record
-// offsets. The records are read as a raw unnest reads them (unnest.go): a
-// chunk at a time into leaf vectors — by the provider's typed kernel, or
-// striped from its decoded records — and expanded into the scan's rows.
+// lazyReplay streams a lazy entry's satisfying records from the raw file as
+// rows, optionally rebuilding an eager store along the way and upgrading
+// the entry (see replay). offsets is the caller's snapshot of the entry's
+// satisfying-record offsets. The records are read as a raw unnest reads
+// them (unnest.go): a chunk at a time into leaf vectors — by the provider's
+// typed kernel, or striped from its decoded records — and expanded into
+// the scan's rows. A flat entry over a typed kernel serves the same chunks
+// as batches instead (vecScan.replay), unless vectorization is off.
 func lazyReplay(ctx *qctx, cs *plan.CachedScan, entry *cache.Entry, offsets []int64,
-	outNames []string, residual expr.Predicate, out emitFn, deps Deps, upgrade bool) (err error) {
+	outNames []string, residual expr.Predicate, out emitFn) error {
 
-	upgraded := false
-	if upgrade {
-		defer func() {
-			if !upgraded {
-				deps.Manager.CancelUpgrade(entry)
-			}
-		}()
-	}
 	ds := entry.Dataset
 	cols, err := value.LeafColumnsCached(ds.Schema())
 	if err != nil {
 		return err
 	}
-	proj := make([]int, len(outNames))
-	slots := make([]int, len(outNames))
-	need := make([]bool, len(cols))
-	for i, n := range outNames {
-		proj[i], slots[i] = slices.IndexFunc(cols, func(c value.LeafColumn) bool { return c.Name() == n }), i
-		if proj[i] < 0 {
-			return fmt.Errorf("exec: lazy replay: no column %q", n)
-		}
-		need[proj[i]] = true
-	}
-	rows := newLeafRows(cols, proj, slots, len(proj), cs.Flat, residual)
-
-	// An upgrade rebuilds the entry as an eager store (see eagerBuild) from
-	// the same chunks: a typed build decodes every leaf of them, a record
-	// build completes each record as it passes. Either failing — on a field
-	// the query never named, say — costs the upgrade, not the query.
-	var b *eagerBuild
-	if upgrade {
-		layout := store.LayoutColumnar
-		if deps.Manager != nil {
-			layout = deps.Manager.ChooseLayout(ds)
-		}
-		if b, err = newEagerBuild(ds, layout, entry.FileEpoch); err != nil {
-			return err
-		}
-	}
-
-	// Replay against the file epoch the offsets were recorded in: a rewrite
-	// between the lookup and this scan renumbers every byte offset, and an
-	// epoch-checked decode fails fast with plan.ErrEpochChanged (the engine
-	// retries the whole query against the reconciled cache) instead of
-	// parsing garbage at stale positions.
-	var build int64
-	wall0 := time.Now()
-	if app := appender(ds.Provider, entry.FileEpoch); app != nil {
-		dec := newLeafDecoder(app, entry.FileEpoch, cols, need)
-		for lo := 0; lo < len(offsets); lo += store.BatchRows {
-			ch, c, berr, err := dec.decode(offsets[lo:min(lo+store.BatchRows, len(offsets))], b)
-			if err != nil {
-				return err
-			}
-			if build += c.Nanoseconds(); berr != nil {
-				b = nil
-			}
-			if err := rows.emit(ch, out); err != nil {
-				return err
-			}
-		}
-	} else if b, build, err = replayRecords(ds, entry.FileEpoch, offsets, cols, need, rows, out, b); err != nil {
+	leaves, need, err := replayLeaves(cols, outNames)
+	if err != nil {
 		return err
 	}
-	// The replay's own cost excludes downstream operator time and the eager
-	// rebuild (charged to CacheBuildNanos below), so the s recorded against
-	// this entry is the replay, not the query above it.
-	scanNanos := max(time.Since(wall0).Nanoseconds()-rows.down.EstimatedTotal().Nanoseconds()-build, 0)
-	ctx.stats.CacheScanNanos += scanNanos
-
-	var st store.Store // stays nil when the build fails
-	if b != nil {
-		t0 := time.Now()
-		st, _ = b.finish()
-		build += time.Since(t0).Nanoseconds()
+	slots := make([]int, len(leaves))
+	for i := range slots {
+		slots[i] = i
 	}
-	ctx.stats.CacheBuildNanos += build
-	if st == nil {
-		// No upgrade, or one that failed (the deferred CancelUpgrade leaves
-		// the entry lazy): still attribute the replay cost to the entry
-		// (before this, a lazy entry reused without an upgrade — the
-		// always-lazy baseline, or a replay racing another query's upgrade
-		// — never updated its per-entry scan time).
-		if deps.Manager != nil {
-			deps.Manager.RecordLazyReplay(entry, scanNanos)
+	rows := newLeafRows(cols, leaves, slots, len(leaves), cs.Flat, residual)
+	r, err := startReplay(ctx, entry, cols, need)
+	if err != nil {
+		return err
+	}
+	wall0 := time.Now()
+	if r.dec != nil {
+		for lo := 0; lo < len(offsets) && err == nil; lo += store.BatchRows {
+			var ch leafChunk
+			if ch, err = r.chunk(offsets[lo:min(lo+store.BatchRows, len(offsets))]); err == nil {
+				err = rows.emit(ch, out)
+			}
 		}
+	} else {
+		r.b, r.build, err = replayRecords(ds, entry.FileEpoch, offsets, cols, need, rows, out, r.b)
+	}
+	// The replay's own time excludes downstream operator time.
+	return r.end(ctx, time.Since(wall0).Nanoseconds()-rows.down.EstimatedTotal().Nanoseconds(), 0, err)
+}
+
+// replayLeaves resolves a lazy entry's output columns to leaf columns: the
+// leaf of each, and the leaves to decode.
+func replayLeaves(cols []value.LeafColumn, outNames []string) (leaves []int, need []bool, err error) {
+	leaves, need = make([]int, len(outNames)), make([]bool, len(cols))
+	for i, n := range outNames {
+		if leaves[i] = slices.IndexFunc(cols, func(c value.LeafColumn) bool { return c.Name() == n }); leaves[i] < 0 {
+			return nil, nil, fmt.Errorf("exec: lazy replay: no column %q", n)
+		}
+		need[leaves[i]] = true
+	}
+	return leaves, need, nil
+}
+
+// replay is one execution's read of a lazy entry's offsets, a chunk at a
+// time into leaf vectors. §5.2: ReCache upgrades a reused lazy item to an
+// eager cache — the always-lazy baseline (Fig. 12/13) keeps replaying
+// offsets — and the upgrade rebuilds the entry as an eager store (see
+// eagerBuild) from the same chunks: a typed build decodes every leaf of
+// them, a record build completes each record as it passes. Either failing —
+// on a field the query never named, say — costs the upgrade, not the query.
+//
+// The replay is pinned to the file epoch the offsets were recorded in: a
+// rewrite between the lookup and this read renumbers every byte offset, and
+// an epoch-checked decode fails fast with plan.ErrEpochChanged (the engine
+// retries the whole query against the reconciled cache) instead of parsing
+// garbage at stale positions.
+type replay struct {
+	entry   *cache.Entry
+	mgr     *cache.Manager
+	upgrade bool
+	b       *eagerBuild  // nil without an upgrade, or once it failed
+	dec     *leafDecoder // nil: the provider has no typed kernel
+	build   int64        // the upgrade's time
+}
+
+func startReplay(ctx *qctx, entry *cache.Entry, cols []value.LeafColumn, need []bool) (*replay, error) {
+	m := ctx.deps.Manager
+	r := &replay{entry: entry, mgr: m,
+		upgrade: m != nil && m.Config().Admission == cache.Adaptive && m.TryStartUpgrade(entry)}
+	if r.upgrade {
+		var err error
+		if r.b, err = newEagerBuild(entry.Dataset, m.ChooseLayout(entry.Dataset), entry.FileEpoch); err != nil {
+			m.CancelUpgrade(entry)
+			return nil, err
+		}
+	}
+	if app := appender(entry.Dataset.Provider, entry.FileEpoch); app != nil {
+		r.dec = newLeafDecoder(app, entry.FileEpoch, cols, need)
+	}
+	return r, nil
+}
+
+// chunk decodes the records at offs, and the upgrade's share of them.
+func (r *replay) chunk(offs []int64) (leafChunk, error) {
+	ch, build, berr, err := r.dec.decode(offs, r.b)
+	if r.build += build.Nanoseconds(); berr != nil {
+		r.b = nil
+	}
+	return ch, err
+}
+
+// end closes a replay that took own nanoseconds, the upgrade's included,
+// and served batches batches (0: rows), or failed with err: the replay's
+// cost is attributed to the entry and the upgrade, if it held, commits.
+func (r *replay) end(ctx *qctx, own, batches int64, err error) error {
+	var st store.Store // stays nil when the build fails
+	if err == nil && r.b != nil {
+		t0 := time.Now()
+		st, _ = r.b.finish()
+		r.build += time.Since(t0).Nanoseconds()
+	}
+	if r.upgrade && st == nil {
+		// No upgrade, or one that failed: the entry stays lazy.
+		r.mgr.CancelUpgrade(r.entry)
+	}
+	if err != nil {
+		return err
+	}
+	scanNanos := max(own-r.build, 0)
+	ctx.stats.CacheScanNanos += scanNanos
+	ctx.stats.CacheBuildNanos += r.build
+	if r.mgr == nil {
 		return nil
 	}
-	deps.Manager.UpgradeLazy(entry, st, build, scanNanos)
-	upgraded = true
+	// Attribute the replay cost to the entry even when it is not upgraded
+	// (the always-lazy baseline, or a replay racing another query's upgrade).
+	r.mgr.RecordLazyReplay(r.entry, scanNanos, batches)
+	if st != nil {
+		r.mgr.UpgradeLazy(r.entry, st, r.build, scanNanos)
+	}
 	return nil
+}
+
+// replay opens a flat lazy entry's replay as a batch source: each chunk's
+// leaf vectors are the scan's columns. Nothing starts before the first
+// Next: a consumer that opens the source and falls back to its row path
+// reserves no upgrade.
+func (p *vecScan) replay(ctx *qctx, offsets []int64, filters []*expr.VecFilter) (vecIter, bool) {
+	cols, err := value.LeafColumnsCached(p.entry.Dataset.Schema())
+	if err != nil {
+		return nil, false
+	}
+	leaves, need, err := replayLeaves(cols, p.outNames)
+	if err != nil {
+		return nil, false
+	}
+	var r *replay
+	next := func() (ch leafChunk, ok bool, err error) {
+		if r == nil {
+			if r, err = startReplay(ctx, p.entry, cols, need); err != nil {
+				return ch, false, err
+			}
+		}
+		if len(offsets) == 0 {
+			return ch, false, nil
+		}
+		n := min(store.BatchRows, len(offsets))
+		ch, err = r.chunk(offsets[:n])
+		offsets = offsets[n:]
+		return ch, err == nil, err
+	}
+	end := func(own, batches int64, err error) error {
+		if r == nil {
+			return err
+		}
+		return r.end(ctx, own, batches, err)
+	}
+	return newChunkIter(next, end, cols, leaves, append([]*expr.VecFilter{p.filter}, filters...)), true
 }
 
 // replayRecords is lazyReplay's route for a provider without a typed

@@ -43,7 +43,8 @@ type Deps struct {
 	// DisableVectorized forces every cache scan onto the row-at-a-time
 	// path (pre-vectorization behaviour; ablation and benchmarking). Joins
 	// then take the boxed row join: a join cannot batch without batch
-	// inputs.
+	// inputs. A raw miss still decodes its chunks typed — its route follows
+	// from the provider — and boxes their rows at the batch→row boundary.
 	DisableVectorized bool
 	// DisablePushdown keeps scan predicates above parsing: raw scans decode
 	// every needed field of every record and the filter runs afterwards
@@ -97,9 +98,11 @@ type qctx struct {
 // Sink receives a query's result at the plan root, in whichever of two
 // shapes the root produces this execution. A batch-native root — a Project
 // of plain column references, or a bare [Select*] chain, over a vectorized
-// cache scan or join — hands over its column batches; every other root
-// (aggregates, raw-scan misses, DisableVectorized, a source that cannot
-// serve batches right now) emits rows. One execution uses one shape only.
+// cache scan, a lazy replay, a join or a flat raw-scan miss — hands over its
+// column batches; every other root (aggregates, nested data,
+// DisableVectorized, a source that cannot serve batches right now, a
+// provider without a typed kernel) emits rows. One execution uses one
+// shape only.
 type Sink interface {
 	// Row receives one result row. The slice is reused between calls; a
 	// sink that retains the row copies it.
@@ -149,6 +152,17 @@ func RunInto(root plan.Node, deps Deps, sink Sink) (*QueryStats, error) {
 }
 
 func compile(n plan.Node, deps Deps) (runFn, error) {
+	// A flat raw select over a typed kernel serves batches whoever consumes
+	// it: under a row operator its rows leave at the batch→row boundary.
+	if src, ok, err := flatMiss(n, deps); err != nil || ok {
+		if err != nil {
+			return nil, err
+		}
+		return func(ctx *qctx, out emitFn) error {
+			it, _ := src.open(ctx)
+			return emitIter(ctx, it, nil, out)
+		}, nil
+	}
 	switch x := n.(type) {
 	case *plan.Scan:
 		return compileScan(x, deps)

@@ -21,13 +21,13 @@ import (
 // matched (build-row, probe-row) pairs, gathered into joined output batches
 // so a downstream vectorized Aggregate/Project never sees a boxed row.
 //
-// Flavor choice is per compile with per-execution degradation: when only
-// one side's batches open at run time (lazy entry, Parquet FSM view), the
-// join crosses the batch→row boundary on the row side — typed table from
-// batches probed by rows, or a row-built arena probed by batches — and
-// when neither opens it falls all the way back to the boxed row join. All flavors produce identical results (joinvec_test.go holds
-// them to it), including the row path's float key semantics: +0 and -0
-// join each other, NaN keys never match.
+// Flavor choice is per compile with per-execution degradation: a join runs
+// batch-native when both sides serve batches — cache hits, lazy replays and
+// flat misses all do — and the boxed row join otherwise (a row-only side:
+// an Unnest, or a Parquet entry's flattened view). Both flavors produce
+// identical results (joinvec_test.go holds them to it), including the row
+// path's float key semantics: +0 and -0 join each other, NaN keys never
+// match.
 
 // keyMode is the typed representation join keys normalize into, derived
 // from the two key column kinds exactly as the row path's makeJoinKey
@@ -144,35 +144,6 @@ func colKey(v *store.Vec, r int32, mode keyMode) (typedKey, bool) {
 			return k, false
 		}
 		k.ik = ik
-	}
-	k.h = hashUint(uint64(k.ik))
-	return k, true
-}
-
-// valKey is colKey for a boxed row-side value (the mixed flavors). A null
-// or NaN key never joins.
-func valKey(v value.Value, mode keyMode) (typedKey, bool) {
-	var k typedKey
-	if v.Kind == value.Null {
-		return k, false
-	}
-	switch mode {
-	case keyModeString:
-		k.sk = v.S
-		k.h = hashString(k.sk)
-		return k, true
-	case keyModeInt:
-		k.ik = v.I
-	case keyModeFloat:
-		f := v.AsFloat()
-		if f != f {
-			return k, false
-		}
-		k.ik = int64(joinFloatBits(f))
-	default:
-		if v.B {
-			k.ik = 1
-		}
 	}
 	k.h = hashUint(uint64(k.ik))
 	return k, true
@@ -314,9 +285,7 @@ func (t *joinTable) grow() {
 	}
 }
 
-// vecJoin is the compile-time plan of a batch-native hash join. A nil
-// lsrc/rsrc means that side can never serve batches (it stays a row input
-// in the mixed flavors); both non-nil is required for batch output.
+// vecJoin is the compile-time plan of a batch-native hash join.
 type vecJoin struct {
 	lsrc, rsrc   vecSource
 	lslot, rslot int
@@ -326,8 +295,8 @@ type vecJoin struct {
 
 // planVecJoin checks the compile-time half of join vectorizability: key
 // columns resolvable to single batch slots (expr.ColSlot), a typed key
-// mode for the kind pair, and at least one side peelable to a batch
-// source. ok is false when every execution must take the row join.
+// mode for the kind pair, and both sides peelable to batch sources. ok is
+// false when every execution must take the row join.
 func planVecJoin(j *plan.Join, deps Deps) (*vecJoin, bool) {
 	if deps.DisableVectorized {
 		return nil, false
@@ -349,27 +318,25 @@ func planVecJoin(j *plan.Join, deps Deps) (*vecJoin, bool) {
 		ln:   len(j.Left.OutSchema().Fields),
 		rn:   len(j.Right.OutSchema().Fields),
 	}
-	if slot, ok := expr.ColSlot(j.LeftKey, j.Left.OutSchema()); ok {
-		if src, ok := peelVecSource(j.Left, deps); ok {
-			vj.lsrc, vj.lslot = src, slot
-		}
-	}
-	if slot, ok := expr.ColSlot(j.RightKey, j.Right.OutSchema()); ok {
-		if src, ok := peelVecSource(j.Right, deps); ok {
-			vj.rsrc, vj.rslot = src, slot
-		}
-	}
-	if vj.lsrc == nil && vj.rsrc == nil {
+	if vj.lslot, ok = expr.ColSlot(j.LeftKey, j.Left.OutSchema()); !ok {
 		return nil, false
 	}
-	return vj, true
+	if vj.rslot, ok = expr.ColSlot(j.RightKey, j.Right.OutSchema()); !ok {
+		return nil, false
+	}
+	if vj.lsrc, ok = peelVecSource(j.Left, deps); !ok {
+		return nil, false
+	}
+	vj.rsrc, ok = peelVecSource(j.Right, deps)
+	return vj, ok
 }
 
 // buildTable drains the build-side iterator into a typed table. When the
 // iterator is stable (a cache scan), build rows are stored as row-ids into
 // the retained full-length vectors — zero copies; otherwise (a nested
-// join's gathered batches) the selected rows are appended into fresh typed
-// vectors and row-ids address those. Null and NaN keys never enter the
+// join's gathered batches, a miss's or a lazy replay's chunks) each batch's
+// selected rows are gathered into fresh typed vectors and row-ids address
+// those. Null and NaN keys never enter the
 // table. The caller closes the iterator.
 func (vj *vecJoin) buildTable(liter vecIter) (bcols []*store.Vec, table *joinTable) {
 	stable := liter.Stable()
@@ -398,12 +365,13 @@ func (vj *vecJoin) buildTable(liter vecIter) (bcols []*store.Vec, table *joinTab
 		}
 		rows := sel
 		if !stable {
+			base := int32(bcols[0].Len())
 			ids = ids[:0]
-			for _, r := range sel {
-				ids = append(ids, int32(bcols[0].Len()))
-				for i, c := range cols {
-					bcols[i].AppendFrom(c, int(r))
-				}
+			for k := range sel {
+				ids = append(ids, base+int32(k))
+			}
+			for i, c := range cols {
+				bcols[i].AppendSel(c, sel)
 			}
 			rows = ids
 		}
@@ -462,7 +430,7 @@ func (t *joinTable) insertBatch(kcol *store.Vec, sel, rows []int32) {
 	t.ents, t.used = ents, used
 }
 
-// joinSource serves the fully vectorized flavor as a batch source for a
+// joinSource serves the batch-native join as a batch source for a
 // downstream vectorized Aggregate/Project (or the batch→row boundary).
 type joinSource struct {
 	vj *vecJoin
@@ -470,9 +438,6 @@ type joinSource struct {
 
 func (s *joinSource) open(ctx *qctx) (vecIter, bool) {
 	vj := s.vj
-	if vj.lsrc == nil || vj.rsrc == nil {
-		return nil, false
-	}
 	liter, ok := vj.lsrc.open(ctx)
 	if !ok {
 		return nil, false
@@ -498,9 +463,6 @@ func (s *joinSource) open(ctx *qctx) (vecIter, bool) {
 }
 
 func (s *joinSource) info(deps Deps) (int64, bool) {
-	if s.vj.lsrc == nil || s.vj.rsrc == nil {
-		return 0, false
-	}
 	if _, ok := s.vj.lsrc.info(deps); !ok {
 		return 0, false
 	}
@@ -520,6 +482,7 @@ type joinIter struct {
 	ctx          *qctx
 	liter        vecIter // consumed and closed by the first Next
 	riter        vecIter
+	err          error // what ended the build side's iteration
 	bcols        []*store.Vec
 	table        *joinTable
 	kinds        []value.Kind
@@ -547,10 +510,10 @@ func (it *joinIter) Next() ([]*store.Vec, []int32, bool) {
 		if sink, ok := it.liter.(nanosSink); ok {
 			sink.addScanNanos(time.Since(t0).Nanoseconds())
 		}
-		it.liter.Close(it.ctx)
+		it.err = it.liter.Close(it.ctx)
 		it.liter = nil
 	}
-	for it.off >= len(it.lids) {
+	for it.err == nil && it.off >= len(it.lids) {
 		cols, sel, ok := it.riter.Next()
 		if !ok {
 			return nil, nil, false
@@ -565,6 +528,9 @@ func (it *joinIter) Next() ([]*store.Vec, []int32, bool) {
 		t0 := time.Now()
 		it.probeBatch(cols[vj.rslot], sel)
 		it.probeNanos += time.Since(t0).Nanoseconds()
+	}
+	if it.err != nil {
+		return nil, nil, false
 	}
 	n := len(it.lids) - it.off
 	if n > store.BatchRows {
@@ -632,103 +598,28 @@ func (it *joinIter) probeBatch(kcol *store.Vec, sel []int32) {
 	it.lids, it.rids = lids, rids
 }
 
-func (it *joinIter) Close(ctx *qctx) {
+func (it *joinIter) Close(ctx *qctx) error {
+	if it.err != nil {
+		return it.err
+	}
 	// Probe time is work spent consuming the right side's batches: route
 	// it into that entry's scan observation (when the probe source is a
 	// cache scan) so measured join-probe nanos reach the layout advisor.
 	if sink, ok := it.riter.(nanosSink); ok {
 		sink.addScanNanos(it.probeNanos)
 	}
-	it.riter.Close(ctx)
+	if err := it.riter.Close(ctx); err != nil {
+		return err
+	}
 	if ctx.deps.Manager != nil {
 		ctx.deps.Manager.NoteVectorizedJoin(it.probeBatches)
 	}
-}
-
-// --- mixed flavors: batch→row boundary on one side ---
-
-// runBuildVec joins a batch build side against a row probe side: the typed
-// table and retained build columns come from batches, each probe row boxes
-// only its matches' left values at the boundary.
-func (vj *vecJoin) runBuildVec(ctx *qctx, liter vecIter, parts *joinParts, out emitFn) error {
-	bcols, table := vj.buildTable(liter)
-	liter.Close(ctx)
-	buf := make([]value.Value, vj.ln+vj.rn)
-	return parts.right(ctx, func(row []value.Value) error {
-		k, ok := valKey(parts.rkey(row), vj.mode)
-		if !ok {
-			return nil
-		}
-		for e := table.lookup(k); e >= 0; e = table.ents[e].next {
-			lr := int(table.ents[e].row)
-			for i, c := range bcols {
-				buf[i] = c.Get(lr)
-			}
-			copy(buf[vj.ln:], row)
-			if err := out(buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// runProbeVec joins a row build side against a batch probe side: build
-// rows land in a chunked arena keyed through the same typed table, and the
-// probe drains batches, boxing only matched rows at the boundary.
-func (vj *vecJoin) runProbeVec(ctx *qctx, riter vecIter, parts *joinParts, out emitFn) error {
-	table := newJoinTable(vj.mode, 0)
-	var arena rowArena
-	var rows [][]value.Value
-	if err := parts.left(ctx, func(row []value.Value) error {
-		k, ok := valKey(parts.lkey(row), vj.mode)
-		if !ok {
-			return nil
-		}
-		table.insert(k, int32(len(rows)))
-		rows = append(rows, arena.save(row))
-		return nil
-	}); err != nil {
-		return err
-	}
-	buf := make([]value.Value, vj.ln+vj.rn)
-	for {
-		cols, sel, ok := riter.Next()
-		if !ok {
-			break
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		kcol := cols[vj.rslot]
-		for _, r := range sel {
-			if kcol.Nulls.Get(int(r)) {
-				continue
-			}
-			k, ok := colKey(kcol, r, vj.mode)
-			if !ok {
-				continue
-			}
-			for e := table.lookup(k); e >= 0; e = table.ents[e].next {
-				copy(buf, rows[table.ents[e].row])
-				for i, c := range cols {
-					buf[vj.ln+i] = c.Get(int(r))
-				}
-				if err := out(buf); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	riter.Close(ctx)
 	return nil
 }
 
-// compileJoinAuto compiles every join flavor and picks per execution: the
-// fully vectorized join when both sides serve batches, a mixed flavor when
-// one does, the arena row join when neither does. The mixed checks reuse
-// the very sources the full flavor compiled — an execution degrades one
-// side at a time as payload snapshots allow.
+// compileJoinAuto compiles both join flavors and picks per execution: the
+// batch-native join when both sides serve batches now, the arena row join
+// otherwise.
 func compileJoinAuto(j *plan.Join, deps Deps) (runFn, error) {
 	parts, err := compileJoinParts(j, deps)
 	if err != nil {
@@ -739,27 +630,11 @@ func compileJoinAuto(j *plan.Join, deps Deps) (runFn, error) {
 	if !ok {
 		return rowFn, nil
 	}
-	full := &joinSource{vj: vj}
-	return func(ctx *qctx, out emitFn) error {
-		if it, ok := full.open(ctx); ok {
-			return emitIter(ctx, it, nil, out)
-		}
-		if vj.lsrc != nil {
-			if liter, ok := vj.lsrc.open(ctx); ok && keyKindOK(vj.mode, liter.Kinds()[vj.lslot]) {
-				return vj.runBuildVec(ctx, liter, parts, out)
-			}
-		}
-		if vj.rsrc != nil {
-			if riter, ok := vj.rsrc.open(ctx); ok && keyKindOK(vj.mode, riter.Kinds()[vj.rslot]) {
-				return vj.runProbeVec(ctx, riter, parts, out)
-			}
-		}
-		return rowFn(ctx, out)
-	}, nil
+	return vecEmit(&joinSource{vj: vj}, nil, rowFn), nil
 }
 
-// VectorizedJoinInfo reports whether a Join would take the fully
-// vectorized pipeline if executed now, and the expected probe batch count.
+// VectorizedJoinInfo reports whether a Join would take the batch-native
+// pipeline if executed now, and the expected probe batch count.
 // EXPLAIN uses it; it only reads entry payload snapshots.
 func VectorizedJoinInfo(j *plan.Join, m *cache.Manager, disableVec bool) (bool, int64) {
 	deps := Deps{Manager: m, DisableVectorized: disableVec}

@@ -234,11 +234,11 @@ func TestVectorizedJoinCountersAndAttribution(t *testing.T) {
 		}, j)
 	}
 	m := mgr(cache.Config{Admission: cache.AlwaysEager, Layout: cache.LayoutFixedColumnar})
-	buildAndRun(t, m, mk, needed) // miss: builds both entries, row join
+	buildAndRun(t, m, mk, needed) // miss: builds both entries, batch join over the raw chunks
 	buildAndRun(t, m, mk, needed) // hit: batch join end to end
 	st := m.Stats()
-	if st.VectorizedJoins != 1 {
-		t.Fatalf("VectorizedJoins = %d, want 1", st.VectorizedJoins)
+	if st.VectorizedJoins != 2 {
+		t.Fatalf("VectorizedJoins = %d, want 2", st.VectorizedJoins)
 	}
 	if st.JoinProbeBatches < 1 {
 		t.Fatalf("JoinProbeBatches = %d, want >= 1", st.JoinProbeBatches)
@@ -254,12 +254,12 @@ func TestVectorizedJoinCountersAndAttribution(t *testing.T) {
 	}
 }
 
-// TestVectorizedJoinOneSideBatches pins the mixed flavors: under the fixed
-// Parquet layout a flattened (unnested) side needs FSM record assembly and
-// cannot batch, while the flat side's entry still serves batches — the
-// join must cross the batch→row boundary on one side only (typed table
-// from batches probed by rows, and the mirror image), match the no-cache
-// baseline, and leave the fully-vectorized counter untouched.
+// TestVectorizedJoinOneSideBatches: under the fixed Parquet layout a
+// flattened (unnested) side needs FSM record assembly and cannot batch, so
+// the join takes the arena row join, on either side of the join: there is
+// no flavor that batches one side only. The flat side's entry still serves
+// its batches, boxed at the batch→row boundary, and the answer matches the
+// no-cache baseline.
 func TestVectorizedJoinOneSideBatches(t *testing.T) {
 	needed := map[string][]string{
 		"jl":     {"lk", "lv"},
@@ -293,10 +293,10 @@ func TestVectorizedJoinOneSideBatches(t *testing.T) {
 		buildAndRun(t, m, mk, needed)
 		hit := buildAndRun(t, m, mk, needed)
 		if !reflect.DeepEqual(hit.Rows, base.Rows) {
-			t.Errorf("nestedLeft=%v: mixed join %v, want %v", nestedLeft, hit.Rows, base.Rows)
+			t.Errorf("nestedLeft=%v: row join %v, want %v", nestedLeft, hit.Rows, base.Rows)
 		}
 		if got := m.Stats().VectorizedJoins; got != 0 {
-			t.Errorf("nestedLeft=%v: mixed execution counted %d fully vectorized joins",
+			t.Errorf("nestedLeft=%v: a row-only side ran %d batch joins",
 				nestedLeft, got)
 		}
 		if got := m.Stats().VectorizedScans; got == 0 {
@@ -305,9 +305,10 @@ func TestVectorizedJoinOneSideBatches(t *testing.T) {
 	}
 }
 
-// TestVectorizedJoinMixedFlavors pins the full degradation: with both
-// sides lazy (no store to batch over) every flavor check fails at open and
-// the join runs the boxed row path, results unchanged.
+// TestVectorizedJoinMixedFlavors: there is no flavor between the batch join
+// and the row join. Two lazy sides serve their replays as batches, as two
+// misses serve their raw chunks, so both executions run the batch join,
+// results unchanged.
 func TestVectorizedJoinMixedFlavors(t *testing.T) {
 	jl, jr := joinLeftDataset(t), joinRightDataset(t)
 	needed := map[string][]string{
@@ -327,16 +328,19 @@ func TestVectorizedJoinMixedFlavors(t *testing.T) {
 		}, j)
 	}
 	base := run(t, mk(), Deps{})
-	// AlwaysLazy: both entries replay offsets — every flavor check fails at
-	// open and the execution degrades through the mixed paths to row.
+	// AlwaysLazy: the first execution joins two misses, the second two
+	// lazy replays.
 	m := mgr(cache.Config{Admission: cache.AlwaysLazy})
 	r1 := buildAndRun(t, m, mk, needed)
 	r2 := buildAndRun(t, m, mk, needed)
 	if !reflect.DeepEqual(r1.Rows, base.Rows) || !reflect.DeepEqual(r2.Rows, base.Rows) {
 		t.Errorf("lazy-entry join diverged: %v / %v, want %v", r1.Rows, r2.Rows, base.Rows)
 	}
-	if got := m.Stats().VectorizedJoins; got != 0 {
-		t.Errorf("lazy entries ran %d fully vectorized joins", got)
+	if got := m.Stats().VectorizedJoins; got != 2 {
+		t.Errorf("a miss join and a lazy-entry join ran %d batch joins, want 2", got)
+	}
+	if got := m.Stats().VectorizedScans; got != 2 {
+		t.Errorf("two lazy replays counted %d vectorized scans, want 2", got)
 	}
 }
 
@@ -347,13 +351,11 @@ func TestJoinTable(t *testing.T) {
 	tab := newJoinTable(keyModeInt, 0)
 	const n = 1000
 	for i := 0; i < n; i++ {
-		k, _ := valKey(value.VInt(int64(i%97)), keyModeInt)
-		tab.insert(k, int32(i))
+		tab.insert(intKey(int64(i%97)), int32(i))
 	}
 	for key := 0; key < 97; key++ {
-		k, _ := valKey(value.VInt(int64(key)), keyModeInt)
 		var got []int32
-		for e := tab.lookup(k); e >= 0; e = tab.ents[e].next {
+		for e := tab.lookup(intKey(int64(key))); e >= 0; e = tab.ents[e].next {
 			got = append(got, tab.ents[e].row)
 		}
 		var want []int32
@@ -364,11 +366,13 @@ func TestJoinTable(t *testing.T) {
 			t.Fatalf("key %d: chain %v, want %v", key, got, want)
 		}
 	}
-	miss, _ := valKey(value.VInt(int64(1234)), keyModeInt)
-	if e := tab.lookup(miss); e != -1 {
+	if e := tab.lookup(intKey(1234)); e != -1 {
 		t.Fatalf("lookup(1234) = %d, want -1", e)
 	}
 }
+
+// intKey is an int key under keyModeInt.
+func intKey(x int64) typedKey { return typedKey{h: hashUint(uint64(x)), ik: x} }
 
 // joinKeys draws a key column of n rows over about domain distinct keys,
 // with NULL keys (sparse, plus rows 1100..1129 so one batch's null words

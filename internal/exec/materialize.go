@@ -156,6 +156,15 @@ func (a *admission) admit(ctx *qctx, off int64) {
 	a.offsets = append(a.offsets, off)
 }
 
+// admitChunk notes a chunk of records the select passed, found from query
+// time at on: the first chunk's at is t_o1.
+func (a *admission) admitChunk(at time.Duration, offs []int64) {
+	if a.first < 0 {
+		a.first, a.to1 = offs[0], at
+	}
+	a.offsets = append(a.offsets, offs...)
+}
+
 // abandon drops the build after a failure on its own side of the pipeline.
 func (a *admission) abandon() { a.state, a.b = admitAbandoned, nil }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"recache/internal/cache"
 	"recache/internal/expr"
 	"recache/internal/plan"
 	"recache/internal/stats"
@@ -20,35 +19,22 @@ import (
 
 // compileUnnest flattens the records of its raw input — [Materialize →]
 // Select → Scan, the only input a plan gives an Unnest — through leaf
-// vectors. The scan below decodes only what the select reads, never the
-// list, and reports the offsets of the records that pass; each chunk of up
-// to store.BatchRows of them is decoded once by the provider's typed kernel
-// into the leaves the query needs — and, while a materializer's build rides
-// along, into every leaf of that build — then expanded by its list lengths
-// into rows for the operators above. A provider without the kernel decodes
-// the records in its scan, and they are striped into the same vectors.
+// vectors. Over a provider with a typed kernel the records come from the
+// typed miss (miss.go): each chunk the pushdown cursor passes is decoded
+// once into the leaves the query needs — and, while a materializer's build
+// rides along, into every leaf of that build — then expanded by its list
+// lengths into rows for the operators above. A provider without the kernel
+// decodes the records in its scan, and they are striped into the same
+// vectors.
 //
 // The build is the materializer's (see admission): sampled, decided,
 // abandoned and handed to the cache as the flat materializer's is, and
-// charged what it costs beyond the query — the decode of the leaves the
-// query does not need and the appends. A failure of that decode costs the
-// build, never the answer. Decodes are pinned to the file epoch read before
-// the scan; a rewrite in between fails the query with plan.ErrEpochChanged,
-// which the engine retries.
+// charged what it costs beyond the query. A failure of its decode costs the
+// build, never the answer.
 func compileUnnest(u *plan.Unnest, deps Deps) (runFn, error) {
-	child := u.Child
-	var spec *cache.BuildSpec
-	if m, ok := child.(*plan.Materialize); ok {
-		spec, _ = m.Spec.(*cache.BuildSpec)
-		child = m.Child
-	}
-	sel, ok := child.(*plan.Select)
-	var scan *plan.Scan
-	if ok {
-		scan, ok = sel.Child.(*plan.Scan)
-	}
+	spec, sel, scan, ok := rawSelect(u.Child)
 	if !ok {
-		return nil, fmt.Errorf("exec: unnest over %s, want a select over a raw scan", child.Canonical())
+		return nil, fmt.Errorf("exec: unnest over %s, want a select over a raw scan", u.Child.Canonical())
 	}
 	ds := scan.DS
 	cols, err := value.LeafColumnsCached(ds.Schema())
@@ -63,20 +49,38 @@ func compileUnnest(u *plan.Unnest, deps Deps) (runFn, error) {
 			leaves = append(leaves, i)
 		}
 	}
+	newRows := func() *leafRows { return newLeafRows(cols, leaves, leaves, len(cols), true, nil) }
 
-	// The typed route hands the scan only the select's columns; the record
-	// route needs the query's leaves, the list among them, from the scan (a
-	// dataset missing from Needed is read whole).
-	app, typed := ds.Provider.(plan.ColumnAppender)
-	rp, tracked := ds.Provider.(plan.RefreshableProvider)
-	typed = typed && tracked
+	if p, ok, err := planMiss(spec, sel, scan, deps); err != nil {
+		return nil, err
+	} else if ok {
+		return func(ctx *qctx, out emitFn) error {
+			r, err := p.start()
+			if err != nil {
+				return err
+			}
+			rows := newRows()
+			for {
+				ch, ok, err := r.chunk(ctx)
+				if !ok {
+					if err != nil {
+						return err
+					}
+					r.finish(ctx)
+					return nil
+				}
+				if err := rows.emit(ch, out); err != nil {
+					return err
+				}
+			}
+		}, nil
+	}
+
+	// The record route needs the query's leaves, the list among them, from
+	// the scan (a dataset missing from Needed is read whole).
 	scanDeps := deps
-	scanDeps.Needed = map[string][]value.Path{}
-	switch {
-	case typed:
-		scanDeps.Needed[ds.Name] = append([]value.Path{}, expr.Columns(sel.Pred)...)
-	case needed != nil:
-		scanDeps.Needed[ds.Name] = append(append([]value.Path{}, needed...), u.ListPath)
+	if needed != nil {
+		scanDeps.Needed = map[string][]value.Path{ds.Name: append(append([]value.Path{}, needed...), u.ListPath)}
 	}
 	input, err := compileSelect(sel, scanDeps)
 	if err != nil {
@@ -86,7 +90,6 @@ func compileUnnest(u *plan.Unnest, deps Deps) (runFn, error) {
 	if err != nil {
 		return nil, err
 	}
-
 	return func(ctx *qctx, out emitFn) error {
 		var a *admission
 		if spec != nil {
@@ -95,73 +98,32 @@ func compileUnnest(u *plan.Unnest, deps Deps) (runFn, error) {
 				return err
 			}
 		}
-		rows := newLeafRows(cols, leaves, leaves, len(cols), true, nil)
-		var (
-			dec     *leafDecoder
-			own     leafVecs
-			pending []int64 // typed: the chunk's offsets
-			lastOff int64
-		)
-		if typed {
-			epoch, _ := rp.Version()
-			if a != nil {
-				epoch = a.epoch
-			}
-			dec = newLeafDecoder(app, epoch, cols, need)
-		} else {
-			own = newLeafVecs(cols, need)
-		}
-		// flush decodes the chunk gathered since the last flush, expands it
-		// to the operators above, and decides when it ended the sample.
+		rows := newRows()
+		own := newLeafVecs(cols, need)
+		var lastOff int64
+		// flush expands the records striped since the last flush to the
+		// operators above, and decides when they ended the sample.
 		flush := func() error {
-			ch := own.chunk()
-			if typed {
-				var b *eagerBuild
-				if a != nil {
-					b = a.b
-				}
-				var build time.Duration
-				var berr, err error
-				ch, build, berr, err = dec.decode(pending, b)
-				pending = pending[:0]
-				if err != nil {
-					return err
-				}
-				if b != nil {
-					a.nanos += build.Nanoseconds()
-					if berr != nil {
-						a.abandon()
-					}
-				}
-			}
-			if err := rows.emit(ch, out); err != nil {
-				return err
-			}
+			err := rows.emit(own.chunk(), out)
 			own.reset()
 			if a != nil && a.sampled() {
 				a.decide(ctx, lastOff)
 			}
-			return nil
+			return err
 		}
 		err := input(ctx, func(row []value.Value) error {
 			lastOff = ctx.curOffset
 			if a != nil {
-				a.admit(ctx, lastOff)
-			}
-			if typed {
-				pending = append(pending, lastOff)
-			} else {
-				if a != nil && a.b != nil {
+				if a.admit(ctx, lastOff); a.b != nil {
 					a.addRecord(row, ctx.curComplete)
 				}
-				own.stripe(striper, row)
 			}
-			if len(pending)+own.n >= store.BatchRows || (a != nil && a.sampled()) {
+			if own.stripe(striper, row); own.n >= store.BatchRows || (a != nil && a.sampled()) {
 				return flush()
 			}
 			return nil
 		})
-		if err == nil && (len(pending) > 0 || own.n > 0) {
+		if err == nil && own.n > 0 {
 			err = flush()
 		}
 		if err != nil {

@@ -16,28 +16,32 @@ import (
 )
 
 // This file is the second compiled pipeline flavor: vectorized batch
-// execution for cache hits. A columnar (or Parquet per-record) cache entry
-// already holds typed column vectors; the row path decodes them back into
-// boxed value.Value rows and pushes one tuple at a time through closure
+// execution. A columnar (or Parquet per-record) cache entry already holds
+// typed column vectors; the row path decodes them back into boxed
+// value.Value rows and pushes one tuple at a time through closure
 // pipelines — row-store costs on column-store data. The vectorized flavor
 // pulls column batches straight out of the entry's store (store.BatchCursor),
+// or out of the chunks a flat lazy replay or raw miss decodes (miss.go),
 // filters them with selection-vector kernels (expr.VecFilter), and feeds
 // filter, projection and aggregation operators that consume whole batches.
 //
 // The flavor is chosen per pipeline at compile time — the plan shape and
 // predicate must be vectorizable — with a row-at-a-time fallback decided at
-// run time from the entry's payload snapshot (lazy entries and
+// run time from the entry's payload snapshot (nested lazy entries and
 // Parquet's FSM-assembled flattened view keep the row path).
 // Both flavors produce identical results; the differential parity suite
 // (vectorized_test.go) holds them to that.
 
 // vecScan is the compile-time plan of a vectorized cached scan: the pinned
 // entry plus the residual predicate compiled to selection kernels.
+// replayable marks a flat entry over a typed kernel, whose lazy replay
+// serves batches (cachescan.go).
 type vecScan struct {
-	cs       *plan.CachedScan
-	entry    *cache.Entry
-	filter   *expr.VecFilter
-	outNames []string
+	cs         *plan.CachedScan
+	entry      *cache.Entry
+	filter     *expr.VecFilter
+	outNames   []string
+	replayable bool
 }
 
 // planVecScan checks the compile-time half of vectorizability: a real
@@ -59,39 +63,46 @@ func planVecScan(cs *plan.CachedScan, disable bool) (*vecScan, bool) {
 	for i, f := range cs.Out.Fields {
 		outNames[i] = f.Name
 	}
-	return &vecScan{cs: cs, entry: entry, filter: filter, outNames: outNames}, true
+	p := &vecScan{cs: cs, entry: entry, filter: filter, outNames: outNames}
+	if _, typed := entry.Dataset.Provider.(plan.ColumnAppender); typed {
+		cols, err := value.LeafColumnsCached(entry.Dataset.Schema())
+		p.replayable = err == nil && flatLeaves(cols)
+	}
+	return p, true
 }
 
-// open checks the run-time half against the entry's payload snapshot and
-// returns a batch cursor, or false to send this execution to the row path.
-// admit distinguishes a real execution (re-admit a spilled payload from the
-// disk tier, via Resident) from a side-effect-free probe (EXPLAIN reads the
-// snapshot only; a spilled entry reports non-vectorized rather than
-// triggering IO). A failed re-admission falls to the row path, whose own
-// Resident call surfaces the error.
-func (p *vecScan) open(deps Deps, admit bool) (*store.BatchCursor, bool) {
-	var (
-		mode cache.Mode
-		st   store.Store
-	)
+// payload snapshots the entry's mode and payload. admit distinguishes a
+// real execution (re-admit a spilled payload from the disk tier, via
+// Resident) from a side-effect-free probe (EXPLAIN reads the snapshot only;
+// a spilled entry reports non-vectorized rather than triggering IO). A
+// failed re-admission reports false: the row path's own Resident call
+// surfaces the error.
+func (p *vecScan) payload(deps Deps, admit bool) (mode cache.Mode, st store.Store, offsets []int64, ok bool) {
 	switch {
 	case deps.Manager == nil:
 		// Manager-less executions (unit harnesses) own the entry outright;
 		// everywhere else the snapshot must come from the locked accessors —
 		// a concurrent tail extension swaps Store under the manager lock.
-		mode, st = p.entry.Mode, p.entry.Store
+		mode, st, offsets = p.entry.Mode, p.entry.Store, p.entry.Offsets
 	case admit:
 		var err error
-		mode, st, _, err = deps.Manager.Resident(p.entry)
-		if err != nil {
-			return nil, false
+		if mode, st, offsets, err = deps.Manager.Resident(p.entry); err != nil {
+			return mode, nil, nil, false
 		}
 	default:
-		mode, st, _ = deps.Manager.Payload(p.entry)
+		mode, st, offsets = deps.Manager.Payload(p.entry)
 	}
-	if mode != cache.Eager || st == nil {
-		return nil, false
+	if mode == cache.Lazy {
+		// A lazy replay serves batches when the entry is flat and its
+		// offsets pin to a file epoch the typed kernel can replay.
+		return mode, nil, offsets, p.replayable && appender(p.entry.Dataset.Provider, p.entry.FileEpoch) != nil
 	}
+	return mode, st, nil, st != nil
+}
+
+// cursor opens a batch cursor over an eager payload whose columns the
+// kernels — the residual's and filters' — can read, or reports false.
+func (p *vecScan) cursor(st store.Store, filters []*expr.VecFilter) (*store.BatchCursor, bool) {
 	bs, ok := st.(store.BatchSource)
 	if !ok {
 		return nil, false
@@ -103,6 +114,11 @@ func (p *vecScan) open(deps Deps, admit bool) (*store.BatchCursor, bool) {
 	cur, ok := bs.BatchCursor(p.cs.Flat, idx)
 	if !ok || !p.filter.Compatible(cur.Cols) {
 		return nil, false
+	}
+	for _, f := range filters {
+		if !f.Compatible(cur.Cols) {
+			return nil, false
+		}
 	}
 	return cur, true
 }
@@ -136,11 +152,8 @@ func VectorizedInfo(cs *plan.CachedScan, m *cache.Manager) (bool, int64) {
 	if !ok {
 		return false, 0
 	}
-	cur, ok := p.open(Deps{Manager: m}, false)
-	if !ok {
-		return false, 0
-	}
-	return true, (cur.Rows + store.BatchRows - 1) / store.BatchRows
+	batches, ok := (&scanSource{p: p}).info(Deps{Manager: m})
+	return ok, batches
 }
 
 // compileCachedScanAuto compiles both scan flavors and picks per execution:
@@ -193,8 +206,9 @@ type vecIter interface {
 	// may be empty (a fully filtered batch).
 	Next() (cols []*store.Vec, sel []int32, ok bool)
 	// Close attributes the iteration's measured cost to cache entries and
-	// counters; call once, after exhaustion.
-	Close(ctx *qctx)
+	// counters; call once, after exhaustion. It returns the error that ended
+	// the iteration early (a raw read that failed), if any.
+	Close(ctx *qctx) error
 }
 
 // nanosSink lets a wrapping operator (the join probe) attribute extra
@@ -203,21 +217,24 @@ type vecIter interface {
 type nanosSink interface{ addScanNanos(int64) }
 
 // scanSource adapts a vectorized CachedScan plus its Select chain's
-// kernels to the source interface.
+// kernels to the source interface: a cursor over an eager entry's store, or
+// a lazy entry's replay.
 type scanSource struct {
 	p       *vecScan
 	filters []*expr.VecFilter
 }
 
 func (s *scanSource) open(ctx *qctx) (vecIter, bool) {
-	cur, ok := s.p.open(ctx.deps, true)
+	mode, st, offsets, ok := s.p.payload(ctx.deps, true)
 	if !ok {
 		return nil, false
 	}
-	for _, f := range s.filters {
-		if !f.Compatible(cur.Cols) {
-			return nil, false
-		}
+	if mode == cache.Lazy {
+		return s.p.replay(ctx, offsets, s.filters)
+	}
+	cur, ok := s.p.cursor(st, s.filters)
+	if !ok {
+		return nil, false
 	}
 	// The cursor caps each batch at the selection buffer's length.
 	return &scanIter{p: s.p, filters: s.filters, cur: cur, selBuf: getSelBuf()}, true
@@ -242,16 +259,19 @@ func putSelBuf(b []int32) {
 }
 
 func (s *scanSource) info(deps Deps) (int64, bool) {
-	cur, ok := s.p.open(deps, false)
+	mode, st, offsets, ok := s.p.payload(deps, false)
 	if !ok {
 		return 0, false
 	}
-	for _, f := range s.filters {
-		if !f.Compatible(cur.Cols) {
+	rows := int64(len(offsets))
+	if mode != cache.Lazy {
+		cur, ok := s.p.cursor(st, s.filters)
+		if !ok {
 			return 0, false
 		}
+		rows = cur.Rows
 	}
-	return (cur.Rows + store.BatchRows - 1) / store.BatchRows, true
+	return (rows + store.BatchRows - 1) / store.BatchRows, true
 }
 
 type scanIter struct {
@@ -294,12 +314,13 @@ func (it *scanIter) Next() ([]*store.Vec, []int32, bool) {
 	return it.cur.Cols, sel, true
 }
 
-func (it *scanIter) Close(ctx *qctx) {
+func (it *scanIter) Close(ctx *qctx) error {
 	it.p.finish(ctx, it.batches, it.nanos, it.cur.Rows)
 	// The last batch's selection has been consumed by the time the
 	// pipeline closes its source, so the buffer can go back to the pool.
 	putSelBuf(it.selBuf)
 	it.selBuf = nil
+	return nil
 }
 
 // filterSource applies Select kernels on top of a non-scan source (the
@@ -414,21 +435,30 @@ func emitIter(ctx *qctx, it vecIter, proj []int, out emitFn) error {
 			sink.addScanNanos(boundary)
 		}
 	}
-	it.Close(ctx)
-	return nil
+	return it.Close(ctx)
 }
 
-// peelVecSource walks [Select*] → (CachedScan | Join), compiling every
-// Select predicate to selection kernels (they all see their child's output
-// schema — Selects do not change it). Filters over a scan tighten the
-// physical selection inside scanSource; filters over a join run on the
-// gathered output batches. ok is false when the chain has any other
-// operator or a non-vectorizable predicate.
+// peelVecSource walks [Select*] → (CachedScan | Join | raw select), compiling
+// every Select predicate above the source to selection kernels (they all
+// see their child's output schema — Selects do not change it). Filters over
+// a scan or a miss tighten the selection inside that source; filters over a
+// join run on the gathered output batches. ok is false when the chain has
+// any other operator or a non-vectorizable predicate.
 func peelVecSource(n plan.Node, deps Deps) (vecSource, bool) {
+	if deps.DisableVectorized {
+		return nil, false
+	}
 	var filters []*expr.VecFilter
 	for {
+		if src, ok, _ := flatMiss(n, deps); ok {
+			src.filters = filters
+			return src, true
+		}
 		switch x := n.(type) {
 		case *plan.Select:
+			if _, raw := x.Child.(*plan.Scan); raw {
+				return nil, false
+			}
 			f, ok := expr.CompileVecFilter(x.Pred, x.Child.OutSchema())
 			if !ok {
 				return nil, false
@@ -443,7 +473,7 @@ func peelVecSource(n plan.Node, deps Deps) (vecSource, bool) {
 			return &scanSource{p: p, filters: filters}, true
 		case *plan.Join:
 			vj, ok := planVecJoin(x, deps)
-			if !ok || vj.lsrc == nil || vj.rsrc == nil {
+			if !ok {
 				return nil, false
 			}
 			var src vecSource = &joinSource{vj: vj}
@@ -457,7 +487,7 @@ func peelVecSource(n plan.Node, deps Deps) (vecSource, bool) {
 	}
 }
 
-// vecProjectSource resolves Project([Select*](CachedScan|Join)) to a batch
+// vecProjectSource resolves Project(peelVecSource's chain) to a batch
 // source plus a column permutation when every projected expression is a
 // plain column reference.
 func vecProjectSource(pr *plan.Project, deps Deps) (vecSource, []int, bool) {
@@ -491,7 +521,7 @@ func planVecProject(pr *plan.Project, deps Deps, rowFn runFn) (runFn, bool) {
 // rootSource resolves the plan root to the batch source whose output is the
 // query result (proj permutes its columns; nil keeps them), or a nil source
 // when the root is not batch-native: only a column-permutation Project or a
-// bare [Select*] → (CachedScan | Join) chain is.
+// bare peelVecSource chain is.
 func rootSource(root plan.Node, deps Deps) (vecSource, []int) {
 	if pr, ok := root.(*plan.Project); ok {
 		src, proj, _ := vecProjectSource(pr, deps)
@@ -551,8 +581,7 @@ func sinkIter(ctx *qctx, it vecIter, proj []int, sink Sink) error {
 	if ns, ok := it.(nanosSink); ok {
 		ns.addScanNanos(gather)
 	}
-	it.Close(ctx)
-	return nil
+	return it.Close(ctx)
 }
 
 // --- vectorized aggregation ---
@@ -961,7 +990,9 @@ func planVecAggregate(a *plan.Aggregate, deps Deps, rowFn runFn) (runFn, bool) {
 					accs[i].updateBatch(cols, sel)
 				}
 			}
-			it.Close(ctx)
+			if err := it.Close(ctx); err != nil {
+				return err
+			}
 			outRow := make([]value.Value, len(accs))
 			for i := range accs {
 				outRow[i] = accs[i].result()
@@ -987,7 +1018,9 @@ func planVecAggregate(a *plan.Aggregate, deps Deps, rowFn runFn) (runFn, bool) {
 				foldGroups(accs[ai], cols, sel, gidx)
 			}
 		}
-		it.Close(ctx)
+		if err := it.Close(ctx); err != nil {
+			return err
+		}
 		// Deterministic output order, identical to the row path's.
 		order := make([]int32, len(gi.groups))
 		for g := range order {

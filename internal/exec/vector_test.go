@@ -162,10 +162,10 @@ func TestVectorizedSubsumptionResidual(t *testing.T) {
 	}
 }
 
-// TestVectorizedLazyEntryFallsBack: a lazy entry has no store to batch
-// over; the vectorized pipeline must hand the execution to the row path's
-// offset replay.
-func TestVectorizedLazyEntryFallsBack(t *testing.T) {
+// TestVectorizedLazyEntryReplaysBatches: a lazy entry has no store to batch
+// over, but its replay decodes chunks of records into vectors and serves
+// them as batches — a vectorized scan, unlike the miss that admitted it.
+func TestVectorizedLazyEntryReplaysBatches(t *testing.T) {
 	ds := csvDataset(t)
 	needed := map[string][]string{"t": {"qty", "price"}}
 	mk := func() plan.Node {
@@ -181,8 +181,8 @@ func TestVectorizedLazyEntryFallsBack(t *testing.T) {
 	if !reflect.DeepEqual(r1.Rows, r2.Rows) {
 		t.Errorf("lazy replay diverged: %v %v", r1.Rows, r2.Rows)
 	}
-	if m.Stats().VectorizedScans != 0 {
-		t.Errorf("lazy entries ran %d vectorized scans", m.Stats().VectorizedScans)
+	if got := m.Stats().VectorizedScans; got != 1 {
+		t.Errorf("a miss and a lazy replay ran %d vectorized scans, want 1", got)
 	}
 	// The replay must still attribute its scan time to the entry.
 	if e := m.Entries()[0]; e.ScanNanos == 0 {
@@ -254,9 +254,9 @@ func TestVectorizedScanStatsFeedAdvisor(t *testing.T) {
 }
 
 // TestRootBatchExit: a batch-native root — a column-permutation Project or a
-// bare scan chain — hands a hit's batches to the sink and still attributes
-// the scan to its entry; misses, aggregate roots and DisableVectorized keep
-// the row sink.
+// bare scan chain — hands a miss's and a hit's batches to the sink and
+// still attributes the hit's scan to its entry; aggregate roots and
+// DisableVectorized keep the row sink.
 func TestRootBatchExit(t *testing.T) {
 	ds, orders := csvDataset(t), ordersDataset(t)
 	plans := vecParityPlans(t, ds, orders)
@@ -276,8 +276,8 @@ func TestRootBatchExit(t *testing.T) {
 			return res, st
 		}
 		miss, st := run(Deps{Manager: m})
-		if st.ResultBatches != 0 {
-			t.Errorf("%s miss: ResultBatches = %d, want 0 (raw scan)", c.plan, st.ResultBatches)
+		if c.batch != (st.ResultBatches > 0) {
+			t.Errorf("%s miss: ResultBatches = %d, want batch exit %v", c.plan, st.ResultBatches, c.batch)
 		}
 		m.BeginQuery()
 		if got := BatchResultInfo(m.Rewrite(plans[c.plan](), needed), m, false); got != c.batch {

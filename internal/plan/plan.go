@@ -136,9 +136,22 @@ type EpochScanner interface {
 // after a rewrite), and like it is a replay of known records, not a raw
 // scan. After an error dst and lengths are inconsistent and must be
 // discarded.
+//
+// PushdownCursor opens a raw scan of the file as of epoch — one full-file
+// scan, counted as Scan and ScanPushdown count theirs — over the records
+// passing pd (nil: every record), with no field decoded but the tested
+// ones. The cursor hands out their byte offsets in ascending chunks; it
+// fails with ErrEpochChanged once the file was rewritten.
 type ColumnAppender interface {
 	AppendColumns(epoch uint64, offsets []int64, dst []*store.Vec, lengths []int32) ([]int32, error)
+	PushdownCursor(epoch uint64, pd *expr.Pushdown) (OffsetCursor, error)
 }
+
+// OffsetCursor appends the offsets of up to n more passing records to dst
+// and returns it, with the number of records the pushdown rejected so far;
+// it appends none once the scan is done. Each call resumes where the last
+// one stopped.
+type OffsetCursor func(dst []int64, n int) (offsets []int64, skipped int64, err error)
 
 // PushdownScanner is implemented by providers that can evaluate pushed
 // single-column predicates *below* parsing: the scan decodes only the

@@ -9,11 +9,12 @@ var pow10 = [...]float64{
 }
 
 // ParseFloat parses a float64 field of either format. A plain decimal
-// ([+-]digits[.digits][e[+-]digits]) whose significant digits fit in 19 and
-// make a value below 2^53, scaled by at most 10^±22, takes Clinger's fast
-// path straight from the bytes: both operands are exact, so one multiply
-// or divide rounds correctly. Everything else — more digits, larger
-// exponents, NaN/Inf spellings, hex floats, malformed input — goes to
+// ([+-]digits[.digits][e[+-]digits]) whose significant digits fit in 19 is
+// read straight from the bytes: when they make a value below 2^53 scaled by
+// at most 10^±22, by Clinger's fast path (both operands are exact, so one
+// multiply or divide rounds correctly), otherwise by Eisel–Lemire
+// (eisel_lemire.go), which rounds correctly or declines. What it declines —
+// and more digits, NaN/Inf spellings, hex floats, malformed input — goes to
 // strconv.ParseFloat, so values and errors are exactly strconv's.
 func ParseFloat(b []byte) (float64, error) {
 	if x, ok := parseFloatFast(b); ok {
@@ -22,8 +23,9 @@ func ParseFloat(b []byte) (float64, error) {
 	return strconv.ParseFloat(string(b), 64)
 }
 
-// parseFloatFast is ParseFloat's exact path; ok is false when the input is
-// not a plain decimal inside its bounds.
+// parseFloatFast is ParseFloat's path from the bytes; ok is false when the
+// input is not a plain decimal of at most 19 significant digits or
+// Eisel–Lemire declines it.
 func parseFloatFast(b []byte) (x float64, ok bool) {
 	i, neg := 0, false
 	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
@@ -82,9 +84,12 @@ func parseFloatFast(b []byte) (x float64, ok bool) {
 			if c > 9 {
 				return 0, false
 			}
-			if e < 1e4 { // past that the bound below rejects it anyway
+			if e < 1e4 { // past that strconv decides
 				e = e*10 + int(c)
 			}
+		}
+		if e >= 1e4 {
+			return 0, false
 		}
 		if eneg {
 			e = -e
@@ -92,7 +97,7 @@ func parseFloatFast(b []byte) (x float64, ok bool) {
 		exp += e
 	}
 	if mant >= 1<<53 || exp < -22 || exp > 22 {
-		return 0, false
+		return eiselLemire64(mant, exp, neg)
 	}
 	x = float64(mant)
 	if neg {

@@ -2,6 +2,7 @@ package rawfile
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -83,6 +84,45 @@ func TestParseFloatRandomRenderings(t *testing.T) {
 	}
 }
 
+// The ported power table holds, for each 10^e, the 128 bits below the
+// leading one of its binary expansion, rounded down: recompute them exactly.
+func TestDetailedPowersOfTen(t *testing.T) {
+	if n := detailedPowersOfTenMaxExp10 - detailedPowersOfTenMinExp10 + 1; len(detailedPowersOfTen) != n {
+		t.Fatalf("%d rows, want %d", len(detailedPowersOfTen), n)
+	}
+	ten := big.NewInt(10)
+	word := new(big.Int).SetUint64(math.MaxUint64)
+	for i, row := range detailedPowersOfTen {
+		e := detailedPowersOfTenMinExp10 + i
+		p := new(big.Int).Exp(ten, big.NewInt(int64(max(e, -e))), nil)
+		m := new(big.Int)
+		switch {
+		case e < 0: // 2^k / 10^-e with k putting the quotient in [2^127, 2^128)
+			m.Quo(m.Lsh(big.NewInt(1), uint(127+p.BitLen())), p)
+		case p.BitLen() > 128:
+			m.Rsh(p, uint(p.BitLen()-128))
+		default:
+			m.Lsh(p, uint(128-p.BitLen()))
+		}
+		lo := new(big.Int).And(m, word).Uint64()
+		hi := m.Rsh(m, 64).Uint64()
+		if row != [2]uint64{lo, hi} {
+			t.Fatalf("1e%d: row %#x, want %#x", e, row, [2]uint64{lo, hi})
+		}
+	}
+}
+
+// Plain decimals of up to 19 significant digits outside Clinger's bounds
+// are read by Eisel–Lemire, not strconv.
+func TestParseFloatEiselLemirePath(t *testing.T) {
+	for _, s := range []string{"1e30", "2.5e-30", "0.12345678901234567", "12345678901234567e-300", "9007199254740995", "1.7976931348623157e308"} {
+		if _, ok := parseFloatFast([]byte(s)); !ok {
+			t.Errorf("%q took the fallback", s)
+		}
+		sameAsStrconv(t, s)
+	}
+}
+
 // FuzzParseFloat is the differential target: for any bytes, ParseFloat and
 // strconv.ParseFloat agree on the float's bits and on the error.
 func FuzzParseFloat(f *testing.F) {
@@ -95,15 +135,18 @@ func FuzzParseFloat(f *testing.F) {
 }
 
 // BenchmarkParseFloat reads the fields the generators write: CSV prices
-// rendered with two decimals (the fast path), JSON floats at full 'g'
-// precision (17 digits, the fallback), and an even mix of the two.
+// rendered with two decimals (Clinger's path), JSON floats at full 'g'
+// precision (up to 17 digits), and an even mix of the two; and 17-digit
+// renderings across 40 decades, which only Eisel–Lemire reads from the
+// bytes.
 func BenchmarkParseFloat(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	var csv, json, mix [][]byte
+	var csv, json, mix, d17 [][]byte
 	for i := 0; i < 1024; i++ {
 		c := strconv.AppendFloat(nil, float64(rng.Intn(10_000_000))/100, 'f', 2, 64)
 		j := strconv.AppendFloat(nil, rng.Float64()*1000, 'g', -1, 64)
-		csv, json = append(csv, c), append(json, j)
+		d := strconv.AppendFloat(nil, rng.Float64()*math.Pow10(rng.Intn(40)-20), 'e', 16, 64)
+		csv, json, d17 = append(csv, c), append(json, j), append(d17, d)
 		mix = append(mix, c)
 		if i%2 == 1 {
 			mix[i] = j
@@ -112,7 +155,7 @@ func BenchmarkParseFloat(b *testing.B) {
 	for _, in := range []struct {
 		name string
 		vals [][]byte
-	}{{"csv-2dec", csv}, {"json-17g", json}, {"mix", mix}} {
+	}{{"csv-2dec", csv}, {"json-17g", json}, {"mix", mix}, {"17-digit", d17}} {
 		b.Run(in.name, func(b *testing.B) {
 			var sum float64
 			for i := 0; i < b.N; i++ {

@@ -456,19 +456,12 @@ func (e *emitter) emit(start int, offs []uint32) error {
 }
 
 // Scan implements plan.ScanProvider: every record through the positional
-// map, parsing only the needed fields. The complete callback handed to fn
-// parses the skipped fields in place.
+// map, parsing only the needed fields — a pushdown scan that pushes
+// nothing. The complete callback handed to fn parses the skipped fields in
+// place.
 func (f *File) Scan(needed []value.Path, fn plan.ScanFunc) error {
-	f.scans.Add(1)
-	s, err := f.load()
-	if err != nil {
-		return err
-	}
-	mask, err := f.neededMask(needed)
-	if err != nil {
-		return err
-	}
-	return f.scanMapped(s, 0, mask, fn)
+	_, err := f.ScanPushdown(nil, needed, fn)
+	return err
 }
 
 // scanMapped streams the mapped records from index lo on.
@@ -483,67 +476,123 @@ func (f *File) scanMapped(s *snapshot, lo int, mask []bool, fn plan.ScanFunc) er
 }
 
 // ScanPushdown implements plan.PushdownScanner: it streams only the records
-// passing pd, decoding each tested column straight from its raw bytes (no
-// value boxing) and skipping the rest of the record as soon as a test
-// fails. When the pushdown carries a string-equality conjunct, a prescan
-// rejects records that cannot contain the literal before any field is
-// decoded (bulk-skipping the stretch between matches). Surviving records
-// decode the needed ∪ tested fields; complete() parses the rest on demand,
-// exactly like Scan.
+// passing pd, as the pushdown cursor finds them, a chunk at a time. Each
+// survivor decodes its needed ∪ tested fields; complete() parses the rest
+// on demand, exactly like Scan.
 func (f *File) ScanPushdown(pd *expr.Pushdown, needed []value.Path, fn plan.ScanFunc) (int64, error) {
-	tests := pd.Tests()
-	if len(tests) == 0 {
-		return 0, f.Scan(needed, fn)
-	}
-	f.scans.Add(1)
-	f.pushScans.Add(1)
-	s, err := f.load()
-	if err != nil {
-		return 0, err
-	}
 	mask, err := f.neededMask(needed)
 	if err != nil {
 		return 0, err
 	}
-	var pre *prescan
-	if lit := pd.EqNeedle(); lit != nil {
-		pre = newPrescan(s.data, f.format.Needles(lit))
+	c, err := f.openCursor(pd)
+	if err != nil {
+		return 0, err
 	}
-	skipped, err := f.pushdown(s, tests, effectiveMask(mask, tests), pre, fn)
-	f.pushSkipped.Add(skipped)
-	return skipped, err
+	e := f.newEmitter(c.s, effectiveMask(mask, c.tests), fn)
+	for {
+		if err := c.next(store.BatchRows); err != nil || len(c.recs) == 0 {
+			return c.skipped, err
+		}
+		for _, ri := range c.recs {
+			if err := e.emit(int(c.s.recStart[ri]), c.s.offs(int(ri), f.ntop)); err != nil {
+				return c.skipped, err
+			}
+		}
+	}
 }
 
-func (f *File) pushdown(s *snapshot, tests []expr.ColTest, eff []bool, pre *prescan, fn plan.ScanFunc) (skipped int64, err error) {
-	e := f.newEmitter(s, eff, fn)
-	n := len(s.recStart)
-	for ri := 0; ri < n; ri++ {
-		if pre != nil {
+// PushdownCursor implements plan.ColumnAppender: the records passing pd as
+// a cursor of byte offsets, pinned to epoch.
+func (f *File) PushdownCursor(epoch uint64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
+	c, err := f.openCursor(pd)
+	if err != nil {
+		return nil, err
+	}
+	if c.s.epoch != epoch {
+		return nil, plan.ErrEpochChanged
+	}
+	return func(dst []int64, n int) ([]int64, int64, error) {
+		if s := f.snap.Load(); s.epoch != epoch {
+			return dst, c.skipped, plan.ErrEpochChanged
+		}
+		err := c.next(n)
+		for _, ri := range c.recs {
+			dst = append(dst, c.s.recStart[ri])
+		}
+		return dst, c.skipped, err
+	}, nil
+}
+
+// cursor is the one pushdown loop: a resumable walk of one snapshot's
+// positional map that decodes each tested column straight from its raw
+// bytes (no value boxing) and skips the rest of a record as soon as a test
+// fails. When the pushdown carries a string-equality conjunct, a prescan
+// rejects records that cannot contain the literal before any field is
+// decoded, bulk-skipping the stretch between matches.
+type cursor struct {
+	f       *File
+	s       *snapshot
+	tests   []expr.ColTest
+	pre     *prescan
+	ri      int     // the next record to test
+	recs    []int32 // the passing records next found
+	skipped int64
+}
+
+// openCursor starts a full-file scan filtered by pd.
+func (f *File) openCursor(pd *expr.Pushdown) (*cursor, error) {
+	f.scans.Add(1)
+	s, err := f.load()
+	if err != nil {
+		return nil, err
+	}
+	c := &cursor{f: f, s: s, tests: pd.Tests(), recs: make([]int32, 0, store.BatchRows)}
+	if len(c.tests) > 0 {
+		f.pushScans.Add(1)
+	}
+	if lit := pd.EqNeedle(); lit != nil {
+		c.pre = newPrescan(s.data, f.format.Needles(lit))
+	}
+	return c, nil
+}
+
+// next replaces recs by the next up to n passing records.
+func (c *cursor) next(n int) error {
+	s, f, tests := c.s, c.f, c.tests
+	nrec := len(s.recStart)
+	recs, ri, skipped := c.recs[:0], c.ri, int64(0)
+	var err error
+	for ; ri < nrec && len(recs) < n; ri++ {
+		if c.pre != nil {
 			// Jump to the next record that can contain the equality
 			// literal, bulk-counting the records in between as skipped.
-			m := pre.next(int(s.recStart[ri]))
+			m := c.pre.next(int(s.recStart[ri]))
 			if m == len(s.data) {
-				return skipped + int64(n-ri), nil
+				skipped += int64(nrec - ri)
+				ri = nrec
+				break
 			}
 			if rj := s.recordAt(int64(m)); rj > ri {
 				skipped += int64(rj - ri)
 				ri = rj
 			}
 		}
-		start, offs := int(s.recStart[ri]), s.offs(ri, f.ntop)
-		ok, err := f.format.Test(s.data, start, offs, tests)
-		if err != nil {
-			return skipped, err
+		if len(tests) > 0 {
+			ok, terr := f.format.Test(s.data, int(s.recStart[ri]), s.offs(ri, f.ntop), tests)
+			if terr != nil {
+				err = terr
+				break
+			}
+			if !ok {
+				skipped++
+				continue
+			}
 		}
-		if !ok {
-			skipped++
-			continue
-		}
-		if err := e.emit(start, offs); err != nil {
-			return skipped, err
-		}
+		recs = append(recs, int32(ri))
 	}
-	return skipped, nil
+	c.recs, c.ri, c.skipped = recs, ri, c.skipped+skipped
+	f.pushSkipped.Add(skipped)
+	return err
 }
 
 // ScanOffsets implements plan.ScanProvider: random access through the

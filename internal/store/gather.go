@@ -13,45 +13,15 @@ import (
 // end to end, no boxed value.Value until the pipeline boundary.
 
 // NewVec returns an empty vector of the given kind; the vectorized join
-// accumulates copies of non-addressable build batches into fresh vectors
-// through AppendFrom.
+// gathers copies of non-addressable build batches into fresh vectors
+// through AppendSel.
 func NewVec(k value.Kind) *Vec { return &Vec{Kind: k} }
-
-// AppendFrom appends src's i-th entry to v without materializing a boxed
-// value. Both vectors must share a kind.
-func (v *Vec) AppendFrom(src *Vec, i int) {
-	if src.Nulls.Get(i) {
-		v.Nulls.Append(true)
-		switch v.Kind {
-		case value.Int:
-			v.Ints = append(v.Ints, 0)
-		case value.Float:
-			v.Floats = append(v.Floats, 0)
-		case value.String:
-			v.Strs = append(v.Strs, "")
-		case value.Bool:
-			v.Bools = append(v.Bools, false)
-		}
-		return
-	}
-	v.Nulls.Append(false)
-	switch v.Kind {
-	case value.Int:
-		v.Ints = append(v.Ints, src.Ints[i])
-	case value.Float:
-		v.Floats = append(v.Floats, src.Floats[i])
-	case value.String:
-		v.Strs = append(v.Strs, src.Strs[i])
-	case value.Bool:
-		v.Bools = append(v.Bools, src.Bools[i])
-	}
-}
 
 // Gather returns a new vector holding src's entries at ids, in order (the
 // row-id addressing of the vectorized join's output batches).
 func Gather(src *Vec, ids []int32) *Vec {
 	out := &Vec{Kind: src.Kind}
-	out.appendSel(src, ids)
+	out.AppendSel(src, ids)
 	return out
 }
 
@@ -65,12 +35,12 @@ func gatherAppend[T any](dst, src []T, sel []int32) []T {
 	return dst
 }
 
-// appendSel appends src's entries at sel, in order: one kind dispatch and
+// AppendSel appends src's entries at sel, in order: one kind dispatch and
 // one typed gather per call. When the null words covering sel's range are
 // all zero the bitmap grows by whole words; otherwise null entries are
 // marked afterwards and their typed slots zeroed, exactly as AppendVal
 // stores a null.
-func (v *Vec) appendSel(src *Vec, sel []int32) {
+func (v *Vec) AppendSel(src *Vec, sel []int32) {
 	if len(sel) == 0 {
 		return
 	}

@@ -115,7 +115,7 @@ func (b *ParquetBuilder) AppendBatch(cols []*Vec, sel []int32) error {
 		return fmt.Errorf("store: parquet append batch: %d vectors for %d columns", len(cols), len(st.cols))
 	}
 	for ci, src := range cols {
-		st.flatVecs[ci].appendSel(src, sel)
+		st.flatVecs[ci].AppendSel(src, sel)
 	}
 	st.nRecs += len(sel)
 	st.nFlat += len(sel)

@@ -174,8 +174,8 @@ func TestVectorizedJoinConcurrentHits(t *testing.T) {
 
 // TestExplainShowsJoinFlavor: EXPLAIN annotates Join nodes with the flavor
 // the execution would take — "join: vectorized, N probe batches" on warmed
-// columnar entries, flipping to "join: row" when vectorized joins are
-// disabled and for lazy-entry inputs.
+// columnar entries and on lazy entries, whose replays serve batches,
+// flipping to "join: row" when vectorized joins are disabled.
 func TestExplainShowsJoinFlavor(t *testing.T) {
 	q := "SELECT COUNT(*), SUM(rv) FROM tjl JOIN tjr ON lk = rk"
 
@@ -214,8 +214,8 @@ func TestExplainShowsJoinFlavor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "join: row") {
-		t.Errorf("explain over lazy entries should mark the join row:\n%s", out)
+	if !strings.Contains(out, "join: vectorized, 1 probe batches") {
+		t.Errorf("explain over lazy entries should mark the join vectorized:\n%s", out)
 	}
 }
 

@@ -330,7 +330,7 @@ func leafNames(schema *value.Type, cols []string) []string {
 	if err != nil {
 		return cols
 	}
-	var out []string
+	out := []string{} // empty, not nil: to the cache rewrite nil means every column
 	seen := map[string]bool{}
 	for _, c := range cols {
 		matched := false

@@ -9,6 +9,9 @@ import (
 	"sync"
 	"testing"
 
+	"recache/internal/csvio"
+	"recache/internal/jsonio"
+	"recache/internal/plan"
 	"recache/internal/rawfile/rawfiletest"
 )
 
@@ -462,4 +465,216 @@ func BenchmarkVectorizedGroupBy(b *testing.B) {
 	const q = "SELECT qty, SUM(price), COUNT(*), MIN(id) FROM big WHERE qty < 50 GROUP BY qty"
 	b.Run("vectorized", func(b *testing.B) { benchHit(b, q, false) })
 	b.Run("row", func(b *testing.B) { benchHit(b, q, true) })
+}
+
+// --- the miss differential ---
+
+// missFiles writes the tables of the miss differential once per test: g
+// (genTableCSV), gj — g's first 1500 rows as JSON, with a field x no query
+// names that is malformed in record 700 — and gd, an 80-row dimension
+// table over g's keys (dk -30..49, NULL on row 3).
+func missFiles(t *testing.T) (g, gj, gd string) {
+	t.Helper()
+	var js, dim strings.Builder
+	for i, line := range strings.SplitN(genTableCSV(), "\n", 1501)[:1500] {
+		f := strings.Split(line, "|")
+		for j, x := range f[:4] {
+			if x == "" {
+				f[j] = "null"
+			}
+		}
+		x := fmt.Sprint(i)
+		if i == 700 {
+			x = `"oops"`
+		}
+		fmt.Fprintf(&js, `{"id":%s,"k":%s,"v":%s,"w":%s,"s":%q,"x":%s}`+"\n", f[0], f[1], f[2], f[3], f[4], x)
+	}
+	for i := 0; i < 80; i++ {
+		dk := fmt.Sprint(i - 30)
+		if i == 3 {
+			dk = ""
+		}
+		fmt.Fprintf(&dim, "%s|%d.5|d%d\n", dk, i, i%4)
+	}
+	return writeTemp(t, "g.csv", genTableCSV()), writeTemp(t, "gj.json", js.String()), writeTemp(t, "gd.csv", dim.String())
+}
+
+// missEngine registers the differential's tables. rowOnly hides every
+// provider behind plan.ScanProvider alone — no typed kernel, no pushdown
+// scanner, no epochs — so its misses take the row route end to end.
+func missEngine(t *testing.T, cfg Config, rowOnly bool, g, gj, gd string) *Engine {
+	t.Helper()
+	eng, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	for _, tbl := range []struct {
+		name, path, schema string
+		json               bool
+	}{
+		{"g", g, "id int, k int, v float, w int, s string", false},
+		{"gj", gj, "id int, k int, v float, w int, s string, x int", true},
+		{"gd", gd, "dk int, dv float, ds string", false},
+	} {
+		schema, err := ParseSchema(tbl.schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prov plan.ScanProvider
+		format := plan.FormatCSV
+		if tbl.json {
+			prov, err = jsonio.New(tbl.path, schema)
+			format = plan.FormatJSON
+		} else {
+			prov, err = csvio.New(tbl.path, schema, csvio.Options{Delim: '|'})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rowOnly {
+			prov = struct{ plan.ScanProvider }{prov}
+		}
+		if err := eng.RegisterProvider(tbl.name, format, prov); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return eng
+}
+
+// missCorpus is the differential's flat queries: aggregates, GROUP BY, row
+// projections, no predicate, no column at all, a residual the cursor
+// cannot run (w = k), a string equality (the prescan), and the JSON table
+// whose malformed x no query names.
+var missCorpus = []string{
+	"SELECT COUNT(*), SUM(v), MIN(w), MAX(s) FROM g WHERE id BETWEEN 600 AND 1600",
+	"SELECT SUM(w), COUNT(v) FROM g",
+	"SELECT k, COUNT(*), SUM(v), MIN(s) FROM g WHERE w >= 0 GROUP BY k",
+	"SELECT id, v, s FROM g WHERE id BETWEEN 640 AND 700",
+	"SELECT s, k FROM g WHERE v > 1.5 AND id < 900",
+	"SELECT COUNT(*), SUM(v), MAX(id) FROM g WHERE id > 100 AND w = k",
+	"SELECT COUNT(*), SUM(id) FROM g WHERE s = 's4'",
+	"SELECT COUNT(*), SUM(v), MIN(s) FROM gj WHERE id >= 10",
+	"SELECT s, COUNT(*), SUM(w) FROM gj WHERE k > 0 GROUP BY s",
+	"SELECT id, s FROM gj WHERE id BETWEEN 690 AND 710",
+	"SELECT COUNT(*) FROM gj",
+}
+
+// missJoins are the differential's joins; gd's side has no predicate.
+var missJoins = []struct{ sql, gWarm, gdWarm string }{
+	{"SELECT COUNT(*), SUM(v), SUM(dv) FROM g JOIN gd ON k = dk WHERE id < 2000",
+		"SELECT COUNT(*) FROM g WHERE id < 2000", "SELECT COUNT(*) FROM gd"},
+	{"SELECT ds, COUNT(*), SUM(w) FROM gd JOIN g ON dk = k WHERE id >= 1000 GROUP BY ds",
+		"SELECT COUNT(*) FROM g WHERE id >= 1000", "SELECT COUNT(*) FROM gd"},
+	{"SELECT id, dv FROM g JOIN gd ON k = dk WHERE id BETWEEN 100 AND 160",
+		"SELECT COUNT(*) FROM g WHERE id BETWEEN 100 AND 160", "SELECT COUNT(*) FROM gd"},
+}
+
+// TestMissDifferential holds every cold query to the answer of a no-cache
+// engine whose providers take the row route: each flat query on a fresh
+// engine per admission mode × pushdown × DisableVectorized, three passes
+// (the miss, then hits, a lazy entry's replay and upgrade among them), and
+// then the same cold corpus fired from four goroutines at once. Each join
+// runs with each side a miss, an eager hit or a lazy hit — all nine pairs:
+// under adaptive admission with a negative threshold a sampled miss is
+// admitted lazy, and its first reuse upgrades it to eager.
+func TestMissDifferential(t *testing.T) {
+	g, gj, gd := missFiles(t)
+	oracle := missEngine(t, Config{Admission: "off", DisableVectorized: true}, true, g, gj, gd)
+	want := map[string][][]any{}
+	for _, q := range missCorpus {
+		res, err := oracle.Query(q)
+		if err != nil {
+			t.Fatalf("oracle %q: %v", q, err)
+		}
+		want[q] = res.Rows
+	}
+	for _, j := range missJoins {
+		res, err := oracle.Query(j.sql)
+		if err != nil {
+			t.Fatalf("oracle %q: %v", j.sql, err)
+		}
+		want[j.sql] = res.Rows
+	}
+	check := func(t *testing.T, eng *Engine, q string) {
+		t.Helper()
+		res, err := eng.Query(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		if !reflect.DeepEqual(res.Rows, want[q]) {
+			t.Errorf("%q: %d rows %v, want %d rows %v", q, len(res.Rows), res.Rows, len(want[q]), want[q])
+		}
+	}
+	for _, admission := range []string{"off", "eager", "lazy", "adaptive"} {
+		for _, push := range []bool{true, false} {
+			for _, noVec := range []bool{false, true} {
+				cfg := Config{Admission: admission, AdmissionSampleSize: 300, DisablePushdown: !push, DisableVectorized: noVec}
+				t.Run(fmt.Sprintf("%s/pushdown=%v/vectorized=%v", admission, push, !noVec), func(t *testing.T) {
+					eng := missEngine(t, cfg, false, g, gj, gd)
+					for pass := 0; pass < 3; pass++ {
+						for _, q := range missCorpus {
+							check(t, eng, q)
+						}
+					}
+					burst := missEngine(t, cfg, false, g, gj, gd)
+					var wg sync.WaitGroup
+					for w := 0; w < 4; w++ {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							for i := range missCorpus {
+								check(t, burst, missCorpus[(i+w)%len(missCorpus)])
+							}
+						}(w)
+					}
+					wg.Wait()
+					if s := burst.CacheStats(); s.OpenTxns != 0 {
+						t.Errorf("OpenTxns = %d after the burst", s.OpenTxns)
+					}
+				})
+			}
+		}
+	}
+	// warm brings a side to its state: 0 a miss, 1 a lazy hit, 2 an eager
+	// hit.
+	sides := []string{"miss", "lazy", "eager"}
+	for ji, j := range missJoins {
+		for gs := range sides {
+			for ds := range sides {
+				t.Run(fmt.Sprintf("join%d/g=%s/gd=%s", ji, sides[gs], sides[ds]), func(t *testing.T) {
+					eng := missEngine(t, Config{Admission: "adaptive", AdmissionThreshold: -1, AdmissionSampleSize: 64}, false, g, gj, gd)
+					for _, w := range []struct {
+						sql   string
+						state int
+					}{{j.gWarm, gs}, {j.gdWarm, ds}} {
+						for i := 0; i < w.state; i++ {
+							if _, err := eng.Query(w.sql); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					modes := map[string]int{}
+					for _, e := range eng.CacheEntries() {
+						modes[e.Mode]++
+					}
+					if wantLazy, wantEager := b2n(gs == 1)+b2n(ds == 1), b2n(gs == 2)+b2n(ds == 2); modes["lazy"] != wantLazy || modes["eager"] != wantEager {
+						t.Fatalf("warmed entries %v, want %d lazy and %d eager", modes, wantLazy, wantEager)
+					}
+					check(t, eng, j.sql)
+					if s := eng.CacheStats(); s.VectorizedJoins != 1 {
+						t.Errorf("VectorizedJoins = %d, want 1: every flat side serves batches", s.VectorizedJoins)
+					}
+					check(t, eng, j.sql)
+				})
+			}
+		}
+	}
+}
+
+func b2n(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
