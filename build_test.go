@@ -128,6 +128,24 @@ func TestMalformedUnneededFieldLeavesAnswerAlone(t *testing.T) {
 				}
 			})
 		}
+		t.Run(tbl.name+"/sample", func(t *testing.T) {
+			// Adaptive admission over more passing records than a
+			// two-record sample that holds the malformed one: the sample's
+			// build fails, so nothing is decided and nothing admitted.
+			eng := openTable(t, Config{AdmissionSampleSize: 2}, tbl)
+			for i, bound := range []int{0, 0, 1} {
+				sql := fmt.Sprintf("SELECT SUM(%s) FROM t WHERE a > %d", tbl.sum, bound)
+				if got := sumOf(t, eng, sql); got != tbl.wants[i] {
+					t.Fatalf("%s = %v, want %v", sql, got, tbl.wants[i])
+				}
+			}
+			if entries := eng.CacheEntries(); len(entries) != 0 {
+				t.Errorf("entries = %+v, want none", entries)
+			}
+			if s := eng.CacheStats(); s.Inserted != 0 {
+				t.Errorf("Inserted = %d, want 0: every sample met the malformed record", s.Inserted)
+			}
+		})
 		t.Run(tbl.name+"/upgrade", func(t *testing.T) {
 			// A one-record sample (the first record decodes) against a
 			// threshold nothing meets: admitted lazy, offsets only.

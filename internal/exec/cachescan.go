@@ -149,7 +149,7 @@ func lazyReplay(ctx *qctx, cs *plan.CachedScan, entry *cache.Entry, offsets []in
 	wall0 := time.Now()
 	if r.dec != nil {
 		for lo := 0; lo < len(offsets) && err == nil; lo += store.BatchRows {
-			var ch leafChunk
+			var ch leafVecs
 			if ch, err = r.chunk(offsets[lo:min(lo+store.BatchRows, len(offsets))]); err == nil {
 				err = rows.emit(ch, out)
 			}
@@ -202,7 +202,7 @@ func startReplay(ctx *qctx, entry *cache.Entry, cols []value.LeafColumn, need []
 		upgrade: m != nil && m.Config().Admission == cache.Adaptive && m.TryStartUpgrade(entry)}
 	if r.upgrade {
 		var err error
-		if r.b, err = newEagerBuild(entry.Dataset, m.ChooseLayout(entry.Dataset), entry.FileEpoch); err != nil {
+		if r.b, err = newEagerBuild(ctx, entry.Dataset, m.ChooseLayout(entry.Dataset), entry.FileEpoch); err != nil {
 			m.CancelUpgrade(entry)
 			return nil, err
 		}
@@ -213,19 +213,27 @@ func startReplay(ctx *qctx, entry *cache.Entry, cols []value.LeafColumn, need []
 	return r, nil
 }
 
-// chunk decodes the records at offs, and the upgrade's share of them.
-func (r *replay) chunk(offs []int64) (leafChunk, error) {
-	ch, build, berr, err := r.dec.decode(offs, r.b)
-	if r.build += build.Nanoseconds(); berr != nil {
+// chunk decodes the records at offs, the previous chunk's helper joined.
+func (r *replay) chunk(offs []int64) (leafVecs, error) {
+	r.join()
+	ch, build, err := r.dec.decode(offs, r.b)
+	r.build += build.Nanoseconds()
+	return ch, err
+}
+
+// join waits for the upgrade's helper. What the query waited is the
+// upgrade's time, and a helper that failed drops the upgrade.
+func (r *replay) join() {
+	if r.b != nil && r.b.wait(&r.build) != nil {
 		r.b = nil
 	}
-	return ch, err
 }
 
 // end closes a replay that took own nanoseconds, the upgrade's included,
 // and served batches batches (0: rows), or failed with err: the replay's
 // cost is attributed to the entry and the upgrade, if it held, commits.
 func (r *replay) end(ctx *qctx, own, batches int64, err error) error {
+	r.join()
 	var st store.Store // stays nil when the build fails
 	if err == nil && r.b != nil {
 		t0 := time.Now()
@@ -268,7 +276,7 @@ func (p *vecScan) replay(ctx *qctx, offsets []int64, filters []*expr.VecFilter) 
 		return nil, false
 	}
 	var r *replay
-	next := func() (ch leafChunk, ok bool, err error) {
+	next := func() (ch leafVecs, ok bool, err error) {
 		if r == nil {
 			if r, err = startReplay(ctx, p.entry, cols, need); err != nil {
 				return ch, false, err
@@ -332,12 +340,12 @@ func replayRecords(ds *plan.Dataset, epoch uint64, offsets []int64, cols []value
 		if own.stripe(striper, rec.L); own.n < store.BatchRows {
 			return nil
 		}
-		err := rows.emit(own.chunk(), out)
+		err := rows.emit(own, out)
 		own.reset()
 		return err
 	})
 	if err == nil && own.n > 0 {
-		err = rows.emit(own.chunk(), out)
+		err = rows.emit(own, out)
 	}
 	return b, timer.EstimatedTotal().Nanoseconds(), err
 }

@@ -13,7 +13,8 @@
 // execution state (admission sampling windows, timers, hash tables, row
 // buffers) lives in per-call closures and the per-query qctx, so compiled
 // pipelines share nothing but the immutable plan inputs, the scan
-// providers, and the manager, each of which synchronizes internally.
+// providers, and the manager, each of which synchronizes internally. An
+// eager build's helper (eagerBuild.start) is joined before RunInto returns.
 package exec
 
 import (
@@ -56,7 +57,7 @@ type Deps struct {
 type QueryStats struct {
 	// Wall is the end-to-end execution time.
 	Wall time.Duration
-	// CacheBuildNanos is the total caching overhead (the paper's t_c).
+	// CacheBuildNanos is the caching overhead the query waited for (t_c).
 	CacheBuildNanos int64
 	// CacheScanNanos is time spent scanning in-memory caches, attributed
 	// per entry: downstream operator work running inside a scan's emit
@@ -91,8 +92,9 @@ type qctx struct {
 	start       time.Time
 	deps        Deps
 	stats       *QueryStats
-	curOffset   int64        // byte offset of the current raw record
-	curComplete func() error // parses the current record's skipped fields
+	curOffset   int64         // byte offset of the current raw record
+	curComplete func() error  // parses the current record's skipped fields
+	builds      []*eagerBuild // the builds the query started (newEagerBuild)
 }
 
 // Sink receives a query's result at the plan root, in whichever of two
@@ -143,6 +145,9 @@ func RunInto(root plan.Node, deps Deps, sink Sink) (*QueryStats, error) {
 			stats.RowsOut++
 			return sink.Row(row)
 		})
+	}
+	for _, b := range ctx.builds { // the helpers of builds an error dropped
+		b.wait(&stats.CacheBuildNanos)
 	}
 	stats.Wall = time.Since(ctx.start)
 	if err != nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"sync/atomic"
 	"time"
 
 	"recache/internal/cache"
@@ -31,9 +32,10 @@ const buildChunk = store.BatchRows
 // entry's upgrade admits as leaf vectors and list lengths: the one
 // representation store.FromColumns adopts as either layout. A provider with
 // a typed kernel (plan.ColumnAppender) fills them from record offsets,
-// straight from the raw bytes; the records of any other provider are
-// completed in place and striped in (store.Striper). The route follows from
-// the provider, never from configuration.
+// straight from the raw bytes, on a helper goroutine beside the query (see
+// start); the records of any other provider are completed in place and
+// striped in (store.Striper). The route follows from the provider, never
+// from configuration.
 type eagerBuild struct {
 	schema  *value.Type
 	layout  store.Layout
@@ -43,12 +45,16 @@ type eagerBuild struct {
 	app     plan.ColumnAppender // nil: records are striped
 	epoch   uint64
 	striper *store.Striper
+
+	task *helperTask // the work of the last start, until wait; nil: none
+	offs []int64     // the work's copy of its offsets
 }
 
-// newEagerBuild starts a build over ds in layout. epoch is the file epoch
-// the admitted offsets belong to; 0 (a provider that tracks none) cannot pin
-// a typed replay and takes the record route.
-func newEagerBuild(ds *plan.Dataset, layout store.Layout, epoch uint64) (*eagerBuild, error) {
+// newEagerBuild starts a build over ds in layout for the query of ctx,
+// which joins its helper before it returns (RunInto). epoch is the file
+// epoch the admitted offsets belong to; 0 (a provider that tracks none)
+// cannot pin a typed replay and takes the record route.
+func newEagerBuild(ctx *qctx, ds *plan.Dataset, layout store.Layout, epoch uint64) (*eagerBuild, error) {
 	b := &eagerBuild{schema: ds.Schema(), layout: layout, epoch: epoch, app: appender(ds.Provider, epoch)}
 	if _, err := value.LeafColumnsCached(b.schema); err != nil {
 		return nil, err
@@ -57,6 +63,7 @@ func newEagerBuild(ds *plan.Dataset, layout store.Layout, epoch uint64) (*eagerB
 	if b.app == nil {
 		b.striper, _ = store.NewStriper(b.schema) // fails as LeafColumns does: not here
 	}
+	ctx.builds = append(ctx.builds, b)
 	return b, nil
 }
 
@@ -69,11 +76,46 @@ func appender(prov plan.ScanProvider, epoch uint64) plan.ColumnAppender {
 	return nil
 }
 
-func (b *eagerBuild) typed() bool { return b.app != nil }
+// start is the typed route: the records at offs are decoded into vecs —
+// the build's vectors at the leaves the query does not decode itself, or
+// all of them — and their list lengths appended to b's, beside the query,
+// until wait joins the work. A helper goroutine runs it, unless the query
+// reaches wait before the helper begins and runs it itself. Until then the
+// query touches neither vecs nor b.lengths.
+func (b *eagerBuild) start(offs []int64, vecs []*store.Vec) {
+	b.offs = append(b.offs[:0], offs...)
+	t := &helperTask{done: make(chan error, 1), run: func() (err error) {
+		b.lengths, err = b.app.AppendColumns(b.epoch, b.offs, vecs, b.lengths)
+		return err
+	}}
+	b.task = t
+	go func() {
+		if t.claimed.CompareAndSwap(false, true) {
+			t.done <- t.run()
+		}
+	}()
+}
 
-// appendOffsets is the typed route: the records at offsets join the build.
-func (b *eagerBuild) appendOffsets(offsets []int64) (err error) {
-	b.lengths, err = b.app.AppendColumns(b.epoch, offsets, b.vecs, b.lengths)
+// helperTask is the work of one start: whoever claims it first runs it.
+type helperTask struct {
+	claimed atomic.Bool
+	done    chan error
+	run     func() error
+}
+
+// wait joins the work of the last start, if any, and adds how long the
+// caller spent on it to *nanos. After an error the build is unusable.
+func (b *eagerBuild) wait(nanos *int64) (err error) {
+	if t := b.task; t != nil {
+		t0 := time.Now()
+		if t.claimed.CompareAndSwap(false, true) {
+			err = t.run()
+		} else {
+			err = <-t.done
+		}
+		b.task = nil
+		*nanos += time.Since(t0).Nanoseconds()
+	}
 	return err
 }
 
@@ -112,12 +154,12 @@ type admission struct {
 	offsets []int64
 	first   int64         // offset of the first admitted record; -1 before it
 	to1     time.Duration // t_o1: query time when the first record arrived
-	nanos   int64         // caching time timed exactly: typed chunks, the sampling window
+	nanos   int64         // caching time timed exactly: the typed build's starts, waits and appends, the sampling window
 	timer   *stats.SampledTimer
 	start   time.Time
 }
 
-func newAdmission(spec *cache.BuildSpec) (*admission, error) {
+func newAdmission(ctx *qctx, spec *cache.BuildSpec) (*admission, error) {
 	a := &admission{spec: spec, first: -1, start: time.Now(),
 		timer: stats.NewSampledTimer(stats.SampleShift, nil)}
 	switch {
@@ -132,7 +174,7 @@ func newAdmission(spec *cache.BuildSpec) (*admission, error) {
 	}
 	if a.state != admitLazy {
 		var err error
-		if a.b, err = newEagerBuild(spec.Dataset, spec.Layout, a.epoch); err != nil {
+		if a.b, err = newEagerBuild(ctx, spec.Dataset, spec.Layout, a.epoch); err != nil {
 			return nil, err
 		}
 	}
@@ -150,8 +192,7 @@ func (a *admission) sampled() bool {
 // admit notes a record the select passed, at byte offset off.
 func (a *admission) admit(ctx *qctx, off int64) {
 	if a.first < 0 {
-		a.first = off
-		a.to1 = time.Since(ctx.start)
+		a.first, a.to1 = off, time.Since(ctx.start)
 	}
 	a.offsets = append(a.offsets, off)
 }
@@ -165,8 +206,16 @@ func (a *admission) admitChunk(at time.Duration, offs []int64) {
 	a.offsets = append(a.offsets, offs...)
 }
 
-// abandon drops the build after a failure on its own side of the pipeline.
+// abandon drops the build after a failure on its side.
 func (a *admission) abandon() { a.state, a.b = admitAbandoned, nil }
+
+// join waits for the build's helper. What the query waited is the build's
+// time, and a helper that failed abandons the build.
+func (a *admission) join() {
+	if a.b != nil && a.b.wait(&a.nanos) != nil {
+		a.abandon()
+	}
+}
 
 // addRecord is the record route's step: timed exactly inside the sampling
 // window, sampled after it.
@@ -188,14 +237,14 @@ func (a *admission) addRecord(row []value.Value, complete func() error) {
 	}
 }
 
-// appendOffsets is the typed route's step: the records at offsets join the
-// build between two clock reads.
+// appendOffsets is the typed route's step: the helper decodes the records
+// at offsets into the build while the scan goes on, once the previous
+// step's is joined.
 func (a *admission) appendOffsets(offsets []int64) {
-	t0 := time.Now()
-	err := a.b.appendOffsets(offsets)
-	a.nanos += time.Since(t0).Nanoseconds()
-	if err != nil {
-		a.abandon()
+	if a.join(); a.b != nil {
+		t0 := time.Now()
+		a.b.start(offsets, a.b.vecs)
+		a.nanos += time.Since(t0).Nanoseconds()
 	}
 }
 
@@ -204,6 +253,9 @@ func (a *admission) appendOffsets(offsets []int64) {
 // executed) are part of t_o1, so a cheap-looking sample cannot hide a high
 // eventual overhead.
 func (a *admission) decide(ctx *qctx, off int64) {
+	if a.join(); a.state == admitAbandoned { // the sample carries its build's cost
+		return // its helper failed: nothing to decide
+	}
 	to2 := time.Since(ctx.start)
 	n := max(float64(a.spec.Dataset.Provider.SizeBytes())/float64(max(off-a.first, 1)), 1)
 	to := float64(a.to1) + n*float64(to2-a.to1)
@@ -220,6 +272,7 @@ func (a *admission) decide(ctx *qctx, off int64) {
 // wall time. The build becomes the entry's store, or the offsets a lazy
 // entry's payload.
 func (a *admission) finish(ctx *qctx, lastOff, down int64) {
+	a.join()
 	// A scan shorter than the sampling window never reached decide(): the
 	// whole input IS the sample, so decide with what was seen (N ≈ 1).
 	// Without this, small inputs silently default to eager.
@@ -280,7 +333,7 @@ func compileMaterialize(m *plan.Materialize, deps Deps) (runFn, error) {
 		return nil, err
 	}
 	return func(ctx *qctx, out emitFn) error {
-		a, err := newAdmission(spec)
+		a, err := newAdmission(ctx, spec)
 		if err != nil {
 			return err
 		}
@@ -292,7 +345,7 @@ func compileMaterialize(m *plan.Materialize, deps Deps) (runFn, error) {
 			switch {
 			case a.b == nil:
 				// Lazy or abandoned: the offset above is the whole cost.
-			case a.b.typed():
+			case a.b.app != nil: // typed
 				// The sampling window is the first chunk, so that the sample
 				// the decision extrapolates is timed like every later chunk.
 				due := buildChunk
@@ -319,7 +372,7 @@ func compileMaterialize(m *plan.Materialize, deps Deps) (runFn, error) {
 		if err != nil {
 			return err
 		}
-		if a.b != nil && a.b.typed() && flushed < len(a.offsets) {
+		if a.b != nil && a.b.app != nil && flushed < len(a.offsets) {
 			a.appendOffsets(a.offsets[flushed:])
 		}
 		a.finish(ctx, ctx.curOffset, downstream.EstimatedTotal().Nanoseconds())

@@ -13,11 +13,11 @@ import (
 // This file is the miss path of a raw select over a provider with a typed
 // kernel (plan.ColumnAppender): the provider's pushdown cursor hands out the
 // offsets of the records that pass, a chunk at a time, and each chunk is
-// decoded once into leaf vectors — the build's, while a materializer's
-// eager build rides along, or the query's own. A flat select serves those
-// chunks as batches (missSource); an Unnest expands them into rows
-// (unnest.go). A provider without the kernel keeps the row route of
-// compileSelect and compileMaterialize.
+// decoded into the query's own leaf vectors — while a materializer's eager
+// build rides along, its helper decodes the other leaves beside the query
+// (leafDecoder). A flat select serves those chunks as batches (missSource);
+// an Unnest expands them into rows (unnest.go). A provider without the
+// kernel keeps the row route of compileSelect and compileMaterialize.
 
 // missPlan is the compile-time half of a typed miss: [Materialize →]
 // Select → Scan. The cursor runs the pushable conjuncts below parsing; a
@@ -93,11 +93,11 @@ type missRun struct {
 // start opens the cursor, pinned to the file epoch the admission read (or
 // the current one): a rewrite fails the query with plan.ErrEpochChanged,
 // which the engine retries.
-func (p *missPlan) start() (*missRun, error) {
+func (p *missPlan) start(ctx *qctx) (*missRun, error) {
 	r := &missRun{p: p}
 	if p.spec != nil {
 		var err error
-		if r.a, err = newAdmission(p.spec); err != nil {
+		if r.a, err = newAdmission(ctx, p.spec); err != nil {
 			return nil, err
 		}
 		r.epoch = r.a.epoch
@@ -113,12 +113,13 @@ func (p *missPlan) start() (*missRun, error) {
 }
 
 // chunk decodes the next chunk of passing records; ok is false once the
-// scan is done. The build (see leafDecoder) is charged its share of the
-// decode, and a failure on its side abandons it; one on the query's side
-// fails the query. The sampling window is the first chunk, so the sample
-// the admission decision extrapolates is timed like every later chunk,
-// from the cursor's first step on.
-func (r *missRun) chunk(ctx *qctx) (ch leafChunk, ok bool, err error) {
+// scan is done. A chunk's build helper (see leafDecoder) runs beside the
+// query until the next chunk's decode joins it; the build is charged the
+// start, the wait and the appends, and a failure on its side abandons it.
+// One on the query's side fails the query. The sampling window is the first
+// chunk, so the sample the admission decision extrapolates is timed like
+// every later chunk, from the cursor's first step on.
+func (r *missRun) chunk(ctx *qctx) (ch leafVecs, ok bool, err error) {
 	t0 := time.Now()
 	defer func() { r.nanos += time.Since(t0).Nanoseconds() }()
 	a := r.a
@@ -139,17 +140,15 @@ func (r *missRun) chunk(ctx *qctx) (ch leafChunk, ok bool, err error) {
 	var b *eagerBuild
 	if a != nil {
 		a.admitChunk(t0.Sub(ctx.start), r.offs)
+		a.join()
 		b = a.b
 	}
-	ch, build, berr, err := r.dec.decode(r.offs, b)
-	if err != nil {
-		return ch, false, err
-	}
+	ch, build, err := r.dec.decode(r.offs, b)
 	if b != nil {
 		a.nanos += build.Nanoseconds()
-		if berr != nil {
-			a.abandon()
-		}
+	}
+	if err != nil {
+		return ch, false, err
 	}
 	r.last, r.offs = r.offs[len(r.offs)-1], r.offs[:0]
 	if a != nil && a.sampled() {
@@ -218,9 +217,9 @@ type missSource struct {
 // that opens the source and falls back to its row path reads no file.
 func (s *missSource) open(ctx *qctx) (vecIter, bool) {
 	var r *missRun
-	next := func() (ch leafChunk, ok bool, err error) {
+	next := func() (ch leafVecs, ok bool, err error) {
 		if r == nil {
-			if r, err = s.p.start(); err != nil {
+			if r, err = s.p.start(ctx); err != nil {
 				return ch, false, err
 			}
 		}
@@ -251,7 +250,7 @@ func (s *missSource) info(Deps) (int64, bool) {
 // the filters. next yields the chunks; end closes the read, which took
 // own nanoseconds and served batches batches, or failed with err.
 type chunkIter struct {
-	next    func() (leafChunk, bool, error)
+	next    func() (leafVecs, bool, error)
 	end     func(own, batches int64, err error) error
 	leaves  []int
 	kinds   []value.Kind
@@ -263,7 +262,7 @@ type chunkIter struct {
 	nanos   int64
 }
 
-func newChunkIter(next func() (leafChunk, bool, error), end func(own, batches int64, err error) error,
+func newChunkIter(next func() (leafVecs, bool, error), end func(own, batches int64, err error) error,
 	cols []value.LeafColumn, leaves []int, filters []*expr.VecFilter) *chunkIter {
 	it := &chunkIter{next: next, end: end, leaves: leaves, filters: filters,
 		kinds: make([]value.Kind, len(leaves)), cols: make([]*store.Vec, len(leaves)), sel: make([]int32, store.BatchRows)}
@@ -296,7 +295,7 @@ func (it *chunkIter) Next() ([]*store.Vec, []int32, bool) {
 	}
 	sel := it.sel[:ch.n]
 	for k := range sel {
-		sel[k] = ch.rec0 + int32(k)
+		sel[k] = int32(k)
 	}
 	for _, f := range it.filters {
 		sel = f.Apply(it.cols, sel)

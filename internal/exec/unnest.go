@@ -21,9 +21,9 @@ import (
 // Select → Scan, the only input a plan gives an Unnest — through leaf
 // vectors. Over a provider with a typed kernel the records come from the
 // typed miss (miss.go): each chunk the pushdown cursor passes is decoded
-// once into the leaves the query needs — and, while a materializer's build
-// rides along, into every leaf of that build — then expanded by its list
-// lengths into rows for the operators above. A provider without the kernel
+// into the leaves the query needs — while a materializer's build rides
+// along, its helper decodes the others — then expanded by its list lengths
+// into rows for the operators above. A provider without the kernel
 // decodes the records in its scan, and they are striped into the same
 // vectors.
 //
@@ -55,7 +55,7 @@ func compileUnnest(u *plan.Unnest, deps Deps) (runFn, error) {
 		return nil, err
 	} else if ok {
 		return func(ctx *qctx, out emitFn) error {
-			r, err := p.start()
+			r, err := p.start(ctx)
 			if err != nil {
 				return err
 			}
@@ -94,7 +94,7 @@ func compileUnnest(u *plan.Unnest, deps Deps) (runFn, error) {
 		var a *admission
 		if spec != nil {
 			var err error
-			if a, err = newAdmission(spec); err != nil {
+			if a, err = newAdmission(ctx, spec); err != nil {
 				return err
 			}
 		}
@@ -104,7 +104,7 @@ func compileUnnest(u *plan.Unnest, deps Deps) (runFn, error) {
 		// flush expands the records striped since the last flush to the
 		// operators above, and decides when they ended the sample.
 		flush := func() error {
-			err := rows.emit(own.chunk(), out)
+			err := rows.emit(own, out)
 			own.reset()
 			if a != nil && a.sampled() {
 				a.decide(ctx, lastOff)
@@ -149,19 +149,10 @@ func neededLeaves(cols []value.LeafColumn, needed []value.Path) []bool {
 	return need
 }
 
-// leafChunk is a run of n records decoded into leaf vectors: vecs holds them
-// from record rec0 on — and, in the repeated leaves, from element elem0 on
-// — and lengths holds their list lengths (nil for a schema without a
-// repeated field).
-type leafChunk struct {
-	vecs        []*store.Vec
-	lengths     []int32
-	n           int
-	rec0, elem0 int32
-}
-
-// leafVecs are the vectors a query decodes its own leaves into, nil at the
-// leaves it does not need, reused chunk to chunk.
+// leafVecs is a chunk: n records decoded into leaf vectors, from their
+// first entries on, nil at the leaves not decoded, and their list lengths
+// (nil for a schema without a repeated field). A query decodes its own
+// leaves into one, reused chunk to chunk.
 type leafVecs struct {
 	vecs    []*store.Vec
 	lengths []int32
@@ -177,8 +168,6 @@ func newLeafVecs(cols []value.LeafColumn, need []bool) leafVecs {
 	}
 	return l
 }
-
-func (l *leafVecs) chunk() leafChunk { return leafChunk{vecs: l.vecs, lengths: l.lengths, n: l.n} }
 
 func (l *leafVecs) reset() {
 	for _, v := range l.vecs {
@@ -196,112 +185,57 @@ func (l *leafVecs) stripe(s *store.Striper, row []value.Value) {
 }
 
 // leafDecoder decodes chunks of records with a provider's typed kernel,
-// pinned to one file epoch: the query's leaves into vectors of its own or,
-// while a build rides along, every leaf straight into the build's vectors
-// in one pass. What such a pass costs the build is its share of the time,
-// measured on the build's first chunk: that chunk is decoded in two passes,
-// the query's leaves and then the others, and the build is charged the
-// second pass and the appends of the first's vectors to its own.
+// pinned to one file epoch, into the query's own vectors, reused chunk to
+// chunk, so a chunk is always zero-based. A riding build gets the chunk's
+// other leaves from its helper and the query's appended (decode); the
+// caller joins the helper before the next decode.
 type leafDecoder struct {
-	app     plan.ColumnAppender
-	epoch   uint64
-	own     leafVecs
-	rest    []*store.Vec // a build's vectors at the leaves own skips
-	scratch []int32      // the lengths of a build's second pass, dropped
-	list    bool
-	recLeaf int // a non-repeated and a repeated leaf, -1 for none
-	repLeaf int
-	share   float64 // the build's share of a one-pass decode; 0 until measured
+	app   plan.ColumnAppender
+	epoch uint64
+	own   leafVecs
+	rest  []*store.Vec // a build's vectors at the leaves own skips
 }
 
 func newLeafDecoder(app plan.ColumnAppender, epoch uint64, cols []value.LeafColumn, need []bool) *leafDecoder {
-	d := &leafDecoder{app: app, epoch: epoch, own: newLeafVecs(cols, need),
-		rest: make([]*store.Vec, len(cols)), recLeaf: -1, repLeaf: -1}
-	for i, c := range cols {
-		switch {
-		case c.Repeated && d.repLeaf < 0:
-			d.repLeaf, d.list = i, true
-		case !c.Repeated && d.recLeaf < 0:
-			d.recLeaf = i
-		}
-	}
-	return d
+	return &leafDecoder{app: app, epoch: epoch, own: newLeafVecs(cols, need), rest: make([]*store.Vec, len(cols))}
 }
 
-// decode decodes the records at offs — into the query's own vectors, or
-// with b into all of b's — and returns the chunk the query's rows expand
-// from and the build's share of the time. A failure on the build's side
-// (berr) leaves the chunk decoded and b to be abandoned; one on the query's
-// side (err) fails the query.
-func (d *leafDecoder) decode(offs []int64, b *eagerBuild) (ch leafChunk, build time.Duration, berr, err error) {
-	if b != nil && d.share > 0 {
-		ch = leafChunk{vecs: b.vecs, n: len(offs)}
-		ch.rec0, ch.elem0 = d.position(b)
-		t0 := time.Now()
-		if b.lengths, berr = d.app.AppendColumns(d.epoch, offs, b.vecs, b.lengths); berr == nil {
-			if d.list {
-				ch.lengths = b.lengths[ch.rec0:]
+// decode decodes the records at offs into the query's own vectors and
+// returns them. With b, whose helper is joined, the chunk joins the build:
+// b's helper starts on the leaves the query skips (with the list lengths)
+// before the query decodes its own, which are then appended to b's. Both
+// steps are the time returned. A failure fails the query.
+func (d *leafDecoder) decode(offs []int64, b *eagerBuild) (ch leafVecs, build time.Duration, err error) {
+	t0 := time.Now()
+	rest := false
+	if b != nil {
+		for i, v := range d.own.vecs {
+			if d.rest[i] = nil; v == nil {
+				d.rest[i], rest = b.vecs[i], true
 			}
-			return ch, time.Duration(float64(time.Since(t0)) * d.share), nil, nil
 		}
-		b = nil // the query decodes its leaves alone below
+		if rest {
+			b.start(offs, d.rest)
+		}
+		build = time.Since(t0)
 	}
 	d.own.reset()
-	t0 := time.Now()
 	if d.own.lengths, err = d.app.AppendColumns(d.epoch, offs, d.own.vecs, d.own.lengths); err != nil {
-		return ch, 0, berr, err
+		return ch, build, err
 	}
-	d.own.n = len(offs)
-	if b == nil {
-		return d.own.chunk(), 0, berr, nil
+	if d.own.n = len(offs); b == nil {
+		return d.own, 0, nil
 	}
-	q := time.Since(t0)
 	t1 := time.Now()
-	berr = d.appendRest(offs, b)
-	if build = time.Since(t1); berr == nil {
-		d.share = max(float64(build)/float64(build+q), 1e-9)
-	}
-	return d.own.chunk(), build, berr, nil
-}
-
-// appendRest completes a two-pass chunk in b: the leaves the query skipped
-// are decoded into b's vectors, then the query's are appended to them.
-func (d *leafDecoder) appendRest(offs []int64, b *eagerBuild) error {
-	rest := false
-	for i, v := range d.own.vecs {
-		d.rest[i] = nil
-		if v == nil {
-			d.rest[i], rest = b.vecs[i], true
-		}
-	}
-	if rest {
-		var err error
-		if d.scratch, err = d.app.AppendColumns(d.epoch, offs, d.rest, d.scratch[:0]); err != nil {
-			return err
-		}
-	}
 	for i, v := range d.own.vecs {
 		if v != nil {
 			b.vecs[i].AppendRange(v, 0, v.Len())
 		}
 	}
-	b.lengths = append(b.lengths, d.own.lengths...)
-	return nil
-}
-
-// position returns where b's vectors end: its record count, and its element
-// count in the repeated leaves.
-func (d *leafDecoder) position(b *eagerBuild) (rec, elem int32) {
-	switch {
-	case d.list:
-		rec = int32(len(b.lengths))
-	case d.recLeaf >= 0:
-		rec = int32(b.vecs[d.recLeaf].Len())
+	if !rest {
+		b.lengths = append(b.lengths, d.own.lengths...)
 	}
-	if d.repLeaf >= 0 {
-		elem = int32(b.vecs[d.repLeaf].Len())
-	}
-	return rec, elem
+	return d.own, build + time.Since(t1), nil
 }
 
 // leafRows expands decoded chunks into the rows of the operators above: a
@@ -334,19 +268,19 @@ func newLeafRows(cols []value.LeafColumn, leaves, slots []int, width int, flat b
 // each leaf column is written into the batch's rows by one typed loop,
 // gathered by the rows' parent records (a record leaf of a flattened row)
 // or read in order.
-func (r *leafRows) emit(ch leafChunk, out emitFn) error {
+func (r *leafRows) emit(ch leafVecs, out emitFn) error {
 	expand := r.flat && ch.lengths != nil
-	rows, first := ch.n, ch.rec0
+	rows := ch.n
 	if expand {
-		r.parent = store.ParentIndex(r.parent[:0], ch.lengths, ch.rec0)
-		rows, first = len(r.parent), ch.elem0
+		r.parent = store.ParentIndex(r.parent[:0], ch.lengths, 0)
+		rows = len(r.parent)
 	}
 	w := r.width
 	for lo := 0; lo < rows; lo += store.BatchRows {
 		n := min(store.BatchRows, rows-lo)
 		r.dense = r.dense[:0]
 		for k := range n {
-			r.dense = append(r.dense, first+int32(lo+k))
+			r.dense = append(r.dense, int32(lo+k))
 		}
 		records := r.dense
 		if expand {

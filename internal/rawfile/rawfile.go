@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -158,7 +159,7 @@ func (f *File) load() (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rawfile: %w", err)
 	}
-	recStart, fieldOff, err := f.format.Map(b, 0, nil, nil)
+	recStart, fieldOff, err := mapSegments(f.format, b, f.ntop, segmentCount(len(b)))
 	if err != nil {
 		return nil, err
 	}
@@ -177,6 +178,70 @@ func (f *File) load() (*snapshot, error) {
 	f.size.Store(int64(len(b)))
 	f.snap.Store(ns)
 	return ns, nil
+}
+
+// segmentMin is the least a segment of a loaded file's map covers, about
+// 1 MiB.
+const segmentMin = 1_000_000
+
+// segmentCount is how many segments the map of a file of size bytes is
+// built in at once: one per P, each at least segmentMin.
+func segmentCount(size int) int { return min(runtime.GOMAXPROCS(0), size/segmentMin) }
+
+// mapSegments builds the positional map Format.Map(data, 0, nil, nil)
+// builds, mapping up to k segments at the same time. The cuts between
+// segments fall just past newlines, and the segment between cuts c and d
+// is mapped as Map(data[:d], c, ...), its offsets absolute. A cut is only a
+// guess at a record boundary, so it is checked: a format never reads past
+// a record's end, so a segment whose Map succeeds ends on a boundary. Once
+// the segment from cut c is the first to fail, c is a proven boundary and
+// the rest of the file is mapped serially from it — the serial map and the
+// serial first error, byte for byte. Each segment is presized from its
+// newline count, and the segments are joined into slices of their exact
+// total size.
+func mapSegments(format Format, data []byte, ntop, k int) ([]int64, []uint32, error) {
+	cuts := []int{0}
+	for j := 1; j < k; j++ {
+		lo := max(j*len(data)/k, cuts[len(cuts)-1])
+		nl := bytes.IndexByte(data[lo:], '\n')
+		if nl < 0 || lo+nl+1 == len(data) {
+			break
+		}
+		cuts = append(cuts, lo+nl+1)
+	}
+	cuts = append(cuts, len(data))
+	if len(cuts) == 2 {
+		return format.Map(data, 0, nil, nil)
+	}
+	type segment struct {
+		recStart []int64
+		fieldOff []uint32
+		err      error
+	}
+	segs := make([]segment, len(cuts)-1)
+	var mapped sync.WaitGroup
+	mapped.Add(len(segs))
+	for i := range segs {
+		go func() {
+			defer mapped.Done()
+			s := &segs[i]
+			n := bytes.Count(data[cuts[i]:cuts[i+1]], []byte{'\n'}) + 1
+			s.recStart, s.fieldOff, s.err = format.Map(data[:cuts[i+1]], cuts[i], make([]int64, 0, n), make([]uint32, 0, n*ntop))
+		}()
+	}
+	mapped.Wait()
+	nrec, nfield := 0, 0
+	for _, s := range segs {
+		nrec, nfield = nrec+len(s.recStart), nfield+len(s.fieldOff)
+	}
+	recStart, fieldOff := make([]int64, 0, nrec), make([]uint32, 0, nfield)
+	for i, s := range segs {
+		if s.err != nil {
+			return format.Map(data, cuts[i], recStart, fieldOff)
+		}
+		recStart, fieldOff = append(recStart, s.recStart...), append(fieldOff, s.fieldOff...)
+	}
+	return recStart, fieldOff, nil
 }
 
 // Version implements plan.RefreshableProvider: the current (epoch, covered

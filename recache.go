@@ -387,7 +387,9 @@ func (e *Engine) TableSchema(name string) (string, error) {
 type QueryStats struct {
 	// Wall is the end-to-end execution time.
 	Wall time.Duration
-	// CacheBuild is the caching overhead spent building cache entries.
+	// CacheBuild is the build time the query waited for: what building
+	// cache entries added to its wall time — a build's helper goroutine
+	// decoding beside the query costs only the joins that waited for it.
 	CacheBuild time.Duration
 	// CacheScan is time spent reading from in-memory caches.
 	CacheScan time.Duration
