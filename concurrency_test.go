@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"recache/internal/csvio"
+	"recache/internal/expr"
 	"recache/internal/plan"
-	"recache/internal/value"
 )
 
 // countQtyBetween computes the expected COUNT(*) for the test table t
@@ -144,21 +144,21 @@ func TestConcurrentSingleFlightBuild(t *testing.T) {
 	}
 }
 
-// gateProvider wraps a real provider, reporting each full-file Scan start
-// on started and holding it until a token arrives on gate, so a test can
-// hold every raw scan of a burst in flight at once.
+// gateProvider wraps a real source, reporting each raw scan a miss opens
+// (PushdownCursor) on started and holding it until a token arrives on gate,
+// so a test can hold every raw scan of a burst in flight at once.
 type gateProvider struct {
-	plan.ScanProvider
-	started chan struct{} // signalled as each Scan begins
-	gate    chan struct{} // one token consumed per Scan before it proceeds
+	plan.Source
+	started chan struct{} // signalled as each scan begins
+	gate    chan struct{} // one token consumed per scan before it proceeds
 	scans   atomic.Int64
 }
 
-func (g *gateProvider) Scan(needed []value.Path, fn plan.ScanFunc) error {
+func (g *gateProvider) PushdownCursor(epoch uint64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
 	g.scans.Add(1)
 	g.started <- struct{}{}
 	<-g.gate
-	return g.ScanProvider.Scan(needed, fn)
+	return g.Source.PushdownCursor(epoch, pd)
 }
 
 // Scans lets Engine.RawScans count through the wrapper.
@@ -184,7 +184,7 @@ func TestColdBurstScansPrivately(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gp := &gateProvider{ScanProvider: base, started: make(chan struct{}, n), gate: make(chan struct{}, n)}
+			gp := &gateProvider{Source: base, started: make(chan struct{}, n), gate: make(chan struct{}, n)}
 			if err := eng.RegisterProvider("t", plan.FormatCSV, gp); err != nil {
 				t.Fatal(err)
 			}

@@ -32,10 +32,9 @@ func (o Options) delim() byte {
 	return o.Delim
 }
 
-// Provider implements plan.ScanProvider — and the refresh, epoch-pinned and
-// pushdown extensions — for one CSV file. Snapshots, the positional map and
-// the freshness lifecycle are rawfile.File's; this package supplies the CSV
-// tokenizer and the field decoders.
+// Provider implements plan.Source for one CSV file. Snapshots, the
+// positional map and the freshness lifecycle are rawfile.File's; this
+// package supplies the CSV tokenizer and the field decoders.
 type Provider struct{ *rawfile.File }
 
 // New creates a provider over path with an explicit flat record schema.

@@ -121,15 +121,14 @@ func compileCachedScan(cs *plan.CachedScan, deps Deps) (runFn, error) {
 // rows, optionally rebuilding an eager store along the way and upgrading
 // the entry (see replay). offsets is the caller's snapshot of the entry's
 // satisfying-record offsets. The records are read as a raw unnest reads
-// them (unnest.go): a chunk at a time into leaf vectors — by the provider's
-// typed kernel, or striped from its decoded records — and expanded into
-// the scan's rows. A flat entry over a typed kernel serves the same chunks
-// as batches instead (vecScan.replay), unless vectorization is off.
+// them (unnest.go): a chunk at a time into leaf vectors by the source's
+// typed kernel, and expanded into the scan's rows. A flat entry serves the
+// same chunks as batches instead (vecScan.replay), unless vectorization is
+// off.
 func lazyReplay(ctx *qctx, cs *plan.CachedScan, entry *cache.Entry, offsets []int64,
 	outNames []string, residual expr.Predicate, out emitFn) error {
 
-	ds := entry.Dataset
-	cols, err := value.LeafColumnsCached(ds.Schema())
+	cols, err := value.LeafColumnsCached(entry.Dataset.Schema())
 	if err != nil {
 		return err
 	}
@@ -147,15 +146,11 @@ func lazyReplay(ctx *qctx, cs *plan.CachedScan, entry *cache.Entry, offsets []in
 		return err
 	}
 	wall0 := time.Now()
-	if r.dec != nil {
-		for lo := 0; lo < len(offsets) && err == nil; lo += store.BatchRows {
-			var ch leafVecs
-			if ch, err = r.chunk(offsets[lo:min(lo+store.BatchRows, len(offsets))]); err == nil {
-				err = rows.emit(ch, out)
-			}
+	for lo := 0; lo < len(offsets) && err == nil; lo += store.BatchRows {
+		var ch leafVecs
+		if ch, err = r.chunk(offsets[lo:min(lo+store.BatchRows, len(offsets))]); err == nil {
+			err = rows.emit(ch, out)
 		}
-	} else {
-		r.b, r.build, err = replayRecords(ds, entry.FileEpoch, offsets, cols, need, rows, out, r.b)
 	}
 	// The replay's own time excludes downstream operator time.
 	return r.end(ctx, time.Since(wall0).Nanoseconds()-rows.down.EstimatedTotal().Nanoseconds(), 0, err)
@@ -178,9 +173,9 @@ func replayLeaves(cols []value.LeafColumn, outNames []string) (leaves []int, nee
 // time into leaf vectors. §5.2: ReCache upgrades a reused lazy item to an
 // eager cache — the always-lazy baseline (Fig. 12/13) keeps replaying
 // offsets — and the upgrade rebuilds the entry as an eager store (see
-// eagerBuild) from the same chunks: a typed build decodes every leaf of
-// them, a record build completes each record as it passes. Either failing —
-// on a field the query never named, say — costs the upgrade, not the query.
+// eagerBuild) from the same chunks, its helper decoding the leaves the
+// query skips. Its failing — on a field the query never named, say — costs
+// the upgrade, not the query.
 //
 // The replay is pinned to the file epoch the offsets were recorded in: a
 // rewrite between the lookup and this read renumbers every byte offset, and
@@ -191,24 +186,24 @@ type replay struct {
 	entry   *cache.Entry
 	mgr     *cache.Manager
 	upgrade bool
-	b       *eagerBuild  // nil without an upgrade, or once it failed
-	dec     *leafDecoder // nil: the provider has no typed kernel
-	build   int64        // the upgrade's time
+	b       *eagerBuild // nil without an upgrade, or once it failed
+	dec     *leafDecoder
+	build   int64 // the upgrade's time
 }
 
 func startReplay(ctx *qctx, entry *cache.Entry, cols []value.LeafColumn, need []bool) (*replay, error) {
+	src, err := source(entry.Dataset)
+	if err != nil {
+		return nil, err
+	}
 	m := ctx.deps.Manager
-	r := &replay{entry: entry, mgr: m,
+	r := &replay{entry: entry, mgr: m, dec: newLeafDecoder(src, entry.FileEpoch, cols, need),
 		upgrade: m != nil && m.Config().Admission == cache.Adaptive && m.TryStartUpgrade(entry)}
 	if r.upgrade {
-		var err error
-		if r.b, err = newEagerBuild(ctx, entry.Dataset, m.ChooseLayout(entry.Dataset), entry.FileEpoch); err != nil {
+		if r.b, err = newEagerBuild(ctx, src, m.ChooseLayout(entry.Dataset), entry.FileEpoch); err != nil {
 			m.CancelUpgrade(entry)
 			return nil, err
 		}
-	}
-	if app := appender(entry.Dataset.Provider, entry.FileEpoch); app != nil {
-		r.dec = newLeafDecoder(app, entry.FileEpoch, cols, need)
 	}
 	return r, nil
 }
@@ -297,55 +292,4 @@ func (p *vecScan) replay(ctx *qctx, offsets []int64, filters []*expr.VecFilter) 
 		return r.end(ctx, own, batches, err)
 	}
 	return newChunkIter(next, end, cols, leaves, append([]*expr.VecFilter{p.filter}, filters...)), true
-}
-
-// replayRecords is lazyReplay's route for a provider without a typed
-// kernel: the provider decodes the records at offsets — pinned to epoch
-// when it can be — and their needed leaves are striped a chunk at a time;
-// an upgrade's build b completes and stripes every record, its time
-// sampled. It returns b, nil once it failed, and its estimated time.
-func replayRecords(ds *plan.Dataset, epoch uint64, offsets []int64, cols []value.LeafColumn, need []bool,
-	rows *leafRows, out emitFn, b *eagerBuild) (*eagerBuild, int64, error) {
-
-	needed := []value.Path{} // nil would read every field
-	for i, c := range cols {
-		if need[i] {
-			needed = append(needed, c.Path)
-		}
-	}
-	if rows.flat {
-		needed = append(needed, value.RepeatedFieldCached(ds.Schema()))
-	}
-	scan := ds.Provider.ScanOffsets
-	if es, ok := ds.Provider.(plan.EpochScanner); ok && epoch != 0 {
-		scan = func(offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
-			return es.ScanOffsetsAt(epoch, offsets, needed, fn)
-		}
-	}
-	striper, err := store.NewStriper(ds.Schema())
-	if err != nil {
-		return nil, 0, err
-	}
-	own := newLeafVecs(cols, need)
-	timer := stats.NewSampledTimer(stats.SampleShift, nil)
-	err = scan(offsets, needed, func(rec value.Value, _ int64, complete func() error) error {
-		if b != nil {
-			sampled := timer.Begin()
-			if err := b.addRecord(rec.L, complete); err != nil {
-				b = nil
-			} else if sampled {
-				timer.End()
-			}
-		}
-		if own.stripe(striper, rec.L); own.n < store.BatchRows {
-			return nil
-		}
-		err := rows.emit(own, out)
-		own.reset()
-		return err
-	})
-	if err == nil && own.n > 0 {
-		err = rows.emit(own, out)
-	}
-	return b, timer.EstimatedTotal().Nanoseconds(), err
 }

@@ -44,8 +44,8 @@ type Deps struct {
 	// DisableVectorized forces every cache scan onto the row-at-a-time
 	// path (pre-vectorization behaviour; ablation and benchmarking). Joins
 	// then take the boxed row join: a join cannot batch without batch
-	// inputs. A raw miss still decodes its chunks typed — its route follows
-	// from the provider — and boxes their rows at the batch→row boundary.
+	// inputs. A raw miss still decodes its chunks typed — there is no other
+	// miss — and boxes their rows at the batch→row boundary.
 	DisableVectorized bool
 	// DisablePushdown keeps scan predicates above parsing: raw scans decode
 	// every needed field of every record and the filter runs afterwards
@@ -89,12 +89,11 @@ type runFn func(ctx *qctx, out emitFn) error
 
 // qctx is the per-query runtime context threaded through the pipeline.
 type qctx struct {
-	start       time.Time
-	deps        Deps
-	stats       *QueryStats
-	curOffset   int64         // byte offset of the current raw record
-	curComplete func() error  // parses the current record's skipped fields
-	builds      []*eagerBuild // the builds the query started (newEagerBuild)
+	start     time.Time
+	deps      Deps
+	stats     *QueryStats
+	curOffset int64         // byte offset of the current raw record
+	builds    []*eagerBuild // the builds the query started (newEagerBuild)
 }
 
 // Sink receives a query's result at the plan root, in whichever of two
@@ -102,9 +101,8 @@ type qctx struct {
 // of plain column references, or a bare [Select*] chain, over a vectorized
 // cache scan, a lazy replay, a join or a flat raw-scan miss — hands over its
 // column batches; every other root (aggregates, nested data,
-// DisableVectorized, a source that cannot serve batches right now, a
-// provider without a typed kernel) emits rows. One execution uses one
-// shape only.
+// DisableVectorized, a source that cannot serve batches right now) emits
+// rows. One execution uses one shape only.
 type Sink interface {
 	// Row receives one result row. The slice is reused between calls; a
 	// sink that retains the row copies it.
@@ -157,8 +155,8 @@ func RunInto(root plan.Node, deps Deps, sink Sink) (*QueryStats, error) {
 }
 
 func compile(n plan.Node, deps Deps) (runFn, error) {
-	// A flat raw select over a typed kernel serves batches whoever consumes
-	// it: under a row operator its rows leave at the batch→row boundary.
+	// A flat raw select serves batches whoever consumes it: under a row
+	// operator its rows leave at the batch→row boundary.
 	if src, ok, err := flatMiss(n, deps); err != nil || ok {
 		if err != nil {
 			return nil, err
@@ -217,9 +215,8 @@ func compileScan(s *plan.Scan, deps Deps) (runFn, error) {
 	needed := scanNeeded(s, deps)
 	prov := s.DS.Provider
 	return func(ctx *qctx, out emitFn) error {
-		return prov.Scan(needed, func(rec value.Value, off int64, complete func() error) error {
+		return prov.Scan(needed, func(rec value.Value, off int64, _ func() error) error {
 			ctx.curOffset = off
-			ctx.curComplete = complete
 			return out(rec.L)
 		})
 	}, nil
@@ -227,7 +224,7 @@ func compileScan(s *plan.Scan, deps Deps) (runFn, error) {
 
 // compileScanPushdown fuses a Select sitting directly on a raw Scan into
 // one pushdown scan: the predicate's pushable conjuncts are evaluated by
-// the provider on the raw bytes and only the residual runs in the pipeline.
+// the source on the raw bytes and only the residual runs in the pipeline.
 // ok is false when nothing is pushable (or pushdown is disabled); the
 // caller then compiles the plain Select.
 func compileScanPushdown(s *plan.Scan, pred expr.Expr, deps Deps) (runFn, bool, error) {
@@ -242,46 +239,33 @@ func compileScanPushdown(s *plan.Scan, pred expr.Expr, deps Deps) (runFn, bool, 
 	if err != nil {
 		return nil, false, err
 	}
+	src, err := source(s.DS)
+	if err != nil {
+		return nil, false, err
+	}
 	needed := scanNeeded(s, deps)
-	prov := s.DS.Provider
 	mgr := deps.Manager
 	return func(ctx *qctx, out emitFn) error {
-		emit := func(rec value.Value, off int64, complete func() error) error {
+		emit := func(rec value.Value, off int64, _ func() error) error {
 			ctx.curOffset = off
-			ctx.curComplete = complete
 			if !res(rec.L) {
 				return nil
 			}
 			return out(rec.L)
 		}
-		skipped, below, err := pushScan(prov, pd, needed, emit)
-		// A row-tested fallback decoded every record: not a pushdown scan.
-		if err == nil && below && mgr != nil {
+		skipped, err := pushScan(src, pd, needed, emit)
+		if err == nil && mgr != nil {
 			mgr.NotePushdown(pd.NumConjuncts(), skipped)
 		}
 		return err
 	}, true, nil
 }
 
-// pushScan scans prov filtered by pd, below the parse when the provider
-// implements plan.PushdownScanner (below reports which path ran) and by
-// re-testing each decoded record otherwise; either way pd's tested columns
-// are folded into the needed set so the decoded rows carry them. It returns
-// the number of records filtered out before reaching fn.
-func pushScan(prov plan.ScanProvider, pd *expr.Pushdown, needed []value.Path, fn plan.ScanFunc) (skipped int64, below bool, err error) {
-	needed = unionPaths(needed, pd.Cols())
-	if ps, ok := prov.(plan.PushdownScanner); ok {
-		skipped, err = ps.ScanPushdown(pd, needed, fn)
-		return skipped, true, err
-	}
-	err = prov.Scan(needed, func(rec value.Value, off int64, complete func() error) error {
-		if !pd.TestRow(rec.L) {
-			skipped++
-			return nil
-		}
-		return fn(rec, off, complete)
-	})
-	return skipped, false, err
+// pushScan scans src filtered by pd below the parse, with pd's tested
+// columns folded into the needed set so the decoded rows carry them. It
+// returns the number of records filtered out before reaching fn.
+func pushScan(src plan.Source, pd *expr.Pushdown, needed []value.Path, fn plan.ScanFunc) (skipped int64, err error) {
+	return src.ScanPushdown(pd, unionPaths(needed, pd.Cols()), fn)
 }
 
 // unionPaths adds extra paths to a needed set, preserving the nil (all

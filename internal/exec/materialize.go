@@ -30,53 +30,36 @@ const buildChunk = store.BatchRows
 
 // eagerBuild accumulates the records a materializer, a raw unnest or a lazy
 // entry's upgrade admits as leaf vectors and list lengths: the one
-// representation store.FromColumns adopts as either layout. A provider with
-// a typed kernel (plan.ColumnAppender) fills them from record offsets,
-// straight from the raw bytes, on a helper goroutine beside the query (see
-// start); the records of any other provider are completed in place and
-// striped in (store.Striper). The route follows from the provider, never
-// from configuration.
+// representation store.FromColumns adopts as either layout. The source's
+// typed kernel fills them from record offsets, straight from the raw bytes,
+// on a helper goroutine beside the query (see start).
 type eagerBuild struct {
 	schema  *value.Type
 	layout  store.Layout
 	vecs    []*store.Vec
 	lengths []int32
 
-	app     plan.ColumnAppender // nil: records are striped
-	epoch   uint64
-	striper *store.Striper
+	src   plan.Source
+	epoch uint64
 
 	task *helperTask // the work of the last start, until wait; nil: none
 	offs []int64     // the work's copy of its offsets
 }
 
-// newEagerBuild starts a build over ds in layout for the query of ctx,
+// newEagerBuild starts a build over src in layout for the query of ctx,
 // which joins its helper before it returns (RunInto). epoch is the file
-// epoch the admitted offsets belong to; 0 (a provider that tracks none)
-// cannot pin a typed replay and takes the record route.
-func newEagerBuild(ctx *qctx, ds *plan.Dataset, layout store.Layout, epoch uint64) (*eagerBuild, error) {
-	b := &eagerBuild{schema: ds.Schema(), layout: layout, epoch: epoch, app: appender(ds.Provider, epoch)}
+// epoch the admitted offsets belong to.
+func newEagerBuild(ctx *qctx, src plan.Source, layout store.Layout, epoch uint64) (*eagerBuild, error) {
+	b := &eagerBuild{schema: src.Schema(), layout: layout, src: src, epoch: epoch}
 	if _, err := value.LeafColumnsCached(b.schema); err != nil {
 		return nil, err
 	}
 	b.vecs = store.NewColumns(b.schema)
-	if b.app == nil {
-		b.striper, _ = store.NewStriper(b.schema) // fails as LeafColumns does: not here
-	}
 	ctx.builds = append(ctx.builds, b)
 	return b, nil
 }
 
-// appender returns prov's typed kernel if it has one a replay can pin to
-// epoch.
-func appender(prov plan.ScanProvider, epoch uint64) plan.ColumnAppender {
-	if app, ok := prov.(plan.ColumnAppender); ok && epoch != 0 {
-		return app
-	}
-	return nil
-}
-
-// start is the typed route: the records at offs are decoded into vecs —
+// start hands out a build step: the records at offs are decoded into vecs —
 // the build's vectors at the leaves the query does not decode itself, or
 // all of them — and their list lengths appended to b's, beside the query,
 // until wait joins the work. A helper goroutine runs it, unless the query
@@ -85,7 +68,7 @@ func appender(prov plan.ScanProvider, epoch uint64) plan.ColumnAppender {
 func (b *eagerBuild) start(offs []int64, vecs []*store.Vec) {
 	b.offs = append(b.offs[:0], offs...)
 	t := &helperTask{done: make(chan error, 1), run: func() (err error) {
-		b.lengths, err = b.app.AppendColumns(b.epoch, b.offs, vecs, b.lengths)
+		b.lengths, err = b.src.AppendColumns(b.epoch, b.offs, vecs, b.lengths)
 		return err
 	}}
 	b.task = t
@@ -119,16 +102,6 @@ func (b *eagerBuild) wait(nanos *int64) (err error) {
 	return err
 }
 
-// addRecord is the record route: row is the current record of a scan that
-// decoded only the query's fields, complete parses the rest in place.
-func (b *eagerBuild) addRecord(row []value.Value, complete func() error) error {
-	if err := complete(); err != nil {
-		return err
-	}
-	b.lengths = b.striper.Append(value.Value{Kind: value.Record, L: row}, b.vecs, b.lengths)
-	return nil
-}
-
 func (b *eagerBuild) finish() (store.Store, error) {
 	return store.FromColumns(b.schema, b.layout, b.vecs, b.lengths)
 }
@@ -145,36 +118,32 @@ type admission struct {
 	state admitState
 	b     *eagerBuild // nil once lazy or abandoned
 
-	// The provider's file version before the scan: a payload built across
-	// a rewrite or an append would match no single file version.
-	rp      plan.RefreshableProvider
+	// The source's file version before the scan: a payload built across a
+	// rewrite or an append would match no single file version.
+	src     plan.Source
 	epoch   uint64
 	covered int64
 
 	offsets []int64
 	first   int64         // offset of the first admitted record; -1 before it
 	to1     time.Duration // t_o1: query time when the first record arrived
-	nanos   int64         // caching time timed exactly: the typed build's starts, waits and appends, the sampling window
-	timer   *stats.SampledTimer
+	nanos   int64         // caching time: the build's starts, waits and appends
 	start   time.Time
 }
 
-func newAdmission(ctx *qctx, spec *cache.BuildSpec) (*admission, error) {
-	a := &admission{spec: spec, first: -1, start: time.Now(),
-		timer: stats.NewSampledTimer(stats.SampleShift, nil)}
+// newAdmission starts the admission of spec, whose dataset src reads.
+func newAdmission(ctx *qctx, spec *cache.BuildSpec, src plan.Source) (*admission, error) {
+	a := &admission{spec: spec, src: src, first: -1, start: time.Now()}
 	switch {
 	case spec.Admission == cache.AlwaysEager || (spec.Admission == cache.Adaptive && spec.WorkingSet):
 		a.state = admitEager
 	case spec.Admission == cache.AlwaysLazy:
 		a.state = admitLazy
 	}
-	if rp, ok := spec.Dataset.Provider.(plan.RefreshableProvider); ok {
-		a.rp = rp
-		a.epoch, a.covered = rp.Version()
-	}
+	a.epoch, a.covered = src.Version()
 	if a.state != admitLazy {
 		var err error
-		if a.b, err = newEagerBuild(ctx, spec.Dataset, spec.Layout, a.epoch); err != nil {
+		if a.b, err = newEagerBuild(ctx, src, spec.Layout, a.epoch); err != nil {
 			return nil, err
 		}
 	}
@@ -217,29 +186,9 @@ func (a *admission) join() {
 	}
 }
 
-// addRecord is the record route's step: timed exactly inside the sampling
-// window, sampled after it.
-func (a *admission) addRecord(row []value.Value, complete func() error) {
-	if a.sampling() {
-		t0 := time.Now()
-		err := a.b.addRecord(row, complete)
-		a.nanos += time.Since(t0).Nanoseconds()
-		if err != nil {
-			a.abandon()
-		}
-		return
-	}
-	sampled := a.timer.Begin()
-	if err := a.b.addRecord(row, complete); err != nil {
-		a.abandon()
-	} else if sampled {
-		a.timer.End()
-	}
-}
-
-// appendOffsets is the typed route's step: the helper decodes the records
-// at offsets into the build while the scan goes on, once the previous
-// step's is joined.
+// appendOffsets is compileMaterialize's build step: the helper decodes the
+// records at offsets into the build while the scan goes on, once the
+// previous step's is joined.
 func (a *admission) appendOffsets(offsets []int64) {
 	if a.join(); a.b != nil {
 		t0 := time.Now()
@@ -280,7 +229,7 @@ func (a *admission) finish(ctx *qctx, lastOff, down int64) {
 		a.decide(ctx, lastOff)
 	}
 	wall := time.Since(a.start)
-	c := a.nanos + a.timer.EstimatedTotal().Nanoseconds()
+	c := a.nanos
 	mode, offsets := cache.Lazy, a.offsets
 	var st store.Store
 	if a.b != nil {
@@ -298,17 +247,15 @@ func (a *admission) finish(ctx *qctx, lastOff, down int64) {
 		a.spec.Manager.AbandonBuild(a.spec)
 		return
 	}
-	if a.rp != nil {
-		if epoch, covered := a.rp.Version(); epoch != a.epoch || covered != a.covered {
-			// The file moved under the build: the rows forwarded downstream
-			// were each consistent when read, but the payload as a whole
-			// matches no single file version. Release the build slot and
-			// admit nothing; the next miss rebuilds.
-			a.spec.Manager.AbandonBuild(a.spec)
-			return
-		}
-		a.spec.FileEpoch, a.spec.Covered = a.epoch, a.covered
+	if epoch, covered := a.src.Version(); epoch != a.epoch || covered != a.covered {
+		// The file moved under the build: the rows forwarded downstream
+		// were each consistent when read, but the payload as a whole
+		// matches no single file version. Release the build slot and
+		// admit nothing; the next miss rebuilds.
+		a.spec.Manager.AbandonBuild(a.spec)
+		return
 	}
+	a.spec.FileEpoch, a.spec.Covered = a.epoch, a.covered
 	a.spec.Manager.CompleteBuild(a.spec, st, offsets, mode, t, c)
 }
 
@@ -320,44 +267,42 @@ func (a *admission) finish(ctx *qctx, lastOff, down int64) {
 // The scan below parses only the query's needed fields; everything an eager
 // entry stores beyond them is decoded by the build (see eagerBuild) and
 // charged to caching time. A failure of that decode — a malformed field the
-// query never named, a file rewritten under a typed replay — abandons the
-// build and leaves the query's answer alone: a cache must not fail a query
-// the no-cache engine answers.
+// query never named, a file rewritten under the replay — abandons the build
+// and leaves the query's answer alone: a cache must not fail a query the
+// no-cache engine answers.
 func compileMaterialize(m *plan.Materialize, deps Deps) (runFn, error) {
 	spec, ok := m.Spec.(*cache.BuildSpec)
 	if !ok || spec == nil {
 		return compile(m.Child, deps)
+	}
+	src, err := source(spec.Dataset)
+	if err != nil {
+		return nil, err
 	}
 	child, err := compile(m.Child, deps)
 	if err != nil {
 		return nil, err
 	}
 	return func(ctx *qctx, out emitFn) error {
-		a, err := newAdmission(ctx, spec)
+		a, err := newAdmission(ctx, spec, src)
 		if err != nil {
 			return err
 		}
-		flushed := 0 // a.offsets[:flushed] are in the typed build
+		flushed := 0 // a.offsets[:flushed] are in the build
 		downstream := stats.NewSampledTimer(stats.SampleShift, nil)
 		err = child(ctx, func(row []value.Value) error {
 			off := ctx.curOffset
 			a.admit(ctx, off)
-			switch {
-			case a.b == nil:
-				// Lazy or abandoned: the offset above is the whole cost.
-			case a.b.app != nil: // typed
-				// The sampling window is the first chunk, so that the sample
-				// the decision extrapolates is timed like every later chunk.
-				due := buildChunk
-				if a.sampling() {
-					due = spec.SampleSize
-				}
-				if len(a.offsets)-flushed >= due {
-					a.appendOffsets(a.offsets[flushed:])
-					flushed = len(a.offsets)
-				}
-			default:
-				a.addRecord(row, ctx.curComplete)
+			// Lazy or abandoned, the offset above is the whole cost. The
+			// sampling window is the first chunk, so that the sample the
+			// decision extrapolates is timed like every later chunk.
+			due := buildChunk
+			if a.sampling() {
+				due = spec.SampleSize
+			}
+			if a.b != nil && len(a.offsets)-flushed >= due {
+				a.appendOffsets(a.offsets[flushed:])
+				flushed = len(a.offsets)
 			}
 			if a.sampled() {
 				a.decide(ctx, off)
@@ -372,7 +317,7 @@ func compileMaterialize(m *plan.Materialize, deps Deps) (runFn, error) {
 		if err != nil {
 			return err
 		}
-		if a.b != nil && a.b.app != nil && flushed < len(a.offsets) {
+		if a.b != nil && flushed < len(a.offsets) {
 			a.appendOffsets(a.offsets[flushed:])
 		}
 		a.finish(ctx, ctx.curOffset, downstream.EstimatedTotal().Nanoseconds())

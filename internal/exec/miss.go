@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"time"
 
 	"recache/internal/cache"
@@ -10,24 +11,30 @@ import (
 	"recache/internal/value"
 )
 
-// This file is the miss path of a raw select over a provider with a typed
-// kernel (plan.ColumnAppender): the provider's pushdown cursor hands out the
-// offsets of the records that pass, a chunk at a time, and each chunk is
-// decoded into the query's own leaf vectors — while a materializer's eager
-// build rides along, its helper decodes the other leaves beside the query
-// (leafDecoder). A flat select serves those chunks as batches (missSource);
-// an Unnest expands them into rows (unnest.go). A provider without the
-// kernel keeps the row route of compileSelect and compileMaterialize.
+// This file is the miss path of a raw select: the source's pushdown cursor
+// hands out the offsets of the records that pass, a chunk at a time, and
+// each chunk is decoded into the query's own leaf vectors — while a
+// materializer's eager build rides along, its helper decodes the other
+// leaves beside the query (leafDecoder). A flat select serves those chunks
+// as batches (missSource); an Unnest expands them into rows (unnest.go).
 
-// missPlan is the compile-time half of a typed miss: [Materialize →]
-// Select → Scan. The cursor runs the pushable conjuncts below parsing; a
-// residual (with pushdown off, the whole predicate) is tested on the
-// records it passes, decoded boxed, before anything else about them is.
+// source is the one place a dataset's provider is resolved: every raw read
+// of the engine goes through a plan.Source, and a provider short of one is
+// an error, never a fallback.
+func source(ds *plan.Dataset) (plan.Source, error) {
+	src, ok := ds.Provider.(plan.Source)
+	if !ok {
+		return nil, fmt.Errorf("exec: dataset %q: provider %T is not a plan.Source", ds.Name, ds.Provider)
+	}
+	return src, nil
+}
+
+// missPlan is the compile-time half of a miss: [Materialize →] Select →
+// Scan. The cursor runs the pushable conjuncts below parsing; a residual
+// (with pushdown off, the whole predicate) is tested on the records it
+// passes, decoded boxed, before anything else about them is.
 type missPlan struct {
-	ds        *plan.Dataset
-	app       plan.ColumnAppender
-	rp        plan.RefreshableProvider
-	es        plan.EpochScanner
+	src       plan.Source
 	spec      *cache.BuildSpec // nil: no materializer
 	pd        *expr.Pushdown   // nil: the cursor passes every record
 	residual  expr.Predicate   // nil: the cursor runs the whole predicate
@@ -48,21 +55,17 @@ func rawSelect(n plan.Node) (spec *cache.BuildSpec, sel *plan.Select, scan *plan
 	return spec, sel, scan, ok
 }
 
-// planMiss plans the typed miss of a raw select; ok is false when its
-// provider has no typed kernel.
-func planMiss(spec *cache.BuildSpec, sel *plan.Select, scan *plan.Scan, deps Deps) (*missPlan, bool, error) {
-	prov := scan.DS.Provider
-	app, ok := prov.(plan.ColumnAppender)
-	rp, tracked := prov.(plan.RefreshableProvider)
-	es, pinned := prov.(plan.EpochScanner)
-	if !ok || !tracked || !pinned {
-		return nil, false, nil
+// planMiss plans the miss of a raw select.
+func planMiss(spec *cache.BuildSpec, sel *plan.Select, scan *plan.Scan, deps Deps) (*missPlan, error) {
+	src, err := source(scan.DS)
+	if err != nil {
+		return nil, err
 	}
 	cols, err := value.LeafColumnsCached(scan.DS.Schema())
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	p := &missPlan{ds: scan.DS, app: app, rp: rp, es: es, spec: spec, cols: cols,
+	p := &missPlan{src: src, spec: spec, cols: cols,
 		need: neededLeaves(cols, scanNeeded(scan, deps))}
 	residual := sel.Pred
 	if !deps.DisablePushdown {
@@ -70,14 +73,14 @@ func planMiss(spec *cache.BuildSpec, sel *plan.Select, scan *plan.Scan, deps Dep
 	}
 	if residual != nil {
 		if p.residual, err = expr.CompilePredicate(residual, scan.OutSchema()); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		p.resNeeded = expr.Columns(residual)
 	}
-	return p, true, nil
+	return p, nil
 }
 
-// missRun is one execution of a typed miss.
+// missRun is one execution of a miss.
 type missRun struct {
 	p       *missPlan
 	a       *admission // nil without a materializer
@@ -97,18 +100,18 @@ func (p *missPlan) start(ctx *qctx) (*missRun, error) {
 	r := &missRun{p: p}
 	if p.spec != nil {
 		var err error
-		if r.a, err = newAdmission(ctx, p.spec); err != nil {
+		if r.a, err = newAdmission(ctx, p.spec, p.src); err != nil {
 			return nil, err
 		}
 		r.epoch = r.a.epoch
 	} else {
-		r.epoch, _ = p.rp.Version()
+		r.epoch, _ = p.src.Version()
 	}
 	var err error
-	if r.cursor, err = p.app.PushdownCursor(r.epoch, p.pd); err != nil {
+	if r.cursor, err = p.src.PushdownCursor(r.epoch, p.pd); err != nil {
 		return nil, err
 	}
-	r.dec = newLeafDecoder(p.app, r.epoch, p.cols, p.need)
+	r.dec = newLeafDecoder(p.src, r.epoch, p.cols, p.need)
 	return r, nil
 }
 
@@ -160,7 +163,7 @@ func (r *missRun) chunk(ctx *qctx) (ch leafVecs, ok bool, err error) {
 // filter keeps the offsets whose records pass the residual.
 func (r *missRun) filter(offs []int64) ([]int64, error) {
 	kept := offs[:0] // written behind the reads of offs
-	err := r.p.es.ScanOffsetsAt(r.epoch, offs, r.p.resNeeded, func(rec value.Value, off int64, _ func() error) error {
+	err := r.p.src.ScanOffsetsAt(r.epoch, offs, r.p.resNeeded, func(rec value.Value, off int64, _ func() error) error {
 		if r.p.residual(rec.L) {
 			kept = append(kept, off)
 		}
@@ -192,15 +195,15 @@ func flatLeaves(cols []value.LeafColumn) bool {
 	return true
 }
 
-// flatMiss resolves n — [Materialize →] Select → Scan over a flat dataset
-// and a typed kernel — to the batch source of its miss.
+// flatMiss resolves n, [Materialize →] Select → Scan over a flat dataset,
+// to the batch source of its miss.
 func flatMiss(n plan.Node, deps Deps) (*missSource, bool, error) {
 	spec, sel, scan, ok := rawSelect(n)
 	if !ok {
 		return nil, false, nil
 	}
-	p, ok, err := planMiss(spec, sel, scan, deps)
-	if !ok || !flatLeaves(p.cols) {
+	p, err := planMiss(spec, sel, scan, deps)
+	if err != nil || !flatLeaves(p.cols) {
 		return nil, false, err
 	}
 	return &missSource{p: p}, true, nil
@@ -241,10 +244,10 @@ func (s *missSource) open(ctx *qctx) (vecIter, bool) {
 // info counts the batches of a scan of every record known so far, without
 // reading the file.
 func (s *missSource) info(Deps) (int64, bool) {
-	return (max(int64(s.p.ds.Provider.NumRecords()), 0) + store.BatchRows - 1) / store.BatchRows, true
+	return (max(int64(s.p.src.NumRecords()), 0) + store.BatchRows - 1) / store.BatchRows, true
 }
 
-// chunkIter serves the chunks a typed miss or a lazy replay decodes as
+// chunkIter serves the chunks a miss or a lazy replay decodes as
 // batches: column i is leaf leaves[i] of each chunk — nulls when the chunk
 // did not decode it — and the selection is the chunk's records that pass
 // the filters. next yields the chunks; end closes the read, which took

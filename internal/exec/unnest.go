@@ -19,13 +19,10 @@ import (
 
 // compileUnnest flattens the records of its raw input — [Materialize →]
 // Select → Scan, the only input a plan gives an Unnest — through leaf
-// vectors. Over a provider with a typed kernel the records come from the
-// typed miss (miss.go): each chunk the pushdown cursor passes is decoded
-// into the leaves the query needs — while a materializer's build rides
-// along, its helper decodes the others — then expanded by its list lengths
-// into rows for the operators above. A provider without the kernel
-// decodes the records in its scan, and they are striped into the same
-// vectors.
+// vectors: each chunk the miss (miss.go) passes is decoded into the leaves
+// the query needs — while a materializer's build rides along, its helper
+// decodes the others — then expanded by its list lengths into rows for the
+// operators above.
 //
 // The build is the materializer's (see admission): sampled, decided,
 // abandoned and handed to the cache as the flat materializer's is, and
@@ -36,103 +33,35 @@ func compileUnnest(u *plan.Unnest, deps Deps) (runFn, error) {
 	if !ok {
 		return nil, fmt.Errorf("exec: unnest over %s, want a select over a raw scan", u.Child.Canonical())
 	}
-	ds := scan.DS
-	cols, err := value.LeafColumnsCached(ds.Schema())
+	p, err := planMiss(spec, sel, scan, deps)
 	if err != nil {
 		return nil, err
 	}
-	needed := scanNeeded(scan, deps)
-	need := neededLeaves(cols, needed)
 	var leaves []int
-	for i, n := range need {
+	for i, n := range p.need {
 		if n {
 			leaves = append(leaves, i)
 		}
 	}
-	newRows := func() *leafRows { return newLeafRows(cols, leaves, leaves, len(cols), true, nil) }
-
-	if p, ok, err := planMiss(spec, sel, scan, deps); err != nil {
-		return nil, err
-	} else if ok {
-		return func(ctx *qctx, out emitFn) error {
-			r, err := p.start(ctx)
-			if err != nil {
-				return err
-			}
-			rows := newRows()
-			for {
-				ch, ok, err := r.chunk(ctx)
-				if !ok {
-					if err != nil {
-						return err
-					}
-					r.finish(ctx)
-					return nil
-				}
-				if err := rows.emit(ch, out); err != nil {
-					return err
-				}
-			}
-		}, nil
-	}
-
-	// The record route needs the query's leaves, the list among them, from
-	// the scan (a dataset missing from Needed is read whole).
-	scanDeps := deps
-	if needed != nil {
-		scanDeps.Needed = map[string][]value.Path{ds.Name: append(append([]value.Path{}, needed...), u.ListPath)}
-	}
-	input, err := compileSelect(sel, scanDeps)
-	if err != nil {
-		return nil, err
-	}
-	striper, err := store.NewStriper(ds.Schema())
-	if err != nil {
-		return nil, err
-	}
 	return func(ctx *qctx, out emitFn) error {
-		var a *admission
-		if spec != nil {
-			var err error
-			if a, err = newAdmission(ctx, spec); err != nil {
-				return err
-			}
-		}
-		rows := newRows()
-		own := newLeafVecs(cols, need)
-		var lastOff int64
-		// flush expands the records striped since the last flush to the
-		// operators above, and decides when they ended the sample.
-		flush := func() error {
-			err := rows.emit(own, out)
-			own.reset()
-			if a != nil && a.sampled() {
-				a.decide(ctx, lastOff)
-			}
-			return err
-		}
-		err := input(ctx, func(row []value.Value) error {
-			lastOff = ctx.curOffset
-			if a != nil {
-				if a.admit(ctx, lastOff); a.b != nil {
-					a.addRecord(row, ctx.curComplete)
-				}
-			}
-			if own.stripe(striper, row); own.n >= store.BatchRows || (a != nil && a.sampled()) {
-				return flush()
-			}
-			return nil
-		})
-		if err == nil && own.n > 0 {
-			err = flush()
-		}
+		r, err := p.start(ctx)
 		if err != nil {
 			return err
 		}
-		if a != nil {
-			a.finish(ctx, lastOff, rows.down.EstimatedTotal().Nanoseconds())
+		rows := newLeafRows(p.cols, leaves, leaves, len(p.cols), true, nil)
+		for {
+			ch, ok, err := r.chunk(ctx)
+			if !ok {
+				if err != nil {
+					return err
+				}
+				r.finish(ctx)
+				return nil
+			}
+			if err := rows.emit(ch, out); err != nil {
+				return err
+			}
 		}
-		return nil
 	}, nil
 }
 
@@ -178,26 +107,20 @@ func (l *leafVecs) reset() {
 	l.lengths, l.n = l.lengths[:0], 0
 }
 
-// stripe appends the leaves of one decoded record.
-func (l *leafVecs) stripe(s *store.Striper, row []value.Value) {
-	l.lengths = s.Append(value.Value{Kind: value.Record, L: row}, l.vecs, l.lengths)
-	l.n++
-}
-
-// leafDecoder decodes chunks of records with a provider's typed kernel,
+// leafDecoder decodes chunks of records with a source's typed kernel,
 // pinned to one file epoch, into the query's own vectors, reused chunk to
 // chunk, so a chunk is always zero-based. A riding build gets the chunk's
 // other leaves from its helper and the query's appended (decode); the
 // caller joins the helper before the next decode.
 type leafDecoder struct {
-	app   plan.ColumnAppender
+	src   plan.Source
 	epoch uint64
 	own   leafVecs
 	rest  []*store.Vec // a build's vectors at the leaves own skips
 }
 
-func newLeafDecoder(app plan.ColumnAppender, epoch uint64, cols []value.LeafColumn, need []bool) *leafDecoder {
-	return &leafDecoder{app: app, epoch: epoch, own: newLeafVecs(cols, need), rest: make([]*store.Vec, len(cols))}
+func newLeafDecoder(src plan.Source, epoch uint64, cols []value.LeafColumn, need []bool) *leafDecoder {
+	return &leafDecoder{src: src, epoch: epoch, own: newLeafVecs(cols, need), rest: make([]*store.Vec, len(cols))}
 }
 
 // decode decodes the records at offs into the query's own vectors and
@@ -220,7 +143,7 @@ func (d *leafDecoder) decode(offs []int64, b *eagerBuild) (ch leafVecs, build ti
 		build = time.Since(t0)
 	}
 	d.own.reset()
-	if d.own.lengths, err = d.app.AppendColumns(d.epoch, offs, d.own.vecs, d.own.lengths); err != nil {
+	if d.own.lengths, err = d.src.AppendColumns(d.epoch, offs, d.own.vecs, d.own.lengths); err != nil {
 		return ch, build, err
 	}
 	if d.own.n = len(offs); b == nil {

@@ -34,8 +34,8 @@ import (
 
 // vecScan is the compile-time plan of a vectorized cached scan: the pinned
 // entry plus the residual predicate compiled to selection kernels.
-// replayable marks a flat entry over a typed kernel, whose lazy replay
-// serves batches (cachescan.go).
+// replayable marks a flat entry, whose lazy replay serves batches
+// (cachescan.go).
 type vecScan struct {
 	cs         *plan.CachedScan
 	entry      *cache.Entry
@@ -63,12 +63,9 @@ func planVecScan(cs *plan.CachedScan, disable bool) (*vecScan, bool) {
 	for i, f := range cs.Out.Fields {
 		outNames[i] = f.Name
 	}
-	p := &vecScan{cs: cs, entry: entry, filter: filter, outNames: outNames}
-	if _, typed := entry.Dataset.Provider.(plan.ColumnAppender); typed {
-		cols, err := value.LeafColumnsCached(entry.Dataset.Schema())
-		p.replayable = err == nil && flatLeaves(cols)
-	}
-	return p, true
+	cols, err := value.LeafColumnsCached(entry.Dataset.Schema())
+	return &vecScan{cs: cs, entry: entry, filter: filter, outNames: outNames,
+		replayable: err == nil && flatLeaves(cols)}, true
 }
 
 // payload snapshots the entry's mode and payload. admit distinguishes a
@@ -93,9 +90,8 @@ func (p *vecScan) payload(deps Deps, admit bool) (mode cache.Mode, st store.Stor
 		mode, st, offsets = deps.Manager.Payload(p.entry)
 	}
 	if mode == cache.Lazy {
-		// A lazy replay serves batches when the entry is flat and its
-		// offsets pin to a file epoch the typed kernel can replay.
-		return mode, nil, offsets, p.replayable && appender(p.entry.Dataset.Provider, p.entry.FileEpoch) != nil
+		// A lazy replay serves batches when the entry is flat.
+		return mode, nil, offsets, p.replayable
 	}
 	return mode, st, nil, st != nil
 }

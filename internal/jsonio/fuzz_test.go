@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"recache/internal/expr"
+	"recache/internal/plan"
 	"recache/internal/rawfile/rawfiletest"
 	"recache/internal/value"
 )
@@ -73,7 +74,7 @@ func FuzzScanEquivalence(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		open := func(schema *value.Type) rawfiletest.Provider {
+		open := func(schema *value.Type) plan.Source {
 			p, err := New(path, schema)
 			if err != nil {
 				t.Fatal(err)

@@ -28,10 +28,9 @@ import (
 // absentOff marks a top-level field with no value in a record.
 const absentOff = ^uint32(0)
 
-// Provider implements plan.ScanProvider — and the refresh, epoch-pinned and
-// pushdown extensions — for one NDJSON file. Snapshots, the positional map
-// and the freshness lifecycle are rawfile.File's; this package supplies the
-// JSON tokenizer and the value decoders.
+// Provider implements plan.Source for one NDJSON file. Snapshots, the
+// positional map and the freshness lifecycle are rawfile.File's; this
+// package supplies the JSON tokenizer and the value decoders.
 type Provider struct{ *rawfile.File }
 
 // New creates a provider over path with an explicit (possibly nested)

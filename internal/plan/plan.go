@@ -24,10 +24,7 @@ import (
 // ScanFunc receives one raw record, the byte offset of the record in the
 // underlying file (for positional-map/lazy-cache use), and a complete
 // callback that parses any fields the scan's needed-set skipped, in place.
-// Eager materializers call complete inside their timed caching section, so
-// the extra parsing that caching forces is charged to the caching overhead
-// c, exactly as §5.2 accounts it. The record's fields slice is reused
-// across calls; copy if retained.
+// The record's fields slice is reused across calls; copy if retained.
 type ScanFunc func(rec value.Value, offset int64, complete func() error) error
 
 // ScanProvider is implemented by the raw-file input plugins (internal/csvio
@@ -115,34 +112,35 @@ type RefreshableProvider interface {
 	ScanFrom(from int64, needed []value.Path, fn ScanFunc) error
 }
 
-// EpochScanner is implemented by providers whose positional lookups can be
-// pinned to a file epoch: ScanOffsetsAt fails with ErrEpochChanged instead
-// of dereferencing offsets into a rewritten file.
-type EpochScanner interface {
-	ScanOffsetsAt(epoch uint64, offsets []int64, needed []value.Path, fn ScanFunc) error
-}
-
-// ColumnAppender is implemented by providers that can decode records
-// straight from their bytes into typed leaf vectors: the miss path of nested
-// data and the build path of eager cache entries. AppendColumns appends the
-// records at offsets (as reported through ScanFunc, ascending) to dst, one
-// vector per leaf column in value.LeafColumns order — a non-repeated leaf
-// one entry per record, a repeated leaf one per list element — and, for a
-// schema with a repeated field, each record's list length to lengths (0 for
-// a null, absent or empty list), returning the grown lengths. A nil dst[i]
-// skips leaf i. The values, nulls and errors are those a full decode of the
-// same records yields (a skipped leaf raises none), with no value.Value in
-// between. It is pinned to a file epoch like ScanOffsetsAt (ErrEpochChanged
-// after a rewrite), and like it is a replay of known records, not a raw
+// Source is the surface the engine reads every registered dataset through,
+// and exactly what rawfile.File implements: scans, pushdown scans, the
+// freshness lifecycle, and three replays pinned to a file epoch — each fails
+// with ErrEpochChanged once the file was rewritten instead of dereferencing
+// offsets into new bytes.
+//
+// ScanOffsetsAt is ScanOffsets pinned to epoch.
+//
+// AppendColumns decodes the records at offsets (as reported through
+// ScanFunc, ascending) straight from their bytes into dst, one vector per
+// leaf column in value.LeafColumns order — a non-repeated leaf one entry per
+// record, a repeated leaf one per list element — and, for a schema with a
+// repeated field, each record's list length into lengths (0 for a null,
+// absent or empty list), returning the grown lengths. A nil dst[i] skips
+// leaf i. The values, nulls and errors are those a full decode of the same
+// records yields (a skipped leaf raises none), with no value.Value in
+// between. Like ScanOffsetsAt it is a replay of known records, not a raw
 // scan. After an error dst and lengths are inconsistent and must be
 // discarded.
 //
 // PushdownCursor opens a raw scan of the file as of epoch — one full-file
 // scan, counted as Scan and ScanPushdown count theirs — over the records
 // passing pd (nil: every record), with no field decoded but the tested
-// ones. The cursor hands out their byte offsets in ascending chunks; it
-// fails with ErrEpochChanged once the file was rewritten.
-type ColumnAppender interface {
+// ones. The cursor hands out their byte offsets in ascending chunks.
+type Source interface {
+	ScanProvider
+	PushdownScanner
+	RefreshableProvider
+	ScanOffsetsAt(epoch uint64, offsets []int64, needed []value.Path, fn ScanFunc) error
 	AppendColumns(epoch uint64, offsets []int64, dst []*store.Vec, lengths []int32) ([]int32, error)
 	PushdownCursor(epoch uint64, pd *expr.Pushdown) (OffsetCursor, error)
 }

@@ -17,21 +17,13 @@ import (
 	"recache/internal/value"
 )
 
-// provider is what the cache and executor use of a raw-file provider's
-// lifecycle; both formats get it from the embedded *rawfile.File.
-type provider interface {
-	plan.ScanProvider
-	plan.RefreshableProvider
-	plan.EpochScanner
-}
-
 // format is one row of the conformance table: how to open a provider and
 // how to spell records. Every record starts (k int, price float, name
 // string) with price = k + 0.5 and name = "n<k>", so any scan result can be
 // checked from the keys alone.
 type format struct {
 	name      string
-	open      func(path string) (provider, error)
+	open      func(path string) (plan.Source, error)
 	record    func(k int) string        // one complete record, newline-terminated
 	extra     func(k int) []value.Value // the record's fields past the common three
 	malformed string                    // an appended line Map must reject
@@ -52,7 +44,7 @@ var jsonSchema = value.TRecord(append(flat[:3:3],
 var formats = []format{
 	{
 		name: "csv",
-		open: func(path string) (provider, error) {
+		open: func(path string) (plan.Source, error) {
 			return csvio.New(path, value.TRecord(flat...), csvio.Options{})
 		},
 		record:    func(k int) string { return fmt.Sprintf("%d|%d.5|n%d\n", k, k, k) },
@@ -61,7 +53,7 @@ var formats = []format{
 	},
 	{
 		name: "json",
-		open: func(path string) (provider, error) { return jsonio.New(path, jsonSchema) },
+		open: func(path string) (plan.Source, error) { return jsonio.New(path, jsonSchema) },
 		record: func(k int) string {
 			return fmt.Sprintf(`{"k":%d,"price":%d.5,"x":{"y":[1,{"z":"]}"}]},"name":"n%d","items":[{"q":%d},{}]}`+"\n", k, k, k, k)
 		},
@@ -97,7 +89,7 @@ func (f format) rows(from, to int) [][]value.Value {
 type fixture struct {
 	t    *testing.T
 	path string
-	p    provider
+	p    plan.Source
 }
 
 // newFixture writes records [0,n) and opens a provider over them.

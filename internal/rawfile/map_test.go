@@ -17,16 +17,9 @@ import (
 	"recache/internal/value"
 )
 
-// scanner is every access path of a raw-file provider.
-type scanner interface {
-	provider
-	plan.PushdownScanner
-	plan.ColumnAppender
-}
-
 // openFormat opens path in the named format under schema, returning the
 // provider and the File it embeds.
-func openFormat(t *testing.T, name, path string, schema *value.Type) (scanner, *rawfile.File) {
+func openFormat(t *testing.T, name, path string, schema *value.Type) (plan.Source, *rawfile.File) {
 	t.Helper()
 	if name == "csv" {
 		p, err := csvio.New(path, schema, csvio.Options{})

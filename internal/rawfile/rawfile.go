@@ -46,7 +46,7 @@ type Format interface {
 	// column (nil skips a leaf), and its list length to lengths when the
 	// schema has a repeated field, typed and straight from the raw bytes:
 	// the values, nulls and errors of Decode with a nil mask (see
-	// plan.ColumnAppender). After an error dst and lengths are inconsistent.
+	// plan.Source). After an error dst and lengths are inconsistent.
 	AppendColumns(data []byte, start int, offs []uint32, dst []*store.Vec, lengths []int32) ([]int32, error)
 	// Test decodes each tested column of the record typed, straight from
 	// its raw bytes, and reports whether every test passes; null or absent
@@ -75,8 +75,10 @@ type snapshot struct {
 	fp       freshness.Fingerprint
 }
 
-// File implements plan.ScanProvider, RefreshableProvider, EpochScanner,
-// PushdownScanner and ColumnAppender for one raw file in a given Format.
+var _ plan.Source = (*File)(nil)
+
+// File implements plan.Source for one raw file in a given Format: it is the
+// one production source.
 //
 // Files are safe for concurrent scans: all shared state lives in an
 // immutable snapshot behind an atomic pointer, and mu serializes the writers
@@ -566,7 +568,7 @@ func (f *File) ScanPushdown(pd *expr.Pushdown, needed []value.Path, fn plan.Scan
 	}
 }
 
-// PushdownCursor implements plan.ColumnAppender: the records passing pd as
+// PushdownCursor implements plan.Source: the records passing pd as
 // a cursor of byte offsets, pinned to epoch.
 func (f *File) PushdownCursor(epoch uint64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
 	c, err := f.openCursor(pd)
@@ -670,7 +672,7 @@ func (f *File) ScanOffsets(offsets []int64, needed []value.Path, fn plan.ScanFun
 	return f.scanOffsets(s, offsets, needed, fn)
 }
 
-// ScanOffsetsAt implements plan.EpochScanner: ScanOffsets pinned to a file
+// ScanOffsetsAt implements plan.Source: ScanOffsets pinned to a file
 // epoch. If the file was rewritten since the offsets were recorded, the
 // positions are meaningless in the new bytes — fail with ErrEpochChanged
 // instead of dereferencing them.
@@ -711,7 +713,7 @@ func (f *File) eachOffset(s *snapshot, offsets []int64, fn func(start int, offs 
 	return nil
 }
 
-// AppendColumns implements plan.ColumnAppender: the records at offsets,
+// AppendColumns implements plan.Source: the records at offsets,
 // decoded by the format's typed kernel straight into dst and lengths.
 func (f *File) AppendColumns(epoch uint64, offsets []int64, dst []*store.Vec, lengths []int32) ([]int32, error) {
 	s, err := f.load()

@@ -14,14 +14,6 @@ import (
 	"recache/internal/value"
 )
 
-// Provider is the scan surface every raw-file format exposes.
-type Provider interface {
-	plan.ScanProvider
-	plan.PushdownScanner
-	plan.RefreshableProvider
-	plan.ColumnAppender
-}
-
 // scanned is what one scan streamed: copies of the rows, and their offsets.
 type scanned struct {
 	rows [][]value.Value
@@ -59,7 +51,7 @@ const verdictRecords = 32
 // other leaf with the rest skipped. On a file the full scan rejects the same
 // calls are made and only have to return, except that the kernel must still
 // accept exactly the records a full decode accepts.
-func Equivalence(t *testing.T, p Provider, size int, preds []expr.Expr, masks [][]value.Path) {
+func Equivalence(t *testing.T, p plan.Source, size int, preds []expr.Expr, masks [][]value.Path) {
 	schema := p.Schema()
 	same := func(what string, got, want scanned, err error) {
 		t.Helper()
@@ -134,7 +126,7 @@ func Equivalence(t *testing.T, p Provider, size int, preds []expr.Expr, masks []
 
 // appendColumns runs the typed kernel over the records of p at offs, into
 // every every-th leaf column (1: all of them); the others are nil.
-func appendColumns(p Provider, offs []int64, every int) ([]*store.Vec, []int32, error) {
+func appendColumns(p plan.Source, offs []int64, every int) ([]*store.Vec, []int32, error) {
 	vecs := store.NewColumns(p.Schema())
 	for i := range vecs {
 		if i%every != 0 {
@@ -197,7 +189,7 @@ func sameLeaves(t *testing.T, what string, schema *value.Type, vecs []*store.Vec
 // sameVerdicts holds the kernel to a full decode one record at a time, on a
 // file some record of which is malformed: over each of the first records a
 // field-less scan reaches, both accept — with equal leaves — or both reject.
-func sameVerdicts(t *testing.T, p Provider) {
+func sameVerdicts(t *testing.T, p plan.Source) {
 	t.Helper()
 	var offs []int64
 	_ = p.Scan([]value.Path{}, func(_ value.Value, off int64, _ func() error) error {
@@ -225,7 +217,7 @@ var errStop = errors.New("stop")
 // the positional map (built here by a first scan), masked to needed and
 // never completed: what a scan costs beyond its records, which is a row
 // buffer, a mask and a completion — not a closure per record.
-func MappedScanAllocs(t *testing.T, p Provider, needed []value.Path) float64 {
+func MappedScanAllocs(t *testing.T, p plan.Source, needed []value.Path) float64 {
 	t.Helper()
 	if Race {
 		t.Skip("the race detector allocates")

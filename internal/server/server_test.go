@@ -15,8 +15,8 @@ import (
 	"recache"
 	"recache/internal/client"
 	"recache/internal/csvio"
+	"recache/internal/expr"
 	"recache/internal/plan"
-	"recache/internal/value"
 )
 
 func writeTemp(t testing.TB, name, content string) string {
@@ -253,16 +253,16 @@ func TestPipelinedRequests(t *testing.T) {
 	}
 }
 
-// slowProvider delays each scan so Shutdown provably overlaps in-flight
-// queries.
+// slowProvider delays each raw scan a miss opens (PushdownCursor) so
+// Shutdown provably overlaps in-flight queries.
 type slowProvider struct {
-	plan.ScanProvider
+	plan.Source
 	delay time.Duration
 }
 
-func (p *slowProvider) Scan(needed []value.Path, fn plan.ScanFunc) error {
+func (p *slowProvider) PushdownCursor(epoch uint64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
 	time.Sleep(p.delay)
-	return p.ScanProvider.Scan(needed, fn)
+	return p.Source.PushdownCursor(epoch, pd)
 }
 
 // Shutdown during in-flight queries: every accepted request completes and
@@ -281,7 +281,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.RegisterProvider("t", plan.FormatCSV, &slowProvider{ScanProvider: inner, delay: 50 * time.Millisecond}); err != nil {
+	if err := eng.RegisterProvider("t", plan.FormatCSV, &slowProvider{Source: inner, delay: 50 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	srv, addr := startServer(t, eng)

@@ -12,10 +12,9 @@ import (
 // non-repeated leaf holds one entry per record, a repeated leaf one entry
 // per list element — and, for a schema with a repeated field, every
 // record's list length (0 for a null, absent or empty list). A typed raw
-// decoder writes them straight from the file's bytes, a Striper from
-// decoded records; both layouts derive the rest from the lengths: Parquet's
-// repetition streams and empty-list placeholders, the columnar layout's
-// repeated parents.
+// decoder writes them straight from the file's bytes; both layouts derive
+// the rest from the lengths: Parquet's repetition streams and empty-list
+// placeholders, the columnar layout's repeated parents.
 
 // NewColumns returns one empty vector per leaf column of schema, in
 // value.LeafColumns order, for a decoder to fill and FromColumns to adopt;
@@ -175,7 +174,9 @@ func ParentIndex(dst, lengths []int32, base int32) []int32 {
 }
 
 // Striper writes decoded records into leaf vectors along the leaf-path walk
-// a Builder's Add takes: the route of records no typed decoder reads.
+// a Builder's Add takes. No production path uses it: it is the typed kernel
+// of the tests' in-memory record source (the miss differentials' oracle)
+// and the reference TestFromColumnsMatchesAdd holds FromColumns to.
 type Striper struct {
 	cols  []value.LeafColumn
 	paths leafPaths

@@ -264,9 +264,10 @@ func (b byKey) Swap(i, j int) {
 // TestNestedDifferential: nested queries over a generated orderLineitems
 // file answer as the reference decode (jsonio.Scan + value.FlattenRecord)
 // does under every admission mode — with a lazy entry's replay, and its
-// upgrade — every layout, pushdown on and off, and a provider with the typed
-// kernel or without it (the record route), each query three times: a miss,
-// then hits, replays or upgrades.
+// upgrade — every layout, pushdown on and off, and a source with the JSON
+// format's typed kernel (typed) or the recordSource of its records (record:
+// the kernel and cursor made of its decoded records), each query three
+// times: a miss, then hits, replays or upgrades.
 func TestNestedDifferential(t *testing.T) {
 	path := writeTemp(t, "orders.json", orderLineitems(t, 2500))
 	flat, recs := nestedReference(t, path)
@@ -296,9 +297,9 @@ func TestNestedDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						var prov plan.ScanProvider = p
+						var prov plan.Source = p
 						if provider == "record" {
-							prov = struct{ plan.ScanProvider }{p}
+							prov = newRecordSource(t, p)
 						}
 						if err := eng.RegisterProvider("t", plan.FormatJSON, prov); err != nil {
 							t.Fatal(err)

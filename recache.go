@@ -267,11 +267,11 @@ func (e *Engine) register(ds *plan.Dataset) error {
 	return nil
 }
 
-// RegisterProvider registers a custom scan provider as a table. It exists
-// for in-module tooling and tests (counting or fault-injecting providers
-// wrapped around the csvio/jsonio ones); library users should call
+// RegisterProvider registers a custom source as a table. It exists for
+// tests (gating, delaying or fault-injecting sources wrapped around the
+// csvio/jsonio ones, and an in-memory oracle); library users should call
 // RegisterCSV / RegisterJSON.
-func (e *Engine) RegisterProvider(name string, format plan.Format, prov plan.ScanProvider) error {
+func (e *Engine) RegisterProvider(name string, format plan.Format, prov plan.Source) error {
 	return e.register(&plan.Dataset{Name: name, Format: format, Provider: prov})
 }
 
@@ -679,7 +679,7 @@ func (e *Engine) Explain(sql string) (string, error) {
 		case *plan.Select:
 			notes = append(notes, pushNote(x, noPush))
 		case *plan.Scan:
-			notes = append(notes, freshNote(x, e.freshCheck))
+			notes = append(notes, freshNote(e.freshCheck))
 		}
 		if n == root {
 			notes = append(notes, result)
@@ -688,16 +688,12 @@ func (e *Engine) Explain(sql string) (string, error) {
 	}), nil
 }
 
-// freshNote annotates a raw Scan of a freshness-checking engine with
-// whether the dataset's provider tracks file versions at all. The note is
-// static configuration — it never stats or loads the file, keeping
+// freshNote annotates a raw Scan of a freshness-checking engine. The note
+// is static configuration — it never stats or loads the file, keeping
 // EXPLAIN side-effect-free.
-func freshNote(sc *plan.Scan, check bool) string {
+func freshNote(check bool) string {
 	if !check {
 		return ""
-	}
-	if _, ok := sc.DS.Provider.(plan.RefreshableProvider); !ok {
-		return "freshness: untracked provider"
 	}
 	return "freshness: check-on-access"
 }

@@ -10,9 +10,11 @@ import (
 	"testing"
 
 	"recache/internal/csvio"
+	"recache/internal/expr"
 	"recache/internal/jsonio"
 	"recache/internal/plan"
 	"recache/internal/rawfile/rawfiletest"
+	"recache/internal/value"
 )
 
 // vecCorpus is the engine-level differential corpus: every query shape the
@@ -499,43 +501,64 @@ func missFiles(t *testing.T) (g, gj, gd string) {
 	return writeTemp(t, "g.csv", genTableCSV()), writeTemp(t, "gj.json", js.String()), writeTemp(t, "gd.csv", dim.String())
 }
 
-// missEngine registers the differential's tables. rowOnly hides every
-// provider behind plan.ScanProvider alone — no typed kernel, no pushdown
-// scanner, no epochs — so its misses take the row route end to end.
-func missEngine(t *testing.T, cfg Config, rowOnly bool, g, gj, gd string) *Engine {
+// missTable is one table of the miss differential, with the predicates
+// and masks its oracle's check drives.
+type missTable struct {
+	name, schema string
+	json         bool
+	preds        []expr.Expr
+	masks        [][]value.Path
+}
+
+var missTables = []missTable{
+	{"g", "id int, k int, v float, w int, s string", false,
+		[]expr.Expr{expr.Between(expr.C("id"), expr.L(600), expr.L(1600)), expr.Cmp(expr.OpEq, expr.C("s"), expr.L("s4"))},
+		[][]value.Path{{}, {{"v"}, {"s"}}}},
+	{"gj", "id int, k int, v float, w int, s string, x int", true,
+		[]expr.Expr{expr.Cmp(expr.OpGe, expr.C("id"), expr.L(10))},
+		[][]value.Path{{}, {{"id"}, {"s"}}}},
+	{"gd", "dk int, dv float, ds string", false,
+		[]expr.Expr{expr.Cmp(expr.OpGt, expr.C("dk"), expr.L(0))},
+		[][]value.Path{{}, {{"ds"}}}},
+}
+
+// missSource opens tbl's file at path through its format's provider, or —
+// for the oracle — as the recordSource of that provider's records.
+func missSource(t *testing.T, tbl missTable, path string, oracle bool) (plan.Source, plan.Format) {
+	t.Helper()
+	schema, err := ParseSchema(tbl.schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prov plan.Source
+	format := plan.FormatCSV
+	if tbl.json {
+		prov, err = jsonio.New(path, schema)
+		format = plan.FormatJSON
+	} else {
+		prov, err = csvio.New(path, schema, csvio.Options{Delim: '|'})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle {
+		prov = newRecordSource(t, prov)
+	}
+	return prov, format
+}
+
+// missEngine registers the differential's tables; oracle registers each as
+// the recordSource of its file.
+func missEngine(t *testing.T, cfg Config, oracle bool, g, gj, gd string) *Engine {
 	t.Helper()
 	eng, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	for _, tbl := range []struct {
-		name, path, schema string
-		json               bool
-	}{
-		{"g", g, "id int, k int, v float, w int, s string", false},
-		{"gj", gj, "id int, k int, v float, w int, s string, x int", true},
-		{"gd", gd, "dk int, dv float, ds string", false},
-	} {
-		schema, err := ParseSchema(tbl.schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var prov plan.ScanProvider
-		format := plan.FormatCSV
-		if tbl.json {
-			prov, err = jsonio.New(tbl.path, schema)
-			format = plan.FormatJSON
-		} else {
-			prov, err = csvio.New(tbl.path, schema, csvio.Options{Delim: '|'})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rowOnly {
-			prov = struct{ plan.ScanProvider }{prov}
-		}
-		if err := eng.RegisterProvider(tbl.name, format, prov); err != nil {
+	for i, path := range []string{g, gj, gd} {
+		prov, format := missSource(t, missTables[i], path, oracle)
+		if err := eng.RegisterProvider(missTables[i].name, format, prov); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -570,9 +593,12 @@ var missJoins = []struct{ sql, gWarm, gdWarm string }{
 		"SELECT COUNT(*) FROM g WHERE id BETWEEN 100 AND 160", "SELECT COUNT(*) FROM gd"},
 }
 
-// TestMissDifferential holds every cold query to the answer of a no-cache
-// engine whose providers take the row route: each flat query on a fresh
-// engine per admission mode × pushdown × DisableVectorized, three passes
+// TestMissDifferential holds every cold query to the answer of an oracle: a
+// no-cache engine without pushdown or vectorization over recordSources,
+// which run no kernel of the raw formats — each checked first against its
+// own records by rawfiletest.Equivalence, so an oracle bug cannot hide. Each
+// flat query runs on a fresh engine per admission mode × pushdown ×
+// DisableVectorized, three passes
 // (the miss, then hits, a lazy entry's replay and upgrade among them), and
 // then the same cold corpus fired from four goroutines at once. Each join
 // runs with each side a miss, an eager hit or a lazy hit — all nine pairs:
@@ -580,7 +606,13 @@ var missJoins = []struct{ sql, gWarm, gdWarm string }{
 // admitted lazy, and its first reuse upgrades it to eager.
 func TestMissDifferential(t *testing.T) {
 	g, gj, gd := missFiles(t)
-	oracle := missEngine(t, Config{Admission: "off", DisableVectorized: true}, true, g, gj, gd)
+	for i, path := range []string{g, gj, gd} {
+		t.Run("oracle/"+missTables[i].name, func(t *testing.T) {
+			src, _ := missSource(t, missTables[i], path, true)
+			rawfiletest.Equivalence(t, src, int(src.SizeBytes()), missTables[i].preds, missTables[i].masks)
+		})
+	}
+	oracle := missEngine(t, Config{Admission: "off", DisablePushdown: true, DisableVectorized: true}, true, g, gj, gd)
 	want := map[string][][]any{}
 	for _, q := range missCorpus {
 		res, err := oracle.Query(q)
