@@ -1,10 +1,10 @@
 package recache_test
 
-// The result-boundary differential test: whichever exit the plan root takes
-// (column batches or rows), Engine.Query, Engine.QueryColumnar and
-// client.Query through an in-process server must deliver the same rows, and
-// the result store must serialize to the RCS1 bytes an Add-built store of
-// those rows serializes to. Run under -race in CI.
+// The result-boundary differential test: the plan root hands its result
+// over as column batches, and Engine.Query, Engine.QueryColumnar and
+// client.Query through an in-process server must deliver the reference
+// evaluator's rows, and the result store must serialize to the RCS1 bytes
+// an Add-built store of those rows serializes to. Run under -race in CI.
 
 import (
 	"bytes"
@@ -190,35 +190,33 @@ func (fx *boundaryFixture) consumers(t testing.TB, sql string) (rows [][]any, qu
 func TestResultBoundaryDifferential(t *testing.T) {
 	oracle := startBoundary(t, recache.Config{Admission: "off"}, boundaryRows)
 	fx := startBoundary(t, recache.Config{Admission: "eager"}, boundaryRows)
-	rowFx := startBoundary(t, recache.Config{Admission: "eager", DisableVectorized: true}, boundaryRows)
 
 	cases := []struct {
-		name  string
-		warm  string // run once first (admits the entry the case hits)
-		sql   string
-		batch bool // the hit leaves through the batch exit with ≥ 1 batch
-		rows  int  // expected row count; -1 = whatever the oracle says
+		name string
+		warm string // run once first (admits the entry the case hits)
+		sql  string
+		rows int // expected row count; -1 = whatever the reference says
 	}{
 		{name: "projection with NULLs",
-			sql: "SELECT id, price, name FROM b WHERE qty BETWEEN 10 AND 60", batch: true, rows: -1},
+			sql: "SELECT id, price, name FROM b WHERE qty BETWEEN 10 AND 60", rows: -1},
 		{name: "empty result",
 			sql: "SELECT id, name FROM b WHERE qty > 1000", rows: 0},
 		{name: "subsumed hit, residual leaves gaps in the selection",
 			warm: "SELECT id, qty, name FROM b WHERE qty BETWEEN 5 AND 70",
-			sql:  "SELECT name, id FROM b WHERE qty BETWEEN 20 AND 30", batch: true, rows: -1},
+			sql:  "SELECT name, id FROM b WHERE qty BETWEEN 20 AND 30", rows: -1},
 		{name: "join projection",
-			sql: "SELECT id, label, price FROM b JOIN d ON qty = dk WHERE qty BETWEEN 10 AND 20", batch: true, rows: -1},
-		{name: "1023 rows", sql: "SELECT id, name FROM b WHERE id < 1023", batch: true, rows: 1023},
-		{name: "1024 rows", sql: "SELECT id, name FROM b WHERE id < 1024", batch: true, rows: 1024},
-		{name: "1025 rows", sql: "SELECT id, name FROM b WHERE id < 1025", batch: true, rows: 1025},
-		{name: "aggregate root keeps the row sink",
+			sql: "SELECT id, label, price FROM b JOIN d ON qty = dk WHERE qty BETWEEN 10 AND 20", rows: -1},
+		{name: "1023 rows", sql: "SELECT id, name FROM b WHERE id < 1023", rows: 1023},
+		{name: "1024 rows", sql: "SELECT id, name FROM b WHERE id < 1024", rows: 1024},
+		{name: "1025 rows", sql: "SELECT id, name FROM b WHERE id < 1025", rows: 1025},
+		{name: "aggregate root hands one batch",
 			sql: "SELECT name, COUNT(*), SUM(price) FROM b WHERE qty < 50 GROUP BY name", rows: 14},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			want, _, _ := oracle.consumers(t, c.sql)
+			want := recache.RefQuery(t, oracle.eng, c.sql)
 			if c.rows >= 0 && len(want) != c.rows {
-				t.Fatalf("oracle returned %d rows, want %d", len(want), c.rows)
+				t.Fatalf("reference returned %d rows, want %d", len(want), c.rows)
 			}
 			warm := c.warm
 			if warm == "" {
@@ -230,40 +228,16 @@ func TestResultBoundaryDifferential(t *testing.T) {
 			before := fx.eng.CacheStats()
 			got, qs, cs := fx.consumers(t, c.sql)
 			if !sameRows(got, want) {
-				t.Fatalf("cached rows differ from the no-cache oracle's\n%v\n%v", got, want)
+				t.Fatalf("cached rows differ from the reference's\n%v\n%v", got, want)
 			}
 			after := fx.eng.CacheStats()
 			if after.Misses != before.Misses {
 				t.Fatalf("the case was meant to hit: misses %d → %d", before.Misses, after.Misses)
 			}
-			if c.batch != (qs.ResultBatches > 0) || c.batch != (cs.ResultBatches > 0) {
-				t.Errorf("ResultBatches = %d (Query) / %d (QueryColumnar), want batch exit %v",
-					qs.ResultBatches, cs.ResultBatches, c.batch)
-			}
-			plan, err := fx.eng.Explain(c.sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// EXPLAIN reports the exit the root would take; an empty result
-			// takes the batch exit too, it just hands over no batch.
-			wantNote := "result: row"
-			if c.batch || c.rows == 0 {
-				wantNote = "result: batch"
-			}
-			if first, _, _ := strings.Cut(plan, "\n"); !strings.Contains(first, wantNote) {
-				t.Errorf("EXPLAIN root line %q lacks %q", first, wantNote)
-			}
-
-			// The same hit with vectorization off: row sink, same rows.
-			if _, err := rowFx.eng.Query(warm); err != nil {
-				t.Fatal(err)
-			}
-			got, qs, cs = rowFx.consumers(t, c.sql)
-			if !sameRows(got, want) {
-				t.Fatalf("DisableVectorized rows differ from the oracle's\n%v\n%v", got, want)
-			}
-			if qs.ResultBatches != 0 || cs.ResultBatches != 0 {
-				t.Errorf("DisableVectorized: ResultBatches = %d / %d, want 0", qs.ResultBatches, cs.ResultBatches)
+			// An empty result hands over no batch.
+			if batch := len(want) > 0; batch != (qs.ResultBatches > 0) || batch != (cs.ResultBatches > 0) {
+				t.Errorf("ResultBatches = %d (Query) / %d (QueryColumnar) for %d rows",
+					qs.ResultBatches, cs.ResultBatches, len(want))
 			}
 		})
 	}
@@ -272,7 +246,8 @@ func TestResultBoundaryDifferential(t *testing.T) {
 	// fallback. (SQL cannot project a list — a list column is always
 	// unnested.) A record column resolves only against a raw scan, so the
 	// cached engine declines the rewrite: every repeat, through every
-	// consumer, is the raw scan's answer.
+	// consumer, is the raw scan's answer, its record column one boxed
+	// vector of the batch.
 	t.Run("record-typed output column", func(t *testing.T) {
 		want := [][]any{{int64(2), `{"gr",null}`}, {int64(3), `{null,"3.3"}`}}
 		for i := 0; i < 4; i++ {
@@ -280,27 +255,20 @@ func TestResultBoundaryDifferential(t *testing.T) {
 			if !reflect.DeepEqual(rows, want) {
 				t.Fatalf("run %d: rows = %v, want %v", i, rows, want)
 			}
-			if qs.ResultBatches != 0 {
-				t.Errorf("run %d: ResultBatches = %d on a raw scan, want 0", i, qs.ResultBatches)
+			if qs.ResultBatches != 1 {
+				t.Errorf("run %d: ResultBatches = %d, want 1", i, qs.ResultBatches)
 			}
 		}
 	})
 
-	// /stats answers "did this daemon's projections take the fast exit".
+	// /stats counts the results that handed over batches: all but the
+	// empty one.
 	st, err := fx.cl.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Server.BatchResults != 6 || st.Server.RowResults != 6 {
-		t.Errorf("server counted %d batch / %d row results, want 6 / 6",
-			st.Server.BatchResults, st.Server.RowResults)
-	}
-	st, err = rowFx.cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Server.BatchResults != 0 || st.Server.RowResults != 8 {
-		t.Errorf("DisableVectorized server counted %d batch / %d row results, want 0 / 8",
+	if st.Server.BatchResults != 11 || st.Server.RowResults != 1 {
+		t.Errorf("server counted %d batch / %d row results, want 11 / 1",
 			st.Server.BatchResults, st.Server.RowResults)
 	}
 }

@@ -223,48 +223,84 @@ func TestCacheCorrectnessUnderAllConfigs(t *testing.T) {
 
 // A projection that names a whole sub-record cannot be served from a cache
 // scan's flat leaf columns: the query used to answer once and then fail on
-// its own cache entry. It must return the same rows on every repeat, and a
-// query over the same table that names only leaves must still hit.
+// its own cache entry. It must return the same rows on every repeat, under
+// every admission mode and through both Query and QueryColumnar — a
+// sub-record holding a list among them, which the batch carries boxed —
+// and a query over the same table that names only leaves must still hit.
 func TestRecordProjectionRepeats(t *testing.T) {
-	ev := `{"k":1,"origin":{"country":"ch","ip":"1.1"}}
+	const sql = "SELECT k, origin FROM ev WHERE k >= 1"
+	for _, c := range []struct {
+		name, data, schema string
+		want               [][]any
+	}{
+		{"record", `{"k":1,"origin":{"country":"ch","ip":"1.1"}}
 {"k":2,"origin":{"country":"gr"}}
 {"k":3,"origin":{"ip":"3.3"}}
 {"k":4}
-`
-	eng, err := Open(Config{Admission: "eager"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	if err := eng.RegisterJSON("ev", writeTemp(t, "ev.json", ev),
-		"k int, origin record(country string?, ip string?)"); err != nil {
-		t.Fatal(err)
-	}
-	want := [][]any{
-		{int64(1), `{"ch","1.1"}`}, {int64(2), `{"gr",null}`},
-		{int64(3), `{null,"3.3"}`}, {int64(4), `{null,null}`},
-	}
-	const sql = "SELECT k, origin FROM ev WHERE k >= 1"
-	for i := 0; i < 4; i++ {
-		res, err := eng.Query(sql)
-		if err != nil {
-			t.Fatalf("run %d: %v", i, err)
+`, "k int, origin record(country string?, ip string?)", [][]any{
+			{int64(1), `{"ch","1.1"}`}, {int64(2), `{"gr",null}`},
+			{int64(3), `{null,"3.3"}`}, {int64(4), `{null,null}`},
+		}},
+		{"record with a list", `{"k":1,"origin":{"country":"ch","tags":["a","b"]}}
+{"k":2,"origin":{"country":"gr","tags":[]}}
+`, "k int, origin record(country string?, tags list(string))", [][]any{
+			{int64(1), `{"ch",["a","b"]}`}, {int64(2), `{"gr",[]}`},
+		}},
+	} {
+		for _, admission := range []string{"eager", "lazy", "off"} {
+			t.Run(c.name+"/"+admission, func(t *testing.T) {
+				eng, err := Open(Config{Admission: admission})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer eng.Close()
+				if err := eng.RegisterJSON("ev", writeTemp(t, "ev.json", c.data), c.schema); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 4; i++ {
+					res, err := eng.Query(sql)
+					if err != nil {
+						t.Fatalf("run %d: %v", i, err)
+					}
+					if !reflect.DeepEqual(res.Rows, c.want) {
+						t.Fatalf("run %d: rows = %v, want %v", i, res.Rows, c.want)
+					}
+					br, err := eng.QueryColumnar(sql)
+					if err != nil {
+						t.Fatalf("run %d: QueryColumnar: %v", i, err)
+					}
+					var rows [][]any
+					if err := br.Store.ScanNested(func(rec value.Value) error {
+						rows = append(rows, toNative(rec.L))
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(rows, c.want) {
+						t.Fatalf("run %d: QueryColumnar rows = %v, want %v", i, rows, c.want)
+					}
+				}
+				if out, err := eng.Explain(sql); err != nil || strings.Contains(out, "CachedScan") {
+					t.Errorf("EXPLAIN promises a cache scan the query cannot use (err=%v):\n%s", err, out)
+				}
+				const leaves = "SELECT k, origin.country FROM ev WHERE k >= 1"
+				for i := 0; i < 2; i++ {
+					if _, err := eng.Query(leaves); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if st, want := eng.CacheStats(), int64(b2n(admission != "off")); st.ExactHits != want {
+					t.Errorf("leaf projection over the same table: %d exact hits, want %d", st.ExactHits, want)
+				}
+			})
 		}
-		if !reflect.DeepEqual(res.Rows, want) {
-			t.Fatalf("run %d: rows = %v, want %v", i, res.Rows, want)
-		}
 	}
-	if out, err := eng.Explain(sql); err != nil || strings.Contains(out, "CachedScan") {
-		t.Errorf("EXPLAIN promises a cache scan the query cannot use (err=%v):\n%s", err, out)
-	}
-	const leaves = "SELECT k, origin.country FROM ev WHERE k >= 1"
-	for i := 0; i < 2; i++ {
-		if _, err := eng.Query(leaves); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := eng.CacheStats(); st.ExactHits != 1 {
-		t.Errorf("leaf projection over the same table: %d exact hits, want 1", st.ExactHits)
+}
+
+// Open rejects DisableVectorized: there is no row route to switch to.
+func TestOpenRejectsDisableVectorized(t *testing.T) {
+	if _, err := Open(Config{DisableVectorized: true}); err == nil || !strings.Contains(err.Error(), "row route is gone") {
+		t.Errorf("Open(DisableVectorized) = %v, want the row route's error", err)
 	}
 }
 
@@ -446,10 +482,10 @@ func TestEngineMatchesProviderLevelScan(t *testing.T) {
 }
 
 // Only nested data has a layout decision (§4.2). Under Layout "auto" a flat
-// entry is never converted however often it is hit, on either scan flavor,
-// while a nested entry in the same engine, read through its flattened view
-// (where Parquet pays record assembly on every scan), still moves to the
-// relational columnar layout.
+// entry is never converted however often it is hit, while a nested entry
+// in the same engine, read through its flattened view (where Parquet pays
+// its records' expansion on every scan), still moves to the relational
+// columnar layout.
 func TestLayoutAdvisorMovesOnlyNestedEntries(t *testing.T) {
 	var nested strings.Builder
 	for i := 0; i < 1500; i++ {
@@ -470,36 +506,34 @@ func TestLayoutAdvisorMovesOnlyNestedEntries(t *testing.T) {
 		}
 		return "no entry"
 	}
-	for _, noVec := range []bool{false, true} {
-		eng := testEngine(t, Config{Admission: "eager", Layout: "auto", DisableVectorized: noVec})
-		err := eng.RegisterJSON("big", writeTemp(t, "big.json", nested.String()),
-			"okey int, total float, items list(qty int, price float)")
-		if err != nil {
+	eng := testEngine(t, Config{Admission: "eager", Layout: "auto"})
+	err := eng.RegisterJSON("big", writeTemp(t, "big.json", nested.String()),
+		"okey int, total float, items list(qty int, price float)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 51; i++ { // one miss, fifty hits
+		if _, err := eng.Query("SELECT id, name FROM t WHERE qty BETWEEN 15 AND 45"); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 51; i++ { // one miss, fifty hits
-			if _, err := eng.Query("SELECT id, name FROM t WHERE qty BETWEEN 15 AND 45"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if st := eng.CacheStats(); st.LayoutSwitches != 0 || st.ExactHits != 50 || layoutOf(eng, "t") != "columnar" {
-			t.Errorf("DisableVectorized=%v: flat entry after %d hits: %d layout switches, layout %s; want 0, columnar",
-				noVec, st.ExactHits, st.LayoutSwitches, layoutOf(eng, "t"))
-		}
+	}
+	if st := eng.CacheStats(); st.LayoutSwitches != 0 || st.ExactHits != 50 || layoutOf(eng, "t") != "columnar" {
+		t.Errorf("flat entry after %d hits: %d layout switches, layout %s; want 0, columnar",
+			st.ExactHits, st.LayoutSwitches, layoutOf(eng, "t"))
+	}
+	if _, err := eng.Query("SELECT SUM(items.price), COUNT(*) FROM big WHERE items.qty >= 0"); err != nil {
+		t.Fatal(err)
+	}
+	if got := layoutOf(eng, "big"); got != "parquet" {
+		t.Fatalf("nested entry built %s, want parquet", got)
+	}
+	for i := 0; i < 500 && eng.CacheStats().LayoutSwitches == 0; i++ {
 		if _, err := eng.Query("SELECT SUM(items.price), COUNT(*) FROM big WHERE items.qty >= 0"); err != nil {
 			t.Fatal(err)
 		}
-		if got := layoutOf(eng, "big"); got != "parquet" {
-			t.Fatalf("DisableVectorized=%v: nested entry built %s, want parquet", noVec, got)
-		}
-		for i := 0; i < 500 && eng.CacheStats().LayoutSwitches == 0; i++ {
-			if _, err := eng.Query("SELECT SUM(items.price), COUNT(*) FROM big WHERE items.qty >= 0"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if st := eng.CacheStats(); st.LayoutSwitches != 1 || layoutOf(eng, "big") != "columnar" || layoutOf(eng, "t") != "columnar" {
-			t.Errorf("DisableVectorized=%v: after flattened-view hits: %d layout switches, nested entry %s, flat entry %s; want 1, columnar, columnar",
-				noVec, st.LayoutSwitches, layoutOf(eng, "big"), layoutOf(eng, "t"))
-		}
+	}
+	if st := eng.CacheStats(); st.LayoutSwitches != 1 || layoutOf(eng, "big") != "columnar" || layoutOf(eng, "t") != "columnar" {
+		t.Errorf("after flattened-view hits: %d layout switches, nested entry %s, flat entry %s; want 1, columnar, columnar",
+			st.LayoutSwitches, layoutOf(eng, "big"), layoutOf(eng, "t"))
 	}
 }

@@ -125,15 +125,13 @@ type Stats struct {
 	LayoutSwitches int64 `json:"layout_switches"`
 	LazyUpgrades   int64 `json:"lazy_upgrades"`
 	Inserted       int64 `json:"inserted"`
-	// VectorizedScans counts cache scans served by the batch pipeline;
+	// VectorizedScans counts cache scans (every one runs on batches);
 	// VectorizedBatches the column batches those scans pulled.
 	VectorizedScans   int64 `json:"vectorized_scans"`
 	VectorizedBatches int64 `json:"vectorized_batches"`
-	// VectorizedJoins counts joins that ran the batch-native hash join end
-	// to end (typed build + batch probe + gathered output);
-	// JoinProbeBatches the probe-side batches those joins consumed. Mixed
-	// executions (one batch side, one row side) are not counted — the
-	// counter tracks the fully batched pipeline.
+	// VectorizedJoins counts joins run to completion (typed build, batch
+	// probe, gathered output); JoinProbeBatches the probe-side batches
+	// those joins consumed.
 	VectorizedJoins  int64 `json:"vectorized_joins"`
 	JoinProbeBatches int64 `json:"join_probe_batches"`
 	// PushdownScans counts raw scans that evaluated pushed conjuncts below
@@ -1059,26 +1057,22 @@ func (m *Manager) convert(o inflight, to store.Layout) time.Duration {
 }
 
 // RecordLazyReplay attributes one lazy-entry replay's scan time to the
-// entry, and counts a replay that served batches (batches > 0) as a
-// vectorized scan. Before this path existed, a lazy entry reused without
-// upgrading never refreshed its s, so eviction kept ranking it by a stale
-// (often zero) scan cost. The entry's mode is re-checked under the lock: if
-// a concurrent upgrade landed first, the eager store's own RecordScan is
-// the authoritative source; a replay's own upgrade (UpgradeLazy) lands
-// after this call.
+// entry, and counts the replay — batches batches — as a vectorized scan.
+// Before this path existed, a lazy entry reused without upgrading never
+// refreshed its s, so eviction kept ranking it by a stale (often zero) scan
+// cost. The entry's mode is re-checked under the lock: if a concurrent
+// upgrade landed first, the eager store's own RecordScan is the
+// authoritative source; a replay's own upgrade (UpgradeLazy) lands after
+// this call.
 func (m *Manager) RecordLazyReplay(e *Entry, scanWallNanos, batches int64) {
-	if batches > 0 {
-		m.stats.vectorizedScans.Add(1)
-		m.stats.vectorizedBatches.Add(batches)
-	}
+	m.stats.vectorizedScans.Add(1)
+	m.stats.vectorizedBatches.Add(batches)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e.dead || e.Mode != Lazy {
 		return
 	}
-	if batches > 0 {
-		e.VecScans++
-	}
+	e.VecScans++
 	e.ScanNanos = scanWallNanos
 }
 

@@ -420,8 +420,7 @@ func decodeRows(rows [][]any, st store.Store) ([][]any, error) {
 }
 
 // flatCursor opens a per-record batch cursor over every column of st; ok is
-// false when an output column is list- or record-typed (or the store serves
-// no batches).
+// false when an output column is list- or record-typed.
 func flatCursor(st store.Store) (*store.BatchCursor, bool) {
 	fields := st.Schema().Fields
 	idx := make([]int, len(fields))
@@ -435,7 +434,8 @@ func flatCursor(st store.Store) (*store.BatchCursor, bool) {
 	if !ok {
 		return nil, false
 	}
-	return bs.BatchCursor(false, idx)
+	cur, err := bs.BatchCursor(false, idx)
+	return cur, err == nil
 }
 
 // Exec runs sql on the daemon and returns the result's row count and

@@ -6,155 +6,16 @@ import (
 	"time"
 
 	"recache/internal/cache"
-	"recache/internal/expr"
-	"recache/internal/plan"
-	"recache/internal/stats"
 	"recache/internal/store"
 	"recache/internal/value"
 )
 
-// compileCachedScan builds the cache-reuse operator: it reads rows from an
-// eager entry's in-memory store (flattened or per-record granularity), or
-// replays a lazy entry's offsets through the raw file — upgrading it to an
-// eager cache as §5.2 prescribes. Residual predicates (subsumption hits)
-// are recompiled against the projected output schema and applied on top.
-// Every scan's cost split feeds the layout advisor via Manager.RecordScan.
-//
-// Concurrency: the entry's mode and payload are snapshotted through
-// Manager.Resident at execution time, so the scan keeps reading a consistent
-// immutable store even if the entry is concurrently upgraded, converted to
-// another layout, or evicted (the query's Txn pin keeps it alive). Resident
-// also re-admits a spilled entry from the disk tier — a disk hit costs one
-// spill-file read here, never a raw re-scan. Lazy upgrades go through
-// Manager.TryStartUpgrade so that N concurrent replays of one lazy entry
-// build at most one eager store.
-func compileCachedScan(cs *plan.CachedScan, deps Deps) (runFn, error) {
-	entry, ok := cs.Entry.(*cache.Entry)
-	if !ok || entry == nil {
-		return nil, fmt.Errorf("exec: CachedScan without entry")
-	}
-	outNames := make([]string, len(cs.Out.Fields))
-	for i, f := range cs.Out.Fields {
-		outNames[i] = f.Name
-	}
-	residual, err := expr.CompilePredicate(cs.Residual, cs.Out)
-	if err != nil {
-		return nil, err
-	}
-
-	return func(ctx *qctx, out emitFn) error {
-		var (
-			mode    cache.Mode
-			st      store.Store
-			offsets []int64
-		)
-		if deps.Manager != nil {
-			var err error
-			mode, st, offsets, err = deps.Manager.Resident(entry)
-			if err != nil {
-				return err
-			}
-		} else {
-			// Manager-less executions (unit harnesses) own the entry
-			// outright; everywhere else the snapshot must come from the
-			// locked accessor — a concurrent tail extension swaps
-			// Store/Offsets under the manager lock.
-			mode, st, offsets = entry.Mode, entry.Store, entry.Offsets
-		}
-		if mode == cache.Lazy {
-			return lazyReplay(ctx, cs, entry, offsets, outNames, residual, out)
-		}
-		idx, err := store.ColumnIndexes(st, outNames)
-		if err != nil {
-			return err
-		}
-		// Downstream operator time (joins, aggregation, result collection)
-		// runs inside the emit callback; sample it out of the measured wall
-		// so the scan time attributed to THIS entry is its own. A query that
-		// touches several cached entries (e.g. a join of two hits) would
-		// otherwise charge each entry — and CacheScanNanos, once per entry —
-		// with the downstream work of everything above it.
-		down := stats.NewSampledTimer(stats.SampleShift, nil)
-		emit := func(row []value.Value) error {
-			if cs.Residual != nil && !residual(row) {
-				return nil
-			}
-			if down.Begin() {
-				err := out(row)
-				down.End()
-				return err
-			}
-			return out(row)
-		}
-		wall0 := time.Now()
-		var scanStats store.ScanStats
-		if cs.Flat {
-			scanStats, err = st.ScanFlat(idx, emit)
-		} else {
-			scanStats, err = st.ScanRecords(idx, emit)
-		}
-		if err != nil {
-			return err
-		}
-		scanNanos := time.Since(wall0).Nanoseconds() - down.EstimatedTotal().Nanoseconds()
-		if scanNanos < 0 {
-			scanNanos = 0
-		}
-		// Report the logical row need r_i: flattened queries need R rows,
-		// per-record queries need one row per record — whatever the layout
-		// physically iterated.
-		if cs.Flat {
-			scanStats.RowsScanned = int64(st.NumFlatRows())
-		} else {
-			scanStats.RowsScanned = int64(st.NumRecords())
-		}
-		ctx.stats.CacheScanNanos += scanNanos
-		if deps.Manager != nil {
-			conv := deps.Manager.RecordScan(entry, scanStats, len(idx), scanNanos)
-			ctx.stats.LayoutSwitchNanos += conv.Nanoseconds()
-		}
-		return nil
-	}, nil
-}
-
-// lazyReplay streams a lazy entry's satisfying records from the raw file as
-// rows, optionally rebuilding an eager store along the way and upgrading
-// the entry (see replay). offsets is the caller's snapshot of the entry's
-// satisfying-record offsets. The records are read as a raw unnest reads
-// them (unnest.go): a chunk at a time into leaf vectors by the source's
-// typed kernel, and expanded into the scan's rows. A flat entry serves the
-// same chunks as batches instead (vecScan.replay), unless vectorization is
-// off.
-func lazyReplay(ctx *qctx, cs *plan.CachedScan, entry *cache.Entry, offsets []int64,
-	outNames []string, residual expr.Predicate, out emitFn) error {
-
-	cols, err := value.LeafColumnsCached(entry.Dataset.Schema())
-	if err != nil {
-		return err
-	}
-	leaves, need, err := replayLeaves(cols, outNames)
-	if err != nil {
-		return err
-	}
-	slots := make([]int, len(leaves))
-	for i := range slots {
-		slots[i] = i
-	}
-	rows := newLeafRows(cols, leaves, slots, len(leaves), cs.Flat, residual)
-	r, err := startReplay(ctx, entry, cols, need)
-	if err != nil {
-		return err
-	}
-	wall0 := time.Now()
-	for lo := 0; lo < len(offsets) && err == nil; lo += store.BatchRows {
-		var ch leafVecs
-		if ch, err = r.chunk(offsets[lo:min(lo+store.BatchRows, len(offsets))]); err == nil {
-			err = rows.emit(ch, out)
-		}
-	}
-	// The replay's own time excludes downstream operator time.
-	return r.end(ctx, time.Since(wall0).Nanoseconds()-rows.down.EstimatedTotal().Nanoseconds(), 0, err)
-}
+// This file is a lazy entry's replay: its satisfying records read from the
+// raw file as a miss reads them (miss.go) — a chunk at a time into leaf
+// vectors by the source's typed kernel — and served as the scan's batches,
+// a flattened scan's expanded by the records' list lengths. Lazy upgrades
+// go through Manager.TryStartUpgrade so that N concurrent replays of one
+// lazy entry build at most one eager store.
 
 // replayLeaves resolves a lazy entry's output columns to leaf columns: the
 // leaf of each, and the leaves to decode.
@@ -225,8 +86,8 @@ func (r *replay) join() {
 }
 
 // end closes a replay that took own nanoseconds, the upgrade's included,
-// and served batches batches (0: rows), or failed with err: the replay's
-// cost is attributed to the entry and the upgrade, if it held, commits.
+// and served batches batches, or failed with err: the replay's cost is
+// attributed to the entry and the upgrade, if it held, commits.
 func (r *replay) end(ctx *qctx, own, batches int64, err error) error {
 	r.join()
 	var st store.Store // stays nil when the build fails
@@ -257,23 +118,26 @@ func (r *replay) end(ctx *qctx, own, batches int64, err error) error {
 	return nil
 }
 
-// replay opens a flat lazy entry's replay as a batch source: each chunk's
-// leaf vectors are the scan's columns. Nothing starts before the first
-// Next: a consumer that opens the source and falls back to its row path
-// reserves no upgrade.
-func (p *vecScan) replay(ctx *qctx, offsets []int64, filters []*expr.VecFilter) (vecIter, bool) {
-	cols, err := value.LeafColumnsCached(p.entry.Dataset.Schema())
+// replay opens a lazy entry's replay of offsets, the caller's snapshot of
+// the entry's satisfying-record offsets, as the scan's batches. Nothing
+// starts before the first Next.
+func (s *scanSource) replay(ctx *qctx, offsets []int64) (vecIter, error) {
+	cols, err := value.LeafColumnsCached(s.entry.Dataset.Schema())
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	leaves, need, err := replayLeaves(cols, p.outNames)
+	leaves, need, err := replayLeaves(cols, s.outNames)
 	if err != nil {
-		return nil, false
+		return nil, err
+	}
+	kinds := make([]value.Kind, len(leaves))
+	for i, leaf := range leaves {
+		kinds[i] = cols[leaf].Type.Kind
 	}
 	var r *replay
 	next := func() (ch leafVecs, ok bool, err error) {
 		if r == nil {
-			if r, err = startReplay(ctx, p.entry, cols, need); err != nil {
+			if r, err = startReplay(ctx, s.entry, cols, need); err != nil {
 				return ch, false, err
 			}
 		}
@@ -291,5 +155,5 @@ func (p *vecScan) replay(ctx *qctx, offsets []int64, filters []*expr.VecFilter) 
 		}
 		return r.end(ctx, own, batches, err)
 	}
-	return newChunkIter(next, end, cols, leaves, append([]*expr.VecFilter{p.filter}, filters...)), true
+	return newChunkIter(next, end, cols, leaves, kinds, s.cs.Flat, s.filters)
 }

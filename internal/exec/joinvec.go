@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"time"
@@ -12,26 +13,19 @@ import (
 	"recache/internal/value"
 )
 
-// This file is the batch-native hash join: the second compiled join flavor
-// that keeps the vectorized pipeline intact across the last row-at-a-time
-// operator. The build side hashes its key column straight out of cache
-// batches into a typed open-addressing table — no interface boxing, and
-// build rows are stored as row-ids into the retained column vectors rather
-// than copied slices — and the probe side scans right-hand batches emitting
-// matched (build-row, probe-row) pairs, gathered into joined output batches
-// so a downstream vectorized Aggregate/Project never sees a boxed row.
-//
-// Flavor choice is per compile with per-execution degradation: a join runs
-// batch-native when both sides serve batches — cache hits, lazy replays and
-// flat misses all do — and the boxed row join otherwise (a row-only side:
-// an Unnest, or a Parquet entry's flattened view). Both flavors produce
-// identical results (joinvec_test.go holds them to it), including the row
-// path's float key semantics: +0 and -0 join each other, NaN keys never
-// match.
+// This file is the hash join. The build side hashes its key column
+// straight out of batches into a typed open-addressing table — no
+// interface boxing, and a cache scan's build rows are stored as row-ids
+// into its retained column vectors rather than copied — and the probe side
+// scans right-hand batches emitting matched (build-row, probe-row) pairs,
+// gathered into joined output batches. Keys follow SQL equality as a Go
+// map keyed by the values would: +0 and -0 join each other, NaN and NULL
+// keys never match, and a key pair with no typed mode (sub-records)
+// compares the keys' renderings.
 
 // keyMode is the typed representation join keys normalize into, derived
-// from the two key column kinds exactly as the row path's makeJoinKey
-// does (both-int stays int; any numeric mix compares as float64).
+// from the two key column kinds: both-int stays int; any numeric mix
+// compares as float64.
 type keyMode uint8
 
 const (
@@ -71,10 +65,9 @@ func keyKindOK(mode keyMode, k value.Kind) bool {
 	}
 }
 
-// joinFloatBits canonicalizes a float join key: +0 and -0 collapse (Go map
-// keys — the row path's table — treat them as equal), while NaN never
-// reaches here (callers drop NaN keys on both sides, matching the row
-// path where a NaN key hashes into the map but can never compare equal).
+// joinFloatBits canonicalizes a float join key: +0 and -0 collapse (they
+// are equal, as Go map keys too treat them), while NaN never reaches here
+// (callers drop NaN keys on both sides: a NaN never compares equal).
 func joinFloatBits(f float64) uint64 {
 	if f == 0 {
 		return 0
@@ -152,9 +145,8 @@ func colKey(v *store.Vec, r int32, mode keyMode) (typedKey, bool) {
 // joinTable is the typed open-addressing hash table of the build side. One
 // slot per distinct key (linear probing from the hash's top bits), with
 // duplicate-key rows chained through an entry list in insertion order —
-// probe output therefore lists a key's build rows in the same order the
-// row path's slice-append table does, keeping non-aggregated join results
-// byte-identical across flavors.
+// probe output therefore lists a key's build rows in build order, as a
+// slice-append table keyed by the values does.
 type joinTable struct {
 	mode  keyMode
 	shift uint // 64 - log2(slots): a hash's home slot is h >> shift
@@ -285,7 +277,8 @@ func (t *joinTable) grow() {
 	}
 }
 
-// vecJoin is the compile-time plan of a batch-native hash join.
+// vecJoin is the compile-time plan of a hash join: each side's source and
+// the batch column holding its key.
 type vecJoin struct {
 	lsrc, rsrc   vecSource
 	lslot, rslot int
@@ -293,42 +286,65 @@ type vecJoin struct {
 	ln, rn       int
 }
 
-// planVecJoin checks the compile-time half of join vectorizability: key
-// columns resolvable to single batch slots (expr.ColSlot), a typed key
-// mode for the kind pair, and both sides peelable to batch sources. ok is
-// false when every execution must take the row join.
-func planVecJoin(j *plan.Join, deps Deps) (*vecJoin, bool) {
-	if deps.DisableVectorized {
-		return nil, false
-	}
+func compileJoin(j *plan.Join, deps Deps) (*joinSource, error) {
 	lt, err := j.LeftKey.Type(j.Left.OutSchema())
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
 	rt, err := j.RightKey.Type(j.Right.OutSchema())
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	mode, ok := joinKeyMode(lt.Kind, rt.Kind)
-	if !ok {
-		return nil, false
+	mode, typed := joinKeyMode(lt.Kind, rt.Kind)
+	if !typed {
+		mode = keyModeString
 	}
-	vj := &vecJoin{
-		mode: mode,
-		ln:   len(j.Left.OutSchema().Fields),
-		rn:   len(j.Right.OutSchema().Fields),
+	vj := &vecJoin{mode: mode, ln: len(j.Left.OutSchema().Fields), rn: len(j.Right.OutSchema().Fields)}
+	if vj.lsrc, vj.lslot, err = joinSide(j.Left, j.LeftKey, typed, deps); err != nil {
+		return nil, err
 	}
-	if vj.lslot, ok = expr.ColSlot(j.LeftKey, j.Left.OutSchema()); !ok {
-		return nil, false
+	if vj.rsrc, vj.rslot, err = joinSide(j.Right, j.RightKey, typed, deps); err != nil {
+		return nil, err
 	}
-	if vj.rslot, ok = expr.ColSlot(j.RightKey, j.Right.OutSchema()); !ok {
-		return nil, false
+	return &joinSource{vj: vj}, nil
+}
+
+// joinSide compiles one side of a join and resolves its key to a batch
+// column: a plain column reference under a typed mode is that column; any
+// other key is computed by the generic kernel into a column appended to
+// the side's (evalSource) — rendered as a string when the pair has no
+// typed mode.
+func joinSide(n plan.Node, key expr.Expr, typed bool, deps Deps) (vecSource, int, error) {
+	src, err := compile(n, deps)
+	if err != nil {
+		return nil, 0, err
 	}
-	if vj.lsrc, ok = peelVecSource(j.Left, deps); !ok {
-		return nil, false
+	in := n.OutSchema()
+	if slot, ok := expr.ColSlot(key, in); ok && typed {
+		return src, slot, nil
 	}
-	vj.rsrc, ok = peelVecSource(j.Right, deps)
-	return vj, ok
+	exprs := make([]expr.Expr, len(in.Fields), len(in.Fields)+1)
+	for i, f := range in.Fields {
+		exprs[i] = &expr.Col{Path: value.Path{f.Name}}
+	}
+	es, err := newEvalSource(src, in, append(exprs, key))
+	if err != nil {
+		return nil, 0, err
+	}
+	if k := len(in.Fields); !typed {
+		ev, err := expr.Compile(key, in)
+		if err != nil {
+			return nil, 0, err
+		}
+		es.slots[k], es.kinds[k] = -1, value.String
+		es.evals[k] = func(r expr.Row) value.Value {
+			if v := ev(r); v.Kind != value.Null {
+				return value.VString(v.String())
+			}
+			return value.VNull
+		}
+	}
+	return es, len(in.Fields), nil
 }
 
 // buildTable drains the build-side iterator into a typed table. When the
@@ -336,8 +352,8 @@ func planVecJoin(j *plan.Join, deps Deps) (*vecJoin, bool) {
 // the retained full-length vectors — zero copies; otherwise (a nested
 // join's gathered batches, a miss's or a lazy replay's chunks) each batch's
 // selected rows are gathered into fresh typed vectors and row-ids address
-// those. Null and NaN keys never enter the
-// table. The caller closes the iterator.
+// those. Null and NaN keys never enter the table. The caller closes the
+// iterator.
 func (vj *vecJoin) buildTable(liter vecIter) (bcols []*store.Vec, table *joinTable) {
 	stable := liter.Stable()
 	var expect int64
@@ -430,28 +446,27 @@ func (t *joinTable) insertBatch(kcol *store.Vec, sel, rows []int32) {
 	t.ents, t.used = ents, used
 }
 
-// joinSource serves the batch-native join as a batch source for a
-// downstream vectorized Aggregate/Project (or the batch→row boundary).
+// joinSource serves the join's output as batches.
 type joinSource struct {
 	vj *vecJoin
 }
 
-func (s *joinSource) open(ctx *qctx) (vecIter, bool) {
+func (s *joinSource) open(ctx *qctx) (vecIter, error) {
 	vj := s.vj
-	liter, ok := vj.lsrc.open(ctx)
-	if !ok {
-		return nil, false
+	liter, err := vj.lsrc.open(ctx)
+	if err != nil {
+		return nil, err
 	}
-	riter, ok := vj.rsrc.open(ctx)
-	if !ok {
-		return nil, false
+	riter, err := vj.rsrc.open(ctx)
+	if err != nil {
+		return nil, err
 	}
 	lk, rk := liter.Kinds(), riter.Kinds()
 	if !keyKindOK(vj.mode, lk[vj.lslot]) || !keyKindOK(vj.mode, rk[vj.rslot]) {
-		return nil, false
+		return nil, fmt.Errorf("exec: join keys of kinds %s and %s", lk[vj.lslot], rk[vj.rslot])
 	}
-	kinds := make([]value.Kind, 0, len(lk)+len(rk))
-	kinds = append(append(kinds, lk...), rk...)
+	kinds := make([]value.Kind, 0, vj.ln+vj.rn)
+	kinds = append(append(kinds, lk[:vj.ln]...), rk[:vj.rn]...)
 	return &joinIter{
 		vj:    vj,
 		ctx:   ctx,
@@ -459,21 +474,14 @@ func (s *joinSource) open(ctx *qctx) (vecIter, bool) {
 		riter: riter,
 		kinds: kinds,
 		sel:   make([]int32, store.BatchRows),
-	}, true
+	}, nil
 }
 
-func (s *joinSource) info(deps Deps) (int64, bool) {
-	if _, ok := s.vj.lsrc.info(deps); !ok {
-		return 0, false
-	}
-	return s.vj.rsrc.info(deps)
-}
+// info reports the probe side's batches.
+func (s *joinSource) info(deps Deps) (int64, bool) { return s.vj.rsrc.info(deps) }
 
-// joinIter streams the gathered output batches of a vectorized join. The
-// build runs lazily on the first Next, so a consumer that opens the
-// source but bails to its row fallback before consuming anything (the
-// aggregate's kind guard) wastes no build work and attributes nothing
-// twice. Pairs found while probing one right-hand batch are flushed in
+// joinIter streams the gathered output batches of a join. The build runs
+// on the first Next. Pairs found while probing one right-hand batch are flushed in
 // BatchRows-sized chunks before the next right batch is pulled (the probe
 // columns a chunk's rids address stay live until then, so unstable probe
 // sources — nested joins — compose).
@@ -540,10 +548,10 @@ func (it *joinIter) Next() ([]*store.Vec, []int32, bool) {
 	rpart := it.rids[it.off : it.off+n]
 	it.off += n
 	out := make([]*store.Vec, vj.ln+vj.rn)
-	for i, c := range it.bcols {
+	for i, c := range it.bcols[:vj.ln] {
 		out[i] = store.Gather(c, lpart)
 	}
-	for i, c := range it.rcols {
+	for i, c := range it.rcols[:vj.rn] {
 		out[vj.ln+i] = store.Gather(c, rpart)
 	}
 	for i := 0; i < n; i++ {
@@ -617,34 +625,18 @@ func (it *joinIter) Close(ctx *qctx) error {
 	return nil
 }
 
-// compileJoinAuto compiles both join flavors and picks per execution: the
-// batch-native join when both sides serve batches now, the arena row join
-// otherwise.
-func compileJoinAuto(j *plan.Join, deps Deps) (runFn, error) {
-	parts, err := compileJoinParts(j, deps)
+// VectorizedJoinInfo reports whether a Join's inputs are readable right
+// now, and the expected probe batch count. EXPLAIN uses it; it only reads
+// entry payload snapshots.
+func VectorizedJoinInfo(j *plan.Join, m *cache.Manager) (bool, int64) {
+	deps := Deps{Manager: m}
+	s, err := compileJoin(j, deps)
 	if err != nil {
-		return nil, err
-	}
-	rowFn := parts.rowJoin()
-	vj, ok := planVecJoin(j, deps)
-	if !ok {
-		return rowFn, nil
-	}
-	return vecEmit(&joinSource{vj: vj}, nil, rowFn), nil
-}
-
-// VectorizedJoinInfo reports whether a Join would take the batch-native
-// pipeline if executed now, and the expected probe batch count.
-// EXPLAIN uses it; it only reads entry payload snapshots.
-func VectorizedJoinInfo(j *plan.Join, m *cache.Manager, disableVec bool) (bool, int64) {
-	deps := Deps{Manager: m, DisableVectorized: disableVec}
-	vj, ok := planVecJoin(j, deps)
-	if !ok {
 		return false, 0
 	}
-	batches, ok := (&joinSource{vj: vj}).info(deps)
-	if !ok {
+	if _, ok := s.vj.lsrc.info(deps); !ok {
 		return false, 0
 	}
-	return true, batches
+	batches, ok := s.info(deps)
+	return ok, batches
 }

@@ -13,6 +13,7 @@ import (
 	"recache/internal/csvio"
 	"recache/internal/expr"
 	"recache/internal/plan"
+	"recache/internal/reference"
 	"recache/internal/store"
 	"recache/internal/value"
 )
@@ -103,7 +104,7 @@ func joinParityPlans(t *testing.T, jl, jr *plan.Dataset) map[string]func() plan.
 			return countSum(mkJoin("lk", "rk", nil, nil))
 		},
 		"int-keys-rows": func() plan.Node {
-			// Bare join: row ordering must match across flavors too.
+			// Bare join: row ordering must match the reference's too.
 			return mkJoin("lk", "rk", nil, nil)
 		},
 		"float-keys-zero-nan": func() plan.Node {
@@ -162,9 +163,9 @@ func joinParityPlans(t *testing.T, jl, jr *plan.Dataset) map[string]func() plan.
 }
 
 // TestVectorizedJoinMatchesRowPath is the exec-level differential parity
-// suite: every corpus plan must produce identical results through the
-// batch-native join and the fully row-at-a-time pipeline — across cache
-// layouts, on the miss and on hits.
+// suite: every corpus plan must produce the reference evaluator's rows —
+// a record-at-a-time map join — with no cache, and across cache layouts on
+// the miss and on hits.
 func TestVectorizedJoinMatchesRowPath(t *testing.T) {
 	layouts := []cache.LayoutMode{
 		cache.LayoutAuto, cache.LayoutFixedColumnar, cache.LayoutFixedParquet,
@@ -177,37 +178,25 @@ func TestVectorizedJoinMatchesRowPath(t *testing.T) {
 			"jr": {"rk", "rf", "rs", "rv"},
 		}
 		mVec := mgr(cache.Config{Admission: cache.AlwaysEager, Layout: layout})
-		mRow := mgr(cache.Config{Admission: cache.AlwaysEager, Layout: layout})
 		for name, mk := range plans {
-			// No-cache baseline, fresh per plan.
-			base := run(t, mk(), Deps{})
+			want := refRows(t, mk())
+			if base := run(t, mk(), Deps{}); !reflect.DeepEqual(base.Rows, want) {
+				t.Errorf("layout %v %s: no-cache %v != reference %v", layout, name, base.Rows, want)
+			}
 			for pass := 0; pass < 3; pass++ {
 				mVec.BeginQuery()
 				rv, _, err := Run(mVec.Rewrite(mk(), needed), Deps{Manager: mVec})
 				if err != nil {
-					t.Fatalf("layout %v %s pass %d (vec): %v", layout, name, pass, err)
+					t.Fatalf("layout %v %s pass %d: %v", layout, name, pass, err)
 				}
-				mRow.BeginQuery()
-				rr, _, err := Run(mRow.Rewrite(mk(), needed),
-					Deps{Manager: mRow, DisableVectorized: true})
-				if err != nil {
-					t.Fatalf("layout %v %s pass %d (row): %v", layout, name, pass, err)
-				}
-				if !reflect.DeepEqual(rv.Rows, base.Rows) {
-					t.Errorf("layout %v %s pass %d: vectorized %v != baseline %v",
-						layout, name, pass, rv.Rows, base.Rows)
-				}
-				if !reflect.DeepEqual(rr.Rows, base.Rows) {
-					t.Errorf("layout %v %s pass %d: row %v != baseline %v",
-						layout, name, pass, rr.Rows, base.Rows)
+				if !reflect.DeepEqual(rv.Rows, want) {
+					t.Errorf("layout %v %s pass %d: %v != reference %v",
+						layout, name, pass, rv.Rows, want)
 				}
 			}
 		}
 		if layout == cache.LayoutFixedColumnar && mVec.Stats().VectorizedJoins == 0 {
 			t.Error("columnar layout ran zero vectorized joins")
-		}
-		if got := mRow.Stats().VectorizedJoins; got != 0 {
-			t.Errorf("DisableVectorized manager ran %d vectorized joins", got)
 		}
 	}
 }
@@ -254,12 +243,11 @@ func TestVectorizedJoinCountersAndAttribution(t *testing.T) {
 	}
 }
 
-// TestVectorizedJoinOneSideBatches: under the fixed Parquet layout a
-// flattened (unnested) side needs FSM record assembly and cannot batch, so
-// the join takes the arena row join, on either side of the join: there is
-// no flavor that batches one side only. The flat side's entry still serves
-// its batches, boxed at the batch→row boundary, and the answer matches the
-// no-cache baseline.
+// TestVectorizedJoinOneSideBatches: a join with one flattened (unnested)
+// side, on either side of the join, under the fixed Parquet layout. The
+// nested entry's cursor expands its records into batches, so the miss and
+// the hit both run the batch join, and the answer is the reference
+// evaluator's.
 func TestVectorizedJoinOneSideBatches(t *testing.T) {
 	needed := map[string][]string{
 		"jl":     {"lk", "lv"},
@@ -288,27 +276,25 @@ func TestVectorizedJoinOneSideBatches(t *testing.T) {
 				{Func: plan.AggSum, Arg: expr.C("lv"), Name: "sl"},
 			}, j)
 		}
-		base := run(t, mk(), Deps{})
+		want := refRows(t, mk())
 		m := mgr(cache.Config{Admission: cache.AlwaysEager, Layout: cache.LayoutFixedParquet})
-		buildAndRun(t, m, mk, needed)
+		miss := buildAndRun(t, m, mk, needed)
 		hit := buildAndRun(t, m, mk, needed)
-		if !reflect.DeepEqual(hit.Rows, base.Rows) {
-			t.Errorf("nestedLeft=%v: row join %v, want %v", nestedLeft, hit.Rows, base.Rows)
+		if !reflect.DeepEqual(miss.Rows, want) || !reflect.DeepEqual(hit.Rows, want) {
+			t.Errorf("nestedLeft=%v: miss %v, hit %v, want %v", nestedLeft, miss.Rows, hit.Rows, want)
 		}
-		if got := m.Stats().VectorizedJoins; got != 0 {
-			t.Errorf("nestedLeft=%v: a row-only side ran %d batch joins",
-				nestedLeft, got)
+		if got := m.Stats().VectorizedJoins; got != 2 {
+			t.Errorf("nestedLeft=%v: %d batch joins, want 2", nestedLeft, got)
 		}
-		if got := m.Stats().VectorizedScans; got == 0 {
-			t.Errorf("nestedLeft=%v: the flat side should still have served batches", nestedLeft)
+		if got := m.Stats().VectorizedScans; got != 2 {
+			t.Errorf("nestedLeft=%v: the hit's two entries served %d batch scans, want 2", nestedLeft, got)
 		}
 	}
 }
 
-// TestVectorizedJoinMixedFlavors: there is no flavor between the batch join
-// and the row join. Two lazy sides serve their replays as batches, as two
-// misses serve their raw chunks, so both executions run the batch join,
-// results unchanged.
+// TestVectorizedJoinMixedFlavors: two lazy sides serve their replays as
+// batches, as two misses serve their raw chunks, so both executions run
+// the batch join, results unchanged.
 func TestVectorizedJoinMixedFlavors(t *testing.T) {
 	jl, jr := joinLeftDataset(t), joinRightDataset(t)
 	needed := map[string][]string{
@@ -417,13 +403,13 @@ func cursorBatches(r *rand.Rand, n int) [][]int32 {
 	return out
 }
 
-// TestJoinKernelsMatchRowJoin holds the typed build and probe to the row
-// join pair for pair: a build side of three batches with duplicate keys,
+// TestJoinKernelsMatchRowJoin holds the typed build and probe to the
+// reference evaluator's map join pair for pair: a build side of three batches with duplicate keys,
 // NULL keys and (under float keys) NaN and ±0, inserted batch by batch into
 // a table sized for it (a cache scan's build) and into one that grows (a
 // nested join's), then probed batch by batch, must list the same (build
-// row, probe row) pairs in the same order as the row join's map of slices,
-// under every key mode and both cross-kind pairings.
+// row, probe row) pairs in the same order as a map of slices keyed by
+// reference.JoinKey, under every key mode and both cross-kind pairings.
 func TestJoinKernelsMatchRowJoin(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, c := range []struct {
@@ -440,7 +426,9 @@ func TestJoinKernelsMatchRowJoin(t *testing.T) {
 		name := fmt.Sprintf("%s-%s", c.lk, c.rk)
 		lv, rv := joinKeys(r, c.lk, c.buildN, c.keys), joinKeys(r, c.rk, c.probeN, c.keys)
 		lb, rb := cursorBatches(r, c.buildN), cursorBatches(r, c.probeN)
-		norm := makeJoinKey(&value.Type{Kind: c.lk}, &value.Type{Kind: c.rk})
+		num := func(k value.Kind) bool { return k == value.Int || k == value.Float }
+		bothInt, numeric := c.lk == value.Int && c.rk == value.Int, num(c.lk) && num(c.rk)
+		norm := func(v value.Value) (any, bool) { return reference.JoinKey(v, bothInt, numeric) }
 		rowTable := map[any][]int32{}
 		for _, sel := range lb {
 			for _, i := range sel {
@@ -460,7 +448,7 @@ func TestJoinKernelsMatchRowJoin(t *testing.T) {
 			}
 		}
 		if len(want) == 0 {
-			t.Fatalf("%s: the row join matched nothing", name)
+			t.Fatalf("%s: the reference join matched nothing", name)
 		}
 		mode, _ := joinKeyMode(c.lk, c.rk)
 		for _, expect := range []int64{int64(c.buildN), 0} {
@@ -478,7 +466,7 @@ func TestJoinKernelsMatchRowJoin(t *testing.T) {
 				}
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, table sized for %d: %d pairs, row join %d (first difference at %d)",
+				t.Errorf("%s, table sized for %d: %d pairs, reference %d (first difference at %d)",
 					name, expect, len(got), len(want), firstDiff(got, want))
 			}
 		}

@@ -6,7 +6,6 @@ import (
 
 	"recache/internal/cache"
 	"recache/internal/plan"
-	"recache/internal/stats"
 	"recache/internal/store"
 	"recache/internal/value"
 )
@@ -19,17 +18,12 @@ const (
 	admitEager
 	admitLazy
 	// admitAbandoned: the build failed on its own side of the pipeline; the
-	// query keeps streaming its rows and nothing is admitted.
+	// query keeps serving its batches and nothing is admitted.
 	admitAbandoned
 )
 
-// buildChunk is how many admitted records a typed build lets accumulate
-// before decoding them into its column vectors: few enough that their bytes
-// are still in cache from the scan, enough to amortize the call.
-const buildChunk = store.BatchRows
-
-// eagerBuild accumulates the records a materializer, a raw unnest or a lazy
-// entry's upgrade admits as leaf vectors and list lengths: the one
+// eagerBuild accumulates the records a materializing miss or a lazy entry's
+// upgrade admits as leaf vectors and list lengths: the one
 // representation store.FromColumns adopts as either layout. The source's
 // typed kernel fills them from record offsets, straight from the raw bytes,
 // on a helper goroutine beside the query (see start).
@@ -106,8 +100,8 @@ func (b *eagerBuild) finish() (store.Store, error) {
 	return store.FromColumns(b.schema, b.layout, b.vecs, b.lengths)
 }
 
-// admission is a materializer's side of §5.2, driven by the flat
-// materializer and the raw unnest alike: it notes the offsets of the records
+// admission is a materializer's side of §5.2, driven by the miss a chunk
+// at a time (missRun.chunk): it notes the offsets of the records
 // the select passes, times the build they feed, decides between an eager
 // build and a lazy entry after the sampling window by the two-timestamp
 // extrapolation, abandons a build that fails on its own side of the
@@ -158,14 +152,6 @@ func (a *admission) sampled() bool {
 	return a.state == admitSampling && len(a.offsets) >= a.spec.SampleSize
 }
 
-// admit notes a record the select passed, at byte offset off.
-func (a *admission) admit(ctx *qctx, off int64) {
-	if a.first < 0 {
-		a.first, a.to1 = off, time.Since(ctx.start)
-	}
-	a.offsets = append(a.offsets, off)
-}
-
 // admitChunk notes a chunk of records the select passed, found from query
 // time at on: the first chunk's at is t_o1.
 func (a *admission) admitChunk(at time.Duration, offs []int64) {
@@ -183,17 +169,6 @@ func (a *admission) abandon() { a.state, a.b = admitAbandoned, nil }
 func (a *admission) join() {
 	if a.b != nil && a.b.wait(&a.nanos) != nil {
 		a.abandon()
-	}
-}
-
-// appendOffsets is compileMaterialize's build step: the helper decodes the
-// records at offsets into the build while the scan goes on, once the
-// previous step's is joined.
-func (a *admission) appendOffsets(offsets []int64) {
-	if a.join(); a.b != nil {
-		t0 := time.Now()
-		a.b.start(offsets, a.b.vecs)
-		a.nanos += time.Since(t0).Nanoseconds()
 	}
 }
 
@@ -257,70 +232,4 @@ func (a *admission) finish(ctx *qctx, lastOff, down int64) {
 	}
 	a.spec.FileEpoch, a.spec.Covered = a.epoch, a.covered
 	a.spec.Manager.CompleteBuild(a.spec, st, offsets, mode, t, c)
-}
-
-// compileMaterialize builds the cache-admission operator of §5.2 over a
-// select on a raw scan: it forwards every satisfying row downstream and
-// feeds the admission (see admission) — an eager build, a lazy offsets-only
-// entry, or a sampling window that measures the caching overhead first.
-//
-// The scan below parses only the query's needed fields; everything an eager
-// entry stores beyond them is decoded by the build (see eagerBuild) and
-// charged to caching time. A failure of that decode — a malformed field the
-// query never named, a file rewritten under the replay — abandons the build
-// and leaves the query's answer alone: a cache must not fail a query the
-// no-cache engine answers.
-func compileMaterialize(m *plan.Materialize, deps Deps) (runFn, error) {
-	spec, ok := m.Spec.(*cache.BuildSpec)
-	if !ok || spec == nil {
-		return compile(m.Child, deps)
-	}
-	src, err := source(spec.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	child, err := compile(m.Child, deps)
-	if err != nil {
-		return nil, err
-	}
-	return func(ctx *qctx, out emitFn) error {
-		a, err := newAdmission(ctx, spec, src)
-		if err != nil {
-			return err
-		}
-		flushed := 0 // a.offsets[:flushed] are in the build
-		downstream := stats.NewSampledTimer(stats.SampleShift, nil)
-		err = child(ctx, func(row []value.Value) error {
-			off := ctx.curOffset
-			a.admit(ctx, off)
-			// Lazy or abandoned, the offset above is the whole cost. The
-			// sampling window is the first chunk, so that the sample the
-			// decision extrapolates is timed like every later chunk.
-			due := buildChunk
-			if a.sampling() {
-				due = spec.SampleSize
-			}
-			if a.b != nil && len(a.offsets)-flushed >= due {
-				a.appendOffsets(a.offsets[flushed:])
-				flushed = len(a.offsets)
-			}
-			if a.sampled() {
-				a.decide(ctx, off)
-			}
-			if downstream.Begin() {
-				err := out(row)
-				downstream.End()
-				return err
-			}
-			return out(row)
-		})
-		if err != nil {
-			return err
-		}
-		if a.b != nil && flushed < len(a.offsets) {
-			a.appendOffsets(a.offsets[flushed:])
-		}
-		a.finish(ctx, ctx.curOffset, downstream.EstimatedTotal().Nanoseconds())
-		return nil
-	}, nil
 }

@@ -23,18 +23,10 @@ type hookSink struct {
 	hook func()
 }
 
-func (s *hookSink) Row(row []value.Value) error {
-	s.ids = append(s.ids, row[0].I)
-	if len(s.ids) == s.n {
-		s.hook()
-	}
-	return nil
-}
-
 func (s *hookSink) Batch(cols []*store.Vec, sel []int32) error {
 	for _, r := range sel {
-		if err := s.Row([]value.Value{cols[0].Get(int(r))}); err != nil {
-			return err
+		if s.ids = append(s.ids, cols[0].Ints[r]); len(s.ids) == s.n {
+			s.hook()
 		}
 	}
 	return nil
@@ -47,7 +39,7 @@ func (s *hookSink) Batch(cols []*store.Vec, sel []int32) error {
 // and the build is abandoned, nothing admitted, its slot released with the
 // transaction.
 func TestTypedBuildAbandonedOnEpochBump(t *testing.T) {
-	const records = 3*buildChunk + 100
+	const records = 3*store.BatchRows + 100
 	var data strings.Builder
 	for i := 0; i < records; i++ {
 		fmt.Fprintf(&data, "%d|%d|%d.5|n%d\n", i, i%50, i%9, i)
@@ -87,7 +79,7 @@ func TestTypedBuildAbandonedOnEpochBump(t *testing.T) {
 		t.Fatalf("the miss does not build:\n%s", plan.Explain(root))
 	}
 	// One chunk is in the build when the file is rewritten under it.
-	sink := &hookSink{n: buildChunk + buildChunk/2, hook: func() {
+	sink := &hookSink{n: store.BatchRows + store.BatchRows/2, hook: func() {
 		if err := os.WriteFile(path, []byte("1|1|1.5|rewritten\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}

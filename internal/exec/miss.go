@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"recache/internal/cache"
@@ -15,8 +16,10 @@ import (
 // hands out the offsets of the records that pass, a chunk at a time, and
 // each chunk is decoded into the query's own leaf vectors — while a
 // materializer's eager build rides along, its helper decodes the other
-// leaves beside the query (leafDecoder). A flat select serves those chunks
-// as batches (missSource); an Unnest expands them into rows (unnest.go).
+// leaves beside the query (leafDecoder). The select serves those chunks as
+// batches (missSource): a record per row, its top-level fields the columns,
+// or — under an Unnest — the records' flattened rows, expanded by their
+// list lengths (chunkIter).
 
 // source is the one place a dataset's provider is resolved: every raw read
 // of the engine goes through a plan.Source, and a provider short of one is
@@ -30,9 +33,15 @@ func source(ds *plan.Dataset) (plan.Source, error) {
 }
 
 // missPlan is the compile-time half of a miss: [Materialize →] Select →
-// Scan. The cursor runs the pushable conjuncts below parsing; a residual
-// (with pushdown off, the whole predicate) is tested on the records it
-// passes, decoded boxed, before anything else about them is.
+// Scan, with an Unnest above it when expand. The cursor runs the pushable
+// conjuncts below parsing; a residual (with pushdown off, the whole
+// predicate) is tested on the records it passes, decoded boxed, before
+// anything else about them is.
+//
+// A record's batch columns are its top-level fields: a scalar field is its
+// leaf's vector; a sub-record or a list is boxed, decoded whole by the
+// format's record decoder (ScanOffsetsAt) when a needed path falls under
+// it, and nulls otherwise. An expanded batch's columns are the leaves.
 type missPlan struct {
 	src       plan.Source
 	spec      *cache.BuildSpec // nil: no materializer
@@ -41,35 +50,63 @@ type missPlan struct {
 	resNeeded []value.Path
 	cols      []value.LeafColumn
 	need      []bool // the leaves the query reads
+	expand    bool
+	leaves    []int        // per batch column: its leaf, or -1 for a boxed field
+	kinds     []value.Kind // per batch column
+	boxed     []value.Path // the boxed fields the query reads
+	boxCols   []int        // their batch columns
 }
 
-// rawSelect unwraps [Materialize →] Select → Scan.
-func rawSelect(n plan.Node) (spec *cache.BuildSpec, sel *plan.Select, scan *plan.Scan, ok bool) {
+// rawSelect unwraps [Materialize →] [Select →] Scan.
+func rawSelect(n plan.Node) (spec *cache.BuildSpec, pred expr.Expr, scan *plan.Scan, ok bool) {
 	if m, isM := n.(*plan.Materialize); isM {
 		spec, _ = m.Spec.(*cache.BuildSpec)
 		n = m.Child
 	}
-	if sel, ok = n.(*plan.Select); ok {
-		scan, ok = sel.Child.(*plan.Scan)
+	if sel, isSel := n.(*plan.Select); isSel {
+		pred, n = sel.Pred, sel.Child
 	}
-	return spec, sel, scan, ok
+	scan, ok = n.(*plan.Scan)
+	return spec, pred, scan, ok
 }
 
 // planMiss plans the miss of a raw select.
-func planMiss(spec *cache.BuildSpec, sel *plan.Select, scan *plan.Scan, deps Deps) (*missPlan, error) {
+func planMiss(spec *cache.BuildSpec, pred expr.Expr, scan *plan.Scan, deps Deps, expand bool) (*missSource, error) {
 	src, err := source(scan.DS)
 	if err != nil {
 		return nil, err
 	}
-	cols, err := value.LeafColumnsCached(scan.DS.Schema())
+	schema := scan.DS.Schema()
+	cols, err := value.LeafColumnsCached(schema)
 	if err != nil {
 		return nil, err
 	}
-	p := &missPlan{src: src, spec: spec, cols: cols,
-		need: neededLeaves(cols, scanNeeded(scan, deps))}
-	residual := sel.Pred
+	needed := scanNeeded(scan, deps)
+	p := &missPlan{src: src, spec: spec, cols: cols, need: neededLeaves(cols, needed), expand: expand}
+	if expand {
+		for i, c := range cols {
+			p.leaves, p.kinds = append(p.leaves, i), append(p.kinds, c.Type.Kind)
+		}
+	} else {
+		top := make([]bool, len(cols))
+		for _, f := range schema.Fields {
+			leaf := slices.IndexFunc(cols, func(c value.LeafColumn) bool {
+				return len(c.Path) == 1 && c.Path[0] == f.Name && !c.Repeated
+			})
+			p.leaves, p.kinds = append(p.leaves, leaf), append(p.kinds, f.Type.Kind)
+			if leaf >= 0 {
+				top[leaf] = true
+			} else if needed == nil || slices.ContainsFunc(needed, func(n value.Path) bool { return n[0] == f.Name }) {
+				p.boxed, p.boxCols = append(p.boxed, value.Path{f.Name}), append(p.boxCols, len(p.leaves)-1)
+			}
+		}
+		for i := range p.need { // a boxed field is decoded whole, not by its leaves
+			p.need[i] = p.need[i] && top[i]
+		}
+	}
+	residual := pred
 	if !deps.DisablePushdown {
-		p.pd, residual = expr.ExtractPushdown(sel.Pred, scan.DS.Schema())
+		p.pd, residual = expr.ExtractPushdown(pred, schema)
 	}
 	if residual != nil {
 		if p.residual, err = expr.CompilePredicate(residual, scan.OutSchema()); err != nil {
@@ -77,7 +114,7 @@ func planMiss(spec *cache.BuildSpec, sel *plan.Select, scan *plan.Scan, deps Dep
 		}
 		p.resNeeded = expr.Columns(residual)
 	}
-	return p, nil
+	return &missSource{p: p}, nil
 }
 
 // missRun is one execution of a miss.
@@ -91,6 +128,7 @@ type missRun struct {
 	skipped int64
 	last    int64 // the offset of the last record passed
 	nanos   int64 // the time spent in chunk
+	boxed   []*store.Vec
 }
 
 // start opens the cursor, pinned to the file epoch the admission read (or
@@ -112,6 +150,12 @@ func (p *missPlan) start(ctx *qctx) (*missRun, error) {
 		return nil, err
 	}
 	r.dec = newLeafDecoder(p.src, r.epoch, p.cols, p.need)
+	if len(p.boxCols) > 0 {
+		r.boxed = make([]*store.Vec, len(p.leaves))
+		for _, i := range p.boxCols {
+			r.boxed[i] = store.NewVec(p.kinds[i])
+		}
+	}
 	return r, nil
 }
 
@@ -150,6 +194,9 @@ func (r *missRun) chunk(ctx *qctx) (ch leafVecs, ok bool, err error) {
 	if b != nil {
 		a.nanos += build.Nanoseconds()
 	}
+	if err == nil && r.boxed != nil {
+		ch.boxed, err = r.box(r.offs)
+	}
 	if err != nil {
 		return ch, false, err
 	}
@@ -172,6 +219,24 @@ func (r *missRun) filter(offs []int64) ([]int64, error) {
 	return kept, err
 }
 
+// box decodes the boxed fields of the records at offs whole, with the
+// format's record decoder.
+func (r *missRun) box(offs []int64) ([]*store.Vec, error) {
+	for _, v := range r.boxed {
+		if v != nil {
+			v.Truncate(0)
+		}
+	}
+	return r.boxed, r.p.src.ScanOffsetsAt(r.epoch, offs, r.p.boxed, func(rec value.Value, _ int64, _ func() error) error {
+		for i, v := range r.boxed {
+			if v != nil {
+				v.AppendVal(rec.L[i])
+			}
+		}
+		return nil
+	})
+}
+
 // finish ends a miss whose scan is done: the pushdown is noted, and the
 // admission hands its outcome to the cache with the time spent outside
 // chunk as the operators above's.
@@ -184,41 +249,14 @@ func (r *missRun) finish(ctx *qctx) {
 	}
 }
 
-// flatLeaves reports whether every leaf column is a top-level scalar field:
-// leaf i is then row slot i.
-func flatLeaves(cols []value.LeafColumn) bool {
-	for _, c := range cols {
-		if len(c.Path) != 1 || c.Repeated {
-			return false
-		}
-	}
-	return true
-}
-
-// flatMiss resolves n, [Materialize →] Select → Scan over a flat dataset,
-// to the batch source of its miss.
-func flatMiss(n plan.Node, deps Deps) (*missSource, bool, error) {
-	spec, sel, scan, ok := rawSelect(n)
-	if !ok {
-		return nil, false, nil
-	}
-	p, err := planMiss(spec, sel, scan, deps)
-	if err != nil || !flatLeaves(p.cols) {
-		return nil, false, err
-	}
-	return &missSource{p: p}, true, nil
-}
-
-// missSource serves a flat miss as batches: a chunk's leaf vectors are the
-// select's columns, and the columns the query does not read are nulls.
+// missSource serves a miss as batches.
 type missSource struct {
 	p       *missPlan
 	filters []*expr.VecFilter // Selects above the raw select
 }
 
-// open starts nothing: the scan begins at the first Next, so a consumer
-// that opens the source and falls back to its row path reads no file.
-func (s *missSource) open(ctx *qctx) (vecIter, bool) {
+// open starts nothing: the scan begins at the first Next.
+func (s *missSource) open(ctx *qctx) (vecIter, error) {
 	var r *missRun
 	next := func() (ch leafVecs, ok bool, err error) {
 		if r == nil {
@@ -234,11 +272,7 @@ func (s *missSource) open(ctx *qctx) (vecIter, bool) {
 		}
 		return err
 	}
-	leaves := make([]int, len(s.p.cols))
-	for i := range leaves {
-		leaves[i] = i
-	}
-	return newChunkIter(next, end, s.p.cols, leaves, s.filters), true
+	return newChunkIter(next, end, s.p.cols, s.p.leaves, s.p.kinds, s.p.expand, s.filters)
 }
 
 // info counts the batches of a scan of every record known so far, without
@@ -247,32 +281,48 @@ func (s *missSource) info(Deps) (int64, bool) {
 	return (max(int64(s.p.src.NumRecords()), 0) + store.BatchRows - 1) / store.BatchRows, true
 }
 
-// chunkIter serves the chunks a miss or a lazy replay decodes as
-// batches: column i is leaf leaves[i] of each chunk — nulls when the chunk
-// did not decode it — and the selection is the chunk's records that pass
-// the filters. next yields the chunks; end closes the read, which took
-// own nanoseconds and served batches batches, or failed with err.
+// chunkIter serves the chunks a miss or a lazy replay decodes as batches:
+// column i is leaf leaves[i] of each chunk — or, at -1, the chunk's boxed
+// field i — and nulls when the chunk did not decode it; the selection is
+// the rows that pass the filters. An expanding iterator serves a chunk's
+// flattened rows, a batch of at most store.BatchRows at a time: a record
+// leaf gathered by the rows' parent records (store.ParentIndex), a
+// repeated leaf read in order. next yields the chunks; end closes the read,
+// which took own nanoseconds and served batches batches, or failed with
+// err.
 type chunkIter struct {
-	next    func() (leafVecs, bool, error)
-	end     func(own, batches int64, err error) error
-	leaves  []int
-	kinds   []value.Kind
-	filters []*expr.VecFilter
-	cols    []*store.Vec
-	sel     []int32
-	err     error
-	batches int64
-	nanos   int64
+	next     func() (leafVecs, bool, error)
+	end      func(own, batches int64, err error) error
+	leaves   []int
+	repeated []bool // per batch column
+	kinds    []value.Kind
+	expand   bool
+	filters  []*expr.VecFilter
+	ch       leafVecs
+	lo, rows int  // the chunk's rows still to serve
+	flat     bool // the chunk's rows are expanded
+	parent   []int32
+	gathered []*store.Vec // an expanded batch's columns, reused
+	cols     []*store.Vec
+	sel      []int32
+	err      error
+	batches  int64
+	nanos    int64
 }
 
 func newChunkIter(next func() (leafVecs, bool, error), end func(own, batches int64, err error) error,
-	cols []value.LeafColumn, leaves []int, filters []*expr.VecFilter) *chunkIter {
-	it := &chunkIter{next: next, end: end, leaves: leaves, filters: filters,
-		kinds: make([]value.Kind, len(leaves)), cols: make([]*store.Vec, len(leaves)), sel: make([]int32, store.BatchRows)}
-	for i, leaf := range leaves {
-		it.kinds[i] = cols[leaf].Type.Kind
+	cols []value.LeafColumn, leaves []int, kinds []value.Kind, expand bool, filters []*expr.VecFilter) (*chunkIter, error) {
+	if err := checkFilters(kinds, filters); err != nil {
+		return nil, err
 	}
-	return it
+	it := &chunkIter{next: next, end: end, leaves: leaves, kinds: kinds, expand: expand, filters: filters,
+		repeated: make([]bool, len(leaves)), gathered: make([]*store.Vec, len(leaves)),
+		cols: make([]*store.Vec, len(leaves)), sel: make([]int32, store.BatchRows)}
+	for i, leaf := range leaves {
+		it.repeated[i] = leaf >= 0 && cols[leaf].Repeated
+		it.gathered[i] = store.NewVec(kinds[i])
+	}
+	return it, nil
 }
 
 func (it *chunkIter) Kinds() []value.Kind   { return it.kinds }
@@ -283,20 +333,46 @@ func (it *chunkIter) Close(ctx *qctx) error { return it.end(it.nanos, it.batches
 
 func (it *chunkIter) Next() ([]*store.Vec, []int32, bool) {
 	t0 := time.Now()
-	if it.err != nil {
-		return nil, nil, false
-	}
-	ch, ok, err := it.next()
-	if !ok {
-		it.err = err
-		return nil, nil, false
-	}
-	for i, leaf := range it.leaves {
-		if it.cols[i] = ch.vecs[leaf]; it.cols[i] == nil {
-			it.cols[i] = nullVecs[it.kinds[i]]
+	for it.lo >= it.rows {
+		if it.err != nil {
+			return nil, nil, false
+		}
+		ch, ok, err := it.next()
+		if !ok {
+			it.err = err
+			return nil, nil, false
+		}
+		it.ch, it.lo, it.rows = ch, 0, ch.n
+		if it.flat = it.expand && ch.lengths != nil; it.flat {
+			it.parent = store.ParentIndex(it.parent[:0], ch.lengths, 0)
+			it.rows = len(it.parent)
 		}
 	}
-	sel := it.sel[:ch.n]
+	lo, hi := it.lo, min(it.lo+store.BatchRows, it.rows)
+	for i, leaf := range it.leaves {
+		var v *store.Vec
+		if leaf >= 0 {
+			v = it.ch.vecs[leaf]
+		} else if it.ch.boxed != nil {
+			v = it.ch.boxed[i]
+		}
+		switch {
+		case v == nil:
+			v = nullVecs[it.kinds[i]]
+		case it.flat:
+			g := it.gathered[i]
+			g.Truncate(0)
+			if it.repeated[i] {
+				g.AppendRange(v, lo, hi)
+			} else {
+				g.AppendSel(v, it.parent[lo:hi])
+			}
+			v = g
+		}
+		it.cols[i] = v
+	}
+	it.lo = hi
+	sel := it.sel[:hi-lo]
 	for k := range sel {
 		sel[k] = int32(k)
 	}
@@ -308,10 +384,10 @@ func (it *chunkIter) Next() ([]*store.Vec, []int32, bool) {
 	return it.cols, sel, true
 }
 
-// nullVecs hold store.BatchRows nulls of each scalar kind: the columns of a
-// miss's batch that the query does not read. They are never written.
-var nullVecs = func() (vs [value.String + 1]*store.Vec) {
-	for k := value.Bool; k <= value.String; k++ {
+// nullVecs hold store.BatchRows nulls of each kind: the columns of a
+// batch that the query does not read. They are never written.
+var nullVecs = func() (vs [value.Record + 1]*store.Vec) {
+	for k := value.Bool; k <= value.Record; k++ {
 		v := store.NewVec(k)
 		for range store.BatchRows {
 			v.AppendVal(value.VNull)

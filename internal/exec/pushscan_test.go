@@ -9,9 +9,9 @@ import (
 	"recache/internal/value"
 )
 
-// A source filters a pushdown below its parse: pushScan for id BETWEEN 2
-// AND 4, with only qty needed, hands the callback the passing records with
-// the tested column decoded and counts the rest as skipped.
+// A source filters a pushdown below its parse: ScanPushdown for id BETWEEN
+// 2 AND 4, with only qty needed, hands the callback the passing records
+// with the tested column decoded and counts the rest as skipped.
 func TestPushScanBelowParse(t *testing.T) {
 	src, err := source(csvDataset(t))
 	if err != nil {
@@ -22,7 +22,7 @@ func TestPushScanBelowParse(t *testing.T) {
 		t.Fatal("predicate not fully pushable")
 	}
 	var ids []int64
-	skipped, err := pushScan(src, pd, []value.Path{{"qty"}}, func(rec value.Value, off int64, complete func() error) error {
+	skipped, err := src.ScanPushdown(pd, []value.Path{{"qty"}}, func(rec value.Value, off int64, complete func() error) error {
 		// The tested column is decoded although the caller did not ask for it.
 		if rec.L[0].Kind != value.Int {
 			t.Fatalf("id not decoded: %v", rec.L)

@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"testing"
+
 	"recache/internal/plan"
+	"recache/internal/reference"
 	"recache/internal/store"
 	"recache/internal/value"
 )
@@ -13,13 +16,8 @@ type Result struct {
 	Rows    [][]value.Value
 }
 
-// collectSink materializes either result shape as boxed rows.
+// collectSink materializes the result batches as boxed rows.
 type collectSink struct{ rows [][]value.Value }
-
-func (s *collectSink) Row(row []value.Value) error {
-	s.rows = append(s.rows, append([]value.Value(nil), row...))
-	return nil
-}
 
 func (s *collectSink) Batch(cols []*store.Vec, sel []int32) error {
 	nc := len(cols)
@@ -44,4 +42,14 @@ func Run(root plan.Node, deps Deps) (*Result, *QueryStats, error) {
 		cols[i] = f.Name
 	}
 	return &Result{Schema: schema, Columns: cols, Rows: sink.rows}, stats, nil
+}
+
+// refRows evaluates a plan with the reference evaluator.
+func refRows(t testing.TB, root plan.Node) [][]value.Value {
+	t.Helper()
+	rows, err := reference.Run(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }

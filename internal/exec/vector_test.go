@@ -10,6 +10,7 @@ import (
 	"recache/internal/cache"
 	"recache/internal/expr"
 	"recache/internal/plan"
+	"recache/internal/reference"
 	"recache/internal/store"
 	"recache/internal/value"
 )
@@ -83,8 +84,8 @@ func vecParityPlans(t *testing.T, ds, orders *plan.Dataset) map[string]func() pl
 }
 
 // TestVectorizedMatchesRowPath is the exec-level differential parity test:
-// every corpus plan produces identical results through the vectorized and
-// row pipelines, on the miss, the exact hit, and a second hit.
+// every corpus plan produces the reference evaluator's rows on the miss,
+// the exact hit, and a second hit.
 func TestVectorizedMatchesRowPath(t *testing.T) {
 	for _, layout := range []cache.LayoutMode{cache.LayoutAuto, cache.LayoutFixedColumnar, cache.LayoutFixedParquet} {
 		ds, orders := csvDataset(t), ordersDataset(t)
@@ -94,39 +95,30 @@ func TestVectorizedMatchesRowPath(t *testing.T) {
 			"orders": {"okey", "total"},
 		}
 		mVec := mgr(cache.Config{Admission: cache.AlwaysEager, Layout: layout})
-		mRow := mgr(cache.Config{Admission: cache.AlwaysEager, Layout: layout})
 		for name, mk := range plans {
+			want := refRows(t, mk())
 			for pass := 0; pass < 3; pass++ {
 				mVec.BeginQuery()
 				pv := mVec.Rewrite(mk(), needed)
 				rv, _, err := Run(pv, Deps{Manager: mVec})
 				if err != nil {
-					t.Fatalf("layout %v %s pass %d (vec): %v", layout, name, pass, err)
+					t.Fatalf("layout %v %s pass %d: %v", layout, name, pass, err)
 				}
-				mRow.BeginQuery()
-				pr := mRow.Rewrite(mk(), needed)
-				rr, _, err := Run(pr, Deps{Manager: mRow, DisableVectorized: true})
-				if err != nil {
-					t.Fatalf("layout %v %s pass %d (row): %v", layout, name, pass, err)
-				}
-				if !reflect.DeepEqual(rv.Rows, rr.Rows) {
-					t.Errorf("layout %v %s pass %d: vectorized %v != row %v",
-						layout, name, pass, rv.Rows, rr.Rows)
+				if !reflect.DeepEqual(rv.Rows, want) {
+					t.Errorf("layout %v %s pass %d: %v != reference %v",
+						layout, name, pass, rv.Rows, want)
 				}
 			}
 		}
 		if layout == cache.LayoutFixedColumnar && mVec.Stats().VectorizedScans == 0 {
 			t.Error("columnar layout ran zero vectorized scans")
 		}
-		if mRow.Stats().VectorizedScans != 0 {
-			t.Errorf("DisableVectorized engine ran %d vectorized scans", mRow.Stats().VectorizedScans)
-		}
 	}
 }
 
 // TestVectorizedSubsumptionResidual checks the selection-kernel residual: a
-// narrower hit on a wider cached range must re-filter identically in both
-// flavors, and the vectorized flavor must actually engage.
+// narrower hit on a wider cached range must re-filter to the reference
+// evaluator's answer, as a batch scan of the entry.
 func TestVectorizedSubsumptionResidual(t *testing.T) {
 	ds := csvDataset(t)
 	needed := map[string][]string{"t": {"qty", "price"}}
@@ -156,9 +148,8 @@ func TestVectorizedSubsumptionResidual(t *testing.T) {
 		t.Fatalf("vectorized scans = %d, want 1 (residual should run as kernels)",
 			m.Stats().VectorizedScans)
 	}
-	rRaw := run(t, narrow(), Deps{})
-	if !reflect.DeepEqual(rSub.Rows, rRaw.Rows) {
-		t.Errorf("subsumed vectorized result %v != raw %v", rSub.Rows, rRaw.Rows)
+	if want := refRows(t, narrow()); !reflect.DeepEqual(rSub.Rows, want) {
+		t.Errorf("subsumed result %v != reference %v", rSub.Rows, want)
 	}
 }
 
@@ -253,56 +244,44 @@ func TestVectorizedScanStatsFeedAdvisor(t *testing.T) {
 	}
 }
 
-// TestRootBatchExit: a batch-native root — a column-permutation Project or a
-// bare scan chain — hands a miss's and a hit's batches to the sink and
-// still attributes the hit's scan to its entry; aggregate roots and
-// DisableVectorized keep the row sink.
+// TestRootBatchExit: every root — a column-permutation Project, a bare
+// scan chain, an aggregate — hands a miss's and a hit's batches to the
+// sink and still attributes the hit's scan to its entry.
 func TestRootBatchExit(t *testing.T) {
 	ds, orders := csvDataset(t), ordersDataset(t)
 	plans := vecParityPlans(t, ds, orders)
 	needed := map[string][]string{"t": {"id", "qty", "price", "name"}}
-	for _, c := range []struct {
-		plan  string
-		batch bool
-	}{{"project-cols", true}, {"bare-scan", true}, {"agg-sum-count", false}} {
+	for _, name := range []string{"project-cols", "bare-scan", "agg-sum-count"} {
 		m := mgr(cache.Config{Admission: cache.AlwaysEager, Layout: cache.LayoutFixedColumnar})
-		run := func(deps Deps) (*Result, *QueryStats) {
+		run := func() (*Result, *QueryStats) {
 			t.Helper()
 			m.BeginQuery()
-			res, st, err := Run(m.Rewrite(plans[c.plan](), needed), deps)
+			res, st, err := Run(m.Rewrite(plans[name](), needed), Deps{Manager: m})
 			if err != nil {
-				t.Fatalf("%s: %v", c.plan, err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			return res, st
 		}
-		miss, st := run(Deps{Manager: m})
-		if c.batch != (st.ResultBatches > 0) {
-			t.Errorf("%s miss: ResultBatches = %d, want batch exit %v", c.plan, st.ResultBatches, c.batch)
+		miss, st := run()
+		if st.ResultBatches == 0 {
+			t.Errorf("%s miss: ResultBatches = 0", name)
 		}
-		m.BeginQuery()
-		if got := BatchResultInfo(m.Rewrite(plans[c.plan](), needed), m, false); got != c.batch {
-			t.Errorf("%s: BatchResultInfo = %v, want %v", c.plan, got, c.batch)
-		}
-		hit, st := run(Deps{Manager: m})
+		hit, st := run()
 		if !reflect.DeepEqual(hit.Rows, miss.Rows) {
-			t.Errorf("%s: hit %v != miss %v", c.plan, hit.Rows, miss.Rows)
+			t.Errorf("%s: hit %v != miss %v", name, hit.Rows, miss.Rows)
 		}
-		if c.batch != (st.ResultBatches > 0) || st.RowsOut != len(hit.Rows) {
-			t.Errorf("%s hit: ResultBatches = %d, RowsOut = %d (%d rows), want batch exit %v",
-				c.plan, st.ResultBatches, st.RowsOut, len(hit.Rows), c.batch)
+		if st.ResultBatches == 0 || st.RowsOut != len(hit.Rows) {
+			t.Errorf("%s hit: ResultBatches = %d, RowsOut = %d (%d rows)",
+				name, st.ResultBatches, st.RowsOut, len(hit.Rows))
 		}
 		if e := m.Entries()[0]; e.VecScans != 1 || e.ScanNanos <= 0 {
 			t.Errorf("%s hit: entry VecScans = %d, ScanNanos = %d; the exit must attribute the scan",
-				c.plan, e.VecScans, e.ScanNanos)
-		}
-		off, st := run(Deps{Manager: m, DisableVectorized: true})
-		if st.ResultBatches != 0 || !reflect.DeepEqual(off.Rows, miss.Rows) {
-			t.Errorf("%s DisableVectorized: ResultBatches = %d, rows %v", c.plan, st.ResultBatches, off.Rows)
+				name, e.VecScans, e.ScanNanos)
 		}
 	}
 }
 
-// Edge values the folds must agree with the row path on: the int64
+// Edge values the folds must agree with the reference on: the int64
 // extremes (whose float64 sums round), and for floats NaN, ±0 and ±Inf.
 var (
 	edgeInts   = []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, 1 << 53, math.MaxInt64 - 1, math.MaxInt64}
@@ -413,11 +392,12 @@ func aggInput(seed int64, shape []byte) (cols []*store.Vec, rows [][]value.Value
 	return cols, rows, batches
 }
 
-// FuzzVecAggregate holds the batch folds to the row path's aggState:
-// COUNT/SUM/AVG/MIN/MAX folded batch by batch, ungrouped (updateBatch) and
-// grouped by an int key with NULL keys (groupIndex, foldGroups), must give
-// the values the row path gives folding the same rows in order — floats
-// bit for bit (sameValue), NULL for an empty or all-NULL input.
+// FuzzVecAggregate holds the batch folds to the reference evaluator's
+// AggState: COUNT/SUM/AVG/MIN/MAX folded batch by batch, ungrouped
+// (updateBatch) and grouped by an int key with NULL keys (groupIndex,
+// foldGroups), must give the values AggState gives folding the same rows
+// in order — floats bit for bit (sameValue), NULL for an empty or all-NULL
+// input.
 func FuzzVecAggregate(f *testing.F) {
 	f.Add(int64(1), []byte{0, 0, 0, 0, 0})    // empty input
 	f.Add(int64(2), []byte{90, 3, 1, 0, 0})   // every argument NULL
@@ -435,27 +415,27 @@ func FuzzVecAggregate(f *testing.F) {
 			}
 			return accs
 		}
-		newStates := func() []aggState {
-			st := make([]aggState, len(foldSpecs))
+		newStates := func() []reference.AggState {
+			st := make([]reference.AggState, len(foldSpecs))
 			for i, s := range foldSpecs {
-				st[i].fn = s.fn
+				st[i].Fn = s.fn
 			}
 			return st
 		}
-		update := func(st []aggState, row []value.Value) {
+		update := func(st []reference.AggState, row []value.Value) {
 			for i, s := range foldSpecs {
 				if s.arg < 0 {
-					st[i].update(value.VNull, false)
+					st[i].Update(value.VNull, false)
 				} else {
-					st[i].update(row[s.arg], true)
+					st[i].Update(row[s.arg], true)
 				}
 			}
 		}
-		check := func(what string, accs []vaggAcc, st []aggState) {
+		check := func(what string, accs []vaggAcc, st []reference.AggState) {
 			t.Helper()
 			for i := range accs {
-				if got, want := accs[i].result(), st[i].result(); !sameValue(got, want) {
-					t.Fatalf("%s: agg %d (fn %v, arg %d) = %v, row path %v", what, i, foldSpecs[i].fn, foldSpecs[i].arg, got, want)
+				if got, want := accs[i].result(), st[i].Result(); !sameValue(got, want) {
+					t.Fatalf("%s: agg %d (fn %v, arg %d) = %v, reference %v", what, i, foldSpecs[i].fn, foldSpecs[i].arg, got, want)
 				}
 			}
 		}
@@ -463,7 +443,7 @@ func FuzzVecAggregate(f *testing.F) {
 		accs, st := newAccs(), newStates()
 		gi := newGroupIndex([]int{0}, []value.Kind{value.Int})
 		gaccs := make([][]vaggAcc, len(foldSpecs))
-		groups := map[string][]aggState{}
+		groups := map[string][]reference.AggState{}
 		for _, sel := range batches {
 			for i := range accs {
 				accs[i].updateBatch(cols, sel)
@@ -489,12 +469,12 @@ func FuzzVecAggregate(f *testing.F) {
 		}
 		check("ungrouped", accs, st)
 		if len(gi.groups) != len(groups) {
-			t.Fatalf("%d groups, row path %d", len(gi.groups), len(groups))
+			t.Fatalf("%d groups, reference %d", len(gi.groups), len(groups))
 		}
 		for g, grp := range gi.groups {
 			want := groups[grp.sortKey]
 			if want == nil {
-				t.Fatalf("group %v not on the row path", grp.keys)
+				t.Fatalf("group %v not in the reference", grp.keys)
 			}
 			got := make([]vaggAcc, len(gaccs))
 			for ai := range gaccs {

@@ -8,12 +8,15 @@ import (
 )
 
 // This file holds the vectorized predicate kernels: a VecFilter evaluates a
-// conjunctive scan predicate over typed column vectors by tightening a
-// selection vector, instead of testing one boxed row at a time. It accepts
-// exactly the predicate shape the fused row path accepts (AND-chains of
-// <col> <cmp> <literal> over single-slot Int/Float/String columns), so a
-// pipeline can choose either flavor per compile without changing results:
-// both treat a null operand as false (SQL three-valued logic at a filter).
+// scan predicate over typed column vectors by tightening a selection
+// vector, instead of testing one boxed row at a time. The predicate shape
+// the fused row path accepts (AND-chains of <col> <cmp> <literal> over
+// single-slot Int/Float/String columns) compiles to typed kernels with that
+// path's semantics; every other predicate — OR, NOT, arithmetic, one column
+// compared with another, a path into a sub-record — compiles to one generic
+// spec that boxes the selected rows and runs the compiled row predicate
+// itself, so its results are the row predicate's by construction. Both
+// treat a null operand as false (SQL three-valued logic at a filter).
 //
 // Numeric conjuncts are fused per column into the interval form of
 // ranges.go — qty >= 20 AND qty <= 40 becomes one [20,40] kernel pass, the
@@ -29,6 +32,7 @@ const (
 	vsIntNe                       // Ints[r] != i
 	vsFltNe                       // float64(col[r]) != f
 	vsStrCmp                      // Strs[r] op s
+	vsGeneric                     // pred over the boxed row
 )
 
 // vecSpec is one compiled kernel.
@@ -43,29 +47,34 @@ type vecSpec struct {
 	// fails < and >. A fused interval admits NaN iff no folded conjunct was
 	// strict.
 	nanOK bool
-	i     int64   // int inequality constant
-	f     float64 // float inequality constant
-	s     string  // string comparison constant
-	op    Op      // string comparison operator
-	empty bool    // statically unsatisfiable conjunct
+	i     int64     // int inequality constant
+	f     float64   // float inequality constant
+	s     string    // string comparison constant
+	op    Op        // string comparison operator
+	empty bool      // statically unsatisfiable conjunct
+	pred  Predicate // the generic spec's row predicate
 }
 
-// VecFilter is a compiled conjunctive predicate over column batches.
+// VecFilter is a compiled predicate over column batches.
 type VecFilter struct {
 	specs []vecSpec
 }
 
 // CompileVecFilter compiles e against the input schema into selection
-// kernels. ok is false when the predicate is not vectorizable (non-conjunct
-// structure, expression operands, unsupported types); a nil predicate
-// compiles to the pass-everything filter.
-func CompileVecFilter(e Expr, schema *value.Type) (*VecFilter, bool) {
+// kernels: typed ones for the fused shape, the generic spec otherwise. A
+// nil predicate compiles to the pass-everything filter; an error is e's
+// own (an unknown column, a non-boolean predicate).
+func CompileVecFilter(e Expr, schema *value.Type) (*VecFilter, error) {
 	if e == nil {
-		return &VecFilter{}, true
+		return &VecFilter{}, nil
 	}
 	cmps, ok := extractCmpSpecs(e, schema)
 	if !ok {
-		return nil, false
+		pred, err := CompilePredicate(e, schema)
+		if err != nil {
+			return nil, err
+		}
+		return &VecFilter{specs: []vecSpec{{kind: vsGeneric, pred: pred}}}, nil
 	}
 	f := &VecFilter{}
 	// Numeric range accumulators per (column, representation); they merge
@@ -104,11 +113,9 @@ func CompileVecFilter(e Expr, schema *value.Type) (*VecFilter, bool) {
 				rangeOrder = append(rangeOrder, sp)
 			}
 			tightenFloat(sp, c.op, c.f)
-		case value.String:
+		default: // value.String
 			f.specs = append(f.specs, vecSpec{kind: vsStrCmp, idx: c.idx, src: value.String,
 				s: c.s, op: c.op})
-		default:
-			return nil, false
 		}
 	}
 	// Ranges first: they are the cheapest kernels and usually the most
@@ -120,7 +127,7 @@ func CompileVecFilter(e Expr, schema *value.Type) (*VecFilter, bool) {
 		}
 		f.specs = append(specs, f.specs...)
 	}
-	return f, true
+	return f, nil
 }
 
 // tightenInt intersects an integer range spec with one comparison. Open
@@ -231,36 +238,19 @@ func ColSlot(e Expr, schema *value.Type) (int, bool) {
 	return chain[0], true
 }
 
-// Compatible verifies the batch columns match the kinds the kernels were
-// compiled for; a mismatch (schema drift) sends the pipeline to the row
-// fallback instead of reading the wrong typed slice.
-func (f *VecFilter) Compatible(cols []*store.Vec) bool {
+// Compatible verifies that batch columns of the given kinds hold what the
+// typed kernels were compiled for, so a kernel never reads the wrong typed
+// slice. The kinds are fixed across a source's batches: one check covers
+// the stream.
+func (f *VecFilter) Compatible(kinds []value.Kind) bool {
 	for i := range f.specs {
 		sp := &f.specs[i]
-		if sp.idx < len(cols) && cols[sp.idx].Kind != sp.src {
+		if sp.kind != vsGeneric && sp.idx < len(kinds) && kinds[sp.idx] != sp.src {
 			return false
 		}
 	}
 	return true
 }
-
-// CompatibleKinds is Compatible against bare column kinds, for sources
-// (the vectorized join's gathered output) whose vectors exist only batch
-// by batch: the kinds are fixed across batches, so one check at open time
-// covers the stream.
-func (f *VecFilter) CompatibleKinds(kinds []value.Kind) bool {
-	for i := range f.specs {
-		sp := &f.specs[i]
-		if sp.idx < len(kinds) && kinds[sp.idx] != sp.src {
-			return false
-		}
-	}
-	return true
-}
-
-// Selective reports whether the filter has at least one kernel (a
-// pass-everything filter is not selective).
-func (f *VecFilter) Selective() bool { return len(f.specs) > 0 }
 
 // Apply runs every kernel over the selection vector in place, returning the
 // surviving prefix of sel. Rows whose tested column is null never survive,
@@ -273,6 +263,10 @@ func (f *VecFilter) Apply(cols []*store.Vec, sel []int32) []int32 {
 		sp := &f.specs[i]
 		if len(sel) == 0 {
 			return sel
+		}
+		if sp.kind == vsGeneric {
+			sel = sp.applyGeneric(cols, sel)
+			continue
 		}
 		if sp.empty || sp.idx >= len(cols) {
 			return sel[:0]
@@ -341,6 +335,21 @@ func (f *VecFilter) Apply(cols []*store.Vec, sel []int32) []int32 {
 		sel = out
 	}
 	return sel
+}
+
+// applyGeneric is the generic spec: it boxes the selected rows of cols
+// (store.FillRows) and keeps those the row predicate passes, in order.
+func (sp *vecSpec) applyGeneric(cols []*store.Vec, sel []int32) []int32 {
+	nc := len(cols)
+	rows := make([]value.Value, len(sel)*nc)
+	store.FillRows(cols, sel, rows, nc)
+	out := sel[:0]
+	for k, r := range sel {
+		if sp.pred(rows[k*nc : (k+1)*nc : (k+1)*nc]) {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // selectDense runs one numeric kernel over a selection whose null words hold

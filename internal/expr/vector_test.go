@@ -80,11 +80,11 @@ func TestVecFilterMatchesRowPredicate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vf, ok := CompileVecFilter(pred, schema)
-			if !ok {
-				t.Fatalf("predicate %d should be vectorizable", pi)
+			vf, err := CompileVecFilter(pred, schema)
+			if err != nil || (len(vf.specs) > 0 && vf.specs[0].kind == vsGeneric) {
+				t.Fatalf("predicate %d should compile to typed kernels: %v", pi, err)
 			}
-			if !vf.Compatible(cols) {
+			if !vf.Compatible([]value.Kind{cols[0].Kind, cols[1].Kind, cols[2].Kind}) {
 				t.Fatal("filter incompatible with its own schema's columns")
 			}
 			got := vf.Apply(cols, fullSel(len(rows)))
@@ -106,11 +106,15 @@ func TestVecFilterMatchesRowPredicate(t *testing.T) {
 	}
 }
 
+// The typed kernels reject every shape but the fused one: these predicates
+// compile to the generic spec, which keeps exactly the rows the row
+// predicate keeps, NULLs and a nested path included.
 func TestVecFilterRejectsNonVectorizable(t *testing.T) {
 	schema := value.TRecord(
 		value.F("a", value.TInt),
 		value.F("b", value.TFloat),
 		value.F("flag", value.TBool),
+		value.F("o", value.TRecord(value.F("x", value.TInt))),
 	)
 	bad := []Expr{
 		Or(Cmp(OpGt, C("a"), L(1)), Cmp(OpLt, C("a"), L(0))),        // disjunction
@@ -119,10 +123,38 @@ func TestVecFilterRejectsNonVectorizable(t *testing.T) {
 		Cmp(OpEq, C("a"), C("b")),                                   // col vs col
 		&Not{E: Cmp(OpGt, C("a"), L(1))},                            // negation
 		And(Cmp(OpGt, C("a"), L(1)), Cmp(OpEq, C("flag"), L(true))), // one bad conjunct
+		Cmp(OpGe, C("o.x"), L(2)),                                   // a path into a sub-record
+	}
+	cols := []*store.Vec{{Kind: value.Int}, {Kind: value.Float}, {Kind: value.Bool}, {Kind: value.Record}}
+	var rows []Row
+	for i := 0; i < 100; i++ {
+		row := Row{value.VInt(int64(i%7 - 2)), value.VFloat(float64(i%5 - 1)), value.VBool(i%3 == 0),
+			value.VRecord(value.VInt(int64(i % 4)))}
+		if i%11 == 0 {
+			row[i%4] = value.VNull
+		}
+		for c, v := range row {
+			cols[c].AppendVal(v)
+		}
+		rows = append(rows, row)
 	}
 	for i, e := range bad {
-		if _, ok := CompileVecFilter(e, schema); ok {
-			t.Errorf("predicate %d should not be vectorizable", i)
+		vf, err := CompileVecFilter(e, schema)
+		if err != nil || len(vf.specs) != 1 || vf.specs[0].kind != vsGeneric {
+			t.Fatalf("predicate %d: %v; want the generic spec alone", i, err)
+		}
+		rowPred, err := CompilePredicate(e, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int32
+		for k, row := range rows {
+			if rowPred(row) {
+				want = append(want, int32(k))
+			}
+		}
+		if got := vf.Apply(cols, fullSel(len(rows))); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("predicate %d (%s): kept %v, want %v", i, e.Canonical(), got, want)
 		}
 	}
 }
@@ -130,10 +162,10 @@ func TestVecFilterRejectsNonVectorizable(t *testing.T) {
 func TestVecFilterIntervalFusion(t *testing.T) {
 	schema := value.TRecord(value.F("a", value.TInt))
 	// Three conjuncts on one column: one fused interval kernel.
-	vf, ok := CompileVecFilter(
+	vf, err := CompileVecFilter(
 		And(Cmp(OpGe, C("a"), L(10)), Cmp(OpLe, C("a"), L(40)), Cmp(OpGt, C("a"), L(12))), schema)
-	if !ok {
-		t.Fatal("not vectorizable")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(vf.specs) != 1 {
 		t.Fatalf("specs = %d, want 1 fused interval", len(vf.specs))
@@ -175,9 +207,9 @@ func TestVecFilterNaNParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vf, ok := CompileVecFilter(pred, schema)
-		if !ok {
-			t.Fatalf("pred %d not vectorizable", pi)
+		vf, err := CompileVecFilter(pred, schema)
+		if err != nil {
+			t.Fatalf("pred %d: %v", pi, err)
 		}
 		got := vf.Apply(cols, fullSel(len(vals)))
 		var want []int32
@@ -203,9 +235,9 @@ func TestVecFilterAllNullColumn(t *testing.T) {
 	for i := 0; i < 70; i++ {
 		col.AppendVal(value.VNull)
 	}
-	vf, ok := CompileVecFilter(Cmp(OpGe, C("a"), L(0)), schema)
-	if !ok {
-		t.Fatal("not vectorizable")
+	vf, err := CompileVecFilter(Cmp(OpGe, C("a"), L(0)), schema)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := vf.Apply([]*store.Vec{col}, fullSel(70)); len(got) != 0 {
 		t.Errorf("all-null column selected %d rows, want 0", len(got))
@@ -251,21 +283,28 @@ func (b *shapeBytes) lit(float bool) value.Value {
 	}
 }
 
-// FuzzVecFilter holds the selection kernels to the fused row predicate:
-// an AND-chain of BETWEEN, <, <=, =, <>, > and >= conjuncts over an int
+// FuzzVecFilter holds the selection kernels to the row predicate: an
+// AND-chain of BETWEEN, <, <=, =, <>, > and >= conjuncts over an int
 // column a and a float column b, with int or float literals on either
 // side, applied to an ascending selection over more than one 64-row null
-// word, must keep exactly the rows CompilePredicate keeps, in order. seed
-// draws the column values (edge values among them) and their NULLs; shape
-// picks the NULL placement, the selection and the conjuncts.
+// word, must keep exactly the rows CompilePredicate keeps, in order. The
+// last shape byte turns the chain into a predicate only the generic spec
+// runs — an OR of the conjuncts, their negated AND, or the AND with an
+// arithmetic conjunct comparing a to b — held to the same row predicate.
+// seed draws the column values (edge values among them) and their NULLs;
+// shape picks the NULL placement, the selection, the conjuncts and the form.
 func FuzzVecFilter(f *testing.F) {
 	// shape: rows, NULL mode, selection mode, conjuncts-1, then per
 	// conjunct its form (column, literal kind, side), two literals and
-	// the operator (6 is BETWEEN).
+	// the operator (6 is BETWEEN), then the form (0 AND, 1 OR, 2 NOT, 3
+	// arithmetic).
 	f.Add(int64(1), []byte{0, 0, 1, 0, 0, 128, 136, 6})                          // a BETWEEN MinInt64 AND MaxInt64
 	f.Add(int64(2), []byte{1, 1, 2, 1, 0, 135, 0, 4, 3, 70, 0, 1})               // a > MaxInt64-1 AND b <= 1.5
 	f.Add(int64(3), []byte{2, 2, 0, 1, 3, 132, 138, 6, 0, 129, 0, 5})            // b BETWEEN -0 AND +Inf AND a >= MinInt64+1
 	f.Add(int64(4), []byte{3, 3, 1, 2, 2, 64, 0, 4, 3, 134, 0, 0, 7, 128, 0, 1}) // a > 0.0 AND b < 5e-324 AND NaN <= b
+	f.Add(int64(5), []byte{1, 2, 1, 1, 0, 70, 0, 4, 3, 60, 0, 0, 1})             // a > 6 OR b < -1
+	f.Add(int64(6), []byte{2, 3, 0, 0, 1, 128, 0, 2, 2})                         // NOT (b = NaN)
+	f.Add(int64(7), []byte{0, 1, 2, 0, 0, 64, 0, 5, 3})                          // a >= 0 AND a + 1 > b
 	schema := value.TRecord(value.F("a", value.TInt), value.F("b", value.TFloat))
 	ops := []Op{OpLt, OpLe, OpEq, OpNe, OpGt, OpGe}
 	f.Fuzz(func(t *testing.T, seed int64, shape []byte) {
@@ -330,9 +369,17 @@ func FuzzVecFilter(f *testing.F) {
 			}
 		}
 		pred := And(conj...)
-		vf, ok := CompileVecFilter(pred, schema)
-		if !ok {
-			t.Fatalf("%s: not vectorizable", pred.Canonical())
+		switch b.next() % 4 {
+		case 1:
+			pred = Or(conj...)
+		case 2:
+			pred = &Not{E: pred}
+		case 3:
+			pred = And(pred, Cmp(OpGt, &Bin{Op: OpAdd, L: C("a"), R: L(1)}, C("b")))
+		}
+		vf, err := CompileVecFilter(pred, schema)
+		if err != nil {
+			t.Fatalf("%s: %v", pred.Canonical(), err)
 		}
 		rowPred, err := CompilePredicate(pred, schema)
 		if err != nil {
@@ -382,9 +429,9 @@ func BenchmarkVecFilter(b *testing.B) {
 				if kind == value.Float {
 					pred = Between(C("a"), L(0.0), L(float64(pct)))
 				}
-				vf, ok := CompileVecFilter(pred, schema)
-				if !ok {
-					b.Fatal("not vectorizable")
+				vf, err := CompileVecFilter(pred, schema)
+				if err != nil {
+					b.Fatal(err)
 				}
 				cols := []*store.Vec{col}
 				b.Run(fmt.Sprintf("%s/nulls=%v/sel=%d", kind, nulls, pct), func(b *testing.B) {

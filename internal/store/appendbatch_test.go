@@ -37,9 +37,9 @@ func allColumns(t testing.TB, st Store) *BatchCursor {
 	for i := range idx {
 		idx[i] = i
 	}
-	cur, ok := st.(BatchSource).BatchCursor(false, idx)
-	if !ok {
-		t.Fatalf("%s store serves no per-record batches", st.Layout())
+	cur, err := st.(BatchSource).BatchCursor(false, idx)
+	if err != nil {
+		t.Fatalf("%s store serves no per-record batches: %v", st.Layout(), err)
 	}
 	return cur
 }
@@ -175,7 +175,7 @@ func TestAppendBatchRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := nested.AppendBatch(make([]*Vec, 5), []int32{0}); err == nil {
-		t.Error("AppendBatch accepted a schema with a repeated field")
+		t.Error("AppendBatch accepted 5 vectors for the 4 fields of a nested schema")
 	}
 	flat, err := NewParquetBuilder(boolFlatSchema())
 	if err != nil {

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"fmt"
 	"slices"
+	"time"
 
 	"recache/internal/value"
 )
@@ -12,12 +14,10 @@ import (
 const BatchRows = 1024
 
 // BatchCursor streams a cache scan as selection batches over typed column
-// vectors: Cols are the projected columns (full-length, immutable, shared
-// with the store), and each Next call yields the physical row indexes of
-// the next batch. Kernels read Cols[...].Ints/Floats/Strs directly through
-// the selection vector, so a vectorized scan never materializes a boxed
-// value.Value row — that happens, if at all, only at the pipeline boundary
-// (FillRows).
+// vectors: Cols are the projected columns (full-length and immutable), and
+// each Next call yields the physical row indexes of the next batch.
+// Kernels read Cols[...].Ints/Floats/Strs directly through the selection
+// vector, so a cache scan never materializes a boxed value.Value row.
 type BatchCursor struct {
 	// Cols are the projected column vectors, aligned with the projection
 	// the cursor was opened with.
@@ -25,7 +25,12 @@ type BatchCursor struct {
 	// Rows is the logical row need of the scan (the cost model's r_i):
 	// NumFlatRows for flattened scans, NumRecords for per-record scans.
 	Rows int64
-	next func(buf []int32) []int32
+	// ComputeNanos is the time the cursor spent expanding records into
+	// flattened rows when it opened (the cost model's C_i): Parquet's price
+	// for a flattened view, nothing for the columnar layout, which stores
+	// that view.
+	ComputeNanos int64
+	next         func(buf []int32) []int32
 }
 
 // Next fills buf with the next batch's row indexes (ascending) and returns
@@ -33,11 +38,11 @@ type BatchCursor struct {
 // are returned per call.
 func (c *BatchCursor) Next(buf []int32) []int32 { return c.next(buf) }
 
-// BatchSource is implemented by store layouts that can serve column batches
-// directly. A false return means this store/granularity pair needs the
-// row-at-a-time path (Parquet's FSM-assembled flattened view).
+// BatchSource is implemented by both store layouts: cols are indexes into
+// Columns(), and a per-record cursor (flat false) must project only
+// non-repeated columns.
 type BatchSource interface {
-	BatchCursor(flat bool, cols []int) (*BatchCursor, bool)
+	BatchCursor(flat bool, cols []int) (*BatchCursor, error)
 }
 
 // FillRows materializes the selected rows of the projected columns into the
@@ -50,7 +55,8 @@ func FillRows(cols []*Vec, sel []int32, chunk []value.Value, nc int) {
 }
 
 // AppendNative boxes the selected rows of cols into Go natives — int64,
-// float64, string, bool, nil for NULL — and appends one []any per selected
+// float64, string, bool, nil for NULL, a record or list as its rendering —
+// and appends one []any per selected
 // index to rows, dispatching on each column's kind, and testing its null
 // words, once per call. The rows
 // of one call are sub-slices of a single backing slab, capacity-pinned so
@@ -85,6 +91,12 @@ func AppendNative(rows [][]any, cols []*Vec, sel []int32) [][]any {
 					slab[k*nc+i] = v.Bools[r]
 				}
 			}
+		case value.Record, value.List: // rendered, as a boxed value renders
+			for k, r := range sel {
+				if !nulls || !v.Nulls.Get(int(r)) {
+					slab[k*nc+i] = v.Boxed[r].String()
+				}
+			}
 		}
 	}
 	rows = slices.Grow(rows, len(sel))
@@ -94,16 +106,24 @@ func AppendNative(rows [][]any, cols []*Vec, sel []int32) [][]any {
 	return rows
 }
 
+// recordColumns checks that a per-record cursor projects no repeated column.
+func recordColumns(leaves []value.LeafColumn, cols []int) error {
+	for _, c := range cols {
+		if leaves[c].Repeated {
+			return fmt.Errorf("store: a per-record scan cannot project repeated column %q", leaves[c].Name())
+		}
+	}
+	return nil
+}
+
 // BatchCursor implements BatchSource for the flattened columnar layout:
-// both granularities are batchable. Flattened batches select the non-
-// placeholder rows; per-record batches select the first physical row of
-// every record (the dedup ScanRecords performs row by row).
-func (s *columnarStore) BatchCursor(flat bool, cols []int) (*BatchCursor, bool) {
+// flattened batches select the non-placeholder rows; per-record batches
+// select the first physical row of every record (the dedup ScanRecords
+// performs row by row).
+func (s *columnarStore) BatchCursor(flat bool, cols []int) (*BatchCursor, error) {
 	if !flat {
-		for _, c := range cols {
-			if s.cols[c].Repeated {
-				return nil, false // row path reports the projection error
-			}
+		if err := recordColumns(s.cols, cols); err != nil {
+			return nil, err
 		}
 	}
 	vecs := make([]*Vec, len(cols))
@@ -111,28 +131,15 @@ func (s *columnarStore) BatchCursor(flat bool, cols []int) (*BatchCursor, bool) 
 		vecs[i] = s.vecs[c]
 	}
 	n := len(s.recID)
-	pos := 0
 	var next func(buf []int32) []int32
 	if flat {
-		next = func(buf []int32) []int32 {
-			out := buf[:0]
-			for pos < n && len(out) < cap(buf) {
-				if !s.skip[pos] {
-					out = append(out, int32(pos))
-				}
-				pos++
-			}
-			if len(out) == 0 && pos >= n {
-				return nil
-			}
-			return out
-		}
+		next = skipNext(s.skip)
 	} else if s.nRecs == n {
 		// Every record is one physical row (always so for a flat entry):
 		// the record view is the dense row range, nothing to compare.
 		next = denseNext(n)
 	} else {
-		prev := int32(-1)
+		pos, prev := 0, int32(-1)
 		next = func(buf []int32) []int32 {
 			out := buf[:0]
 			for pos < n && len(out) < cap(buf) {
@@ -152,28 +159,56 @@ func (s *columnarStore) BatchCursor(flat bool, cols []int) (*BatchCursor, bool) 
 	if !flat {
 		rows = int64(s.NumRecords())
 	}
-	return &BatchCursor{Cols: vecs, Rows: rows, next: next}, true
+	return &BatchCursor{Cols: vecs, Rows: rows, next: next}, nil
 }
 
 // BatchCursor implements BatchSource for the Parquet layout: per-record
 // scans iterate the short per-record vectors directly (the layout's fast
-// path), so they batch trivially. The flattened view of nested data needs
-// FSM record assembly and is served by the row path; a flat schema has no
-// repeated field, so its flattened view is the record view.
-func (s *parquetStore) BatchCursor(flat bool, cols []int) (*BatchCursor, bool) {
-	if flat && s.listPath != nil {
-		return nil, false
+// path), and a flat schema's flattened view is its record view. The
+// flattened view of nested data is expanded when the cursor opens: each
+// record leaf is gathered once per level entry of its record — the
+// columnar layout's repeated parents, built per scan — and the repeated
+// leaves are read as stored, their empty-list placeholders skipped. The
+// expansion is the cursor's ComputeNanos.
+func (s *parquetStore) BatchCursor(flat bool, cols []int) (*BatchCursor, error) {
+	vecs := make([]*Vec, len(cols))
+	if !flat || s.listPath == nil {
+		if err := recordColumns(s.cols, cols); err != nil {
+			return nil, err
+		}
+		for i, c := range cols {
+			vecs[i] = s.flatVecs[c]
+		}
+		return &BatchCursor{Cols: vecs, Rows: int64(s.nRecs), next: denseNext(s.nRecs)}, nil
 	}
-	for _, c := range cols {
-		if s.cols[c].Repeated {
-			return nil, false
+	t0 := time.Now()
+	recID, skip := flatRows(s.lengths)
+	for i, c := range cols {
+		if vecs[i] = s.repVecs[c]; !s.cols[c].Repeated {
+			vecs[i] = Gather(s.flatVecs[c], recID)
 		}
 	}
-	vecs := make([]*Vec, len(cols))
-	for i, c := range cols {
-		vecs[i] = s.flatVecs[c]
+	return &BatchCursor{Cols: vecs, Rows: int64(s.nFlat), next: skipNext(skip),
+		ComputeNanos: time.Since(t0).Nanoseconds()}, nil
+}
+
+// skipNext is the cursor step over the rows of [0, len(skip)) that skip
+// does not mark, in order.
+func skipNext(skip []bool) func(buf []int32) []int32 {
+	pos, n := 0, len(skip)
+	return func(buf []int32) []int32 {
+		out := buf[:0]
+		for pos < n && len(out) < cap(buf) {
+			if !skip[pos] {
+				out = append(out, int32(pos))
+			}
+			pos++
+		}
+		if len(out) == 0 && pos >= n {
+			return nil
+		}
+		return out
 	}
-	return &BatchCursor{Cols: vecs, Rows: int64(s.nRecs), next: denseNext(s.nRecs)}, true
 }
 
 // denseNext is the cursor step over every physical row of [0, n) in order:

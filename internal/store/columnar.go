@@ -219,6 +219,10 @@ func FillColumn(chunk []value.Value, i, nc int, sel []int32, v *Vec) {
 				chunk[k*nc+i] = value.Value{Kind: value.Bool, B: v.Bools[r]}
 			}
 		}
+	case value.Record, value.List:
+		for k, r := range sel {
+			chunk[k*nc+i] = v.Boxed[r] // VNull at a null
+		}
 	}
 }
 

@@ -116,13 +116,7 @@ func columnarFromColumns(schema *value.Type, cols []value.LeafColumn, listPath v
 		st.size = st.computeSize()
 		return st
 	}
-	for ri, l := range lengths {
-		rows := max(int(l), 1)
-		for k := 0; k < rows; k++ {
-			st.recID = append(st.recID, int32(ri))
-			st.skip = append(st.skip, l == 0)
-		}
-	}
+	st.recID, st.skip = flatRows(lengths)
 	st.vecs = make([]*vec, len(cols))
 	for ci, c := range cols {
 		if c.Repeated {
@@ -133,6 +127,19 @@ func columnarFromColumns(schema *value.Type, cols []value.LeafColumn, listPath v
 	}
 	st.size = st.computeSize()
 	return st
+}
+
+// flatRows lays out the flattened rows of records with the given list
+// lengths as both layouts store them, one per element and one placeholder
+// per empty list: the record of each row, and whether it is a placeholder.
+func flatRows(lengths []int32) (recID []int32, skip []bool) {
+	for ri, l := range lengths {
+		for k := max(int(l), 1); k > 0; k-- {
+			recID = append(recID, int32(ri))
+			skip = append(skip, l == 0)
+		}
+	}
+	return recID, skip
 }
 
 // withPlaceholders returns a repeated leaf's element entries with a null

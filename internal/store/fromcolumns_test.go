@@ -175,12 +175,12 @@ func sameStore(t *testing.T, got, want Store) {
 		if flat {
 			proj = cols
 		}
-		gc, ok1 := got.(BatchSource).BatchCursor(flat, proj)
-		wc, ok2 := want.(BatchSource).BatchCursor(flat, proj)
-		if ok1 != ok2 {
-			t.Fatalf("BatchCursor(flat=%v): %v/%v", flat, ok1, ok2)
+		gc, err1 := got.(BatchSource).BatchCursor(flat, proj)
+		wc, err2 := want.(BatchSource).BatchCursor(flat, proj)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("BatchCursor(flat=%v): %v/%v", flat, err1, err2)
 		}
-		if !ok1 {
+		if err1 != nil {
 			continue
 		}
 		if gc.Rows != wc.Rows || !reflect.DeepEqual(gc.Cols, wc.Cols) {

@@ -62,6 +62,8 @@ func (v *Vec) AppendSel(src *Vec, sel []int32) {
 		v.Strs = gatherAppend(v.Strs, src.Strs, sel)
 	case value.Bool:
 		v.Bools = gatherAppend(v.Bools, src.Bools, sel)
+	case value.Record, value.List:
+		v.Boxed = gatherAppend(v.Boxed, src.Boxed, sel)
 	}
 	v.Nulls.appendValid(len(sel))
 	if !src.Nulls.anyIn(int(slices.Min(sel)), int(slices.Max(sel))) {
@@ -82,6 +84,8 @@ func (v *Vec) AppendSel(src *Vec, sel []int32) {
 			v.Strs[i] = ""
 		case value.Bool:
 			v.Bools[i] = false
+		case value.Record, value.List:
+			v.Boxed[i] = value.VNull
 		}
 	}
 }

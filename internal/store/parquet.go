@@ -102,17 +102,27 @@ func (b *ParquetBuilder) Add(rec value.Value) error {
 }
 
 // AppendBatch appends the rows sel of the column vectors cols, one vector
-// per leaf column of the (flat) schema in document order. The resulting
-// store is indistinguishable from — and serializes to the same RCS1 bytes
-// as — one built by Add-ing the same rows as records. The vectors are only
-// read; sel is not retained.
+// per field of the schema. A flat schema's vectors are its leaf columns and
+// are gathered whole; a nested schema's rows are boxed and striped as Add
+// stripes records. Either way the store is indistinguishable from — and
+// serializes to the same RCS1 bytes as — one built by Add-ing the same
+// rows. The vectors are only read; sel is not retained.
 func (b *ParquetBuilder) AppendBatch(cols []*Vec, sel []int32) error {
 	st := b.st
-	if st.listPath != nil {
-		return fmt.Errorf("store: parquet append batch: schema %s has a repeated field", st.schema)
+	if len(cols) != len(st.schema.Fields) {
+		return fmt.Errorf("store: parquet append batch: %d vectors for the %d fields of %s", len(cols), len(st.schema.Fields), st.schema)
 	}
-	if len(cols) != len(st.cols) {
-		return fmt.Errorf("store: parquet append batch: %d vectors for %d columns", len(cols), len(st.cols))
+	if !b.paths.flat {
+		for _, r := range sel {
+			rec := make([]value.Value, len(cols))
+			for i, v := range cols {
+				rec[i] = v.Get(int(r))
+			}
+			if err := b.Add(value.VRecord(rec...)); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	for ci, src := range cols {
 		st.flatVecs[ci].AppendSel(src, sel)

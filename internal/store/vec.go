@@ -88,15 +88,19 @@ func (b *Bitmap) SizeBytes() int64 { return int64(len(b.words)) * 8 }
 
 // Vec is a typed column vector with a null bitmap. It is the unit of
 // storage for both the columnar and Parquet layouts, and — via Batch — the
-// unit the vectorized execution path reads directly: exactly the slice
-// matching Kind is populated, so kernels index Ints/Floats/Strs/Bools with
-// no per-cell type dispatch.
+// unit the batch executor reads directly: exactly the slice matching Kind
+// is populated, so kernels index Ints/Floats/Strs/Bools with no per-cell
+// type dispatch. A Record or List vector is the one boxed kind: Boxed holds
+// whole values, as a record decoder returns them. No store holds one (a
+// store's columns are its scalar leaves); an executor column of a
+// sub-record or a list does.
 type Vec struct {
 	Kind   value.Kind
 	Ints   []int64
 	Floats []float64
 	Strs   []string
 	Bools  []bool
+	Boxed  []value.Value
 	Nulls  Bitmap
 }
 
@@ -139,6 +143,8 @@ func (v *Vec) AppendVal(val value.Value) {
 		} else {
 			v.Bools = append(v.Bools, val.B)
 		}
+	case value.Record, value.List:
+		v.Boxed = append(v.Boxed, val)
 	default:
 		panic(fmt.Sprintf("store: vec of unsupported kind %s", v.Kind))
 	}
@@ -158,6 +164,9 @@ func (v *Vec) Truncate(n int) {
 		v.Strs = v.Strs[:n]
 	case value.Bool:
 		v.Bools = v.Bools[:n]
+	case value.Record, value.List:
+		clear(v.Boxed[n:])
+		v.Boxed = v.Boxed[:n]
 	}
 	v.Nulls.truncate(n)
 }
@@ -175,6 +184,8 @@ func (v *Vec) AppendRange(src *Vec, lo, hi int) {
 		v.Strs = append(v.Strs, src.Strs[lo:hi]...)
 	case value.Bool:
 		v.Bools = append(v.Bools, src.Bools[lo:hi]...)
+	case value.Record, value.List:
+		v.Boxed = append(v.Boxed, src.Boxed[lo:hi]...)
 	}
 	v.Nulls.appendValid(hi - lo)
 	if hi == lo || !src.Nulls.anyIn(lo, hi-1) {
@@ -202,6 +213,8 @@ func (v *Vec) Get(i int) value.Value {
 		return value.VString(v.Strs[i])
 	case value.Bool:
 		return value.VBool(v.Bools[i])
+	case value.Record, value.List:
+		return v.Boxed[i]
 	}
 	return value.VNull
 }
@@ -220,6 +233,10 @@ func (v *Vec) SizeBytes() int64 {
 		sz += int64(len(v.Strs)) * 16
 		for _, s := range v.Strs {
 			sz += int64(len(s))
+		}
+	case value.Record, value.List:
+		for _, b := range v.Boxed {
+			sz += b.ShallowSize()
 		}
 	}
 	return sz

@@ -256,31 +256,24 @@ func TestBatchCursorMatchesRowScans(t *testing.T) {
 
 			// Record granularity over non-repeated cols must match ScanRecords.
 			cols := []int{0, 1}
-			cur, ok := bs.BatchCursor(false, cols)
-			if !ok {
-				t.Fatalf("%s: record-granularity batches unsupported", name)
+			cur, err := bs.BatchCursor(false, cols)
+			if err != nil {
+				t.Fatalf("%s: record-granularity batches: %v", name, err)
 			}
 			matchScan(t, name+" records", st.ScanRecords, cur, cols)
 
-			// Repeated column at record granularity must refuse (row path
-			// reports the projection error).
+			// A repeated column at record granularity is an error.
 			if c.repeated >= 0 {
-				if _, ok := bs.BatchCursor(false, []int{c.repeated}); ok {
+				if _, err := bs.BatchCursor(false, []int{c.repeated}); err == nil {
 					t.Errorf("%s: repeated column should not batch at record granularity", name)
 				}
 			}
 
-			// Flat granularity: columnar serves batches (skipping placeholder
-			// rows), Parquet's FSM view of nested data does not.
-			curF, okF := bs.BatchCursor(true, c.flatCols)
-			if layout == LayoutParquet && c.repeated >= 0 {
-				if okF {
-					t.Errorf("%s: parquet flat view should not batch (FSM assembly)", name)
-				}
-				continue
-			}
-			if !okF {
-				t.Fatalf("%s: flat batches unsupported", name)
+			// Flat granularity: the columnar layout skips its placeholder
+			// rows, Parquet expands its records into the same rows.
+			curF, err := bs.BatchCursor(true, c.flatCols)
+			if err != nil {
+				t.Fatalf("%s: flat batches: %v", name, err)
 			}
 			matchScan(t, name+" flat", st.ScanFlat, curF, c.flatCols)
 		}

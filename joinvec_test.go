@@ -69,10 +69,9 @@ func joinCorpus() []string {
 	}
 }
 
-// TestVectorizedJoinEngineParity runs the corpus through a vectorized
-// engine, a fully row engine, and a no-cache baseline, across layout
-// configurations: all three must agree on every query, on the miss and on
-// the hits.
+// TestVectorizedJoinEngineParity runs the corpus through engines across
+// layout configurations: each must return the reference evaluator's rows
+// on every query, on the miss and on the hits.
 func TestVectorizedJoinEngineParity(t *testing.T) {
 	configs := []Config{
 		{Admission: "eager"},
@@ -80,43 +79,27 @@ func TestVectorizedJoinEngineParity(t *testing.T) {
 		{Admission: "eager", Layout: "parquet"},
 		{Admission: "lazy"},
 	}
-	base := joinTestEngine(t, Config{Admission: "off"})
+	ref := joinTestEngine(t, Config{Admission: "off"})
 	var want [][][]any
 	for _, q := range joinCorpus() {
-		res, err := base.Query(q)
-		if err != nil {
-			t.Fatalf("baseline %q: %v", q, err)
-		}
-		want = append(want, res.Rows)
+		want = append(want, refQuery(t, ref, q))
 	}
 	for _, cfg := range configs {
-		rowCfg := cfg
-		rowCfg.DisableVectorized = true
-		engVec := joinTestEngine(t, cfg)
-		engRow := joinTestEngine(t, rowCfg)
+		eng := joinTestEngine(t, cfg)
 		for pass := 0; pass < 3; pass++ {
 			for qi, q := range joinCorpus() {
-				for _, e := range []struct {
-					name string
-					eng  *Engine
-				}{{"vec", engVec}, {"row", engRow}} {
-					res, err := e.eng.Query(q)
-					if err != nil {
-						t.Fatalf("cfg %+v pass %d %q (%s): %v", cfg, pass, q, e.name, err)
-					}
-					if !reflect.DeepEqual(res.Rows, want[qi]) {
-						t.Errorf("cfg %+v pass %d %q (%s): %v, want %v",
-							cfg, pass, q, e.name, res.Rows, want[qi])
-					}
+				res, err := eng.Query(q)
+				if err != nil {
+					t.Fatalf("cfg %+v pass %d %q: %v", cfg, pass, q, err)
+				}
+				if !reflect.DeepEqual(res.Rows, want[qi]) {
+					t.Errorf("cfg %+v pass %d %q: %v, want %v", cfg, pass, q, res.Rows, want[qi])
 				}
 			}
 		}
-		if got := engRow.CacheStats().VectorizedJoins; got != 0 {
-			t.Errorf("cfg %+v: DisableVectorized engine ran %d vectorized joins", cfg, got)
-		}
 		if cfg.Layout == "columnar" {
-			if got := engVec.CacheStats().VectorizedJoins; got == 0 {
-				t.Errorf("cfg %+v: vectorized engine ran zero vectorized joins", cfg)
+			if got := eng.CacheStats().VectorizedJoins; got == 0 {
+				t.Errorf("cfg %+v: engine ran zero vectorized joins", cfg)
 			}
 		}
 	}
@@ -172,50 +155,32 @@ func TestVectorizedJoinConcurrentHits(t *testing.T) {
 	}
 }
 
-// TestExplainShowsJoinFlavor: EXPLAIN annotates Join nodes with the flavor
-// the execution would take — "join: vectorized, N probe batches" on warmed
-// columnar entries and on lazy entries, whose replays serve batches,
-// flipping to "join: row" when vectorized joins are disabled.
+// TestExplainShowsJoinFlavor: EXPLAIN annotates Join nodes with their
+// probe batches — "join: vectorized, N probe batches" — on warmed columnar
+// entries, on lazy entries, whose replays serve batches, and with a nested
+// side's flattened Parquet entry, whose cursor expands its records.
 func TestExplainShowsJoinFlavor(t *testing.T) {
 	q := "SELECT COUNT(*), SUM(rv) FROM tjl JOIN tjr ON lk = rk"
-
-	eng := joinTestEngine(t, Config{Admission: "eager", Layout: "columnar"})
-	if _, err := eng.Query(q); err != nil {
+	for _, cfg := range []Config{{Admission: "eager", Layout: "columnar"}, {Admission: "lazy"}} {
+		eng := joinTestEngine(t, cfg)
+		if _, err := eng.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		out, err := eng.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, "join: vectorized, 1 probe batches") {
+			t.Errorf("%+v: explain should mark the join vectorized with a probe batch count:\n%s", cfg, out)
+		}
+	}
+	nested := "SELECT COUNT(*), SUM(items.price) FROM t JOIN orders ON id = okey WHERE items.qty >= 1"
+	eng := testEngine(t, Config{Admission: "eager", Layout: "parquet"})
+	if _, err := eng.Query(nested); err != nil {
 		t.Fatal(err)
 	}
-	out, err := eng.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "join: vectorized, 1 probe batches") {
-		t.Errorf("explain should mark the join vectorized with a probe batch count:\n%s", out)
-	}
-
-	off := joinTestEngine(t, Config{Admission: "eager", Layout: "columnar", DisableVectorized: true})
-	if _, err := off.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	out, err = off.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "join: row") {
-		t.Errorf("explain with vectorization disabled should mark the join row:\n%s", out)
-	}
-	if strings.Contains(out, "join: vectorized") {
-		t.Errorf("explain with vectorization disabled still claims a vectorized join:\n%s", out)
-	}
-
-	lazy := joinTestEngine(t, Config{Admission: "lazy"})
-	if _, err := lazy.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	out, err = lazy.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "join: vectorized, 1 probe batches") {
-		t.Errorf("explain over lazy entries should mark the join vectorized:\n%s", out)
+	if out, err := eng.Explain(nested); err != nil || !strings.Contains(out, "join: vectorized, 1 probe batches") {
+		t.Errorf("explain over a nested Parquet side should mark the join vectorized (err=%v):\n%s", err, out)
 	}
 }
 
@@ -256,9 +221,8 @@ func genJoinCorpus() []string {
 	}
 }
 
-// TestVectorizedJoinGeneratedParity runs genJoinCorpus through a vectorized
-// engine and a DisableVectorized one per configuration, three passes each,
-// against a no-cache engine.
+// TestVectorizedJoinGeneratedParity runs genJoinCorpus through an engine
+// per configuration, three passes each, against the reference evaluator.
 func TestVectorizedJoinGeneratedParity(t *testing.T) {
 	open := func(cfg Config) *Engine {
 		eng := genEngine(t, cfg)
@@ -268,14 +232,10 @@ func TestVectorizedJoinGeneratedParity(t *testing.T) {
 		}
 		return eng
 	}
-	base := open(Config{Admission: "off"})
+	ref := open(Config{Admission: "off"})
 	var want [][][]any
 	for _, q := range genJoinCorpus() {
-		res, err := base.Query(q)
-		if err != nil {
-			t.Fatalf("baseline %q: %v", q, err)
-		}
-		want = append(want, res.Rows)
+		want = append(want, refQuery(t, ref, q))
 	}
 	for _, cfg := range []Config{
 		{Admission: "eager"},
@@ -283,31 +243,21 @@ func TestVectorizedJoinGeneratedParity(t *testing.T) {
 		{Admission: "eager", Layout: "parquet"},
 		{Admission: "lazy"},
 	} {
-		rowCfg := cfg
-		rowCfg.DisableVectorized = true
-		engVec, engRow := open(cfg), open(rowCfg)
+		eng := open(cfg)
 		for pass := 0; pass < 3; pass++ {
 			for qi, q := range genJoinCorpus() {
-				for _, e := range []struct {
-					name string
-					eng  *Engine
-				}{{"vec", engVec}, {"row", engRow}} {
-					res, err := e.eng.Query(q)
-					if err != nil {
-						t.Fatalf("cfg %+v pass %d %q (%s): %v", cfg, pass, q, e.name, err)
-					}
-					if !reflect.DeepEqual(res.Rows, want[qi]) {
-						t.Errorf("cfg %+v pass %d %q (%s): %d rows %v, want %d rows %v",
-							cfg, pass, q, e.name, len(res.Rows), res.Rows, len(want[qi]), want[qi])
-					}
+				res, err := eng.Query(q)
+				if err != nil {
+					t.Fatalf("cfg %+v pass %d %q: %v", cfg, pass, q, err)
+				}
+				if !reflect.DeepEqual(res.Rows, want[qi]) {
+					t.Errorf("cfg %+v pass %d %q: %d rows %v, want %d rows %v",
+						cfg, pass, q, len(res.Rows), res.Rows, len(want[qi]), want[qi])
 				}
 			}
 		}
-		if cfg.Layout == "columnar" && engVec.CacheStats().VectorizedJoins == 0 {
-			t.Errorf("cfg %+v: vectorized engine ran zero vectorized joins", cfg)
-		}
-		if got := engRow.CacheStats().VectorizedJoins; got != 0 {
-			t.Errorf("cfg %+v: DisableVectorized engine ran %d vectorized joins", cfg, got)
+		if cfg.Layout == "columnar" && eng.CacheStats().VectorizedJoins == 0 {
+			t.Errorf("cfg %+v: engine ran zero vectorized joins", cfg)
 		}
 	}
 }
@@ -315,10 +265,10 @@ func TestVectorizedJoinGeneratedParity(t *testing.T) {
 // --- the acceptance benchmark ---
 
 // benchJoinEngine builds an engine over two generated CSVs big enough that
-// the join flavor dominates, warms the cache, and returns the hot query:
-// a selective build side joined against a wide probe side, aggregate on
-// top — the shape the batch pipeline must carry end to end.
-func benchJoinEngine(b *testing.B, disableVec bool) (*Engine, string) {
+// the join dominates, warms the cache, and returns the hot query: a
+// selective build side joined against a wide probe side, aggregate on top
+// — the shape the batch pipeline must carry end to end.
+func benchJoinEngine(b *testing.B) (*Engine, string) {
 	b.Helper()
 	const rows = 50000
 	dir := b.TempDir()
@@ -335,8 +285,7 @@ func benchJoinEngine(b *testing.B, disableVec bool) (*Engine, string) {
 	if err := os.WriteFile(rp, []byte(rb.String()), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	eng, err := Open(Config{Admission: "eager", Layout: "columnar",
-		DisableVectorized: disableVec})
+	eng, err := Open(Config{Admission: "eager", Layout: "columnar"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -356,38 +305,18 @@ func benchJoinEngine(b *testing.B, disableVec bool) (*Engine, string) {
 	return eng, q
 }
 
-// BenchmarkVectorizedJoin compares the batch-native join against the row
-// engine (DisableVectorized: row scans feeding the row join) over hot
-// columnar cache entries (join + aggregate).
+// BenchmarkVectorizedJoin is the batch join over hot columnar cache
+// entries (join + aggregate).
 func BenchmarkVectorizedJoin(b *testing.B) {
-	b.Run("vectorized", func(b *testing.B) {
-		eng, q := benchJoinEngine(b, false)
-		out, err := eng.Explain(q)
-		if err != nil || !strings.Contains(out, "join: vectorized") {
-			b.Fatalf("plan is not join-vectorized (err=%v):\n%s", err, out)
+	eng, q := benchJoinEngine(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Query(q); err != nil {
+			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Query(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if got := eng.CacheStats().VectorizedJoins; got < int64(b.N) {
-			b.Fatalf("vectorized joins = %d, want >= %d", got, b.N)
-		}
-	})
-	b.Run("row", func(b *testing.B) {
-		eng, q := benchJoinEngine(b, true)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Query(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if got := eng.CacheStats().VectorizedJoins; got != 0 {
-			b.Fatalf("row path ran %d vectorized joins", got)
-		}
-	})
+	}
+	b.StopTimer()
+	if got := eng.CacheStats().VectorizedJoins; got < int64(b.N) {
+		b.Fatalf("vectorized joins = %d, want >= %d", got, b.N)
+	}
 }

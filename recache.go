@@ -33,8 +33,6 @@ package recache
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -86,10 +84,9 @@ type Config struct {
 	// "parquet" or "columnar". Flat data has no layout decision: it is
 	// built columnar under "auto".
 	Layout string
-	// DisableVectorized turns off vectorized batch execution for cache
-	// hits: every cache scan decodes boxed rows one at a time
-	// (pre-vectorization behaviour; ablation and benchmarking). Joins then
-	// run the boxed row join: a join cannot batch without batch inputs.
+	// DisableVectorized must stay false: every operator runs on column
+	// batches, and Open rejects true, as there is no row route left to
+	// switch to. The field stays only for callers that compile against it.
 	DisableVectorized bool
 	// DisablePushdown turns off predicate pushdown into raw scans: every
 	// cache-miss scan decodes all needed fields of every record and filters
@@ -171,8 +168,6 @@ type Engine struct {
 	mu       sync.RWMutex
 	datasets map[string]*plan.Dataset
 	manager  *cache.Manager
-	// noVec disables vectorized cache scans (Config.DisableVectorized).
-	noVec bool
 	// noPush disables predicate pushdown into raw scans
 	// (Config.DisablePushdown).
 	noPush bool
@@ -190,6 +185,9 @@ type Engine struct {
 
 // Open creates an engine.
 func Open(cfg Config) (*Engine, error) {
+	if cfg.DisableVectorized {
+		return nil, errors.New("recache: DisableVectorized: the row route is gone; every operator runs on column batches")
+	}
 	cc, err := cfg.toCacheConfig()
 	if err != nil {
 		return nil, err
@@ -197,7 +195,6 @@ func Open(cfg Config) (*Engine, error) {
 	e := &Engine{
 		datasets: make(map[string]*plan.Dataset),
 		manager:  cache.NewManager(cc),
-		noVec:    cfg.DisableVectorized,
 		noPush:   cfg.DisablePushdown,
 	}
 	switch cfg.FreshnessMode {
@@ -399,8 +396,8 @@ type QueryStats struct {
 	Overhead float64
 	// Rows is the number of result rows.
 	Rows int
-	// ResultBatches counts the column batches the plan root handed over
-	// directly; 0 means the result was emitted row by row (or was empty).
+	// ResultBatches counts the column batches the plan root handed over;
+	// 0 means the result was empty.
 	ResultBatches int
 }
 
@@ -479,10 +476,9 @@ func (e *Engine) prepare(sql string) (plan.Node, exec.Deps, *cache.Txn, error) {
 		root = tx.Rewrite(root, pl.neededNames)
 	}
 	deps := exec.Deps{
-		Manager:           e.manager,
-		Needed:            pl.neededPaths,
-		DisableVectorized: e.noVec,
-		DisablePushdown:   e.noPush,
+		Manager:         e.manager,
+		Needed:          pl.neededPaths,
+		DisablePushdown: e.noPush,
 	}
 	return root, deps, tx, nil
 }
@@ -534,14 +530,9 @@ func (e *Engine) Query(sql string) (*Result, error) {
 	}
 }
 
-// nativeSink is Query's result sink: both shapes box straight into native
+// nativeSink is Query's result sink: batches box straight into native
 // rows.
 type nativeSink struct{ rows [][]any }
-
-func (s *nativeSink) Row(row []value.Value) error {
-	s.rows = append(s.rows, toNative(row))
-	return nil
-}
 
 func (s *nativeSink) Batch(cols []*store.Vec, sel []int32) error {
 	s.rows = store.AppendNative(s.rows, cols, sel)
@@ -581,9 +572,9 @@ type BatchResult struct {
 }
 
 // QueryColumnar executes one SQL query like Query but materializes the
-// result as a columnar batch in a Parquet-layout store: a batch-native plan
-// root appends its column vectors to the store's, every other root stripes
-// its rows in. The serving layer uses this so a result crosses the wire as
+// result as a columnar batch in a Parquet-layout store: the plan root's
+// batches are appended to the store's column vectors (a result with a
+// sub-record column is striped in row by row). The serving layer uses this so a result crosses the wire as
 // the same RCS1 bytes a disk spill would hold.
 func (e *Engine) QueryColumnar(sql string) (*BatchResult, error) {
 	if err := e.beginQuery(); err != nil {
@@ -599,14 +590,9 @@ func (e *Engine) QueryColumnar(sql string) (*BatchResult, error) {
 	}
 }
 
-// builderSink is QueryColumnar's result sink. Neither shape is retained:
-// the builder stripes a row's values, and gathers a batch's selected
-// entries, into its own column vectors.
+// builderSink is QueryColumnar's result sink: the builder gathers a batch's
+// selected entries into its own column vectors, retaining nothing.
 type builderSink struct{ b *store.ParquetBuilder }
-
-func (s builderSink) Row(row []value.Value) error {
-	return s.b.Add(value.Value{Kind: value.Record, L: row})
-}
 
 func (s builderSink) Batch(cols []*store.Vec, sel []int32) error {
 	return s.b.AppendBatch(cols, sel)
@@ -642,11 +628,10 @@ func (e *Engine) queryColumnarOnce(sql string) (*BatchResult, error) {
 // raw Scan are annotated with the predicate split a miss would execute:
 // the conjuncts pushed below parsing and the residual the pipeline still
 // applies (e.g. "pushdown: [l_quantity>=20, l_quantity<=40]"). CachedScan
-// nodes are annotated with the execution flavor the hit would take right
-// now: "vectorized" plus the expected batch count when the entry's layout
-// serves column batches, "row" otherwise. Explain is free of side effects:
-// it performs the cache lookup through the manager's read-only path (and
-// only reads entry payload snapshots), so reuse
+// nodes are annotated with the batches the hit would read right now and
+// the entry's tier, joins with their probe batches. Explain is free of
+// side effects: it performs the cache lookup through the manager's
+// read-only path (and only reads entry payload snapshots), so reuse
 // counters, hit/miss statistics, and eviction state are untouched.
 func (e *Engine) Explain(sql string) (string, error) {
 	q, err := sqlparse.Parse(sql)
@@ -655,7 +640,6 @@ func (e *Engine) Explain(sql string) (string, error) {
 	}
 	e.mu.RLock()
 	pl, err := e.buildPlan(q)
-	noVec := e.noVec
 	noPush := e.noPush
 	e.mu.RUnlock()
 	if err != nil {
@@ -665,26 +649,18 @@ func (e *Engine) Explain(sql string) (string, error) {
 	if !pl.recordRef {
 		root = e.manager.Peek(root, pl.neededNames)
 	}
-	result := "result: row"
-	if exec.BatchResultInfo(root, e.manager, noVec) {
-		result = "result: batch"
-	}
 	return plan.ExplainAnnotated(root, func(n plan.Node) string {
-		var notes []string
 		switch x := n.(type) {
 		case *plan.CachedScan:
-			notes = append(notes, vecNote(x, e.manager, noVec))
+			return vecNote(x, e.manager)
 		case *plan.Join:
-			notes = append(notes, joinNote(x, e.manager, noVec))
+			return joinNote(x, e.manager)
 		case *plan.Select:
-			notes = append(notes, pushNote(x, noPush))
+			return pushNote(x, noPush)
 		case *plan.Scan:
-			notes = append(notes, freshNote(e.freshCheck))
+			return freshNote(e.freshCheck)
 		}
-		if n == root {
-			notes = append(notes, result)
-		}
-		return strings.Join(slices.DeleteFunc(notes, func(s string) bool { return s == "" }), "; ")
+		return ""
 	}), nil
 }
 
@@ -719,56 +695,29 @@ func pushNote(sel *plan.Select, noPush bool) string {
 	return s
 }
 
-// vecNote annotates a CachedScan with its execution flavor and cache tier.
-// A spilled entry's flavor is decided only after re-admission loads its
-// store back, so the note carries the tier alone; RAM entries get the
-// flavor plus "tier: ram". The probe stays side-effect-free: it reads the
-// entry's payload snapshot and never triggers the disk load itself.
-func vecNote(cs *plan.CachedScan, m *cache.Manager, noVec bool) string {
+// vecNote annotates a CachedScan with the batches it would read and its
+// cache tier. A spilled entry's batches are known only after re-admission
+// loads its store back, so the note carries the tier alone. The probe stays
+// side-effect-free: it reads the entry's payload snapshot and never
+// triggers the disk load itself.
+func vecNote(cs *plan.CachedScan, m *cache.Manager) string {
 	if entry, ok := cs.Entry.(*cache.Entry); ok && m.EntryTier(entry) == "disk" {
 		return "tier: disk (re-admitted)"
 	}
-	if noVec {
-		return "row, tier: ram"
-	}
 	ok, batches := exec.VectorizedInfo(cs, m)
 	if !ok {
-		return "row, tier: ram"
+		return "tier: ram"
 	}
 	return fmt.Sprintf("vectorized, %d batches, tier: ram", batches)
 }
 
-// joinNote annotates a Join with the flavor it would execute right now:
-// the batch-native hash join ("join: vectorized" plus the expected probe
-// batch count) when both inputs serve batches, "join: row" otherwise
-// (disabled, raw-scan inputs, lazy entries, expression keys).
-func joinNote(j *plan.Join, m *cache.Manager, noVec bool) string {
-	ok, batches := exec.VectorizedJoinInfo(j, m, noVec)
+// joinNote annotates a Join with its expected probe batch count.
+func joinNote(j *plan.Join, m *cache.Manager) string {
+	ok, batches := exec.VectorizedJoinInfo(j, m)
 	if !ok {
-		return "join: row"
+		return "join: vectorized"
 	}
 	return fmt.Sprintf("join: vectorized, %d probe batches", batches)
-}
-
-func toNative(row []value.Value) []any {
-	out := make([]any, len(row))
-	for i, v := range row {
-		switch v.Kind {
-		case value.Int:
-			out[i] = v.I
-		case value.Float:
-			out[i] = v.F
-		case value.String:
-			out[i] = v.S
-		case value.Bool:
-			out[i] = v.B
-		case value.Null:
-			out[i] = nil
-		default:
-			out[i] = v.String()
-		}
-	}
-	return out
 }
 
 // CacheStats summarizes cache behaviour since the engine opened. It is the
