@@ -317,7 +317,7 @@ func newChunkIter(next func() (leafVecs, bool, error), end func(own, batches int
 	}
 	it := &chunkIter{next: next, end: end, leaves: leaves, kinds: kinds, expand: expand, filters: filters,
 		repeated: make([]bool, len(leaves)), gathered: make([]*store.Vec, len(leaves)),
-		cols: make([]*store.Vec, len(leaves)), sel: make([]int32, store.BatchRows)}
+		cols: make([]*store.Vec, len(leaves)), sel: make([]int32, 0, store.BatchRows)}
 	for i, leaf := range leaves {
 		it.repeated[i] = leaf >= 0 && cols[leaf].Repeated
 		it.gathered[i] = store.NewVec(kinds[i])
@@ -372,10 +372,8 @@ func (it *chunkIter) Next() ([]*store.Vec, []int32, bool) {
 		it.cols[i] = v
 	}
 	it.lo = hi
-	sel := it.sel[:hi-lo]
-	for k := range sel {
-		sel[k] = int32(k)
-	}
+	it.sel = identity(it.sel, hi-lo)
+	sel := it.sel
 	for _, f := range it.filters {
 		sel = f.Apply(it.cols, sel)
 	}
