@@ -27,7 +27,6 @@ import (
 	"recache/internal/expr"
 	"recache/internal/harness"
 	"recache/internal/jsonio"
-	"recache/internal/stats"
 	"recache/internal/store"
 	"recache/internal/value"
 )
@@ -127,30 +126,6 @@ func BenchmarkAblationReclaimHeuristic(b *testing.B) {
 	}
 }
 
-// Ablation 3: sampled cost timers (1/128) vs timing every record (the
-// paper: 5–10% overhead when timing everything).
-func BenchmarkAblationTimerSampling(b *testing.B) {
-	work := func(x int64) int64 { return x*2654435761 + 12345 }
-	for _, shift := range []uint{0, stats.SampleShift} {
-		name := fmt.Sprintf("shift%d", shift)
-		b.Run(name, func(b *testing.B) {
-			t := stats.NewSampledTimer(shift, nil)
-			var acc int64
-			for i := 0; i < b.N; i++ {
-				if t.Begin() {
-					acc = work(acc)
-					t.End()
-				} else {
-					acc = work(acc)
-				}
-			}
-			if acc == 42 {
-				b.Log(acc)
-			}
-		})
-	}
-}
-
 // Ablation 4: R-tree subsumption lookup vs a linear scan of the cache.
 func BenchmarkAblationSubsumptionIndex(b *testing.B) {
 	dir := b.TempDir()
@@ -199,13 +174,13 @@ func BenchmarkAblationSubsumptionIndex(b *testing.B) {
 
 // --- micro-benchmarks of the hot paths ---
 
-func benchNestedStore(b *testing.B, layout store.Layout) store.Store {
+func benchNestedStore(b *testing.B, layout store.Layout, card int) store.Store {
 	b.Helper()
 	schema, err := recache.ParseSchema(datagen.SyntheticNestedSchema)
 	if err != nil {
 		b.Fatal(err)
 	}
-	recs := datagen.GenerateRecords(schema, 2000, 4, 1)
+	recs := datagen.GenerateRecords(schema, 2000, card, 1)
 	bl, err := store.NewBuilder(layout, schema)
 	if err != nil {
 		b.Fatal(err)
@@ -218,54 +193,43 @@ func benchNestedStore(b *testing.B, layout store.Layout) store.Store {
 	return bl.Finish()
 }
 
-func BenchmarkColumnarScanFlat(b *testing.B) {
-	s := benchNestedStore(b, store.LayoutColumnar)
-	cols := []int{1, 2, 9} // two parents + one nested leaf
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.ScanFlat(cols, func([]value.Value) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(s.NumFlatRows()), "rows/scan")
-}
-
-func BenchmarkParquetScanFlat(b *testing.B) {
-	s := benchNestedStore(b, store.LayoutParquet)
-	cols := []int{1, 2, 9}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.ScanFlat(cols, func([]value.Value) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(s.NumFlatRows()), "rows/scan")
-}
-
-func BenchmarkParquetScanRecords(b *testing.B) {
-	s := benchNestedStore(b, store.LayoutParquet)
-	cols := []int{1, 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.ScanRecords(cols, func([]value.Value) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkColumnarScanRecords(b *testing.B) {
-	s := benchNestedStore(b, store.LayoutColumnar)
-	cols := []int{1, 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.ScanRecords(cols, func([]value.Value) error { return nil }); err != nil {
-			b.Fatal(err)
+// BenchmarkStoreCursor is the cache-scan layer of the layout choice (§4):
+// the scan Figures 5 and 7 time (harness.ScanCursor, a batch cursor opened
+// and drained, every selected value read) over 2000 synthetic nested
+// records at list cardinality 0, 4 and 16, in both layouts, at both
+// granularities. A flattened scan reads two parent columns and one nested
+// leaf, so Parquet pays its record expansion (expand-ns/scan, the C_i the
+// advisor sees); a per-record scan reads the two parents, so the columnar
+// layout walks its duplicated rows.
+func BenchmarkStoreCursor(b *testing.B) {
+	for _, card := range []int{0, 4, 16} {
+		for _, layout := range []store.Layout{store.LayoutColumnar, store.LayoutParquet} {
+			s := benchNestedStore(b, layout, card)
+			for _, flat := range []bool{true, false} {
+				cols, name := []int{1, 2}, "records"
+				if flat {
+					cols, name = []int{1, 2, 9}, "flat"
+				}
+				b.Run(fmt.Sprintf("card=%d/%s/%s", card, layout, name), func(b *testing.B) {
+					var st store.ScanStats
+					var expand int64
+					for b.Loop() {
+						var err error
+						if st, _, err = harness.ScanCursor(s, cols, flat); err != nil {
+							b.Fatal(err)
+						}
+						expand += st.ComputeNanos
+					}
+					b.ReportMetric(float64(st.RowsScanned), "rows/scan")
+					b.ReportMetric(float64(expand)/float64(b.N), "expand-ns/scan")
+				})
+			}
 		}
 	}
 }
 
 func BenchmarkLayoutConvert(b *testing.B) {
-	p := benchNestedStore(b, store.LayoutParquet)
+	p := benchNestedStore(b, store.LayoutParquet, 4)
 	b.Run("parquet-to-columnar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := store.Convert(p, store.LayoutColumnar); err != nil {
@@ -273,7 +237,7 @@ func BenchmarkLayoutConvert(b *testing.B) {
 			}
 		}
 	})
-	c := benchNestedStore(b, store.LayoutColumnar)
+	c := benchNestedStore(b, store.LayoutColumnar, 4)
 	b.Run("columnar-to-parquet", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := store.Convert(c, store.LayoutParquet); err != nil {

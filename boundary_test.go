@@ -3,7 +3,7 @@ package recache_test
 // The result-boundary differential test: the plan root hands its result
 // over as column batches, and Engine.Query, Engine.QueryColumnar and
 // client.Query through an in-process server must deliver the reference
-// evaluator's rows, and the result store must serialize to the RCS1 bytes
+// evaluator's rows, and the result store must serialize to the RCS bytes
 // an Add-built store of those rows serializes to. Run under -race in CI.
 
 import (
@@ -128,7 +128,7 @@ func sameRows(a, b [][]any) bool {
 
 // consumers runs sql through the three result consumers and returns their
 // rows plus the engine-side stats; it fails the test on any disagreement
-// between them, or between the result store's RCS1 bytes and those of a
+// between them, or between the result store's RCS bytes and those of a
 // store rebuilt from its records with Builder.Add.
 func (fx *boundaryFixture) consumers(t testing.TB, sql string) (rows [][]any, query, columnar recache.QueryStats) {
 	t.Helper()
@@ -181,7 +181,7 @@ func (fx *boundaryFixture) consumers(t testing.TB, sql string) (rows [][]any, qu
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("%s: result store RCS1 bytes differ from the Add-built store's (%d vs %d bytes)",
+		t.Fatalf("%s: result store RCS bytes differ from the Add-built store's (%d vs %d bytes)",
 			sql, got.Len(), want.Len())
 	}
 	return q.Rows, q.Stats, br.Stats

@@ -7,10 +7,9 @@ import (
 )
 
 // scanObs records one query's observed cost against a cache entry — the
-// D_i, C_i, r_i and c_i of §4.2.
-// Vectorized-scan observations need no flag here: their nanos ARE the
-// measured batch-pipeline costs, so batch speed flows into the nested
-// cost comparison by construction.
+// D_i, C_i, r_i and c_i of §4.2. Every cache scan runs on batches, so its
+// nanos are the measured batch-pipeline costs, and batch speed flows into
+// the nested cost comparison by construction.
 type scanObs struct {
 	dataNanos    int64 // D_i
 	computeNanos int64 // C_i

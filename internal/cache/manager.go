@@ -992,18 +992,14 @@ func (m *Manager) UpgradeLazy(e *Entry, st store.Store, buildNanos, scanWallNano
 // At most one conversion per entry runs at a time; readers that snapshotted
 // the old store via Payload keep scanning it safely (stores are immutable).
 func (m *Manager) RecordScan(e *Entry, st store.ScanStats, ncols int, scanWallNanos int64) time.Duration {
-	if st.Vectorized {
-		m.stats.vectorizedScans.Add(1)
-		m.stats.vectorizedBatches.Add(st.Batches)
-	}
+	m.stats.vectorizedScans.Add(1)
+	m.stats.vectorizedBatches.Add(st.Batches)
 	m.mu.Lock()
 	if e.dead {
 		m.mu.Unlock()
 		return 0
 	}
-	if st.Vectorized {
-		e.VecScans++
-	}
+	e.VecScans++
 	e.ScanNanos = scanWallNanos
 	if e.Mode != Eager || e.Store == nil {
 		m.mu.Unlock()

@@ -13,7 +13,7 @@ import (
 )
 
 // Replica admission. A fleet shard owning a cache key pushes the entry's
-// RCS1 payload to the key's replica (the next shard in rendezvous order)
+// RCS payload to the key's replica (the next shard in rendezvous order)
 // after every eager admission, and streams its whole working set out the
 // same way when draining. The receiving side lands here: the payload goes
 // straight into the disk tier as a spill file, so a replica costs no RAM
@@ -32,7 +32,7 @@ import (
 var errNoDiskTier = errors.New("cache: replica admission requires the disk tier (no spill dir configured)")
 
 // AdmitReplica admits a peer-pushed payload as a disk-tier entry for
-// (ds, pred). The payload must be an RCS1 stream of ds's schema; it is
+// (ds, pred). The payload must be an RCS stream of ds's schema; it is
 // decoded once up front so a corrupt push is rejected instead of poisoning
 // the disk tier with a file that fails at promotion time. Admission is
 // idempotent: if any entry for the key already exists (a local build or an
@@ -110,7 +110,7 @@ type exportItem struct {
 }
 
 // ExportPayloads serializes every exportable eager entry — RAM-resident
-// stores through the RCS1 writer, disk-tier entries by reading their spill
+// stores through the RCS writer, disk-tier entries by reading their spill
 // file — and hands each (dataset, predCanon, payload) to fn. A draining
 // shard uses it to stream its working set to the new rendezvous owners.
 // Lazy entries are skipped: their offset lists index this process's raw

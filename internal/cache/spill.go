@@ -84,7 +84,7 @@ func (m *Manager) queueSpillLocked(e *Entry) bool {
 
 // reloadEstimate prices a disk re-admission in nanoseconds: the measured
 // reload cost when one exists, otherwise a sequential read+decode
-// bandwidth model (2 GB/s) plus a fixed open/validate overhead. The RCS1
+// bandwidth model (2 GB/s) plus a fixed open/validate overhead. The RCS
 // decoder alone runs at ~4.5 GB/s on a 2-vCPU box (the benchmark's
 // store.rcs1_read_mb_s on churn) and a page-cached 830 KB spill file reads
 // and decodes in ~0.5 ms; the model stays as it is because it decides which
@@ -137,7 +137,7 @@ func (m *Manager) drainSpills() {
 	}
 }
 
-// writeParquet serializes st as an RCS1 stream, converting a columnar
+// writeParquet serializes st as an RCS stream, converting a columnar
 // entry to the Parquet layout first (demote by conversion).
 func writeParquet(w io.Writer, st store.Store) error {
 	p, _, err := store.Convert(st, store.LayoutParquet)

@@ -451,11 +451,13 @@ func TestSpillConcurrentChurn(t *testing.T) {
 						t.Error(err)
 					} else if st != nil {
 						n := 0
-						if _, err := st.ScanFlat([]int{0}, func([]value.Value) error {
-							n++
-							return nil
-						}); err != nil {
+						if cur, err := st.BatchCursor(true, []int{0}); err != nil {
 							t.Error(err)
+						} else {
+							buf := make([]int32, store.BatchRows)
+							for sel := cur.Next(buf); sel != nil; sel = cur.Next(buf) {
+								n += len(sel)
+							}
 						}
 						if n != 4 {
 							t.Errorf("scan saw %d rows, want 4", n)

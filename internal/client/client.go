@@ -1,7 +1,7 @@
 // Package client is the Go client for a recached daemon. It speaks the
 // internal/wire protocol: pipelined requests over a small pool of
 // connections, responses matched back by request id, columnar result
-// batches decoded with internal/store's RCS1 reader.
+// batches decoded with internal/store's RCS reader.
 //
 // A Client is safe for concurrent use; calls are distributed round-robin
 // over the pool and any number may be in flight per connection.
@@ -430,11 +430,7 @@ func flatCursor(st store.Store) (*store.BatchCursor, bool) {
 		}
 		idx[i] = i
 	}
-	bs, ok := st.(store.BatchSource)
-	if !ok {
-		return nil, false
-	}
-	cur, err := bs.BatchCursor(false, idx)
+	cur, err := st.BatchCursor(false, idx)
 	return cur, err == nil
 }
 
@@ -571,7 +567,7 @@ func (cl *Client) LeaseRelease(key string, holder uint64) error {
 	return err
 }
 
-// Replicate pushes one cache entry's RCS1 payload to the daemon, which
+// Replicate pushes one cache entry's RCS payload to the daemon, which
 // admits it as a disk-tier replica (idempotent on the receiving side).
 // The owning shard calls it after each eager admission; a draining shard
 // streams its whole working set out this way.

@@ -153,15 +153,11 @@ func (s *scanSource) open(ctx *qctx) (vecIter, error) {
 	if mode == cache.Lazy {
 		return s.replay(ctx, offsets)
 	}
-	bs, ok := st.(store.BatchSource)
-	if !ok {
-		return nil, fmt.Errorf("exec: cache entry of %s holds no batch-readable store", s.cs.DS.Name)
-	}
 	idx, err := store.ColumnIndexes(st, s.outNames)
 	if err != nil {
 		return nil, err
 	}
-	cur, err := bs.BatchCursor(s.cs.Flat, idx)
+	cur, err := st.BatchCursor(s.cs.Flat, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +201,6 @@ func (s *scanSource) finish(ctx *qctx, batches, scanNanos int64, cur *store.Batc
 			ComputeNanos: cur.ComputeNanos,
 			RowsScanned:  cur.Rows,
 			Batches:      batches,
-			Vectorized:   true,
 		}
 		conv := ctx.deps.Manager.RecordScan(s.entry, st, len(s.outNames), scanNanos)
 		ctx.stats.LayoutSwitchNanos += conv.Nanoseconds()

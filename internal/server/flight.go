@@ -165,7 +165,7 @@ func (f *flight) Replicate(dataset, predCanon string, st store.Store) {
 }
 
 // replicateLoop is the single replication worker: it serializes each
-// queued store to RCS1 bytes and pushes them to the key's replica shard.
+// queued store to RCS bytes and pushes them to the key's replica shard.
 // Pushes still queued when Close runs are dropped, not sent.
 func (f *flight) replicateLoop() {
 	defer f.repWG.Done()

@@ -1,129 +1,8 @@
-// Package stats provides the cost-instrumentation machinery ReCache uses to
-// drive its caching decisions: sampled timers that measure per-record
-// operator costs on a small random subset of records (§5.1, "Minimizing Cost
-// Monitoring Overhead"), accumulators for the benefit-metric components, and
-// CDF/percentile helpers for the evaluation harness.
+// Package stats provides the CDF/percentile helpers the evaluation harness
+// reports its error and latency distributions with.
 package stats
 
-import (
-	"sort"
-	"time"
-)
-
-// SampleShift controls the default sampling rate: one record in
-// 2^SampleShift (128 ≈ the paper's "less than 1% of records").
-const SampleShift = 7
-
-// Clock abstracts time for tests. The default is the real monotonic clock.
-type Clock func() time.Time
-
-// SampledTimer estimates the total time spent in a repeated per-record
-// operation by timing a deterministic pseudo-random subset of invocations
-// and scaling up. Determinism keeps runs reproducible; the xorshift hash
-// decorrelates the sampled subset from periodic patterns in the data.
-//
-// The zero value is not usable; call NewSampledTimer.
-type SampledTimer struct {
-	clock      Clock
-	mask       uint64
-	scale      int64
-	count      int64 // total invocations
-	sampled    int64 // sampled invocations
-	sampledDur int64 // nanos across sampled invocations
-	state      uint64
-	pending    time.Time
-	active     bool
-}
-
-// NewSampledTimer creates a timer sampling one in 2^shift calls.
-// shift == 0 times every call (used by the ablation benchmarks).
-func NewSampledTimer(shift uint, clock Clock) *SampledTimer {
-	if clock == nil {
-		clock = time.Now
-	}
-	return &SampledTimer{
-		clock: clock,
-		mask:  (uint64(1) << shift) - 1,
-		scale: int64(1) << shift,
-		state: 0x9e3779b97f4a7c15,
-	}
-}
-
-// next advances the xorshift state.
-func (t *SampledTimer) next() uint64 {
-	t.state ^= t.state << 13
-	t.state ^= t.state >> 7
-	t.state ^= t.state << 17
-	return t.state
-}
-
-// Begin marks the start of one per-record operation. It returns true when
-// this invocation is being timed; the matching End must then be called.
-// Unsampled invocations are counted but incur no clock read.
-func (t *SampledTimer) Begin() bool {
-	t.count++
-	if t.next()&t.mask != 0 {
-		return false
-	}
-	t.pending = t.clock()
-	t.active = true
-	return true
-}
-
-// End completes a sampled invocation started by Begin.
-func (t *SampledTimer) End() {
-	if !t.active {
-		return
-	}
-	t.sampledDur += int64(t.clock().Sub(t.pending))
-	t.sampled++
-	t.active = false
-}
-
-// Count returns the total number of invocations observed.
-func (t *SampledTimer) Count() int64 { return t.count }
-
-// EstimatedTotal extrapolates the total time across all invocations.
-func (t *SampledTimer) EstimatedTotal() time.Duration {
-	if t.sampled == 0 {
-		return 0
-	}
-	avg := float64(t.sampledDur) / float64(t.sampled)
-	return time.Duration(avg * float64(t.count))
-}
-
-// Reset clears all accumulated state, keeping the sampling rate.
-func (t *SampledTimer) Reset() {
-	t.count, t.sampled, t.sampledDur, t.active = 0, 0, 0, false
-}
-
-// Accumulator tracks a simple sum of durations with explicit Add calls,
-// for coarse-grained (per-operator, per-query) costs that do not need
-// sampling.
-type Accumulator struct {
-	total time.Duration
-	n     int64
-}
-
-// Add accumulates one observation.
-func (a *Accumulator) Add(d time.Duration) {
-	a.total += d
-	a.n++
-}
-
-// Total returns the accumulated duration.
-func (a *Accumulator) Total() time.Duration { return a.total }
-
-// N returns the number of observations.
-func (a *Accumulator) N() int64 { return a.n }
-
-// Mean returns the average observation (0 if none).
-func (a *Accumulator) Mean() time.Duration {
-	if a.n == 0 {
-		return 0
-	}
-	return a.total / time.Duration(a.n)
-}
+import "sort"
 
 // CDF summarizes a sample of float64 observations.
 type CDF struct {

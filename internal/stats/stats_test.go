@@ -1,80 +1,6 @@
 package stats
 
-import (
-	"testing"
-	"time"
-)
-
-// fakeClock advances a fixed step per call.
-func fakeClock(step time.Duration) Clock {
-	var now time.Time
-	return func() time.Time {
-		now = now.Add(step)
-		return now
-	}
-}
-
-func TestSampledTimerEstimates(t *testing.T) {
-	// Every sampled op appears to take 1ms (two clock reads, 500µs apart).
-	tm := NewSampledTimer(3, fakeClock(500*time.Microsecond)) // sample 1/8
-	const n = 8000
-	sampled := 0
-	for i := 0; i < n; i++ {
-		if tm.Begin() {
-			sampled++
-			tm.End()
-		}
-	}
-	if tm.Count() != n {
-		t.Fatalf("Count = %d", tm.Count())
-	}
-	// Sampling is pseudo-random; expect roughly n/8 samples.
-	if sampled < n/16 || sampled > n/4 {
-		t.Fatalf("sampled %d of %d, expected ≈%d", sampled, n, n/8)
-	}
-	est := tm.EstimatedTotal()
-	want := time.Duration(n) * 500 * time.Microsecond
-	if est < want/2 || est > want*2 {
-		t.Errorf("EstimatedTotal = %v, want ≈%v", est, want)
-	}
-	tm.Reset()
-	if tm.Count() != 0 || tm.EstimatedTotal() != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
-
-func TestSampledTimerShiftZeroTimesEverything(t *testing.T) {
-	tm := NewSampledTimer(0, fakeClock(time.Millisecond))
-	for i := 0; i < 10; i++ {
-		if !tm.Begin() {
-			t.Fatal("shift 0 should sample every call")
-		}
-		tm.End()
-	}
-	if est := tm.EstimatedTotal(); est != 10*time.Millisecond {
-		t.Errorf("EstimatedTotal = %v, want 10ms", est)
-	}
-}
-
-func TestEndWithoutBeginIsNoop(t *testing.T) {
-	tm := NewSampledTimer(1, fakeClock(time.Millisecond))
-	tm.End() // must not panic or accumulate
-	if tm.EstimatedTotal() != 0 {
-		t.Error("End without Begin accumulated time")
-	}
-}
-
-func TestAccumulator(t *testing.T) {
-	var a Accumulator
-	if a.Mean() != 0 {
-		t.Error("empty Mean should be 0")
-	}
-	a.Add(2 * time.Second)
-	a.Add(4 * time.Second)
-	if a.Total() != 6*time.Second || a.N() != 2 || a.Mean() != 3*time.Second {
-		t.Errorf("Accumulator = total %v n %d mean %v", a.Total(), a.N(), a.Mean())
-	}
-}
+import "testing"
 
 func TestCDF(t *testing.T) {
 	c := NewCDF([]float64{5, 1, 3, 2, 4})

@@ -21,7 +21,7 @@ func boolFlatSchema() *value.Type {
 	)
 }
 
-func rcs1(t testing.TB, st Store) []byte {
+func rcs(t testing.TB, st Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteParquet(&buf, st); err != nil {
@@ -37,7 +37,7 @@ func allColumns(t testing.TB, st Store) *BatchCursor {
 	for i := range idx {
 		idx[i] = i
 	}
-	cur, err := st.(BatchSource).BatchCursor(false, idx)
+	cur, err := st.BatchCursor(false, idx)
 	if err != nil {
 		t.Fatalf("%s store serves no per-record batches: %v", st.Layout(), err)
 	}
@@ -46,7 +46,7 @@ func allColumns(t testing.TB, st Store) *BatchCursor {
 
 // TestAppendBatchMatchesAdd builds the same rows twice — gapped selections
 // of a source store's batches through AppendBatch, interleaved with the odd
-// record through Add, versus Add alone — and requires identical RCS1 bytes
+// record through Add, versus Add alone — and requires identical RCS bytes
 // and identical records, with and without NULLs in the source.
 func TestAppendBatchMatchesAdd(t *testing.T) {
 	schema := boolFlatSchema()
@@ -107,8 +107,8 @@ func TestAppendBatchMatchesAdd(t *testing.T) {
 				}
 			}
 			got, want := batched.Finish(), added.Finish()
-			if !bytes.Equal(rcs1(t, got), rcs1(t, want)) {
-				t.Errorf("nulls=%v from %s: AppendBatch-built RCS1 bytes differ from the Add-built store's", nulls, layout)
+			if !bytes.Equal(rcs(t, got), rcs(t, want)) {
+				t.Errorf("nulls=%v from %s: AppendBatch-built RCS bytes differ from the Add-built store's", nulls, layout)
 			}
 			if !reflect.DeepEqual(collectNested(t, got), collectNested(t, want)) {
 				t.Errorf("nulls=%v from %s: records differ", nulls, layout)
@@ -143,8 +143,8 @@ func TestAppendBatchZeroesNullSlots(t *testing.T) {
 		value.VRecord(value.VNull, value.VNull),
 		value.VRecord(value.VInt(8), value.VString("z")),
 	})
-	if !bytes.Equal(rcs1(t, b.Finish()), rcs1(t, want)) {
-		t.Error("garbage under a null bit leaked into the RCS1 bytes")
+	if !bytes.Equal(rcs(t, b.Finish()), rcs(t, want)) {
+		t.Error("garbage under a null bit leaked into the RCS bytes")
 	}
 }
 
@@ -164,7 +164,7 @@ func TestAppendBatchKindDrift(t *testing.T) {
 	want := build(t, LayoutParquet, schema, []value.Value{
 		value.VRecord(value.VInt(3)), value.VRecord(value.VNull),
 	})
-	if !bytes.Equal(rcs1(t, b.Finish()), rcs1(t, want)) {
+	if !bytes.Equal(rcs(t, b.Finish()), rcs(t, want)) {
 		t.Error("int vector appended to a float column differs from Add")
 	}
 }
@@ -251,7 +251,7 @@ func nativeByRecord(t testing.TB, st Store) [][]any {
 	return rows
 }
 
-// FuzzReadParquetBytes feeds the RCS1 decoder arbitrary bytes — spill
+// FuzzReadParquetBytes feeds the RCS decoder arbitrary bytes — spill
 // files, replica payloads and every client result go through it. It must
 // never panic, and whatever it accepts must be a store whose record
 // reassembly works; that re-encodes, through an in-memory buffer and a
@@ -276,7 +276,7 @@ func FuzzReadParquetBytes(f *testing.F) {
 				f.Fatal(err)
 			}
 		}
-		f.Add(rcs1(f, b.Finish()), which)
+		f.Add(rcs(f, b.Finish()), which)
 	}
 	// The serial_test.go fixtures.
 	seed(0, []value.Value{
@@ -318,7 +318,7 @@ func FuzzReadParquetBytes(f *testing.F) {
 		if len(byRecord) != st.NumRecords() {
 			t.Fatalf("ScanNested emitted %d records, store says %d", len(byRecord), st.NumRecords())
 		}
-		again := rcs1(t, st)
+		again := rcs(t, st)
 		var stream bytes.Buffer
 		if err := WriteParquet(struct{ io.Writer }{&stream}, st); err != nil || !bytes.Equal(stream.Bytes(), again) {
 			t.Fatalf("stream-sink encode differs from the in-memory one (err %v)", err)

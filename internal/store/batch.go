@@ -38,19 +38,50 @@ type BatchCursor struct {
 // are returned per call.
 func (c *BatchCursor) Next(buf []int32) []int32 { return c.next(buf) }
 
-// BatchSource is implemented by both store layouts: cols are indexes into
-// Columns(), and a per-record cursor (flat false) must project only
-// non-repeated columns.
-type BatchSource interface {
-	BatchCursor(flat bool, cols []int) (*BatchCursor, error)
-}
-
 // FillRows materializes the selected rows of the projected columns into the
 // row-major chunk (stride nc, row k at chunk[k*nc:(k+1)*nc]), dispatching
-// on each column's kind once per batch.
+// on each column's kind, and testing its null words, once per batch.
 func FillRows(cols []*Vec, sel []int32, chunk []value.Value, nc int) {
 	for i, v := range cols {
-		FillColumn(chunk, i, nc, sel, v)
+		nulls := v.Nulls.AnySel(sel)
+		switch v.Kind {
+		case value.Int:
+			for k, r := range sel {
+				if nulls && v.Nulls.Get(int(r)) {
+					chunk[k*nc+i] = value.VNull
+				} else {
+					chunk[k*nc+i] = value.Value{Kind: value.Int, I: v.Ints[r]}
+				}
+			}
+		case value.Float:
+			for k, r := range sel {
+				if nulls && v.Nulls.Get(int(r)) {
+					chunk[k*nc+i] = value.VNull
+				} else {
+					chunk[k*nc+i] = value.Value{Kind: value.Float, F: v.Floats[r]}
+				}
+			}
+		case value.String:
+			for k, r := range sel {
+				if nulls && v.Nulls.Get(int(r)) {
+					chunk[k*nc+i] = value.VNull
+				} else {
+					chunk[k*nc+i] = value.Value{Kind: value.String, S: v.Strs[r]}
+				}
+			}
+		case value.Bool:
+			for k, r := range sel {
+				if nulls && v.Nulls.Get(int(r)) {
+					chunk[k*nc+i] = value.VNull
+				} else {
+					chunk[k*nc+i] = value.Value{Kind: value.Bool, B: v.Bools[r]}
+				}
+			}
+		case value.Record, value.List:
+			for k, r := range sel {
+				chunk[k*nc+i] = v.Boxed[r] // VNull at a null
+			}
+		}
 	}
 }
 
@@ -116,10 +147,9 @@ func recordColumns(leaves []value.LeafColumn, cols []int) error {
 	return nil
 }
 
-// BatchCursor implements BatchSource for the flattened columnar layout:
-// flattened batches select the non-placeholder rows; per-record batches
-// select the first physical row of every record (the dedup ScanRecords
-// performs row by row).
+// BatchCursor implements Store for the flattened columnar layout: flattened
+// batches select the non-placeholder rows; per-record batches select the
+// first physical row of every record.
 func (s *columnarStore) BatchCursor(flat bool, cols []int) (*BatchCursor, error) {
 	if !flat {
 		if err := recordColumns(s.cols, cols); err != nil {
@@ -162,11 +192,11 @@ func (s *columnarStore) BatchCursor(flat bool, cols []int) (*BatchCursor, error)
 	return &BatchCursor{Cols: vecs, Rows: rows, next: next}, nil
 }
 
-// BatchCursor implements BatchSource for the Parquet layout: per-record
+// BatchCursor implements Store for the Parquet layout: per-record
 // scans iterate the short per-record vectors directly (the layout's fast
 // path), and a flat schema's flattened view is its record view. The
 // flattened view of nested data is expanded when the cursor opens: each
-// record leaf is gathered once per level entry of its record — the
+// record leaf is gathered once per flattened row of its record — the
 // columnar layout's repeated parents, built per scan — and the repeated
 // leaves are read as stored, their empty-list placeholders skipped. The
 // expansion is the cursor's ComputeNanos.

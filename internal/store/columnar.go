@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"time"
 
 	"recache/internal/value"
 )
@@ -15,10 +14,11 @@ import (
 // record-granularity scans and layout conversions lose no data; flattened
 // scans skip placeholders.
 //
-// By design ScanRecords still iterates all R rows, deduplicating by record
-// id: flattening discards record boundaries, which is exactly why the paper
-// finds the columnar layout slow when queries touch only non-nested
-// attributes (Parquet reads short per-record columns instead).
+// By design a per-record cursor still walks all R rows, selecting the first
+// row of each record id: flattening discards record boundaries, which is
+// exactly why the paper finds the columnar layout slow when queries touch
+// only non-nested attributes (Parquet reads short per-record columns
+// instead).
 type columnarStore struct {
 	schema *value.Type
 	cols   []value.LeafColumn
@@ -131,154 +131,6 @@ func (s *columnarStore) NumFlatRows() int { return len(s.recID) }
 
 // SizeBytes implements Store.
 func (s *columnarStore) SizeBytes() int64 { return s.size }
-
-// ScanFlat implements Store: a vectorized columnar scan. Rows are
-// processed in chunks; each selected vector is copied into the row-major
-// output buffer by a typed inner loop (the kind dispatch happens once per
-// column per chunk, not once per cell), which is precisely the tight,
-// branch-light access pattern that makes column stores fast and that
-// Parquet's row-driven FSM assembly cannot use.
-func (s *columnarStore) ScanFlat(cols []int, emit EmitFunc) (ScanStats, error) {
-	start := time.Now()
-	n := len(s.recID)
-	nc := len(cols)
-	vecs := make([]*vec, nc)
-	for i, c := range cols {
-		vecs[i] = s.vecs[c]
-	}
-	const chunkRows = BatchRows
-	rowIdx := make([]int32, 0, chunkRows)
-	chunk := make([]value.Value, chunkRows*max(nc, 1))
-	for base := 0; base < n; base += chunkRows {
-		end := base + chunkRows
-		if end > n {
-			end = n
-		}
-		rowIdx = rowIdx[:0]
-		for r := base; r < end; r++ {
-			if !s.skip[r] {
-				rowIdx = append(rowIdx, int32(r))
-			}
-		}
-		m := len(rowIdx)
-		if m == 0 {
-			continue
-		}
-		for i, v := range vecs {
-			FillColumn(chunk, i, nc, rowIdx, v)
-		}
-		for k := 0; k < m; k++ {
-			if err := emit(chunk[k*nc : (k+1)*nc : (k+1)*nc]); err != nil {
-				return ScanStats{}, err
-			}
-		}
-	}
-	// The flattened columnar layout has negligible computational cost: all
-	// time is data access (§4.2).
-	return ScanStats{
-		DataNanos:   time.Since(start).Nanoseconds(),
-		RowsScanned: int64(n),
-	}, nil
-}
-
-// FillColumn writes vector values for the selected rows into column slot i
-// of the row-major chunk, dispatching on the column kind and testing the
-// null words once.
-func FillColumn(chunk []value.Value, i, nc int, sel []int32, v *Vec) {
-	nulls := v.Nulls.AnySel(sel)
-	switch v.Kind {
-	case value.Int:
-		for k, r := range sel {
-			if nulls && v.Nulls.Get(int(r)) {
-				chunk[k*nc+i] = value.VNull
-			} else {
-				chunk[k*nc+i] = value.Value{Kind: value.Int, I: v.Ints[r]}
-			}
-		}
-	case value.Float:
-		for k, r := range sel {
-			if nulls && v.Nulls.Get(int(r)) {
-				chunk[k*nc+i] = value.VNull
-			} else {
-				chunk[k*nc+i] = value.Value{Kind: value.Float, F: v.Floats[r]}
-			}
-		}
-	case value.String:
-		for k, r := range sel {
-			if nulls && v.Nulls.Get(int(r)) {
-				chunk[k*nc+i] = value.VNull
-			} else {
-				chunk[k*nc+i] = value.Value{Kind: value.String, S: v.Strs[r]}
-			}
-		}
-	case value.Bool:
-		for k, r := range sel {
-			if nulls && v.Nulls.Get(int(r)) {
-				chunk[k*nc+i] = value.VNull
-			} else {
-				chunk[k*nc+i] = value.Value{Kind: value.Bool, B: v.Bools[r]}
-			}
-		}
-	case value.Record, value.List:
-		for k, r := range sel {
-			chunk[k*nc+i] = v.Boxed[r] // VNull at a null
-		}
-	}
-}
-
-// ScanRecords implements Store: flattening lost the record boundaries, so
-// the scan walks all R physical rows, loading the (duplicated) column
-// values of every row, and deduplicates on the record id before emitting.
-// Reading the duplication is the honest cost of this layout for per-record
-// queries — the paper's observation that the columnar cache "has to process
-// more data" while Parquet reads columns 4× shorter (§4, §6.1.1).
-func (s *columnarStore) ScanRecords(cols []int, emit EmitFunc) (ScanStats, error) {
-	for _, c := range cols {
-		if s.cols[c].Repeated {
-			return ScanStats{}, fmt.Errorf("store: ScanRecords cannot project repeated column %q", s.cols[c].Name())
-		}
-	}
-	start := time.Now()
-	n := len(s.recID)
-	nc := len(cols)
-	vecs := make([]*vec, nc)
-	for i, c := range cols {
-		vecs[i] = s.vecs[c]
-	}
-	const chunkRows = BatchRows
-	rowIdx := make([]int32, chunkRows)
-	chunk := make([]value.Value, chunkRows*max(nc, 1))
-	prev := int32(-1)
-	for base := 0; base < n; base += chunkRows {
-		end := base + chunkRows
-		if end > n {
-			end = n
-		}
-		m := end - base
-		for k := 0; k < m; k++ {
-			rowIdx[k] = int32(base + k)
-		}
-		// Load every physical row's values (the duplicated data), then emit
-		// only the first row of each record.
-		for i, v := range vecs {
-			FillColumn(chunk, i, nc, rowIdx[:m], v)
-		}
-		for k := 0; k < m; k++ {
-			id := s.recID[base+k]
-			if id == prev {
-				continue
-			}
-			prev = id
-			if err := emit(chunk[k*nc : (k+1)*nc : (k+1)*nc]); err != nil {
-				return ScanStats{}, err
-			}
-		}
-	}
-	return ScanStats{
-		DataNanos:   time.Since(start).Nanoseconds(),
-		RowsScanned: int64(n),
-	}, nil
-}
 
 // ScanNested implements Store: regroup physical rows by record id and
 // rebuild the nested records.

@@ -13,8 +13,8 @@ import (
 // per list element — and, for a schema with a repeated field, every
 // record's list length (0 for a null, absent or empty list). A typed raw
 // decoder writes them straight from the file's bytes; both layouts derive
-// the rest from the lengths: Parquet's repetition streams and empty-list
-// placeholders, the columnar layout's repeated parents.
+// the rest from the lengths: the empty-list placeholders, and the columnar
+// layout's repeated parents.
 
 // NewColumns returns one empty vector per leaf column of schema, in
 // value.LeafColumns order, for a decoder to fill and FromColumns to adopt;
@@ -34,7 +34,7 @@ func NewColumns(schema *value.Type) []*Vec {
 // FromColumns adopts filled NewColumns vectors and the records' list
 // lengths (nil for a schema without a repeated field) as a store in layout:
 // the store a Builder of that layout yields when Add-ed the same records,
-// down to its RCS1 bytes and size. The vectors belong to the store
+// down to its RCS bytes and size. The vectors belong to the store
 // afterwards.
 func FromColumns(schema *value.Type, layout Layout, vecs []*Vec, lengths []int32) (Store, error) {
 	cols, err := value.LeafColumnsCached(schema)
@@ -78,25 +78,24 @@ func FromColumns(schema *value.Type, layout Layout, vecs []*Vec, lengths []int32
 }
 
 // parquetFromColumns keeps every vector: the record leaves are the per-record
-// vectors as they are, and the element leaves the level-entry vectors once
-// an empty list's null placeholder is in place.
+// vectors as they are, and the element leaves hold one entry per flattened
+// row once an empty list's null placeholder is in place.
 func parquetFromColumns(schema *value.Type, cols []value.LeafColumn, listPath value.Path,
 	vecs []*Vec, lengths []int32, nRecs int) *parquetStore {
 	st := &parquetStore{schema: schema, cols: cols, listPath: listPath, nRecs: nRecs, nFlat: nRecs,
-		flatVecs: make([]*vec, len(cols)), repVecs: make([]*vec, len(cols)), reps: make([][]uint8, len(cols))}
-	var reps []uint8
+		flatVecs: make([]*vec, len(cols)), repVecs: make([]*vec, len(cols))}
 	if listPath != nil {
-		st.lengths = lengths
-		reps = repStream(lengths)
-		st.nFlat = len(reps)
+		st.lengths, st.nFlat = lengths, 0
+		for _, l := range lengths {
+			st.nFlat += max(int(l), 1)
+		}
 	}
 	for ci, c := range cols {
-		if !c.Repeated {
+		if c.Repeated {
+			st.repVecs[ci] = withPlaceholders(vecs[ci], lengths)
+		} else {
 			st.flatVecs[ci] = vecs[ci]
-			continue
 		}
-		st.reps[ci] = reps
-		st.repVecs[ci] = withPlaceholders(vecs[ci], lengths)
 	}
 	st.size = st.computeSize()
 	return st
@@ -109,10 +108,7 @@ func columnarFromColumns(schema *value.Type, cols []value.LeafColumn, listPath v
 	vecs []*Vec, lengths []int32, nRecs int) *columnarStore {
 	st := &columnarStore{schema: schema, cols: cols, nRecs: nRecs, vecs: vecs}
 	if listPath == nil {
-		st.recID, st.skip = make([]int32, nRecs), make([]bool, nRecs)
-		for i := range st.recID {
-			st.recID[i] = int32(i)
-		}
+		st.recID, st.skip = recordRows(nRecs)
 		st.size = st.computeSize()
 		return st
 	}
@@ -133,11 +129,26 @@ func columnarFromColumns(schema *value.Type, cols []value.LeafColumn, listPath v
 // lengths as both layouts store them, one per element and one placeholder
 // per empty list: the record of each row, and whether it is a placeholder.
 func flatRows(lengths []int32) (recID []int32, skip []bool) {
+	n := 0
+	for _, l := range lengths {
+		n += max(int(l), 1)
+	}
+	recID, skip = make([]int32, 0, n), make([]bool, 0, n)
 	for ri, l := range lengths {
 		for k := max(int(l), 1); k > 0; k-- {
 			recID = append(recID, int32(ri))
 			skip = append(skip, l == 0)
 		}
+	}
+	return recID, skip
+}
+
+// recordRows lays out the rows of n records without a repeated field, one
+// per record, none of them a placeholder.
+func recordRows(n int) (recID []int32, skip []bool) {
+	recID, skip = make([]int32, n), make([]bool, n)
+	for i := range recID {
+		recID[i] = int32(i)
 	}
 	return recID, skip
 }

@@ -8,8 +8,8 @@ import "recache/internal/value"
 // the typed column slices are copied wholesale and only the tail goes
 // through per-row append — so extending a cached entry over an appended
 // file tail costs a memcpy of the old payload instead of re-boxing every
-// old row through a Builder. A nested store's level-encoded vectors have no
-// copy path: it reports ok=false.
+// old row through a Builder. A nested store has no copy path: it reports
+// ok=false.
 func Extend(src Store, tail []value.Value) (st Store, ok bool, err error) {
 	switch s := src.(type) {
 	case *columnarStore:
@@ -60,7 +60,7 @@ func (s *columnarStore) extend(tail []value.Value) (Store, error) {
 }
 
 // extend is the flat-schema case: one entry per record in every vector, no
-// level streams, so the builder appends the tail behind copies of them.
+// list lengths, so the builder appends the tail behind copies of them.
 func (s *parquetStore) extend(tail []value.Value) (Store, error) {
 	ns := &parquetStore{schema: s.schema, cols: s.cols, nRecs: s.nRecs, nFlat: s.nFlat}
 	ns.flatVecs = make([]*vec, len(s.flatVecs))
@@ -68,7 +68,6 @@ func (s *parquetStore) extend(tail []value.Value) (Store, error) {
 		ns.flatVecs[i] = v.cloneCap(len(tail))
 	}
 	ns.repVecs = make([]*vec, len(s.cols))
-	ns.reps = make([][]uint8, len(s.cols))
 	b := &ParquetBuilder{st: ns, paths: resolveLeafPaths(s.schema, s.cols)}
 	for _, rec := range tail {
 		if err := b.Add(rec); err != nil {

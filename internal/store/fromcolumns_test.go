@@ -90,8 +90,8 @@ func randomRecords(r *rand.Rand, nested bool, n int) []value.Value {
 
 // TestFromColumnsMatchesAdd: a store adopted from leaf vectors and list
 // lengths is the store a Builder of the same layout yields for the same
-// records — the same RCS1 bytes, the same rows from every scan and cursor,
-// the same size — and extends like one. A Striper fills the same vectors.
+// records — the same RCS bytes, the same rows (the records' own) from every
+// cursor, the same size — and extends like one. A Striper fills the same vectors.
 func TestFromColumnsMatchesAdd(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, nested := range []bool{false, true} {
@@ -118,23 +118,25 @@ func TestFromColumnsMatchesAdd(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameStore(t, got, build(t, layout, schema, recs[:n]))
+				sameStore(t, got, build(t, layout, schema, recs[:n]), recs[:n])
 
-				tail := recs[n:min(n+100, len(recs))]
-				gotExt, ok, err := Extend(got, tail)
-				wantExt, wantOK, _ := Extend(build(t, layout, schema, recs[:n]), tail)
+				end := min(n+100, len(recs))
+				gotExt, ok, err := Extend(got, recs[n:end])
+				wantExt, wantOK, _ := Extend(build(t, layout, schema, recs[:n]), recs[n:end])
 				if err != nil || ok != wantOK {
 					t.Fatalf("Extend(adopted %s store): ok=%v err=%v, a built one ok=%v", layout, ok, err, wantOK)
 				}
 				if ok {
-					sameStore(t, gotExt, wantExt)
+					sameStore(t, gotExt, wantExt, recs[:end])
 				}
 			}
 		}
 	}
 }
 
-func sameStore(t *testing.T, got, want Store) {
+// sameStore holds got to want, the store a Builder made of recs, and both
+// stores' cursors to recs themselves.
+func sameStore(t *testing.T, got, want Store, recs []value.Value) {
 	t.Helper()
 	if got.Layout() != want.Layout() || got.NumRecords() != want.NumRecords() ||
 		got.NumFlatRows() != want.NumFlatRows() || got.SizeBytes() != want.SizeBytes() {
@@ -143,16 +145,16 @@ func sameStore(t *testing.T, got, want Store) {
 			want.Layout(), want.NumRecords(), want.NumFlatRows(), want.SizeBytes())
 	}
 	// Serialised the way the spill tier and replication serialise an entry:
-	// in the Parquet layout, written as RCS1.
+	// in the Parquet layout, written as RCS.
 	spilled := func(st Store) [sha256.Size]byte {
 		pq, _, err := Convert(st, LayoutParquet)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sha256.Sum256(rcs1(t, pq))
+		return sha256.Sum256(rcs(t, pq))
 	}
 	if spilled(got) != spilled(want) {
-		t.Error("RCS1 bytes differ")
+		t.Error("RCS bytes differ")
 	}
 	var cols, recCols []int
 	for i := len(got.Columns()) - 1; i >= 0; i-- {
@@ -161,11 +163,12 @@ func sameStore(t *testing.T, got, want Store) {
 			recCols = append(recCols, i)
 		}
 	}
-	if !reflect.DeepEqual(collectFlat(t, got, cols), collectFlat(t, want, cols)) {
-		t.Error("ScanFlat differs")
+	schema := got.Schema()
+	if !reflect.DeepEqual(collectFlat(t, got, cols), expectedFlat(t, schema, recs, cols)) {
+		t.Error("flattened rows differ from the records' flattening")
 	}
-	if !reflect.DeepEqual(collectRecords(t, got, recCols), collectRecords(t, want, recCols)) {
-		t.Error("ScanRecords differs")
+	if !reflect.DeepEqual(collectRecords(t, got, recCols), expectedRecords(t, schema, recs, recCols)) {
+		t.Error("record rows differ from the records' fields")
 	}
 	if !reflect.DeepEqual(collectNested(t, got), collectNested(t, want)) {
 		t.Error("ScanNested differs")
@@ -175,8 +178,8 @@ func sameStore(t *testing.T, got, want Store) {
 		if flat {
 			proj = cols
 		}
-		gc, err1 := got.(BatchSource).BatchCursor(flat, proj)
-		wc, err2 := want.(BatchSource).BatchCursor(flat, proj)
+		gc, err1 := got.BatchCursor(flat, proj)
+		wc, err2 := want.BatchCursor(flat, proj)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("BatchCursor(flat=%v): %v/%v", flat, err1, err2)
 		}

@@ -2,43 +2,40 @@ package store
 
 import (
 	"fmt"
-	"time"
 
 	"recache/internal/value"
 )
 
-// parquetStore is the Dremel/Parquet-style nested columnar layout (§4):
-// every leaf is striped into its own vector without duplication.
-// Non-repeated leaves store exactly one entry per record — the "shorter
-// columns" that make Parquet fast when queries touch only non-nested
-// attributes. Repeated leaves store one entry per list element plus one
-// placeholder entry for records with an empty list, each tagged with a
-// repetition level (0 = first entry of a record, 1 = continuation), as in
-// the Dremel paper. Null elements and placeholders are encoded through the
-// vector's null bitmap (the definition-level information collapses to
-// presence because the engine normalizes absent optional fields to nulls at
-// ingestion; see DESIGN.md).
+// parquetStore is the Parquet-style nested columnar layout (§4): every
+// leaf is striped into its own vector without duplication. Non-repeated
+// leaves store exactly one entry per record — the "shorter columns" that
+// make Parquet fast when queries touch only non-nested attributes.
+// Repeated leaves store one entry per list element plus one null
+// placeholder entry for records with an empty list, and the records' list
+// lengths say which entries belong to which record: they stand in for
+// Dremel's repetition levels, as the per-entry null bitmap stands in for
+// its definition levels (the engine normalizes absent optional fields to
+// nulls at ingestion; see DESIGN.md).
 //
-// Record reconstruction at scan time walks the level streams with an
-// FSM-style cursor per column. That per-entry branching is Parquet's
-// computational cost C_i: it is measured (sampled) and reported separately
-// from data-access time D_i, feeding the layout-selection cost model.
+// A flattened scan expands the records when its cursor opens — each record
+// leaf gathered once per flattened row of its record — and that expansion
+// is Parquet's computational cost C_i, reported apart from data-access time
+// D_i to the layout-selection cost model.
 type parquetStore struct {
 	schema   *value.Type
 	cols     []value.LeafColumn
-	flatVecs []*vec    // nil for repeated columns; 1 entry/record otherwise
-	repVecs  []*vec    // nil for non-repeated; 1 entry/level-entry otherwise
-	reps     [][]uint8 // repetition-level stream per repeated column
-	lengths  []int32   // list cardinality per record (nil for flat schemas)
+	flatVecs []*vec  // nil for repeated columns; 1 entry/record otherwise
+	repVecs  []*vec  // nil for non-repeated; 1 entry/flattened row otherwise
+	lengths  []int32 // list cardinality per record (nil for flat schemas)
 	listPath value.Path
 	nRecs    int
-	nFlat    int // R: sum over records of max(card,1)... see NumFlatRows
+	nFlat    int // R: sum over records of max(card, 1); see NumFlatRows
 	size     int64
 }
 
 // ParquetBuilder builds a Parquet-layout store. Beside the Builder methods
 // it takes whole column batches (AppendBatch) when the schema is flat, which
-// is how a batch-native query result reaches the RCS1 encoder without being
+// is how a batch-native query result reaches the RCS encoder without being
 // boxed into records first.
 type ParquetBuilder struct {
 	st    *parquetStore
@@ -49,7 +46,6 @@ func newParquetBuilder(schema *value.Type, cols []value.LeafColumn) *ParquetBuil
 	st := &parquetStore{schema: schema, cols: cols}
 	st.flatVecs = make([]*vec, len(cols))
 	st.repVecs = make([]*vec, len(cols))
-	st.reps = make([][]uint8, len(cols))
 	for i, c := range cols {
 		if c.Repeated {
 			st.repVecs[i] = newVec(c.Type)
@@ -85,16 +81,10 @@ func (b *ParquetBuilder) Add(rec value.Value) error {
 		case !c.Repeated:
 			st.flatVecs[ci].AppendVal(value.GetAt(rec, idx))
 		case len(elems) == 0:
-			st.reps[ci] = append(st.reps[ci], 0)
 			st.repVecs[ci].AppendVal(value.VNull)
 		default:
-			for e := range elems {
-				r := uint8(1)
-				if e == 0 {
-					r = 0
-				}
-				st.reps[ci] = append(st.reps[ci], r)
-				st.repVecs[ci].AppendVal(value.GetAt(elems[e], idx))
+			for _, e := range elems {
+				st.repVecs[ci].AppendVal(value.GetAt(e, idx))
 			}
 		}
 	}
@@ -105,7 +95,7 @@ func (b *ParquetBuilder) Add(rec value.Value) error {
 // per field of the schema. A flat schema's vectors are its leaf columns and
 // are gathered whole; a nested schema's rows are boxed and striped as Add
 // stripes records. Either way the store is indistinguishable from — and
-// serializes to the same RCS1 bytes as — one built by Add-ing the same
+// serializes to the same RCS bytes as — one built by Add-ing the same
 // rows. The vectors are only read; sel is not retained.
 func (b *ParquetBuilder) AppendBatch(cols []*Vec, sel []int32) error {
 	st := b.st
@@ -150,7 +140,6 @@ func (s *parquetStore) computeSize() int64 {
 		if v := s.repVecs[ci]; v != nil {
 			sz += v.SizeBytes()
 		}
-		sz += int64(len(s.reps[ci]))
 	}
 	sz += int64(len(s.lengths)) * 4
 	return sz
@@ -181,164 +170,11 @@ func (s *parquetStore) card(ri int) int {
 	return int(s.lengths[ri])
 }
 
-// ScanFlat implements Store: FSM-style record assembly, following the
-// Dremel reconstruction algorithm. For every output row the FSM performs a
-// transition per selected column: it reads the column's next repetition
-// level, validates it against the expected state (0 starts a record, 1
-// continues the list), applies the definition/null decision, and only then
-// fetches the value. Non-repeated columns participate in every transition
-// too — their reader re-emits the record-level value for each flattened
-// row, exactly the duplicated work the relational columnar layout avoids.
-// This per-row, per-column branching is Parquet's computational cost C_i
-// (§4.1: "the FSM-based reconstruction algorithm requires significantly
-// more computation and adds more CPU pipeline-breaking branches").
-// One record in 128 is timed to split the scan into C_i and D_i.
-func (s *parquetStore) ScanFlat(cols []int, emit EmitFunc) (ScanStats, error) {
-	start := time.Now()
-
-	type colState struct {
-		idx      int
-		repeated bool
-		v        *vec
-		reps     []uint8
-		cursor   int // level-entry cursor for repeated columns
-	}
-	states := make([]colState, len(cols))
-	for i, c := range cols {
-		states[i] = colState{idx: c, repeated: s.cols[c].Repeated}
-		if states[i].repeated {
-			states[i].v = s.repVecs[c]
-			states[i].reps = s.reps[c]
-		} else {
-			states[i].v = s.flatVecs[c]
-		}
-	}
-
-	buf := make([]value.Value, len(cols))
-	srcIdx := make([]int32, len(cols))
-	var sampledData, sampledCompute int64
-	sampleMask := (1 << sampleShift) - 1
-
-	for ri := 0; ri < s.nRecs; ri++ {
-		card := s.card(ri)
-		sampled := ri&sampleMask == 0
-		var tRec time.Time
-		var recCompute int64
-		if sampled {
-			tRec = time.Now()
-		}
-		n := card
-		if n == 0 {
-			n = 1 // placeholder level entry to consume
-		}
-		for e := 0; e < n; e++ {
-			var t0 time.Time
-			if sampled {
-				t0 = time.Now()
-			}
-			// FSM transition: one state update per selected column.
-			want := uint8(1)
-			if e == 0 {
-				want = 0
-			}
-			for si := range states {
-				st := &states[si]
-				if st.repeated {
-					rep := st.reps[st.cursor]
-					if rep != want {
-						return ScanStats{}, fmt.Errorf("store: corrupt repetition stream at record %d", ri)
-					}
-					// Peek the next level to decide whether the list
-					// continues (the FSM's next-state computation).
-					if st.cursor+1 < len(st.reps) && st.reps[st.cursor+1] == 1 && e == n-1 && card > 0 {
-						return ScanStats{}, fmt.Errorf("store: repetition stream overruns record %d", ri)
-					}
-					if card == 0 || st.v.Nulls.Get(st.cursor) {
-						srcIdx[si] = -1
-					} else {
-						srcIdx[si] = int32(st.cursor)
-					}
-					st.cursor++
-				} else {
-					// Non-repeated reader re-emits its record value per row,
-					// with the definition (null) check applied each time.
-					if st.v.Nulls.Get(ri) {
-						srcIdx[si] = -1
-					} else {
-						srcIdx[si] = int32(ri)
-					}
-				}
-			}
-			if sampled {
-				recCompute += time.Since(t0).Nanoseconds()
-			}
-			if card == 0 {
-				continue // placeholder entry: levels consumed, nothing emitted
-			}
-			// Value fetch (data phase for this row).
-			for si := range states {
-				ix := srcIdx[si]
-				if ix < 0 {
-					buf[si] = value.VNull
-				} else {
-					buf[si] = states[si].v.Get(int(ix))
-				}
-			}
-			if err := emit(buf); err != nil {
-				return ScanStats{}, err
-			}
-		}
-		if sampled {
-			total := time.Since(tRec).Nanoseconds()
-			sampledCompute += recCompute
-			if total > recCompute {
-				sampledData += total - recCompute
-			}
-		}
-	}
-
-	data, comp := splitByRatio(time.Since(start), sampledData, sampledCompute)
-	return ScanStats{
-		DataNanos:    data,
-		ComputeNanos: comp,
-		RowsScanned:  int64(s.nFlat),
-	}, nil
-}
-
-// ScanRecords implements Store: the Parquet fast path. Non-repeated columns
-// have exactly one entry per record, so the scan iterates the short
-// per-record vectors directly with no assembly.
-func (s *parquetStore) ScanRecords(cols []int, emit EmitFunc) (ScanStats, error) {
-	for _, c := range cols {
-		if s.cols[c].Repeated {
-			return ScanStats{}, fmt.Errorf("store: ScanRecords cannot project repeated column %q", s.cols[c].Name())
-		}
-	}
-	start := time.Now()
-	vecs := make([]*vec, len(cols))
-	for i, c := range cols {
-		vecs[i] = s.flatVecs[c]
-	}
-	buf := make([]value.Value, len(cols))
-	for ri := 0; ri < s.nRecs; ri++ {
-		for i, v := range vecs {
-			buf[i] = v.Get(ri)
-		}
-		if err := emit(buf); err != nil {
-			return ScanStats{}, err
-		}
-	}
-	return ScanStats{
-		DataNanos:   time.Since(start).Nanoseconds(),
-		RowsScanned: int64(s.nRecs),
-	}, nil
-}
-
 // ScanNested implements Store.
 func (s *parquetStore) ScanNested(emit func(rec value.Value) error) error {
 	asm := newAssembler(s.schema, s.cols, s.flatVecs, s.repVecs)
-	// Level-entry cursor shared across repeated columns (they are aligned:
-	// one list per schema).
+	// Entry cursor shared across repeated columns (they are aligned: one
+	// list per schema).
 	cursor := 0
 	for ri := 0; ri < s.nRecs; ri++ {
 		card := s.card(ri)

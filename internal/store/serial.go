@@ -13,24 +13,26 @@ import (
 )
 
 // Spill serialization: a Parquet-layout store written as a flat binary
-// stream, used by the cache's disk tier. The format mirrors parquetStore's
-// in-memory shape (per-column vectors, repetition streams, list lengths)
-// so a spilled entry deserializes with typed bulk copies — no record
-// re-assembly — keeping a disk hit far cheaper than a raw re-scan. Both
-// directions work a vector at a time: the encoder writes null words and
-// fixed-width payloads a chunk per Write, and the decoder converts each
-// from one bounds-checked slice of the stream and copies a string column's
-// bytes into one allocation.
+// stream (RCS), used by the cache's disk tier, the wire's query results and
+// replica payloads. The format mirrors parquetStore's in-memory shape
+// (per-column vectors and list lengths) so a spilled entry deserializes
+// with typed bulk copies — no record re-assembly — keeping a disk hit far
+// cheaper than a raw re-scan. Both directions work a vector at a time: the
+// encoder writes null words and fixed-width payloads a chunk per Write, and
+// the decoder converts each from one bounds-checked slice of the stream and
+// copies a string column's bytes into one allocation.
 //
 // The schema is NOT serialized: a spilled entry keeps all of its metadata
 // (dataset, predicate, schema) in RAM and only the payload goes to disk,
 // so the reader is handed the schema and validates the stream against it
 // (column count, repeated-ness, and kind per column). Numeric payloads are
 // written bit-exactly (floats via IEEE-754 bits), so NaN and ±0 survive
-// the round trip.
+// the round trip. Only the magic carries the format's version.
 
-// spillMagic identifies version 1 of the spill stream.
-var spillMagic = [4]byte{'R', 'C', 'S', '1'}
+// spillMagic identifies version 2 of the spill stream, which dropped
+// version 1's per-column repetition-level streams: a version-1 stream is
+// rejected at its magic rather than misread.
+var spillMagic = [4]byte{'R', 'C', 'S', '2'}
 
 // spillWriter is what the stream encoder needs from its sink. Both
 // *bufio.Writer and *bytes.Buffer satisfy it, so in-memory encodes (the
@@ -84,21 +86,15 @@ func WriteParquet(w io.Writer, st Store) error {
 		}
 	}
 	for ci, c := range p.cols {
-		rep := byte(0)
+		v := p.flatVecs[ci]
 		if c.Repeated {
-			rep = 1
-		}
-		bw.WriteByte(rep)
-		if c.Repeated {
-			lw.u64(uint64(len(p.reps[ci])))
-			bw.Write(p.reps[ci])
-			if err := lw.vec(p.repVecs[ci]); err != nil {
-				return err
-			}
+			bw.WriteByte(1)
+			v = p.repVecs[ci]
 		} else {
-			if err := lw.vec(p.flatVecs[ci]); err != nil {
-				return err
-			}
+			bw.WriteByte(0)
+		}
+		if err := lw.vec(v); err != nil {
+			return err
 		}
 	}
 	return flush()
@@ -256,7 +252,7 @@ func (r *spillReader) u64() (uint64, error) {
 // ReadParquetBytes decodes a stream written by WriteParquet, validating it
 // against the expected record schema. The returned store is a normal
 // Parquet-layout store (convertible to other layouts as usual) that shares
-// no memory with data: every vector, string and level stream is a copy, so
+// no memory with data: every vector, string and length is a copy, so
 // the caller may reuse data as soon as the call returns (the disk tier
 // reads spill files into pooled buffers, the client decodes out of its
 // frame buffer). The values of one string column share one allocation, so a
@@ -310,7 +306,6 @@ func readParquet(data []byte, schema *value.Type, extra int) (*parquetStore, err
 		listPath: value.RepeatedFieldCached(schema),
 		flatVecs: make([]*vec, len(cols)),
 		repVecs:  make([]*vec, len(cols)),
-		reps:     make([][]uint8, len(cols)),
 	}
 	hasList, err := r.u8()
 	if err != nil {
@@ -348,7 +343,7 @@ func readParquet(data []byte, schema *value.Type, extra int) (*parquetStore, err
 	if hasList == 1 && nRecs*4 > rem {
 		return nil, fmt.Errorf("store: spill stream claims %d list lengths with %d bytes left", nRecs, rem)
 	}
-	// A repeated column has one level entry per flattened row: one per list
+	// A repeated column has one entry per flattened row: one per list
 	// element, plus one placeholder per empty list. For flat schemas the
 	// flattened view is the record view.
 	if hasList == 1 {
@@ -369,7 +364,6 @@ func readParquet(data []byte, schema *value.Type, extra int) (*parquetStore, err
 	} else if st.nFlat != st.nRecs {
 		return nil, fmt.Errorf("store: flat spill stream has nFlat %d != nRecs %d", st.nFlat, st.nRecs)
 	}
-	levelEntries := st.nFlat
 	for ci, c := range cols {
 		rep, err := r.u8()
 		if err != nil {
@@ -378,46 +372,18 @@ func readParquet(data []byte, schema *value.Type, extra int) (*parquetStore, err
 		if (rep == 1) != c.Repeated {
 			return nil, fmt.Errorf("store: spill column %d repeated=%v, schema says %v", ci, rep == 1, c.Repeated)
 		}
+		vecs, n, room := st.flatVecs, st.nRecs, extra
 		if c.Repeated {
-			nr, err := r.u64()
-			if err != nil {
-				return nil, err
-			}
-			if int(nr) != levelEntries {
-				return nil, fmt.Errorf("store: spill column %d has %d level entries, want %d", ci, nr, levelEntries)
-			}
-			raw, err := r.bytes(int(nr))
-			if err != nil {
-				return nil, err
-			}
-			st.reps[ci] = append([]uint8(nil), raw...)
-			v, err := readVec(r, c.Type.Kind, levelEntries, 0)
-			if err != nil {
-				return nil, fmt.Errorf("store: spill column %d (%s): %w", ci, c.Name(), err)
-			}
-			st.repVecs[ci] = v
-		} else {
-			v, err := readVec(r, c.Type.Kind, st.nRecs, extra)
-			if err != nil {
-				return nil, fmt.Errorf("store: spill column %d (%s): %w", ci, c.Name(), err)
-			}
-			st.flatVecs[ci] = v
+			vecs, n, room = st.repVecs, st.nFlat, 0
+		}
+		if vecs[ci], err = readVec(r, c.Type.Kind, n, room); err != nil {
+			return nil, fmt.Errorf("store: spill column %d (%s): %w", ci, c.Name(), err)
 		}
 	}
 	if r.off != len(r.buf) {
 		return nil, fmt.Errorf("store: %d trailing bytes in spill stream", len(r.buf)-r.off)
 	}
-	var sz int64
-	for ci := range st.cols {
-		if v := st.flatVecs[ci]; v != nil {
-			sz += v.SizeBytes()
-		}
-		if v := st.repVecs[ci]; v != nil {
-			sz += v.SizeBytes()
-		}
-		sz += int64(len(st.reps[ci]))
-	}
-	st.size = sz + int64(len(st.lengths))*4
+	st.size = st.computeSize()
 	return st, nil
 }
 

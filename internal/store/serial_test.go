@@ -33,8 +33,8 @@ func roundTrip(t *testing.T, st Store) Store {
 }
 
 // TestSpillRoundTripAllLayouts spills every layout (converted through
-// Parquet) and checks the flattened rows, record rows, and nested records
-// all survive.
+// Parquet) and checks the decoded store's flattened and record rows against
+// the records themselves.
 func TestSpillRoundTripAllLayouts(t *testing.T) {
 	nested := orderSchema()
 	flat := value.TRecord(
@@ -71,8 +71,8 @@ func TestSpillRoundTripAllLayouts(t *testing.T) {
 			for i := range allCols {
 				allCols[i] = i
 			}
-			if want, have := collectFlat(t, src, allCols), collectFlat(t, got, allCols); !reflect.DeepEqual(want, have) {
-				t.Errorf("ScanFlat mismatch:\nwant %v\ngot  %v", want, have)
+			if want, have := expectedFlat(t, tc.schema, tc.recs, allCols), collectFlat(t, got, allCols); !reflect.DeepEqual(want, have) {
+				t.Errorf("flattened rows mismatch:\nwant %v\ngot  %v", want, have)
 			}
 			var recCols []int
 			for i, c := range src.Columns() {
@@ -80,8 +80,8 @@ func TestSpillRoundTripAllLayouts(t *testing.T) {
 					recCols = append(recCols, i)
 				}
 			}
-			if want, have := collectRecords(t, src, recCols), collectRecords(t, got, recCols); !reflect.DeepEqual(want, have) {
-				t.Errorf("ScanRecords mismatch:\nwant %v\ngot  %v", want, have)
+			if want, have := expectedRecords(t, tc.schema, tc.recs, recCols), collectRecords(t, got, recCols); !reflect.DeepEqual(want, have) {
+				t.Errorf("record rows mismatch:\nwant %v\ngot  %v", want, have)
 			}
 		})
 	}
@@ -165,6 +165,51 @@ func TestSpillRejectsCorruptStream(t *testing.T) {
 	}
 }
 
+// TestSpillRejectsVersion1: a stream written by a build that still carried
+// repetition-level streams (magic RCS1) is rejected at its magic, not
+// misread as the current format.
+func TestSpillRejectsVersion1(t *testing.T) {
+	for _, schema := range []*value.Type{orderSchema(), boolFlatSchema()} {
+		raw := rcs(t, build(t, LayoutParquet, schema, nil))
+		copy(raw, "RCS1")
+		if _, err := ReadParquetBytes(raw, schema); err == nil || !strings.Contains(err.Error(), "bad spill magic") {
+			t.Errorf("%s: an RCS1 stream decoded with err = %v, want a bad-magic error", schema, err)
+		}
+	}
+}
+
+// TestNestedParquetSize: a nested Parquet store costs its vectors and its
+// list lengths, nothing more — built, converted, adopted or decoded.
+func TestNestedParquetSize(t *testing.T) {
+	recs := randomRecords(rand.New(rand.NewSource(5)), true, 500)
+	built := build(t, LayoutParquet, nestedSchema(), recs)
+	converted, _, err := Convert(build(t, LayoutColumnar, nestedSchema(), recs), LayoutParquet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs, lengths := stripe(nestedSchema(), recs)
+	adopted, err := FromColumns(nestedSchema(), LayoutParquet, vecs, lengths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := roundTrip(t, built)
+	for name, st := range map[string]Store{"built": built, "converted": converted, "adopted": adopted, "decoded": decoded} {
+		p := st.(*parquetStore)
+		want := int64(len(p.lengths)) * 4
+		for ci := range p.cols {
+			if v := p.flatVecs[ci]; v != nil {
+				want += v.SizeBytes()
+			}
+			if v := p.repVecs[ci]; v != nil {
+				want += v.SizeBytes()
+			}
+		}
+		if got := st.SizeBytes(); got != want || len(p.lengths) != len(recs) {
+			t.Errorf("%s: SizeBytes = %d, want %d (vectors + %d lengths)", name, got, want, len(p.lengths))
+		}
+	}
+}
+
 // nullableFlatRecs fills boolFlatSchema with n rows: every column NULL
 // somewhere, strings of several lengths (empty ones included).
 func nullableFlatRecs(n int) []value.Value {
@@ -195,7 +240,7 @@ func TestReadParquetDoesNotAliasInput(t *testing.T) {
 		{"nested", orderSchema(), sampleOrders()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pristine := rcs1(t, build(t, LayoutParquet, tc.schema, tc.recs))
+			pristine := rcs(t, build(t, LayoutParquet, tc.schema, tc.recs))
 			data := bytes.Clone(pristine)
 			got, err := ReadParquetBytes(data, tc.schema)
 			if err != nil {
@@ -215,7 +260,7 @@ func TestReadParquetDoesNotAliasInput(t *testing.T) {
 			for i := range allCols {
 				allCols[i] = i
 			}
-			if w, g := collectFlat(t, want, allCols), collectFlat(t, got, allCols); !reflect.DeepEqual(w, g) {
+			if w, g := expectedFlat(t, tc.schema, tc.recs, allCols), collectFlat(t, got, allCols); !reflect.DeepEqual(w, g) {
 				t.Errorf("flat rows changed with the input:\nwant %v\ngot  %v", w, g)
 			}
 		})
@@ -257,7 +302,7 @@ func TestWriteParquetWriteErrors(t *testing.T) {
 		{"large", tpchStore(t, tpchShapes[0].schema, 20000), 4093},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want := rcs1(t, tc.st)
+			want := rcs(t, tc.st)
 			for k := 0; k < len(want); k += tc.stride {
 				if err := WriteParquet(&failWriter{left: k}, tc.st); !errors.Is(err, errSinkFull) {
 					t.Fatalf("sink failing after %d of %d bytes: err = %v", k, len(want), err)
@@ -318,11 +363,11 @@ func tpchStore(tb testing.TB, schema *value.Type, n int) Store {
 	return build(tb, LayoutParquet, schema, recs)
 }
 
-// TestRCS1Allocs: the codec allocates per column, not per row or value.
+// TestRCSAllocs: the codec allocates per column, not per row or value.
 // Encoding into a reused buffer allocates the same at 2k and 20k rows, and
 // decoding allocates three slices per column (vector, null words, values)
 // plus one for a string column's bytes, which every value shares.
-func TestRCS1Allocs(t *testing.T) {
+func TestRCSAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
 	}
@@ -357,7 +402,7 @@ func TestRCS1Allocs(t *testing.T) {
 func BenchmarkWriteParquet(b *testing.B) {
 	for _, shape := range tpchShapes {
 		st := tpchStore(b, shape.schema, 20000)
-		size := int64(len(rcs1(b, st)))
+		size := int64(len(rcs(b, st)))
 		b.Run(shape.name+"/buffer", func(b *testing.B) {
 			var buf bytes.Buffer
 			b.SetBytes(size)
@@ -384,7 +429,7 @@ func BenchmarkWriteParquet(b *testing.B) {
 // BenchmarkReadParquetBytes decodes 20k TPC-H shaped rows (a disk hit).
 func BenchmarkReadParquetBytes(b *testing.B) {
 	for _, shape := range tpchShapes {
-		data := rcs1(b, tpchStore(b, shape.schema, 20000))
+		data := rcs(b, tpchStore(b, shape.schema, 20000))
 		b.Run(shape.name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()

@@ -4,27 +4,27 @@
 //   - LayoutColumnar: relational column-oriented storage of the *flattened*
 //     view of (possibly nested) records, duplicating parent values per list
 //     element exactly as §4 describes,
-//   - LayoutParquet: Dremel/Parquet-style nested columnar storage with
-//     repetition levels and per-element presence, reconstructed by an
-//     FSM-style assembler at scan time.
+//   - LayoutParquet: Parquet-style nested columnar storage: one entry per
+//     record in a non-repeated leaf, one per list element (plus a null
+//     placeholder per empty list) in a repeated leaf, and every record's
+//     list length.
 //
 // There is no row-oriented layout: §4.3's H2O-style comparison can only
 // prefer it for columns averaging under 4.8 bytes (DESIGN.md "Layout
 // ablations"), so a flat schema is simply held columnar.
 //
-// Both layouts expose the same Store interface with two scan granularities:
-// ScanFlat emits the flattened rows (the view produced by unnesting the
-// repeated field), while ScanRecords emits one row per top-level record and
-// may only project non-repeated columns. The two granularities have very
-// different costs per layout — Parquet reads short per-record columns in
-// ScanRecords but pays FSM assembly in ScanFlat; the flattened columnar
-// layout always iterates every flattened row — and that asymmetry is the
-// heart of the paper's layout-selection problem.
+// Both layouts are read through one batch cursor with two granularities:
+// the flattened rows (the view produced by unnesting the repeated field),
+// or one row per top-level record over non-repeated columns only. The two
+// granularities have very different costs per layout — Parquet reads short
+// per-record columns at record granularity but expands its records into
+// flattened rows when a flattened cursor opens; the flattened columnar
+// layout stores that view and walks every flattened row either way — and
+// that asymmetry is the heart of the paper's layout-selection problem.
 package store
 
 import (
 	"fmt"
-	"time"
 
 	"recache/internal/value"
 )
@@ -51,30 +51,14 @@ func (l Layout) String() string {
 
 // ScanStats reports the cost split of one scan: DataNanos is time spent
 // loading values from the store (D_i in the paper's cost model), and
-// ComputeNanos the time spent in level decoding, record assembly and other
-// branching work (C_i). RowsScanned is r_i. Vectorized scans additionally
-// report the batch count, and carry the flag into the layout advisor so
-// measured batch speed influences layout decisions.
+// ComputeNanos the time spent expanding records into flattened rows (C_i).
+// RowsScanned is r_i, and Batches the column batches the scan pulled.
 type ScanStats struct {
 	DataNanos    int64
 	ComputeNanos int64
 	RowsScanned  int64
 	Batches      int64
-	Vectorized   bool
 }
-
-// Add accumulates another scan's stats.
-func (s *ScanStats) Add(o ScanStats) {
-	s.DataNanos += o.DataNanos
-	s.ComputeNanos += o.ComputeNanos
-	s.RowsScanned += o.RowsScanned
-	s.Batches += o.Batches
-	s.Vectorized = s.Vectorized || o.Vectorized
-}
-
-// EmitFunc receives one projected row. The slice is reused across calls;
-// callers must copy if they retain it.
-type EmitFunc func(row []value.Value) error
 
 // Store is an immutable in-memory cache of records.
 type Store interface {
@@ -92,15 +76,13 @@ type Store interface {
 	NumFlatRows() int
 	// SizeBytes estimates the in-memory footprint (B in the benefit metric).
 	SizeBytes() int64
-	// ScanFlat emits the flattened rows projected to cols (indexes into
-	// Columns()). Records whose repeated field is empty emit no rows
-	// (inner-unnest semantics).
-	ScanFlat(cols []int, emit EmitFunc) (ScanStats, error)
-	// ScanRecords emits one row per record projected to cols, all of which
-	// must be non-repeated columns.
-	ScanRecords(cols []int, emit EmitFunc) (ScanStats, error)
-	// ScanNested reconstructs and emits the original nested records; used
-	// for layout conversion and round-trip testing.
+	// BatchCursor opens a scan of the columns cols (indexes into
+	// Columns()): the flattened rows when flat is set — records whose
+	// repeated field is empty yield none (inner-unnest semantics) — or one
+	// row per record otherwise, when every column must be non-repeated.
+	BatchCursor(flat bool, cols []int) (*BatchCursor, error)
+	// ScanNested reconstructs and emits the original nested records: a
+	// client's record-typed result rows, and the tests' round trips.
 	ScanNested(emit func(rec value.Value) error) error
 }
 
@@ -158,21 +140,4 @@ func ColumnIndexes(s Store, names []string) ([]int, error) {
 		out[i] = found
 	}
 	return out, nil
-}
-
-// sampleEvery controls the record-granularity cost sampling inside scans:
-// one record in 2^7 = 128 gets explicit clock reads (the paper's "<1% of
-// records"), and the measured split is extrapolated over the whole scan.
-const sampleShift = 7
-
-// splitByRatio attributes a measured total duration to data/compute by a
-// sampled ratio. If nothing was sampled, everything is data time.
-func splitByRatio(total time.Duration, sampledData, sampledCompute int64) (int64, int64) {
-	tot := total.Nanoseconds()
-	s := sampledData + sampledCompute
-	if s <= 0 {
-		return tot, 0
-	}
-	c := tot * sampledCompute / s
-	return tot - c, c
 }

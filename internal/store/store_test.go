@@ -51,28 +51,33 @@ func build(t testing.TB, layout Layout, schema *value.Type, recs []value.Value) 
 	return b.Finish()
 }
 
+// collectFlat drains a flattened cursor over cols into rows.
 func collectFlat(t *testing.T, s Store, cols []int) [][]value.Value {
 	t.Helper()
-	var out [][]value.Value
-	_, err := s.ScanFlat(cols, func(row []value.Value) error {
-		out = append(out, append([]value.Value(nil), row...))
-		return nil
-	})
+	return collectCursor(t, s, true, cols)
+}
+
+// collectRecords drains a per-record cursor over cols into rows.
+func collectRecords(t *testing.T, s Store, cols []int) [][]value.Value {
+	t.Helper()
+	return collectCursor(t, s, false, cols)
+}
+
+// collectCursor opens s's cursor and boxes every selected row, draining it
+// in tiny batches so multi-batch paths run.
+func collectCursor(t *testing.T, s Store, flat bool, cols []int) [][]value.Value {
+	t.Helper()
+	cur, err := s.BatchCursor(flat, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
-}
-
-func collectRecords(t *testing.T, s Store, cols []int) [][]value.Value {
-	t.Helper()
+	sel := drainCursor(t, cur)
+	nc := len(cols)
+	chunk := make([]value.Value, len(sel)*nc)
+	FillRows(cur.Cols, sel, chunk, nc)
 	var out [][]value.Value
-	_, err := s.ScanRecords(cols, func(row []value.Value) error {
-		out = append(out, append([]value.Value(nil), row...))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	for k := range sel {
+		out = append(out, chunk[k*nc:(k+1)*nc:(k+1)*nc])
 	}
 	return out
 }
@@ -109,6 +114,25 @@ func expectedFlat(t *testing.T, schema *value.Type, recs []value.Value, cols []i
 	return out
 }
 
+// expectedRecords is one row per record of the values of the non-repeated
+// leaves cols, read through value.Get.
+func expectedRecords(t *testing.T, schema *value.Type, recs []value.Value, cols []int) [][]value.Value {
+	t.Helper()
+	all, err := value.LeafColumns(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]value.Value
+	for _, r := range recs {
+		row := make([]value.Value, len(cols))
+		for i, c := range cols {
+			row[i] = value.Get(r, schema, all[c].Path)
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
 func TestNestedLayoutsScanFlat(t *testing.T) {
 	schema := orderSchema()
 	recs := sampleOrders()
@@ -118,7 +142,7 @@ func TestNestedLayoutsScanFlat(t *testing.T) {
 		s := build(t, layout, schema, recs)
 		got := collectFlat(t, s, allCols)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s ScanFlat:\ngot  %v\nwant %v", layout, got, want)
+			t.Errorf("%s flattened rows:\ngot  %v\nwant %v", layout, got, want)
 		}
 		if s.NumRecords() != 3 {
 			t.Errorf("%s NumRecords = %d", layout, s.NumRecords())
@@ -138,7 +162,7 @@ func TestNestedLayoutsScanFlatProjection(t *testing.T) {
 		s := build(t, layout, schema, recs)
 		got := collectFlat(t, s, cols)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s projected ScanFlat:\ngot  %v\nwant %v", layout, got, want)
+			t.Errorf("%s projected flattened rows:\ngot  %v\nwant %v", layout, got, want)
 		}
 	}
 }
@@ -156,29 +180,43 @@ func TestScanRecords(t *testing.T) {
 		s := build(t, layout, schema, recs)
 		got := collectRecords(t, s, cols)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s ScanRecords:\ngot  %v\nwant %v", layout, got, want)
+			t.Errorf("%s record rows:\ngot  %v\nwant %v", layout, got, want)
 		}
 		// Repeated columns must be rejected.
-		if _, err := s.ScanRecords([]int{3}, func([]value.Value) error { return nil }); err == nil {
-			t.Errorf("%s ScanRecords on repeated column should fail", layout)
+		if _, err := s.BatchCursor(false, []int{3}); err == nil {
+			t.Errorf("%s per-record cursor on a repeated column should fail", layout)
 		}
 	}
 }
 
 func TestScanRecordsRowCounts(t *testing.T) {
-	// Parquet reads short columns (rows scanned = records); columnar must
-	// iterate all flattened rows. This asymmetry drives layout selection.
+	// Parquet reads short columns (one entry per record); the columnar
+	// cursor reads the flattened vectors and selects the first row of each
+	// record. Both need r_i = 3 records. This asymmetry drives layout
+	// selection.
 	schema := orderSchema()
 	recs := sampleOrders()
-	p := build(t, LayoutParquet, schema, recs)
-	c := build(t, LayoutColumnar, schema, recs)
-	ps, _ := p.ScanRecords([]int{0}, func([]value.Value) error { return nil })
-	cs, _ := c.ScanRecords([]int{0}, func([]value.Value) error { return nil })
-	if ps.RowsScanned != 3 {
-		t.Errorf("parquet ScanRecords rows = %d, want 3", ps.RowsScanned)
-	}
-	if cs.RowsScanned != 4 {
-		t.Errorf("columnar ScanRecords rows = %d, want 4 (all flat rows)", cs.RowsScanned)
+	for _, tc := range []struct {
+		layout  Layout
+		physLen int
+		sel     []int32
+	}{
+		{LayoutParquet, 3, []int32{0, 1, 2}},
+		{LayoutColumnar, 4, []int32{0, 2, 3}},
+	} {
+		cur, err := build(t, tc.layout, schema, recs).BatchCursor(false, []int{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.Rows != 3 || cur.ComputeNanos != 0 {
+			t.Errorf("%s per-record cursor: Rows = %d, ComputeNanos = %d; want 3 and 0", tc.layout, cur.Rows, cur.ComputeNanos)
+		}
+		if n := cur.Cols[0].Len(); n != tc.physLen {
+			t.Errorf("%s per-record cursor reads a %d-entry column, want %d", tc.layout, n, tc.physLen)
+		}
+		if sel := drainCursor(t, cur); !reflect.DeepEqual(sel, tc.sel) {
+			t.Errorf("%s per-record cursor selects %v, want %v", tc.layout, sel, tc.sel)
+		}
 	}
 }
 
@@ -242,7 +280,8 @@ func TestConvert(t *testing.T) {
 		t.Errorf("converted layout = %v", dst.Layout())
 	}
 	allCols := []int{0, 1, 2, 3, 4}
-	if !reflect.DeepEqual(collectFlat(t, dst, allCols), collectFlat(t, src, allCols)) {
+	want := expectedFlat(t, schema, recs, allCols)
+	if !reflect.DeepEqual(collectFlat(t, dst, allCols), want) {
 		t.Error("conversion changed contents")
 	}
 	// And back.
@@ -250,7 +289,7 @@ func TestConvert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(collectFlat(t, back, allCols), collectFlat(t, src, allCols)) {
+	if !reflect.DeepEqual(collectFlat(t, back, allCols), want) {
 		t.Error("round-trip conversion changed contents")
 	}
 }
@@ -300,8 +339,9 @@ func randomRecord(r *rand.Rand) value.Value {
 	)
 }
 
-// Property: for random record sets, all three scan paths agree across
-// layouts and the nested round trip is exact.
+// Property: for random record sets, both cursors of both layouts yield the
+// records' flattening and top-level fields, and the nested round trip is
+// exact.
 func TestLayoutEquivalenceProperty(t *testing.T) {
 	schema := orderSchema()
 	f := func(seed int64) bool {
@@ -320,22 +360,13 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 		}
 		p, c := bp.Finish(), bc.Finish()
 
-		cols := []int{0, 3, 4}
-		var pf, cf [][]value.Value
-		if _, err := p.ScanFlat(cols, func(row []value.Value) error {
-			pf = append(pf, append([]value.Value(nil), row...))
-			return nil
-		}); err != nil {
-			return false
-		}
-		if _, err := c.ScanFlat(cols, func(row []value.Value) error {
-			cf = append(cf, append([]value.Value(nil), row...))
-			return nil
-		}); err != nil {
-			return false
-		}
-		if !reflect.DeepEqual(pf, cf) {
-			return false
+		cols, recCols := []int{0, 3, 4}, []int{2, 0}
+		want, wantRecs := expectedFlat(t, schema, recs, cols), expectedRecords(t, schema, recs, recCols)
+		for _, st := range []Store{p, c} {
+			if !reflect.DeepEqual(collectFlat(t, st, cols), want) ||
+				!reflect.DeepEqual(collectRecords(t, st, recCols), wantRecs) {
+				return false
+			}
 		}
 		// Nested round trip through parquet.
 		i := 0
@@ -354,37 +385,35 @@ func TestLayoutEquivalenceProperty(t *testing.T) {
 	}
 }
 
-func TestScanStatsPopulated(t *testing.T) {
+// TestCursorCostSplit: a cursor reports the scan's r_i and, as its C_i, the
+// time it spent expanding records when it opened — only a nested Parquet
+// store's flattened cursor expands anything.
+func TestCursorCostSplit(t *testing.T) {
 	schema := orderSchema()
 	r := rand.New(rand.NewSource(1))
 	var recs []value.Value
 	for i := 0; i < 2000; i++ {
 		recs = append(recs, randomRecord(r))
 	}
-	p := build(t, LayoutParquet, schema, recs)
-	st, err := p.ScanFlat([]int{0, 3}, func([]value.Value) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DataNanos <= 0 {
-		t.Error("parquet scan DataNanos should be positive")
-	}
-	if st.ComputeNanos <= 0 {
-		t.Error("parquet scan ComputeNanos should be positive (FSM assembly)")
-	}
-	c := build(t, LayoutColumnar, schema, recs)
-	cst, err := c.ScanFlat([]int{0, 3}, func([]value.Value) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cst.ComputeNanos != 0 {
-		t.Error("columnar scan should report zero compute cost")
-	}
-	var agg ScanStats
-	agg.Add(st)
-	agg.Add(cst)
-	if agg.RowsScanned != st.RowsScanned+cst.RowsScanned {
-		t.Error("ScanStats.Add wrong")
+	for _, layout := range []Layout{LayoutParquet, LayoutColumnar} {
+		st := build(t, layout, schema, recs)
+		for _, flat := range []bool{true, false} {
+			cols, rows := []int{0, 1}, int64(st.NumRecords())
+			if flat {
+				cols, rows = []int{0, 3}, int64(st.NumFlatRows())
+			}
+			cur, err := st.BatchCursor(flat, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cur.Rows != rows {
+				t.Errorf("%s flat=%v: Rows = %d, want %d", layout, flat, cur.Rows, rows)
+			}
+			if expands := layout == LayoutParquet && flat; (cur.ComputeNanos > 0) != expands {
+				t.Errorf("%s flat=%v: ComputeNanos = %d; want it positive only for Parquet's flattened view",
+					layout, flat, cur.ComputeNanos)
+			}
+		}
 	}
 }
 
@@ -428,37 +457,11 @@ func TestConvertMatchesRebuild(t *testing.T) {
 				return false
 			}
 			cols := []int{0, 1, 2, 3, 4}
-			var a, b [][]value.Value
-			if _, err := fast.ScanFlat(cols, func(row []value.Value) error {
-				a = append(a, append([]value.Value(nil), row...))
-				return nil
-			}); err != nil {
-				return false
-			}
-			if _, err := gen.ScanFlat(cols, func(row []value.Value) error {
-				b = append(b, append([]value.Value(nil), row...))
-				return nil
-			}); err != nil {
-				return false
-			}
-			if !reflect.DeepEqual(a, b) {
+			if !reflect.DeepEqual(collectFlat(t, fast, cols), expectedFlat(t, schema, recs, cols)) {
 				return false
 			}
 			// Record granularity must agree too.
-			a, b = nil, nil
-			if _, err := fast.ScanRecords([]int{0, 1}, func(row []value.Value) error {
-				a = append(a, append([]value.Value(nil), row...))
-				return nil
-			}); err != nil {
-				return false
-			}
-			if _, err := gen.ScanRecords([]int{0, 1}, func(row []value.Value) error {
-				b = append(b, append([]value.Value(nil), row...))
-				return nil
-			}); err != nil {
-				return false
-			}
-			if !reflect.DeepEqual(a, b) {
+			if !reflect.DeepEqual(collectRecords(t, fast, []int{0, 1}), expectedRecords(t, schema, recs, []int{0, 1})) {
 				return false
 			}
 			// And the nested round trip through the fast-converted store.
@@ -492,7 +495,7 @@ func TestConvertFlatSchema(t *testing.T) {
 		value.VRecord(value.VNull, value.VString("y")),
 	}
 	colSt := build(t, LayoutColumnar, schema, recs)
-	want := collectFlat(t, colSt, []int{0, 1})
+	want := expectedFlat(t, schema, recs, []int{0, 1})
 	parSt, _, err := Convert(colSt, LayoutParquet)
 	if err != nil {
 		t.Fatal(err)

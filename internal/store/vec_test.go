@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"recache/internal/value"
@@ -199,12 +200,15 @@ func drainCursor(t *testing.T, cur *BatchCursor) []int32 {
 }
 
 // TestBatchCursorMatchesRowScans holds both cursors of each layout to the
-// row scans, over three record shapes: nested records with multi-element
-// lists (the columnar record cursor deduplicates record ids), nested
-// records of at most one element (every record one physical row, some of
-// them empty-list placeholders: the record cursor is the dense range, the
-// flattened one still skips placeholders), and flat records with NULLs
-// (the dense range).
+// records themselves — the flattened rows to value.FlattenRecord, the
+// per-record rows to the records' fields — over three record shapes:
+// nested records with multi-element lists (the columnar record cursor
+// deduplicates record ids), nested records of at most one element (every
+// record one physical row, some of them empty-list placeholders: the record
+// cursor is the dense range, the flattened one still skips placeholders),
+// and flat records with NULLs (the dense range). Each shape is read from
+// stores built by Add, converted by Convert in both directions, and decoded
+// by ReadParquetBytes.
 func TestBatchCursorMatchesRowScans(t *testing.T) {
 	nested := value.TRecord(
 		value.F("a", value.TInt),
@@ -249,59 +253,47 @@ func TestBatchCursorMatchesRowScans(t *testing.T) {
 			flatRecs, -1, []int{1, 0}},
 	}
 	for _, c := range cases {
+		cols := []int{0, 1}
+		wantRecs := expectedRecords(t, c.schema, c.recs, cols)
+		wantFlat := expectedFlat(t, c.schema, c.recs, c.flatCols)
 		for _, layout := range []Layout{LayoutColumnar, LayoutParquet} {
-			st := build(t, layout, c.schema, c.recs)
-			bs := st.(BatchSource)
-			name := fmt.Sprintf("%s/%v", c.name, layout)
-
-			// Record granularity over non-repeated cols must match ScanRecords.
-			cols := []int{0, 1}
-			cur, err := bs.BatchCursor(false, cols)
-			if err != nil {
-				t.Fatalf("%s: record-granularity batches: %v", name, err)
+			built := build(t, layout, c.schema, c.recs)
+			other := LayoutParquet
+			if layout == LayoutParquet {
+				other = LayoutColumnar
 			}
-			matchScan(t, name+" records", st.ScanRecords, cur, cols)
-
-			// A repeated column at record granularity is an error.
-			if c.repeated >= 0 {
-				if _, err := bs.BatchCursor(false, []int{c.repeated}); err == nil {
-					t.Errorf("%s: repeated column should not batch at record granularity", name)
+			converted, _, err := Convert(built, other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores := map[string]Store{"built": built, "converted": converted}
+			if layout == LayoutParquet {
+				decoded, err := ReadParquetBytes(rcs(t, built), c.schema)
+				if err != nil {
+					t.Fatal(err)
 				}
+				stores["decoded"] = decoded
 			}
+			for how, st := range stores {
+				name := fmt.Sprintf("%s/%s %v", c.name, how, st.Layout())
 
-			// Flat granularity: the columnar layout skips its placeholder
-			// rows, Parquet expands its records into the same rows.
-			curF, err := bs.BatchCursor(true, c.flatCols)
-			if err != nil {
-				t.Fatalf("%s: flat batches: %v", name, err)
-			}
-			matchScan(t, name+" flat", st.ScanFlat, curF, c.flatCols)
-		}
-	}
-}
+				// Record granularity over non-repeated cols.
+				if got := collectRecords(t, st, cols); !reflect.DeepEqual(got, wantRecs) {
+					t.Errorf("%s: record rows\ngot  %v\nwant %v", name, got, wantRecs)
+				}
 
-// matchScan drains cur in tiny batches and compares the selected rows of
-// its columns with what scan emits for cols.
-func matchScan(t *testing.T, name string, scan func([]int, EmitFunc) (ScanStats, error), cur *BatchCursor, cols []int) {
-	t.Helper()
-	var want [][]value.Value
-	if _, err := scan(cols, func(row []value.Value) error {
-		want = append(want, append([]value.Value(nil), row...))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sel := drainCursor(t, cur)
-	if len(sel) != len(want) {
-		t.Fatalf("%s: %d selected rows, want %d", name, len(sel), len(want))
-	}
-	nc := len(cols)
-	chunk := make([]value.Value, len(sel)*nc)
-	FillRows(cur.Cols, sel, chunk, nc)
-	for k := range sel {
-		for i := 0; i < nc; i++ {
-			if !chunk[k*nc+i].Equal(want[k][i]) {
-				t.Errorf("%s: row %d col %d = %v, want %v", name, k, i, chunk[k*nc+i], want[k][i])
+				// A repeated column at record granularity is an error.
+				if c.repeated >= 0 {
+					if _, err := st.BatchCursor(false, []int{c.repeated}); err == nil {
+						t.Errorf("%s: repeated column should not batch at record granularity", name)
+					}
+				}
+
+				// Flat granularity: the columnar layout skips its placeholder
+				// rows, Parquet expands its records into the same rows.
+				if got := collectFlat(t, st, c.flatCols); !reflect.DeepEqual(got, wantFlat) {
+					t.Errorf("%s: flattened rows\ngot  %v\nwant %v", name, got, wantFlat)
+				}
 			}
 		}
 	}

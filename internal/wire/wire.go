@@ -11,7 +11,7 @@
 //
 // Variable-length fields are u32-length-prefixed byte strings. Query
 // results travel as columnar batches: the result's record schema (encoded
-// structurally, see encType) plus an RCS1 stream (internal/store's spill
+// structurally, see encType) plus an RCS stream (internal/store's spill
 // serialization) of the result rows in the Parquet layout — the same bytes
 // a disk spill would hold, so neither side boxes rows to cross the socket.
 //
@@ -67,7 +67,7 @@ const (
 	OpFleet
 	OpLeaseAcquire
 	OpLeaseRelease
-	// Resilience ops. OpReplicate pushes one cache entry's RCS1 payload to
+	// Resilience ops. OpReplicate pushes one cache entry's RCS payload to
 	// the shard next in the key's rendezvous order (replica placement, and
 	// the drain handoff); the receiver admits it as a disk-tier entry.
 	// OpLeave announces a member's graceful departure so survivors drop it
@@ -133,7 +133,7 @@ type Request struct {
 	TTLMillis uint32 // OpLeaseAcquire
 
 	// OpReplicate: the entry's dataset name travels in Name, its canonical
-	// predicate in Pred, and its RCS1-serialized payload in Payload.
+	// predicate in Pred, and its RCS-serialized payload in Payload.
 	// OpLeave: the departing member's shard id in ShardID.
 	Pred    string
 	Payload []byte
@@ -141,7 +141,7 @@ type Request struct {
 }
 
 // Result is a query result as it crosses the wire: column names, the
-// result-record schema, and the rows as an RCS1-serialized Parquet-layout
+// result-record schema, and the rows as an RCS-serialized Parquet-layout
 // store (decode with store.ReadParquetBytes against Schema).
 type Result struct {
 	Columns   []string

@@ -28,7 +28,7 @@ func allRequests() []*Request {
 		{ID: 12, Op: OpFleet},
 		{ID: 13, Op: OpLeaseAcquire, Key: "lineitem|l_quantity in [1,5]", Holder: 0xDEADBEEF, TTLMillis: 3000},
 		{ID: 14, Op: OpLeaseRelease, Key: "lineitem|l_quantity in [1,5]", Holder: 0xDEADBEEF},
-		{ID: 15, Op: OpReplicate, Name: "lineitem", Pred: "(l_quantity<=5)", Payload: []byte("RCS1 payload stand-in")},
+		{ID: 15, Op: OpReplicate, Name: "lineitem", Pred: "(l_quantity<=5)", Payload: []byte("RCS payload stand-in")},
 		{ID: 16, Op: OpReplicate, Name: "t", Pred: "true"},
 		{ID: 17, Op: OpLeave, ShardID: 2},
 	}
@@ -51,7 +51,7 @@ func allResponses() []*Response {
 		{ID: 2, Op: OpQuery, Result: &Result{
 			Columns:   []string{"a", "b", "c"},
 			Schema:    resultSchema(),
-			Batch:     []byte("RCS1 payload stand-in"),
+			Batch:     []byte("RCS payload stand-in"),
 			WallNanos: 123456,
 			NumRows:   7,
 		}},

@@ -272,7 +272,7 @@ func (e *Engine) RegisterProvider(name string, format plan.Format, prov plan.Sou
 	return e.register(&plan.Dataset{Name: name, Format: format, Provider: prov})
 }
 
-// AdmitReplica admits a peer-pushed RCS1 payload as a disk-tier cache
+// AdmitReplica admits a peer-pushed RCS payload as a disk-tier cache
 // entry for (table, predCanon). It is the receiving side of fleet
 // replication: the key's owner ships each eager admission here so a shard
 // death leaves a warm copy one rendezvous hop away. predCanon must be a
@@ -310,7 +310,7 @@ func (e *Engine) AdmitReplica(table, predCanon string, payload []byte) error {
 }
 
 // ExportEntries serializes every exportable eager cache entry (RAM or
-// disk tier) and hands each (table, predCanon, RCS1 payload) to fn. A
+// disk tier) and hands each (table, predCanon, RCS payload) to fn. A
 // draining shard uses it to stream its working set to the new rendezvous
 // owners before exiting; the payloads are byte-identical to what
 // AdmitReplica accepts. Lazy entries are skipped — their offset lists are
@@ -560,7 +560,7 @@ func (e *Engine) queryOnce(sql string) (*Result, error) {
 // BatchResult is a query result kept columnar: the result rows live in a
 // Parquet-layout store instead of boxed row slices. It is the zero-copy
 // result shape for the wire path — store.WriteParquet serializes Store
-// into the RCS1 frame the server ships, and the receiving client rebuilds
+// into the RCS frame the server ships, and the receiving client rebuilds
 // an identical store with store.ReadParquetBytes against Schema.
 type BatchResult struct {
 	Columns []string
@@ -575,7 +575,7 @@ type BatchResult struct {
 // result as a columnar batch in a Parquet-layout store: the plan root's
 // batches are appended to the store's column vectors (a result with a
 // sub-record column is striped in row by row). The serving layer uses this so a result crosses the wire as
-// the same RCS1 bytes a disk spill would hold.
+// the same RCS bytes a disk spill would hold.
 func (e *Engine) QueryColumnar(sql string) (*BatchResult, error) {
 	if err := e.beginQuery(); err != nil {
 		return nil, err
