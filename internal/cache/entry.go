@@ -94,16 +94,33 @@ type Entry struct {
 	spillBytes  int64
 	opDone      chan struct{} // made by a reader waiting for op to end, closed when it does
 	reloadNanos int64         // measured cost of the last disk re-admission
+
+	// Join tables memoised over Store (AttachJoinTable), and their bytes,
+	// which SizeBytes counts. Guarded by the Manager's lock; the tables
+	// themselves are read-only once attached.
+	joins     map[JoinTableKey]any
+	joinBytes int64
 }
 
-// SizeBytes is B: the entry's memory footprint. An eager entry whose payload
-// is in the disk tier holds no RAM.
+// JoinTableKey names a join's hash table over an entry's store: the store
+// snapshot it indexes, the key's leaf column, the key representation the
+// table normalised to, and whether its row ids count flattened rows or
+// records.
+type JoinTableKey struct {
+	Store store.Store
+	Col   string
+	Mode  uint8
+	Flat  bool
+}
+
+// SizeBytes is B: the entry's memory footprint, its join tables included.
+// An eager entry whose payload is in the disk tier holds no RAM.
 func (e *Entry) SizeBytes() int64 {
 	switch {
 	case e.Mode == Lazy:
 		return int64(len(e.Offsets))*8 + 64
 	case e.Store != nil:
-		return e.Store.SizeBytes()
+		return e.Store.SizeBytes() + e.joinBytes
 	}
 	return 0
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // Entry lifecycle. An entry's state is three fields, and the functions in
-// this file are the only code that writes them, the spill-file identity, or
-// the byte gauges m.total / m.diskTotal / m.diskEntries:
+// this file are the only code that writes them, the spill-file identity, the
+// join tables memoised on the store, or the byte gauges m.total /
+// m.diskTotal / m.diskEntries:
 //
 //   - tier: where the authoritative payload lives. tierRAM entries hold
 //     their Store / Offsets (a spill file they still own is a redundant
@@ -185,6 +186,7 @@ func (m *Manager) commit(o inflight, res result) bool {
 		}
 		return false
 	}
+	m.dropJoinTables(e) // they index the payload being replaced
 	before := e.SizeBytes()
 	if res.stale {
 		// A kept spill file serializes the pre-append payload; a free
@@ -255,6 +257,7 @@ func (m *Manager) insertLocked(e *Entry) {
 // extension still rebuilding the RAM copy loses: its commit finds the
 // operation gone.
 func (m *Manager) demoteLocked(e *Entry) {
+	m.dropJoinTables(e)
 	e.tier = tierDisk
 	e.endOp()
 	m.policy.OnDemote(e.ID)
@@ -312,11 +315,51 @@ func (m *Manager) unpinLocked(e *Entry) {
 // that store still in flight; a dead one keeps its pointers for whoever
 // still holds the *Entry and goes with it.
 func (m *Manager) dropRAMPayload(e *Entry) {
+	m.dropJoinTables(e)
 	m.total -= e.SizeBytes()
 	if !e.dead {
 		e.Store = nil
 		e.endOp()
 	}
+}
+
+// AttachJoinTable memoises table, a join's hash table over e's store
+// snapshot k.Store, charging its bytes to the RAM budget. It installs the
+// table only if e is alive, still holds that store in the RAM tier, and the
+// table fits in the budget's free room: a memo never evicts anything. The
+// table stays until the payload it indexes leaves RAM or is replaced
+// (commit, demoteLocked, dropRAMPayload), or until the budget overflows:
+// evictLocked sheds every table before it evicts a payload. It reports
+// whether it installed the table.
+func (m *Manager) AttachJoinTable(e *Entry, k JoinTableKey, table any, bytes int64) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e.dead || e.tier != tierRAM || e.Store == nil || e.Store != k.Store || e.joins[k] != nil {
+		return false
+	}
+	if m.cfg.Capacity > 0 && m.total+bytes > m.cfg.Capacity {
+		return false
+	}
+	if e.joins == nil {
+		e.joins = make(map[JoinTableKey]any)
+	}
+	e.joins[k] = table
+	e.joinBytes += bytes
+	m.total += bytes
+	return true
+}
+
+// JoinTable returns the join table memoised on e under k, or nil.
+func (m *Manager) JoinTable(e *Entry, k JoinTableKey) any {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return e.joins[k]
+}
+
+// dropJoinTables releases the join tables memoised on e and their bytes.
+func (m *Manager) dropJoinTables(e *Entry) {
+	m.total -= e.joinBytes
+	e.joins, e.joinBytes = nil, 0
 }
 
 // releaseSpillFile deletes the entry's spill file, if it owns one, and

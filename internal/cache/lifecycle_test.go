@@ -144,6 +144,34 @@ func TestDiskTierEntryHoldsNoRAM(t *testing.T) {
 	assertNothingHeld(t, m, dir)
 }
 
+// A budget overflow sheds memoised join tables before it evicts a payload:
+// a table rebuilds from RAM, an evicted payload costs a raw rescan.
+func TestJoinTablesShedBeforeEviction(t *testing.T) {
+	x := newLifecycleModel(t, 1)
+	rng := rand.New(rand.NewSource(1))
+	a := x.admit(rng, x.preds[0], Eager)
+	_, st, _ := x.m.Payload(a)
+	k := JoinTableKey{Store: st, Col: "a"}
+	room := x.m.cfg.Capacity - x.m.Stats().TotalBytes
+	if !x.m.AttachJoinTable(a, k, &k, room) {
+		t.Fatal("a table that fits the free budget was not attached")
+	}
+	if x.m.AttachJoinTable(a, JoinTableKey{Store: st, Col: "c"}, &k, 1) {
+		t.Fatal("a table past the budget was attached")
+	}
+	b := x.admit(rng, x.preds[1], Eager) // fits only in the table's room
+	if x.m.JoinTable(a, k) != nil {
+		t.Error("the table survived the overflow")
+	}
+	st2 := x.m.Stats()
+	if st2.Evictions != 0 || len(x.m.Entries()) != 2 {
+		t.Errorf("%d evictions, %d entries: a payload went before the table", st2.Evictions, len(x.m.Entries()))
+	}
+	if want := a.SizeBytes() + b.SizeBytes(); st2.TotalBytes != want {
+		t.Errorf("TotalBytes = %d, want %d", st2.TotalBytes, want)
+	}
+}
+
 // growingProvider is an in-memory raw file that appends and rewrites:
 // record i sits at byte offset 100·i. Like the real providers it serves the
 // prefix its last Refresh ingested, however far the file has grown since.
@@ -220,6 +248,7 @@ func (g *growingProvider) ScanOffsets(offsets []int64, _ []value.Path, fn plan.S
 type lifecycleModel struct {
 	t     *testing.T
 	rng   *rand.Rand
+	joins *rand.Rand // draws the join-table attaches; nil runs none
 	m     *Manager
 	dir   string
 	ds    *plan.Dataset
@@ -325,9 +354,11 @@ func (x *lifecycleModel) note(e *Entry) {
 
 // pick returns the first live entry, in a seeded random order, that ok
 // accepts (nil if none does). ok runs under the manager lock.
-func (x *lifecycleModel) pick(ok func(*Entry) bool) *Entry {
+func (x *lifecycleModel) pick(ok func(*Entry) bool) *Entry { return x.pickWith(x.rng, ok) }
+
+func (x *lifecycleModel) pickWith(rng *rand.Rand, ok func(*Entry) bool) *Entry {
 	ents := x.m.Entries() // sorted, so the seed fixes the order
-	x.rng.Shuffle(len(ents), func(i, j int) { ents[i], ents[j] = ents[j], ents[i] })
+	rng.Shuffle(len(ents), func(i, j int) { ents[i], ents[j] = ents[j], ents[i] })
 	x.m.mu.Lock()
 	defer x.m.mu.Unlock()
 	for _, e := range ents {
@@ -612,6 +643,15 @@ func (x *lifecycleModel) check(step int, name string, quiescent bool) {
 		if !e.dead || e.pins > 0 {
 			ram += e.SizeBytes()
 		}
+		// A join table indexes the RAM payload it was built over.
+		for k := range e.joins {
+			if k.Store != e.Store || e.tier != tierRAM {
+				fail("entry %d (tier %d): a join table over a store it no longer holds in RAM", e.ID, e.tier)
+			}
+		}
+		if (len(e.joins) == 0) != (e.joinBytes == 0) {
+			fail("entry %d: %d join tables, %d bytes", e.ID, len(e.joins), e.joinBytes)
+		}
 		if e.spillPath != "" {
 			disk += e.spillBytes
 			files[filepath.Base(e.spillPath)] = true
@@ -695,8 +735,32 @@ func (x *lifecycleModel) check(step int, name string, quiescent bool) {
 	}
 }
 
-func runLifecycleModel(t *testing.T, seed int64, steps int) {
+// attachJoinTable offers a join's table over a random entry's snapshot, as
+// a join's build side would: whatever the entry's state, AttachJoinTable
+// decides, and what it installs counts toward m.total until the payload
+// moves or the budget overflows. It draws only from x.joins.
+func (x *lifecycleModel) attachJoinTable() {
+	e := x.pickWith(x.joins, func(e *Entry) bool { return e.Store != nil })
+	if e == nil {
+		return
+	}
+	_, st, _ := x.m.Payload(e)
+	if st == nil {
+		return
+	}
+	k := JoinTableKey{Store: st, Col: []string{"a", "b"}[x.joins.Intn(2)], Mode: uint8(x.joins.Intn(2))}
+	x.m.AttachJoinTable(e, k, &k, 1+x.joins.Int63n(st.SizeBytes()))
+}
+
+// runLifecycleModel runs steps random lifecycle steps from seed. With
+// joinTables, a join-table attach may follow each step. Attaches draw from
+// their own source, so a run without them draws from x.rng exactly the
+// schedule its seed was pinned for.
+func runLifecycleModel(t *testing.T, seed int64, steps int, joinTables bool) {
 	x := newLifecycleModel(t, seed)
+	if joinTables {
+		x.joins = rand.New(rand.NewSource(^seed))
+	}
 	total := 0
 	for _, s := range lifecycleSteps {
 		total += s.weight
@@ -709,6 +773,10 @@ func runLifecycleModel(t *testing.T, seed int64, steps int) {
 				x.check(i, s.name, false)
 				break
 			}
+		}
+		if x.joins != nil && x.joins.Intn(4) == 0 {
+			x.attachJoinTable()
+			x.check(i, "attach-join-table", false)
 		}
 	}
 	// Quiesce: finish every held operation, close every query.
@@ -730,15 +798,18 @@ var pinnedLifecycleSeeds = []int64{1, 1790466152564101585, 1792040738882089520}
 
 // TestLifecycleModel checks the lifecycle invariants after every one of
 // 10k random steps of each pinned schedule and of a fresh one (its seed is
-// logged; add it to pinnedLifecycleSeeds to replay).
+// logged; add it to pinnedLifecycleSeeds to replay). A pinned schedule runs
+// as it was pinned, then again with join-table attaches between its steps;
+// the fresh one runs with them.
 func TestLifecycleModel(t *testing.T) {
 	for _, seed := range pinnedLifecycleSeeds {
-		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { runLifecycleModel(t, seed, 10_000) })
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { runLifecycleModel(t, seed, 10_000, false) })
+		t.Run(fmt.Sprint("seed=", seed, ",join-tables"), func(t *testing.T) { runLifecycleModel(t, seed, 10_000, true) })
 	}
 	t.Run("seed=fresh", func(t *testing.T) {
 		seed := time.Now().UnixNano()
 		t.Logf("seed=%d", seed)
-		runLifecycleModel(t, seed, 10_000)
+		runLifecycleModel(t, seed, 10_000, true)
 	})
 }
 

@@ -375,6 +375,9 @@ type EntryView struct {
 	OnDisk    bool  // payload spilled to the disk tier
 	Bytes     int64 // RAM footprint; spill-file bytes when OnDisk
 	Reuses    int64
+	// JoinTables counts the join hash tables memoised on the entry's store
+	// (their bytes are in Bytes).
+	JoinTables int
 }
 
 // Snapshot returns race-free views of all live entries, sorted by ID.
@@ -384,14 +387,15 @@ func (m *Manager) Snapshot() []EntryView {
 	out := make([]EntryView, 0, len(m.entries))
 	for _, e := range m.entries {
 		v := EntryView{
-			ID:        e.ID,
-			Dataset:   e.Dataset.Name,
-			PredCanon: e.PredCanon,
-			Mode:      e.Mode,
-			HasStore:  e.Store != nil,
-			OnDisk:    e.diskOnly(),
-			Bytes:     e.footprint(),
-			Reuses:    e.Reuses,
+			ID:         e.ID,
+			Dataset:    e.Dataset.Name,
+			PredCanon:  e.PredCanon,
+			Mode:       e.Mode,
+			HasStore:   e.Store != nil,
+			OnDisk:     e.diskOnly(),
+			Bytes:      e.footprint(),
+			Reuses:     e.Reuses,
+			JoinTables: len(e.joins),
 		}
 		if e.Store != nil {
 			v.Layout = e.Store.Layout()
@@ -525,21 +529,31 @@ func (m *Manager) rewriteRoot(root plan.Node, needed map[string][]string, tx *Tx
 	return m.rewrite(root, needed, tx, readOnly)
 }
 
+// rewrite is copy-on-write: the plan it is handed may be a cached template
+// that concurrent queries share, so a node whose child changes is copied,
+// never written to, and a subtree with nothing to replace is returned as is.
 func (m *Manager) rewrite(n plan.Node, needed map[string][]string, tx *Txn, readOnly bool) plan.Node {
 	switch x := n.(type) {
 	case *plan.Unnest:
+		var c plan.Node
 		if sel, ok := x.Child.(*plan.Select); ok {
 			if scan, ok2 := sel.Child.(*plan.Scan); ok2 {
 				if repl := m.lookupAndRewrite(scan.DS, sel.Pred, true, needed[scan.DS.Name], tx, readOnly); repl != nil {
 					return repl
 				}
 				// Miss: materialize the select, keep the unnest above it.
-				x.Child = m.wrapMaterialize(sel, scan.DS, tx, readOnly)
-				return x
+				c = m.wrapMaterialize(sel, scan.DS, tx, readOnly)
 			}
 		}
-		x.Child = m.rewrite(x.Child, needed, tx, readOnly)
-		return x
+		if c == nil {
+			c = m.rewrite(x.Child, needed, tx, readOnly)
+		}
+		if c == x.Child {
+			return x
+		}
+		cp := *x
+		cp.Child = c
+		return &cp
 	case *plan.Select:
 		if scan, ok := x.Child.(*plan.Scan); ok {
 			if repl := m.lookupAndRewrite(scan.DS, x.Pred, false, needed[scan.DS.Name], tx, readOnly); repl != nil {
@@ -547,18 +561,37 @@ func (m *Manager) rewrite(n plan.Node, needed map[string][]string, tx *Txn, read
 			}
 			return m.wrapMaterialize(x, scan.DS, tx, readOnly)
 		}
-		x.Child = m.rewrite(x.Child, needed, tx, readOnly)
-		return x
+		c := m.rewrite(x.Child, needed, tx, readOnly)
+		if c == x.Child {
+			return x
+		}
+		cp := *x
+		cp.Child = c
+		return &cp
 	case *plan.Project:
-		x.Child = m.rewrite(x.Child, needed, tx, readOnly)
-		return x
+		c := m.rewrite(x.Child, needed, tx, readOnly)
+		if c == x.Child {
+			return x
+		}
+		cp := *x
+		cp.Child = c
+		return &cp
 	case *plan.Aggregate:
-		x.Child = m.rewrite(x.Child, needed, tx, readOnly)
-		return x
+		c := m.rewrite(x.Child, needed, tx, readOnly)
+		if c == x.Child {
+			return x
+		}
+		cp := *x
+		cp.Child = c
+		return &cp
 	case *plan.Join:
-		x.Left = m.rewrite(x.Left, needed, tx, readOnly)
-		x.Right = m.rewrite(x.Right, needed, tx, readOnly)
-		return x
+		l, r := m.rewrite(x.Left, needed, tx, readOnly), m.rewrite(x.Right, needed, tx, readOnly)
+		if l == x.Left && r == x.Right {
+			return x
+		}
+		cp := *x
+		cp.Left, cp.Right = l, r
+		return &cp
 	default:
 		return n
 	}
@@ -894,6 +927,14 @@ func (m *Manager) CompleteBuild(spec *BuildSpec, st store.Store, offsets []int64
 // of discarded. Only reclaimable entries are in the victim pool.
 func (m *Manager) evictLocked() {
 	if m.cfg.Capacity <= 0 || m.total <= m.cfg.Capacity {
+		return
+	}
+	// Memoised join tables go first: they rebuild from payloads already in
+	// RAM, where an evicted payload costs a raw rescan.
+	for _, e := range m.entries {
+		m.dropJoinTables(e)
+	}
+	if m.total <= m.cfg.Capacity {
 		return
 	}
 	need := m.total - m.cfg.Capacity

@@ -162,6 +162,9 @@ type joinTable struct {
 	shashes []uint64
 	ents    []entry
 	used    int
+	// batches is how many build-side batches filled the table: what a join
+	// that reuses the memoised table reports as its build scan.
+	batches int64
 }
 
 // entry is one build row in its key's chain.
@@ -227,6 +230,13 @@ func (t *joinTable) insert(k typedKey, row int32) {
 		t.keys[i] = k.ik
 	}
 	t.used++
+}
+
+// sizeBytes is the table's memory: its slot arrays and entries. A string
+// key shares its bytes with the build side's vector.
+func (t *joinTable) sizeBytes() int64 {
+	slots := int64(cap(t.heads)+cap(t.tails))*4 + int64(cap(t.keys)+cap(t.shashes))*8 + int64(cap(t.skeys))*16
+	return slots + int64(cap(t.ents))*8 + 64
 }
 
 // findInt is lookup for a fixed-width key ik hashing to h; small enough to
@@ -345,6 +355,30 @@ func joinSide(n plan.Node, key expr.Expr, typed bool, deps Deps) (vecSource, int
 		}
 	}
 	return es, len(in.Fields), nil
+}
+
+// build returns the build side's columns and hash table. A build side that
+// reads a cache entry whole — an exact hit, no residual, no filter pushed
+// into the scan — hashes an immutable store the same way every time, so
+// its table is memoised on the entry (Manager.AttachJoinTable) under the
+// store snapshot, the key column and the key mode, and a later join reuses
+// it. A reuse still reports the batches the table was built from, so the
+// scan's accounting is the same either way.
+func (vj *vecJoin) build(ctx *qctx, liter vecIter) ([]*store.Vec, *joinTable) {
+	sc, ok := liter.(*scanIter)
+	m := ctx.deps.Manager
+	if !ok || m == nil || sc.s.cs.Residual != nil || len(sc.s.filters) > 1 {
+		return vj.buildTable(liter)
+	}
+	k := cache.JoinTableKey{Store: sc.st, Col: sc.s.outNames[vj.lslot], Mode: uint8(vj.mode), Flat: sc.s.cs.Flat}
+	if t, ok := m.JoinTable(sc.s.entry, k).(*joinTable); ok {
+		sc.batches = t.batches
+		return sc.Cols(), t
+	}
+	bcols, t := vj.buildTable(liter)
+	t.batches = sc.batches
+	m.AttachJoinTable(sc.s.entry, k, t, t.sizeBytes())
+	return bcols, t
 }
 
 // buildTable drains the build-side iterator into a typed table. When the
@@ -511,7 +545,7 @@ func (it *joinIter) Next() ([]*store.Vec, []int32, bool) {
 	vj := it.vj
 	if it.liter != nil {
 		t0 := time.Now()
-		it.bcols, it.table = vj.buildTable(it.liter)
+		it.bcols, it.table = vj.build(it.ctx, it.liter)
 		// The typed build is part of serving the left entry's batches:
 		// feed it into that side's scan observation so the layout advisor
 		// prices the join's read pattern, not just the cursor walk.

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"recache/internal/cache"
 	"recache/internal/csvio"
@@ -354,6 +355,68 @@ func TestJoinTable(t *testing.T) {
 	}
 	if e := tab.lookup(intKey(1234)); e != -1 {
 		t.Fatalf("lookup(1234) = %d, want -1", e)
+	}
+}
+
+// TestJoinTableMemoReused: the first hit of a join memoises its build
+// side's table on the entry, and the second hit probes that very table —
+// while reporting the same build-side batches as the hit that hashed it.
+func TestJoinTableMemoReused(t *testing.T) {
+	jl, jr := joinLeftDataset(t), joinRightDataset(t)
+	needed := map[string][]string{"jl": {"lk", "lf", "ls", "lv"}, "jr": {"rk", "rf", "rs", "rv"}}
+	mk := func() plan.Node {
+		left := &plan.Select{Child: &plan.Scan{DS: jl}}
+		right := &plan.Select{Child: &plan.Scan{DS: jr}}
+		j, err := plan.NewJoin(left, right, expr.C("lk"), expr.C("rk"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	want := refRows(t, mk())
+	m := mgr(cache.Config{Admission: cache.AlwaysEager, Layout: cache.LayoutFixedColumnar})
+	buildAndRun(t, m, mk, needed) // the miss builds both entries
+	batches := m.Stats().VectorizedBatches
+	if hit := buildAndRun(t, m, mk, needed); !reflect.DeepEqual(hit.Rows, want) {
+		t.Fatalf("first hit: %v, want %v", hit.Rows, want)
+	}
+	perHit := m.Stats().VectorizedBatches - batches
+	var build *cache.Entry
+	for _, e := range m.Entries() {
+		if e.Dataset == jl {
+			build = e
+		}
+	}
+	_, st, _ := m.Payload(build)
+	memo, ok := m.JoinTable(build, cache.JoinTableKey{Store: st, Col: "lk", Mode: uint8(keyModeInt)}).(*joinTable)
+	if !ok {
+		t.Fatal("the first hit memoised no table on the build entry")
+	}
+
+	m.BeginQuery()
+	deps := Deps{Manager: m}
+	src, err := compile(m.Rewrite(mk(), needed), deps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &qctx{start: time.Now(), deps: deps, stats: &QueryStats{}}
+	it, err := src.open(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink collectSink
+	batches = m.Stats().VectorizedBatches
+	if err := sinkIter(ctx, it, &sink); err != nil {
+		t.Fatal(err)
+	}
+	if got := it.(*joinIter).table; got != memo {
+		t.Error("the second hit built its own table")
+	}
+	if !reflect.DeepEqual(sink.rows, want) {
+		t.Errorf("second hit: %v, want %v", sink.rows, want)
+	}
+	if got := m.Stats().VectorizedBatches - batches; got != perHit {
+		t.Errorf("the memo hit reported %d batches, the hit that built the table %d", got, perHit)
 	}
 }
 

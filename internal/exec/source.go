@@ -161,7 +161,7 @@ func (s *scanSource) open(ctx *qctx) (vecIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := &scanIter{s: s, cur: cur, kinds: make([]value.Kind, len(cur.Cols))}
+	it := &scanIter{s: s, st: st, cur: cur, kinds: make([]value.Kind, len(cur.Cols))}
 	for i, v := range cur.Cols {
 		it.kinds[i] = v.Kind
 	}
@@ -227,6 +227,7 @@ func putSelBuf(b []int32) {
 
 type scanIter struct {
 	s       *scanSource
+	st      store.Store // the payload snapshot cur reads
 	cur     *store.BatchCursor
 	selBuf  []int32
 	batches int64

@@ -54,17 +54,39 @@ func (p Path) HasPrefix(prefix Path) bool {
 // element type). It returns the leaf type and whether any List was crossed
 // (i.e. the path addresses repeated data).
 func (p Path) Resolve(t *Type) (leaf *Type, repeated bool, err error) {
-	cur := t
+	leaf, repeated, at := p.walk(t)
+	switch {
+	case at == len(p):
+		return leaf, repeated, nil
+	case leaf.Kind != Record:
+		return nil, false, fmt.Errorf("value: path %q: %q is not a record", p, Path(p[:at]))
+	}
+	return nil, false, fmt.Errorf("value: path %q: no field %q in %s", p, p[at], leaf)
+}
+
+// Lookup is Resolve without the error: ok is false when the path does not
+// resolve. It allocates nothing, so a planner can try a column against
+// every table of a query.
+func (p Path) Lookup(t *Type) (leaf *Type, repeated, ok bool) {
+	leaf, repeated, at := p.walk(t)
+	if at < len(p) {
+		return nil, false, false
+	}
+	return leaf, repeated, true
+}
+
+// walk descends p through t. It returns the leaf type and whether a List was
+// crossed, with at == len(p); or, when step at fails, the (list-unwrapped)
+// type that step looked into.
+func (p Path) walk(t *Type) (cur *Type, repeated bool, at int) {
+	cur = t
 	for i, name := range p {
 		if cur.Kind == List {
 			cur = cur.Elem
 		}
-		if cur.Kind != Record {
-			return nil, false, fmt.Errorf("value: path %q: %q is not a record", p, Path(p[:i]))
-		}
 		idx, ft := cur.FieldIndex(name)
 		if idx < 0 {
-			return nil, false, fmt.Errorf("value: path %q: no field %q in %s", p, name, cur)
+			return cur, false, i
 		}
 		cur = ft
 		if cur.Kind == List {
@@ -74,7 +96,7 @@ func (p Path) Resolve(t *Type) (leaf *Type, repeated bool, err error) {
 	if cur.Kind == List {
 		cur = cur.Elem
 	}
-	return cur, repeated, nil
+	return cur, repeated, len(p)
 }
 
 // LeafColumn describes one leaf of a nested schema in document order,

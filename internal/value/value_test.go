@@ -3,6 +3,7 @@ package value
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -145,8 +146,19 @@ func TestPathResolve(t *testing.T) {
 	if _, _, err := (Path{"nope"}).Resolve(s); err == nil {
 		t.Error("Resolve(nope) should fail")
 	}
-	if _, _, err := (Path{"o_orderkey", "deeper"}).Resolve(s); err == nil {
-		t.Error("Resolve through a primitive should fail")
+	if _, _, err := (Path{"o_orderkey", "deeper"}).Resolve(s); err == nil || !strings.Contains(err.Error(), "is not a record") {
+		t.Errorf("Resolve through a primitive should fail: %v", err)
+	}
+	// Lookup agrees with Resolve, without building an error.
+	for _, p := range []Path{{"lineitems", "l_quantity"}, {"o_totalprice"}, {"nope"}, {"o_orderkey", "deeper"}, {"lineitems", "nope"}} {
+		leaf, rep, err := p.Resolve(s)
+		gleaf, grep, ok := p.Lookup(s)
+		if gleaf != leaf || grep != rep || ok != (err == nil) {
+			t.Errorf("Lookup(%v) = (%v, %v, %v), Resolve = (%v, %v, %v)", p, gleaf, grep, ok, leaf, rep, err)
+		}
+		if n := testing.AllocsPerRun(10, func() { p.Lookup(s) }); n != 0 {
+			t.Errorf("Lookup(%v) allocates %.0f objects", p, n)
+		}
 	}
 }
 

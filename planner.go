@@ -22,6 +22,41 @@ type planned struct {
 	recordRef bool
 }
 
+// planCacheSize bounds the plan cache: a full cache is emptied and refills
+// with whatever the workload asks next. It is five times the most distinct
+// texts one engine of the benchmark's workloads plans (explore, 101).
+const planCacheSize = 512
+
+// plan returns sql's plan from the plan cache, parsing and planning it on a
+// miss. The cache is keyed by the exact SQL text and holds only plans that
+// built: an error is returned afresh every time. A cached plan is shared
+// by every query with that text, concurrently: nothing may write to it —
+// the cache rewrite copies the nodes it replaces children of, and the
+// needed-column maps are read-only. register empties the cache. The caller
+// holds e.mu read-locked.
+func (e *Engine) plan(sql string) (*planned, error) {
+	e.planMu.Lock()
+	pl, ok := e.plans[sql]
+	e.planMu.Unlock()
+	if ok {
+		return pl, nil
+	}
+	q, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	if pl, err = e.buildPlan(q); err != nil {
+		return nil, err
+	}
+	e.planMu.Lock()
+	if len(e.plans) >= planCacheSize || e.plans == nil {
+		e.plans = make(map[string]*planned)
+	}
+	e.plans[sql] = pl
+	e.planMu.Unlock()
+	return pl, nil
+}
+
 // buildPlan turns a parsed query into a logical plan:
 //
 //	Scan → Select(non-nested conjuncts)            ← the cacheable operator
@@ -54,8 +89,9 @@ func (e *Engine) buildPlan(q *sqlparse.Query) (*planned, error) {
 	resolve := func(col string) (*tbl, bool, error) {
 		var owner *tbl
 		var repeated bool
+		path := value.ParsePath(col)
 		for _, t := range tables {
-			if typ, rep, err := value.ParsePath(col).Resolve(t.ds.Schema()); err == nil {
+			if typ, rep, ok := path.Lookup(t.ds.Schema()); ok {
 				if owner != nil {
 					return nil, false, fmt.Errorf("recache: ambiguous column %q", col)
 				}

@@ -181,6 +181,10 @@ type Engine struct {
 	// ordered before the Wait that must observe it.
 	closed   bool
 	inflight sync.WaitGroup
+	// plans memoises planned queries by their exact SQL text (Engine.plan);
+	// planMu guards it and is taken only under mu, read-locked.
+	planMu sync.Mutex
+	plans  map[string]*planned
 }
 
 // Open creates an engine.
@@ -261,6 +265,9 @@ func (e *Engine) register(ds *plan.Dataset) error {
 		return fmt.Errorf("recache: table %q already registered", ds.Name)
 	}
 	e.datasets[ds.Name] = ds
+	// A new table can make a column ambiguous: drop every plan built
+	// against the old registry. Nobody holds mu.RLock, so planMu is free.
+	e.plans = nil
 	return nil
 }
 
@@ -441,17 +448,14 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// prepare parses and plans one query and opens its cache transaction. The
-// returned Txn pins every cache entry the rewrite hit (so eviction cannot
-// free a store mid-scan) and reserved single-flight build slots for the
-// misses; the caller must Close it even when execution fails.
+// prepare takes one query's plan (from the plan cache, or parsed and
+// planned) and opens its cache transaction. The returned Txn pins every
+// cache entry the rewrite hit (so eviction cannot free a store mid-scan)
+// and reserved single-flight build slots for the misses; the caller must
+// Close it even when execution fails.
 func (e *Engine) prepare(sql string) (plan.Node, exec.Deps, *cache.Txn, error) {
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, exec.Deps{}, nil, err
-	}
 	e.mu.RLock()
-	pl, err := e.buildPlan(q)
+	pl, err := e.plan(sql)
 	e.mu.RUnlock()
 	if err != nil {
 		return nil, exec.Deps{}, nil, err
@@ -505,9 +509,9 @@ func fieldNames(schema *value.Type) []string {
 
 // epochRetries bounds how often one query restarts after losing a race
 // with a concurrent file rewrite (a lazy replay or a tail extension failing
-// with plan.ErrEpochChanged). Each retry re-plans against the reconciled
-// cache, so a single retry usually suffices; the bound keeps a file being
-// rewritten in a tight loop from starving the query forever.
+// with plan.ErrEpochChanged). Each retry rewrites the cached plan against
+// the reconciled cache, so a single retry usually suffices; the bound keeps
+// a file being rewritten in a tight loop from starving the query forever.
 const epochRetries = 3
 
 // Query parses, plans, rewrites against the cache, and executes one SQL
@@ -634,12 +638,8 @@ func (e *Engine) queryColumnarOnce(sql string) (*BatchResult, error) {
 // read-only path (and only reads entry payload snapshots), so reuse
 // counters, hit/miss statistics, and eviction state are untouched.
 func (e *Engine) Explain(sql string) (string, error) {
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		return "", err
-	}
 	e.mu.RLock()
-	pl, err := e.buildPlan(q)
+	pl, err := e.plan(sql)
 	noPush := e.noPush
 	e.mu.RUnlock()
 	if err != nil {
