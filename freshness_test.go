@@ -24,20 +24,55 @@ func freshCSV(t testing.TB, rows int) string {
 	return path
 }
 
-// writeRows rewrites path to hold rows [from, to), with deterministic
-// qty/price columns. The rewrite is atomic (temp file + rename): that is
-// the contract mutable-file support assumes for rewrites — an in-place
-// truncate-then-write exposes torn intermediate states that no freshness
-// check can distinguish from a corrupt file, and concurrent raw scans
-// would (correctly) fail parsing them.
-func writeRows(t testing.TB, path string, from, to int) {
+// freshJSON is freshCSV's nested twin: the same id, qty and price fields,
+// then an items list — empty, absent or of one to three elements.
+func freshJSON(t testing.TB, rows int) string {
 	t.Helper()
+	path := filepath.Join(t.TempDir(), "grow.json")
+	writeRows(t, path, 0, rows)
+	return path
+}
+
+const freshNestedSchema = "id int, qty int, price int, items list(q int, p int)"
+
+// freshRows renders rows [from, to) for path's format, with deterministic
+// fields.
+func freshRows(path string, from, to int) []byte {
 	var b []byte
 	for i := from; i < to; i++ {
-		b = append(b, []byte(fmt.Sprintf("%d|%d|%d\n", i, i%100, i%7))...)
+		if !strings.HasSuffix(path, ".json") {
+			b = fmt.Appendf(b, "%d|%d|%d\n", i, i%100, i%7)
+			continue
+		}
+		b = fmt.Appendf(b, `{"id":%d,"qty":%d,"price":%d`, i, i%100, i%7)
+		switch k := i % 5; k {
+		case 0:
+			b = append(b, `,"items":[]`...)
+		case 1: // absent
+		default:
+			b = append(b, `,"items":[`...)
+			for j := 1; j < k; j++ {
+				if j > 1 {
+					b = append(b, ',')
+				}
+				b = fmt.Appendf(b, `{"q":%d,"p":%d}`, (i+j)%9, j)
+			}
+			b = append(b, ']')
+		}
+		b = append(b, "}\n"...)
 	}
+	return b
+}
+
+// writeRows rewrites path to hold rows [from, to). The rewrite is atomic
+// (temp file + rename): that is the contract mutable-file support assumes
+// for rewrites — an in-place truncate-then-write exposes torn intermediate
+// states that no freshness check can distinguish from a corrupt file, and
+// concurrent raw scans would (correctly) fail parsing them.
+func writeRows(t testing.TB, path string, from, to int) {
+	t.Helper()
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	if err := os.WriteFile(tmp, freshRows(path, from, to), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -45,8 +80,8 @@ func writeRows(t testing.TB, path string, from, to int) {
 	}
 }
 
-// appendRows appends rows [from, to) to path with O_APPEND, one write per
-// row batch (each write ends on a record boundary).
+// appendRows appends rows [from, to) to path with O_APPEND, in one write
+// that ends on a record boundary.
 func appendRows(t testing.TB, path string, from, to int) {
 	t.Helper()
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
@@ -54,15 +89,12 @@ func appendRows(t testing.TB, path string, from, to int) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var b []byte
-	for i := from; i < to; i++ {
-		b = append(b, []byte(fmt.Sprintf("%d|%d|%d\n", i, i%100, i%7))...)
-	}
-	if _, err := f.Write(b); err != nil {
+	if _, err := f.Write(freshRows(path, from, to)); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// freshEngine opens an engine with cfg and registers path as table g.
 func freshEngine(t testing.TB, path string, cfg Config) *Engine {
 	t.Helper()
 	eng, err := Open(cfg)
@@ -70,7 +102,12 @@ func freshEngine(t testing.TB, path string, cfg Config) *Engine {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	if err := eng.RegisterCSV("g", path, "id int, qty int, price int", '|'); err != nil {
+	if strings.HasSuffix(path, ".json") {
+		err = eng.RegisterJSON("g", path, freshNestedSchema)
+	} else {
+		err = eng.RegisterCSV("g", path, "id int, qty int, price int", '|')
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	return eng
@@ -115,6 +152,36 @@ func TestFreshnessAppendExtendsEager(t *testing.T) {
 	}
 	if st.TailBytesScanned <= 0 {
 		t.Fatalf("TailBytesScanned = %d, want > 0", st.TailBytesScanned)
+	}
+}
+
+// TestFreshnessNestedAppendExtends: an eager entry over nested records
+// catches up with appends like a flat one, in every layout: each append
+// extends it — no invalidation, no second build — and a scalar aggregate,
+// an aggregate over the unnested items and a row projection, all served by
+// that one entry, keep the cold engine's answers.
+func TestFreshnessNestedAppendExtends(t *testing.T) {
+	queries := []string{
+		"SELECT COUNT(*), SUM(price), MIN(id) FROM g WHERE qty >= 10",
+		"SELECT COUNT(*), SUM(items.p), MAX(items.q) FROM g WHERE qty >= 10",
+		"SELECT id, price FROM g WHERE qty >= 10",
+	}
+	for _, layout := range []string{"auto", "parquet", "columnar"} {
+		t.Run(layout, func(t *testing.T) {
+			path := freshJSON(t, 1000)
+			eng := freshEngine(t, path, Config{Admission: "eager", FreshnessMode: "check", Layout: layout})
+			for _, rows := range [][2]int{{0, 0}, {1000, 1400}, {1400, 1500}} {
+				appendRows(t, path, rows[0], rows[1])
+				for _, q := range queries {
+					checkOracle(t, eng, path, q)
+				}
+			}
+			st := eng.CacheStats()
+			if st.TailExtensions < 2 || st.StaleInvalidations != 0 || st.Inserted != 1 {
+				t.Errorf("tail extensions %d, stale invalidations %d, inserts %d: want >= 2, 0, 1",
+					st.TailExtensions, st.StaleInvalidations, st.Inserted)
+			}
+		})
 	}
 }
 
@@ -311,13 +378,21 @@ func TestFreshnessAppendMidSwarm(t *testing.T) {
 
 // TestFreshnessAppendExtendsSpilled: an append beside an entry in the disk
 // tier costs that entry nothing until it is read, and then one spill-file
-// read plus a scan of the tail — never a raw re-scan.
+// read plus a scan of the tail — never a raw re-scan — for flat and nested
+// records alike.
 func TestFreshnessAppendExtendsSpilled(t *testing.T) {
-	path := freshCSV(t, 5000)
+	t.Run("flat", func(t *testing.T) { testAppendExtendsSpilled(t, freshCSV(t, 5000), 20<<10) })
+	t.Run("nested", func(t *testing.T) { testAppendExtendsSpilled(t, freshJSON(t, 5000), 40<<10) })
+}
+
+// testAppendExtendsSpilled runs TestFreshnessAppendExtendsSpilled over the
+// 5000 rows at path, under a capacity of about one entry: the rest live in
+// the disk tier.
+func testAppendExtendsSpilled(t *testing.T, path string, capacity int64) {
 	eng := freshEngine(t, path, Config{
 		Admission:     "eager",
 		FreshnessMode: "check",
-		CacheCapacity: 20 << 10, // about one entry: the rest live in the disk tier
+		CacheCapacity: capacity,
 		SpillDir:      filepath.Join(t.TempDir(), "spill"),
 	})
 	q := func(i int) string {

@@ -94,10 +94,10 @@ func (m *Manager) invalidateLocked(e *Entry) {
 // ingested it. trailing: the file holds bytes p does not answer for — an
 // appended tail, or a rewrite. extendable: a scan of the tail makes p
 // current. A rewrite leaves nothing to extend; a replica (epoch 0) covers a
-// length its pusher knew, not one this process can scan from; and an eager
-// payload of a nested dataset has no append path. Callers hold the manager
-// lock: Version is an atomic load, except in the window between a rewrite's
-// reset and the invalidation that follows it, where it re-reads the file.
+// length its pusher knew, not one this process can scan from. Callers hold
+// the manager lock: Version is an atomic load, except in the window between
+// a rewrite's reset and the invalidation that follows it, where it re-reads
+// the file.
 func (e *Entry) lag(p payload) (trailing, extendable bool) {
 	rp, ok := e.Dataset.Provider.(plan.RefreshableProvider)
 	if !ok {
@@ -110,8 +110,7 @@ func (e *Entry) lag(p payload) (trailing, extendable bool) {
 	if p.covered >= covered {
 		return false, false
 	}
-	nested := p.mode == Eager && value.RepeatedFieldCached(e.Dataset.Schema()) != nil
-	return true, e.FileEpoch != 0 && !nested
+	return true, e.FileEpoch != 0
 }
 
 // servableLocked reports whether a lookup may hand e to a reader: it is
@@ -210,8 +209,8 @@ func scanTail(e *Entry, old payload) (tail, error) {
 // appendTo builds old's successor: a lazy payload gains the offsets in a
 // fresh slice (readers replaying the old offsets must not see the tail
 // appended into their backing array), an eager one the records through
-// store.Extend, which copies the flat layouts' column vectors wholesale (a
-// memcpy of the old bytes, per-row work only for the tail).
+// store.Extend, which copies the store's column vectors wholesale (a memcpy
+// of the old bytes, per-record work only for the tail).
 func (t tail) appendTo(old payload) (payload, error) {
 	next := old
 	next.covered = t.covered
@@ -220,11 +219,7 @@ func (t tail) appendTo(old payload) (payload, error) {
 	case old.mode == Lazy:
 		next.offsets = append(append(make([]int64, 0, len(old.offsets)+len(t.offsets)), old.offsets...), t.offsets...)
 	default:
-		st, ok, err := store.Extend(old.store, t.recs)
-		if err == nil && !ok {
-			// Entry.lag keeps nested stores from reaching an extension.
-			err = errors.New("nested stores never extend")
-		}
+		st, _, err := store.Extend(old.store, t.recs)
 		if err != nil {
 			return old, err
 		}

@@ -74,7 +74,7 @@ func TestAppendBatchMatchesAdd(t *testing.T) {
 		for _, layout := range []Layout{LayoutColumnar, LayoutParquet} {
 			src := build(t, layout, schema, recs)
 			cur := allColumns(t, src)
-			batched, err := NewParquetBuilder(schema)
+			batched, err := NewBuilder(LayoutParquet, schema)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestAppendBatchZeroesNullSlots(t *testing.T) {
 		ints.Nulls.Append(i == 1)
 		strs.Nulls.Append(i == 1)
 	}
-	b, err := NewParquetBuilder(schema)
+	b, err := NewBuilder(LayoutParquet, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestAppendBatchKindDrift(t *testing.T) {
 	ints := &Vec{Kind: value.Int, Ints: []int64{3, 0}}
 	ints.Nulls.Append(false)
 	ints.Nulls.Append(true)
-	b, err := NewParquetBuilder(schema)
+	b, err := NewBuilder(LayoutParquet, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +170,14 @@ func TestAppendBatchKindDrift(t *testing.T) {
 }
 
 func TestAppendBatchRejects(t *testing.T) {
-	nested, err := NewParquetBuilder(orderSchema())
+	nested, err := NewBuilder(LayoutParquet, orderSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := nested.AppendBatch(make([]*Vec, 5), []int32{0}); err == nil {
 		t.Error("AppendBatch accepted 5 vectors for the 4 fields of a nested schema")
 	}
-	flat, err := NewParquetBuilder(boolFlatSchema())
+	flat, err := NewBuilder(LayoutParquet, boolFlatSchema())
 	if err != nil {
 		t.Fatal(err)
 	}

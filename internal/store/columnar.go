@@ -1,10 +1,6 @@
 package store
 
-import (
-	"fmt"
-
-	"recache/internal/value"
-)
+import "recache/internal/value"
 
 // columnarStore is the relational column-oriented layout over the
 // *flattened* view of nested records (§4 of the paper): each leaf becomes a
@@ -12,7 +8,8 @@ import (
 // duplicated once per list element. Records whose repeated field is empty
 // keep one placeholder row (nulls in the repeated columns) so that
 // record-granularity scans and layout conversions lose no data; flattened
-// scans skip placeholders.
+// scans skip placeholders. It is always derived from the Parquet form
+// (columnarOf), which it shares its repeated leaves with.
 //
 // By design a per-record cursor still walks all R rows, selecting the first
 // row of each record id: flattening discards record boundaries, which is
@@ -28,82 +25,6 @@ type columnarStore struct {
 	nRecs  int
 	size   int64
 }
-
-type columnarBuilder struct {
-	st    *columnarStore
-	paths leafPaths
-}
-
-func newColumnarBuilder(schema *value.Type, cols []value.LeafColumn) *columnarBuilder {
-	st := &columnarStore{schema: schema, cols: cols}
-	st.vecs = make([]*vec, len(cols))
-	for i, c := range cols {
-		st.vecs[i] = newVec(c.Type)
-	}
-	return &columnarBuilder{st: st, paths: resolveLeafPaths(schema, cols)}
-}
-
-// Add implements Builder: one row per element of the repeated field, parent
-// values duplicated into each, appended column by column. This write
-// amplification is what makes columnar caches slower to build than Parquet
-// (Fig. 6). A flat record is one row of its own fields.
-func (b *columnarBuilder) Add(rec value.Value) error {
-	if rec.Kind != value.Record {
-		return fmt.Errorf("store: columnar add: not a record: %s", rec.Kind)
-	}
-	st := b.st
-	ri := int32(st.nRecs)
-	st.nRecs++
-	if b.paths.flat {
-		for ci, v := range st.vecs {
-			if ci < len(rec.L) {
-				v.AppendVal(rec.L[ci])
-			} else {
-				v.AppendVal(value.VNull) // a short record reads as nulls, as value.Get does
-			}
-		}
-		st.recID = append(st.recID, ri)
-		st.skip = append(st.skip, false)
-		return nil
-	}
-	elems, hasList := b.paths.elems(rec)
-	rows := len(elems)
-	if !hasList || rows == 0 {
-		// No list: the record is its one row. Empty list: a placeholder row
-		// with the non-repeated values present and the repeated columns null.
-		rows = 1
-	}
-	for ci, c := range st.cols {
-		v, idx := st.vecs[ci], b.paths.idx[ci]
-		switch {
-		case !c.Repeated:
-			val := value.GetAt(rec, idx)
-			for r := 0; r < rows; r++ {
-				v.AppendVal(val)
-			}
-		case len(elems) == 0:
-			v.AppendVal(value.VNull)
-		default:
-			for _, e := range elems {
-				v.AppendVal(value.GetAt(e, idx))
-			}
-		}
-	}
-	for r := 0; r < rows; r++ {
-		st.recID = append(st.recID, ri)
-		st.skip = append(st.skip, hasList && len(elems) == 0)
-	}
-	return nil
-}
-
-// Finish implements Builder.
-func (b *columnarBuilder) Finish() Store {
-	b.st.size = b.st.computeSize()
-	return b.st
-}
-
-// SizeBytes implements Builder.
-func (b *columnarBuilder) SizeBytes() int64 { return b.st.computeSize() }
 
 func (s *columnarStore) computeSize() int64 {
 	var sz int64

@@ -33,13 +33,15 @@ func NewColumns(schema *value.Type) []*Vec {
 
 // FromColumns adopts filled NewColumns vectors and the records' list
 // lengths (nil for a schema without a repeated field) as a store in layout:
-// the store a Builder of that layout yields when Add-ed the same records,
-// down to its RCS bytes and size. The vectors belong to the store
-// afterwards.
+// their Parquet form, or the columnar layout derived from it. The vectors
+// belong to the store afterwards.
 func FromColumns(schema *value.Type, layout Layout, vecs []*Vec, lengths []int32) (Store, error) {
 	cols, err := value.LeafColumnsCached(schema)
 	if err != nil {
 		return nil, err
+	}
+	if layout != LayoutColumnar && layout != LayoutParquet {
+		return nil, fmt.Errorf("store: unknown layout %v", layout)
 	}
 	if len(vecs) != len(cols) {
 		return nil, fmt.Errorf("store: %d column vectors for the %d leaf columns of %s", len(vecs), len(cols), schema)
@@ -68,24 +70,10 @@ func FromColumns(schema *value.Type, layout Layout, vecs []*Vec, lengths []int32
 				cols[i].Name(), v.Kind, v.Len(), cols[i].Type.Kind, want)
 		}
 	}
-	switch layout {
-	case LayoutParquet:
-		return parquetFromColumns(schema, cols, listPath, vecs, lengths, nRecs), nil
-	case LayoutColumnar:
-		return columnarFromColumns(schema, cols, listPath, vecs, lengths, nRecs), nil
-	}
-	return nil, fmt.Errorf("store: unknown layout %v", layout)
-}
-
-// parquetFromColumns keeps every vector: the record leaves are the per-record
-// vectors as they are, and the element leaves hold one entry per flattened
-// row once an empty list's null placeholder is in place.
-func parquetFromColumns(schema *value.Type, cols []value.LeafColumn, listPath value.Path,
-	vecs []*Vec, lengths []int32, nRecs int) *parquetStore {
-	st := &parquetStore{schema: schema, cols: cols, listPath: listPath, nRecs: nRecs, nFlat: nRecs,
+	st := &parquetStore{schema: schema, cols: cols, listPath: listPath, lengths: lengths, nRecs: nRecs, nFlat: nRecs,
 		flatVecs: make([]*vec, len(cols)), repVecs: make([]*vec, len(cols))}
 	if listPath != nil {
-		st.lengths, st.nFlat = lengths, 0
+		st.nFlat = 0
 		for _, l := range lengths {
 			st.nFlat += max(int(l), 1)
 		}
@@ -97,32 +85,118 @@ func parquetFromColumns(schema *value.Type, cols []value.LeafColumn, listPath va
 			st.flatVecs[ci] = vecs[ci]
 		}
 	}
-	st.size = st.computeSize()
-	return st
+	return st.as(layout), nil
 }
 
-// columnarFromColumns repeats every record leaf once per flattened row of
-// its record — one per element, one placeholder row for an empty list — and
-// keeps the element leaves, placeholders added.
-func columnarFromColumns(schema *value.Type, cols []value.LeafColumn, listPath value.Path,
-	vecs []*Vec, lengths []int32, nRecs int) *columnarStore {
-	st := &columnarStore{schema: schema, cols: cols, nRecs: nRecs, vecs: vecs}
-	if listPath == nil {
-		st.recID, st.skip = recordRows(nRecs)
-		st.size = st.computeSize()
-		return st
+// as seals the Parquet form as a store in layout: the form itself, sized,
+// or the columnar layout derived from it.
+func (s *parquetStore) as(layout Layout) Store {
+	if layout == LayoutColumnar {
+		return columnarOf(s)
 	}
-	st.recID, st.skip = flatRows(lengths)
-	st.vecs = make([]*vec, len(cols))
-	for ci, c := range cols {
-		if c.Repeated {
-			st.vecs[ci] = withPlaceholders(vecs[ci], lengths)
-		} else {
-			st.vecs[ci] = Gather(vecs[ci], st.recID)
+	s.size = s.computeSize()
+	return s
+}
+
+// Builder stripes records, or a result's column batches, onto the Parquet
+// form of a store and derives the store's layout from it when finished. It
+// is the one way a record reaches a store: a build, an extension (Extend)
+// and a spill stream re-read with a tail all append through it.
+type Builder struct {
+	layout  Layout
+	st      *parquetStore
+	striper Striper
+	leaves  []*Vec // st's vector of every leaf column, in Columns order
+}
+
+// NewBuilder returns a builder of a store of the given layout and record
+// schema.
+func NewBuilder(layout Layout, schema *value.Type) (*Builder, error) {
+	if layout != LayoutColumnar && layout != LayoutParquet {
+		return nil, fmt.Errorf("store: unknown layout %v", layout)
+	}
+	st, err := FromColumns(schema, LayoutParquet, NewColumns(schema), nil)
+	if err != nil {
+		return nil, err
+	}
+	return appendTo(st.(*parquetStore), layout), nil
+}
+
+// appendTo returns a Builder that appends to p in place and finishes in
+// layout; p must be nobody else's.
+func appendTo(p *parquetStore, layout Layout) *Builder {
+	leaves := slices.Clone(p.flatVecs)
+	for ci, v := range p.repVecs {
+		if v != nil {
+			leaves[ci] = v
 		}
 	}
-	st.size = st.computeSize()
-	return st
+	return &Builder{layout: layout, st: p, leaves: leaves,
+		striper: Striper{cols: p.cols, paths: resolveLeafPaths(p.schema, p.cols)}}
+}
+
+// Add appends one record of the builder's schema: its leaves striped once
+// each — no parent duplication, which is why Parquet caches are cheaper to
+// build than the columnar layout derived from them (Fig. 6) — and, for an
+// empty list, a null placeholder in every repeated leaf.
+func (b *Builder) Add(rec value.Value) error {
+	if rec.Kind != value.Record {
+		return fmt.Errorf("store: add: not a record: %s", rec.Kind)
+	}
+	st := b.st
+	st.nRecs++
+	st.lengths = b.striper.Append(rec, b.leaves, st.lengths)
+	if st.listPath == nil {
+		st.nFlat++
+		return nil
+	}
+	l := int(st.lengths[len(st.lengths)-1])
+	st.nFlat += max(l, 1)
+	if l == 0 {
+		for _, v := range st.repVecs {
+			if v != nil {
+				v.AppendVal(value.VNull)
+			}
+		}
+	}
+	return nil
+}
+
+// AppendBatch appends the rows sel of the column vectors cols, one vector
+// per field of the schema. A flat schema's vectors are its leaf columns and
+// are gathered whole; a nested schema's rows are boxed and striped as Add
+// stripes records. Either way the store is indistinguishable from — and
+// serializes to the same RCS bytes as — one built by Add-ing the same
+// rows. The vectors are only read; sel is not retained.
+func (b *Builder) AppendBatch(cols []*Vec, sel []int32) error {
+	st := b.st
+	if len(cols) != len(st.schema.Fields) {
+		return fmt.Errorf("store: append batch: %d vectors for the %d fields of %s", len(cols), len(st.schema.Fields), st.schema)
+	}
+	if !b.striper.paths.flat {
+		rec := make([]value.Value, len(cols)) // Add keeps no part of a record
+		for _, r := range sel {
+			for i, v := range cols {
+				rec[i] = v.Get(int(r))
+			}
+			if err := b.Add(value.VRecord(rec...)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for ci, src := range cols {
+		st.flatVecs[ci].AppendSel(src, sel)
+	}
+	st.nRecs += len(sel)
+	st.nFlat += len(sel)
+	return nil
+}
+
+// Finish seals the builder and returns its store. The builder must not be
+// used afterwards.
+func (b *Builder) Finish() Store {
+	return b.st.as(b.layout)
 }
 
 // flatRows lays out the flattened rows of records with the given list
@@ -191,10 +265,10 @@ func ParentIndex(dst, lengths []int32, base int32) []int32 {
 	return dst
 }
 
-// Striper writes decoded records into leaf vectors along the leaf-path walk
-// a Builder's Add takes. No production path uses it: it is the typed kernel
-// of the tests' in-memory record source (the miss differentials' oracle)
-// and the reference TestFromColumnsMatchesAdd holds FromColumns to.
+// Striper writes decoded records into leaf vectors along the schema's
+// resolved leaf paths: the one per-record striper, the kernel of every
+// Builder, and of the tests' in-memory record source (the miss
+// differentials' oracle).
 type Striper struct {
 	cols  []value.LeafColumn
 	paths leafPaths

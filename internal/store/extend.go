@@ -1,78 +1,44 @@
 package store
 
-import "recache/internal/value"
+import (
+	"fmt"
+	"slices"
 
-// Extend builds a store holding src's records followed by the tail records,
-// without mutating src (stores are immutable; concurrent scans of src stay
-// valid). For a flat schema, in either layout, this is a vector-level copy —
-// the typed column slices are copied wholesale and only the tail goes
-// through per-row append — so extending a cached entry over an appended
-// file tail costs a memcpy of the old payload instead of re-boxing every
-// old row through a Builder. A nested store has no copy path: it reports
-// ok=false.
+	"recache/internal/value"
+)
+
+// Extend builds a store holding src's records followed by the tail
+// records, in src's layout, without mutating src (stores are immutable;
+// concurrent scans of src stay valid). It takes src's Parquet form, copies
+// each vector that form shares with src once, with room for the tail,
+// stripes the tail on through a Builder and derives src's layout again — so
+// extending a cached entry over an appended file tail costs a memcpy of the
+// old payload, per-record work only for the tail, flat or nested. ok is
+// always true.
 func Extend(src Store, tail []value.Value) (st Store, ok bool, err error) {
+	var p *parquetStore
 	switch s := src.(type) {
-	case *columnarStore:
-		st, err = s.extend(tail)
 	case *parquetStore:
+		q := *s
+		q.flatVecs, q.repVecs = slices.Clone(s.flatVecs), slices.Clone(s.repVecs)
 		if s.listPath != nil {
-			return nil, false, nil
+			q.lengths = append(make([]int32, 0, len(s.lengths)+len(tail)), s.lengths...)
 		}
-		st, err = s.extend(tail)
+		p = &q
+		unshare(p.flatVecs, s.flatVecs, len(tail))
+		unshare(p.repVecs, s.repVecs, len(tail))
+	case *columnarStore:
+		p = parquetOf(s)
+		unshare(p.flatVecs, s.vecs, len(tail))
+		unshare(p.repVecs, s.vecs, len(tail))
 	default:
-		return nil, false, nil
+		return nil, true, fmt.Errorf("store: extend: unknown store %T", src)
 	}
-	return st, true, err
-}
-
-// cloneCap copies the vector with room for extra more entries, so the
-// appends that follow never reallocate.
-func (v *Vec) cloneCap(extra int) *Vec {
-	nv := &Vec{Kind: v.Kind, Nulls: v.Nulls.Clone()}
-	switch v.Kind {
-	case value.Int:
-		nv.Ints = append(make([]int64, 0, len(v.Ints)+extra), v.Ints...)
-	case value.Float:
-		nv.Floats = append(make([]float64, 0, len(v.Floats)+extra), v.Floats...)
-	case value.String:
-		nv.Strs = append(make([]string, 0, len(v.Strs)+extra), v.Strs...)
-	case value.Bool:
-		nv.Bools = append(make([]bool, 0, len(v.Bools)+extra), v.Bools...)
-	}
-	return nv
-}
-
-func (s *columnarStore) extend(tail []value.Value) (Store, error) {
-	ns := &columnarStore{schema: s.schema, cols: s.cols, nRecs: s.nRecs}
-	ns.vecs = make([]*vec, len(s.vecs))
-	for i, v := range s.vecs {
-		ns.vecs[i] = v.cloneCap(len(tail))
-	}
-	ns.recID = append(make([]int32, 0, len(s.recID)+len(tail)), s.recID...)
-	ns.skip = append(make([]bool, 0, len(s.skip)+len(tail)), s.skip...)
-	b := &columnarBuilder{st: ns, paths: resolveLeafPaths(s.schema, s.cols)}
+	b := appendTo(p, src.Layout())
 	for _, rec := range tail {
 		if err := b.Add(rec); err != nil {
-			return nil, err
+			return nil, true, err
 		}
 	}
-	return b.Finish(), nil
-}
-
-// extend is the flat-schema case: one entry per record in every vector, no
-// list lengths, so the builder appends the tail behind copies of them.
-func (s *parquetStore) extend(tail []value.Value) (Store, error) {
-	ns := &parquetStore{schema: s.schema, cols: s.cols, nRecs: s.nRecs, nFlat: s.nFlat}
-	ns.flatVecs = make([]*vec, len(s.flatVecs))
-	for i, v := range s.flatVecs {
-		ns.flatVecs[i] = v.cloneCap(len(tail))
-	}
-	ns.repVecs = make([]*vec, len(s.cols))
-	b := &ParquetBuilder{st: ns, paths: resolveLeafPaths(s.schema, s.cols)}
-	for _, rec := range tail {
-		if err := b.Add(rec); err != nil {
-			return nil, err
-		}
-	}
-	return b.Finish(), nil
+	return b.Finish(), true, nil
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"crypto/sha256"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -13,7 +12,7 @@ import (
 // stripe fills NewColumns vectors the way a raw-file kernel does — one entry
 // per record in a non-repeated leaf, one per list element in a repeated one,
 // the list length beside them — reading the records through value.Get and
-// value.FlattenRecord rather than the builders' leaf paths.
+// value.FlattenRecord rather than the Striper's leaf paths.
 func stripe(schema *value.Type, recs []value.Value) ([]*Vec, []int32) {
 	cols, _ := value.LeafColumns(schema)
 	vecs := NewColumns(schema)
@@ -88,10 +87,11 @@ func randomRecords(r *rand.Rand, nested bool, n int) []value.Value {
 	return recs
 }
 
-// TestFromColumnsMatchesAdd: a store adopted from leaf vectors and list
-// lengths is the store a Builder of the same layout yields for the same
-// records — the same RCS bytes, the same rows (the records' own) from every
-// cursor, the same size — and extends like one. A Striper fills the same vectors.
+// TestFromColumnsMatchesAdd: a Striper fills the leaf vectors stripe fills
+// from the same records; a store adopted from them holds those records —
+// every cursor yields their flattening and fields, and ScanNested yields
+// records that stripe to the same vectors — and extends into the store
+// adopted from the stripe of all the records, down to its RCS bytes and size.
 func TestFromColumnsMatchesAdd(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, nested := range []bool{false, true} {
@@ -118,24 +118,58 @@ func TestFromColumnsMatchesAdd(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameStore(t, got, build(t, layout, schema, recs[:n]), recs[:n])
+				holdsRecords(t, got, recs[:n])
 
 				end := min(n+100, len(recs))
-				gotExt, ok, err := Extend(got, recs[n:end])
-				wantExt, wantOK, _ := Extend(build(t, layout, schema, recs[:n]), recs[n:end])
-				if err != nil || ok != wantOK {
-					t.Fatalf("Extend(adopted %s store): ok=%v err=%v, a built one ok=%v", layout, ok, err, wantOK)
+				ext, ok, err := Extend(got, recs[n:end])
+				if err != nil || !ok {
+					t.Fatalf("Extend(adopted %s store): ok=%v err=%v", layout, ok, err)
 				}
-				if ok {
-					sameStore(t, gotExt, wantExt, recs[:end])
-				}
+				sameStore(t, ext, adopt(t, layout, schema, recs[:end]), recs[:end])
 			}
 		}
 	}
 }
 
-// sameStore holds got to want, the store a Builder made of recs, and both
-// stores' cursors to recs themselves.
+// adopt is the store FromColumns makes of recs striped by stripe.
+func adopt(t *testing.T, layout Layout, schema *value.Type, recs []value.Value) Store {
+	t.Helper()
+	vecs, lengths := stripe(schema, recs)
+	st, err := FromColumns(schema, layout, vecs, lengths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// holdsRecords holds st to recs: its cursors yield the records' flattening
+// and fields, and the records ScanNested rebuilds stripe to the vectors recs
+// stripe to.
+func holdsRecords(t *testing.T, st Store, recs []value.Value) {
+	t.Helper()
+	var cols, recCols []int
+	for i := len(st.Columns()) - 1; i >= 0; i-- {
+		cols = append(cols, i)
+		if !st.Columns()[i].Repeated {
+			recCols = append(recCols, i)
+		}
+	}
+	schema := st.Schema()
+	if !reflect.DeepEqual(collectFlat(t, st, cols), expectedFlat(t, schema, recs, cols)) {
+		t.Error("flattened rows differ from the records' flattening")
+	}
+	if !reflect.DeepEqual(collectRecords(t, st, recCols), expectedRecords(t, schema, recs, recCols)) {
+		t.Error("record rows differ from the records' fields")
+	}
+	gotVecs, gotLengths := stripe(schema, collectNested(t, st))
+	wantVecs, wantLengths := stripe(schema, recs)
+	if !reflect.DeepEqual(gotVecs, wantVecs) || !slices.Equal(gotLengths, wantLengths) {
+		t.Error("ScanNested's records differ from the records")
+	}
+}
+
+// sameStore holds got to want — shape, size, RCS bytes, ScanNested and the
+// columns and selections of both cursors — and both stores to recs.
 func sameStore(t *testing.T, got, want Store, recs []value.Value) {
 	t.Helper()
 	if got.Layout() != want.Layout() || got.NumRecords() != want.NumRecords() ||
@@ -144,39 +178,27 @@ func sameStore(t *testing.T, got, want Store, recs []value.Value) {
 			got.Layout(), got.NumRecords(), got.NumFlatRows(), got.SizeBytes(),
 			want.Layout(), want.NumRecords(), want.NumFlatRows(), want.SizeBytes())
 	}
-	// Serialised the way the spill tier and replication serialise an entry:
-	// in the Parquet layout, written as RCS.
-	spilled := func(st Store) [sha256.Size]byte {
-		pq, _, err := Convert(st, LayoutParquet)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sha256.Sum256(rcs(t, pq))
-	}
-	if spilled(got) != spilled(want) {
+	if spilled(t, got) != spilled(t, want) {
 		t.Error("RCS bytes differ")
 	}
-	var cols, recCols []int
-	for i := len(got.Columns()) - 1; i >= 0; i-- {
-		cols = append(cols, i)
-		if !got.Columns()[i].Repeated {
-			recCols = append(recCols, i)
-		}
-	}
-	schema := got.Schema()
-	if !reflect.DeepEqual(collectFlat(t, got, cols), expectedFlat(t, schema, recs, cols)) {
-		t.Error("flattened rows differ from the records' flattening")
-	}
-	if !reflect.DeepEqual(collectRecords(t, got, recCols), expectedRecords(t, schema, recs, recCols)) {
-		t.Error("record rows differ from the records' fields")
-	}
+	holdsRecords(t, got, recs)
+	holdsRecords(t, want, recs)
 	if !reflect.DeepEqual(collectNested(t, got), collectNested(t, want)) {
 		t.Error("ScanNested differs")
+	}
+	var recCols []int
+	for i, c := range got.Columns() {
+		if !c.Repeated {
+			recCols = append(recCols, i)
+		}
 	}
 	for _, flat := range []bool{true, false} {
 		proj := recCols
 		if flat {
-			proj = cols
+			proj = make([]int, len(got.Columns()))
+			for i := range proj {
+				proj[i] = i
+			}
 		}
 		gc, err1 := got.BatchCursor(flat, proj)
 		wc, err2 := want.BatchCursor(flat, proj)

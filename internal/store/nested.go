@@ -14,7 +14,8 @@ func colIndexByName(cols []value.LeafColumn) map[string]int {
 }
 
 // leafPaths is a schema's leaf-column paths resolved to field indexes once
-// per builder, so that Add reaches a value without comparing field names.
+// per Striper, so that Append reaches a value without comparing field
+// names.
 type leafPaths struct {
 	// flat: leaf ci is top-level field ci (idx[ci] is just {ci}), so a
 	// record is one row of its own fields.

@@ -262,10 +262,9 @@ func ReadParquetBytes(data []byte, schema *value.Type) (Store, error) {
 }
 
 // ReadParquetExtended decodes a spill stream and appends the tail records
-// to it (a non-empty tail needs a flat schema, like Extend):
-// Extend(ReadParquetBytes(data), tail) without the copy of the decoded
-// vectors, which are sized for the tail up front and appended to in place
-// before anybody else can see the store.
+// to it: Extend(ReadParquetBytes(data), tail) without the copy of the
+// decoded vectors, which are sized for the tail up front and appended to in
+// place, through a Builder, before anybody else can see the store.
 func ReadParquetExtended(data []byte, schema *value.Type, tail []value.Value) (Store, error) {
 	st, err := readParquet(data, schema, len(tail))
 	switch {
@@ -273,10 +272,8 @@ func ReadParquetExtended(data []byte, schema *value.Type, tail []value.Value) (S
 		return nil, err
 	case len(tail) == 0:
 		return st, nil
-	case st.listPath != nil:
-		return nil, fmt.Errorf("store: schema %s has a repeated field: nested stores never extend", schema)
 	}
-	b := &ParquetBuilder{st: st, paths: resolveLeafPaths(schema, st.cols)}
+	b := appendTo(st, LayoutParquet)
 	for _, rec := range tail {
 		if err := b.Add(rec); err != nil {
 			return nil, err
@@ -285,8 +282,8 @@ func ReadParquetExtended(data []byte, schema *value.Type, tail []value.Value) (S
 	return b.Finish(), nil
 }
 
-// readParquet decodes a spill stream, leaving room for extra more entries in
-// every flat vector.
+// readParquet decodes a spill stream, leaving room for extra more records
+// in every vector and in the list lengths.
 func readParquet(data []byte, schema *value.Type, extra int) (*parquetStore, error) {
 	r := &spillReader{buf: data}
 	magic, err := r.bytes(4)
@@ -351,7 +348,7 @@ func readParquet(data []byte, schema *value.Type, extra int) (*parquetStore, err
 		if err != nil {
 			return nil, err
 		}
-		st.lengths = make([]int32, st.nRecs)
+		st.lengths = make([]int32, st.nRecs, st.nRecs+extra)
 		flat := 0
 		for i := range st.lengths {
 			l := binary.LittleEndian.Uint32(raw[i*4:])
@@ -372,11 +369,11 @@ func readParquet(data []byte, schema *value.Type, extra int) (*parquetStore, err
 		if (rep == 1) != c.Repeated {
 			return nil, fmt.Errorf("store: spill column %d repeated=%v, schema says %v", ci, rep == 1, c.Repeated)
 		}
-		vecs, n, room := st.flatVecs, st.nRecs, extra
+		vecs, n := st.flatVecs, st.nRecs
 		if c.Repeated {
-			vecs, n, room = st.repVecs, st.nFlat, 0
+			vecs, n = st.repVecs, st.nFlat
 		}
-		if vecs[ci], err = readVec(r, c.Type.Kind, n, room); err != nil {
+		if vecs[ci], err = readVec(r, c.Type.Kind, n, extra); err != nil {
 			return nil, fmt.Errorf("store: spill column %d (%s): %w", ci, c.Name(), err)
 		}
 	}
@@ -453,8 +450,8 @@ func readVec(r *spillReader, want value.Kind, wantLen, extra int) (*vec, error) 
 	case value.String:
 		// One pass proves every length prefix against the bytes left and sums
 		// them; the second copies the column's bytes into one allocation, sized
-		// by Grow, and slices each value out of it as it lands (a Builder
-		// never rewrites bytes it has handed out).
+		// by Grow, and slices each value out of it as it lands (a
+		// strings.Builder never rewrites bytes it has handed out).
 		start, total := r.off, 0
 		for range n {
 			l, err := r.u32()

@@ -86,42 +86,6 @@ type Store interface {
 	ScanNested(emit func(rec value.Value) error) error
 }
 
-// Builder accumulates records and produces an immutable Store.
-type Builder interface {
-	// Add appends one record (matching the schema the builder was built with).
-	Add(rec value.Value) error
-	// Finish seals the builder. The builder must not be used afterwards.
-	Finish() Store
-	// SizeBytes estimates the bytes buffered so far (for admission/eviction
-	// decisions taken mid-build).
-	SizeBytes() int64
-}
-
-// NewBuilder returns a builder for the given layout and record schema.
-func NewBuilder(layout Layout, schema *value.Type) (Builder, error) {
-	cols, err := value.LeafColumns(schema)
-	if err != nil {
-		return nil, err
-	}
-	switch layout {
-	case LayoutColumnar:
-		return newColumnarBuilder(schema, cols), nil
-	case LayoutParquet:
-		return newParquetBuilder(schema, cols), nil
-	}
-	return nil, fmt.Errorf("store: unknown layout %v", layout)
-}
-
-// NewParquetBuilder is NewBuilder(LayoutParquet, schema) returning the
-// concrete builder, for callers that feed it column batches.
-func NewParquetBuilder(schema *value.Type) (*ParquetBuilder, error) {
-	cols, err := value.LeafColumns(schema)
-	if err != nil {
-		return nil, err
-	}
-	return newParquetBuilder(schema, cols), nil
-}
-
 // ColumnIndexes resolves dotted column names against the store's columns.
 func ColumnIndexes(s Store, names []string) ([]int, error) {
 	cols := s.Columns()

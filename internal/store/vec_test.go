@@ -53,7 +53,7 @@ func TestBitmapWordBoundaryGrowth(t *testing.T) {
 
 func TestBitmapAppendAfterClone(t *testing.T) {
 	// Clone mid-word, then append to both sides: the partially-filled
-	// trailing word must not alias. (The layout conversions' copyVec relies
+	// trailing word must not alias. (The layout conversions' cloneCap relies
 	// on this — a converted store's bitmap shares nothing with its source.)
 	var src Bitmap
 	for i := 0; i < 70; i++ {

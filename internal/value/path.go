@@ -99,13 +99,12 @@ func (p Path) walk(t *Type) (cur *Type, repeated bool, at int) {
 	return cur, repeated, len(p)
 }
 
-// LeafColumn describes one leaf of a nested schema in document order,
-// together with the Dremel repetition/definition levels needed by the
-// Parquet-style store.
+// LeafColumn describes one leaf of a nested schema in document order:
+// whether it sits under the (single) list, and its Dremel definition level,
+// which says whether a flattened view of it is nullable.
 type LeafColumn struct {
 	Path     Path
 	Type     *Type // primitive leaf type
-	MaxRep   int   // 0 for non-repeated leaves, 1 under the (single) list
 	MaxDef   int   // number of optional/repeated ancestors incl. the leaf's own optionality
 	Repeated bool  // true iff some ancestor is a List
 }
@@ -155,8 +154,8 @@ func LeafColumns(t *Type) ([]LeafColumn, error) {
 		return nil, fmt.Errorf("value: LeafColumns requires a record schema, got %s", t)
 	}
 	var out []LeafColumn
-	var walk func(t *Type, path Path, rep, def int) error
-	walk = func(t *Type, path Path, rep, def int) error {
+	var walk func(t *Type, path Path, rep bool, def int) error
+	walk = func(t *Type, path Path, rep bool, def int) error {
 		switch t.Kind {
 		case Record:
 			for _, f := range t.Fields {
@@ -167,10 +166,10 @@ func LeafColumns(t *Type) ([]LeafColumn, error) {
 				ft := f.Type
 				frep := rep
 				if ft.Kind == List {
-					if rep >= 1 {
+					if rep {
 						return fmt.Errorf("value: schema nests repeated field %q under another repeated field", f.Name)
 					}
-					frep = rep + 1
+					frep = true
 					fdef++ // a repeated field is definable (empty list ⇒ def < this level)
 					ft = ft.Elem
 					if ft.Kind == List {
@@ -183,7 +182,7 @@ func LeafColumns(t *Type) ([]LeafColumn, error) {
 						return err
 					}
 				} else {
-					out = append(out, LeafColumn{Path: np, Type: ft, MaxRep: frep, MaxDef: fdef, Repeated: frep > 0})
+					out = append(out, LeafColumn{Path: np, Type: ft, MaxDef: fdef, Repeated: frep})
 				}
 			}
 			return nil
@@ -191,7 +190,7 @@ func LeafColumns(t *Type) ([]LeafColumn, error) {
 			return fmt.Errorf("value: unexpected non-record in walk: %s", t)
 		}
 	}
-	if err := walk(t, nil, 0, 0); err != nil {
+	if err := walk(t, nil, false, 0); err != nil {
 		return nil, err
 	}
 	return out, nil

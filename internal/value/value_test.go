@@ -178,10 +178,10 @@ func TestLeafColumns(t *testing.T) {
 			t.Errorf("col %d = %q, want %q", i, c.Name(), wantNames[i])
 		}
 	}
-	if cols[0].MaxRep != 0 || cols[0].Repeated {
+	if cols[0].Repeated {
 		t.Errorf("o_orderkey should be non-repeated: %+v", cols[0])
 	}
-	if cols[3].MaxRep != 1 || !cols[3].Repeated || cols[3].MaxDef != 1 {
+	if !cols[3].Repeated || cols[3].MaxDef != 1 {
 		t.Errorf("lineitems.l_quantity levels wrong: %+v", cols[3])
 	}
 }

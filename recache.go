@@ -596,7 +596,7 @@ func (e *Engine) QueryColumnar(sql string) (*BatchResult, error) {
 
 // builderSink is QueryColumnar's result sink: the builder gathers a batch's
 // selected entries into its own column vectors, retaining nothing.
-type builderSink struct{ b *store.ParquetBuilder }
+type builderSink struct{ b *store.Builder }
 
 func (s builderSink) Batch(cols []*store.Vec, sel []int32) error {
 	return s.b.AppendBatch(cols, sel)
@@ -609,7 +609,7 @@ func (e *Engine) queryColumnarOnce(sql string) (*BatchResult, error) {
 	}
 	defer tx.Close()
 	schema := root.OutSchema()
-	b, err := store.NewParquetBuilder(schema)
+	b, err := store.NewBuilder(store.LayoutParquet, schema)
 	if err != nil {
 		return nil, err
 	}
