@@ -228,23 +228,15 @@ func BenchmarkStoreCursor(b *testing.B) {
 	}
 }
 
-func BenchmarkLayoutConvert(b *testing.B) {
+// BenchmarkFlattenedView times the derivation of a nested entry's
+// flattened view from its Parquet payload: the T a flattening read pays
+// when it attaches the view (the advisor's eq. 3 floor once measured).
+func BenchmarkFlattenedView(b *testing.B) {
 	p := benchNestedStore(b, store.LayoutParquet, 4)
-	b.Run("parquet-to-columnar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := store.Convert(p, store.LayoutColumnar); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	c := benchNestedStore(b, store.LayoutColumnar, 4)
-	b.Run("columnar-to-parquet", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := store.Convert(c, store.LayoutParquet); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.ReportAllocs()
+	for b.Loop() {
+		store.Flatten(p)
+	}
 }
 
 func BenchmarkJSONParse(b *testing.B) {

@@ -482,10 +482,11 @@ func TestEngineMatchesProviderLevelScan(t *testing.T) {
 }
 
 // Only nested data has a layout decision (§4.2). Under Layout "auto" a flat
-// entry is never converted however often it is hit, while a nested entry
-// in the same engine, read through its flattened view (where Parquet pays
-// its records' expansion on every scan), still moves to the relational
-// columnar layout.
+// entry never attaches a view however often it is hit — its flattened scan
+// is its record scan, so it lists as columnar from the start — while a
+// nested entry in the same engine, read through its flattened view (where
+// the Parquet payload pays its records' expansion on every scan), attaches
+// the relational columnar view once and then lists as columnar.
 func TestLayoutAdvisorMovesOnlyNestedEntries(t *testing.T) {
 	var nested strings.Builder
 	for i := 0; i < 1500; i++ {
@@ -535,5 +536,41 @@ func TestLayoutAdvisorMovesOnlyNestedEntries(t *testing.T) {
 	if st := eng.CacheStats(); st.LayoutSwitches != 1 || layoutOf(eng, "big") != "columnar" || layoutOf(eng, "t") != "columnar" {
 		t.Errorf("after flattened-view hits: %d layout switches, nested entry %s, flat entry %s; want 1, columnar, columnar",
 			st.LayoutSwitches, layoutOf(eng, "big"), layoutOf(eng, "t"))
+	}
+}
+
+// TestFlatEntryCarriesNoRowIndex: a flat entry's payload is the Parquet
+// form in every layout mode, so its bytes do not depend on the mode: it
+// carries no columnar row index (record id and placeholder mark, 5 bytes a
+// record), which no read of a flat entry uses.
+func TestFlatEntryCarriesNoRowIndex(t *testing.T) {
+	var csv strings.Builder
+	for i := 0; i < 1000; i++ {
+		fmt.Fprintf(&csv, "%d|%d|%d.5|n%d\n", i, i%100, i, i)
+	}
+	path := writeTemp(t, "flat.csv", csv.String())
+	bytes := map[string]int64{}
+	for _, layout := range []string{"auto", "parquet", "columnar"} {
+		eng, err := Open(Config{Admission: "eager", Layout: layout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.RegisterCSV("f", path, "id int, qty int, price float, name string", '|'); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ { // a miss that admits, then a hit
+			if _, err := eng.Query("SELECT SUM(price) FROM f WHERE qty BETWEEN 10 AND 59"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ents := eng.CacheEntries()
+		if len(ents) != 1 || ents[0].Mode != "eager" || ents[0].Layout != "columnar" {
+			t.Fatalf("%s: entries %+v, want one eager entry that flattening scans read columnar", layout, ents)
+		}
+		bytes[layout] = ents[0].Bytes
+		eng.Close()
+	}
+	if bytes["auto"] != bytes["parquet"] || bytes["columnar"] != bytes["parquet"] {
+		t.Errorf("flat entry bytes by layout mode: %v; want one size", bytes)
 	}
 }

@@ -243,7 +243,7 @@ func TestUpgradeLazyAccounting(t *testing.T) {
 		t.Fatalf("lazy entry wrong: %+v", e)
 	}
 	before := m.Stats().TotalBytes
-	b, _ := store.NewBuilder(store.LayoutColumnar, ds.Schema())
+	b, _ := store.NewBuilder(store.LayoutParquet, ds.Schema())
 	_ = b.Add(value.VRecord(value.VInt(1), value.VFloat(2)))
 	st := b.Finish()
 	m.UpgradeLazy(e, st, 555, 777)
@@ -266,58 +266,82 @@ func TestUpgradeLazyAccounting(t *testing.T) {
 	}
 }
 
+// flattening is the observation of a flattening read that expanded the
+// Parquet form of a nested entry: D_i, C_i and r_i = R.
+func flattening(e *Entry, data, compute int64) store.ScanStats {
+	return store.ScanStats{DataNanos: data, ComputeNanos: compute, RowsScanned: int64(e.Store.NumFlatRows())}
+}
+
+// TestRecordScanDrivesLayoutSwitch: under LayoutAuto, flattening reads whose
+// expansions outgrow the derivation (eqs. 1–3 with r_i = R) attach the
+// flattened view beside the Parquet payload, charged by the bytes it does
+// not share, and record scans neither attach nor drop it.
 func TestRecordScanDrivesLayoutSwitch(t *testing.T) {
 	m := NewManager(Config{Admission: AlwaysEager, Layout: LayoutAuto})
 	ds := nestedDataset("n")
 	m.BeginQuery()
 	e := buildEntry(t, m, ds, nil)
-	if e.LayoutOf() != store.LayoutParquet {
-		t.Fatalf("nested default layout = %v", e.LayoutOf())
+	payload, before := e.Store, m.Stats().TotalBytes
+	if e.view != nil || e.layout() != store.LayoutParquet {
+		t.Fatalf("a new nested entry reads %v with view %v", e.layout(), e.view)
 	}
-	// Feed flat-granularity observations with heavy compute cost: the cost
-	// model (eqs. 1-3) must switch the entry to columnar.
-	R := int64(e.Store.NumFlatRows())
-	for i := 0; i < 10; i++ {
-		m.RecordScan(e, store.ScanStats{
-			DataNanos:    1000,
-			ComputeNanos: 5000,
-			RowsScanned:  R,
-		}, 2, 6000)
+	// One read never pays: C_1 > D_1 + C_1 cannot hold.
+	m.RecordScan(e, flattening(e, 1000, 5000), 6000)
+	if e.view != nil {
+		t.Fatal("one flattening read attached the view")
 	}
-	if e.LayoutOf() != store.LayoutColumnar {
-		t.Errorf("layout after compute-heavy scans = %v, want columnar", e.LayoutOf())
+	for i := 0; i < 10 && e.view == nil; i++ {
+		m.RecordScan(e, flattening(e, 1000, 5000), 6000)
 	}
-	if m.Stats().LayoutSwitches != 1 {
-		t.Errorf("switches = %d", m.Stats().LayoutSwitches)
+	if e.view == nil || e.layout() != store.LayoutColumnar || m.Stats().LayoutSwitches != 1 {
+		t.Fatalf("after compute-heavy reads: view %v, layout %v, switches %d", e.view, e.layout(), m.Stats().LayoutSwitches)
 	}
-	// And back: record-granularity observations where Parquet would scan
-	// 1/card of the rows.
-	nRec := int64(e.Store.NumRecords())
-	for i := 0; i < 400; i++ {
-		m.RecordScan(e, store.ScanStats{
-			DataNanos:   8000,
-			RowsScanned: nRec,
-		}, 1, 8000)
-		if e.LayoutOf() == store.LayoutParquet {
-			break
-		}
+	if e.Store != payload || e.Store.Layout() != store.LayoutParquet {
+		t.Error("attaching the view moved the payload")
 	}
-	if e.LayoutOf() != store.LayoutParquet {
-		t.Errorf("layout never switched back to parquet")
+	_, own := store.Flatten(payload)
+	if got := m.Stats().TotalBytes - before; got != own || e.memoBytes != own {
+		t.Errorf("the view is charged %d bytes (memo %d), want the %d it does not share", got, e.memoBytes, own)
+	}
+	if m.View(e, payload) != e.view {
+		t.Error("a flattening scan of the payload does not read the view")
+	}
+	// Record scans cost no expansion: they never feed the window.
+	for i := 0; i < 50; i++ {
+		m.RecordScan(e, store.ScanStats{DataNanos: 8000, RowsScanned: int64(e.Store.NumRecords())}, 8000)
+	}
+	if e.view == nil || m.Stats().LayoutSwitches != 1 {
+		t.Errorf("record scans moved the view: %v, switches %d", e.view, m.Stats().LayoutSwitches)
 	}
 }
 
+// TestFixedLayoutNeverSwitches: LayoutFixedParquet never attaches a view,
+// LayoutFixedColumnar attaches one at the first flattening read that
+// finds none, and a flat entry never has anything to attach.
 func TestFixedLayoutNeverSwitches(t *testing.T) {
 	m := NewManager(Config{Admission: AlwaysEager, Layout: LayoutFixedParquet})
 	ds := nestedDataset("n")
 	m.BeginQuery()
 	e := buildEntry(t, m, ds, nil)
-	R := int64(e.Store.NumFlatRows())
 	for i := 0; i < 50; i++ {
-		m.RecordScan(e, store.ScanStats{DataNanos: 100, ComputeNanos: 100000, RowsScanned: R}, 2, 100100)
+		m.RecordScan(e, flattening(e, 100, 100000), 100100)
 	}
-	if e.LayoutOf() != store.LayoutParquet || m.Stats().LayoutSwitches != 0 {
-		t.Errorf("fixed layout switched: %v, switches=%d", e.LayoutOf(), m.Stats().LayoutSwitches)
+	if e.view != nil || e.layout() != store.LayoutParquet || m.Stats().LayoutSwitches != 0 {
+		t.Errorf("fixed parquet attached a view: %v, switches=%d", e.view, m.Stats().LayoutSwitches)
+	}
+
+	m = NewManager(Config{Admission: AlwaysEager, Layout: LayoutFixedColumnar})
+	m.BeginQuery()
+	e = buildEntry(t, m, ds, nil)
+	m.RecordScan(e, flattening(e, 100, 1), 101)
+	if e.view == nil || m.Stats().LayoutSwitches != 1 {
+		t.Errorf("fixed columnar: view %v after the first flattening read, switches=%d", e.view, m.Stats().LayoutSwitches)
+	}
+	m.BeginQuery()
+	f := buildEntry(t, m, flatDataset("f"), nil)
+	m.RecordScan(f, store.ScanStats{DataNanos: 100, RowsScanned: int64(f.Store.NumRecords())}, 100)
+	if f.view != nil || f.layout() != store.LayoutColumnar {
+		t.Errorf("flat entry: view %v, layout %v", f.view, f.layout())
 	}
 }
 
@@ -342,24 +366,19 @@ func TestOracleFeedsOfflinePolicies(t *testing.T) {
 	}
 }
 
+// TestChooseLayoutModes: every payload is the Parquet form, flat or
+// nested, in every layout mode.
 func TestChooseLayoutModes(t *testing.T) {
-	flat, nested := flatDataset("f"), nestedDataset("n")
-	cases := []struct {
-		mode LayoutMode
-		flat store.Layout
-		nest store.Layout
-	}{
-		{LayoutAuto, store.LayoutColumnar, store.LayoutParquet},
-		{LayoutFixedParquet, store.LayoutParquet, store.LayoutParquet},
-		{LayoutFixedColumnar, store.LayoutColumnar, store.LayoutColumnar},
-	}
-	for _, c := range cases {
-		m := NewManager(Config{Layout: c.mode})
-		if got := m.ChooseLayout(flat); got != c.flat {
-			t.Errorf("mode %v flat = %v, want %v", c.mode, got, c.flat)
-		}
-		if got := m.ChooseLayout(nested); got != c.nest {
-			t.Errorf("mode %v nested = %v, want %v", c.mode, got, c.nest)
+	for _, mode := range []LayoutMode{LayoutAuto, LayoutFixedParquet, LayoutFixedColumnar} {
+		m := NewManager(Config{Layout: mode})
+		for _, ds := range []*plan.Dataset{flatDataset("f"), nestedDataset("n")} {
+			if got := m.ChooseLayout(ds); got != store.LayoutParquet {
+				t.Errorf("mode %v %s = %v, want parquet", mode, ds.Name, got)
+			}
+			m.BeginQuery()
+			if e := buildEntry(t, m, ds, nil); e.Store.Layout() != store.LayoutParquet {
+				t.Errorf("mode %v %s payload = %v", mode, ds.Name, e.Store.Layout())
+			}
 		}
 	}
 }
@@ -393,17 +412,48 @@ func TestLinearSubsumptionMatchesRTree(t *testing.T) {
 	}
 }
 
+// TestRecordScanReturnsConversionDuration: the flattening read whose
+// observation attaches the view returns the derivation's duration, the
+// query's LayoutSwitch time, and that duration floors the next window's T.
 func TestRecordScanReturnsConversionDuration(t *testing.T) {
 	m := NewManager(Config{Admission: AlwaysEager, Layout: LayoutAuto})
 	ds := nestedDataset("n")
 	m.BeginQuery()
 	e := buildEntry(t, m, ds, nil)
-	R := int64(e.Store.NumFlatRows())
 	var conv time.Duration
 	for i := 0; i < 10 && conv == 0; i++ {
-		conv = m.RecordScan(e, store.ScanStats{DataNanos: 1000, ComputeNanos: 8000, RowsScanned: R}, 2, 9000)
+		conv = m.RecordScan(e, flattening(e, 1000, 8000), 9000)
 	}
-	if conv <= 0 {
-		t.Error("conversion duration never reported")
+	if conv <= 0 || e.view == nil {
+		t.Fatalf("derivation duration %v, view %v", conv, e.view)
+	}
+	if want := (advisorState{lastDerive: conv.Nanoseconds(), viewBytes: e.memoBytes}); e.advisor != want {
+		t.Errorf("advisor after the derivation = %+v, want a fresh window floored at %+v", e.advisor, want)
+	}
+}
+
+// TestViewWaitsForRoom: a view that does not fit in the free room is not
+// attached, and the entry does not derive another until the room the
+// first one needed is free — a flattening read then pays its expansion
+// alone.
+func TestViewWaitsForRoom(t *testing.T) {
+	ds := nestedDataset("n")
+	probe := NewManager(Config{Admission: AlwaysEager})
+	probe.BeginQuery()
+	size := buildEntry(t, probe, ds, nil).SizeBytes()
+	// Room for the view's row index, not for its gathered record leaf.
+	m := NewManager(Config{Admission: AlwaysEager, Layout: LayoutFixedColumnar, Capacity: size + 200})
+	m.BeginQuery()
+	e := buildEntry(t, m, ds, nil)
+	if d := m.RecordScan(e, flattening(e, 100, 100), 200); d <= 0 || e.view != nil {
+		t.Fatalf("first flattening read: derivation %v, view %v; want a derivation that does not attach", d, e.view)
+	}
+	for i := 0; i < 5; i++ {
+		if d := m.RecordScan(e, flattening(e, 100, 100), 200); d != 0 {
+			t.Fatalf("read %d derived a view (%v) into room that cannot hold it", i, d)
+		}
+	}
+	if st := m.Stats(); st.LayoutSwitches != 0 || st.TotalBytes != size {
+		t.Errorf("switches %d, %d bytes; want 0 and the payload's %d", st.LayoutSwitches, st.TotalBytes, size)
 	}
 }

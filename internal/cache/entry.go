@@ -1,9 +1,9 @@
 // Package cache implements the ReCache core: the cache manager that matches
 // query plans against cached operator results (exactly or by range
-// subsumption through an R-tree index, §3.2–3.3), the automatic layout
-// advisor implementing the cost model of §4.2–4.3, the reactive admission
-// configuration of §5.2, and cost-based eviction through the policies in
-// internal/eviction (§5.1).
+// subsumption through an R-tree index, §3.2–3.3), the layout advisor that
+// applies the cost model of §4.2 to a nested entry's flattened view, the
+// reactive admission configuration of §5.2, and cost-based eviction
+// through the policies in internal/eviction (§5.1).
 package cache
 
 import (
@@ -42,7 +42,7 @@ func (m Mode) String() string {
 // Concurrency: every mutable field is guarded by the owning Manager's lock.
 // The executor reads Mode/Store/Offsets through Manager.Payload (a locked
 // snapshot); stores are immutable once built, so a snapshotted store stays
-// valid across concurrent upgrades, layout conversions, and evictions
+// valid across concurrent upgrades, extensions, and evictions
 // (deferred removal keeps pinned entries alive). Direct field access is
 // reserved for single-threaded tests and tooling.
 type Entry struct {
@@ -53,7 +53,7 @@ type Entry struct {
 	Ranges    *expr.RangeSet
 
 	Mode    Mode
-	Store   store.Store // eager mode
+	Store   store.Store // eager mode: the Parquet form
 	Offsets []int64     // lazy mode (satisfying-record byte offsets)
 
 	// Freshness provenance. FileEpoch is the provider file epoch the payload
@@ -95,17 +95,20 @@ type Entry struct {
 	opDone      chan struct{} // made by a reader waiting for op to end, closed when it does
 	reloadNanos int64         // measured cost of the last disk re-admission
 
-	// Join tables memoised over Store (AttachJoinTable), and their bytes,
-	// which SizeBytes counts. Guarded by the Manager's lock; the tables
-	// themselves are read-only once attached.
+	// State derived from Store and memoised beside it (lifecycle.go): the
+	// flattened view a flattening scan reads instead of expanding the
+	// Parquet form (nil: none), the join tables over Store or the view, and
+	// the bytes they hold beyond Store, which SizeBytes counts. Guarded by
+	// the Manager's lock; the memos themselves are read-only once attached.
+	view      store.Store
 	joins     map[JoinTableKey]any
-	joinBytes int64
+	memoBytes int64
 }
 
 // JoinTableKey names a join's hash table over an entry's store: the store
-// snapshot it indexes, the key's leaf column, the key representation the
-// table normalised to, and whether its row ids count flattened rows or
-// records.
+// snapshot it indexes (the payload, or the flattened view attached to it),
+// the key's leaf column, the key representation the table normalised to,
+// and whether its row ids count flattened rows or records.
 type JoinTableKey struct {
 	Store store.Store
 	Col   string
@@ -113,16 +116,27 @@ type JoinTableKey struct {
 	Flat  bool
 }
 
-// SizeBytes is B: the entry's memory footprint, its join tables included.
-// An eager entry whose payload is in the disk tier holds no RAM.
+// SizeBytes is B: the entry's memory footprint, its memoised view and join
+// tables included. An eager entry whose payload is in the disk tier holds
+// no RAM.
 func (e *Entry) SizeBytes() int64 {
 	switch {
 	case e.Mode == Lazy:
 		return int64(len(e.Offsets))*8 + 64
 	case e.Store != nil:
-		return e.Store.SizeBytes() + e.joinBytes
+		return e.Store.SizeBytes() + e.memoBytes
 	}
 	return 0
+}
+
+// layout names the layout a flattening scan of the entry's store reads:
+// columnar when it needs no expansion (a flat schema, or an attached view),
+// Parquet otherwise.
+func (e *Entry) layout() store.Layout {
+	if e.view != nil {
+		return store.FlattenedLayout(e.view)
+	}
+	return store.FlattenedLayout(e.Store)
 }
 
 // FromJSON reports whether the entry originates from a JSON dataset.
@@ -139,7 +153,7 @@ func entryKey(ds, predCanon string) string { return ds + "|" + predCanon }
 func (e *Entry) String() string {
 	layout := "offsets"
 	if e.Mode == Eager && e.Store != nil {
-		layout = e.Store.Layout().String()
+		layout = e.layout().String()
 	} else if e.diskOnly() {
 		layout = "disk"
 	}

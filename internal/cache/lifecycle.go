@@ -11,8 +11,8 @@ import (
 
 // Entry lifecycle. An entry's state is three fields, and the functions in
 // this file are the only code that writes them, the spill-file identity, the
-// join tables memoised on the store, or the byte gauges m.total /
-// m.diskTotal / m.diskEntries:
+// state memoised on the store (its flattened view and join tables), or the
+// byte gauges m.total / m.diskTotal / m.diskEntries:
 //
 //   - tier: where the authoritative payload lives. tierRAM entries hold
 //     their Store / Offsets (a spill file they still own is a redundant
@@ -37,12 +37,11 @@ const (
 type opKind uint8
 
 const (
-	opIdle       opKind = iota
-	opUpgrading         // a lazy replay is building the eager store
-	opConverting        // a scan is rewriting the store in another layout
-	opSpilling          // queued for, or being written to, the spill dir
-	opLoading           // a reader is re-admitting the spill file
-	opExtending         // a reader is scanning the appended tail
+	opIdle      opKind = iota
+	opUpgrading        // a lazy replay is building the eager store
+	opSpilling         // queued for, or being written to, the spill dir
+	opLoading          // a reader is re-admitting the spill file
+	opExtending        // a reader is scanning the appended tail
 )
 
 // payload is what an operation snapshots at begin and replaces at commit.
@@ -120,8 +119,6 @@ func (m *Manager) begin(e *Entry, op opKind) (inflight, bool) {
 	switch op {
 	case opUpgrading:
 		ok = e.Mode == Lazy
-	case opConverting:
-		ok = e.Mode == Eager && e.tier == tierRAM
 	case opSpilling: // an entry that kept its file demotes for free instead
 		ok = e.Mode == Eager && e.tier == tierRAM && e.spillPath == ""
 	case opExtending: // a RAM copy kept for pinned readers extends too
@@ -186,7 +183,7 @@ func (m *Manager) commit(o inflight, res result) bool {
 		}
 		return false
 	}
-	m.dropJoinTables(e) // they index the payload being replaced
+	m.dropMemos(e) // they derive from the payload being replaced
 	before := e.SizeBytes()
 	if res.stale {
 		// A kept spill file serializes the pre-append payload; a free
@@ -253,11 +250,10 @@ func (m *Manager) insertLocked(e *Entry) {
 }
 
 // demoteLocked makes the entry's spill file authoritative. Readers mid-scan
-// keep the RAM copy until the last of them unpins. A conversion or
-// extension still rebuilding the RAM copy loses: its commit finds the
-// operation gone.
+// keep the RAM copy until the last of them unpins. An extension still
+// rebuilding the RAM copy loses: its commit finds the operation gone.
 func (m *Manager) demoteLocked(e *Entry) {
-	m.dropJoinTables(e)
+	m.dropMemos(e)
 	e.tier = tierDisk
 	e.endOp()
 	m.policy.OnDemote(e.ID)
@@ -315,7 +311,7 @@ func (m *Manager) unpinLocked(e *Entry) {
 // that store still in flight; a dead one keeps its pointers for whoever
 // still holds the *Entry and goes with it.
 func (m *Manager) dropRAMPayload(e *Entry) {
-	m.dropJoinTables(e)
+	m.dropMemos(e)
 	m.total -= e.SizeBytes()
 	if !e.dead {
 		e.Store = nil
@@ -323,28 +319,41 @@ func (m *Manager) dropRAMPayload(e *Entry) {
 	}
 }
 
-// AttachJoinTable memoises table, a join's hash table over e's store
-// snapshot k.Store, charging its bytes to the RAM budget. It installs the
-// table only if e is alive, still holds that store in the RAM tier, and the
-// table fits in the budget's free room: a memo never evicts anything. The
-// table stays until the payload it indexes leaves RAM or is replaced
-// (commit, demoteLocked, dropRAMPayload), or until the budget overflows:
-// evictLocked sheds every table before it evicts a payload. It reports
-// whether it installed the table.
+// Memos. State derived from an entry's payload — the flattened view
+// (advisor.go) and the join tables over the payload or the view — is kept on
+// the entry and charged to the RAM budget by the bytes it holds beyond the
+// payload. A memo attaches only if its entry is alive, still holds the
+// store it derives from in the RAM tier, and its bytes fit in the budget's
+// free room: a memo never evicts anything. Memos stay until the payload
+// leaves RAM or is replaced (commit, demoteLocked, dropRAMPayload), or until
+// the budget overflows: evictLocked sheds every memo before it evicts a
+// payload, because a memo rebuilds from a payload already in RAM, where an
+// evicted payload costs a raw rescan.
+
+// memoFitsLocked reports whether a memo of bytes over st, e's payload or
+// its view, may attach to e.
+func (m *Manager) memoFitsLocked(e *Entry, st store.Store, bytes int64) bool {
+	if e.dead || e.tier != tierRAM || e.Store == nil || (st != e.Store && st != e.view) {
+		return false
+	}
+	return m.cfg.Capacity <= 0 || m.total+bytes <= m.cfg.Capacity
+}
+
+// AttachJoinTable memoises table, a join's hash table over k.Store — e's
+// store snapshot or the view attached to it — charging its bytes to the RAM
+// budget, under the memo rules above. It reports whether it installed the
+// table.
 func (m *Manager) AttachJoinTable(e *Entry, k JoinTableKey, table any, bytes int64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e.dead || e.tier != tierRAM || e.Store == nil || e.Store != k.Store || e.joins[k] != nil {
-		return false
-	}
-	if m.cfg.Capacity > 0 && m.total+bytes > m.cfg.Capacity {
+	if e.joins[k] != nil || !m.memoFitsLocked(e, k.Store, bytes) {
 		return false
 	}
 	if e.joins == nil {
 		e.joins = make(map[JoinTableKey]any)
 	}
 	e.joins[k] = table
-	e.joinBytes += bytes
+	e.memoBytes += bytes
 	m.total += bytes
 	return true
 }
@@ -356,10 +365,11 @@ func (m *Manager) JoinTable(e *Entry, k JoinTableKey) any {
 	return e.joins[k]
 }
 
-// dropJoinTables releases the join tables memoised on e and their bytes.
-func (m *Manager) dropJoinTables(e *Entry) {
-	m.total -= e.joinBytes
-	e.joins, e.joinBytes = nil, 0
+// dropMemos releases every memo on e — its view and its join tables — and
+// their bytes.
+func (m *Manager) dropMemos(e *Entry) {
+	m.total -= e.memoBytes
+	e.view, e.joins, e.memoBytes = nil, nil, 0
 }
 
 // releaseSpillFile deletes the entry's spill file, if it owns one, and

@@ -144,30 +144,40 @@ func TestDiskTierEntryHoldsNoRAM(t *testing.T) {
 	assertNothingHeld(t, m, dir)
 }
 
-// A budget overflow sheds memoised join tables before it evicts a payload:
-// a table rebuilds from RAM, an evicted payload costs a raw rescan.
+// A budget overflow sheds memos — the flattened view and the join tables,
+// over the payload or over the view — before it evicts a payload: a memo
+// rebuilds from RAM, an evicted payload costs a raw rescan.
 func TestJoinTablesShedBeforeEviction(t *testing.T) {
 	x := newLifecycleModel(t, 1)
 	rng := rand.New(rand.NewSource(1))
 	a := x.admit(rng, x.preds[0], Eager)
 	_, st, _ := x.m.Payload(a)
+	x.m.deriveView(a, st)
+	view := x.m.View(a, st)
+	if view == st {
+		t.Fatal("a view that fits the free budget was not attached")
+	}
 	k := JoinTableKey{Store: st, Col: "a"}
 	room := x.m.cfg.Capacity - x.m.Stats().TotalBytes
-	if !x.m.AttachJoinTable(a, k, &k, room) {
+	if !x.m.AttachJoinTable(a, k, &k, room-1) {
 		t.Fatal("a table that fits the free budget was not attached")
+	}
+	kv := JoinTableKey{Store: view, Col: "a", Flat: true}
+	if !x.m.AttachJoinTable(a, kv, &kv, 1) {
+		t.Fatal("a table over the view was not attached")
 	}
 	if x.m.AttachJoinTable(a, JoinTableKey{Store: st, Col: "c"}, &k, 1) {
 		t.Fatal("a table past the budget was attached")
 	}
-	b := x.admit(rng, x.preds[1], Eager) // fits only in the table's room
-	if x.m.JoinTable(a, k) != nil {
-		t.Error("the table survived the overflow")
+	b := x.admit(rng, x.preds[1], Eager) // fits only in the memos' room
+	if x.m.JoinTable(a, k) != nil || x.m.JoinTable(a, kv) != nil || x.m.View(a, st) != st {
+		t.Error("a memo survived the overflow")
 	}
 	st2 := x.m.Stats()
 	if st2.Evictions != 0 || len(x.m.Entries()) != 2 {
-		t.Errorf("%d evictions, %d entries: a payload went before the table", st2.Evictions, len(x.m.Entries()))
+		t.Errorf("%d evictions, %d entries: a payload went before the memos", st2.Evictions, len(x.m.Entries()))
 	}
-	if want := a.SizeBytes() + b.SizeBytes(); st2.TotalBytes != want {
+	if want := a.SizeBytes() + b.SizeBytes(); st2.TotalBytes != want || a.SizeBytes() != st.SizeBytes() {
 		t.Errorf("TotalBytes = %d, want %d", st2.TotalBytes, want)
 	}
 }
@@ -258,7 +268,6 @@ type lifecycleModel struct {
 	known    map[*Entry]bool // every entry seen, dead ones until nothing can touch them
 	txns     []*Txn
 	upgrades []inflight
-	converts []inflight
 	loads    []inflight
 	loadPath map[*Entry]string
 	extends  []inflight
@@ -279,7 +288,7 @@ func newLifecycleModel(t *testing.T, seed int64) *lifecycleModel {
 	// every spill pressures the disk tier.
 	st, _ := x.build(x.preds[0])
 	var file bytes.Buffer
-	if err := writeParquet(&file, st); err != nil {
+	if err := store.WriteParquet(&file, st); err != nil {
 		t.Fatal(err)
 	}
 	x.m = NewManager(Config{
@@ -291,7 +300,7 @@ func newLifecycleModel(t *testing.T, seed int64) *lifecycleModel {
 
 // build materializes pred over the provider's current records.
 func (x *lifecycleModel) build(pred expr.Expr) (store.Store, []int64) {
-	b, err := store.NewBuilder(store.LayoutColumnar, x.ds.Schema())
+	b, err := store.NewBuilder(store.LayoutParquet, x.ds.Schema())
 	if err != nil {
 		x.t.Fatal(err)
 	}
@@ -396,7 +405,7 @@ func (x *lifecycleModel) beginOn(op opKind, list *[]inflight) {
 
 // heldOn removes and returns an operation this test holds on e.
 func (x *lifecycleModel) heldOn(e *Entry) (inflight, bool) {
-	for _, l := range []*[]inflight{&x.upgrades, &x.converts, &x.loads, &x.extends} {
+	for _, l := range []*[]inflight{&x.upgrades, &x.loads, &x.extends} {
 		for i, o := range *l {
 			if o.e == e {
 				*l = append((*l)[:i:i], (*l)[i+1:]...)
@@ -413,12 +422,6 @@ func (x *lifecycleModel) finish(o inflight) {
 	case opLoading:
 		// An unlinked file is a failed load (the entry died meanwhile).
 		x.m.load(o, x.loadPath[o.e])
-	case opConverting:
-		to := store.LayoutParquet
-		if o.snap.store.Layout() == store.LayoutParquet {
-			to = store.LayoutColumnar
-		}
-		x.m.convert(o, to)
 	case opExtending:
 		// Fails when the file was rewritten since the begin: the entry goes.
 		x.m.extend(o.e, o.snap, &o)
@@ -427,7 +430,7 @@ func (x *lifecycleModel) finish(o inflight) {
 			x.m.CancelUpgrade(o.e)
 			return
 		}
-		b, _ := store.NewBuilder(store.LayoutColumnar, x.ds.Schema())
+		b, _ := store.NewBuilder(store.LayoutParquet, x.ds.Schema())
 		recs, _ := x.prov.snapshot()
 		for _, off := range o.snap.offsets {
 			if i := int(off / 100); i < len(recs) { // the file may have been rewritten shorter
@@ -502,7 +505,7 @@ var lifecycleSteps = []struct {
 		pred := x.pred()
 		st, _ := x.build(pred)
 		var buf bytes.Buffer
-		if err := writeParquet(&buf, st); err != nil {
+		if err := store.WriteParquet(&buf, st); err != nil {
 			x.t.Fatal(err)
 		}
 		if err := x.m.AdmitReplica(x.ds, pred, canonOf(pred), buf.Bytes()); err != nil {
@@ -534,7 +537,7 @@ var lifecycleSteps = []struct {
 	{"record-scan", 3, func(x *lifecycleModel) {
 		if e := x.pick(func(e *Entry) bool { return e.Store != nil }); e != nil {
 			n := int64(e.Store.NumFlatRows())
-			x.m.RecordScan(e, store.ScanStats{DataNanos: 1000, ComputeNanos: int64(x.rng.Intn(9000)), RowsScanned: n}, 1+x.rng.Intn(2), 6000)
+			x.m.RecordScan(e, store.ScanStats{DataNanos: 1000, ComputeNanos: int64(x.rng.Intn(9000)), RowsScanned: n}, 6000)
 		}
 	}},
 	{"spill-begin", 4, func(x *lifecycleModel) {
@@ -567,11 +570,22 @@ var lifecycleSteps = []struct {
 			x.finish(o)
 		}
 	}},
-	{"convert-begin", 3, func(x *lifecycleModel) { x.beginOn(opConverting, &x.converts) }},
-	{"convert-commit", 3, func(x *lifecycleModel) {
-		if o, ok := x.take(&x.converts); ok {
-			x.finish(o)
+	{"view-attach", 3, func(x *lifecycleModel) {
+		// A flattened view derived from any entry's payload snapshot, in
+		// whatever state: deriveView's attach decides, as after a read.
+		if e := x.pick(func(e *Entry) bool { return e.Store != nil }); e != nil {
+			_, st, _ := x.m.Payload(e)
+			x.m.deriveView(e, st)
 		}
+	}},
+	{"view-shed", 3, func(x *lifecycleModel) {
+		// What evictLocked does to every entry before it evicts a payload.
+		x.pick(func(e *Entry) bool {
+			if e.view != nil {
+				x.m.dropMemos(e)
+			}
+			return e.view != nil
+		})
 	}},
 	{"append", 3, func(x *lifecycleModel) {
 		// What Revalidate does after an append: the provider moves, and every
@@ -621,7 +635,7 @@ func (x *lifecycleModel) check(step int, name string, quiescent bool) {
 		}
 	}
 	held := map[*Entry]bool{}
-	for _, l := range [][]inflight{x.upgrades, x.converts, x.loads, x.extends, m.pendingSpills} {
+	for _, l := range [][]inflight{x.upgrades, x.loads, x.extends, m.pendingSpills} {
 		for _, o := range l {
 			held[o.e] = true
 		}
@@ -643,14 +657,24 @@ func (x *lifecycleModel) check(step int, name string, quiescent bool) {
 		if !e.dead || e.pins > 0 {
 			ram += e.SizeBytes()
 		}
-		// A join table indexes the RAM payload it was built over.
-		for k := range e.joins {
-			if k.Store != e.Store || e.tier != tierRAM {
+		// Memos derive from the RAM payload: the view from the store, a join
+		// table from the store or the view. They are charged what the view
+		// holds beyond the store and what each join table was offered at.
+		var memo int64
+		if e.view != nil {
+			if e.Store == nil || e.tier != tierRAM || e.view.NumRecords() != e.Store.NumRecords() {
+				fail("entry %d (tier %d): a view over a store it no longer holds in RAM", e.ID, e.tier)
+			}
+			_, memo = store.Flatten(e.Store)
+		}
+		for k, table := range e.joins {
+			if (k.Store != e.Store && k.Store != e.view) || e.tier != tierRAM {
 				fail("entry %d (tier %d): a join table over a store it no longer holds in RAM", e.ID, e.tier)
 			}
+			memo += table.(*joinTableBytes).n
 		}
-		if (len(e.joins) == 0) != (e.joinBytes == 0) {
-			fail("entry %d: %d join tables, %d bytes", e.ID, len(e.joins), e.joinBytes)
+		if e.memoBytes != memo {
+			fail("entry %d: view %v and %d join tables charged %d bytes, want %d", e.ID, e.view != nil, len(e.joins), e.memoBytes, memo)
 		}
 		if e.spillPath != "" {
 			disk += e.spillBytes
@@ -749,8 +773,15 @@ func (x *lifecycleModel) attachJoinTable() {
 		return
 	}
 	k := JoinTableKey{Store: st, Col: []string{"a", "b"}[x.joins.Intn(2)], Mode: uint8(x.joins.Intn(2))}
-	x.m.AttachJoinTable(e, k, &k, 1+x.joins.Int63n(st.SizeBytes()))
+	if x.joins.Intn(2) == 0 {
+		k.Store = x.m.View(e, st) // a join over a flattening scan
+	}
+	n := 1 + x.joins.Int63n(st.SizeBytes())
+	x.m.AttachJoinTable(e, k, &joinTableBytes{n}, n)
 }
+
+// joinTableBytes stands in for a join table of n bytes.
+type joinTableBytes struct{ n int64 }
 
 // runLifecycleModel runs steps random lifecycle steps from seed. With
 // joinTables, a join-table attach may follow each step. Attaches draw from
@@ -780,7 +811,7 @@ func runLifecycleModel(t *testing.T, seed int64, steps int, joinTables bool) {
 		}
 	}
 	// Quiesce: finish every held operation, close every query.
-	for len(x.upgrades)+len(x.converts)+len(x.loads)+len(x.extends)+len(x.txns) > 0 {
+	for len(x.upgrades)+len(x.loads)+len(x.extends)+len(x.txns) > 0 {
 		for _, s := range lifecycleSteps {
 			if strings.HasSuffix(s.name, "-commit") || s.name == "unpin" {
 				s.run(x)
@@ -858,7 +889,7 @@ func TestLifecycleConcurrent(t *testing.T) {
 							if rng.Intn(2) == 0 {
 								x.m.CancelUpgrade(e)
 							} else {
-								b, _ := store.NewBuilder(store.LayoutColumnar, x.ds.Schema())
+								b, _ := store.NewBuilder(store.LayoutParquet, x.ds.Schema())
 								_ = x.prov.ScanOffsets(off, nil, func(rec value.Value, _ int64, _ func() error) error {
 									return b.Add(rec)
 								})
@@ -866,7 +897,7 @@ func TestLifecycleConcurrent(t *testing.T) {
 							}
 						case st != nil:
 							x.m.RecordScan(e, store.ScanStats{DataNanos: 1000, ComputeNanos: int64(rng.Intn(9000)),
-								RowsScanned: int64(st.NumFlatRows())}, 1, 6000)
+								RowsScanned: int64(st.NumFlatRows())}, 6000)
 						}
 					}
 					tx.Close()

@@ -27,11 +27,13 @@ const (
 	Off
 )
 
-// LayoutMode selects cache layout behaviour.
+// LayoutMode selects when a nested entry keeps the flattened view of its
+// Parquet payload (advisor.go).
 type LayoutMode uint8
 
 // Layout modes. Auto is ReCache's reactive selection; the fixed modes are
-// the static baselines of the figures.
+// the static baselines of the figures: Parquet never keeps a view, and
+// columnar keeps one from the first flattening read on.
 const (
 	LayoutAuto LayoutMode = iota
 	LayoutFixedParquet
@@ -40,7 +42,7 @@ const (
 
 // Config configures a cache manager. The zero value means: unlimited
 // capacity, Greedy-Dual eviction, adaptive admission with the paper's 10%
-// threshold and 1000-record samples, automatic layout selection, and
+// threshold and 1000-record samples, automatic view selection, and
 // subsumption matching enabled.
 type Config struct {
 	// Capacity is the cache size limit in bytes; 0 means unlimited.
@@ -55,7 +57,7 @@ type Config struct {
 	Threshold float64
 	// SampleSize is the admission sampling window in records (default 1000).
 	SampleSize int
-	// Layout selects automatic vs fixed cache layouts.
+	// Layout selects automatic vs fixed flattened views.
 	Layout LayoutMode
 	// LinearSubsumption replaces the R-tree candidate lookup with a linear
 	// scan over all entries (the naive approach §3.3 rejects; ablation).
@@ -122,7 +124,7 @@ type Stats struct {
 	SubsumedHits   int64 `json:"subsumed_hits"`
 	Misses         int64 `json:"misses"`
 	Evictions      int64 `json:"evictions"`
-	LayoutSwitches int64 `json:"layout_switches"`
+	LayoutSwitches int64 `json:"layout_switches"` // flattened views attached (§4.2)
 	LazyUpgrades   int64 `json:"lazy_upgrades"`
 	Inserted       int64 `json:"inserted"`
 	// VectorizedScans counts cache scans (every one runs on batches);
@@ -211,7 +213,7 @@ type counters struct {
 //
 //   - One mutex (mu) guards all lookup structures, entry mutation, and the
 //     eviction policy; it is held only for short bookkeeping sections, never
-//     across a raw-file scan, a cache scan, or a layout conversion.
+//     across a raw-file scan, a cache scan, or a view derivation.
 //   - Statistics counters and the logical query clock are atomics.
 //   - Per-query state (pinned entries, reserved single-flight build slots)
 //     lives in a Txn handed out by Begin; Txn.Close releases everything, so
@@ -244,8 +246,8 @@ type Manager struct {
 	diskTotal   int64 // bytes held in spill files
 	diskEntries int
 	// pendingSpills queues eviction victims selected for demotion; spill
-	// writes run outside the lock (drainSpills), mirroring how layout
-	// conversions are kept off the lock.
+	// writes run outside the lock (drainSpills), mirroring how view
+	// derivations are kept off the lock.
 	pendingSpills []inflight
 
 	clock  atomic.Int64  // logical time: one tick per query
@@ -370,7 +372,7 @@ type EntryView struct {
 	Dataset   string
 	PredCanon string
 	Mode      Mode
-	Layout    store.Layout // meaningful when HasStore
+	Layout    store.Layout // what a flattening scan reads (Entry.layout); meaningful when HasStore
 	HasStore  bool
 	OnDisk    bool  // payload spilled to the disk tier
 	Bytes     int64 // RAM footprint; spill-file bytes when OnDisk
@@ -398,7 +400,7 @@ func (m *Manager) Snapshot() []EntryView {
 			JoinTables: len(e.joins),
 		}
 		if e.Store != nil {
-			v.Layout = e.Store.Layout()
+			v.Layout = e.layout()
 		}
 		out = append(out, v)
 	}
@@ -408,7 +410,7 @@ func (m *Manager) Snapshot() []EntryView {
 
 // Payload returns a consistent view of the entry's mode and payload for a
 // reader. The returned store / offsets slice stay valid even if the entry
-// is concurrently upgraded, converted, or evicted: stores are immutable
+// is concurrently upgraded, extended, or evicted: stores are immutable
 // once built, and deferred removal keeps pinned entries alive.
 func (m *Manager) Payload(e *Entry) (Mode, store.Store, []int64) {
 	m.mu.Lock()
@@ -482,7 +484,6 @@ type BuildSpec struct {
 	Pred       expr.Expr
 	PredCanon  string
 	Ranges     *expr.RangeSet
-	Layout     store.Layout
 	Admission  AdmissionMode
 	Threshold  float64
 	SampleSize int
@@ -672,7 +673,6 @@ func (m *Manager) wrapMaterialize(sel *plan.Select, ds *plan.Dataset, tx *Txn, r
 		Pred:       sel.Pred,
 		PredCanon:  canon,
 		Ranges:     ranges,
-		Layout:     m.ChooseLayout(ds),
 		Admission:  m.cfg.Admission,
 		Threshold:  m.cfg.Threshold,
 		SampleSize: m.cfg.SampleSize,
@@ -685,24 +685,10 @@ func (m *Manager) wrapMaterialize(sel *plan.Select, ds *plan.Dataset, tx *Txn, r
 	return &plan.Materialize{Child: sel, Spec: spec}
 }
 
-// ChooseLayout picks the initial layout for a new entry: nested data
-// defaults to Parquet (§4.2: cheaper to build, smaller), flat data to
-// columnar; fixed modes override. It reads only immutable configuration,
-// so it needs no lock.
-func (m *Manager) ChooseLayout(ds *plan.Dataset) store.Layout {
-	nested := value.RepeatedFieldCached(ds.Schema()) != nil
-	switch m.cfg.Layout {
-	case LayoutFixedParquet:
-		return store.LayoutParquet
-	case LayoutFixedColumnar:
-		return store.LayoutColumnar
-	default:
-		if nested {
-			return store.LayoutParquet
-		}
-		return store.LayoutColumnar
-	}
-}
+// ChooseLayout returns the layout of every entry's payload, whatever the
+// dataset and the layout mode: the Parquet form (§4.2: cheaper to build,
+// smaller). A flattened view is a memo the advisor attaches beside it.
+func (m *Manager) ChooseLayout(*plan.Dataset) store.Layout { return store.LayoutParquet }
 
 // lookupAndRewrite searches for an exact or subsuming entry. On a hit it
 // returns the replacement CachedScan (with lookup time l charged to the
@@ -929,10 +915,10 @@ func (m *Manager) evictLocked() {
 	if m.cfg.Capacity <= 0 || m.total <= m.cfg.Capacity {
 		return
 	}
-	// Memoised join tables go first: they rebuild from payloads already in
+	// Memos go first (lifecycle.go): they rebuild from payloads already in
 	// RAM, where an evicted payload costs a raw rescan.
 	for _, e := range m.entries {
-		m.dropJoinTables(e)
+		m.dropMemos(e)
 	}
 	if m.total <= m.cfg.Capacity {
 		return
@@ -1026,73 +1012,6 @@ func (m *Manager) UpgradeLazy(e *Entry, st store.Store, buildNanos, scanWallNano
 	}
 }
 
-// RecordScan feeds one cache-scan observation into the entry's accounting
-// and the layout advisor; it performs any recommended layout switch
-// in-line (the conversion cost lands in the running query, producing the
-// switch spikes visible in Fig. 9) and returns the conversion duration.
-// At most one conversion per entry runs at a time; readers that snapshotted
-// the old store via Payload keep scanning it safely (stores are immutable).
-func (m *Manager) RecordScan(e *Entry, st store.ScanStats, ncols int, scanWallNanos int64) time.Duration {
-	m.stats.vectorizedScans.Add(1)
-	m.stats.vectorizedBatches.Add(st.Batches)
-	m.mu.Lock()
-	if e.dead {
-		m.mu.Unlock()
-		return 0
-	}
-	e.VecScans++
-	e.ScanNanos = scanWallNanos
-	if e.Mode != Eager || e.Store == nil {
-		m.mu.Unlock()
-		return 0
-	}
-	// Only nested data has a layout decision (§4.2); a flat entry stays in
-	// the layout it was built or reloaded in.
-	var dec layoutDecision
-	if m.cfg.Layout == LayoutAuto && value.RepeatedFieldCached(e.Dataset.Schema()) != nil {
-		dec = e.advisor.observeNested(scanObs{
-			dataNanos:    st.DataNanos,
-			computeNanos: st.ComputeNanos,
-			rows:         st.RowsScanned,
-			ncols:        ncols,
-			layout:       e.Store.Layout(),
-		}, e.Store.Layout(), int64(e.Store.NumFlatRows()))
-	}
-	// A demotion in flight wins over a layout switch (begin refuses): the
-	// payload is already on its way out of RAM.
-	var o inflight
-	ok := dec.doSwitch
-	if ok {
-		o, ok = m.begin(e, opConverting)
-	}
-	m.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	return m.convert(o, dec.switchTo)
-}
-
-// convert is the unlocked half of a layout switch (it can be slow). A
-// conversion that finds its entry evicted or demoted is dropped.
-func (m *Manager) convert(o inflight, to store.Layout) time.Duration {
-	res := result{payload: o.snap}
-	var dur time.Duration
-	res.store, dur, res.err = store.Convert(o.snap.store, to)
-	m.mu.Lock()
-	ok := m.commit(o, res)
-	if ok {
-		o.e.advisor.reset()
-		o.e.advisor.lastConvNanos = dur.Nanoseconds()
-	}
-	m.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	m.stats.layoutSwitches.Add(1)
-	m.drainSpills()
-	return dur
-}
-
 // RecordLazyReplay attributes one lazy-entry replay's scan time to the
 // entry, and counts the replay — batches batches — as a vectorized scan.
 // Before this path existed, a lazy entry reused without upgrading never
@@ -1111,13 +1030,4 @@ func (m *Manager) RecordLazyReplay(e *Entry, scanWallNanos, batches int64) {
 	}
 	e.VecScans++
 	e.ScanNanos = scanWallNanos
-}
-
-// LayoutOf reports the entry's current physical layout (for tests and the
-// CLI).
-func (e *Entry) LayoutOf() store.Layout {
-	if e.Mode == Eager && e.Store != nil {
-		return e.Store.Layout()
-	}
-	return store.LayoutColumnar
 }

@@ -138,7 +138,7 @@ func (m *Manager) ExportPayloads(fn func(dataset, predCanon string, payload []by
 		var payload []byte
 		if it.st != nil {
 			buf.Reset()
-			if err := writeParquet(&buf, it.st); err != nil {
+			if err := store.WriteParquet(&buf, it.st); err != nil {
 				continue
 			}
 			payload = buf.Bytes()

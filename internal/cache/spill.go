@@ -16,7 +16,7 @@ import (
 // The disk spill tier. When RAM eviction selects a victim whose
 // reconstruction cost (raw scan + build, t+c) exceeds the estimated cost
 // of reloading it from disk, the victim is demoted instead of discarded:
-// its payload is serialized in the Parquet store format to a file in
+// its payload, the Parquet form, is serialized as it is to a file in
 // Config.SpillDir, while the entry itself — predicate, ranges, accounting,
 // R-tree membership — stays in RAM, so lookups keep matching it. A hit on
 // a spilled entry re-admits the payload (one Parquet read, never a raw
@@ -66,9 +66,9 @@ func (m *Manager) initSpillDir() {
 	}
 }
 
-// queueSpillLocked begins e's demotion if it can round-trip through Parquet
-// (begin decides: an idle eager entry with a resident store — lazy offset
-// lists are cheap and just go) and the demotion is profitable: a spilled
+// queueSpillLocked begins e's demotion if it has a payload to write (begin
+// decides: an idle eager entry with a resident store — lazy offset lists
+// are cheap and just go) and the demotion is profitable: a spilled
 // entry that costs as much to reload as to rebuild is dead weight in the
 // disk budget. drainSpills performs the write.
 func (m *Manager) queueSpillLocked(e *Entry) bool {
@@ -123,7 +123,7 @@ func (m *Manager) drainSpills() {
 		for _, o := range pend {
 			res := result{payload: o.snap, spillPath: m.spillFile(o.e.ID)}
 			res.spillBytes, res.err = atomicWrite(res.spillPath, func(w io.Writer) error {
-				return writeParquet(w, o.snap.store)
+				return store.WriteParquet(w, o.snap.store)
 			})
 			m.mu.Lock()
 			if m.commit(o, res) {
@@ -135,16 +135,6 @@ func (m *Manager) drainSpills() {
 			m.mu.Unlock()
 		}
 	}
-}
-
-// writeParquet serializes st as an RCS stream, converting a columnar
-// entry to the Parquet layout first (demote by conversion).
-func writeParquet(w io.Writer, st store.Store) error {
-	p, _, err := store.Convert(st, store.LayoutParquet)
-	if err != nil {
-		return err
-	}
-	return store.WriteParquet(w, p)
 }
 
 // atomicWrite streams a spill file through write into a temp file in the

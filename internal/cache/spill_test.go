@@ -3,6 +3,7 @@ package cache
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -35,10 +36,10 @@ func buildCostly(t *testing.T, m *Manager, ds *plan.Dataset, pred expr.Expr, opN
 }
 
 // selectStore materializes the records of ds that satisfy pred in the
-// layout the manager would choose — the payload of an eager admission.
+// Parquet form — the payload of an eager admission.
 func selectStore(t *testing.T, m *Manager, ds *plan.Dataset, pred expr.Expr) store.Store {
 	t.Helper()
-	b, err := store.NewBuilder(m.ChooseLayout(ds), ds.Schema())
+	b, err := store.NewBuilder(store.LayoutParquet, ds.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,5 +480,54 @@ func TestSpillConcurrentChurn(t *testing.T) {
 		if !strings.HasPrefix(filepath.Base(f), "spill-") {
 			t.Errorf("unexpected file %s", f)
 		}
+	}
+}
+
+// TestSpillWriteAllocs: a demotion writes the entry's payload as it is. One
+// spill write of an eager flat entry, built in the layout the manager
+// builds payloads in, allocates less than half the entry's SizeBytes —
+// the write buffer (at most 1 MiB) and per-column framing — where a copy
+// of the payload on its way to the file would allocate all of it.
+func TestSpillWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const n = 200_000
+	m := NewManager(Config{Admission: AlwaysEager, SpillDir: t.TempDir()})
+	ds := flatDataset("t")
+	cols := []*store.Vec{store.NewVec(value.Int), store.NewVec(value.Float)}
+	sel := make([]int32, n)
+	for i := range sel {
+		cols[0].AppendVal(value.VInt(int64(i)))
+		cols[1].AppendVal(value.VFloat(float64(i) / 2))
+		sel[i] = int32(i)
+	}
+	b, err := store.NewBuilder(m.ChooseLayout(ds), ds.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AppendBatch(cols, sel); err != nil {
+		t.Fatal(err)
+	}
+	spec := &BuildSpec{Manager: m, Dataset: ds, PredCanon: "true", Ranges: &expr.RangeSet{}}
+	e := m.CompleteBuild(spec, b.Finish(), nil, Eager, 1e12, 1e12)
+	size := e.SizeBytes()
+	m.mu.Lock()
+	queued := m.queueSpillLocked(e)
+	m.mu.Unlock()
+	if !queued {
+		t.Fatal("the entry was not queued for a spill")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.drainSpills()
+	runtime.ReadMemStats(&after)
+	if m.Stats().Spills != 1 {
+		t.Fatalf("spills = %d, want 1", m.Stats().Spills)
+	}
+	alloc := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("one spill write of a %d-byte entry allocated %d bytes", size, alloc)
+	if alloc >= size/2 {
+		t.Errorf("one spill write of a %d-byte entry allocated %d bytes, want under half of it", size, alloc)
 	}
 }

@@ -61,7 +61,7 @@ func startReplay(ctx *qctx, entry *cache.Entry, cols []value.LeafColumn, need []
 	r := &replay{entry: entry, mgr: m, dec: newLeafDecoder(src, entry.FileEpoch, cols, need),
 		upgrade: m != nil && m.Config().Admission == cache.Adaptive && m.TryStartUpgrade(entry)}
 	if r.upgrade {
-		if r.b, err = newEagerBuild(ctx, src, m.ChooseLayout(entry.Dataset), entry.FileEpoch); err != nil {
+		if r.b, err = newEagerBuild(ctx, src, entry.FileEpoch); err != nil {
 			m.CancelUpgrade(entry)
 			return nil, err
 		}

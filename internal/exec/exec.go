@@ -12,9 +12,9 @@
 // expr.Evaluator or expr.Predicate (evalSource, expr.VecFilter).
 //
 // The operators relevant to ReCache are the materializing miss (cache
-// building with reactive admission, §5.2) and CachedScan (cache reuse
-// across the layouts, with lazy→eager upgrades and cost feedback into the
-// layout advisor); both live in their own files.
+// building with reactive admission, §5.2) and CachedScan (cache reuse of a
+// Parquet payload or its flattened view, with lazy→eager upgrades and cost
+// feedback into the layout advisor); both live in their own files.
 //
 // Concurrency: RunInto may be called from many goroutines against one shared
 // cache manager. Each call compiles its own sources — all mutable execution
@@ -64,7 +64,8 @@ type QueryStats struct {
 	// query over several cached entries charges each entry (and this
 	// total) only its own scan cost.
 	CacheScanNanos int64
-	// LayoutSwitchNanos is time spent converting cache layouts.
+	// LayoutSwitchNanos is time spent deriving flattened views of cache
+	// entries.
 	LayoutSwitchNanos int64
 	// RowsOut counts result rows.
 	RowsOut int

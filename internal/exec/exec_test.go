@@ -361,8 +361,8 @@ func TestNestedCachedFlatScan(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("entries = %d", len(entries))
 	}
-	if entries[0].LayoutOf() != store.LayoutParquet {
-		t.Errorf("nested default layout = %v, want parquet", entries[0].LayoutOf())
+	if entries[0].Store.Layout() != store.LayoutParquet {
+		t.Errorf("nested payload layout = %v, want parquet", entries[0].Store.Layout())
 	}
 	r2 := buildAndRun(t, m, mk, needed)
 	if m.Stats().ExactHits != 1 {

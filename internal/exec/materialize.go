@@ -23,13 +23,12 @@ const (
 )
 
 // eagerBuild accumulates the records a materializing miss or a lazy entry's
-// upgrade admits as leaf vectors and list lengths: the one
-// representation store.FromColumns adopts as either layout. The source's
-// typed kernel fills them from record offsets, straight from the raw bytes,
-// on a helper goroutine beside the query (see start).
+// upgrade admits as leaf vectors and list lengths: the one representation
+// store.FromColumns adopts as the entry's Parquet form. The source's typed
+// kernel fills them from record offsets, straight from the raw bytes, on a
+// helper goroutine beside the query (see start).
 type eagerBuild struct {
 	schema  *value.Type
-	layout  store.Layout
 	vecs    []*store.Vec
 	lengths []int32
 
@@ -40,11 +39,11 @@ type eagerBuild struct {
 	offs []int64     // the work's copy of its offsets
 }
 
-// newEagerBuild starts a build over src in layout for the query of ctx,
-// which joins its helper before it returns (RunInto). epoch is the file
-// epoch the admitted offsets belong to.
-func newEagerBuild(ctx *qctx, src plan.Source, layout store.Layout, epoch uint64) (*eagerBuild, error) {
-	b := &eagerBuild{schema: src.Schema(), layout: layout, src: src, epoch: epoch}
+// newEagerBuild starts a build over src for the query of ctx, which joins
+// its helper before it returns (RunInto). epoch is the file epoch the
+// admitted offsets belong to.
+func newEagerBuild(ctx *qctx, src plan.Source, epoch uint64) (*eagerBuild, error) {
+	b := &eagerBuild{schema: src.Schema(), src: src, epoch: epoch}
 	if _, err := value.LeafColumnsCached(b.schema); err != nil {
 		return nil, err
 	}
@@ -97,7 +96,7 @@ func (b *eagerBuild) wait(nanos *int64) (err error) {
 }
 
 func (b *eagerBuild) finish() (store.Store, error) {
-	return store.FromColumns(b.schema, b.layout, b.vecs, b.lengths)
+	return store.FromColumns(b.schema, store.LayoutParquet, b.vecs, b.lengths)
 }
 
 // admission is a materializer's side of §5.2, driven by the miss a chunk
@@ -137,7 +136,7 @@ func newAdmission(ctx *qctx, spec *cache.BuildSpec, src plan.Source) (*admission
 	a.epoch, a.covered = src.Version()
 	if a.state != admitLazy {
 		var err error
-		if a.b, err = newEagerBuild(ctx, src, spec.Layout, a.epoch); err != nil {
+		if a.b, err = newEagerBuild(ctx, src, a.epoch); err != nil {
 			return nil, err
 		}
 	}

@@ -95,13 +95,15 @@ func withFilter(src vecSource, f *expr.VecFilter) vecSource {
 // store (flattened or per-record granularity), or a lazy entry's replay
 // through the raw file — upgrading it to an eager cache as §5.2 prescribes
 // (cachescan.go). filters[0] is the residual of a subsumption hit (§3.3),
-// compiled against the projected output schema. Every scan's cost split
-// feeds the layout advisor via Manager.RecordScan.
+// compiled against the projected output schema. A flattening scan reads
+// the flattened view memoised on the entry if it has one (Manager.View)
+// and expands the Parquet payload otherwise. Every scan's cost split feeds
+// the layout advisor via Manager.RecordScan.
 //
 // Concurrency: the entry's mode and payload are snapshotted through
 // Manager.Resident at open, so the scan keeps reading a consistent
-// immutable store even if the entry is concurrently upgraded, converted to
-// another layout, or evicted (the query's Txn pin keeps it alive). Resident
+// immutable store even if the entry is concurrently upgraded, extended, or
+// evicted, or its view is shed (the query's Txn pin keeps it alive). Resident
 // also re-admits a spilled entry from the disk tier — a disk hit costs one
 // spill-file read here, never a raw re-scan — and an unreadable spill file
 // fails the query with its error.
@@ -153,6 +155,9 @@ func (s *scanSource) open(ctx *qctx) (vecIter, error) {
 	if mode == cache.Lazy {
 		return s.replay(ctx, offsets)
 	}
+	if s.cs.Flat && ctx.deps.Manager != nil {
+		st = ctx.deps.Manager.View(s.entry, st)
+	}
 	idx, err := store.ColumnIndexes(st, s.outNames)
 	if err != nil {
 		return nil, err
@@ -202,8 +207,8 @@ func (s *scanSource) finish(ctx *qctx, batches, scanNanos int64, cur *store.Batc
 			RowsScanned:  cur.Rows,
 			Batches:      batches,
 		}
-		conv := ctx.deps.Manager.RecordScan(s.entry, st, len(s.outNames), scanNanos)
-		ctx.stats.LayoutSwitchNanos += conv.Nanoseconds()
+		derive := ctx.deps.Manager.RecordScan(s.entry, st, scanNanos)
+		ctx.stats.LayoutSwitchNanos += derive.Nanoseconds()
 	}
 }
 
@@ -227,7 +232,7 @@ func putSelBuf(b []int32) {
 
 type scanIter struct {
 	s       *scanSource
-	st      store.Store // the payload snapshot cur reads
+	st      store.Store // the payload snapshot, or its view, that cur reads
 	cur     *store.BatchCursor
 	selBuf  []int32
 	batches int64

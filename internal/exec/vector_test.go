@@ -239,8 +239,8 @@ func TestVectorizedScanStatsFeedAdvisor(t *testing.T) {
 	if e.VecScans != 1 {
 		t.Errorf("entry VecScans = %d, want 1", e.VecScans)
 	}
-	if e.Store.Layout() != store.LayoutColumnar {
-		t.Errorf("layout = %v", e.Store.Layout())
+	if e.Store.Layout() != store.LayoutParquet {
+		t.Errorf("payload layout = %v; every payload is the Parquet form", e.Store.Layout())
 	}
 }
 

@@ -181,9 +181,9 @@ func (f *flight) replicateLoop() {
 
 // replicateOne ships one entry to the first shard in the key's replica set
 // that isn't this one. Failures are absorbed: a dead replica costs the
-// redundant copy, never a query. The store is converted to the Parquet
-// layout when needed — the same bytes a disk spill of the entry would
-// hold, which is exactly what the receiver admits.
+// redundant copy, never a query. The payload, the Parquet form, is written
+// as it is — the same bytes a disk spill of the entry would hold, which is
+// exactly what the receiver admits.
 func (f *flight) replicateOne(buf *bytes.Buffer, job replicateJob) {
 	key := shard.Key(job.dataset, job.predCanon)
 	var target shard.Info
@@ -197,12 +197,8 @@ func (f *flight) replicateOne(buf *bytes.Buffer, job replicateJob) {
 	if !found {
 		return // single-shard fleet: nowhere to replicate
 	}
-	st, _, err := store.Convert(job.st, store.LayoutParquet)
-	if err != nil {
-		return
-	}
 	buf.Reset()
-	if err := store.WriteParquet(buf, st); err != nil {
+	if err := store.WriteParquet(buf, job.st); err != nil {
 		return
 	}
 	if buf.Len() > maxRequestFrame {

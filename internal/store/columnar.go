@@ -7,9 +7,11 @@ import "recache/internal/value"
 // typed vector of length R (the flattened row count), with parent values
 // duplicated once per list element. Records whose repeated field is empty
 // keep one placeholder row (nulls in the repeated columns) so that
-// record-granularity scans and layout conversions lose no data; flattened
-// scans skip placeholders. It is always derived from the Parquet form
-// (columnarOf), which it shares its repeated leaves with.
+// record-granularity scans lose no data; flattened scans skip placeholders.
+// It is always derived from the Parquet form (columnarOf), which it keeps
+// and shares its repeated leaves with: a cache entry holds the form as its
+// payload and may keep this view beside it as a memo (DESIGN.md "Value
+// model"); extending a columnar store extends its form.
 //
 // By design a per-record cursor still walks all R rows, selecting the first
 // row of each record id: flattening discards record boundaries, which is
@@ -19,6 +21,7 @@ import "recache/internal/value"
 type columnarStore struct {
 	schema *value.Type
 	cols   []value.LeafColumn
+	form   *parquetStore // the Parquet form the view was derived from
 	vecs   []*vec
 	recID  []int32 // record index per physical row
 	skip   []bool  // true for placeholder rows of empty-list records

@@ -88,13 +88,13 @@ func FromColumns(schema *value.Type, layout Layout, vecs []*Vec, lengths []int32
 	return st.as(layout), nil
 }
 
-// as seals the Parquet form as a store in layout: the form itself, sized,
+// as seals the Parquet form, sized, as a store in layout: the form itself,
 // or the columnar layout derived from it.
 func (s *parquetStore) as(layout Layout) Store {
+	s.size = s.computeSize()
 	if layout == LayoutColumnar {
 		return columnarOf(s)
 	}
-	s.size = s.computeSize()
 	return s
 }
 

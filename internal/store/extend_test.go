@@ -93,14 +93,10 @@ func testExtendMatchesRebuild(t *testing.T, layout Layout, schema *value.Type, r
 }
 
 // spilled is the digest of st serialised the way the spill tier and
-// replication serialise an entry: in the Parquet layout, written as RCS.
+// replication serialise an entry: its Parquet form, written as RCS.
 func spilled(t testing.TB, st Store) [sha256.Size]byte {
 	t.Helper()
-	pq, _, err := Convert(st, LayoutParquet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sha256.Sum256(rcs(t, pq))
+	return sha256.Sum256(rcs(t, formOf(st)))
 }
 
 // TestExtendTwiceIsIndependent: extending one store twice with different

@@ -45,7 +45,8 @@ type spillWriter interface {
 }
 
 // WriteParquet serializes a Parquet-layout store to w. It returns an error
-// if st is not the Parquet layout (callers convert first; see Convert).
+// if st is not the Parquet layout: a columnar store is a view, and the
+// payload it was derived from is what a spill file or a replica holds.
 func WriteParquet(w io.Writer, st Store) error {
 	p, ok := st.(*parquetStore)
 	if !ok {
@@ -251,7 +252,7 @@ func (r *spillReader) u64() (uint64, error) {
 
 // ReadParquetBytes decodes a stream written by WriteParquet, validating it
 // against the expected record schema. The returned store is a normal
-// Parquet-layout store (convertible to other layouts as usual) that shares
+// Parquet-layout store (Flatten derives its view as from any other) that shares
 // no memory with data: every vector, string and length is a copy, so
 // the caller may reuse data as soon as the call returns (the disk tier
 // reads spill files into pooled buffers, the client decodes out of its

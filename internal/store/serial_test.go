@@ -13,16 +13,12 @@ import (
 	"recache/internal/value"
 )
 
-// roundTrip serializes st (converting to Parquet first if needed) and
-// deserializes it back, failing the test on any error.
+// roundTrip serializes st (its Parquet form) and deserializes it back,
+// failing the test on any error.
 func roundTrip(t *testing.T, st Store) Store {
 	t.Helper()
-	p, _, err := Convert(st, LayoutParquet)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := WriteParquet(&buf, p); err != nil {
+	if err := WriteParquet(&buf, formOf(st)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadParquetBytes(buf.Bytes(), st.Schema())
@@ -179,21 +175,19 @@ func TestSpillRejectsVersion1(t *testing.T) {
 }
 
 // TestNestedParquetSize: a nested Parquet store costs its vectors and its
-// list lengths, nothing more — built, converted, adopted or decoded.
+// list lengths, nothing more — built, kept under a columnar view, adopted
+// or decoded.
 func TestNestedParquetSize(t *testing.T) {
 	recs := randomRecords(rand.New(rand.NewSource(5)), true, 500)
 	built := build(t, LayoutParquet, nestedSchema(), recs)
-	converted, _, err := Convert(build(t, LayoutColumnar, nestedSchema(), recs), LayoutParquet)
-	if err != nil {
-		t.Fatal(err)
-	}
+	converted := formOf(build(t, LayoutColumnar, nestedSchema(), recs))
 	vecs, lengths := stripe(nestedSchema(), recs)
 	adopted, err := FromColumns(nestedSchema(), LayoutParquet, vecs, lengths)
 	if err != nil {
 		t.Fatal(err)
 	}
 	decoded := roundTrip(t, built)
-	for name, st := range map[string]Store{"built": built, "converted": converted, "adopted": adopted, "decoded": decoded} {
+	for name, st := range map[string]Store{"built": built, "under a view": converted, "adopted": adopted, "decoded": decoded} {
 		p := st.(*parquetStore)
 		want := int64(len(p.lengths)) * 4
 		for ci := range p.cols {

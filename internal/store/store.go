@@ -1,13 +1,16 @@
 // Package store implements the two in-memory cache layouts ReCache
 // chooses between (§4 of the paper):
 //
-//   - LayoutColumnar: relational column-oriented storage of the *flattened*
-//     view of (possibly nested) records, duplicating parent values per list
-//     element exactly as §4 describes,
 //   - LayoutParquet: Parquet-style nested columnar storage: one entry per
 //     record in a non-repeated leaf, one per list element (plus a null
 //     placeholder per empty list) in a repeated leaf, and every record's
-//     list length.
+//     list length. This is the form every store is built, extended and
+//     serialized in, and the payload of every eager cache entry.
+//   - LayoutColumnar: relational column-oriented storage of the *flattened*
+//     view of (possibly nested) records, duplicating parent values per list
+//     element exactly as §4 describes. It is derived from the Parquet form
+//     (Flatten), which it keeps and shares its repeated leaves with; a cache
+//     entry keeps it beside its payload as a memo.
 //
 // There is no row-oriented layout: §4.3's H2O-style comparison can only
 // prefer it for columns averaging under 4.8 bytes (DESIGN.md "Layout

@@ -265,32 +265,34 @@ func TestParquetSmallerThanColumnarOnNestedData(t *testing.T) {
 	}
 }
 
+// TestConvert: the flattened view derived from a Parquet form holds the
+// form's flattened rows, and a columnar store's view is derived from the
+// form it keeps.
 func TestConvert(t *testing.T) {
 	schema := orderSchema()
 	recs := sampleOrders()
 	src := build(t, LayoutParquet, schema, recs)
-	dst, dur, err := Convert(src, LayoutColumnar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dur < 0 {
-		t.Error("negative conversion time")
-	}
+	dst, own := Flatten(src)
 	if dst.Layout() != LayoutColumnar {
-		t.Errorf("converted layout = %v", dst.Layout())
+		t.Errorf("view layout = %v", dst.Layout())
+	}
+	if own <= 0 || own >= dst.SizeBytes() {
+		t.Errorf("view owns %d of its %d bytes; it shares the repeated leaves", own, dst.SizeBytes())
 	}
 	allCols := []int{0, 1, 2, 3, 4}
 	want := expectedFlat(t, schema, recs, allCols)
 	if !reflect.DeepEqual(collectFlat(t, dst, allCols), want) {
-		t.Error("conversion changed contents")
+		t.Error("the view changed contents")
 	}
-	// And back.
-	back, _, err := Convert(dst, LayoutParquet)
-	if err != nil {
-		t.Fatal(err)
+	if formOf(dst) != src {
+		t.Error("the view does not keep the form it was derived from")
 	}
-	if !reflect.DeepEqual(collectFlat(t, back, allCols), want) {
-		t.Error("round-trip conversion changed contents")
+	if FlattenedLayout(src) != LayoutParquet || FlattenedLayout(dst) != LayoutColumnar {
+		t.Errorf("flattening scans read %v from the form and %v from the view", FlattenedLayout(src), FlattenedLayout(dst))
+	}
+	again, _ := Flatten(dst)
+	if formOf(again) != src || !reflect.DeepEqual(collectFlat(t, again, allCols), want) {
+		t.Error("a view of a view is not the form's view")
 	}
 }
 
@@ -417,8 +419,10 @@ func TestCursorCostSplit(t *testing.T) {
 	}
 }
 
-// Property: the vector-level conversions produce stores whose contents are
-// identical to a rebuild through nested records.
+// Property: the derived view equals a columnar rebuild through nested
+// records — vector for vector, row index included — whether it is derived
+// from a Parquet form or from the form a columnar store keeps, and owns
+// exactly the bytes it does not share with the form.
 func TestConvertMatchesRebuild(t *testing.T) {
 	schema := orderSchema()
 	f := func(seed int64) bool {
@@ -429,31 +433,26 @@ func TestConvertMatchesRebuild(t *testing.T) {
 			recs[i] = randomRecord(r)
 		}
 		for _, from := range []Layout{LayoutParquet, LayoutColumnar} {
-			to := LayoutColumnar
-			if from == LayoutColumnar {
-				to = LayoutParquet
-			}
-			src, err := NewBuilder(from, schema)
-			if err != nil {
-				return false
-			}
-			for _, rec := range recs {
-				if src.Add(rec) != nil {
-					return false
-				}
-			}
-			srcStore := src.Finish()
-			fast, _, err := Convert(srcStore, to)
-			if err != nil {
-				return false
-			}
+			srcStore := build(t, from, schema, recs)
+			fast, own := Flatten(srcStore)
 			// Rebuild through nested records for comparison.
-			gb, _ := NewBuilder(to, schema)
+			gb, _ := NewBuilder(LayoutColumnar, schema)
 			if err := srcStore.ScanNested(func(rec value.Value) error { return gb.Add(rec) }); err != nil {
 				return false
 			}
-			gen := gb.Finish()
-			if fast.NumRecords() != gen.NumRecords() || fast.NumFlatRows() != gen.NumFlatRows() {
+			gen := gb.Finish().(*columnarStore)
+			view := fast.(*columnarStore)
+			if !reflect.DeepEqual(view.vecs, gen.vecs) || !reflect.DeepEqual(view.recID, gen.recID) ||
+				!reflect.DeepEqual(view.skip, gen.skip) || view.SizeBytes() != gen.SizeBytes() {
+				return false
+			}
+			var shared int64
+			for ci, v := range view.vecs {
+				if v == view.form.flatVecs[ci] || v == view.form.repVecs[ci] {
+					shared += v.SizeBytes()
+				}
+			}
+			if own != view.SizeBytes()-shared {
 				return false
 			}
 			cols := []int{0, 1, 2, 3, 4}
@@ -464,17 +463,8 @@ func TestConvertMatchesRebuild(t *testing.T) {
 			if !reflect.DeepEqual(collectRecords(t, fast, []int{0, 1}), expectedRecords(t, schema, recs, []int{0, 1})) {
 				return false
 			}
-			// And the nested round trip through the fast-converted store.
-			i := 0
-			ok2 := true
-			_ = fast.ScanNested(func(rec value.Value) error {
-				if !rec.Equal(recs[i]) {
-					ok2 = false
-				}
-				i++
-				return nil
-			})
-			if !ok2 || i != len(recs) {
+			// And the nested round trip through the view.
+			if !reflect.DeepEqual(collectNested(t, fast), recs) {
 				return false
 			}
 		}
@@ -485,41 +475,34 @@ func TestConvertMatchesRebuild(t *testing.T) {
 	}
 }
 
-// A flat schema converts by the same typed copies as a nested one (a
-// disk-tier re-admission hands a flat entry back in the Parquet layout), and
-// a store already in the requested layout is returned itself, not copied.
+// A flat schema's view is derived by the same code as a nested one's and
+// equals a columnar rebuild, but gathers nothing: it shares every vector
+// with its form and owns only its row index.
 func TestConvertFlatSchema(t *testing.T) {
 	schema := value.TRecord(value.F("a", value.TInt), value.F("s", value.TString))
 	recs := []value.Value{
 		value.VRecord(value.VInt(1), value.VString("x")),
 		value.VRecord(value.VNull, value.VString("y")),
 	}
-	colSt := build(t, LayoutColumnar, schema, recs)
+	parSt := build(t, LayoutParquet, schema, recs)
 	want := expectedFlat(t, schema, recs, []int{0, 1})
-	parSt, _, err := Convert(colSt, LayoutParquet)
-	if err != nil {
-		t.Fatal(err)
+	view, own := Flatten(parSt)
+	if FlattenedLayout(parSt) != LayoutColumnar {
+		t.Error("a flat form's flattening scan reads no columnar rows")
 	}
-	back, _, err := Convert(parSt, LayoutColumnar)
-	if err != nil {
-		t.Fatal(err)
+	if view.Layout() != LayoutColumnar || own != int64(len(recs))*5 {
+		t.Errorf("view layout %v, %d own bytes, want columnar and %d", view.Layout(), own, len(recs)*5)
 	}
-	if parSt.Layout() != LayoutParquet || back.Layout() != LayoutColumnar {
-		t.Errorf("layouts = %v, %v", parSt.Layout(), back.Layout())
-	}
-	if got := collectFlat(t, parSt, []int{0, 1}); !reflect.DeepEqual(got, want) {
-		t.Errorf("columnar→parquet changed contents: %v", got)
-	}
-	if got := collectFlat(t, back, []int{0, 1}); !reflect.DeepEqual(got, want) {
-		t.Errorf("columnar→parquet→columnar changed contents: %v", got)
-	}
-	for _, s := range []Store{colSt, parSt} {
-		same, dur, err := Convert(s, s.Layout())
-		if err != nil || same != s || dur != 0 {
-			t.Errorf("Convert(%v store, %v) = (%p, %v, %v), want the store itself", s.Layout(), s.Layout(), same, dur, err)
+	for ci, v := range view.(*columnarStore).vecs {
+		if v != parSt.(*parquetStore).flatVecs[ci] {
+			t.Errorf("column %d: the view copied a vector of a flat form", ci)
 		}
 	}
-	if _, _, err := Convert(colSt, Layout(9)); err == nil {
-		t.Error("Convert to an unknown layout must fail")
+	if got := collectFlat(t, view, []int{0, 1}); !reflect.DeepEqual(got, want) {
+		t.Errorf("the view changed contents: %v", got)
+	}
+	if rebuilt := build(t, LayoutColumnar, schema, recs); view.SizeBytes() != rebuilt.SizeBytes() ||
+		!reflect.DeepEqual(collectRecords(t, view, []int{0, 1}), collectRecords(t, rebuilt, []int{0, 1})) {
+		t.Error("the view differs from a columnar rebuild")
 	}
 }

@@ -130,18 +130,15 @@ func TestVecAllNull(t *testing.T) {
 	}
 }
 
+// TestVecAppendAfterConvertDoesNotAlias: extending a payload leaves the
+// rows of a view derived from it unchanged. The view shares the form's
+// repeated vectors, which end mid-word here, so an extension that appended
+// to them in place would show its tail through the view.
 func TestVecAppendAfterConvertDoesNotAlias(t *testing.T) {
-	// Build a columnar store whose vectors end mid-word, convert it (the
-	// fast path copies vectors), then keep appending to the original
-	// builder's vectors: the converted store must not see the new entries.
 	schema := value.TRecord(
 		value.F("a", value.TInt),
 		value.F("items", value.TList(value.TRecord(value.F("q", value.TInt)))),
 	)
-	b, err := NewBuilder(LayoutColumnar, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := func(a int64, qs ...int64) value.Value {
 		items := make([]value.Value, len(qs))
 		for i, q := range qs {
@@ -149,33 +146,31 @@ func TestVecAppendAfterConvertDoesNotAlias(t *testing.T) {
 		}
 		return value.VRecord(value.VInt(a), value.VList(items...))
 	}
+	var recs []value.Value
 	for i := 0; i < 70; i++ {
-		b.Add(rec(int64(i), int64(i)*10))
+		recs = append(recs, rec(int64(i), int64(i)*10))
 	}
-	cs := b.Finish().(*columnarStore)
-	conv, _, err := Convert(cs, LayoutParquet)
+	b, err := NewBuilder(LayoutParquet, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := conv.(*parquetStore)
-	// Mutate the source's vectors past the conversion point.
-	for ci := range cs.vecs {
-		cs.vecs[ci].AppendVal(value.VNull)
+	for _, r := range recs {
+		b.Add(r)
 	}
-	for ci, v := range ps.flatVecs {
-		if v == nil {
-			continue
-		}
-		if v.Len() != 70 {
-			t.Errorf("converted flat col %d grew to %d", ci, v.Len())
-		}
-		if v.Nulls.Get(69) {
-			t.Errorf("converted col %d: entry 69 became null", ci)
+	payload := b.Finish()
+	view, _ := Flatten(payload)
+	before := collectFlat(t, view, []int{0, 1})
+	for _, tail := range [][]value.Value{{rec(70)}, {rec(71, 1, 2), value.VRecord(value.VNull, value.VNull)}} {
+		if _, _, err := Extend(payload, tail); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for _, v := range ps.repVecs {
-		if v != nil && v.Len() != 70 {
-			t.Errorf("converted repeated col grew to %d", v.Len())
+	if got := collectFlat(t, view, []int{0, 1}); !reflect.DeepEqual(got, before) {
+		t.Errorf("the view's rows changed under extensions of its payload:\ngot  %v\nwant %v", got, before)
+	}
+	for ci, v := range view.(*columnarStore).vecs {
+		if v.Len() != 70 || v.Nulls.Get(69) {
+			t.Errorf("view col %d: %d entries, entry 69 null=%v after the extensions", ci, v.Len(), v.Nulls.Get(69))
 		}
 	}
 }
@@ -207,8 +202,8 @@ func drainCursor(t *testing.T, cur *BatchCursor) []int32 {
 // record one physical row, some of them empty-list placeholders: the record
 // cursor is the dense range, the flattened one still skips placeholders),
 // and flat records with NULLs (the dense range). Each shape is read from
-// stores built by Add, converted by Convert in both directions, and decoded
-// by ReadParquetBytes.
+// stores built by Add in either layout, the view Flatten derives from each,
+// and decoded by ReadParquetBytes.
 func TestBatchCursorMatchesRowScans(t *testing.T) {
 	nested := value.TRecord(
 		value.F("a", value.TInt),
@@ -258,15 +253,8 @@ func TestBatchCursorMatchesRowScans(t *testing.T) {
 		wantFlat := expectedFlat(t, c.schema, c.recs, c.flatCols)
 		for _, layout := range []Layout{LayoutColumnar, LayoutParquet} {
 			built := build(t, layout, c.schema, c.recs)
-			other := LayoutParquet
-			if layout == LayoutParquet {
-				other = LayoutColumnar
-			}
-			converted, _, err := Convert(built, other)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stores := map[string]Store{"built": built, "converted": converted}
+			view, _ := Flatten(built)
+			stores := map[string]Store{"built": built, "view": view}
 			if layout == LayoutParquet {
 				decoded, err := ReadParquetBytes(rcs(t, built), c.schema)
 				if err != nil {

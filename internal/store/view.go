@@ -1,0 +1,120 @@
+package store
+
+import (
+	"slices"
+
+	"recache/internal/value"
+)
+
+// The flattened view. The columnar layout is derived from the Parquet form
+// by typed vector work, with no record reassembled or re-shredded: it keeps
+// the repeated vectors, whose entries are one per flattened row already,
+// and gathers each per-record vector at the record of every flattened row —
+// the expansion the Parquet form's flattened cursor performs per scan. A
+// vector the derivation does not gather — a repeated one, or any whose
+// records are one row each — is shared with the form. This keeps the
+// derivation cost T in the same regime as a scan, which is what the paper's
+// cost model (eq. 3) assumes.
+
+// columnarOf derives the columnar layout from the Parquet form, which it
+// keeps as its own form.
+func columnarOf(p *parquetStore) *columnarStore {
+	c := &columnarStore{schema: p.schema, cols: p.cols, nRecs: p.nRecs, form: p, vecs: make([]*vec, len(p.cols))}
+	if p.listPath == nil {
+		c.recID, c.skip = recordRows(p.nRecs)
+	} else {
+		c.recID, c.skip = flatRows(p.lengths)
+	}
+	for ci, col := range p.cols {
+		switch {
+		case col.Repeated:
+			c.vecs[ci] = p.repVecs[ci]
+		case p.nFlat == p.nRecs: // every record is one row
+			c.vecs[ci] = p.flatVecs[ci]
+		default:
+			c.vecs[ci] = Gather(p.flatVecs[ci], c.recID)
+		}
+	}
+	c.size = c.computeSize()
+	return c
+}
+
+// formOf returns the Parquet form of st: st itself, or the form a columnar
+// store was derived from. nil for a store of another package.
+func formOf(st Store) *parquetStore {
+	switch s := st.(type) {
+	case *parquetStore:
+		return s
+	case *columnarStore:
+		return s.form
+	}
+	return nil
+}
+
+// Flatten derives the flattened view of st's Parquet form: the columnar
+// layout, which shares the form's vectors wherever it can. own is what the
+// view holds beyond those shared vectors — its gathered record leaves, its
+// row index and its placeholder marks — so a view kept beside its form
+// costs own bytes more. Flatten never changes st.
+func Flatten(st Store) (view Store, own int64) {
+	p := formOf(st)
+	c := columnarOf(p)
+	own = int64(len(c.recID)) * 5 // recID + skip
+	for ci, v := range c.vecs {
+		if v != p.flatVecs[ci] && v != p.repVecs[ci] {
+			own += v.SizeBytes()
+		}
+	}
+	return c, own
+}
+
+// FlattenedLayout names the layout a flattening scan of st reads: columnar
+// when its cursor needs no expansion — a columnar store, or data without a
+// repeated field — and Parquet when it expands the records.
+func FlattenedLayout(st Store) Layout {
+	if p, ok := st.(*parquetStore); ok && p.listPath != nil {
+		return LayoutParquet
+	}
+	return LayoutColumnar
+}
+
+// cloneVecs copies every non-nil vector of vecs with room for extra more
+// entries.
+func cloneVecs(vecs []*vec, extra int) []*vec {
+	out := make([]*vec, len(vecs))
+	for ci, v := range vecs {
+		if v != nil {
+			out[ci] = v.cloneCap(extra)
+		}
+	}
+	return out
+}
+
+// cloneCap copies the vector with room for extra more entries, so the
+// appends that follow never reallocate. The copy shares nothing with v,
+// not even the null bitmap's trailing word.
+func (v *Vec) cloneCap(extra int) *Vec {
+	nv := &Vec{Kind: v.Kind, Nulls: v.Nulls.Clone()}
+	switch v.Kind {
+	case value.Int:
+		nv.Ints = grown(v.Ints, extra)
+	case value.Float:
+		nv.Floats = grown(v.Floats, extra)
+	case value.String:
+		nv.Strs = grown(v.Strs, extra)
+	case value.Bool:
+		nv.Bools = grown(v.Bools, extra)
+	}
+	return nv
+}
+
+// grown copies s into new memory with room for exactly extra more
+// elements. Without room it is a plain clone, which append makes without
+// zeroing the memory first when T holds no pointers; growing by append
+// would round the room up by a quarter of s, so room comes from make.
+func grown[T any](s []T, extra int) []T {
+	if extra == 0 {
+		return slices.Clone(s)
+	}
+	return append(make([]T, 0, len(s)+extra), s...)
+}

@@ -9,11 +9,11 @@
 // later queries that match exactly or are subsumed by a cached range
 // predicate. The cache is reactive along three axes:
 //
-//   - Layout: nested data is cached in a Parquet-style nested columnar
-//     layout or a flattened relational columnar layout, whichever the
-//     observed workload favors, with automatic switching driven by a cost
-//     model over measured scan costs; flat data similarly chooses between
-//     row and column orientation.
+//   - Layout: every entry is cached in a Parquet-style nested columnar
+//     layout, and a nested entry also keeps the flattened relational
+//     columnar view of it when the observed workload favors that, decided
+//     by a cost model over measured scan costs; flat data's flattened view
+//     is its record view.
 //   - Admission: eager (fully parsed tuples) versus lazy (satisfying-tuple
 //     file offsets) caching is decided per operator by sampling the actual
 //     caching overhead at the start of each scan.
@@ -80,9 +80,10 @@ type Config struct {
 	AdmissionThreshold float64
 	// AdmissionSampleSize is the sampling window in records (default 1000).
 	AdmissionSampleSize int
-	// Layout selects the cache layout strategy: "auto" (default),
-	// "parquet" or "columnar". Flat data has no layout decision: it is
-	// built columnar under "auto".
+	// Layout selects when a nested entry keeps the flattened columnar view
+	// of its Parquet payload: "auto" (default: when the cost model says
+	// its scans pay for it), "parquet" (never) or "columnar" (from its
+	// first flattening read on). Flat data has no layout decision.
 	Layout string
 	// DisableVectorized must stay false: every operator runs on column
 	// batches, and Open rejects true, as there is no row route left to
@@ -397,7 +398,8 @@ type QueryStats struct {
 	CacheBuild time.Duration
 	// CacheScan is time spent reading from in-memory caches.
 	CacheScan time.Duration
-	// LayoutSwitch is time spent converting cache layouts.
+	// LayoutSwitch is time spent deriving flattened views of nested cache
+	// entries.
 	LayoutSwitch time.Duration
 	// Overhead is CacheBuild / Wall (the paper's t_c/t_o).
 	Overhead float64
@@ -736,9 +738,12 @@ type EntryInfo struct {
 	Table     string
 	Predicate string
 	Mode      string // "eager" or "lazy"
-	Layout    string // "parquet", "columnar", "offsets", or "disk"
-	Bytes     int64  // RAM footprint; spill-file bytes for disk entries
-	Reuses    int64
+	// Layout is what a flattening scan reads: "columnar" when it needs no
+	// expansion (a flat schema, or an attached view), "parquet" when it
+	// expands the payload, "offsets" for a lazy entry, "disk" when spilled.
+	Layout string
+	Bytes  int64 // RAM footprint; spill-file bytes for disk entries
+	Reuses int64
 }
 
 // CacheEntries lists the live cache entries (sorted by id). The returned
