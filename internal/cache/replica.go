@@ -34,7 +34,9 @@ var errNoDiskTier = errors.New("cache: replica admission requires the disk tier 
 // AdmitReplica admits a peer-pushed payload as a disk-tier entry for
 // (ds, pred). The payload must be an RCS stream of ds's schema; it is
 // decoded once up front so a corrupt push is rejected instead of poisoning
-// the disk tier with a file that fails at promotion time. Admission is
+// the disk tier with a file that fails at promotion time. Nothing of that
+// decode is kept, so it runs the owning decoder, whose store is views of
+// the payload rather than a copy of it. Admission is
 // idempotent: if any entry for the key already exists (a local build or an
 // earlier push won), the push is dropped silently.
 func (m *Manager) AdmitReplica(ds *plan.Dataset, pred expr.Expr, predCanon string, payload []byte) error {
@@ -45,7 +47,7 @@ func (m *Manager) AdmitReplica(ds *plan.Dataset, pred expr.Expr, predCanon strin
 	if err != nil {
 		return fmt.Errorf("cache: replica admission: %w", err)
 	}
-	if _, err := store.ReadParquetBytes(payload, ds.Schema()); err != nil {
+	if _, err := store.ReadParquetOwned(payload, ds.Schema()); err != nil {
 		return fmt.Errorf("cache: replica payload for %s: %w", ds.Name, err)
 	}
 

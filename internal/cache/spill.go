@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"recache/internal/eviction"
@@ -19,8 +18,13 @@ import (
 // its payload, the Parquet form, is serialized as it is to a file in
 // Config.SpillDir, while the entry itself — predicate, ranges, accounting,
 // R-tree membership — stays in RAM, so lookups keep matching it. A hit on
-// a spilled entry re-admits the payload (one Parquet read, never a raw
-// re-scan), single-flight, then runs the normal pipeline.
+// a spilled entry re-admits the payload, single-flight, then runs the normal
+// pipeline: one read of the file into a fresh buffer, which becomes the
+// payload. The RCS stream is the little-endian image of the payload's
+// vectors, so the re-admitted store's vectors are views of that buffer (a
+// payload that gains rows on the way in is copied instead), and a disk hit
+// costs a file read and a validation pass — never a raw re-scan, nor a
+// decode into new vectors.
 //
 // Entry payloads are immutable once built, so a spill file is write-once:
 // re-admission keeps the file, and while it exists the entry's later
@@ -83,12 +87,14 @@ func (m *Manager) queueSpillLocked(e *Entry) bool {
 }
 
 // reloadEstimate prices a disk re-admission in nanoseconds: the measured
-// reload cost when one exists, otherwise a sequential read+decode
-// bandwidth model (2 GB/s) plus a fixed open/validate overhead. The RCS
-// decoder alone runs at ~4.5 GB/s on a 2-vCPU box (the benchmark's
-// store.rcs1_read_mb_s on churn) and a page-cached 830 KB spill file reads
-// and decodes in ~0.5 ms; the model stays as it is because it decides which
-// victims spill, and one disk hit replaces it with the entry's own number.
+// reload cost when one exists, otherwise a sequential read bandwidth model
+// (2 GB/s) plus a fixed open/validate overhead. A page-cached 805 KB
+// lineitem-shaped spill file re-admits in ~0.24 ms on a 2-vCPU box
+// (BenchmarkSpillReload, median of 8 runs: the read into a fresh buffer and
+// the validation pass; the store's vectors are views of the buffer), where
+// the model says ~0.42 ms. That is within 2×, and the model stays as it is
+// because it decides which victims spill, and one disk hit replaces it with
+// the entry's own number.
 func (m *Manager) reloadEstimate(e *Entry) int64 {
 	if e.reloadNanos > 0 {
 		return e.reloadNanos
@@ -170,16 +176,10 @@ func atomicWrite(path string, write func(io.Writer) error) (int64, error) {
 	return size, nil
 }
 
-// spillBufs recycles re-admission read buffers (*[]byte). The decoder copies
-// everything it keeps, so a spill file's bytes are dead once it returns and
-// a buffer outlives its load only in the pool, which the GC empties.
-var spillBufs sync.Pool
-
-// readSpill reads a whole spill file into a pooled buffer sized from its
-// Stat: one read, no growth, and no new allocation when the pool holds a
-// buffer as large. The caller hands the buffer back to spillBufs when done
-// with the bytes.
-func readSpill(path string) (*[]byte, error) {
+// readSpill reads a whole spill file into a buffer of its own, sized from
+// its Stat: one read, no growth. The buffer becomes the re-admitted store's
+// memory (store.ReadParquetOwned), so it is never reused.
+func readSpill(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -189,17 +189,8 @@ func readSpill(path string) (*[]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf, _ := spillBufs.Get().(*[]byte)
-	if buf == nil {
-		buf = new([]byte)
-	}
-	if n := int(fi.Size()); cap(*buf) < n {
-		*buf = make([]byte, n)
-	} else {
-		*buf = (*buf)[:n]
-	}
-	if _, err := io.ReadFull(f, *buf); err != nil {
-		spillBufs.Put(buf)
+	buf := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -263,21 +254,23 @@ func (m *Manager) Resident(e *Entry) (Mode, store.Store, []int64, error) {
 }
 
 // load is the unlocked half of a re-admission and its commit: one
-// spill-file read into a pooled buffer, decoded in bulk. Unless the payload
-// gains rows on the way in (below), the file is retained (entry payloads are
-// immutable once built), so it stays valid and the entry's next demotion is
-// free; it keeps occupying the disk budget until the entry is removed or the
-// disk tier reclaims redundant copies under pressure. The returned payload is the
-// caller's to scan even if the commit's eviction round demoted the entry
-// again, or the entry died mid-load.
+// spill-file read into a fresh buffer, which the payload then is — its
+// vectors are views of the file's bytes, not a decode of them. Unless the
+// payload gains rows on the way in (below), the file is retained (entry
+// payloads are immutable once built), so it stays valid and the entry's next
+// demotion is free; it keeps occupying the disk budget until the entry is
+// removed or the disk tier reclaims redundant copies under pressure. The
+// returned payload is the caller's to scan even if the commit's eviction
+// round demoted the entry again, or the entry died mid-load.
 func (m *Manager) load(o inflight, path string) (payload, error) {
 	e, res := o.e, result{payload: o.snap}
 	start := time.Now()
 	buf, err := readSpill(path)
 	// A payload that trails the file catches up here, while the store is
-	// still this goroutine's alone: the tail goes onto the decoded vectors
-	// in place. A tail scan that fails, or sees the file grow, is left to
-	// the extension Resident runs next.
+	// still this goroutine's alone: the tail goes onto vectors decoded with
+	// room for it, copies that own their memory, since the payload gains
+	// rows. A tail scan that fails, or sees the file grow, is left to the
+	// extension Resident runs next.
 	var t tail
 	if trailing, extendable := e.lag(o.snap); err == nil && trailing && extendable {
 		if got, terr := scanTail(e, o.snap); terr == nil && got.stable {
@@ -285,9 +278,12 @@ func (m *Manager) load(o inflight, path string) (payload, error) {
 			res.covered, res.stale = t.covered, !t.empty()
 		}
 	}
-	if res.err = err; err == nil {
-		res.store, res.err = store.ReadParquetExtended(*buf, e.Dataset.Schema(), t.recs)
-		spillBufs.Put(buf)
+	switch res.err = err; {
+	case err != nil:
+	case len(t.recs) == 0:
+		res.store, res.err = store.ReadParquetOwned(buf, e.Dataset.Schema())
+	default:
+		res.store, res.err = store.ReadParquetExtended(buf, e.Dataset.Schema(), t.recs)
 	}
 	reload := time.Since(start).Nanoseconds()
 	res.account = func() { e.reloadNanos = reload }

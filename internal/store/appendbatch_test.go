@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"recache/internal/value"
@@ -289,9 +290,9 @@ func FuzzReadParquetBytes(f *testing.F) {
 	seed(1, nil)
 	seed(2, []value.Value{value.VRecord(value.VFloat(0)), value.VRecord(value.VNull)})
 	// Shapes the vector-at-a-time codec has edges for: a float vector longer
-	// than one encode chunk, a length that ends mid null word (with NULLs in
-	// that word), and a string column of empty strings only.
-	long := make([]value.Value, maxChunk/8+100)
+	// than a stream sink's write buffer, a length that ends mid null word
+	// (with NULLs in that word), and a string column of empty strings only.
+	long := make([]value.Value, fileBuf/8+100)
 	for i := range long {
 		long[i] = value.VRecord(value.VFloat(float64(i) / 3))
 		if i%1000 == 999 {
@@ -311,6 +312,7 @@ func FuzzReadParquetBytes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
 		schema := schemas[int(which)%len(schemas)]
 		st, err := ReadParquetBytes(data, schema)
+		ownedMatches(t, data, schema, st, err)
 		if err != nil {
 			return
 		}
@@ -338,6 +340,52 @@ func FuzzReadParquetBytes(f *testing.F) {
 			t.Fatalf("column decode %v differs from record decode %v", byColumn, byRecord)
 		}
 	})
+}
+
+// ownedMatches holds the owning decode of data, placed at each buffer
+// offset 0–7 (an aliasing decode at offset 0, a copying one elsewhere), to
+// the copying decode want, wantErr: it fails exactly when that fails, and
+// otherwise holds the same vectors and list lengths and scans to the same
+// records.
+func ownedMatches(t *testing.T, data []byte, schema *value.Type, want Store, wantErr error) {
+	t.Helper()
+	for shift := range 8 {
+		buf := make([]byte, shift+len(data)+8)[shift : shift+len(data) : shift+len(data)]
+		copy(buf, data)
+		got, err := ReadParquetOwned(buf, schema)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("offset %d: owning decode err = %v, copying decode err = %v", shift, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		w, g := want.(*parquetStore), got.(*parquetStore)
+		if !slices.Equal(w.lengths, g.lengths) || w.nRecs != g.nRecs || w.nFlat != g.nFlat {
+			t.Fatalf("offset %d: owning decode has %d records, %d flat rows, lengths %v; copying decode %d, %d, %v",
+				shift, g.nRecs, g.nFlat, g.lengths, w.nRecs, w.nFlat, w.lengths)
+		}
+		for ci := range w.cols {
+			for _, pair := range [][2]*Vec{{w.flatVecs[ci], g.flatVecs[ci]}, {w.repVecs[ci], g.repVecs[ci]}} {
+				if !vecsEqual(pair[0], pair[1]) {
+					t.Fatalf("offset %d, column %d: owning decode %+v, copying decode %+v", shift, ci, *pair[1], *pair[0])
+				}
+			}
+		}
+		if a, b := renderNested(t, want), renderNested(t, got); !reflect.DeepEqual(a, b) {
+			t.Fatalf("offset %d: owning decode scans to %v, copying decode to %v", shift, b, a)
+		}
+	}
+}
+
+// vecsEqual compares two vectors entry by entry, floats by their bits and
+// the null bitmap by its words; nil and empty slices are equal.
+func vecsEqual(a, b *Vec) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Kind == b.Kind && a.Nulls.n == b.Nulls.n && slices.Equal(a.Nulls.words, b.Nulls.words) &&
+		slices.Equal(a.Ints, b.Ints) && slices.Equal(a.Strs, b.Strs) && slices.Equal(a.Bools, b.Bools) &&
+		slices.Equal(bytesOf(a.Floats), bytesOf(b.Floats))
 }
 
 // renderNested renders every record of st, nested lists included; NaN

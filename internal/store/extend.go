@@ -13,14 +13,18 @@ import (
 // tail, stripes the tail on through a Builder and derives src's layout
 // again — so extending a cached entry over an appended file tail costs a
 // memcpy of the old payload, per-record work only for the tail, flat or
-// nested. ok is always true.
+// nested. A copy of a store backed by an RCS buffer (ReadParquetOwned)
+// copies its string bytes out of the buffer too, so it pins nothing it is
+// not charged for. ok is always true.
 func Extend(src Store, tail []value.Value) (st Store, ok bool, err error) {
 	s := formOf(src)
 	if s == nil {
 		return nil, true, fmt.Errorf("store: extend: unknown store %T", src)
 	}
 	p := *s
-	p.flatVecs, p.repVecs = cloneVecs(s.flatVecs, len(tail)), cloneVecs(s.repVecs, len(tail))
+	p.backing = nil // the copy owns its memory, string bytes included
+	detach := s.backing != nil
+	p.flatVecs, p.repVecs = cloneVecs(s.flatVecs, len(tail), detach), cloneVecs(s.repVecs, len(tail), detach)
 	if s.listPath != nil {
 		p.lengths = append(make([]int32, 0, len(s.lengths)+len(tail)), s.lengths...)
 	}

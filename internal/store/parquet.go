@@ -30,19 +30,32 @@ type parquetStore struct {
 	nRecs    int
 	nFlat    int // R: sum over records of max(card, 1); see NumFlatRows
 	size     int64
+	// backing is the RCS stream the vectors and lengths are views of
+	// (ReadParquetOwned), nil when they own their memory.
+	backing []byte
 }
 
+// computeSize is what the store holds: its vectors and list lengths, or,
+// when they are views of a backing stream, the stream itself and what was
+// allocated beside it (string headers, bools).
 func (s *parquetStore) computeSize() int64 {
-	var sz int64
+	sz := int64(len(s.backing))
+	if s.backing == nil {
+		sz = int64(len(s.lengths)) * 4
+	}
 	for ci := range s.cols {
-		if v := s.flatVecs[ci]; v != nil {
-			sz += v.SizeBytes()
-		}
-		if v := s.repVecs[ci]; v != nil {
-			sz += v.SizeBytes()
+		for _, v := range [2]*vec{s.flatVecs[ci], s.repVecs[ci]} {
+			switch {
+			case v == nil:
+			case s.backing == nil:
+				sz += v.SizeBytes()
+			case v.Kind == value.String:
+				sz += int64(len(v.Strs)) * 16
+			case v.Kind == value.Bool:
+				sz += int64(len(v.Bools))
+			}
 		}
 	}
-	sz += int64(len(s.lengths)) * 4
 	return sz
 }
 

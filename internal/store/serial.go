@@ -6,38 +6,67 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 	"strings"
+	"unsafe"
 
 	"recache/internal/value"
 )
 
-// Spill serialization: a Parquet-layout store written as a flat binary
-// stream (RCS), used by the cache's disk tier, the wire's query results and
-// replica payloads. The format mirrors parquetStore's in-memory shape
-// (per-column vectors and list lengths) so a spilled entry deserializes
-// with typed bulk copies — no record re-assembly — keeping a disk hit far
-// cheaper than a raw re-scan. Both directions work a vector at a time: the
-// encoder writes null words and fixed-width payloads a chunk per Write, and
-// the decoder converts each from one bounds-checked slice of the stream and
-// copies a string column's bytes into one allocation.
+// RCS: a Parquet-form store written as a flat binary stream, used by the
+// cache's disk tier, the wire's query results and replica payloads. The
+// stream is the little-endian memory image of the store's vectors, laid out
+// so that every null word, int and float sits at an 8-byte offset and every
+// list length at a 4-byte one:
+//
+//	magic "RCS3" | hasList u8 | nRecs u64 | nFlat u64 | ncols u32
+//	if hasList:  zero pad to 4 | nRecs × u32 list lengths
+//	per column:  repeated u8 | kind u8 | n u64 | zero pad to 8
+//	             ⌈n/64⌉ × u64 null words | payload
+//	payload:     Int, Float: n × 8 bytes (floats as IEEE-754 bits)
+//	             Bool: n bytes; String: n × (u32 length | bytes)
+//
+// Offsets count from the stream's first byte, all integers are
+// little-endian. The encoder writes a vector's null words and fixed-width
+// payload as the bytes they are in memory, one Write each. There are two
+// decoders:
+//
+//   - ReadParquetOwned takes the buffer it decodes. Its store's null words,
+//     ints, floats and list lengths are views of the buffer (cap == len, so
+//     an append never writes into it) and its strings point into it; only
+//     the string-header arrays and bools are allocated. The store is
+//     charged the whole buffer (SizeBytes), and a store derived from it
+//     that gains rows (Extend) copies out of the buffer completely. The
+//     disk tier re-admits spill files this way, and replica admission
+//     validates a pushed payload. On a big-endian host, or when the
+//     buffer's first byte is not 8-byte aligned, it copies instead.
+//   - ReadParquetBytes and ReadParquetExtended copy: the store shares no
+//     memory with the input, which the caller may reuse at once (the wire
+//     client decodes out of its pooled frame buffers).
 //
 // The schema is NOT serialized: a spilled entry keeps all of its metadata
 // (dataset, predicate, schema) in RAM and only the payload goes to disk,
 // so the reader is handed the schema and validates the stream against it
 // (column count, repeated-ness, and kind per column). Numeric payloads are
-// written bit-exactly (floats via IEEE-754 bits), so NaN and ±0 survive
-// the round trip. Only the magic carries the format's version.
+// bit-exact, so NaN and ±0 survive the round trip. Only the magic carries
+// the format's version.
 
-// spillMagic identifies version 2 of the spill stream, which dropped
-// version 1's per-column repetition-level streams: a version-1 stream is
-// rejected at its magic rather than misread.
-var spillMagic = [4]byte{'R', 'C', 'S', '2'}
+// spillMagic identifies version 3 of the stream, which pads its sections to
+// their values' alignment: a version-1 or version-2 stream is rejected at
+// its magic rather than misread.
+var spillMagic = [4]byte{'R', 'C', 'S', '3'}
+
+// littleEndian: the host's memory image of a number is its stream bytes.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// fileBuf is the write buffer of a stream sink that is not in memory: the
+// framing and short vectors gather in it, and a long vector's remainder
+// goes to the sink in one Write.
+const fileBuf = 32 << 10
 
 // spillWriter is what the stream encoder needs from its sink. Both
 // *bufio.Writer and *bytes.Buffer satisfy it, so in-memory encodes (the
-// wire path serializes every query result) skip the bufio layer — and its
-// per-call buffer allocation — entirely.
+// wire path serializes every query result) skip the bufio layer entirely.
 type spillWriter interface {
 	io.Writer
 	io.ByteWriter
@@ -55,155 +84,98 @@ func WriteParquet(w io.Writer, st Store) error {
 	lw := &leWriter{}
 	flush := func() error { return nil }
 	if bb, ok := w.(*bytes.Buffer); ok {
-		// Already an in-memory sink: encode straight into it.
-		bb.Grow(bufSizeFor(p.size))
-		lw.w, lw.mem = bb, bb
+		// Already an in-memory sink: encode straight into it, grown once to
+		// the payload plus its framing.
+		bb.Grow(int(p.size) + 24*len(p.cols) + 32)
+		lw.w = bb
 	} else {
-		// Size the buffer to the payload so a typical spill drains in one
-		// or two write syscalls; the demotion write sits on the disk-hit
-		// path (every re-admission demotes a victim), so per-flush
-		// syscalls show up directly in the memory-pressure phase's
-		// throughput.
-		size := bufSizeFor(p.size)
-		b := bufio.NewWriterSize(w, size)
+		b := bufio.NewWriterSize(w, fileBuf)
 		lw.w, flush = b, b.Flush
-		lw.chunk = make([]byte, min(size, maxChunk))
 	}
-	bw := lw.w
-	if _, err := bw.Write(spillMagic[:]); err != nil {
-		return err
-	}
+	lw.write(spillMagic[:])
 	hasList := byte(0)
 	if p.listPath != nil {
 		hasList = 1
 	}
-	bw.WriteByte(hasList)
+	lw.u8(hasList)
 	lw.u64(uint64(p.nRecs))
 	lw.u64(uint64(p.nFlat))
 	lw.u32(uint32(len(p.cols)))
 	if hasList == 1 {
-		for _, l := range p.lengths {
-			lw.u32(uint32(l))
-		}
+		lw.pad(4)
+		lw.write(le(p.lengths))
 	}
 	for ci, c := range p.cols {
 		v := p.flatVecs[ci]
 		if c.Repeated {
-			bw.WriteByte(1)
+			lw.u8(1)
 			v = p.repVecs[ci]
 		} else {
-			bw.WriteByte(0)
+			lw.u8(0)
 		}
 		if err := lw.vec(v); err != nil {
 			return err
 		}
 	}
+	// A failed Write sticks in the bufio layer and surfaces here.
 	return flush()
 }
 
-// bufSizeFor clamps a store's in-memory size to a sane bufio buffer:
-// at least the default 4KB, at most 1MB (large entries stream through).
-func bufSizeFor(sz int64) int {
-	const lo, hi = 4 << 10, 1 << 20
-	switch {
-	case sz < lo:
-		return lo
-	case sz > hi:
-		return hi
-	default:
-		return int(sz) + 64 // header + per-vec framing slack
-	}
-}
-
-// leWriter encodes little-endian values into the sink. Scalars go through
-// one reusable scratch array (a stack `var b [8]byte` passed to an interface
-// Write escapes, one heap allocation per integer); fixed-width vectors go
-// through fixed, a chunk at a time.
+// leWriter encodes little-endian values into the sink, counting the stream
+// offset the alignment pads are measured from. Scalars go through one
+// reusable scratch array (a stack `var b [8]byte` passed to an interface
+// Write escapes, one heap allocation per integer).
 type leWriter struct {
 	w       spillWriter
-	mem     *bytes.Buffer // non-nil when the sink is in memory: vectors encode in place
-	chunk   []byte        // otherwise the staging buffer vectors encode into, sized to the store
+	off     int
 	scratch [8]byte
 }
 
-// maxChunk bounds a file sink's staging buffer: a vector larger than this
-// goes to the bufio layer in several Writes of this size.
-const maxChunk = 32 << 10
+func (lw *leWriter) write(b []byte) {
+	lw.w.Write(b)
+	lw.off += len(b)
+}
+
+func (lw *leWriter) u8(x byte) {
+	lw.w.WriteByte(x)
+	lw.off++
+}
 
 func (lw *leWriter) u32(x uint32) {
 	binary.LittleEndian.PutUint32(lw.scratch[:4], x)
-	lw.w.Write(lw.scratch[:4])
+	lw.write(lw.scratch[:4])
 }
 
 func (lw *leWriter) u64(x uint64) {
 	binary.LittleEndian.PutUint64(lw.scratch[:], x)
-	lw.w.Write(lw.scratch[:])
+	lw.write(lw.scratch[:])
 }
 
-// fixed writes n values of width bytes each; put encodes the values from lo
-// on into b, len(b)/width of them. An in-memory sink takes the whole vector
-// in place, a file sink one Write per chunk of at most maxChunk bytes.
-func (lw *leWriter) fixed(n, width int, put func(b []byte, lo int)) {
-	if n == 0 {
-		return
-	}
-	if lw.mem != nil {
-		lw.mem.Grow(n * width)
-		b := lw.mem.AvailableBuffer()[:n*width]
-		put(b, 0)
-		lw.mem.Write(b)
-		return
-	}
-	per := len(lw.chunk) / width
-	for lo := 0; lo < n; lo += per {
-		b := lw.chunk[:min(n-lo, per)*width]
-		put(b, lo)
-		lw.w.Write(b)
-	}
+// zeros is the padding a stream holds.
+var zeros [8]byte
+
+// pad writes zero bytes up to the next multiple of align (a power of two).
+func (lw *leWriter) pad(align int) {
+	lw.write(zeros[:-lw.off&(align-1)])
 }
 
 func (lw *leWriter) vec(v *vec) error {
-	w := lw.w
-	w.WriteByte(byte(v.Kind))
+	lw.u8(byte(v.Kind))
 	lw.u64(uint64(v.Len()))
-	words := v.Nulls.words
-	lw.fixed(len(words), 8, func(b []byte, lo int) {
-		for _, x := range words[lo : lo+len(b)/8] {
-			binary.LittleEndian.PutUint64(b, x)
-			b = b[8:]
-		}
-	})
+	lw.pad(8)
+	lw.write(le(v.Nulls.words))
 	switch v.Kind {
 	case value.Int:
-		xs := v.Ints
-		lw.fixed(len(xs), 8, func(b []byte, lo int) {
-			for _, x := range xs[lo : lo+len(b)/8] {
-				binary.LittleEndian.PutUint64(b, uint64(x))
-				b = b[8:]
-			}
-		})
+		lw.write(le(v.Ints))
 	case value.Float:
-		xs := v.Floats
-		lw.fixed(len(xs), 8, func(b []byte, lo int) {
-			for _, x := range xs[lo : lo+len(b)/8] {
-				binary.LittleEndian.PutUint64(b, math.Float64bits(x))
-				b = b[8:]
-			}
-		})
+		lw.write(le(v.Floats))
 	case value.Bool:
-		xs := v.Bools
-		lw.fixed(len(xs), 1, func(b []byte, lo int) {
-			for i, x := range xs[lo : lo+len(b)] {
-				b[i] = 0
-				if x {
-					b[i] = 1
-				}
-			}
-		})
+		lw.write(bytesOf(v.Bools)) // a Go bool is the byte 0 or 1
 	case value.String:
 		for _, s := range v.Strs {
 			lw.u32(uint32(len(s)))
-			w.WriteString(s)
+			lw.w.WriteString(s)
+			lw.off += len(s)
 		}
 	default:
 		return fmt.Errorf("store: WriteParquet: unsupported vec kind %s", v.Kind)
@@ -211,10 +183,44 @@ func (lw *leWriter) vec(v *vec) error {
 	return nil
 }
 
-// spillReader decodes the stream out of one contiguous buffer.
+// fixedWidth is a value the stream holds as its little-endian bytes.
+type fixedWidth interface {
+	int32 | uint64 | int64 | float64
+}
+
+// bytesOf returns the memory of xs as bytes (nil when xs is empty).
+func bytesOf[T fixedWidth | bool](xs []T) []byte {
+	if len(xs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*int(unsafe.Sizeof(xs[0])))
+}
+
+// le returns xs as their stream bytes: their memory itself on a
+// little-endian host, a byte-swapped copy otherwise.
+func le[T fixedWidth](xs []T) []byte {
+	b := bytesOf(xs)
+	if !littleEndian && len(b) > 0 {
+		b = bytes.Clone(b)
+		swapBytes(b, int(unsafe.Sizeof(xs[0])))
+	}
+	return b
+}
+
+// swapBytes reverses the bytes of each width-byte value of b in place:
+// between host order and little-endian on a big-endian host.
+func swapBytes(b []byte, width int) {
+	for i := 0; i < len(b); i += width {
+		slices.Reverse(b[i : i+width])
+	}
+}
+
+// spillReader decodes the stream out of one contiguous buffer. With alias
+// set, fixed-width sections and string bytes are views of buf.
 type spillReader struct {
-	buf []byte
-	off int
+	buf   []byte
+	off   int
+	alias bool
 }
 
 func (r *spillReader) bytes(n int) ([]byte, error) {
@@ -250,16 +256,60 @@ func (r *spillReader) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
+// pad consumes the zero bytes up to the next multiple of align.
+func (r *spillReader) pad(align int) error {
+	b, err := r.bytes(-r.off & (align - 1))
+	if err != nil {
+		return err
+	}
+	for _, x := range b {
+		if x != 0 {
+			return fmt.Errorf("store: nonzero padding at offset %d", r.off-len(b))
+		}
+	}
+	return nil
+}
+
+// fixed reads n values of T off the stream: a view of the buffer when the
+// reader aliases it, otherwise a copy with room for extra more values.
+func fixed[T fixedWidth](r *spillReader, n, extra int) ([]T, error) {
+	width := int(unsafe.Sizeof(T(0)))
+	raw, err := r.bytes(n * width)
+	switch {
+	case err != nil:
+		return nil, err
+	case r.alias && n > 0:
+		return unsafe.Slice((*T)(unsafe.Pointer(&raw[0])), n), nil
+	}
+	out := make([]T, n, n+extra)
+	b := bytesOf(out)
+	copy(b, raw)
+	if !littleEndian {
+		swapBytes(b, width)
+	}
+	return out, nil
+}
+
 // ReadParquetBytes decodes a stream written by WriteParquet, validating it
 // against the expected record schema. The returned store is a normal
-// Parquet-layout store (Flatten derives its view as from any other) that shares
-// no memory with data: every vector, string and length is a copy, so
-// the caller may reuse data as soon as the call returns (the disk tier
-// reads spill files into pooled buffers, the client decodes out of its
-// frame buffer). The values of one string column share one allocation, so a
-// retained value keeps its column's bytes alive.
+// Parquet-layout store (Flatten derives its view as from any other) that
+// shares no memory with data: every vector, string and length is a copy,
+// so the caller may reuse data as soon as the call returns (the client
+// decodes out of its pooled frame buffers). The values of one string column
+// share one allocation, so a retained value keeps its column's bytes alive.
 func ReadParquetBytes(data []byte, schema *value.Type) (Store, error) {
 	return ReadParquetExtended(data, schema, nil)
+}
+
+// ReadParquetOwned decodes a stream as ReadParquetBytes does, but takes
+// data: the store's fixed-width vectors and list lengths are views of it
+// and its strings point into it, and the store is charged its bytes. The
+// caller must not write to data while the store lives. It copies, as ReadParquetBytes
+// does, on a big-endian host or when data's first byte is not 8-byte
+// aligned.
+func ReadParquetOwned(data []byte, schema *value.Type) (Store, error) {
+	alias := littleEndian && len(data) > 0 && uintptr(unsafe.Pointer(&data[0]))%8 == 0
+	return readParquet(data, schema, 0, alias)
 }
 
 // ReadParquetExtended decodes a spill stream and appends the tail records
@@ -267,7 +317,7 @@ func ReadParquetBytes(data []byte, schema *value.Type) (Store, error) {
 // decoded vectors, which are sized for the tail up front and appended to in
 // place, through a Builder, before anybody else can see the store.
 func ReadParquetExtended(data []byte, schema *value.Type, tail []value.Value) (Store, error) {
-	st, err := readParquet(data, schema, len(tail))
+	st, err := readParquet(data, schema, len(tail), false)
 	switch {
 	case err != nil:
 		return nil, err
@@ -284,9 +334,10 @@ func ReadParquetExtended(data []byte, schema *value.Type, tail []value.Value) (S
 }
 
 // readParquet decodes a spill stream, leaving room for extra more records
-// in every vector and in the list lengths.
-func readParquet(data []byte, schema *value.Type, extra int) (*parquetStore, error) {
-	r := &spillReader{buf: data}
+// in every vector and in the list lengths, or, with alias set (and extra
+// 0), as views of data.
+func readParquet(data []byte, schema *value.Type, extra int, alias bool) (*parquetStore, error) {
+	r := &spillReader{buf: data, alias: alias}
 	magic, err := r.bytes(4)
 	if err != nil {
 		return nil, err
@@ -345,15 +396,17 @@ func readParquet(data []byte, schema *value.Type, extra int) (*parquetStore, err
 	// element, plus one placeholder per empty list. For flat schemas the
 	// flattened view is the record view.
 	if hasList == 1 {
-		raw, err := r.bytes(st.nRecs * 4)
-		if err != nil {
+		if err := r.pad(4); err != nil {
 			return nil, err
 		}
-		st.lengths = make([]int32, st.nRecs, st.nRecs+extra)
+		if st.lengths, err = fixed[int32](r, st.nRecs, extra); err != nil {
+			return nil, err
+		}
 		flat := 0
-		for i := range st.lengths {
-			l := binary.LittleEndian.Uint32(raw[i*4:])
-			st.lengths[i] = int32(l)
+		for _, l := range st.lengths {
+			if l < 0 {
+				return nil, fmt.Errorf("store: spill stream has list length %d", l)
+			}
 			flat += max(int(l), 1)
 		}
 		if flat != st.nFlat {
@@ -381,6 +434,9 @@ func readParquet(data []byte, schema *value.Type, extra int) (*parquetStore, err
 	if r.off != len(r.buf) {
 		return nil, fmt.Errorf("store: %d trailing bytes in spill stream", len(r.buf)-r.off)
 	}
+	if alias {
+		st.backing = data
+	}
 	st.size = st.computeSize()
 	return st, nil
 }
@@ -400,6 +456,9 @@ func readVec(r *spillReader, want value.Kind, wantLen, extra int) (*vec, error) 
 	n := int(n64)
 	if n < 0 || n != wantLen {
 		return nil, fmt.Errorf("vec has %d entries, want %d", n, wantLen)
+	}
+	if err := r.pad(8); err != nil {
+		return nil, err
 	}
 	// Size every allocation only after the stream proves it holds at least
 	// the minimum encoding of n entries (bitmap words plus fixed-width
@@ -421,27 +480,12 @@ func readVec(r *spillReader, want value.Kind, wantLen, extra int) (*vec, error) 
 	// there, so each comes off the stream as one slice.
 	v := &vec{Kind: want}
 	v.Nulls.n = n
-	v.Nulls.words = make([]uint64, words)
-	raw, _ := r.bytes(words * 8)
-	for i := range v.Nulls.words {
-		v.Nulls.words[i] = binary.LittleEndian.Uint64(raw)
-		raw = raw[8:]
-	}
+	v.Nulls.words, _ = fixed[uint64](r, words, 0)
 	switch want {
 	case value.Int:
-		raw, _ := r.bytes(n * 8)
-		v.Ints = make([]int64, n, n+extra)
-		for i := range v.Ints {
-			v.Ints[i] = int64(binary.LittleEndian.Uint64(raw))
-			raw = raw[8:]
-		}
+		v.Ints, _ = fixed[int64](r, n, extra)
 	case value.Float:
-		raw, _ := r.bytes(n * 8)
-		v.Floats = make([]float64, n, n+extra)
-		for i := range v.Floats {
-			v.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
-			raw = raw[8:]
-		}
+		v.Floats, _ = fixed[float64](r, n, extra)
 	case value.Bool:
 		raw, _ := r.bytes(n)
 		v.Bools = make([]bool, n, n+extra)
@@ -449,32 +493,46 @@ func readVec(r *spillReader, want value.Kind, wantLen, extra int) (*vec, error) 
 			v.Bools[i] = b != 0
 		}
 	case value.String:
-		// One pass proves every length prefix against the bytes left and sums
-		// them; the second copies the column's bytes into one allocation, sized
-		// by Grow, and slices each value out of it as it lands (a
-		// strings.Builder never rewrites bytes it has handed out).
-		start, total := r.off, 0
-		for range n {
+		// Every length prefix is proved against the bytes left before its
+		// value is sliced out of the buffer; a copying decode then moves the
+		// column's bytes into one allocation of its own.
+		v.Strs = make([]string, n, n+extra)
+		for i := range v.Strs {
 			l, err := r.u32()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := r.bytes(int(l)); err != nil {
+			b, err := r.bytes(int(l))
+			if err != nil {
 				return nil, err
 			}
-			total += int(l)
+			if l > 0 {
+				v.Strs[i] = unsafe.String(&b[0], l)
+			}
 		}
-		var sb strings.Builder
-		sb.Grow(total)
-		v.Strs = make([]string, n, n+extra)
-		for i := range v.Strs {
-			l := int(binary.LittleEndian.Uint32(r.buf[start:]))
-			sb.Write(r.buf[start+4 : start+4+l])
-			v.Strs[i] = sb.String()[sb.Len()-l:]
-			start += 4 + l
+		if !r.alias {
+			detachStrings(v.Strs)
 		}
 	default:
 		return nil, fmt.Errorf("unsupported vec kind %s", want)
 	}
 	return v, nil
+}
+
+// detachStrings copies the bytes of strs into one allocation of their own
+// and points every value at its copy: a column leaves the buffer it was
+// decoded from, or a store copied from a buffer-backed one leaves that
+// buffer.
+func detachStrings(strs []string) {
+	total := 0
+	for _, s := range strs {
+		total += len(s)
+	}
+	// A strings.Builder never rewrites bytes it has handed out.
+	var sb strings.Builder
+	sb.Grow(total)
+	for i, s := range strs {
+		sb.WriteString(s)
+		strs[i] = sb.String()[sb.Len()-len(s):]
+	}
 }

@@ -7,8 +7,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+	"unsafe"
 
 	"recache/internal/value"
 )
@@ -125,8 +129,10 @@ func TestSpillRoundTripEmpty(t *testing.T) {
 	}
 }
 
-// TestSpillRoundTripSize checks the deserialized store reports the same
-// footprint the original did — the cache re-admits by this number.
+// TestSpillRoundTripSize checks a copying decode reports the same
+// footprint the original did: it owns exactly the vectors the original
+// held. (An owning decode is charged its buffer instead:
+// TestAliasedStoreSizeIsItsBuffer.)
 func TestSpillRoundTripSize(t *testing.T) {
 	src := build(t, LayoutParquet, orderSchema(), sampleOrders())
 	got := roundTrip(t, src)
@@ -162,14 +168,35 @@ func TestSpillRejectsCorruptStream(t *testing.T) {
 }
 
 // TestSpillRejectsVersion1: a stream written by a build that still carried
-// repetition-level streams (magic RCS1) is rejected at its magic, not
-// misread as the current format.
+// repetition-level streams (magic RCS1), or one without the alignment pads
+// (RCS2), is rejected at its magic, not misread as the current format.
 func TestSpillRejectsVersion1(t *testing.T) {
 	for _, schema := range []*value.Type{orderSchema(), boolFlatSchema()} {
-		raw := rcs(t, build(t, LayoutParquet, schema, nil))
-		copy(raw, "RCS1")
-		if _, err := ReadParquetBytes(raw, schema); err == nil || !strings.Contains(err.Error(), "bad spill magic") {
-			t.Errorf("%s: an RCS1 stream decoded with err = %v, want a bad-magic error", schema, err)
+		for _, magic := range []string{"RCS1", "RCS2"} {
+			raw := rcs(t, build(t, LayoutParquet, schema, nil))
+			copy(raw, magic)
+			if _, err := ReadParquetBytes(raw, schema); err == nil || !strings.Contains(err.Error(), "bad spill magic") {
+				t.Errorf("%s: an %s stream decoded with err = %v, want a bad-magic error", schema, magic, err)
+			}
+			if _, err := ReadParquetOwned(raw, schema); err == nil || !strings.Contains(err.Error(), "bad spill magic") {
+				t.Errorf("%s: an %s stream decoded owned with err = %v, want a bad-magic error", schema, magic, err)
+			}
+		}
+	}
+}
+
+// TestSpillRejectsNonzeroPadding: the alignment pads are zero bytes, so a
+// stream has one encoding and a corrupt pad is caught.
+func TestSpillRejectsNonzeroPadding(t *testing.T) {
+	schema := value.TRecord(value.F("id", value.TInt))
+	raw := rcs(t, build(t, LayoutParquet, schema, []value.Value{value.VRecord(value.VInt(7))}))
+	// magic, list flag, two counts and the column count end at 25; the
+	// column's flag, kind and length at 35, its pad at 40.
+	for off := 35; off < 40; off++ {
+		bad := bytes.Clone(raw)
+		bad[off] = 1
+		if _, err := ReadParquetBytes(bad, schema); err == nil || !strings.Contains(err.Error(), "nonzero padding") {
+			t.Errorf("pad byte %d set: err = %v, want a padding error", off, err)
 		}
 	}
 }
@@ -219,11 +246,10 @@ func nullableFlatRecs(n int) []value.Value {
 	return recs
 }
 
-// TestReadParquetDoesNotAliasInput pins what the disk tier's pooled read
-// buffers and the client's frame buffer rest on: a decoded store keeps no
-// reference into the stream it came from. The input is overwritten after
-// the decode; the store must still scan exactly what a decode of pristine
-// bytes does.
+// TestReadParquetDoesNotAliasInput pins what the wire client's pooled frame
+// buffers rest on: a store from the copying decoder keeps no reference into
+// the stream it came from. The input is overwritten after the decode; the
+// store must still scan exactly what a decode of pristine bytes does.
 func TestReadParquetDoesNotAliasInput(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -259,6 +285,165 @@ func TestReadParquetDoesNotAliasInput(t *testing.T) {
 			}
 		})
 	}
+}
+
+// alignedCopy copies data into a buffer whose first byte is 8-byte aligned
+// (a large enough make always is) and which is exactly len(data) long.
+func alignedCopy(data []byte) []byte {
+	buf := make([]byte, max(len(data), 64))[:len(data):len(data)]
+	copy(buf, data)
+	return buf
+}
+
+// inside reports whether the memory of xs lies within buf.
+func inside[T any](xs []T, buf []byte) bool {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(xs)))
+	size := uintptr(len(xs)) * unsafe.Sizeof(*new(T))
+	return len(xs) > 0 && p >= lo && p+size <= lo+uintptr(len(buf))
+}
+
+// TestReadParquetOwnedAliasesBuffer: the owning decode of an aligned buffer
+// makes the store's null words, ints, floats and list lengths views of the
+// buffer, each with cap == len so an append reallocates instead of writing
+// into it, and its strings point into it. At an odd offset it copies.
+func TestReadParquetOwnedAliasesBuffer(t *testing.T) {
+	flat := rcs(t, build(t, LayoutParquet, boolFlatSchema(), nullableFlatRecs(300)))
+	buf := alignedCopy(flat)
+	st, err := ReadParquetOwned(buf, boolFlatSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := st.(*parquetStore)
+	ints, floats, strs := p.flatVecs[0], p.flatVecs[1], p.flatVecs[2]
+	for name, ok := range map[string]bool{
+		"null words": inside(ints.Nulls.words, buf) && cap(ints.Nulls.words) == len(ints.Nulls.words),
+		"ints":       inside(ints.Ints, buf) && cap(ints.Ints) == len(ints.Ints),
+		"floats":     inside(floats.Floats, buf) && cap(floats.Floats) == len(floats.Floats),
+	} {
+		if !ok {
+			t.Errorf("%s: not a cap == len view of the buffer", name)
+		}
+	}
+	for i, s := range strs.Strs {
+		if len(s) > 0 && !inside(unsafe.Slice(unsafe.StringData(s), len(s)), buf) {
+			t.Fatalf("string %d does not point into the buffer", i)
+		}
+	}
+
+	nested := rcs(t, build(t, LayoutParquet, orderSchema(), sampleOrders()))
+	nbuf := alignedCopy(nested)
+	nst, err := ReadParquetOwned(nbuf, orderSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := nst.(*parquetStore).lengths; !inside(l, nbuf) || cap(l) != len(l) {
+		t.Error("list lengths: not a cap == len view of the buffer")
+	}
+
+	odd := make([]byte, len(flat)+1)[1:]
+	copy(odd, flat)
+	ost, err := ReadParquetOwned(odd, boolFlatSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op := ost.(*parquetStore); op.backing != nil || inside(op.flatVecs[0].Ints, odd) {
+		t.Error("a misaligned buffer was aliased, want a copying decode")
+	}
+	if a, b := renderNested(t, st), renderNested(t, ost); !reflect.DeepEqual(a, b) {
+		t.Errorf("aliasing and copying decodes differ:\n%v\n%v", a, b)
+	}
+}
+
+// TestAliasedStoreSizeIsItsBuffer: a store backed by its stream is charged
+// the bytes it holds — the whole buffer, plus the string headers and bools
+// allocated beside it — not the vectors it would hold if it owned them.
+func TestAliasedStoreSizeIsItsBuffer(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		schema *value.Type
+		recs   []value.Value
+	}{
+		{"flat", boolFlatSchema(), nullableFlatRecs(300)},
+		{"nested", orderSchema(), sampleOrders()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			buf := alignedCopy(rcs(t, build(t, LayoutParquet, tc.schema, tc.recs)))
+			st, err := ReadParquetOwned(buf, tc.schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := st.(*parquetStore)
+			if p.backing == nil {
+				t.Fatal("an aligned buffer was not aliased")
+			}
+			want := int64(len(buf))
+			for _, v := range append(slices.Clone(p.flatVecs), p.repVecs...) {
+				if v != nil {
+					want += int64(len(v.Strs))*16 + int64(len(v.Bools))
+				}
+			}
+			if got := st.SizeBytes(); got != want {
+				t.Errorf("SizeBytes = %d, want %d (a %d-byte buffer + string headers + bools)", got, want, len(buf))
+			}
+		})
+	}
+}
+
+// TestExtendReleasesAliasedBuffer: extending a buffer-backed store copies out of
+// the buffer completely, string bytes included, so once the original is
+// dropped the buffer is unreachable — a cleanup registered on it runs —
+// while the extension still scans every record.
+func TestExtendReleasesAliasedBuffer(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		schema *value.Type
+		recs   []value.Value
+	}{
+		{"flat", boolFlatSchema(), nullableFlatRecs(300)},
+		{"nested", orderSchema(), sampleOrders()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			released := make(chan struct{})
+			ext := extendOwned(t, tc.schema, tc.recs, released)
+			deadline := time.After(10 * time.Second)
+			for done := false; !done; {
+				runtime.GC()
+				select {
+				case <-released:
+					done = true
+				case <-deadline:
+					t.Fatal("the buffer stayed reachable after the original store was dropped")
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			want := build(t, LayoutParquet, tc.schema, append(slices.Clone(tc.recs), tc.recs[:2]...))
+			if a, b := renderNested(t, want), renderNested(t, ext); !reflect.DeepEqual(a, b) {
+				t.Errorf("extension scans to\n%v\nwant\n%v", b, a)
+			}
+		})
+	}
+}
+
+// extendOwned decodes recs owned from a buffer with a cleanup that closes
+// released, and returns an extension of that store by recs[:2]; the buffer
+// and the original store are dropped on return.
+func extendOwned(t *testing.T, schema *value.Type, recs []value.Value, released chan struct{}) Store {
+	t.Helper()
+	buf := alignedCopy(rcs(t, build(t, LayoutParquet, schema, recs)))
+	runtime.AddCleanup(&buf[0], func(c chan struct{}) { close(c) }, released)
+	st, err := ReadParquetOwned(buf, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.(*parquetStore).backing == nil {
+		t.Fatal("an aligned buffer was not aliased")
+	}
+	ext, _, err := Extend(st, recs[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ext
 }
 
 // failWriter accepts the first left bytes written to it, then fails. It is
@@ -358,9 +543,10 @@ func tpchStore(tb testing.TB, schema *value.Type, n int) Store {
 }
 
 // TestRCSAllocs: the codec allocates per column, not per row or value.
-// Encoding into a reused buffer allocates the same at 2k and 20k rows, and
-// decoding allocates three slices per column (vector, null words, values)
-// plus one for a string column's bytes, which every value shares.
+// Encoding into a reused buffer allocates the same at 2k and 20k rows;
+// a copying decode allocates three slices per column (vector, null words,
+// values) plus one for a string column's bytes, which every value shares,
+// and an owning one only the vector, and a string column's headers.
 func TestRCSAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -386,6 +572,15 @@ func TestRCSAllocs(t *testing.T) {
 			})
 			if dec > budget {
 				t.Errorf("%s, %d rows: decode allocates %.0f times, want at most %.0f", shape.name, n, dec, budget)
+			}
+			owned := alignedCopy(buf.Bytes())
+			own := testing.AllocsPerRun(5, func() {
+				if _, err := ReadParquetOwned(owned, shape.schema); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if ownBudget := float64(len(shape.schema.Fields) + 6); own > ownBudget {
+				t.Errorf("%s, %d rows: owning decode allocates %.0f times, want at most %.0f", shape.name, n, own, ownBudget)
 			}
 		}
 	}

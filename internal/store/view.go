@@ -79,12 +79,12 @@ func FlattenedLayout(st Store) Layout {
 }
 
 // cloneVecs copies every non-nil vector of vecs with room for extra more
-// entries.
-func cloneVecs(vecs []*vec, extra int) []*vec {
+// entries; with detach set, string bytes too (detachStrings).
+func cloneVecs(vecs []*vec, extra int, detach bool) []*vec {
 	out := make([]*vec, len(vecs))
 	for ci, v := range vecs {
 		if v != nil {
-			out[ci] = v.cloneCap(extra)
+			out[ci] = v.cloneCap(extra, detach)
 		}
 	}
 	return out
@@ -92,8 +92,9 @@ func cloneVecs(vecs []*vec, extra int) []*vec {
 
 // cloneCap copies the vector with room for extra more entries, so the
 // appends that follow never reallocate. The copy shares nothing with v,
-// not even the null bitmap's trailing word.
-func (v *Vec) cloneCap(extra int) *Vec {
+// not even the null bitmap's trailing word, except the bytes of its
+// strings, which it copies too when detach is set.
+func (v *Vec) cloneCap(extra int, detach bool) *Vec {
 	nv := &Vec{Kind: v.Kind, Nulls: v.Nulls.Clone()}
 	switch v.Kind {
 	case value.Int:
@@ -102,6 +103,9 @@ func (v *Vec) cloneCap(extra int) *Vec {
 		nv.Floats = grown(v.Floats, extra)
 	case value.String:
 		nv.Strs = grown(v.Strs, extra)
+		if detach {
+			detachStrings(nv.Strs)
+		}
 	case value.Bool:
 		nv.Bools = grown(v.Bools, extra)
 	}
