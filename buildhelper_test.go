@@ -41,8 +41,8 @@ func (p *gatedAppender) AppendColumns(epoch uint64, offs []int64, dst []*store.V
 	return p.Provider.AppendColumns(epoch, offs, dst, lengths)
 }
 
-func (p *gatedAppender) PushdownCursor(epoch uint64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
-	c, err := p.Provider.PushdownCursor(epoch, pd)
+func (p *gatedAppender) PushdownCursor(epoch uint64, from int64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
+	c, err := p.Provider.PushdownCursor(epoch, from, pd)
 	if err != nil {
 		return nil, err
 	}

@@ -154,11 +154,13 @@ type gateProvider struct {
 	scans   atomic.Int64
 }
 
-func (g *gateProvider) PushdownCursor(epoch uint64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
-	g.scans.Add(1)
-	g.started <- struct{}{}
-	<-g.gate
-	return g.Source.PushdownCursor(epoch, pd)
+func (g *gateProvider) PushdownCursor(epoch uint64, from int64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
+	if from == 0 {
+		g.scans.Add(1)
+		g.started <- struct{}{}
+		<-g.gate
+	}
+	return g.Source.PushdownCursor(epoch, from, pd)
 }
 
 // Scans lets Engine.RawScans count through the wrapper.

@@ -1,6 +1,7 @@
 package recache
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"recache/internal/store"
 )
 
 // The differential freshness corpus: every scenario mutates a raw file
@@ -200,6 +203,76 @@ func TestFreshnessAppendExtendsLazy(t *testing.T) {
 	if st.StaleInvalidations != 0 {
 		t.Fatalf("StaleInvalidations = %d on pure appends", st.StaleInvalidations)
 	}
+}
+
+// TestFreshnessTailMatchesFreshBuild: a tail catch-up reads the appended
+// records the way a miss reads the file, so an entry extended over three
+// appends holds what a fresh engine's entry over the grown file holds — the
+// same RCS bytes for an eager payload, the same offsets for a lazy one —
+// for flat CSV and nested JSON, under a predicate the cursor runs whole and
+// under one that leaves a residual. Every answer matches the oracle, and
+// the catch-ups cost no raw scan.
+func TestFreshnessTailMatchesFreshBuild(t *testing.T) {
+	files := map[string]func(testing.TB, int) string{"csv": freshCSV, "json": freshJSON}
+	preds := map[string]string{"pushed": "qty >= 10", "residual": "qty = 3 OR price > 5"}
+	for _, format := range []string{"csv", "json"} {
+		for _, mode := range []string{"eager", "lazy"} {
+			for _, kind := range []string{"pushed", "residual"} {
+				t.Run(format+"/"+mode+"/"+kind, func(t *testing.T) {
+					path := files[format](t, 1000)
+					cfg := Config{Admission: mode, FreshnessMode: "check"}
+					eng := freshEngine(t, path, cfg)
+					queries := []string{
+						"SELECT COUNT(*), SUM(price) FROM g WHERE " + preds[kind],
+						"SELECT id, qty, price FROM g WHERE " + preds[kind],
+					}
+					checkOracle(t, eng, path, queries[0]) // builds the entry
+					raw := eng.RawScans("g")
+					for i, rows := range [][2]int{{1000, 1100}, {1100, 1137}, {1137, 1400}} {
+						appendRows(t, path, rows[0], rows[1])
+						for _, q := range queries {
+							checkOracle(t, eng, path, q)
+						}
+						if got := eng.RawScans("g"); got != raw {
+							t.Fatalf("append %d: raw scans %d -> %d: a tail catch-up scanned the file", i, raw, got)
+						}
+					}
+					st := eng.CacheStats()
+					if st.TailExtensions != 3 || st.StaleInvalidations != 0 || st.Inserted != 1 {
+						t.Errorf("tail extensions %d, stale invalidations %d, inserts %d: want 3, 0, 1",
+							st.TailExtensions, st.StaleInvalidations, st.Inserted)
+					}
+					fresh := freshEngine(t, path, cfg)
+					if _, err := fresh.Query(queries[0]); err != nil {
+						t.Fatal(err)
+					}
+					if got, want := entryPayload(t, eng), entryPayload(t, fresh); got != want {
+						t.Errorf("extended payload differs from a fresh build over the grown file:\n  extended %.80q\n  fresh    %.80q", got, want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// entryPayload renders the payload of eng's one cache entry: its mode and
+// its RCS bytes (eager) or offsets (lazy).
+func entryPayload(t *testing.T, eng *Engine) string {
+	t.Helper()
+	m := eng.Manager()
+	entries := m.Entries()
+	if len(entries) != 1 {
+		t.Fatalf("%d cache entries, want 1", len(entries))
+	}
+	mode, st, offsets := m.Payload(entries[0])
+	if st == nil {
+		return fmt.Sprintf("%s %v", mode, offsets)
+	}
+	var b bytes.Buffer
+	if err := store.WriteParquet(&b, st); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s %x", mode, b.Bytes())
 }
 
 func TestFreshnessRewriteInvalidates(t *testing.T) {

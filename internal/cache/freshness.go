@@ -3,11 +3,11 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
-	"recache/internal/expr"
 	"recache/internal/plan"
 	"recache/internal/store"
-	"recache/internal/value"
 )
 
 // Reactive invalidation. ReCache's caching unit is a select over a raw
@@ -26,8 +26,9 @@ import (
 // Revalidate only moves the provider (and drops a rewritten file's entries).
 // The lookup serves an entry that is current or can catch up, and turns one
 // that cannot — another epoch, a trailing nested store, a trailing replica —
-// into a miss. Resident (spill.go) is where a trailing entry catches up: the
-// reader that needs the payload scans the tail, outside the manager lock
+// into a miss. Resident (spill.go) is where a trailing entry catches up,
+// also straight after a re-admission: the reader that needs the payload
+// reads the tail the way a miss reads the file, outside the manager lock
 // against the provider's immutable snapshot, and commits the extended
 // payload through the lifecycle's begin/commit pair. Entries nobody reads
 // are never touched, whichever tier they are in.
@@ -92,12 +93,12 @@ func (m *Manager) invalidateLocked(e *Entry) {
 
 // lag compares p, a payload of e, with e's raw file as its provider last
 // ingested it. trailing: the file holds bytes p does not answer for — an
-// appended tail, or a rewrite. extendable: a scan of the tail makes p
-// current. A rewrite leaves nothing to extend; a replica (epoch 0) covers a
-// length its pusher knew, not one this process can scan from. Callers hold
-// the manager lock: Version is an atomic load, except in the window between
-// a rewrite's reset and the invalidation that follows it, where it re-reads
-// the file.
+// appended tail, or a rewrite. extendable: a scan of the tail through a
+// plan.Source makes p current. A rewrite leaves nothing to extend; a
+// replica (epoch 0) covers a length its pusher knew, not one this process
+// can scan from. Callers hold the manager lock: Version is an atomic load,
+// except in the window between a rewrite's reset and the invalidation that
+// follows it, where it re-reads the file.
 func (e *Entry) lag(p payload) (trailing, extendable bool) {
 	rp, ok := e.Dataset.Provider.(plan.RefreshableProvider)
 	if !ok {
@@ -110,7 +111,8 @@ func (e *Entry) lag(p payload) (trailing, extendable bool) {
 	if p.covered >= covered {
 		return false, false
 	}
-	return true, e.FileEpoch != 0
+	_, typed := rp.(plan.Source)
+	return true, e.FileEpoch != 0 && typed
 }
 
 // servableLocked reports whether a lookup may hand e to a reader: it is
@@ -134,15 +136,11 @@ func (m *Manager) servableLocked(e *Entry, readOnly bool) bool {
 // grow is a consistent prefix of it, but covers a length nobody recorded,
 // so it is not committed. A failed extension drops the entry.
 func (m *Manager) extend(e *Entry, p payload, o *inflight) (payload, error) {
-	next := p
-	t, err := scanTail(e, p)
-	if err == nil {
-		next, err = t.appendTo(p)
-	}
+	next, stable, err := catchUp(e, p)
 	m.mu.Lock()
 	if o != nil {
-		res := result{payload: next, err: err, stale: !t.empty()}
-		if err == nil && !t.stable {
+		res := result{payload: next, err: err}
+		if err == nil && !stable {
 			res.err = errCancelled
 		}
 		if m.commit(*o, res) {
@@ -160,70 +158,60 @@ func (m *Manager) extend(e *Entry, p payload, o *inflight) (payload, error) {
 	return next, nil
 }
 
-// tail is what one predicate-filtered scan of a file's appended tail found
-// for an entry: the satisfying records (an eager payload gains them) or
-// their offsets (a lazy one does), and the length the file was covered to.
-// The scan reads to the provider's current end, so it is bracketed with
-// Version like a build: stable reports that the version did not move, i.e.
-// that the payload plus this tail covers exactly covered bytes.
-type tail struct {
-	recs    []value.Value
-	offsets []int64
-	covered int64
-	stable  bool
-}
-
-// empty: no tail record satisfies the predicate, so the payload already is
-// the answer for the longer file and only its covered length moves.
-func (t tail) empty() bool { return len(t.recs)+len(t.offsets) == 0 }
-
-// scanTail scans e's file from old.covered on. A rewrite inside the bracket
-// means the scan read bytes of another file and is an error.
-func scanTail(e *Entry, old payload) (tail, error) {
-	ds := e.Dataset
-	rp := ds.Provider.(plan.RefreshableProvider)
-	pred, err := expr.CompilePredicate(e.Pred, ds.Schema())
-	if err != nil {
-		return tail{}, err
-	}
-	epoch, covered := rp.Version()
-	t := tail{covered: covered}
-	err = rp.ScanFrom(old.covered, nil, func(rec value.Value, off int64, _ func() error) error {
-		switch {
-		case !pred(rec.L):
-		case old.mode == Lazy:
-			t.offsets = append(t.offsets, off)
-		default:
-			t.recs = append(t.recs, value.VRecord(append([]value.Value(nil), rec.L...)...))
-		}
-		return nil
-	})
-	epoch1, covered1 := rp.Version()
+// catchUp builds old's successor over the tail e's file gained since
+// old.covered. The tail is read to the provider's current end, so it is
+// bracketed with Version like a build: stable reports that the version did
+// not move, i.e. that next covers exactly the length it claims. A rewrite
+// inside the bracket means the read saw bytes of another file and is an
+// error.
+func catchUp(e *Entry, old payload) (next payload, stable bool, err error) {
+	src := e.Dataset.Provider.(plan.Source) // lag admits no other provider
+	epoch, covered := src.Version()
+	next, err = appendTail(src, e, old)
+	next.covered = covered
+	epoch1, covered1 := src.Version()
 	if epoch != e.FileEpoch || epoch1 != epoch {
-		return t, errors.New("file rewritten under the tail scan")
+		return next, false, errors.New("file rewritten under the tail scan")
 	}
-	t.stable = covered1 == covered
-	return t, err
+	return next, covered1 == covered, err
 }
 
-// appendTo builds old's successor: a lazy payload gains the offsets in a
-// fresh slice (readers replaying the old offsets must not see the tail
-// appended into their backing array), an eager one the records through
-// store.Extend, which copies the store's column vectors wholesale (a memcpy
-// of the old bytes, per-record work only for the tail).
-func (t tail) appendTo(old payload) (payload, error) {
-	next := old
-	next.covered = t.covered
-	switch {
-	case t.empty():
-	case old.mode == Lazy:
-		next.offsets = append(append(make([]int64, 0, len(old.offsets)+len(t.offsets)), old.offsets...), t.offsets...)
-	default:
-		st, _, err := store.Extend(old.store, t.recs)
-		if err != nil {
-			return old, err
-		}
-		next.store = st
+// appendTail reads the records from old.covered on that pass e's predicate
+// as a miss reads them from 0 — the source's pushdown cursor, then the
+// residual filter — and appends them to old: a lazy payload gains their
+// offsets in a fresh slice (readers replaying the old offsets must not see
+// the tail appended into their backing array), an eager one the leaf
+// vectors the typed kernel decodes them into, through store.Concat (a
+// memcpy of the old vectors, typed appends for the tail). A tail that
+// nothing in passes leaves the payload as it is.
+func appendTail(src plan.Source, e *Entry, old payload) (payload, error) {
+	schema := src.Schema()
+	pd, residual, err := plan.SplitPredicate(e.Pred, schema, true)
+	var cursor plan.OffsetCursor
+	if err == nil {
+		cursor, err = src.PushdownCursor(e.FileEpoch, old.covered, pd)
 	}
-	return next, nil
+	var offs []int64
+	if err == nil {
+		offs, _, err = cursor(nil, math.MaxInt) // the whole tail at once
+	}
+	if err == nil && residual != nil {
+		offs, err = residual.Filter(src, e.FileEpoch, offs)
+	}
+	next := old
+	switch {
+	case err != nil || len(offs) == 0:
+	case old.mode == Lazy:
+		next.offsets = slices.Concat(old.offsets, offs)
+	default:
+		vecs := store.NewColumns(schema)
+		var lengths []int32
+		if lengths, err = src.AppendColumns(e.FileEpoch, offs, vecs, nil); err == nil {
+			var tail store.Store
+			if tail, err = store.FromColumns(schema, store.LayoutParquet, vecs, lengths); err == nil {
+				next.store, err = store.Concat(old.store, tail)
+			}
+		}
+	}
+	return next, err
 }

@@ -77,8 +77,6 @@ type result struct {
 	spillPath  string
 	spillBytes int64
 	err        error // the operation failed: abandon it
-	// stale: the payload gained rows the entry's spill file does not hold.
-	stale bool
 	// account, if set, runs after the swap and before eviction re-prices
 	// the entry, for cost components the operation measured.
 	account func()
@@ -185,8 +183,8 @@ func (m *Manager) commit(o inflight, res result) bool {
 	}
 	m.dropMemos(e) // they derive from the payload being replaced
 	before := e.SizeBytes()
-	if res.stale {
-		// A kept spill file serializes the pre-append payload; a free
+	if o.op != opLoading && res.store != e.Store {
+		// A kept spill file serializes the payload being replaced; a free
 		// demotion would resurrect it.
 		m.releaseSpillFile(e)
 	}

@@ -252,6 +252,71 @@ func (g *growingProvider) ScanOffsets(offsets []int64, _ []value.Path, fn plan.S
 	return nil
 }
 
+// The rest of plan.Source, over the same records: a tail catch-up reads
+// through the cursor and the typed kernel, as it does from a raw file.
+var _ plan.Source = (*growingProvider)(nil)
+
+// at returns the ingested records as of epoch, or plan.ErrEpochChanged.
+func (g *growingProvider) at(epoch uint64) ([]value.Value, error) {
+	recs, ep := g.snapshot()
+	if ep != epoch {
+		return nil, plan.ErrEpochChanged
+	}
+	return recs, nil
+}
+
+func (g *growingProvider) ScanPushdown(pd *expr.Pushdown, needed []value.Path, fn plan.ScanFunc) (int64, error) {
+	var skipped int64
+	err := g.Scan(needed, func(rec value.Value, off int64, complete func() error) error {
+		if pd != nil && !pd.TestRow(rec.L) {
+			skipped++
+			return nil
+		}
+		return fn(rec, off, complete)
+	})
+	return skipped, err
+}
+
+func (g *growingProvider) ScanOffsetsAt(epoch uint64, offsets []int64, needed []value.Path, fn plan.ScanFunc) error {
+	if _, err := g.at(epoch); err != nil {
+		return err
+	}
+	return g.ScanOffsets(offsets, needed, fn)
+}
+
+func (g *growingProvider) AppendColumns(epoch uint64, offsets []int64, dst []*store.Vec, lengths []int32) ([]int32, error) {
+	recs, err := g.at(epoch)
+	if err != nil {
+		return lengths, err
+	}
+	s, err := store.NewStriper(g.schema)
+	if err != nil {
+		return lengths, err
+	}
+	for _, off := range offsets {
+		lengths = s.Append(recs[off/100], dst, lengths)
+	}
+	return lengths, nil
+}
+
+func (g *growingProvider) PushdownCursor(epoch uint64, from int64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
+	recs, err := g.at(epoch)
+	if err != nil {
+		return nil, err
+	}
+	next, skipped := int(from/100), int64(0)
+	return func(dst []int64, n int) ([]int64, int64, error) {
+		for added := 0; added < n && next < len(recs); next++ {
+			if pd != nil && !pd.TestRow(recs[next].L) {
+				skipped++
+				continue
+			}
+			dst, added = append(dst, int64(next)*100), added+1
+		}
+		return dst, skipped, nil
+	}, nil
+}
+
 // lifecycleModel drives one manager through random lifecycle steps. Every
 // unlocked operation is split into its begin and commit halves, held in
 // the pending lists in between, so any other step can land between them.

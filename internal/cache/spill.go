@@ -21,10 +21,10 @@ import (
 // a spilled entry re-admits the payload, single-flight, then runs the normal
 // pipeline: one read of the file into a fresh buffer, which becomes the
 // payload. The RCS stream is the little-endian image of the payload's
-// vectors, so the re-admitted store's vectors are views of that buffer (a
-// payload that gains rows on the way in is copied instead), and a disk hit
-// costs a file read and a validation pass — never a raw re-scan, nor a
-// decode into new vectors.
+// vectors, so the re-admitted store's vectors are views of that buffer, and
+// a disk hit costs a file read and a validation pass — never a raw re-scan,
+// nor a decode into new vectors. A payload that trails its raw file catches
+// up afterwards, as one that never left RAM does (Resident).
 //
 // Entry payloads are immutable once built, so a spill file is write-once:
 // re-admission keeps the file, and while it exists the entry's later
@@ -200,9 +200,9 @@ func readSpill(path string) ([]byte, error) {
 // current with e's raw file as its provider last ingested it. This is the
 // one place an entry catches up, and it does so for the reader that needs
 // it: a payload in the disk tier is re-admitted (one spill-file read, never a
-// raw re-scan; load extends it on the way in), and a RAM-resident payload
-// that trails the file within its epoch is extended over the appended tail
-// and committed back to the entry. Both are single-flight per entry — a
+// raw re-scan), and a payload in RAM — also one just re-admitted — that
+// trails the file within its epoch is extended over the appended tail and
+// committed back to the entry. Both are single-flight per entry — a
 // second reader waits for the operation in flight and reads what it
 // committed. A reader whose entry died or was
 // demoted again under it keeps the payload it has and catches that up
@@ -255,42 +255,24 @@ func (m *Manager) Resident(e *Entry) (Mode, store.Store, []int64, error) {
 
 // load is the unlocked half of a re-admission and its commit: one
 // spill-file read into a fresh buffer, which the payload then is — its
-// vectors are views of the file's bytes, not a decode of them. Unless the
-// payload gains rows on the way in (below), the file is retained (entry
-// payloads are immutable once built), so it stays valid and the entry's next
-// demotion is free; it keeps occupying the disk budget until the entry is
-// removed or the disk tier reclaims redundant copies under pressure. The
-// returned payload is the caller's to scan even if the commit's eviction
-// round demoted the entry again, or the entry died mid-load.
+// vectors are views of the file's bytes, not a decode of them. The file is
+// retained (entry payloads are immutable once built), so it stays valid and
+// the entry's next demotion is free; it keeps occupying the disk budget
+// until the entry is removed, its payload is replaced, or the disk tier
+// reclaims redundant copies under pressure. The returned payload is the
+// caller's to scan even if the commit's eviction round demoted the entry
+// again, or the entry died mid-load.
 func (m *Manager) load(o inflight, path string) (payload, error) {
 	e, res := o.e, result{payload: o.snap}
 	start := time.Now()
 	buf, err := readSpill(path)
-	// A payload that trails the file catches up here, while the store is
-	// still this goroutine's alone: the tail goes onto vectors decoded with
-	// room for it, copies that own their memory, since the payload gains
-	// rows. A tail scan that fails, or sees the file grow, is left to the
-	// extension Resident runs next.
-	var t tail
-	if trailing, extendable := e.lag(o.snap); err == nil && trailing && extendable {
-		if got, terr := scanTail(e, o.snap); terr == nil && got.stable {
-			t = got
-			res.covered, res.stale = t.covered, !t.empty()
-		}
-	}
-	switch res.err = err; {
-	case err != nil:
-	case len(t.recs) == 0:
+	if res.err = err; err == nil {
 		res.store, res.err = store.ReadParquetOwned(buf, e.Dataset.Schema())
-	default:
-		res.store, res.err = store.ReadParquetExtended(buf, e.Dataset.Schema(), t.recs)
 	}
 	reload := time.Since(start).Nanoseconds()
 	res.account = func() { e.reloadNanos = reload }
 	m.mu.Lock()
-	if m.commit(o, res) && res.covered > o.snap.covered {
-		m.stats.tailExtensions.Add(1)
-	}
+	m.commit(o, res)
 	if res.err != nil && m.removeLocked(e) {
 		// Unreadable spill file: the entry is gone for real. (Atomic writes
 		// and startup cleanup make this an OS-failure path, not a normal one.)

@@ -43,18 +43,17 @@ func source(ds *plan.Dataset) (plan.Source, error) {
 // format's record decoder (ScanOffsetsAt) when a needed path falls under
 // it, and nulls otherwise. An expanded batch's columns are the leaves.
 type missPlan struct {
-	src       plan.Source
-	spec      *cache.BuildSpec // nil: no materializer
-	pd        *expr.Pushdown   // nil: the cursor passes every record
-	residual  expr.Predicate   // nil: the cursor runs the whole predicate
-	resNeeded []value.Path
-	cols      []value.LeafColumn
-	need      []bool // the leaves the query reads
-	expand    bool
-	leaves    []int        // per batch column: its leaf, or -1 for a boxed field
-	kinds     []value.Kind // per batch column
-	boxed     []value.Path // the boxed fields the query reads
-	boxCols   []int        // their batch columns
+	src      plan.Source
+	spec     *cache.BuildSpec // nil: no materializer
+	pd       *expr.Pushdown   // nil: the cursor passes every record
+	residual *plan.Residual   // nil: the cursor runs the whole predicate
+	cols     []value.LeafColumn
+	need     []bool // the leaves the query reads
+	expand   bool
+	leaves   []int        // per batch column: its leaf, or -1 for a boxed field
+	kinds    []value.Kind // per batch column
+	boxed    []value.Path // the boxed fields the query reads
+	boxCols  []int        // their batch columns
 }
 
 // rawSelect unwraps [Materialize →] [Select →] Scan.
@@ -104,15 +103,8 @@ func planMiss(spec *cache.BuildSpec, pred expr.Expr, scan *plan.Scan, deps Deps,
 			p.need[i] = p.need[i] && top[i]
 		}
 	}
-	residual := pred
-	if !deps.DisablePushdown {
-		p.pd, residual = expr.ExtractPushdown(pred, schema)
-	}
-	if residual != nil {
-		if p.residual, err = expr.CompilePredicate(residual, scan.OutSchema()); err != nil {
-			return nil, err
-		}
-		p.resNeeded = expr.Columns(residual)
+	if p.pd, p.residual, err = plan.SplitPredicate(pred, schema, !deps.DisablePushdown); err != nil {
+		return nil, err
 	}
 	return &missSource{p: p}, nil
 }
@@ -146,7 +138,7 @@ func (p *missPlan) start(ctx *qctx) (*missRun, error) {
 		r.epoch, _ = p.src.Version()
 	}
 	var err error
-	if r.cursor, err = p.src.PushdownCursor(r.epoch, p.pd); err != nil {
+	if r.cursor, err = p.src.PushdownCursor(r.epoch, 0, p.pd); err != nil {
 		return nil, err
 	}
 	r.dec = newLeafDecoder(p.src, r.epoch, p.cols, p.need)
@@ -179,7 +171,7 @@ func (r *missRun) chunk(ctx *qctx) (ch leafVecs, ok bool, err error) {
 			return ch, false, err
 		}
 		if r.p.residual != nil {
-			if r.offs, err = r.filter(r.offs); err != nil {
+			if r.offs, err = r.p.residual.Filter(r.p.src, r.epoch, r.offs); err != nil {
 				return ch, false, err
 			}
 		}
@@ -205,18 +197,6 @@ func (r *missRun) chunk(ctx *qctx) (ch leafVecs, ok bool, err error) {
 		a.decide(ctx, r.last)
 	}
 	return ch, true, nil
-}
-
-// filter keeps the offsets whose records pass the residual.
-func (r *missRun) filter(offs []int64) ([]int64, error) {
-	kept := offs[:0] // written behind the reads of offs
-	err := r.p.src.ScanOffsetsAt(r.epoch, offs, r.p.resNeeded, func(rec value.Value, off int64, _ func() error) error {
-		if r.p.residual(rec.L) {
-			kept = append(kept, off)
-		}
-		return nil
-	})
-	return kept, err
 }
 
 // box decodes the boxed fields of the records at offs whole, with the

@@ -176,6 +176,11 @@ func compareInt(op Op, l, r Evaluator) Evaluator {
 	}
 }
 
+// compareFloat compares numbers as floats, by the rule every filter path
+// follows — the batch kernels, the pushdown tests below parsing and this
+// evaluator: a NaN is neither below nor above any number, so it compares
+// equal to it. It passes =, <= and >= and fails <, > and <>, whatever the
+// shape of the predicate around the comparison.
 func compareFloat(op Op, l, r Evaluator) Evaluator {
 	return func(row Row) value.Value {
 		lv, rv := l(row), r(row)
@@ -183,22 +188,14 @@ func compareFloat(op Op, l, r Evaluator) Evaluator {
 			return value.VNull
 		}
 		a, b := lv.AsFloat(), rv.AsFloat()
-		var ok bool
-		switch op {
-		case OpEq:
-			ok = a == b
-		case OpNe:
-			ok = a != b
-		case OpLt:
-			ok = a < b
-		case OpLe:
-			ok = a <= b
-		case OpGt:
-			ok = a > b
-		case OpGe:
-			ok = a >= b
+		c := 0
+		switch {
+		case a < b:
+			c = -1
+		case a > b:
+			c = 1
 		}
-		return value.VBool(ok)
+		return cmpResult(op, c)
 	}
 }
 
@@ -258,13 +255,11 @@ func arith(op Op, lt, rt *value.Type, l, r Evaluator) Evaluator {
 }
 
 // CompilePredicate compiles a boolean expression to a Predicate; null
-// results are treated as false (SQL three-valued logic at the filter).
-//
-// Conjunctions of simple column-vs-literal comparisons — the dominant
-// predicate shape in scan filters — are fused into one specialized closure
-// that reads row slots directly with zero Value boxing, the same filter
-// code a query compiler would emit. Everything else falls back to the
-// generic evaluator.
+// results are treated as false (SQL three-valued logic at the filter). It
+// runs the generic evaluator: the filters that run at volume — conjunct
+// chains of column-vs-literal comparisons — run as typed batch kernels
+// (CompileVecFilter) or below parsing (ExtractPushdown) instead, so a row
+// predicate is what a residual, a computed filter or a test tests.
 func CompilePredicate(e Expr, schema *value.Type) (Predicate, error) {
 	if e == nil {
 		return func(Row) bool { return true }, nil
@@ -275,9 +270,6 @@ func CompilePredicate(e Expr, schema *value.Type) (Predicate, error) {
 	}
 	if t.Kind != value.Bool {
 		return nil, fmt.Errorf("expr: predicate must be boolean, got %s", t)
-	}
-	if p, ok := fusePredicate(e, schema); ok {
-		return p, nil
 	}
 	ev, err := compile(e, schema)
 	if err != nil {
@@ -303,8 +295,8 @@ type cmpSpec struct {
 
 // cmpSpecOf recognizes one <col> <cmp> <literal> conjunct (either operand
 // order) whose column resolves to a single row slot of Int/Float/String
-// kind. It is the shared recognizer behind the fused row predicate, the
-// vectorized filter kernels, and the scan pushdown extractor.
+// kind. It is the shared recognizer behind the vectorized filter kernels
+// and the scan pushdown extractor.
 func cmpSpecOf(c Expr, schema *value.Type) (cmpSpec, *Col, bool) {
 	b, ok := c.(*Bin)
 	if !ok || !b.Op.IsComparison() {
@@ -333,8 +325,8 @@ func cmpSpecOf(c Expr, schema *value.Type) (cmpSpec, *Col, bool) {
 }
 
 // extractCmpSpecs recognizes AND-chains of <col> <cmp> <literal> where the
-// column resolves to a single row slot — the shape both the fused row
-// predicate and the vectorized filter kernels accept.
+// column resolves to a single row slot — the shape the vectorized filter
+// kernels accept.
 func extractCmpSpecs(e Expr, schema *value.Type) ([]cmpSpec, bool) {
 	conjuncts := Conjuncts(e)
 	specs := make([]cmpSpec, 0, len(conjuncts))
@@ -346,79 +338,6 @@ func extractCmpSpecs(e Expr, schema *value.Type) ([]cmpSpec, bool) {
 		specs = append(specs, sp)
 	}
 	return specs, true
-}
-
-// fusePredicate compiles the recognized conjuncts into one closure.
-func fusePredicate(e Expr, schema *value.Type) (Predicate, bool) {
-	specs, ok := extractCmpSpecs(e, schema)
-	if !ok {
-		return nil, false
-	}
-	return func(r Row) bool {
-		for i := range specs {
-			sp := &specs[i]
-			if sp.idx >= len(r) {
-				return false
-			}
-			v := &r[sp.idx]
-			if v.Kind == value.Null {
-				return false
-			}
-			var c int
-			switch sp.kind {
-			case value.Int:
-				a := v.I
-				switch {
-				case a < sp.i:
-					c = -1
-				case a > sp.i:
-					c = 1
-				}
-			case value.Float:
-				var a float64
-				if v.Kind == value.Int {
-					a = float64(v.I)
-				} else {
-					a = v.F
-				}
-				switch {
-				case a < sp.f:
-					c = -1
-				case a > sp.f:
-					c = 1
-				}
-			default:
-				if v.Kind != value.String {
-					return false
-				}
-				switch {
-				case v.S < sp.s:
-					c = -1
-				case v.S > sp.s:
-					c = 1
-				}
-			}
-			var ok bool
-			switch sp.op {
-			case OpEq:
-				ok = c == 0
-			case OpNe:
-				ok = c != 0
-			case OpLt:
-				ok = c < 0
-			case OpLe:
-				ok = c <= 0
-			case OpGt:
-				ok = c > 0
-			case OpGe:
-				ok = c >= 0
-			}
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}, true
 }
 
 // Eval is a convenience for tests and one-off evaluation: compile and run.

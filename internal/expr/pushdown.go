@@ -16,8 +16,8 @@ import (
 // tested column, run the fused interval kernel, and skip the rest of the
 // record on failure, before any other field is parsed or boxed.
 //
-// The recognized conjunct shape is exactly the one the fused row predicate
-// (fusePredicate) and the vectorized kernels (CompileVecFilter) accept:
+// The recognized conjunct shape is exactly the one the vectorized kernels
+// (CompileVecFilter) accept:
 // <col> <cmp> <literal> over a single Int/Float/String row slot. Numeric
 // conjuncts on one column fuse into the interval form of ranges.go, so a
 // BETWEEN costs one range check per record. All three evaluators agree on
@@ -76,7 +76,7 @@ func (t *ColTest) TestInt(x int64) bool {
 }
 
 // TestFloat tests a decoded float column value. NaN semantics mirror the
-// fused row predicate: NaN passes only non-strict range bounds and fails
+// row evaluator's: NaN passes only non-strict range bounds and fails
 // every inequality.
 func (t *ColTest) TestFloat(x float64) bool {
 	if t.empty {
@@ -203,7 +203,7 @@ func newPushdown(schema *value.Type, conj []Expr, specs []cmpSpec, cols []*Col) 
 		case value.Float:
 			if sp.op == OpNe {
 				if math.IsNaN(sp.f) {
-					// <> NaN: the row path's compare yields equal for a NaN
+					// <> NaN: the row evaluator's compare yields equal for a NaN
 					// literal, so every record is rejected.
 					t.empty = true
 					continue
@@ -342,7 +342,7 @@ func (p *Pushdown) String() string {
 
 // TestRow evaluates the pushdown against a decoded (boxed) row — the
 // fallback for providers that cannot push below parsing. It agrees with
-// the byte-level tests and with fusePredicate: null fails.
+// the byte-level tests and with CompilePredicate: null fails.
 func (p *Pushdown) TestRow(row []value.Value) bool {
 	if p == nil {
 		return true

@@ -9,10 +9,9 @@ import (
 
 // This file holds the vectorized predicate kernels: a VecFilter evaluates a
 // scan predicate over typed column vectors by tightening a selection
-// vector, instead of testing one boxed row at a time. The predicate shape
-// the fused row path accepts (AND-chains of <col> <cmp> <literal> over
-// single-slot Int/Float/String columns) compiles to typed kernels with that
-// path's semantics; every other predicate — OR, NOT, arithmetic, one column
+// vector, instead of testing one boxed row at a time. AND-chains of <col>
+// <cmp> <literal> over single-slot Int/Float/String columns compile to
+// typed kernels with the row evaluator's semantics; every other predicate — OR, NOT, arithmetic, one column
 // compared with another, a path into a sub-record — compiles to one generic
 // spec that boxes the selected rows and runs the compiled row predicate
 // itself, so its results are the row predicate's by construction. Both
@@ -42,7 +41,7 @@ type vecSpec struct {
 	src      value.Kind // vector the kernel reads (Int, Float, String)
 	lo, hi   int64      // int range bounds
 	flo, fhi float64    // float range bounds, both closed
-	// nanOK mirrors the fused row path's NaN behaviour per conjunct: a NaN
+	// nanOK mirrors the row evaluator's NaN behaviour per conjunct: a NaN
 	// operand yields compare-equal there, so it passes =, <= and >= but
 	// fails < and >. A fused interval admits NaN iff no folded conjunct was
 	// strict.
@@ -99,7 +98,7 @@ func CompileVecFilter(e Expr, schema *value.Type) (*VecFilter, error) {
 			tightenInt(sp, c.op, c.i)
 		case value.Float:
 			if c.op == OpNe {
-				// <> NaN: the row path's compare yields equal for a NaN
+				// <> NaN: the row evaluator's compare yields equal for a NaN
 				// operand, so every row is rejected.
 				f.specs = append(f.specs, vecSpec{kind: vsFltNe, idx: c.idx, src: c.colKind,
 					f: c.f, empty: math.IsNaN(c.f)})
@@ -175,8 +174,8 @@ func tightenInt(sp *vecSpec, op Op, x int64) {
 // tightenFloat intersects a float range spec with one comparison. The
 // bounds stay closed: a strict bound moves to the neighbouring float (for
 // every non-NaN x, x > c is x >= Nextafter(c, +Inf)), and a strict bound
-// beyond an infinity admits nothing. NaN follows the fused row path
-// exactly: a NaN literal compares equal to everything there (so strict
+// beyond an infinity admits nothing. NaN follows the row evaluator
+// (compareFloat) exactly: a NaN literal compares equal to everything there (so strict
 // comparisons reject every row and non-strict ones are vacuous), and a NaN
 // column value passes only non-strict conjuncts (tracked via nanOK).
 func tightenFloat(sp *vecSpec, op Op, x float64) {
@@ -216,7 +215,7 @@ func tightenFloat(sp *vecSpec, op Op, x float64) {
 		sp.fhi = hi
 	}
 	// A crossed interval still admits NaN while every conjunct is
-	// non-strict (b >= 2 AND b <= 1 keeps NaN on the row path).
+	// non-strict (b >= 2 AND b <= 1 keeps NaN in the row evaluator).
 	if sp.flo > sp.fhi && !sp.nanOK {
 		sp.empty = true
 	}
@@ -254,7 +253,7 @@ func (f *VecFilter) Compatible(kinds []value.Kind) bool {
 
 // Apply runs every kernel over the selection vector in place, returning the
 // surviving prefix of sel. Rows whose tested column is null never survive,
-// matching the fused row predicate; each kernel tests the null words its
+// matching the row evaluator; each kernel tests the null words its
 // selection covers once and reads the bitmap per row only when they hold a
 // null. A numeric kernel over a NULL-free selection runs branch-free
 // (selectDense).
@@ -316,7 +315,7 @@ func (f *VecFilter) Apply(cols []*store.Vec, sel []int32) []int32 {
 					}
 				}
 			} else {
-				// x == x excludes NaN values: the row path's compare puts
+				// x == x excludes NaN values: the row evaluator's compare puts
 				// NaN equal to everything, so <> rejects it.
 				for _, r := range sel {
 					if x := v.Floats[r]; x == x && x != sp.f && !v.Nulls.Get(int(r)) {

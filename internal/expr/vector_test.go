@@ -176,7 +176,7 @@ func TestVecFilterIntervalFusion(t *testing.T) {
 	}
 }
 
-// TestVecFilterNaNParity pins the NaN semantics to the fused row path's:
+// TestVecFilterNaNParity pins the NaN semantics to the row evaluator's:
 // a NaN column value compares equal to everything there, so it passes =,
 // <= and >= but fails <, > and <>; a NaN literal makes strict comparisons
 // reject every row and non-strict ones vacuous.

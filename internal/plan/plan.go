@@ -132,17 +132,55 @@ type RefreshableProvider interface {
 // scan. After an error dst and lengths are inconsistent and must be
 // discarded.
 //
-// PushdownCursor opens a raw scan of the file as of epoch — one full-file
-// scan, counted as Scan and ScanPushdown count theirs — over the records
-// passing pd (nil: every record), with no field decoded but the tested
-// ones. The cursor hands out their byte offsets in ascending chunks.
+// PushdownCursor opens a scan of the file as of epoch over the records from
+// byte from on passing pd (nil: every record), with no field decoded but
+// the tested ones; it hands out their byte offsets in ascending chunks.
+// From 0 it is a full-file raw scan, counted as Scan and ScanPushdown count
+// theirs; from a covered length it reads an appended tail, not counted.
 type Source interface {
 	ScanProvider
 	PushdownScanner
 	RefreshableProvider
 	ScanOffsetsAt(epoch uint64, offsets []int64, needed []value.Path, fn ScanFunc) error
 	AppendColumns(epoch uint64, offsets []int64, dst []*store.Vec, lengths []int32) ([]int32, error)
-	PushdownCursor(epoch uint64, pd *expr.Pushdown) (OffsetCursor, error)
+	PushdownCursor(epoch uint64, from int64, pd *expr.Pushdown) (OffsetCursor, error)
+}
+
+// Residual is the compiled part of a select's predicate that a pushdown
+// cursor does not run. A miss and a cache entry's tail catch-up both test it
+// on the records the cursor passes, decoded boxed, before anything else.
+type Residual struct {
+	pred   expr.Predicate
+	needed []value.Path
+}
+
+// SplitPredicate splits pred over schema into the pushdown a cursor runs and
+// the residual (nil: none). With push unset all of pred is the residual.
+func SplitPredicate(pred expr.Expr, schema *value.Type, push bool) (*expr.Pushdown, *Residual, error) {
+	var pd *expr.Pushdown
+	if push {
+		pd, pred = expr.ExtractPushdown(pred, schema)
+	}
+	if pred == nil {
+		return pd, nil, nil
+	}
+	p, err := expr.CompilePredicate(pred, schema)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pd, &Residual{pred: p, needed: expr.Columns(pred)}, nil
+}
+
+// Filter keeps, in place, the offsets of src's records that pass.
+func (r *Residual) Filter(src Source, epoch uint64, offs []int64) ([]int64, error) {
+	kept := offs[:0] // written behind the reads of offs
+	err := src.ScanOffsetsAt(epoch, offs, r.needed, func(rec value.Value, off int64, _ func() error) error {
+		if r.pred(rec.L) {
+			kept = append(kept, off)
+		}
+		return nil
+	})
+	return kept, err
 }
 
 // OffsetCursor appends the offsets of up to n more passing records to dst

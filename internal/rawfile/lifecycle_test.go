@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"recache/internal/csvio"
+	"recache/internal/expr"
 	"recache/internal/jsonio"
 	"recache/internal/plan"
 	"recache/internal/value"
@@ -228,6 +229,51 @@ func TestLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantRows(t, "ScanFrom tail", tail.rows, f.rows(3, 5))
+		}},
+		{"TailCursorIsNotARawScan", func(t *testing.T, f format) {
+			// A cursor from a covered length hands out the offsets of the
+			// appended records that pass its pushdown, off the extended
+			// positional map, and counts neither as a raw scan nor as a
+			// pushdown scan; one from 0 does.
+			x := newFixture(t, f, 3)
+			ep, cov0 := x.p.Version()
+			x.append(f.records(3, 8))
+			x.refresh(plan.FileAppended, 1)
+			counts := x.p.(interface {
+				Scans() int64
+				PushdownStats() (int64, int64)
+			})
+			scans0 := counts.Scans()
+			push0, skipped0 := counts.PushdownStats()
+			pd, _ := expr.ExtractPushdown(expr.Cmp(expr.OpGe, expr.C("k"), expr.L(5)), x.p.Schema())
+			cur, err := x.p.PushdownCursor(ep, cov0, pd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var offs []int64
+			var skipped int64
+			for n := -1; n != len(offs); {
+				n = len(offs)
+				if offs, skipped, err = cur(offs, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got collector
+			if err := x.p.ScanOffsetsAt(ep, offs, nil, got.fn); err != nil {
+				t.Fatal(err)
+			}
+			wantRows(t, "tail cursor", got.rows, f.rows(5, 8))
+			push, skips := counts.PushdownStats()
+			if skipped != 2 || counts.Scans() != scans0 || push != push0 || skips != skipped0 {
+				t.Errorf("tail cursor: skipped %d (want 2); scans %d→%d, pushdown scans %d→%d, skips %d→%d: want unchanged",
+					skipped, scans0, counts.Scans(), push0, push, skipped0, skips)
+			}
+			if _, err := x.p.PushdownCursor(ep, 0, pd); err != nil {
+				t.Fatal(err)
+			}
+			if push, _ := counts.PushdownStats(); counts.Scans() != scans0+1 || push != push0+1 {
+				t.Errorf("a cursor from 0 counted %d scans, %d pushdown scans; want 1 and 1", counts.Scans()-scans0, push-push0)
+			}
 		}},
 		{"RewriteBumpsEpoch", func(t *testing.T, f format) {
 			x := newFixture(t, f, 3)

@@ -94,12 +94,12 @@ type File struct {
 	mu   sync.Mutex // serializes snapshot replacement (load, refresh)
 	snap atomic.Pointer[snapshot]
 
-	// scans counts full-file Scan calls (not ScanOffsets replays or tail
-	// scans); the cold-burst bench and tests use it to assert how many
-	// raw parses a burst of concurrent misses paid for. pushScans
-	// counts the subset that evaluated a pushdown below parsing, and
-	// pushSkipped the records those scans rejected before decoding
-	// anything else.
+	// scans counts full-file scans (not ScanOffsets replays, nor ScanFrom
+	// or cursors over an appended tail); the cold-burst bench and tests use
+	// it to assert how many raw parses a burst of concurrent misses paid
+	// for. pushScans counts the subset that evaluated a pushdown below
+	// parsing, and pushSkipped the records those scans rejected before
+	// decoding anything else.
 	scans       atomic.Int64
 	pushScans   atomic.Int64
 	pushSkipped atomic.Int64
@@ -551,7 +551,7 @@ func (f *File) ScanPushdown(pd *expr.Pushdown, needed []value.Path, fn plan.Scan
 	if err != nil {
 		return 0, err
 	}
-	c, err := f.openCursor(pd)
+	c, err := f.openCursor(0, pd)
 	if err != nil {
 		return 0, err
 	}
@@ -568,10 +568,10 @@ func (f *File) ScanPushdown(pd *expr.Pushdown, needed []value.Path, fn plan.Scan
 	}
 }
 
-// PushdownCursor implements plan.Source: the records passing pd as
-// a cursor of byte offsets, pinned to epoch.
-func (f *File) PushdownCursor(epoch uint64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
-	c, err := f.openCursor(pd)
+// PushdownCursor implements plan.Source: the records from byte from on
+// passing pd as a cursor of byte offsets, pinned to epoch.
+func (f *File) PushdownCursor(epoch uint64, from int64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
+	c, err := f.openCursor(from, pd)
 	if err != nil {
 		return nil, err
 	}
@@ -604,17 +604,21 @@ type cursor struct {
 	ri      int     // the next record to test
 	recs    []int32 // the passing records next found
 	skipped int64
+	counted bool // a full-file scan, counted in the File's scan counters
 }
 
-// openCursor starts a full-file scan filtered by pd.
-func (f *File) openCursor(pd *expr.Pushdown) (*cursor, error) {
-	f.scans.Add(1)
+// openCursor starts a scan filtered by pd of the records from byte from on.
+func (f *File) openCursor(from int64, pd *expr.Pushdown) (*cursor, error) {
+	if from == 0 {
+		f.scans.Add(1)
+	}
 	s, err := f.load()
 	if err != nil {
 		return nil, err
 	}
-	c := &cursor{f: f, s: s, tests: pd.Tests(), recs: make([]int32, 0, store.BatchRows)}
-	if len(c.tests) > 0 {
+	c := &cursor{f: f, s: s, tests: pd.Tests(), recs: make([]int32, 0, store.BatchRows),
+		ri: s.recordFrom(from), counted: from == 0}
+	if c.counted && len(c.tests) > 0 {
 		f.pushScans.Add(1)
 	}
 	if lit := pd.EqNeedle(); lit != nil {
@@ -658,7 +662,9 @@ func (c *cursor) next(n int) error {
 		recs = append(recs, int32(ri))
 	}
 	c.recs, c.ri, c.skipped = recs, ri, c.skipped+skipped
-	f.pushSkipped.Add(skipped)
+	if c.counted {
+		f.pushSkipped.Add(skipped)
+	}
 	return err
 }
 
@@ -738,9 +744,9 @@ func (f *File) AppendColumns(epoch uint64, offsets []int64, dst []*store.Vec, le
 }
 
 // ScanFrom implements plan.RefreshableProvider: stream the records whose
-// byte offset is >= from, in file order. The cache manager uses it to scan
-// only the appended tail when extending an entry; from is a previous
-// covered length, so it always lands on a record boundary.
+// byte offset is >= from, in file order, decoded whole. The cache reads an
+// appended tail through PushdownCursor and AppendColumns instead; ScanFrom
+// is the record-at-a-time tail read the benchmark's probes time.
 func (f *File) ScanFrom(from int64, needed []value.Path, fn plan.ScanFunc) error {
 	s, err := f.load()
 	if err != nil {

@@ -260,9 +260,9 @@ type slowProvider struct {
 	delay time.Duration
 }
 
-func (p *slowProvider) PushdownCursor(epoch uint64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
+func (p *slowProvider) PushdownCursor(epoch uint64, from int64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
 	time.Sleep(p.delay)
-	return p.Source.PushdownCursor(epoch, pd)
+	return p.Source.PushdownCursor(epoch, from, pd)
 }
 
 // Shutdown during in-flight queries: every accepted request completes and

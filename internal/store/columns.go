@@ -100,8 +100,8 @@ func (s *parquetStore) as(layout Layout) Store {
 
 // Builder stripes records, or a result's column batches, onto the Parquet
 // form of a store and derives the store's layout from it when finished. It
-// is the one way a record reaches a store: a build, an extension (Extend)
-// and a spill stream re-read with a tail all append through it.
+// is the one way a boxed record reaches a store (Extend's tail included);
+// a raw decoder's leaf vectors reach one through FromColumns.
 type Builder struct {
 	layout  Layout
 	st      *parquetStore
@@ -115,24 +115,14 @@ func NewBuilder(layout Layout, schema *value.Type) (*Builder, error) {
 	if layout != LayoutColumnar && layout != LayoutParquet {
 		return nil, fmt.Errorf("store: unknown layout %v", layout)
 	}
-	st, err := FromColumns(schema, LayoutParquet, NewColumns(schema), nil)
+	leaves := NewColumns(schema) // adopted as they are: no list is empty yet
+	st, err := FromColumns(schema, LayoutParquet, leaves, nil)
 	if err != nil {
 		return nil, err
 	}
-	return appendTo(st.(*parquetStore), layout), nil
-}
-
-// appendTo returns a Builder that appends to p in place and finishes in
-// layout; p must be nobody else's.
-func appendTo(p *parquetStore, layout Layout) *Builder {
-	leaves := slices.Clone(p.flatVecs)
-	for ci, v := range p.repVecs {
-		if v != nil {
-			leaves[ci] = v
-		}
-	}
+	p := st.(*parquetStore)
 	return &Builder{layout: layout, st: p, leaves: leaves,
-		striper: Striper{cols: p.cols, paths: resolveLeafPaths(p.schema, p.cols)}}
+		striper: Striper{cols: p.cols, paths: resolveLeafPaths(p.schema, p.cols)}}, nil
 }
 
 // Add appends one record of the builder's schema: its leaves striped once

@@ -8,6 +8,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"sync"
 	"unsafe"
 
 	"recache/internal/value"
@@ -36,13 +37,15 @@ import (
 //     an append never writes into it) and its strings point into it; only
 //     the string-header arrays and bools are allocated. The store is
 //     charged the whole buffer (SizeBytes), and a store derived from it
-//     that gains rows (Extend) copies out of the buffer completely. The
-//     disk tier re-admits spill files this way, and replica admission
+//     that gains rows (Concat, Extend) copies out of the buffer completely.
+//     The disk tier re-admits spill files this way, and replica admission
 //     validates a pushed payload. On a big-endian host, or when the
 //     buffer's first byte is not 8-byte aligned, it copies instead.
-//   - ReadParquetBytes and ReadParquetExtended copy: the store shares no
-//     memory with the input, which the caller may reuse at once (the wire
-//     client decodes out of its pooled frame buffers).
+//   - ReadParquetBytes copies: the store shares no memory with the input,
+//     which the caller may reuse at once (the wire client decodes out of
+//     its pooled frame buffers).
+//
+// Neither adds a row: a stream is the image of a payload already built.
 //
 // The schema is NOT serialized: a spilled entry keeps all of its metadata
 // (dataset, predicate, schema) in RAM and only the payload goes to disk,
@@ -172,15 +175,40 @@ func (lw *leWriter) vec(v *vec) error {
 	case value.Bool:
 		lw.write(bytesOf(v.Bools)) // a Go bool is the byte 0 or 1
 	case value.String:
-		for _, s := range v.Strs {
-			lw.u32(uint32(len(s)))
-			lw.w.WriteString(s)
-			lw.off += len(s)
-		}
+		lw.strs(v.Strs)
 	default:
 		return fmt.Errorf("store: WriteParquet: unsupported vec kind %s", v.Kind)
 	}
 	return nil
+}
+
+// strScratch recycles the buffer strs encodes through.
+var strScratch = sync.Pool{New: func() any { b := make([]byte, 0, fileBuf); return &b }}
+
+// strs writes a string column's length prefixes and bytes through one
+// scratch buffer, a chunk of at most fileBuf bytes at a time; a value too
+// long for the buffer goes to the sink by itself, after its prefix.
+func (lw *leWriter) strs(strs []string) {
+	scratch := strScratch.Get().(*[]byte)
+	buf := (*scratch)[:0]
+	for _, s := range strs {
+		if len(buf)+4+len(s) > fileBuf {
+			lw.write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+		if 4+len(s) > fileBuf {
+			lw.write(buf)
+			buf = buf[:0]
+			lw.w.WriteString(s)
+			lw.off += len(s)
+			continue
+		}
+		buf = append(buf, s...)
+	}
+	lw.write(buf)
+	*scratch = buf
+	strScratch.Put(scratch)
 }
 
 // fixedWidth is a value the stream holds as its little-endian bytes.
@@ -271,8 +299,8 @@ func (r *spillReader) pad(align int) error {
 }
 
 // fixed reads n values of T off the stream: a view of the buffer when the
-// reader aliases it, otherwise a copy with room for extra more values.
-func fixed[T fixedWidth](r *spillReader, n, extra int) ([]T, error) {
+// reader aliases it, otherwise a copy.
+func fixed[T fixedWidth](r *spillReader, n int) ([]T, error) {
 	width := int(unsafe.Sizeof(T(0)))
 	raw, err := r.bytes(n * width)
 	switch {
@@ -281,7 +309,7 @@ func fixed[T fixedWidth](r *spillReader, n, extra int) ([]T, error) {
 	case r.alias && n > 0:
 		return unsafe.Slice((*T)(unsafe.Pointer(&raw[0])), n), nil
 	}
-	out := make([]T, n, n+extra)
+	out := make([]T, n)
 	b := bytesOf(out)
 	copy(b, raw)
 	if !littleEndian {
@@ -298,7 +326,7 @@ func fixed[T fixedWidth](r *spillReader, n, extra int) ([]T, error) {
 // decodes out of its pooled frame buffers). The values of one string column
 // share one allocation, so a retained value keeps its column's bytes alive.
 func ReadParquetBytes(data []byte, schema *value.Type) (Store, error) {
-	return ReadParquetExtended(data, schema, nil)
+	return readParquet(data, schema, false)
 }
 
 // ReadParquetOwned decodes a stream as ReadParquetBytes does, but takes
@@ -309,34 +337,12 @@ func ReadParquetBytes(data []byte, schema *value.Type) (Store, error) {
 // aligned.
 func ReadParquetOwned(data []byte, schema *value.Type) (Store, error) {
 	alias := littleEndian && len(data) > 0 && uintptr(unsafe.Pointer(&data[0]))%8 == 0
-	return readParquet(data, schema, 0, alias)
+	return readParquet(data, schema, alias)
 }
 
-// ReadParquetExtended decodes a spill stream and appends the tail records
-// to it: Extend(ReadParquetBytes(data), tail) without the copy of the
-// decoded vectors, which are sized for the tail up front and appended to in
-// place, through a Builder, before anybody else can see the store.
-func ReadParquetExtended(data []byte, schema *value.Type, tail []value.Value) (Store, error) {
-	st, err := readParquet(data, schema, len(tail), false)
-	switch {
-	case err != nil:
-		return nil, err
-	case len(tail) == 0:
-		return st, nil
-	}
-	b := appendTo(st, LayoutParquet)
-	for _, rec := range tail {
-		if err := b.Add(rec); err != nil {
-			return nil, err
-		}
-	}
-	return b.Finish(), nil
-}
-
-// readParquet decodes a spill stream, leaving room for extra more records
-// in every vector and in the list lengths, or, with alias set (and extra
-// 0), as views of data.
-func readParquet(data []byte, schema *value.Type, extra int, alias bool) (*parquetStore, error) {
+// readParquet decodes a spill stream into vectors of their own, or, with
+// alias set, into views of data.
+func readParquet(data []byte, schema *value.Type, alias bool) (*parquetStore, error) {
 	r := &spillReader{buf: data, alias: alias}
 	magic, err := r.bytes(4)
 	if err != nil {
@@ -399,7 +405,7 @@ func readParquet(data []byte, schema *value.Type, extra int, alias bool) (*parqu
 		if err := r.pad(4); err != nil {
 			return nil, err
 		}
-		if st.lengths, err = fixed[int32](r, st.nRecs, extra); err != nil {
+		if st.lengths, err = fixed[int32](r, st.nRecs); err != nil {
 			return nil, err
 		}
 		flat := 0
@@ -427,7 +433,7 @@ func readParquet(data []byte, schema *value.Type, extra int, alias bool) (*parqu
 		if c.Repeated {
 			vecs, n = st.repVecs, st.nFlat
 		}
-		if vecs[ci], err = readVec(r, c.Type.Kind, n, extra); err != nil {
+		if vecs[ci], err = readVec(r, c.Type.Kind, n); err != nil {
 			return nil, fmt.Errorf("store: spill column %d (%s): %w", ci, c.Name(), err)
 		}
 	}
@@ -441,7 +447,7 @@ func readParquet(data []byte, schema *value.Type, extra int, alias bool) (*parqu
 	return st, nil
 }
 
-func readVec(r *spillReader, want value.Kind, wantLen, extra int) (*vec, error) {
+func readVec(r *spillReader, want value.Kind, wantLen int) (*vec, error) {
 	kind, err := r.u8()
 	if err != nil {
 		return nil, err
@@ -480,15 +486,15 @@ func readVec(r *spillReader, want value.Kind, wantLen, extra int) (*vec, error) 
 	// there, so each comes off the stream as one slice.
 	v := &vec{Kind: want}
 	v.Nulls.n = n
-	v.Nulls.words, _ = fixed[uint64](r, words, 0)
+	v.Nulls.words, _ = fixed[uint64](r, words)
 	switch want {
 	case value.Int:
-		v.Ints, _ = fixed[int64](r, n, extra)
+		v.Ints, _ = fixed[int64](r, n)
 	case value.Float:
-		v.Floats, _ = fixed[float64](r, n, extra)
+		v.Floats, _ = fixed[float64](r, n)
 	case value.Bool:
 		raw, _ := r.bytes(n)
-		v.Bools = make([]bool, n, n+extra)
+		v.Bools = make([]bool, n)
 		for i, b := range raw {
 			v.Bools[i] = b != 0
 		}
@@ -496,7 +502,7 @@ func readVec(r *spillReader, want value.Kind, wantLen, extra int) (*vec, error) 
 		// Every length prefix is proved against the bytes left before its
 		// value is sliced out of the buffer; a copying decode then moves the
 		// column's bytes into one allocation of its own.
-		v.Strs = make([]string, n, n+extra)
+		v.Strs = make([]string, n)
 		for i := range v.Strs {
 			l, err := r.u32()
 			if err != nil {

@@ -3,6 +3,7 @@ package recache
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"testing"
 
 	"recache/internal/expr"
@@ -206,11 +207,11 @@ func (s *recordSource) AppendColumns(epoch uint64, offsets []int64, dst []*store
 	return lengths, nil
 }
 
-func (s *recordSource) PushdownCursor(epoch uint64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
+func (s *recordSource) PushdownCursor(epoch uint64, from int64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
 	if epoch != recordEpoch {
 		return nil, plan.ErrEpochChanged
 	}
-	next, skipped := 0, int64(0)
+	next, skipped := sort.Search(len(s.offs), func(i int) bool { return s.offs[i] >= from }), int64(0)
 	return func(dst []int64, n int) ([]int64, int64, error) {
 		for added := 0; added < n && next < len(s.recs); next++ {
 			ok, err := s.pass(next, pd)
