@@ -18,12 +18,18 @@ import (
 // column no query of TestBuildHelperJoins reads, so only a build's helper
 // asks for it — until release closes: it runs onHold, closes held and
 // waits. The scan's cursor takes no step past its first before held.
+// stepped is when the query last stepped (its cursor, or its own leaves'
+// decode) or the hold began, if later: a query that steps no more is
+// waiting for the held helper from about then on.
 type helperGate struct {
 	onHold  func()
 	first   atomic.Bool
 	held    chan struct{}
 	release chan struct{}
+	stepped atomic.Int64 // UnixNano
 }
+
+func (g *helperGate) step() { g.stepped.Store(time.Now().UnixNano()) }
 
 type gatedAppender struct {
 	*csvio.Provider
@@ -31,14 +37,21 @@ type gatedAppender struct {
 }
 
 func (p *gatedAppender) AppendColumns(epoch uint64, offs []int64, dst []*store.Vec, lengths []int32) ([]int32, error) {
-	if g := p.gate.Load(); g != nil && dst[2] != nil && g.first.CompareAndSwap(false, true) {
+	g := p.gate.Load()
+	if g != nil && dst[2] != nil && g.first.CompareAndSwap(false, true) {
 		if g.onHold != nil {
 			g.onHold()
 		}
+		g.step()
 		close(g.held)
 		<-g.release
+		return p.Provider.AppendColumns(epoch, offs, dst, lengths)
 	}
-	return p.Provider.AppendColumns(epoch, offs, dst, lengths)
+	lengths, err := p.Provider.AppendColumns(epoch, offs, dst, lengths)
+	if g != nil {
+		g.step()
+	}
+	return lengths, err
 }
 
 func (p *gatedAppender) PushdownCursor(epoch uint64, from int64, pd *expr.Pushdown) (plan.OffsetCursor, error) {
@@ -48,9 +61,13 @@ func (p *gatedAppender) PushdownCursor(epoch uint64, from int64, pd *expr.Pushdo
 	}
 	g, steps := p.gate.Load(), 0
 	return func(dst []int64, n int) ([]int64, int64, error) {
-		if steps++; g != nil && steps > 1 {
+		if g == nil {
+			return c(dst, n)
+		}
+		if steps++; steps > 1 {
 			<-g.held
 		}
+		defer g.step()
 		return c(dst, n)
 	}, nil
 }
@@ -61,8 +78,9 @@ func (p *gatedAppender) PushdownCursor(epoch uint64, from int64, pd *expr.Pushdo
 // when the file is rewritten between two chunks, nor when the §5.2 sample
 // turns the build lazy, nor when a replay upgrades a lazy entry. Each query
 // runs while the helper's kernel call is held, and must still be running
-// when the test releases it; the wait is charged to the build. A build that
-// fails admits nothing.
+// when the test releases it; the wait is charged to the build, which takes
+// at least the hold, timed from the query's last step before it waited. A
+// build that fails admits nothing.
 func TestBuildHelperJoins(t *testing.T) {
 	const records, hold = 3000, 50 * time.Millisecond
 	const sumA = records * (records - 1) / 2
@@ -98,8 +116,8 @@ func TestBuildHelperJoins(t *testing.T) {
 		}
 		return eng, p, path
 	}
-	// held runs sql with the helper's call held: the query must not return
-	// until the test releases it.
+	// held runs sql with the helper's call held until the query has taken no
+	// step for hold: the query must not return until the test releases it.
 	held := func(t *testing.T, eng *Engine, p *gatedAppender, sql string, onHold func()) (*Result, error) {
 		t.Helper()
 		g := &helperGate{onHold: onHold, held: make(chan struct{}), release: make(chan struct{})}
@@ -121,11 +139,17 @@ func TestBuildHelperJoins(t *testing.T) {
 		case <-time.After(20 * time.Second):
 			t.Fatalf("%s: no helper call after 20s", sql)
 		}
-		select {
-		case a := <-done:
-			close(g.release)
-			t.Fatalf("%s returned (%v) while its build's helper was running", sql, a.err)
-		case <-time.After(hold):
+		for {
+			wait := time.Until(time.Unix(0, g.stepped.Load()).Add(hold))
+			if wait <= 0 {
+				break
+			}
+			select {
+			case a := <-done:
+				close(g.release)
+				t.Fatalf("%s returned (%v) while its build's helper was running", sql, a.err)
+			case <-time.After(wait):
+			}
 		}
 		close(g.release)
 		a := <-done

@@ -450,9 +450,11 @@ func TestFreshnessAppendMidSwarm(t *testing.T) {
 }
 
 // TestFreshnessAppendExtendsSpilled: an append beside an entry in the disk
-// tier costs that entry nothing until it is read, and then one spill-file
-// read plus a scan of the tail — never a raw re-scan — for flat and nested
-// records alike.
+// tier costs that entry nothing until it is read, and then a read of the
+// spill file plus a scan of the tail — never a raw re-scan — for flat and
+// nested records alike. The entry stays on disk, so every later read scans
+// the tail again, until the tail outgrows the prefix the file covers: then
+// the lookup drops the entry and a miss rebuilds it.
 func TestFreshnessAppendExtendsSpilled(t *testing.T) {
 	t.Run("flat", func(t *testing.T) { testAppendExtendsSpilled(t, freshCSV(t, 5000), 20<<10) })
 	t.Run("nested", func(t *testing.T) { testAppendExtendsSpilled(t, freshJSON(t, 5000), 40<<10) })
@@ -485,28 +487,53 @@ func testAppendExtendsSpilled(t *testing.T, path string, capacity int64) {
 		t.Fatalf("no entry in the disk tier (stats %+v)", eng.CacheStats())
 	}
 	pred := eng.CacheEntries()[spilled].Predicate
-	before, raw := eng.CacheStats(), eng.RawScans("g")
-
-	appendRows(t, path, 5000, 5600) // every qty decade gains rows
 	sql := "SELECT COUNT(*), SUM(price) FROM g WHERE " + pred
-	if out, err := eng.Explain(sql); err != nil || !strings.Contains(out, "+disk") {
-		t.Fatalf("the key is not a disk hit (%v):\n%s", err, out)
+	reads := []string{sql}
+	if strings.HasSuffix(path, ".json") {
+		// A flattening read of the same entry: its leaves and the lengths.
+		reads = append(reads, "SELECT COUNT(*), SUM(items.p), MAX(price) FROM g WHERE "+pred)
 	}
-	checkOracle(t, eng, path, sql)
+	raw, n := eng.RawScans("g"), int64(len(reads))
 
+	// Two appends of 300 rows, each followed by reads: disk hits that read
+	// the file and the whole tail since the file was written.
+	for _, rows := range [][2]int{{5000, 5300}, {5300, 5600}} {
+		before := eng.CacheStats()
+		appendRows(t, path, rows[0], rows[1]) // every qty decade gains rows
+		for _, q := range reads {
+			if out, err := eng.Explain(q); err != nil || !strings.Contains(out, "+disk") {
+				t.Fatalf("the key is not a disk hit (%v):\n%s", err, out)
+			}
+			checkOracle(t, eng, path, q)
+		}
+		st := eng.CacheStats()
+		if st.TailExtensions != before.TailExtensions+n {
+			t.Errorf("TailExtensions %d -> %d, want +%d", before.TailExtensions, st.TailExtensions, n)
+		}
+		if st.StaleInvalidations != 0 {
+			t.Errorf("StaleInvalidations = %d on a pure append", st.StaleInvalidations)
+		}
+		if st.DiskHits != before.DiskHits+n || st.Misses != before.Misses || st.Spills != before.Spills {
+			t.Errorf("disk hits %d -> %d, misses %d -> %d, spills %d -> %d: want %d disk hits, no miss, no spill",
+				before.DiskHits, st.DiskHits, before.Misses, st.Misses, before.Spills, st.Spills, n)
+		}
+		if got := eng.RawScans("g"); got != raw {
+			t.Errorf("raw scans %d -> %d: a spilled entry was rebuilt from the file", raw, got)
+		}
+	}
+
+	// A tail longer than the 5000 rows the file covers: the next lookup
+	// drops the entry, and the query misses.
+	before := eng.CacheStats()
+	appendRows(t, path, 5600, 11000)
+	checkOracle(t, eng, path, sql)
 	st := eng.CacheStats()
-	if st.TailExtensions != before.TailExtensions+1 {
-		t.Errorf("TailExtensions %d -> %d, want +1", before.TailExtensions, st.TailExtensions)
+	if st.StaleInvalidations != before.StaleInvalidations+1 || st.Misses != before.Misses+1 {
+		t.Errorf("stale invalidations %d -> %d, misses %d -> %d: want the outgrown file dropped and rebuilt",
+			before.StaleInvalidations, st.StaleInvalidations, before.Misses, st.Misses)
 	}
-	if st.StaleInvalidations != 0 {
-		t.Errorf("StaleInvalidations = %d on a pure append", st.StaleInvalidations)
-	}
-	if st.DiskHits != before.DiskHits+1 || st.Misses != before.Misses {
-		t.Errorf("disk hits %d -> %d, misses %d -> %d: want one disk hit, no miss",
-			before.DiskHits, st.DiskHits, before.Misses, st.Misses)
-	}
-	if got := eng.RawScans("g"); got != raw {
-		t.Errorf("raw scans %d -> %d: a spilled entry was rebuilt from the file", raw, got)
+	if st.DiskHits != before.DiskHits {
+		t.Errorf("disk hits %d -> %d: an outgrown file served", before.DiskHits, st.DiskHits)
 	}
 }
 

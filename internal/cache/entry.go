@@ -80,20 +80,19 @@ type Entry struct {
 	advisor advisorState
 
 	// Lifecycle state (lifecycle.go), guarded by the Manager's lock and
-	// written only by the transitions there: where the authoritative payload
-	// lives, the one unlocked payload operation in flight, and whether the
-	// entry has left every lookup structure.
-	tier tier
+	// written only by the transitions there: the one unlocked payload
+	// operation in flight, and whether the entry has left every lookup
+	// structure.
 	op   opKind
 	dead bool
 	pins int // active CachedScan readers (Txn pins)
 
-	// Spill-file identity. The file outlives re-admission (payloads are
-	// immutable), so a RAM-tier entry may still own one.
+	// Spill-file identity: set while the entry is in the disk tier, whose
+	// payload is this file (a dead entry's file goes at its last unpin).
 	spillPath   string
 	spillBytes  int64
 	opDone      chan struct{} // made by a reader waiting for op to end, closed when it does
-	reloadNanos int64         // measured cost of the last disk re-admission
+	reloadNanos int64         // measured cost of the latest disk hit's read
 
 	// State derived from Store and memoised beside it (lifecycle.go): the
 	// flattened view a flattening scan reads instead of expanding the

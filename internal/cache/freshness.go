@@ -25,13 +25,14 @@ import (
 //
 // Revalidate only moves the provider (and drops a rewritten file's entries).
 // The lookup serves an entry that is current or can catch up, and turns one
-// that cannot — another epoch, a trailing nested store, a trailing replica —
-// into a miss. Resident (spill.go) is where a trailing entry catches up,
-// also straight after a re-admission: the reader that needs the payload
-// reads the tail the way a miss reads the file, outside the manager lock
-// against the provider's immutable snapshot, and commits the extended
-// payload through the lifecycle's begin/commit pair. Entries nobody reads
-// are never touched, whichever tier they are in.
+// that cannot — another epoch, a trailing replica, a spill file the tail
+// has outgrown — into a miss. Resident (spill.go) is where a trailing entry
+// catches up: the reader that needs the payload reads the tail the way a
+// miss reads the file, outside the manager lock against the provider's
+// immutable snapshot, and commits a RAM entry's extended payload through
+// the lifecycle's begin/commit pair. A spill file is never rewritten, so a
+// reader of a trailing one extends its own read of it and commits nothing.
+// Entries nobody reads are never touched, whichever tier they are in.
 
 // AbandonBuild releases a materializer's single-flight build slot without
 // inserting an entry. Materializers call it when the provider's file
@@ -116,10 +117,22 @@ func (e *Entry) lag(p payload) (trailing, extendable bool) {
 }
 
 // servableLocked reports whether a lookup may hand e to a reader: it is
-// current, or Resident can make it so. An entry that can do neither is
-// dropped (kept, under a read-only lookup) and the lookup misses.
+// current, or Resident can make it so at a bounded cost. An entry that can
+// do neither is dropped (kept, under a read-only lookup) and the lookup
+// misses.
+//
+// The bound is on spill files. Every read of a file that trails its raw
+// file decodes the same tail again, for the file is never rewritten. A
+// rebuild reads the prefix the file covers plus the tail once, and what it
+// builds is current for every read after it. So once the tail is longer
+// than that prefix, a rebuild costs less than two more such reads, and the
+// entry is dropped for one.
 func (m *Manager) servableLocked(e *Entry, readOnly bool) bool {
 	trailing, extendable := e.lag(e.payload())
+	if trailing && extendable && e.onDisk() {
+		_, covered := e.Dataset.Provider.(plan.RefreshableProvider).Version()
+		extendable = covered-e.CoveredBytes <= e.CoveredBytes
+	}
 	if !trailing || extendable {
 		return true
 	}
@@ -130,22 +143,25 @@ func (m *Manager) servableLocked(e *Entry, readOnly bool) bool {
 }
 
 // extend is the unlocked half of a catch-up and its commit. o is the
-// extension begun on e, or nil when p is the reader's private copy and
-// there is nothing to commit. The extended payload is the caller's to scan
+// extension begun on e, or nil when p is the reader's private copy — its
+// read of a spill file, or a payload its entry no longer holds — and there
+// is nothing to commit. The extended payload is the caller's to scan
 // whether or not it was installed: a payload whose tail scan saw the file
 // grow is a consistent prefix of it, but covers a length nobody recorded,
 // so it is not committed. A failed extension drops the entry.
 func (m *Manager) extend(e *Entry, p payload, o *inflight) (payload, error) {
 	next, stable, err := catchUp(e, p)
 	m.mu.Lock()
+	extended := o == nil && err == nil
 	if o != nil {
 		res := result{payload: next, err: err}
 		if err == nil && !stable {
 			res.err = errCancelled
 		}
-		if m.commit(*o, res) {
-			m.stats.tailExtensions.Add(1)
-		}
+		extended = m.commit(*o, res)
+	}
+	if extended {
+		m.stats.tailExtensions.Add(1)
 	}
 	if err != nil {
 		m.invalidateLocked(e)
@@ -154,7 +170,9 @@ func (m *Manager) extend(e *Entry, p payload, o *inflight) (payload, error) {
 	if err != nil {
 		return p, fmt.Errorf("cache: extend entry %d: %v: %w", e.ID, err, plan.ErrEpochChanged)
 	}
-	m.drainSpills()
+	if o != nil {
+		m.drainSpills() // what the commit's eviction queued
+	}
 	return next, nil
 }
 
@@ -181,9 +199,10 @@ func catchUp(e *Entry, old payload) (next payload, stable bool, err error) {
 // residual filter — and appends them to old: a lazy payload gains their
 // offsets in a fresh slice (readers replaying the old offsets must not see
 // the tail appended into their backing array), an eager one the leaf
-// vectors the typed kernel decodes them into, through store.Concat (a
-// memcpy of the old vectors, typed appends for the tail). A tail that
-// nothing in passes leaves the payload as it is.
+// vectors the typed kernel decodes them into, through store.Append (a
+// memcpy of the old vectors, typed appends for the tail). Only the leaves
+// old holds are decoded: a read of a spill file holds those its scan
+// needs. A tail that nothing in passes leaves the payload as it is.
 func appendTail(src plan.Source, e *Entry, old payload) (payload, error) {
 	schema := src.Schema()
 	pd, residual, err := plan.SplitPredicate(e.Pred, schema, true)
@@ -204,13 +223,10 @@ func appendTail(src plan.Source, e *Entry, old payload) (payload, error) {
 	case old.mode == Lazy:
 		next.offsets = slices.Concat(old.offsets, offs)
 	default:
-		vecs := store.NewColumns(schema)
+		vecs := store.TailColumns(old.store)
 		var lengths []int32
 		if lengths, err = src.AppendColumns(e.FileEpoch, offs, vecs, nil); err == nil {
-			var tail store.Store
-			if tail, err = store.FromColumns(schema, store.LayoutParquet, vecs, lengths); err == nil {
-				next.store, err = store.Concat(old.store, tail)
-			}
+			next.store, err = store.Append(old.store, len(offs), vecs, lengths)
 		}
 	}
 	return next, err

@@ -84,7 +84,7 @@ func BenchmarkTailExtend(b *testing.B) {
 				e.Store, e.Offsets, e.CoveredBytes = st, offsets, covered
 				m.total += e.SizeBytes() - before
 				m.mu.Unlock()
-				_, got, offs, err := m.Resident(e)
+				_, got, offs, err := m.Resident(e, store.AllLeaves(schema))
 				switch {
 				case err != nil:
 					b.Fatal(err)

@@ -9,30 +9,25 @@ import (
 	"recache/internal/store"
 )
 
-// Entry lifecycle. An entry's state is three fields, and the functions in
-// this file are the only code that writes them, the spill-file identity, the
-// state memoised on the store (its flattened view and join tables), or the
-// byte gauges m.total / m.diskTotal / m.diskEntries:
+// Entry lifecycle. An entry's state is its tier, the operation in flight
+// and whether it is dead, and the functions in this file are the only code
+// that writes them, the state memoised on the store (its flattened view and
+// join tables), or the byte gauges m.total / m.diskTotal / m.diskEntries:
 //
-//   - tier: where the authoritative payload lives. tierRAM entries hold
-//     their Store / Offsets (a spill file they still own is a redundant
-//     copy that makes the next demotion free); tierDisk entries live in
-//     their spill file, and keep a RAM copy only while readers that pinned
-//     them before the demotion are still scanning it.
+//   - tier: an entry in the RAM tier holds its Store / Offsets and has no
+//     spill file; an entry in the disk tier is its spill file (spillPath),
+//     and keeps a RAM copy only while readers that pinned it before the
+//     demotion are still scanning it. Entries move between the tiers only
+//     at eviction (RAM → disk, a spill) and at removal; a disk hit reads
+//     the file into the reader's own store and changes nothing here.
 //   - op: the one unlocked payload operation in flight. Its result is built
 //     from the snapshot begin takes and installed by commit; the manager
 //     lock is released in between, so commit re-verifies that the entry is
 //     alive and still holds the snapshotted payload.
 //   - dead: the entry left every lookup structure. Readers that pinned it
-//     keep scanning their snapshot; its RAM bytes are released at the last
-//     unpin. Nothing revives a dead entry.
-
-type tier uint8
-
-const (
-	tierRAM tier = iota
-	tierDisk
-)
+//     keep scanning their snapshot, or reading its spill file; its RAM bytes
+//     and its file are released at the last unpin. Nothing revives a dead
+//     entry.
 
 type opKind uint8
 
@@ -40,7 +35,6 @@ const (
 	opIdle      opKind = iota
 	opUpgrading        // a lazy replay is building the eager store
 	opSpilling         // queued for, or being written to, the spill dir
-	opLoading          // a reader is re-admitting the spill file
 	opExtending        // a reader is scanning the appended tail
 )
 
@@ -71,7 +65,7 @@ type inflight struct {
 }
 
 // result is what the unlocked half of an operation hands to commit: the RAM
-// payload to install and, for a spill, the file that now holds it too.
+// payload to install and, for a spill, the file that now holds it.
 type result struct {
 	payload
 	spillPath  string
@@ -84,24 +78,22 @@ type result struct {
 
 var errCancelled = errors.New("cache: operation cancelled")
 
-// diskOnly: a reader must re-admit the spill file before it can scan.
-func (e *Entry) diskOnly() bool { return e.tier == tierDisk && e.Store == nil }
+// onDisk: the entry is in the disk tier, its spill file.
+func (e *Entry) onDisk() bool { return e.spillPath != "" }
+
+// diskOnly: a reader reads the spill file to scan the entry.
+func (e *Entry) diskOnly() bool { return e.onDisk() && e.Store == nil }
 
 // dropOnUnpin: demoted while readers were mid-scan; the RAM copy goes at
 // the last unpin.
-func (e *Entry) dropOnUnpin() bool { return e.tier == tierDisk && e.Store != nil }
+func (e *Entry) dropOnUnpin() bool { return e.onDisk() && e.Store != nil }
 
 // reclaimable: evicting the entry frees RAM. Demoted entries hold none that
 // is theirs to give, and a spill in flight has already spoken for it.
-func (e *Entry) reclaimable() bool { return e.tier == tierRAM && e.op != opSpilling }
+func (e *Entry) reclaimable() bool { return !e.onDisk() && e.op != opSpilling }
 
-// keptSpillFile: a resident entry still owns the file of an earlier
-// demotion, so demoting it again costs no serialization or IO — and the
-// file is the first thing the disk tier reclaims under pressure.
-func (e *Entry) keptSpillFile() bool { return e.tier == tierRAM && e.spillPath != "" }
-
-// footprint is the bytes a scan of the entry reads: its RAM size, or its
-// spill-file size when the payload must first come back from disk.
+// footprint is the bytes the entry holds: its RAM size, or its spill-file
+// size when its payload is only on disk.
 func (e *Entry) footprint() int64 {
 	if e.diskOnly() {
 		return e.spillBytes
@@ -117,12 +109,10 @@ func (m *Manager) begin(e *Entry, op opKind) (inflight, bool) {
 	switch op {
 	case opUpgrading:
 		ok = e.Mode == Lazy
-	case opSpilling: // an entry that kept its file demotes for free instead
-		ok = e.Mode == Eager && e.tier == tierRAM && e.spillPath == ""
-	case opExtending: // a RAM copy kept for pinned readers extends too
-		ok = !e.diskOnly()
-	case opLoading:
-		ok = e.diskOnly()
+	case opSpilling:
+		ok = e.Mode == Eager && !e.onDisk()
+	case opExtending: // a file is never rewritten: only the RAM tier extends
+		ok = !e.onDisk()
 	}
 	if !ok || e.dead || e.op != opIdle {
 		return inflight{}, false
@@ -157,23 +147,16 @@ func (m *Manager) awaitOp(e *Entry) {
 
 // commit ends an operation and, if it succeeded and the entry is still
 // alive and still holds the snapshotted payload, installs res: swaps the
-// payload, moves the byte gauges, drops a spill file the new payload made
-// stale, tells the policy about a tier change and re-enforces both budgets.
-// It reports whether res was installed.
+// payload, moves the byte gauges, demotes the entry to the file a spill
+// wrote and re-enforces both budgets. It reports whether res was installed.
 func (m *Manager) commit(o inflight, res result) bool {
 	e := o.e
 	if e.op == o.op && e.holds(o.snap) {
 		e.endOp()
 	} else {
-		// A free demotion took the payload away mid-operation (and another
-		// operation may have begun on its successor since).
+		// The operation was taken from under it (another may have begun on
+		// the entry since).
 		res.err = errCancelled
-	}
-	if e.dead && e.pins > 0 && o.op == opLoading && res.err == nil {
-		// Readers that pinned the entry before it was removed wait on this
-		// load; the last of them releases the bytes.
-		e.Store = res.store
-		m.total += e.SizeBytes()
 	}
 	if e.dead || res.err != nil {
 		if res.spillPath != "" {
@@ -183,26 +166,17 @@ func (m *Manager) commit(o inflight, res result) bool {
 	}
 	m.dropMemos(e) // they derive from the payload being replaced
 	before := e.SizeBytes()
-	if o.op != opLoading && res.store != e.Store {
-		// A kept spill file serializes the payload being replaced; a free
-		// demotion would resurrect it.
-		m.releaseSpillFile(e)
-	}
 	e.Mode, e.Store, e.Offsets, e.CoveredBytes = res.mode, res.store, res.offsets, res.covered
 	m.total += e.SizeBytes() - before
 	if res.account != nil {
 		res.account()
 	}
-	switch {
-	case o.op == opSpilling:
+	if o.op == opSpilling {
 		e.spillPath, e.spillBytes = res.spillPath, res.spillBytes
 		m.diskTotal += res.spillBytes
 		m.diskEntries++
 		m.demoteLocked(e)
 		m.evictDiskLocked()
-	case e.tier == tierDisk:
-		e.tier = tierRAM
-		m.policy.OnPromote(e.ID)
 	}
 	m.evictLocked()
 	return true
@@ -236,9 +210,8 @@ func (m *Manager) insertLocked(e *Entry) {
 	}
 	m.total += e.SizeBytes()
 	m.policy.OnInsert(e.ID)
-	if e.spillPath != "" {
+	if e.onDisk() {
 		// A replica arrives as a spill file: track it where it lives.
-		e.tier = tierDisk
 		m.diskTotal += e.spillBytes
 		m.diskEntries++
 		m.policy.OnDemote(e.ID)
@@ -247,29 +220,25 @@ func (m *Manager) insertLocked(e *Entry) {
 	m.evictLocked()
 }
 
-// demoteLocked makes the entry's spill file authoritative. Readers mid-scan
-// keep the RAM copy until the last of them unpins. An extension still
-// rebuilding the RAM copy loses: its commit finds the operation gone.
+// demoteLocked makes the entry's new spill file its payload. Readers
+// mid-scan keep the RAM copy until the last of them unpins.
 func (m *Manager) demoteLocked(e *Entry) {
 	m.dropMemos(e)
-	e.tier = tierDisk
-	e.endOp()
 	m.policy.OnDemote(e.ID)
 	if e.pins == 0 {
 		m.dropRAMPayload(e)
 	}
 }
 
-// removeLocked kills a live entry: it leaves every lookup structure, the
-// policy and the disk tier now, and RAM at the last unpin — so eviction
-// never frees a store out from under a running CachedScan. It reports
-// whether the entry was alive.
+// removeLocked kills a live entry: it leaves every lookup structure and the
+// policy now, and RAM and the disk tier at the last unpin — so eviction
+// never frees a store, nor unlinks a spill file, out from under a running
+// CachedScan. It reports whether the entry was alive.
 func (m *Manager) removeLocked(e *Entry) bool {
 	if e.dead {
 		return false
 	}
 	e.dead = true
-	m.releaseSpillFile(e)
 	delete(m.entries, e.ID)
 	if m.byKey[e.Key()] == e {
 		delete(m.byKey, e.Key())
@@ -288,32 +257,37 @@ func (m *Manager) removeLocked(e *Entry) bool {
 	m.policy.OnDiskRemove(e.ID)
 	if e.pins == 0 {
 		m.dropRAMPayload(e)
+		m.releaseSpillFile(e)
 	}
 	return true
 }
 
-// unpinLocked drops one reader reference; the last one releases the RAM a
-// removal or demotion left behind for the readers.
+// unpinLocked drops one reader reference; the last one releases the RAM
+// and the spill file a removal, or the RAM copy a demotion, left behind for
+// the readers.
 func (m *Manager) unpinLocked(e *Entry) {
 	if e.pins == 0 {
 		return
 	}
 	e.pins--
-	if e.pins == 0 && (e.dead || e.dropOnUnpin()) {
+	switch {
+	case e.pins > 0:
+	case e.dead:
+		m.dropRAMPayload(e)
+		m.releaseSpillFile(e)
+	case e.dropOnUnpin():
 		m.dropRAMPayload(e)
 	}
 }
 
 // dropRAMPayload releases the entry's RAM bytes. A demoted entry gives up
-// its store (the spill file has the payload) and with it an extension of
-// that store still in flight; a dead one keeps its pointers for whoever
-// still holds the *Entry and goes with it.
+// its store (the spill file has the payload); a dead one keeps its pointers
+// for whoever still holds the *Entry and goes with it.
 func (m *Manager) dropRAMPayload(e *Entry) {
 	m.dropMemos(e)
 	m.total -= e.SizeBytes()
 	if !e.dead {
 		e.Store = nil
-		e.endOp()
 	}
 }
 
@@ -331,7 +305,7 @@ func (m *Manager) dropRAMPayload(e *Entry) {
 // memoFitsLocked reports whether a memo of bytes over st, e's payload or
 // its view, may attach to e.
 func (m *Manager) memoFitsLocked(e *Entry, st store.Store, bytes int64) bool {
-	if e.dead || e.tier != tierRAM || e.Store == nil || (st != e.Store && st != e.view) {
+	if e.dead || e.onDisk() || e.Store == nil || (st != e.Store && st != e.view) {
 		return false
 	}
 	return m.cfg.Capacity <= 0 || m.total+bytes <= m.cfg.Capacity
@@ -383,12 +357,11 @@ func (m *Manager) releaseSpillFile(e *Entry) {
 }
 
 // untiered adapts a policy without disk-tier state: it sees demotion as
-// removal and promotion as insertion (exact for the stateless comparators).
+// removal (exact for the stateless comparators).
 type untiered struct{ eviction.Policy }
 
-func (u untiered) OnDemote(id uint64)  { u.OnRemove(id) }
-func (u untiered) OnPromote(id uint64) { u.OnInsert(id) }
-func (untiered) OnDiskRemove(uint64)   {}
+func (u untiered) OnDemote(id uint64) { u.OnRemove(id) }
+func (untiered) OnDiskRemove(uint64)  {}
 func (u untiered) DiskVictims(items []eviction.Item, need int64) []uint64 {
 	return u.Victims(items, need)
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -29,8 +30,7 @@ func newRecordingPolicy() *recordingPolicy {
 	return &recordingPolicy{TieredPolicy: eviction.NewGreedyDual(), moves: map[uint64]int{}}
 }
 
-func (p *recordingPolicy) OnDemote(id uint64)  { p.moves[id]++; p.TieredPolicy.OnDemote(id) }
-func (p *recordingPolicy) OnPromote(id uint64) { p.moves[id]++; p.TieredPolicy.OnPromote(id) }
+func (p *recordingPolicy) OnDemote(id uint64) { p.moves[id]++; p.TieredPolicy.OnDemote(id) }
 
 func assertNothingHeld(t *testing.T, m *Manager, dir string) {
 	t.Helper()
@@ -63,10 +63,12 @@ func TestRemoveDuringSpillStaysRemoved(t *testing.T) {
 	}
 }
 
-// Same shape for a re-admission: the load of an entry removed meanwhile
-// serves the reader that pinned it and nothing else — no promotion, and no
-// bytes beyond what the last unpin releases.
-func TestRemoveDuringReadmitStaysRemoved(t *testing.T) {
+// A disk hit on an entry removed after the lookup pinned it: the reader
+// finishes on its snapshot, which for a disk-tier entry is its spill file,
+// so the removal leaves the file until the last unpin — charged to the disk
+// budget until then — and the read succeeds. Once the reader unpins,
+// nothing is held.
+func TestRemovePinnedDiskEntryServesReader(t *testing.T) {
 	dir := t.TempDir()
 	pol := newRecordingPolicy()
 	m := NewManager(Config{Admission: AlwaysEager, SpillDir: dir, Policy: pol})
@@ -77,39 +79,25 @@ func TestRemoveDuringReadmitStaysRemoved(t *testing.T) {
 	m.queueSpillLocked(e)
 	m.mu.Unlock()
 	m.drainSpills()
-	moves := pol.moves[e.ID]
+	disk := m.Stats().DiskBytes
 
 	tx := m.Begin()
 	if _, ok := tx.Rewrite(selOver(ds, nil), map[string][]string{"t": {"a"}}).(*plan.CachedScan); !ok {
 		t.Fatal("expected a disk hit")
 	}
-	m.mu.Lock()
-	o, ok := m.begin(e, opLoading)
-	path := e.spillPath
-	m.mu.Unlock()
-	if !ok {
-		t.Fatal("load did not begin")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m.invalidateDataset("t")
-	// The loader had the file open before the invalidation unlinked it.
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	if got := m.Stats(); got.DiskBytes != disk || got.DiskEntries != 1 || got.Entries != 0 {
+		t.Errorf("while pinned: DiskBytes=%d (want %d) DiskEntries=%d Entries=%d", got.DiskBytes, disk, got.DiskEntries, got.Entries)
 	}
-	loaded, err := m.load(o, path)
-	os.Remove(path)
-	st := loaded.store
+	_, st, _, err := m.Resident(e, store.AllLeaves(ds.Schema()))
 	if err != nil || st == nil {
 		t.Fatalf("the pinned reader lost its payload: %v", err)
 	}
-	if pol.moves[e.ID] != moves {
-		t.Error("a dead entry was promoted")
+	if st.NumRecords() != 20 {
+		t.Errorf("the pinned reader read %d records, want 20", st.NumRecords())
 	}
-	if got := m.Stats(); got.TotalBytes != st.SizeBytes() || got.Entries != 0 {
-		t.Errorf("while pinned: TotalBytes=%d (want %d) Entries=%d", got.TotalBytes, st.SizeBytes(), got.Entries)
+	if got := m.Stats(); got.TotalBytes != 0 {
+		t.Errorf("a disk hit charged %d bytes to RAM", got.TotalBytes)
 	}
 	tx.Close()
 	assertNothingHeld(t, m, dir)
@@ -333,8 +321,6 @@ type lifecycleModel struct {
 	known    map[*Entry]bool // every entry seen, dead ones until nothing can touch them
 	txns     []*Txn
 	upgrades []inflight
-	loads    []inflight
-	loadPath map[*Entry]string
 	extends  []inflight
 }
 
@@ -344,10 +330,9 @@ func newLifecycleModel(t *testing.T, seed int64) *lifecycleModel {
 	prov.Refresh()
 	x := &lifecycleModel{
 		t: t, rng: rand.New(rand.NewSource(seed)), dir: t.TempDir(), prov: prov,
-		ds:       &plan.Dataset{Name: "t", Format: plan.FormatCSV, Provider: prov},
-		preds:    append(spillPreds(), nil),
-		loadPath: map[*Entry]string{},
-		known:    map[*Entry]bool{},
+		ds:    &plan.Dataset{Name: "t", Format: plan.FormatCSV, Provider: prov},
+		preds: append(spillPreds(), nil),
+		known: map[*Entry]bool{},
 	}
 	// Budgets of about three entries per tier, so every admission evicts and
 	// every spill pressures the disk tier.
@@ -456,21 +441,9 @@ func (x *lifecycleModel) take(list *[]inflight) (inflight, bool) {
 	return o, true
 }
 
-// beginOn reserves a random eligible entry for op.
-func (x *lifecycleModel) beginOn(op opKind, list *[]inflight) {
-	x.pick(func(e *Entry) bool {
-		o, ok := x.m.begin(e, op)
-		if ok {
-			*list = append(*list, o)
-			x.loadPath[e] = e.spillPath
-		}
-		return ok
-	})
-}
-
 // heldOn removes and returns an operation this test holds on e.
 func (x *lifecycleModel) heldOn(e *Entry) (inflight, bool) {
-	for _, l := range []*[]inflight{&x.upgrades, &x.loads, &x.extends} {
+	for _, l := range []*[]inflight{&x.upgrades, &x.extends} {
 		for i, o := range *l {
 			if o.e == e {
 				*l = append((*l)[:i:i], (*l)[i+1:]...)
@@ -484,9 +457,6 @@ func (x *lifecycleModel) heldOn(e *Entry) (inflight, bool) {
 // finish runs the unlocked half and the commit of a held operation.
 func (x *lifecycleModel) finish(o inflight) {
 	switch o.op {
-	case opLoading:
-		// An unlinked file is a failed load (the entry died meanwhile).
-		x.m.load(o, x.loadPath[o.e])
 	case opExtending:
 		// Fails when the file was rewritten since the begin: the entry goes.
 		x.m.extend(o.e, o.snap, &o)
@@ -506,38 +476,82 @@ func (x *lifecycleModel) finish(o inflight) {
 	}
 }
 
-// read is a reader's access: Resident, and a check that what it returns is
-// the predicate over everything the provider has ingested. An entry this
-// test holds mid-operation makes Resident wait (when it needs a load or an
-// extension), so the read runs beside the rest of that operation.
+// diskState is what a disk hit must leave as it found it: the entry's
+// payload, tier and operation, and the manager's byte gauges.
+type diskState struct {
+	mode               Mode
+	st                 store.Store
+	offsets            int
+	covered            int64
+	path               string
+	spillBytes         int64
+	op                 opKind
+	dead               bool
+	total, disk, files int64
+}
+
+func (x *lifecycleModel) diskState(e *Entry) diskState {
+	m := x.m
+	return diskState{e.Mode, e.Store, len(e.Offsets), e.CoveredBytes, e.spillPath, e.spillBytes, e.op, e.dead,
+		m.total, m.diskTotal, int64(m.diskEntries)}
+}
+
+// read is a reader's access: Resident of a random set of leaves, and a
+// check that what it returns is the predicate over everything the provider
+// has ingested, with the leaves asked for and, from a disk read, no others.
+// An entry this test holds mid-operation makes Resident wait (when it needs
+// an extension), so the read runs beside the rest of that operation. A disk
+// hit changes neither the entry nor the gauges.
 func (x *lifecycleModel) read(e *Entry) {
 	var (
-		p    payload
-		err  error
-		done = make(chan struct{})
+		p      payload
+		err    error
+		done   = make(chan struct{})
+		leaves = store.Leaves{Lengths: x.rng.Intn(2) == 0}
 	)
+	for ci := range 2 {
+		if x.rng.Intn(2) == 0 {
+			leaves.Cols = append(leaves.Cols, ci)
+		}
+	}
 	x.m.mu.Lock()
-	op := e.op
+	op, disk := e.op, e.diskOnly()
+	before := x.diskState(e)
 	x.m.mu.Unlock()
 	go func() {
 		defer close(done)
-		p.mode, p.store, p.offsets, err = x.m.Resident(e)
+		p.mode, p.store, p.offsets, err = x.m.Resident(e, leaves)
 	}()
 	if op == opSpilling {
 		x.m.drainSpills()
 	} else if op != opIdle {
-		// Every operation held on e: all but the live one lost their entry to
-		// a free demotion, and their commits are refused.
+		// Every operation held on e: all but the live one lost their entry,
+		// and their commits are refused.
 		for o, ok := x.heldOn(e); ok; o, ok = x.heldOn(e) {
 			x.finish(o)
 		}
 	}
 	<-done
+	if disk && err == nil {
+		x.m.mu.Lock()
+		after := x.diskState(e)
+		x.m.mu.Unlock()
+		if after != before {
+			x.t.Fatalf("a disk hit on entry %d moved its state: %+v -> %+v", e.ID, before, after)
+		}
+	}
+	if err == nil && p.mode == Eager {
+		for ci := range 2 {
+			_, cerr := p.store.BatchCursor(false, []int{ci})
+			if asked := slices.Contains(leaves.Cols, ci); asked && cerr != nil || disk && !asked && cerr == nil {
+				x.t.Fatalf("entry %d read with leaves %v: a cursor over leaf %d errs %v", e.ID, leaves.Cols, ci, cerr)
+			}
+		}
+	}
 	recs, epoch := x.prov.snapshot()
 	switch {
 	case err != nil:
-		// Its spill file went with a removal before this read, or the file
-		// was rewritten under a held extension.
+		// The file was rewritten under a held extension.
 		if !e.dead {
 			x.t.Fatalf("Resident of live entry %d: %v", e.ID, err)
 		}
@@ -609,21 +623,6 @@ var lifecycleSteps = []struct {
 		x.pick(x.m.queueSpillLocked)
 	}},
 	{"spill-commit", 4, func(x *lifecycleModel) { x.m.drainSpills() }},
-	{"free-demote", 2, func(x *lifecycleModel) {
-		x.pick(func(e *Entry) bool {
-			ok := e.keptSpillFile() && e.reclaimable() // what evictLocked requires
-			if ok {
-				x.m.demoteLocked(e)
-			}
-			return ok
-		})
-	}},
-	{"load-begin", 4, func(x *lifecycleModel) { x.beginOn(opLoading, &x.loads) }},
-	{"load-commit", 4, func(x *lifecycleModel) {
-		if o, ok := x.take(&x.loads); ok {
-			x.finish(o)
-		}
-	}},
 	{"upgrade-begin", 3, func(x *lifecycleModel) {
 		if e := x.pick(func(e *Entry) bool { return e.Mode == Lazy }); e != nil && x.m.TryStartUpgrade(e) {
 			_, _, off := x.m.Payload(e)
@@ -700,7 +699,7 @@ func (x *lifecycleModel) check(step int, name string, quiescent bool) {
 		}
 	}
 	held := map[*Entry]bool{}
-	for _, l := range [][]inflight{x.upgrades, x.loads, x.extends, m.pendingSpills} {
+	for _, l := range [][]inflight{x.upgrades, x.extends, m.pendingSpills} {
 		for _, o := range l {
 			held[o.e] = true
 		}
@@ -727,14 +726,14 @@ func (x *lifecycleModel) check(step int, name string, quiescent bool) {
 		// holds beyond the store and what each join table was offered at.
 		var memo int64
 		if e.view != nil {
-			if e.Store == nil || e.tier != tierRAM || e.view.NumRecords() != e.Store.NumRecords() {
-				fail("entry %d (tier %d): a view over a store it no longer holds in RAM", e.ID, e.tier)
+			if e.Store == nil || e.onDisk() || e.view.NumRecords() != e.Store.NumRecords() {
+				fail("entry %d (on disk %v): a view over a store it no longer holds in RAM", e.ID, e.onDisk())
 			}
 			_, memo = store.Flatten(e.Store)
 		}
 		for k, table := range e.joins {
-			if (k.Store != e.Store && k.Store != e.view) || e.tier != tierRAM {
-				fail("entry %d (tier %d): a join table over a store it no longer holds in RAM", e.ID, e.tier)
+			if (k.Store != e.Store && k.Store != e.view) || e.onDisk() {
+				fail("entry %d (on disk %v): a join table over a store it no longer holds in RAM", e.ID, e.onDisk())
 			}
 			memo += table.(*joinTableBytes).n
 		}
@@ -748,17 +747,17 @@ func (x *lifecycleModel) check(step int, name string, quiescent bool) {
 				fail("entry %d: spill file %v, want %d bytes", e.ID, err, e.spillBytes)
 			}
 		}
-		// One tier: a RAM-tier entry holds its payload, a disk-tier entry its
-		// file, and a disk-tier entry keeps a RAM copy only for pinned readers.
+		// One tier: the RAM tier holds the payload and no spill file, the
+		// disk tier is the file, and keeps a RAM copy only for pinned readers.
 		switch {
-		case e.Mode == Lazy && (e.tier != tierRAM || e.spillPath != "" || e.Store != nil):
+		case e.Mode == Lazy && (e.spillPath != "" || e.Store != nil):
 			fail("lazy entry %d in the disk tier", e.ID)
-		case e.Mode == Eager && e.tier == tierRAM && e.Store == nil:
-			fail("entry %d: RAM tier without a store", e.ID)
-		case e.tier == tierDisk && !e.dead && e.spillPath == "":
-			fail("entry %d: disk tier without a file", e.ID)
-		case e.tier == tierDisk && !e.dead && e.Store != nil && e.pins == 0:
-			fail("entry %d: unpinned disk-tier entry kept its RAM copy", e.ID)
+		case e.Mode == Eager && !e.dead && e.Store == nil && e.spillPath == "":
+			fail("entry %d: neither a store nor a file", e.ID)
+		case e.Store != nil && e.spillPath != "" && e.pins == 0:
+			fail("entry %d: an unpinned RAM payload beside a spill file", e.ID)
+		case e.op == opExtending && e.spillPath != "":
+			fail("entry %d: an extension of a spill file's entry", e.ID)
 		}
 		reachable := m.entries[e.ID] == e || m.byKey[e.Key()] == e || m.uncon["t"][e.ID] == e
 		for col, iv := range e.Ranges.Cols {
@@ -769,8 +768,8 @@ func (x *lifecycleModel) check(step int, name string, quiescent bool) {
 			}
 		}
 		if e.dead {
-			if reachable || e.spillPath != "" {
-				fail("dead entry %d is reachable (file %q)", e.ID, e.spillPath)
+			if reachable || e.pins == 0 && e.spillPath != "" {
+				fail("dead entry %d is reachable (file %q, %d pins)", e.ID, e.spillPath, e.pins)
 			}
 			if e.pins == 0 && !held[e] {
 				delete(x.known, e) // nothing will touch it again
@@ -876,7 +875,7 @@ func runLifecycleModel(t *testing.T, seed int64, steps int, joinTables bool) {
 		}
 	}
 	// Quiesce: finish every held operation, close every query.
-	for len(x.upgrades)+len(x.loads)+len(x.extends)+len(x.txns) > 0 {
+	for len(x.upgrades)+len(x.extends)+len(x.txns) > 0 {
 		for _, s := range lifecycleSteps {
 			if strings.HasSuffix(s.name, "-commit") || s.name == "unpin" {
 				s.run(x)
@@ -886,10 +885,9 @@ func runLifecycleModel(t *testing.T, seed int64, steps int, joinTables bool) {
 	x.check(steps, "quiesce", true)
 }
 
-// pinnedLifecycleSeeds replay fixed schedules. The first two once failed:
-// both unpin the last reader of a demoted entry's RAM copy while an
-// extension of that copy is held open, so the drop has to end the operation,
-// nothing else will. The third is a schedule a past run drew fresh.
+// pinnedLifecycleSeeds replay fixed schedules. The first two once failed
+// (an operation held open on a demoted entry's RAM copy as its last reader
+// unpinned); the third is a schedule a past run drew fresh.
 var pinnedLifecycleSeeds = []int64{1, 1790466152564101585, 1792040738882089520}
 
 // TestLifecycleModel checks the lifecycle invariants after every one of
@@ -946,7 +944,7 @@ func TestLifecycleConcurrent(t *testing.T) {
 					tx := x.m.Begin()
 					if cs, ok := tx.Rewrite(selOver(x.ds, pred), map[string][]string{"t": {"a"}}).(*plan.CachedScan); ok {
 						e := cs.Entry.(*Entry)
-						mode, st, off, err := x.m.Resident(e)
+						mode, st, off, err := x.m.Resident(e, store.Leaves{Cols: []int{rng.Intn(2)}})
 						switch {
 						case err != nil:
 							// Dropped on its way to the payload: the query would fail over to raw.

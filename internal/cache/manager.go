@@ -63,9 +63,10 @@ type Config struct {
 	// scan over all entries (the naive approach §3.3 rejects; ablation).
 	LinearSubsumption bool
 	// SpillDir enables the disk spill tier: eviction victims whose
-	// reconstruction cost exceeds their reload cost are serialized (Parquet
-	// format) into this directory instead of discarded, and re-admitted to
-	// RAM on their next hit. Empty disables spilling. The directory must be
+	// reconstruction cost exceeds their reload cost are written (the RCS
+	// image of their Parquet form) into this directory instead of
+	// discarded, and stay there: a hit on one reads the leaves its scan
+	// needs from the file. Empty disables spilling. The directory must be
 	// private to this manager: init removes any orphaned spill files in it.
 	SpillDir string
 	// DiskCacheBytes is the disk tier's byte budget; 0 means unlimited.
@@ -144,10 +145,10 @@ type Stats struct {
 	PushedConjuncts     int64 `json:"pushed_conjuncts"`
 	RecordsSkippedEarly int64 `json:"records_skipped_early"`
 	// Disk-tier counters: Spills counts RAM→disk demotions, DiskHits the
-	// lookups answered by a spilled entry (each triggers a re-admission),
-	// and SpillDrops the entries the disk tier discarded for real (disk
-	// eviction plus unreadable/failed spill files). DiskEntries/DiskBytes
-	// gauge what the spill directory currently holds.
+	// lookups answered by a spilled entry (each reads the leaves it scans
+	// from the file), and SpillDrops the entries the disk tier discarded
+	// for real (disk eviction plus unreadable/failed spill files).
+	// DiskEntries/DiskBytes gauge what the spill directory currently holds.
 	DiskHits    int64 `json:"disk_hits"`
 	Spills      int64 `json:"spills"`
 	SpillDrops  int64 `json:"spill_drops"`
@@ -155,8 +156,10 @@ type Stats struct {
 	DiskBytes   int64 `json:"disk_bytes"`
 	// Freshness counters: StaleInvalidations counts entries dropped because
 	// their raw file was rewritten (or truncated) under them, or grew past a
-	// payload that cannot extend; TailExtensions counts extended payloads a
-	// reader committed to its entry after an append; and TailBytesScanned
+	// payload that cannot extend, or past twice what a spill file covers;
+	// TailExtensions counts payloads a reader extended over an appended
+	// tail — committed to a RAM entry, or its own read of a spill file or
+	// of a copy its entry no longer holds; and TailBytesScanned
 	// totals the appended bytes revalidations ingested — the work saved
 	// versus a full rebuild is the file size minus this.
 	StaleInvalidations int64 `json:"stale_invalidations"`
@@ -936,11 +939,7 @@ func (m *Manager) evictLocked() {
 		if !ok {
 			continue
 		}
-		switch {
-		case e.keptSpillFile():
-			m.demoteLocked(e) // no serialization or IO: the file is there
-		case m.queueSpillLocked(e):
-		default:
+		if !m.queueSpillLocked(e) {
 			m.removeLocked(e)
 		}
 		m.stats.evictions.Add(1)

@@ -10,15 +10,16 @@ import (
 	"recache/internal/expr"
 	"recache/internal/plan"
 	"recache/internal/store"
+	"recache/internal/value"
 )
 
 // Replica admission. A fleet shard owning a cache key pushes the entry's
 // RCS payload to the key's replica (the next shard in rendezvous order)
 // after every eager admission, and streams its whole working set out the
 // same way when draining. The receiving side lands here: the payload goes
-// straight into the disk tier as a spill file, so a replica costs no RAM
-// until a failover actually promotes it — at which point the normal
-// disk-hit path (Resident) re-admits it like any spilled entry.
+// straight into the disk tier as a spill file, so a replica costs no RAM;
+// after a failover the normal disk-hit path (Resident) reads it like any
+// spilled entry.
 //
 // Replica entries carry FileEpoch 0: the receiving process has its own
 // provider epoch numbering, so a pushed epoch would be meaningless here.
@@ -33,10 +34,9 @@ var errNoDiskTier = errors.New("cache: replica admission requires the disk tier 
 
 // AdmitReplica admits a peer-pushed payload as a disk-tier entry for
 // (ds, pred). The payload must be an RCS stream of ds's schema; it is
-// decoded once up front so a corrupt push is rejected instead of poisoning
-// the disk tier with a file that fails at promotion time. Nothing of that
-// decode is kept, so it runs the owning decoder, whose store is views of
-// the payload rather than a copy of it. Admission is
+// decoded once up front, every leaf, so a corrupt push is rejected instead
+// of poisoning the disk tier with a file that fails at its first hit.
+// Nothing of that decode is kept. Admission is
 // idempotent: if any entry for the key already exists (a local build or an
 // earlier push won), the push is dropped silently.
 func (m *Manager) AdmitReplica(ds *plan.Dataset, pred expr.Expr, predCanon string, payload []byte) error {
@@ -47,7 +47,8 @@ func (m *Manager) AdmitReplica(ds *plan.Dataset, pred expr.Expr, predCanon strin
 	if err != nil {
 		return fmt.Errorf("cache: replica admission: %w", err)
 	}
-	if _, err := store.ReadParquetOwned(payload, ds.Schema()); err != nil {
+	schema := ds.Schema()
+	if _, err := store.ReadParquetOwned(bytes.NewReader(payload), int64(len(payload)), schema, store.AllLeaves(schema)); err != nil {
 		return fmt.Errorf("cache: replica payload for %s: %w", ds.Name, err)
 	}
 
@@ -107,13 +108,15 @@ func (m *Manager) AdmitReplica(ds *plan.Dataset, pred expr.Expr, predCanon strin
 // exportItem is one entry's payload source, snapshotted under the lock.
 type exportItem struct {
 	dataset, predCanon string
+	schema             *value.Type
 	st                 store.Store // RAM copy, or nil:
 	spillPath          string      // the payload is in the disk tier
+	spillBytes         int64
 }
 
-// ExportPayloads serializes every exportable eager entry — RAM-resident
-// stores through the RCS writer, disk-tier entries by reading their spill
-// file — and hands each (dataset, predCanon, payload) to fn. A draining
+// ExportPayloads serializes every exportable eager entry through the RCS
+// writer — a disk-tier entry's payload read back from its spill file first,
+// every leaf — and hands each (dataset, predCanon, payload) to fn. A draining
 // shard uses it to stream its working set to the new rendezvous owners.
 // Lazy entries are skipped: their offset lists index this process's raw
 // files and carry no payload worth shipping. So are entries that trail
@@ -126,32 +129,29 @@ func (m *Manager) ExportPayloads(fn func(dataset, predCanon string, payload []by
 	m.mu.Lock()
 	items := make([]exportItem, 0, len(m.entries))
 	for _, e := range m.entries {
-		if e.Mode != Eager || e.op == opLoading {
+		if e.Mode != Eager {
 			continue
 		}
 		if trailing, _ := e.lag(e.payload()); !trailing {
-			items = append(items, exportItem{e.Dataset.Name, e.PredCanon, e.Store, e.spillPath})
+			items = append(items, exportItem{e.Dataset.Name, e.PredCanon, e.Dataset.Schema(), e.Store, e.spillPath, e.spillBytes})
 		}
 	}
 	m.mu.Unlock()
 
 	var buf bytes.Buffer
 	for _, it := range items {
-		var payload []byte
-		if it.st != nil {
-			buf.Reset()
-			if err := store.WriteParquet(&buf, it.st); err != nil {
-				continue
-			}
-			payload = buf.Bytes()
-		} else {
-			b, err := os.ReadFile(it.spillPath)
-			if err != nil {
+		st := it.st
+		if st == nil {
+			var err error
+			if st, err = readSpillFile(it.spillPath, it.spillBytes, it.schema, store.AllLeaves(it.schema)); err != nil {
 				continue // dropped or evicted mid-export
 			}
-			payload = b
 		}
-		if err := fn(it.dataset, it.predCanon, payload); err != nil {
+		buf.Reset()
+		if err := store.WriteParquet(&buf, st); err != nil {
+			continue
+		}
+		if err := fn(it.dataset, it.predCanon, buf.Bytes()); err != nil {
 			return err
 		}
 	}

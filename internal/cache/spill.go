@@ -10,32 +10,26 @@ import (
 
 	"recache/internal/eviction"
 	"recache/internal/store"
+	"recache/internal/value"
 )
 
 // The disk spill tier. When RAM eviction selects a victim whose
 // reconstruction cost (raw scan + build, t+c) exceeds the estimated cost
-// of reloading it from disk, the victim is demoted instead of discarded:
-// its payload, the Parquet form, is serialized as it is to a file in
+// of reading it back from disk, the victim is demoted instead of discarded:
+// its payload, the Parquet form, is written as it is to a file in
 // Config.SpillDir, while the entry itself — predicate, ranges, accounting,
-// R-tree membership — stays in RAM, so lookups keep matching it. A hit on
-// a spilled entry re-admits the payload, single-flight, then runs the normal
-// pipeline: one read of the file into a fresh buffer, which becomes the
-// payload. The RCS stream is the little-endian image of the payload's
-// vectors, so the re-admitted store's vectors are views of that buffer, and
-// a disk hit costs a file read and a validation pass — never a raw re-scan,
-// nor a decode into new vectors. A payload that trails its raw file catches
-// up afterwards, as one that never left RAM does (Resident).
+// R-tree membership — stays in RAM, so lookups keep matching it. The entry
+// then is its file. A hit on it reads only the leaves its scan projects:
+// the RCS stream's column directory (store/serial.go) turns a disk hit into
+// one header read plus one read per needed column, into a buffer the
+// reader owns and whose views its store's vectors are. Nothing is
+// re-admitted, committed, charged to RAM or evicted on a read, so an entry
+// leaves the disk tier only when it is removed; one that turns hot again is
+// served from disk until a build evicts what RAM holds.
 //
-// Entry payloads are immutable once built, so a spill file is write-once:
-// re-admission keeps the file, and while it exists the entry's later
-// demotions are free (drop the RAM pointer, no serialization or IO). Under
-// disk pressure these redundant copies are reclaimed before any disk-only
-// entry is dropped for real.
-//
-// Serialization and file reads/writes are the unlocked halves of the
-// opSpilling / opLoading operations (lifecycle.go); only cheap unlinks
-// happen under the lock, so a spill file's lifetime stays in step with the
-// entry state it mirrors.
+// Serialization and the file write are the unlocked half of the opSpilling
+// operation (lifecycle.go); only cheap unlinks happen under the lock, so a
+// spill file's lifetime stays in step with the entry state it mirrors.
 
 // spillEnabled reports whether the disk tier is configured.
 func (m *Manager) spillEnabled() bool { return m.cfg.SpillDir != "" }
@@ -86,15 +80,15 @@ func (m *Manager) queueSpillLocked(e *Entry) bool {
 	return ok
 }
 
-// reloadEstimate prices a disk re-admission in nanoseconds: the measured
-// reload cost when one exists, otherwise a sequential read bandwidth model
-// (2 GB/s) plus a fixed open/validate overhead. A page-cached 805 KB
-// lineitem-shaped spill file re-admits in ~0.24 ms on a 2-vCPU box
-// (BenchmarkSpillReload, median of 8 runs: the read into a fresh buffer and
-// the validation pass; the store's vectors are views of the buffer), where
-// the model says ~0.42 ms. That is within 2×, and the model stays as it is
-// because it decides which victims spill, and one disk hit replaces it with
-// the entry's own number.
+// reloadEstimate prices a disk hit in nanoseconds: the entry's latest
+// measured read when one exists, otherwise a sequential read bandwidth
+// model (2 GB/s) over the whole file plus a fixed open/validate overhead.
+// A page-cached 805 KB lineitem-shaped spill file reads whole in ~0.29 ms
+// on a 2-vCPU box, and two of its nine leaves in ~0.07 ms
+// (BenchmarkSpillReload, medians of 8 runs), where the model says
+// ~0.42 ms. The model stays as it is: it decides which victims spill, it is
+// within 2× of a whole read and overstates a projected one, and one disk
+// hit replaces it with the entry's own number.
 func (m *Manager) reloadEstimate(e *Entry) int64 {
 	if e.reloadNanos > 0 {
 		return e.reloadNanos
@@ -113,10 +107,9 @@ func (m *Manager) FlushSpills() { m.drainSpills() }
 
 // drainSpills performs queued demotions. Callers invoke it after releasing
 // the manager lock; each spill write runs unlocked and commits under the
-// lock, and a commit may queue further work (disk eviction never does, but
-// a re-admission's evictLocked can), hence the loop. A pinned victim keeps
-// its RAM copy until the last unpin: entries are never spilled out from
-// under a scan.
+// lock, and a commit may queue further work (its evictLocked), hence the
+// loop. A pinned victim keeps its RAM copy until the last unpin: entries
+// are never spilled out from under a scan.
 func (m *Manager) drainSpills() {
 	for {
 		m.mu.Lock()
@@ -176,140 +169,113 @@ func atomicWrite(path string, write func(io.Writer) error) (int64, error) {
 	return size, nil
 }
 
-// readSpill reads a whole spill file into a buffer of its own, sized from
-// its Stat: one read, no growth. The buffer becomes the re-admitted store's
-// memory (store.ReadParquetOwned), so it is never reused.
-func readSpill(path string) ([]byte, error) {
+// readSpillFile decodes leaves of the payload in the spill file at path,
+// size bytes long, into a store of the reader's own: the header, then the
+// sections of those leaves (store.ReadParquetOwned).
+func readSpillFile(path string, size int64, schema *value.Type, leaves store.Leaves) (store.Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, fi.Size())
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return store.ReadParquetOwned(f, size, schema, leaves)
 }
 
-// Resident returns a payload of e that a reader can scan: in RAM, and
-// current with e's raw file as its provider last ingested it. This is the
-// one place an entry catches up, and it does so for the reader that needs
-// it: a payload in the disk tier is re-admitted (one spill-file read, never a
-// raw re-scan), and a payload in RAM — also one just re-admitted — that
-// trails the file within its epoch is extended over the appended tail and
-// committed back to the entry. Both are single-flight per entry — a
-// second reader waits for the operation in flight and reads what it
-// committed. A reader whose entry died or was
-// demoted again under it keeps the payload it has and catches that up
-// privately. An extension that fails drops the entry and returns
-// plan.ErrEpochChanged: the caller re-plans against the miss.
-// Side-effect-free readers (EXPLAIN, tooling) use Payload instead.
-func (m *Manager) Resident(e *Entry) (Mode, store.Store, []int64, error) {
+// Resident returns a payload of e that a reader can scan, current with e's
+// raw file as its provider last ingested it. leaves names the part of the
+// payload the reader scans; a RAM payload is returned whole.
+//
+//   - A payload in RAM that trails the file within its epoch is extended
+//     over the appended tail and committed back to the entry, single-flight
+//     per entry: a second reader waits for the extension in flight and
+//     reads what it committed. A reader whose entry died, or was demoted,
+//     keeps the payload it has and catches that up privately.
+//   - A payload in the disk tier is read from its file, those leaves only,
+//     into a store that is the reader's alone — never a raw re-scan, and
+//     nothing is committed, charged or evicted: the entry stays on disk. A
+//     file that trails its raw file is caught up the same private way.
+//
+// An extension that fails drops the entry and returns plan.ErrEpochChanged:
+// the caller re-plans against the miss; a spill file that cannot be read
+// drops the entry too. Side-effect-free readers (EXPLAIN, tooling) use
+// Payload instead.
+func (m *Manager) Resident(e *Entry, leaves store.Leaves) (Mode, store.Store, []int64, error) {
 	m.mu.Lock()
 	p := e.payload()
 	for {
-		op := opIdle
+		var err error
 		if p.mode == Eager && p.store == nil {
-			op = opLoading
-		} else if trailing, extendable := e.lag(p); trailing && extendable {
-			op = opExtending
+			path, size := e.spillPath, e.spillBytes
+			m.mu.Unlock()
+			p, err = m.readDisk(e, p, path, size, leaves)
+			return p.mode, p.store, p.offsets, err
 		}
-		if op == opIdle {
+		if trailing, extendable := e.lag(p); !trailing || !extendable {
 			m.mu.Unlock()
 			return p.mode, p.store, p.offsets, nil
 		}
-		var o *inflight // nil: p is this reader's own by now, nothing to commit
-		switch {
-		case !e.dead && e.holds(p):
-			begun, ok := m.begin(e, op)
+		var o *inflight // nil: p is this reader's own to extend, nothing to commit
+		if !e.dead && !e.onDisk() && e.holds(p) {
+			begun, ok := m.begin(e, opExtending)
 			if !ok {
 				m.awaitOp(e)
 				p = e.payload()
 				continue
 			}
 			o = &begun
-		case op == opLoading:
-			// Dropped with its spill file (a failed load, or a removal) while
-			// this reader was on its way to the payload.
-			m.mu.Unlock()
-			return p.mode, nil, nil, fmt.Errorf("cache: entry %d lost its spilled payload", e.ID)
 		}
-		path := e.spillPath
 		m.mu.Unlock()
-		var err error
-		if op == opExtending {
-			p, err = m.extend(e, p, o)
-			return p.mode, p.store, p.offsets, err
-		}
-		if p, err = m.load(*o, path); err != nil {
-			return p.mode, nil, nil, err
-		}
-		m.mu.Lock()
+		p, err = m.extend(e, p, o)
+		return p.mode, p.store, p.offsets, err
 	}
 }
 
-// load is the unlocked half of a re-admission and its commit: one
-// spill-file read into a fresh buffer, which the payload then is — its
-// vectors are views of the file's bytes, not a decode of them. The file is
-// retained (entry payloads are immutable once built), so it stays valid and
-// the entry's next demotion is free; it keeps occupying the disk budget
-// until the entry is removed, its payload is replaced, or the disk tier
-// reclaims redundant copies under pressure. The returned payload is the
-// caller's to scan even if the commit's eviction round demoted the entry
-// again, or the entry died mid-load.
-func (m *Manager) load(o inflight, path string) (payload, error) {
-	e, res := o.e, result{payload: o.snap}
+// readDisk is a disk hit: the leaves a reader scans, read from e's spill
+// file at path into a store of the reader's own, and caught up privately
+// when the file trails its raw file. Its one write to the entry is
+// reloadNanos, the read's measured cost. A file that cannot be read drops
+// the entry: atomic writes and startup cleanup make that an OS failure, not
+// a normal path.
+func (m *Manager) readDisk(e *Entry, p payload, path string, size int64, leaves store.Leaves) (payload, error) {
+	if path == "" {
+		// The entry died, and its file went with its last pin: a reader
+		// that held no pin.
+		return p, fmt.Errorf("cache: entry %d lost its spilled payload", e.ID)
+	}
 	start := time.Now()
-	buf, err := readSpill(path)
-	if res.err = err; err == nil {
-		res.store, res.err = store.ReadParquetOwned(buf, e.Dataset.Schema())
-	}
-	reload := time.Since(start).Nanoseconds()
-	res.account = func() { e.reloadNanos = reload }
+	st, err := readSpillFile(path, size, e.Dataset.Schema(), leaves)
+	read := time.Since(start).Nanoseconds()
 	m.mu.Lock()
-	m.commit(o, res)
-	if res.err != nil && m.removeLocked(e) {
-		// Unreadable spill file: the entry is gone for real. (Atomic writes
-		// and startup cleanup make this an OS-failure path, not a normal one.)
-		m.stats.spillDrops.Add(1)
+	if err != nil {
+		if m.removeLocked(e) {
+			m.stats.spillDrops.Add(1)
+		}
+		m.mu.Unlock()
+		return p, fmt.Errorf("cache: read entry %d: %w", e.ID, err)
 	}
+	e.reloadNanos = read
+	trailing, extendable := e.lag(p)
 	m.mu.Unlock()
-	if res.err != nil {
-		return res.payload, fmt.Errorf("cache: reload entry %d: %w", e.ID, res.err)
+	p.store = st
+	if trailing && extendable {
+		return m.extend(e, p, nil)
 	}
-	m.drainSpills()
-	return res.payload, nil
+	return p, nil
 }
 
 // evictDiskLocked enforces the disk tier's byte budget. Disk items are
 // priced by reload cost: Size is the spill-file size and ScanNanos the
-// measured/estimated deserialization cost, so the benefit metric ranks
-// entries by what a disk hit still saves per byte of disk budget. Pinned
-// and mid-load entries are skipped; victims are dropped for real.
+// measured/estimated read cost, so the benefit metric ranks entries by what
+// a disk hit still saves per byte of disk budget. Pinned entries are
+// skipped; victims are dropped for real.
 func (m *Manager) evictDiskLocked() {
 	if m.cfg.DiskCacheBytes <= 0 || m.diskTotal <= m.cfg.DiskCacheBytes {
 		return
 	}
-	// Reclaim redundant copies first: a resident entry's kept spill file
-	// only buys a free future demotion, so dropping it loses no data —
-	// strictly cheaper than dropping a disk-only entry for real.
-	for _, e := range m.entries {
-		if m.diskTotal <= m.cfg.DiskCacheBytes {
-			return
-		}
-		if e.keptSpillFile() {
-			m.releaseSpillFile(e)
-		}
-	}
 	need := m.diskTotal - m.cfg.DiskCacheBytes
 	items := make([]eviction.Item, 0, m.diskEntries)
 	for _, e := range m.entries {
-		if !e.diskOnly() || e.op != opIdle || e.pins > 0 {
+		if !e.diskOnly() || e.pins > 0 {
 			continue
 		}
 		it := m.itemFor(e)

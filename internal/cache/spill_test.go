@@ -83,7 +83,7 @@ func diskEntryOf(m *Manager) *Entry {
 	return nil
 }
 
-func TestSpillOnEvictionAndReadmitOnHit(t *testing.T) {
+func TestSpillOnEvictionAndReadOnHit(t *testing.T) {
 	dir := t.TempDir()
 	m := NewManager(Config{Admission: AlwaysEager, Capacity: 250, SpillDir: dir})
 	ds := flatDataset("t")
@@ -118,8 +118,10 @@ func TestSpillOnEvictionAndReadmitOnHit(t *testing.T) {
 		t.Errorf("disk hits = %d, want 1", got)
 	}
 
-	// Re-admission: one spill-file read brings the payload back to RAM.
-	mode, est, _, err := m.Resident(e)
+	// The hit reads the leaf it scans from the file into a store of its own:
+	// the entry stays on disk, RAM is charged nothing, the file stays.
+	total := m.Stats().TotalBytes
+	mode, est, _, err := m.Resident(e, store.Leaves{Cols: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,96 +129,21 @@ func TestSpillOnEvictionAndReadmitOnHit(t *testing.T) {
 		t.Fatalf("Resident returned mode=%v store=%v", mode, est)
 	}
 	if est.NumRecords() != 4 {
-		t.Errorf("re-admitted store has %d records, want 4", est.NumRecords())
+		t.Errorf("the disk hit read %d records, want 4", est.NumRecords())
 	}
-	if tier := m.EntryTier(e); tier != "ram" {
-		t.Errorf("tier after re-admission = %q", tier)
+	if _, err := est.BatchCursor(false, []int{1}); err == nil {
+		t.Error("a cursor over a leaf the hit did not read opened")
+	}
+	if tier := m.EntryTier(e); tier != "disk" {
+		t.Errorf("tier after a disk hit = %q", tier)
+	}
+	if got := m.Stats(); got.TotalBytes != total || got.DiskEntries != st.DiskEntries || got.Spills != st.Spills {
+		t.Errorf("a disk hit moved the cache: %+v -> %+v", st, got)
 	}
 	if _, err := os.Stat(m.spillFile(e.ID)); err != nil {
-		t.Error("spill file should be retained after re-admission (payloads are immutable; the next demotion is free)")
+		t.Error("a disk hit lost the spill file")
 	}
 	tx.Close()
-}
-
-// TestKeptSpillFileMakesRedemotionFree: after a re-admission the spill file
-// is still valid, so the entry's next demotion drops the RAM payload with
-// no second serialization or write.
-func TestKeptSpillFileMakesRedemotionFree(t *testing.T) {
-	dir := t.TempDir()
-	m := NewManager(Config{Admission: AlwaysEager, Capacity: 250, SpillDir: dir})
-	ds := flatDataset("t")
-	for _, p := range spillPreds() {
-		m.BeginQuery()
-		buildCostly(t, m, ds, p, costly)
-	}
-	e := diskEntryOf(m)
-	if e == nil {
-		t.Fatal("no disk-tier entry")
-	}
-	if _, _, _, err := m.Resident(e); err != nil {
-		t.Fatal(err)
-	}
-	writes := m.Stats().Spills
-	// Re-admission pushed RAM over budget again; some victim was demoted.
-	// Force specifically e back out and check no new file write happened.
-	m.mu.Lock()
-	if e.Store != nil {
-		m.demoteLocked(e)
-	}
-	m.mu.Unlock()
-	if m.EntryTier(e) != "disk" {
-		t.Fatal("entry did not demote")
-	}
-	if got := m.Stats().Spills; got != writes {
-		t.Errorf("re-demotion wrote a spill file: %d -> %d writes", writes, got)
-	}
-	if _, st, _, err := m.Resident(e); err != nil || st == nil {
-		t.Fatalf("re-admission after free demotion failed: %v", err)
-	}
-}
-
-// TestDiskBudgetReclaimsRedundantCopiesFirst: under disk pressure the tier
-// drops kept files of resident entries (which lose nothing) before evicting
-// disk-only entries for real.
-func TestDiskBudgetReclaimsRedundantCopiesFirst(t *testing.T) {
-	dir := t.TempDir()
-	m := NewManager(Config{Admission: AlwaysEager, Capacity: 250, SpillDir: dir})
-	ds := flatDataset("t")
-	for _, p := range spillPreds() {
-		m.BeginQuery()
-		buildCostly(t, m, ds, p, costly)
-	}
-	e := diskEntryOf(m)
-	if e == nil {
-		t.Fatal("no disk-tier entry")
-	}
-	// Room for e beside the others: a re-admitted payload is charged its
-	// spill buffer, framing included, which would push a store this small
-	// straight back out of a 250-byte budget.
-	m.mu.Lock()
-	m.cfg.Capacity = 1 << 20
-	m.mu.Unlock()
-	if _, _, _, err := m.Resident(e); err != nil { // resident + kept file
-		t.Fatal(err)
-	}
-	before := m.Stats()
-	m.mu.Lock()
-	m.cfg.DiskCacheBytes = m.diskTotal - 1 // force ~one file over budget
-	m.evictDiskLocked()
-	m.mu.Unlock()
-	after := m.Stats()
-	if after.Entries != before.Entries {
-		t.Errorf("reclaiming a redundant copy dropped an entry: %d -> %d", before.Entries, after.Entries)
-	}
-	if after.DiskEntries >= before.DiskEntries {
-		t.Errorf("no file reclaimed: %d -> %d", before.DiskEntries, after.DiskEntries)
-	}
-	m.mu.Lock()
-	lost := e.spillPath == "" && e.Store != nil
-	m.mu.Unlock()
-	if !lost {
-		t.Error("the resident entry's redundant file should be the reclaim victim")
-	}
 }
 
 func TestCheapEntriesEvictForReal(t *testing.T) {
@@ -283,7 +210,7 @@ func TestPinnedEntryNeverLosesStoreMidScan(t *testing.T) {
 	m.drainSpills()
 
 	m.mu.Lock()
-	st, deferred, disk := e.Store, e.dropOnUnpin(), e.tier == tierDisk
+	st, deferred, disk := e.Store, e.dropOnUnpin(), e.onDisk()
 	m.mu.Unlock()
 	if st == nil {
 		t.Fatal("pinned entry lost its store mid-scan")
@@ -302,13 +229,16 @@ func TestPinnedEntryNeverLosesStoreMidScan(t *testing.T) {
 	if tier := m.EntryTier(e); tier != "disk" {
 		t.Errorf("tier = %q, want disk", tier)
 	}
-	// And the entry comes back.
-	if _, rst, _, err := m.Resident(e); err != nil || rst == nil {
-		t.Fatalf("re-admission failed: %v", err)
+	// And the next reader reads it from disk.
+	if _, rst, _, err := m.Resident(e, store.AllLeaves(ds.Schema())); err != nil || rst == nil {
+		t.Fatalf("disk hit failed: %v", err)
 	}
 }
 
-func TestReadmissionIsSingleFlight(t *testing.T) {
+// TestConcurrentDiskHitsReadPrivately: concurrent hits on one spilled
+// entry each read the file into a store of their own, and none of them
+// moves the entry out of the disk tier or charges RAM.
+func TestConcurrentDiskHitsReadPrivately(t *testing.T) {
 	dir := t.TempDir()
 	m := NewManager(Config{Admission: AlwaysEager, SpillDir: dir})
 	ds := flatDataset("t")
@@ -329,7 +259,7 @@ func TestReadmissionIsSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, st, _, err := m.Resident(e)
+			_, st, _, err := m.Resident(e, store.Leaves{Cols: []int{i % 2}})
 			if err != nil {
 				t.Error(err)
 				return
@@ -338,14 +268,19 @@ func TestReadmissionIsSingleFlight(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	for i := 1; i < readers; i++ {
-		if stores[i] != stores[0] {
-			t.Fatal("concurrent re-admissions produced different stores (loaded more than once)")
+	for i := 0; i < readers; i++ {
+		if stores[i] == nil || stores[i].NumRecords() != 20 {
+			t.Fatalf("reader %d read %v", i, stores[i])
+		}
+		for j := 0; j < i; j++ {
+			if stores[i] == stores[j] {
+				t.Fatalf("readers %d and %d share a store", j, i)
+			}
 		}
 	}
 	st := m.Stats()
-	if st.DiskEntries != 1 || st.DiskBytes == 0 {
-		t.Errorf("kept spill file must stay in the disk accounting: %+v", st)
+	if st.DiskEntries != 1 || st.DiskBytes == 0 || st.TotalBytes != 0 || m.EntryTier(e) != "disk" {
+		t.Errorf("disk hits moved the entry: %+v", st)
 	}
 	if st.Spills != 1 {
 		t.Errorf("spills = %d, want 1", st.Spills)
@@ -368,12 +303,12 @@ func TestUnreadableSpillFileDropsEntry(t *testing.T) {
 	if err := os.WriteFile(m.spillFile(e.ID), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := m.Resident(e); err == nil {
+	if _, _, _, err := m.Resident(e, store.AllLeaves(ds.Schema())); err == nil {
 		t.Fatal("Resident on a corrupt spill file should error")
 	}
 	st := m.Stats()
 	if st.SpillDrops == 0 {
-		t.Error("a failed reload must count as a spill drop")
+		t.Error("a failed read must count as a spill drop")
 	}
 	if st.Entries != 0 || st.DiskEntries != 0 {
 		t.Errorf("dropped entry still accounted: %+v", st)
@@ -432,8 +367,8 @@ func TestUnusableSpillDirDegradesToRAMOnly(t *testing.T) {
 }
 
 // TestSpillConcurrentChurn hammers one small cache from many goroutines so
-// entries ping-pong between RAM and disk while readers pin and scan them;
-// run under -race this exercises the spill/re-admit/pin interleavings.
+// readers pin and scan entries in both tiers; run under -race this
+// exercises the disk-hit and pin interleavings.
 func TestSpillConcurrentChurn(t *testing.T) {
 	dir := t.TempDir()
 	m := NewManager(Config{Admission: AlwaysEager, Capacity: 250, SpillDir: dir})
@@ -455,7 +390,7 @@ func TestSpillConcurrentChurn(t *testing.T) {
 				out := tx.Rewrite(sel, map[string][]string{"t": {"a"}})
 				if cs, ok := out.(*plan.CachedScan); ok {
 					e := cs.Entry.(*Entry)
-					_, st, _, err := m.Resident(e)
+					_, st, _, err := m.Resident(e, store.Leaves{Cols: []int{0}, Lengths: true})
 					if err != nil {
 						t.Error(err)
 					} else if st != nil {
@@ -542,11 +477,12 @@ func TestSpillWriteAllocs(t *testing.T) {
 	}
 }
 
-// TestReadmitAliasesSpillBuffer: a disk hit reads the spill file into a
-// buffer that becomes the payload. The re-admitted entry's int and float
-// vectors lie inside that buffer, at the offsets the file holds them at,
-// and the entry is charged the buffer's bytes.
-func TestReadmitAliasesSpillBuffer(t *testing.T) {
+// TestDiskHitAliasesReadBuffer: a disk hit reads the sections of the leaves
+// it scans into one buffer of its own, and its store's vectors are views of
+// that buffer: the int and float vectors of two adjacent leaves lie as far
+// apart in memory as in the spill file, with the file's bytes between them.
+// The entry is charged nothing for it.
+func TestDiskHitAliasesReadBuffer(t *testing.T) {
 	m := NewManager(Config{Admission: AlwaysEager, SpillDir: t.TempDir()})
 	ds := flatDataset("t")
 	e := buildCostly(t, m, ds, nil, costly)
@@ -560,12 +496,12 @@ func TestReadmitAliasesSpillBuffer(t *testing.T) {
 	if m.EntryTier(e) != "disk" {
 		t.Fatal("the entry did not demote")
 	}
-	_, st, _, err := m.Resident(e)
+	_, st, _, err := m.Resident(e, store.Leaves{Cols: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.mu.Lock()
-	path, size, spilled := e.spillPath, e.SizeBytes(), e.spillBytes
+	path, size := e.spillPath, e.SizeBytes()
 	m.mu.Unlock()
 	file, err := os.ReadFile(path)
 	if err != nil {
@@ -581,21 +517,22 @@ func TestReadmitAliasesSpillBuffer(t *testing.T) {
 	of := bytes.Index(file, image(unsafe.Pointer(&floats[0]), len(floats)))
 	gap := uintptr(unsafe.Pointer(&floats[0])) - uintptr(unsafe.Pointer(&ints[0]))
 	if oi < 0 || of < 0 || gap != uintptr(of-oi) {
-		t.Fatalf("ints at file offset %d and floats at %d lie %d bytes apart in memory: not views of one spill buffer", oi, of, gap)
+		t.Fatalf("ints at file offset %d and floats at %d lie %d bytes apart in memory: not views of one read buffer", oi, of, gap)
 	}
 	// Only now is it safe to read the buffer the vectors lie in.
-	if buf := unsafe.Slice((*byte)(unsafe.Add(unsafe.Pointer(&ints[0]), -oi)), len(file)); !bytes.Equal(buf, file) {
-		t.Error("the memory around the vectors is not the spill file's bytes")
+	if buf := unsafe.Slice((*byte)(unsafe.Pointer(&ints[0])), of-oi); !bytes.Equal(buf, file[oi:of]) {
+		t.Error("the memory between the vectors is not the spill file's bytes")
 	}
-	if size != spilled {
-		t.Errorf("the re-admitted entry is charged %d bytes, its spill buffer holds %d", size, spilled)
+	if size != 0 || m.Stats().TotalBytes != 0 {
+		t.Errorf("the disk hit charged the entry %d bytes, RAM %d", size, m.Stats().TotalBytes)
 	}
 }
 
 // BenchmarkSpillReload times one disk hit on a lineitem-shaped payload of
-// about 800 KB (11 000 rows of nine numeric columns): the file read, the
-// decode and the commit of Manager.Resident, with the entry demoted for
-// free (its spill file kept) between hits. MB/s is the spill file's size.
+// about 800 KB (11 000 rows of nine numeric columns): Manager.Resident
+// reading the header and the sections a scan needs from the spill file into
+// a store of its own — all nine leaves (full), or two (projected, a
+// GROUP BY's key and value). MB/s is the bytes read.
 func BenchmarkSpillReload(b *testing.B) {
 	const n = 11_000
 	schema := value.TRecord(
@@ -638,14 +575,25 @@ func BenchmarkSpillReload(b *testing.B) {
 		b.Fatal("the entry was not queued for a spill")
 	}
 	m.drainSpills()
-	b.SetBytes(e.spillBytes)
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, st, _, err := m.Resident(e); err != nil || st == nil {
-			b.Fatalf("re-admission failed: %v", err)
-		}
-		m.mu.Lock()
-		m.demoteLocked(e)
-		m.mu.Unlock()
+	for _, c := range []struct {
+		name   string
+		leaves store.Leaves
+	}{
+		{"full", store.AllLeaves(schema)},
+		{"projected", store.Leaves{Cols: []int{4, 5}}}, // l_quantity, l_extendedprice
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			_, st, _, err := m.Resident(e, c.leaves)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(st.SizeBytes())
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, st, _, err := m.Resident(e, c.leaves); err != nil || st == nil {
+					b.Fatalf("disk hit failed: %v", err)
+				}
+			}
+		})
 	}
 }

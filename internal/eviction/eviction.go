@@ -74,12 +74,13 @@ type Policy interface {
 
 // TieredPolicy is an optional extension for caches with a disk tier below
 // RAM. Demotion moves an entry's accounting from the RAM tier to the disk
-// tier; promotion (re-admission on a hit) moves it back. DiskVictims picks
-// entries to discard *for real* from the disk tier. Disk items are priced
-// by reload cost: the manager fills Item.ScanNanos with the measured (or
-// estimated) cost of deserializing the entry back into RAM, so the benefit
-// metric b(p) = n·(t+c−s−l)/log2(B) naturally becomes "what a disk hit
-// still saves over re-scanning raw data, per byte of disk budget".
+// tier, where it stays until it is removed: a disk hit reads the entry
+// where it is, and OnAccess records it in whichever tier holds the entry.
+// DiskVictims picks entries to discard *for real* from the disk tier. Disk
+// items are priced by reload cost: the manager fills Item.ScanNanos with
+// the measured (or estimated) cost of reading the entry from disk, so the
+// benefit metric b(p) = n·(t+c−s−l)/log2(B) naturally becomes "what a disk
+// hit still saves over re-scanning raw data, per byte of disk budget".
 //
 // Policies that do not implement TieredPolicy still work with a tiered
 // cache: the manager falls back to Victims for the disk tier and treats
@@ -89,8 +90,6 @@ type TieredPolicy interface {
 	Policy
 	// OnDemote records an entry moving RAM → disk.
 	OnDemote(id uint64)
-	// OnPromote records an entry re-admitted disk → RAM.
-	OnPromote(id uint64)
 	// OnDiskRemove records an entry discarded from the disk tier.
 	OnDiskRemove(id uint64)
 	// DiskVictims returns disk-tier entry IDs to discard, in order, whose

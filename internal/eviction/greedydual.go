@@ -43,8 +43,15 @@ func (g *GreedyDual) Name() string { return "recache-greedy-dual" }
 // OnInsert implements Policy: L(p) ← L.
 func (g *GreedyDual) OnInsert(id uint64) { g.lp[id] = g.l }
 
-// OnAccess implements Policy: L(p) ← L.
-func (g *GreedyDual) OnAccess(id uint64) { g.lp[id] = g.l }
+// OnAccess implements Policy: L(p) ← L, against the baseline of the tier
+// the entry is in — a disk hit leaves the entry on disk.
+func (g *GreedyDual) OnAccess(id uint64) {
+	if _, ok := g.dlp[id]; ok {
+		g.dlp[id] = g.dl
+		return
+	}
+	g.lp[id] = g.l
+}
 
 // OnRemove implements Policy.
 func (g *GreedyDual) OnRemove(id uint64) { delete(g.lp, id) }
@@ -55,13 +62,6 @@ func (g *GreedyDual) OnRemove(id uint64) { delete(g.lp, id) }
 func (g *GreedyDual) OnDemote(id uint64) {
 	delete(g.lp, id)
 	g.dlp[id] = g.dl
-}
-
-// OnPromote implements TieredPolicy: re-admission is an insert into the
-// RAM tier (L(p) ← L) and a departure from the disk tier.
-func (g *GreedyDual) OnPromote(id uint64) {
-	delete(g.dlp, id)
-	g.lp[id] = g.l
 }
 
 // OnDiskRemove implements TieredPolicy.

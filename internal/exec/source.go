@@ -103,14 +103,16 @@ func withFilter(src vecSource, f *expr.VecFilter) vecSource {
 // Concurrency: the entry's mode and payload are snapshotted through
 // Manager.Resident at open, so the scan keeps reading a consistent
 // immutable store even if the entry is concurrently upgraded, extended, or
-// evicted, or its view is shed (the query's Txn pin keeps it alive). Resident
-// also re-admits a spilled entry from the disk tier — a disk hit costs one
-// spill-file read here, never a raw re-scan — and an unreadable spill file
-// fails the query with its error.
+// evicted, or its view is shed (the query's Txn pin keeps it alive). For a
+// spilled entry Resident reads the scan's leaves (and, for a flattening
+// scan, the list lengths) from the disk tier into the scan's own store — a
+// disk hit costs a read of those sections here, never a raw re-scan — and
+// an unreadable spill file fails the query with its error.
 type scanSource struct {
 	cs       *plan.CachedScan
 	entry    *cache.Entry
 	outNames []string
+	leaves   store.Leaves // the output columns' leaves, in output order
 	filters  []*expr.VecFilter
 }
 
@@ -127,21 +129,26 @@ func compileCachedScan(cs *plan.CachedScan) (*scanSource, error) {
 	for i, fd := range cs.Out.Fields {
 		outNames[i] = fd.Name
 	}
-	return &scanSource{cs: cs, entry: entry, outNames: outNames, filters: []*expr.VecFilter{f}}, nil
+	leaves, err := store.LeavesOf(entry.Dataset.Schema(), outNames, cs.Flat)
+	if err != nil {
+		return nil, err
+	}
+	return &scanSource{cs: cs, entry: entry, outNames: outNames, leaves: leaves, filters: []*expr.VecFilter{f}}, nil
 }
 
-// payload snapshots the entry's mode and payload. admit distinguishes a
-// real execution (re-admit a spilled payload from the disk tier, via
-// Resident) from a side-effect-free probe (EXPLAIN reads the snapshot only).
-func (s *scanSource) payload(deps Deps, admit bool) (mode cache.Mode, st store.Store, offsets []int64, err error) {
+// payload snapshots the entry's mode and payload. read distinguishes a
+// real execution (through Resident, which reads a spilled payload's leaves
+// from the disk tier) from a side-effect-free probe (EXPLAIN reads the
+// snapshot only).
+func (s *scanSource) payload(deps Deps, read bool) (mode cache.Mode, st store.Store, offsets []int64, err error) {
 	switch {
 	case deps.Manager == nil:
 		// Manager-less executions (unit harnesses) own the entry outright;
 		// everywhere else the snapshot must come from the locked accessors —
 		// a concurrent tail extension swaps Store under the manager lock.
 		return s.entry.Mode, s.entry.Store, s.entry.Offsets, nil
-	case admit:
-		return deps.Manager.Resident(s.entry)
+	case read:
+		return deps.Manager.Resident(s.entry, s.leaves)
 	}
 	mode, st, offsets = deps.Manager.Payload(s.entry)
 	return mode, st, offsets, nil
@@ -158,11 +165,7 @@ func (s *scanSource) open(ctx *qctx) (vecIter, error) {
 	if s.cs.Flat && ctx.deps.Manager != nil {
 		st = ctx.deps.Manager.View(s.entry, st)
 	}
-	idx, err := store.ColumnIndexes(st, s.outNames)
-	if err != nil {
-		return nil, err
-	}
-	cur, err := st.BatchCursor(s.cs.Flat, idx)
+	cur, err := st.BatchCursor(s.cs.Flat, s.leaves.Cols)
 	if err != nil {
 		return nil, err
 	}

@@ -66,19 +66,12 @@ func compile(e Expr, schema *value.Type) (Evaluator, error) {
 		}, nil
 
 	case *Not:
-		inner, err := compile(x.E, schema)
-		if err != nil {
-			return nil, err
-		}
-		return func(r Row) value.Value {
-			v := inner(r)
-			if v.Kind == value.Null {
-				return value.VNull
-			}
-			return value.VBool(!v.Truthy())
-		}, nil
+		return triValue(compileTri(x, schema))
 
 	case *Bin:
+		if x.Op.IsLogic() || x.Op.IsComparison() {
+			return triValue(compileTri(x, schema))
+		}
 		l, err := compile(x.L, schema)
 		if err != nil {
 			return nil, err
@@ -87,92 +80,158 @@ func compile(e Expr, schema *value.Type) (Evaluator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return compileBin(x, l, r, schema)
+		lt, _ := x.L.Type(schema)
+		rt, _ := x.R.Type(schema)
+		return arith(x.Op, lt, rt, l, r), nil
 	}
 	return nil, fmt.Errorf("expr: cannot compile %T", e)
 }
 
-func compileBin(x *Bin, l, r Evaluator, schema *value.Type) (Evaluator, error) {
-	lt, _ := x.L.Type(schema)
-	rt, _ := x.R.Type(schema)
+// tri is a boolean expression's value in SQL's three-valued logic. The
+// comparisons, NOT, AND and OR compile to closures returning it, which a
+// predicate tests as it is and an expression in value position boxes once,
+// at its root (triValue): a conjunct chain passes one byte between its
+// nodes, not a value.Value.
+type tri int8
+
+const (
+	triFalse tri = iota
+	triTrue
+	triNull
+)
+
+// triOf is v's truth: null, or whether it counts as true.
+func triOf(v value.Value) tri {
 	switch {
-	case x.Op.IsLogic():
-		if x.Op == OpAnd {
-			return func(row Row) value.Value {
-				lv := l(row)
-				if lv.Kind != value.Null && !lv.Truthy() {
-					return value.VBool(false)
-				}
-				rv := r(row)
-				if rv.Kind != value.Null && !rv.Truthy() {
-					return value.VBool(false)
-				}
-				if lv.Kind == value.Null || rv.Kind == value.Null {
-					return value.VNull
-				}
-				return value.VBool(true)
-			}, nil
-		}
-		return func(row Row) value.Value {
-			lv := l(row)
-			if lv.Kind != value.Null && lv.Truthy() {
-				return value.VBool(true)
-			}
-			rv := r(row)
-			if rv.Kind != value.Null && rv.Truthy() {
-				return value.VBool(true)
-			}
-			if lv.Kind == value.Null || rv.Kind == value.Null {
-				return value.VNull
-			}
-			return value.VBool(false)
-		}, nil
-
-	case x.Op.IsComparison():
-		// Fast paths for the common typed comparisons.
-		if lt.Kind == value.Int && rt.Kind == value.Int {
-			return compareInt(x.Op, l, r), nil
-		}
-		if lt.IsNumeric() && rt.IsNumeric() {
-			return compareFloat(x.Op, l, r), nil
-		}
-		op := x.Op
-		return func(row Row) value.Value {
-			lv, rv := l(row), r(row)
-			if lv.Kind == value.Null || rv.Kind == value.Null {
-				return value.VNull
-			}
-			return cmpResult(op, lv.Compare(rv))
-		}, nil
-
-	default:
-		return arith(x.Op, lt, rt, l, r), nil
+	case v.Kind == value.Null:
+		return triNull
+	case v.Truthy():
+		return triTrue
 	}
+	return triFalse
 }
 
-func compareInt(op Op, l, r Evaluator) Evaluator {
-	return func(row Row) value.Value {
+// triValue boxes a compiled boolean as an Evaluator.
+func triValue(t func(Row) tri, err error) (Evaluator, error) {
+	if err != nil {
+		return nil, err
+	}
+	return func(r Row) value.Value {
+		switch t(r) {
+		case triTrue:
+			return value.VBool(true)
+		case triFalse:
+			return value.VBool(false)
+		}
+		return value.VNull
+	}, nil
+}
+
+// compileTri compiles a boolean expression: a comparison, NOT, AND and OR
+// natively, anything else (a boolean column or literal) by the truth of
+// its value.
+func compileTri(e Expr, schema *value.Type) (func(Row) tri, error) {
+	switch x := e.(type) {
+	case *Not:
+		inner, err := compileTri(x.E, schema)
+		if err != nil {
+			return nil, err
+		}
+		return func(r Row) tri {
+			switch inner(r) {
+			case triTrue:
+				return triFalse
+			case triFalse:
+				return triTrue
+			}
+			return triNull
+		}, nil
+	case *Bin:
+		switch {
+		case x.Op.IsLogic():
+			l, err := compileTri(x.L, schema)
+			if err != nil {
+				return nil, err
+			}
+			r, err := compileTri(x.R, schema)
+			if err != nil {
+				return nil, err
+			}
+			// AND is false if either side is, OR true if either side is;
+			// otherwise a null side makes the result null.
+			decisive, other := triFalse, triTrue
+			if x.Op == OpOr {
+				decisive, other = triTrue, triFalse
+			}
+			return func(row Row) tri {
+				lv := l(row)
+				if lv == decisive {
+					return decisive
+				}
+				rv := r(row)
+				if rv == decisive {
+					return decisive
+				}
+				if lv == triNull || rv == triNull {
+					return triNull
+				}
+				return other
+			}, nil
+		case x.Op.IsComparison():
+			return compileCmp(x, schema)
+		}
+	}
+	ev, err := compile(e, schema)
+	if err != nil {
+		return nil, err
+	}
+	return func(r Row) tri { return triOf(ev(r)) }, nil
+}
+
+// compileCmp compiles a comparison, with fast paths for the common typed
+// ones.
+func compileCmp(x *Bin, schema *value.Type) (func(Row) tri, error) {
+	l, err := compile(x.L, schema)
+	if err != nil {
+		return nil, err
+	}
+	r, err := compile(x.R, schema)
+	if err != nil {
+		return nil, err
+	}
+	lt, _ := x.L.Type(schema)
+	rt, _ := x.R.Type(schema)
+	if lt.Kind == value.Int && rt.Kind == value.Int {
+		return compareInt(x.Op, l, r), nil
+	}
+	if lt.IsNumeric() && rt.IsNumeric() {
+		return compareFloat(x.Op, l, r), nil
+	}
+	op := x.Op
+	return func(row Row) tri {
 		lv, rv := l(row), r(row)
 		if lv.Kind == value.Null || rv.Kind == value.Null {
-			return value.VNull
+			return triNull
+		}
+		return cmpResult(op, lv.Compare(rv))
+	}, nil
+}
+
+func compareInt(op Op, l, r Evaluator) func(Row) tri {
+	return func(row Row) tri {
+		lv, rv := l(row), r(row)
+		if lv.Kind == value.Null || rv.Kind == value.Null {
+			return triNull
 		}
 		a, b := lv.I, rv.I
-		var ok bool
-		switch op {
-		case OpEq:
-			ok = a == b
-		case OpNe:
-			ok = a != b
-		case OpLt:
-			ok = a < b
-		case OpLe:
-			ok = a <= b
-		case OpGt:
-			ok = a > b
-		case OpGe:
-			ok = a >= b
+		c := 0
+		switch {
+		case a < b:
+			c = -1
+		case a > b:
+			c = 1
 		}
-		return value.VBool(ok)
+		return cmpResult(op, c)
 	}
 }
 
@@ -181,11 +240,11 @@ func compareInt(op Op, l, r Evaluator) Evaluator {
 // evaluator: a NaN is neither below nor above any number, so it compares
 // equal to it. It passes =, <= and >= and fails <, > and <>, whatever the
 // shape of the predicate around the comparison.
-func compareFloat(op Op, l, r Evaluator) Evaluator {
-	return func(row Row) value.Value {
+func compareFloat(op Op, l, r Evaluator) func(Row) tri {
+	return func(row Row) tri {
 		lv, rv := l(row), r(row)
 		if lv.Kind == value.Null || rv.Kind == value.Null {
-			return value.VNull
+			return triNull
 		}
 		a, b := lv.AsFloat(), rv.AsFloat()
 		c := 0
@@ -199,7 +258,7 @@ func compareFloat(op Op, l, r Evaluator) Evaluator {
 	}
 }
 
-func cmpResult(op Op, c int) value.Value {
+func cmpResult(op Op, c int) tri {
 	var ok bool
 	switch op {
 	case OpEq:
@@ -215,7 +274,10 @@ func cmpResult(op Op, c int) value.Value {
 	case OpGe:
 		ok = c >= 0
 	}
-	return value.VBool(ok)
+	if ok {
+		return triTrue
+	}
+	return triFalse
 }
 
 func arith(op Op, lt, rt *value.Type, l, r Evaluator) Evaluator {
@@ -271,14 +333,11 @@ func CompilePredicate(e Expr, schema *value.Type) (Predicate, error) {
 	if t.Kind != value.Bool {
 		return nil, fmt.Errorf("expr: predicate must be boolean, got %s", t)
 	}
-	ev, err := compile(e, schema)
+	t2, err := compileTri(e, schema)
 	if err != nil {
 		return nil, err
 	}
-	return func(r Row) bool {
-		v := ev(r)
-		return v.Kind == value.Bool && v.B
-	}, nil
+	return func(r Row) bool { return t2(r) == triTrue }, nil
 }
 
 // cmpSpec is one fused conjunct: row[idx] op constant.

@@ -357,7 +357,7 @@ func TestEvalCompiledMatchesNaive(t *testing.T) {
 				return false
 			}
 			want := cmpResult(op, value.VInt(a%1000).Compare(value.VInt(b%1000)))
-			if got.B != want.B {
+			if got.B != (want == triTrue) {
 				return false
 			}
 		}

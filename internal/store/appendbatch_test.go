@@ -258,7 +258,9 @@ func nativeByRecord(t testing.TB, st Store) [][]any {
 // reassembly works; that re-encodes, through an in-memory buffer and a
 // stream sink alike, to one stream that decodes to the same records; and,
 // for a flat schema, whose column-by-column decode (the client's result
-// path) equals the record-by-record one.
+// path) equals the record-by-record one. The owning decoder, whole and
+// projected onto every leaf subset, is held to the copying one
+// (ownedMatches).
 func FuzzReadParquetBytes(f *testing.F) {
 	flat := value.TRecord(
 		value.F("id", value.TInt),
@@ -342,37 +344,67 @@ func FuzzReadParquetBytes(f *testing.F) {
 	})
 }
 
-// ownedMatches holds the owning decode of data, placed at each buffer
-// offset 0–7 (an aliasing decode at offset 0, a copying one elsewhere), to
-// the copying decode want, wantErr: it fails exactly when that fails, and
-// otherwise holds the same vectors and list lengths and scans to the same
-// records.
+// ownedMatches holds the owning decode of data to the copying decode want,
+// wantErr: read whole, it fails exactly when that fails and otherwise holds
+// the same vectors and list lengths and scans to the same records. Then
+// every subset of the leaves, with and without the list lengths: a
+// directory the header check rejects fails every projected read too, and
+// when the copying decode accepts data, each projected read holds the
+// copying decode's vectors for the leaves it read, the lengths if it needs
+// them, and nothing else.
 func ownedMatches(t *testing.T, data []byte, schema *value.Type, want Store, wantErr error) {
 	t.Helper()
-	for shift := range 8 {
-		buf := make([]byte, shift+len(data)+8)[shift : shift+len(data) : shift+len(data)]
-		copy(buf, data)
-		got, err := ReadParquetOwned(buf, schema)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("offset %d: owning decode err = %v, copying decode err = %v", shift, err, wantErr)
+	got, err := ReadParquetOwned(bytes.NewReader(data), int64(len(data)), schema, AllLeaves(schema))
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("owning decode err = %v, copying decode err = %v", err, wantErr)
+	}
+	if err == nil {
+		if a, b := renderNested(t, want), renderNested(t, got); !reflect.DeepEqual(a, b) {
+			t.Fatalf("owning decode scans to %v, copying decode to %v", b, a)
 		}
-		if err != nil {
-			continue
-		}
-		w, g := want.(*parquetStore), got.(*parquetStore)
-		if !slices.Equal(w.lengths, g.lengths) || w.nRecs != g.nRecs || w.nFlat != g.nFlat {
-			t.Fatalf("offset %d: owning decode has %d records, %d flat rows, lengths %v; copying decode %d, %d, %v",
-				shift, g.nRecs, g.nFlat, g.lengths, w.nRecs, w.nFlat, w.lengths)
-		}
-		for ci := range w.cols {
-			for _, pair := range [][2]*Vec{{w.flatVecs[ci], g.flatVecs[ci]}, {w.repVecs[ci], g.repVecs[ci]}} {
-				if !vecsEqual(pair[0], pair[1]) {
-					t.Fatalf("offset %d, column %d: owning decode %+v, copying decode %+v", shift, ci, *pair[1], *pair[0])
+	}
+	_, headerErr := parseHeader(data, int64(len(data)), schema)
+	cols := len(AllLeaves(schema).Cols)
+	for set := range 1 << cols {
+		for _, lengths := range []bool{false, true} {
+			leaves := Leaves{Lengths: lengths}
+			for ci := range cols {
+				if set&(1<<ci) != 0 {
+					leaves.Cols = append(leaves.Cols, ci)
 				}
 			}
-		}
-		if a, b := renderNested(t, want), renderNested(t, got); !reflect.DeepEqual(a, b) {
-			t.Fatalf("offset %d: owning decode scans to %v, copying decode to %v", shift, b, a)
+			got, err := ReadParquetOwned(bytes.NewReader(data), int64(len(data)), schema, leaves)
+			switch {
+			case headerErr != nil && err == nil:
+				t.Fatalf("leaves %+v: a projected read accepted a header the check rejects (%v)", leaves, headerErr)
+			case wantErr == nil && err != nil:
+				t.Fatalf("leaves %+v: a projected read of an accepted stream failed: %v", leaves, err)
+			case err != nil:
+				continue
+			}
+			if wantErr != nil {
+				continue
+			}
+			w, g := want.(*parquetStore), got.(*parquetStore)
+			if g.nRecs != w.nRecs || g.nFlat != w.nFlat {
+				t.Fatalf("leaves %+v: %d records, %d flat rows; copying decode %d, %d", leaves, g.nRecs, g.nFlat, w.nRecs, w.nFlat)
+			}
+			for ci := range cols {
+				read := set&(1<<ci) != 0
+				if gv := g.leaf(ci); read && !vecsEqual(w.leaf(ci), gv) || !read && gv != nil {
+					t.Fatalf("leaves %+v, column %d: projected read %+v, copying decode %+v", leaves, ci, gv, w.leaf(ci))
+				}
+				if _, err := got.BatchCursor(false, []int{ci}); read == (err != nil) && !w.cols[ci].Repeated {
+					t.Fatalf("leaves %+v: a cursor over column %d (read %v) errs %v", leaves, ci, read, err)
+				}
+			}
+			if needs := w.listPath != nil && (lengths || slices.ContainsFunc(leaves.Cols, func(ci int) bool { return w.cols[ci].Repeated })); needs {
+				if g.noLengths || !slices.Equal(g.lengths, w.lengths) {
+					t.Fatalf("leaves %+v: lengths %v, copying decode %v", leaves, g.lengths, w.lengths)
+				}
+			} else if g.lengths != nil {
+				t.Fatalf("leaves %+v: read lengths nobody needs", leaves)
+			}
 		}
 	}
 }

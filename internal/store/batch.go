@@ -199,8 +199,17 @@ func (s *columnarStore) BatchCursor(flat bool, cols []int) (*BatchCursor, error)
 // record leaf is gathered once per flattened row of its record — the
 // columnar layout's repeated parents, built per scan — and the repeated
 // leaves are read as stored, their empty-list placeholders skipped. The
-// expansion is the cursor's ComputeNanos.
+// expansion is the cursor's ComputeNanos. A projected read's cursor fails
+// over a leaf, or a flattening of the list lengths, that the read left out.
 func (s *parquetStore) BatchCursor(flat bool, cols []int) (*BatchCursor, error) {
+	for _, c := range cols {
+		if s.leaf(c) == nil {
+			return nil, fmt.Errorf("store: leaf %q was not read into this store", s.cols[c].Name())
+		}
+	}
+	if flat && s.listPath != nil && s.noLengths {
+		return nil, fmt.Errorf("store: the list lengths of %s were not read into this store", s.schema)
+	}
 	vecs := make([]*Vec, len(cols))
 	if !flat || s.listPath == nil {
 		if err := recordColumns(s.cols, cols); err != nil {

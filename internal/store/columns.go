@@ -36,12 +36,29 @@ func NewColumns(schema *value.Type) []*Vec {
 // their Parquet form, or the columnar layout derived from it. The vectors
 // belong to the store afterwards.
 func FromColumns(schema *value.Type, layout Layout, vecs []*Vec, lengths []int32) (Store, error) {
-	cols, err := value.LeafColumnsCached(schema)
+	if layout != LayoutColumnar && layout != LayoutParquet {
+		return nil, fmt.Errorf("store: unknown layout %v", layout)
+	}
+	n := len(lengths)
+	if value.RepeatedFieldCached(schema) == nil && len(vecs) > 0 && vecs[0] != nil {
+		n = vecs[0].Len()
+	}
+	st, err := fromColumns(schema, n, vecs, lengths)
 	if err != nil {
 		return nil, err
 	}
-	if layout != LayoutColumnar && layout != LayoutParquet {
-		return nil, fmt.Errorf("store: unknown layout %v", layout)
+	if st.partial() {
+		return nil, fmt.Errorf("store: a column vector of %s is missing", schema)
+	}
+	return st.as(layout), nil
+}
+
+// fromColumns adopts vecs and lengths as the Parquet form of n records,
+// unsealed. A nil vector is a leaf the form does not hold.
+func fromColumns(schema *value.Type, n int, vecs []*Vec, lengths []int32) (*parquetStore, error) {
+	cols, err := value.LeafColumnsCached(schema)
+	if err != nil {
+		return nil, err
 	}
 	if len(vecs) != len(cols) {
 		return nil, fmt.Errorf("store: %d column vectors for the %d leaf columns of %s", len(vecs), len(cols), schema)
@@ -50,27 +67,27 @@ func FromColumns(schema *value.Type, layout Layout, vecs []*Vec, lengths []int32
 	if listPath == nil && lengths != nil {
 		return nil, fmt.Errorf("store: list lengths for %s, which has no repeated field", schema)
 	}
-	nRecs, nElems := len(lengths), 0
+	if listPath != nil && len(lengths) != n {
+		return nil, fmt.Errorf("store: %d list lengths for %d records", len(lengths), n)
+	}
+	nElems := 0
 	for _, l := range lengths {
 		if l < 0 {
 			return nil, fmt.Errorf("store: negative list length %d", l)
 		}
 		nElems += int(l)
 	}
-	if listPath == nil && len(vecs) > 0 {
-		nRecs = vecs[0].Len()
-	}
 	for i, v := range vecs {
-		want := nRecs
+		want := n
 		if cols[i].Repeated {
 			want = nElems
 		}
-		if v.Kind != cols[i].Type.Kind || v.Len() != want {
+		if v != nil && (v.Kind != cols[i].Type.Kind || v.Len() != want) {
 			return nil, fmt.Errorf("store: column %q: %s vector of %d entries, want %s of %d",
 				cols[i].Name(), v.Kind, v.Len(), cols[i].Type.Kind, want)
 		}
 	}
-	st := &parquetStore{schema: schema, cols: cols, listPath: listPath, lengths: lengths, nRecs: nRecs, nFlat: nRecs,
+	st := &parquetStore{schema: schema, cols: cols, listPath: listPath, lengths: lengths, nRecs: n, nFlat: n,
 		flatVecs: make([]*vec, len(cols)), repVecs: make([]*vec, len(cols))}
 	if listPath != nil {
 		st.nFlat = 0
@@ -79,13 +96,15 @@ func FromColumns(schema *value.Type, layout Layout, vecs []*Vec, lengths []int32
 		}
 	}
 	for ci, c := range cols {
-		if c.Repeated {
+		switch {
+		case vecs[ci] == nil:
+		case c.Repeated:
 			st.repVecs[ci] = withPlaceholders(vecs[ci], lengths)
-		} else {
+		default:
 			st.flatVecs[ci] = vecs[ci]
 		}
 	}
-	return st.as(layout), nil
+	return st, nil
 }
 
 // as seals the Parquet form, sized, as a store in layout: the form itself,

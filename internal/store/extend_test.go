@@ -35,10 +35,9 @@ func randomFlatRecord(r *rand.Rand) value.Value {
 // build, or the Parquet store every eager payload is), Extend(src, tail) is
 // indistinguishable from building src's records followed by tail from
 // scratch — the same rows, size and RCS bytes — and src itself is untouched
-// (concurrent scans of the pre-extension payload must stay valid). A spill
-// stream no longer takes a tail on its way back in: a re-admitted payload
-// is extended like any other, which TestExtendTwiceIsIndependent's
-// "re-read" source covers.
+// (concurrent scans of the pre-extension payload must stay valid). A store
+// read back from a spill stream is extended like any other, which
+// TestExtendTwiceIsIndependent's "re-read" source covers.
 func TestExtendMatchesRebuild(t *testing.T) {
 	for _, layout := range []Layout{LayoutColumnar, LayoutParquet} {
 		t.Run(layout.String(), func(t *testing.T) {
@@ -111,11 +110,7 @@ func TestExtendTwiceIsIndependent(t *testing.T) {
 		for _, layout := range []Layout{LayoutColumnar, LayoutParquet} {
 			srcs := map[string]Store{"built": build(t, layout, schema, old)}
 			if layout == LayoutParquet {
-				reread, err := ReadParquetOwned(alignedCopy(rcs(t, build(t, layout, schema, old))), schema)
-				if err != nil {
-					t.Fatal(err)
-				}
-				srcs["re-read"] = reread
+				srcs["re-read"] = readOwned(t, rcs(t, build(t, layout, schema, old)), schema)
 			}
 			for name, src := range srcs {
 				before, beforeNested := spilled(t, src), collectNested(t, src)

@@ -1,6 +1,10 @@
 package store
 
-import "recache/internal/value"
+import (
+	"fmt"
+
+	"recache/internal/value"
+)
 
 // parquetStore is the Parquet-style nested columnar layout (§4): every
 // leaf is striped into its own vector without duplication. Non-repeated
@@ -33,6 +37,33 @@ type parquetStore struct {
 	// backing is the RCS stream the vectors and lengths are views of
 	// (ReadParquetOwned), nil when they own their memory.
 	backing []byte
+	// A projected read (ReadParquetOwned) holds only the leaves it was
+	// asked for: the vector of a leaf it did not read is nil in both
+	// slices, and noLengths marks list lengths it left out.
+	noLengths bool
+}
+
+// leaf returns the vector of leaf column ci: one entry per record, or per
+// flattened row for a repeated leaf; nil when a projected read left it out.
+func (s *parquetStore) leaf(ci int) *vec {
+	if s.cols[ci].Repeated {
+		return s.repVecs[ci]
+	}
+	return s.flatVecs[ci]
+}
+
+// partial reports whether a projected read left some leaf or the list
+// lengths out of the store.
+func (s *parquetStore) partial() bool {
+	if s.noLengths {
+		return true
+	}
+	for ci := range s.cols {
+		if s.leaf(ci) == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // computeSize is what the store holds: its vectors and list lengths, or,
@@ -84,8 +115,11 @@ func (s *parquetStore) card(ri int) int {
 	return int(s.lengths[ri])
 }
 
-// ScanNested implements Store.
+// ScanNested implements Store. A projected read cannot reassemble records.
 func (s *parquetStore) ScanNested(emit func(rec value.Value) error) error {
+	if s.partial() {
+		return fmt.Errorf("store: a projected read holds only some of the leaves of %s", s.schema)
+	}
 	asm := newAssembler(s.schema, s.cols, s.flatVecs, s.repVecs)
 	// Entry cursor shared across repeated columns (they are aligned: one
 	// list per schema).

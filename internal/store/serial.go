@@ -17,33 +17,50 @@ import (
 // RCS: a Parquet-form store written as a flat binary stream, used by the
 // cache's disk tier, the wire's query results and replica payloads. The
 // stream is the little-endian memory image of the store's vectors, laid out
-// so that every null word, int and float sits at an 8-byte offset and every
-// list length at a 4-byte one:
+// so that every section starts at an 8-byte offset and every null word, int
+// and float sits at one, and a directory in the header says where each
+// column's section starts:
 //
-//	magic "RCS3" | hasList u8 | nRecs u64 | nFlat u64 | ncols u32
-//	if hasList:  zero pad to 4 | nRecs × u32 list lengths
-//	per column:  repeated u8 | kind u8 | n u64 | zero pad to 8
-//	             ⌈n/64⌉ × u64 null words | payload
-//	payload:     Int, Float: n × 8 bytes (floats as IEEE-754 bits)
-//	             Bool: n bytes; String: n × (u32 length | bytes)
+//	header:     magic "RCS4" | hasList u8 | zero pad to 8 | nRecs u64 |
+//	            nFlat u64 | ncols u32 | zero pad to 8
+//	directory:  (ncols+1) × u64: the offset of each column's section, then
+//	            the stream's length
+//	if hasList: nRecs × u32 list lengths | zero pad to 8
+//	per column: repeated u8 | kind u8 | zero pad to 8 | n u64 |
+//	            ⌈n/64⌉ × u64 null words | payload | zero pad to 8
+//	payload:    Int, Float: n × 8 bytes (floats as IEEE-754 bits)
+//	            Bool: n bytes; String: n × (u32 length | bytes)
 //
 // Offsets count from the stream's first byte, all integers are
 // little-endian. The encoder writes a vector's null words and fixed-width
-// payload as the bytes they are in memory, one Write each. There are two
-// decoders:
+// payload as the bytes they are in memory, one Write each; it sizes every
+// section before it writes the header, a fixed-width one from its length
+// and a string one by a pass over its values' lengths.
 //
-//   - ReadParquetOwned takes the buffer it decodes. Its store's null words,
-//     ints, floats and list lengths are views of the buffer (cap == len, so
-//     an append never writes into it) and its strings point into it; only
-//     the string-header arrays and bools are allocated. The store is
-//     charged the whole buffer (SizeBytes), and a store derived from it
-//     that gains rows (Concat, Extend) copies out of the buffer completely.
-//     The disk tier re-admits spill files this way, and replica admission
-//     validates a pushed payload. On a big-endian host, or when the
-//     buffer's first byte is not 8-byte aligned, it copies instead.
-//   - ReadParquetBytes copies: the store shares no memory with the input,
-//     which the caller may reuse at once (the wire client decodes out of
-//     its pooled frame buffers).
+// The directory makes a projected read two reads: the header, then the
+// sections of the leaves a scan needs (and the list lengths, which sit
+// between the directory and the first section). Both decoders check the
+// directory before they read a section — it must start where the lengths
+// end, end where the stream does, and give every column exactly the bytes
+// its kind and length take (at least those, for strings) — and each
+// section they walk must fill its extent exactly. There are two decoders:
+//
+//   - ReadParquetOwned reads the sections a Leaves names out of an
+//     io.ReaderAt into one fresh 8-byte-aligned buffer, which it hands to
+//     the store: the store's null words, ints, floats and list lengths are
+//     views of the buffer (cap == len, so an append never writes into it)
+//     and its strings point into it; only the string-header arrays and
+//     bools are allocated. The store is charged the buffer (SizeBytes), and
+//     a store derived from it that gains rows (Concat, Append) copies out
+//     of the buffer completely. A leaf it did not read is missing from the
+//     store: a cursor over it fails, and the store cannot be written. The
+//     disk tier serves every disk hit this way; called with AllLeaves, it
+//     is the re-read of replica validation and export. On a big-endian
+//     host it copies instead.
+//   - ReadParquetBytes decodes a whole stream held in memory and copies:
+//     the store shares no memory with the input, which the caller may
+//     reuse at once (the wire client decodes out of its pooled frame
+//     buffers).
 //
 // Neither adds a row: a stream is the image of a payload already built.
 //
@@ -54,10 +71,17 @@ import (
 // bit-exact, so NaN and ±0 survive the round trip. Only the magic carries
 // the format's version.
 
-// spillMagic identifies version 3 of the stream, which pads its sections to
-// their values' alignment: a version-1 or version-2 stream is rejected at
-// its magic rather than misread.
-var spillMagic = [4]byte{'R', 'C', 'S', '3'}
+// spillMagic identifies version 4 of the stream, whose header carries the
+// column directory: a stream of an earlier version is rejected at its magic
+// rather than misread.
+var spillMagic = [4]byte{'R', 'C', 'S', '4'}
+
+// headerLen is the bytes of a stream's header and directory for ncols
+// columns: where the list lengths, or the first section, begin.
+func headerLen(ncols int) int64 { return 32 + 8*int64(ncols+1) }
+
+// align8 rounds n up to a multiple of 8.
+func align8(n int64) int64 { return (n + 7) &^ 7 }
 
 // littleEndian: the host's memory image of a number is its stream bytes.
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
@@ -77,19 +101,27 @@ type spillWriter interface {
 }
 
 // WriteParquet serializes a Parquet-layout store to w. It returns an error
-// if st is not the Parquet layout: a columnar store is a view, and the
-// payload it was derived from is what a spill file or a replica holds.
+// if st is not the Parquet layout — a columnar store is a view, and the
+// payload it was derived from is what a spill file or a replica holds — or
+// if st is a projected read that lacks some of its leaves.
 func WriteParquet(w io.Writer, st Store) error {
 	p, ok := st.(*parquetStore)
-	if !ok {
+	switch {
+	case !ok:
 		return fmt.Errorf("store: WriteParquet: not a parquet store (layout %s)", st.Layout())
+	case p.partial():
+		return fmt.Errorf("store: WriteParquet: a projected read holds only some of the leaves of %s", p.schema)
+	}
+	dir, err := p.directory()
+	if err != nil {
+		return err
 	}
 	lw := &leWriter{}
 	flush := func() error { return nil }
 	if bb, ok := w.(*bytes.Buffer); ok {
 		// Already an in-memory sink: encode straight into it, grown once to
-		// the payload plus its framing.
-		bb.Grow(int(p.size) + 24*len(p.cols) + 32)
+		// the stream's length.
+		bb.Grow(int(dir[len(dir)-1]))
 		lw.w = bb
 	} else {
 		b := bufio.NewWriterSize(w, fileBuf)
@@ -101,27 +133,70 @@ func WriteParquet(w io.Writer, st Store) error {
 		hasList = 1
 	}
 	lw.u8(hasList)
+	lw.pad(8)
 	lw.u64(uint64(p.nRecs))
 	lw.u64(uint64(p.nFlat))
 	lw.u32(uint32(len(p.cols)))
+	lw.pad(8)
+	for _, off := range dir {
+		lw.u64(uint64(off))
+	}
 	if hasList == 1 {
-		lw.pad(4)
 		lw.write(le(p.lengths))
+		lw.pad(8)
 	}
 	for ci, c := range p.cols {
-		v := p.flatVecs[ci]
+		rep := byte(0)
 		if c.Repeated {
-			lw.u8(1)
-			v = p.repVecs[ci]
-		} else {
-			lw.u8(0)
+			rep = 1
 		}
-		if err := lw.vec(v); err != nil {
+		lw.u8(rep)
+		if err := lw.vec(p.leaf(ci)); err != nil {
 			return err
 		}
 	}
 	// A failed Write sticks in the bufio layer and surfaces here.
 	return flush()
+}
+
+// directory computes the stream offset of every column section of p and,
+// last, the stream's length.
+func (p *parquetStore) directory() ([]int64, error) {
+	dir := make([]int64, len(p.cols)+1)
+	off := headerLen(len(p.cols))
+	if p.listPath != nil {
+		off += align8(4 * int64(len(p.lengths)))
+	}
+	for ci := range p.cols {
+		dir[ci] = off
+		n, err := sectionLen(p.leaf(ci))
+		if err != nil {
+			return nil, err
+		}
+		off += n
+	}
+	dir[len(p.cols)] = off
+	return dir, nil
+}
+
+// sectionLen is the bytes of v's column section: its framing, null words
+// and payload, padded to 8.
+func sectionLen(v *vec) (int64, error) {
+	n := int64(v.Len())
+	size := 16 + 8*((n+63)/64)
+	switch v.Kind {
+	case value.Int, value.Float:
+		size += 8 * n
+	case value.Bool:
+		size += n
+	case value.String:
+		for _, s := range v.Strs {
+			size += 4 + int64(len(s))
+		}
+	default:
+		return 0, fmt.Errorf("store: WriteParquet: unsupported vec kind %s", v.Kind)
+	}
+	return align8(size), nil
 }
 
 // leWriter encodes little-endian values into the sink, counting the stream
@@ -162,10 +237,12 @@ func (lw *leWriter) pad(align int) {
 	lw.write(zeros[:-lw.off&(align-1)])
 }
 
+// vec writes the rest of a column section: v's kind, length, null words and
+// payload, and the pad that ends the section.
 func (lw *leWriter) vec(v *vec) error {
 	lw.u8(byte(v.Kind))
-	lw.u64(uint64(v.Len()))
 	lw.pad(8)
+	lw.u64(uint64(v.Len()))
 	lw.write(le(v.Nulls.words))
 	switch v.Kind {
 	case value.Int:
@@ -179,6 +256,7 @@ func (lw *leWriter) vec(v *vec) error {
 	default:
 		return fmt.Errorf("store: WriteParquet: unsupported vec kind %s", v.Kind)
 	}
+	lw.pad(8)
 	return nil
 }
 
@@ -243,8 +321,334 @@ func swapBytes(b []byte, width int) {
 	}
 }
 
-// spillReader decodes the stream out of one contiguous buffer. With alias
-// set, fixed-width sections and string bytes are views of buf.
+// Leaves names the part of a stored Parquet form a read needs: leaf
+// columns, by their index in Columns order, and whether the records' list
+// lengths come too. A flattening read of nested data needs the lengths,
+// and a repeated leaf brings them along.
+type Leaves struct {
+	Cols    []int
+	Lengths bool
+}
+
+// AllLeaves names every part of schema's Parquet form.
+func AllLeaves(schema *value.Type) Leaves {
+	cols, _ := value.LeafColumnsCached(schema)
+	all := Leaves{Cols: make([]int, len(cols)), Lengths: true}
+	for i := range all.Cols {
+		all.Cols[i] = i
+	}
+	return all
+}
+
+// LeavesOf resolves dotted leaf-column names against schema: the part of
+// its Parquet form a read of those columns needs, flattening or not.
+func LeavesOf(schema *value.Type, names []string, flat bool) (Leaves, error) {
+	cols, err := value.LeafColumnsCached(schema)
+	if err != nil {
+		return Leaves{}, err
+	}
+	l := Leaves{Cols: make([]int, len(names)), Lengths: flat}
+	for i, n := range names {
+		if l.Cols[i] = slices.IndexFunc(cols, func(c value.LeafColumn) bool { return c.Name() == n }); l.Cols[i] < 0 {
+			return Leaves{}, fmt.Errorf("store: no column %q in schema %s", n, schema)
+		}
+	}
+	return l, nil
+}
+
+// rcsHeader is a stream's header and directory, checked against the schema
+// and the stream's length.
+type rcsHeader struct {
+	cols         []value.LeafColumn
+	listPath     value.Path
+	nRecs, nFlat int
+	dir          []byte // the directory's bytes: per column its section's offset, then the stream's length
+}
+
+// at returns directory entry i.
+func (h *rcsHeader) at(i int) int64 { return int64(binary.LittleEndian.Uint64(h.dir[8*i:])) }
+
+// section returns the extent [lo, hi) of column ci's section.
+func (h *rcsHeader) section(ci int) (lo, hi int64) { return h.at(ci), h.at(ci + 1) }
+
+// lengths returns the extent [lo, hi) of the list lengths (empty for a
+// schema without a repeated field).
+func (h *rcsHeader) lengths() (lo, hi int64) { return headerLen(len(h.cols)), h.at(0) }
+
+// rows is the number of entries column ci holds.
+func (h *rcsHeader) rows(ci int) int {
+	if h.cols[ci].Repeated {
+		return h.nFlat
+	}
+	return h.nRecs
+}
+
+// parseHeader reads the header and directory at the start of b, of a
+// stream size bytes long, and checks them against schema: the magic, the
+// list flag, the column count, the zero pads, and a directory that starts
+// where the lengths end, ends where the stream does, and gives every
+// column the bytes its kind and entry count take — exactly for a
+// fixed-width kind, at least their length prefixes for strings.
+func parseHeader(b []byte, size int64, schema *value.Type) (rcsHeader, error) {
+	if len(b) < 4 {
+		return rcsHeader{}, fmt.Errorf("store: spill stream truncated at offset 0 (need 4 bytes)")
+	}
+	if [4]byte(b[:4]) != spillMagic {
+		return rcsHeader{}, fmt.Errorf("store: bad spill magic %q", b[:4])
+	}
+	cols, err := value.LeafColumnsCached(schema)
+	if err != nil {
+		return rcsHeader{}, err
+	}
+	h := rcsHeader{cols: cols, listPath: value.RepeatedFieldCached(schema)}
+	hl := headerLen(len(cols))
+	if int64(len(b)) < hl || size < hl {
+		return rcsHeader{}, fmt.Errorf("store: spill stream of %d bytes is shorter than the %d-byte header of %d columns", size, hl, len(cols))
+	}
+	r := &spillReader{buf: b[:hl], off: 4}
+	hasList, _ := r.u8()
+	if hasList > 1 || (hasList == 1) != (h.listPath != nil) {
+		return rcsHeader{}, fmt.Errorf("store: spill stream list presence %v does not match schema %s", hasList == 1, schema)
+	}
+	if err := r.pad(8); err != nil {
+		return rcsHeader{}, err
+	}
+	nRecs, _ := r.u64()
+	nFlat, _ := r.u64()
+	ncols, _ := r.u32()
+	if err := r.pad(8); err != nil {
+		return rcsHeader{}, err
+	}
+	if int(ncols) != len(cols) {
+		return rcsHeader{}, fmt.Errorf("store: spill stream has %d columns, schema %s has %d", ncols, schema, len(cols))
+	}
+	// A corrupt (or, on the wire path, hostile) stream must not size
+	// anything from counts the stream cannot back: every entry costs at
+	// least one null-bitmap bit, and a list stream spends four bytes per
+	// record on lengths.
+	if nRecs > 8*uint64(size) || nFlat > 8*uint64(size) {
+		return rcsHeader{}, fmt.Errorf("store: spill stream claims %d records / %d flat rows in %d bytes", nRecs, nFlat, size)
+	}
+	h.nRecs, h.nFlat = int(nRecs), int(nFlat)
+	// A repeated column has one entry per flattened row: one per list
+	// element, plus one placeholder per empty list. For flat schemas the
+	// flattened view is the record view.
+	if h.listPath == nil && h.nFlat != h.nRecs {
+		return rcsHeader{}, fmt.Errorf("store: flat spill stream has nFlat %d != nRecs %d", h.nFlat, h.nRecs)
+	}
+	if h.listPath != nil && h.nFlat < h.nRecs {
+		return rcsHeader{}, fmt.Errorf("store: spill stream has %d flat rows for %d records", h.nFlat, h.nRecs)
+	}
+	h.dir = b[32:hl]
+	for i := range len(cols) + 1 {
+		if off := binary.LittleEndian.Uint64(h.dir[8*i:]); off > uint64(size) {
+			return rcsHeader{}, fmt.Errorf("store: spill directory entry %d is offset %d, past the stream's %d bytes", i, off, size)
+		}
+	}
+	want := hl
+	if h.listPath != nil {
+		want += align8(4 * int64(h.nRecs))
+	}
+	if h.at(0) != want {
+		return rcsHeader{}, fmt.Errorf("store: spill directory puts column 0 at offset %d, the lengths end at %d", h.at(0), want)
+	}
+	if h.at(len(cols)) != size {
+		return rcsHeader{}, fmt.Errorf("store: spill directory ends at offset %d, the stream at %d", h.at(len(cols)), size)
+	}
+	for ci, c := range cols {
+		lo, hi := h.section(ci)
+		n := int64(h.rows(ci))
+		least := 16 + 8*((n+63)/64)
+		exact := true
+		switch c.Type.Kind {
+		case value.Int, value.Float:
+			least += 8 * n
+		case value.Bool:
+			least += n
+		case value.String:
+			least, exact = least+4*n, false
+		default:
+			return rcsHeader{}, fmt.Errorf("store: spill column %d (%s): unsupported kind %s", ci, c.Name(), c.Type.Kind)
+		}
+		least = align8(least)
+		if hi-lo < least || exact && hi-lo != least || (hi-lo)%8 != 0 {
+			return rcsHeader{}, fmt.Errorf("store: spill directory gives column %d (%s) %d bytes for %d %s entries",
+				ci, c.Name(), hi-lo, n, c.Type.Kind)
+		}
+	}
+	return h, nil
+}
+
+// decode builds a store of the parts of the stream want names, each column
+// read once, taking every extent [lo, hi) of the stream it needs from read.
+// With alias set, the fixed-width vectors, list lengths and string bytes are
+// views of what read returns.
+func (h *rcsHeader) decode(schema *value.Type, want Leaves, read func(lo, hi int64) ([]byte, error), alias bool) (*parquetStore, error) {
+	n := len(h.cols)
+	vecs := make([]*vec, 2*n)
+	st := &parquetStore{
+		schema:    schema,
+		cols:      h.cols,
+		listPath:  h.listPath,
+		flatVecs:  vecs[:n:n],
+		repVecs:   vecs[n:],
+		nRecs:     h.nRecs,
+		nFlat:     h.nFlat,
+		noLengths: h.listPath != nil && !h.needsLengths(want),
+	}
+	if h.listPath != nil && !st.noLengths {
+		b, err := read(h.lengths())
+		if err != nil {
+			return nil, err
+		}
+		r := &spillReader{buf: b, alias: alias}
+		if st.lengths, err = fixed[int32](r, h.nRecs); err != nil {
+			return nil, err
+		}
+		if err := r.end(); err != nil {
+			return nil, fmt.Errorf("store: spill list lengths: %w", err)
+		}
+		flat := 0
+		for _, l := range st.lengths {
+			if l < 0 {
+				return nil, fmt.Errorf("store: spill stream has list length %d", l)
+			}
+			flat += max(int(l), 1)
+		}
+		if flat != st.nFlat {
+			return nil, fmt.Errorf("store: spill stream flat rows %d != lengths sum %d", st.nFlat, flat)
+		}
+	}
+	for _, ci := range want.Cols {
+		if ci < 0 || ci >= n {
+			return nil, fmt.Errorf("store: no leaf column %d in %s", ci, schema)
+		}
+		if st.leaf(ci) != nil {
+			continue
+		}
+		c := h.cols[ci]
+		b, err := read(h.section(ci))
+		if err != nil {
+			return nil, err
+		}
+		v, err := readSection(&spillReader{buf: b, alias: alias}, c, h.rows(ci))
+		if err != nil {
+			return nil, fmt.Errorf("store: spill column %d (%s): %w", ci, c.Name(), err)
+		}
+		if c.Repeated {
+			st.repVecs[ci] = v
+		} else {
+			st.flatVecs[ci] = v
+		}
+	}
+	return st, nil
+}
+
+// needsLengths reports whether a read of want needs the list lengths.
+func (h *rcsHeader) needsLengths(want Leaves) bool {
+	if want.Lengths {
+		return true
+	}
+	for _, ci := range want.Cols {
+		if ci >= 0 && ci < len(h.cols) && h.cols[ci].Repeated {
+			return true
+		}
+	}
+	return false
+}
+
+// ReadParquetBytes decodes a stream written by WriteParquet, validating it
+// against the expected record schema. The returned store is a normal
+// Parquet-layout store (Flatten derives its view as from any other) that
+// shares no memory with data: every vector, string and length is a copy,
+// so the caller may reuse data as soon as the call returns (the client
+// decodes out of its pooled frame buffers). The values of one string column
+// share one allocation, so a retained value keeps its column's bytes alive.
+func ReadParquetBytes(data []byte, schema *value.Type) (Store, error) {
+	h, err := parseHeader(data, int64(len(data)), schema)
+	if err != nil {
+		return nil, err
+	}
+	read := func(lo, hi int64) ([]byte, error) { return data[lo:hi:hi], nil }
+	st, err := h.decode(schema, AllLeaves(schema), read, false)
+	if err != nil {
+		return nil, err
+	}
+	st.size = st.computeSize()
+	return st, nil
+}
+
+// ReadParquetOwned decodes the parts want names of the stream r holds, size
+// bytes long: one read of the header and directory, then one ReadAt per
+// section it needs, into one fresh 8-byte-aligned buffer. The
+// store's fixed-width vectors and list lengths are views of that buffer and
+// its strings point into it, and the store is charged its bytes. A leaf
+// want does not name is missing from the store (BatchCursor over it fails,
+// WriteParquet refuses it), and so are the list lengths unless want needs
+// them. It copies, as ReadParquetBytes does, on a big-endian host.
+func ReadParquetOwned(r io.ReaderAt, size int64, schema *value.Type, want Leaves) (Store, error) {
+	cols, err := value.LeafColumnsCached(schema)
+	if err != nil {
+		return nil, err
+	}
+	hdr := make([]byte, min(headerLen(len(cols)), max(size, 0)))
+	if err := readAt(r, hdr, 0); err != nil {
+		return nil, fmt.Errorf("store: read spill header: %w", err)
+	}
+	h, err := parseHeader(hdr, size, schema)
+	if err != nil {
+		return nil, err
+	}
+	// One buffer for the extents want needs, each read in turn into the
+	// next piece of it.
+	var total int64
+	if h.listPath != nil && h.needsLengths(want) {
+		lo, hi := h.lengths()
+		total += hi - lo
+	}
+	for _, ci := range want.Cols {
+		if ci >= 0 && ci < len(cols) {
+			lo, hi := h.section(ci)
+			total += hi - lo
+		}
+	}
+	buf := bytesOf(make([]uint64, total/8)) // every extent is whole 8-byte words
+	free := buf
+	read := func(lo, hi int64) ([]byte, error) {
+		b := free[: hi-lo : hi-lo]
+		free = free[hi-lo:]
+		if err := readAt(r, b, lo); err != nil {
+			return nil, fmt.Errorf("store: read spill stream at %d: %w", lo, err)
+		}
+		return b, nil
+	}
+	st, err := h.decode(schema, want, read, littleEndian)
+	if err != nil {
+		return nil, err
+	}
+	if littleEndian {
+		st.backing = buf
+	}
+	st.size = st.computeSize()
+	return st, nil
+}
+
+// readAt fills p from r at off: a ReaderAt may report io.EOF beside a full
+// read that ends at the end of its input.
+func readAt(r io.ReaderAt, p []byte, off int64) error {
+	n, err := r.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// spillReader decodes one extent of the stream out of a contiguous buffer
+// that starts at an 8-byte stream offset. With alias set, fixed-width
+// sections and string bytes are views of buf.
 type spillReader struct {
 	buf   []byte
 	off   int
@@ -298,6 +702,19 @@ func (r *spillReader) pad(align int) error {
 	return nil
 }
 
+// end consumes the pad that closes an extent and checks that nothing
+// follows it: a directory that gives an extent more bytes than its values
+// and pad is inconsistent.
+func (r *spillReader) end() error {
+	if err := r.pad(8); err != nil {
+		return err
+	}
+	if r.off != len(r.buf) {
+		return fmt.Errorf("store: %d bytes past the values of a %d-byte extent", len(r.buf)-r.off, len(r.buf))
+	}
+	return nil
+}
+
 // fixed reads n values of T off the stream: a view of the buffer when the
 // reader aliases it, otherwise a copy.
 func fixed[T fixedWidth](r *spillReader, n int) ([]T, error) {
@@ -318,142 +735,26 @@ func fixed[T fixedWidth](r *spillReader, n int) ([]T, error) {
 	return out, nil
 }
 
-// ReadParquetBytes decodes a stream written by WriteParquet, validating it
-// against the expected record schema. The returned store is a normal
-// Parquet-layout store (Flatten derives its view as from any other) that
-// shares no memory with data: every vector, string and length is a copy,
-// so the caller may reuse data as soon as the call returns (the client
-// decodes out of its pooled frame buffers). The values of one string column
-// share one allocation, so a retained value keeps its column's bytes alive.
-func ReadParquetBytes(data []byte, schema *value.Type) (Store, error) {
-	return readParquet(data, schema, false)
-}
-
-// ReadParquetOwned decodes a stream as ReadParquetBytes does, but takes
-// data: the store's fixed-width vectors and list lengths are views of it
-// and its strings point into it, and the store is charged its bytes. The
-// caller must not write to data while the store lives. It copies, as ReadParquetBytes
-// does, on a big-endian host or when data's first byte is not 8-byte
-// aligned.
-func ReadParquetOwned(data []byte, schema *value.Type) (Store, error) {
-	alias := littleEndian && len(data) > 0 && uintptr(unsafe.Pointer(&data[0]))%8 == 0
-	return readParquet(data, schema, alias)
-}
-
-// readParquet decodes a spill stream into vectors of their own, or, with
-// alias set, into views of data.
-func readParquet(data []byte, schema *value.Type, alias bool) (*parquetStore, error) {
-	r := &spillReader{buf: data, alias: alias}
-	magic, err := r.bytes(4)
+// readSection decodes one column section — the column's flag, kind, length,
+// null words and payload — which must fill r's extent exactly.
+func readSection(r *spillReader, c value.LeafColumn, wantLen int) (*vec, error) {
+	rep, err := r.u8()
 	if err != nil {
 		return nil, err
 	}
-	if [4]byte(magic) != spillMagic {
-		return nil, fmt.Errorf("store: bad spill magic %q", magic)
+	if (rep == 1) != c.Repeated {
+		return nil, fmt.Errorf("repeated=%v, schema says %v", rep == 1, c.Repeated)
 	}
-	cols, err := value.LeafColumnsCached(schema)
-	if err != nil {
-		return nil, err
-	}
-	st := &parquetStore{
-		schema:   schema,
-		cols:     cols,
-		listPath: value.RepeatedFieldCached(schema),
-		flatVecs: make([]*vec, len(cols)),
-		repVecs:  make([]*vec, len(cols)),
-	}
-	hasList, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	if (hasList == 1) != (st.listPath != nil) {
-		return nil, fmt.Errorf("store: spill stream list presence %v does not match schema %s", hasList == 1, schema)
-	}
-	nRecs, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	nFlat, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	st.nRecs = int(nRecs)
-	st.nFlat = int(nFlat)
-	ncols, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if int(ncols) != len(cols) {
-		return nil, fmt.Errorf("store: spill stream has %d columns, schema %s has %d", ncols, schema, len(cols))
-	}
-	// A corrupt (or, on the wire path, hostile) stream must not size
-	// allocations from counts the payload cannot back: every flat row costs
-	// at least one null-bitmap bit per column, so nFlat — and a flat
-	// stream's nRecs — is bounded by 8× the bytes left; a list stream
-	// additionally spends four bytes per record on lengths.
-	rem := uint64(len(r.buf) - r.off)
-	if nRecs > 8*rem || nFlat > 8*rem {
-		return nil, fmt.Errorf("store: spill stream claims %d records / %d flat rows with %d bytes left", nRecs, nFlat, rem)
-	}
-	if hasList == 1 && nRecs*4 > rem {
-		return nil, fmt.Errorf("store: spill stream claims %d list lengths with %d bytes left", nRecs, rem)
-	}
-	// A repeated column has one entry per flattened row: one per list
-	// element, plus one placeholder per empty list. For flat schemas the
-	// flattened view is the record view.
-	if hasList == 1 {
-		if err := r.pad(4); err != nil {
-			return nil, err
-		}
-		if st.lengths, err = fixed[int32](r, st.nRecs); err != nil {
-			return nil, err
-		}
-		flat := 0
-		for _, l := range st.lengths {
-			if l < 0 {
-				return nil, fmt.Errorf("store: spill stream has list length %d", l)
-			}
-			flat += max(int(l), 1)
-		}
-		if flat != st.nFlat {
-			return nil, fmt.Errorf("store: spill stream flat rows %d != lengths sum %d", st.nFlat, flat)
-		}
-	} else if st.nFlat != st.nRecs {
-		return nil, fmt.Errorf("store: flat spill stream has nFlat %d != nRecs %d", st.nFlat, st.nRecs)
-	}
-	for ci, c := range cols {
-		rep, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		if (rep == 1) != c.Repeated {
-			return nil, fmt.Errorf("store: spill column %d repeated=%v, schema says %v", ci, rep == 1, c.Repeated)
-		}
-		vecs, n := st.flatVecs, st.nRecs
-		if c.Repeated {
-			vecs, n = st.repVecs, st.nFlat
-		}
-		if vecs[ci], err = readVec(r, c.Type.Kind, n); err != nil {
-			return nil, fmt.Errorf("store: spill column %d (%s): %w", ci, c.Name(), err)
-		}
-	}
-	if r.off != len(r.buf) {
-		return nil, fmt.Errorf("store: %d trailing bytes in spill stream", len(r.buf)-r.off)
-	}
-	if alias {
-		st.backing = data
-	}
-	st.size = st.computeSize()
-	return st, nil
-}
-
-func readVec(r *spillReader, want value.Kind, wantLen int) (*vec, error) {
 	kind, err := r.u8()
 	if err != nil {
 		return nil, err
 	}
+	want := c.Type.Kind
 	if value.Kind(kind) != want {
 		return nil, fmt.Errorf("vec kind %s, schema says %s", value.Kind(kind), want)
+	}
+	if err := r.pad(8); err != nil {
+		return nil, err
 	}
 	n64, err := r.u64()
 	if err != nil {
@@ -463,27 +764,11 @@ func readVec(r *spillReader, want value.Kind, wantLen int) (*vec, error) {
 	if n < 0 || n != wantLen {
 		return nil, fmt.Errorf("vec has %d entries, want %d", n, wantLen)
 	}
-	if err := r.pad(8); err != nil {
-		return nil, err
-	}
-	// Size every allocation only after the stream proves it holds at least
-	// the minimum encoding of n entries (bitmap words plus fixed-width
-	// payload, or the 4-byte length prefixes for strings).
+	// parseHeader proved the extent holds at least the minimum encoding of
+	// n entries (bitmap words plus fixed-width payload, or the 4-byte length
+	// prefixes for strings) before anything is sized from n, so the null
+	// words and any fixed-width payload come off the stream as one slice.
 	words := (n + 63) / 64
-	need := int64(words) * 8
-	switch want {
-	case value.Int, value.Float:
-		need += int64(n) * 8
-	case value.Bool:
-		need += int64(n)
-	case value.String:
-		need += int64(n) * 4
-	}
-	if rem := int64(len(r.buf) - r.off); need > rem {
-		return nil, fmt.Errorf("vec of %d entries needs %d bytes, stream has %d", n, need, rem)
-	}
-	// The check above proved the null words and any fixed-width payload are
-	// there, so each comes off the stream as one slice.
 	v := &vec{Kind: want}
 	v.Nulls.n = n
 	v.Nulls.words, _ = fixed[uint64](r, words)
@@ -521,6 +806,9 @@ func readVec(r *spillReader, want value.Kind, wantLen int) (*vec, error) {
 		}
 	default:
 		return nil, fmt.Errorf("unsupported vec kind %s", want)
+	}
+	if err := r.end(); err != nil {
+		return nil, err
 	}
 	return v, nil
 }

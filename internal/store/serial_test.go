@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -165,20 +166,41 @@ func TestSpillRejectsCorruptStream(t *testing.T) {
 	if _, err := ReadParquetBytes(append(append([]byte(nil), raw...), 0), src.Schema()); err == nil {
 		t.Error("trailing garbage accepted")
 	}
+	// A directory entry moved by a word either way, or pointing past the
+	// stream, is out of step with the sections: both decoders refuse it,
+	// whichever leaf a projected read asks for.
+	cols := len(AllLeaves(src.Schema()).Cols)
+	for i := 0; i <= cols; i++ {
+		at := 32 + 8*i
+		for _, delta := range []int64{-8, 8, 1 << 40} {
+			bad := bytes.Clone(raw)
+			binary.LittleEndian.PutUint64(bad[at:], uint64(int64(binary.LittleEndian.Uint64(raw[at:]))+delta))
+			if _, err := ReadParquetBytes(bad, src.Schema()); err == nil {
+				t.Errorf("directory entry %d moved by %d: copying decode accepted it", i, delta)
+			}
+			for ci := range cols {
+				leaves := Leaves{Cols: []int{ci}}
+				if _, err := ReadParquetOwned(bytes.NewReader(bad), int64(len(bad)), src.Schema(), leaves); err == nil {
+					t.Errorf("directory entry %d moved by %d: a read of leaf %d accepted it", i, delta, ci)
+				}
+			}
+		}
+	}
 }
 
 // TestSpillRejectsVersion1: a stream written by a build that still carried
-// repetition-level streams (magic RCS1), or one without the alignment pads
-// (RCS2), is rejected at its magic, not misread as the current format.
+// repetition-level streams (magic RCS1), one without the alignment pads
+// (RCS2) or one without the column directory (RCS3) is rejected at its
+// magic, not misread as the current format.
 func TestSpillRejectsVersion1(t *testing.T) {
 	for _, schema := range []*value.Type{orderSchema(), boolFlatSchema()} {
-		for _, magic := range []string{"RCS1", "RCS2"} {
+		for _, magic := range []string{"RCS1", "RCS2", "RCS3"} {
 			raw := rcs(t, build(t, LayoutParquet, schema, nil))
 			copy(raw, magic)
 			if _, err := ReadParquetBytes(raw, schema); err == nil || !strings.Contains(err.Error(), "bad spill magic") {
 				t.Errorf("%s: an %s stream decoded with err = %v, want a bad-magic error", schema, magic, err)
 			}
-			if _, err := ReadParquetOwned(raw, schema); err == nil || !strings.Contains(err.Error(), "bad spill magic") {
+			if _, err := ReadParquetOwned(bytes.NewReader(raw), int64(len(raw)), schema, AllLeaves(schema)); err == nil || !strings.Contains(err.Error(), "bad spill magic") {
 				t.Errorf("%s: an %s stream decoded owned with err = %v, want a bad-magic error", schema, magic, err)
 			}
 		}
@@ -190,9 +212,10 @@ func TestSpillRejectsVersion1(t *testing.T) {
 func TestSpillRejectsNonzeroPadding(t *testing.T) {
 	schema := value.TRecord(value.F("id", value.TInt))
 	raw := rcs(t, build(t, LayoutParquet, schema, []value.Value{value.VRecord(value.VInt(7))}))
-	// magic, list flag, two counts and the column count end at 25; the
-	// column's flag, kind and length at 35, its pad at 40.
-	for off := 35; off < 40; off++ {
+	// The header's pads are bytes 5–7 and 28–31; the directory (two
+	// entries) ends at 48, and the column's flag and kind at 50, its pad at
+	// 56. The section's closing pad is none: eight bytes of int.
+	for _, off := range []int{5, 7, 28, 31, 50, 55} {
 		bad := bytes.Clone(raw)
 		bad[off] = 1
 		if _, err := ReadParquetBytes(bad, schema); err == nil || !strings.Contains(err.Error(), "nonzero padding") {
@@ -287,12 +310,14 @@ func TestReadParquetDoesNotAliasInput(t *testing.T) {
 	}
 }
 
-// alignedCopy copies data into a buffer whose first byte is 8-byte aligned
-// (a large enough make always is) and which is exactly len(data) long.
-func alignedCopy(data []byte) []byte {
-	buf := make([]byte, max(len(data), 64))[:len(data):len(data)]
-	copy(buf, data)
-	return buf
+// readOwned decodes data with the owning decoder, every leaf read.
+func readOwned(t testing.TB, data []byte, schema *value.Type) Store {
+	t.Helper()
+	st, err := ReadParquetOwned(bytes.NewReader(data), int64(len(data)), schema, AllLeaves(schema))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // inside reports whether the memory of xs lies within buf.
@@ -303,18 +328,15 @@ func inside[T any](xs []T, buf []byte) bool {
 	return len(xs) > 0 && p >= lo && p+size <= lo+uintptr(len(buf))
 }
 
-// TestReadParquetOwnedAliasesBuffer: the owning decode of an aligned buffer
-// makes the store's null words, ints, floats and list lengths views of the
-// buffer, each with cap == len so an append reallocates instead of writing
-// into it, and its strings point into it. At an odd offset it copies.
+// TestReadParquetOwnedAliasesBuffer: the owning decode reads the stream
+// into one buffer of its own and makes the store's null words, ints, floats
+// and list lengths views of it, each with cap == len so an append
+// reallocates instead of writing into it, and its strings point into it. A
+// projected read's buffer holds the sections it read, and no more.
 func TestReadParquetOwnedAliasesBuffer(t *testing.T) {
 	flat := rcs(t, build(t, LayoutParquet, boolFlatSchema(), nullableFlatRecs(300)))
-	buf := alignedCopy(flat)
-	st, err := ReadParquetOwned(buf, boolFlatSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := st.(*parquetStore)
+	p := readOwned(t, flat, boolFlatSchema()).(*parquetStore)
+	buf := p.backing
 	ints, floats, strs := p.flatVecs[0], p.flatVecs[1], p.flatVecs[2]
 	for name, ok := range map[string]bool{
 		"null words": inside(ints.Nulls.words, buf) && cap(ints.Nulls.words) == len(ints.Nulls.words),
@@ -330,28 +352,30 @@ func TestReadParquetOwnedAliasesBuffer(t *testing.T) {
 			t.Fatalf("string %d does not point into the buffer", i)
 		}
 	}
+	if uintptr(unsafe.Pointer(unsafe.SliceData(buf)))%8 != 0 {
+		t.Error("the buffer is not 8-byte aligned")
+	}
 
 	nested := rcs(t, build(t, LayoutParquet, orderSchema(), sampleOrders()))
-	nbuf := alignedCopy(nested)
-	nst, err := ReadParquetOwned(nbuf, orderSchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l := nst.(*parquetStore).lengths; !inside(l, nbuf) || cap(l) != len(l) {
+	np := readOwned(t, nested, orderSchema()).(*parquetStore)
+	if l := np.lengths; !inside(l, np.backing) || cap(l) != len(l) {
 		t.Error("list lengths: not a cap == len view of the buffer")
 	}
 
-	odd := make([]byte, len(flat)+1)[1:]
-	copy(odd, flat)
-	ost, err := ReadParquetOwned(odd, boolFlatSchema())
+	h, err := parseHeader(flat, int64(len(flat)), boolFlatSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op := ost.(*parquetStore); op.backing != nil || inside(op.flatVecs[0].Ints, odd) {
-		t.Error("a misaligned buffer was aliased, want a copying decode")
+	st, err := ReadParquetOwned(bytes.NewReader(flat), int64(len(flat)), boolFlatSchema(), Leaves{Cols: []int{1}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a, b := renderNested(t, st), renderNested(t, ost); !reflect.DeepEqual(a, b) {
-		t.Errorf("aliasing and copying decodes differ:\n%v\n%v", a, b)
+	pp := st.(*parquetStore)
+	if lo, hi := h.section(1); int64(len(pp.backing)) != hi-lo || !inside(pp.flatVecs[1].Floats, pp.backing) {
+		t.Errorf("a read of one %d-byte section holds a %d-byte buffer", hi-lo, len(pp.backing))
+	}
+	if !vecsEqual(pp.flatVecs[1], p.flatVecs[1]) {
+		t.Error("the projected read's floats differ from the whole read's")
 	}
 }
 
@@ -368,23 +392,19 @@ func TestAliasedStoreSizeIsItsBuffer(t *testing.T) {
 		{"nested", orderSchema(), sampleOrders()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			buf := alignedCopy(rcs(t, build(t, LayoutParquet, tc.schema, tc.recs)))
-			st, err := ReadParquetOwned(buf, tc.schema)
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := readOwned(t, rcs(t, build(t, LayoutParquet, tc.schema, tc.recs)), tc.schema)
 			p := st.(*parquetStore)
 			if p.backing == nil {
-				t.Fatal("an aligned buffer was not aliased")
+				t.Fatal("the read buffer was not aliased")
 			}
-			want := int64(len(buf))
+			want := int64(len(p.backing))
 			for _, v := range append(slices.Clone(p.flatVecs), p.repVecs...) {
 				if v != nil {
 					want += int64(len(v.Strs))*16 + int64(len(v.Bools))
 				}
 			}
 			if got := st.SizeBytes(); got != want {
-				t.Errorf("SizeBytes = %d, want %d (a %d-byte buffer + string headers + bools)", got, want, len(buf))
+				t.Errorf("SizeBytes = %d, want %d (a %d-byte buffer + string headers + bools)", got, want, len(p.backing))
 			}
 		})
 	}
@@ -425,20 +445,17 @@ func TestExtendReleasesAliasedBuffer(t *testing.T) {
 	}
 }
 
-// extendOwned decodes recs owned from a buffer with a cleanup that closes
-// released, and returns an extension of that store by recs[:2]; the buffer
-// and the original store are dropped on return.
+// extendOwned decodes recs owned, registers a cleanup that closes released
+// on the decode's buffer, and returns an extension of that store by
+// recs[:2]; the buffer and the original store are dropped on return.
 func extendOwned(t *testing.T, schema *value.Type, recs []value.Value, released chan struct{}) Store {
 	t.Helper()
-	buf := alignedCopy(rcs(t, build(t, LayoutParquet, schema, recs)))
+	st := readOwned(t, rcs(t, build(t, LayoutParquet, schema, recs)), schema)
+	buf := st.(*parquetStore).backing
+	if buf == nil {
+		t.Fatal("the read buffer was not aliased")
+	}
 	runtime.AddCleanup(&buf[0], func(c chan struct{}) { close(c) }, released)
-	st, err := ReadParquetOwned(buf, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.(*parquetStore).backing == nil {
-		t.Fatal("an aligned buffer was not aliased")
-	}
 	ext, _, err := Extend(st, recs[:2])
 	if err != nil {
 		t.Fatal(err)
@@ -573,9 +590,9 @@ func TestRCSAllocs(t *testing.T) {
 			if dec > budget {
 				t.Errorf("%s, %d rows: decode allocates %.0f times, want at most %.0f", shape.name, n, dec, budget)
 			}
-			owned := alignedCopy(buf.Bytes())
+			owned, all := bytes.NewReader(buf.Bytes()), AllLeaves(shape.schema)
 			own := testing.AllocsPerRun(5, func() {
-				if _, err := ReadParquetOwned(owned, shape.schema); err != nil {
+				if _, err := ReadParquetOwned(owned, int64(buf.Len()), shape.schema, all); err != nil {
 					t.Fatal(err)
 				}
 			})

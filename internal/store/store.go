@@ -91,20 +91,6 @@ type Store interface {
 
 // ColumnIndexes resolves dotted column names against the store's columns.
 func ColumnIndexes(s Store, names []string) ([]int, error) {
-	cols := s.Columns()
-	out := make([]int, len(names))
-	for i, n := range names {
-		found := -1
-		for j := range cols {
-			if cols[j].Name() == n {
-				found = j
-				break
-			}
-		}
-		if found < 0 {
-			return nil, fmt.Errorf("store: no column %q in schema %s", n, s.Schema())
-		}
-		out[i] = found
-	}
-	return out, nil
+	l, err := LeavesOf(s.Schema(), names, false)
+	return l.Cols, err
 }

@@ -115,8 +115,8 @@ func (c LeafColumn) Name() string { return c.Path.String() }
 // leafMemo caches LeafColumns results by schema pointer. Types are
 // immutable once built and long-lived schemas keep stable pointers (table
 // schemas, cache-entry schemas, interned wire schemas), so decode-heavy
-// paths — a client unpacking one result batch per response, the spill tier
-// re-admitting entries — skip the walk entirely. Short-lived schema
+// paths — a client unpacking one result batch per response, a disk hit
+// reading a spill file — skip the walk entirely. Short-lived schema
 // pointers just miss; bounded by wholesale reset so they cannot grow the
 // memo without limit. The cached slice is shared: callers must not mutate
 // what LeafColumnsCached returns.

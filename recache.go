@@ -58,10 +58,11 @@ var ErrClosed = errors.New("recache: engine closed")
 type Config struct {
 	// CacheCapacity limits the cache size in bytes (0 = unlimited).
 	CacheCapacity int64
-	// SpillDir enables the tiered cache: RAM-evicted columnar entries are
-	// serialized into this directory and re-admitted to RAM on their next
-	// hit (one spill-file read instead of a raw re-scan). Empty disables
-	// spilling (evictions discard payloads, the pre-tiering behaviour).
+	// SpillDir enables the tiered cache: RAM-evicted entries are written
+	// into this directory and stay there, a hit on one reading only the
+	// columns its scan needs from the file instead of re-scanning the raw
+	// file. Empty disables spilling (evictions discard payloads, the
+	// pre-tiering behaviour).
 	// The directory is created if missing; orphaned spill files in it are
 	// removed on Open.
 	SpillDir string
@@ -698,13 +699,13 @@ func pushNote(sel *plan.Select, noPush bool) string {
 }
 
 // vecNote annotates a CachedScan with the batches it would read and its
-// cache tier. A spilled entry's batches are known only after re-admission
-// loads its store back, so the note carries the tier alone. The probe stays
-// side-effect-free: it reads the entry's payload snapshot and never
-// triggers the disk load itself.
+// cache tier. A spilled entry's batches are known only once a scan reads
+// its columns from the file, so the note carries the tier alone. The probe
+// stays side-effect-free: it reads the entry's payload snapshot and never
+// reads the file itself.
 func vecNote(cs *plan.CachedScan, m *cache.Manager) string {
 	if entry, ok := cs.Entry.(*cache.Entry); ok && m.EntryTier(entry) == "disk" {
-		return "tier: disk (re-admitted)"
+		return "tier: disk (projected read)"
 	}
 	ok, batches := exec.VectorizedInfo(cs, m)
 	if !ok {
