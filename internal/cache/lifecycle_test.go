@@ -253,10 +253,20 @@ func (g *growingProvider) at(epoch uint64) ([]value.Value, error) {
 	return recs, nil
 }
 
+// pushed compiles pd's conjuncts to the row evaluator, the typed tests'
+// reference.
+func (g *growingProvider) pushed(pd *expr.Pushdown) (expr.Predicate, error) {
+	return expr.CompilePredicate(pd.Expr(), g.schema)
+}
+
 func (g *growingProvider) ScanPushdown(pd *expr.Pushdown, needed []value.Path, fn plan.ScanFunc) (int64, error) {
+	pushed, err := g.pushed(pd)
+	if err != nil {
+		return 0, err
+	}
 	var skipped int64
-	err := g.Scan(needed, func(rec value.Value, off int64, complete func() error) error {
-		if pd != nil && !pd.TestRow(rec.L) {
+	err = g.Scan(needed, func(rec value.Value, off int64, complete func() error) error {
+		if !pushed(rec.L) {
 			skipped++
 			return nil
 		}
@@ -292,10 +302,14 @@ func (g *growingProvider) PushdownCursor(epoch uint64, from int64, pd *expr.Push
 	if err != nil {
 		return nil, err
 	}
+	pushed, err := g.pushed(pd)
+	if err != nil {
+		return nil, err
+	}
 	next, skipped := int(from/100), int64(0)
 	return func(dst []int64, n int) ([]int64, int64, error) {
 		for added := 0; added < n && next < len(recs); next++ {
-			if pd != nil && !pd.TestRow(recs[next].L) {
+			if !pushed(recs[next].L) {
 				skipped++
 				continue
 			}

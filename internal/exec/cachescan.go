@@ -59,7 +59,7 @@ func startReplay(ctx *qctx, entry *cache.Entry, cols []value.LeafColumn, need []
 	}
 	m := ctx.deps.Manager
 	r := &replay{entry: entry, mgr: m, dec: newLeafDecoder(src, entry.FileEpoch, cols, need),
-		upgrade: m != nil && m.Config().Admission == cache.Adaptive && m.TryStartUpgrade(entry)}
+		upgrade: m.Config().Admission == cache.Adaptive && m.TryStartUpgrade(entry)}
 	if r.upgrade {
 		if r.b, err = newEagerBuild(ctx, src, entry.FileEpoch); err != nil {
 			m.CancelUpgrade(entry)
@@ -106,9 +106,6 @@ func (r *replay) end(ctx *qctx, own, batches int64, err error) error {
 	scanNanos := max(own-r.build, 0)
 	ctx.stats.CacheScanNanos += scanNanos
 	ctx.stats.CacheBuildNanos += r.build
-	if r.mgr == nil {
-		return nil
-	}
 	// Attribute the replay cost to the entry even when it is not upgraded
 	// (the always-lazy baseline, or a replay racing another query's upgrade).
 	r.mgr.RecordLazyReplay(r.entry, scanNanos, batches)

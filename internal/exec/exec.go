@@ -26,6 +26,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -38,7 +39,8 @@ import (
 
 // Deps carries the per-query execution environment.
 type Deps struct {
-	// Manager is the cache manager; nil runs without any caching. The
+	// Manager is the cache manager, required (RunInto fails without one);
+	// a query runs uncached under a manager with cache.Off admission. The
 	// manager is shared across concurrent queries: cache scans snapshot
 	// entry payloads through it, materializers hand finished builds back
 	// through it, and lazy upgrades reserve their slot through it.
@@ -102,6 +104,9 @@ type Sink interface {
 
 // RunInto compiles and executes a plan, delivering the result to sink.
 func RunInto(root plan.Node, deps Deps, sink Sink) (*QueryStats, error) {
+	if deps.Manager == nil {
+		return nil, errors.New("exec: no cache manager")
+	}
 	src, err := compile(root, deps)
 	if err != nil {
 		return nil, err

@@ -94,7 +94,7 @@ func TestScanSelectAggregateCSV(t *testing.T) {
 		{Func: plan.AggSum, Arg: expr.C("price"), Name: "s"},
 		{Func: plan.AggCount, Name: "n"},
 	}, sel)
-	res := run(t, agg, Deps{})
+	res := run(t, agg, uncached(nil))
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -118,7 +118,7 @@ func TestUnnestAggregateJSON(t *testing.T) {
 		{Func: plan.AggSum, Arg: expr.C("items.price"), Name: "s"},
 		{Func: plan.AggCount, Name: "n"},
 	}, sel2)
-	res := run(t, agg, Deps{})
+	res := run(t, agg, uncached(nil))
 	// qty>=3: price 30,40,50,60
 	if res.Rows[0][0].F != 180 || res.Rows[0][1].I != 4 {
 		t.Errorf("agg = %v", res.Rows[0])
@@ -136,7 +136,7 @@ func TestUnnestDuplicatesParents(t *testing.T) {
 		{Func: plan.AggSum, Arg: expr.C("total"), Name: "s"},
 		{Func: plan.AggCount, Name: "n"},
 	}, un)
-	res := run(t, agg, Deps{})
+	res := run(t, agg, uncached(nil))
 	// Flattened rows: order1×2, order2×1, order3×0, order4×3 → 6 rows.
 	if res.Rows[0][1].I != 6 {
 		t.Errorf("count = %v, want 6", res.Rows[0][1])
@@ -161,7 +161,7 @@ func TestGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := run(t, agg, Deps{})
+	res := run(t, agg, uncached(nil))
 	if len(res.Rows) != 2 {
 		t.Fatalf("groups = %d, want 2", len(res.Rows))
 	}
@@ -197,7 +197,7 @@ func TestHashJoin(t *testing.T) {
 	}
 	agg := mustAgg(t, []plan.AggSpec{{Func: plan.AggCount, Name: "n"},
 		{Func: plan.AggSum, Arg: expr.C("bonus"), Name: "s"}}, j)
-	res := run(t, agg, Deps{})
+	res := run(t, agg, uncached(nil))
 	// id=1 matches once, id=2 twice → 3 rows; bonus sum 0.1+0.2+0.25
 	if res.Rows[0][0].I != 3 {
 		t.Errorf("join count = %v", res.Rows[0][0])
@@ -276,7 +276,7 @@ func TestSubsumptionHitSameResults(t *testing.T) {
 		t.Fatalf("subsumed hits = %d, want 1", m.Stats().SubsumedHits)
 	}
 	// Compare against uncached execution.
-	rRaw := run(t, mkNarrow(), Deps{})
+	rRaw := run(t, mkNarrow(), uncached(nil))
 	if !reflect.DeepEqual(rCached.Rows, rRaw.Rows) {
 		t.Errorf("subsumed result differs: %v vs %v", rCached.Rows, rRaw.Rows)
 	}
@@ -539,7 +539,7 @@ func TestProjectOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := run(t, proj, Deps{})
+	res := run(t, proj, uncached(nil))
 	if len(res.Rows) != 5 || res.Rows[0][1].F != 3.0 {
 		t.Errorf("project rows = %v", res.Rows)
 	}

@@ -367,7 +367,7 @@ func joinSide(n plan.Node, key expr.Expr, typed bool, deps Deps) (vecSource, int
 func (vj *vecJoin) build(ctx *qctx, liter vecIter) ([]*store.Vec, *joinTable) {
 	sc, ok := liter.(*scanIter)
 	m := ctx.deps.Manager
-	if !ok || m == nil || sc.s.cs.Residual != nil || len(sc.s.filters) > 1 {
+	if !ok || sc.s.cs.Residual != nil || len(sc.s.filters) > 1 {
 		return vj.buildTable(liter)
 	}
 	k := cache.JoinTableKey{Store: sc.st, Col: sc.s.outNames[vj.lslot], Mode: uint8(vj.mode), Flat: sc.s.cs.Flat}
@@ -653,9 +653,7 @@ func (it *joinIter) Close(ctx *qctx) error {
 	if err := it.riter.Close(ctx); err != nil {
 		return err
 	}
-	if ctx.deps.Manager != nil {
-		ctx.deps.Manager.NoteVectorizedJoin(it.probeBatches)
-	}
+	ctx.deps.Manager.NoteVectorizedJoin(it.probeBatches)
 	return nil
 }
 

@@ -181,7 +181,7 @@ func TestVectorizedJoinMatchesRowPath(t *testing.T) {
 		mVec := mgr(cache.Config{Admission: cache.AlwaysEager, Layout: layout})
 		for name, mk := range plans {
 			want := refRows(t, mk())
-			if base := run(t, mk(), Deps{}); !reflect.DeepEqual(base.Rows, want) {
+			if base := run(t, mk(), uncached(nil)); !reflect.DeepEqual(base.Rows, want) {
 				t.Errorf("layout %v %s: no-cache %v != reference %v", layout, name, base.Rows, want)
 			}
 			for pass := 0; pass < 3; pass++ {
@@ -314,7 +314,7 @@ func TestVectorizedJoinMixedFlavors(t *testing.T) {
 			{Func: plan.AggSum, Arg: expr.C("lv"), Name: "sl"},
 		}, j)
 	}
-	base := run(t, mk(), Deps{})
+	base := run(t, mk(), uncached(nil))
 	// AlwaysLazy: the first execution joins two misses, the second two
 	// lazy replays.
 	m := mgr(cache.Config{Admission: cache.AlwaysLazy})

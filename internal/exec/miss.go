@@ -221,7 +221,7 @@ func (r *missRun) box(offs []int64) ([]*store.Vec, error) {
 // admission hands its outcome to the cache with the time spent outside
 // chunk as the operators above's.
 func (r *missRun) finish(ctx *qctx) {
-	if r.p.pd != nil && ctx.deps.Manager != nil {
+	if r.p.pd != nil {
 		ctx.deps.Manager.NotePushdown(r.p.pd.NumConjuncts(), r.skipped)
 	}
 	if a := r.a; a != nil {

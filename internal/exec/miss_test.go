@@ -88,7 +88,7 @@ func BenchmarkFlatMiss(b *testing.B) {
 			b.Run(c.name+"/"+mode.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					root, deps := c.mk(), Deps{Needed: needed}
+					root, deps := c.mk(), uncached(needed)
 					if !mode.off {
 						m := cache.NewManager(cache.Config{Admission: cache.AlwaysEager})
 						root, deps.Manager = m.Rewrite(root, names), m

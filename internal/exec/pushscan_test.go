@@ -48,7 +48,9 @@ func TestRawSelectNeedsSource(t *testing.T) {
 	ds := csvDataset(t)
 	ds.Provider = struct{ plan.ScanProvider }{ds.Provider}
 	sel := &plan.Select{Pred: expr.Between(expr.C("id"), expr.L(2), expr.L(4)), Child: &plan.Scan{DS: ds}}
-	for _, deps := range []Deps{{}, {DisablePushdown: true}} {
+	for _, off := range []bool{false, true} {
+		deps := uncached(nil)
+		deps.DisablePushdown = off
 		if _, _, err := Run(sel, deps); err == nil || !strings.Contains(err.Error(), "not a plan.Source") {
 			t.Errorf("pushdown off = %v: err = %v, want a missing plan.Source", deps.DisablePushdown, err)
 		}

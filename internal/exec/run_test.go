@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"recache/internal/cache"
 	"recache/internal/plan"
 	"recache/internal/reference"
 	"recache/internal/store"
@@ -42,6 +43,12 @@ func Run(root plan.Node, deps Deps) (*Result, *QueryStats, error) {
 		cols[i] = f.Name
 	}
 	return &Result{Schema: schema, Columns: cols, Rows: sink.rows}, stats, nil
+}
+
+// uncached returns Deps that run a plan without caching: a manager with
+// cache.Off admission, whose rewrite is a no-op.
+func uncached(needed map[string][]value.Path) Deps {
+	return Deps{Manager: cache.NewManager(cache.Config{Admission: cache.Off}), Needed: needed}
 }
 
 // refRows evaluates a plan with the reference evaluator.

@@ -141,13 +141,7 @@ func compileCachedScan(cs *plan.CachedScan) (*scanSource, error) {
 // from the disk tier) from a side-effect-free probe (EXPLAIN reads the
 // snapshot only).
 func (s *scanSource) payload(deps Deps, read bool) (mode cache.Mode, st store.Store, offsets []int64, err error) {
-	switch {
-	case deps.Manager == nil:
-		// Manager-less executions (unit harnesses) own the entry outright;
-		// everywhere else the snapshot must come from the locked accessors —
-		// a concurrent tail extension swaps Store under the manager lock.
-		return s.entry.Mode, s.entry.Store, s.entry.Offsets, nil
-	case read:
+	if read {
 		return deps.Manager.Resident(s.entry, s.leaves)
 	}
 	mode, st, offsets = deps.Manager.Payload(s.entry)
@@ -162,7 +156,7 @@ func (s *scanSource) open(ctx *qctx) (vecIter, error) {
 	if mode == cache.Lazy {
 		return s.replay(ctx, offsets)
 	}
-	if s.cs.Flat && ctx.deps.Manager != nil {
+	if s.cs.Flat {
 		st = ctx.deps.Manager.View(s.entry, st)
 	}
 	cur, err := st.BatchCursor(s.cs.Flat, s.leaves.Cols)
@@ -203,16 +197,14 @@ func (s *scanSource) info(deps Deps) (int64, bool) {
 func (s *scanSource) finish(ctx *qctx, batches, scanNanos int64, cur *store.BatchCursor) {
 	scanNanos = max(scanNanos, 0) + cur.ComputeNanos
 	ctx.stats.CacheScanNanos += scanNanos
-	if ctx.deps.Manager != nil {
-		st := store.ScanStats{
-			DataNanos:    scanNanos - cur.ComputeNanos,
-			ComputeNanos: cur.ComputeNanos,
-			RowsScanned:  cur.Rows,
-			Batches:      batches,
-		}
-		derive := ctx.deps.Manager.RecordScan(s.entry, st, scanNanos)
-		ctx.stats.LayoutSwitchNanos += derive.Nanoseconds()
+	st := store.ScanStats{
+		DataNanos:    scanNanos - cur.ComputeNanos,
+		ComputeNanos: cur.ComputeNanos,
+		RowsScanned:  cur.Rows,
+		Batches:      batches,
 	}
+	derive := ctx.deps.Manager.RecordScan(s.entry, st, scanNanos)
+	ctx.stats.LayoutSwitchNanos += derive.Nanoseconds()
 }
 
 // selBufPool recycles selection buffers across queries: the buffer is the

@@ -73,7 +73,7 @@ func BenchmarkNestedMiss(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				root, deps := mk(), Deps{Needed: needed}
+				root, deps := mk(), uncached(needed)
 				if !mode.off {
 					m := cache.NewManager(cache.Config{Admission: mode.admission})
 					root, deps.Manager = m.Rewrite(root, names), m

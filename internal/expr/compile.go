@@ -318,10 +318,11 @@ func arith(op Op, lt, rt *value.Type, l, r Evaluator) Evaluator {
 
 // CompilePredicate compiles a boolean expression to a Predicate; null
 // results are treated as false (SQL three-valued logic at the filter). It
-// runs the generic evaluator: the filters that run at volume — conjunct
-// chains of column-vs-literal comparisons — run as typed batch kernels
-// (CompileVecFilter) or below parsing (ExtractPushdown) instead, so a row
-// predicate is what a residual, a computed filter or a test tests.
+// runs the generic evaluator: the conjuncts that run at volume —
+// column-vs-literal comparisons — compile to ColTests instead, which run
+// over batches (CompileVecFilter) and below parsing (ExtractPushdown), so
+// a row predicate is what a residual, the batch filter's rest, a computed
+// filter or a test runs.
 func CompilePredicate(e Expr, schema *value.Type) (Predicate, error) {
 	if e == nil {
 		return func(Row) bool { return true }, nil
@@ -349,13 +350,11 @@ type cmpSpec struct {
 	i       int64
 	f       float64
 	s       string
-	asFlt   bool // compare as float (mixed int/float operands)
 }
 
 // cmpSpecOf recognizes one <col> <cmp> <literal> conjunct (either operand
 // order) whose column resolves to a single row slot of Int/Float/String
-// kind. It is the shared recognizer behind the vectorized filter kernels
-// and the scan pushdown extractor.
+// kind. It is ExtractPushdown's recognizer, and so the batch filter's.
 func cmpSpecOf(c Expr, schema *value.Type) (cmpSpec, *Col, bool) {
 	b, ok := c.(*Bin)
 	if !ok || !b.Op.IsComparison() {
@@ -374,29 +373,13 @@ func cmpSpecOf(c Expr, schema *value.Type) (cmpSpec, *Col, bool) {
 	case ct.Kind == value.Int && lit.V.Kind == value.Int:
 		sp.kind, sp.i = value.Int, lit.V.I
 	case ct.IsNumeric() && (lit.V.Kind == value.Int || lit.V.Kind == value.Float):
-		sp.kind, sp.f, sp.asFlt = value.Float, lit.V.AsFloat(), true
+		sp.kind, sp.f = value.Float, lit.V.AsFloat()
 	case ct.Kind == value.String && lit.V.Kind == value.String:
 		sp.kind, sp.s = value.String, lit.V.S
 	default:
 		return cmpSpec{}, nil, false
 	}
 	return sp, col, true
-}
-
-// extractCmpSpecs recognizes AND-chains of <col> <cmp> <literal> where the
-// column resolves to a single row slot — the shape the vectorized filter
-// kernels accept.
-func extractCmpSpecs(e Expr, schema *value.Type) ([]cmpSpec, bool) {
-	conjuncts := Conjuncts(e)
-	specs := make([]cmpSpec, 0, len(conjuncts))
-	for _, c := range conjuncts {
-		sp, _, ok := cmpSpecOf(c, schema)
-		if !ok {
-			return nil, false
-		}
-		specs = append(specs, sp)
-	}
-	return specs, true
 }
 
 // Eval is a convenience for tests and one-off evaluation: compile and run.

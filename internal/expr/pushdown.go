@@ -9,20 +9,21 @@ import (
 	"recache/internal/value"
 )
 
-// This file holds the scan-pushdown machinery: ExtractPushdown splits a
-// conjunctive scan predicate into *pushable* single-column conjuncts and a
-// *residual*, and compiles the pushable part into per-column typed tests a
-// raw-scan provider can evaluate on undecoded field bytes — decode the
-// tested column, run the fused interval kernel, and skip the rest of the
-// record on failure, before any other field is parsed or boxed.
+// This file holds the compiled conjunct: ExtractPushdown splits a
+// conjunctive predicate into its *pushable* single-column conjuncts and a
+// *residual*, and folds the pushable part into one ColTest per column. The
+// same tests run in two places: a raw-scan provider evaluates them on
+// undecoded field bytes — decode the tested column, test it, and skip the
+// rest of the record on failure, before any other field is parsed or boxed
+// — and the batch filter (vector.go) runs their kernels over cached column
+// vectors.
 //
-// The recognized conjunct shape is exactly the one the vectorized kernels
-// (CompileVecFilter) accept:
-// <col> <cmp> <literal> over a single Int/Float/String row slot. Numeric
-// conjuncts on one column fuse into the interval form of ranges.go, so a
-// BETWEEN costs one range check per record. All three evaluators agree on
-// null semantics — a null (or absent) operand fails the conjunct — so
-// pushing a conjunct below parsing never changes results.
+// The recognized conjunct shape is <col> <cmp> <literal> over a single
+// Int/Float/String row slot. Numeric conjuncts on one column fuse into the
+// interval form of ranges.go, so a BETWEEN costs one range check per
+// record. The tests follow the row evaluator's null semantics — a null (or
+// absent) operand fails the conjunct — so pushing a conjunct below parsing
+// never changes results.
 
 // strPred is one string comparison kernel of a ColTest. The literal is kept
 // both as a string and as bytes so raw CSV/JSON fields compare without
@@ -33,30 +34,36 @@ type strPred struct {
 	b  []byte
 }
 
-// ColTest is the fused pushdown test for one column: every pushed conjunct
-// on the column folded into at most one integer interval, one float
-// interval, inequality lists, and string comparisons. Kind is the column's
-// static kind — the typed decode the provider performs before testing. A
-// null, absent, or empty value fails the test (SQL filter semantics).
+// ColTest is the compiled test for one column: every pushed conjunct on
+// the column folded into at most one integer interval, one float interval,
+// inequality lists, and string comparisons. Kind is the column's static
+// kind — the typed decode the provider performs before testing, and the
+// vector a batch holds. A null, absent, or empty value fails the test (SQL
+// filter semantics).
 type ColTest struct {
 	Slot int        // top-level row slot of the column
 	Path value.Path // column path (for needed-set union and EXPLAIN)
 	Kind value.Kind // Int, Float or String: what the provider decodes
 
-	intR  *vecSpec // fused integer interval (int column, int literals)
-	fltR  *vecSpec // fused float interval (float literals or float column)
-	intNe []int64
-	fltNe []float64
-	strs  []strPred
-	empty bool // statically unsatisfiable: nothing passes
+	// lo..hi is the fused integer interval (an int column against int
+	// literals) and flo..fhi the fused float one (float literals, or a
+	// float column), both closed; an interval no conjunct narrowed is the
+	// whole line. nanOK mirrors the row evaluator's NaN behaviour per
+	// conjunct: a NaN operand yields compare-equal there, so it passes =,
+	// <= and >= but fails < and >. The float interval admits NaN iff no
+	// folded conjunct was strict.
+	lo, hi   int64
+	flo, fhi float64
+	nanOK    bool
+	intNe    []int64
+	fltNe    []float64
+	strs     []strPred
+	empty    bool // statically unsatisfiable: nothing passes
 }
 
 // TestInt tests a decoded integer column value.
 func (t *ColTest) TestInt(x int64) bool {
-	if t.empty {
-		return false
-	}
-	if t.intR != nil && (x < t.intR.lo || x > t.intR.hi) {
+	if t.empty || x < t.lo || x > t.hi {
 		return false
 	}
 	for _, ne := range t.intNe {
@@ -64,11 +71,12 @@ func (t *ColTest) TestInt(x int64) bool {
 			return false
 		}
 	}
-	if t.fltR != nil && !fltInRange(float64(x), t.fltR) {
+	f := float64(x)
+	if f < t.flo || f > t.fhi {
 		return false
 	}
-	for _, f := range t.fltNe {
-		if float64(x) == f {
+	for _, ne := range t.fltNe {
+		if f == ne {
 			return false
 		}
 	}
@@ -82,11 +90,14 @@ func (t *ColTest) TestFloat(x float64) bool {
 	if t.empty {
 		return false
 	}
-	if t.fltR != nil && !fltInRange(x, t.fltR) {
+	if x != x {
+		return t.nanOK && len(t.fltNe) == 0
+	}
+	if x < t.flo || x > t.fhi {
 		return false
 	}
-	for _, f := range t.fltNe {
-		if !(x == x && x != f) {
+	for _, ne := range t.fltNe {
+		if x == ne {
 			return false
 		}
 	}
@@ -106,29 +117,32 @@ func (t *ColTest) TestStr(s string) bool {
 	return true
 }
 
+// strCmpOK applies a comparison operator to two strings.
+func strCmpOK(a, b string, op Op) bool {
+	switch op {
+	case OpEq:
+		return a == b
+	case OpNe:
+		return a != b
+	case OpLt:
+		return a < b
+	case OpLe:
+		return a <= b
+	case OpGt:
+		return a > b
+	case OpGe:
+		return a >= b
+	}
+	return false
+}
+
 // TestStrBytes is TestStr over raw field bytes, allocation-free.
 func (t *ColTest) TestStrBytes(b []byte) bool {
 	if t.empty {
 		return false
 	}
 	for i := range t.strs {
-		c := bytes.Compare(b, t.strs[i].b)
-		var ok bool
-		switch t.strs[i].op {
-		case OpEq:
-			ok = c == 0
-		case OpNe:
-			ok = c != 0
-		case OpLt:
-			ok = c < 0
-		case OpLe:
-			ok = c <= 0
-		case OpGt:
-			ok = c > 0
-		case OpGe:
-			ok = c >= 0
-		}
-		if !ok {
+		if cmpResult(t.strs[i].op, bytes.Compare(b, t.strs[i].b)) != triTrue {
 			return false
 		}
 	}
@@ -173,20 +187,21 @@ func ExtractPushdown(pred Expr, schema *value.Type) (pd *Pushdown, residual Expr
 	if len(push) == 0 {
 		return nil, pred
 	}
-	return newPushdown(schema, push, specs, cols), And(rest...)
+	return newPushdown(push, specs, cols), And(rest...)
 }
 
 // newPushdown groups the recognized conjuncts per column slot and fuses
 // each group into one ColTest. Tests are ordered cheapest decode first
 // (Int, then Float, then String), so a failing record bails on the
 // cheapest column it can.
-func newPushdown(schema *value.Type, conj []Expr, specs []cmpSpec, cols []*Col) *Pushdown {
+func newPushdown(conj []Expr, specs []cmpSpec, cols []*Col) *Pushdown {
 	bySlot := map[int]*ColTest{}
 	var tests []*ColTest
 	for i, sp := range specs {
 		t := bySlot[sp.idx]
 		if t == nil {
-			t = &ColTest{Slot: sp.idx, Path: cols[i].Path, Kind: sp.colKind}
+			t = &ColTest{Slot: sp.idx, Path: cols[i].Path, Kind: sp.colKind,
+				lo: math.MinInt64, hi: math.MaxInt64, flo: math.Inf(-1), fhi: math.Inf(1), nanOK: true}
 			bySlot[sp.idx] = t
 			tests = append(tests, t)
 		}
@@ -196,10 +211,7 @@ func newPushdown(schema *value.Type, conj []Expr, specs []cmpSpec, cols []*Col) 
 				t.intNe = append(t.intNe, sp.i)
 				continue
 			}
-			if t.intR == nil {
-				t.intR = &vecSpec{kind: vsIntRange, lo: math.MinInt64, hi: math.MaxInt64}
-			}
-			tightenInt(t.intR, sp.op, sp.i)
+			t.tightenInt(sp.op, sp.i)
 		case value.Float:
 			if sp.op == OpNe {
 				if math.IsNaN(sp.f) {
@@ -211,25 +223,93 @@ func newPushdown(schema *value.Type, conj []Expr, specs []cmpSpec, cols []*Col) 
 				t.fltNe = append(t.fltNe, sp.f)
 				continue
 			}
-			if t.fltR == nil {
-				t.fltR = &vecSpec{kind: vsFltRange, flo: math.Inf(-1), fhi: math.Inf(1), nanOK: true}
-			}
-			tightenFloat(t.fltR, sp.op, sp.f)
+			t.tightenFloat(sp.op, sp.f)
 		default: // String
 			t.strs = append(t.strs, strPred{op: sp.op, s: sp.s, b: []byte(sp.s)})
 		}
 	}
 	out := make([]ColTest, 0, len(tests))
 	for _, t := range tests {
-		if t.intR != nil && t.intR.empty || t.fltR != nil && t.fltR.empty {
-			t.empty = true
-		}
 		out = append(out, *t)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		return decodeCost(out[i].Kind) < decodeCost(out[j].Kind)
 	})
 	return &Pushdown{tests: out, conj: conj}
+}
+
+// tightenInt intersects the integer interval with one comparison. Open
+// bounds shift to the nearest integer; shifts that would overflow make the
+// test unsatisfiable.
+func (t *ColTest) tightenInt(op Op, x int64) {
+	switch op {
+	case OpEq:
+		t.lo, t.hi = max(t.lo, x), min(t.hi, x)
+	case OpLt:
+		if x == math.MinInt64 {
+			t.empty = true
+			return
+		}
+		t.hi = min(t.hi, x-1)
+	case OpLe:
+		t.hi = min(t.hi, x)
+	case OpGt:
+		if x == math.MaxInt64 {
+			t.empty = true
+			return
+		}
+		t.lo = max(t.lo, x+1)
+	case OpGe:
+		t.lo = max(t.lo, x)
+	}
+	if t.lo > t.hi {
+		t.empty = true
+	}
+}
+
+// tightenFloat intersects the float interval with one comparison. The
+// bounds stay closed: a strict bound moves to the neighbouring float (for
+// every non-NaN x, x > c is x >= Nextafter(c, +Inf)), and a strict bound
+// beyond an infinity admits nothing. NaN follows the row evaluator
+// (compareFloat) exactly: a NaN literal compares equal to everything there
+// (so strict comparisons reject every row and non-strict ones are vacuous),
+// and a NaN column value passes only non-strict conjuncts (nanOK).
+func (t *ColTest) tightenFloat(op Op, x float64) {
+	if math.IsNaN(x) {
+		if op == OpLt || op == OpGt {
+			t.empty = true
+		}
+		return
+	}
+	lo, hi := math.Inf(-1), math.Inf(1)
+	switch op {
+	case OpEq:
+		lo, hi = x, x
+	case OpLt:
+		if math.IsInf(x, -1) {
+			t.empty = true
+			return
+		}
+		hi = math.Nextafter(x, math.Inf(-1))
+		t.nanOK = false
+	case OpLe:
+		hi = x
+	case OpGt:
+		if math.IsInf(x, 1) {
+			t.empty = true
+			return
+		}
+		lo = math.Nextafter(x, math.Inf(1))
+		t.nanOK = false
+	case OpGe:
+		lo = x
+	}
+	t.flo, t.fhi = max(t.flo, lo), min(t.fhi, hi)
+	// A crossed interval still admits NaN while every conjunct is
+	// non-strict (b >= 2 AND b <= 1 keeps NaN in the row evaluator).
+	if t.flo > t.fhi && !t.nanOK {
+		t.empty = true
+	}
 }
 
 // decodeCost orders test columns by how cheap the raw decode is.
@@ -258,6 +338,15 @@ func (p *Pushdown) NumConjuncts() int {
 		return 0
 	}
 	return len(p.conj)
+}
+
+// Expr returns the pushed conjuncts as one predicate: what the tests
+// decide, for the row evaluator (CompilePredicate).
+func (p *Pushdown) Expr() Expr {
+	if p == nil {
+		return nil
+	}
+	return And(p.conj...)
 }
 
 // EqNeedle returns the longest string-equality literal among the pushed
@@ -338,47 +427,4 @@ func (p *Pushdown) String() string {
 		parts[i] = c.Canonical()
 	}
 	return "[" + strings.Join(parts, ", ") + "]"
-}
-
-// TestRow evaluates the pushdown against a decoded (boxed) row — the
-// fallback for providers that cannot push below parsing. It agrees with
-// the byte-level tests and with CompilePredicate: null fails.
-func (p *Pushdown) TestRow(row []value.Value) bool {
-	if p == nil {
-		return true
-	}
-	for i := range p.tests {
-		t := &p.tests[i]
-		if t.Slot >= len(row) {
-			return false
-		}
-		v := &row[t.Slot]
-		if v.Kind == value.Null {
-			return false
-		}
-		switch t.Kind {
-		case value.Int:
-			if v.Kind != value.Int || !t.TestInt(v.I) {
-				return false
-			}
-		case value.Float:
-			var x float64
-			switch v.Kind {
-			case value.Int:
-				x = float64(v.I)
-			case value.Float:
-				x = v.F
-			default:
-				return false
-			}
-			if !t.TestFloat(x) {
-				return false
-			}
-		default:
-			if v.Kind != value.String || !t.TestStr(v.S) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -63,8 +63,32 @@ func TestExtractPushdownNothingPushable(t *testing.T) {
 	}
 }
 
+// PassTyped runs pd's typed entry points on a boxed row the way a raw scan
+// runs them on a record's decoded fields: TestInt, TestFloat or TestStr by
+// the column's kind, with a null failing the test.
+func PassTyped(pd *Pushdown, row Row) bool {
+	for _, t := range pd.Tests() {
+		v := row[t.Slot]
+		var ok bool
+		switch {
+		case v.Kind == value.Null:
+		case t.Kind == value.Int:
+			ok = t.TestInt(v.I)
+		case t.Kind == value.Float:
+			ok = t.TestFloat(v.F)
+		default:
+			ok = t.TestStr(v.S)
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // TestPushdownRowParity: pushed ∧ residual must agree with the compiled
-// full predicate on every row, including nulls and NaNs.
+// full predicate on every row, including nulls and NaNs, and the typed
+// tests with the pushed conjuncts' row predicate.
 func TestPushdownRowParity(t *testing.T) {
 	schema := pushdownSchema()
 	preds := []Expr{
@@ -112,18 +136,24 @@ func TestPushdownRowParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pred %d residual: %v", pi, err)
 		}
+		pushed, err := CompilePredicate(pd.Expr(), schema)
+		if err != nil {
+			t.Fatalf("pred %d pushed: %v", pi, err)
+		}
 		for i := 0; i < 2000; i++ {
 			row := Row{randVal(value.Int), randVal(value.Float), randVal(value.String), randVal(value.Int)}
-			got := pd.TestRow(row) && res(row)
-			want := full(row)
-			if got != want {
+			if got, want := pushed(row) && res(row), full(row); got != want {
 				t.Fatalf("pred %d row %v: pushdown %v, full %v", pi, row, got, want)
+			}
+			if got, want := PassTyped(pd, row), pushed(row); got != want {
+				t.Fatalf("pred %d row %v: typed tests %v, pushed conjuncts %v", pi, row, got, want)
 			}
 		}
 	}
 }
 
-// TestColTestTypedParity: the typed entry points must agree with TestRow.
+// TestColTestTypedParity: the typed entry points must agree with the
+// row predicate of the pushed conjuncts.
 func TestColTestTypedParity(t *testing.T) {
 	schema := pushdownSchema()
 	pred := And(
@@ -134,6 +164,10 @@ func TestColTestTypedParity(t *testing.T) {
 		Cmp(OpGe, C("c"), L("b")),
 	)
 	pd, _ := ExtractPushdown(pred, schema)
+	pushed, err := CompilePredicate(pd.Expr(), schema)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ta, tb, tc *ColTest
 	tests := pd.Tests()
 	for i := range tests {
@@ -147,19 +181,19 @@ func TestColTestTypedParity(t *testing.T) {
 		}
 	}
 	for _, x := range []int64{9, 10, 30, 31, 50, 51} {
-		want := pd.TestRow(Row{value.VInt(x), value.VFloat(1), value.VString("c"), value.VNull})
+		want := pushed(Row{value.VInt(x), value.VFloat(1), value.VString("c"), value.VNull})
 		if got := ta.TestInt(x) && tb.TestFloat(1) && tc.TestStr("c"); got != want {
 			t.Fatalf("x=%d typed=%v row=%v", x, got, want)
 		}
 	}
 	for _, f := range []float64{0.24, 0.25, 0.26, math.NaN()} {
-		want := pd.TestRow(Row{value.VInt(20), value.VFloat(f), value.VString("c"), value.VNull})
+		want := pushed(Row{value.VInt(20), value.VFloat(f), value.VString("c"), value.VNull})
 		if got := ta.TestInt(20) && tb.TestFloat(f) && tc.TestStr("c"); got != want {
 			t.Fatalf("f=%v typed=%v row=%v", f, got, want)
 		}
 	}
 	for _, s := range []string{"a", "b", "bb", ""} {
-		want := pd.TestRow(Row{value.VInt(20), value.VFloat(1), value.VString(s), value.VNull})
+		want := pushed(Row{value.VInt(20), value.VFloat(1), value.VString(s), value.VNull})
 		got := ta.TestInt(20) && tb.TestFloat(1) && tc.TestStr(s)
 		if got != want {
 			t.Fatalf("s=%q typed=%v row=%v", s, got, want)

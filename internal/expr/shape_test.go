@@ -14,15 +14,16 @@ import (
 )
 
 // TestPredicateShapeParity holds a predicate's answer independent of the
-// shape it is written in: on rows with NaN and null, P, P OR <false> and
-// P AND <true> keep the same rows through every evaluator — the row
-// predicate (CompilePredicate), the batch kernels (CompileVecFilter), the
-// pushdown below parsing (Pushdown.TestRow, its residual through
-// CompilePredicate) and the reference evaluator. The three shapes take
-// different paths: P and P AND <true> are conjunct chains, which the typed
-// kernels and the pushdown accept, and P OR <false> is not, so it runs on
-// the generic evaluator everywhere. A NaN compares equal to every number on
-// all of them.
+// shape it is written in: on rows with NaN and null, P, P OR <false>,
+// P AND <true> and P AND <unfusable true> keep the same rows through every
+// evaluator — the row predicate (CompilePredicate), the batch filter
+// (CompileVecFilter), the pushdown below parsing (the typed ColTest entry
+// points a raw scan calls, its residual through CompilePredicate) and the
+// reference evaluator. The shapes take different paths: P and P AND <true>
+// are conjunct chains, which the typed tests take whole; P OR <false> is
+// not, so it runs on the generic evaluator everywhere; and P AND NOT
+// (z = 'zz') runs P's typed tests, then the generic evaluator on the rows
+// they kept. A NaN compares equal to every number on all of them.
 func TestPredicateShapeParity(t *testing.T) {
 	schema := value.TRecord(value.FOpt("x", value.TFloat), value.FOpt("n", value.TInt), value.F("z", value.TString))
 	var rows [][]value.Value
@@ -47,7 +48,7 @@ func TestPredicateShapeParity(t *testing.T) {
 	)
 	for _, p := range preds {
 		var want []int
-		for _, shape := range []expr.Expr{p, expr.Or(p, never), expr.And(p, always)} {
+		for _, shape := range []expr.Expr{p, expr.Or(p, never), expr.And(p, always), expr.And(p, &expr.Not{E: never})} {
 			for name, eval := range map[string]func(expr.Expr) ([]int, error){
 				"CompilePredicate": func(e expr.Expr) ([]int, error) { return rowPredicate(e, schema, rows) },
 				"CompileVecFilter": func(e expr.Expr) ([]int, error) { return vecFilter(e, schema, rows) },
@@ -113,7 +114,7 @@ func pushdown(e expr.Expr, schema *value.Type, rows [][]value.Value) ([]int, err
 	}
 	kept := []int{}
 	for i, r := range rows {
-		if (pd == nil || pd.TestRow(r)) && res(r) {
+		if (pd == nil || expr.PassTyped(pd, r)) && res(r) {
 			kept = append(kept, i)
 		}
 	}

@@ -81,7 +81,7 @@ func TestVecFilterMatchesRowPredicate(t *testing.T) {
 				t.Fatal(err)
 			}
 			vf, err := CompileVecFilter(pred, schema)
-			if err != nil || (len(vf.specs) > 0 && vf.specs[0].kind == vsGeneric) {
+			if err != nil || vf.rest != nil {
 				t.Fatalf("predicate %d should compile to typed kernels: %v", pi, err)
 			}
 			if !vf.Compatible([]value.Kind{cols[0].Kind, cols[1].Kind, cols[2].Kind}) {
@@ -106,9 +106,9 @@ func TestVecFilterMatchesRowPredicate(t *testing.T) {
 	}
 }
 
-// The typed kernels reject every shape but the fused one: these predicates
-// compile to the generic spec, which keeps exactly the rows the row
-// predicate keeps, NULLs and a nested path included.
+// The typed tests take no shape but <col> <cmp> <literal>: these
+// predicates compile to the generic kernel alone, which keeps exactly the
+// rows the row predicate keeps, NULLs and a nested path included.
 func TestVecFilterRejectsNonVectorizable(t *testing.T) {
 	schema := value.TRecord(
 		value.F("a", value.TInt),
@@ -117,13 +117,12 @@ func TestVecFilterRejectsNonVectorizable(t *testing.T) {
 		value.F("o", value.TRecord(value.F("x", value.TInt))),
 	)
 	bad := []Expr{
-		Or(Cmp(OpGt, C("a"), L(1)), Cmp(OpLt, C("a"), L(0))),        // disjunction
-		Cmp(OpGt, &Bin{Op: OpAdd, L: C("a"), R: L(1)}, L(10)),       // arithmetic operand
-		Cmp(OpEq, C("flag"), L(true)),                               // bool column
-		Cmp(OpEq, C("a"), C("b")),                                   // col vs col
-		&Not{E: Cmp(OpGt, C("a"), L(1))},                            // negation
-		And(Cmp(OpGt, C("a"), L(1)), Cmp(OpEq, C("flag"), L(true))), // one bad conjunct
-		Cmp(OpGe, C("o.x"), L(2)),                                   // a path into a sub-record
+		Or(Cmp(OpGt, C("a"), L(1)), Cmp(OpLt, C("a"), L(0))),  // disjunction
+		Cmp(OpGt, &Bin{Op: OpAdd, L: C("a"), R: L(1)}, L(10)), // arithmetic operand
+		Cmp(OpEq, C("flag"), L(true)),                         // bool column
+		Cmp(OpEq, C("a"), C("b")),                             // col vs col
+		&Not{E: Cmp(OpGt, C("a"), L(1))},                      // negation
+		Cmp(OpGe, C("o.x"), L(2)),                             // a path into a sub-record
 	}
 	cols := []*store.Vec{{Kind: value.Int}, {Kind: value.Float}, {Kind: value.Bool}, {Kind: value.Record}}
 	var rows []Row
@@ -140,8 +139,8 @@ func TestVecFilterRejectsNonVectorizable(t *testing.T) {
 	}
 	for i, e := range bad {
 		vf, err := CompileVecFilter(e, schema)
-		if err != nil || len(vf.specs) != 1 || vf.specs[0].kind != vsGeneric {
-			t.Fatalf("predicate %d: %v; want the generic spec alone", i, err)
+		if err != nil || vf.rest == nil || len(vf.tests) != 0 {
+			t.Fatalf("predicate %d: %v; want the generic kernel alone", i, err)
 		}
 		rowPred, err := CompilePredicate(e, schema)
 		if err != nil {
@@ -167,12 +166,80 @@ func TestVecFilterIntervalFusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vf.specs) != 1 {
-		t.Fatalf("specs = %d, want 1 fused interval", len(vf.specs))
+	if len(vf.tests) != 1 || vf.rest != nil {
+		t.Fatalf("tests = %d, rest %v; want 1 fused interval", len(vf.tests), vf.rest != nil)
 	}
-	sp := vf.specs[0]
-	if sp.kind != vsIntRange || sp.lo != 13 || sp.hi != 40 {
-		t.Errorf("fused spec = %+v, want [13,40]", sp)
+	if ct := vf.tests[0]; ct.lo != 13 || ct.hi != 40 || ct.fltRanged() {
+		t.Errorf("fused test = %+v, want [13,40]", ct)
+	}
+}
+
+// A chain with one conjunct the typed tests do not take runs the typed
+// kernel for the others, and the generic kernel only on the rows they kept.
+func TestVecFilterMixedChain(t *testing.T) {
+	schema := value.TRecord(value.F("a", value.TInt), value.F("flag", value.TBool))
+	pred := And(Cmp(OpGt, C("a"), L(1)), Cmp(OpEq, C("flag"), L(true)))
+	vf, err := CompileVecFilter(pred, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vf.tests) != 1 || vf.tests[0].Slot != 0 || vf.tests[0].Kind != value.Int || vf.rest == nil {
+		t.Fatalf("tests %+v, rest %v; want one int test on a and a rest", vf.tests, vf.rest != nil)
+	}
+	cols := []*store.Vec{{Kind: value.Int}, {Kind: value.Bool}}
+	var rows []Row
+	for i := 0; i < 200; i++ {
+		row := Row{value.VInt(int64(i%5 - 1)), value.VBool(i%3 == 0)}
+		if i%13 == 0 {
+			row[i%2] = value.VNull
+		}
+		for c, v := range row {
+			cols[c].AppendVal(v)
+		}
+		rows = append(rows, row)
+	}
+	rest, seen, kept := vf.rest, 0, 0
+	vf.rest = func(r Row) bool {
+		if r[0].Kind != value.Int || r[0].I <= 1 {
+			t.Fatalf("the generic kernel saw row %v, which a > 1 drops", r)
+		}
+		seen++
+		return rest(r)
+	}
+	rowPred, err := CompilePredicate(pred, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int32
+	for i, row := range rows {
+		if row[0].Kind == value.Int && row[0].I > 1 {
+			kept++
+		}
+		if rowPred(row) {
+			want = append(want, int32(i))
+		}
+	}
+	if got := vf.Apply(cols, fullSel(len(rows))); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("kept %v, want %v", got, want)
+	}
+	if seen != kept {
+		t.Errorf("the generic kernel saw %d rows, want the %d that a > 1 kept", seen, kept)
+	}
+}
+
+// Compatible rejects a batch that lacks a tested slot: the source fails at
+// open instead of every batch filtering to nothing.
+func TestVecFilterCompatibleChecksSlot(t *testing.T) {
+	schema := value.TRecord(value.F("b", value.TInt), value.F("a", value.TInt))
+	vf, err := CompileVecFilter(Cmp(OpGt, C("a"), L(1)), schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vf.Compatible([]value.Kind{value.Int}) {
+		t.Error("a test on slot 1 is compatible with a one-column batch")
+	}
+	if !vf.Compatible([]value.Kind{value.Int, value.Int}) || vf.Compatible([]value.Kind{value.Int, value.Float}) {
+		t.Error("Compatible does not compare the tested slot's kind")
 	}
 }
 
@@ -288,9 +355,11 @@ func (b *shapeBytes) lit(float bool) value.Value {
 // column a and a float column b, with int or float literals on either
 // side, applied to an ascending selection over more than one 64-row null
 // word, must keep exactly the rows CompilePredicate keeps, in order. The
-// last shape byte turns the chain into a predicate only the generic spec
-// runs — an OR of the conjuncts, their negated AND, or the AND with an
-// arithmetic conjunct comparing a to b — held to the same row predicate.
+// last shape byte turns the chain into a predicate only the generic kernel
+// runs — an OR of the conjuncts or their negated AND — or a mixed chain,
+// the AND with an arithmetic conjunct comparing a to b, which the generic
+// kernel runs on the rows the typed tests kept; each is held to the same
+// row predicate.
 // seed draws the column values (edge values among them) and their NULLs;
 // shape picks the NULL placement, the selection, the conjuncts and the form.
 func FuzzVecFilter(f *testing.F) {

@@ -151,21 +151,26 @@ func (s *recordSource) ScanOffsetsAt(epoch uint64, offsets []int64, needed []val
 	return s.ScanOffsets(offsets, needed, fn)
 }
 
-// pass reports whether record i passes pd, with the error of a field pd
-// tests.
-func (s *recordSource) pass(i int, pd *expr.Pushdown) (bool, error) {
+// pass reports whether record i passes pd, whose conjuncts pushed
+// compiles (the row evaluator is the reference for the typed tests), with
+// the error of a field pd tests.
+func (s *recordSource) pass(i int, pd *expr.Pushdown, pushed expr.Predicate) (bool, error) {
 	if pd == nil {
 		return true, nil
 	}
 	if err := s.fail(i, s.fields(pd.Cols())); err != nil {
 		return false, err
 	}
-	return pd.TestRow(s.recs[i]), nil
+	return pushed(s.recs[i]), nil
 }
 
 func (s *recordSource) ScanPushdown(pd *expr.Pushdown, needed []value.Path, fn plan.ScanFunc) (skipped int64, err error) {
+	pushed, err := expr.CompilePredicate(pd.Expr(), s.schema)
+	if err != nil {
+		return 0, err
+	}
 	for i := range s.recs {
-		ok, err := s.pass(i, pd)
+		ok, err := s.pass(i, pd, pushed)
 		if err == nil && ok {
 			err = s.emit(i, needed, fn)
 		}
@@ -211,10 +216,14 @@ func (s *recordSource) PushdownCursor(epoch uint64, from int64, pd *expr.Pushdow
 	if epoch != recordEpoch {
 		return nil, plan.ErrEpochChanged
 	}
+	pushed, err := expr.CompilePredicate(pd.Expr(), s.schema)
+	if err != nil {
+		return nil, err
+	}
 	next, skipped := sort.Search(len(s.offs), func(i int) bool { return s.offs[i] >= from }), int64(0)
 	return func(dst []int64, n int) ([]int64, int64, error) {
 		for added := 0; added < n && next < len(s.recs); next++ {
-			ok, err := s.pass(next, pd)
+			ok, err := s.pass(next, pd, pushed)
 			if err != nil {
 				return dst, skipped, err
 			}
