@@ -88,11 +88,13 @@ type Entry struct {
 	pins int // active CachedScan readers (Txn pins)
 
 	// Spill-file identity: set while the entry is in the disk tier, whose
-	// payload is this file (a dead entry's file goes at its last unpin).
+	// payload is this file, mapped once (spillMap) for every disk hit to
+	// decode views of. A dead entry's file and mapping go at its last unpin.
 	spillPath   string
 	spillBytes  int64
+	spillMap    []byte
 	opDone      chan struct{} // made by a reader waiting for op to end, closed when it does
-	reloadNanos int64         // measured cost of the latest disk hit's read
+	reloadNanos int64         // measured cost of the latest disk hit's decode
 
 	// State derived from Store and memoised beside it (lifecycle.go): the
 	// flattened view a flattening scan reads instead of expanding the

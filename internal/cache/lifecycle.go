@@ -15,19 +15,20 @@ import (
 // join tables), or the byte gauges m.total / m.diskTotal / m.diskEntries:
 //
 //   - tier: an entry in the RAM tier holds its Store / Offsets and has no
-//     spill file; an entry in the disk tier is its spill file (spillPath),
-//     and keeps a RAM copy only while readers that pinned it before the
-//     demotion are still scanning it. Entries move between the tiers only
-//     at eviction (RAM → disk, a spill) and at removal; a disk hit reads
-//     the file into the reader's own store and changes nothing here.
+//     spill file; an entry in the disk tier is its spill file (spillPath)
+//     and that file's mapping (spillMap), and keeps a RAM copy only while
+//     readers that pinned it before the demotion are still scanning it.
+//     Entries move between the tiers only at eviction (RAM → disk, a spill)
+//     and at removal; a disk hit decodes views of the mapping into the
+//     reader's own store and changes nothing here.
 //   - op: the one unlocked payload operation in flight. Its result is built
 //     from the snapshot begin takes and installed by commit; the manager
 //     lock is released in between, so commit re-verifies that the entry is
 //     alive and still holds the snapshotted payload.
 //   - dead: the entry left every lookup structure. Readers that pinned it
-//     keep scanning their snapshot, or reading its spill file; its RAM bytes
-//     and its file are released at the last unpin. Nothing revives a dead
-//     entry.
+//     keep scanning their snapshot, or the views of its mapping; its RAM
+//     bytes, its file and its mapping are released at the last unpin.
+//     Nothing revives a dead entry.
 
 type opKind uint8
 
@@ -65,12 +66,13 @@ type inflight struct {
 }
 
 // result is what the unlocked half of an operation hands to commit: the RAM
-// payload to install and, for a spill, the file that now holds it.
+// payload to install and, for a spill, the file that now holds it and the
+// file's mapping.
 type result struct {
 	payload
-	spillPath  string
-	spillBytes int64
-	err        error // the operation failed: abandon it
+	spillPath string
+	spillMap  []byte
+	err       error // the operation failed: abandon it
 	// account, if set, runs after the swap and before eviction re-prices
 	// the entry, for cost components the operation measured.
 	account func()
@@ -162,6 +164,9 @@ func (m *Manager) commit(o inflight, res result) bool {
 		if res.spillPath != "" {
 			os.Remove(res.spillPath)
 		}
+		if res.spillMap != nil {
+			store.Unmap(res.spillMap)
+		}
 		return false
 	}
 	m.dropMemos(e) // they derive from the payload being replaced
@@ -172,8 +177,8 @@ func (m *Manager) commit(o inflight, res result) bool {
 		res.account()
 	}
 	if o.op == opSpilling {
-		e.spillPath, e.spillBytes = res.spillPath, res.spillBytes
-		m.diskTotal += res.spillBytes
+		e.spillPath, e.spillBytes, e.spillMap = res.spillPath, int64(len(res.spillMap)), res.spillMap
+		m.diskTotal += e.spillBytes
 		m.diskEntries++
 		m.demoteLocked(e)
 		m.evictDiskLocked()
@@ -211,7 +216,7 @@ func (m *Manager) insertLocked(e *Entry) {
 	m.total += e.SizeBytes()
 	m.policy.OnInsert(e.ID)
 	if e.onDisk() {
-		// A replica arrives as a spill file: track it where it lives.
+		// A replica arrives as a mapped spill file: track it where it lives.
 		m.diskTotal += e.spillBytes
 		m.diskEntries++
 		m.policy.OnDemote(e.ID)
@@ -232,7 +237,7 @@ func (m *Manager) demoteLocked(e *Entry) {
 
 // removeLocked kills a live entry: it leaves every lookup structure and the
 // policy now, and RAM and the disk tier at the last unpin — so eviction
-// never frees a store, nor unlinks a spill file, out from under a running
+// never frees a store, nor unmaps a spill file, out from under a running
 // CachedScan. It reports whether the entry was alive.
 func (m *Manager) removeLocked(e *Entry) bool {
 	if e.dead {
@@ -263,8 +268,8 @@ func (m *Manager) removeLocked(e *Entry) bool {
 }
 
 // unpinLocked drops one reader reference; the last one releases the RAM
-// and the spill file a removal, or the RAM copy a demotion, left behind for
-// the readers.
+// and the spill file (with its mapping) a removal, or the RAM copy a
+// demotion, left behind for the readers.
 func (m *Manager) unpinLocked(e *Entry) {
 	if e.pins == 0 {
 		return
@@ -344,16 +349,27 @@ func (m *Manager) dropMemos(e *Entry) {
 	e.view, e.joins, e.memoBytes = nil, nil, 0
 }
 
-// releaseSpillFile deletes the entry's spill file, if it owns one, and
-// returns its bytes to the disk budget.
+// releaseSpillFile deletes the entry's spill file, if it owns one, unmaps
+// it and returns its bytes to the disk budget. No reader is left: the
+// entry is dead and its last pin is gone.
 func (m *Manager) releaseSpillFile(e *Entry) {
 	if e.spillPath == "" {
 		return
 	}
 	os.Remove(e.spillPath)
+	unmapSpill(e)
 	m.diskTotal -= e.spillBytes
 	m.diskEntries--
 	e.spillPath, e.spillBytes = "", 0
+}
+
+// unmapSpill releases the entry's mapping of its spill file, if it holds
+// one.
+func unmapSpill(e *Entry) {
+	if e.spillMap != nil {
+		store.Unmap(e.spillMap)
+		e.spillMap = nil
+	}
 }
 
 // untiered adapts a policy without disk-tier state: it sees demotion as

@@ -333,6 +333,7 @@ type lifecycleModel struct {
 	preds []expr.Expr
 
 	known    map[*Entry]bool // every entry seen, dead ones until nothing can touch them
+	maps0    int64           // store.Mappings() when the model began
 	txns     []*Txn
 	upgrades []inflight
 	extends  []inflight
@@ -347,6 +348,7 @@ func newLifecycleModel(t *testing.T, seed int64) *lifecycleModel {
 		ds:    &plan.Dataset{Name: "t", Format: plan.FormatCSV, Provider: prov},
 		preds: append(spillPreds(), nil),
 		known: map[*Entry]bool{},
+		maps0: store.Mappings(),
 	}
 	// Budgets of about three entries per tier, so every admission evicts and
 	// every spill pressures the disk tier.
@@ -719,7 +721,7 @@ func (x *lifecycleModel) check(step int, name string, quiescent bool) {
 		}
 	}
 	recs, epoch := x.prov.snapshot()
-	var ram, disk int64
+	var ram, disk, maps int64
 	files := map[string]bool{}
 	live := 0
 	for e := range x.known {
@@ -760,6 +762,11 @@ func (x *lifecycleModel) check(step int, name string, quiescent bool) {
 			if fi, err := os.Stat(e.spillPath); err != nil || fi.Size() != e.spillBytes {
 				fail("entry %d: spill file %v, want %d bytes", e.ID, err, e.spillBytes)
 			}
+			maps++
+		}
+		// A spill file is mapped exactly while the entry holds it.
+		if (e.spillMap != nil) != (e.spillPath != "") || int64(len(e.spillMap)) != e.spillBytes {
+			fail("entry %d: a %d-byte mapping of spill file %q (%d bytes)", e.ID, len(e.spillMap), e.spillPath, e.spillBytes)
 		}
 		// One tier: the RAM tier holds the payload and no spill file, the
 		// disk tier is the file, and keeps a RAM copy only for pinned readers.
@@ -819,6 +826,12 @@ func (x *lifecycleModel) check(step int, name string, quiescent bool) {
 	}
 	if len(m.entries) != live {
 		fail("%d entries in the table, %d live", len(m.entries), live)
+	}
+	// Live mappings == disk-tier entries + dead entries still pinned: the
+	// entries that hold a spill file, as a dead entry's goes at its last
+	// unpin.
+	if got := store.Mappings() - x.maps0; got != maps {
+		fail("%d live mappings, entries hold %d spill files", got, maps)
 	}
 	des, err := os.ReadDir(x.dir)
 	if err != nil {

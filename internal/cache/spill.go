@@ -10,7 +10,6 @@ import (
 
 	"recache/internal/eviction"
 	"recache/internal/store"
-	"recache/internal/value"
 )
 
 // The disk spill tier. When RAM eviction selects a victim whose
@@ -19,17 +18,25 @@ import (
 // its payload, the Parquet form, is written as it is to a file in
 // Config.SpillDir, while the entry itself — predicate, ranges, accounting,
 // R-tree membership — stays in RAM, so lookups keep matching it. The entry
-// then is its file. A hit on it reads only the leaves its scan projects:
-// the RCS stream's column directory (store/serial.go) turns a disk hit into
-// one header read plus one read per needed column, into a buffer the
-// reader owns and whose views its store's vectors are. Nothing is
+// then is its file, which is mapped once, read-only, when the spill
+// commits (a replica's when it is admitted), and unmapped only where the
+// file is unlinked: at the entry's last unpin after its removal, or when
+// the manager closes. A hit on it decodes only the leaves its scan
+// projects, as views of that mapping: the RCS stream's column directory
+// (store/serial.go) says where each leaf's section lies, and the store's
+// null words, ints, floats and list lengths are those sections themselves
+// (its strings and bools are copied out). A disk hit makes no system call,
+// and the page cache is the only copy of the payload in memory. The
+// reader's pin keeps the mapping while it scans: every query pins the
+// entries it scans (Txn), and so does ExportPayloads. Nothing is
 // re-admitted, committed, charged to RAM or evicted on a read, so an entry
 // leaves the disk tier only when it is removed; one that turns hot again is
 // served from disk until a build evicts what RAM holds.
 //
-// Serialization and the file write are the unlocked half of the opSpilling
-// operation (lifecycle.go); only cheap unlinks happen under the lock, so a
-// spill file's lifetime stays in step with the entry state it mirrors.
+// Serialization, the file write and its mapping are the unlocked half of
+// the opSpilling operation (lifecycle.go); only cheap unlinks and unmaps
+// happen under the lock, so a spill file's lifetime stays in step with the
+// entry state it mirrors.
 
 // spillEnabled reports whether the disk tier is configured.
 func (m *Manager) spillEnabled() bool { return m.cfg.SpillDir != "" }
@@ -81,14 +88,14 @@ func (m *Manager) queueSpillLocked(e *Entry) bool {
 }
 
 // reloadEstimate prices a disk hit in nanoseconds: the entry's latest
-// measured read when one exists, otherwise a sequential read bandwidth
-// model (2 GB/s) over the whole file plus a fixed open/validate overhead.
-// A page-cached 805 KB lineitem-shaped spill file reads whole in ~0.29 ms
-// on a 2-vCPU box, and two of its nine leaves in ~0.07 ms
-// (BenchmarkSpillReload, medians of 8 runs), where the model says
-// ~0.42 ms. The model stays as it is: it decides which victims spill, it is
-// within 2× of a whole read and overstates a projected one, and one disk
-// hit replaces it with the entry's own number.
+// measured decode when one exists, otherwise a fixed 1 µs for the header
+// and directory plus 2 ns per KB of file (sz/512). A disk hit decodes views
+// of the file's mapping, so its cost is per column, not per byte: on a
+// 2-vCPU box an 805 KB lineitem-shaped spill file decodes whole in ~2.6 µs
+// and two of its nine leaves in ~1.4 µs (BenchmarkSpillReload, medians of
+// 8 runs), where the model says ~2.6 µs. The model overstates a projected
+// decode, and it leaves out the page faults of the first scan of a fresh
+// mapping; one disk hit replaces it with the entry's own number.
 func (m *Manager) reloadEstimate(e *Entry) int64 {
 	if e.reloadNanos > 0 {
 		return e.reloadNanos
@@ -97,13 +104,23 @@ func (m *Manager) reloadEstimate(e *Entry) int64 {
 	if sz == 0 {
 		sz = e.SizeBytes()
 	}
-	return sz/2 + 20_000
+	return sz/512 + 1_000
 }
 
-// FlushSpills completes every queued RAM→disk demotion synchronously. A
-// shutting-down engine calls it after the last query drains so no evicted
-// payload is lost between "queued for spill" and process exit.
-func (m *Manager) FlushSpills() { m.drainSpills() }
+// Close completes every queued RAM→disk demotion synchronously, so no
+// evicted payload is lost between "queued for spill" and process exit, and
+// then unmaps every spill file. A closing engine calls it after its last
+// query drains: no reader holds a pin, so nothing reads a mapping any more.
+// The files stay until the next manager on the directory removes them
+// (initSpillDir); a disk hit after Close fails.
+func (m *Manager) Close() {
+	m.drainSpills()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range m.entries {
+		unmapSpill(e)
+	}
+}
 
 // drainSpills performs queued demotions. Callers invoke it after releasing
 // the manager lock; each spill write runs unlocked and commits under the
@@ -121,9 +138,12 @@ func (m *Manager) drainSpills() {
 		}
 		for _, o := range pend {
 			res := result{payload: o.snap, spillPath: m.spillFile(o.e.ID)}
-			res.spillBytes, res.err = atomicWrite(res.spillPath, func(w io.Writer) error {
+			res.err = atomicWrite(res.spillPath, func(w io.Writer) error {
 				return store.WriteParquet(w, o.snap.store)
 			})
+			if res.err == nil {
+				res.spillMap, res.err = store.MapFile(res.spillPath)
+			}
 			m.mu.Lock()
 			if m.commit(o, res) {
 				m.stats.spills.Add(1)
@@ -142,20 +162,13 @@ func (m *Manager) drainSpills() {
 // file is removed. No fsync: spill files are cache state, not durable
 // state — after a crash, startup removes orphans and an entry whose file
 // turns out unreadable is simply dropped, so durability would buy nothing
-// and the sync would dominate the demotion cost. Returns the file size.
-func atomicWrite(path string, write func(io.Writer) error) (int64, error) {
+// and the sync would dominate the demotion cost.
+func atomicWrite(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
-		return 0, err
+		return err
 	}
-	var size int64
 	err = write(f)
-	if err == nil {
-		var fi os.FileInfo
-		if fi, err = f.Stat(); err == nil {
-			size = fi.Size()
-		}
-	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -164,21 +177,8 @@ func atomicWrite(path string, write func(io.Writer) error) (int64, error) {
 	}
 	if err != nil {
 		os.Remove(f.Name())
-		return 0, err
 	}
-	return size, nil
-}
-
-// readSpillFile decodes leaves of the payload in the spill file at path,
-// size bytes long, into a store of the reader's own: the header, then the
-// sections of those leaves (store.ReadParquetOwned).
-func readSpillFile(path string, size int64, schema *value.Type, leaves store.Leaves) (store.Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return store.ReadParquetOwned(f, size, schema, leaves)
+	return err
 }
 
 // Resident returns a payload of e that a reader can scan, current with e's
@@ -190,24 +190,35 @@ func readSpillFile(path string, size int64, schema *value.Type, leaves store.Lea
 //     per entry: a second reader waits for the extension in flight and
 //     reads what it committed. A reader whose entry died, or was demoted,
 //     keeps the payload it has and catches that up privately.
-//   - A payload in the disk tier is read from its file, those leaves only,
-//     into a store that is the reader's alone — never a raw re-scan, and
-//     nothing is committed, charged or evicted: the entry stays on disk. A
-//     file that trails its raw file is caught up the same private way.
+//   - A payload in the disk tier is decoded from its file's mapping, those
+//     leaves only, into a store that is the reader's alone and whose
+//     fixed-width vectors are views of the mapping — never a raw re-scan,
+//     and nothing is committed, charged or evicted: the entry stays on
+//     disk. A file that trails its raw file is caught up the same private
+//     way, into memory of the reader's own. The decode pins e while it
+//     runs; the views stay readable for as long as the caller's own pin
+//     holds, which every query has (Txn) for the entries it scans.
 //
 // An extension that fails drops the entry and returns plan.ErrEpochChanged:
-// the caller re-plans against the miss; a spill file that cannot be read
-// drops the entry too. Side-effect-free readers (EXPLAIN, tooling) use
-// Payload instead.
+// the caller re-plans against the miss; a spill file that cannot be
+// decoded drops the entry too. Side-effect-free readers (EXPLAIN, tooling)
+// use Payload instead.
 func (m *Manager) Resident(e *Entry, leaves store.Leaves) (Mode, store.Store, []int64, error) {
 	m.mu.Lock()
 	p := e.payload()
 	for {
 		var err error
 		if p.mode == Eager && p.store == nil {
-			path, size := e.spillPath, e.spillBytes
+			spill := e.spillMap
+			if spill == nil {
+				// The entry died, and its file went with its last pin: a
+				// reader that held no pin. Or the manager closed.
+				m.mu.Unlock()
+				return p.mode, nil, nil, fmt.Errorf("cache: entry %d lost its spilled payload", e.ID)
+			}
+			e.pins++ // the decode's own: the mapping stays until it is done
 			m.mu.Unlock()
-			p, err = m.readDisk(e, p, path, size, leaves)
+			p, err = m.readDisk(e, p, spill, leaves)
 			return p.mode, p.store, p.offsets, err
 		}
 		if trailing, extendable := e.lag(p); !trailing || !extendable {
@@ -230,22 +241,18 @@ func (m *Manager) Resident(e *Entry, leaves store.Leaves) (Mode, store.Store, []
 	}
 }
 
-// readDisk is a disk hit: the leaves a reader scans, read from e's spill
-// file at path into a store of the reader's own, and caught up privately
-// when the file trails its raw file. Its one write to the entry is
-// reloadNanos, the read's measured cost. A file that cannot be read drops
-// the entry: atomic writes and startup cleanup make that an OS failure, not
-// a normal path.
-func (m *Manager) readDisk(e *Entry, p payload, path string, size int64, leaves store.Leaves) (payload, error) {
-	if path == "" {
-		// The entry died, and its file went with its last pin: a reader
-		// that held no pin.
-		return p, fmt.Errorf("cache: entry %d lost its spilled payload", e.ID)
-	}
+// readDisk is a disk hit: the leaves a reader scans, decoded as views of
+// spill, e's mapping, which the caller pinned e for, and caught up
+// privately when the file trails its raw file. Its one write to the entry
+// is reloadNanos, the decode's measured cost. A file that cannot be
+// decoded drops the entry: atomic writes and startup cleanup make that an
+// OS failure, not a normal path.
+func (m *Manager) readDisk(e *Entry, p payload, spill []byte, leaves store.Leaves) (payload, error) {
 	start := time.Now()
-	st, err := readSpillFile(path, size, e.Dataset.Schema(), leaves)
+	st, err := store.ReadParquetView(spill, e.Dataset.Schema(), leaves)
 	read := time.Since(start).Nanoseconds()
 	m.mu.Lock()
+	m.unpinLocked(e)
 	if err != nil {
 		if m.removeLocked(e) {
 			m.stats.spillDrops.Add(1)

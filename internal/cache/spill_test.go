@@ -477,62 +477,172 @@ func TestSpillWriteAllocs(t *testing.T) {
 	}
 }
 
-// TestDiskHitAliasesReadBuffer: a disk hit reads the sections of the leaves
-// it scans into one buffer of its own, and its store's vectors are views of
-// that buffer: the int and float vectors of two adjacent leaves lie as far
-// apart in memory as in the spill file, with the file's bytes between them.
-// The entry is charged nothing for it.
-func TestDiskHitAliasesReadBuffer(t *testing.T) {
-	m := NewManager(Config{Admission: AlwaysEager, SpillDir: t.TempDir()})
-	ds := flatDataset("t")
-	e := buildCostly(t, m, ds, nil, costly)
+// spillNow demotes e to the disk tier.
+func spillNow(t *testing.T, m *Manager, e *Entry) {
+	t.Helper()
 	m.mu.Lock()
 	queued := m.queueSpillLocked(e)
 	m.mu.Unlock()
-	if !queued {
-		t.Fatal("the entry was not queued for a spill")
-	}
 	m.drainSpills()
-	if m.EntryTier(e) != "disk" {
-		t.Fatal("the entry did not demote")
+	if !queued || m.EntryTier(e) != "disk" {
+		t.Fatalf("entry %d did not demote", e.ID)
 	}
-	_, st, _, err := m.Resident(e, store.Leaves{Cols: []int{0, 1}})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestDiskHitViewsMapping: a disk hit's vectors are views of its entry's
+// spill-file mapping, made once at the spill: the mapping holds the file's
+// bytes, every vector lies inside it, and two hits read the same memory.
+// The entry is charged nothing for it.
+func TestDiskHitViewsMapping(t *testing.T) {
+	m := NewManager(Config{Admission: AlwaysEager, SpillDir: t.TempDir()})
+	ds := flatDataset("t")
+	e := buildCostly(t, m, ds, nil, costly)
+	spillNow(t, m, e)
+	tx := m.Begin()
+	defer tx.Close()
+	if _, ok := tx.Rewrite(selOver(ds, nil), map[string][]string{"t": {"a", "c"}}).(*plan.CachedScan); !ok {
+		t.Fatal("expected a disk hit")
+	}
+	leaves := store.Leaves{Cols: []int{0, 1}}
+	var cols [2][]*store.Vec
+	for i := range cols {
+		_, st, _, err := m.Resident(e, leaves)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := st.BatchCursor(false, leaves.Cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols[i] = cur.Cols
 	}
 	m.mu.Lock()
-	path, size := e.spillPath, e.SizeBytes()
+	spill, path, size := e.spillMap, e.spillPath, e.SizeBytes()
 	m.mu.Unlock()
-	file, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if file, err := os.ReadFile(path); err != nil || !bytes.Equal(spill, file) {
+		t.Fatalf("the mapping does not hold the spill file's bytes (%v)", err)
 	}
-	cur, err := st.BatchCursor(false, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
+	lo := uintptr(unsafe.Pointer(&spill[0]))
+	inside := func(p unsafe.Pointer, n int) bool {
+		return uintptr(p) >= lo && uintptr(p)+uintptr(8*n) <= lo+uintptr(len(spill))
 	}
-	ints, floats := cur.Cols[0].Ints, cur.Cols[1].Floats
-	image := func(p unsafe.Pointer, n int) []byte { return unsafe.Slice((*byte)(p), n*8) }
-	oi := bytes.Index(file, image(unsafe.Pointer(&ints[0]), len(ints)))
-	of := bytes.Index(file, image(unsafe.Pointer(&floats[0]), len(floats)))
-	gap := uintptr(unsafe.Pointer(&floats[0])) - uintptr(unsafe.Pointer(&ints[0]))
-	if oi < 0 || of < 0 || gap != uintptr(of-oi) {
-		t.Fatalf("ints at file offset %d and floats at %d lie %d bytes apart in memory: not views of one read buffer", oi, of, gap)
+	ints, floats := cols[0][0].Ints, cols[0][1].Floats
+	if !inside(unsafe.Pointer(&ints[0]), len(ints)) || !inside(unsafe.Pointer(&floats[0]), len(floats)) {
+		t.Fatal("the disk hit's vectors are not views of the entry's mapping")
 	}
-	// Only now is it safe to read the buffer the vectors lie in.
-	if buf := unsafe.Slice((*byte)(unsafe.Pointer(&ints[0])), of-oi); !bytes.Equal(buf, file[oi:of]) {
-		t.Error("the memory between the vectors is not the spill file's bytes")
+	if &cols[1][0].Ints[0] != &ints[0] || &cols[1][1].Floats[0] != &floats[0] {
+		t.Error("two disk hits read different memory")
 	}
 	if size != 0 || m.Stats().TotalBytes != 0 {
 		t.Errorf("the disk hit charged the entry %d bytes, RAM %d", size, m.Stats().TotalBytes)
 	}
 }
 
+// TestCloseReleasesMappings: every spill file is mapped once, at its spill
+// or its replica's admission, and unmapped where it is unlinked — at the
+// last unpin of a removed entry — or at Close, which leaves no mapping
+// behind. A rejected replica leaves neither a file nor a mapping.
+func TestCloseReleasesMappings(t *testing.T) {
+	base := store.Mappings()
+	mapped := func(want int64, when string) {
+		t.Helper()
+		if got := store.Mappings() - base; got != want {
+			t.Fatalf("%s: %d live mappings, want %d", when, got, want)
+		}
+	}
+	dir := t.TempDir()
+	m := NewManager(Config{Admission: AlwaysEager, SpillDir: dir})
+	ds := flatDataset("t")
+	preds := spillPreds()
+	var disk []*Entry
+	for _, pred := range preds[:3] {
+		e := buildCostly(t, m, ds, pred, costly)
+		spillNow(t, m, e)
+		disk = append(disk, e)
+	}
+	var buf bytes.Buffer
+	if err := store.WriteParquet(&buf, selectStore(t, m, ds, preds[3])); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AdmitReplica(ds, preds[3], preds[3].Canonical(), buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AdmitReplica(ds, preds[4], preds[4].Canonical(), buf.Bytes()[:buf.Len()-8]); err == nil {
+		t.Fatal("a truncated replica was admitted")
+	}
+	mapped(4, "three spills and a replica")
+	if files, _ := os.ReadDir(dir); len(files) != 4 {
+		t.Errorf("%d files in the spill dir, want 4", len(files))
+	}
+
+	tx := m.Begin()
+	if cs, ok := tx.Rewrite(selOver(ds, preds[0]), map[string][]string{"t": {"a"}}).(*plan.CachedScan); !ok || cs.Entry != disk[0] {
+		t.Fatal("expected a disk hit on the first spilled entry")
+	}
+	m.mu.Lock()
+	m.removeLocked(disk[0])
+	m.mu.Unlock()
+	mapped(4, "a removed entry still pinned")
+	tx.Close()
+	mapped(3, "its last unpin")
+
+	m.Close()
+	mapped(0, "Close")
+	if _, _, _, err := m.Resident(disk[1], store.Leaves{Cols: []int{0}}); err == nil {
+		t.Error("a disk hit after Close succeeded")
+	}
+	m.Close()
+	mapped(0, "a second Close")
+}
+
+// TestExportHandsOverSpillFile: ExportPayloads hands a disk-tier entry's
+// mapped spill file to fn unchanged, with the entry pinned until the export
+// returns, and serializes a RAM entry; both decode to the entry's records.
+// An error from fn aborts the export, which releases every pin.
+func TestExportHandsOverSpillFile(t *testing.T) {
+	m := NewManager(Config{Admission: AlwaysEager, SpillDir: t.TempDir()})
+	ds := flatDataset("t")
+	preds := spillPreds()
+	disk := buildCostly(t, m, ds, preds[0], costly)
+	spillNow(t, m, disk)
+	buildCostly(t, m, ds, preds[1], costly)
+	seen := 0
+	err := m.ExportPayloads(func(_, canon string, payload []byte) error {
+		m.mu.Lock()
+		e := m.byKey[entryKey("t", canon)]
+		pins, spill := e.pins, e.spillMap
+		m.mu.Unlock()
+		switch {
+		case e == disk && (len(payload) != len(spill) || &payload[0] != &spill[0]):
+			t.Error("a disk-tier entry's payload is not its mapped spill file")
+		case e == disk && pins != 1:
+			t.Errorf("the disk-tier entry holds %d pins while fn reads its file, want 1", pins)
+		case e != disk && pins != 0:
+			t.Errorf("a RAM entry was pinned %d times", pins)
+		}
+		st, err := store.ReadParquetBytes(payload, ds.Schema())
+		if err != nil || st.NumRecords() != 4 {
+			t.Errorf("%s: exported payload decodes to %v, %v; want 4 records", canon, st, err)
+		}
+		seen++
+		return nil
+	})
+	if err != nil || seen != 2 {
+		t.Fatalf("exported %d entries (%v), want 2", seen, err)
+	}
+	if err := m.ExportPayloads(func(string, string, []byte) error { return errCancelled }); err != errCancelled {
+		t.Errorf("an aborted export returned %v", err)
+	}
+	if disk.pins != 0 {
+		t.Errorf("the export left %d pins on the disk-tier entry", disk.pins)
+	}
+}
+
 // BenchmarkSpillReload times one disk hit on a lineitem-shaped payload of
-// about 800 KB (11 000 rows of nine numeric columns): Manager.Resident
-// reading the header and the sections a scan needs from the spill file into
-// a store of its own — all nine leaves (full), or two (projected, a
-// GROUP BY's key and value). MB/s is the bytes read.
+// about 800 KB (11 000 rows of nine numeric columns): Manager.Resident of a
+// pinned entry decoding the header and the sections a scan needs as views
+// of the spill file's mapping — all nine leaves (full), or two (projected,
+// a GROUP BY's key and value). MB/s is the bytes of the vectors viewed.
 func BenchmarkSpillReload(b *testing.B) {
 	const n = 11_000
 	schema := value.TRecord(
@@ -575,6 +685,11 @@ func BenchmarkSpillReload(b *testing.B) {
 		b.Fatal("the entry was not queued for a spill")
 	}
 	m.drainSpills()
+	tx := m.Begin() // a query's pin, as every disk hit holds
+	defer tx.Close()
+	if _, ok := tx.Rewrite(&plan.Select{Child: &plan.Scan{DS: ds}}, map[string][]string{"lineitem": {"l_quantity"}}).(*plan.CachedScan); !ok {
+		b.Fatal("expected a disk hit")
+	}
 	for _, c := range []struct {
 		name   string
 		leaves store.Leaves

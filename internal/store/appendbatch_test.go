@@ -258,9 +258,9 @@ func nativeByRecord(t testing.TB, st Store) [][]any {
 // reassembly works; that re-encodes, through an in-memory buffer and a
 // stream sink alike, to one stream that decodes to the same records; and,
 // for a flat schema, whose column-by-column decode (the client's result
-// path) equals the record-by-record one. The owning decoder, whole and
+// path) equals the record-by-record one. The viewing decoder, whole and
 // projected onto every leaf subset, is held to the copying one
-// (ownedMatches).
+// (viewMatches).
 func FuzzReadParquetBytes(f *testing.F) {
 	flat := value.TRecord(
 		value.F("id", value.TInt),
@@ -314,7 +314,7 @@ func FuzzReadParquetBytes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
 		schema := schemas[int(which)%len(schemas)]
 		st, err := ReadParquetBytes(data, schema)
-		ownedMatches(t, data, schema, st, err)
+		viewMatches(t, data, schema, st, err)
 		if err != nil {
 			return
 		}
@@ -344,7 +344,7 @@ func FuzzReadParquetBytes(f *testing.F) {
 	})
 }
 
-// ownedMatches holds the owning decode of data to the copying decode want,
+// viewMatches holds the viewing decode of data to the copying decode want,
 // wantErr: read whole, it fails exactly when that fails and otherwise holds
 // the same vectors and list lengths and scans to the same records. Then
 // every subset of the leaves, with and without the list lengths: a
@@ -352,18 +352,19 @@ func FuzzReadParquetBytes(f *testing.F) {
 // when the copying decode accepts data, each projected read holds the
 // copying decode's vectors for the leaves it read, the lengths if it needs
 // them, and nothing else.
-func ownedMatches(t *testing.T, data []byte, schema *value.Type, want Store, wantErr error) {
+func viewMatches(t *testing.T, data []byte, schema *value.Type, want Store, wantErr error) {
 	t.Helper()
-	got, err := ReadParquetOwned(bytes.NewReader(data), int64(len(data)), schema, AllLeaves(schema))
+	data = aligned(data)
+	got, err := ReadParquetView(data, schema, AllLeaves(schema))
 	if (err == nil) != (wantErr == nil) {
-		t.Fatalf("owning decode err = %v, copying decode err = %v", err, wantErr)
+		t.Fatalf("viewing decode err = %v, copying decode err = %v", err, wantErr)
 	}
 	if err == nil {
 		if a, b := renderNested(t, want), renderNested(t, got); !reflect.DeepEqual(a, b) {
-			t.Fatalf("owning decode scans to %v, copying decode to %v", b, a)
+			t.Fatalf("viewing decode scans to %v, copying decode to %v", b, a)
 		}
 	}
-	_, headerErr := parseHeader(data, int64(len(data)), schema)
+	_, headerErr := parseHeader(data, schema)
 	cols := len(AllLeaves(schema).Cols)
 	for set := range 1 << cols {
 		for _, lengths := range []bool{false, true} {
@@ -373,7 +374,7 @@ func ownedMatches(t *testing.T, data []byte, schema *value.Type, want Store, wan
 					leaves.Cols = append(leaves.Cols, ci)
 				}
 			}
-			got, err := ReadParquetOwned(bytes.NewReader(data), int64(len(data)), schema, leaves)
+			got, err := ReadParquetView(data, schema, leaves)
 			switch {
 			case headerErr != nil && err == nil:
 				t.Fatalf("leaves %+v: a projected read accepted a header the check rejects (%v)", leaves, headerErr)

@@ -13,10 +13,9 @@ import (
 // vector of src's Parquet form once, with exactly the room tail needs,
 // appends tail's vectors behind and derives src's layout again — so
 // extending a cached entry over an appended file tail, flat or nested,
-// costs a memcpy of the old payload and typed appends for the tail. A copy
-// of a store backed by an RCS buffer (ReadParquetOwned) copies its string
-// bytes out of the buffer too, so it pins nothing it is not charged for.
-// A projected read concatenates with a tail of the same leaves, and the
+// costs a memcpy of the old payload and typed appends for the tail. The
+// copy of a store whose vectors are views of a stream (ReadParquetView)
+// leaves the stream: it owns every vector it holds. A projected read concatenates with a tail of the same leaves, and the
 // result holds those leaves; list lengths it left out stay out.
 func Concat(src, tail Store) (Store, error) {
 	s, t := formOf(src), formOf(tail)
@@ -32,9 +31,7 @@ func Concat(src, tail Store) (Store, error) {
 		return nil, fmt.Errorf("store: concat: a tail without list lengths onto a store with them")
 	}
 	p := *s
-	p.backing = nil // the copy owns its memory, string bytes included
-	detach := s.backing != nil
-	p.flatVecs, p.repVecs = cloneVecs(s.flatVecs, t.nRecs, detach), cloneVecs(s.repVecs, t.nFlat, detach)
+	p.flatVecs, p.repVecs = cloneVecs(s.flatVecs, t.nRecs), cloneVecs(s.repVecs, t.nFlat)
 	for ci := range s.cols {
 		if dst, from := p.leaf(ci), t.leaf(ci); dst != nil {
 			dst.AppendRange(from, 0, from.Len())

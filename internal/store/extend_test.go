@@ -110,7 +110,7 @@ func TestExtendTwiceIsIndependent(t *testing.T) {
 		for _, layout := range []Layout{LayoutColumnar, LayoutParquet} {
 			srcs := map[string]Store{"built": build(t, layout, schema, old)}
 			if layout == LayoutParquet {
-				srcs["re-read"] = readOwned(t, rcs(t, build(t, layout, schema, old)), schema)
+				srcs["re-read"] = readView(t, rcs(t, build(t, layout, schema, old)), schema)
 			}
 			for name, src := range srcs {
 				before, beforeNested := spilled(t, src), collectNested(t, src)

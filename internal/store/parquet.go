@@ -34,10 +34,7 @@ type parquetStore struct {
 	nRecs    int
 	nFlat    int // R: sum over records of max(card, 1); see NumFlatRows
 	size     int64
-	// backing is the RCS stream the vectors and lengths are views of
-	// (ReadParquetOwned), nil when they own their memory.
-	backing []byte
-	// A projected read (ReadParquetOwned) holds only the leaves it was
+	// A projected read (ReadParquetView) holds only the leaves it was
 	// asked for: the vector of a leaf it did not read is nil in both
 	// slices, and noLengths marks list lengths it left out.
 	noLengths bool
@@ -66,24 +63,14 @@ func (s *parquetStore) partial() bool {
 	return false
 }
 
-// computeSize is what the store holds: its vectors and list lengths, or,
-// when they are views of a backing stream, the stream itself and what was
-// allocated beside it (string headers, bools).
+// computeSize is what the store holds: its vectors and list lengths, also
+// when they are views of a stream (ReadParquetView).
 func (s *parquetStore) computeSize() int64 {
-	sz := int64(len(s.backing))
-	if s.backing == nil {
-		sz = int64(len(s.lengths)) * 4
-	}
+	sz := int64(len(s.lengths)) * 4
 	for ci := range s.cols {
 		for _, v := range [2]*vec{s.flatVecs[ci], s.repVecs[ci]} {
-			switch {
-			case v == nil:
-			case s.backing == nil:
+			if v != nil {
 				sz += v.SizeBytes()
-			case v.Kind == value.String:
-				sz += int64(len(v.Strs)) * 16
-			case v.Kind == value.Bool:
-				sz += int64(len(v.Bools))
 			}
 		}
 	}

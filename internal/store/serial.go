@@ -37,30 +37,32 @@ import (
 // section before it writes the header, a fixed-width one from its length
 // and a string one by a pass over its values' lengths.
 //
-// The directory makes a projected read two reads: the header, then the
+// The directory makes a projected read a walk of the header and the
 // sections of the leaves a scan needs (and the list lengths, which sit
-// between the directory and the first section). Both decoders check the
-// directory before they read a section — it must start where the lengths
+// between the directory and the first section); nothing else of the stream
+// is touched. Both decoders take the whole stream in memory and check the
+// directory before they touch a section — it must start where the lengths
 // end, end where the stream does, and give every column exactly the bytes
 // its kind and length take (at least those, for strings) — and each
 // section they walk must fill its extent exactly. There are two decoders:
 //
-//   - ReadParquetOwned reads the sections a Leaves names out of an
-//     io.ReaderAt into one fresh 8-byte-aligned buffer, which it hands to
-//     the store: the store's null words, ints, floats and list lengths are
-//     views of the buffer (cap == len, so an append never writes into it)
-//     and its strings point into it; only the string-header arrays and
-//     bools are allocated. The store is charged the buffer (SizeBytes), and
-//     a store derived from it that gains rows (Concat, Append) copies out
-//     of the buffer completely. A leaf it did not read is missing from the
-//     store: a cursor over it fails, and the store cannot be written. The
-//     disk tier serves every disk hit this way; called with AllLeaves, it
-//     is the re-read of replica validation and export. On a big-endian
-//     host it copies instead.
-//   - ReadParquetBytes decodes a whole stream held in memory and copies:
-//     the store shares no memory with the input, which the caller may
-//     reuse at once (the wire client decodes out of its pooled frame
-//     buffers).
+//   - ReadParquetView decodes the sections a Leaves names as views of the
+//     stream, which must outlive the store: the cache's disk tier hands it
+//     a spill file's mapping (MapFile). The store's null words, ints, floats
+//     and list lengths are views of the stream (cap == len, so an append
+//     never writes into it). Its string bytes are copied out, one
+//     allocation per string column: a string header must never point into
+//     memory the collector does not see, and a query's result carries the
+//     headers of the strings it scanned past the scan. Its bools are
+//     allocated. A leaf it did not read is missing from the store: a
+//     cursor over it fails, and the store cannot be written. A store
+//     derived from it that gains rows (Concat, Append) copies out of the
+//     stream. Every disk hit reads this way, and, with AllLeaves, replica
+//     validation. On a big-endian host, or from a stream that does not
+//     start at an 8-byte address, it copies as ReadParquetBytes does.
+//   - ReadParquetBytes decodes every leaf and copies: the store shares no
+//     memory with the input, which the caller may reuse at once (the wire
+//     client decodes out of its pooled frame buffers).
 //
 // Neither adds a row: a stream is the image of a payload already built.
 //
@@ -302,6 +304,25 @@ func bytesOf[T fixedWidth | bool](xs []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*int(unsafe.Sizeof(xs[0])))
 }
 
+// grown copies xs into new memory with room for exactly extra more values,
+// and clears only that room. make would clear the whole allocation before
+// the copy overwrote most of it, and growing by append would round the room
+// up by a quarter of xs. A strings.Builder grows into memory the allocator
+// does not clear: xs's bytes are written into a fresh builder's buffer, the
+// string the builder holds covers them, and the room past it, which no
+// string covers, becomes the vector's to append into.
+func grown[T fixedWidth | bool](xs []T, extra int) []T {
+	if len(xs) == 0 {
+		return make([]T, 0, extra)
+	}
+	var b strings.Builder
+	b.Grow((len(xs) + extra) * int(unsafe.Sizeof(xs[0])))
+	b.Write(bytesOf(xs))
+	out := unsafe.Slice((*T)(unsafe.Pointer(unsafe.StringData(b.String()))), len(xs)+extra)
+	clear(out[len(xs):])
+	return out[:len(xs)]
+}
+
 // le returns xs as their stream bytes: their memory itself on a
 // little-endian host, a byte-swapped copy otherwise.
 func le[T fixedWidth](xs []T) []byte {
@@ -383,13 +404,14 @@ func (h *rcsHeader) rows(ci int) int {
 	return h.nRecs
 }
 
-// parseHeader reads the header and directory at the start of b, of a
-// stream size bytes long, and checks them against schema: the magic, the
-// list flag, the column count, the zero pads, and a directory that starts
-// where the lengths end, ends where the stream does, and gives every
-// column the bytes its kind and entry count take — exactly for a
-// fixed-width kind, at least their length prefixes for strings.
-func parseHeader(b []byte, size int64, schema *value.Type) (rcsHeader, error) {
+// parseHeader reads the header and directory at the start of the stream b
+// and checks them against schema: the magic, the list flag, the column
+// count, the zero pads, and a directory that starts where the lengths end,
+// ends where the stream does, and gives every column the bytes its kind and
+// entry count take — exactly for a fixed-width kind, at least their length
+// prefixes for strings.
+func parseHeader(b []byte, schema *value.Type) (rcsHeader, error) {
+	size := int64(len(b))
 	if len(b) < 4 {
 		return rcsHeader{}, fmt.Errorf("store: spill stream truncated at offset 0 (need 4 bytes)")
 	}
@@ -402,7 +424,7 @@ func parseHeader(b []byte, size int64, schema *value.Type) (rcsHeader, error) {
 	}
 	h := rcsHeader{cols: cols, listPath: value.RepeatedFieldCached(schema)}
 	hl := headerLen(len(cols))
-	if int64(len(b)) < hl || size < hl {
+	if size < hl {
 		return rcsHeader{}, fmt.Errorf("store: spill stream of %d bytes is shorter than the %d-byte header of %d columns", size, hl, len(cols))
 	}
 	r := &spillReader{buf: b[:hl], off: 4}
@@ -479,11 +501,10 @@ func parseHeader(b []byte, size int64, schema *value.Type) (rcsHeader, error) {
 	return h, nil
 }
 
-// decode builds a store of the parts of the stream want names, each column
-// read once, taking every extent [lo, hi) of the stream it needs from read.
-// With alias set, the fixed-width vectors, list lengths and string bytes are
-// views of what read returns.
-func (h *rcsHeader) decode(schema *value.Type, want Leaves, read func(lo, hi int64) ([]byte, error), alias bool) (*parquetStore, error) {
+// decode builds a store of the parts of the stream data that want names,
+// each column read once. With alias set, the fixed-width vectors and list
+// lengths are views of data.
+func (h *rcsHeader) decode(schema *value.Type, want Leaves, data []byte, alias bool) (*parquetStore, error) {
 	n := len(h.cols)
 	vecs := make([]*vec, 2*n)
 	st := &parquetStore{
@@ -497,11 +518,9 @@ func (h *rcsHeader) decode(schema *value.Type, want Leaves, read func(lo, hi int
 		noLengths: h.listPath != nil && !h.needsLengths(want),
 	}
 	if h.listPath != nil && !st.noLengths {
-		b, err := read(h.lengths())
-		if err != nil {
-			return nil, err
-		}
-		r := &spillReader{buf: b, alias: alias}
+		lo, hi := h.lengths()
+		r := &spillReader{buf: data[lo:hi:hi], alias: alias}
+		var err error
 		if st.lengths, err = fixed[int32](r, h.nRecs); err != nil {
 			return nil, err
 		}
@@ -527,11 +546,8 @@ func (h *rcsHeader) decode(schema *value.Type, want Leaves, read func(lo, hi int
 			continue
 		}
 		c := h.cols[ci]
-		b, err := read(h.section(ci))
-		if err != nil {
-			return nil, err
-		}
-		v, err := readSection(&spillReader{buf: b, alias: alias}, c, h.rows(ci))
+		lo, hi := h.section(ci)
+		v, err := readSection(&spillReader{buf: data[lo:hi:hi], alias: alias}, c, h.rows(ci))
 		if err != nil {
 			return nil, fmt.Errorf("store: spill column %d (%s): %w", ci, c.Name(), err)
 		}
@@ -565,12 +581,29 @@ func (h *rcsHeader) needsLengths(want Leaves) bool {
 // decodes out of its pooled frame buffers). The values of one string column
 // share one allocation, so a retained value keeps its column's bytes alive.
 func ReadParquetBytes(data []byte, schema *value.Type) (Store, error) {
-	h, err := parseHeader(data, int64(len(data)), schema)
+	return readStream(data, schema, AllLeaves(schema), false)
+}
+
+// ReadParquetView decodes the parts want names of the stream data, which
+// must stay readable for as long as the store is: the store's fixed-width
+// vectors and list lengths are views of data, and only its strings (one
+// allocation per column) and bools are copied out. A leaf want does not
+// name is missing from the store (BatchCursor over it fails, WriteParquet
+// refuses it), and so are the list lengths unless want needs them. It
+// copies, as ReadParquetBytes does, on a big-endian host or when data does
+// not start at an 8-byte address.
+func ReadParquetView(data []byte, schema *value.Type, want Leaves) (Store, error) {
+	return readStream(data, schema, want, littleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 == 0)
+}
+
+// readStream is both decoders: the parts want names of the stream data,
+// views of it with alias set.
+func readStream(data []byte, schema *value.Type, want Leaves, alias bool) (Store, error) {
+	h, err := parseHeader(data, schema)
 	if err != nil {
 		return nil, err
 	}
-	read := func(lo, hi int64) ([]byte, error) { return data[lo:hi:hi], nil }
-	st, err := h.decode(schema, AllLeaves(schema), read, false)
+	st, err := h.decode(schema, want, data, alias)
 	if err != nil {
 		return nil, err
 	}
@@ -578,77 +611,8 @@ func ReadParquetBytes(data []byte, schema *value.Type) (Store, error) {
 	return st, nil
 }
 
-// ReadParquetOwned decodes the parts want names of the stream r holds, size
-// bytes long: one read of the header and directory, then one ReadAt per
-// section it needs, into one fresh 8-byte-aligned buffer. The
-// store's fixed-width vectors and list lengths are views of that buffer and
-// its strings point into it, and the store is charged its bytes. A leaf
-// want does not name is missing from the store (BatchCursor over it fails,
-// WriteParquet refuses it), and so are the list lengths unless want needs
-// them. It copies, as ReadParquetBytes does, on a big-endian host.
-func ReadParquetOwned(r io.ReaderAt, size int64, schema *value.Type, want Leaves) (Store, error) {
-	cols, err := value.LeafColumnsCached(schema)
-	if err != nil {
-		return nil, err
-	}
-	hdr := make([]byte, min(headerLen(len(cols)), max(size, 0)))
-	if err := readAt(r, hdr, 0); err != nil {
-		return nil, fmt.Errorf("store: read spill header: %w", err)
-	}
-	h, err := parseHeader(hdr, size, schema)
-	if err != nil {
-		return nil, err
-	}
-	// One buffer for the extents want needs, each read in turn into the
-	// next piece of it.
-	var total int64
-	if h.listPath != nil && h.needsLengths(want) {
-		lo, hi := h.lengths()
-		total += hi - lo
-	}
-	for _, ci := range want.Cols {
-		if ci >= 0 && ci < len(cols) {
-			lo, hi := h.section(ci)
-			total += hi - lo
-		}
-	}
-	buf := bytesOf(make([]uint64, total/8)) // every extent is whole 8-byte words
-	free := buf
-	read := func(lo, hi int64) ([]byte, error) {
-		b := free[: hi-lo : hi-lo]
-		free = free[hi-lo:]
-		if err := readAt(r, b, lo); err != nil {
-			return nil, fmt.Errorf("store: read spill stream at %d: %w", lo, err)
-		}
-		return b, nil
-	}
-	st, err := h.decode(schema, want, read, littleEndian)
-	if err != nil {
-		return nil, err
-	}
-	if littleEndian {
-		st.backing = buf
-	}
-	st.size = st.computeSize()
-	return st, nil
-}
-
-// readAt fills p from r at off: a ReaderAt may report io.EOF beside a full
-// read that ends at the end of its input.
-func readAt(r io.ReaderAt, p []byte, off int64) error {
-	n, err := r.ReadAt(p, off)
-	if n == len(p) {
-		return nil
-	}
-	if err == nil || err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// spillReader decodes one extent of the stream out of a contiguous buffer
-// that starts at an 8-byte stream offset. With alias set, fixed-width
-// sections and string bytes are views of buf.
+// spillReader decodes one extent of the stream, which starts at an 8-byte
+// stream offset. With alias set, fixed-width sections are views of buf.
 type spillReader struct {
 	buf   []byte
 	off   int
@@ -715,8 +679,8 @@ func (r *spillReader) end() error {
 	return nil
 }
 
-// fixed reads n values of T off the stream: a view of the buffer when the
-// reader aliases it, otherwise a copy.
+// fixed reads n values of T off the stream: a view of it when the reader
+// aliases it, otherwise a copy.
 func fixed[T fixedWidth](r *spillReader, n int) ([]T, error) {
 	width := int(unsafe.Sizeof(T(0)))
 	raw, err := r.bytes(n * width)
@@ -785,8 +749,8 @@ func readSection(r *spillReader, c value.LeafColumn, wantLen int) (*vec, error) 
 		}
 	case value.String:
 		// Every length prefix is proved against the bytes left before its
-		// value is sliced out of the buffer; a copying decode then moves the
-		// column's bytes into one allocation of its own.
+		// value is sliced out of the stream; the column's bytes then move
+		// into one allocation of their own, in every decode.
 		v.Strs = make([]string, n)
 		for i := range v.Strs {
 			l, err := r.u32()
@@ -801,9 +765,7 @@ func readSection(r *spillReader, c value.LeafColumn, wantLen int) (*vec, error) 
 				v.Strs[i] = unsafe.String(&b[0], l)
 			}
 		}
-		if !r.alias {
-			detachStrings(v.Strs)
-		}
+		detachStrings(v.Strs)
 	default:
 		return nil, fmt.Errorf("unsupported vec kind %s", want)
 	}
@@ -814,9 +776,8 @@ func readSection(r *spillReader, c value.LeafColumn, wantLen int) (*vec, error) 
 }
 
 // detachStrings copies the bytes of strs into one allocation of their own
-// and points every value at its copy: a column leaves the buffer it was
-// decoded from, or a store copied from a buffer-backed one leaves that
-// buffer.
+// and points every value at its copy: a decoded column leaves the stream
+// it was decoded from.
 func detachStrings(strs []string) {
 	total := 0
 	for _, s := range strs {

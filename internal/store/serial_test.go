@@ -132,8 +132,7 @@ func TestSpillRoundTripEmpty(t *testing.T) {
 
 // TestSpillRoundTripSize checks a copying decode reports the same
 // footprint the original did: it owns exactly the vectors the original
-// held. (An owning decode is charged its buffer instead:
-// TestAliasedStoreSizeIsItsBuffer.)
+// held. (A viewing decode is charged the same: TestViewStoreSizeIsItsVectors.)
 func TestSpillRoundTripSize(t *testing.T) {
 	src := build(t, LayoutParquet, orderSchema(), sampleOrders())
 	got := roundTrip(t, src)
@@ -180,7 +179,7 @@ func TestSpillRejectsCorruptStream(t *testing.T) {
 			}
 			for ci := range cols {
 				leaves := Leaves{Cols: []int{ci}}
-				if _, err := ReadParquetOwned(bytes.NewReader(bad), int64(len(bad)), src.Schema(), leaves); err == nil {
+				if _, err := ReadParquetView(aligned(bad), src.Schema(), leaves); err == nil {
 					t.Errorf("directory entry %d moved by %d: a read of leaf %d accepted it", i, delta, ci)
 				}
 			}
@@ -200,8 +199,8 @@ func TestSpillRejectsVersion1(t *testing.T) {
 			if _, err := ReadParquetBytes(raw, schema); err == nil || !strings.Contains(err.Error(), "bad spill magic") {
 				t.Errorf("%s: an %s stream decoded with err = %v, want a bad-magic error", schema, magic, err)
 			}
-			if _, err := ReadParquetOwned(bytes.NewReader(raw), int64(len(raw)), schema, AllLeaves(schema)); err == nil || !strings.Contains(err.Error(), "bad spill magic") {
-				t.Errorf("%s: an %s stream decoded owned with err = %v, want a bad-magic error", schema, magic, err)
+			if _, err := ReadParquetView(aligned(raw), schema, AllLeaves(schema)); err == nil || !strings.Contains(err.Error(), "bad spill magic") {
+				t.Errorf("%s: an %s stream decoded as views with err = %v, want a bad-magic error", schema, magic, err)
 			}
 		}
 	}
@@ -310,10 +309,18 @@ func TestReadParquetDoesNotAliasInput(t *testing.T) {
 	}
 }
 
-// readOwned decodes data with the owning decoder, every leaf read.
-func readOwned(t testing.TB, data []byte, schema *value.Type) Store {
+// aligned copies data to an 8-byte address, as a mapping's start is.
+func aligned(data []byte) []byte {
+	buf := bytesOf(make([]uint64, (len(data)+7)/8))
+	copy(buf, data)
+	return buf[:len(data)]
+}
+
+// readView decodes every leaf of data, already aligned, with the viewing
+// decoder.
+func readView(t testing.TB, data []byte, schema *value.Type) Store {
 	t.Helper()
-	st, err := ReadParquetOwned(bytes.NewReader(data), int64(len(data)), schema, AllLeaves(schema))
+	st, err := ReadParquetView(data, schema, AllLeaves(schema))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,61 +335,68 @@ func inside[T any](xs []T, buf []byte) bool {
 	return len(xs) > 0 && p >= lo && p+size <= lo+uintptr(len(buf))
 }
 
-// TestReadParquetOwnedAliasesBuffer: the owning decode reads the stream
-// into one buffer of its own and makes the store's null words, ints, floats
-// and list lengths views of it, each with cap == len so an append
-// reallocates instead of writing into it, and its strings point into it. A
-// projected read's buffer holds the sections it read, and no more.
-func TestReadParquetOwnedAliasesBuffer(t *testing.T) {
-	flat := rcs(t, build(t, LayoutParquet, boolFlatSchema(), nullableFlatRecs(300)))
-	p := readOwned(t, flat, boolFlatSchema()).(*parquetStore)
-	buf := p.backing
+// TestReadParquetViewAliasesStream: the viewing decode makes the store's
+// null words, ints, floats and list lengths views of the stream, each with
+// cap == len so an append reallocates instead of writing into it, and
+// copies its strings out of it. A projected read views the sections it
+// read, and no more.
+func TestReadParquetViewAliasesStream(t *testing.T) {
+	flat := aligned(rcs(t, build(t, LayoutParquet, boolFlatSchema(), nullableFlatRecs(300))))
+	p := readView(t, flat, boolFlatSchema()).(*parquetStore)
 	ints, floats, strs := p.flatVecs[0], p.flatVecs[1], p.flatVecs[2]
 	for name, ok := range map[string]bool{
-		"null words": inside(ints.Nulls.words, buf) && cap(ints.Nulls.words) == len(ints.Nulls.words),
-		"ints":       inside(ints.Ints, buf) && cap(ints.Ints) == len(ints.Ints),
-		"floats":     inside(floats.Floats, buf) && cap(floats.Floats) == len(floats.Floats),
+		"null words": inside(ints.Nulls.words, flat) && cap(ints.Nulls.words) == len(ints.Nulls.words),
+		"ints":       inside(ints.Ints, flat) && cap(ints.Ints) == len(ints.Ints),
+		"floats":     inside(floats.Floats, flat) && cap(floats.Floats) == len(floats.Floats),
 	} {
 		if !ok {
-			t.Errorf("%s: not a cap == len view of the buffer", name)
+			t.Errorf("%s: not a cap == len view of the stream", name)
 		}
 	}
 	for i, s := range strs.Strs {
-		if len(s) > 0 && !inside(unsafe.Slice(unsafe.StringData(s), len(s)), buf) {
-			t.Fatalf("string %d does not point into the buffer", i)
+		if len(s) > 0 && inside(unsafe.Slice(unsafe.StringData(s), len(s)), flat) {
+			t.Fatalf("string %d points into the stream", i)
 		}
 	}
-	if uintptr(unsafe.Pointer(unsafe.SliceData(buf)))%8 != 0 {
-		t.Error("the buffer is not 8-byte aligned")
+
+	nested := aligned(rcs(t, build(t, LayoutParquet, orderSchema(), sampleOrders())))
+	np := readView(t, nested, orderSchema()).(*parquetStore)
+	if l := np.lengths; !inside(l, nested) || cap(l) != len(l) {
+		t.Error("list lengths: not a cap == len view of the stream")
 	}
 
-	nested := rcs(t, build(t, LayoutParquet, orderSchema(), sampleOrders()))
-	np := readOwned(t, nested, orderSchema()).(*parquetStore)
-	if l := np.lengths; !inside(l, np.backing) || cap(l) != len(l) {
-		t.Error("list lengths: not a cap == len view of the buffer")
-	}
-
-	h, err := parseHeader(flat, int64(len(flat)), boolFlatSchema())
+	h, err := parseHeader(flat, boolFlatSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ReadParquetOwned(bytes.NewReader(flat), int64(len(flat)), boolFlatSchema(), Leaves{Cols: []int{1}})
+	st, err := ReadParquetView(flat, boolFlatSchema(), Leaves{Cols: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pp := st.(*parquetStore)
-	if lo, hi := h.section(1); int64(len(pp.backing)) != hi-lo || !inside(pp.flatVecs[1].Floats, pp.backing) {
-		t.Errorf("a read of one %d-byte section holds a %d-byte buffer", hi-lo, len(pp.backing))
+	if lo, hi := h.section(1); !inside(pp.flatVecs[1].Floats, flat[lo:hi]) {
+		t.Errorf("a read of the section [%d, %d) views other bytes", lo, hi)
+	}
+	if pp.flatVecs[0] != nil || pp.flatVecs[2] != nil {
+		t.Error("a read of one section holds other leaves")
 	}
 	if !vecsEqual(pp.flatVecs[1], p.flatVecs[1]) {
 		t.Error("the projected read's floats differ from the whole read's")
 	}
+
+	// A stream at an odd address is copied, not viewed.
+	odd := make([]byte, len(flat)+1)[1:]
+	copy(odd, flat)
+	op := readView(t, odd, boolFlatSchema()).(*parquetStore)
+	if inside(op.flatVecs[0].Ints, odd) || !vecsEqual(op.flatVecs[0], ints) {
+		t.Error("a misaligned stream was viewed, or copied wrong")
+	}
 }
 
-// TestAliasedStoreSizeIsItsBuffer: a store backed by its stream is charged
-// the bytes it holds — the whole buffer, plus the string headers and bools
-// allocated beside it — not the vectors it would hold if it owned them.
-func TestAliasedStoreSizeIsItsBuffer(t *testing.T) {
+// TestViewStoreSizeIsItsVectors: a store whose vectors are views of a
+// stream is charged the vectors and list lengths it holds, as the same
+// store decoded by copying is.
+func TestViewStoreSizeIsItsVectors(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		schema *value.Type
@@ -392,28 +406,26 @@ func TestAliasedStoreSizeIsItsBuffer(t *testing.T) {
 		{"nested", orderSchema(), sampleOrders()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st := readOwned(t, rcs(t, build(t, LayoutParquet, tc.schema, tc.recs)), tc.schema)
-			p := st.(*parquetStore)
-			if p.backing == nil {
-				t.Fatal("the read buffer was not aliased")
+			data := aligned(rcs(t, build(t, LayoutParquet, tc.schema, tc.recs)))
+			view := readView(t, data, tc.schema)
+			if !inside(view.(*parquetStore).flatVecs[0].Ints, data) {
+				t.Fatal("the stream was not viewed")
 			}
-			want := int64(len(p.backing))
-			for _, v := range append(slices.Clone(p.flatVecs), p.repVecs...) {
-				if v != nil {
-					want += int64(len(v.Strs))*16 + int64(len(v.Bools))
-				}
+			cp, err := ReadParquetBytes(data, tc.schema)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := st.SizeBytes(); got != want {
-				t.Errorf("SizeBytes = %d, want %d (a %d-byte buffer + string headers + bools)", got, want, len(p.backing))
+			if got, want := view.SizeBytes(), cp.SizeBytes(); got != want {
+				t.Errorf("SizeBytes = %d, want the copy's %d", got, want)
 			}
 		})
 	}
 }
 
-// TestExtendReleasesAliasedBuffer: extending a buffer-backed store copies out of
-// the buffer completely, string bytes included, so once the original is
-// dropped the buffer is unreachable — a cleanup registered on it runs —
-// while the extension still scans every record.
+// TestExtendReleasesAliasedBuffer: extending a store that views a stream
+// copies out of the stream completely, so once the original is dropped the
+// stream's buffer is unreachable — a cleanup registered on it runs — while
+// the extension still scans every record.
 func TestExtendReleasesAliasedBuffer(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -425,7 +437,7 @@ func TestExtendReleasesAliasedBuffer(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			released := make(chan struct{})
-			ext := extendOwned(t, tc.schema, tc.recs, released)
+			ext := extendView(t, tc.schema, tc.recs, released)
 			deadline := time.After(10 * time.Second)
 			for done := false; !done; {
 				runtime.GC()
@@ -445,15 +457,16 @@ func TestExtendReleasesAliasedBuffer(t *testing.T) {
 	}
 }
 
-// extendOwned decodes recs owned, registers a cleanup that closes released
-// on the decode's buffer, and returns an extension of that store by
-// recs[:2]; the buffer and the original store are dropped on return.
-func extendOwned(t *testing.T, schema *value.Type, recs []value.Value, released chan struct{}) Store {
+// extendView decodes recs as views of a stream buffer, registers a cleanup
+// that closes released on that buffer, and returns an extension of the
+// store by recs[:2]; the buffer and the original store are dropped on
+// return.
+func extendView(t *testing.T, schema *value.Type, recs []value.Value, released chan struct{}) Store {
 	t.Helper()
-	st := readOwned(t, rcs(t, build(t, LayoutParquet, schema, recs)), schema)
-	buf := st.(*parquetStore).backing
-	if buf == nil {
-		t.Fatal("the read buffer was not aliased")
+	buf := aligned(rcs(t, build(t, LayoutParquet, schema, recs)))
+	st := readView(t, buf, schema)
+	if !inside(st.(*parquetStore).flatVecs[0].Ints, buf) && !inside(st.(*parquetStore).lengths, buf) {
+		t.Fatal("the stream was not viewed")
 	}
 	runtime.AddCleanup(&buf[0], func(c chan struct{}) { close(c) }, released)
 	ext, _, err := Extend(st, recs[:2])
@@ -563,7 +576,8 @@ func tpchStore(tb testing.TB, schema *value.Type, n int) Store {
 // Encoding into a reused buffer allocates the same at 2k and 20k rows;
 // a copying decode allocates three slices per column (vector, null words,
 // values) plus one for a string column's bytes, which every value shares,
-// and an owning one only the vector, and a string column's headers.
+// and a viewing one only the vector, and a string column's headers and
+// bytes.
 func TestRCSAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -590,14 +604,14 @@ func TestRCSAllocs(t *testing.T) {
 			if dec > budget {
 				t.Errorf("%s, %d rows: decode allocates %.0f times, want at most %.0f", shape.name, n, dec, budget)
 			}
-			owned, all := bytes.NewReader(buf.Bytes()), AllLeaves(shape.schema)
-			own := testing.AllocsPerRun(5, func() {
-				if _, err := ReadParquetOwned(owned, int64(buf.Len()), shape.schema, all); err != nil {
+			data, all := aligned(buf.Bytes()), AllLeaves(shape.schema)
+			view := testing.AllocsPerRun(5, func() {
+				if _, err := ReadParquetView(data, shape.schema, all); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if ownBudget := float64(len(shape.schema.Fields) + 6); own > ownBudget {
-				t.Errorf("%s, %d rows: owning decode allocates %.0f times, want at most %.0f", shape.name, n, own, ownBudget)
+			if viewBudget := float64(len(shape.schema.Fields) + 6); view > viewBudget {
+				t.Errorf("%s, %d rows: viewing decode allocates %.0f times, want at most %.0f", shape.name, n, view, viewBudget)
 			}
 		}
 	}

@@ -1,10 +1,6 @@
 package store
 
-import (
-	"slices"
-
-	"recache/internal/value"
-)
+import "recache/internal/value"
 
 // The flattened view. The columnar layout is derived from the Parquet form
 // by typed vector work, with no record reassembled or re-shredded: it keeps
@@ -79,12 +75,12 @@ func FlattenedLayout(st Store) Layout {
 }
 
 // cloneVecs copies every non-nil vector of vecs with room for extra more
-// entries; with detach set, string bytes too (detachStrings).
-func cloneVecs(vecs []*vec, extra int, detach bool) []*vec {
+// entries.
+func cloneVecs(vecs []*vec, extra int) []*vec {
 	out := make([]*vec, len(vecs))
 	for ci, v := range vecs {
 		if v != nil {
-			out[ci] = v.cloneCap(extra, detach)
+			out[ci] = v.cloneCap(extra)
 		}
 	}
 	return out
@@ -93,8 +89,8 @@ func cloneVecs(vecs []*vec, extra int, detach bool) []*vec {
 // cloneCap copies the vector with room for extra more entries, so the
 // appends that follow never reallocate. The copy shares nothing with v,
 // not even the null bitmap's trailing word, except the bytes of its
-// strings, which it copies too when detach is set.
-func (v *Vec) cloneCap(extra int, detach bool) *Vec {
+// strings, which no store rewrites.
+func (v *Vec) cloneCap(extra int) *Vec {
 	nv := &Vec{Kind: v.Kind, Nulls: v.Nulls.Clone()}
 	switch v.Kind {
 	case value.Int:
@@ -102,23 +98,10 @@ func (v *Vec) cloneCap(extra int, detach bool) *Vec {
 	case value.Float:
 		nv.Floats = grown(v.Floats, extra)
 	case value.String:
-		nv.Strs = grown(v.Strs, extra)
-		if detach {
-			detachStrings(nv.Strs)
-		}
+		// String headers hold pointers: their memory is made, and cleared.
+		nv.Strs = append(make([]string, 0, len(v.Strs)+extra), v.Strs...)
 	case value.Bool:
 		nv.Bools = grown(v.Bools, extra)
 	}
 	return nv
-}
-
-// grown copies s into new memory with room for exactly extra more
-// elements. Without room it is a plain clone, which append makes without
-// zeroing the memory first when T holds no pointers; growing by append
-// would round the room up by a quarter of s, so room comes from make.
-func grown[T any](s []T, extra int) []T {
-	if extra == 0 {
-		return slices.Clone(s)
-	}
-	return append(make([]T, 0, len(s)+extra), s...)
 }

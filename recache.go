@@ -437,17 +437,17 @@ func (e *Engine) beginQuery() error {
 }
 
 // Close shuts the engine down gracefully: queries submitted after Close
-// begins fail with ErrClosed, in-flight queries run to completion, and
-// queued disk-tier demotions are flushed so no evicted payload is lost
-// between "queued for spill" and process exit. Close is idempotent and
-// safe to call concurrently with queries; every call returns only once
-// the engine is fully drained.
+// begins fail with ErrClosed, in-flight queries run to completion, queued
+// disk-tier demotions are flushed so no evicted payload is lost between
+// "queued for spill" and process exit, and the spill files' mappings are
+// released. Close is idempotent and safe to call concurrently with
+// queries; every call returns only once the engine is fully drained.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	e.closed = true
 	e.mu.Unlock()
 	e.inflight.Wait()
-	e.manager.FlushSpills()
+	e.manager.Close()
 	return nil
 }
 

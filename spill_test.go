@@ -5,8 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
+
+	"recache/internal/datagen"
+	"recache/internal/store"
+	"recache/internal/value"
 )
 
 // spillCSV writes an n-row CSV whose per-row values are exactly
@@ -196,4 +201,95 @@ func BenchmarkSpillDiskHit(b *testing.B) {
 	b.StopTimer()
 	st := eng.CacheStats()
 	b.ReportMetric(float64(st.DiskHits)/float64(b.N), "disk-hits/op")
+}
+
+// TestDiskHitResultOutlivesMapping: a disk hit decodes views of its
+// entry's spill-file mapping, but the answer it returns holds none of
+// them. A flattening hit over strings, ints, floats, NULLs and list
+// elements is read — as rows and as a columnar result — after its entry
+// was removed by a rewrite of the file, its readers unpinned and its
+// mapping released, with faults turned into panics, and it still equals
+// the no-cache answer.
+func TestDiskHitResultOutlivesMapping(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "orders.json")
+	if err := os.WriteFile(path, []byte(orderLineitems(t, 400)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base := store.Mappings()
+	open := func(cfg Config) *Engine {
+		t.Helper()
+		eng, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.RegisterJSON("t", path, datagen.OrderLineitemsSchema); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	nocache := open(Config{Admission: "off"})
+	defer nocache.Close()
+	eng := open(Config{
+		Admission:     "eager",
+		FreshnessMode: "check",
+		CacheCapacity: 1, // every payload is evicted, and spilled, at its admission
+		SpillDir:      filepath.Join(t.TempDir(), "spill"),
+	})
+	defer eng.Close()
+
+	const q = "SELECT o_orderkey, o_orderpriority, o_totalprice, lineitems.l_linenumber, lineitems.l_extendedprice FROM t WHERE o_orderkey < 300"
+	want, err := nocache.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.CacheStats(); st.Spills != 1 || st.DiskEntries != 1 || store.Mappings()-base != 1 {
+		t.Fatalf("the entry did not spill: %d spills, %d disk entries, %d mappings", st.Spills, st.DiskEntries, store.Mappings()-base)
+	}
+	rows, err := eng.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, err := eng.QueryColumnar(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := eng.CacheStats().DiskHits; hits != 2 {
+		t.Fatalf("%d disk hits, want 2", hits)
+	}
+
+	// A rewrite of the file drops the entry at the next query's
+	// revalidation: nothing pins it, so its file and mapping go at once.
+	// That query's own entry spills in turn.
+	if err := os.WriteFile(path, []byte(orderLineitems(t, 10)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Query("SELECT COUNT(*) FROM t"); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.CacheStats(); st.StaleInvalidations != 1 || st.Spills != 2 || st.DiskEntries != 1 || store.Mappings()-base != 1 {
+		t.Fatalf("after the rewrite: %d stale invalidations, %d spills, %d disk entries, %d mappings",
+			st.StaleInvalidations, st.Spills, st.DiskEntries, store.Mappings()-base)
+	}
+	eng.Close()
+	if n := store.Mappings() - base; n != 0 {
+		t.Fatalf("%d mappings left after Close", n)
+	}
+
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	if len(want.Rows) == 0 || !reflect.DeepEqual(rows.Rows, want.Rows) {
+		t.Fatalf("the disk hit's rows changed after its mapping went:\n  got  %v\n  want %v", rows.Rows, want.Rows)
+	}
+	var got [][]any
+	if err := cols.Store.ScanNested(func(rec value.Value) error {
+		got = append(got, toNative(rec.L))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want.Rows) {
+		t.Fatalf("the disk hit's columnar result changed after its mapping went:\n  got  %v\n  want %v", got, want.Rows)
+	}
 }
