@@ -30,8 +30,11 @@ import (
 // catches up: the reader that needs the payload reads the tail the way a
 // miss reads the file, outside the manager lock against the provider's
 // immutable snapshot, and commits a RAM entry's extended payload through
-// the lifecycle's begin/commit pair. A spill file is never rewritten, so a
-// reader of a trailing one extends its own read of it and commits nothing.
+// the lifecycle's begin/commit pair: the committed payload is the old one's
+// chunks with the tail's linked behind them (store.Append), so the old
+// payload's memory is shared with the new one, not duplicated. A spill
+// file is never rewritten, so a reader of a trailing one links the tail
+// behind its own read of it and commits nothing.
 // Entries nobody reads are never touched, whichever tier they are in.
 
 // AbandonBuild releases a materializer's single-flight build slot without
@@ -198,11 +201,13 @@ func catchUp(e *Entry, old payload) (next payload, stable bool, err error) {
 // as a miss reads them from 0 — the source's pushdown cursor, then the
 // residual filter — and appends them to old: a lazy payload gains their
 // offsets in a fresh slice (readers replaying the old offsets must not see
-// the tail appended into their backing array), an eager one the leaf
-// vectors the typed kernel decodes them into, through store.Append (a
-// memcpy of the old vectors, typed appends for the tail). Only the leaves
-// old holds are decoded: a read of a spill file holds those its scan
-// needs. A tail that nothing in passes leaves the payload as it is.
+// the tail appended into their backing array), an eager one a chunk of the
+// leaf vectors the typed kernel decodes them into, linked behind old's
+// chunks by store.Append. Old's vectors are shared, never copied, except
+// when the merge rule folds a chunk into one the tail has caught up with.
+// Only the leaves old holds are decoded: a read of a spill file holds those
+// its scan needs, and its chain is [views of the mapping, the tail's
+// chunk]. A tail that nothing in passes leaves the payload as it is.
 func appendTail(src plan.Source, e *Entry, old payload) (payload, error) {
 	schema := src.Schema()
 	pd, residual, err := plan.SplitPredicate(e.Pred, schema, true)

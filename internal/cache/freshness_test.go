@@ -26,13 +26,17 @@ func lineitemRows(from, to int) string {
 	return b.String()
 }
 
-// BenchmarkTailExtend times one catch-up of a RAM-resident entry over an
-// appended tail: Manager.Resident reading the 100 rows appended to a
-// 20 000-row lineitem-shaped CSV and extending the entry of a select that
-// keeps 80 % of them, eager (the payload copied with the tail's records
-// appended) and lazy (the tail's offsets appended). The entry is put back
-// to its pre-append payload between iterations, outside the timer's
-// concern: a few pointer stores under the manager lock.
+// BenchmarkTailExtend times one catch-up of an entry over an appended
+// tail: Manager.Resident reading the 100 rows appended to a 20 000-row
+// lineitem-shaped CSV and extending the entry of a select that keeps 80 %
+// of them. eager: a RAM entry's committed extension, the tail's chunk
+// linked behind the payload's; lazy: the tail's offsets appended; disk: a
+// spilled entry's private catch-up under a query's pin, of the two leaves
+// an aggregate over l_extendedprice filtered on l_quantity scans, the
+// tail's chunk linked behind the views of the spill file's mapping. A RAM
+// entry is put back to its pre-append payload between iterations, outside
+// the timer's concern: a few pointer stores under the manager lock. A disk
+// hit changes nothing, so every iteration catches the same file up again.
 func BenchmarkTailExtend(b *testing.B) {
 	const base, tail = 20_000, 100
 	schema := value.TRecord(
@@ -43,8 +47,8 @@ func BenchmarkTailExtend(b *testing.B) {
 		value.F("l_shipdate", value.TInt), value.F("l_shipmode", value.TString),
 	)
 	pred := expr.Cmp(expr.OpLe, expr.C("l_quantity"), expr.L(40))
-	for _, mode := range []Mode{Eager, Lazy} {
-		b.Run(mode.String(), func(b *testing.B) {
+	for _, name := range []string{"eager", "lazy", "disk"} {
+		b.Run(name, func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "lineitem.csv")
 			if err := os.WriteFile(path, []byte(lineitemRows(0, base)), 0o644); err != nil {
 				b.Fatal(err)
@@ -56,15 +60,28 @@ func BenchmarkTailExtend(b *testing.B) {
 			ds := &plan.Dataset{Name: "lineitem", Format: plan.FormatCSV, Provider: prov}
 			st, offsets := buildOver(b, prov, pred)
 			epoch, covered := prov.Version()
-			m := NewManager(Config{Admission: AlwaysEager})
+			cfg := Config{Admission: AlwaysEager}
+			if name == "disk" {
+				cfg.SpillDir = b.TempDir()
+			}
+			m := NewManager(cfg)
 			spec := &BuildSpec{Manager: m, Dataset: ds, Pred: pred, PredCanon: pred.Canonical(),
 				Ranges: &expr.RangeSet{}, FileEpoch: epoch, Covered: covered}
-			if mode == Lazy {
-				st = nil
+			mode := Eager
+			if name == "lazy" {
+				mode, st = Lazy, nil
 			} else {
 				offsets = nil
 			}
 			e := m.CompleteBuild(spec, st, offsets, mode, 1e9, 1e9)
+			if name == "disk" {
+				m.mu.Lock()
+				queued := m.queueSpillLocked(e)
+				m.mu.Unlock()
+				if m.drainSpills(); !queued || !e.diskOnly() {
+					b.Fatal("the entry did not spill")
+				}
+			}
 			f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 			if err != nil {
 				b.Fatal(err)
@@ -76,15 +93,29 @@ func BenchmarkTailExtend(b *testing.B) {
 			if rep, err := prov.Refresh(); err != nil || rep.Status != plan.FileAppended {
 				b.Fatalf("refresh: %+v, %v", rep, err)
 			}
+			if name == "disk" {
+				tx := m.Begin() // a query's pin, as every disk hit holds
+				defer tx.Close()
+				if _, ok := tx.Rewrite(&plan.Select{Child: &plan.Scan{DS: ds}, Pred: pred},
+					map[string][]string{"lineitem": {"l_quantity"}}).(*plan.CachedScan); !ok {
+					b.Fatal("expected a disk hit")
+				}
+			}
 			want := base*4/5 + tail*4/5
+			leaves := store.AllLeaves(schema)
+			if name == "disk" {
+				leaves = store.Leaves{Cols: []int{4, 5}} // l_quantity, l_extendedprice
+			}
 			b.ReportAllocs()
 			for b.Loop() {
-				m.mu.Lock()
-				before := e.SizeBytes()
-				e.Store, e.Offsets, e.CoveredBytes = st, offsets, covered
-				m.total += e.SizeBytes() - before
-				m.mu.Unlock()
-				_, got, offs, err := m.Resident(e, store.AllLeaves(schema))
+				if name != "disk" {
+					m.mu.Lock()
+					before := e.SizeBytes()
+					e.Store, e.Offsets, e.CoveredBytes = st, offsets, covered
+					m.total += e.SizeBytes() - before
+					m.mu.Unlock()
+				}
+				_, got, offs, err := m.Resident(e, leaves)
 				switch {
 				case err != nil:
 					b.Fatal(err)

@@ -364,6 +364,20 @@ func newLifecycleModel(t *testing.T, seed int64) *lifecycleModel {
 	return x
 }
 
+// buildOf builds the Parquet form of recs.
+func (x *lifecycleModel) buildOf(recs []value.Value) store.Store {
+	b, err := store.NewBuilder(store.LayoutParquet, x.ds.Schema())
+	if err != nil {
+		x.t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := b.Add(r); err != nil {
+			x.t.Fatal(err)
+		}
+	}
+	return b.Finish()
+}
+
 // build materializes pred over the provider's current records.
 func (x *lifecycleModel) build(pred expr.Expr) (store.Store, []int64) {
 	b, err := store.NewBuilder(store.LayoutParquet, x.ds.Schema())
@@ -803,18 +817,33 @@ func (x *lifecycleModel) check(step int, name string, quiescent bool) {
 		}
 		// The payload is the predicate over exactly the covered prefix.
 		if e.FileEpoch == epoch {
-			want := 0
+			var match []value.Value
 			p, _ := expr.CompilePredicate(e.Pred, x.ds.Schema())
 			for _, r := range recs[:e.CoveredBytes/100] {
 				if p(r.L) {
-					want++
+					match = append(match, r)
 				}
 			}
+			want := len(match)
 			if got := len(e.Offsets); e.Mode == Lazy && got != want {
 				fail("lazy entry %d holds %d offsets, %d records match", e.ID, got, want)
 			}
 			if e.Store != nil && e.Store.NumRecords() != want {
 				fail("entry %d holds %d records, %d match", e.ID, e.Store.NumRecords(), want)
+			}
+			// A chained payload is charged the sum of its chunks, and each
+			// chunk, merged or not, what a build of its records is.
+			var sum int64
+			from := 0
+			for k, ch := range store.Chunks(e.Store) {
+				if got, want := ch.SizeBytes(), x.buildOf(match[from:from+ch.NumRecords()]).SizeBytes(); got != want {
+					fail("entry %d: chunk %d of %d records is charged %d bytes, a build of them %d", e.ID, k, ch.NumRecords(), got, want)
+				}
+				sum += ch.SizeBytes()
+				from += ch.NumRecords()
+			}
+			if sum != 0 && sum != e.Store.SizeBytes() {
+				fail("entry %d: a chain charged %d bytes, its chunks hold %d", e.ID, e.Store.SizeBytes(), sum)
 			}
 		}
 	}

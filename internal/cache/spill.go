@@ -195,7 +195,8 @@ func atomicWrite(path string, write func(io.Writer) error) error {
 //     fixed-width vectors are views of the mapping — never a raw re-scan,
 //     and nothing is committed, charged or evicted: the entry stays on
 //     disk. A file that trails its raw file is caught up the same private
-//     way, into memory of the reader's own. The decode pins e while it
+//     way: the tail's chunk, in memory of the reader's own, is linked
+//     behind the views, which are not copied. The decode pins e while it
 //     runs; the views stay readable for as long as the caller's own pin
 //     holds, which every query has (Txn) for the entries it scans.
 //
@@ -243,7 +244,9 @@ func (m *Manager) Resident(e *Entry, leaves store.Leaves) (Mode, store.Store, []
 
 // readDisk is a disk hit: the leaves a reader scans, decoded as views of
 // spill, e's mapping, which the caller pinned e for, and caught up
-// privately when the file trails its raw file. Its one write to the entry
+// privately when the file trails its raw file, into the chain [the views,
+// the tail's chunk]: the prefix stays in the mapping, so the chain is
+// readable only under the reader's pin. Its one write to the entry
 // is reloadNanos, the decode's measured cost. A file that cannot be
 // decoded drops the entry: atomic writes and startup cleanup make that an
 // OS failure, not a normal path.

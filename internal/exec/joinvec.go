@@ -165,6 +165,10 @@ type joinTable struct {
 	// batches is how many build-side batches filled the table: what a join
 	// that reuses the memoised table reports as its build scan.
 	batches int64
+	// cols are the build rows a memoised table addresses when they are not
+	// the store's own vectors: those gathered from a chained store's
+	// chunks. nil when the row ids index the store's vectors.
+	cols []*store.Vec
 }
 
 // entry is one build row in its key's chain.
@@ -232,11 +236,16 @@ func (t *joinTable) insert(k typedKey, row int32) {
 	t.used++
 }
 
-// sizeBytes is the table's memory: its slot arrays and entries. A string
-// key shares its bytes with the build side's vector.
+// sizeBytes is the table's memory: its slot arrays and entries, and the
+// build rows it gathered (cols). A string key shares its bytes with the
+// build side's vector.
 func (t *joinTable) sizeBytes() int64 {
 	slots := int64(cap(t.heads)+cap(t.tails))*4 + int64(cap(t.keys)+cap(t.shashes))*8 + int64(cap(t.skeys))*16
-	return slots + int64(cap(t.ents))*8 + 64
+	sz := slots + int64(cap(t.ents))*8 + 64
+	for _, c := range t.cols {
+		sz += c.SizeBytes()
+	}
+	return sz
 }
 
 // findInt is lookup for a fixed-width key ik hashing to h; small enough to
@@ -362,8 +371,10 @@ func joinSide(n plan.Node, key expr.Expr, typed bool, deps Deps) (vecSource, int
 // into the scan — hashes an immutable store the same way every time, so
 // its table is memoised on the entry (Manager.AttachJoinTable) under the
 // store snapshot, the key column and the key mode, and a later join reuses
-// it. A reuse still reports the batches the table was built from, so the
-// scan's accounting is the same either way.
+// it. A chained store's cursor switches its vectors at each chunk
+// boundary, so its build rows are gathered (buildTable) and the memo keeps
+// them beside the table. A reuse still reports the batches the table was
+// built from, so the scan's accounting is the same either way.
 func (vj *vecJoin) build(ctx *qctx, liter vecIter) ([]*store.Vec, *joinTable) {
 	sc, ok := liter.(*scanIter)
 	m := ctx.deps.Manager
@@ -373,10 +384,16 @@ func (vj *vecJoin) build(ctx *qctx, liter vecIter) ([]*store.Vec, *joinTable) {
 	k := cache.JoinTableKey{Store: sc.st, Col: sc.s.outNames[vj.lslot], Mode: uint8(vj.mode), Flat: sc.s.cs.Flat}
 	if t, ok := m.JoinTable(sc.s.entry, k).(*joinTable); ok {
 		sc.batches = t.batches
+		if t.cols != nil {
+			return t.cols, t
+		}
 		return sc.Cols(), t
 	}
 	bcols, t := vj.buildTable(liter)
 	t.batches = sc.batches
+	if !sc.Stable() {
+		t.cols = bcols
+	}
 	m.AttachJoinTable(sc.s.entry, k, t, t.sizeBytes())
 	return bcols, t
 }

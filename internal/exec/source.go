@@ -236,9 +236,12 @@ type scanIter struct {
 }
 
 func (it *scanIter) Kinds() []value.Kind  { return it.kinds }
-func (it *scanIter) Stable() bool         { return true }
 func (it *scanIter) Cols() []*store.Vec   { return it.cur.Cols }
 func (it *scanIter) addScanNanos(n int64) { it.nanos += n }
+
+// Stable: a store held whole keeps its vectors for the whole scan; a
+// chain's cursor switches them at each chunk boundary.
+func (it *scanIter) Stable() bool { return store.Chunks(it.st) == nil }
 
 func (it *scanIter) Next() ([]*store.Vec, []int32, bool) {
 	t0 := time.Now()

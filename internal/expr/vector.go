@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math"
+	"slices"
 
 	"recache/internal/store"
 	"recache/internal/value"
@@ -29,22 +30,40 @@ import (
 type VecFilter struct {
 	tests []ColTest
 	rest  Predicate // nil when every conjunct is a test
+	// restSlots are the batch columns rest reads, ascending. rest is
+	// compiled against the record of those fields alone, so its rows hold
+	// column restSlots[j] at position j and nothing else.
+	restSlots []int
 }
 
 // CompileVecFilter compiles e against the input schema: ExtractPushdown's
-// tests, and CompilePredicate of the residual it leaves. A nil predicate
-// compiles to the pass-everything filter; an error is e's own (an unknown
-// column, a non-boolean predicate).
+// tests, and CompilePredicate of the residual it leaves over the fields the
+// residual reads. A nil predicate compiles to the pass-everything filter;
+// an error is e's own (an unknown column, a non-boolean predicate).
 func CompileVecFilter(e Expr, schema *value.Type) (*VecFilter, error) {
 	pd, residual := ExtractPushdown(e, schema)
 	f := &VecFilter{tests: pd.Tests()}
-	if residual != nil {
-		rest, err := CompilePredicate(residual, schema)
-		if err != nil {
-			return nil, err
-		}
-		f.rest = rest
+	if residual == nil {
+		return f, nil
 	}
+	if _, err := residual.Type(schema); err != nil {
+		return nil, err
+	}
+	for _, p := range Columns(residual) {
+		if _, chain, err := resolveCol(schema, p); err == nil && !slices.Contains(f.restSlots, chain[0]) {
+			f.restSlots = append(f.restSlots, chain[0])
+		}
+	}
+	slices.Sort(f.restSlots)
+	fields := make([]value.Field, len(f.restSlots))
+	for j, slot := range f.restSlots {
+		fields[j] = schema.Fields[slot]
+	}
+	rest, err := CompilePredicate(residual, value.TRecord(fields...))
+	if err != nil {
+		return nil, err
+	}
+	f.rest = rest
 	return f, nil
 }
 
@@ -79,8 +98,9 @@ func (f *VecFilter) Compatible(kinds []value.Kind) bool {
 
 // Apply runs the filter over the selection vector in place, returning the
 // surviving prefix of sel: each test over its column, then the rest over
-// the rows the tests kept, boxed (store.FillRows). Rows whose tested column
-// is null never survive, matching the row evaluator.
+// the rows the tests kept, boxed (store.FillSlots) from the columns the
+// rest reads and no others. Rows whose tested column is null never
+// survive, matching the row evaluator.
 func (f *VecFilter) Apply(cols []*store.Vec, sel []int32) []int32 {
 	for i := range f.tests {
 		if len(sel) == 0 {
@@ -91,9 +111,9 @@ func (f *VecFilter) Apply(cols []*store.Vec, sel []int32) []int32 {
 	if f.rest == nil || len(sel) == 0 {
 		return sel
 	}
-	nc := len(cols)
+	nc := len(f.restSlots)
 	rows := make([]value.Value, len(sel)*nc)
-	store.FillRows(cols, sel, rows, nc)
+	store.FillSlots(cols, f.restSlots, sel, rows)
 	out := sel[:0]
 	for k, r := range sel {
 		if f.rest(rows[k*nc : (k+1)*nc : (k+1)*nc]) {

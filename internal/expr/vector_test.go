@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"recache/internal/store"
@@ -198,10 +199,13 @@ func TestVecFilterMixedChain(t *testing.T) {
 		}
 		rows = append(rows, row)
 	}
+	if !slices.Equal(vf.restSlots, []int{1}) {
+		t.Fatalf("the rest boxes slots %v, want [1]: flag alone", vf.restSlots)
+	}
 	rest, seen, kept := vf.rest, 0, 0
 	vf.rest = func(r Row) bool {
-		if r[0].Kind != value.Int || r[0].I <= 1 {
-			t.Fatalf("the generic kernel saw row %v, which a > 1 drops", r)
+		if len(r) != 1 || r[0].Kind != value.Bool && r[0].Kind != value.Null {
+			t.Fatalf("the generic kernel saw row %v, want flag alone", r)
 		}
 		seen++
 		return rest(r)
@@ -472,12 +476,27 @@ var benchSink int
 // BenchmarkVecFilter times one range kernel over a batch of uniformly drawn
 // values, so the kept/dropped outcome is unpredictable: int and float
 // columns, a NULL-free selection and one whose null words each hold a NULL,
-// at 10, 50 and 90 % selectivity. ns/row is per input row and includes
-// refilling the selection (a 4 KB copy).
+// at 10, 50 and 90 % selectivity. A float column runs both range kernels: a
+// closed range admits NaN (keepFltRangeNaN), a strict one, a > lo AND
+// a < hi, does not (keepFltRange). The rest case is a chain with one
+// conjunct the typed tests do not take, over nine int columns: c0 > 10,
+// then c1 + 1 > 5 on the boxed rows c0 kept. ns/row is per input row and
+// includes refilling the selection (a 4 KB copy); an op is one batch.
 func BenchmarkVecFilter(b *testing.B) {
 	const n = store.BatchRows
 	r := rand.New(rand.NewSource(1))
 	full := fullSel(n)
+	run := func(name string, vf *VecFilter, cols []*store.Vec) {
+		b.Run(name, func(b *testing.B) {
+			sel := make([]int32, n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(sel, full)
+				benchSink = len(vf.Apply(cols, sel))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+		})
+	}
 	for _, kind := range []value.Kind{value.Int, value.Float} {
 		for _, nulls := range []bool{false, true} {
 			col := &store.Vec{Kind: kind}
@@ -494,25 +513,40 @@ func BenchmarkVecFilter(b *testing.B) {
 			}
 			schema := value.TRecord(value.F("a", &value.Type{Kind: kind}))
 			for _, pct := range []int{10, 50, 90} {
-				pred := Between(C("a"), L(0), L(pct-1))
+				preds := map[string]Expr{"": Between(C("a"), L(0), L(pct-1))}
 				if kind == value.Float {
-					pred = Between(C("a"), L(0.0), L(float64(pct)))
-				}
-				vf, err := CompileVecFilter(pred, schema)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cols := []*store.Vec{col}
-				b.Run(fmt.Sprintf("%s/nulls=%v/sel=%d", kind, nulls, pct), func(b *testing.B) {
-					sel := make([]int32, n)
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						copy(sel, full)
-						benchSink = len(vf.Apply(cols, sel))
+					preds = map[string]Expr{
+						"":        Between(C("a"), L(0.0), L(float64(pct))),
+						"strict/": And(Cmp(OpGt, C("a"), L(0.0)), Cmp(OpLt, C("a"), L(float64(pct)))),
 					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
-				})
+				}
+				for _, form := range []string{"", "strict/"} {
+					pred, ok := preds[form]
+					if !ok {
+						continue
+					}
+					vf, err := CompileVecFilter(pred, schema)
+					if err != nil {
+						b.Fatal(err)
+					}
+					run(fmt.Sprintf("%s/%snulls=%v/sel=%d", kind, form, nulls, pct), vf, []*store.Vec{col})
+				}
 			}
 		}
 	}
+	fields := make([]value.Field, 9)
+	cols := make([]*store.Vec, 9)
+	for c := range cols {
+		fields[c] = value.F(fmt.Sprintf("c%d", c), value.TInt)
+		cols[c] = &store.Vec{Kind: value.Int}
+		for i := 0; i < n; i++ {
+			cols[c].AppendVal(value.VInt(int64(r.Intn(20))))
+		}
+	}
+	vf, err := CompileVecFilter(And(Cmp(OpGt, C("c0"), L(10)),
+		Cmp(OpGt, &Bin{Op: OpAdd, L: C("c1"), R: L(1)}, L(5))), value.TRecord(fields...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	run("rest/9ints", vf, cols)
 }

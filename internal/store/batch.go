@@ -43,44 +43,58 @@ func (c *BatchCursor) Next(buf []int32) []int32 { return c.next(buf) }
 // on each column's kind, and testing its null words, once per batch.
 func FillRows(cols []*Vec, sel []int32, chunk []value.Value, nc int) {
 	for i, v := range cols {
-		nulls := v.Nulls.AnySel(sel)
-		switch v.Kind {
-		case value.Int:
-			for k, r := range sel {
-				if nulls && v.Nulls.Get(int(r)) {
-					chunk[k*nc+i] = value.VNull
-				} else {
-					chunk[k*nc+i] = value.Value{Kind: value.Int, I: v.Ints[r]}
-				}
+		fillSlot(v, i, sel, chunk, nc)
+	}
+}
+
+// FillSlots is FillRows of the columns at slots alone, into rows of
+// len(slots) values: column slots[j] at position j of each row. A row
+// predicate that reads a few of a batch's columns boxes only those.
+func FillSlots(cols []*Vec, slots []int, sel []int32, chunk []value.Value) {
+	for j, i := range slots {
+		fillSlot(cols[i], j, sel, chunk, len(slots))
+	}
+}
+
+// fillSlot boxes the selected rows of v into slot i of the chunk's rows.
+func fillSlot(v *Vec, i int, sel []int32, chunk []value.Value, nc int) {
+	nulls := v.Nulls.AnySel(sel)
+	switch v.Kind {
+	case value.Int:
+		for k, r := range sel {
+			if nulls && v.Nulls.Get(int(r)) {
+				chunk[k*nc+i] = value.VNull
+			} else {
+				chunk[k*nc+i] = value.Value{Kind: value.Int, I: v.Ints[r]}
 			}
-		case value.Float:
-			for k, r := range sel {
-				if nulls && v.Nulls.Get(int(r)) {
-					chunk[k*nc+i] = value.VNull
-				} else {
-					chunk[k*nc+i] = value.Value{Kind: value.Float, F: v.Floats[r]}
-				}
+		}
+	case value.Float:
+		for k, r := range sel {
+			if nulls && v.Nulls.Get(int(r)) {
+				chunk[k*nc+i] = value.VNull
+			} else {
+				chunk[k*nc+i] = value.Value{Kind: value.Float, F: v.Floats[r]}
 			}
-		case value.String:
-			for k, r := range sel {
-				if nulls && v.Nulls.Get(int(r)) {
-					chunk[k*nc+i] = value.VNull
-				} else {
-					chunk[k*nc+i] = value.Value{Kind: value.String, S: v.Strs[r]}
-				}
+		}
+	case value.String:
+		for k, r := range sel {
+			if nulls && v.Nulls.Get(int(r)) {
+				chunk[k*nc+i] = value.VNull
+			} else {
+				chunk[k*nc+i] = value.Value{Kind: value.String, S: v.Strs[r]}
 			}
-		case value.Bool:
-			for k, r := range sel {
-				if nulls && v.Nulls.Get(int(r)) {
-					chunk[k*nc+i] = value.VNull
-				} else {
-					chunk[k*nc+i] = value.Value{Kind: value.Bool, B: v.Bools[r]}
-				}
+		}
+	case value.Bool:
+		for k, r := range sel {
+			if nulls && v.Nulls.Get(int(r)) {
+				chunk[k*nc+i] = value.VNull
+			} else {
+				chunk[k*nc+i] = value.Value{Kind: value.Bool, B: v.Bools[r]}
 			}
-		case value.Record, value.List:
-			for k, r := range sel {
-				chunk[k*nc+i] = v.Boxed[r] // VNull at a null
-			}
+		}
+	case value.Record, value.List:
+		for k, r := range sel {
+			chunk[k*nc+i] = v.Boxed[r] // VNull at a null
 		}
 	}
 }

@@ -55,9 +55,10 @@ import (
 //     memory the collector does not see, and a query's result carries the
 //     headers of the strings it scanned past the scan. Its bools are
 //     allocated. A leaf it did not read is missing from the store: a
-//     cursor over it fails, and the store cannot be written. A store
-//     derived from it that gains rows (Concat, Append) copies out of the
-//     stream. Every disk hit reads this way, and, with AllLeaves, replica
+//     cursor over it fails, and the store cannot be written. Concat
+//     copies out of the stream; Append links a tail behind the views, a
+//     chain that is readable only as long as the stream is (chainStore).
+//     Every disk hit reads this way, and, with AllLeaves, replica
 //     validation. On a big-endian host, or from a stream that does not
 //     start at an 8-byte address, it copies as ReadParquetBytes does.
 //   - ReadParquetBytes decodes every leaf and copies: the store shares no
@@ -105,16 +106,26 @@ type spillWriter interface {
 // WriteParquet serializes a Parquet-layout store to w. It returns an error
 // if st is not the Parquet layout — a columnar store is a view, and the
 // payload it was derived from is what a spill file or a replica holds — or
-// if st is a projected read that lacks some of its leaves.
+// if st is a projected read that lacks some of its leaves. A chain streams
+// its chunks in order, as one stream byte-identical to its compaction's:
+// each section holds every chunk's values of its column, and only the null
+// words of a chunk that starts mid-word are shifted into place.
 func WriteParquet(w io.Writer, st Store) error {
-	p, ok := st.(*parquetStore)
-	switch {
-	case !ok:
+	var one [1]*parquetStore // a store held whole, without an allocation
+	chunks := one[:]
+	switch s := st.(type) {
+	case *parquetStore:
+		one[0] = s
+	case *chainStore:
+		chunks = s.chunks
+	default:
 		return fmt.Errorf("store: WriteParquet: not a parquet store (layout %s)", st.Layout())
-	case p.partial():
+	}
+	p := chunks[0]
+	if p.partial() {
 		return fmt.Errorf("store: WriteParquet: a projected read holds only some of the leaves of %s", p.schema)
 	}
-	dir, err := p.directory()
+	dir, err := directory(chunks)
 	if err != nil {
 		return err
 	}
@@ -136,15 +147,17 @@ func WriteParquet(w io.Writer, st Store) error {
 	}
 	lw.u8(hasList)
 	lw.pad(8)
-	lw.u64(uint64(p.nRecs))
-	lw.u64(uint64(p.nFlat))
+	lw.u64(uint64(st.NumRecords()))
+	lw.u64(uint64(st.NumFlatRows()))
 	lw.u32(uint32(len(p.cols)))
 	lw.pad(8)
 	for _, off := range dir {
 		lw.u64(uint64(off))
 	}
 	if hasList == 1 {
-		lw.write(le(p.lengths))
+		for _, ch := range chunks {
+			lw.write(le(ch.lengths))
+		}
 		lw.pad(8)
 	}
 	for ci, c := range p.cols {
@@ -153,7 +166,7 @@ func WriteParquet(w io.Writer, st Store) error {
 			rep = 1
 		}
 		lw.u8(rep)
-		if err := lw.vec(p.leaf(ci)); err != nil {
+		if err := lw.vec(chunks, ci); err != nil {
 			return err
 		}
 	}
@@ -161,17 +174,22 @@ func WriteParquet(w io.Writer, st Store) error {
 	return flush()
 }
 
-// directory computes the stream offset of every column section of p and,
-// last, the stream's length.
-func (p *parquetStore) directory() ([]int64, error) {
+// directory computes the stream offset of every column section of the
+// chunks laid end to end and, last, the stream's length.
+func directory(chunks []*parquetStore) ([]int64, error) {
+	p := chunks[0]
 	dir := make([]int64, len(p.cols)+1)
 	off := headerLen(len(p.cols))
 	if p.listPath != nil {
-		off += align8(4 * int64(len(p.lengths)))
+		nRecs := 0
+		for _, ch := range chunks {
+			nRecs += ch.nRecs
+		}
+		off += align8(4 * int64(nRecs))
 	}
 	for ci := range p.cols {
 		dir[ci] = off
-		n, err := sectionLen(p.leaf(ci))
+		n, err := sectionLen(chunks, ci)
 		if err != nil {
 			return nil, err
 		}
@@ -181,24 +199,27 @@ func (p *parquetStore) directory() ([]int64, error) {
 	return dir, nil
 }
 
-// sectionLen is the bytes of v's column section: its framing, null words
-// and payload, padded to 8.
-func sectionLen(v *vec) (int64, error) {
-	n := int64(v.Len())
-	size := 16 + 8*((n+63)/64)
-	switch v.Kind {
-	case value.Int, value.Float:
-		size += 8 * n
-	case value.Bool:
-		size += n
-	case value.String:
-		for _, s := range v.Strs {
-			size += 4 + int64(len(s))
+// sectionLen is the bytes of the section of column ci of the chunks laid
+// end to end: its framing, null words and payload, padded to 8.
+func sectionLen(chunks []*parquetStore, ci int) (int64, error) {
+	var n, payload int64
+	for _, ch := range chunks {
+		v := ch.leaf(ci)
+		n += int64(v.Len())
+		switch v.Kind {
+		case value.Int, value.Float:
+			payload += 8 * int64(v.Len())
+		case value.Bool:
+			payload += int64(v.Len())
+		case value.String:
+			for _, s := range v.Strs {
+				payload += 4 + int64(len(s))
+			}
+		default:
+			return 0, fmt.Errorf("store: WriteParquet: unsupported vec kind %s", v.Kind)
 		}
-	default:
-		return 0, fmt.Errorf("store: WriteParquet: unsupported vec kind %s", v.Kind)
 	}
-	return align8(size), nil
+	return align8(16 + 8*((n+63)/64) + payload), nil
 }
 
 // leWriter encodes little-endian values into the sink, counting the stream
@@ -239,27 +260,48 @@ func (lw *leWriter) pad(align int) {
 	lw.write(zeros[:-lw.off&(align-1)])
 }
 
-// vec writes the rest of a column section: v's kind, length, null words and
-// payload, and the pad that ends the section.
-func (lw *leWriter) vec(v *vec) error {
-	lw.u8(byte(v.Kind))
+// vec writes the rest of the section of column ci of the chunks laid end
+// to end: its kind, length, null words and payload, and the pad that ends
+// the section.
+func (lw *leWriter) vec(chunks []*parquetStore, ci int) error {
+	kind, n := chunks[0].leaf(ci).Kind, 0
+	for _, ch := range chunks {
+		n += ch.leaf(ci).Len()
+	}
+	lw.u8(byte(kind))
 	lw.pad(8)
-	lw.u64(uint64(v.Len()))
-	lw.write(le(v.Nulls.words))
-	switch v.Kind {
-	case value.Int:
-		lw.write(le(v.Ints))
-	case value.Float:
-		lw.write(le(v.Floats))
-	case value.Bool:
-		lw.write(bytesOf(v.Bools)) // a Go bool is the byte 0 or 1
-	case value.String:
-		lw.strs(v.Strs)
-	default:
-		return fmt.Errorf("store: WriteParquet: unsupported vec kind %s", v.Kind)
+	lw.u64(uint64(n))
+	lw.write(le(nullWords(chunks, ci)))
+	for _, ch := range chunks {
+		switch v := ch.leaf(ci); kind {
+		case value.Int:
+			lw.write(le(v.Ints))
+		case value.Float:
+			lw.write(le(v.Floats))
+		case value.Bool:
+			lw.write(bytesOf(v.Bools)) // a Go bool is the byte 0 or 1
+		case value.String:
+			lw.strs(v.Strs)
+		default:
+			return fmt.Errorf("store: WriteParquet: unsupported vec kind %s", kind)
+		}
 	}
 	lw.pad(8)
 	return nil
+}
+
+// nullWords returns the null words of column ci of the chunks laid end to
+// end: the one chunk's own words, or those of a bitmap every chunk's is
+// appended to.
+func nullWords(chunks []*parquetStore, ci int) []uint64 {
+	if len(chunks) == 1 {
+		return chunks[0].leaf(ci).Nulls.words
+	}
+	var b Bitmap
+	for _, ch := range chunks {
+		b.appendBitmap(&ch.leaf(ci).Nulls)
+	}
+	return b.words
 }
 
 // strScratch recycles the buffer strs encodes through.

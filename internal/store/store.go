@@ -5,7 +5,9 @@
 //     record in a non-repeated leaf, one per list element (plus a null
 //     placeholder per empty list) in a repeated leaf, and every record's
 //     list length. This is the form every store is built, extended and
-//     serialized in, and the payload of every eager cache entry.
+//     serialized in, and the payload of every eager cache entry; a payload
+//     extended over appended tails holds it as a chain of immutable
+//     chunks (chain.go).
 //   - LayoutColumnar: relational column-oriented storage of the *flattened*
 //     view of (possibly nested) records, duplicating parent values per list
 //     element exactly as §4 describes. It is derived from the Parquet form

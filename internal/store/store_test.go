@@ -64,20 +64,27 @@ func collectRecords(t *testing.T, s Store, cols []int) [][]value.Value {
 }
 
 // collectCursor opens s's cursor and boxes every selected row, draining it
-// in tiny batches so multi-batch paths run.
+// in tiny batches so multi-batch paths run. Each batch is boxed from the
+// Cols the cursor holds when it returns it: a chain's switch at each chunk
+// boundary.
 func collectCursor(t *testing.T, s Store, flat bool, cols []int) [][]value.Value {
 	t.Helper()
 	cur, err := s.BatchCursor(flat, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := drainCursor(t, cur)
 	nc := len(cols)
-	chunk := make([]value.Value, len(sel)*nc)
-	FillRows(cur.Cols, sel, chunk, nc)
 	var out [][]value.Value
-	for k := range sel {
-		out = append(out, chunk[k*nc:(k+1)*nc:(k+1)*nc])
+	buf := make([]int32, 8)
+	for sel := cur.Next(buf); sel != nil; sel = cur.Next(buf) {
+		if len(sel) == 0 {
+			t.Fatal("cursor returned an empty non-final batch")
+		}
+		chunk := make([]value.Value, len(sel)*nc)
+		FillRows(cur.Cols, sel, chunk, nc)
+		for k := range sel {
+			out = append(out, chunk[k*nc:(k+1)*nc:(k+1)*nc])
+		}
 	}
 	return out
 }
@@ -506,3 +513,6 @@ func TestConvertFlatSchema(t *testing.T) {
 		t.Error("the view differs from a columnar rebuild")
 	}
 }
+
+// formOf returns the Parquet form of st as one chunk.
+func formOf(st Store) *parquetStore { return compact(st) }

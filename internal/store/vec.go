@@ -67,6 +67,23 @@ func (b *Bitmap) appendValid(n int) {
 	}
 }
 
+// appendBitmap adds src's entries, a word of src at a time, shifted into
+// place when b does not end on a word boundary. Bits of src's last word
+// past its length are not carried over.
+func (b *Bitmap) appendBitmap(src *Bitmap) {
+	base, shift := b.n>>6, uint(b.n)&63
+	b.appendValid(src.n)
+	for i, w := range src.words[:(src.n+63)>>6] {
+		if r := uint(src.n) & 63; r != 0 && i == (src.n-1)>>6 {
+			w &= 1<<r - 1
+		}
+		b.words[base+i] |= w << shift
+		if shift != 0 && base+i+1 < len(b.words) {
+			b.words[base+i+1] |= w >> (64 - shift)
+		}
+	}
+}
+
 // truncate drops the entries from n on, clearing their bits: Append only
 // sets bits, so a regrown bitmap must find them zero.
 func (b *Bitmap) truncate(n int) {

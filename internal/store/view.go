@@ -35,27 +35,20 @@ func columnarOf(p *parquetStore) *columnarStore {
 	return c
 }
 
-// formOf returns the Parquet form of st: st itself, or the form a columnar
-// store was derived from. nil for a store of another package.
-func formOf(st Store) *parquetStore {
-	switch s := st.(type) {
-	case *parquetStore:
-		return s
-	case *columnarStore:
-		return s.form
-	}
-	return nil
-}
-
 // Flatten derives the flattened view of st's Parquet form: the columnar
-// layout, which shares the form's vectors wherever it can. own is what the
-// view holds beyond those shared vectors — its gathered record leaves, its
-// row index and its placeholder marks — so a view kept beside its form
-// costs own bytes more. Flatten never changes st.
+// layout, which shares the form's vectors wherever it can. A chain is
+// compacted first, and the view keeps the compaction, whose every byte it
+// owns. own is what the view holds beyond the vectors of st — its gathered
+// record leaves, its row index and its placeholder marks, and a
+// compaction — so a view kept beside its form costs own bytes more.
+// Flatten never changes st.
 func Flatten(st Store) (view Store, own int64) {
-	p := formOf(st)
+	p := compact(st)
 	c := columnarOf(p)
 	own = int64(len(c.recID)) * 5 // recID + skip
+	if _, chained := st.(*chainStore); chained {
+		own += p.size
+	}
 	for ci, v := range c.vecs {
 		if v != p.flatVecs[ci] && v != p.repVecs[ci] {
 			own += v.SizeBytes()
@@ -68,7 +61,7 @@ func Flatten(st Store) (view Store, own int64) {
 // when its cursor needs no expansion — a columnar store, or data without a
 // repeated field — and Parquet when it expands the records.
 func FlattenedLayout(st Store) Layout {
-	if p, ok := st.(*parquetStore); ok && p.listPath != nil {
+	if st.Layout() == LayoutParquet && value.RepeatedFieldCached(st.Schema()) != nil {
 		return LayoutParquet
 	}
 	return LayoutColumnar

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,8 +210,15 @@ func BenchmarkSpillDiskHit(b *testing.B) {
 // elements is read — as rows and as a columnar result — after its entry
 // was removed by a rewrite of the file, its readers unpinned and its
 // mapping released, with faults turned into panics, and it still equals
-// the no-cache answer.
+// the no-cache answer. In the trailing case the file gained orders after
+// the spill, and each hit catches up privately: its store is a chain whose
+// head views the mapping and whose tail chunk is its own.
 func TestDiskHitResultOutlivesMapping(t *testing.T) {
+	t.Run("current", func(t *testing.T) { testDiskHitOutlivesMapping(t, false) })
+	t.Run("trailing", func(t *testing.T) { testDiskHitOutlivesMapping(t, true) })
+}
+
+func testDiskHitOutlivesMapping(t *testing.T, trailing bool) {
 	path := filepath.Join(t.TempDir(), "orders.json")
 	if err := os.WriteFile(path, []byte(orderLineitems(t, 400)), 0o644); err != nil {
 		t.Fatal(err)
@@ -227,8 +235,6 @@ func TestDiskHitResultOutlivesMapping(t *testing.T) {
 		}
 		return eng
 	}
-	nocache := open(Config{Admission: "off"})
-	defer nocache.Close()
 	eng := open(Config{
 		Admission:     "eager",
 		FreshnessMode: "check",
@@ -237,16 +243,34 @@ func TestDiskHitResultOutlivesMapping(t *testing.T) {
 	})
 	defer eng.Close()
 
-	const q = "SELECT o_orderkey, o_orderpriority, o_totalprice, lineitems.l_linenumber, lineitems.l_extendedprice FROM t WHERE o_orderkey < 300"
-	want, err := nocache.Query(q)
-	if err != nil {
-		t.Fatal(err)
+	q := "SELECT o_orderkey, o_orderpriority, o_totalprice, lineitems.l_linenumber, lineitems.l_extendedprice FROM t WHERE o_orderkey < 300"
+	if trailing {
+		// A predicate the appended orders pass.
+		q = strings.Replace(q, "o_orderkey < 300", "o_orderkey >= 100", 1)
 	}
 	if _, err := eng.Query(q); err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.CacheStats(); st.Spills != 1 || st.DiskEntries != 1 || store.Mappings()-base != 1 {
 		t.Fatalf("the entry did not spill: %d spills, %d disk entries, %d mappings", st.Spills, st.DiskEntries, store.Mappings()-base)
+	}
+	if trailing {
+		// Orders 400..419: the generator draws the first 400 as it did.
+		all := orderLineitems(t, 420)
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(all[len(orderLineitems(t, 400)):]); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	nocache := open(Config{Admission: "off"})
+	defer nocache.Close()
+	want, err := nocache.Query(q)
+	if err != nil {
+		t.Fatal(err)
 	}
 	rows, err := eng.Query(q)
 	if err != nil {
@@ -258,6 +282,12 @@ func TestDiskHitResultOutlivesMapping(t *testing.T) {
 	}
 	if hits := eng.CacheStats().DiskHits; hits != 2 {
 		t.Fatalf("%d disk hits, want 2", hits)
+	}
+	if ext := eng.CacheStats().TailExtensions; trailing != (ext == 2) || !trailing && ext != 0 {
+		t.Fatalf("%d private catch-ups, trailing %v", ext, trailing)
+	}
+	if trailing && !slices.ContainsFunc(want.Rows, func(r []any) bool { return r[0].(int64) >= 400 }) {
+		t.Fatal("the appended orders add no rows to the answer")
 	}
 
 	// A rewrite of the file drops the entry at the next query's
